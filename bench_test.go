@@ -401,6 +401,46 @@ func BenchmarkE14_DSSuite(b *testing.B) {
 	}
 }
 
+// BenchmarkExecOperators is the per-operator layer under the end-to-end
+// benchmark (benchmark/): one leg per vectorized operator shape, each a plan
+// run on its own with nothing from the rewriter, the wire or the driver
+// around it, at 10k and 100k trans rows. allocs/op and B/op are the numbers
+// to watch: per-chunk, per-group and per-row allocation shows here first.
+// Serial (Parallelism 1), so allocs/op does not depend on GOMAXPROCS.
+func BenchmarkExecOperators(b *testing.B) {
+	operators := []struct{ name, sql string }{
+		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`},
+		{"fused_groupby", `select fpgid, year(date) as year, count(*) as cnt, sum(qty * price) as gross, min(price) as lo
+			from trans where month(date) >= 6 group by fpgid, year(date)`},
+		{"star_groupby_gsets", `select state, year(date) as year, count(*) as cnt, sum(qty * price) as value
+			from trans, loc where flid = lid and country = 'USA'
+			group by grouping sets((state, year(date)), (state), ())`},
+		{"having_over_groupby", `select flid, year(date) as year, count(*) as cnt
+			from trans group by flid, year(date) having count(*) > 3`},
+	}
+	for _, scale := range []int{10_000, 100_000} {
+		env := bench.NewEnv(scale, core.Options{})
+		for _, op := range operators {
+			g, err := qgm.BuildSQL(op.sql, env.Cat)
+			if err != nil {
+				b.Fatalf("%s: %v", op.name, err)
+			}
+			b.Run(op.name+"/"+strconv.Itoa(scale), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := env.Engine.RunCtx(context.Background(), g, exec.Config{Parallelism: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Mode != exec.ModeVectorized {
+						b.Fatalf("%s ran %s", op.name, res.Mode)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkE15_CatalogScaling measures rewrite-candidate selection latency as
 // the AST catalog grows, with and without the signature index. The catalog is
 // 64 disjoint single-table schemas with ASTs registered round-robin, so for

@@ -218,6 +218,22 @@ func (ev *evaluator) evalBox(b *qgm.Box) ([][]sqltypes.Value, error) {
 	return rows, nil
 }
 
+// scalarValue evaluates a scalar-subquery box: NULL when it returns no row,
+// the value when it returns one, an error when it returns more.
+func (ev *evaluator) scalarValue(b *qgm.Box) (sqltypes.Value, error) {
+	rows, err := ev.evalBox(b)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	switch len(rows) {
+	case 0:
+		return sqltypes.Null, nil
+	case 1:
+		return rows[0][0], nil
+	}
+	return sqltypes.Null, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
+}
+
 // binding is the joined tuple so far: the current row of each joined ForEach
 // quantifier, indexed by the join slot the quantifier was assigned when it
 // entered the join (exprCtx maps quantifier IDs to slots, replacing the old
@@ -232,18 +248,11 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 		case qgm.ForEach:
 			forEach = append(forEach, q)
 		case qgm.Scalar:
-			rows, err := ev.evalBox(q.Box)
+			v, err := ev.scalarValue(q.Box)
 			if err != nil {
 				return nil, err
 			}
-			switch len(rows) {
-			case 0:
-				scalars[q.ID] = sqltypes.Null
-			case 1:
-				scalars[q.ID] = rows[0][0]
-			default:
-				return nil, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
-			}
+			scalars[q.ID] = v
 		}
 	}
 
@@ -340,15 +349,13 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 	out := make([][]sqltypes.Value, len(bindings))
 	err = ev.parallelChunks(len(bindings), ev.workersFor(len(bindings)),
 		func(w, lo, hi int, chg *charger) error {
-			// One backing array per worker range instead of one allocation
-			// per output row; the capacity cap keeps rows independent.
-			vals := make([]sqltypes.Value, (hi-lo)*len(colKs))
+			slab := rowSlab{width: len(colKs)}
+			slab.reserve(hi - lo)
 			for i := lo; i < hi; i++ {
 				if err := chg.checkpoint(1); err != nil {
 					return err
 				}
-				row := vals[:len(colKs):len(colKs)]
-				vals = vals[len(colKs):]
+				row := slab.next()
 				for ci, k := range colKs {
 					v, err := k(bindings[i])
 					if err != nil {
@@ -392,7 +399,7 @@ func (ev *evaluator) driveScan(next *qgm.Quantifier, childRows [][]sqltypes.Valu
 	parts := make([][]binding, workers)
 	err = ev.parallelChunks(len(childRows), workers, func(w, lo, hi int, chg *charger) error {
 		out := make([]binding, 0, hi-lo)
-		arena := bindArena{width: 1}
+		arena := bindArena{width: 1, expect: hi - lo}
 		for _, r := range childRows[lo:hi] {
 			if err := chg.checkpoint(0); err != nil {
 				return err
@@ -554,7 +561,7 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 		table[string(buf)] = append(table[string(buf)], r)
 	}
 
-	arena := bindArena{width: slot + 1}
+	arena := bindArena{width: slot + 1, expect: len(bindings)}
 	out := make([]binding, 0, len(bindings))
 	for _, bd := range bindings {
 		buf = buf[:0]
@@ -590,17 +597,25 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 // bindArena hands out fixed-width bindings carved from block allocations,
 // replacing one small slice allocation per join output row with one per
 // arenaBlock rows. Carved bindings are capacity-capped, so growing one can
-// never overwrite a neighbour.
+// never overwrite a neighbour. expect, the caller's guess at how many
+// bindings it will carve, caps the first block: a three-row input does not
+// pay for 1024 bindings.
 type bindArena struct {
-	width int
-	free  [][]sqltypes.Value
+	width  int
+	expect int
+	free   [][]sqltypes.Value
 }
 
 const arenaBlock = 1024
 
 func (a *bindArena) next() binding {
 	if len(a.free) < a.width {
-		a.free = make([][]sqltypes.Value, a.width*arenaBlock)
+		n := arenaBlock
+		if 0 < a.expect && a.expect < n {
+			n = a.expect
+		}
+		a.expect = 0
+		a.free = make([][]sqltypes.Value, a.width*n)
 	}
 	b := binding(a.free[:a.width:a.width])
 	a.free = a.free[a.width:]
@@ -793,11 +808,4 @@ func abs(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

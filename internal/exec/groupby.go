@@ -2,10 +2,33 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 )
+
+// aggSpec is one aggregate output column of a GROUP BY box.
+type aggSpec struct {
+	agg *qgm.Agg
+	col int
+}
+
+// aggSpecsOf lists the box's aggregate columns; bad is the index of a
+// non-grouping output column that is not an aggregate, or -1.
+func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
+	for i := range b.Cols {
+		if b.IsGroupCol(i) {
+			continue
+		}
+		agg, ok := b.Cols[i].Expr.(*qgm.Agg)
+		if !ok {
+			return nil, i
+		}
+		specs = append(specs, aggSpec{agg: agg, col: i})
+	}
+	return specs, -1
+}
 
 // evalGroupBy evaluates a GROUP BY box: for each grouping set of the
 // canonicalized supergroup, it groups the child rows by the set's columns and
@@ -14,10 +37,10 @@ import (
 //
 // Both phases are partitioned across workers: the per-row expression
 // pre-evaluation writes disjoint index ranges, and aggregation builds one
-// partial (local map of groupState) per contiguous chunk, merged in ascending
-// chunk order. Because chunks are contiguous and in order, the merged
-// first-seen key order and each group's representative row are identical to
-// the serial path; only floating-point SUM may re-associate.
+// partial groupTable per contiguous chunk, merged in ascending chunk order.
+// Because chunks are contiguous and in order, the merged first-seen key order
+// and each group's representative values are identical to the serial path;
+// only floating-point SUM may re-associate.
 func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
 		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
@@ -27,28 +50,13 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ectx := &exprCtx{scalars: map[int]sqltypes.Value{}}
+	ectx := &exprCtx{}
 	ectx.setSlot(q.ID, 0)
 
-	// Pre-evaluate grouping-column and aggregate-argument expressions per
-	// input row (they are usually simple QNCs, but compensation boxes may
-	// carry arbitrary expressions).
-	type aggSpec struct {
-		agg *qgm.Agg
-		col int
+	aggSpecs, bad := aggSpecsOf(b)
+	if bad >= 0 {
+		return nil, fmt.Errorf("exec: GROUP BY output column %q is not an aggregate", b.Cols[bad].Name)
 	}
-	var aggSpecs []aggSpec
-	for i := range b.Cols {
-		if b.IsGroupCol(i) {
-			continue
-		}
-		agg, ok := b.Cols[i].Expr.(*qgm.Agg)
-		if !ok {
-			return nil, fmt.Errorf("exec: GROUP BY output column %q is not an aggregate", b.Cols[i].Name)
-		}
-		aggSpecs = append(aggSpecs, aggSpec{agg: agg, col: i})
-	}
-
 	nGroup := len(b.GroupBy)
 
 	// Fused fast path (compiled mode only): when every grouping column and
@@ -56,7 +64,9 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	// row, the pre-evaluation pass and its two per-row intermediate slices are
 	// skipped entirely and aggregation reads the child rows in place. This is
 	// where compilation pays on aggregation-heavy plans; the interpreter keeps
-	// the general two-pass structure.
+	// the general two-pass structure. Either way the aggregation loop below
+	// reads grouping value pos at groupCols[pos] and argument ai at
+	// argCols[ai] (-1: COUNT(*)) of a per-row source slice.
 	fused := !ev.interp
 	groupCols := make([]int, nGroup)
 	argCols := make([]int, len(aggSpecs))
@@ -66,36 +76,23 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 		if !ok || cr.Q == nil || cr.Q.ID != q.ID {
 			return -1, false
 		}
+		if cr.Col > maxCol {
+			maxCol = cr.Col
+		}
 		return cr.Col, true
 	}
-	if fused {
-		for pos, col := range b.GroupBy {
-			c, ok := directCol(b.Cols[col].Expr)
-			if !ok {
-				fused = false
-				break
-			}
-			groupCols[pos] = c
-			if c > maxCol {
-				maxCol = c
-			}
+	for pos, col := range b.GroupBy {
+		if !fused {
+			break
 		}
+		groupCols[pos], fused = directCol(b.Cols[col].Expr)
 	}
-	if fused {
-		for ai, spec := range aggSpecs {
-			if spec.agg.Star {
-				argCols[ai] = -1
-				continue
-			}
-			c, ok := directCol(spec.agg.Arg)
-			if !ok {
-				fused = false
-				break
-			}
-			argCols[ai] = c
-			if c > maxCol {
-				maxCol = c
-			}
+	for ai, spec := range aggSpecs {
+		if !fused {
+			break
+		}
+		if argCols[ai] = -1; !spec.agg.Star {
+			argCols[ai], fused = directCol(spec.agg.Arg)
 		}
 	}
 
@@ -117,11 +114,13 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 		groupKs := make([]scalarKernel, nGroup)
 		for pos, col := range b.GroupBy {
 			groupKs[pos] = ev.scalarKernel(ectx, b.Cols[col].Expr)
+			groupCols[pos] = pos
 		}
 		argKs := make([]scalarKernel, len(aggSpecs))
 		for ai, spec := range aggSpecs {
-			if !spec.agg.Star {
+			if argCols[ai] = -1; !spec.agg.Star {
 				argKs[ai] = ev.scalarKernel(ectx, spec.agg.Arg)
+				argCols[ai] = ai
 			}
 		}
 		groupVals = make([][]sqltypes.Value, len(childRows))
@@ -169,140 +168,137 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	}
 
 	var out [][]sqltypes.Value
+	slab := rowSlab{width: len(b.Cols)}
 	for si, gs := range sets {
-		inSet := make([]bool, nGroup)
-		for _, pos := range gs {
-			inSet[pos] = true
-		}
 		// Fused mode charges the per-input-row budget here (once, on the first
 		// grouping set) because the pre-evaluation pass that normally charges
 		// it was skipped.
 		rowCharge := 0
-		var gsCols []int
-		if fused {
-			if si == 0 {
-				rowCharge = 1
-			}
-			gsCols = make([]int, len(gs))
-			for i, pos := range gs {
-				gsCols[i] = groupCols[pos]
-			}
-		}
-		// A global aggregate (empty grouping set) over empty input produces
-		// one row: COUNT is 0 and the other aggregates are NULL.
-		if len(gs) == 0 && len(childRows) == 0 {
-			row := make([]sqltypes.Value, len(b.Cols))
-			for _, col := range b.GroupBy {
-				row[col] = sqltypes.Null
-			}
-			empty := newGroupState(len(aggSpecs))
-			for ai, spec := range aggSpecs {
-				row[spec.col] = empty.aggs[ai].result(spec.agg)
-			}
-			out = append(out, row)
-			continue
+		if fused && si == 0 {
+			rowCharge = 1
 		}
 
 		// Build one partial per chunk, then merge in chunk order.
 		workers := ev.workersFor(len(childRows))
-		partials := make([]*groupPartial, workers)
+		partials := make([]*groupTable, workers)
 		err = ev.parallelChunks(len(childRows), workers,
 			func(w, lo, hi int, chg *charger) error {
-				p := &groupPartial{groups: map[string]*groupState{}}
+				t := newGroupTable(len(gs), len(aggSpecs))
 				var buf []byte
 				for ri := lo; ri < hi; ri++ {
 					if err := chg.checkpoint(rowCharge); err != nil {
 						return err
 					}
-					row := childRows[ri]
-					if fused && maxCol >= len(row) {
-						return fmt.Errorf("exec: column %d out of range (row width %d)", maxCol, len(row))
+					gsrc, asrc := childRows[ri], childRows[ri]
+					if !fused {
+						gsrc, asrc = groupVals[ri], argVals[ri]
+					} else if maxCol >= len(gsrc) {
+						return fmt.Errorf("exec: column %d out of range (row width %d)", maxCol, len(gsrc))
 					}
 					buf = buf[:0]
-					if fused {
-						for _, col := range gsCols {
-							buf = row[col].AppendGroupKey(buf)
-							buf = append(buf, 0)
-						}
-					} else {
-						for _, pos := range gs {
-							buf = groupVals[ri][pos].AppendGroupKey(buf)
-							buf = append(buf, 0)
+					for _, pos := range gs {
+						buf = gsrc[groupCols[pos]].AppendGroupKey(buf)
+						buf = append(buf, 0)
+					}
+					g, added := t.find(buf)
+					if added {
+						repr := t.reprOf(g)
+						for i, pos := range gs {
+							repr[i] = gsrc[groupCols[pos]]
 						}
 					}
-					g, ok := p.groups[string(buf)]
-					if !ok {
-						g = newGroupState(len(aggSpecs))
-						g.reprRow = ri
-						k := string(buf)
-						p.groups[k] = g
-						p.order = append(p.order, k)
-					}
+					aggs := t.aggsOf(g)
 					for ai, spec := range aggSpecs {
 						var av sqltypes.Value
-						if fused {
-							if argCols[ai] >= 0 {
-								av = row[argCols[ai]]
-							}
-						} else {
-							av = argVals[ri][ai]
+						if argCols[ai] >= 0 {
+							av = asrc[argCols[ai]]
 						}
-						if err := g.aggs[ai].accumulate(spec.agg, av); err != nil {
+						if err := aggs[ai].accumulate(spec.agg, av); err != nil {
 							return err
 						}
 					}
 				}
-				partials[w] = p
+				partials[w] = t
 				return nil
 			})
 		if err != nil {
 			return nil, err
 		}
-
-		groups := partials[0].groups
-		order := partials[0].order
 		for _, p := range partials[1:] {
-			for _, k := range p.order {
-				o := p.groups[k]
-				g, ok := groups[k]
-				if !ok {
-					// First chunk to see the key: adopt its state; reprRow is
-					// globally first because chunks are merged in row order.
-					groups[k] = o
-					order = append(order, k)
-					continue
-				}
-				for ai, spec := range aggSpecs {
-					if err := g.aggs[ai].merge(spec.agg, &o.aggs[ai]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-
-		for _, k := range order {
-			if err := ev.checkpoint(1); err != nil {
+			if err := partials[0].mergeFrom(p, aggSpecs); err != nil {
 				return nil, err
 			}
-			g := groups[k]
-			row := make([]sqltypes.Value, len(b.Cols))
-			for pos, col := range b.GroupBy {
-				switch {
-				case !inSet[pos]:
-					row[col] = sqltypes.Null
-				case fused:
-					row[col] = childRows[g.reprRow][groupCols[pos]]
-				default:
-					row[col] = groupVals[g.reprRow][pos]
-				}
-			}
-			for ai, spec := range aggSpecs {
-				row[spec.col] = g.aggs[ai].result(spec.agg)
-			}
-			out = append(out, row)
+		}
+		if out, err = ev.emitGroups(out, &slab, b, aggSpecs, gs, partials[0]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// outRows is how many rows grouping set gs emits from t: one per group, and
+// one for a global aggregate (empty grouping set) over empty input, where
+// COUNT is 0 and the other aggregates are NULL.
+func outRows(t *groupTable, gs []int) int {
+	if t.len() == 0 && len(gs) == 0 {
+		return 1
+	}
+	return t.len()
+}
+
+// emitGroups appends grouping set gs's output rows, one per group of t in
+// first-appearance order: grouping columns from the group's repr (NULL when
+// grouped out of the set), aggregate columns from its states.
+func (ev *evaluator) emitGroups(out [][]sqltypes.Value, slab *rowSlab, b *qgm.Box, specs []aggSpec, gs []int, t *groupTable) ([][]sqltypes.Value, error) {
+	n := outRows(t, gs)
+	slab.reserve(n)
+	out = slices.Grow(out, n)
+	if n > t.len() {
+		row := slab.next() // the empty global aggregate; grouping columns stay NULL
+		var empty aggState
+		for _, spec := range specs {
+			row[spec.col] = empty.result(spec.agg)
+		}
+		return append(out, row), nil
+	}
+	for g := 0; g < n; g++ {
+		if err := ev.checkpoint(1); err != nil {
+			return nil, err
+		}
+		row := slab.next() // zero Values: grouped-out columns stay NULL
+		repr, aggs := t.reprOf(g), t.aggsOf(g)
+		for i, pos := range gs {
+			row[b.GroupBy[pos]] = repr[i]
+		}
+		for ai, spec := range specs {
+			row[spec.col] = aggs[ai].result(spec.agg)
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+// rowSlab carves a box's output rows from block allocations instead of one
+// allocation per row. Rows are capacity-capped, so appending to one can never
+// overwrite its neighbour; they share backing storage, so whoever keeps a
+// Result row beyond the run should copy it.
+type rowSlab struct {
+	width int
+	free  []sqltypes.Value
+}
+
+// reserve makes room for the next n rows in one block.
+func (s *rowSlab) reserve(n int) {
+	if need := n * s.width; len(s.free) < need {
+		s.free = make([]sqltypes.Value, need)
+	}
+}
+
+// next returns the next reserved row, all NULL.
+func (s *rowSlab) next() []sqltypes.Value {
+	row := s.free[:s.width:s.width]
+	s.free = s.free[s.width:]
+	return row
 }
 
 func allInts(n int) []int {
@@ -313,31 +309,41 @@ func allInts(n int) []int {
 	return out
 }
 
-// groupPartial is one worker's aggregation state over its chunk: group states
-// keyed by composite group key, plus the chunk-local first-seen key order.
-type groupPartial struct {
-	groups map[string]*groupState
-	order  []string
-}
-
-type groupState struct {
-	reprRow int
-	aggs    []aggState
-}
-
-func newGroupState(n int) *groupState {
-	return &groupState{aggs: make([]aggState, n)}
-}
-
-// aggState accumulates one aggregate within one group.
+// aggState accumulates one aggregate within one group. An aggregate uses one
+// field: COUNT counts, SUM/MIN/MAX keep the running value in val (NULL until
+// the first non-NULL input — inputs are never NULL, so neither is a running
+// value), DISTINCT collects its inputs by group key. Kept small because the
+// groupTable holds one per group per aggregate.
 type aggState struct {
 	count    int64
-	sum      sqltypes.Value
-	sumSet   bool
-	minV     sqltypes.Value
-	maxV     sqltypes.Value
-	extSet   bool
+	val      sqltypes.Value
 	distinct map[string]sqltypes.Value
+}
+
+// fold combines a non-NULL value — an input, or a later chunk's partial —
+// into the running SUM, MIN or MAX.
+func (a *aggState) fold(op string, v sqltypes.Value) error {
+	if a.val.IsNull() {
+		a.val = v
+		return nil
+	}
+	switch op {
+	case "sum":
+		s, err := sqltypes.Add(a.val, v)
+		if err != nil {
+			return err
+		}
+		a.val = s
+	case "min":
+		if c, err := sqltypes.Compare(v, a.val); err == nil && c < 0 {
+			a.val = v
+		}
+	case "max":
+		if c, err := sqltypes.Compare(v, a.val); err == nil && c > 0 {
+			a.val = v
+		}
+	}
+	return nil
 }
 
 func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
@@ -358,29 +364,8 @@ func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
 	switch spec.Op {
 	case "count":
 		a.count++
-	case "sum":
-		if !a.sumSet {
-			a.sum = arg
-			a.sumSet = true
-		} else {
-			s, err := sqltypes.Add(a.sum, arg)
-			if err != nil {
-				return err
-			}
-			a.sum = s
-		}
-	case "min", "max":
-		if !a.extSet {
-			a.minV, a.maxV = arg, arg
-			a.extSet = true
-		} else {
-			if c, err := sqltypes.Compare(arg, a.minV); err == nil && c < 0 {
-				a.minV = arg
-			}
-			if c, err := sqltypes.Compare(arg, a.maxV); err == nil && c > 0 {
-				a.maxV = arg
-			}
-		}
+	case "sum", "min", "max":
+		return a.fold(spec.Op, arg)
 	default:
 		return fmt.Errorf("exec: unknown aggregate %q", spec.Op)
 	}
@@ -390,115 +375,60 @@ func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
 // merge folds another chunk's state for the same group into a. This is the
 // partial-aggregate combine of parallel aggregation: COUNT adds, SUM adds the
 // partial sums, MIN/MAX compare extrema, and DISTINCT unions the key sets.
-// The other state must come from a later chunk (a's reprRow stays the
-// globally first row) and is consumed by the merge.
+// The other state must come from a later chunk (the group keeps the earlier
+// chunk's representative values) and is consumed by the merge.
 func (a *aggState) merge(spec *qgm.Agg, o *aggState) error {
 	if spec.Distinct {
-		if o.distinct != nil {
-			if a.distinct == nil {
-				a.distinct = o.distinct
-			} else {
-				for k, v := range o.distinct {
-					a.distinct[k] = v
-				}
+		if a.distinct == nil {
+			a.distinct = o.distinct
+		} else {
+			for k, v := range o.distinct {
+				a.distinct[k] = v
 			}
 		}
 		return nil
 	}
 	a.count += o.count // COUNT(*) and COUNT(x) both live here
-	if o.sumSet {
-		if !a.sumSet {
-			a.sum, a.sumSet = o.sum, true
-		} else {
-			s, err := sqltypes.Add(a.sum, o.sum)
-			if err != nil {
-				return err
-			}
-			a.sum = s
-		}
+	if o.val.IsNull() {
+		return nil
 	}
-	if o.extSet {
-		if !a.extSet {
-			a.minV, a.maxV, a.extSet = o.minV, o.maxV, true
-		} else {
-			if c, err := sqltypes.Compare(o.minV, a.minV); err == nil && c < 0 {
-				a.minV = o.minV
-			}
-			if c, err := sqltypes.Compare(o.maxV, a.maxV); err == nil && c > 0 {
-				a.maxV = o.maxV
-			}
-		}
-	}
-	return nil
+	return a.fold(spec.Op, o.val)
 }
 
 func (a *aggState) result(spec *qgm.Agg) sqltypes.Value {
-	if spec.Distinct {
-		switch spec.Op {
-		case "count":
-			return sqltypes.NewInt(int64(len(a.distinct)))
-		case "sum":
-			var sum sqltypes.Value
-			set := false
-			for _, v := range a.distinct {
-				if !set {
-					sum = v
-					set = true
-					continue
-				}
-				s, err := sqltypes.Add(sum, v)
-				if err != nil {
-					return sqltypes.Null
-				}
-				sum = s
-			}
-			if !set {
-				return sqltypes.Null
-			}
-			return sum
-		case "min", "max":
-			var ext sqltypes.Value
-			set := false
-			for _, v := range a.distinct {
-				if !set {
-					ext = v
-					set = true
-					continue
-				}
-				c, err := sqltypes.Compare(v, ext)
-				if err != nil {
-					return sqltypes.Null
-				}
-				if (spec.Op == "min" && c < 0) || (spec.Op == "max" && c > 0) {
-					ext = v
-				}
-			}
-			if !set {
-				return sqltypes.Null
-			}
-			return ext
-		}
-		return sqltypes.Null
-	}
-	switch spec.Op {
-	case "count":
+	switch {
+	case spec.Op == "count" && spec.Distinct:
+		return sqltypes.NewInt(int64(len(a.distinct)))
+	case spec.Op == "count":
 		return sqltypes.NewInt(a.count)
-	case "sum":
-		if !a.sumSet {
-			return sqltypes.Null
-		}
-		return a.sum
-	case "min":
-		if !a.extSet {
-			return sqltypes.Null
-		}
-		return a.minV
-	case "max":
-		if !a.extSet {
-			return sqltypes.Null
-		}
-		return a.maxV
-	default:
+	case spec.Op != "sum" && spec.Op != "min" && spec.Op != "max":
 		return sqltypes.Null
+	case !spec.Distinct:
+		return a.val // NULL when no input was non-NULL
 	}
+	// SUM/MIN/MAX DISTINCT fold the set here; unlike the running fold, a
+	// pairing that cannot be added or compared makes the result NULL.
+	var acc sqltypes.Value
+	for _, v := range a.distinct {
+		if acc.IsNull() {
+			acc = v
+			continue
+		}
+		if spec.Op == "sum" {
+			s, err := sqltypes.Add(acc, v)
+			if err != nil {
+				return sqltypes.Null
+			}
+			acc = s
+			continue
+		}
+		c, err := sqltypes.Compare(v, acc)
+		if err != nil {
+			return sqltypes.Null
+		}
+		if (spec.Op == "min" && c < 0) || (spec.Op == "max" && c > 0) {
+			acc = v
+		}
+	}
+	return acc
 }

@@ -40,28 +40,17 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 
 	// Non-grouping output columns must be aggregates (the row path's own
 	// validation error covers the rest).
-	type aggSpec struct {
-		agg *qgm.Agg
-		col int
-	}
-	var aggSpecs []aggSpec
-	for i := range b.Cols {
-		if b.IsGroupCol(i) {
-			continue
-		}
-		agg, ok := b.Cols[i].Expr.(*qgm.Agg)
-		if !ok {
-			ev.obsv.Add(CtrVecDeclined, 1)
-			return nil, false, nil
-		}
-		aggSpecs = append(aggSpecs, aggSpec{agg: agg, col: i})
+	aggSpecs, bad := aggSpecsOf(b)
+	if bad >= 0 {
+		ev.obsv.Add(CtrVecDeclined, 1)
+		return nil, false, nil
 	}
 	nGroup := len(b.GroupBy)
 
 	// Every grouping and aggregate-argument expression must range over the
 	// box's single child quantifier; anything else (correlation, nested
 	// aggregates) goes to the row path for its exact errors.
-	noScalars := map[int]sqltypes.Value{}
+	var noScalars map[int]sqltypes.Value
 	for _, col := range b.GroupBy {
 		if !exprOverQuant(b.Cols[col].Expr, q.ID, noScalars) {
 			ev.obsv.Add(CtrVecDeclined, 1)
@@ -87,8 +76,8 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		argKs   []vecKernel
 		chunks  []*storage.Chunk
 		total   int
-		ncols   int
 		star    *starPlan
+		vc      *vecCompiler
 	)
 	tryFused := func() (bool, error) {
 		var baseQ *qgm.Quantifier
@@ -167,25 +156,27 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		// path would when evaluating that child. A multi-row scalar falls
 		// through to the materialized path, whose child evaluation raises
 		// the exact error.
-		scalars := map[int]sqltypes.Value{}
+		var scalars map[int]sqltypes.Value
 		for _, sq := range scalarQs {
 			rows, err := ev.evalBox(sq.Box)
 			if err != nil {
 				return false, err
 			}
-			switch len(rows) {
-			case 0:
-				scalars[sq.ID] = sqltypes.Null
-			case 1:
-				scalars[sq.ID] = rows[0][0]
-			default:
+			if len(rows) > 1 {
 				return false, nil
+			}
+			if scalars == nil {
+				scalars = map[int]sqltypes.Value{}
+			}
+			scalars[sq.ID] = sqltypes.Null
+			if len(rows) == 1 {
+				scalars[sq.ID] = rows[0][0]
 			}
 		}
 
 		ectx := &exprCtx{scalars: scalars}
 		ectx.setSlot(baseQ.ID, 0)
-		vc := &vecCompiler{ev: ev, ectx: ectx, baseQID: baseQ.ID}
+		vc = &vecCompiler{ev: ev, ectx: ectx, baseQID: baseQ.ID}
 
 		if len(dimQs) == 0 {
 			for _, p := range childPreds {
@@ -222,40 +213,47 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 			if err != nil {
 				return false, err
 			}
-			ncols = len(baseQ.Box.Cols)
 			return true, nil
 		}
 
 		// Star shape: the remaining ForEach quantifiers are dimensions, each
 		// reachable from the fact quantifier by equality predicates. classify
-		// maps an expression to its single source: -1 the fact quantifier
-		// (constants included), k the k-th dimension; mixed-source or
-		// aggregate-bearing expressions resolve ok=false.
+		// maps an expression to its single source: srcConst when it references
+		// no quantifier, srcFact the fact quantifier, k the k-th dimension;
+		// mixed-source or aggregate-bearing expressions resolve ok=false. Like
+		// exprOverQuant it walks without allocating.
 		dimOf := map[int]int{}
 		for k, dq := range dimQs {
 			dimOf[dq.ID] = k
 		}
-		classify := func(e qgm.Expr) (int, bool) {
-			qs := sideQuants(e, scalars)
-			if qs == nil {
-				return 0, false
-			}
-			src, seenFact := -1, false
-			for qi := range qs {
-				if qi == baseQ.ID {
-					seenFact = true
-					continue
+		classify := func(e qgm.Expr) (src int, ok bool) {
+			src, ok = srcConst, true
+			qgm.WalkExpr(e, func(x qgm.Expr) bool {
+				switch t := x.(type) {
+				case *qgm.ColRef:
+					if t.Q == nil {
+						ok = false
+						break
+					}
+					if _, isScalar := scalars[t.Q.ID]; isScalar {
+						break
+					}
+					from := srcFact
+					if t.Q.ID != baseQ.ID {
+						if from, ok = dimOf[t.Q.ID]; !ok {
+							break
+						}
+					}
+					if src == srcConst {
+						src = from
+					}
+					ok = src == from
+				case *qgm.Agg:
+					ok = false
 				}
-				k, isDim := dimOf[qi]
-				if !isDim || (src >= 0 && src != k) {
-					return 0, false
-				}
-				src = k
-			}
-			if seenFact && src >= 0 {
-				return 0, false
-			}
-			return src, true
+				return ok
+			})
+			return src, ok
 		}
 
 		// Partition the child predicates: fact-local (chunk filters),
@@ -268,12 +266,12 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		dimKeys := make([][]qgm.Expr, len(dimQs))
 		for _, p := range childPreds {
 			if src, ok := classify(p); ok {
-				if src == -1 {
-					if qs := sideQuants(p, scalars); len(qs) == 0 {
-						return false, nil // constant predicate: row path semantics
-					}
+				switch {
+				case src == srcConst:
+					return false, nil // constant predicate: row path semantics
+				case src == srcFact:
 					factPreds = append(factPreds, p)
-				} else {
+				default:
 					dimPreds[src] = append(dimPreds[src], p)
 				}
 				continue
@@ -288,10 +286,10 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 				return false, nil
 			}
 			switch {
-			case lsrc == -1 && rsrc >= 0:
+			case lsrc < 0 && rsrc >= 0:
 				factKeys[rsrc] = append(factKeys[rsrc], bin.L)
 				dimKeys[rsrc] = append(dimKeys[rsrc], bin.R)
-			case rsrc == -1 && lsrc >= 0:
+			case rsrc < 0 && lsrc >= 0:
 				factKeys[lsrc] = append(factKeys[lsrc], bin.R)
 				dimKeys[lsrc] = append(dimKeys[lsrc], bin.L)
 			default:
@@ -304,22 +302,18 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 			}
 		}
 
-		// Classify grouping and argument expressions by source.
-		sp := &starPlan{
-			groupSrc:     make([]int, nGroup),
-			argSrc:       make([]int, len(aggSpecs)),
-			dimGroupVals: make([][]sqltypes.Value, nGroup),
-			dimArgVals:   make([][]sqltypes.Value, len(aggSpecs)),
-		}
+		// Classify grouping and argument expressions by source; each gets the
+		// scratch slot its tuple-domain vector is gathered into.
+		sp := &starPlan{group: make([]starCol, nGroup), args: make([]starCol, len(aggSpecs))}
 		for pos, e := range groupExprs {
 			src, ok := classify(e)
 			if !ok {
 				return false, nil
 			}
-			sp.groupSrc[pos] = src
+			sp.group[pos] = starCol{src: max(src, srcFact), slot: vc.newSlot()}
 		}
 		for ai, e := range argExprs {
-			sp.argSrc[ai] = -1
+			sp.args[ai].src = srcFact
 			if e == nil {
 				continue
 			}
@@ -327,7 +321,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 			if !ok {
 				return false, nil
 			}
-			sp.argSrc[ai] = src
+			sp.args[ai] = starCol{src: max(src, srcFact), slot: vc.newSlot()}
 		}
 
 		// Build each dimension: evaluate its rows through the normal box
@@ -401,38 +395,30 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 			for _, e := range factKeys[k] {
 				sd.keyKs = append(sd.keyKs, vc.compileScalar(e))
 			}
-			evalPerRow := func(e qgm.Expr) ([]sqltypes.Value, bool) {
+			evalPerRow := func(e qgm.Expr, into *sqltypes.Vec) bool {
 				rk := ev.scalarKernel(dctx, e)
-				vals := make([]sqltypes.Value, len(dimRows))
 				for ri, r := range dimRows {
 					bd[0] = r
 					v, err := rk(bd)
 					if err != nil {
-						return nil, false
+						return false
 					}
-					vals[ri] = v
+					if ri == 0 {
+						into.Reserve(v.Kind(), len(dimRows))
+					}
+					into.AppendValue(v)
 				}
-				return vals, true
+				return true
 			}
 			for pos, e := range groupExprs {
-				if sp.groupSrc[pos] != k {
-					continue
-				}
-				vals, ok := evalPerRow(e)
-				if !ok {
+				if sp.group[pos].src == k && !evalPerRow(e, &sp.group[pos].dimVals) {
 					return false, nil
 				}
-				sp.dimGroupVals[pos] = vals
 			}
 			for ai, e := range argExprs {
-				if sp.argSrc[ai] != k || e == nil {
-					continue
-				}
-				vals, ok := evalPerRow(e)
-				if !ok {
+				if e != nil && sp.args[ai].src == k && !evalPerRow(e, &sp.args[ai].dimVals) {
 					return false, nil
 				}
-				sp.dimArgVals[ai] = vals
 			}
 			sp.dims[k] = sd
 		}
@@ -446,13 +432,13 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		}
 		groupKs = make([]vecKernel, nGroup)
 		for pos, e := range groupExprs {
-			if sp.groupSrc[pos] == -1 {
+			if sp.group[pos].src < 0 {
 				groupKs[pos] = vc.compileScalar(e)
 			}
 		}
 		argKs = make([]vecKernel, len(aggSpecs))
 		for ai, e := range argExprs {
-			if e != nil && sp.argSrc[ai] == -1 {
+			if e != nil && sp.args[ai].src < 0 {
 				argKs[ai] = vc.compileScalar(e)
 			}
 		}
@@ -462,7 +448,6 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		if err != nil {
 			return false, err
 		}
-		ncols = len(baseQ.Box.Cols)
 		star = sp
 		return true, nil
 	}
@@ -475,10 +460,9 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 		if err != nil {
 			return nil, true, err
 		}
-		ncols = len(child.Cols)
-		ectx := &exprCtx{scalars: noScalars}
+		ectx := &exprCtx{}
 		ectx.setSlot(q.ID, 0)
-		vc := &vecCompiler{ev: ev, ectx: ectx, baseQID: q.ID}
+		vc = &vecCompiler{ev: ev, ectx: ectx, baseQID: q.ID}
 		groupKs = make([]vecKernel, nGroup)
 		for pos, col := range b.GroupBy {
 			groupKs[pos] = vc.compileScalar(b.Cols[col].Expr)
@@ -490,7 +474,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 			}
 		}
 		filters = nil
-		chunks = columnarize(rows, ncols)
+		chunks = columnarize(rows, len(child.Cols))
 		total = len(rows)
 	}
 
@@ -501,33 +485,24 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 
 	// One aggregation pass over the chunks computes every grouping set:
 	// group/argument vectors are evaluated once per chunk, then each set
-	// accumulates its own partial. Set-major within each chunk and chunk-major
-	// merging keeps every per-set ordering identical to the row path's
-	// set-major-over-all-rows order.
-	type vecGroup struct {
-		repr []sqltypes.Value // grouping values at the group's first row
-		aggs []aggState
-	}
-	type setPartial struct {
-		groups map[string]*vecGroup
-		order  []string
-	}
-
+	// accumulates into its own groupTable. Set-major within each chunk and
+	// chunk-major merging keeps every per-set ordering identical to the row
+	// path's set-major-over-all-rows order.
 	workers := ev.workersFor(total)
-	partials := make([][]setPartial, workers)
+	partials := make([][]*groupTable, workers)
 	err = ev.parallelChunks(len(chunks), workers, func(w, lo, hi int, chg *charger) error {
-		cs := newChunkState(ncols)
+		cs := newChunkState(vc.slots)
 		var ss *starScratch
 		if star != nil {
 			ss = newStarScratch(star)
 		}
-		sp := make([]setPartial, len(sets))
-		for si := range sp {
-			sp[si].groups = map[string]*vecGroup{}
+		tables := make([]*groupTable, len(sets))
+		for si := range tables {
+			tables[si] = newGroupTable(len(sets[si]), len(aggSpecs))
 		}
 		gvecs := make([]*sqltypes.Vec, nGroup)
 		avecs := make([]*sqltypes.Vec, len(aggSpecs))
-		accums := make([]accumFn, len(aggSpecs))
+		accums := make([]vecAccum, len(aggSpecs))
 		var buf []byte
 		for ci := lo; ci < hi; ci++ {
 			cs.reset(chunks[ci])
@@ -574,10 +549,10 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 					avecs[ai] = v
 				}
 			}
-			// Kind dispatch per chunk, not per row: each aggregate gets a
-			// typed accumulator over this chunk's argument vector.
+			// Kind dispatch per chunk, not per row: each aggregate's
+			// accumulator is re-aimed at this chunk's argument vector.
 			for ai := range aggSpecs {
-				accums[ai] = buildAccum(aggSpecs[ai].agg, avecs[ai])
+				accums[ai].bind(aggSpecs[ai].agg, avecs[ai])
 			}
 			for si, gs := range sets {
 				// The per-input-row budget charge lands on the first grouping
@@ -590,101 +565,55 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 				if err := chg.checkpoint(rowCharge); err != nil {
 					return err
 				}
-				p := &sp[si]
+				t := tables[si]
 				for di := 0; di < n; di++ {
 					buf = buf[:0]
 					for _, pos := range gs {
 						buf = gvecs[pos].AppendBinKey(buf, di)
 						buf = append(buf, 0)
 					}
-					g, ok := p.groups[string(buf)]
-					if !ok {
-						g = &vecGroup{
-							repr: make([]sqltypes.Value, nGroup),
-							aggs: make([]aggState, len(aggSpecs)),
+					g, added := t.find(buf)
+					if added {
+						// repr copies Values out of scratch: it outlives the chunk.
+						repr := t.reprOf(g)
+						for i, pos := range gs {
+							repr[i] = gvecs[pos].Value(di)
 						}
-						for _, pos := range gs {
-							g.repr[pos] = gvecs[pos].Value(di)
-						}
-						k := string(buf)
-						p.groups[k] = g
-						p.order = append(p.order, k)
 					}
-					for ai, fn := range accums {
-						if err := fn(&g.aggs[ai], di); err != nil {
+					aggs := t.aggsOf(g)
+					for ai := range accums {
+						if err := accums[ai].add(&aggs[ai], di); err != nil {
 							return err
 						}
 					}
 				}
 			}
 		}
-		partials[w] = sp
+		partials[w] = tables
 		return nil
 	})
 	if err != nil {
 		return nil, true, err
 	}
 
-	// Merge workers' per-set partials in chunk order.
-	merged := make([]setPartial, len(sets))
-	for si := range sets {
-		merged[si] = partials[0][si]
-		for _, sp := range partials[1:] {
-			for _, k := range sp[si].order {
-				o := sp[si].groups[k]
-				g, ok := merged[si].groups[k]
-				if !ok {
-					merged[si].groups[k] = o
-					merged[si].order = append(merged[si].order, k)
-					continue
-				}
-				for ai := range aggSpecs {
-					if err := g.aggs[ai].merge(aggSpecs[ai].agg, &o.aggs[ai]); err != nil {
-						return nil, true, err
-					}
-				}
-			}
-		}
-	}
-
-	var out [][]sqltypes.Value
+	// Merge workers' per-set partials in chunk order, then emit set by set
+	// from one slab sized by the total group count.
+	merged := partials[0]
+	rows := 0
 	for si, gs := range sets {
-		inSet := make([]bool, nGroup)
-		for _, pos := range gs {
-			inSet[pos] = true
-		}
-		p := merged[si]
-		// A global aggregate (empty grouping set) over empty input produces
-		// one row: COUNT is 0 and the other aggregates are NULL.
-		if len(gs) == 0 && len(p.order) == 0 {
-			row := make([]sqltypes.Value, len(b.Cols))
-			for _, col := range b.GroupBy {
-				row[col] = sqltypes.Null
-			}
-			empty := newGroupState(len(aggSpecs))
-			for ai, spec := range aggSpecs {
-				row[spec.col] = empty.aggs[ai].result(spec.agg)
-			}
-			out = append(out, row)
-			continue
-		}
-		for _, k := range p.order {
-			if err := ev.checkpoint(1); err != nil {
+		for _, p := range partials[1:] {
+			if err := merged[si].mergeFrom(p[si], aggSpecs); err != nil {
 				return nil, true, err
 			}
-			g := p.groups[k]
-			row := make([]sqltypes.Value, len(b.Cols))
-			for pos, col := range b.GroupBy {
-				if !inSet[pos] {
-					row[col] = sqltypes.Null
-				} else {
-					row[col] = g.repr[pos]
-				}
-			}
-			for ai, spec := range aggSpecs {
-				row[spec.col] = g.aggs[ai].result(spec.agg)
-			}
-			out = append(out, row)
+		}
+		rows += outRows(merged[si], gs)
+	}
+	slab := rowSlab{width: len(b.Cols)}
+	slab.reserve(rows)
+	out := make([][]sqltypes.Value, 0, rows)
+	for si, gs := range sets {
+		if out, err = ev.emitGroups(out, &slab, b, aggSpecs, gs, merged[si]); err != nil {
+			return nil, true, err
 		}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
@@ -696,13 +625,16 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) ([][]sqltypes.Value, bool, error
 // grouping loop can run vectorized over any child shape. Row order is
 // preserved, so chunk-order merging keeps the row path's group order.
 func columnarize(rows [][]sqltypes.Value, ncols int) []*storage.Chunk {
-	var chunks []*storage.Chunk
+	chunks := make([]*storage.Chunk, 0, (len(rows)+storage.ChunkRows-1)/storage.ChunkRows)
 	for lo := 0; lo < len(rows); lo += storage.ChunkRows {
 		hi := lo + storage.ChunkRows
 		if hi > len(rows) {
 			hi = len(rows)
 		}
 		c := &storage.Chunk{N: hi - lo, Cols: make([]sqltypes.Vec, ncols)}
+		for ci := range c.Cols {
+			c.Cols[ci].Reserve(rows[lo][ci].Kind(), hi-lo)
+		}
 		for _, r := range rows[lo:hi] {
 			for ci := 0; ci < ncols; ci++ {
 				c.Cols[ci].AppendValue(r[ci])
@@ -798,157 +730,147 @@ func substExpr(e qgm.Expr, qid int, cols []qgm.QCL) (qgm.Expr, bool) {
 	}
 }
 
-// accumFn folds element di of one chunk's argument vector into a group's
-// aggregate state. Accumulators are built once per (aggregate, chunk) so kind
-// dispatch happens per chunk rather than per row; the fast paths mutate the
-// same aggState fields the row engine's accumulate does and fall back to it
-// for anything outside count/sum over typed numeric vectors, so merge and
-// result semantics are unchanged.
-type accumFn func(s *aggState, di int) error
+// vecAccum folds elements of one aggregate's argument vector into group
+// states. bind re-aims it at a chunk's vector and picks the loop once per
+// chunk, so kind dispatch is not per row; the typed modes mutate the same
+// aggState fields the row engine's accumulate does and fall back to it for
+// anything outside count/sum/min/max over typed numeric vectors, so merge and
+// result semantics are unchanged. One per aggregate per worker: no closure is
+// built per chunk.
+type vecAccum struct {
+	spec  *qgm.Agg
+	av    *sqltypes.Vec
+	mode  accumMode
+	op    aggOp // which of sum/min/max, for the typed modes
+	nulls bool
+	kbuf  []byte // DISTINCT key scratch
+}
 
-func buildAccum(spec *qgm.Agg, av *sqltypes.Vec) accumFn {
-	if spec.Star {
-		return func(s *aggState, _ int) error { s.count++; return nil }
+type accumMode uint8
+
+const (
+	accStar accumMode = iota
+	accBoxed
+	accDistinct
+	accCount
+	accInt   // sum/min/max over an int payload
+	accFloat // sum/min/max over a float payload
+)
+
+type aggOp uint8
+
+const (
+	opSum aggOp = iota
+	opMin
+	opMax
+)
+
+func (a *vecAccum) bind(spec *qgm.Agg, av *sqltypes.Vec) {
+	a.spec, a.av, a.mode = spec, av, accBoxed
+	switch {
+	case spec.Star:
+		a.mode = accStar
+		return
+	case av.Generic():
+		return
+	case spec.Distinct:
+		a.mode = accDistinct
+		return
 	}
-	boxed := func(s *aggState, di int) error { return s.accumulate(spec, av.Value(di)) }
-	if av.Generic() {
-		return boxed
+	a.nulls = av.HasNulls()
+	switch spec.Op {
+	case "count":
+		a.mode = accCount
+		return
+	case "sum":
+		a.op = opSum
+	case "min":
+		a.op = opMin
+	case "max":
+		a.op = opMax
+	default:
+		return
 	}
-	if spec.Distinct {
+	switch av.Kind() {
+	case sqltypes.KindInt:
+		a.mode = accInt
+	case sqltypes.KindFloat:
+		a.mode = accFloat
+	}
+}
+
+// add folds element di into s.
+func (a *vecAccum) add(s *aggState, di int) error {
+	av := a.av
+	switch a.mode {
+	case accStar:
+		s.count++
+		return nil
+	case accBoxed:
+		return s.accumulate(a.spec, av.Value(di))
+	case accDistinct:
 		// Binary keys instead of the row engine's decimal GroupKey: the
 		// equivalence classes are identical and distinct sets built by the
 		// vectorized path are only ever merged with each other. First value
 		// of a class wins as its representative (the row engine keeps the
 		// last); observable only through the result kind of SUM/MIN/MAX
 		// DISTINCT over classes mixing int and float spellings.
-		var kbuf []byte
-		return func(s *aggState, di int) error {
-			if av.IsNull(di) {
-				return nil
-			}
-			kbuf = av.AppendBinKey(kbuf[:0], di)
-			if s.distinct == nil {
-				s.distinct = map[string]sqltypes.Value{}
-			}
-			if _, ok := s.distinct[string(kbuf)]; !ok {
-				s.distinct[string(kbuf)] = av.Value(di)
-			}
+		if av.IsNull(di) {
 			return nil
 		}
+		a.kbuf = av.AppendBinKey(a.kbuf[:0], di)
+		if s.distinct == nil {
+			s.distinct = map[string]sqltypes.Value{}
+		}
+		if _, ok := s.distinct[string(a.kbuf)]; !ok {
+			s.distinct[string(a.kbuf)] = av.Value(di)
+		}
+		return nil
 	}
-	nulls := av.HasNulls()
-	switch spec.Op {
-	case "count":
-		return func(s *aggState, di int) error {
-			if nulls && av.IsNull(di) {
-				return nil
-			}
-			s.count++
+	if a.nulls && av.IsNull(di) {
+		return nil
+	}
+	// Typed running values: same arithmetic as fold on the same kinds (the
+	// strict inequalities match Compare's cmpInt/cmpFloat exactly, so ties and
+	// NaN comparisons keep the current extremum). A state holding another
+	// kind — earlier chunks of another payload kind — takes the boxed route.
+	switch a.mode {
+	case accCount:
+		s.count++
+	case accInt:
+		x := av.Ints[di]
+		switch {
+		case s.val.IsNull():
+		case s.val.Kind() != sqltypes.KindInt:
+			return s.fold(a.spec.Op, sqltypes.NewInt(x))
+		case a.op == opSum:
+			x = s.val.Int() + x
+		case a.op == opMin && !(x < s.val.Int()), a.op == opMax && !(x > s.val.Int()):
 			return nil
 		}
-	case "sum":
-		switch av.Kind() {
-		case sqltypes.KindFloat:
-			fs := av.Floats
-			return func(s *aggState, di int) error {
-				if nulls && av.IsNull(di) {
-					return nil
-				}
-				f := fs[di]
-				if !s.sumSet {
-					s.sum, s.sumSet = sqltypes.NewFloat(f), true
-					return nil
-				}
-				if s.sum.Kind() == sqltypes.KindFloat {
-					s.sum = sqltypes.NewFloat(s.sum.Float() + f)
-					return nil
-				}
-				v, err := sqltypes.Add(s.sum, sqltypes.NewFloat(f))
-				if err != nil {
-					return err
-				}
-				s.sum = v
-				return nil
-			}
-		case sqltypes.KindInt:
-			xs := av.Ints
-			return func(s *aggState, di int) error {
-				if nulls && av.IsNull(di) {
-					return nil
-				}
-				x := xs[di]
-				if !s.sumSet {
-					s.sum, s.sumSet = sqltypes.NewInt(x), true
-					return nil
-				}
-				if s.sum.Kind() == sqltypes.KindInt {
-					s.sum = sqltypes.NewInt(s.sum.Int() + x)
-					return nil
-				}
-				v, err := sqltypes.Add(s.sum, sqltypes.NewInt(x))
-				if err != nil {
-					return err
-				}
-				s.sum = v
-				return nil
-			}
+		s.val = sqltypes.NewInt(x)
+	case accFloat:
+		f := av.Floats[di]
+		switch {
+		case s.val.IsNull():
+		case s.val.Kind() != sqltypes.KindFloat:
+			return s.fold(a.spec.Op, sqltypes.NewFloat(f))
+		case a.op == opSum:
+			f = s.val.Float() + f
+		case a.op == opMin && !(f < s.val.Float()), a.op == opMax && !(f > s.val.Float()):
+			return nil
 		}
-	case "min", "max":
-		// Typed extrema: the strict-inequality updates match Compare's
-		// cmpInt/cmpFloat exactly (ties and NaN comparisons keep the current
-		// extremum). If the state holds a different kind — earlier chunks of
-		// another payload kind — fall through to the boxed comparison.
-		switch av.Kind() {
-		case sqltypes.KindInt:
-			xs := av.Ints
-			return func(s *aggState, di int) error {
-				if nulls && av.IsNull(di) {
-					return nil
-				}
-				x := xs[di]
-				if !s.extSet {
-					v := sqltypes.NewInt(x)
-					s.minV, s.maxV, s.extSet = v, v, true
-					return nil
-				}
-				if s.minV.Kind() == sqltypes.KindInt && s.maxV.Kind() == sqltypes.KindInt {
-					if x < s.minV.Int() {
-						s.minV = sqltypes.NewInt(x)
-					}
-					if x > s.maxV.Int() {
-						s.maxV = sqltypes.NewInt(x)
-					}
-					return nil
-				}
-				return s.accumulate(spec, sqltypes.NewInt(x))
-			}
-		case sqltypes.KindFloat:
-			fs := av.Floats
-			return func(s *aggState, di int) error {
-				if nulls && av.IsNull(di) {
-					return nil
-				}
-				f := fs[di]
-				if !s.extSet {
-					v := sqltypes.NewFloat(f)
-					s.minV, s.maxV, s.extSet = v, v, true
-					return nil
-				}
-				if s.minV.Kind() == sqltypes.KindFloat && s.maxV.Kind() == sqltypes.KindFloat {
-					if f < s.minV.Float() {
-						s.minV = sqltypes.NewFloat(f)
-					}
-					if f > s.maxV.Float() {
-						s.maxV = sqltypes.NewFloat(f)
-					}
-					return nil
-				}
-				return s.accumulate(spec, sqltypes.NewFloat(f))
-			}
-		}
+		s.val = sqltypes.NewFloat(f)
 	}
-	return boxed
+	return nil
 }
+
+// Sources of a star-join expression (starCol.src): a dimension's index, or
+// one of these.
+const (
+	srcFact  = -1 // the fact quantifier (constants included, once classified)
+	srcConst = -2 // no quantifier at all
+)
 
 // starPlan is the resolved star-join GROUP BY shape: a fact base table scanned
 // in chunks, plus one hash table per dimension quantifier keyed by the
@@ -956,17 +878,22 @@ func buildAccum(spec *qgm.Agg, av *sqltypes.Vec) accumFn {
 // time (they are small by assumption — the fact table drives the cost), so the
 // per-chunk work is probe + tuple expansion only.
 type starPlan struct {
-	dims []starDim
+	dims  []starDim
+	group []starCol // per grouping expression
+	args  []starCol // per aggregate; COUNT(*) has no column
+}
 
-	// groupSrc/argSrc give each grouping (resp. aggregate-argument)
-	// expression's source: -1 the fact quantifier, k the k-th dimension.
-	groupSrc []int
-	argSrc   []int
-
-	// Per-dim-row precomputed values for dim-sourced expressions, indexed by
-	// raw dimension row number (the indices stored in starDim.table).
-	dimGroupVals [][]sqltypes.Value
-	dimArgVals   [][]sqltypes.Value
+// starCol is one grouping or aggregate-argument expression in the join-output
+// tuple domain. A fact-sourced one (src < 0) is a chunk kernel's result
+// gathered through the tuples' fact indices; a dimension-sourced one (src = k)
+// is precomputed per dimension row at plan time, as a vector indexed by raw
+// dimension row number (the indices stored in starDim.table), and gathered
+// through the tuples' dim-k row numbers. slot is the worker scratch slot the
+// gather lands in.
+type starCol struct {
+	src     int
+	dimVals sqltypes.Vec
+	slot    int
 }
 
 // starDim is one dimension: fact-side key kernels (vectorized, evaluated per
@@ -1077,38 +1004,34 @@ func (ss *starScratch) expand(cs *chunkState, groupKs, argKs []vecKernel, gvecs,
 	if nOut == 0 {
 		return 0, nil
 	}
-	for pos, k := range groupKs {
-		if k != nil {
-			v, err := k(cs)
-			if err != nil {
-				return 0, err
+	// tuple gathers one column into the tuple domain; nil for COUNT(*).
+	tuple := func(c *starCol, k vecKernel) (*sqltypes.Vec, error) {
+		src, idx := &c.dimVals, ss.fdi
+		switch {
+		case c.src >= 0:
+			idx = ss.ddi[c.src]
+		case k != nil:
+			var err error
+			if src, err = k(cs); err != nil {
+				return nil, err
 			}
-			gvecs[pos] = gatherVec(v, ss.fdi)
-		} else {
-			gvecs[pos] = dimValueVec(sp.dimGroupVals[pos], ss.ddi[sp.groupSrc[pos]])
+		default:
+			return nil, nil
+		}
+		out := &cs.vecs[c.slot]
+		out.Gather(src, idx)
+		return out, nil
+	}
+	var err error
+	for pos := range sp.group {
+		if gvecs[pos], err = tuple(&sp.group[pos], groupKs[pos]); err != nil {
+			return 0, err
 		}
 	}
-	for ai, k := range argKs {
-		switch {
-		case k != nil:
-			v, err := k(cs)
-			if err != nil {
-				return 0, err
-			}
-			avecs[ai] = gatherVec(v, ss.fdi)
-		case sp.argSrc[ai] >= 0:
-			avecs[ai] = dimValueVec(sp.dimArgVals[ai], ss.ddi[sp.argSrc[ai]])
+	for ai := range sp.args {
+		if avecs[ai], err = tuple(&sp.args[ai], argKs[ai]); err != nil {
+			return 0, err
 		}
 	}
 	return nOut, nil
-}
-
-// dimValueVec builds a tuple-domain vector from per-dim-row precomputed
-// values through the tuple's dim row numbers.
-func dimValueVec(vals []sqltypes.Value, idx []int32) *sqltypes.Vec {
-	var v sqltypes.Vec
-	for _, ri := range idx {
-		v.AppendValue(vals[ri])
-	}
-	return &v
 }

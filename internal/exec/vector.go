@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
@@ -44,23 +45,27 @@ const (
 )
 
 // chunkState is one worker's cursor over one storage chunk: the chunk, the
-// current selection (nil = all rows live), and scratch for lifted row
-// kernels. Kernels evaluate over the selection in dense order.
+// current selection (nil = all rows live), and the worker's scratch. Kernels
+// evaluate over the selection in dense order.
+//
+// Scratch ownership: every compiled kernel node owns one slot of vecs
+// (vecCompiler.newSlot) and refills it on each call, so a kernel's result is
+// valid until that kernel's next call on this worker — long enough for the
+// chunk, never longer. Whatever outlives the chunk (a group's repr, output
+// rows, DISTINCT sets) copies Values out. Slots grow to the live row count on
+// first use; an unfiltered box never allocates selBuf, a box without lifted
+// kernels never allocates row.
 type chunkState struct {
-	chunk   *storage.Chunk
-	sel     []int32 // live row indices, dense-ordered; nil = all of [0, chunk.N)
-	scratch []int32 // reusable selection buffer (filters compact in place)
-	row     []sqltypes.Value
-	bd      binding
+	chunk  *storage.Chunk
+	sel    []int32          // live row indices, dense-ordered; nil = all of [0, chunk.N)
+	selBuf []int32          // backing of sel, reused chunk after chunk
+	vecs   []sqltypes.Vec   // kernel output slots
+	row    []sqltypes.Value // lifted-kernel row scratch
+	bd     binding          // {row}
 }
 
-func newChunkState(ncols int) *chunkState {
-	cs := &chunkState{
-		scratch: make([]int32, 0, storage.ChunkRows),
-		row:     make([]sqltypes.Value, ncols),
-	}
-	cs.bd = binding{cs.row}
-	return cs
+func newChunkState(slots int) *chunkState {
+	return &chunkState{vecs: make([]sqltypes.Vec, slots)}
 }
 
 func (cs *chunkState) reset(c *storage.Chunk) {
@@ -86,8 +91,33 @@ func (cs *chunkState) rowIdx(di int) int {
 
 // materialize fills the scratch binding with chunk row ri, for lifted row
 // kernels.
-func (cs *chunkState) materialize(ri int) {
+func (cs *chunkState) materialize(ri int) binding {
+	if cs.row == nil {
+		cs.row = make([]sqltypes.Value, len(cs.chunk.Cols))
+		cs.bd = binding{cs.row}
+	}
 	cs.chunk.Row(ri, cs.row)
+	return cs.bd
+}
+
+// selOut returns the empty buffer a filter appends surviving row indices to.
+// It is the backing of the current selection: a survivor is written at or
+// before the position it was read from, so filters compact in place.
+func (cs *chunkState) selOut() []int32 {
+	if cs.selBuf == nil {
+		cs.selBuf = make([]int32, 0, cs.n())
+	}
+	return cs.selBuf[:0]
+}
+
+// setSel installs a filter's survivors as the selection. A filter that drops
+// nothing from a whole chunk leaves sel nil, so column references stay
+// zero-copy.
+func (cs *chunkState) setSel(out []int32) {
+	cs.selBuf = out[:0]
+	if cs.sel != nil || len(out) < cs.chunk.N {
+		cs.sel = out
+	}
 }
 
 // vecKernel evaluates one scalar expression over a chunk's selection,
@@ -106,6 +136,13 @@ type vecCompiler struct {
 	ev      *evaluator
 	ectx    *exprCtx
 	baseQID int
+	slots   int // scratch slots handed out so far; sizes chunkState.vecs
+}
+
+// newSlot reserves a chunkState.vecs slot for one kernel node's output.
+func (vc *vecCompiler) newSlot() int {
+	vc.slots++
+	return vc.slots - 1
 }
 
 // lift hands an expression to the compiled row kernel, evaluated per selected
@@ -113,12 +150,12 @@ type vecCompiler struct {
 func (vc *vecCompiler) lift(e qgm.Expr) vecKernel {
 	rk := vc.ev.scalarKernel(vc.ectx, e)
 	vc.ev.obsv.Add(CtrVecLifted, 1)
+	slot := vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
-		n := cs.n()
-		out := &sqltypes.Vec{}
-		for di := 0; di < n; di++ {
-			cs.materialize(cs.rowIdx(di))
-			v, err := rk(cs.bd)
+		out := &cs.vecs[slot]
+		out.Reset()
+		for di, n := 0, cs.n(); di < n; di++ {
+			v, err := rk(cs.materialize(cs.rowIdx(di)))
 			if err != nil {
 				return nil, err
 			}
@@ -138,25 +175,27 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 			return vc.lift(e)
 		}
 		if v, ok := vc.ectx.scalars[t.Q.ID]; ok {
-			return splatKernel(v)
+			return vc.constKernel(v)
 		}
 		if t.Q.ID != vc.baseQID {
 			return vc.lift(e) // out-of-scope reference: row path's exact error
 		}
-		col := t.Col
+		col, slot := t.Col, vc.newSlot()
 		return func(cs *chunkState) (*sqltypes.Vec, error) {
 			if col >= len(cs.chunk.Cols) {
 				return nil, fmt.Errorf("exec: column %d out of range (row width %d)", col, len(cs.chunk.Cols))
 			}
 			src := &cs.chunk.Cols[col]
 			if cs.sel == nil {
-				return src, nil
+				return src, nil // the frozen storage vector itself
 			}
-			return gatherVec(src, cs.sel), nil
+			out := &cs.vecs[slot]
+			out.Gather(src, cs.sel)
+			return out, nil
 		}
 
 	case *qgm.Const:
-		return splatKernel(t.Val)
+		return vc.constKernel(t.Val)
 
 	case *qgm.Call:
 		return vc.compileCall(t)
@@ -166,7 +205,7 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 		case "||", "+", "-", "*", "/", "%":
 			l := vc.compileScalar(t.L)
 			r := vc.compileScalar(t.R)
-			op := t.Op
+			op, slot := t.Op, vc.newSlot()
 			return func(cs *chunkState) (*sqltypes.Vec, error) {
 				lv, err := l(cs)
 				if err != nil {
@@ -176,7 +215,8 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 				if err != nil {
 					return nil, err
 				}
-				return vecBinArith(op, lv, rv)
+				out := &cs.vecs[slot]
+				return out, vecBinArith(op, lv, rv, out)
 			}
 		}
 		// Comparison/logical operators in scalar position are rare; lift.
@@ -188,89 +228,18 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 	}
 }
 
-// splatKernel broadcasts a constant to the selection length.
-func splatKernel(v sqltypes.Value) vecKernel {
+// constKernel broadcasts a constant to the selection length. The worker
+// splats it once, into one slot, at the longest length asked for so far; each
+// call re-slices that into a second slot.
+func (vc *vecCompiler) constKernel(v sqltypes.Value) vecKernel {
+	full, view := vc.newSlot(), vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
-		return splatVec(v, cs.n()), nil
-	}
-}
-
-func splatVec(v sqltypes.Value, n int) *sqltypes.Vec {
-	switch v.Kind() {
-	case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
-		ints := make([]int64, n)
-		x := v.Int()
-		for i := range ints {
-			ints[i] = x
+		n := cs.n()
+		if cs.vecs[full].Len() < n {
+			cs.vecs[full].Splat(v, n)
 		}
-		out := sqltypes.NewIntsVec(v.Kind(), ints, nil)
-		return &out
-	case sqltypes.KindFloat:
-		fs := make([]float64, n)
-		x := v.Float()
-		for i := range fs {
-			fs[i] = x
-		}
-		out := sqltypes.NewFloatsVec(fs, nil)
-		return &out
-	case sqltypes.KindString:
-		ss := make([]string, n)
-		x := v.Str()
-		for i := range ss {
-			ss[i] = x
-		}
-		out := sqltypes.NewStringsVec(ss, nil)
-		return &out
-	default:
-		out := sqltypes.NewNullVec(n)
-		return &out
-	}
-}
-
-// gatherVec compacts src down to the selected rows.
-func gatherVec(src *sqltypes.Vec, sel []int32) *sqltypes.Vec {
-	n := len(sel)
-	if src.Generic() {
-		vals := make([]sqltypes.Value, n)
-		for i, ri := range sel {
-			vals[i] = src.Any[ri]
-		}
-		out := sqltypes.NewGenericVec(vals)
-		return &out
-	}
-	var nulls sqltypes.Bitmap
-	if src.HasNulls() {
-		for i, ri := range sel {
-			if src.IsNull(int(ri)) {
-				nulls.Set(i)
-			}
-		}
-	}
-	switch src.Kind() {
-	case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
-		ints := make([]int64, n)
-		for i, ri := range sel {
-			ints[i] = src.Ints[ri]
-		}
-		out := sqltypes.NewIntsVec(src.Kind(), ints, nulls)
-		return &out
-	case sqltypes.KindFloat:
-		fs := make([]float64, n)
-		for i, ri := range sel {
-			fs[i] = src.Floats[ri]
-		}
-		out := sqltypes.NewFloatsVec(fs, nulls)
-		return &out
-	case sqltypes.KindString:
-		ss := make([]string, n)
-		for i, ri := range sel {
-			ss[i] = src.Strs[ri]
-		}
-		out := sqltypes.NewStringsVec(ss, nulls)
-		return &out
-	default: // untyped: every element NULL
-		out := sqltypes.NewNullVec(n)
-		return &out
+		cs.vecs[view] = cs.vecs[full].Prefix(n)
+		return &cs.vecs[view], nil
 	}
 }
 
@@ -305,19 +274,20 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 	}
 	name := t.Name
 	arg := vc.compileScalar(t.Args[0])
+	slot := vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
 		av, err := arg(cs)
 		if err != nil {
 			return nil, err
 		}
 		n := av.Len()
+		out := &cs.vecs[slot]
 		if intClass(av) {
-			ints := make([]int64, n)
-			var nulls sqltypes.Bitmap
+			ints := out.RefillInts(sqltypes.KindInt, n)
 			if av.HasNulls() {
 				for i := 0; i < n; i++ {
 					if av.IsNull(i) {
-						nulls.Set(i)
+						out.SetNull(i)
 					} else {
 						ints[i] = f(av.Ints[i])
 					}
@@ -327,16 +297,16 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 					ints[i] = f(d)
 				}
 			}
-			out := sqltypes.NewIntsVec(sqltypes.KindInt, ints, nulls)
-			return &out, nil
+			return out, nil
 		}
-		if !av.Generic() && av.Kind() == sqltypes.KindNull {
-			return splatVec(sqltypes.Null, n), nil
+		if isAllNull(av) {
+			out.Splat(sqltypes.Null, n)
+			return out, nil
 		}
 		// Odd argument kinds: reconstruct each Value and take the row path's
 		// exact accessors (DateYear et al. panic on non-integer kinds, same as
 		// the row kernel would).
-		out := &sqltypes.Vec{}
+		out.Reset()
 		for i := 0; i < n; i++ {
 			v := av.Value(i)
 			if v.IsNull() {
@@ -400,19 +370,21 @@ func floatAt(v *sqltypes.Vec, i int) float64 {
 	return float64(v.Ints[i])
 }
 
-// vecBinArith evaluates a binary arithmetic/concat operator element-wise.
-// Typed int/int, numeric/float and string/string pairs run dedicated loops;
-// every other pairing — and every error case — delegates per element to the
-// sqltypes function the row kernel uses, so results, NULL propagation and
-// error messages match the row path exactly.
-func vecBinArith(op string, a, b *sqltypes.Vec) (*sqltypes.Vec, error) {
+// vecBinArith evaluates a binary arithmetic/concat operator element-wise into
+// out (a scratch slot distinct from both operands). Typed int/int,
+// numeric/float and string/string pairs run dedicated loops; every other
+// pairing — and every error case — delegates per element to the sqltypes
+// function the row kernel uses, so results, NULL propagation and error
+// messages match the row path exactly.
+func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 	n := a.Len()
 	fn := binOpFn(op)
 
 	// NULL in, NULL out holds for every operator here: an all-NULL side makes
 	// the whole result NULL.
 	if isAllNull(a) || isAllNull(b) {
-		return splatVec(sqltypes.Null, n), nil
+		out.Splat(sqltypes.Null, n)
+		return nil
 	}
 
 	anyNulls := a.HasNulls() || b.HasNulls() || a.Generic() || b.Generic()
@@ -420,11 +392,10 @@ func vecBinArith(op string, a, b *sqltypes.Vec) (*sqltypes.Vec, error) {
 
 	switch {
 	case (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") && isInt(a) && isInt(b):
-		ints := make([]int64, n)
-		var nulls sqltypes.Bitmap
+		ints := out.RefillInts(sqltypes.KindInt, n)
 		for i := 0; i < n; i++ {
 			if nullAt(i) {
-				nulls.Set(i)
+				out.SetNull(i)
 				continue
 			}
 			x, y := a.Ints[i], b.Ints[i]
@@ -438,7 +409,7 @@ func vecBinArith(op string, a, b *sqltypes.Vec) (*sqltypes.Vec, error) {
 			case "/", "%":
 				if y == 0 {
 					_, err := fn(a.Value(i), b.Value(i))
-					return nil, err
+					return err
 				}
 				if op == "/" {
 					ints[i] = x / y
@@ -447,16 +418,14 @@ func vecBinArith(op string, a, b *sqltypes.Vec) (*sqltypes.Vec, error) {
 				}
 			}
 		}
-		out := sqltypes.NewIntsVec(sqltypes.KindInt, ints, nulls)
-		return &out, nil
+		return nil
 
 	case (op == "+" || op == "-" || op == "*" || op == "/") && isNumericVec(a) && isNumericVec(b):
 		// At least one side is float (both-int handled above): float result.
-		fs := make([]float64, n)
-		var nulls sqltypes.Bitmap
+		fs := out.RefillFloats(n)
 		for i := 0; i < n; i++ {
 			if nullAt(i) {
-				nulls.Set(i)
+				out.SetNull(i)
 				continue
 			}
 			x, y := floatAt(a, i), floatAt(b, i)
@@ -470,40 +439,36 @@ func vecBinArith(op string, a, b *sqltypes.Vec) (*sqltypes.Vec, error) {
 			case "/":
 				if y == 0 {
 					_, err := fn(a.Value(i), b.Value(i))
-					return nil, err
+					return err
 				}
 				fs[i] = x / y
 			}
 		}
-		out := sqltypes.NewFloatsVec(fs, nulls)
-		return &out, nil
+		return nil
 
 	case op == "||" && !a.Generic() && !b.Generic() &&
 		a.Kind() == sqltypes.KindString && b.Kind() == sqltypes.KindString:
-		ss := make([]string, n)
-		var nulls sqltypes.Bitmap
+		ss := out.RefillStrings(n)
 		for i := 0; i < n; i++ {
 			if nullAt(i) {
-				nulls.Set(i)
+				out.SetNull(i)
 				continue
 			}
 			ss[i] = a.Strs[i] + b.Strs[i]
 		}
-		out := sqltypes.NewStringsVec(ss, nulls)
-		return &out, nil
+		return nil
 	}
 
 	// Mixed or odd kinds: per-element delegation.
-	vals := make([]sqltypes.Value, n)
+	vals := out.RefillGeneric(n)
 	for i := 0; i < n; i++ {
 		v, err := fn(a.Value(i), b.Value(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		vals[i] = v
 	}
-	out := sqltypes.NewGenericVec(vals)
-	return &out, nil
+	return nil
 }
 
 // compileFilter lowers a predicate conjunct to a selection-narrowing filter.
@@ -542,11 +507,10 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 	vc.ev.obsv.Add(CtrVecLifted, 1)
 	return func(cs *chunkState) error {
 		n := cs.n()
-		out := cs.scratch[:0]
+		out := cs.selOut()
 		for di := 0; di < n; di++ {
 			ri := cs.rowIdx(di)
-			cs.materialize(ri)
-			tv, err := pk(cs.bd)
+			tv, err := pk(cs.materialize(ri))
 			if err != nil {
 				return err
 			}
@@ -554,7 +518,7 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 				out = append(out, int32(ri))
 			}
 		}
-		cs.sel = out
+		cs.setSel(out)
 		return nil
 	}
 }
@@ -593,7 +557,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 			return err
 		}
 		n := cs.n()
-		out := cs.scratch[:0]
+		out := cs.selOut()
 
 		anyNulls := lv.HasNulls() || rv.HasNulls() || lv.Generic() || rv.Generic()
 		nullAt := func(i int) bool { return anyNulls && (lv.IsNull(i) || rv.IsNull(i)) }
@@ -661,7 +625,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				}
 			}
 		}
-		cs.sel = out
+		cs.setSel(out)
 		return nil
 	}
 }
@@ -691,18 +655,25 @@ func cmpF64(a, b float64) int {
 // exprOverQuant reports whether e references only quantifier qid (scalar
 // subqueries count as constants) and contains no aggregate — the shape the
 // vector compiler evaluates with exact row-path error behavior. Anything else
-// declines the box so the row path raises its own errors.
+// declines the box so the row path raises its own errors. It runs per
+// predicate, output column and aggregate argument of every box, so it must
+// not allocate: WalkExpr does not retain its callback.
 func exprOverQuant(e qgm.Expr, qid int, scalars map[int]sqltypes.Value) bool {
-	qs := sideQuants(e, scalars)
-	if qs == nil {
-		return false
-	}
-	for q := range qs {
-		if q != qid {
-			return false
+	ok := true
+	qgm.WalkExpr(e, func(x qgm.Expr) bool {
+		switch t := x.(type) {
+		case *qgm.ColRef:
+			if t.Q == nil {
+				ok = false
+			} else if _, isScalar := scalars[t.Q.ID]; !isScalar && t.Q.ID != qid {
+				ok = false
+			}
+		case *qgm.Agg:
+			ok = false
 		}
-	}
-	return true
+		return ok
+	})
+	return ok
 }
 
 // scanChunks scans a base table in chunk form with the same budget charges,
@@ -746,23 +717,19 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) ([][]sqltypes.Value, bool, error)
 	}
 
 	// Scalar subqueries evaluate once, exactly as the row path does.
-	scalars := map[int]sqltypes.Value{}
+	var scalars map[int]sqltypes.Value
 	for _, q := range b.Quantifiers {
 		if q.Kind != qgm.Scalar {
 			continue
 		}
-		rows, err := ev.evalBox(q.Box)
+		v, err := ev.scalarValue(q.Box)
 		if err != nil {
 			return nil, true, err
 		}
-		switch len(rows) {
-		case 0:
-			scalars[q.ID] = sqltypes.Null
-		case 1:
-			scalars[q.ID] = rows[0][0]
-		default:
-			return nil, true, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
+		if scalars == nil {
+			scalars = map[int]sqltypes.Value{}
 		}
+		scalars[q.ID] = v
 	}
 
 	// Predicates or outputs that reference anything beyond the base
@@ -792,13 +759,12 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) ([][]sqltypes.Value, bool, error)
 	if err != nil {
 		return nil, true, err
 	}
-	ncols := len(fe.Box.Cols)
-
 	workers := ev.workersFor(total)
 	parts := make([][][]sqltypes.Value, max(workers, 1))
 	err = ev.parallelChunks(len(chunks), workers, func(w, lo, hi int, chg *charger) error {
-		cs := newChunkState(ncols)
+		cs := newChunkState(vc.slots)
 		var out [][]sqltypes.Value
+		slab := rowSlab{width: len(colKs)}
 		vecs := make([]*sqltypes.Vec, len(colKs))
 		for ci := lo; ci < hi; ci++ {
 			cs.reset(chunks[ci])
@@ -821,11 +787,14 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) ([][]sqltypes.Value, bool, error)
 				}
 				vecs[i] = v
 			}
+			// One block of rows per chunk, sized from its selection count.
+			slab.reserve(n)
+			out = slices.Grow(out, n)
 			for di := 0; di < n; di++ {
 				if err := chg.checkpoint(1); err != nil {
 					return err
 				}
-				row := make([]sqltypes.Value, len(vecs))
+				row := slab.next()
 				for i, v := range vecs {
 					row[i] = v.Value(di)
 				}
@@ -838,19 +807,9 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) ([][]sqltypes.Value, bool, error)
 	if err != nil {
 		return nil, true, err
 	}
-
-	var out [][]sqltypes.Value
-	if workers == 1 {
-		out = parts[0]
-	} else {
-		n := 0
-		for _, p := range parts {
-			n += len(p)
-		}
-		out = make([][]sqltypes.Value, 0, n)
-		for _, p := range parts {
-			out = append(out, p...)
-		}
+	out := parts[0]
+	if workers > 1 {
+		out = slices.Concat(parts...)
 	}
 	if b.Distinct {
 		out = dedupeRows(out)

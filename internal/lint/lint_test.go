@@ -453,6 +453,28 @@ func bad(c *Chunk) { c.vals[0] = 9 }
 	wantFinding(t, fs, "chunk-freeze", "after freeze")
 }
 
+func TestChunkFreezeFlagsKernelRefillingStorageColumn(t *testing.T) {
+	// The mistake per-worker scratch makes easy: a kernel refills the chunk's
+	// own column instead of its scratch slot. The stand-ins claim the sqltypes
+	// path so the calleeFacts row for the real Vec.RefillInts matches.
+	src := `package sqltypes
+type Vec struct{ ints []int64 }
+func (v *Vec) RefillInts(kind, n int) []int64 { v.ints = v.ints[:n]; return v.ints }
+type Chunk struct {
+	N    int
+	Cols []Vec
+}
+func yearKernel(c *Chunk, scratch *Vec) []int64 {
+	return c.Cols[0].RefillInts(1, c.N)
+}
+func yearKernelOK(c *Chunk, scratch *Vec) []int64 {
+	return scratch.RefillInts(1, c.N)
+}
+`
+	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/seed.go", src)
+	wantFinding(t, fs, "chunk-freeze", "RefillInts")
+}
+
 func TestChunkFreezeAcceptsFreshBuildAndReadOnlyUse(t *testing.T) {
 	// Regression for two bring-up false positives: a locally allocated chunk
 	// stays writable outside storage (the columnarize shape), and builtins

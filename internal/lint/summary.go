@@ -221,6 +221,18 @@ var calleeFacts = map[string]calleeFact{
 	"repro/internal/sqltypes.(Vec).Kind":        {readonly: true},
 	"repro/internal/sqltypes.(Vec).HasNulls":    {readonly: true},
 	"repro/internal/sqltypes.(Vec).Generic":     {readonly: true},
+	"repro/internal/sqltypes.(Vec).Prefix":      {readonly: true},
+	// The executor's scratch refills overwrite elements below the current
+	// length: on a storage column they are the write the seal forbids.
+	"repro/internal/sqltypes.(Vec).Reset":         {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).Reserve":       {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).RefillInts":    {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).RefillFloats":  {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).RefillStrings": {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).RefillGeneric": {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).SetNull":       {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).Splat":         {mutatesRecv: true},
+	"repro/internal/sqltypes.(Vec).Gather":        {mutatesRecv: true}, // reads its src argument
 	// Key renderers write only into their buf argument.
 	"repro/internal/sqltypes.(Vec).AppendBinKey":   {mutatesArgs: []int{0}},
 	"repro/internal/sqltypes.(Vec).AppendGroupKey": {mutatesArgs: []int{0}},

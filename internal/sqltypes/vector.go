@@ -2,6 +2,7 @@ package sqltypes
 
 import (
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -20,6 +21,12 @@ import (
 // Frozen() clones it. Degrading to the generic payload builds a fresh slice
 // rather than mutating the typed one, so frozen headers keep reading their
 // original payload.
+//
+// The executor's scratch vectors are the other kind of Vec: owned by one
+// worker, refilled in place chunk after chunk through Reset, the Refill*
+// family, Splat and Gather, all of which keep payload and bitmap capacity.
+// Those methods overwrite elements below the current length, so they must
+// never be called on a vector a storage snapshot can reach.
 
 // Bitmap is a packed bitset, one bit per row index.
 type Bitmap []uint64
@@ -68,37 +75,6 @@ type Vec struct {
 	// Nulls marks NULL rows. Inactive (nil) when no NULL has been appended.
 	Nulls    Bitmap
 	hasNulls bool
-}
-
-// NewIntsVec wraps an int64 payload as a vector of the given integer-class
-// kind (KindInt, KindBool or KindDate). nulls may be nil.
-func NewIntsVec(kind Kind, ints []int64, nulls Bitmap) Vec {
-	return Vec{kind: kind, n: len(ints), Ints: ints, Nulls: nulls, hasNulls: nulls != nil}
-}
-
-// NewFloatsVec wraps a float64 payload as a KindFloat vector. nulls may be nil.
-func NewFloatsVec(floats []float64, nulls Bitmap) Vec {
-	return Vec{kind: KindFloat, n: len(floats), Floats: floats, Nulls: nulls, hasNulls: nulls != nil}
-}
-
-// NewStringsVec wraps a string payload as a KindString vector. nulls may be nil.
-func NewStringsVec(strs []string, nulls Bitmap) Vec {
-	return Vec{kind: KindString, n: len(strs), Strs: strs, Nulls: nulls, hasNulls: nulls != nil}
-}
-
-// NewGenericVec wraps arbitrary values as a generic vector; NULL elements are
-// represented by NULL Values in the slice.
-func NewGenericVec(vals []Value) Vec {
-	return Vec{generic: true, n: len(vals), Any: vals}
-}
-
-// NewNullVec returns a vector of n NULLs.
-func NewNullVec(n int) Vec {
-	v := Vec{}
-	for i := 0; i < n; i++ {
-		v.AppendNull()
-	}
-	return v
 }
 
 // Len returns the number of values.
@@ -185,11 +161,11 @@ func (v *Vec) AppendValue(x Value) {
 		v.kind = x.kind
 		switch x.kind {
 		case KindFloat:
-			v.Floats = make([]float64, v.n, cap64(v.n))
+			v.Floats = backfill(v.Floats, v.n)
 		case KindString:
-			v.Strs = make([]string, v.n, cap64(v.n))
+			v.Strs = backfill(v.Strs, v.n)
 		default:
-			v.Ints = make([]int64, v.n, cap64(v.n))
+			v.Ints = backfill(v.Ints, v.n)
 		}
 	}
 	if x.kind != v.kind {
@@ -209,11 +185,16 @@ func (v *Vec) AppendValue(x Value) {
 	v.n++
 }
 
-func cap64(n int) int {
-	if n < 64 {
-		return 64
+// backfill returns n zero elements ahead of the first typed append: in s's
+// spare capacity when Reset or Reserve left enough, else freshly allocated
+// with room to grow.
+func backfill[T any](s []T, n int) []T {
+	if cap(s) == 0 || cap(s) < n {
+		return make([]T, n, max(n, 64))
 	}
-	return n
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // degrade converts the payload to the generic form in a fresh slice.
@@ -225,6 +206,159 @@ func (v *Vec) degrade() {
 	v.generic = true
 	v.Any = anyv
 	v.Ints, v.Floats, v.Strs = nil, nil, nil
+}
+
+// Reset empties v for refilling through AppendValue/AppendNull, keeping the
+// capacity of every payload and of the null bitmap.
+func (v *Vec) Reset() {
+	*v = Vec{Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0], Any: v.Any[:0], Nulls: v.Nulls[:0]}
+}
+
+// Reserve gives an empty vector room for n values of kind, so that appending
+// them does not grow the payload step by step. It fixes nothing: the first
+// non-null append still decides the vector's kind.
+func (v *Vec) Reserve(kind Kind, n int) {
+	switch kind {
+	case KindNull:
+	case KindFloat:
+		v.Floats = slices.Grow(v.Floats, n)
+	case KindString:
+		v.Strs = slices.Grow(v.Strs, n)
+	default:
+		v.Ints = slices.Grow(v.Ints, n)
+	}
+}
+
+// refill makes v an n-element vector of the given shape with no NULLs; the
+// caller resizes the active payload with regrow.
+func (v *Vec) refill(kind Kind, generic bool, n int) {
+	v.kind, v.generic, v.n = kind, generic, n
+	v.Nulls, v.hasNulls = v.Nulls[:0], false
+}
+
+// regrow resizes a scratch payload to n elements, reusing capacity. Contents
+// are stale; growth doubles, so a payload settles after a few chunks.
+func regrow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, max(n, 2*cap(s)))
+}
+
+// RefillInts makes v a vector of n non-NULL values of an integer-class kind
+// (KindInt, KindBool or KindDate) and returns the payload for the caller to
+// fill: every element must be written, or marked with SetNull.
+func (v *Vec) RefillInts(kind Kind, n int) []int64 {
+	v.refill(kind, false, n)
+	v.Ints = regrow(v.Ints, n)
+	return v.Ints
+}
+
+// RefillFloats is RefillInts for a KindFloat vector.
+func (v *Vec) RefillFloats(n int) []float64 {
+	v.refill(KindFloat, false, n)
+	v.Floats = regrow(v.Floats, n)
+	return v.Floats
+}
+
+// RefillStrings is RefillInts for a KindString vector.
+func (v *Vec) RefillStrings(n int) []string {
+	v.refill(KindString, false, n)
+	v.Strs = regrow(v.Strs, n)
+	return v.Strs
+}
+
+// RefillGeneric is RefillInts for the generic payload; NULL elements are NULL
+// Values, so every element must be written.
+func (v *Vec) RefillGeneric(n int) []Value {
+	v.refill(KindNull, true, n)
+	v.Any = regrow(v.Any, n)
+	return v.Any
+}
+
+// SetNull marks element i of a refilled typed vector NULL.
+func (v *Vec) SetNull(i int) {
+	v.Nulls.Set(i)
+	v.hasNulls = true
+}
+
+// Splat makes v n copies of x.
+func (v *Vec) Splat(x Value, n int) {
+	switch x.kind {
+	case KindNull:
+		v.refill(KindNull, false, n)
+		for i := 0; i < n; i++ {
+			v.SetNull(i)
+		}
+	case KindFloat:
+		fill(v.RefillFloats(n), x.f)
+	case KindString:
+		fill(v.RefillStrings(n), x.s)
+	default:
+		fill(v.RefillInts(x.kind, n), x.i)
+	}
+}
+
+func fill[T any](s []T, x T) {
+	for i := range s {
+		s[i] = x
+	}
+}
+
+// Prefix returns a header over v's first n elements, sharing its payload.
+func (v *Vec) Prefix(n int) Vec {
+	p := *v
+	p.n = n
+	switch {
+	case v.generic:
+		p.Any = v.Any[:n]
+	case v.kind == KindFloat:
+		p.Floats = v.Floats[:n]
+	case v.kind == KindString:
+		p.Strs = v.Strs[:n]
+	case v.kind != KindNull:
+		p.Ints = v.Ints[:n]
+	}
+	return p
+}
+
+// Gather makes v the elements of src at the given indices, in that order. v
+// must not be src.
+func (v *Vec) Gather(src *Vec, idx []int32) {
+	n := len(idx)
+	switch {
+	case src.generic:
+		vals := v.RefillGeneric(n)
+		for i, ri := range idx {
+			vals[i] = src.Any[ri]
+		}
+		return
+	case src.kind == KindNull: // untyped: every element NULL
+		v.Splat(Null, n)
+		return
+	case src.kind == KindFloat:
+		fs := v.RefillFloats(n)
+		for i, ri := range idx {
+			fs[i] = src.Floats[ri]
+		}
+	case src.kind == KindString:
+		ss := v.RefillStrings(n)
+		for i, ri := range idx {
+			ss[i] = src.Strs[ri]
+		}
+	default:
+		ints := v.RefillInts(src.kind, n)
+		for i, ri := range idx {
+			ints[i] = src.Ints[ri]
+		}
+	}
+	if src.hasNulls {
+		for i, ri := range idx {
+			if src.Nulls.Get(int(ri)) {
+				v.SetNull(i)
+			}
+		}
+	}
 }
 
 // Frozen returns a header copy safe to read concurrently with further

@@ -137,3 +137,111 @@ func TestVecLeadingNulls(t *testing.T) {
 		t.Fatalf("kind = %v", v.Kind())
 	}
 }
+
+// sameVec fails unless got reads exactly like want: length, every value with
+// its kind, every null bit, every binary group key.
+func sameVec(t *testing.T, what string, got, want *Vec) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: Len %d, want %d", what, got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		g, w := got.Value(i), want.Value(i)
+		if !Identical(g, w) || got.IsNull(i) != want.IsNull(i) {
+			t.Fatalf("%s: element %d = %v (%s), want %v (%s)", what, i, g, g.Kind(), w, w.Kind())
+		}
+		if gk, wk := got.AppendBinKey(nil, i), want.AppendBinKey(nil, i); !bytes.Equal(gk, wk) {
+			t.Fatalf("%s: key %d = %q, want %q", what, i, gk, wk)
+		}
+	}
+}
+
+// TestVecScratchReuse drives one scratch vector through the refill methods
+// the executor uses — Reset+append, Gather, Splat, Prefix — with random
+// kinds, lengths and NULLs from one use to the next, and checks each result
+// against a vector built from scratch: nothing of an earlier fill (payload,
+// null bits, kind, generic-ness) may leak into a later one.
+func TestVecScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randVec := func() *Vec {
+		v := &Vec{}
+		proto, mixed := randValue(rng), rng.Intn(4) == 0
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			x := randValue(rng)
+			if !mixed && !x.IsNull() && x.Kind() != proto.Kind() {
+				x = proto
+			}
+			v.AppendValue(x)
+		}
+		return v
+	}
+	var scratch Vec
+	for trial := 0; trial < 500; trial++ {
+		src := randVec()
+		switch rng.Intn(4) {
+		case 0: // Reset + append
+			scratch.Reset()
+			for i := 0; i < src.Len(); i++ {
+				scratch.AppendValue(src.Value(i))
+			}
+			sameVec(t, "reset+append", &scratch, src)
+		case 1: // Gather through a random index list (repeats, any order)
+			var want Vec
+			idx := make([]int32, 0, 64)
+			for i, n := 0, rng.Intn(64); src.Len() > 0 && i < n; i++ {
+				ri := rng.Intn(src.Len())
+				idx = append(idx, int32(ri))
+				want.AppendValue(src.Value(ri))
+			}
+			scratch.Gather(src, idx)
+			sameVec(t, "gather", &scratch, &want)
+		case 2: // Splat, then a shorter Prefix of it
+			x, n := randValue(rng), rng.Intn(100)
+			var want Vec
+			for i := 0; i < n; i++ {
+				want.AppendValue(x)
+			}
+			scratch.Splat(x, n)
+			sameVec(t, "splat", &scratch, &want)
+			head := scratch.Prefix(n / 2)
+			var wantHead Vec
+			for i := 0; i < n/2; i++ {
+				wantHead.AppendValue(x)
+			}
+			sameVec(t, "prefix", &head, &wantHead)
+		case 3: // typed refill with NULLs marked afterwards
+			n := rng.Intn(100)
+			var want Vec
+			fs := scratch.RefillFloats(n)
+			for i := range fs {
+				if rng.Intn(5) == 0 {
+					scratch.SetNull(i)
+					want.AppendNull()
+					continue
+				}
+				fs[i] = rng.Float64()
+				want.AppendValue(NewFloat(fs[i]))
+			}
+			sameVec(t, "refill", &scratch, &want)
+		}
+	}
+}
+
+// TestVecReserveKeepsKindOpen: Reserve only sizes the payload; the first
+// non-null append still fixes the kind, leading NULLs stay NULL, and a value
+// of another kind than the one reserved for is simply appended.
+func TestVecReserveKeepsKindOpen(t *testing.T) {
+	var v Vec
+	v.Reserve(KindInt, 8)
+	v.AppendNull()
+	v.AppendValue(NewInt(7))
+	if v.Kind() != KindInt || !v.IsNull(0) || v.Value(1).Int() != 7 {
+		t.Fatalf("reserved int vector reads %v %v (kind %s)", v.Value(0), v.Value(1), v.Kind())
+	}
+	var w Vec
+	w.Reserve(KindInt, 8)
+	w.AppendValue(NewString("x"))
+	if w.Kind() != KindString || w.Value(0).Str() != "x" {
+		t.Fatalf("kind reserved for leaked: %s %v", w.Kind(), w.Value(0))
+	}
+}
