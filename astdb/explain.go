@@ -39,10 +39,13 @@ type Report struct {
 	// an execution failure instead. ExecMode reports how the executor
 	// evaluated the plan: "vectorized" when at least one box ran through the
 	// vectorized kernels, "compiled-row" for the compiled row path,
-	// "interpreted" under Config.Interpret.
-	ActualRows int
-	ExecMode   string
-	ExecError  string
+	// "interpreted" under Config.Interpret. RowPathBoxes lists, one decline
+	// reason per box, the boxes of a vectorizing run that fell back to the row
+	// path (exec.Result.Declined).
+	ActualRows   int
+	ExecMode     string
+	RowPathBoxes []string
+	ExecError    string
 }
 
 // Candidate is one summary table's EXPLAIN entry.
@@ -132,6 +135,7 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	} else {
 		rep.ActualRows = len(r.Rows)
 		rep.ExecMode = r.Mode
+		rep.RowPathBoxes = r.Declined
 	}
 	return rep, nil
 }
@@ -235,7 +239,11 @@ func (r *Report) Render(w io.Writer) {
 	if r.ExecError != "" {
 		fmt.Fprintf(w, "execution failed: %s\n", r.ExecError)
 	} else {
-		fmt.Fprintf(w, "execution: %s, actual rows: %d\n", r.ExecMode, r.ActualRows)
+		mode := r.ExecMode
+		if n := len(r.RowPathBoxes); n > 0 {
+			mode += fmt.Sprintf(" (%d on the row path: %s)", n, strings.Join(r.RowPathBoxes, ", "))
+		}
+		fmt.Fprintf(w, "execution: %s, actual rows: %d\n", mode, r.ActualRows)
 	}
 }
 

@@ -118,3 +118,21 @@ func TestExplainNamesFailingCondition(t *testing.T) {
 			rep7.EstBaseRows, rep7.EstRewrittenRows)
 	}
 }
+
+// TestExplainListsRowPathBoxes: Result.Mode says "vectorized" as soon as one
+// box vectorized, so the execution line also says how many boxes did not, and
+// why — here a cross join under a vectorized GROUP BY.
+func TestExplainListsRowPathBoxes(t *testing.T) {
+	db := explainEngine(t, "ast7")
+	rep, err := db.Explain(context.Background(),
+		`select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.RowPathBoxes) != 1 || rep.RowPathBoxes[0] != "cross-join" {
+		t.Fatalf("row-path boxes: %v", rep.RowPathBoxes)
+	}
+	if want := "execution: vectorized (1 on the row path: cross-join), actual rows:"; !strings.Contains(rep.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, rep)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -417,6 +418,14 @@ func BenchmarkExecOperators(b *testing.B) {
 			group by grouping sets((state, year(date)), (state), ())`},
 		{"having_over_groupby", `select flid, year(date) as year, count(*) as cnt
 			from trans group by flid, year(date) having count(*) > 3`},
+		{"join_select", `select aid, status, qty * price * (1 - disc) as amt
+			from trans, pgroup, acct
+			where pgid = fpgid and faid = aid
+			and price > 100 and disc > 0.1 and pgname = 'TV'`},
+		{"select_over_groupby", `select flid, count(*) as busy_months
+			from (select flid, year(date) as y, month(date) as m, count(*) as n
+			      from trans group by flid, year(date), month(date)) mm
+			where n > 5 group by flid`},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})
@@ -426,15 +435,19 @@ func BenchmarkExecOperators(b *testing.B) {
 				b.Fatalf("%s: %v", op.name, err)
 			}
 			b.Run(op.name+"/"+strconv.Itoa(scale), func(b *testing.B) {
+				// Result.Mode says vectorized as soon as one box is; the
+				// observer's decline counter says whether every box was.
+				o := obs.New()
+				env.Engine.SetObserver(o)
+				defer env.Engine.SetObserver(nil)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := env.Engine.RunCtx(context.Background(), g, exec.Config{Parallelism: 1})
-					if err != nil {
+					if _, err := env.Engine.RunCtx(context.Background(), g, exec.Config{Parallelism: 1}); err != nil {
 						b.Fatal(err)
 					}
-					if res.Mode != exec.ModeVectorized {
-						b.Fatalf("%s ran %s", op.name, res.Mode)
-					}
+				}
+				if d := o.Counter(exec.CtrVecDeclined); d != 0 {
+					b.Fatalf("%s: %d boxes declined to the row path", op.name, d)
 				}
 			})
 		}

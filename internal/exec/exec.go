@@ -1,23 +1,38 @@
-// Package exec interprets QGM graphs over an in-memory storage.Store. It
-// exists to (a) verify that every rewrite the matching algorithm produces is
+// Package exec runs QGM graphs over an in-memory storage.Store. It exists to
+// (a) verify that every rewrite the matching algorithm produces is
 // result-identical to the original query, and (b) measure the latency
 // improvements that motivate Automatic Summary Tables.
 //
-// The interpreter evaluates boxes bottom-up with per-box memoization (QGM is
-// a DAG — a shared base table evaluates once). SELECT boxes join their
-// ForEach children — using hash joins when equality predicates connect the
-// next child to the already-joined prefix, falling back to nested loops —
-// then apply residual predicates under SQL three-valued logic and compute the
-// output expressions. GROUP BY boxes evaluate each grouping set of their
-// canonicalized supergroup (paper §5: a cube query is the union of its
-// cuboids, NULL-padding the grouped-out columns).
+// Boxes evaluate bottom-up with per-box memoization (QGM is a DAG — a shared
+// box evaluates once); what a box evaluates to is a relation, held as column
+// chunks, as rows, or both. The default engine is one chunk pipeline, a source
+// feeding one of two sinks (source.go, vector.go, vecgroupby.go). The source
+// of a SELECT box scans the chunks of its first ForEach child — a base table,
+// or the relation of an evaluated child box — narrows them with selection-
+// vector filters and, when the box joins, probes them against hash tables
+// built from the equality predicates that tie every other child to the first
+// (a star join). The sink is projection for a SELECT box and hash aggregation
+// (grouptable.go) for a GROUP BY box, which also fuses a SELECT child into its
+// source and evaluates each grouping set of its canonicalized supergroup
+// (paper §5: a cube query is the union of its cuboids, NULL-padding the
+// grouped-out columns). Both sinks emit chunks, so box boundaries carry
+// vectors and rows exist only where someone asks for them: the root Result,
+// and the row path.
 //
-// Row loops fan out across Config.Parallelism workers (default GOMAXPROCS):
-// the driving quantifier's scan+filter, per-binding predicate filters, output
-// expression evaluation, and partitioned aggregation all partition their
-// input into contiguous chunks whose results are concatenated in chunk order,
-// so the parallel path produces the same rows in the same order as the serial
-// path (floating-point SUM may re-associate; see EqualResults tolerance).
+// The row path (evalSelect, evalGroupBy: row-at-a-time over compiled closures,
+// compile.go, or the tree-walking interpreter, expr.go) is the reference the
+// vectorized engine is tested against, what Config.Vectorize = VecOff and
+// Config.Interpret select, and the fallback for the box shapes the source
+// declines, each counted under exec.vector.declined.<reason> (source.go lists
+// the reasons). It joins left to right — hash joins where equality predicates
+// connect the next child to the joined prefix, nested loops otherwise — and
+// applies residual predicates under SQL three-valued logic.
+//
+// Both engines partition their input across Config.Parallelism workers
+// (default GOMAXPROCS) into contiguous ranges — of chunks, of rows — whose
+// results are concatenated or merged in range order, so the parallel path
+// produces the same rows in the same order as the serial path (floating-point
+// SUM may re-associate; see EqualResults tolerance).
 package exec
 
 import (
@@ -51,6 +66,10 @@ type Result struct {
 	// box ran on the vectorized path, ModeInterpreted under Config.Interpret,
 	// ModeCompiledRow otherwise. EXPLAIN surfaces it.
 	Mode string
+	// Declined holds one decline reason (the suffix of its
+	// exec.vector.declined.<reason> counter) per box that ran on the row path
+	// although the run was vectorizing, in evaluation order.
+	Declined []string
 }
 
 // Engine runs QGM graphs against a store.
@@ -103,7 +122,7 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	bud := &runBudget{ctx: ctx, maxRows: int64(lim.MaxRows)}
 	ev := &evaluator{
 		store:  e.store,
-		memo:   map[int][][]sqltypes.Value{},
+		memo:   map[int]*relation{},
 		bud:    bud,
 		chg:    charger{b: bud},
 		par:    lim.Parallelism,
@@ -111,13 +130,14 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 		vec:    !lim.Interpret && lim.Vectorize == VecAuto,
 		obsv:   e.obsv,
 	}
-	rows, err := ev.evalBox(g.Root)
+	rel, err := ev.evalBox(g.Root)
 	if err != nil {
 		return nil, err
 	}
 	if err := ev.chg.flush(); err != nil {
 		return nil, err
 	}
+	rows := rel.rowsOf()
 	e.obsv.Add(CtrRowsEmitted, int64(len(rows)))
 	e.obsv.ObserveSince(HistRun, began)
 	// A base-table root would hand the caller the table's live row slice;
@@ -136,7 +156,7 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	case lim.Interpret:
 		mode = ModeInterpreted
 	}
-	return &Result{Cols: cols, Rows: rows, Mode: mode}, nil
+	return &Result{Cols: cols, Rows: rows, Mode: mode, Declined: ev.declined}, nil
 }
 
 // MustRun is Run that panics on error; for tests.
@@ -150,7 +170,7 @@ func (e *Engine) MustRun(g *qgm.Graph) *Result {
 
 type evaluator struct {
 	store *storage.Store
-	memo  map[int][][]sqltypes.Value
+	memo  map[int]*relation
 
 	bud    *runBudget
 	chg    charger // the main goroutine's charger; workers get their own
@@ -160,8 +180,10 @@ type evaluator struct {
 	obsv   *obs.Observer
 
 	// usedVector records that at least one box ran on the vectorized path
-	// this run (set on the main goroutine only; reported via Result.Mode).
+	// this run (set on the main goroutine only; reported via Result.Mode);
+	// declined lists why the others did not (Result.Declined).
 	usedVector bool
+	declined   []string
 }
 
 // checkpoint charges n materialized rows against the shared budget and
@@ -171,13 +193,59 @@ func (ev *evaluator) checkpoint(n int) error {
 	return ev.chg.checkpoint(n)
 }
 
-func (ev *evaluator) evalBox(b *qgm.Box) ([][]sqltypes.Value, error) {
-	if rows, ok := ev.memo[b.ID]; ok {
-		return rows, nil
+// relation is what a box evaluates to and what the memo holds: the box's
+// output as column chunks, as rows, or both. A vectorized box emits chunks
+// whose vectors it owns or shares with frozen storage; either way they are
+// read-only from then on. The row path emits rows. The other form is derived
+// once, on the main goroutine, and only when a consumer asks: rows by a
+// row-path parent or the root Result (one slab for the whole relation), chunks
+// by a vectorized parent of a row-path box (columnarize, the one row→vector
+// edge left).
+type relation struct {
+	n      int
+	chunks []*storage.Chunk
+	rows   [][]sqltypes.Value
+}
+
+func chunkRelation(chunks []*storage.Chunk) *relation {
+	rel := &relation{chunks: chunks}
+	for _, c := range chunks {
+		rel.n += c.N
+	}
+	return rel
+}
+
+func (r *relation) rowsOf() [][]sqltypes.Value {
+	if r.rows == nil && r.n > 0 {
+		slab := rowSlab{width: len(r.chunks[0].Cols)}
+		slab.reserve(r.n)
+		r.rows = make([][]sqltypes.Value, 0, r.n)
+		for _, c := range r.chunks {
+			for i := 0; i < c.N; i++ {
+				row := slab.next()
+				c.Row(i, row)
+				r.rows = append(r.rows, row)
+			}
+		}
+	}
+	return r.rows
+}
+
+func (r *relation) chunksOf(ncols int) []*storage.Chunk {
+	if r.chunks == nil && r.n > 0 {
+		r.chunks = columnarize(r.rows, ncols)
+	}
+	return r.chunks
+}
+
+func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
+	if rel, ok := ev.memo[b.ID]; ok {
+		return rel, nil
 	}
 	if err := ev.chg.flush(); err != nil {
 		return nil, err
 	}
+	var rel *relation // a vectorized evaluator leaves it nil when it declines
 	var rows [][]sqltypes.Value
 	var err error
 	switch b.Kind {
@@ -193,19 +261,17 @@ func (ev *evaluator) evalBox(b *qgm.Box) ([][]sqltypes.Value, error) {
 			err = ev.chg.flush()
 		}
 	case qgm.SelectBox:
-		var handled bool
 		if ev.vec {
-			rows, handled, err = ev.evalSelectVec(b)
+			rel, err = ev.evalSelectVec(b)
 		}
-		if !handled && err == nil {
+		if rel == nil && err == nil {
 			rows, err = ev.evalSelect(b)
 		}
 	case qgm.GroupByBox:
-		var handled bool
 		if ev.vec {
-			rows, handled, err = ev.evalGroupByVec(b)
+			rel, err = ev.evalGroupByVec(b)
 		}
-		if !handled && err == nil {
+		if rel == nil && err == nil {
 			rows, err = ev.evalGroupBy(b)
 		}
 	default:
@@ -214,24 +280,27 @@ func (ev *evaluator) evalBox(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev.memo[b.ID] = rows
-	return rows, nil
+	if rel == nil {
+		rel = &relation{n: len(rows), rows: rows}
+	}
+	ev.memo[b.ID] = rel
+	return rel, nil
 }
 
 // scalarValue evaluates a scalar-subquery box: NULL when it returns no row,
 // the value when it returns one, an error when it returns more.
 func (ev *evaluator) scalarValue(b *qgm.Box) (sqltypes.Value, error) {
-	rows, err := ev.evalBox(b)
+	rel, err := ev.evalBox(b)
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	switch len(rows) {
+	switch rel.n {
 	case 0:
 		return sqltypes.Null, nil
 	case 1:
-		return rows[0][0], nil
+		return rel.rowsOf()[0][0], nil
 	}
-	return sqltypes.Null, fmt.Errorf("exec: scalar subquery returned %d rows", len(rows))
+	return sqltypes.Null, fmt.Errorf("exec: scalar subquery returned %d rows", rel.n)
 }
 
 // binding is the joined tuple so far: the current row of each joined ForEach
@@ -289,10 +358,11 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 		next := remaining[nextIdx]
 		remaining = append(remaining[:nextIdx], remaining[nextIdx+1:]...)
 
-		childRows, err := ev.evalBox(next.Box)
+		child, err := ev.evalBox(next.Box)
 		if err != nil {
 			return nil, err
 		}
+		childRows := child.rowsOf()
 		slot := len(joined)
 		ectx.setSlot(next.ID, slot)
 

@@ -46,10 +46,11 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
 	}
 	q := b.Quantifiers[0]
-	childRows, err := ev.evalBox(q.Box)
+	child, err := ev.evalBox(q.Box)
 	if err != nil {
 		return nil, err
 	}
+	childRows := child.rowsOf()
 	ectx := &exprCtx{}
 	ectx.setSlot(q.ID, 0)
 
@@ -229,7 +230,14 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 				return nil, err
 			}
 		}
-		if out, err = ev.emitGroups(out, &slab, b, aggSpecs, gs, partials[0]); err != nil {
+		n := outRows(partials[0], gs)
+		slab.reserve(n)
+		out = slices.Grow(out, n)
+		err = ev.emitGroups(b, aggSpecs, gs, partials[0], func(row []sqltypes.Value) {
+			out = append(out, slab.next())
+			copy(out[len(out)-1], row)
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -246,26 +254,24 @@ func outRows(t *groupTable, gs []int) int {
 	return t.len()
 }
 
-// emitGroups appends grouping set gs's output rows, one per group of t in
+// emitGroups hands emit grouping set gs's output rows, one per group of t in
 // first-appearance order: grouping columns from the group's repr (NULL when
-// grouped out of the set), aggregate columns from its states.
-func (ev *evaluator) emitGroups(out [][]sqltypes.Value, slab *rowSlab, b *qgm.Box, specs []aggSpec, gs []int, t *groupTable) ([][]sqltypes.Value, error) {
-	n := outRows(t, gs)
-	slab.reserve(n)
-	out = slices.Grow(out, n)
-	if n > t.len() {
-		row := slab.next() // the empty global aggregate; grouping columns stay NULL
-		var empty aggState
+// grouped out of the set), aggregate columns from its states. The row is
+// scratch, overwritten for the next group; emit copies what it keeps.
+func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupTable, emit func(row []sqltypes.Value)) error {
+	row := make([]sqltypes.Value, len(b.Cols)) // grouped-out columns stay NULL
+	if outRows(t, gs) > t.len() {
+		var empty aggState // the empty global aggregate
 		for _, spec := range specs {
 			row[spec.col] = empty.result(spec.agg)
 		}
-		return append(out, row), nil
+		emit(row)
+		return nil
 	}
-	for g := 0; g < n; g++ {
+	for g := 0; g < t.len(); g++ {
 		if err := ev.checkpoint(1); err != nil {
-			return nil, err
+			return err
 		}
-		row := slab.next() // zero Values: grouped-out columns stay NULL
 		repr, aggs := t.reprOf(g), t.aggsOf(g)
 		for i, pos := range gs {
 			row[b.GroupBy[pos]] = repr[i]
@@ -273,9 +279,9 @@ func (ev *evaluator) emitGroups(out [][]sqltypes.Value, slab *rowSlab, b *qgm.Bo
 		for ai, spec := range specs {
 			row[spec.col] = aggs[ai].result(spec.agg)
 		}
-		out = append(out, row)
+		emit(row)
 	}
-	return out, nil
+	return nil
 }
 
 // rowSlab carves a box's output rows from block allocations instead of one

@@ -34,12 +34,12 @@ type Config struct {
 	// baseline leg of the kernel benchmarks; results are identical either
 	// way.
 	Interpret bool
-	// Vectorize selects the executor's evaluation strategy for plans the
-	// vectorized path supports (single-table scans and the GROUP BY shapes
-	// over them; see DESIGN.md §13). The zero value (VecAuto) vectorizes
-	// where supported, falling back per box — and per expression, via lifted
-	// row kernels — everywhere else; VecOff pins the row-at-a-time reference
-	// path. Interpret implies the row path regardless.
+	// Vectorize selects the executor's evaluation strategy. The zero value
+	// (VecAuto) runs every box on the chunk pipeline (scans, equality joins,
+	// selects and GROUP BYs over any child; see DESIGN.md §13), falling back
+	// per box for the few shapes it declines — and per expression, via lifted
+	// row kernels; VecOff pins the row-at-a-time reference path. Interpret
+	// implies the row path regardless.
 	Vectorize VecMode
 }
 

@@ -528,32 +528,32 @@ func TestLikeAndConcat(t *testing.T) {
 	}
 }
 
-// starTables builds a fact table keyed into a small dimension: some fact keys
-// miss the dimension, some are NULL, and several dimension keys carry
-// duplicate rows (multi-match join expansion).
+// starTables builds a fact table keyed into small dimensions. Some fact keys
+// miss dimension d, some are NULL, several d keys carry duplicate rows
+// (multi-match join expansion) and one d row has a NULL key; e is keyed by two
+// columns, again with duplicates; z is empty.
 func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 	cat := catalog.New()
-	cat.MustAddTable(&catalog.Table{
-		Name: "f",
-		Columns: []catalog.Column{
-			{Name: "fk", Type: sqltypes.KindInt, Nullable: true},
-			{Name: "v", Type: sqltypes.KindInt, Nullable: true},
-		},
-	})
-	cat.MustAddTable(&catalog.Table{
-		Name: "d",
-		Columns: []catalog.Column{
-			{Name: "dk", Type: sqltypes.KindInt},
-			{Name: "nm", Type: sqltypes.KindString},
-		},
-	})
+	intCol := func(name string) catalog.Column {
+		return catalog.Column{Name: name, Type: sqltypes.KindInt, Nullable: true}
+	}
+	cat.MustAddTable(&catalog.Table{Name: "f", Columns: []catalog.Column{intCol("fk"), intCol("v"), intCol("g")}})
+	cat.MustAddTable(&catalog.Table{Name: "d", Columns: []catalog.Column{intCol("dk"), {Name: "nm", Type: sqltypes.KindString}}})
+	cat.MustAddTable(&catalog.Table{Name: "e", Columns: []catalog.Column{intCol("ek"), intCol("eg"), intCol("w")}})
+	cat.MustAddTable(&catalog.Table{Name: "z", Columns: []catalog.Column{intCol("zk"), intCol("zn")}})
 	store := storage.NewStore()
-	fm, _ := cat.Table("f")
-	dm, _ := cat.Table("d")
-	fd := store.Create(fm)
-	dd := store.Create(dm)
+	create := func(name string) *storage.TableData {
+		meta, _ := cat.Table(name)
+		return store.Create(meta)
+	}
+	fd, dd, ed := create("f"), create("d"), create("e")
+	create("z")
 	for i := 0; i < 12; i++ {
 		dd.MustInsert(sqltypes.NewInt(int64(i%8)), sqltypes.NewString(fmt.Sprintf("d%02d", i%5)))
+	}
+	dd.MustInsert(sqltypes.Null, sqltypes.NewString("dnull"))
+	for i := 0; i < 30; i++ {
+		ed.MustInsert(sqltypes.NewInt(int64(i%9)), sqltypes.NewInt(int64(i%3)), sqltypes.NewInt(int64(i)))
 	}
 	for i := 0; i < facts; i++ {
 		k := sqltypes.NewInt(int64(rng.Intn(10)))
@@ -564,7 +564,7 @@ func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 		if rng.Intn(8) == 0 {
 			v = sqltypes.Null
 		}
-		fd.MustInsert(k, v)
+		fd.MustInsert(k, v, sqltypes.NewInt(int64(rng.Intn(3))))
 	}
 	return cat, store
 }
@@ -591,13 +591,15 @@ func requireIdentical(t *testing.T, sql string, want, got *Result) {
 
 // TestPropertyVectorizedMatchesRowEngine: over random data and the plan
 // shapes the vectorized engine accelerates (chunk filters, grouped and global
-// aggregates, grouping sets, DISTINCT aggregates, star-join GROUP BY), the
-// serial vectorized results are identical to the serial row engine — same
-// rows, same order, same bits (serial float SUMs accumulate in the same
-// order, so no tolerance is needed).
+// aggregates, grouping sets, DISTINCT aggregates, star-join GROUP BY, join
+// SELECTs, SELECTs over a GROUP BY), the serial vectorized results are
+// identical to the serial row engine — same rows, same order, same bits
+// (serial float SUMs accumulate in the same order, so no tolerance is needed)
+// — and bag-equal to the interpreter. Join SELECTs aggregate nothing, so they
+// (ordered) must also keep the order with two workers.
 func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	check := func(cat *catalog.Catalog, store *storage.Store, sql string) bool {
+	check := func(cat *catalog.Catalog, store *storage.Store, sql string, ordered bool) *Result {
 		t.Helper()
 		engine := NewEngine(store)
 		g, err := qgm.BuildSQL(sql, cat)
@@ -613,7 +615,21 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 			t.Fatalf("%s (vectorized): %v", sql, err)
 		}
 		requireIdentical(t, sql, row, vec)
-		return vec.Mode == ModeVectorized
+		interp, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 1, Interpret: true})
+		if err != nil {
+			t.Fatalf("%s (interpreted): %v", sql, err)
+		}
+		if diff := EqualResults(interp, vec); diff != "" {
+			t.Fatalf("%s: vectorized vs interpreter: %s", sql, diff)
+		}
+		if ordered {
+			par, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 2})
+			if err != nil {
+				t.Fatalf("%s (parallelism 2): %v", sql, err)
+			}
+			requireIdentical(t, sql+" (parallelism 2)", row, par)
+		}
+		return vec
 	}
 	tQueries := []string{
 		"select a, b, count(*) as cnt, sum(v) as sv from t group by a, b",
@@ -622,28 +638,88 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		"select a, b, sum(v) as sv from t group by grouping sets((a, b), (a), ())",
 		"select count(*) as cnt, sum(v) as sv from t where a < 2 and c = 1",
 		"select v from t where v < 50",
+		"select a, b, sum(v) as sv from t group by a, b having count(*) > 20 and sum(v) > 0",
+		"select b, n * 2 as n2 from (select a, b, count(*) as n from t group by a, b) x where n > 10",
 	}
 	starQueries := []string{
 		"select nm, count(*) as cnt, sum(v) as sv from f, d where fk = dk group by nm",
 		"select nm, min(v) as mn, max(v) as mx from f, d where fk = dk and dk < 6 group by nm",
 		"select dk, sum(v) as sv from f, d where fk = dk and v < 50 group by dk",
 	}
-	sawVectorized := false
+	// Join SELECTs, every one on the star probe: NULL keys on both sides and
+	// duplicate dimension keys (fk = dk), two dimensions with a two-column key
+	// (odometer order: fact-row major, d outer, e inner), an empty dimension,
+	// a dimension that is a GROUP BY, the small table first in FROM, DISTINCT,
+	// a scalar subquery in the output list, fact-local and dimension-local
+	// predicates together.
+	joinQueries := []string{
+		"select fk, v, nm from f, d where fk = dk",
+		"select v, nm, w from f, d, e where fk = dk and ek = fk and g = eg",
+		"select v, zn from f, z where fk = zk",
+		"select v, c from f, (select dk, count(*) as c from d group by dk) dd where fk = dd.dk",
+		"select nm, v from d, f where fk = dk",
+		"select distinct nm, fk from f, d where fk = dk",
+		"select v, (select count(*) from d) as nd, nm from f, d where dk = fk",
+		"select v * 2 as v2, nm || '!' as nx from f, d where fk = dk and v < 50 and dk < 6 and nm <> 'd03'",
+		"select v / (fk - 9) as q, nm from f, d where fk = dk", // fk = 9 never joins: no division by zero
+	}
 	for trial := 0; trial < 12; trial++ {
 		cat, store := randomTable(rng, 50+rng.Intn(1500))
 		for _, sql := range tQueries {
-			if check(cat, store, sql) {
-				sawVectorized = true
+			if vec := check(cat, store, sql, false); vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
+				t.Fatalf("%s: mode %s, declined %v", sql, vec.Mode, vec.Declined)
 			}
 		}
-		scat, sstore := starTables(rng, 50+rng.Intn(1500))
-		for _, sql := range starQueries {
-			if check(scat, sstore, sql) {
-				sawVectorized = true
+		facts := 50 + rng.Intn(1500)
+		if trial%4 == 3 {
+			facts += 2 * parallelMinRows // enough chunks for two workers
+		}
+		scat, sstore := starTables(rng, facts)
+		for i, sql := range append(starQueries, joinQueries...) {
+			if vec := check(scat, sstore, sql, i >= len(starQueries)); vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
+				t.Fatalf("%s: mode %s, declined %v", sql, vec.Mode, vec.Declined)
 			}
+		}
+		// A residual predicate across operands still declines, by name, and
+		// still answers as the row path does.
+		residual := "select v, nm from f, d where fk = dk and v < 50 and dk < 6 and v < dk * 20"
+		if vec := check(scat, sstore, residual, true); len(vec.Declined) != 1 || vec.Declined[0] != declNonEquiJoin {
+			t.Fatalf("%s: declined %v", residual, vec.Declined)
 		}
 	}
-	if !sawVectorized {
-		t.Fatal("vectorized path never engaged")
+}
+
+// TestJoinSelectErrorParity: an output expression of a join SELECT is
+// evaluated on the tuples the join and the filters keep, and on no others.
+func TestJoinSelectErrorParity(t *testing.T) {
+	cat, store := starTables(rand.New(rand.NewSource(5)), 3000)
+	engine := NewEngine(store)
+	run := func(sql string, cfg Config) (*Result, error) {
+		g, err := qgm.BuildSQL(sql, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return engine.RunCtx(context.Background(), g, cfg)
+	}
+	for _, par := range []int{1, 2} {
+		// Every tuple removed — by the join, by a dimension-local predicate, by
+		// a fact-local one: zero rows, not a division by zero.
+		for _, sql := range []string{
+			"select v / (v - v) as boom from f, z where fk = zk",
+			"select v / (v - v) as boom from f, d where fk = dk and dk > 100",
+			"select v / (v - v) as boom from f, d where fk = dk and v < 0",
+		} {
+			res, err := run(sql, Config{Parallelism: par})
+			if err != nil || len(res.Rows) != 0 || len(res.Declined) > 0 {
+				t.Fatalf("%s (parallelism %d): %v, %d rows, declined %v", sql, par, err, len(res.Rows), res.Declined)
+			}
+		}
+		// The same expression on surviving tuples raises the row path's error.
+		sql := "select v / (v - v) as boom from f, d where fk = dk"
+		_, want := run(sql, Config{Parallelism: 1, Vectorize: VecOff})
+		_, got := run(sql, Config{Parallelism: par})
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Fatalf("%s (parallelism %d): vectorized error %v, row path %v", sql, par, got, want)
+		}
 	}
 }

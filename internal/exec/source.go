@@ -1,0 +1,469 @@
+package exec
+
+import (
+	"repro/internal/qgm"
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
+)
+
+// source is the one chunk source of the vectorized path, planned once per
+// SELECT box (planSource), or for the single child of a GROUP BY. It reads the
+// chunks of the box's first ForEach quantifier — a base-table scan, or the
+// relation of an already evaluated child box — and narrows each with the
+// predicates local to that quantifier. When the box joins, the first
+// quantifier is the fact side of a star join: every further ForEach quantifier
+// is a dimension, hashed at plan time on the equality predicates that tie it
+// to the fact (its local predicates applied while hashing), and each chunk's
+// surviving fact rows probe those tables. Per chunk and per worker (srcWorker)
+// the source yields a selection and a tuple count; the two sinks — GROUP BY
+// aggregation and SELECT projection — ask it for the column vectors of their
+// expressions in the tuple domain (cols at plan time, eval per chunk).
+type source struct {
+	ev      *evaluator
+	vc      vecCompiler // lowers expressions over the fact quantifier
+	ectx    exprCtx
+	fact    *qgm.Quantifier
+	dimQs   []*qgm.Quantifier
+	rel     *relation // the fact, when it is an evaluated child and not a base table
+	filters []vecFilter
+	dims    []starDim
+	chunks  []*storage.Chunk // set by open
+	total   int
+}
+
+// Where a source expression comes from: a dimension's index, or one of these.
+const (
+	srcFact   = -1 // the fact quantifier
+	srcConst  = -2 // no quantifier at all (scalar subqueries are constants)
+	srcMixed  = -3 // more than one of the box's quantifiers
+	srcBeyond = -4 // something outside the box: an unbound or foreign quantifier, an aggregate
+)
+
+// Why a box left the vectorized path: the suffix of its
+// exec.vector.declined.<reason> counter and its entry in Result.Declined.
+const (
+	declNoInput      = "no-input"             // SELECT without a ForEach quantifier
+	declBeyondChild  = "expr-beyond-child"    // srcBeyond in a predicate, output or grouping expression
+	declMixedSource  = "mixed-source-expr"    // output, grouping or argument expression over several join operands
+	declCrossJoin    = "cross-join"           // a join operand no equality ties to the first one
+	declNonEquiJoin  = "non-equi-join"        // a predicate across operands that is not fact-side = dim-side
+	declDimDimJoin   = "dim-dim-join"         // an equality between two operands neither of which is the first
+	declConstPred    = "constant-predicate"   // a join with a predicate over no operand at all
+	declDimEval      = "dim-eval-error"       // a dimension expression raised an error the join might have avoided
+	declGroupShape   = "groupby-shape"        // GROUP BY without exactly one ForEach child
+	declNonAggOutput = "non-aggregate-output" // GROUP BY output column neither grouped nor aggregated
+)
+
+// decline records that a box falls back to the row path, and why.
+func (ev *evaluator) decline(reason string) {
+	ev.declined = append(ev.declined, reason)
+	if ev.obsv != nil {
+		ev.obsv.Add(CtrVecDeclined, 1)
+		ev.obsv.Add(CtrVecDeclined+"."+reason, 1)
+	}
+}
+
+// classify maps an expression to its single source: srcConst, srcFact, or k
+// for the k-th dimension; srcMixed and srcBeyond are the two ways it can have
+// none. It runs per predicate and per output expression of every box, so it
+// must not allocate: WalkExpr does not retain its callback.
+func (s *source) classify(e qgm.Expr) int {
+	src := srcConst
+	qgm.WalkExpr(e, func(x qgm.Expr) bool {
+		if src < srcConst {
+			return false
+		}
+		from := srcConst
+		switch t := x.(type) {
+		case *qgm.Agg:
+			from = srcBeyond
+		case *qgm.ColRef:
+			if t.Q == nil {
+				from = srcBeyond
+			} else if _, isScalar := s.vc.ectx.scalars[t.Q.ID]; !isScalar {
+				from = srcBeyond
+				if t.Q.ID == s.fact.ID {
+					from = srcFact
+				}
+				for k, dq := range s.dimQs {
+					if dq.ID == t.Q.ID {
+						from = k
+					}
+				}
+			}
+		}
+		switch {
+		case from == srcConst:
+		case from == srcBeyond, src == srcConst:
+			src = from
+		case src != from:
+			src = srcMixed
+		}
+		return true
+	})
+	return src
+}
+
+// planSource plans the source of a SELECT box, or of a GROUP BY box read as a
+// SELECT with one quantifier and no predicates. A non-empty reason means the
+// shape declines; nothing unmemoized has been evaluated by then, so the row
+// path repeats no work. Scalar subqueries evaluate first and dimensions in
+// FROM order, as on the row path; the fact scan waits for open.
+func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error) {
+	s = &source{ev: ev}
+	var scalars map[int]sqltypes.Value
+	for _, q := range b.Quantifiers {
+		switch {
+		case q.Kind == qgm.Scalar:
+			v, err := ev.scalarValue(q.Box)
+			if err != nil {
+				return nil, "", err
+			}
+			if scalars == nil {
+				scalars = map[int]sqltypes.Value{}
+			}
+			scalars[q.ID] = v
+		case q.Kind != qgm.ForEach:
+		case s.fact == nil:
+			s.fact = q
+		default:
+			s.dimQs = append(s.dimQs, q)
+		}
+	}
+	if s.fact == nil {
+		return nil, declNoInput, nil
+	}
+	s.ectx.scalars = scalars
+	s.ectx.setSlot(s.fact.ID, 0)
+	s.vc = vecCompiler{ev: ev, ectx: &s.ectx, baseQID: s.fact.ID}
+
+	// Partition the predicates: fact-local ones become chunk filters,
+	// dimension-local ones apply while the dimension is hashed, and a
+	// predicate across operands must be a fact = dimension equality, which
+	// becomes a hash key.
+	nd := len(s.dimQs)
+	var factPreds []qgm.Expr
+	dimPreds := make([][]qgm.Expr, nd)
+	factKeys := make([][]qgm.Expr, nd)
+	dimKeys := make([][]qgm.Expr, nd)
+	for _, p := range b.Preds {
+		switch src := s.classify(p); {
+		case src >= 0:
+			dimPreds[src] = append(dimPreds[src], p)
+		case src == srcFact, src == srcConst && nd == 0:
+			factPreds = append(factPreds, p)
+		case src == srcConst:
+			return nil, declConstPred, nil
+		case src == srcBeyond:
+			return nil, declBeyondChild, nil
+		default:
+			bin, isBin := p.(*qgm.Bin)
+			if !isBin || bin.Op != "=" {
+				return nil, declNonEquiJoin, nil
+			}
+			l, r, fk, dk := s.classify(bin.L), s.classify(bin.R), bin.L, bin.R
+			if l >= 0 && r >= 0 {
+				return nil, declDimDimJoin, nil
+			}
+			if l >= 0 {
+				l, r, fk, dk = r, l, dk, fk
+			}
+			if l != srcFact || r < 0 {
+				return nil, declNonEquiJoin, nil
+			}
+			factKeys[r] = append(factKeys[r], fk)
+			dimKeys[r] = append(dimKeys[r], dk)
+		}
+	}
+	for k := range s.dimQs {
+		if len(factKeys[k]) == 0 {
+			return nil, declCrossJoin, nil
+		}
+	}
+	if s.fact.Box.Kind != qgm.BaseTableBox {
+		if s.rel, err = ev.evalBox(s.fact.Box); err != nil {
+			return nil, "", err
+		}
+	}
+
+	// Build each dimension from its evaluated rows (memoized, charged as on
+	// the row path). The row path evaluates dimension expressions only on
+	// rows that survive the join, so an error here declines instead.
+	s.dims = make([]starDim, nd)
+	for k, dq := range s.dimQs {
+		rel, err := ev.evalBox(dq.Box)
+		if err != nil {
+			return nil, "", err
+		}
+		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, table: map[string][]int32{}}
+		sd.ctx.setSlot(dq.ID, 0)
+		predKs := ev.predKernelsFor(sd.ctx, dimPreds[k], allInts(len(dimPreds[k])))
+		keyKs := make([]scalarKernel, len(dimKeys[k]))
+		for i, e := range dimKeys[k] {
+			keyKs[i] = ev.scalarKernel(sd.ctx, e)
+			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(factKeys[k][i]))
+		}
+		bd := make(binding, 1)
+		var kbuf []byte
+	rows:
+		for ri, r := range sd.rows {
+			bd[0] = r
+			for _, pk := range predKs {
+				tv, err := pk(bd)
+				if err != nil {
+					return nil, declDimEval, nil
+				}
+				if tv != sqltypes.True {
+					continue rows
+				}
+			}
+			kbuf = kbuf[:0]
+			for _, kk := range keyKs {
+				v, err := kk(bd)
+				if err != nil {
+					return nil, declDimEval, nil
+				}
+				if v.IsNull() {
+					continue rows // NULL join keys never match
+				}
+				kbuf = sqltypes.AppendBinKeyValue(kbuf, v)
+				kbuf = append(kbuf, 0)
+			}
+			sd.table[string(kbuf)] = append(sd.table[string(kbuf)], int32(ri))
+		}
+		s.dims[k] = sd
+	}
+	s.filters = make([]vecFilter, len(factPreds))
+	for i, p := range factPreds {
+		s.filters[i] = s.vc.compileFilter(p)
+	}
+	return s, "", nil
+}
+
+// starDim is one dimension of a join: its rows, the fact-side key kernels
+// (evaluated per chunk) and the hash table from binary-encoded key to the
+// matching row numbers, in row order. Rows failing the dimension's local
+// predicates or carrying a NULL key are absent (NULL join keys never match, as
+// in hashJoin).
+type starDim struct {
+	rows  [][]sqltypes.Value
+	ctx   *exprCtx
+	keyKs []vecKernel
+	table map[string][]int32
+}
+
+// srcCol is one sink expression in the tuple domain. A fact-sourced one
+// (src < 0) is a chunk kernel's result; a dimension-sourced one (src = k) is
+// precomputed per dimension row at plan time, as a vector indexed by row
+// number, and gathered through the tuples' dim-k row numbers into the worker's
+// scratch slot. k is nil where there is no expression (COUNT(*)'s argument).
+type srcCol struct {
+	src     int
+	k       vecKernel
+	dimVals *sqltypes.Vec
+	slot    int
+}
+
+// cols compiles the sink's expressions; a nil one yields an empty column. A
+// non-empty reason declines.
+func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
+	out := make([]srcCol, len(exprs))
+	for i, e := range exprs {
+		c := &out[i]
+		if c.src = srcFact; e == nil {
+			continue
+		}
+		switch src := s.classify(e); {
+		case src == srcBeyond:
+			return nil, declBeyondChild
+		case src == srcMixed:
+			return nil, declMixedSource
+		case src < 0:
+			c.k = s.vc.compileScalar(e)
+		default:
+			c.src, c.dimVals = src, new(sqltypes.Vec)
+			dim := &s.dims[src]
+			rk := s.ev.scalarKernel(dim.ctx, e)
+			bd := make(binding, 1)
+			for ri, r := range dim.rows {
+				bd[0] = r
+				v, err := rk(bd)
+				if err != nil {
+					return nil, declDimEval
+				}
+				if ri == 0 {
+					c.dimVals.Reserve(v.Kind(), len(dim.rows))
+				}
+				c.dimVals.AppendValue(v)
+			}
+		}
+		if len(s.dims) > 0 {
+			c.slot = s.vc.newSlot()
+		}
+	}
+	return out, ""
+}
+
+// open fetches the fact chunks: the child's relation, or a scan with the same
+// budget charges, counters and fault site as the row path's base-box scan.
+func (s *source) open() (err error) {
+	if s.rel != nil {
+		s.chunks, s.total = s.rel.chunksOf(len(s.fact.Box.Cols)), s.rel.n
+		return nil
+	}
+	s.chunks, s.total, err = s.ev.scanChunks(s.fact.Box.Table.Name)
+	return err
+}
+
+// srcWorker is one worker's cursor over the source: its chunk state and, for a
+// join, the probe scratch. The chunk state is an object of its own because
+// kernels hold it; the worker around it then stays on the sink's stack.
+type srcWorker struct {
+	s        *source
+	cs       *chunkState
+	kv       [][]*sqltypes.Vec // per dim: fact key vectors for the current chunk
+	match    [][]int32         // per dim: matched dim rows for the current fact row
+	ctr      []int             // odometer counters
+	fdi      []int32           // per tuple: its fact row's position in the selection
+	ddi      [][]int32         // per dim, per tuple: dim row number
+	kbuf     []byte
+	expanded bool // some fact row matched more than once: tuples ≠ selection
+}
+
+func (s *source) worker() *srcWorker {
+	nd := len(s.dims)
+	w := &srcWorker{s: s, cs: &chunkState{vecs: make([]*sqltypes.Vec, s.vc.slots)}}
+	if nd > 0 {
+		w.kv, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
+		for k := range w.kv {
+			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
+		}
+	}
+	return w
+}
+
+// next moves the worker to chunk c and returns its tuple count: the rows the
+// fact-local filters keep, joined against every dimension. The selection ends
+// up holding exactly the fact rows that joined, so a sink's fact-sourced
+// kernels never run on a row a filter or the join removed. Tuple order is the
+// row path's join order: fact-row major, earlier dimensions outer, the last
+// dimension varying fastest. Join output is charged to the budget here, one
+// per tuple.
+func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
+	s, cs := w.s, w.cs
+	cs.reset(c)
+	for _, f := range s.filters {
+		if err := f(cs); err != nil {
+			return 0, err
+		}
+		if cs.n() == 0 {
+			return 0, nil
+		}
+	}
+	nd := len(s.dims)
+	if nd == 0 {
+		return cs.n(), nil
+	}
+	for k := range s.dims {
+		for j, kk := range s.dims[k].keyKs {
+			v, err := kk(cs)
+			if err != nil {
+				return 0, err
+			}
+			w.kv[k][j] = v
+		}
+	}
+	w.fdi = w.fdi[:0]
+	for k := range w.ddi {
+		w.ddi[k] = w.ddi[k][:0]
+	}
+	sel := cs.selOut()
+facts:
+	for di, n := 0, cs.n(); di < n; di++ {
+		for k := 0; k < nd; k++ {
+			w.kbuf = w.kbuf[:0]
+			for _, v := range w.kv[k] {
+				if v.IsNull(di) {
+					continue facts
+				}
+				w.kbuf = v.AppendBinKey(w.kbuf, di)
+				w.kbuf = append(w.kbuf, 0)
+			}
+			if w.match[k] = s.dims[k].table[string(w.kbuf)]; len(w.match[k]) == 0 {
+				continue facts
+			}
+		}
+		pos := int32(len(sel))
+		sel = append(sel, int32(cs.rowIdx(di)))
+		clear(w.ctr)
+		for k := 0; k >= 0; {
+			w.fdi = append(w.fdi, pos)
+			for k = 0; k < nd; k++ {
+				w.ddi[k] = append(w.ddi[k], w.match[k][w.ctr[k]])
+			}
+			for k = nd - 1; k >= 0; k-- {
+				if w.ctr[k]++; w.ctr[k] < len(w.match[k]) {
+					break
+				}
+				w.ctr[k] = 0
+			}
+		}
+	}
+	cs.setSel(sel)
+	w.expanded = len(w.fdi) != len(sel)
+	return len(w.fdi), chg.checkpoint(len(w.fdi))
+}
+
+// eval computes one sink column for the current chunk's tuples.
+func (w *srcWorker) eval(c *srcCol) (*sqltypes.Vec, error) {
+	src, idx := c.dimVals, w.fdi
+	if c.src >= 0 {
+		idx = w.ddi[c.src]
+	} else {
+		v, err := c.k(w.cs)
+		if err != nil || !w.expanded {
+			return v, err
+		}
+		src = v
+	}
+	out := w.cs.slot(c.slot)
+	out.Gather(src, idx)
+	return out, nil
+}
+
+// chunkWriter builds a relation's chunks a row at a time, ChunkRows rows to a
+// chunk; left is how many rows are still to come, so each chunk's vectors are
+// sized once, from the first row's kinds.
+type chunkWriter struct {
+	ncols, left int
+	chunks      []*storage.Chunk
+}
+
+func (w *chunkWriter) add(row []sqltypes.Value) {
+	var c *storage.Chunk
+	if k := len(w.chunks); k > 0 && w.chunks[k-1].N < storage.ChunkRows {
+		c = w.chunks[k-1]
+	} else {
+		c = &storage.Chunk{Cols: make([]sqltypes.Vec, w.ncols)}
+		for ci := range c.Cols {
+			c.Cols[ci].Reserve(row[ci].Kind(), min(w.left, storage.ChunkRows))
+		}
+		w.chunks = append(w.chunks, c)
+	}
+	for ci := range c.Cols {
+		c.Cols[ci].AppendValue(row[ci])
+	}
+	c.N++
+	w.left--
+}
+
+// columnarize builds read-only chunks from a row-path box's rows, for a
+// vectorized parent: the one place rows turn back into vectors. Row order is
+// preserved, so chunk-order merging keeps the row path's group order.
+func columnarize(rows [][]sqltypes.Value, ncols int) []*storage.Chunk {
+	w := chunkWriter{ncols: ncols, left: len(rows)}
+	for _, r := range rows {
+		w.add(r)
+	}
+	return w.chunks
+}

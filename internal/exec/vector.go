@@ -9,18 +9,38 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the vectorized expression layer (Config.Vectorize): instead of
-// evaluating expressions one binding at a time, supported box shapes scan the
-// storage layer's column-major chunks directly and run per-chunk kernels —
+// This file is the vectorized expression layer and the projection sink.
+// Expressions are lowered once per box to kernels that run per chunk:
 // predicate filters narrow a selection vector, scalar kernels produce one
 // sqltypes.Vec per expression per chunk. Semantics are pinned to the row
 // engine: typed fast loops cover the common kinds and delegate every error
 // (and every odd-kind element) to the same sqltypes functions the row kernels
 // call, and any expression shape the vector compiler does not handle is
 // "lifted" — the chunk's rows are materialized one at a time into a scratch
-// binding and the existing compiled row kernel runs per element. A box whose
-// plan shape is unsupported (joins, non-base children) declines entirely and
-// the row path runs; declines and lifts are counted for observability.
+// binding and the existing compiled row kernel runs per element. Where the
+// chunks come from — a scan, a star join, a child box's relation — is the
+// source's business (source.go); what happens to the vectors is the sink's:
+// evalSelectVec below projects them into output chunks, evalGroupByVec
+// (vecgroupby.go) aggregates them.
+//
+// A box runs here unless its source declines it whole to the row path; lifts
+// (exec.vector.lifted) and declines are counted. What still declines, by
+// counter — exec.vector.declined.<reason>, beside the total
+// exec.vector.declined:
+//
+//	cross-join            a join operand no equality predicate ties to the first
+//	non-equi-join         a predicate across operands other than first-side = other-side
+//	dim-dim-join          an equality between two operands neither of which is the first
+//	constant-predicate    a join with a predicate over no operand at all
+//	mixed-source-expr     an output, grouping or argument expression over several operands
+//	expr-beyond-child     an expression reaching outside the box, or an aggregate in a SELECT
+//	dim-eval-error        a dimension expression failed on a row the join might have dropped
+//	no-input              a SELECT without a ForEach child
+//	groupby-shape         a GROUP BY without exactly one ForEach child
+//	non-aggregate-output  a GROUP BY output column neither grouped nor aggregated
+//
+// Config.Interpret and Config.Vectorize = VecOff pin the row path without
+// counting anything.
 //
 // One intended divergence from the row path (documented in DESIGN.md §13):
 // within a chunk, predicates run predicate-major rather than row-major, so
@@ -33,7 +53,7 @@ import (
 // Observability counters for the vectorized path.
 const (
 	CtrVecBoxes    = "exec.vector.boxes"    // boxes evaluated vectorized
-	CtrVecDeclined = "exec.vector.declined" // supported-kind boxes that fell back whole
+	CtrVecDeclined = "exec.vector.declined" // boxes that fell back whole; also counted per reason, CtrVecDeclined.<reason>
 	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated via lifted row kernels
 )
 
@@ -59,13 +79,18 @@ type chunkState struct {
 	chunk  *storage.Chunk
 	sel    []int32          // live row indices, dense-ordered; nil = all of [0, chunk.N)
 	selBuf []int32          // backing of sel, reused chunk after chunk
-	vecs   []sqltypes.Vec   // kernel output slots
+	vecs   []*sqltypes.Vec  // kernel output slots, each allocated by its first use
 	row    []sqltypes.Value // lifted-kernel row scratch
 	bd     binding          // {row}
 }
 
-func newChunkState(slots int) *chunkState {
-	return &chunkState{vecs: make([]sqltypes.Vec, slots)}
+// slot returns scratch slot i. Many are never asked for: a column reference
+// over an unfiltered chunk answers with the storage vector itself.
+func (cs *chunkState) slot(i int) *sqltypes.Vec {
+	if cs.vecs[i] == nil {
+		cs.vecs[i] = new(sqltypes.Vec)
+	}
+	return cs.vecs[i]
 }
 
 func (cs *chunkState) reset(c *storage.Chunk) {
@@ -120,6 +145,21 @@ func (cs *chunkState) setSel(out []int32) {
 	}
 }
 
+// emit hands v, a kernel's result for the current chunk, over to an output
+// chunk. A column of the input chunk is frozen and shared as it is; anything
+// else lives in one of this worker's scratch slots, which gives its payload
+// away and starts the next chunk empty.
+func (cs *chunkState) emit(v *sqltypes.Vec) sqltypes.Vec {
+	out := *v
+	for i := range cs.chunk.Cols {
+		if v == &cs.chunk.Cols[i] {
+			return out
+		}
+	}
+	*v = sqltypes.Vec{}
+	return out
+}
+
 // vecKernel evaluates one scalar expression over a chunk's selection,
 // producing a vector of length chunkState.n() aligned with the selection.
 type vecKernel func(cs *chunkState) (*sqltypes.Vec, error)
@@ -128,10 +168,10 @@ type vecKernel func(cs *chunkState) (*sqltypes.Vec, error)
 // where it is True (SQL filter semantics: False and Unknown both drop).
 type vecFilter func(cs *chunkState) error
 
-// vecCompiler lowers expressions over a single base-table quantifier to
-// vector kernels. ectx carries the scalar-subquery values and the base
-// quantifier's slot 0, so lifted row kernels resolve references exactly as
-// the row path would.
+// vecCompiler lowers expressions over one quantifier — the one whose chunks
+// the source scans — to vector kernels. ectx carries the scalar-subquery
+// values and that quantifier's slot 0, so lifted row kernels resolve
+// references exactly as the row path would.
 type vecCompiler struct {
 	ev      *evaluator
 	ectx    *exprCtx
@@ -152,7 +192,7 @@ func (vc *vecCompiler) lift(e qgm.Expr) vecKernel {
 	vc.ev.obsv.Add(CtrVecLifted, 1)
 	slot := vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
-		out := &cs.vecs[slot]
+		out := cs.slot(slot)
 		out.Reset()
 		for di, n := 0, cs.n(); di < n; di++ {
 			v, err := rk(cs.materialize(cs.rowIdx(di)))
@@ -189,7 +229,7 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 			if cs.sel == nil {
 				return src, nil // the frozen storage vector itself
 			}
-			out := &cs.vecs[slot]
+			out := cs.slot(slot)
 			out.Gather(src, cs.sel)
 			return out, nil
 		}
@@ -215,7 +255,7 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 				if err != nil {
 					return nil, err
 				}
-				out := &cs.vecs[slot]
+				out := cs.slot(slot)
 				return out, vecBinArith(op, lv, rv, out)
 			}
 		}
@@ -235,11 +275,12 @@ func (vc *vecCompiler) constKernel(v sqltypes.Value) vecKernel {
 	full, view := vc.newSlot(), vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
 		n := cs.n()
-		if cs.vecs[full].Len() < n {
-			cs.vecs[full].Splat(v, n)
+		whole, out := cs.slot(full), cs.slot(view)
+		if whole.Len() < n {
+			whole.Splat(v, n)
 		}
-		cs.vecs[view] = cs.vecs[full].Prefix(n)
-		return &cs.vecs[view], nil
+		*out = whole.Prefix(n)
+		return out, nil
 	}
 }
 
@@ -281,7 +322,7 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 			return nil, err
 		}
 		n := av.Len()
-		out := &cs.vecs[slot]
+		out := cs.slot(slot)
 		if intClass(av) {
 			ints := out.RefillInts(sqltypes.KindInt, n)
 			if av.HasNulls() {
@@ -495,15 +536,8 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 		}
 	}
 	// Lifted predicate: OR, NOT, IS NULL, LIKE, scalar-in-pred, etc.
-	var pk predKernel
-	if vc.ev.interp {
-		ectx := vc.ectx
-		pk = func(bd binding) (sqltypes.Tri, error) { return ectx.evalPred(p, bd) }
-	} else {
-		var ok bool
-		pk, ok = vc.ectx.compilePred(p)
-		vc.ev.countCompile(ok)
-	}
+	pk, ok := vc.ectx.compilePred(p) // never interpreted: Config.Interpret pins the row path
+	vc.ev.countCompile(ok)
 	vc.ev.obsv.Add(CtrVecLifted, 1)
 	return func(cs *chunkState) error {
 		n := cs.n()
@@ -693,128 +727,74 @@ func (ev *evaluator) scanChunks(name string) ([]*storage.Chunk, int, error) {
 	return chunks, n, nil
 }
 
-// evalSelectVec evaluates a SELECT box vectorized when its shape is a single
-// ForEach quantifier over a base table (plus any scalar subqueries): per
-// chunk, predicate filters narrow the selection and output kernels produce
-// column vectors, materialized to rows in selection order. Chunks partition
-// across workers in order, so output order matches the serial row path.
-// handled=false means the shape is unsupported and the caller must run the
-// row path.
-func (ev *evaluator) evalSelectVec(b *qgm.Box) ([][]sqltypes.Value, bool, error) {
-	var fe *qgm.Quantifier
-	for _, q := range b.Quantifiers {
-		if q.Kind == qgm.ForEach {
-			if fe != nil {
-				ev.obsv.Add(CtrVecDeclined, 1)
-				return nil, false, nil // joins: row path
-			}
-			fe = q
-		}
-	}
-	if fe == nil || fe.Box.Kind != qgm.BaseTableBox {
-		ev.obsv.Add(CtrVecDeclined, 1)
-		return nil, false, nil
-	}
-
-	// Scalar subqueries evaluate once, exactly as the row path does.
-	var scalars map[int]sqltypes.Value
-	for _, q := range b.Quantifiers {
-		if q.Kind != qgm.Scalar {
-			continue
-		}
-		v, err := ev.scalarValue(q.Box)
-		if err != nil {
-			return nil, true, err
-		}
-		if scalars == nil {
-			scalars = map[int]sqltypes.Value{}
-		}
-		scalars[q.ID] = v
-	}
-
-	// Predicates or outputs that reference anything beyond the base
-	// quantifier (or contain aggregates) carry row-path-specific errors:
-	// decline rather than approximate them.
-	for _, p := range b.Preds {
-		if !exprOverQuant(p, fe.ID, scalars) {
-			ev.obsv.Add(CtrVecDeclined, 1)
-			return nil, false, nil
-		}
-	}
-
-	ectx := &exprCtx{scalars: scalars}
-	ectx.setSlot(fe.ID, 0)
-	vc := &vecCompiler{ev: ev, ectx: ectx, baseQID: fe.ID}
-
-	filters := make([]vecFilter, len(b.Preds))
-	for i, p := range b.Preds {
-		filters[i] = vc.compileFilter(p)
-	}
-	colKs := make([]vecKernel, len(b.Cols))
-	for ci, c := range b.Cols {
-		colKs[ci] = vc.compileScalar(c.Expr)
-	}
-
-	chunks, total, err := ev.scanChunks(fe.Box.Table.Name)
+// evalSelectVec is the projection sink: the box's source yields each chunk's
+// tuples, the output expressions evaluate over them, and the resulting vectors
+// leave as one output chunk per input chunk — only what the filters and the
+// join kept is ever materialized. Chunks partition across workers in order, so
+// output order matches the serial row path. A nil relation means the shape
+// declined and the caller must run the row path.
+func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
+	s, reason, err := ev.planSource(b)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	workers := ev.workersFor(total)
-	parts := make([][][]sqltypes.Value, max(workers, 1))
-	err = ev.parallelChunks(len(chunks), workers, func(w, lo, hi int, chg *charger) error {
-		cs := newChunkState(vc.slots)
-		var out [][]sqltypes.Value
-		slab := rowSlab{width: len(colKs)}
-		vecs := make([]*sqltypes.Vec, len(colKs))
-		for ci := lo; ci < hi; ci++ {
-			cs.reset(chunks[ci])
-			for _, f := range filters {
-				if err := f(cs); err != nil {
-					return err
-				}
-				if cs.n() == 0 {
-					break
-				}
+	exprs := make([]qgm.Expr, len(b.Cols))
+	for i, c := range b.Cols {
+		if exprs[i] = c.Expr; c.Expr == nil && reason == "" {
+			reason = declBeyondChild // cols reads nil as "no expression"; a SELECT has none such
+		}
+	}
+	var cols []srcCol
+	if reason == "" {
+		cols, reason = s.cols(exprs)
+	}
+	if reason != "" {
+		ev.decline(reason)
+		return nil, nil
+	}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	workers := ev.workersFor(s.total)
+	parts := make([][]*storage.Chunk, max(workers, 1))
+	err = ev.parallelChunks(len(s.chunks), workers, func(w, lo, hi int, chg *charger) error {
+		sw := s.worker()
+		for _, c := range s.chunks[lo:hi] {
+			n, err := sw.next(c, chg)
+			if err != nil {
+				return err
 			}
-			n := cs.n()
 			if n == 0 {
 				continue
 			}
-			for i, k := range colKs {
-				v, err := k(cs)
+			if err := chg.checkpoint(n); err != nil {
+				return err
+			}
+			out := &storage.Chunk{N: n, Cols: make([]sqltypes.Vec, len(cols))}
+			for i := range cols {
+				v, err := sw.eval(&cols[i])
 				if err != nil {
 					return err
 				}
-				vecs[i] = v
+				out.Cols[i] = sw.cs.emit(v)
 			}
-			// One block of rows per chunk, sized from its selection count.
-			slab.reserve(n)
-			out = slices.Grow(out, n)
-			for di := 0; di < n; di++ {
-				if err := chg.checkpoint(1); err != nil {
-					return err
-				}
-				row := slab.next()
-				for i, v := range vecs {
-					row[i] = v.Value(di)
-				}
-				out = append(out, row)
-			}
+			parts[w] = append(parts[w], out)
 		}
-		parts[w] = out
 		return nil
 	})
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	out := parts[0]
+	chunks := parts[0]
 	if workers > 1 {
-		out = slices.Concat(parts...)
+		chunks = slices.Concat(parts...)
 	}
+	rel := chunkRelation(chunks)
 	if b.Distinct {
-		out = dedupeRows(out)
+		rows := dedupeRows(rel.rowsOf())
+		rel = &relation{n: len(rows), rows: rows}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
 	ev.usedVector = true
-	return out, true, nil
+	return rel, nil
 }

@@ -54,6 +54,22 @@ func (e *Encoder) Value(v sqltypes.Value) {
 	}
 }
 
+// valueSize is the number of bytes Value appends for v.
+func valueSize(v sqltypes.Value) int {
+	var tmp [binary.MaxVarintLen64]byte
+	switch v.Kind() {
+	case sqltypes.KindInt, sqltypes.KindDate:
+		return 1 + binary.PutVarint(tmp[:], v.Int())
+	case sqltypes.KindFloat:
+		return 9
+	case sqltypes.KindString:
+		return 1 + binary.PutUvarint(tmp[:], uint64(len(v.Str()))) + len(v.Str())
+	case sqltypes.KindBool:
+		return 2
+	}
+	return 1
+}
+
 // Decoder consumes a frame payload. Errors are sticky: the first malformed
 // read poisons the decoder and every later read returns the zero value, so
 // message decoders check Err once at the end.

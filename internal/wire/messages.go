@@ -25,7 +25,7 @@ type Rows struct {
 
 // Encode serializes the message into a MsgRows payload.
 func (m *Rows) Encode() []byte {
-	var e Encoder
+	e := Encoder{buf: make([]byte, 0, m.sizeHint())}
 	e.Uvarint(uint64(len(m.Cols)))
 	for _, c := range m.Cols {
 		e.String(c)
@@ -44,6 +44,30 @@ func (m *Rows) Encode() []byte {
 		}
 	}
 	return e.Bytes()
+}
+
+// sizeHint estimates the encoded size so that Encode allocates its buffer
+// once instead of doubling it a dozen times under a large reply: the header,
+// plus rows × the widest of three sampled rows (first, middle, last — group
+// keys and ids tend to grow down a result) with an eighth to spare. A low
+// guess only costs an append regrow.
+func (m *Rows) sizeHint() int {
+	n := 32 + len(m.Mode) + len(m.AST) + 2*len(m.Kinds)
+	for _, c := range m.Cols {
+		n += len(c) + 2
+	}
+	if len(m.Rows) == 0 {
+		return n
+	}
+	widest := 0
+	for _, ri := range [3]int{0, len(m.Rows) / 2, len(m.Rows) - 1} {
+		w := 0
+		for _, v := range m.Rows[ri] {
+			w += valueSize(v)
+		}
+		widest = max(widest, w)
+	}
+	return n + len(m.Rows)*(widest+widest/8+1)
 }
 
 // DecodeRows parses a MsgRows payload.

@@ -171,3 +171,35 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsEncodeAllocs: Encode sizes its buffer once from the row count, so a
+// hundred times the rows is not a dozen more doublings — and valueSize, which
+// the estimate rests on, is exact.
+func TestRowsEncodeAllocs(t *testing.T) {
+	for _, row := range sampleRows().Rows {
+		for _, v := range row {
+			var e Encoder
+			if e.Value(v); len(e.Bytes()) != valueSize(v) {
+				t.Fatalf("valueSize(%v) = %d, encoded %d bytes", v, valueSize(v), len(e.Bytes()))
+			}
+		}
+	}
+	allocs := func(n int) float64 {
+		m := &Rows{Cols: []string{"id", "name", "amt"}, Mode: "vectorized"}
+		for i := 0; i < n; i++ {
+			m.Rows = append(m.Rows, []sqltypes.Value{
+				sqltypes.NewInt(int64(i) * 37), sqltypes.NewString(strings.Repeat("x", i%9)), sqltypes.NewFloat(float64(i) / 3),
+			})
+		}
+		m.Kinds = InferKinds(m.Cols, m.Rows)
+		if got, err := DecodeRows(m.Encode()); err != nil || len(got.Rows) != n {
+			t.Fatalf("round trip of %d rows: %v", n, err)
+		}
+		return testing.AllocsPerRun(10, func() { m.Encode() })
+	}
+	small, large := allocs(100), allocs(10000)
+	t.Logf("Encode: %.0f allocs at 100 rows, %.0f at 10000", small, large)
+	if large > small+1 {
+		t.Errorf("Encode allocations grow with the row count: %.0f at 100 rows, %.0f at 10000", small, large)
+	}
+}
