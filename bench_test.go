@@ -409,23 +409,34 @@ func BenchmarkE14_DSSuite(b *testing.B) {
 // to watch: per-chunk, per-group and per-row allocation shows here first.
 // Serial (Parallelism 1), so allocs/op does not depend on GOMAXPROCS.
 func BenchmarkExecOperators(b *testing.B) {
-	operators := []struct{ name, sql string }{
-		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`},
+	operators := []struct {
+		name, sql string
+		groupBy   bool // reports ns per trans row
+	}{
+		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`, false},
 		{"fused_groupby", `select fpgid, year(date) as year, count(*) as cnt, sum(qty * price) as gross, min(price) as lo
-			from trans where month(date) >= 6 group by fpgid, year(date)`},
+			from trans where month(date) >= 6 group by fpgid, year(date)`, true},
 		{"star_groupby_gsets", `select state, year(date) as year, count(*) as cnt, sum(qty * price) as value
 			from trans, loc where flid = lid and country = 'USA'
-			group by grouping sets((state, year(date)), (state), ())`},
+			group by grouping sets((state, year(date)), (state), ())`, true},
 		{"having_over_groupby", `select flid, year(date) as year, count(*) as cnt
-			from trans group by flid, year(date) having count(*) > 3`},
+			from trans group by flid, year(date) having count(*) > 3`, true},
 		{"join_select", `select aid, status, qty * price * (1 - disc) as amt
 			from trans, pgroup, acct
 			where pgid = fpgid and faid = aid
-			and price > 100 and disc > 0.1 and pgname = 'TV'`},
+			and price > 100 and disc > 0.1 and pgname = 'TV'`, false},
 		{"select_over_groupby", `select flid, count(*) as busy_months
 			from (select flid, year(date) as y, month(date) as m, count(*) as n
 			      from trans group by flid, year(date), month(date)) mm
-			where n > 5 group by flid`},
+			where n > 5 group by flid`, true},
+		// The hash loop itself: a string key behind a star probe, a table
+		// of well over 10k groups at 100k rows, and the probe with nothing
+		// filtered out before it or aggregated after it.
+		{"groupby_string_key", `select city, count(*) as cnt from trans, loc where flid = lid group by city`, true},
+		{"groupby_15k_groups", `select faid, flid, year(date) as year, count(*) as cnt, sum(price) as gross
+			from trans group by faid, flid, year(date)`, true},
+		{"star_probe_only", `select aid, status, qty * price * (1 - disc) as amt
+			from trans, pgroup, acct where pgid = fpgid and faid = aid`, false},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})
@@ -448,6 +459,9 @@ func BenchmarkExecOperators(b *testing.B) {
 				}
 				if d := o.Counter(exec.CtrVecDeclined); d != 0 {
 					b.Fatalf("%s: %d boxes declined to the row path", op.name, d)
+				}
+				if op.groupBy {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scale), "ns/row")
 				}
 			})
 		}

@@ -2,8 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/astdb"
+	"repro/internal/catalog"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestAllExperimentsSmoke runs every registered experiment at a small scale;
@@ -88,5 +95,49 @@ func TestTableWriter(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("want 4 lines, got %d", len(lines))
+	}
+}
+
+// TestServedStatementBytesPerRun: a statement answered from its summary table
+// is a handful of rows through the whole executor, so what it allocates is the
+// executor's fixed cost per box — scratch that is sized by ChunkRows instead of
+// by the rows at hand shows here first. The plan of q4 over ast6 (a few dozen
+// rows, three groups) took 4.28 KiB per execution when the hash scratch of
+// PR 15 went in (7.68 KiB per Engine.Query in EXPERIMENTS.md's set-up, which
+// adds the plan-cache probe) and must not go above it.
+func TestServedStatementBytesPerRun(t *testing.T) {
+	cat := catalog.New()
+	// The engine as benchmark/ and cmd/astserve configure it: observer on.
+	db, err := astdb.Open(cat, astdb.WithObserver(obs.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.Schema(cat)
+	workload.Load(cat, db.Store(), workload.StarConfig{NumTrans: 20000, Seed: 7})
+	ctx := context.Background()
+	if _, _, err := db.CreateSummaryTable(ctx, "ast6", ASTDefs["ast6"]); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := db.Query(ctx, Queries["q4"])
+	if err != nil || ans.AST != "ast6" {
+		t.Fatalf("q4 from ast6: %v, answer %+v", err, ans)
+	}
+	run := func() {
+		if res, err := db.Execute(ctx, ans.Plan); err != nil || len(res.Rows) != len(ans.Result.Rows) {
+			t.Fatalf("executing q4's plan: %v", err)
+		}
+	}
+	run()
+	const runs = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("q4 from ast6: %.2f KiB per execution", perRun)
+	if perRun > 4.28 {
+		t.Errorf("q4 from ast6 allocates %.2f KiB per execution, above 4.28", perRun)
 	}
 }

@@ -185,7 +185,7 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 		err = ev.parallelChunks(len(childRows), workers,
 			func(w, lo, hi int, chg *charger) error {
 				t := newGroupTable(len(gs), len(aggSpecs))
-				var buf []byte
+				key := make([]sqltypes.Value, len(gs))
 				for ri := lo; ri < hi; ri++ {
 					if err := chg.checkpoint(rowCharge); err != nil {
 						return err
@@ -196,19 +196,10 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 					} else if maxCol >= len(gsrc) {
 						return fmt.Errorf("exec: column %d out of range (row width %d)", maxCol, len(gsrc))
 					}
-					buf = buf[:0]
-					for _, pos := range gs {
-						buf = gsrc[groupCols[pos]].AppendGroupKey(buf)
-						buf = append(buf, 0)
+					for i, pos := range gs {
+						key[i] = gsrc[groupCols[pos]]
 					}
-					g, added := t.find(buf)
-					if added {
-						repr := t.reprOf(g)
-						for i, pos := range gs {
-							repr[i] = gsrc[groupCols[pos]]
-						}
-					}
-					aggs := t.aggsOf(g)
+					aggs := t.aggs.at(t.find(key))
 					for ai, spec := range aggSpecs {
 						var av sqltypes.Value
 						if argCols[ai] >= 0 {
@@ -272,7 +263,7 @@ func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupT
 		if err := ev.checkpoint(1); err != nil {
 			return err
 		}
-		repr, aggs := t.reprOf(g), t.aggsOf(g)
+		repr, aggs := t.repr.at(g), t.aggs.at(g)
 		for i, pos := range gs {
 			row[b.GroupBy[pos]] = repr[i]
 		}

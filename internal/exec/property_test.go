@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -531,13 +532,19 @@ func TestLikeAndConcat(t *testing.T) {
 // starTables builds a fact table keyed into small dimensions. Some fact keys
 // miss dimension d, some are NULL, several d keys carry duplicate rows
 // (multi-match join expansion) and one d row has a NULL key; e is keyed by two
-// columns, again with duplicates; z is empty.
+// columns, again with duplicates; z is empty. For the probe's key classes: fs
+// is a string fact key (some of d's names), df is keyed by floats, dup holds
+// one key a thousand times over, and fn is a second fact table whose first
+// chunk has nothing but NULL keys.
 func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 	cat := catalog.New()
 	intCol := func(name string) catalog.Column {
 		return catalog.Column{Name: name, Type: sqltypes.KindInt, Nullable: true}
 	}
-	cat.MustAddTable(&catalog.Table{Name: "f", Columns: []catalog.Column{intCol("fk"), intCol("v"), intCol("g")}})
+	cat.MustAddTable(&catalog.Table{Name: "f", Columns: []catalog.Column{intCol("fk"), intCol("v"), intCol("g"), {Name: "fs", Type: sqltypes.KindString}}})
+	cat.MustAddTable(&catalog.Table{Name: "df", Columns: []catalog.Column{{Name: "fkf", Type: sqltypes.KindFloat}, intCol("fn")}})
+	cat.MustAddTable(&catalog.Table{Name: "dup", Columns: []catalog.Column{intCol("uk"), intCol("un")}})
+	cat.MustAddTable(&catalog.Table{Name: "fn", Columns: []catalog.Column{intCol("nk"), intCol("nv")}})
 	cat.MustAddTable(&catalog.Table{Name: "d", Columns: []catalog.Column{intCol("dk"), {Name: "nm", Type: sqltypes.KindString}}})
 	cat.MustAddTable(&catalog.Table{Name: "e", Columns: []catalog.Column{intCol("ek"), intCol("eg"), intCol("w")}})
 	cat.MustAddTable(&catalog.Table{Name: "z", Columns: []catalog.Column{intCol("zk"), intCol("zn")}})
@@ -548,6 +555,20 @@ func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 	}
 	fd, dd, ed := create("f"), create("d"), create("e")
 	create("z")
+	dfd, dupd, fnd := create("df"), create("dup"), create("fn")
+	for i := 0; i < 16; i++ {
+		dfd.MustInsert(sqltypes.NewFloat(float64(i)/2), sqltypes.NewInt(int64(i))) // 0, 0.5, 1, …: every other key is integral
+	}
+	for i := 0; i < 1003; i++ {
+		dupd.MustInsert(sqltypes.NewInt(int64(3+i/1000)), sqltypes.NewInt(int64(i)))
+	}
+	for i := 0; i < storage.ChunkRows+200; i++ {
+		k := sqltypes.Null
+		if i >= storage.ChunkRows {
+			k = sqltypes.NewInt(int64(i % 10))
+		}
+		fnd.MustInsert(k, sqltypes.NewInt(int64(i)))
+	}
 	for i := 0; i < 12; i++ {
 		dd.MustInsert(sqltypes.NewInt(int64(i%8)), sqltypes.NewString(fmt.Sprintf("d%02d", i%5)))
 	}
@@ -555,6 +576,7 @@ func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 	for i := 0; i < 30; i++ {
 		ed.MustInsert(sqltypes.NewInt(int64(i%9)), sqltypes.NewInt(int64(i%3)), sqltypes.NewInt(int64(i)))
 	}
+	fd.MustInsert(sqltypes.NewInt(3), sqltypes.NewInt(0), sqltypes.NewInt(0), sqltypes.NewString("d03")) // joins with everything
 	for i := 0; i < facts; i++ {
 		k := sqltypes.NewInt(int64(rng.Intn(10)))
 		if rng.Intn(10) == 0 {
@@ -564,7 +586,7 @@ func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 		if rng.Intn(8) == 0 {
 			v = sqltypes.Null
 		}
-		fd.MustInsert(k, v, sqltypes.NewInt(int64(rng.Intn(3))))
+		fd.MustInsert(k, v, sqltypes.NewInt(int64(rng.Intn(3))), sqltypes.NewString(fmt.Sprintf("d%02d", rng.Intn(7))))
 	}
 	return cat, store
 }
@@ -651,7 +673,11 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	// (odometer order: fact-row major, d outer, e inner), an empty dimension,
 	// a dimension that is a GROUP BY, the small table first in FROM, DISTINCT,
 	// a scalar subquery in the output list, fact-local and dimension-local
-	// predicates together.
+	// predicates together. Then the probe's key classes: an int fact key
+	// against a float dimension key (1 = 1.0 joins, 1 = 0.5 does not), a
+	// two-column key of a string and an int, a thousand dimension rows under one
+	// key (they come out in dimension row order), a chunk of nothing but NULL
+	// fact keys.
 	joinQueries := []string{
 		"select fk, v, nm from f, d where fk = dk",
 		"select v, nm, w from f, d, e where fk = dk and ek = fk and g = eg",
@@ -662,6 +688,12 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		"select v, (select count(*) from d) as nd, nm from f, d where dk = fk",
 		"select v * 2 as v2, nm || '!' as nx from f, d where fk = dk and v < 50 and dk < 6 and nm <> 'd03'",
 		"select v / (fk - 9) as q, nm from f, d where fk = dk", // fk = 9 never joins: no division by zero
+	}
+	keyClassQueries := []string{ // every one of them finds matches
+		"select fk, fkf, fn from f, df where fk = fkf",
+		"select v, dk, nm from f, d where fs = nm and fk = dk",
+		"select fk, v, un from f, dup where fk = uk and v < 3",
+		"select nv, nm from fn, d where nk = dk",
 	}
 	for trial := 0; trial < 12; trial++ {
 		cat, store := randomTable(rng, 50+rng.Intn(1500))
@@ -675,9 +707,13 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 			facts += 2 * parallelMinRows // enough chunks for two workers
 		}
 		scat, sstore := starTables(rng, facts)
-		for i, sql := range append(starQueries, joinQueries...) {
-			if vec := check(scat, sstore, sql, i >= len(starQueries)); vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
+		for i, sql := range slices.Concat(starQueries, joinQueries, keyClassQueries) {
+			vec := check(scat, sstore, sql, i >= len(starQueries))
+			if vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
 				t.Fatalf("%s: mode %s, declined %v", sql, vec.Mode, vec.Declined)
+			}
+			if i >= len(starQueries)+len(joinQueries) && len(vec.Rows) == 0 {
+				t.Fatalf("%s: no rows", sql)
 			}
 		}
 		// A residual predicate across operands still declines, by name, and

@@ -90,9 +90,10 @@ func TestHavingMaterializesOnlySurvivors(t *testing.T) {
 	table := func(groups int) uint64 { // what the group table alone allocates
 		_, bytes := measure(func() {
 			gt := newGroupTable(1, 1)
-			key := make([]byte, 0, 16)
+			key := make([]sqltypes.Value, 1)
 			for k := 0; k < groups; k++ {
-				gt.find(append(sqltypes.AppendBinKeyValue(key, sqltypes.NewInt(int64(k))), 0))
+				key[0] = sqltypes.NewInt(int64(k))
+				gt.find(key)
 			}
 		})
 		return bytes

@@ -52,13 +52,18 @@ func chunkedTables(chunks int) (*catalog.Catalog, *storage.Store) {
 // GROUP BY allocate per worker, per group-table growth step and per output
 // row block — not per chunk. Eight times the chunks, same groups: the
 // allocation counts may differ by a few (scratch that doubles once more),
-// not by a multiple.
+// not by a multiple. The last two queries are there for the hash scratch:
+// key cells that are not the vector's own payload (strings, floats), two
+// probes' ordinals, three key columns.
 func TestGroupByAllocsDoNotScaleWithChunks(t *testing.T) {
 	queries := map[string]string{
 		"fused": `select g, year(d) as y, count(*) as c, sum(v * 2) as s, min(v) as lo
 			from f where v % 2 = 0 and month(d) > 1 group by g, year(d)`,
 		"star": `select nm, year(d) as y, count(*) as c, sum(v) as s
 			from f, dim where fk = dk and v % 2 = 0 group by grouping sets((nm, year(d)), (nm))`,
+		"twodims": `select a.nm, b.nm as bn, g, count(*) as c, max(v) as hi
+			from f, dim a, dim b where fk = a.dk and g = b.dk and v % 2 = 0 group by a.nm, b.nm, g`,
+		"floatkey": `select v * 0.5 as h, count(*) as c from f where v < 100 group by v * 0.5`,
 	}
 	allocs := func(chunks, par int, sql string) float64 {
 		cat, store := chunkedTables(chunks)
@@ -86,6 +91,47 @@ func TestGroupByAllocsDoNotScaleWithChunks(t *testing.T) {
 				t.Errorf("%s parallelism=%d: allocations scale with chunks: %.0f over 8, %.0f over 64", name, par, small, large)
 			}
 		}
+	}
+}
+
+// TestKeyScratchIsSizedByTheStrip: the buffers behind findBatch are as long as
+// the strip of rows they are used on — three rows' worth for a three-row
+// table, never more than stripRows however long the chunk — and grow by
+// doubling.
+func TestKeyScratchIsSizedByTheStrip(t *testing.T) {
+	var v sqltypes.Vec
+	for i := 0; i < storage.ChunkRows; i++ {
+		v.AppendValue(sqltypes.NewString(fmt.Sprintf("s%d", i%50))) // strings: the cells are not the payload
+	}
+	keys, tab := make([]keyCol, 1), newGroupTable(1, 0)
+	var hash [stripRows]uint64
+	var ords [stripRows]uint32
+	lookup := func(lo, n int) {
+		keys[0].load(&v, lo, n)
+		tab.findBatch(keys, []int{0}, hash[:n], ords[:n], true)
+	}
+	lookup(0, 3)
+	if c, w := cap(keys[0].classes), cap(keys[0].buf); c != 3 || w != 3 {
+		t.Fatalf("after a 3-row strip: %d classes, %d words", c, w)
+	}
+	lookup(3, 5)
+	if c, w := cap(keys[0].classes), cap(keys[0].buf); c != 6 || w != 6 {
+		t.Fatalf("after a 5-row strip: %d classes, %d words, want 3 doubled", c, w)
+	}
+	for lo := 0; lo < v.Len(); lo += stripRows {
+		lookup(lo, stripRows)
+	}
+	if c, w := cap(keys[0].classes), cap(keys[0].buf); c != stripRows || w != stripRows || tab.len() != 50 {
+		t.Fatalf("after a %d-row chunk: %d classes, %d words, %d groups", v.Len(), c, w, tab.len())
+	}
+	// An integer column without NULLs is its own key cells: nothing is buffered.
+	var ints sqltypes.Vec
+	for i := 0; i < stripRows; i++ {
+		ints.AppendValue(sqltypes.NewInt(int64(i)))
+	}
+	var k keyCol
+	if k.load(&ints, 0, stripRows); cap(k.classes) != 0 || cap(k.buf) != 0 || &k.words[0] != &ints.Ints[0] {
+		t.Fatalf("integer key column was copied: %d classes, %d words", cap(k.classes), cap(k.buf))
 	}
 }
 

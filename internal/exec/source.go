@@ -14,10 +14,10 @@ import (
 // quantifier is the fact side of a star join: every further ForEach quantifier
 // is a dimension, hashed at plan time on the equality predicates that tie it
 // to the fact (its local predicates applied while hashing), and each chunk's
-// surviving fact rows probe those tables. Per chunk and per worker (srcWorker)
-// the source yields a selection and a tuple count; the two sinks — GROUP BY
-// aggregation and SELECT projection — ask it for the column vectors of their
-// expressions in the tuple domain (cols at plan time, eval per chunk).
+// surviving fact rows probe those tables in batches. Per chunk and per worker
+// (srcWorker) the source yields a selection and a tuple count; the two sinks —
+// GROUP BY aggregation and SELECT projection — ask it for the column vectors of
+// their expressions in the tuple domain (cols at plan time, eval per chunk).
 type source struct {
 	ev      *evaluator
 	vc      vecCompiler // lowers expressions over the fact quantifier
@@ -195,7 +195,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		if err != nil {
 			return nil, "", err
 		}
-		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, table: map[string][]int32{}}
+		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), 0)}
 		sd.ctx.setSlot(dq.ID, 0)
 		predKs := ev.predKernelsFor(sd.ctx, dimPreds[k], allInts(len(dimPreds[k])))
 		keyKs := make([]scalarKernel, len(dimKeys[k]))
@@ -204,10 +204,11 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(factKeys[k][i]))
 		}
 		bd := make(binding, 1)
-		var kbuf []byte
+		key := make([]sqltypes.Value, len(keyKs))
+		ords := make([]int32, len(sd.rows)) // per row: the ordinal of its key, -1 when it is not in the table
 	rows:
 		for ri, r := range sd.rows {
-			bd[0] = r
+			bd[0], ords[ri] = r, -1
 			for _, pk := range predKs {
 				tv, err := pk(bd)
 				if err != nil {
@@ -217,19 +218,33 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 					continue rows
 				}
 			}
-			kbuf = kbuf[:0]
-			for _, kk := range keyKs {
-				v, err := kk(bd)
-				if err != nil {
+			for i, kk := range keyKs {
+				if key[i], err = kk(bd); err != nil {
 					return nil, declDimEval, nil
 				}
-				if v.IsNull() {
+				if key[i].IsNull() {
 					continue rows // NULL join keys never match
 				}
-				kbuf = sqltypes.AppendBinKeyValue(kbuf, v)
-				kbuf = append(kbuf, 0)
 			}
-			sd.table[string(kbuf)] = append(sd.table[string(kbuf)], int32(ri))
+			ords[ri] = int32(sd.table.find(key))
+		}
+		// Counting sort by ordinal: list[offsets[g]:offsets[g+1]] are the rows
+		// of key g, in row order.
+		sd.offsets = make([]int32, sd.table.len()+2)
+		for _, g := range ords {
+			if g >= 0 {
+				sd.offsets[g+2]++
+			}
+		}
+		for g := 2; g < len(sd.offsets); g++ {
+			sd.offsets[g] += sd.offsets[g-1]
+		}
+		sd.list = make([]int32, sd.offsets[len(sd.offsets)-1])
+		for ri, g := range ords {
+			if g >= 0 {
+				sd.list[sd.offsets[g+1]] = int32(ri)
+				sd.offsets[g+1]++
+			}
 		}
 		s.dims[k] = sd
 	}
@@ -241,15 +256,20 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 }
 
 // starDim is one dimension of a join: its rows, the fact-side key kernels
-// (evaluated per chunk) and the hash table from binary-encoded key to the
-// matching row numbers, in row order. Rows failing the dimension's local
-// predicates or carrying a NULL key are absent (NULL join keys never match, as
-// in hashJoin).
+// (evaluated per chunk) and a groupTable of its distinct keys, with each key's
+// rows as a CSR list: list[offsets[g]:offsets[g+1]] are the row numbers of the
+// key with ordinal g, in row order. Rows failing the dimension's local
+// predicates or carrying a NULL key are absent, so a NULL fact key finds
+// nothing (NULL join keys never match, as in hashJoin). Read-only once built:
+// workers probe it concurrently.
 type starDim struct {
-	rows  [][]sqltypes.Value
-	ctx   *exprCtx
-	keyKs []vecKernel
-	table map[string][]int32
+	rows    [][]sqltypes.Value
+	ctx     *exprCtx
+	keyKs   []vecKernel
+	set     []int // all the key columns, in order
+	table   *groupTable
+	offsets []int32
+	list    []int32
 }
 
 // srcCol is one sink expression in the tuple domain. A fact-sourced one
@@ -316,30 +336,25 @@ func (s *source) open() (err error) {
 }
 
 // srcWorker is one worker's cursor over the source: its chunk state and, for a
-// join, the probe scratch. The chunk state is an object of its own because
-// kernels hold it; the worker around it then stays on the sink's stack.
+// join, the probe scratch (made by the first chunk). The chunk state is an
+// object of its own because kernels hold it; the worker around it then stays
+// on the sink's stack, as long as worker is small enough to inline.
 type srcWorker struct {
 	s        *source
 	cs       *chunkState
 	kv       [][]*sqltypes.Vec // per dim: fact key vectors for the current chunk
+	keys     []keyCol          // the fact key columns of the dimension being probed
+	hash     []uint64          // findBatch's scratch
+	ords     [][]uint32        // per dim, per fact row of the strip: ordinal of the matching dimension key
 	match    [][]int32         // per dim: matched dim rows for the current fact row
 	ctr      []int             // odometer counters
 	fdi      []int32           // per tuple: its fact row's position in the selection
 	ddi      [][]int32         // per dim, per tuple: dim row number
-	kbuf     []byte
-	expanded bool // some fact row matched more than once: tuples ≠ selection
+	expanded bool              // some fact row matched more than once: tuples ≠ selection
 }
 
 func (s *source) worker() *srcWorker {
-	nd := len(s.dims)
-	w := &srcWorker{s: s, cs: &chunkState{vecs: make([]*sqltypes.Vec, s.vc.slots)}}
-	if nd > 0 {
-		w.kv, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
-		for k := range w.kv {
-			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
-		}
-	}
-	return w
+	return &srcWorker{s: s, cs: &chunkState{vecs: make([]*sqltypes.Vec, s.vc.slots)}}
 }
 
 // next moves the worker to chunk c and returns its tuple count: the rows the
@@ -364,6 +379,15 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 	if nd == 0 {
 		return cs.n(), nil
 	}
+	if w.kv == nil {
+		w.kv, w.ords, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]uint32, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
+		for k := range s.dims {
+			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
+			if len(w.kv[k]) > len(w.keys) {
+				w.keys = make([]keyCol, len(w.kv[k]))
+			}
+		}
+	}
 	for k := range s.dims {
 		for j, kk := range s.dims[k].keyKs {
 			v, err := kk(cs)
@@ -378,34 +402,41 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 		w.ddi[k] = w.ddi[k][:0]
 	}
 	sel := cs.selOut()
-facts:
-	for di, n := 0, cs.n(); di < n; di++ {
-		for k := 0; k < nd; k++ {
-			w.kbuf = w.kbuf[:0]
-			for _, v := range w.kv[k] {
-				if v.IsNull(di) {
+	for lo, n := 0, cs.n(); lo < n; lo += stripRows {
+		// A strip of fact rows at a time, one lookup-only batch call per
+		// dimension turns the fact keys into dimension key ordinals.
+		m := min(stripRows, n-lo)
+		w.hash = resize(w.hash, m)
+		for k := range s.dims {
+			for j, v := range w.kv[k] {
+				w.keys[j].load(v, lo, m)
+			}
+			w.ords[k] = resize(w.ords[k], m)
+			s.dims[k].table.findBatch(w.keys, s.dims[k].set, w.hash, w.ords[k], false)
+		}
+	facts:
+		for i := 0; i < m; i++ {
+			for k := range s.dims {
+				g := w.ords[k][i]
+				if g == noGroup {
 					continue facts
 				}
-				w.kbuf = v.AppendBinKey(w.kbuf, di)
-				w.kbuf = append(w.kbuf, 0)
+				w.match[k] = s.dims[k].list[s.dims[k].offsets[g]:s.dims[k].offsets[g+1]]
 			}
-			if w.match[k] = s.dims[k].table[string(w.kbuf)]; len(w.match[k]) == 0 {
-				continue facts
-			}
-		}
-		pos := int32(len(sel))
-		sel = append(sel, int32(cs.rowIdx(di)))
-		clear(w.ctr)
-		for k := 0; k >= 0; {
-			w.fdi = append(w.fdi, pos)
-			for k = 0; k < nd; k++ {
-				w.ddi[k] = append(w.ddi[k], w.match[k][w.ctr[k]])
-			}
-			for k = nd - 1; k >= 0; k-- {
-				if w.ctr[k]++; w.ctr[k] < len(w.match[k]) {
-					break
+			pos := int32(len(sel))
+			sel = append(sel, int32(cs.rowIdx(lo+i)))
+			clear(w.ctr)
+			for k := 0; k >= 0; {
+				w.fdi = append(w.fdi, pos)
+				for k = 0; k < nd; k++ {
+					w.ddi[k] = append(w.ddi[k], w.match[k][w.ctr[k]])
 				}
-				w.ctr[k] = 0
+				for k = nd - 1; k >= 0; k-- {
+					if w.ctr[k]++; w.ctr[k] < len(w.match[k]) {
+						break
+					}
+					w.ctr[k] = 0
+				}
 			}
 		}
 	}

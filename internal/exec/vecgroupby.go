@@ -65,9 +65,9 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 
 	// One aggregation pass over the chunks computes every grouping set:
 	// group/argument vectors are evaluated once per chunk, then each set
-	// accumulates into its own groupTable. Set-major within each chunk and
-	// chunk-major merging keeps every per-set ordering identical to the row
-	// path's set-major-over-all-rows order.
+	// accumulates into its own groupTable. Each set sees the rows in order and
+	// partials merge chunk-major, which keeps every per-set ordering identical
+	// to the row path's set-major-over-all-rows order.
 	workers := ev.workersFor(s.total)
 	partials := make([][]*groupTable, workers)
 	err = ev.parallelChunks(len(s.chunks), workers, func(w, lo, hi int, chg *charger) error {
@@ -76,10 +76,14 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		for si := range tables {
 			tables[si] = newGroupTable(len(sets[si]), len(aggSpecs))
 		}
-		gvecs := make([]*sqltypes.Vec, nGroup)
-		avecs := make([]*sqltypes.Vec, len(aggSpecs))
+		var ordinals [stripRows]uint32 // the strip's ordinals and hashes stay on this stack
+		var hashes [stripRows]uint64
+		var few [4]keyCol // the key scratch of up to four grouping columns stays on this stack too
+		keys := few[:min(nGroup, len(few))]
+		if nGroup > len(few) {
+			keys = make([]keyCol, nGroup)
+		}
 		accums := make([]vecAccum, len(aggSpecs))
-		var buf []byte
 		for _, c := range s.chunks[lo:hi] {
 			n, err := sw.next(c, chg)
 			if err != nil {
@@ -89,49 +93,41 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 				continue
 			}
 			for pos := range groupCols {
-				if gvecs[pos], err = sw.eval(&groupCols[pos]); err != nil {
+				if keys[pos].vec, err = sw.eval(&groupCols[pos]); err != nil {
 					return err
 				}
 			}
 			// Kind dispatch per chunk, not per row: each aggregate's
 			// accumulator is re-aimed at this chunk's argument vector.
 			for ai := range argCols {
+				var av *sqltypes.Vec
 				if !aggSpecs[ai].agg.Star {
-					if avecs[ai], err = sw.eval(&argCols[ai]); err != nil {
+					if av, err = sw.eval(&argCols[ai]); err != nil {
 						return err
 					}
 				}
-				accums[ai].bind(aggSpecs[ai].agg, avecs[ai])
+				accums[ai].bind(aggSpecs[ai].agg, av)
 			}
-			for si, gs := range sets {
-				// The per-input-row budget charge lands on the first grouping
-				// set, batched per chunk (same totals as the row path's fused
-				// per-row charge).
-				rowCharge := 0
-				if si == 0 {
-					rowCharge = n
+			// The per-input-row budget charge, batched per chunk (same totals
+			// as the row path's fused per-row charge).
+			if err := chg.checkpoint(n); err != nil {
+				return err
+			}
+			// A strip of rows at a time: the grouping vectors are normalised
+			// into key cells once, for all sets; per set one call turns rows
+			// into ordinals, then one aggregate at a time folds over
+			// (ordinals, argument vector). Each group still sees its rows in
+			// order, so float SUMs add up as on the row path.
+			for at := 0; at < n; at += stripRows {
+				ords := ordinals[:min(stripRows, n-at)]
+				for pos := range keys {
+					keys[pos].load(keys[pos].vec, at, len(ords))
 				}
-				if err := chg.checkpoint(rowCharge); err != nil {
-					return err
-				}
-				t := tables[si]
-				for di := 0; di < n; di++ {
-					buf = buf[:0]
-					for _, pos := range gs {
-						buf = gvecs[pos].AppendBinKey(buf, di)
-						buf = append(buf, 0)
-					}
-					g, added := t.find(buf)
-					if added {
-						// repr copies Values out of scratch: it outlives the chunk.
-						repr := t.reprOf(g)
-						for i, pos := range gs {
-							repr[i] = gvecs[pos].Value(di)
-						}
-					}
-					aggs := t.aggsOf(g)
+				for si, gs := range sets {
+					t := tables[si]
+					t.findBatch(keys, gs, hashes[:len(ords)], ords, true)
 					for ai := range accums {
-						if err := accums[ai].add(&aggs[ai], di); err != nil {
+						if err := accums[ai].fold(&t.aggs, ai, at, ords); err != nil {
 							return err
 						}
 					}
@@ -210,13 +206,12 @@ func (ev *evaluator) groupSource(b *qgm.Box, q *qgm.Quantifier, exprs []qgm.Expr
 	return s, cols, nil
 }
 
-// vecAccum folds elements of one aggregate's argument vector into group
-// states. bind re-aims it at a chunk's vector and picks the loop once per
-// chunk, so kind dispatch is not per row; the typed modes mutate the same
-// aggState fields the row engine's accumulate does and fall back to it for
-// anything outside count/sum/min/max over typed numeric vectors, so merge and
-// result semantics are unchanged. One per aggregate per worker: no closure is
-// built per chunk.
+// vecAccum folds one aggregate's argument vector into group states. bind
+// re-aims it at a chunk's vector and picks fold's loop once per chunk, so kind
+// dispatch is not per row; the typed modes mutate the same aggState fields the
+// row engine's accumulate does and fall back to it for anything outside
+// count/sum/min/max over typed numeric vectors, so merge and result semantics
+// are unchanged. One per aggregate per worker: no closure is built per chunk.
 type vecAccum struct {
 	spec  *qgm.Agg
 	av    *sqltypes.Vec
@@ -279,15 +274,45 @@ func (a *vecAccum) bind(spec *qgm.Agg, av *sqltypes.Vec) {
 	}
 }
 
-// add folds element di into s.
-func (a *vecAccum) add(s *aggState, di int) error {
+// fold adds a strip of the chunk's elements into aggregate ai of their groups:
+// element at+i goes to group ords[i]. The mode picks the loop, once per strip.
+func (a *vecAccum) fold(aggs *slab[aggState], ai, at int, ords []uint32) error {
 	av := a.av
 	switch a.mode {
 	case accStar:
-		s.count++
-		return nil
+		for _, g := range ords {
+			aggs.at(int(g))[ai].count++
+		}
+	case accCount:
+		for i, g := range ords {
+			if !av.IsNull(at + i) {
+				aggs.at(int(g))[ai].count++
+			}
+		}
+	case accInt:
+		for i, x := range av.Ints[at : at+len(ords)] {
+			if a.nulls && av.IsNull(at+i) {
+				continue
+			}
+			if err := a.addInt(&aggs.at(int(ords[i]))[ai], x); err != nil {
+				return err
+			}
+		}
+	case accFloat:
+		for i, f := range av.Floats[at : at+len(ords)] {
+			if a.nulls && av.IsNull(at+i) {
+				continue
+			}
+			if err := a.addFloat(&aggs.at(int(ords[i]))[ai], f); err != nil {
+				return err
+			}
+		}
 	case accBoxed:
-		return s.accumulate(a.spec, av.Value(di))
+		for i, g := range ords {
+			if err := aggs.at(int(g))[ai].accumulate(a.spec, av.Value(at+i)); err != nil {
+				return err
+			}
+		}
 	case accDistinct:
 		// Binary keys instead of the row engine's decimal GroupKey: the
 		// equivalence classes are identical and distinct sets built by the
@@ -295,52 +320,52 @@ func (a *vecAccum) add(s *aggState, di int) error {
 		// of a class wins as its representative (the row engine keeps the
 		// last); observable only through the result kind of SUM/MIN/MAX
 		// DISTINCT over classes mixing int and float spellings.
-		if av.IsNull(di) {
-			return nil
+		for i, g := range ords {
+			if av.IsNull(at + i) {
+				continue
+			}
+			s := &aggs.at(int(g))[ai]
+			a.kbuf = sqltypes.AppendBinKeyValue(a.kbuf[:0], av.Value(at+i))
+			if s.distinct == nil {
+				s.distinct = map[string]sqltypes.Value{}
+			}
+			if _, ok := s.distinct[string(a.kbuf)]; !ok {
+				s.distinct[string(a.kbuf)] = av.Value(at + i)
+			}
 		}
-		a.kbuf = av.AppendBinKey(a.kbuf[:0], di)
-		if s.distinct == nil {
-			s.distinct = map[string]sqltypes.Value{}
-		}
-		if _, ok := s.distinct[string(a.kbuf)]; !ok {
-			s.distinct[string(a.kbuf)] = av.Value(di)
-		}
+	}
+	return nil
+}
+
+// addInt and addFloat are the typed running values: same arithmetic as
+// aggState.fold on the same kinds (the strict inequalities match Compare's
+// cmpInt/cmpFloat exactly, so ties and NaN comparisons keep the current
+// extremum). A state holding another kind — earlier chunks of another payload
+// kind — takes the boxed route.
+func (a *vecAccum) addInt(s *aggState, x int64) error {
+	switch {
+	case s.val.IsNull():
+	case s.val.Kind() != sqltypes.KindInt:
+		return s.fold(a.spec.Op, sqltypes.NewInt(x))
+	case a.op == opSum:
+		x = s.val.Int() + x
+	case a.op == opMin && !(x < s.val.Int()), a.op == opMax && !(x > s.val.Int()):
 		return nil
 	}
-	if a.nulls && av.IsNull(di) {
+	s.val = sqltypes.NewInt(x)
+	return nil
+}
+
+func (a *vecAccum) addFloat(s *aggState, f float64) error {
+	switch {
+	case s.val.IsNull():
+	case s.val.Kind() != sqltypes.KindFloat:
+		return s.fold(a.spec.Op, sqltypes.NewFloat(f))
+	case a.op == opSum:
+		f = s.val.Float() + f
+	case a.op == opMin && !(f < s.val.Float()), a.op == opMax && !(f > s.val.Float()):
 		return nil
 	}
-	// Typed running values: same arithmetic as fold on the same kinds (the
-	// strict inequalities match Compare's cmpInt/cmpFloat exactly, so ties and
-	// NaN comparisons keep the current extremum). A state holding another
-	// kind — earlier chunks of another payload kind — takes the boxed route.
-	switch a.mode {
-	case accCount:
-		s.count++
-	case accInt:
-		x := av.Ints[di]
-		switch {
-		case s.val.IsNull():
-		case s.val.Kind() != sqltypes.KindInt:
-			return s.fold(a.spec.Op, sqltypes.NewInt(x))
-		case a.op == opSum:
-			x = s.val.Int() + x
-		case a.op == opMin && !(x < s.val.Int()), a.op == opMax && !(x > s.val.Int()):
-			return nil
-		}
-		s.val = sqltypes.NewInt(x)
-	case accFloat:
-		f := av.Floats[di]
-		switch {
-		case s.val.IsNull():
-		case s.val.Kind() != sqltypes.KindFloat:
-			return s.fold(a.spec.Op, sqltypes.NewFloat(f))
-		case a.op == opSum:
-			f = s.val.Float() + f
-		case a.op == opMin && !(f < s.val.Float()), a.op == opMax && !(f > s.val.Float()):
-			return nil
-		}
-		s.val = sqltypes.NewFloat(f)
-	}
+	s.val = sqltypes.NewFloat(f)
 	return nil
 }

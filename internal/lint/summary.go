@@ -233,9 +233,9 @@ var calleeFacts = map[string]calleeFact{
 	"repro/internal/sqltypes.(Vec).SetNull":       {mutatesRecv: true},
 	"repro/internal/sqltypes.(Vec).Splat":         {mutatesRecv: true},
 	"repro/internal/sqltypes.(Vec).Gather":        {mutatesRecv: true}, // reads its src argument
-	// Key renderers write only into their buf argument.
-	"repro/internal/sqltypes.(Vec).AppendBinKey":   {mutatesArgs: []int{0}},
-	"repro/internal/sqltypes.(Vec).AppendGroupKey": {mutatesArgs: []int{0}},
+	// The key normalisation reads the vector and writes only into the two
+	// buffers it is handed.
+	"repro/internal/sqltypes.(Vec).KeyCells": {readonly: true, mutatesArgs: []int{1, 2}},
 }
 
 // stdlibMutators are the standard-library callees that write through an

@@ -1,9 +1,9 @@
 package sqltypes
 
 import (
+	"hash/maphash"
 	"math"
 	"slices"
-	"strconv"
 )
 
 // This file adds the columnar value representation used by the chunked
@@ -371,37 +371,11 @@ func (v *Vec) Frozen() Vec {
 	return f
 }
 
-// AppendBinKey appends element i's binary grouping key to buf. The encoding
-// is an internal fast alternative to AppendGroupKey with the same equivalence
-// classes (same kind tags; integral floats below 1e15 collapse onto the
-// integer tag, so 1 and 1.0 still share a group) but fixed-width binary
-// payloads instead of decimal rendering. Keys from the two encodings are not
-// interchangeable — a single grouping operation must use one or the other.
-func (v *Vec) AppendBinKey(buf []byte, i int) []byte {
-	if v.generic {
-		return AppendBinKeyValue(buf, v.Any[i])
-	}
-	if v.hasNulls && v.Nulls.Get(i) {
-		return append(buf, '\x00', 'N')
-	}
-	switch v.kind {
-	case KindInt:
-		return appendBE64(append(buf, '\x01'), uint64(v.Ints[i]))
-	case KindFloat:
-		return appendBinFloat(buf, v.Floats[i])
-	case KindString:
-		return append(append(buf, '\x03'), v.Strs[i]...)
-	case KindBool:
-		return append(append(buf, '\x04'), byte(v.Ints[i]))
-	case KindDate:
-		return appendBE64(append(buf, '\x05'), uint64(v.Ints[i]))
-	default:
-		return append(buf, '\x00', 'N') // untyped: all NULL
-	}
-}
-
-// AppendBinKeyValue is AppendBinKey for a boxed Value (generic payloads and
-// splatted constants).
+// AppendBinKeyValue appends v's binary grouping key to buf: the byte form of
+// KeyCell's equivalence classes (a class tag, then a fixed-width payload
+// except for strings), for the keys of Go maps — the row path's hash join and
+// the per-group DISTINCT sets. It distinguishes NaN payloads, which KeyCell
+// and the decimal GroupKey do not.
 func AppendBinKeyValue(buf []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
@@ -434,32 +408,73 @@ func appendBE64(buf []byte, x uint64) []byte {
 		byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
 }
 
-// AppendGroupKey appends element i's grouping key to buf, byte-identical to
-// Value.AppendGroupKey on the reconstructed Value (the vectorized GROUP BY
-// must land in exactly the groups the row engine builds).
-func (v *Vec) AppendGroupKey(buf []byte, i int) []byte {
-	if v.generic {
-		return v.Any[i].AppendGroupKey(buf)
-	}
-	if v.hasNulls && v.Nulls.Get(i) {
-		return append(buf, '\x00', 'N')
-	}
+// keySeed seeds the string hash of KeyCell: fixed for the process, so equal
+// strings get equal words wherever they are normalised.
+var keySeed = maphash.MakeSeed()
+
+// KeyCell normalises v for hashing and grouping into a class and a 64-bit
+// word (for the integer, boolean and date classes, the payload itself): two values are in one group exactly when class and word agree and,
+// for the string class, the strings are equal (the word is only their hash).
+// The classes are AppendBinKey's — the kind, except that an integral float
+// below 1e15 is in the class of the integer (1.0 groups with 1, -0.0 with 0);
+// NULL is a class of its own, a date is not an int — and every NaN shares one
+// word, as in the decimal GroupKey.
+func (v Value) KeyCell() (Kind, int64) {
 	switch v.kind {
-	case KindInt:
-		return strconv.AppendInt(append(buf, '\x01'), v.Ints[i], 10)
+	case KindNull:
+		return KindNull, 0
 	case KindFloat:
-		f := v.Floats[i]
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			return strconv.AppendInt(append(buf, '\x01'), int64(f), 10)
-		}
-		return strconv.AppendFloat(append(buf, '\x02'), f, 'b', -1, 64)
+		return floatCell(v.f)
 	case KindString:
-		return append(append(buf, '\x03'), v.Strs[i]...)
-	case KindBool:
-		return strconv.AppendInt(append(buf, '\x04'), v.Ints[i], 10)
-	case KindDate:
-		return strconv.AppendInt(append(buf, '\x05'), v.Ints[i], 10)
+		return KindString, int64(maphash.String(keySeed, v.s))
 	default:
-		return append(buf, '\x00', 'N') // untyped: all NULL
+		return v.kind, v.i
+	}
+}
+
+func floatCell(f float64) (Kind, int64) {
+	switch {
+	case f == math.Trunc(f) && math.Abs(f) < 1e15:
+		return KindInt, int64(f)
+	case f != f:
+		f = math.NaN()
+	}
+	return KindFloat, int64(math.Float64bits(f))
+}
+
+// KeyCells is KeyCell for v's elements lo, lo+1, … — as many as classes is
+// long — in a typed loop per payload kind. It reads v only.
+func (v *Vec) KeyCells(lo int, classes []Kind, words []int64) {
+	hi := lo + len(classes)
+	switch {
+	case v.generic:
+		for i, x := range v.Any[lo:hi] {
+			classes[i], words[i] = x.KeyCell()
+		}
+		return
+	case v.kind == KindNull: // untyped: all NULL
+		for i := range classes {
+			classes[i], words[i] = KindNull, 0
+		}
+		return
+	case v.kind == KindFloat:
+		for i, f := range v.Floats[lo:hi] {
+			classes[i], words[i] = floatCell(f)
+		}
+	case v.kind == KindString:
+		for i, s := range v.Strs[lo:hi] {
+			classes[i], words[i] = KindString, int64(maphash.String(keySeed, s))
+		}
+	default:
+		for i, x := range v.Ints[lo:hi] {
+			classes[i], words[i] = v.kind, x
+		}
+	}
+	if v.hasNulls {
+		for i := range classes {
+			if v.Nulls.Get(lo + i) {
+				classes[i], words[i] = KindNull, 0
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package sqltypes
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -24,9 +23,9 @@ func randValue(rng *rand.Rand) Value {
 }
 
 // TestVecRoundTrip pins the core Vec contract: appended values come back
-// identical (kind and payload), and per-element group keys are byte-identical
-// to Value.AppendGroupKey — including across kind-degradations to the generic
-// payload.
+// identical (kind and payload), and the batch normalisation KeyCells agrees
+// element by element with the one-row Value.KeyCell — including across
+// kind-degradations to the generic payload.
 func TestVecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -67,6 +66,10 @@ func TestVecRoundTrip(t *testing.T) {
 		if v.Len() != len(vals) {
 			t.Fatalf("trial %d: Len %d, want %d", trial, v.Len(), len(vals))
 		}
+		classes, words := make([]Kind, len(vals)), make([]int64, len(vals))
+		lo := len(vals) / 3 // cells of a sub-range land at its start
+		v.KeyCells(lo, classes[lo:], words[lo:])
+		v.KeyCells(0, classes[:lo], words[:lo])
 		for i, want := range vals {
 			got := v.Value(i)
 			if got.Kind() != want.Kind() || got.String() != want.String() {
@@ -76,8 +79,8 @@ func TestVecRoundTrip(t *testing.T) {
 			if got.IsNull() != v.IsNull(i) {
 				t.Fatalf("trial %d: IsNull(%d) mismatch", trial, i)
 			}
-			if gk, wk := v.AppendGroupKey(nil, i), want.AppendGroupKey(nil); !bytes.Equal(gk, wk) {
-				t.Fatalf("trial %d: group key of %v: %q vs %q", trial, want, gk, wk)
+			if wc, ww := want.KeyCell(); classes[i] != wc || words[i] != ww {
+				t.Fatalf("trial %d: key cell of %v: (%s, %#x) vs (%s, %#x)", trial, want, classes[i], words[i], wc, ww)
 			}
 		}
 	}
@@ -139,19 +142,22 @@ func TestVecLeadingNulls(t *testing.T) {
 }
 
 // sameVec fails unless got reads exactly like want: length, every value with
-// its kind, every null bit, every binary group key.
+// its kind, every null bit, every key cell.
 func sameVec(t *testing.T, what string, got, want *Vec) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: Len %d, want %d", what, got.Len(), want.Len())
 	}
+	gc, gw, wc, ww := make([]Kind, want.Len()), make([]int64, want.Len()), make([]Kind, want.Len()), make([]int64, want.Len())
+	got.KeyCells(0, gc, gw)
+	want.KeyCells(0, wc, ww)
 	for i := 0; i < want.Len(); i++ {
 		g, w := got.Value(i), want.Value(i)
 		if !Identical(g, w) || got.IsNull(i) != want.IsNull(i) {
 			t.Fatalf("%s: element %d = %v (%s), want %v (%s)", what, i, g, g.Kind(), w, w.Kind())
 		}
-		if gk, wk := got.AppendBinKey(nil, i), want.AppendBinKey(nil, i); !bytes.Equal(gk, wk) {
-			t.Fatalf("%s: key %d = %q, want %q", what, i, gk, wk)
+		if gc[i] != wc[i] || gw[i] != ww[i] {
+			t.Fatalf("%s: key cell %d = (%s, %#x), want (%s, %#x)", what, i, gc[i], gw[i], wc[i], ww[i])
 		}
 	}
 }
