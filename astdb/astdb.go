@@ -229,17 +229,11 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Store returns the engine's storage.
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// Exec returns the underlying executor.
-func (e *Engine) Exec() *exec.Engine { return e.exe }
-
 // Rewriter returns the underlying rewriter.
 func (e *Engine) Rewriter() *core.Rewriter { return e.rw }
 
 // Observer returns the attached observer (nil when observability is off).
 func (e *Engine) Observer() *obs.Observer { return e.obsv }
-
-// PlanCache returns the rewrite plan cache (nil when disabled).
-func (e *Engine) PlanCache() *core.PlanCache { return e.cache }
 
 // Snapshot returns a copy of the observer's state; the zero Snapshot when no
 // observer is attached.
@@ -292,7 +286,7 @@ type Answer struct {
 
 // Query answers one SQL query with graceful degradation, through the plan
 // cache when one is configured: parse, rewrite against the registered summary
-// tables (cost-based when cached, picking the cheapest candidate), execute
+// tables (the candidate estimated cheapest, with or without a cache), execute
 // under the engine's limits, and fall back to the base plan — marking the AST
 // stale — if the rewritten plan fails. Only typed budget errors and
 // base-plan failures are returned.
@@ -343,7 +337,7 @@ func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 }
 
 func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	plan, res := e.rw.RewriteOrFallback(ctx, query, e.astsNow())
+	plan, res := e.rw.RewriteOrFallback(ctx, query, e.astsNow(), e.store)
 	r, err := e.runPlan(ctx, plan)
 	if err == nil {
 		ans := &Answer{Result: r, Plan: plan, Rewrite: res}
@@ -365,10 +359,9 @@ func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 	return &Answer{Result: r, Plan: query, Rewrite: res, FellBack: true}, nil
 }
 
-// Rewrite plans one SQL query without executing it. With no restriction it is
-// the cache-aware cost-based rewrite Query uses; naming summary tables in
-// only restricts the candidate set (bypassing the cache, whose entries are
-// keyed against the full set).
+// Rewrite plans one SQL query without executing it, choosing the plan Query
+// would. Naming summary tables in only restricts the candidate set (bypassing
+// the cache, whose entries are keyed against the full set).
 func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewrite, error) {
 	span := e.startSpan(ctx, "rewrite")
 	defer span.End()
@@ -384,7 +377,7 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	if err != nil {
 		return nil, err
 	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, e.selectASTs(only))
+	plan, res := e.rw.RewriteOrFallback(ctx, g, e.selectASTs(only), e.store)
 	cr := &Rewrite{Plan: plan, Rewrite: res}
 	if res != nil {
 		cr.AST = res.AST.Def.Name

@@ -6,10 +6,8 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/qgm"
 )
 
 // Report is the outcome of Explain: per-candidate matching decisions, the
@@ -74,10 +72,13 @@ type Candidate struct {
 	Trace []core.TraceEntry
 }
 
-// Explain runs the full rewrite decision for one SQL query and reports it:
-// every registered summary table is matched against the query with tracing on
-// (candidates in name order), the cost-based selection picks a plan exactly as
-// Query would, and the chosen plan is executed for its actual row count.
+// Explain reports the rewrite decision for one SQL query. It parses the
+// statement once and plans it through core.ExplainRewrite — the selection loop
+// and verification gate Query plans through, fed the same store for costs —
+// with tracing on and every registered summary table matched once, in name
+// order (unusable and pruned ones too, for their decision log). What the
+// report names as the chosen plan is therefore what Query runs, by
+// construction. The chosen plan is then executed for its actual row count.
 // Explain bypasses the plan cache and never mutates engine state beyond
 // counters.
 func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
@@ -85,49 +86,21 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
 
-	rep := &Report{SQL: sql}
-	// The query signature is computed from a pristine graph (matching below
-	// mutates its copies with compensation boxes) and reused per candidate.
-	var qsig *catalog.Signature
-	if !e.rw.Options().NoPrune {
-		g, err := e.parse(span, sql)
-		if err != nil {
-			return nil, err
-		}
-		qsig = core.ComputeSignature(e.cat, g)
-	}
-	for _, ca := range sortedByName(e.ASTs()) {
-		// Fresh graph per candidate: matching allocates compensation boxes in
-		// the query graph, so candidates cannot share one.
-		g, err := e.parse(span, sql)
-		if err != nil {
-			return nil, err
-		}
-		cand := e.explainCandidate(g, ca)
-		// Report what the production path's signature index would decide for
-		// this candidate before full matching (EXPLAIN itself always matches,
-		// so pruned candidates still show their trace).
-		if cand.Usable && qsig != nil && !e.cat.AdmitsAST(ca.Def.Name, qsig, e.rw.Options().AllowStale) {
-			cand.Pruned = true
-			rep.CandidatesPruned++
-		}
-		rep.Candidates = append(rep.Candidates, cand)
-	}
-
-	// Reproduce Query's plan choice: cost-based selection over usable
-	// candidates, validated, falling back to the base plan.
 	g, err := e.parse(span, sql)
 	if err != nil {
 		return nil, err
 	}
-	clone := g.Clone()
-	plan := g
-	if res := e.rw.RewriteBestCostCtx(ctx, clone, e.ASTs(), e.store); res != nil {
-		if clone.Validate() == nil {
-			plan = clone
-			rep.ChosenAST = res.AST.Def.Name
-			rep.ChosenPattern = res.Match.Pattern
-			rep.EstBaseRows, rep.EstRewrittenRows = e.rw.CostEstimate(res.Match, res.AST, e.store)
+	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.astsNow()), e.store)
+	rep := &Report{SQL: sql}
+	for _, d := range decisions {
+		rep.Candidates = append(rep.Candidates, e.candidateOf(d))
+		if d.Pruned {
+			rep.CandidatesPruned++
+		}
+		if res != nil && d.AST == res.AST {
+			rep.ChosenAST = d.AST.Def.Name
+			rep.ChosenPattern = d.Match.Pattern
+			rep.EstBaseRows, rep.EstRewrittenRows = d.BaseRows, d.RewrittenRows
 		}
 	}
 	if r, err := e.runPlan(ctx, plan); err != nil {
@@ -140,53 +113,34 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	return rep, nil
 }
 
-// explainCandidate matches one summary table against a throwaway graph with
-// tracing enabled and summarizes the decision.
-func (e *Engine) explainCandidate(g *qgm.Graph, ca *core.CompiledAST) Candidate {
-	c := Candidate{AST: ca.Def.Name, Status: "fresh"}
-	st := e.cat.Status(ca.Def.Name)
+// candidateOf summarizes one selection decision as an EXPLAIN entry.
+func (e *Engine) candidateOf(d core.Decision) Candidate {
+	c := Candidate{AST: d.AST.Def.Name, Status: "fresh", Usable: d.Usable, Pruned: d.Pruned, Trace: d.Trace}
+	st := e.cat.Status(c.AST)
 	switch {
 	case st.Quarantined:
 		c.Status = "quarantined"
 	case st.Stale:
 		c.Status = "stale"
 	}
-	c.Usable = e.cat.Usable(ca.Def.Name, e.rw.Options().AllowStale)
-
-	matches, trace := e.rw.ExplainMatches(g, ca)
-	c.Trace = trace
-	if len(matches) == 0 {
+	if d.Match == nil {
 		c.FailReason = "no candidate box pairs"
-		for i := len(trace) - 1; i >= 0; i-- {
-			if !trace[i].Matched {
-				c.FailReason = trace[i].Reason
-				c.FailedPair = trace[i].Subsumee + " vs " + trace[i].Subsumer
+		for i := len(d.Trace) - 1; i >= 0; i-- {
+			if !d.Trace[i].Matched {
+				c.FailReason = d.Trace[i].Reason
+				c.FailedPair = d.Trace[i].Subsumee + " vs " + d.Trace[i].Subsumer
 				break
 			}
 		}
 		return c
 	}
-	// Summarize the candidate's best root match by cost gain (the criterion
-	// the cost-based selection applies), ties to the first established.
-	best := matches[0]
-	bestGain := gainOf(e, best, ca)
-	for _, mm := range matches[1:] {
-		if g := gainOf(e, mm, ca); g > bestGain {
-			best, bestGain = mm, g
-		}
-	}
 	c.Matched = true
-	c.Exact = best.Exact
-	c.Pattern = best.Pattern
-	c.MatchedBox = best.Subsumee.Label
-	c.Compensation = compSummary(best)
-	c.BaseRows, c.RewrittenRows = e.rw.CostEstimate(best, ca, e.store)
+	c.Exact = d.Match.Exact
+	c.Pattern = d.Match.Pattern
+	c.MatchedBox = d.Match.Subsumee.Label
+	c.Compensation = compSummary(d.Match)
+	c.BaseRows, c.RewrittenRows = d.BaseRows, d.RewrittenRows
 	return c
-}
-
-func gainOf(e *Engine, mm *core.Match, ca *core.CompiledAST) int {
-	base, rewritten := e.rw.CostEstimate(mm, ca, e.store)
-	return base - rewritten
 }
 
 // compSummary names a match's compensation by box kinds only — generated

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -80,7 +81,7 @@ func (e *env) mustRewrite(t *testing.T, querySQL string, ast *core.CompiledAST) 
 	if !usesTable(q2, ast.Def.Name) {
 		t.Fatalf("rewritten graph does not read %s:\n%s", ast.Def.Name, q2.Dump())
 	}
-	if err := q2.Validate(); err != nil {
+	if err := qgmcheck.Structural(q2); err != nil {
 		t.Fatalf("rewritten graph invalid: %v\n%s", err, q2.Dump())
 	}
 	newRes, err := e.engine.Run(q2)

@@ -290,8 +290,8 @@ func projectionOnly(mm *Match) bool {
 	return true
 }
 
-// compCounter is atomic: parallel candidate matching (RewriteBestCostCtx)
-// runs matchers concurrently, and each allocates compensation labels.
+// compCounter is atomic: concurrent queries each run a matcher, and every
+// matcher allocates compensation labels from this one counter.
 var compCounter atomic.Int64
 
 func compLabel(kind string) string {

@@ -251,10 +251,10 @@ type CachedRewrite struct {
 
 // RewriteSQLCached answers "what plan should run for this SQL" through the
 // cache: on a hit it returns a clone of the cached plan without running the
-// matcher at all; on a miss it builds the query, picks the cheapest rewrite
-// via parallel cost-based matching (validated, falling back to the base plan
-// like RewriteOrFallback), and caches the outcome — including negative
-// outcomes, so a query no AST serves stops paying match overhead too.
+// matcher at all; on a miss it builds the query, plans it exactly as
+// RewriteOrFallback does (the cheapest verified rewrite, else the base plan),
+// and caches the outcome — including negative outcomes, so a query no AST
+// serves stops paying match overhead too.
 func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql string, asts []*CompiledAST, sizer Sizer) (*CachedRewrite, error) {
 	span := obs.SpanFromContext(ctx)
 	lookup := span.Child("plancache.lookup")
@@ -272,21 +272,9 @@ func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql 
 	if err != nil {
 		return nil, err
 	}
-	clone := query.Clone()
-	var res *Result
-	if sizer != nil {
-		res = rw.RewriteBestCostCtx(ctx, clone, asts, sizer)
-	} else {
-		res = rw.RewriteBestCtx(ctx, clone, asts)
-	}
-	plan, astName = query, ""
+	plan, res := rw.plan(ctx, query, asts, sizer, nil)
 	if res != nil {
-		if err := rw.verifyRewrite(clone, asts); err != nil {
-			rw.noteDegraded(fmt.Errorf("core: discarding invalid rewrite against %q: %w", res.AST.Def.Name, err))
-			res = nil
-		} else {
-			plan, astName = clone, res.AST.Def.Name
-		}
+		astName = res.AST.Def.Name
 	}
 	rw.obsv.Add(CtrCacheEvictions, int64(cache.put(key, plan, astName)))
 	return &CachedRewrite{Plan: plan, AST: astName, Rewrite: res}, nil

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 )
 
 // qgen generates random single-block aggregation queries over trans (and
@@ -176,7 +177,7 @@ func TestPropertyRewriteSoundness(t *testing.T) {
 			continue
 		}
 		matched++
-		if verr := q2.Validate(); verr != nil {
+		if verr := qgmcheck.Structural(q2); verr != nil {
 			t.Fatalf("trial %d: invalid rewritten graph: %v\nquery: %s\nast: %s\n%s",
 				i, verr, querySQL, astSQL, q2.Dump())
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 )
 
 const resAST = `select flid, year(date) as year, count(*) as cnt
@@ -91,36 +92,72 @@ func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 	}
 }
 
-func TestMatchPanicIsRecovered(t *testing.T) {
-	faultinject.Enable(1)
-	defer faultinject.Disable()
+// TestFaultedCandidateLeavesSharedGraphUsable: all candidates of one rewrite
+// are matched on one graph, so a candidate that panics or fails mid-list must
+// not cost the candidates after it their match, nor the plan its soundness,
+// nor — through RewriteOrFallback — the caller its untouched input graph.
+func TestFaultedCandidateLeavesSharedGraphUsable(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultinject.Fault
+	}{
+		{"panic", faultinject.Fault{Panic: "injected match panic"}},
+		{"error", faultinject.Fault{Err: errors.New("injected match fault")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Enable(1)
+			defer faultinject.Disable()
 
-	e := newEnv(t, 300)
-	bad := e.registerAST(t, "panicky", resAST)
-	good := e.registerAST(t, "healthy", resAST)
-	faultinject.Set("core.match:panicky", faultinject.Fault{Panic: "injected match panic"})
+			e := newEnv(t, 300)
+			first := e.registerAST(t, "first", `select flid, faid, year(date) as year, count(*) as cnt
+				from trans group by flid, faid, year(date)`)
+			bad := e.registerAST(t, "faulty", resAST)
+			good := e.registerAST(t, "healthy", resAST)
+			faultinject.Set("core.match:faulty", tc.fault)
 
-	g, err := qgm.BuildSQL(resQuery, e.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.rw.RewriteBest(g, []*core.CompiledAST{bad, good})
-	if res == nil {
-		t.Fatal("panicking candidate prevented the healthy one from matching")
-	}
-	if res.AST.Def.Name != "healthy" {
-		t.Fatalf("rewrote against %q, want healthy", res.AST.Def.Name)
-	}
-	degs := e.rw.Degradations()
-	found := false
-	for _, d := range degs {
-		var mp *core.MatchPanicError
-		if errors.As(d, &mp) && mp.AST == "panicky" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no MatchPanicError recorded; degradations: %v", degs)
+			g, err := qgm.BuildSQL(resQuery, e.cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := g.SQL()
+			plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{first, bad, good}, e.store)
+			if res == nil {
+				t.Fatal("faulted candidate prevented the healthy ones from matching")
+			}
+			// healthy is the smaller table; it is matched after the fault.
+			if res.AST.Def.Name != "healthy" {
+				t.Fatalf("rewrote against %q, want healthy", res.AST.Def.Name)
+			}
+			if g.SQL() != before {
+				t.Fatal("input graph was mutated")
+			}
+			if err := qgmcheck.Structural(plan); err != nil {
+				t.Fatalf("spliced plan invalid: %v", err)
+			}
+			origRes, err := e.engine.Run(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newRes, err := e.engine.Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := exec.EqualResults(origRes, newRes); diff != "" {
+				t.Fatalf("results differ: %s", diff)
+			}
+
+			degs := e.rw.Degradations()
+			var mp *core.MatchPanicError
+			found := false
+			for _, d := range degs {
+				if errors.As(d, &mp) && mp.AST == "faulty" || strings.Contains(d.Error(), "injected match fault") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("fault not recorded; degradations: %v", degs)
+			}
+		})
 	}
 }
 
@@ -133,7 +170,7 @@ func TestRewriteOrFallbackNeverMutatesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.SQL()
-	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca})
+	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca}, e.store)
 	if res == nil {
 		t.Fatal("expected a rewrite")
 	}
@@ -143,7 +180,7 @@ func TestRewriteOrFallbackNeverMutatesInput(t *testing.T) {
 	if g.SQL() != before {
 		t.Fatal("input graph was mutated")
 	}
-	if err := plan.Validate(); err != nil {
+	if err := qgmcheck.Structural(plan); err != nil {
 		t.Fatalf("returned plan invalid: %v", err)
 	}
 
@@ -173,7 +210,7 @@ func TestRewriteOrFallbackReturnsBasePlanUnderPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca})
+	plan, res := e.rw.RewriteOrFallback(context.Background(), g, []*core.CompiledAST{ca}, e.store)
 	if res != nil {
 		t.Fatal("rewrite succeeded despite injected panic")
 	}
@@ -195,7 +232,7 @@ func TestRewriteBestCtxCanceledFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _ := e.rw.RewriteOrFallback(ctx, g, []*core.CompiledAST{ca})
+	plan, _ := e.rw.RewriteOrFallback(ctx, g, []*core.CompiledAST{ca}, e.store)
 	// With a dead context matching stops immediately; whatever plan comes
 	// back must still run.
 	if _, err := e.engine.Run(plan); err != nil {

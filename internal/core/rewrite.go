@@ -215,12 +215,14 @@ func (rw *Rewriter) admit(qsig *catalog.Signature, ast *CompiledAST) bool {
 // safeMatches runs the matcher for one candidate AST, converting a panic in
 // the match machinery (or an injected fault at "core.match:<name>") into "no
 // matches", so the rewrite moves on to the next candidate or the base plan.
-// Compensation boxes allocated before a panic are unreachable from the query
-// root and therefore inert.
-func (rw *Rewriter) safeMatches(ctx context.Context, query *qgm.Graph, ast *CompiledAST) (out []*Match) {
+// With trace set it also returns the matcher's decision log. Compensation
+// boxes allocated by a candidate — matched, rejected or panicked — are
+// unreachable from the query root until one match is spliced, and therefore
+// inert: every candidate of one rewrite is matched on the same graph.
+func (rw *Rewriter) safeMatches(ctx context.Context, query *qgm.Graph, ast *CompiledAST, trace bool) (out []*Match, log []TraceEntry) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = nil
+			out, log = nil, nil
 			rw.obsv.Add(CtrMatchPanics, 1)
 			rw.noteDegraded(&MatchPanicError{AST: ast.Def.Name, Value: r})
 		}
@@ -228,11 +230,15 @@ func (rw *Rewriter) safeMatches(ctx context.Context, query *qgm.Graph, ast *Comp
 	rw.obsv.Add(CtrMatchCandidates, 1)
 	if err := faultinject.Hit("core.match:" + ast.Def.Name); err != nil {
 		rw.noteDegraded(err)
-		return nil
+		return nil, nil
 	}
-	matcher := NewMatcher(rw.cat, query, ast.Graph, rw.opts)
+	opts := rw.opts
+	if trace {
+		opts.Trace = true
+	}
+	matcher := NewMatcher(rw.cat, query, ast.Graph, opts)
 	matcher.obsv = rw.obsv
-	return matcher.RunCtx(ctx)
+	return matcher.RunCtx(ctx), matcher.Trace()
 }
 
 // Result describes one successful rewrite.
@@ -253,7 +259,7 @@ func (rw *Rewriter) Rewrite(query *qgm.Graph, ast *CompiledAST) *Result {
 	if !rw.usable(ast) {
 		return nil
 	}
-	matches := rw.safeMatches(context.Background(), query, ast)
+	matches, _ := rw.safeMatches(context.Background(), query, ast, false)
 	if len(matches) == 0 {
 		return nil
 	}
@@ -270,54 +276,130 @@ func (rw *Rewriter) Rewrite(query *qgm.Graph, ast *CompiledAST) *Result {
 	return &Result{AST: ast, Match: best, Replaced: best.Subsumee}
 }
 
+// Sizer estimates table cardinalities for cost-based AST applicability —
+// problem (b) of the paper's introduction ("deciding whether an AST should
+// actually be used in answering a query", citing Chaudhuri et al.).
+// *storage.Store implements it.
+type Sizer interface {
+	TableRows(name string) int
+}
+
+// Decision is what the selection loop established about one candidate summary
+// table; EXPLAIN reports are built from it.
+type Decision struct {
+	AST    *CompiledAST
+	Usable bool // its status lets it serve rewrites (see Rewriter.usable)
+	Pruned bool // usable, but refused by the signature index before matching
+
+	// Match is the candidate's best root match under the loop's score, nil
+	// when it has none; BaseRows/RewrittenRows are that match's scan-cost
+	// estimate (zero without a Sizer).
+	Match                   *Match
+	BaseRows, RewrittenRows int
+
+	Trace []TraceEntry
+}
+
+// selectBest is the one selection loop behind every multi-candidate entry
+// point: it matches each usable, admitted candidate in turn on the query
+// graph, scores every root match, and splices the best one (mutating the
+// graph); it returns nil when no candidate scores above zero. With a Sizer the
+// score is the estimated scan-cost gain (CostEstimate: base rows minus
+// rewritten rows), so a match that is not estimated cheaper than the base plan
+// never wins, and equal gains resolve to the smaller summary-table name, which
+// makes the choice independent of the order of asts. Without one the score is
+// the height of the replaced box, the first candidate winning ties.
+//
+// All candidates share the graph: matching only allocates compensation boxes
+// beside it (see safeMatches), and the single splice at the end is the only
+// mutation a reader of the graph can observe. When the context expires,
+// matching stops and the best match established so far is applied (or none).
+//
+// A non-nil explain collects one Decision per entry of asts, in order, with
+// tracing on; unusable and pruned candidates are then matched too, for their
+// decision log, but stay out of the selection.
+func (rw *Rewriter) selectBest(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, explain *[]Decision) *Result {
+	span := obs.SpanFromContext(ctx).Child("match")
+	defer span.End()
+	qsig := rw.querySig(query)
+	var heights map[int]int
+	if sizer == nil {
+		heights = boxHeights(query)
+	}
+	var best Decision
+	bestScore := 0
+	for _, ast := range asts {
+		usable := rw.usable(ast)
+		eligible := usable && rw.admit(qsig, ast)
+		if !eligible && explain == nil {
+			continue
+		}
+		d := Decision{AST: ast, Usable: usable, Pruned: usable && !eligible}
+		score := 0
+		var matches []*Match
+		matches, d.Trace = rw.safeMatches(ctx, query, ast, explain != nil)
+		for _, mm := range matches {
+			s, base, rewritten := heights[mm.Subsumee.ID], 0, 0
+			if sizer != nil {
+				base, rewritten = rw.CostEstimate(mm, ast, sizer)
+				s = base - rewritten
+			}
+			if d.Match == nil || s > score {
+				d.Match, score, d.BaseRows, d.RewrittenRows = mm, s, base, rewritten
+			}
+		}
+		if explain != nil {
+			*explain = append(*explain, d)
+		}
+		if eligible && (score > bestScore ||
+			(score == bestScore && score > 0 && sizer != nil && ast.Def.Name < best.AST.Def.Name)) {
+			best, bestScore = d, score
+		}
+	}
+	if best.Match == nil {
+		return nil
+	}
+	rw.splice(query, best.AST, best.Match)
+	return &Result{AST: best.AST, Match: best.Match, Replaced: best.Match.Subsumee}
+}
+
 // RewriteBest tries every compiled AST and applies the one matching the
 // highest query box; it returns nil when none match. (The paper routes a
 // query towards multiple ASTs by iterating; RewriteBest is one iteration.)
 // Stale and quarantined ASTs are skipped; a candidate whose match attempt
 // panics is skipped (recovered and recorded), never fatal.
 func (rw *Rewriter) RewriteBest(query *qgm.Graph, asts []*CompiledAST) *Result {
-	return rw.RewriteBestCtx(context.Background(), query, asts)
+	return rw.selectBest(context.Background(), query, asts, nil, nil)
 }
 
-// RewriteBestCtx is RewriteBest bounded by a context; when the context
-// expires, matching stops and whatever best candidate was established so far
-// is applied (or none).
+// RewriteBestCtx is RewriteBest bounded by a context.
 func (rw *Rewriter) RewriteBestCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST) *Result {
-	span := obs.SpanFromContext(ctx).Child("match")
-	defer span.End()
-	type cand struct {
-		ast *CompiledAST
-		mm  *Match
-	}
-	heights := boxHeights(query)
-	qsig := rw.querySig(query)
-	var best *cand
-	for _, ast := range asts {
-		if !rw.usable(ast) || !rw.admit(qsig, ast) {
-			continue
-		}
-		for _, mm := range rw.safeMatches(ctx, query, ast) {
-			if best == nil || heights[mm.Subsumee.ID] > heights[best.mm.Subsumee.ID] {
-				best = &cand{ast: ast, mm: mm}
-			}
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	rw.splice(query, best.ast, best.mm)
-	return &Result{AST: best.ast, Match: best.mm, Replaced: best.mm.Subsumee}
+	return rw.selectBest(ctx, query, asts, nil, nil)
 }
 
-// RewriteOrFallback is the resilient rewrite entry point: it always returns
-// a runnable graph. It attempts the best rewrite on a clone of the query; if
-// no usable AST matches, matching panics, or the rewritten graph fails
-// validation, the original graph is returned untouched with a nil Result.
-// The input graph is never mutated, so callers can re-run it as the base
-// plan if executing the rewritten plan later fails.
-func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, asts []*CompiledAST) (*qgm.Graph, *Result) {
+// RewriteBestCost chooses among all (AST, matched box) candidates by a simple
+// scan-cost model — rows read from the AST's materialized table plus its
+// rejoined base tables, versus the base-table rows the replaced subtree would
+// read — and applies the cheapest candidate only if it actually beats the
+// base plan. It returns nil when no candidate matches or none is estimated
+// cheaper.
+func (rw *Rewriter) RewriteBestCost(query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
+	return rw.selectBest(context.Background(), query, asts, sizer, nil)
+}
+
+// RewriteBestCostCtx is RewriteBestCost bounded by a context. Like every
+// selection entry point it mutates the query graph; see selectBest.
+func (rw *Rewriter) RewriteBestCostCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
+	return rw.selectBest(ctx, query, asts, sizer, nil)
+}
+
+// plan is the one planning function behind every route that must hand back a
+// runnable graph: clone the query once, select and splice on the clone, gate
+// the result with verifyRewrite, and degrade to the untouched input graph —
+// recording why — when the gate refuses it.
+func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, explain *[]Decision) (*qgm.Graph, *Result) {
 	clone := query.Clone()
-	res := rw.RewriteBestCtx(ctx, clone, asts)
+	res := rw.selectBest(ctx, clone, asts, sizer, explain)
 	if res == nil {
 		return query, nil
 	}
@@ -328,9 +410,30 @@ func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, ast
 	return clone, res
 }
 
-// verifyRewrite gates an accepted rewrite. The structural check (a strict
-// superset of the legacy shallow qgm.Validate: pointer-identity bindings,
-// grouping-set canonicalization, scalar arity) always runs; with
+// RewriteOrFallback is the resilient rewrite entry point: it always returns
+// a runnable graph. It attempts the best rewrite — by cost when a Sizer is
+// given, by box height when it is nil — on a clone of the query; if no usable
+// AST matches (or none is estimated cheaper), matching panics, or the
+// rewritten graph fails verification, the original graph is returned
+// untouched with a nil Result. The input graph is never mutated, so callers
+// can re-run it as the base plan if executing the rewritten plan later fails.
+func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) (*qgm.Graph, *Result) {
+	return rw.plan(ctx, query, asts, sizer, nil)
+}
+
+// ExplainRewrite is RewriteOrFallback that also reports, per entry of asts,
+// what the selection established (with the matcher's decision log). The plan
+// and Result it returns are the ones RewriteOrFallback returns for the same
+// arguments: both run the same loop and the same gate.
+func (rw *Rewriter) ExplainRewrite(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) (*qgm.Graph, *Result, []Decision) {
+	decisions := make([]Decision, 0, len(asts))
+	plan, res := rw.plan(ctx, query, asts, sizer, &decisions)
+	return plan, res, decisions
+}
+
+// verifyRewrite gates an accepted rewrite. The structural check
+// (qgmcheck.Structural: shapes, pointer-identity bindings, aggregate
+// placement, grouping-set canonicalization, scalar arity) always runs; with
 // Options.VerifyPlans the full semantic checker runs too — type inference and
 // the compensation post-conditions of internal/qgmcheck, classified against
 // the candidate AST definitions. Verification failures discard the rewrite
@@ -352,137 +455,15 @@ func (rw *Rewriter) verifyRewrite(g *qgm.Graph, asts []*CompiledAST) error {
 
 // Explain runs the matcher with tracing enabled (without rewriting) and
 // returns the per-candidate-pair decision log: which box pairs matched, which
-// failed, and which of the paper's conditions rejected them.
+// failed, and which of the paper's conditions rejected them. Matching
+// allocates compensation boxes in the query graph; pass a throwaway graph.
 func (rw *Rewriter) Explain(query *qgm.Graph, ast *CompiledAST) []TraceEntry {
-	_, trace := rw.ExplainMatches(query, ast)
-	return trace
-}
-
-// ExplainMatches is Explain returning the established root matches alongside
-// the decision log, so callers (EXPLAIN reports) can also cost the candidate.
-// Matching allocates compensation boxes in the query graph; pass a throwaway
-// graph.
-func (rw *Rewriter) ExplainMatches(query *qgm.Graph, ast *CompiledAST) ([]*Match, []TraceEntry) {
-	opts := rw.opts
-	opts.Trace = true
-	matcher := NewMatcher(rw.cat, query, ast.Graph, opts)
-	matches := matcher.Run()
-	return matches, matcher.Trace()
+	_, log := rw.safeMatches(context.Background(), query, ast, true)
+	return log
 }
 
 // Options returns the rewriter's option set.
 func (rw *Rewriter) Options() Options { return rw.opts }
-
-// Sizer estimates table cardinalities for cost-based AST applicability —
-// problem (b) of the paper's introduction ("deciding whether an AST should
-// actually be used in answering a query", citing Chaudhuri et al.).
-// *storage.Store implements it.
-type Sizer interface {
-	TableRows(name string) int
-}
-
-// RewriteBestCost chooses among all (AST, matched box) candidates by a simple
-// scan-cost model — rows read from the AST's materialized table plus its
-// rejoined base tables, versus the base-table rows the replaced subtree would
-// read — and applies the cheapest candidate only if it actually beats the
-// base plan. It returns nil when no candidate matches or none is estimated
-// cheaper.
-func (rw *Rewriter) RewriteBestCost(query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
-	return rw.RewriteBestCostCtx(context.Background(), query, asts, sizer)
-}
-
-// RewriteBestCostCtx is cost-based rewrite selection with the candidate
-// matching fanned out across goroutines: each usable AST is matched against a
-// private clone of the query graph (the matcher allocates compensation boxes
-// in the query graph, so candidates cannot share one), its best cost gain is
-// computed, and the winner — by gain, then AST name, so the outcome does not
-// depend on goroutine scheduling — is re-matched against the real graph and
-// spliced. Each candidate's match runs behind the usual safeMatches recover
-// barrier; a panicking candidate drops out of the race, never the query.
-func (rw *Rewriter) RewriteBestCostCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
-	span := obs.SpanFromContext(ctx).Child("match")
-	defer span.End()
-	qsig := rw.querySig(query)
-	var usable []*CompiledAST
-	for _, ast := range asts {
-		if rw.usable(ast) && rw.admit(qsig, ast) {
-			usable = append(usable, ast)
-		}
-	}
-	if len(usable) == 0 {
-		return nil
-	}
-
-	gains := make([]int, len(usable)) // <= 0: no beneficial match
-	if len(usable) == 1 {
-		gains[0] = rw.bestGain(ctx, query.Clone(), usable[0], sizer)
-	} else {
-		var wg sync.WaitGroup
-		for i, ast := range usable {
-			wg.Add(1)
-			go func(i int, ast *CompiledAST) {
-				defer wg.Done()
-				gains[i] = rw.bestGain(ctx, query.Clone(), ast, sizer)
-			}(i, ast)
-		}
-		wg.Wait()
-	}
-
-	winner := -1
-	for i, ast := range usable {
-		if gains[i] <= 0 {
-			continue
-		}
-		if winner < 0 || gains[i] > gains[winner] ||
-			(gains[i] == gains[winner] && ast.Def.Name < usable[winner].Def.Name) {
-			winner = i
-		}
-	}
-	if winner < 0 {
-		return nil
-	}
-
-	// Re-match the winner on the real graph (matching is deterministic, so
-	// this reproduces the probed gain) and splice its best match in place.
-	type cand struct {
-		mm   *Match
-		gain int
-	}
-	var best *cand
-	for _, mm := range rw.safeMatches(ctx, query, usable[winner]) {
-		gain := rw.costGain(mm, usable[winner], sizer)
-		if gain <= 0 {
-			continue
-		}
-		if best == nil || gain > best.gain {
-			best = &cand{mm: mm, gain: gain}
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	rw.splice(query, usable[winner], best.mm)
-	return &Result{AST: usable[winner], Match: best.mm, Replaced: best.mm.Subsumee}
-}
-
-// bestGain probes one candidate on a throwaway clone of the query and returns
-// its best positive cost gain (0 when it has no beneficial match).
-func (rw *Rewriter) bestGain(ctx context.Context, clone *qgm.Graph, ast *CompiledAST, sizer Sizer) int {
-	best := 0
-	for _, mm := range rw.safeMatches(ctx, clone, ast) {
-		if gain := rw.costGain(mm, ast, sizer); gain > best {
-			best = gain
-		}
-	}
-	return best
-}
-
-// costGain estimates base-plan cost minus rewritten cost for one match, in
-// rows scanned.
-func (rw *Rewriter) costGain(mm *Match, ast *CompiledAST, sizer Sizer) int {
-	base, rewritten := rw.CostEstimate(mm, ast, sizer)
-	return base - rewritten
-}
 
 // CostEstimate returns the scan-cost model behind cost-based rewrite
 // selection, in rows read: the base plan's cost counts each base-table

@@ -1,7 +1,6 @@
 // Package qgmcheck is a deep static soundness checker for QGM graphs. It
 // verifies that a plan — original or rewritten — satisfies the invariants the
-// paper's rewrite patterns (§4.1.1–§4.2.4, §5.1, §5.2) rely on, going well
-// beyond the shallow structural audit of qgm.Validate:
+// paper's rewrite patterns (§4.1.1–§4.2.4, §5.1, §5.2) rely on:
 //
 //   - structural shape of every box kind, with cycle detection (structure/*);
 //   - cross-box column-binding resolution: every column reference resolves by
@@ -98,9 +97,8 @@ func Check(g *qgm.Graph) []Violation {
 }
 
 // Structural runs only the structural, binding, aggregate-placement and
-// grouping-set rules — a strict superset of the deprecated qgm.Validate — and
-// returns the first violation as an error. It is cheap enough for always-on
-// use on accepted rewrites.
+// grouping-set rules and returns the first violation as an error. It is cheap
+// enough for always-on use on accepted rewrites.
 func Structural(g *qgm.Graph) error {
 	ck := &run{structuralOnly: true}
 	ck.check(g)
@@ -213,8 +211,7 @@ func (r *run) checkIdentity(g *qgm.Graph, boxes []*qgm.Box) {
 	}
 }
 
-// checkShape verifies the per-kind structural invariants (the deprecated
-// qgm.Validate rules, strengthened).
+// checkShape verifies the per-kind structural invariants.
 func (r *run) checkShape(b *qgm.Box) {
 	switch b.Kind {
 	case qgm.BaseTableBox:

@@ -331,22 +331,17 @@ func TestRejectsWideScalarSubquery(t *testing.T) {
 	wantRule(t, ck, g, "binding/scalar")
 }
 
-// The deprecated shallow validator and the new Structural check agree on a
-// clean plan, and Structural additionally rejects the pointer-identity
-// corruption the shallow ID-based check cannot see.
-func TestStructuralSupersetOfValidate(t *testing.T) {
+// Structural accepts a clean plan and rejects the pointer-identity corruption
+// an ID-based check cannot see.
+func TestStructuralRejectsSameIDTwin(t *testing.T) {
 	g, _ := rewritten(t, "q4", "ast6")
-	if err := g.Validate(); err != nil {
-		t.Fatalf("qgm.Validate on clean plan: %v", err)
-	}
 	if err := qgmcheck.Structural(g); err != nil {
 		t.Fatalf("Structural on clean plan: %v", err)
 	}
 
 	// Re-point a reference at a fabricated twin of its quantifier — same ID,
 	// same child box, different pointer. That is exactly what a buggy clone
-	// leaves behind; the ID-based shallow check resolves it, pointer identity
-	// does not.
+	// leaves behind; resolving by ID accepts it, pointer identity does not.
 	mutated := false
 	for _, b := range g.Boxes() {
 		for i, c := range b.Cols {
@@ -364,10 +359,67 @@ func TestStructuralSupersetOfValidate(t *testing.T) {
 	if !mutated {
 		t.Fatal("no plain column reference to re-point")
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("shallow Validate unexpectedly rejected the same-ID twin: %v", err)
-	}
 	if err := qgmcheck.Structural(g); err == nil {
 		t.Error("Structural accepted a same-ID foreign quantifier reference")
+	}
+}
+
+// Corruptions 14–16: GROUP BY shape violations the structural gate alone must
+// name (they came over from the deleted qgm.Validate's tests, whose other
+// negative cases are corruptions 1, 2 and 10 above).
+func TestStructuralRejectsGroupByShapeCorruptions(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(gb *qgm.Box)
+		rule    string
+	}{
+		{"predicate on a GROUP BY box", func(gb *qgm.Box) {
+			gb.Preds = append(gb.Preds, &qgm.Const{Val: sqltypes.NewBool(true)})
+		}, "structure/groupby"},
+		{"grouping-set position out of range", func(gb *qgm.Box) {
+			gb.GroupingSets = [][]int{{5}}
+		}, "gsets/canonical"},
+		{"non-aggregate extra output", func(gb *qgm.Box) {
+			gb.Cols = append(gb.Cols, qgm.QCL{Name: "bad", Expr: &qgm.Bin{
+				Op: "+",
+				L:  &qgm.ColRef{Q: gb.Quantifiers[0], Col: 0},
+				R:  &qgm.Const{Val: sqltypes.NewInt(1)},
+			}})
+		}, "structure/groupby"},
+	}
+	env := bench.NewEnv(60, core.Options{})
+	for _, tc := range cases {
+		g := qgm.MustBuildSQL("select faid, count(*) as c from trans group by faid", env.Cat)
+		tc.corrupt(g.Root.Child())
+		err := qgmcheck.Structural(g)
+		if err == nil || !strings.Contains(err.Error(), tc.rule) {
+			t.Errorf("%s: want a %s violation, got %v", tc.name, tc.rule, err)
+		}
+	}
+}
+
+// Every statement shape the builder produces — and its clone — passes the
+// structural gate.
+func TestBuiltAndClonedGraphsStructural(t *testing.T) {
+	env := bench.NewEnv(60, core.Options{})
+	for _, sql := range []string{
+		"select tid, qty from trans where qty > 1",
+		"select faid, count(*) as c from trans group by faid having count(*) > 2",
+		"select faid, flid, count(*) as c from trans group by rollup(faid, flid)",
+		"select distinct faid, flid from trans",
+		"select tid, (select count(*) from loc) as n from trans",
+		"select y, count(*) as c from (select year(date) as y from trans) d group by y",
+		"select state, count(*) as c from trans, loc where flid = lid and qty > 2 group by state having count(*) > 1",
+	} {
+		g, err := qgm.BuildSQL(sql, env.Cat)
+		if err != nil {
+			t.Fatalf("build %q: %v", sql, err)
+		}
+		if err := qgmcheck.Structural(g); err != nil {
+			t.Errorf("Structural(%q): %v", sql, err)
+		}
+		if err := qgmcheck.Structural(g.Clone()); err != nil {
+			t.Errorf("Structural(clone of %q): %v", sql, err)
+		}
 	}
 }
