@@ -23,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -33,6 +31,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
+	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
@@ -81,32 +80,34 @@ type Engine struct {
 	// verifyPlans checks every parsed graph with qgmcheck (WithVerifyPlans).
 	verifyPlans bool
 
-	// The AST set and its derived maintenance plans are read on every Query
-	// and published RCU-style: asts always points at an immutable slice that
-	// readers load with one atomic op and never mutate; writers (summary-table
-	// registration) serialize on mu, build a fresh slice, and swap the
-	// pointer. plans caches the maintenance analysis for the published set; a
-	// nil pointer means "recompute" and is the write side's invalidation.
-	// Engine bookkeeping therefore never serializes concurrent Query calls.
-	mu    sync.Mutex // serializes AST-set writers; readers use asts/plans
-	asts  atomic.Pointer[[]*core.CompiledAST]
-	plans atomic.Pointer[[]*maintain.Plan]
+	// set is read on every Query and every DML statement with one atomic
+	// load; registering a summary table publishes the next generation, so
+	// engine bookkeeping never serializes concurrent Query calls.
+	set rcu.Cell[astSet]
 }
 
-// astsNow returns the published AST set. The slice is immutable by contract:
-// callers (and everything they pass it to) must not append to or reorder it.
-func (e *Engine) astsNow() []*core.CompiledAST {
-	if p := e.asts.Load(); p != nil {
-		return *p
-	}
-	return nil
+// astSet is one generation of the registered summary tables: the compiled
+// definitions in registration order and, index for index, the maintenance
+// plan of each. Both slices are immutable once published — callers, and
+// everything they pass them to, must not append to or reorder them.
+type astSet struct {
+	asts  []*core.CompiledAST
+	plans []*maintain.Plan
 }
 
-// setASTs publishes a new AST set and invalidates the derived maintenance
-// plans. Callers must hold e.mu (or be the constructor, pre-publication).
-func (e *Engine) setASTs(asts []*core.CompiledAST) {
-	e.asts.Store(&asts)
-	e.plans.Store(nil)
+// register publishes the set extended by the given summary tables, analyzing
+// each for maintenance.
+func (e *Engine) register(asts ...*core.CompiledAST) {
+	e.set.Update(func(s astSet) astSet {
+		next := astSet{
+			asts:  append(s.asts[:len(s.asts):len(s.asts)], asts...),
+			plans: s.plans[:len(s.plans):len(s.plans)],
+		}
+		for _, ca := range asts {
+			next.plans = append(next.plans, e.maint.Analyze(ca))
+		}
+		return next
+	})
 }
 
 // settings accumulates functional options.
@@ -181,7 +182,7 @@ func Open(cat *catalog.Catalog, options ...Option) (*Engine, error) {
 	rw := core.NewRewriter(cat, c.coreOpts)
 	e := assemble(cat, store, exec.NewEngine(store), rw, c)
 	asts, err := rw.CompileAll()
-	e.setASTs(asts)
+	e.register(asts...)
 	return e, err
 }
 
@@ -195,7 +196,7 @@ func Wrap(rw *core.Rewriter, exe *exec.Engine, asts []*core.CompiledAST, options
 		o(&c)
 	}
 	e := assemble(rw.Catalog(), exe.Store(), exe, rw, c)
-	e.setASTs(append([]*core.CompiledAST(nil), asts...))
+	e.register(asts...)
 	return e
 }
 
@@ -240,9 +241,9 @@ func (e *Engine) Observer() *obs.Observer { return e.obsv }
 func (e *Engine) Snapshot() obs.Snapshot { return e.obsv.Snapshot() }
 
 // ASTs returns the compiled summary tables, in registration order. The
-// returned slice is the caller's to mutate; internal hot paths use astsNow.
+// returned slice is the caller's to mutate.
 func (e *Engine) ASTs() []*core.CompiledAST {
-	return append([]*core.CompiledAST(nil), e.astsNow()...)
+	return append([]*core.CompiledAST(nil), e.set.Load().asts...)
 }
 
 // Degradations drains the degradation errors (recovered match panics,
@@ -301,7 +302,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 		}
 		return e.queryGraph(ctx, g)
 	}
-	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.astsNow(), e.store)
+	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store)
 	if err != nil {
 		return nil, compileError(err)
 	}
@@ -337,7 +338,7 @@ func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 }
 
 func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	plan, res := e.rw.RewriteOrFallback(ctx, query, e.astsNow(), e.store)
+	plan, res := e.rw.RewriteOrFallback(ctx, query, e.set.Load().asts, e.store)
 	r, err := e.runPlan(ctx, plan)
 	if err == nil {
 		ans := &Answer{Result: r, Plan: plan, Rewrite: res}
@@ -367,7 +368,7 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
 	if e.cache != nil && len(only) == 0 {
-		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.astsNow(), e.store)
+		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store)
 		if err != nil {
 			return nil, compileError(err)
 		}
@@ -416,7 +417,7 @@ func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 // itself; the filtered case builds a fresh slice — filtering in place would
 // scribble on the immutable published set.
 func (e *Engine) selectASTs(names []string) []*core.CompiledAST {
-	asts := e.astsNow()
+	asts := e.set.Load().asts
 	if len(names) == 0 {
 		return asts
 	}
@@ -480,12 +481,7 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 		return nil, 0, fmt.Errorf("astdb: materializing %s: %w", name, err)
 	}
 	e.store.Put(ca.Table, res.Rows)
-	e.mu.Lock()
-	old := e.astsNow()
-	next := make([]*core.CompiledAST, 0, len(old)+1)
-	next = append(append(next, old...), ca)
-	e.setASTs(next)
-	e.mu.Unlock()
+	e.register(ca)
 	return ca, len(res.Rows), nil
 }
 
@@ -514,7 +510,7 @@ func (e *Engine) Insert(ctx context.Context, table string, rows [][]sqltypes.Val
 	if _, ok := e.store.Table(table); !ok {
 		e.store.Create(meta)
 	}
-	return e.maint.ApplyInsert(e.maintPlans(), table, rows)
+	return e.maint.ApplyInsert(e.set.Load().plans, table, rows)
 }
 
 // Refresh fully recomputes summary tables from the current base data: the
@@ -530,7 +526,7 @@ func (e *Engine) Refresh(ctx context.Context, names ...string) ([]maintain.Stats
 	}
 	var out []maintain.Stats
 	var errs []error
-	for _, p := range e.maintPlans() {
+	for _, p := range e.set.Load().plans {
 		if len(names) > 0 && !want[p.AST.Def.Name] {
 			continue
 		}
@@ -541,27 +537,6 @@ func (e *Engine) Refresh(ctx context.Context, names ...string) ([]maintain.Stats
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// maintPlans returns the maintenance plans for the current AST set, reusing
-// the analysis until the set changes. The steady state is one atomic load;
-// only the first call after an AST-set change pays the analysis under mu.
-func (e *Engine) maintPlans() []*maintain.Plan {
-	if p := e.plans.Load(); p != nil {
-		return *p
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p := e.plans.Load(); p != nil {
-		return *p
-	}
-	asts := e.astsNow()
-	plans := make([]*maintain.Plan, 0, len(asts))
-	for _, ca := range asts {
-		plans = append(plans, e.maint.Analyze(ca))
-	}
-	e.plans.Store(&plans)
-	return plans
 }
 
 // sortedByName orders compiled ASTs by name (for deterministic reporting).

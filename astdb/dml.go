@@ -33,7 +33,7 @@ func (e *Engine) Delete(ctx context.Context, sql string) (*DMLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, stats, err := e.maint.ApplyDelete(e.maintPlans(), dml)
+	n, stats, err := e.maint.ApplyDelete(e.set.Load().plans, dml)
 	return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
 }
 
@@ -48,7 +48,7 @@ func (e *Engine) Update(ctx context.Context, sql string) (*DMLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, stats, err := e.maint.ApplyUpdate(e.maintPlans(), dml)
+	n, stats, err := e.maint.ApplyUpdate(e.set.Load().plans, dml)
 	return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
 }
 
@@ -231,7 +231,7 @@ func (e *Engine) ExplainDML(ctx context.Context, sql string) (*MaintenanceReport
 		return nil, err
 	}
 	rep := &MaintenanceReport{Statement: stmt.(parser.Statement).SQL(), Kind: dml.Kind.String(), Table: dml.Table.Name}
-	plans := e.maintPlans()
+	plans := e.set.Load().plans
 	for _, ca := range sortedByName(e.ASTs()) {
 		var p *maintain.Plan
 		for _, cand := range plans {

@@ -90,7 +90,7 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.astsNow()), e.store)
+	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.set.Load().asts), e.store)
 	rep := &Report{SQL: sql}
 	for _, d := range decisions {
 		rep.Candidates = append(rep.Candidates, e.candidateOf(d))

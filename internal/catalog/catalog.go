@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 )
 
@@ -99,12 +99,10 @@ type ASTDef struct {
 
 // Catalog is the metadata store. Schema mutation (AddTable, RegisterAST, …)
 // is not safe for concurrent use; the read path (lookups) is safe once
-// populated. AST freshness state is published RCU-style: readers (Status,
-// Usable, plan-cache fingerprinting) load an immutable snapshot through an
-// atomic pointer and take no lock; writer transitions (MarkFresh, MarkStale,
-// RecordRefreshFailure) serialize on statusMu, build a replacement snapshot,
-// and swap it in. Maintenance may therefore mark ASTs stale/fresh while
-// every concurrent query-path freshness check stays contention-free.
+// populated. AST freshness and the signature index are rcu maps: readers
+// (Status, Usable, AdmitsAST, plan-cache fingerprinting) take one atomic load
+// and no lock, so maintenance may mark ASTs stale or fresh while every
+// concurrent query-path check stays contention-free.
 type Catalog struct {
 	tables   map[string]*Table
 	tableIDs map[string]int // stable numeric IDs for signature bitmaps
@@ -112,47 +110,28 @@ type Catalog struct {
 	fkEdges  []fkEdge // fks as table IDs, for the signature index
 	asts     []ASTDef
 
-	statusMu        sync.Mutex // serializes status writers; readers use status
-	status          atomic.Pointer[statusSnap]
-	quarantineAfter int           // guarded by statusMu
+	// status maps a lowercased AST name to its freshness; an absent name has
+	// the zero status. Every transition is one publication, so Status, Usable
+	// and AdmitsAST can never disagree about a table.
+	status          rcu.Map[string, ASTStatus]
+	quarantineAfter atomic.Int64
 	obsv            *obs.Observer // nil = observability disabled
 
-	sigs sigIndex // candidate-pruning signature index (signature.go)
+	// sigs is the candidate-pruning signature index (signature.go), keyed
+	// like status.
+	sigs rcu.Map[string, *Signature]
 }
 
-// statusSnap is one immutable published generation of every AST's freshness
-// state. Readers must not mutate the map; writers replace the whole snapshot
-// under statusMu (copy, mutate the copy, atomically publish).
-type statusSnap struct {
-	byName map[string]ASTStatus
-}
-
-// statusNow returns the current snapshot map (nil for a catalog that never
-// recorded a transition — every AST then has the zero status).
-func (c *Catalog) statusNow() map[string]ASTStatus {
-	if s := c.status.Load(); s != nil {
-		return s.byName
-	}
-	return nil
-}
-
-// mutateStatus applies f to the named AST's status in a copied snapshot and
-// publishes the copy, returning the updated status. It is the single writer
-// seam: every transition goes through here, so the published snapshot is
-// always a complete, immutable generation.
-func (c *Catalog) mutateStatus(name string, f func(*ASTStatus)) ASTStatus {
+// transition applies f to the named AST's status and publishes the result,
+// returning it. Every freshness change goes through here.
+func (c *Catalog) transition(name string, f func(*ASTStatus)) ASTStatus {
 	name = strings.ToLower(name)
-	c.statusMu.Lock()
-	old := c.statusNow()
-	next := make(map[string]ASTStatus, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	st := next[name]
-	f(&st)
-	next[name] = st
-	c.status.Store(&statusSnap{byName: next})
-	c.statusMu.Unlock()
+	var st ASTStatus
+	c.status.Update(func(draft map[string]ASTStatus) {
+		st = draft[name]
+		f(&st)
+		draft[name] = st
+	})
 	return st
 }
 
@@ -163,11 +142,12 @@ const DefaultQuarantineThreshold = 3
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables:          make(map[string]*Table),
-		tableIDs:        make(map[string]int),
-		quarantineAfter: DefaultQuarantineThreshold,
+	c := &Catalog{
+		tables:   make(map[string]*Table),
+		tableIDs: make(map[string]int),
 	}
+	c.quarantineAfter.Store(DefaultQuarantineThreshold)
+	return c
 }
 
 // AddTable registers a table schema. It returns an error on duplicate names
@@ -368,18 +348,8 @@ func (c *Catalog) UnregisterAST(name string) {
 		}
 	}
 	c.asts = out
-	c.statusMu.Lock()
-	if old := c.statusNow(); len(old) > 0 {
-		next := make(map[string]ASTStatus, len(old))
-		for k, v := range old {
-			if k != name {
-				next[k] = v
-			}
-		}
-		c.status.Store(&statusSnap{byName: next})
-	}
-	c.statusMu.Unlock()
-	c.sigs.remove(name)
+	c.status.Update(func(draft map[string]ASTStatus) { delete(draft, name) })
+	c.sigs.Update(func(draft map[string]*Signature) { delete(draft, name) })
 }
 
 // ASTStatus is the runtime freshness state of one AST. The zero value means
@@ -408,32 +378,30 @@ func (c *Catalog) SetObserver(o *obs.Observer) { c.obsv = o }
 // SetQuarantineThreshold overrides the consecutive-failure count that trips
 // the circuit breaker. n <= 0 restores the default.
 func (c *Catalog) SetQuarantineThreshold(n int) {
-	c.statusMu.Lock()
-	defer c.statusMu.Unlock()
 	if n <= 0 {
 		n = DefaultQuarantineThreshold
 	}
-	c.quarantineAfter = n
+	c.quarantineAfter.Store(int64(n))
 }
 
 // Status returns a copy of the AST's freshness state (zero value when the
 // AST was never refreshed or marked). It is lock-free: the query path calls
 // it once per registered AST per plan-cache lookup.
 func (c *Catalog) Status(name string) ASTStatus {
-	return c.statusNow()[strings.ToLower(name)]
+	st, _ := c.status.Get(strings.ToLower(name))
+	return st
 }
 
 // MarkFresh records a successful refresh: bumps the epoch, clears staleness
 // and quarantine, and resets the failure counter. A successful full
 // recompute is the only way out of quarantine.
 func (c *Catalog) MarkFresh(name string) {
-	c.mutateStatus(name, func(st *ASTStatus) {
+	c.transition(name, func(st *ASTStatus) {
 		st.Epoch++
 		st.Stale = false
 		st.Quarantined = false
 		st.Failures = 0
 	})
-	c.sigs.mark(strings.ToLower(name), false, false)
 	c.obsv.Add("catalog.ast.fresh", 1)
 	if c.obsv.Enabled() {
 		c.obsv.Emit("catalog.fresh", name)
@@ -444,10 +412,9 @@ func (c *Catalog) MarkFresh(name string) {
 // a refresh failure (used when a read of the materialized table fails, or a
 // base insert lands without the AST being refreshed).
 func (c *Catalog) MarkStale(name string) {
-	st := c.mutateStatus(name, func(st *ASTStatus) {
+	c.transition(name, func(st *ASTStatus) {
 		st.Stale = true
 	})
-	c.sigs.mark(strings.ToLower(name), true, st.Quarantined)
 	c.obsv.Add("catalog.ast.stale", 1)
 	if c.obsv.Enabled() {
 		c.obsv.Emit("catalog.stale", name)
@@ -459,15 +426,14 @@ func (c *Catalog) MarkStale(name string) {
 // reached. It returns the updated status.
 func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
 	tripped := false
-	out := c.mutateStatus(name, func(st *ASTStatus) {
+	out := c.transition(name, func(st *ASTStatus) {
 		st.Stale = true
 		st.Failures++
-		if st.Failures >= c.quarantineAfter { // quarantineAfter: statusMu held
+		if int64(st.Failures) >= c.quarantineAfter.Load() {
 			tripped = !st.Quarantined
 			st.Quarantined = true
 		}
 	})
-	c.sigs.mark(strings.ToLower(name), out.Stale, out.Quarantined)
 	c.obsv.Add("catalog.ast.refresh_failures", 1)
 	if tripped {
 		c.obsv.Add("catalog.ast.quarantines", 1)
@@ -486,7 +452,7 @@ func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
 // Lock-free (one atomic snapshot load), so per-candidate checks on the query
 // path never serialize against maintenance transitions.
 func (c *Catalog) Usable(name string, allowStale bool) bool {
-	st := c.statusNow()[strings.ToLower(name)]
+	st := c.Status(name)
 	if st.Quarantined {
 		return false
 	}

@@ -254,3 +254,18 @@ func TestUnregisterASTClearsStatus(t *testing.T) {
 		t.Fatalf("status survived unregister: %+v", st)
 	}
 }
+
+// TestStatusIsAllocationFree pins the query path's freshness check — once per
+// registered summary table per plan-cache lookup — at zero allocations.
+func TestStatusIsAllocationFree(t *testing.T) {
+	c := New()
+	c.MarkFresh("a1")
+	c.MarkStale("a2")
+	if got := testing.AllocsPerRun(1000, func() {
+		if c.Status("a1").Stale || !c.Status("a2").Stale || c.Status("absent").Epoch != 0 {
+			t.Fatal("wrong status")
+		}
+	}); got != 0 {
+		t.Fatalf("Status allocates %v per run, want 0", got)
+	}
+}

@@ -3,8 +3,6 @@ package catalog
 import (
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the candidate-pruning signature index. At AST compile time the
@@ -159,72 +157,6 @@ type Signature struct {
 	UnsliceableCube bool
 }
 
-// sigEntry is one AST's index entry: the signature plus freshness flags
-// mirrored from ASTStatus on every transition, so admission checks never take
-// the status mutex. Entries are immutable once published — a freshness
-// transition replaces the entry (sharing the Signature pointer), never
-// mutates it in place.
-type sigEntry struct {
-	sig         *Signature
-	stale       bool
-	quarantined bool
-}
-
-// sigIndex is the per-catalog signature index. Like AST status, it is
-// published RCU-style: the entry map behind the atomic pointer is immutable,
-// readers (AdmitsAST — once per candidate per uncached rewrite) load it with
-// no lock, and writers serialize on mu, copy, and swap.
-type sigIndex struct {
-	mu      sync.Mutex // serializes writers; readers use entries
-	entries atomic.Pointer[map[string]*sigEntry]
-}
-
-// load returns the current immutable entry map (nil when empty).
-func (x *sigIndex) load() map[string]*sigEntry {
-	if m := x.entries.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// replace publishes a copy of the current map with name set to e (or deleted
-// when e is nil). Callers must hold x.mu.
-func (x *sigIndex) replace(name string, e *sigEntry) {
-	old := x.load()
-	next := make(map[string]*sigEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	if e == nil {
-		delete(next, name)
-	} else {
-		next[name] = e
-	}
-	x.entries.Store(&next)
-}
-
-func (x *sigIndex) set(name string, e *sigEntry) {
-	x.mu.Lock()
-	x.replace(name, e)
-	x.mu.Unlock()
-}
-
-func (x *sigIndex) remove(name string) {
-	x.mu.Lock()
-	x.replace(name, nil)
-	x.mu.Unlock()
-}
-
-// mark updates the mirrored freshness flags of an entry, if present, by
-// swapping in a replacement entry sharing the same signature.
-func (x *sigIndex) mark(name string, stale, quarantined bool) {
-	x.mu.Lock()
-	if e := x.load()[name]; e != nil {
-		x.replace(name, &sigEntry{sig: e.sig, stale: stale, quarantined: quarantined})
-	}
-	x.mu.Unlock()
-}
-
 // TableID returns the stable numeric ID of a table name. IDs are assigned by
 // AddTable and survive DropTable, so a re-materialized AST output table keeps
 // its ID.
@@ -234,40 +166,33 @@ func (c *Catalog) TableID(name string) (int, bool) {
 }
 
 // SetASTSignature inserts (or replaces) the named AST's signature index
-// entry, seeding the mirrored freshness flags from the current status.
+// entry.
 func (c *Catalog) SetASTSignature(name string, sig *Signature) {
 	name = strings.ToLower(name)
-	st := c.Status(name)
-	c.sigs.set(name, &sigEntry{sig: sig, stale: st.Stale, quarantined: st.Quarantined})
+	c.sigs.Update(func(draft map[string]*Signature) { draft[name] = sig })
 }
 
 // ASTSignature returns the indexed signature for the named AST, if any.
 func (c *Catalog) ASTSignature(name string) (*Signature, bool) {
-	e := c.sigs.load()[strings.ToLower(name)]
-	if e == nil {
-		return nil, false
-	}
-	return e.sig, true
+	return c.sigs.Get(strings.ToLower(name))
 }
 
 // AdmitsAST is the index-side admission check consulted once per (query, AST)
 // pair before full matching. It returns false only when the index can prove
-// the AST cannot serve the query: its mirrored freshness forbids use
-// (quarantined always, stale unless allowStale), or its signature fails one
-// of the conservative refutation rules against the query signature q. ASTs
-// without an index entry, and nil query signatures, are always admitted.
+// the AST cannot serve the query: its freshness forbids use (Usable), or its
+// signature fails one of the conservative refutation rules against the query
+// signature q. ASTs without an index entry, and nil query signatures, are
+// always admitted.
 func (c *Catalog) AdmitsAST(name string, q *Signature, allowStale bool) bool {
-	e := c.sigs.load()[strings.ToLower(name)]
-	if e == nil {
+	name = strings.ToLower(name)
+	sig, ok := c.sigs.Get(name)
+	if !ok {
 		return true
 	}
-	if e.quarantined || (e.stale && !allowStale) {
+	if !c.Usable(name, allowStale) {
 		return false
 	}
-	if q == nil || e.sig == nil {
-		return true
-	}
-	return c.SignatureAdmits(e.sig, q)
+	return c.SignatureAdmits(sig, q)
 }
 
 // SignatureAdmits applies the conservative refutation rules R1–R5 (DESIGN.md

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -27,9 +28,9 @@ func sigCatalog(t *testing.T) (*Catalog, *Signature) {
 	return c, sig
 }
 
-// TestSignatureIndexStaleness: the index's mirrored freshness flags must track
-// every status transition, so pruning never admits an AST that Usable would
-// reject — and re-admits it as soon as Usable would.
+// TestSignatureIndexStaleness: admission must track every status transition,
+// so pruning never admits an AST that Usable would reject — and re-admits it
+// as soon as Usable would.
 func TestSignatureIndexStaleness(t *testing.T) {
 	c, sig := sigCatalog(t)
 	c.MustRegisterAST(ASTDef{Name: "a1", SQL: "select id from t"})
@@ -97,9 +98,8 @@ func TestSignatureIndexStaleness(t *testing.T) {
 	}
 }
 
-// TestSignatureIndexSeedsFromStatus: inserting a signature for an AST that is
-// already stale or quarantined must seed the mirrored flags from the current
-// status, not assume freshness.
+// TestSignatureIndexSeedsFromStatus: a signature inserted for an AST that is
+// already stale or quarantined must not make it look fresh.
 func TestSignatureIndexSeedsFromStatus(t *testing.T) {
 	c, sig := sigCatalog(t)
 	c.MustRegisterAST(ASTDef{Name: "a2", SQL: "select id from t"})
@@ -111,4 +111,76 @@ func TestSignatureIndexSeedsFromStatus(t *testing.T) {
 	if !c.AdmitsAST("a2", sig, true) {
 		t.Fatal("already-stale AST must still be admitted under allowStale")
 	}
+}
+
+// TestTransitionIsOnePublication: freshness lives in one place, so the moment
+// MarkStale, RecordRefreshFailure or MarkFresh returns, Status, Usable and
+// AdmitsAST all tell the new story — and a concurrent reader that sees the
+// same Status before and after asking the other two never gets an answer that
+// contradicts it (with freshness mirrored into the signature index, admission
+// could lag a transition). Run under -race.
+func TestTransitionIsOnePublication(t *testing.T) {
+	c, sig := sigCatalog(t)
+	c.MustRegisterAST(ASTDef{Name: "a1", SQL: "select id from t"})
+	c.SetASTSignature("a1", sig)
+	usable := func(st ASTStatus, allowStale bool) bool {
+		return !st.Quarantined && (allowStale || !st.Stale)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, allowStale := range []bool{false, true} {
+					before := c.Status("a1")
+					u, a := c.Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale)
+					if after := c.Status("a1"); after != before {
+						continue // a transition landed in between: nothing to compare
+					}
+					if want := usable(before, allowStale); u != want || a != want {
+						t.Errorf("status %+v allowStale=%v: Usable=%v AdmitsAST=%v, want both %v",
+							before, allowStale, u, a, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	agree := func(step string, want ASTStatus) {
+		t.Helper()
+		if got := c.Status("a1"); got != want {
+			t.Fatalf("%s: status %+v, want %+v", step, got, want)
+		}
+		for _, allowStale := range []bool{false, true} {
+			w := usable(want, allowStale)
+			if u, a := c.Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale); u != w || a != w {
+				t.Fatalf("%s allowStale=%v: Usable=%v AdmitsAST=%v, want both %v", step, allowStale, u, a, w)
+			}
+		}
+	}
+	for round := int64(0); round < 200; round++ {
+		c.MarkStale("a1")
+		agree("MarkStale", ASTStatus{Epoch: round, Stale: true})
+		for f := 1; f <= DefaultQuarantineThreshold; f++ {
+			got := c.RecordRefreshFailure("a1")
+			agree("RecordRefreshFailure", ASTStatus{Epoch: round, Stale: true, Failures: f,
+				Quarantined: f == DefaultQuarantineThreshold})
+			if got != c.Status("a1") {
+				t.Fatalf("RecordRefreshFailure returned %+v, published %+v", got, c.Status("a1"))
+			}
+		}
+		c.MarkFresh("a1")
+		agree("MarkFresh", ASTStatus{Epoch: round + 1})
+	}
+	close(stop)
+	wg.Wait()
 }

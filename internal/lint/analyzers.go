@@ -8,8 +8,8 @@ import (
 )
 
 // All returns the full analyzer suite, in reporting order. The first group
-// is syntactic; the last four are the flow-sensitive go/types analyzers
-// (publish-freeze, chunk-freeze, unlock-paths, and the typed
+// is syntactic; rcu-publish is typed; the last three are the flow-sensitive
+// go/types analyzers (chunk-freeze, unlock-paths, and the typed
 // mutex-discipline) built on the CFG dataflow engine.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -18,7 +18,7 @@ func All() []*Analyzer {
 		CtxFirst,
 		ObsNilGuard,
 		StorageRows,
-		PublishFreeze,
+		RCUPublish,
 		ChunkFreeze,
 		UnlockPaths,
 		MutexDiscipline,

@@ -374,3 +374,129 @@ func checkFrozenWrites(p *Package, aliases *aliasSets, s *chunkFacts, n ast.Node
 		}
 	})
 }
+
+// ---- aliases ----
+//
+// Aliases are tracked with a flow-insensitive union-find over the function:
+// plain assignments, &x, composite literals mentioning a root, builtin append
+// pass-through, and range binds all merge classes; call results are assumed
+// fresh (constructors dominate; an identity-returning helper would be a blind
+// spot, noted in DESIGN.md §16).
+
+// aliasSets is the union-find over a function's variables.
+type aliasSets struct {
+	parent map[types.Object]types.Object
+}
+
+func newAliasSets() *aliasSets { return &aliasSets{parent: map[types.Object]types.Object{}} }
+
+func (a *aliasSets) find(o types.Object) types.Object {
+	p, ok := a.parent[o]
+	if !ok || p == o {
+		return o
+	}
+	r := a.find(p)
+	a.parent[o] = r
+	return r
+}
+
+func (a *aliasSets) union(x, y types.Object) {
+	rx, ry := a.find(x), a.find(y)
+	if rx != ry {
+		a.parent[rx] = ry
+	}
+}
+
+// classOf returns every known object in o's alias class (including o).
+func (a *aliasSets) classOf(o types.Object) []types.Object {
+	root := a.find(o)
+	out := []types.Object{o}
+	for k := range a.parent {
+		if k != o && a.find(k) == root {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// aliasRoots collects the identifiers in e whose memory the value of e may
+// share: idents through selectors/indexes/addr-of/slices, composite-literal
+// elements, and builtin append pass-through. Call results are assumed fresh.
+func aliasRoots(info *types.Info, e ast.Expr, out []types.Object) []types.Object {
+	switch x := e.(type) {
+	case *ast.Ident:
+		if o := info.Uses[x]; o != nil {
+			if _, ok := o.(*types.Var); ok {
+				out = append(out, o)
+			}
+		}
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr, *ast.SliceExpr:
+		if o := rootObj(info, e); o != nil {
+			out = append(out, o)
+		}
+	case *ast.ParenExpr:
+		out = aliasRoots(info, x.X, out)
+	case *ast.UnaryExpr:
+		out = aliasRoots(info, x.X, out)
+	case *ast.TypeAssertExpr:
+		out = aliasRoots(info, x.X, out)
+	case *ast.CompositeLit:
+		for _, el := range x.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			out = aliasRoots(info, el, out)
+		}
+	case *ast.CallExpr:
+		if isBuiltin(info, x, "append") {
+			for _, arg := range x.Args {
+				out = aliasRoots(info, arg, out)
+			}
+		}
+	}
+	return out
+}
+
+// buildAliases runs the flow-insensitive alias pass over a body.
+func buildAliases(info *types.Info, body *ast.BlockStmt) *aliasSets {
+	a := newAliasSets()
+	link := func(lhs ast.Expr, rhs ast.Expr) {
+		l := rootObj(info, lhs)
+		if l == nil {
+			return
+		}
+		for _, r := range aliasRoots(info, rhs, nil) {
+			a.union(l, r)
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					link(n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.GenDecl:
+			for _, spec := range n.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok || len(vs.Names) != len(vs.Values) {
+					continue
+				}
+				for i := range vs.Names {
+					link(vs.Names[i], vs.Values[i])
+				}
+			}
+		case *ast.RangeStmt:
+			// Key/value bind aliases the ranged container's memory.
+			if n.Value != nil {
+				link(n.Value, n.X)
+			}
+			if n.Key != nil {
+				link(n.Key, n.X)
+			}
+		}
+		return true
+	})
+	return a
+}

@@ -3,14 +3,15 @@
 // golang.org/x/tools) enforcing the repo's architectural invariants. The
 // syntactic analyzers police determinism of the planning packages, deprecated
 // APIs, context-first entry points, and nil-receiver-safe observers; the
-// flow-sensitive suite (publish-freeze, chunk-freeze, unlock-paths,
-// mutex-discipline) builds a control-flow graph per function and runs forward
-// dataflow over it to verify the lock-free serving path's publish/freeze
-// discipline — see DESIGN.md §16 for the invariant catalogue and the engine's
-// limits. The cmd/astlint CLI runs every analyzer over the module and exits
-// non-zero on unsuppressed findings; //lint:ignore <rule> <reason> suppresses
-// one finding and is counted, never silent. The analyzers are data, so tests
-// seed violations through ParseSource and assert each one fires.
+// typed rcu-publish rule keeps lock-free publication inside internal/rcu; the
+// flow-sensitive suite (chunk-freeze, unlock-paths, mutex-discipline) builds
+// a control-flow graph per function and runs forward dataflow over it to
+// verify the chunk seal and the locking contracts — see DESIGN.md §16 for the
+// invariant catalogue and the engine's limits. The cmd/astlint CLI runs every
+// analyzer over the module and exits non-zero on unsuppressed findings;
+// //lint:ignore <rule> <reason> suppresses one finding and is counted, never
+// silent. The analyzers are data, so tests seed violations through
+// ParseSource and assert each one fires.
 package lint
 
 import (
@@ -155,8 +156,10 @@ func LoadModule(root string) ([]*Package, error) {
 // the seam the per-analyzer tests use to seed violations. The fixture may
 // claim any import path (e.g. "repro/internal/storage") so typed rules keyed
 // on (package path, type name) match against locally declared stand-in types;
-// stdlib imports resolve for real.
-func ParseSource(importPath, filename, src string) (*Package, error) {
+// stdlib imports resolve for real, and so do imports of the given deps
+// (packages ParseSource returned earlier — how a fixture gets the real
+// internal/rcu). What fails to type-check is reported in TypeErrs.
+func ParseSource(importPath, filename, src string, deps ...*Package) (*Package, error) {
 	fset := token.NewFileSet()
 	af, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
@@ -172,7 +175,11 @@ func ParseSource(importPath, filename, src string) (*Package, error) {
 			Test: strings.HasSuffix(filename, "_test.go"),
 		}},
 	}
-	typeCheckPackage(p, nil)
+	imp := &modImporter{done: map[string]*types.Package{}}
+	for _, d := range deps {
+		imp.done[d.Path] = d.Types
+	}
+	typeCheckPackage(p, imp)
 	return p, nil
 }
 

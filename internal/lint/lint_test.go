@@ -5,12 +5,41 @@ package lint_test
 // passes). CI runs the same suite through cmd/astlint.
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/lint"
 )
+
+// rcuFixture parses a seeded source file that imports the real internal/rcu
+// (type-checked from its source next door).
+func rcuFixture(t *testing.T, importPath, filename, src string) *lint.Package {
+	t.Helper()
+	rcuSrc, err := os.ReadFile(filepath.Join("..", "rcu", "rcu.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcu, err := lint.ParseSource("repro/internal/rcu", "rcu/rcu.go", string(rcuSrc))
+	if err != nil || len(rcu.TypeErrs) != 0 {
+		t.Fatalf("internal/rcu does not type-check: %v %v", err, rcu.TypeErrs)
+	}
+	p, err := lint.ParseSource(importPath, filename, src, rcu)
+	if err != nil {
+		t.Fatalf("parse seeded source: %v", err)
+	}
+	return p
+}
+
+// wantTypeError asserts the fixture fails to type-check, and only where the
+// seeded violation is: exactly one error, mentioning substr.
+func wantTypeError(t *testing.T, p *lint.Package, substr string) {
+	t.Helper()
+	if len(p.TypeErrs) != 1 || !strings.Contains(p.TypeErrs[0].Error(), substr) {
+		t.Fatalf("want one type error mentioning %q, got %v", substr, p.TypeErrs)
+	}
+}
 
 // findings parses one seeded source file and runs one analyzer over it.
 func findings(t *testing.T, a *lint.Analyzer, importPath, filename, src string) []lint.Finding {
@@ -233,60 +262,24 @@ func (t *TableData) Size() int {
 	}
 }
 
-func TestMutexDisciplineFlagsUnlockedPublish(t *testing.T) {
-	// RCU publish rule: Store on a configured atomic.Pointer field without
-	// the writer mutex is the bug the rule exists to catch (Load is free).
-	src := `package storage
-import (
-	"sync"
-	"sync/atomic"
-)
-type Store struct {
-	mu     sync.Mutex
-	tables atomic.Pointer[map[string]int]
-}
-func (s *Store) swap(m *map[string]int) { s.tables.Store(m) }
-func (s *Store) read() *map[string]int  { return s.tables.Load() }
-`
-	fs := findings(t, lint.MutexDiscipline, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "mutex-discipline", "swap")
-	for _, f := range fs {
-		if strings.Contains(f.Message, "read") {
-			t.Fatalf("lock-free Load flagged: %v", f)
-		}
-	}
-}
+// The next four tests carry the seeded violations of the two retired rules
+// (the publish half of mutex-discipline, and publish-freeze) over to
+// internal/rcu, under their old names: each must now fail to compile or be
+// caught by rcu-publish.
 
-func TestMutexDisciplineAcceptsLockedPublishAndEscapes(t *testing.T) {
-	// Locked publishes pass; so do the two flow-based escapes — freshly
-	// allocated values (constructor ownership) and helpers listed in the
-	// requiresHeld table, whose bodies run under a caller-held lock.
+func TestMutexDisciplineFlagsUnlockedPublish(t *testing.T) {
+	// A Store that bypasses the writer mutex: rcu.Cell has no Store, so the
+	// bug the rule existed to catch does not compile (Load is still free).
 	src := `package storage
-import (
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/rcu"
 type Store struct {
-	mu     sync.Mutex
-	tables atomic.Pointer[map[string]int]
+	tables rcu.Cell[map[string]int]
 }
-func NewStore() *Store {
-	s := &Store{}
-	m := map[string]int{}
-	s.tables.Store(&m)
-	return s
-}
-func (s *Store) swap(m *map[string]int) {
-	s.mu.Lock()
-	s.tables.Store(m)
-	s.mu.Unlock()
-}
-// setTable publishes the map. Callers must hold s.mu.
-func (s *Store) setTable(m *map[string]int) { s.tables.Store(m) }
+func (s *Store) swap(m map[string]int) { s.tables.Store(m) }
+func (s *Store) read() map[string]int  { return s.tables.Load() }
 `
-	if fs := findings(t, lint.MutexDiscipline, "repro/internal/storage", "storage/ok.go", src); len(fs) != 0 {
-		t.Fatalf("compliant source flagged: %v", fs)
-	}
+	p := rcuFixture(t, "repro/internal/storage", "storage/seed.go", src)
+	wantTypeError(t, p, "s.tables.Store undefined")
 }
 
 func TestMutexDisciplineCoversStripedShards(t *testing.T) {
@@ -368,58 +361,44 @@ func use(s *storage.Store, r struct{ Rows [][]int }) int { _ = s; return len(r.R
 // ---- flow-sensitive analyzers: seeded violations per rule ----
 
 func TestPublishFreezeFlagsPostPublishWrite(t *testing.T) {
+	// This one still compiles: the callback hands readers a value the
+	// function keeps a name for. rcu-publish flags the later use.
 	src := `package storage
-import "sync/atomic"
+import "repro/internal/rcu"
 type view struct{ rows []int }
-type Box struct{ v atomic.Pointer[view] }
+type Box struct{ v rcu.Cell[*view] }
 func (b *Box) bad(x int) {
 	nv := &view{rows: make([]int, 1)}
-	b.v.Store(nv)
+	b.v.Update(func(*view) *view { return nv })
 	nv.rows[0] = x
 }
 `
-	fs := findings(t, lint.PublishFreeze, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "publish-freeze", "after it was published")
+	p := rcuFixture(t, "repro/internal/storage", "storage/seed.go", src)
+	if len(p.TypeErrs) != 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
+	}
+	fs := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.RCUPublish})
+	wantFinding(t, fs, "rcu-publish", "nv was published")
 }
 
 func TestPublishFreezeFlagsAppendAliasingPublishedSlice(t *testing.T) {
-	// The Insert anti-pattern: publishing &rows and then appending to rows
+	// The Insert anti-pattern: publishing rows and then appending to rows
 	// may write into the published backing array in place.
 	src := `package storage
-import "sync/atomic"
-type Box struct{ tables atomic.Pointer[[]string] }
+import "repro/internal/rcu"
+type table struct{ rows []string }
+type Box struct{ tables rcu.Cell[table] }
 func (b *Box) bad(rows []string, r string) {
-	b.tables.Store(&rows)
+	b.tables.Update(func(table) table { return table{rows: rows} })
 	rows = append(rows, r)
 }
 `
-	fs := findings(t, lint.PublishFreeze, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "publish-freeze", "append into backing")
-}
-
-func TestPublishFreezeAcceptsCopyMutatePublish(t *testing.T) {
-	// The sanctioned RCU shape: mutate the fresh copy freely, publish last,
-	// and rebinding the variable afterwards kills the published fact.
-	src := `package storage
-import "sync/atomic"
-type view struct{ rows []int }
-type Box struct{ v atomic.Pointer[view] }
-func (b *Box) ok(r int) {
-	old := b.v.Load()
-	nv := &view{}
-	if old != nil {
-		nv.rows = append(nv.rows, old.rows...)
+	p := rcuFixture(t, "repro/internal/storage", "storage/seed.go", src)
+	if len(p.TypeErrs) != 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
 	}
-	nv.rows = append(nv.rows, r)
-	b.v.Store(nv)
-	nv = &view{}
-	nv.rows = append(nv.rows, r)
-	b.v.Store(nv)
-}
-`
-	if fs := findings(t, lint.PublishFreeze, "repro/internal/storage", "storage/ok.go", src); len(fs) != 0 {
-		t.Fatalf("copy-mutate-publish flagged: %v", fs)
-	}
+	fs := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.RCUPublish})
+	wantFinding(t, fs, "rcu-publish", "rows was published")
 }
 
 func TestChunkFreezeFlagsWriteAfterFreeze(t *testing.T) {
@@ -554,8 +533,24 @@ func (t *T) okManual() int {
 }
 
 func TestMutexDisciplineFlagsRequiresHeldCallSite(t *testing.T) {
-	// Helpers in the requiresHeld table discharge their lock obligation to
-	// call sites: calling one without the mutex held is the finding.
+	// A "callers must hold mu" helper needs the lock and the pointer as
+	// separate things; the cell keeps both to itself, so neither the helper
+	// nor an unlocked call site of it can be written.
+	src := `package storage
+import "repro/internal/rcu"
+type Store struct {
+	tables rcu.Cell[*int]
+}
+func (s *Store) setTable(m *int) { s.tables.cur.Store(&m) }
+func bad(s *Store, m *int)       { s.setTable(m) }
+`
+	p := rcuFixture(t, "repro/internal/storage", "storage/seed.go", src)
+	wantTypeError(t, p, "s.tables.cur undefined")
+}
+
+func TestRCUPublishFlagsHandRolledPointer(t *testing.T) {
+	// The idiom spelled out by hand — a mutex beside an atomic.Pointer — is
+	// what internal/rcu replaces; declaring one anywhere else is a finding.
 	src := `package storage
 import (
 	"sync"
@@ -563,46 +558,61 @@ import (
 )
 type Store struct {
 	mu     sync.Mutex
-	tables atomic.Pointer[int]
-}
-func (s *Store) setTable(m *int) { s.tables.Store(m) }
-func bad(s *Store, m *int) { s.setTable(m) }
-func good(s *Store, m *int) {
-	s.mu.Lock()
-	s.setTable(m)
-	s.mu.Unlock()
+	tables atomic.Pointer[map[string]int]
+	epoch  atomic.Int64
 }
 `
-	fs := findings(t, lint.MutexDiscipline, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "mutex-discipline", "setTable")
-	if !strings.Contains(fs[0].Message, "bad") {
-		t.Fatalf("finding should be at the unlocked call site: %v", fs[0])
+	fs := findings(t, lint.RCUPublish, "repro/internal/storage", "storage/seed.go", src)
+	wantFinding(t, fs, "rcu-publish", "atomic.Pointer outside internal/rcu")
+
+	val := `package obs
+import "sync/atomic"
+var registry atomic.Value
+`
+	fs = findings(t, lint.RCUPublish, "repro/internal/obs", "obs/seed.go", val)
+	wantFinding(t, fs, "rcu-publish", "atomic.Value outside internal/rcu")
+
+	for _, ok := range [][2]string{{"repro/internal/rcu", "rcu/rcu.go"}, {"repro/internal/storage", "storage/x_test.go"}} {
+		if fs := findings(t, lint.RCUPublish, ok[0], ok[1], src); len(fs) != 0 {
+			t.Fatalf("%s flagged: %v", ok[1], fs)
+		}
 	}
 }
 
-func TestMutexDisciplineAcceptsFreshFuncConstructor(t *testing.T) {
-	// Regression: values returned by certified constructors (freshFuncs, e.g.
-	// astdb.assemble) carry constructor ownership, so calling requires-held
-	// helpers on them pre-publication needs no lock.
-	src := `package astdb
-import (
-	"sync"
-	"sync/atomic"
-)
-type Engine struct {
-	mu   sync.Mutex
-	asts atomic.Pointer[int]
+func TestRCUPublishAcceptsHandOver(t *testing.T) {
+	// What production code does: hand a value over and let go of it, return
+	// the callback's own argument, return a call result, copy a scalar.
+	src := `package storage
+import "repro/internal/rcu"
+type view struct {
+	rows []int
+	n    int
 }
-func assemble() *Engine { return &Engine{} }
-func (e *Engine) setASTs(v *int) { e.asts.Store(v) }
-func Open(v *int) *Engine {
-	e := assemble()
-	e.setASTs(v)
-	return e
+type Box struct {
+	v rcu.Cell[view]
+	n int
+}
+func grow(rows []int) []int { return append(rows[:len(rows):len(rows)], 0) }
+func (b *Box) ok(rows []int) int {
+	next := view{rows: rows}
+	b.v.Update(func(prev view) view {
+		next.n = prev.n + 1
+		return next
+	})
+	b.v.Update(func(prev view) view {
+		prev.n = b.n
+		return prev
+	})
+	b.v.Update(func(prev view) view { return view{rows: grow(prev.rows), n: b.n} })
+	return b.n
 }
 `
-	if fs := findings(t, lint.MutexDiscipline, "repro/astdb", "astdb/ok.go", src); len(fs) != 0 {
-		t.Fatalf("constructor-owned engine flagged: %v", fs)
+	p := rcuFixture(t, "repro/internal/storage", "storage/ok.go", src)
+	if len(p.TypeErrs) != 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
+	}
+	if fs := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.RCUPublish}); len(fs) != 0 {
+		t.Fatalf("hand-over flagged: %v", fs)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Lock dataflow: the shared engine behind unlock-paths (every mutex acquired
 // on a path is released on all CFG exits, with defer recognition covering
-// panic unwinds) and the typed mutex-discipline analyzer (guarded fields and
-// RCU publishes happen with the owning mutex in the must-held set).
+// panic unwinds) and the typed mutex-discipline analyzer (guarded fields are
+// touched with the owning mutex in the must-held set).
 //
 // Lock identity is the access path of the mutex expression rooted at a
 // types.Object — `t.mu`, `s.shards[i].mu`, `x.statusMu` — so two names for
@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -31,14 +32,12 @@ var UnlockPaths = &Analyzer{
 }
 
 // MutexDiscipline enforces the typed locking contracts in lockSpecs:
-// guarded-field access and RCU-pointer publication only with the owning
-// mutex in the must-held set at that program point. Freshly allocated values
-// are exempt (flow-based constructor ownership, replacing the old New*/new*
-// name heuristic), and helpers listed in requiresHeld discharge the
-// obligation to their call sites (replacing doc-comment sniffing).
+// guarded-field access only with the owning mutex in the must-held set at
+// that program point. Freshly allocated values are exempt (flow-based
+// constructor ownership).
 var MutexDiscipline = &Analyzer{
 	Name: "mutex-discipline",
-	Doc:  "guarded fields and atomic publishes take the owning mutex (flow-sensitive)",
+	Doc:  "guarded fields are touched with the owning mutex held (flow-sensitive)",
 	Run:  runMutexDiscipline,
 }
 
@@ -316,14 +315,7 @@ func freshAllocObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]b
 			_, lit := ast.Unparen(x.X).(*ast.CompositeLit)
 			return x.Op == token.AND && lit
 		case *ast.CallExpr:
-			if isBuiltin(info, x, "new") || isBuiltin(info, x, "make") {
-				return true
-			}
-			// Constructors certified to return a private, not-yet-published
-			// value.
-			if f := calleeOf(info, x); f != nil && freshFuncs[funcKey(f)] {
-				return true
-			}
+			return isBuiltin(info, x, "new") || isBuiltin(info, x, "make")
 		}
 		return false
 	}
@@ -347,28 +339,9 @@ func freshAllocObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]b
 	return fresh
 }
 
-// receiverObj returns the method receiver's object, nil for functions.
-func receiverObj(info *types.Info, fd *ast.FuncDecl) types.Object {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return info.Defs[fd.Recv.List[0].Names[0]]
-}
-
-// declaredFuncKey renders the key of the declared function, for requiresHeld
-// lookup.
-func declaredFuncKey(p *Package, fd *ast.FuncDecl) string {
-	if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-		return funcKey(obj)
-	}
-	return ""
-}
-
 func mutexDisciplineFunc(p *Package, fd *ast.FuncDecl) []Finding {
 	body := fd.Body
 	fresh := freshAllocObjects(p.Info, body)
-	recvObj := receiverObj(p.Info, fd)
-	ownHeld := requiresHeld[declaredFuncKey(p, fd)] // mutex field this helper's callers hold
 
 	displays := map[string]string{}
 	g := buildCFG(body)
@@ -380,20 +353,6 @@ func mutexDisciplineFunc(p *Package, fd *ast.FuncDecl) []Finding {
 			Pos:     p.Fset.Position(n.Pos()),
 			Message: fd.Name.Name + ": " + fmt.Sprintf(format, args...),
 		})
-	}
-
-	// exempt reports whether base (the expression owning the guarded field)
-	// needs no lock here: freshly allocated, or the receiver of a helper
-	// whose contract transfers the obligation to callers.
-	exempt := func(base ast.Expr, mutex string) bool {
-		o := rootObj(p.Info, base)
-		if o == nil {
-			return false
-		}
-		if fresh[o] {
-			return true
-		}
-		return ownHeld == mutex && recvObj != nil && o == recvObj
 	}
 
 	check := func(s *lockFacts, n ast.Node) {
@@ -409,59 +368,17 @@ func mutexDisciplineFunc(p *Package, fd *ast.FuncDecl) []Finding {
 			if !ok {
 				return true
 			}
-			tkey := typeKey(selInfo.Recv())
-			for _, spec := range specsForType(tkey) {
-				// Guarded plain fields: need mutex (either half) held.
-				if selInfo.Kind() == types.FieldVal && containsStr(spec.guarded, sel.Sel.Name) {
-					key, disp, ok := exprKey(p.Info, sel.X)
-					if ok && !s.must[key+"."+spec.mutex] && !s.must[key+"."+spec.mutex+"/R"] &&
-						!exempt(sel.X, spec.mutex) {
-						emit(sel, "accesses %s.%s without holding %s.%s", disp, sel.Sel.Name, disp, spec.mutex)
-					}
+			// Guarded plain fields need the mutex (either half) held, unless
+			// this function allocated the value that owns them.
+			spec := lockSpecs[typeKey(selInfo.Recv())]
+			if selInfo.Kind() == types.FieldVal && slices.Contains(spec.guarded, sel.Sel.Name) {
+				key, disp, ok := exprKey(p.Info, sel.X)
+				if ok && !s.must[key+"."+spec.mutex] && !s.must[key+"."+spec.mutex+"/R"] &&
+					!fresh[rootObj(p.Info, sel.X)] {
+					emit(sel, "accesses %s.%s without holding %s.%s", disp, sel.Sel.Name, disp, spec.mutex)
 				}
 			}
 			return true
-		})
-		inspectShallow(n, func(call *ast.CallExpr) {
-			// RCU publishes: base.field.Store/Swap needs the write lock.
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if _, isPub := publishCall(p.Info, call); isPub {
-					if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-						if fieldSel, ok := p.Info.Selections[inner]; ok && fieldSel.Kind() == types.FieldVal {
-							tkey := typeKey(fieldSel.Recv())
-							for _, spec := range specsForType(tkey) {
-								if containsStr(spec.publish, inner.Sel.Name) {
-									key, disp, ok := exprKey(p.Info, inner.X)
-									if ok && !s.must[key+"."+spec.mutex] && !exempt(inner.X, spec.mutex) {
-										emit(call, "publishes %s.%s without holding %s.%s", disp, inner.Sel.Name, disp, spec.mutex)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-			// Requires-held helpers: the call site must hold the
-			// receiver's mutex.
-			f := calleeOf(p.Info, call)
-			if f == nil {
-				return
-			}
-			mutex, ok := requiresHeld[funcKey(f)]
-			if !ok {
-				return
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			key, disp, ok := exprKey(p.Info, sel.X)
-			if !ok {
-				return
-			}
-			if !s.must[key+"."+mutex] && !exempt(sel.X, mutex) {
-				emit(call, "calls %s (contract: callers hold %s.%s) without the lock", f.Name(), disp, mutex)
-			}
 		})
 	}
 
@@ -477,13 +394,4 @@ func mutexDisciplineFunc(p *Package, fd *ast.FuncDecl) []Finding {
 		}
 	}
 	return out
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

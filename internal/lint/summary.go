@@ -1,13 +1,12 @@
 // Typed helpers and the cross-function summary table shared by the
-// flow-sensitive analyzers (publish-freeze, chunk-freeze, unlock-paths,
-// mutex-discipline). The summary table is the conservative escape from pure
-// intra-procedural analysis: for module-internal callees that take published
-// values, chunks, or snapshots, it records whether they may write through
-// their receiver or arguments, and which helpers contractually require a
-// caller-held mutex. Stdlib callees default to read-only with an explicit
-// mutator list (sort, copy); unknown module-internal callees default to
-// "may mutate", which is what makes passing a published value to an
-// unlisted helper a finding rather than a blind spot.
+// flow-sensitive analyzers (chunk-freeze, unlock-paths, mutex-discipline).
+// The summary table is the conservative escape from pure intra-procedural
+// analysis: for module-internal callees that take chunks or snapshots, it
+// records whether they may write through their receiver or arguments. Stdlib
+// callees default to read-only with an explicit mutator list (sort, copy);
+// unknown module-internal callees default to "may mutate", which is what
+// makes passing a frozen value to an unlisted helper a finding rather than a
+// blind spot.
 package lint
 
 import (
@@ -81,7 +80,7 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // typeKey renders a named type as "pkgpath.Name" ("" for unnamed). Type
-// parameters are dropped, so atomic.Pointer[T] keys as "sync/atomic.Pointer".
+// parameters are dropped, so rcu.Cell[T] keys as "repro/internal/rcu.Cell".
 func typeKey(t types.Type) string {
 	n := namedOf(t)
 	if n == nil || n.Obj() == nil {
@@ -149,6 +148,66 @@ func harmlessCall(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	if o := info.Uses[id]; o != nil {
+		_, isB := o.(*types.Builtin)
+		return isB
+	}
+	return false
+}
+
+// calleeName renders a callee for messages.
+func calleeName(f *types.Func, call *ast.CallExpr) string {
+	if f != nil {
+		return funcKey(f)
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		return id.Name
+	}
+	return "callee"
+}
+
+// forEachFuncBody visits every function body in the file: declared functions
+// and, separately, each function literal (closures are not inlined). recv is
+// nil for functions and literals.
+func forEachFuncBody(f *File, visit func(name string, ft *ast.FuncType, recv *ast.FieldList, body *ast.BlockStmt)) {
+	for _, decl := range f.AST.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		visit(fd.Name.Name, fd.Type, fd.Recv, fd.Body)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				visit(fd.Name.Name+".func", lit.Type, nil, lit.Body)
+			}
+			return true
+		})
+	}
+}
+
+// inspectShallow walks n's subtree calling fn on every call expression,
+// without descending into nested function literals.
+func inspectShallow(n ast.Node, fn func(*ast.CallExpr)) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		if call, ok := m.(*ast.CallExpr); ok {
+			fn(call)
+		}
+		return true
+	})
+}
+
 // funcKey renders a function as "pkgpath.Name" or "pkgpath.(Type).Name" for
 // methods, dropping pointerness and type arguments.
 func funcKey(f *types.Func) string {
@@ -177,7 +236,7 @@ func isModulePath(path string) bool {
 	return path == "repro" || strings.HasPrefix(path, "repro/")
 }
 
-// ---- publish / freeze callee effects ----
+// ---- callee effects on frozen values ----
 
 // calleeFact is the summary for one callee: whether calling it may write
 // through its receiver or any pointer-reachable argument.
@@ -197,7 +256,7 @@ func (c calleeFact) mutatesArg(i int) bool {
 }
 
 // calleeFacts is the hand-maintained summary for module-internal callees
-// that take chunks, snapshots, views, or other publishable values. Keys come
+// that take chunks, snapshots, or views. Keys come
 // from funcKey. Anything module-internal and absent defaults to
 // "may mutate everything reachable" — add entries here (with review) rather
 // than suppressing findings at call sites.
@@ -210,8 +269,6 @@ var calleeFacts = map[string]calleeFact{
 	"repro/internal/storage.frozenChunks":       {readonly: true},
 	"repro/internal/storage.buildChunks":        {readonly: true},
 	"repro/internal/storage.materializeRows":    {readonly: true},
-	"repro/internal/storage.lookupFold":         {readonly: true},
-	"repro/internal/storage.(TableData).Row":    {readonly: true},
 	"repro/internal/sqltypes.(Vec).AppendValue": {mutatesRecv: true},
 	"repro/internal/sqltypes.(Vec).AppendNull":  {mutatesRecv: true},
 	"repro/internal/sqltypes.(Vec).Frozen":      {readonly: true},
@@ -290,96 +347,22 @@ func calleeEffectOn(f *types.Func, argIdx int) bool {
 	return true
 }
 
-// ---- RCU publish points ----
-
-// publishCall reports whether call is an RCU publish — a Store or Swap on a
-// sync/atomic.Pointer or atomic.Value — returning the published argument.
-func publishCall(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || info == nil {
-		return nil, false
-	}
-	if sel.Sel.Name != "Store" && sel.Sel.Name != "Swap" {
-		return nil, false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return nil, false
-	}
-	recv := typeKey(s.Recv())
-	if recv != "sync/atomic.Pointer" && recv != "sync/atomic.Value" {
-		return nil, false
-	}
-	if len(call.Args) != 1 {
-		return nil, false
-	}
-	return call.Args[0], true
-}
-
 // ---- mutex specs (typed) ----
 
 // lockSpec is one type's locking contract: guarded fields may only be
-// touched with the mutex (or its read half) held on the same base value, and
-// publish fields are atomic pointers whose Store/Swap requires the full
-// write lock.
+// touched with the mutex (or its read half) held on the same base value.
 type lockSpec struct {
-	typ     string   // typeKey, e.g. "repro/internal/storage.TableData"
 	mutex   string   // mutex field name
 	guarded []string // fields needing the mutex (Lock or RLock) held
-	publish []string // atomic fields whose Store needs the write lock
 }
 
-// lockSpecs enforces the striped and RCU-published structures on the serving
-// hot path. Matching is type-based: an access x.field requires key(x).mutex
-// in the must-held set at that program point, whatever the variable is
-// called. Constructor ownership is flow-based (freshly allocated values are
-// exempt), replacing the old New*/new* name heuristic; helpers that
-// contractually run under a caller's lock are listed in requiresHeld,
-// replacing the old doc-comment sniffing.
-var lockSpecs = []lockSpec{
-	{typ: "repro/internal/storage.TableData", mutex: "mu",
-		guarded: []string{"chunks"}, publish: []string{"view"}},
-	{typ: "repro/internal/storage.Store", mutex: "mu",
-		publish: []string{"tables"}},
-	{typ: "repro/internal/core.planShard", mutex: "mu",
-		guarded: []string{"ll", "byKey"}},
-	{typ: "repro/internal/obs.Observer", mutex: "mu",
-		publish: []string{"counters", "hists"}},
-	{typ: "repro/internal/obs.histStripe", mutex: "mu",
-		guarded: []string{"h"}},
-	{typ: "repro/internal/catalog.Catalog", mutex: "statusMu",
-		publish: []string{"status"}},
-	{typ: "repro/internal/catalog.sigIndex", mutex: "mu",
-		publish: []string{"entries"}},
-	{typ: "repro/astdb.Engine", mutex: "mu",
-		publish: []string{"asts", "plans"}},
-}
-
-// requiresHeld lists helpers whose contract is "callers must hold the
-// receiver's mutex": their bodies may touch guarded/publish fields freely,
-// and every call site must have the lock in its must-held set.
-var requiresHeld = map[string]string{
-	"repro/internal/storage.(Store).setTable":   "mu",
-	"repro/internal/catalog.(sigIndex).replace": "mu",
-	"repro/astdb.(Engine).setASTs":              "mu",
-}
-
-// freshFuncs are module-internal constructors certified to return a value no
-// other goroutine can reach yet; values assigned from them get the same
-// constructor-ownership exemption as composite literals. (newTableData and
-// friends need no entry: their composite-literal allocations are recognized
-// directly.)
-var freshFuncs = map[string]bool{
-	"repro/astdb.assemble": true,
-}
-
-// specForType returns the lockSpecs entry for a type key.
-func specsForType(key string) []lockSpec {
-	var out []lockSpec
-	for _, s := range lockSpecs {
-		if s.typ == key {
-			out = append(out, s)
-		}
-	}
-	return out
+// lockSpecs lists, by typeKey, the mutex-guarded state on the serving hot
+// path that is not behind an rcu type. Matching is type-based: an access
+// x.field requires key(x).mutex in the must-held set at that program point,
+// whatever the variable is called. Constructor ownership is flow-based:
+// freshly allocated values are exempt.
+var lockSpecs = map[string]lockSpec{
+	"repro/internal/storage.TableData": {mutex: "mu", guarded: []string{"chunks"}},
+	"repro/internal/core.planShard":    {mutex: "mu", guarded: []string{"ll", "byKey"}},
+	"repro/internal/obs.histStripe":    {mutex: "mu", guarded: []string{"h"}},
 }

@@ -61,13 +61,9 @@ func newTypeInfo() *types.Info {
 	}
 }
 
-// typeCheckPackage checks one package against the given importer (nil means
-// stdlib-only, the ParseSource fixture path). Errors are recorded on the
-// package; Info is filled as far as resolution got.
+// typeCheckPackage checks one package against the given importer. Errors are
+// recorded on the package; Info is filled as far as resolution got.
 func typeCheckPackage(p *Package, imp types.Importer) {
-	if imp == nil {
-		imp = stdlibImporter()
-	}
 	info := newTypeInfo()
 	conf := types.Config{
 		Importer: imp,

@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rcu"
 )
 
 // globalSeq is the process-wide monotonic event sequence.
@@ -46,15 +48,15 @@ const maxSpans = 4096
 // disabled observer: every method is a cheap no-op.
 //
 // All methods are safe for concurrent use, and the counter/histogram write
-// path is contention-free: the name→cell registries are immutable maps
-// republished copy-on-write behind atomic pointers (the Observer mutex is
-// taken only the first time a name is seen), and each cell is striped per
-// goroutine (see stripe.go), so two sessions bumping the same counter touch
-// different cache lines. Reads (Counter, Snapshot) merge the stripes.
+// path is contention-free: the name→cell registries are rcu maps (a writer
+// copies one only the first time a name is seen), and each cell is striped
+// per goroutine (see stripe.go), so two sessions bumping the same counter
+// touch different cache lines. Reads (Counter, Snapshot) merge the stripes.
 type Observer struct {
-	mu       sync.Mutex // guards events, spans, and registry growth
-	counters atomic.Pointer[map[string]*counterCell]
-	hists    atomic.Pointer[map[string]*histCell]
+	counters rcu.Map[string, *counterCell]
+	hists    rcu.Map[string, *histCell]
+
+	mu       sync.Mutex // guards events and spans
 	events   []Event
 	evictedE int64
 	spans    []SpanRecord
@@ -65,37 +67,27 @@ type Observer struct {
 
 // New returns an enabled, empty observer.
 func New() *Observer {
-	o := &Observer{began: time.Now()}
-	cm := map[string]*counterCell{}
-	hm := map[string]*histCell{}
-	o.counters.Store(&cm)
-	o.hists.Store(&hm)
-	return o
+	return &Observer{began: time.Now()}
 }
 
 // Enabled reports whether the observer records anything.
 func (o *Observer) Enabled() bool { return o != nil }
 
-// counter returns the named counter cell, creating it on first use. The fast
-// path is one atomic load plus a read of an immutable map; the slow path
-// (first sighting of a name) copies the registry under mu and republishes.
-func (o *Observer) counter(name string) *counterCell {
-	if c := (*o.counters.Load())[name]; c != nil {
+// cellOf returns the named instrument of a registry, creating it on first
+// use. The fast path is one lookup in the current generation; the first
+// sighting of a name publishes a copy of the registry with the new cell
+// (unless a concurrent first sighting already did).
+func cellOf[V any](m *rcu.Map[string, *V], name string) *V {
+	if c, ok := m.Get(name); ok {
 		return c
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	old := *o.counters.Load()
-	if c := old[name]; c != nil {
-		return c
-	}
-	next := make(map[string]*counterCell, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	c := &counterCell{}
-	next[name] = c
-	o.counters.Store(&next)
+	var c *V
+	m.Update(func(draft map[string]*V) {
+		if c = draft[name]; c == nil {
+			c = new(V)
+			draft[name] = c
+		}
+	})
 	return c
 }
 
@@ -106,7 +98,7 @@ func (o *Observer) Add(name string, n int64) {
 	if o == nil {
 		return
 	}
-	o.counter(name).add(n)
+	cellOf(&o.counters, name).add(n)
 }
 
 // Counter reads a counter's current value (0 when never incremented).
@@ -114,8 +106,8 @@ func (o *Observer) Counter(name string) int64 {
 	if o == nil {
 		return 0
 	}
-	c := (*o.counters.Load())[name]
-	if c == nil {
+	c, ok := o.counters.Get(name)
+	if !ok {
 		return 0
 	}
 	return c.load()
@@ -144,28 +136,6 @@ func (o *Observer) ObserveSince(name string, began time.Time) {
 	o.Observe(name, time.Since(began))
 }
 
-// hist returns the named histogram cell, creating it on first use; same
-// copy-on-write registry discipline as counter.
-func (o *Observer) hist(name string) *histCell {
-	if h := (*o.hists.Load())[name]; h != nil {
-		return h
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	old := *o.hists.Load()
-	if h := old[name]; h != nil {
-		return h
-	}
-	next := make(map[string]*histCell, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	h := &histCell{}
-	next[name] = h
-	o.hists.Store(&next)
-	return h
-}
-
 // Observe records one duration into the named latency histogram. Only the
 // calling goroutine's stripe is locked, so concurrent sessions recording into
 // the same histogram do not serialize.
@@ -173,7 +143,7 @@ func (o *Observer) Observe(name string, d time.Duration) {
 	if o == nil {
 		return
 	}
-	o.hist(name).record(d)
+	cellOf(&o.hists, name).record(d)
 }
 
 // Event is one entry of the sequenced event stream: degradations, staleness
@@ -237,24 +207,24 @@ func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
-	counters := *o.counters.Load()
-	hists := *o.hists.Load()
 	o.mu.Lock()
 	s := Snapshot{
-		Counters:      make(map[string]int64, len(counters)),
-		Histograms:    make(map[string]Histogram, len(hists)),
+		Counters:      make(map[string]int64, o.counters.Len()),
+		Histograms:    make(map[string]Histogram, o.hists.Len()),
 		Events:        append([]Event(nil), o.events...),
 		EvictedEvents: o.evictedE,
 		Spans:         append([]SpanRecord(nil), o.spans...),
 		DroppedSpans:  o.dropped.Load(),
 	}
 	o.mu.Unlock()
-	for name, c := range counters {
+	o.counters.Range(func(name string, c *counterCell) bool {
 		s.Counters[name] = c.load()
-	}
-	for name, h := range hists {
+		return true
+	})
+	o.hists.Range(func(name string, h *histCell) bool {
 		s.Histograms[name] = h.merged()
-	}
+		return true
+	})
 	return s
 }
 

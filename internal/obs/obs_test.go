@@ -138,6 +138,23 @@ func TestDisabledObserverZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestKnownInstrumentZeroAlloc pins the enabled fast path: once a name has
+// been seen, Add, Observe and Counter are a lookup in the current registry
+// generation plus a striped write, and allocate nothing.
+func TestKnownInstrumentZeroAlloc(t *testing.T) {
+	o := New()
+	o.Add("exec.rows.scanned", 1)
+	o.Observe("exec.run", time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() {
+		o.Add("exec.rows.scanned", 128)
+		o.Observe("exec.run", time.Millisecond)
+		_ = o.Counter("exec.rows.scanned")
+	})
+	if allocs != 0 {
+		t.Fatalf("known instruments allocated %.1f per run, want 0", allocs)
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	o := New()
 	var wg sync.WaitGroup

@@ -42,8 +42,8 @@ type padCell struct {
 }
 
 // counterCell is one named counter: numStripes independently updated cells.
-// The cell map it lives in is immutable (copy-on-write in Observer.counter),
-// so the cell pointer itself is stable for the Observer's lifetime.
+// Its registry is copy-on-write (an rcu.Map), so the cell pointer itself is
+// stable for the Observer's lifetime.
 type counterCell struct {
 	stripes [numStripes]padCell
 }

@@ -10,18 +10,17 @@
 // (Scan/Snapshot), a lazily materialized [][]Value cache that is kept warm
 // across appends.
 //
-// Concurrency: reads are lock-free. The store's table map and each table's
-// data view are published RCU-style through atomic pointers: Scan, ScanChunks,
-// Table, Cardinality, and TableRows load the current immutable snapshot and
-// never block behind a writer. Writers (Insert, Put, Create, Drop) serialize
-// on a plain mutex, prepare the replacement — a copied table map, or a frozen
-// chunk view — and swap it in; in-flight readers keep whatever generation
-// they loaded. Snapshots are therefore stable by construction: Scan returns a
-// row-slice header and SnapshotChunks returns frozen chunk headers that
-// appends never reach, and Put swaps the whole table so readers keep their
-// old version. The legacy TableData.Rows field is gone; tests and
-// single-threaded loaders use the Rows() adapter, and an astlint analyzer
-// keeps non-test code off it.
+// Concurrency: reads are lock-free. The store's table map is an rcu.Map and
+// each table's data view an rcu.Cell: Scan, ScanChunks, Table, Cardinality,
+// and TableRows load the current immutable generation and never block behind
+// a writer. Writers (Insert, Put, Create, Drop) publish the replacement — a
+// copied table map, or a frozen chunk view — and in-flight readers keep
+// whatever generation they loaded. Snapshots are therefore stable by
+// construction: Scan returns a row-slice header and SnapshotChunks returns
+// frozen chunk headers that appends never reach, and Put swaps the whole
+// table so readers keep their old version. The legacy TableData.Rows field is
+// gone; tests and single-threaded loaders use the Rows() adapter, and an
+// astlint analyzer keeps non-test code off it.
 //
 // Key invariant: the table map is keyed by the ASCII-lowercased table name,
 // normalized once when a writer registers the table (Create/Put/Overlay/
@@ -33,17 +32,16 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
+	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 )
 
 // tableView is one immutable published generation of a table's data: frozen
 // chunks, the row count they cover, and (once materialized) the row-view
-// cache. Readers obtain a view with a single atomic load; writers build the
-// next view under TableData.mu and publish it whole.
+// cache.
 type tableView struct {
 	frozen []*Chunk // frozen: sealed chunks shared, tail header-copied
 	n      int      // row count covered by chunks
@@ -55,70 +53,40 @@ type tableView struct {
 // lazily built row-view cache serving the row-at-a-time engine.
 //
 // The canonical (mutable) chunks live behind mu and are touched only by
-// writers; every read goes through the immutable view published in view, so
-// scans never contend with an in-flight append.
+// Insert; every read goes through the immutable generation in view, so scans
+// never contend with an in-flight append.
 type TableData struct {
 	Meta *catalog.Table
 
-	mu     sync.Mutex // serializes writers and lazy row materialization
+	mu     sync.Mutex // guards chunks and n, the state no reader sees
 	chunks []*Chunk   // canonical column-major data (writer-owned)
 	n      int        // total row count (writer-owned)
 
-	view atomic.Pointer[tableView] // current read snapshot; never nil
+	view rcu.Cell[tableView] // current read snapshot
 }
 
 // Store maps table names to their data. All methods are safe for concurrent
-// use; readers are lock-free (they load the published map), writers
-// (Create, Put, Drop) serialize on mu and swap in a copied map.
+// use; readers are lock-free, writers (Create, Put, Drop) publish a copied
+// map.
 type Store struct {
-	mu     sync.Mutex // serializes writers; readers use tables
-	tables atomic.Pointer[map[string]*TableData]
+	tables rcu.Map[string, *TableData]
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	m := map[string]*TableData{}
-	s.tables.Store(&m)
-	return s
-}
-
-// tablesNow returns the current published table map (read-only).
-func (s *Store) tablesNow() map[string]*TableData {
-	if m := s.tables.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// setTable publishes a copy of the table map with name bound to td (or
-// removed when td is nil). Callers must hold s.mu.
-func (s *Store) setTable(name string, td *TableData) {
-	old := s.tablesNow()
-	next := make(map[string]*TableData, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	if td == nil {
-		delete(next, name)
-	} else {
-		next[name] = td
-	}
-	s.tables.Store(&next)
-}
+func NewStore() *Store { return &Store{} }
 
 // newTableData builds a table from row-major data, seeding the row-view
 // cache with the given slice (callers hand ownership over, as they did when
 // rows were the primary representation).
 func newTableData(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
 	td := &TableData{Meta: meta}
-	v := &tableView{}
 	if len(rows) > 0 {
 		td.chunks = buildChunks(len(meta.Columns), rows)
 		td.n = len(rows)
-		v = &tableView{frozen: frozenChunks(td.chunks), n: td.n, rows: rows, rowsOK: true}
+		td.view.Update(func(tableView) tableView {
+			return tableView{frozen: frozenChunks(td.chunks), n: td.n, rows: rows, rowsOK: true}
+		})
 	}
-	td.view.Store(v)
 	return td
 }
 
@@ -137,57 +105,51 @@ func frozenChunks(chunks []*Chunk) []*Chunk {
 
 // Create registers an empty table with the given schema.
 func (s *Store) Create(meta *catalog.Table) *TableData {
-	td := newTableData(meta, nil)
-	s.mu.Lock()
-	s.setTable(strings.ToLower(meta.Name), td)
-	s.mu.Unlock()
-	return td
+	return s.Put(meta, nil)
 }
 
 // Put replaces (or creates) a table's data wholesale. Readers that already
 // scanned the table keep their previous snapshot.
 func (s *Store) Put(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
 	td := newTableData(meta, rows)
-	s.mu.Lock()
-	s.setTable(strings.ToLower(meta.Name), td)
-	s.mu.Unlock()
+	name := strings.ToLower(meta.Name)
+	s.tables.Update(func(draft map[string]*TableData) { draft[name] = td })
 	return td
 }
 
 // Drop removes a table.
 func (s *Store) Drop(name string) {
-	s.mu.Lock()
-	s.setTable(strings.ToLower(name), nil)
-	s.mu.Unlock()
+	name = strings.ToLower(name)
+	s.tables.Update(func(draft map[string]*TableData) { delete(draft, name) })
 }
 
 // Table returns a table's data by name. Lock-free.
 func (s *Store) Table(name string) (*TableData, bool) {
-	return lookupFold(s.tablesNow(), name)
+	return lookupFold(&s.tables, name)
 }
 
 // lookupFold resolves a possibly mixed-case name against the lowercase-keyed
-// table map without allocating on the already-lowercase fast path (the
-// compiler elides the []byte→string conversion in a map index expression).
-func lookupFold(m map[string]*TableData, name string) (*TableData, bool) {
+// table map without allocating on the common spellings: an already-lowercase
+// name is looked up as it is, and a mixed-case ASCII one of up to 32 bytes is
+// folded into a stack buffer (the runtime builds a non-escaping string that
+// short in a stack temporary). Anything else pays strings.ToLower.
+func lookupFold(m *rcu.Map[string, *TableData], name string) (*TableData, bool) {
 	hasUpper := false
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		if c >= 0x80 {
 			// Non-ASCII: defer to full Unicode folding.
-			td, ok := m[strings.ToLower(name)]
-			return td, ok
+			return m.Get(strings.ToLower(name))
 		}
 		if 'A' <= c && c <= 'Z' {
 			hasUpper = true
 		}
 	}
 	if !hasUpper {
-		td, ok := m[name]
-		return td, ok
+		return m.Get(name)
 	}
-	if len(name) <= 128 {
-		var arr [128]byte
+	if len(name) <= 32 {
+		var arr [32]byte
 		b := arr[:len(name)]
 		for i := 0; i < len(name); i++ {
 			c := name[i]
@@ -196,11 +158,9 @@ func lookupFold(m map[string]*TableData, name string) (*TableData, bool) {
 			}
 			b[i] = c
 		}
-		td, ok := m[string(b)]
-		return td, ok
+		return m.Get(string(b))
 	}
-	td, ok := m[strings.ToLower(name)]
-	return td, ok
+	return m.Get(strings.ToLower(name))
 }
 
 // MustTable is Table that panics when missing.
@@ -218,14 +178,13 @@ func (s *Store) MustTable(name string) *TableData {
 // shared store under concurrent readers.
 func (s *Store) Overlay(name string, meta *catalog.Table, rows [][]sqltypes.Value) *Store {
 	out := NewStore()
-	next := make(map[string]*TableData)
-	for n, td := range s.tablesNow() {
-		next[n] = td
-	}
-	next[strings.ToLower(name)] = newTableData(meta, rows)
-	out.mu.Lock()
-	out.tables.Store(&next)
-	out.mu.Unlock()
+	out.tables.Update(func(draft map[string]*TableData) {
+		s.tables.Range(func(n string, td *TableData) bool {
+			draft[n] = td
+			return true
+		})
+		draft[strings.ToLower(name)] = newTableData(meta, rows)
+	})
 	return out
 }
 
@@ -264,24 +223,18 @@ func (s *Store) ScanChunks(name string) ([]*Chunk, int, error) {
 // view load; only the first call after a bulk chunk load pays materializing
 // the row view, which then stays warm across Inserts.
 func (t *TableData) Snapshot() [][]sqltypes.Value {
-	v := t.view.Load()
-	if v.rowsOK {
+	if v := t.view.Load(); v.rowsOK {
 		return v.rows
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v = t.view.Load() // re-load: a writer may have published while we waited
-	if !v.rowsOK {
-		next := &tableView{
-			frozen: v.frozen,
-			n:      v.n,
-			rows:   materializeRows(v.n, v.frozen),
-			rowsOK: true,
+	var rows [][]sqltypes.Value
+	t.view.Update(func(v tableView) tableView {
+		if !v.rowsOK { // still cold: no writer published a warm view meanwhile
+			v.rows, v.rowsOK = materializeRows(v.n, v.frozen), true
 		}
-		t.view.Store(next)
-		v = next
-	}
-	return v.rows
+		rows = v.rows
+		return v
+	})
+	return rows
 }
 
 // Rows is the row-view adapter for single-threaded loaders and tests; it is
@@ -300,15 +253,17 @@ func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
 }
 
 // Insert appends one row after arity-checking it, then publishes the next
-// read view: the canonical chunks advance under the writer mutex, and the
-// frozen snapshot (plus the row-view cache, when materialized) is swapped in
-// atomically so concurrent scans observe either the old or the new
-// generation, never a half-appended row.
+// read view: the canonical chunks advance under mu, and the frozen snapshot
+// (plus the row-view cache, when materialized) becomes the next generation,
+// so concurrent scans observe either the old or the new one, never a
+// half-appended row. mu is held across the publication so that two inserts
+// publish in the order they appended.
 func (t *TableData) Insert(row []sqltypes.Value) error {
 	if len(row) != len(t.Meta.Columns) {
 		return fmt.Errorf("storage: row arity %d != %d for table %s", len(row), len(t.Meta.Columns), t.Meta.Name)
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	last := len(t.chunks) - 1
 	if last < 0 || t.chunks[last].N == ChunkRows {
 		t.chunks = append(t.chunks, newChunk(len(t.Meta.Columns)))
@@ -316,15 +271,15 @@ func (t *TableData) Insert(row []sqltypes.Value) error {
 	}
 	t.chunks[last].appendRow(row)
 	t.n++
-	prev := t.view.Load()
-	next := &tableView{frozen: frozenChunks(t.chunks), n: t.n}
-	if prev.rowsOK {
-		// Keep the row view warm: append writes past every outstanding
-		// snapshot header's length, so older generations stay stable.
-		next.rows, next.rowsOK = append(prev.rows, row), true
-	}
-	t.view.Store(next)
-	t.mu.Unlock()
+	next := tableView{frozen: frozenChunks(t.chunks), n: t.n}
+	t.view.Update(func(prev tableView) tableView {
+		if prev.rowsOK {
+			// Keep the row view warm: append writes past every outstanding
+			// snapshot header's length, so older generations stay stable.
+			next.rows, next.rowsOK = append(prev.rows, row), true
+		}
+		return next
+	})
 	return nil
 }
 

@@ -182,3 +182,33 @@ func TestConcurrentReadersAndInserts(t *testing.T) {
 		t.Fatalf("cardinality %d, want %d", td.Cardinality(), writes)
 	}
 }
+
+// TestHotPathAllocs pins the allocation counts of the paths that go through
+// an rcu closure or an rcu.Map lookup at what they were with hand-rolled
+// atomic pointers: an Insert allocates the frozen chunk list, the frozen tail
+// chunk with its column headers, and the next view; a lookup allocates
+// nothing, folded or not.
+func TestHotPathAllocs(t *testing.T) {
+	s := NewStore()
+	m := meta()
+	m.Name = "Trans"
+	td := s.Create(m)
+	row := []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewString("x")}
+	insert := func() {
+		if err := td.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(500, insert); got > 4 {
+		t.Errorf("Insert (cold row view): %v allocs per row, want <= 4", got)
+	}
+	td.Snapshot()
+	if got := testing.AllocsPerRun(500, insert); got > 4 {
+		t.Errorf("Insert (warm row view): %v allocs per row, want <= 4", got)
+	}
+	for _, name := range []string{"trans", "TrAns"} {
+		if got := testing.AllocsPerRun(500, func() { s.Table(name) }); got != 0 {
+			t.Errorf("Table(%q): %v allocs, want 0", name, got)
+		}
+	}
+}
