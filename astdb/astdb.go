@@ -65,8 +65,10 @@ func SortRows(rows [][]sqltypes.Value) { exec.SortRows(rows) }
 
 // Engine is the facade: a catalog plus storage, executor, rewriter, plan
 // cache, and maintainer. Construct one with Open (fresh pipeline) or Wrap
-// (around existing components). Methods are safe for concurrent queries;
-// registering summary tables concurrently with queries is not.
+// (around existing components). Queries run lock-free beside each other and
+// beside one writer; the methods that change table contents or the set of
+// summary tables take turns (see write). CreateTable and AddForeignKey are
+// schema setup and do not: run them before statements name the table.
 type Engine struct {
 	cat   *catalog.Catalog
 	store *storage.Store
@@ -84,6 +86,10 @@ type Engine struct {
 	// load; registering a summary table publishes the next generation, so
 	// engine bookkeeping never serializes concurrent Query calls.
 	set rcu.Cell[astSet]
+
+	// writer is the single writer slot (capacity 1), held through write. It
+	// is a channel rather than a mutex so that waiting can give up on ctx.
+	writer chan struct{}
 }
 
 // astSet is one generation of the registered summary tables: the compiled
@@ -209,6 +215,8 @@ func assemble(cat *catalog.Catalog, store *storage.Store, exe *exec.Engine, rw *
 		maint: maintain.New(store).WithCatalog(cat),
 		cfg:   c.cfg,
 
+		writer: make(chan struct{}, 1),
+
 		verifyPlans: c.verifyPlans,
 	}
 	if c.cacheCap >= 0 {
@@ -254,6 +262,30 @@ func (e *Engine) Degradations() []error { return e.rw.Degradations() }
 // many older ones the bounded buffer evicted before this drain.
 func (e *Engine) DegradationEvents() ([]core.DegradationEvent, int) {
 	return e.rw.DegradationEvents()
+}
+
+// write makes the caller the engine's one writer. Every mutating entry point —
+// Insert, Delete, Update, ExecStatement/ExecParsed, Refresh, CreateSummaryTable
+// — starts here: it opens the "maintain" span and takes the writer slot, which
+// the returned function gives back (and ends the span). Each of those is a
+// read-modify-publish sequence over the base table and the summary tables
+// reading it (maintain.Maintainer's apply), and two of them interleaved lose
+// base rows and leave summary tables fresh and wrong; the slot is where they
+// meet. Waiting honours ctx — a statement queued behind a long writer whose
+// session goes away returns ErrCanceled having touched nothing — and Query
+// never comes here: readers stay lock-free.
+func (e *Engine) write(ctx context.Context) (context.Context, func(), error) {
+	span := e.startSpan(ctx, "maintain")
+	select {
+	case e.writer <- struct{}{}:
+		if ctx.Err() == nil {
+			return obs.ContextWithSpan(ctx, span), func() { <-e.writer; span.End() }, nil
+		}
+		<-e.writer // both were ready and select chose the slot: canceled wins
+	case <-ctx.Done():
+	}
+	span.End()
+	return nil, nil, fmt.Errorf("%w: waiting for the writer slot: %v", ErrCanceled, context.Cause(ctx))
 }
 
 // startSpan roots a span on the engine's observer, or nests it under a span
@@ -465,9 +497,11 @@ func (e *Engine) AddForeignKey(fk catalog.ForeignKey) error {
 // CreateSummaryTable compiles, registers, and materializes one summary table
 // definition, returning the compiled AST and its materialized row count.
 func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*core.CompiledAST, int, error) {
-	span := e.startSpan(ctx, "maintain")
-	defer span.End()
-	ctx = obs.ContextWithSpan(ctx, span)
+	ctx, done, err := e.write(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer done()
 	ca, err := e.rw.CompileAST(catalog.ASTDef{Name: name, SQL: sql})
 	if err != nil {
 		return nil, 0, err
@@ -488,24 +522,23 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 // Insert appends rows to a base table and refreshes every summary table whose
 // definition reads it — incrementally where the maintenance plan allows, by
 // full recomputation otherwise. Per-AST refresh failures are recorded in the
-// returned Stats (the AST goes stale) and joined into the returned error; the
-// base insert itself failing aborts.
+// returned Stats (the AST goes stale) and joined into the returned error. The
+// batch is all-or-nothing: an unknown table or a row of the wrong arity
+// rejects it with nothing inserted and nothing refreshed.
 func (e *Engine) Insert(ctx context.Context, table string, rows [][]sqltypes.Value) ([]maintain.Stats, error) {
-	span := e.startSpan(ctx, "maintain")
-	defer span.End()
+	_, done, err := e.write(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	return e.insert(table, rows)
+}
+
+// insert is Insert for a caller that already is the writer.
+func (e *Engine) insert(table string, rows [][]sqltypes.Value) ([]maintain.Stats, error) {
 	meta, found := e.cat.Table(table)
 	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
-	}
-	// Reject malformed rows before any incremental merge sees them: a base
-	// insert aborting halfway leaves every affected AST ahead of the base
-	// tables (stale), which callers cannot distinguish from a soft per-AST
-	// refresh failure.
-	for i, r := range rows {
-		if len(r) != len(meta.Columns) {
-			return nil, fmt.Errorf("astdb: row %d has %d values, table %s has %d columns",
-				i, len(r), meta.Name, len(meta.Columns))
-		}
 	}
 	if _, ok := e.store.Table(table); !ok {
 		e.store.Create(meta)
@@ -518,8 +551,11 @@ func (e *Engine) Insert(ctx context.Context, table string, rows [][]sqltypes.Val
 // marks that AST stale and counts toward quarantine; failures are joined into
 // the returned error and the Stats slice is always complete.
 func (e *Engine) Refresh(ctx context.Context, names ...string) ([]maintain.Stats, error) {
-	span := e.startSpan(ctx, "maintain")
-	defer span.End()
+	_, done, err := e.write(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true

@@ -12,8 +12,8 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// DMLResult reports one executed DELETE or UPDATE: the target table, how many
-// rows the statement affected, and the per-AST maintenance outcomes.
+// DMLResult reports one executed INSERT, DELETE or UPDATE: the target table,
+// how many rows the statement affected, and the per-AST maintenance outcomes.
 type DMLResult struct {
 	Table    string
 	Affected int
@@ -27,14 +27,7 @@ type DMLResult struct {
 // into the returned error; a statement-level error (parse, unknown table,
 // predicate evaluation) aborts before anything is mutated.
 func (e *Engine) Delete(ctx context.Context, sql string) (*DMLResult, error) {
-	span := e.startSpan(ctx, "maintain")
-	defer span.End()
-	dml, err := e.compileDML(sql, qgm.DMLDelete)
-	if err != nil {
-		return nil, err
-	}
-	n, stats, err := e.maint.ApplyDelete(e.set.Load().plans, dml)
-	return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
+	return e.execSQL(ctx, sql, "DELETE")
 }
 
 // Update executes UPDATE t SET ... [WHERE ...] and refreshes every summary
@@ -42,50 +35,86 @@ func (e *Engine) Delete(ctx context.Context, sql string) (*DMLResult, error) {
 // delta of the old rows and the insert delta of the new rows in one merge.
 // Error semantics match Delete.
 func (e *Engine) Update(ctx context.Context, sql string) (*DMLResult, error) {
-	span := e.startSpan(ctx, "maintain")
-	defer span.End()
-	dml, err := e.compileDML(sql, qgm.DMLUpdate)
-	if err != nil {
-		return nil, err
-	}
-	n, stats, err := e.maint.ApplyUpdate(e.set.Load().plans, dml)
-	return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
+	return e.execSQL(ctx, sql, "UPDATE")
 }
 
-// compileDML parses and builds one DML statement of the expected kind,
-// rejecting statements that target a summary table: materializations are
-// system-maintained, and mutating one directly would silently break the
-// freshness contract.
-func (e *Engine) compileDML(sql string, kind qgm.DMLKind) (*qgm.DML, error) {
+// ExecStatement executes one DML statement given as SQL text — INSERT ...
+// VALUES, DELETE, or UPDATE — and reports the affected-row count plus the
+// per-AST maintenance outcomes. It is the single statement entry point the
+// wire server's exec message and the driver's ExecContext map to; SELECTs
+// belong to Query and DDL to CreateTable/CreateSummaryTable.
+func (e *Engine) ExecStatement(ctx context.Context, sql string) (*DMLResult, error) {
+	return e.execSQL(ctx, sql, "")
+}
+
+// execSQL parses sql once, checks it is the kind of statement the caller asked
+// for ("" accepts any DML), and hands the statement to ExecParsed.
+func (e *Engine) execSQL(ctx context.Context, sql, want string) (*DMLResult, error) {
 	stmt, err := parser.ParseStatement(sql)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrParse, err)
 	}
+	if got := statementKind(stmt); want != "" && got != want {
+		return nil, fmt.Errorf("%w: expected %s, got %s", ErrParse, want, got)
+	}
+	return e.ExecParsed(ctx, stmt)
+}
+
+// ExecParsed executes one already-parsed INSERT ... VALUES, DELETE or UPDATE
+// as the engine's writer (see write): the statement is compiled, applied to
+// its base table, and every summary table reading that table is refreshed.
+func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLResult, error) {
+	_, done, err := e.write(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	switch s := stmt.(type) {
+	case *parser.InsertStmt:
+		table, rows, err := e.literalRows(s)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := e.insert(table, rows)
+		if err != nil && stats == nil {
+			return nil, err
+		}
+		return &DMLResult{Table: table, Affected: len(rows), Stats: stats}, err
+	case *parser.DeleteStmt, *parser.UpdateStmt:
+		dml, err := e.compileDML(stmt)
+		if err != nil {
+			return nil, err
+		}
+		apply := e.maint.ApplyDelete
+		if dml.Kind == qgm.DMLUpdate {
+			apply = e.maint.ApplyUpdate
+		}
+		n, stats, err := apply(e.set.Load().plans, dml)
+		return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
+	default:
+		return nil, fmt.Errorf("%w: expected INSERT, DELETE, or UPDATE, got %s", ErrParse, statementKind(stmt))
+	}
+}
+
+// compileDML builds one parsed DELETE or UPDATE against the catalog, rejecting
+// statements that target a summary table: materializations are
+// system-maintained, and mutating one directly would silently break the
+// freshness contract.
+func (e *Engine) compileDML(stmt parser.Statement) (*qgm.DML, error) {
 	var table string
+	var build func() (*qgm.DML, error)
 	switch t := stmt.(type) {
 	case *parser.DeleteStmt:
-		if kind != qgm.DMLDelete {
-			return nil, fmt.Errorf("%w: expected an UPDATE statement, got DELETE", ErrParse)
-		}
-		table = t.Table
+		table, build = t.Table, func() (*qgm.DML, error) { return qgm.BuildDelete(t, e.cat) }
 	case *parser.UpdateStmt:
-		if kind != qgm.DMLUpdate {
-			return nil, fmt.Errorf("%w: expected a DELETE statement, got UPDATE", ErrParse)
-		}
-		table = t.Table
+		table, build = t.Table, func() (*qgm.DML, error) { return qgm.BuildUpdate(t, e.cat) }
 	default:
-		return nil, fmt.Errorf("%w: expected a %v statement", ErrParse, kind)
+		return nil, fmt.Errorf("%w: expected DELETE or UPDATE, got %s", ErrParse, statementKind(stmt))
 	}
 	if err := e.rejectSummaryTarget(table); err != nil {
 		return nil, err
 	}
-	var dml *qgm.DML
-	switch t := stmt.(type) {
-	case *parser.DeleteStmt:
-		dml, err = qgm.BuildDelete(t, e.cat)
-	default:
-		dml, err = qgm.BuildUpdate(t.(*parser.UpdateStmt), e.cat)
-	}
+	dml, err := build()
 	if err != nil {
 		return nil, compileError(err)
 	}
@@ -108,31 +137,15 @@ func (e *Engine) rejectSummaryTarget(table string) error {
 	return nil
 }
 
-// ExecStatement executes one DML statement given as SQL text — INSERT ...
-// VALUES, DELETE, or UPDATE — and reports the affected-row count plus the
-// per-AST maintenance outcomes. It is the single statement entry point the
-// wire server's exec message and the driver's ExecContext map to; SELECTs
-// belong to Query and DDL to CreateTable/CreateSummaryTable.
-func (e *Engine) ExecStatement(ctx context.Context, sql string) (*DMLResult, error) {
-	stmt, err := parser.ParseStatement(sql)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrParse, err)
-	}
-	switch s := stmt.(type) {
-	case *parser.InsertStmt:
-		return e.insertStmt(ctx, s)
-	case *parser.DeleteStmt:
-		return e.Delete(ctx, sql)
-	case *parser.UpdateStmt:
-		return e.Update(ctx, sql)
-	default:
-		return nil, fmt.Errorf("%w: expected INSERT, DELETE, or UPDATE, got %s", ErrParse, statementKind(stmt))
-	}
-}
-
 // statementKind names a parsed statement for error messages.
 func statementKind(stmt parser.Statement) string {
 	switch stmt.(type) {
+	case *parser.InsertStmt:
+		return "INSERT"
+	case *parser.DeleteStmt:
+		return "DELETE"
+	case *parser.UpdateStmt:
+		return "UPDATE"
 	case *parser.SelectStmt:
 		return "SELECT"
 	case *parser.CreateTableStmt:
@@ -146,17 +159,16 @@ func statementKind(stmt parser.Statement) string {
 	}
 }
 
-// insertStmt executes a parsed INSERT ... VALUES statement: literal rows only,
-// with ISO date strings coerced into DATE-typed columns (the same contract the
-// astrw shell applies). Summary tables are write-protected here exactly like
-// DELETE/UPDATE targets.
-func (e *Engine) insertStmt(ctx context.Context, s *parser.InsertStmt) (*DMLResult, error) {
+// literalRows turns a parsed INSERT ... VALUES into rows for its table:
+// literal values only, with ISO date strings coerced into DATE-typed columns.
+// Summary tables are write-protected here exactly like DELETE/UPDATE targets.
+func (e *Engine) literalRows(s *parser.InsertStmt) (string, [][]sqltypes.Value, error) {
 	if err := e.rejectSummaryTarget(s.Table); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	meta, ok := e.cat.Table(s.Table)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, s.Table)
+		return "", nil, fmt.Errorf("%w: %q", ErrUnknownTable, s.Table)
 	}
 	rows := make([][]sqltypes.Value, 0, len(s.Rows))
 	for _, row := range s.Rows {
@@ -164,25 +176,21 @@ func (e *Engine) insertStmt(ctx context.Context, s *parser.InsertStmt) (*DMLResu
 		for i, expr := range row {
 			lit, ok := expr.(*parser.Lit)
 			if !ok {
-				return nil, fmt.Errorf("%w: INSERT values must be literals, got %s", ErrParse, expr.SQL())
+				return "", nil, fmt.Errorf("%w: INSERT values must be literals, got %s", ErrParse, expr.SQL())
 			}
 			vals[i] = lit.Val
 			if i < len(meta.Columns) && meta.Columns[i].Type == sqltypes.KindDate &&
 				lit.Val.Kind() == sqltypes.KindString {
 				d, err := sqltypes.ParseDate(lit.Val.Str())
 				if err != nil {
-					return nil, fmt.Errorf("%w: %w", ErrParse, err)
+					return "", nil, fmt.Errorf("%w: %w", ErrParse, err)
 				}
 				vals[i] = d
 			}
 		}
 		rows = append(rows, vals)
 	}
-	stats, err := e.Insert(ctx, s.Table, rows)
-	if err != nil && stats == nil {
-		return nil, err
-	}
-	return &DMLResult{Table: meta.Name, Affected: len(rows), Stats: stats}, err
+	return meta.Name, rows, nil
 }
 
 // MaintenanceRoute is one summary table's entry in a maintenance-routing
@@ -218,19 +226,11 @@ func (e *Engine) ExplainDML(ctx context.Context, sql string) (*MaintenanceReport
 	if ex, ok := stmt.(*parser.ExplainStmt); ok && ex.DML != nil {
 		stmt = ex.DML
 	}
-	var dml *qgm.DML
-	switch t := stmt.(type) {
-	case *parser.DeleteStmt:
-		dml, err = e.compileDML(t.SQL(), qgm.DMLDelete)
-	case *parser.UpdateStmt:
-		dml, err = e.compileDML(t.SQL(), qgm.DMLUpdate)
-	default:
-		return nil, fmt.Errorf("astdb: ExplainDML wants a DELETE or UPDATE statement")
-	}
+	dml, err := e.compileDML(stmt)
 	if err != nil {
 		return nil, err
 	}
-	rep := &MaintenanceReport{Statement: stmt.(parser.Statement).SQL(), Kind: dml.Kind.String(), Table: dml.Table.Name}
+	rep := &MaintenanceReport{Statement: stmt.SQL(), Kind: dml.Kind.String(), Table: dml.Table.Name}
 	plans := e.set.Load().plans
 	for _, ca := range sortedByName(e.ASTs()) {
 		var p *maintain.Plan

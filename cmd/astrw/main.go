@@ -170,15 +170,11 @@ func (sh *shell) exec(stmt parser.Statement) error {
 	case *parser.CreateASTStmt:
 		return sh.createAST(s)
 	case *parser.InsertStmt:
-		return sh.insert(s)
+		return sh.dml(s, "inserted", "into")
 	case *parser.DeleteStmt:
-		return sh.dml("deleted", func() (*astdb.DMLResult, error) {
-			return sh.db.Delete(context.Background(), s.SQL())
-		})
+		return sh.dml(s, "deleted", "in")
 	case *parser.UpdateStmt:
-		return sh.dml("updated", func() (*astdb.DMLResult, error) {
-			return sh.db.Update(context.Background(), s.SQL())
-		})
+		return sh.dml(s, "updated", "in")
 	case *parser.ExplainStmt:
 		if s.DML != nil {
 			return sh.explainDML(s.DML)
@@ -322,41 +318,6 @@ func (sh *shell) createAST(s *parser.CreateASTStmt) error {
 	return nil
 }
 
-func (sh *shell) insert(s *parser.InsertStmt) error {
-	meta, ok := sh.db.Catalog().Table(s.Table)
-	if !ok {
-		return fmt.Errorf("table %q not found", s.Table)
-	}
-	rows := make([][]sqltypes.Value, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		vals := make([]sqltypes.Value, len(row))
-		for i, e := range row {
-			lit, ok := e.(*parser.Lit)
-			if !ok {
-				return fmt.Errorf("INSERT values must be literals, got %s", e.SQL())
-			}
-			vals[i] = lit.Val
-			// Coerce ISO date strings into DATE-typed columns.
-			if i < len(meta.Columns) && meta.Columns[i].Type == sqltypes.KindDate &&
-				lit.Val.Kind() == sqltypes.KindString {
-				d, err := sqltypes.ParseDate(lit.Val.Str())
-				if err != nil {
-					return err
-				}
-				vals[i] = d
-			}
-		}
-		rows = append(rows, vals)
-	}
-	stats, err := sh.db.Insert(context.Background(), s.Table, rows)
-	if err != nil && stats == nil {
-		return err
-	}
-	fmt.Fprintf(sh.out, "-- inserted %d row(s) into %s\n", len(rows), s.Table)
-	sh.reportMaintenance(stats)
-	return nil
-}
-
 // reportMaintenance surfaces per-AST refresh outcomes after an insert,
 // delete, or update.
 func (sh *shell) reportMaintenance(stats []astdb.Stats) {
@@ -373,14 +334,14 @@ func (sh *shell) reportMaintenance(stats []astdb.Stats) {
 	}
 }
 
-// dml executes one DELETE or UPDATE through the facade and reports the
-// affected-row count plus per-AST maintenance outcomes, mirroring insert.
-func (sh *shell) dml(verb string, run func() (*astdb.DMLResult, error)) error {
-	res, err := run()
+// dml executes one already-parsed INSERT, DELETE or UPDATE through the facade
+// and reports the affected-row count plus per-AST maintenance outcomes.
+func (sh *shell) dml(stmt parser.Statement, verb, prep string) error {
+	res, err := sh.db.ExecParsed(context.Background(), stmt)
 	if err != nil && res == nil {
 		return err
 	}
-	fmt.Fprintf(sh.out, "-- %s %d row(s) in %s\n", verb, res.Affected, res.Table)
+	fmt.Fprintf(sh.out, "-- %s %d row(s) %s %s\n", verb, res.Affected, prep, res.Table)
 	sh.reportMaintenance(res.Stats)
 	return nil
 }

@@ -249,3 +249,32 @@ func TestRefreshFullDirectRecovery(t *testing.T) {
 	}
 	checkAgainstRecompute(t, f, ca)
 }
+
+// TestInsertBatchIsAllOrNothing: arity is checked for the whole batch before
+// any merge is prepared or any row appended, so a batch whose last row is
+// short changes neither the base table nor a summary table, and staleness is
+// not how the caller finds out.
+func TestInsertBatchIsAllOrNothing(t *testing.T) {
+	f := newTrackedFixture(t, 600)
+	ca := f.compile(t, "allornone", `select flid, count(*) as c, sum(qty) as s from trans group by flid`)
+	plan := f.m.Analyze(ca)
+	before := f.store.MustTable("allornone").Snapshot()
+
+	rows := randTransRows(f, rand.New(rand.NewSource(15)), 10)
+	rows[9] = rows[9][:3]
+	stats, err := f.m.ApplyInsert([]*Plan{plan}, "trans", rows)
+	if err == nil || stats != nil {
+		t.Fatalf("short last row: stats=%+v err=%v, want nil and an error", stats, err)
+	}
+	if got := f.store.MustTable("trans").Cardinality(); got != 600 {
+		t.Fatalf("trans has %d rows, want 600: part of the batch was inserted", got)
+	}
+	after := f.store.MustTable("allornone").Snapshot()
+	if len(after) != len(before) || (len(after) > 0 && &after[0] != &before[0]) {
+		t.Fatal("the summary table was republished by a rejected batch")
+	}
+	if st := f.cat.Status("allornone"); st.Stale || st.Quarantined || st.Epoch != 0 {
+		t.Fatalf("a rejected batch changed the AST's status: %+v", st)
+	}
+	checkAgainstRecompute(t, f, ca)
+}

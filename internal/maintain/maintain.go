@@ -2,19 +2,20 @@
 // (c) of the paper's introduction ("maintaining the ASTs efficiently when the
 // base tables are updated", citing Mumick, Quass & Mumick, SIGMOD 1997).
 //
-// Insert-only incremental maintenance for single-block aggregation ASTs works
-// by the classic delta-aggregation scheme: evaluate the AST's definition over
-// the inserted rows only (joined against the current dimension tables),
-// producing per-group deltas, then merge the deltas into the materialized
-// table — COUNT and SUM add, MIN and MAX take extremes (sound for inserts).
-// ASTs outside that class (multi-block definitions, DISTINCT aggregates,
-// HAVING, or supergroups whose merge would need per-cuboid handling are fine
-// actually — grouping sets merge per output row — but expression-valued
-// output columns are not) fall back to full recomputation.
+// Analyze classifies each summary table once. A definition is incrementally
+// maintainable when it is a single block — one GROUP BY (simple, or grouping
+// sets / rollup / cube over non-nullable grouping expressions, which merge per
+// NULL-padded output row) over a join of base tables, no HAVING, no DISTINCT —
+// and every output column is a plain grouping column or a COUNT, SUM, MIN or
+// MAX. Such a table is refreshed by delta aggregation: the definition is
+// evaluated over just the changed rows and the per-group result merged into
+// the materialization. Deletes additionally need a COUNT(*) tracker column to
+// retire emptied groups. Everything else — and any table referenced twice in
+// a definition, where the single-table delta is unsound — is refreshed by full
+// recomputation. The write path itself is in dml.go.
 package maintain
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
-	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
@@ -108,11 +108,13 @@ func (p *Plan) DeleteRouting(table string) (Strategy, string) {
 	return Incremental, ""
 }
 
-// Maintainer refreshes materialized ASTs after base-table inserts. Refresh
-// failures are per-AST, never fatal to the maintenance pass: a failed
-// incremental refresh falls back to full recomputation, and a failed full
-// recomputation marks the AST stale in the attached catalog (counting toward
-// its quarantine circuit breaker) while the remaining ASTs still refresh.
+// Maintainer applies base-table changes and refreshes the materialized ASTs
+// that read them. Refresh failures are per-AST, never fatal to the maintenance
+// pass: a failed incremental refresh falls back to full recomputation, and a
+// failed full recomputation marks the AST stale in the attached catalog
+// (counting toward its quarantine circuit breaker) while the remaining ASTs
+// still refresh. A Maintainer is single-writer by contract: it does not
+// serialize concurrent Apply/Refresh calls, its caller does.
 type Maintainer struct {
 	store  *storage.Store
 	engine *exec.Engine
@@ -146,12 +148,6 @@ func (m *Maintainer) WithObserver(o *obs.Observer) *Maintainer {
 func (m *Maintainer) markFresh(name string) {
 	if m.cat != nil {
 		m.cat.MarkFresh(name)
-	}
-}
-
-func (m *Maintainer) markStale(name string) {
-	if m.cat != nil {
-		m.cat.MarkStale(name)
 	}
 }
 
@@ -392,91 +388,6 @@ type Stats struct {
 	Err       error // non-nil when this AST's refresh failed (it is now stale)
 }
 
-// ApplyInsert appends rows to a base table and refreshes every AST whose
-// definition reads it (incrementally where the plan allows). Plans for ASTs
-// not reading the table are skipped with zero-cost stats.
-//
-// Failures degrade per AST instead of aborting: a failed incremental refresh
-// falls back to full recomputation, and a failed full recomputation records
-// the error in that AST's Stats entry, marks it stale in the catalog, and
-// continues with the remaining ASTs. The returned error joins the per-AST
-// failures; the Stats slice is always complete.
-//
-// An AST whose catalog status is stale or quarantined is refreshed by full
-// recomputation regardless of its plan: its materialization is missing
-// earlier deltas, so only a full recompute — never an incremental merge —
-// may restore it to fresh.
-func (m *Maintainer) ApplyInsert(plans []*Plan, table string, rows [][]sqltypes.Value) ([]Stats, error) {
-	table = strings.ToLower(table)
-	td, ok := m.store.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("maintain: table %q not loaded", table)
-	}
-
-	var out []Stats
-	for _, p := range plans {
-		if !p.baseTabs[table] {
-			continue
-		}
-		start := time.Now()
-		var st Stats
-		var err error
-		// A stale or quarantined materialization is missing earlier deltas;
-		// merging this batch into it would produce wrong contents that the
-		// success path below would then mark fresh. Recovery is always a full
-		// recompute. InsertRouting additionally forces self-joined tables to
-		// a full recompute (the overlay delta would miss ΔR⋈R and R⋈ΔR).
-		strat, _ := p.InsertRouting(table)
-		incremental := strat == Incremental && !m.staleOrQuarantined(p.AST.Def.Name)
-		if incremental {
-			st, err = m.incrementalRefresh(p, table, rows)
-		}
-		if !incremental || err != nil {
-			// Full fallback runs after the base insert below; mark it.
-			st = Stats{AST: p.AST.Def.Name, Strategy: FullRecompute}
-		}
-		st.Duration = time.Since(start)
-		out = append(out, st)
-	}
-
-	// Apply the base insert.
-	for ri, r := range rows {
-		if err := td.Insert(r); err != nil {
-			// The base table took only part of the batch while incremental
-			// merges above already saw all of it: every affected AST is now
-			// ahead of the base tables. Mark them all stale.
-			for i := range out {
-				m.markStale(out[i].AST)
-				out[i].Err = fmt.Errorf("maintain: base insert aborted at row %d: %w", ri, err)
-			}
-			return out, err
-		}
-	}
-
-	// Full recomputations see the post-insert state; each failure is
-	// recorded per AST and the loop continues.
-	var errs []error
-	for i := range out {
-		if out[i].Strategy == FullRecompute {
-			p := findPlan(plans, out[i].AST)
-			st, err := m.RefreshFull(p)
-			st.Duration += out[i].Duration
-			out[i] = st
-			if err != nil {
-				errs = append(errs, st.Err)
-			}
-		} else {
-			// Incremental refresh succeeded: the materialization reflects
-			// the post-insert state.
-			m.markFresh(out[i].AST)
-			m.obsv.Add("maintain.refresh.incremental", 1)
-			m.obsv.Add("maintain.delta.rows", int64(out[i].DeltaRows))
-			m.obsv.Observe("maintain.refresh.incremental", out[i].Duration)
-		}
-	}
-	return out, errors.Join(errs...)
-}
-
 // RefreshFull recomputes one AST from its definition over the current base
 // tables. On success the AST's catalog status is marked fresh — a successful
 // full recompute is the recovery path out of staleness and quarantine. On
@@ -517,141 +428,4 @@ func (m *Maintainer) evalDefinition(p *Plan, site string) (res *exec.Result, err
 		return nil, err
 	}
 	return m.engine.Run(p.AST.Graph)
-}
-
-func findPlan(plans []*Plan, name string) *Plan {
-	for _, p := range plans {
-		if p.AST.Def.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
-// incrementalRefresh computes the delta aggregation over the inserted rows
-// (before they are added to the base table) and merges it into the
-// materialized AST. A panic anywhere inside (including the engine) is
-// recovered into an error; ApplyInsert then falls back to full
-// recomputation.
-//
-// The refresh is reader-safe: the delta is evaluated on an overlay store (the
-// inserted table replaced by just the delta rows, nothing mutated), and the
-// merge is copy-on-write — a new row set is built and swapped in with Put, so
-// queries scanning the AST concurrently keep a consistent pre-refresh
-// snapshot.
-func (m *Maintainer) incrementalRefresh(p *Plan, table string, rows [][]sqltypes.Value) (st Stats, err error) {
-	st = Stats{AST: p.AST.Def.Name, Strategy: Incremental}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("maintain: incremental refresh panicked: %v", r)
-		}
-	}()
-	if err := faultinject.Hit("maintain.incremental:" + p.AST.Def.Name); err != nil {
-		return st, err
-	}
-	if err := m.auditPlan(p); err != nil {
-		return st, err
-	}
-
-	// Evaluate the definition with the inserted table replaced by just the
-	// delta rows; other tables keep their current contents. For insert-only
-	// deltas into one table this yields exactly Δ(join) under the usual delta
-	// rule.
-	td := m.store.MustTable(table)
-	scratch := m.store.Overlay(table, td.Meta, rows)
-	delta, err := exec.NewEngine(scratch).Run(p.AST.Graph)
-	if err != nil {
-		return st, fmt.Errorf("maintain: delta eval: %w", err)
-	}
-	st.DeltaRows = len(delta.Rows)
-	if len(delta.Rows) == 0 {
-		return st, nil
-	}
-
-	mat, ok := m.store.Table(p.AST.Def.Name)
-	if !ok {
-		return st, fmt.Errorf("maintain: AST %q not materialized", p.AST.Def.Name)
-	}
-
-	// Index existing groups by key columns.
-	snap := mat.Snapshot()
-	merged := make([][]sqltypes.Value, len(snap), len(snap)+len(delta.Rows))
-	copy(merged, snap)
-	index := make(map[string]int, len(merged))
-	key := func(r []sqltypes.Value) string {
-		var sb strings.Builder
-		for _, k := range p.keyCols {
-			sb.WriteString(r[k].GroupKey())
-			sb.WriteByte(0)
-		}
-		return sb.String()
-	}
-	for i, r := range merged {
-		index[key(r)] = i
-	}
-
-	for _, d := range delta.Rows {
-		if i, ok := index[key(d)]; ok {
-			// Copy-on-write: never mutate a row a concurrent reader may hold.
-			nr := append([]sqltypes.Value(nil), merged[i]...)
-			if err := mergeRow(p, nr, d); err != nil {
-				return st, err
-			}
-			merged[i] = nr
-			st.Merged++
-		} else {
-			nr := append([]sqltypes.Value(nil), d...)
-			merged = append(merged, nr)
-			index[key(nr)] = len(merged) - 1
-			st.Added++
-		}
-	}
-	m.store.Put(mat.Meta, merged)
-	return st, nil
-}
-
-// mergeRow folds a delta group into an existing group in place.
-func mergeRow(p *Plan, dst, delta []sqltypes.Value) error {
-	for i, role := range p.roles {
-		if role.key {
-			continue
-		}
-		switch role.agg.Op {
-		case "count", "sum":
-			if delta[i].IsNull() {
-				continue // SUM delta over all-NULL inputs adds nothing
-			}
-			if dst[i].IsNull() {
-				dst[i] = delta[i]
-				continue
-			}
-			v, err := sqltypes.Add(dst[i], delta[i])
-			if err != nil {
-				return fmt.Errorf("maintain: merging column %d: %w", i, err)
-			}
-			dst[i] = v
-		case "min":
-			dst[i] = extreme(dst[i], delta[i], true)
-		case "max":
-			dst[i] = extreme(dst[i], delta[i], false)
-		}
-	}
-	return nil
-}
-
-func extreme(a, b sqltypes.Value, min bool) sqltypes.Value {
-	if a.IsNull() {
-		return b
-	}
-	if b.IsNull() {
-		return a
-	}
-	c, err := sqltypes.Compare(b, a)
-	if err != nil {
-		return a
-	}
-	if (min && c < 0) || (!min && c > 0) {
-		return b
-	}
-	return a
 }
