@@ -346,8 +346,8 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 		return nil, err
 	}
 	// The rewritten plan failed (e.g. the materialized table is unreadable).
-	// Mark the AST stale — which also invalidates the cached plan, its key
-	// fingerprints AST status — and answer from base tables.
+	// Mark the AST stale — which also puts the cached plan out of reach, its
+	// key being the usable set — and answer from base tables.
 	e.cat.MarkStale(cr.AST)
 	base, berr := e.parse(span, sql)
 	if berr != nil {

@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -99,8 +100,8 @@ type ASTDef struct {
 
 // Catalog is the metadata store. Schema mutation (AddTable, RegisterAST, …)
 // is not safe for concurrent use; the read path (lookups) is safe once
-// populated. AST freshness and the signature index are rcu maps: readers
-// (Status, Usable, AdmitsAST, plan-cache fingerprinting) take one atomic load
+// populated. AST freshness and the signature index are rcu generations: readers
+// (Status, Usable, AdmitsAST, the plan cache's usable set) take one atomic load
 // and no lock, so maintenance may mark ASTs stale or fresh while every
 // concurrent query-path check stays contention-free.
 type Catalog struct {
@@ -110,10 +111,10 @@ type Catalog struct {
 	fkEdges  []fkEdge // fks as table IDs, for the signature index
 	asts     []ASTDef
 
-	// status maps a lowercased AST name to its freshness; an absent name has
-	// the zero status. Every transition is one publication, so Status, Usable
-	// and AdmitsAST can never disagree about a table.
-	status          rcu.Map[string, ASTStatus]
+	// status is the current generation of every AST's freshness. Every
+	// transition is one publication, so Status, Usable and AdmitsAST can never
+	// disagree about a table.
+	status          rcu.Cell[*Statuses]
 	quarantineAfter atomic.Int64
 	obsv            *obs.Observer // nil = observability disabled
 
@@ -127,13 +128,53 @@ type Catalog struct {
 func (c *Catalog) transition(name string, f func(*ASTStatus)) ASTStatus {
 	name = strings.ToLower(name)
 	var st ASTStatus
-	c.status.Update(func(draft map[string]ASTStatus) {
-		st = draft[name]
+	c.status.Update(func(cur *Statuses) *Statuses {
+		next := cur.draft()
+		st = next.byName[name]
 		f(&st)
-		draft[name] = st
+		next.byName[name] = st
+		return next
 	})
 	return st
 }
+
+// Statuses is one generation of every AST's freshness: a lowercased name maps
+// to its status, an absent name has the zero status. A generation is never
+// written once published, so its address identifies it — two loads that
+// return one pointer saw one state — and anything derived from it (the plan
+// cache's usable set) can be kept until the pointer changes. The nil
+// generation is the one before any transition: every AST fresh at epoch 0.
+type Statuses struct {
+	byName map[string]ASTStatus
+}
+
+// Status returns the named AST's status in this generation.
+func (s *Statuses) Status(name string) ASTStatus {
+	if s == nil {
+		return ASTStatus{}
+	}
+	return s.byName[strings.ToLower(name)]
+}
+
+// Usable reports whether the rewriter may route queries to the AST:
+// quarantined ASTs never, stale ASTs only when the caller allows staleness.
+func (s *Statuses) Usable(name string, allowStale bool) bool {
+	st := s.Status(name)
+	return !st.Quarantined && (allowStale || !st.Stale)
+}
+
+// draft returns a private copy of the generation for a writer to modify and
+// publish.
+func (s *Statuses) draft() *Statuses {
+	next := &Statuses{byName: map[string]ASTStatus{}}
+	if s != nil {
+		maps.Copy(next.byName, s.byName)
+	}
+	return next
+}
+
+// Statuses returns the current generation: one atomic load, no lock.
+func (c *Catalog) Statuses() *Statuses { return c.status.Load() }
 
 // DefaultQuarantineThreshold is the number of consecutive refresh failures
 // after which an AST is quarantined (circuit broken) until a successful full
@@ -348,7 +389,11 @@ func (c *Catalog) UnregisterAST(name string) {
 		}
 	}
 	c.asts = out
-	c.status.Update(func(draft map[string]ASTStatus) { delete(draft, name) })
+	c.status.Update(func(cur *Statuses) *Statuses {
+		next := cur.draft()
+		delete(next.byName, name)
+		return next
+	})
 	c.sigs.Update(func(draft map[string]*Signature) { delete(draft, name) })
 }
 
@@ -385,12 +430,9 @@ func (c *Catalog) SetQuarantineThreshold(n int) {
 }
 
 // Status returns a copy of the AST's freshness state (zero value when the
-// AST was never refreshed or marked). It is lock-free: the query path calls
-// it once per registered AST per plan-cache lookup.
-func (c *Catalog) Status(name string) ASTStatus {
-	st, _ := c.status.Get(strings.ToLower(name))
-	return st
-}
+// AST was never refreshed or marked), from the current generation: one atomic
+// load, no lock.
+func (c *Catalog) Status(name string) ASTStatus { return c.Statuses().Status(name) }
 
 // MarkFresh records a successful refresh: bumps the epoch, clears staleness
 // and quarantine, and resets the failure counter. A successful full
@@ -447,14 +489,9 @@ func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
 	return out
 }
 
-// Usable reports whether the rewriter may route queries to the AST:
-// quarantined ASTs never, stale ASTs only when the caller allows staleness.
-// Lock-free (one atomic snapshot load), so per-candidate checks on the query
-// path never serialize against maintenance transitions.
+// Usable is Statuses.Usable on the current generation. Lock-free (one atomic
+// load), so per-candidate checks on the query path never serialize against
+// maintenance transitions.
 func (c *Catalog) Usable(name string, allowStale bool) bool {
-	st := c.Status(name)
-	if st.Quarantined {
-		return false
-	}
-	return allowStale || !st.Stale
+	return c.Statuses().Usable(name, allowStale)
 }

@@ -3,63 +3,108 @@ package core
 import (
 	"container/list"
 	"context"
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/qgm"
+	"repro/internal/rcu"
+	"repro/internal/sqltypes"
 )
 
-// PlanCache memoizes rewrite results across repeated queries (multi-query
-// workloads re-issue the same report queries constantly; matching every AST
-// every time is pure overhead). It is a bounded LRU keyed by the normalized
-// query SQL plus a freshness fingerprint of the candidate AST set.
+// PlanCache memoizes rewrite results across queries that differ at most in
+// their literals (a dashboard re-issues the same reports with a new date
+// range, country or threshold; matching every AST every time is pure
+// overhead). It is a bounded LRU keyed by the statement's template
+// (parser.Template: the text with every number and string literal replaced by
+// a typed slot) plus the usable set of the candidate ASTs.
 //
-// The fingerprint is what makes a hit safe: it folds in every candidate's
-// name, refresh epoch, stale flag, and quarantine flag (plus the rewriter's
-// AllowStale policy). Any status transition — MarkStale, MarkFresh (which
-// bumps the epoch), quarantine — changes the fingerprint and therefore the
-// key, so a cached plan can never serve a stale AST that Options.AllowStale
-// would refuse: the stale-era entry simply stops being found and ages out.
+// A template holds a few variants, each a plan and its pins: the literals
+// planning looked at, with the values they had (qgm.Param). A lookup hits the
+// variant whose pins the incoming literal vector agrees with, and binds that
+// vector into a copy of the plan (qgm.Graph.Bind); a vector that agrees with
+// none plans afresh and is stored beside them, the template's least recently
+// used variant making room past maxVariants. A pinned literal therefore
+// behaves as the whole text used to — equal value or no hit — an unpinned one
+// is free, and no decision that rested on a constant is reused for another.
 //
-// Concurrency: the cache is striped. Keys hash (FNV-1a over the full key,
-// fingerprint included) onto independent LRU shards, each behind its own
-// mutex, so concurrent sessions hitting different queries never contend on
-// one lock; lifetime statistics are lock-free atomics. Small caches
-// (capacity < planCacheStripeMin) collapse to a single shard, which keeps
-// exact global LRU order where capacity is tight enough for eviction order
-// to be observable. The freshness-fingerprint contract is untouched by
-// striping: invalidation is by key construction, not by mutation, and a
-// status transition re-keys the entry — possibly onto a different shard —
-// while the stale-era entry ages out of its own shard's LRU.
+// The usable set is what makes a hit safe against status changes: a cached
+// plan names its summary table, and is valid for as long as the candidates
+// that may serve rewrites (registered, not quarantined, not stale unless
+// Options.AllowStale) are the ones it was planned against. MarkStale and
+// quarantine change the set and therefore the key — the entry stops being
+// found and ages out, or is found again once the table is back — while a
+// refresh that leaves every table usable changes nothing: DML does not flush
+// the cache.
+//
+// Concurrency: the cache is striped. Templates hash (FNV-1a) onto independent
+// LRU shards, each behind its own mutex, so concurrent sessions hitting
+// different statements never contend on one lock; lifetime statistics are
+// lock-free atomics. Small caches (capacity < planCacheStripeMin) collapse to
+// a single shard, which keeps exact global LRU order where capacity is tight
+// enough for eviction order to be observable. A stored plan is never written:
+// every lookup, the one that stored it included, gets its own bound copy.
 type PlanCache struct {
 	shards []planShard
 
 	hits, misses, evictions atomic.Int64
+
+	// usable is the usable set last derived, kept until the catalog publishes
+	// another status generation (or the caller passes other candidates).
+	usable rcu.Cell[*usableSet]
 }
 
 // planShard is one independent LRU stripe of the cache.
 type planShard struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
+	ll    *list.List                  // of *cacheEntry; front = most recently used
+	byKey map[planKey][]*list.Element // a template's variants, most recently used first
 
 	// Pad to a cache line so neighboring shards' mutexes do not false-share.
 	_ [64]byte
 }
 
+// planKey is what a lookup must match exactly.
+type planKey struct {
+	usable   string // sorted names of the usable candidates
+	template string
+}
+
 type cacheEntry struct {
-	key  string
-	plan *qgm.Graph // pristine copy; cloned on every hit
+	key  planKey
+	pins []pin
+	plan *qgm.Graph // built by BuildParams; bound into a copy on every lookup
 	ast  string     // AST name the plan reads; "" = base plan
+}
+
+// pin is one literal planning looked at: the plan holds for statements whose
+// literal vector has val at slot.
+type pin struct {
+	slot int
+	val  sqltypes.Value
+}
+
+func pinsHold(pins []pin, lits []sqltypes.Value) bool {
+	for _, p := range pins {
+		if !sqltypes.Identical(lits[p.slot], p.val) {
+			return false
+		}
+	}
+	return true
 }
 
 // DefaultPlanCacheSize bounds a cache constructed with capacity <= 0.
 const DefaultPlanCacheSize = 256
+
+// maxVariants bounds the plans kept for one template and usable set. Variants
+// arise only from pinned literals that vary, and each lookup walks them all.
+const maxVariants = 4
 
 // planCacheStripes is the shard count for caches large enough to stripe
 // (power of two, so shard selection is a mask).
@@ -86,22 +131,20 @@ func NewPlanCache(capacity int) *PlanCache {
 		if i < rem {
 			sc++
 		}
-		c.shards[i] = planShard{cap: sc, ll: list.New(), byKey: map[string]*list.Element{}}
+		c.shards[i] = planShard{cap: sc, ll: list.New(), byKey: map[planKey][]*list.Element{}}
 	}
 	return c
 }
 
-// shard maps a key to its stripe by FNV-1a hash. The fingerprint prefix is
-// part of the hashed key, so a status transition re-keys (and may re-shard)
-// an entry — exactly the invalidation-by-construction the fingerprint
-// contract relies on.
-func (c *PlanCache) shard(key string) *planShard {
+// shard maps a template to its stripe by FNV-1a hash. The usable set is not
+// hashed: the eras of one statement share a stripe.
+func (c *PlanCache) shard(template string) *planShard {
 	if len(c.shards) == 1 {
 		return &c.shards[0]
 	}
 	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for i := 0; i < len(template); i++ {
+		h ^= uint64(template[i])
 		h *= 1099511628211
 	}
 	return &c.shards[h&uint64(len(c.shards)-1)]
@@ -130,152 +173,181 @@ func (c *PlanCache) Evictions() int64 {
 	return c.evictions.Load()
 }
 
-// get returns a private clone of the cached plan for key, promoting the entry.
-func (c *PlanCache) get(key string) (*qgm.Graph, string, bool) {
-	s := c.shard(key)
+// get returns the variant of key whose pins hold for lits, promoting it;
+// known reports that the key has variants at all, so that a miss with known
+// set is a pinned literal that differed.
+func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, known bool) {
+	s := c.shard(key.template)
 	s.mu.Lock()
-	el, ok := s.byKey[key]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, "", false
+	defer s.mu.Unlock()
+	variants := s.byKey[key]
+	for i, el := range variants {
+		if e := el.Value.(*cacheEntry); pinsHold(e.pins, lits) {
+			s.ll.MoveToFront(el)
+			copy(variants[1:], variants[:i])
+			variants[0] = el
+			c.hits.Add(1)
+			return e, true
+		}
 	}
-	s.ll.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	plan, ast := ent.plan, ent.ast
-	s.mu.Unlock()
-	c.hits.Add(1)
-	// Clone outside the lock: callers execute (and may mutate) their copy,
-	// the cached plan stays pristine.
-	return plan.Clone(), ast, true
+	c.misses.Add(1)
+	return nil, len(variants) > 0
 }
 
-// put stores a private clone of plan under key, evicting the least recently
-// used entries of the key's shard past its capacity; it returns how many
-// entries were evicted.
-func (c *PlanCache) put(key string, plan *qgm.Graph, ast string) int {
-	stored := plan.Clone()
-	s := c.shard(key)
+// put stores ent, planned for lits, as the most recently used variant of its
+// key. Within the key it takes the place of the variant that answers lits, if
+// a concurrent miss stored one first, else of the least recently used one once
+// there are maxVariants; then the shard's least recently used entries go until
+// it is within capacity, and put returns how many those were.
+func (c *PlanCache) put(ent *cacheEntry, lits []sqltypes.Value) int {
+	s := c.shard(ent.key.template)
 	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).plan = stored
-		el.Value.(*cacheEntry).ast = ast
-		s.mu.Unlock()
-		return 0
+	defer s.mu.Unlock()
+	variants := s.byKey[ent.key]
+	out := -1
+	if len(variants) >= maxVariants {
+		out = len(variants) - 1
 	}
-	s.byKey[key] = s.ll.PushFront(&cacheEntry{key: key, plan: stored, ast: ast})
+	for i, el := range variants {
+		if pinsHold(el.Value.(*cacheEntry).pins, lits) {
+			out = i
+			break
+		}
+	}
+	if out >= 0 {
+		s.ll.Remove(variants[out])
+		variants = append(variants[:out:out], variants[out+1:]...)
+	}
+	s.byKey[ent.key] = append([]*list.Element{s.ll.PushFront(ent)}, variants...)
 	evicted := 0
 	for s.ll.Len() > s.cap {
+		// A key's variants are in list order, so the list's back is the last
+		// of its key's.
 		back := s.ll.Back()
 		s.ll.Remove(back)
-		delete(s.byKey, back.Value.(*cacheEntry).key)
+		key := back.Value.(*cacheEntry).key
+		if rest := s.byKey[key]; len(rest) > 1 {
+			s.byKey[key] = rest[:len(rest)-1]
+		} else {
+			delete(s.byKey, key)
+		}
 		evicted++
 	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
-	}
+	c.evictions.Add(int64(evicted))
 	return evicted
 }
 
-// NormalizeSQL canonicalizes a query string for cache keying: runs of
-// whitespace collapse to one space and keywords/identifiers fold to lower
-// case — but the contents of single-quoted string literals are preserved
-// byte-for-byte, so `WHERE region = 'CA'` and `where region = 'ca'` remain
-// distinct queries.
-func NormalizeSQL(sql string) string {
-	var sb strings.Builder
-	sb.Grow(len(sql))
-	inStr := false
-	pendingSpace := false
-	for i := 0; i < len(sql); i++ {
-		ch := sql[i]
-		if inStr {
-			sb.WriteByte(ch)
-			if ch == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case ch == '\'':
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-			inStr = true
-			sb.WriteByte(ch)
-		case ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r':
-			pendingSpace = true
-		default:
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-			if 'A' <= ch && ch <= 'Z' {
-				ch += 'a' - 'A'
-			}
-			sb.WriteByte(ch)
-		}
-	}
-	return sb.String()
+// usableSet is the part of a plan-cache key that follows the candidates'
+// status, derived from one status generation.
+type usableSet struct {
+	gen        *catalog.Statuses // the generation it was derived from, by identity
+	allowStale bool
+	asts       []*CompiledAST
+	key        string
 }
 
-// cacheKey builds the cache key for one query against the current AST set:
-// normalized SQL plus the sorted per-AST freshness fingerprint and the
-// staleness policy in force.
-func (rw *Rewriter) cacheKey(sql string, asts []*CompiledAST) string {
-	parts := make([]string, 0, len(asts))
-	for _, ast := range asts {
-		st := rw.cat.Status(ast.Def.Name)
-		parts = append(parts, fmt.Sprintf("%s:%d:%t:%t", ast.Def.Name, st.Epoch, st.Stale, st.Quarantined))
+// usableKey returns the sorted names of the candidates that may serve
+// rewrites under the status generation gen. Deriving it costs a status lookup
+// per candidate, a sort and a join, so the last one is kept in the cache and
+// reused for as long as the generation and the candidates are the same ones.
+func (rw *Rewriter) usableKey(cache *PlanCache, gen *catalog.Statuses, asts []*CompiledAST) string {
+	if u := cache.usable.Load(); u != nil && u.gen == gen && u.allowStale == rw.opts.AllowStale && slices.Equal(u.asts, asts) {
+		return u.key
 	}
-	sort.Strings(parts)
-	return fmt.Sprintf("allowstale=%t|%s|%s", rw.opts.AllowStale, strings.Join(parts, ";"), NormalizeSQL(sql))
+	names := make([]string, 0, len(asts))
+	for _, ast := range asts {
+		if gen.Usable(ast.Def.Name, rw.opts.AllowStale) {
+			names = append(names, ast.Def.Name)
+		}
+	}
+	sort.Strings(names)
+	key := strings.Join(names, ";")
+	cache.usable.Update(func(*usableSet) *usableSet {
+		return &usableSet{
+			gen:        gen,
+			allowStale: rw.opts.AllowStale,
+			asts:       append([]*CompiledAST(nil), asts...),
+			key:        key,
+		}
+	})
+	return key
 }
 
 // CachedRewrite is the outcome of a cache-aware rewrite.
 type CachedRewrite struct {
-	// Plan is runnable and owned by the caller (on a hit it is a fresh clone
-	// of the cached plan).
+	// Plan is runnable and owned by the caller: a copy of the cached plan with
+	// the statement's literals bound in.
 	Plan *qgm.Graph
 	// AST names the summary table the plan reads; "" means the base plan.
 	AST string
 	// Hit reports whether the plan came from the cache (no matching ran).
 	Hit bool
 	// Rewrite carries the match details on a cache miss that rewrote; nil on
-	// hits and on base plans.
+	// hits and on base plans. Its boxes belong to the cached plan, not to Plan:
+	// read them, do not change them.
 	Rewrite *Result
 }
 
 // RewriteSQLCached answers "what plan should run for this SQL" through the
-// cache: on a hit it returns a clone of the cached plan without running the
-// matcher at all; on a miss it builds the query, plans it exactly as
-// RewriteOrFallback does (the cheapest verified rewrite, else the base plan),
-// and caches the outcome — including negative outcomes, so a query no AST
-// serves stops paying match overhead too.
+// cache. One lexer pass yields the statement's template and literals; on a
+// hit the cached plan is copied with those literals bound in — no parse, no
+// graph build, no matching. On a miss the statement is built with its
+// literals as Params and planned exactly as RewriteOrFallback plans it (the
+// cheapest verified rewrite, else the base plan), and the outcome is cached
+// with the literals planning pinned — negative outcomes included, so a query
+// no AST serves stops paying match overhead too.
 func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql string, asts []*CompiledAST, sizer Sizer) (*CachedRewrite, error) {
 	span := obs.SpanFromContext(ctx)
 	lookup := span.Child("plancache.lookup")
-	key := rw.cacheKey(sql, asts)
-	plan, astName, ok := cache.get(key)
-	lookup.End()
-	if ok {
-		rw.obsv.Add(CtrCacheHits, 1)
-		return &CachedRewrite{Plan: plan, AST: astName, Hit: true}, nil
+	template, lits, err := parser.Template(sql)
+	if err != nil {
+		// Not a statement: let the parser say why, as it does without a cache.
+		lookup.End()
+		if _, perr := qgm.BuildSQL(sql, rw.cat); perr != nil {
+			return nil, perr
+		}
+		return nil, err
 	}
+	gen := rw.cat.Statuses()
+	key := planKey{usable: rw.usableKey(cache, gen, asts), template: template}
+	ent, known := cache.get(key, lits)
+	if ent != nil {
+		plan := ent.plan.Bind(lits)
+		lookup.End()
+		rw.obsv.Add(CtrCacheHits, 1)
+		return &CachedRewrite{Plan: plan, AST: ent.ast, Hit: true}, nil
+	}
+	lookup.End()
 	rw.obsv.Add(CtrCacheMisses, 1)
+	if known {
+		rw.obsv.Add(CtrCacheVariantMisses, 1)
+	}
+
 	parse := span.Child("parse")
-	query, err := qgm.BuildSQL(sql, rw.cat)
+	stmt, err := parser.Parse(sql)
+	var query *qgm.Graph
+	if err == nil {
+		query, err = qgm.BuildParams(stmt, rw.cat)
+	}
 	parse.End()
 	if err != nil {
 		return nil, err
 	}
 	plan, res := rw.plan(ctx, query, asts, sizer, nil)
+	ent = &cacheEntry{key: key, plan: plan}
 	if res != nil {
-		astName = res.AST.Def.Name
+		ent.ast = res.AST.Def.Name
 	}
-	rw.obsv.Add(CtrCacheEvictions, int64(cache.put(key, plan, astName)))
-	return &CachedRewrite{Plan: plan, AST: astName, Rewrite: res}, nil
+	for _, p := range query.Params {
+		if p != nil && p.Pinned() {
+			ent.pins = append(ent.pins, pin{slot: p.Slot, val: lits[p.Slot]})
+		}
+	}
+	// The plan was chosen among the tables usable while it was planned; it
+	// belongs under key only if those were the ones of gen throughout.
+	if rw.cat.Statuses() == gen {
+		rw.obsv.Add(CtrCacheEvictions, int64(cache.put(ent, lits)))
+		rw.obsv.Add(CtrCachePins, int64(len(ent.pins)))
+	}
+	return &CachedRewrite{Plan: plan.Bind(lits), AST: ent.ast, Rewrite: res}, nil
 }

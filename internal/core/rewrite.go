@@ -28,6 +28,11 @@ const (
 	CtrCacheHits       = "core.plancache.hits"
 	CtrCacheMisses     = "core.plancache.misses"
 	CtrCacheEvictions  = "core.plancache.evictions"
+	// CtrCachePins counts the pinned literals of the plans stored, and
+	// CtrCacheVariantMisses the misses on a known template — a pinned literal
+	// differed — which together say why a dashboard does not hit.
+	CtrCachePins          = "core.plancache.pins"
+	CtrCacheVariantMisses = "core.plancache.variant_misses"
 )
 
 // CompiledAST is a registered Automatic Summary Table ready for matching: its

@@ -84,9 +84,15 @@ type ColRef struct {
 	Name      string
 }
 
-// Lit is a literal constant.
+// Lit is a literal constant. Param is the number of the literal token it was
+// read from (Token.Param), 0 for NULL, TRUE and FALSE, which are keywords.
+// Pinned marks a Val the parser computed from that token's value — a folded
+// unary minus, a DATE conversion — rather than took as it stood: a plan built
+// from this node holds only for the value the token had (qgm.Param).
 type Lit struct {
-	Val sqltypes.Value
+	Val    sqltypes.Value
+	Param  int
+	Pinned bool
 }
 
 // BinExpr is a binary operator application. Op is one of
@@ -179,7 +185,7 @@ func quoteIdent(s string) string {
 }
 
 func plainIdent(s string) bool {
-	if s == "" || strings.ContainsRune(s, '"') || keywords[strings.ToUpper(s)] {
+	if _, reserved := keyword(s); s == "" || strings.ContainsRune(s, '"') || reserved {
 		return false
 	}
 	for i, r := range s {

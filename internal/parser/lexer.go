@@ -7,9 +7,12 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/sqltypes"
 )
 
 // TokenKind classifies lexical tokens.
@@ -30,11 +33,14 @@ const (
 	TokOp
 )
 
-// Token is one lexical token with its source position (byte offset).
+// Token is one lexical token with its source position (byte offset). Param
+// numbers the number and string literals of one source text in token order,
+// from 1; it is 0 on every other token.
 type Token struct {
-	Kind TokenKind
-	Text string
-	Pos  int
+	Kind  TokenKind
+	Text  string
+	Pos   int
+	Param int
 }
 
 func (t Token) String() string {
@@ -48,35 +54,112 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"NULL": true, "IS": true, "IN": true, "BETWEEN": true, "DISTINCT": true,
-	"ALL": true, "ROLLUP": true, "CUBE": true, "GROUPING": true, "SETS": true,
-	"ORDER": true, "ASC": true, "DESC": true, "UNION": true, "DATE": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"EXISTS": true, "LIKE": true, "LIMIT": true, "TRUE": true, "FALSE": true,
-}
+// keywords maps each reserved word to itself, so that a lookup by a converted
+// byte slice hands back the string without allocating one.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "AS", "AND", "OR",
+		"NOT", "NULL", "IS", "IN", "BETWEEN", "DISTINCT", "ALL", "ROLLUP", "CUBE",
+		"GROUPING", "SETS", "ORDER", "ASC", "DESC", "UNION", "DATE", "CASE",
+		"WHEN", "THEN", "ELSE", "END", "EXISTS", "LIKE", "LIMIT", "TRUE", "FALSE",
+	} {
+		m[k] = k
+	}
+	return m
+}()
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []Token
+	src    string
+	pos    int
+	params int // literal tokens handed out so far
 }
 
 // Lex tokenizes the input. Unquoted identifiers are folded to lower case and
 // keywords to upper case, matching common SQL case-insensitivity.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src}
+	var toks []Token
 	for {
 		tok, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.toks = append(l.toks, tok)
+		toks = append(toks, tok)
 		if tok.Kind == TokEOF {
-			return l.toks, nil
+			return toks, nil
 		}
+	}
+}
+
+// Template lexes src once into its statement template and its literal vector:
+// the tokens Lex returns, one space apart, with every number and string
+// literal replaced by a typed slot (?int, ?float, ?string) and its value
+// appended to the vector, so that lits[tok.Param-1] is the value of literal
+// token tok. Two texts with one template differ at most in those values:
+// comments and white space are gone, keywords and unquoted identifiers are
+// case-folded, and a quoted identifier keeps its quotes and its case, so
+// "Foo", "foo" and "a b" stay apart from one another and from a b. NULL, TRUE,
+// FALSE and the DATE keyword are template text. A text that does not lex, or
+// holds a number no literal can carry, is an error here as it is in Parse.
+func Template(src string) (string, []sqltypes.Value, error) {
+	l := &lexer{src: src}
+	// Sized so that the usual statement grows neither: one space per token
+	// and a slot name per literal make the template longer than the text.
+	buf := make([]byte, 0, 2*len(src))
+	lits := make([]sqltypes.Value, 0, 4)
+	for {
+		tok, err := l.next()
+		if err != nil {
+			return "", nil, err
+		}
+		if tok.Kind == TokEOF {
+			return string(buf), lits, nil
+		}
+		if len(buf) > 0 {
+			buf = append(buf, ' ')
+		}
+		switch {
+		case tok.Param > 0:
+			v, err := tok.literal()
+			if err != nil {
+				return "", nil, err
+			}
+			lits = append(lits, v)
+			switch v.Kind() {
+			case sqltypes.KindInt:
+				buf = append(buf, "?int"...)
+			case sqltypes.KindFloat:
+				buf = append(buf, "?float"...)
+			default:
+				buf = append(buf, "?string"...)
+			}
+		case tok.Kind == TokIdent && src[tok.Pos] == '"':
+			buf = append(append(append(buf, '"'), tok.Text...), '"')
+		default:
+			buf = append(buf, tok.Text...)
+		}
+	}
+}
+
+// literal converts a number or string token to its value: a number with a
+// decimal point is a float, any other an int64.
+func (t Token) literal() (sqltypes.Value, error) {
+	switch {
+	case t.Kind == TokString:
+		return sqltypes.NewString(t.Text), nil
+	case strings.Contains(t.Text, "."):
+		f, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("bad numeric literal %q: %v", t.Text, err)
+		}
+		return sqltypes.NewFloat(f), nil
+	default:
+		i, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("bad integer literal %q: %v", t.Text, err)
+		}
+		return sqltypes.NewInt(i), nil
 	}
 }
 
@@ -123,9 +206,8 @@ func (l *lexer) next() (Token, error) {
 			l.pos += n
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return Token{Kind: TokKeyword, Text: upper, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: strings.ToLower(word), Pos: start}, nil
 
@@ -144,7 +226,8 @@ func (l *lexer) next() (Token, error) {
 			}
 			break
 		}
-		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
+		l.params++
+		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start, Param: l.params}, nil
 
 	case c == '\'':
 		l.pos++
@@ -161,7 +244,8 @@ func (l *lexer) next() (Token, error) {
 					continue
 				}
 				l.pos++
-				return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+				l.params++
+				return Token{Kind: TokString, Text: sb.String(), Pos: start, Param: l.params}, nil
 			}
 			sb.WriteByte(ch)
 			l.pos++
@@ -195,10 +279,29 @@ func (l *lexer) next() (Token, error) {
 		switch c {
 		case '+', '-', '*', '/', '%', '(', ')', ',', '=', '<', '>', '.', ';':
 			l.pos++
-			return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+			return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 		}
 		return Token{}, fmt.Errorf("parser: unexpected character %q at offset %d", c, start)
 	}
+}
+
+// keyword returns the upper-case spelling of word when it is a reserved word.
+// The lexer runs on every statement the plan cache answers, so the fold goes
+// through a stack buffer: a statement in either case allocates nothing here.
+func keyword(word string) (string, bool) {
+	var up [8]byte // len("DISTINCT"), the longest keyword
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 func isIdentStart(r rune) bool {

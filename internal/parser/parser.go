@@ -2,7 +2,6 @@ package parser
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -537,7 +536,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if lit, ok := e.(*Lit); ok && lit.Val.IsNumeric() {
 			nv, err := sqltypes.Neg(lit.Val)
 			if err == nil {
-				return &Lit{Val: nv}, nil
+				return &Lit{Val: nv, Param: lit.Param, Pinned: true}, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
@@ -549,24 +548,13 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch {
-	case t.Kind == TokNumber:
+	case t.Kind == TokNumber || t.Kind == TokString:
 		p.advance()
-		if strings.Contains(t.Text, ".") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errf("bad numeric literal %q: %v", t.Text, err)
-			}
-			return &Lit{Val: sqltypes.NewFloat(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := t.literal()
 		if err != nil {
-			return nil, p.errf("bad integer literal %q: %v", t.Text, err)
+			return nil, p.errf("%v", err)
 		}
-		return &Lit{Val: sqltypes.NewInt(i)}, nil
-
-	case t.Kind == TokString:
-		p.advance()
-		return &Lit{Val: sqltypes.NewString(t.Text)}, nil
+		return &Lit{Val: v, Param: t.Param}, nil
 
 	case t.Kind == TokKeyword && t.Text == "NULL":
 		p.advance()
@@ -587,7 +575,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			return &Lit{Val: v}, nil
+			return &Lit{Val: v, Param: st.Param, Pinned: true}, nil
 		}
 		p.advance()
 		if p.isOp(".") {

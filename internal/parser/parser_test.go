@@ -64,6 +64,123 @@ func TestLexNotEqualsAlias(t *testing.T) {
 	}
 }
 
+// TestTemplate: a statement's template is its tokens with the number and
+// string literals replaced by typed slots, and the literal vector holds their
+// values in token order — the order the parser numbers its Lit nodes in.
+func TestTemplate(t *testing.T) {
+	str, num, flt := sqltypes.NewString, sqltypes.NewInt, sqltypes.NewFloat
+	for _, c := range []struct {
+		in, want string
+		lits     []sqltypes.Value
+	}{
+		{"SELECT  X\n FROM t", "SELECT x FROM t", nil},
+		{"select x from T where s = 'CA' and n > 10",
+			"SELECT x FROM t WHERE s = ?string AND n > ?int", []sqltypes.Value{str("CA"), num(10)}},
+		{"select 3 from t", "SELECT ?int FROM t", []sqltypes.Value{num(3)}},
+		{"select 3.5 from t", "SELECT ?float FROM t", []sqltypes.Value{flt(3.5)}},
+		{"select '3' from t", "SELECT ?string FROM t", []sqltypes.Value{str("3")}},
+		{"select -5 from t", "SELECT - ?int FROM t", []sqltypes.Value{num(5)}},
+		{"select x from t where d > DATE '1991-02-03'",
+			"SELECT x FROM t WHERE d > DATE ?string", []sqltypes.Value{str("1991-02-03")}},
+		{"select null, true, FALSE from t", "SELECT NULL , TRUE , FALSE FROM t", nil},
+		{"select 'O''Hara' from t", "SELECT ?string FROM t", []sqltypes.Value{str("O'Hara")}},
+		{"select x -- it's a comment, 'quoted' 7\nfrom t where y = 1",
+			"SELECT x FROM t WHERE y = ?int", []sqltypes.Value{num(1)}},
+		{`select "Foo" from t`, `SELECT "Foo" FROM t`, nil},
+		{`select "foo" from t`, `SELECT "foo" FROM t`, nil},
+		{`select Foo from t`, `SELECT foo FROM t`, nil},
+		{`select "a b" from t`, `SELECT "a b" FROM t`, nil},
+		{"select x from t where a != 1;", "SELECT x FROM t WHERE a <> ?int ;", []sqltypes.Value{num(1)}},
+	} {
+		got, lits, err := Template(c.in)
+		if err != nil {
+			t.Errorf("Template(%q): %v", c.in, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("Template(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if len(lits) != len(c.lits) {
+			t.Errorf("Template(%q): literals %v, want %v", c.in, lits, c.lits)
+			continue
+		}
+		for i := range lits {
+			if !sqltypes.Identical(lits[i], c.lits[i]) {
+				t.Errorf("Template(%q): literal %d = %v, want %v", c.in, i, lits[i], c.lits[i])
+			}
+		}
+	}
+
+	// Literal contents stay significant, in the vector rather than the key.
+	_, a, _ := Template("select 'CA' from t")
+	_, b, _ := Template("select 'ca' from t")
+	if sqltypes.Identical(a[0], b[0]) {
+		t.Error("literal case folded away")
+	}
+
+	// A number no literal can carry is the parse error it always was.
+	const big = "select x from t where n > 99999999999999999999"
+	_, _, terr := Template(big)
+	_, perr := Parse(big)
+	if terr == nil || perr == nil || !strings.Contains(perr.Error(), `bad integer literal "99999999999999999999"`) ||
+		!strings.Contains(perr.Error(), terr.Error()) {
+		t.Errorf("overflowing literal: Template %v, Parse %v", terr, perr)
+	}
+	if _, _, err := Template("select 'open from t"); err == nil {
+		t.Error("an unterminated string has a template")
+	}
+}
+
+// TestLitParamsFollowTheLexer: every Lit read from a literal token carries the
+// token's number, so lits[Param-1] of the text's Template is its value — as it
+// stood, or, where the parser computed Val from it, marked Pinned.
+func TestLitParamsFollowTheLexer(t *testing.T) {
+	const src = "select a + 1, 'x' from t where d > DATE '1991-02-03' and b in (2, -3.5) and c is null order by 9"
+	_, lits, err := Template(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt := MustParse(src)
+	var got []*Lit
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *Lit:
+			got = append(got, x)
+		case *BinExpr:
+			walk(x.L)
+			walk(x.R)
+		case *InExpr:
+			walk(x.E)
+			for _, i := range x.List {
+				walk(i)
+			}
+		case *IsNullExpr:
+			walk(x.E)
+		}
+	}
+	for _, it := range stmt.Items {
+		walk(it.Expr)
+	}
+	walk(stmt.Where)
+	walk(stmt.OrderBy[0].Expr)
+	if len(got) != len(lits) || len(lits) != 6 {
+		t.Fatalf("%d Lit nodes, %d literals, want 6 and 6", len(got), len(lits))
+	}
+	for i, l := range got {
+		if l.Param != i+1 {
+			t.Errorf("Lit %d (%s) has Param %d", i, l.SQL(), l.Param)
+		}
+		computed := i == 2 || i == 4 // the DATE and the folded minus
+		if l.Pinned != computed {
+			t.Errorf("Lit %d (%s): Pinned = %t", i, l.SQL(), l.Pinned)
+		}
+		if !computed && !sqltypes.Identical(l.Val, lits[i]) {
+			t.Errorf("Lit %d = %v, literal vector has %v", i, l.Val, lits[i])
+		}
+	}
+}
+
 func TestParseSimpleSelect(t *testing.T) {
 	s := MustParse("select a, b as bb, a+1 from t where a > 1")
 	if len(s.Items) != 3 || s.Items[1].Alias != "bb" {

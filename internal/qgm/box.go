@@ -107,6 +107,10 @@ type Box struct {
 type Graph struct {
 	Root *Box
 	Cat  *catalog.Catalog
+	// Params holds, by slot, the statement literals BuildParams met (nil where
+	// a literal token reached no expression, and on every other graph). Clone
+	// shares them with the copy: a pin made through either is one pin.
+	Params []*Param
 
 	nextBoxID   int
 	nextQuantID int
@@ -304,6 +308,7 @@ func inferType(e Expr) (sqltypes.Kind, bool) {
 		}
 		return k, n
 	case *Const:
+		// No pin: a literal's kind is part of the statement's template.
 		return t.Val.Kind(), t.Val.IsNull()
 	case *Call:
 		switch t.Name {

@@ -29,8 +29,23 @@ var ErrUnknownTable = errors.New("qgm: unknown table")
 // subqueries become extra children (Scalar quantifiers) of the SELECT box in
 // which they appear; derived tables become ForEach children.
 func Build(stmt *parser.SelectStmt, cat *catalog.Catalog) (*Graph, error) {
+	return buildGraph(stmt, cat, false)
+}
+
+// BuildParams is Build for a statement whose plan is to be reused with other
+// literals: every Const read from a literal token carries that token's Param,
+// and the graph lists them (Graph.Params). stmt must be the whole statement
+// parser.Parse returned, so that its literal numbers index the vector
+// parser.Template yields for the same text. A summary-table definition is
+// never built this way: its graph is shared by every statement matched against
+// it, and a Param is written by the goroutine planning its statement.
+func BuildParams(stmt *parser.SelectStmt, cat *catalog.Catalog) (*Graph, error) {
+	return buildGraph(stmt, cat, true)
+}
+
+func buildGraph(stmt *parser.SelectStmt, cat *catalog.Catalog, params bool) (*Graph, error) {
 	g := NewGraph(cat)
-	b := &builder{g: g}
+	b := &builder{g: g, params: params}
 	root, err := b.buildBlock(stmt, "Q")
 	if err != nil {
 		return nil, err
@@ -89,7 +104,31 @@ func MustBuildSQL(sql string, cat *catalog.Catalog) *Graph {
 }
 
 type builder struct {
-	g *Graph
+	g      *Graph
+	params bool // BuildParams: literals become Consts with a Param
+}
+
+// constant builds the Const of one literal. Under BuildParams a literal the
+// parser took as it stood gets its slot's Param; one the parser computed from
+// the token's value (l.Pinned) pins the slot here and carries none, because
+// its Val is not what another literal vector holds at that slot.
+func (b *builder) constant(l *parser.Lit) *Const {
+	if !b.params || l.Param == 0 {
+		return &Const{Val: l.Val}
+	}
+	for len(b.g.Params) < l.Param {
+		b.g.Params = append(b.g.Params, nil)
+	}
+	p := b.g.Params[l.Param-1]
+	if p == nil {
+		p = &Param{Slot: l.Param - 1}
+		b.g.Params[l.Param-1] = p
+	}
+	if l.Pinned {
+		p.pinned = true
+		return &Const{Val: l.Val}
+	}
+	return &Const{Val: l.Val, Param: p}
 }
 
 // scopeEntry binds a FROM alias to the quantifier carrying its rows.
@@ -563,7 +602,7 @@ func (r *resolver) resolve(pe parser.Expr) (Expr, error) {
 	case *parser.ColRef:
 		return r.scope.resolveColumn(t.Qualifier, t.Name)
 	case *parser.Lit:
-		return &Const{Val: t.Val}, nil
+		return r.b.constant(t), nil
 	case *parser.BinExpr:
 		l, err := r.resolve(t.L)
 		if err != nil {
@@ -759,7 +798,7 @@ func (a *aggResolver) resolve(pe parser.Expr) (Expr, error) {
 	// Recurse structurally.
 	switch t := pe.(type) {
 	case *parser.Lit:
-		return &Const{Val: t.Val}, nil
+		return a.b.constant(t), nil
 	case *parser.BinExpr:
 		l, err := a.resolve(t.L)
 		if err != nil {

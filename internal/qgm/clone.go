@@ -1,10 +1,25 @@
 package qgm
 
+import "repro/internal/sqltypes"
+
 // Clone deep-copies the graph: fresh boxes and quantifiers with identical
 // structure, expressions rebuilt with references remapped onto the new
-// quantifiers. The copy shares only immutable catalog metadata. Use it to
-// keep an original graph intact across a (mutating) rewrite.
+// quantifiers. The copy shares only immutable catalog metadata and the
+// statement's Params. Use it to keep an original graph intact across a
+// (mutating) rewrite.
 func (g *Graph) Clone() *Graph {
+	out := g.Bind(nil)
+	out.Params = g.Params
+	return out
+}
+
+// Bind is Clone with the statement's literals replaced: every Const carrying
+// a Param becomes a plain Const holding lits[Param.Slot], written as the copy
+// is made, and the copy has no Params left. lits must be the literal vector of
+// a text with the template g was built from, equal to g's own on every pinned
+// slot (without literals there is nothing to bind: a statement that has none
+// has no Param constants either); g itself is only read.
+func (g *Graph) Bind(lits []sqltypes.Value) *Graph {
 	out := NewGraph(g.Cat)
 	boxMap := map[int]*Box{}          // old box ID → new box
 	quantMap := map[int]*Quantifier{} // old quantifier ID → new quantifier
@@ -29,9 +44,14 @@ func (g *Graph) Clone() *Graph {
 
 	remap := func(e Expr) Expr {
 		return MapExpr(e, func(x Expr) Expr {
-			if c, ok := x.(*ColRef); ok {
+			switch c := x.(type) {
+			case *ColRef:
 				if nq, found := quantMap[c.Q.ID]; found {
 					return &ColRef{Q: nq, Col: c.Col}
+				}
+			case *Const:
+				if lits != nil && c.Param != nil {
+					return &Const{Val: lits[c.Param.Slot]}
 				}
 			}
 			return x

@@ -100,10 +100,13 @@ func ExprEqual(a, b Expr, eq *Equiv) bool {
 		if !ok {
 			return false
 		}
-		if x.Val.IsNull() && y.Val.IsNull() {
+		if x.Param != nil && x.Param == y.Param {
+			return true // one literal of the statement, equal whatever its value
+		}
+		if x.IsNull() && y.IsNull() {
 			return true
 		}
-		return sqltypes.Identical(x.Val, y.Val)
+		return sqltypes.Identical(x.Value(), y.Value())
 	case *Call:
 		y, ok := b.(*Call)
 		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
@@ -227,7 +230,7 @@ func Subsumes(p1, p2 Expr, eq *Equiv) bool {
 	if !ExprEqual(c1.expr, c2.expr, eq) {
 		return false
 	}
-	cmp, err := sqltypes.Compare(c1.bound, c2.bound)
+	cmp, err := sqltypes.Compare(c1.bound.Value(), c2.bound.Value())
 	if err != nil {
 		return false
 	}
@@ -281,7 +284,7 @@ func asInList(p Expr) (map[string]bool, Expr, bool) {
 		} else {
 			return false
 		}
-		if c.Val.IsNull() {
+		if c.IsNull() {
 			return false
 		}
 		if testee == nil {
@@ -289,7 +292,7 @@ func asInList(p Expr) (map[string]bool, Expr, bool) {
 		} else if !ExprEqual(testee, x, nil) {
 			return false
 		}
-		set[c.Val.GroupKey()] = true
+		set[c.Value().GroupKey()] = true
 		return true
 	}
 	if !walk(p) || testee == nil {
@@ -301,7 +304,7 @@ func asInList(p Expr) (map[string]bool, Expr, bool) {
 type rangeCmp struct {
 	expr  Expr
 	op    string
-	bound sqltypes.Value
+	bound *Const // read (and pinned) only once the two sides test one expression
 }
 
 // asRangeCmp recognizes `expr OP const` (or `const OP expr`, flipped).
@@ -315,11 +318,11 @@ func asRangeCmp(p Expr) (rangeCmp, bool) {
 	default:
 		return rangeCmp{}, false
 	}
-	if c, ok := b.R.(*Const); ok && !c.Val.IsNull() {
-		return rangeCmp{expr: b.L, op: b.Op, bound: c.Val}, true
+	if c, ok := b.R.(*Const); ok && !c.IsNull() {
+		return rangeCmp{expr: b.L, op: b.Op, bound: c}, true
 	}
-	if c, ok := b.L.(*Const); ok && !c.Val.IsNull() {
-		return rangeCmp{expr: b.R, op: flipCmp(b.Op), bound: c.Val}, true
+	if c, ok := b.L.(*Const); ok && !c.IsNull() {
+		return rangeCmp{expr: b.R, op: flipCmp(b.Op), bound: c}, true
 	}
 	return rangeCmp{}, false
 }

@@ -14,6 +14,7 @@ package qgm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -36,10 +37,45 @@ type ColRef struct {
 	Col int
 }
 
-// Const is a literal constant.
+// Const is a literal constant. Execution and the SQL printer read Val;
+// everything that decides something from the value while a statement is being
+// planned reads Value, which is what lets a cached plan be reused for other
+// literals (see Param).
 type Const struct {
 	Val sqltypes.Value
+	// Param is non-nil on a constant BuildParams read from a literal token of
+	// the statement: Val is then that token's value as it stood.
+	Param *Param
 }
+
+// Param is one literal of a statement planned for reuse with other literals
+// (BuildParams): Slot indexes the statement's literal vector
+// (parser.Template), and every Const read from that literal shares the Param.
+// A plan may be bound to another vector (Graph.Bind) exactly when the two
+// agree on every pinned slot: planning pins a slot wherever it looks at the
+// value, so whatever it decided — x > 10 subsumes x > 20, two IN-lists nest,
+// the statement's 1 is the summary table's 1 — rests on pinned values alone
+// and the unpinned ones only ever reach the executor. Params are written while
+// the one goroutine planning the statement runs and never after.
+type Param struct {
+	Slot   int
+	pinned bool
+}
+
+// Pinned reports whether planning has looked at the literal's value.
+func (p *Param) Pinned() bool { return p.pinned }
+
+// Value returns the constant's value and pins its literal, if it has one.
+func (c *Const) Value() sqltypes.Value {
+	if c.Param != nil {
+		c.Param.pinned = true
+	}
+	return c.Val
+}
+
+// IsNull reports a NULL constant. It pins nothing: NULL is a keyword, part of
+// the statement's template, and no literal token's value is NULL.
+func (c *Const) IsNull() bool { return c.Val.IsNull() }
 
 // Call is a scalar builtin application. Supported: year, month, day.
 type Call struct {
@@ -114,8 +150,15 @@ func (c *ColRef) String() string {
 	return fmt.Sprintf("q%d.%s", c.Q.ID, name)
 }
 
-// String renders the literal.
-func (c *Const) String() string { return c.Val.SQLLiteral() }
+// String renders the literal — a statement literal as its slot, ?1 being the
+// first, so that renderings used as keys while planning (pullup's memo) keep
+// two literals of equal value apart and read neither.
+func (c *Const) String() string {
+	if c.Param != nil {
+		return "?" + strconv.Itoa(c.Param.Slot+1)
+	}
+	return c.Val.SQLLiteral()
+}
 
 // String renders the call.
 func (c *Call) String() string {
