@@ -40,24 +40,13 @@ import (
 type (
 	// Result is an executed query's column names and rows.
 	Result = exec.Result
-	// Config collects the knobs of one engine run (row budget, timeout,
-	// parallelism).
+	// Config is the budget and the path of one engine run (row budget,
+	// timeout, pipeline workers, reference interpreter).
 	Config = exec.Config
 	// Stats describes one AST maintenance action.
 	Stats = maintain.Stats
 	// Rewrite is the outcome of a plan-cache-aware rewrite.
 	Rewrite = core.CachedRewrite
-	// VecMode is the Config.Vectorize knob selecting the executor's
-	// evaluation strategy.
-	VecMode = exec.VecMode
-)
-
-// Config.Vectorize values: VecAuto (the default) runs supported plan shapes
-// through the vectorized executor; VecOff pins the row-at-a-time reference
-// path.
-const (
-	VecAuto = exec.VecAuto
-	VecOff  = exec.VecOff
 )
 
 // SortRows orders result rows deterministically (for display and diffing).

@@ -93,7 +93,7 @@ func (r *Rows) ColumnTypeScanType(index int) reflect.Type {
 func (r *Rows) ColumnTypeNullable(index int) (nullable, ok bool) { return true, true }
 
 // Mode reports the server-side execution mode of this result (vectorized /
-// compiled-row / interpreted) — observational, for load tooling.
+// interpreted) — observational, for load tooling.
 func (r *Rows) Mode() string { return r.m.Mode }
 
 // AST reports which summary table served the plan ("" = base tables).

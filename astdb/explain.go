@@ -35,11 +35,10 @@ type Report struct {
 
 	// ActualRows counts the rows the chosen plan produced; ExecError records
 	// an execution failure instead. ExecMode reports how the executor
-	// evaluated the plan: "vectorized" when at least one box ran through the
-	// vectorized kernels, "compiled-row" for the compiled row path,
-	// "interpreted" under Config.Interpret. RowPathBoxes lists, one decline
-	// reason per box, the boxes of a vectorizing run that fell back to the row
-	// path (exec.Result.Declined).
+	// evaluated the plan: "vectorized" when at least one box ran on the chunk
+	// pipeline, "interpreted" when none did (Config.Interpret, or every box
+	// declined). RowPathBoxes lists, one decline reason per box, the boxes the
+	// pipeline handed to the row path (exec.Result.Declined).
 	ActualRows   int
 	ExecMode     string
 	RowPathBoxes []string

@@ -129,24 +129,15 @@ func BenchmarkE08_Fig12_CubeSemantics(b *testing.B) {
 		b.Fatal(err)
 	}
 	engine := exec.NewEngine(store)
-	// serial pins Parallelism=1 (the reference path); parallel uses the
-	// GOMAXPROCS default, so the ratio reflects the machine's cores. Both pin
-	// VecOff for comparability with earlier recorded runs; vectorized is the
-	// columnar grouping-sets path (one pass shares chunk vectors across sets).
-	for _, mode := range []struct {
-		name string
-		par  int
-		vec  exec.VecMode
-	}{{"serial", 1, exec.VecOff}, {"parallel", 0, exec.VecOff}, {"vectorized", 1, exec.VecAuto}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := exec.Config{Parallelism: mode.par, Vectorize: mode.vec}
-				if _, err := engine.RunCtx(context.Background(), g, cfg); err != nil {
-					b.Fatal(err)
-				}
+	// The columnar grouping-sets path: one pass shares chunk vectors across
+	// sets. Parallelism 1, so the number does not depend on the machine's cores.
+	b.Run("vectorized", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.RunCtx(context.Background(), g, exec.Config{Parallelism: 1}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkE11_Table1_Having measures rejection speed for the unsound AST.
@@ -362,25 +353,17 @@ func BenchmarkE14_DSSuite(b *testing.B) {
 		env.RW.RewriteBestCost(rg, asts, env.Store)
 		rewrites = append(rewrites, rg)
 	}
-	// Cross original-vs-rewritten with serial-vs-parallel execution (the
-	// grouping-heavy suite is where partitioned aggregation should pay), plus
-	// a serial interpreted leg isolating the compiled-expression-kernel win
-	// and vectorized legs isolating the columnar-kernel win. The serial and
-	// parallel legs pin VecOff so they stay comparable with the row-engine
-	// numbers recorded in BENCH_1/BENCH_2.
+	// Cross original-vs-rewritten with the chunk pipeline on one worker and
+	// on GOMAXPROCS workers (the grouping-heavy suite is where spreading
+	// chunks should pay, cores permitting).
 	for _, mode := range []struct {
-		name   string
-		par    int
-		interp bool
-		vec    exec.VecMode
+		name string
+		par  int
 	}{
-		{"serial", 1, false, exec.VecOff},
-		{"parallel", 0, false, exec.VecOff},
-		{"serial/interpreted", 1, true, exec.VecOff},
-		{"vectorized", 1, false, exec.VecAuto},
-		{"vectorized/parallel", 0, false, exec.VecAuto},
+		{"vectorized", 1},
+		{"vectorized/parallel", 0},
 	} {
-		cfg := exec.Config{Parallelism: mode.par, Interpret: mode.interp, Vectorize: mode.vec}
+		cfg := exec.Config{Parallelism: mode.par}
 		b.Run("original/"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, g := range origs {

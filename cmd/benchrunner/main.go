@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	benchrunner [-exp all|E01,E05,A02] [-scale 50000] [-json BENCH_1.json] [-obs]
+//	benchrunner [-exp all|E01,E05,A02] [-scale 50000] [-obs]
 //
-// With -json, instead of printing experiment tables it measures the headline
-// benchmarks (original-vs-rewritten, serial-vs-parallel, cold-vs-cached
-// rewrite) under the testing harness and writes a machine-readable report.
-// With -obs, it runs the paper query suite through the astdb facade with
-// observability enabled and prints the snapshot (spans, counters, histograms).
+// With -obs, instead of printing experiment tables it runs the paper query
+// suite through the astdb facade with observability enabled and prints the
+// snapshot (spans, counters, histograms). Latency and allocation records that
+// gate a change are benchmark/'s job (bash benchmark/run.sh), not this
+// command's.
 package main
 
 import (
@@ -27,20 +27,11 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	scale := flag.Int("scale", 50000, "fact-table rows at full scale")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "write a machine-readable benchmark report to this path and exit")
 	obsFlag := flag.Bool("obs", false, "run the paper query suite with observability on and print the snapshot")
 	flag.Parse()
 
 	if *obsFlag {
 		if err := runObs(os.Stdout, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runJSON(*jsonPath, *scale); err != nil {
 			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
 			os.Exit(1)
 		}

@@ -12,68 +12,47 @@ import (
 	"repro/internal/workload"
 )
 
-// parityScale is large enough that the fact table crosses the parallel
-// engine's minimum-rows threshold, so the partitioned scan/filter/aggregation
-// paths actually execute (worker counts come from Limits.Parallelism, not
-// GOMAXPROCS, so this holds on single-core machines too).
+// parityScale is large enough that the fact table crosses the pipeline's
+// minimum-rows threshold, so its chunks really are spread over several
+// workers (worker counts come from Config.Parallelism, not GOMAXPROCS, so this
+// holds on single-core machines too).
 const parityScale = 6000
 
-// checkParity runs one plan serially on the row engine (Parallelism=1,
-// Vectorize=VecOff — the reference path) and at several worker counts on both
-// the row and vectorized engines, and requires identical results each time.
-// The serial leg is also run through the tree-walking interpreter
-// (Interpret=true) and must agree with the compiled expression kernels bit
-// for bit. The vectorized serial leg must be serial-identical — same rows in
-// the same order, with tolerance only where parallel float-SUM accumulation
-// order already allows divergence.
+// checkParity runs one plan on the reference (Config.Interpret: the serial
+// row path) and on the chunk pipeline at several worker counts, and requires
+// identical results each time — same rows in the same order, with tolerance
+// only where parallel float-SUM accumulation order already allows divergence.
 func checkParity(t *testing.T, eng *exec.Engine, g *qgm.Graph) {
 	t.Helper()
-	serial, err := eng.RunCtx(context.Background(), g, exec.Config{Parallelism: 1, Vectorize: exec.VecOff})
+	serial, err := eng.RunCtx(context.Background(), g, exec.Config{Interpret: true})
 	if err != nil {
-		t.Fatalf("serial run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
-	for _, par := range []int{1, 4} {
-		interp, err := eng.RunCtx(context.Background(), g, exec.Config{Parallelism: par, Interpret: true})
+	for _, par := range []int{1, 0, 4} {
+		res, err := eng.RunCtx(context.Background(), g, exec.Config{Parallelism: par})
 		if err != nil {
-			t.Fatalf("interpreted run (par=%d): %v", par, err)
-		}
-		if diff := exec.EqualResults(serial, interp); diff != "" {
-			t.Fatalf("interpreted (par=%d) differs from compiled serial: %s", par, diff)
-		}
-	}
-	legs := []struct {
-		name string
-		par  int
-		vec  exec.VecMode
-	}{
-		{"row", 0, exec.VecOff}, {"row", 2, exec.VecOff}, {"row", 3, exec.VecOff}, {"row", 8, exec.VecOff},
-		{"vectorized", 1, exec.VecAuto}, {"vectorized", 0, exec.VecAuto}, {"vectorized", 4, exec.VecAuto},
-	}
-	for _, leg := range legs {
-		res, err := eng.RunCtx(context.Background(), g, exec.Config{Parallelism: leg.par, Vectorize: leg.vec})
-		if err != nil {
-			t.Fatalf("%s run (par=%d): %v", leg.name, leg.par, err)
+			t.Fatalf("vectorized run (par=%d): %v", par, err)
 		}
 		if diff := exec.EqualResults(serial, res); diff != "" {
-			t.Fatalf("%s par=%d differs from serial: %s", leg.name, leg.par, diff)
+			t.Fatalf("vectorized par=%d differs from the reference: %s", par, diff)
 		}
-		// The engine guarantees more than multiset equality: chunked operators
-		// concatenate in order, so row order must match the serial path too.
+		// The engine guarantees more than multiset equality: workers' chunks
+		// concatenate in order, so row order must match the reference too.
 		for i := range serial.Rows {
 			for j := range serial.Rows[i] {
 				a, b := serial.Rows[i][j], res.Rows[i][j]
 				if a.GroupKey() != b.GroupKey() && !(a.IsNumeric() && b.IsNumeric()) {
-					t.Fatalf("%s par=%d row %d differs in order from serial: %v vs %v", leg.name, leg.par, i, serial.Rows[i], res.Rows[i])
+					t.Fatalf("vectorized par=%d row %d differs in order from the reference: %v vs %v", par, i, serial.Rows[i], res.Rows[i])
 				}
 			}
 		}
 	}
 }
 
-// TestSerialParallelParity is the result-parity property test for the
-// parallel execution engine: every paper query (original and rewritten
-// against its paired AST) must produce the same result at every worker count
-// as the serial reference path.
+// TestSerialParallelParity is the result-parity property test for the chunk
+// pipeline: every paper query (original and rewritten against its paired AST)
+// must produce the same result at every worker count as the serial reference
+// path.
 func TestSerialParallelParity(t *testing.T) {
 	env := NewEnv(parityScale, coreOptions())
 	for name, sql := range ASTDefs {
@@ -136,9 +115,9 @@ func TestSerialParallelParityDS(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetAndCancellation: the resilience contract holds on the
-// parallel paths — MaxRows is charged run-wide through the shared counter and
-// context cancellation surfaces as the typed error, at every worker count.
+// TestParallelBudgetAndCancellation: the resilience contract holds with the
+// pipeline's workers — MaxRows is charged run-wide through the shared counter
+// and context cancellation surfaces as the typed error, at every worker count.
 func TestParallelBudgetAndCancellation(t *testing.T) {
 	env := NewEnv(parityScale, coreOptions())
 	g, err := qgm.BuildSQL(Queries["q1"], env.Cat)

@@ -7,17 +7,24 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// This file lowers qgm.Expr trees into closures ("kernels") once per box, so
-// the per-row path of scans, filters, hash-join keys, output expressions and
-// GROUP BY pre-evaluation is direct closure calls instead of re-walking the
-// tree through an interface type-switch. Kernels are compiled after the
-// expression's quantifiers have their binding slots assigned (slot numbers
-// and scalar-subquery values are baked in at compile time) and are read-only
-// over the binding, so parallel workers share them freely. Any node shape the
-// compiler does not handle falls back to a closure over the interpreter for
-// that subtree — semantics, including error messages and three-valued logic,
-// are identical by construction and pinned by the interpreted/compiled parity
-// tests.
+// This file lowers qgm.Expr trees into closures over a binding, once per box.
+// They are the target of the chunk pipeline's lifts and nothing else: an
+// expression the vector compiler has no kernel for (vector.go: OR, NOT, CASE,
+// LIKE, a comparison in scalar position) runs as one of these closures per
+// selected row, and the star probe evaluates a dimension's keys, predicates
+// and output expressions through them a row at a time while it is built
+// (source.go). The reference path does not use them; it walks the tree
+// (expr.go). They stay closures because the scoped recompute of a DELETE or
+// UPDATE is a lifted OR of ANDs over every chunk of the base table, most of
+// that statement's time (DESIGN.md §10.3).
+//
+// Closures are built after the expression's quantifiers have their binding
+// slots (slot numbers and scalar-subquery values are baked in) and are
+// read-only over the binding, so the pipeline's workers share them. A node
+// shape the compiler does not handle becomes a closure over the interpreter
+// for that subtree, so semantics — error messages and three-valued logic
+// included — are the interpreter's by construction, and the parity tests
+// compare the two.
 
 // scalarKernel evaluates one scalar expression against a binding.
 type scalarKernel func(bd binding) (sqltypes.Value, error)
@@ -26,21 +33,19 @@ type scalarKernel func(bd binding) (sqltypes.Value, error)
 // logic.
 type predKernel func(bd binding) (sqltypes.Tri, error)
 
-// compileScalar lowers e to a scalarKernel. The bool reports whether the
-// whole subtree compiled without interpreter fallback (counted per expression
-// for observability; a fallback kernel is still correct, just slower).
-func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
+// compileScalar lowers e to a scalarKernel.
+func (c *exprCtx) compileScalar(e qgm.Expr) scalarKernel {
 	switch t := e.(type) {
 	case *qgm.ColRef:
 		if t.Q == nil {
 			return func(binding) (sqltypes.Value, error) {
 				return sqltypes.Null, fmt.Errorf("exec: unbound column reference")
-			}, true
+			}
 		}
 		qid := t.Q.ID
 		if len(c.scalars) > 0 {
 			if v, ok := c.scalars[qid]; ok {
-				return func(binding) (sqltypes.Value, error) { return v, nil }, true
+				return func(binding) (sqltypes.Value, error) { return v, nil }
 			}
 		}
 		slot := -1
@@ -50,7 +55,7 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 		if slot < 0 {
 			// Quantifier not slotted at compile time; keep the interpreter's
 			// late-binding (and its exact error) for this reference.
-			return c.fallbackScalar(e), false
+			return c.fallbackScalar(e)
 		}
 		col := t.Col
 		return func(bd binding) (sqltypes.Value, error) {
@@ -62,14 +67,14 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 				return sqltypes.Null, fmt.Errorf("exec: column %d out of range (row width %d)", col, len(row))
 			}
 			return row[col], nil
-		}, true
+		}
 
 	case *qgm.Const:
 		v := t.Val
-		return func(binding) (sqltypes.Value, error) { return v, nil }, true
+		return func(binding) (sqltypes.Value, error) { return v, nil }
 
 	case *qgm.Call:
-		arg, ok := c.compileScalar(t.Args[0])
+		arg := c.compileScalar(t.Args[0])
 		var fn func(sqltypes.Value) sqltypes.Value
 		switch t.Name {
 		case "year":
@@ -89,7 +94,7 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 					return sqltypes.Null, nil
 				}
 				return sqltypes.Null, fmt.Errorf("exec: unknown function %q", name)
-			}, ok
+			}
 		}
 		return func(bd binding) (sqltypes.Value, error) {
 			v, err := arg(bd)
@@ -100,22 +105,15 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 				return sqltypes.Null, nil
 			}
 			return fn(v), nil
-		}, ok
+		}
 
 	case *qgm.Bin:
 		switch t.Op {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
-			pk, ok := c.compilePred(t)
-			return func(bd binding) (sqltypes.Value, error) {
-				tv, err := pk(bd)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				return tv.Value(), nil
-			}, ok
+			return valueOfPred(c.compilePred(t))
 		}
-		l, lok := c.compileScalar(t.L)
-		r, rok := c.compileScalar(t.R)
+		l := c.compileScalar(t.L)
+		r := c.compileScalar(t.R)
 		var fn func(a, b sqltypes.Value) (sqltypes.Value, error)
 		switch t.Op {
 		case "||":
@@ -146,39 +144,27 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 				return sqltypes.Null, err
 			}
 			return fn(lv, rv)
-		}, lok && rok
+		}
 
 	case *qgm.Not, *qgm.IsNull, *qgm.Like:
-		pk, ok := c.compilePred(e)
-		return func(bd binding) (sqltypes.Value, error) {
-			tv, err := pk(bd)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			return tv.Value(), nil
-		}, ok
+		return valueOfPred(c.compilePred(e))
 
 	case *qgm.Agg:
 		msg := t.String()
 		return func(binding) (sqltypes.Value, error) {
 			return sqltypes.Null, fmt.Errorf("exec: aggregate %s outside GROUP BY box", msg)
-		}, true
+		}
 
 	case *qgm.Case:
-		ok := true
 		conds := make([]predKernel, len(t.Whens))
 		thens := make([]scalarKernel, len(t.Whens))
 		for i, w := range t.Whens {
-			var cok, tok bool
-			conds[i], cok = c.compilePred(w.Cond)
-			thens[i], tok = c.compileScalar(w.Then)
-			ok = ok && cok && tok
+			conds[i] = c.compilePred(w.Cond)
+			thens[i] = c.compileScalar(w.Then)
 		}
 		var els scalarKernel
 		if t.Else != nil {
-			var eok bool
-			els, eok = c.compileScalar(t.Else)
-			ok = ok && eok
+			els = c.compileScalar(t.Else)
 		}
 		return func(bd binding) (sqltypes.Value, error) {
 			for i := range conds {
@@ -194,21 +180,21 @@ func (c *exprCtx) compileScalar(e qgm.Expr) (scalarKernel, bool) {
 				return els(bd)
 			}
 			return sqltypes.Null, nil
-		}, ok
+		}
 
 	default:
-		return c.fallbackScalar(e), false
+		return c.fallbackScalar(e)
 	}
 }
 
-// compilePred lowers e to a predKernel; the bool is as in compileScalar.
-func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
+// compilePred lowers e to a predKernel.
+func (c *exprCtx) compilePred(e qgm.Expr) predKernel {
 	switch t := e.(type) {
 	case *qgm.Bin:
 		switch t.Op {
 		case "AND":
-			l, lok := c.compilePred(t.L)
-			r, rok := c.compilePred(t.R)
+			l := c.compilePred(t.L)
+			r := c.compilePred(t.R)
 			return func(bd binding) (sqltypes.Tri, error) {
 				lv, err := l(bd)
 				if err != nil {
@@ -222,10 +208,10 @@ func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
 					return sqltypes.Unknown, err
 				}
 				return lv.And(rv), nil
-			}, lok && rok
+			}
 		case "OR":
-			l, lok := c.compilePred(t.L)
-			r, rok := c.compilePred(t.R)
+			l := c.compilePred(t.L)
+			r := c.compilePred(t.R)
 			return func(bd binding) (sqltypes.Tri, error) {
 				lv, err := l(bd)
 				if err != nil {
@@ -239,10 +225,10 @@ func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
 					return sqltypes.Unknown, err
 				}
 				return lv.Or(rv), nil
-			}, lok && rok
+			}
 		case "=", "<>", "<", "<=", ">", ">=":
-			l, lok := c.compileScalar(t.L)
-			r, rok := c.compileScalar(t.R)
+			l := c.compileScalar(t.L)
+			r := c.compileScalar(t.R)
 			var cmp func(int) bool
 			switch t.Op {
 			case "=":
@@ -275,24 +261,23 @@ func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
 					return sqltypes.Unknown, err
 				}
 				return sqltypes.TriOf(cmp(cv)), nil
-			}, lok && rok
+			}
 		}
 		// Arithmetic in predicate position: evaluate and interpret.
-		sk, ok := c.compileScalar(t)
-		return predFromScalar(sk), ok
+		return predFromScalar(c.compileScalar(t))
 
 	case *qgm.Not:
-		inner, ok := c.compilePred(t.E)
+		inner := c.compilePred(t.E)
 		return func(bd binding) (sqltypes.Tri, error) {
 			tv, err := inner(bd)
 			if err != nil {
 				return sqltypes.Unknown, err
 			}
 			return tv.Not(), nil
-		}, ok
+		}
 
 	case *qgm.IsNull:
-		sk, ok := c.compileScalar(t.E)
+		sk := c.compileScalar(t.E)
 		neg := t.Neg
 		return func(bd binding) (sqltypes.Tri, error) {
 			v, err := sk(bd)
@@ -300,11 +285,11 @@ func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
 				return sqltypes.Unknown, err
 			}
 			return sqltypes.TriOf(v.IsNull() != neg), nil
-		}, ok
+		}
 
 	case *qgm.Like:
-		vk, vok := c.compileScalar(t.E)
-		pk, pok := c.compileScalar(t.Pattern)
+		vk := c.compileScalar(t.E)
+		pk := c.compileScalar(t.Pattern)
 		neg := t.Neg
 		return func(bd binding) (sqltypes.Tri, error) {
 			v, err := vk(bd)
@@ -323,11 +308,22 @@ func (c *exprCtx) compilePred(e qgm.Expr) (predKernel, bool) {
 			}
 			match := sqltypes.LikeMatch(v.Str(), p.Str())
 			return sqltypes.TriOf(match != neg), nil
-		}, vok && pok
+		}
 
 	default:
-		sk, ok := c.compileScalar(e)
-		return predFromScalar(sk), ok
+		return predFromScalar(c.compileScalar(e))
+	}
+}
+
+// valueOfPred adapts a predicate kernel used in scalar position: the truth
+// value as a boolean, Unknown as NULL.
+func valueOfPred(pk predKernel) scalarKernel {
+	return func(bd binding) (sqltypes.Value, error) {
+		tv, err := pk(bd)
+		if err != nil {
+			return sqltypes.Null, err
+		}
+		return tv.Value(), nil
 	}
 }
 
@@ -346,48 +342,4 @@ func predFromScalar(sk scalarKernel) predKernel {
 // fallbackScalar hands a subtree back to the interpreter unchanged.
 func (c *exprCtx) fallbackScalar(e qgm.Expr) scalarKernel {
 	return func(bd binding) (sqltypes.Value, error) { return c.evalScalar(e, bd) }
-}
-
-// Observability counters for the kernel compiler: exprs fully lowered vs
-// exprs containing at least one interpreter-fallback subtree.
-const (
-	CtrExprCompiled = "exec.compile.compiled"
-	CtrExprFallback = "exec.compile.fallback"
-)
-
-// scalarKernel returns the kernel for one expression, honoring
-// Config.Interpret (force the tree-walking interpreter) and counting
-// compile outcomes.
-func (ev *evaluator) scalarKernel(ectx *exprCtx, e qgm.Expr) scalarKernel {
-	if ev.interp {
-		return ectx.fallbackScalar(e)
-	}
-	k, ok := ectx.compileScalar(e)
-	ev.countCompile(ok)
-	return k
-}
-
-// predKernelsFor compiles the predicates selected by idx (indices into
-// preds), aligned with idx.
-func (ev *evaluator) predKernelsFor(ectx *exprCtx, preds []qgm.Expr, idx []int) []predKernel {
-	out := make([]predKernel, len(idx))
-	for i, pi := range idx {
-		p := preds[pi]
-		if ev.interp {
-			out[i] = func(bd binding) (sqltypes.Tri, error) { return ectx.evalPred(p, bd) }
-			continue
-		}
-		k, ok := ectx.compilePred(p)
-		ev.countCompile(ok)
-		out[i] = k
-	}
-	return out
-}
-
-func (ev *evaluator) countCompile(ok bool) {
-	if ok {
-		ev.obsv.Add(CtrExprCompiled, 1)
-	} else {
-		ev.obsv.Add(CtrExprFallback, 1)
-	}
 }

@@ -5,34 +5,34 @@
 //
 // Boxes evaluate bottom-up with per-box memoization (QGM is a DAG — a shared
 // box evaluates once); what a box evaluates to is a relation, held as column
-// chunks, as rows, or both. The default engine is one chunk pipeline, a source
-// feeding one of two sinks (source.go, vector.go, vecgroupby.go). The source
-// of a SELECT box scans the chunks of its first ForEach child — a base table,
-// or the relation of an evaluated child box — narrows them with selection-
-// vector filters and, when the box joins, probes them against hash tables
-// built from the equality predicates that tie every other child to the first
-// (a star join). The sink is projection for a SELECT box and hash aggregation
-// (grouptable.go) for a GROUP BY box, which also fuses a SELECT child into its
-// source and evaluates each grouping set of its canonicalized supergroup
-// (paper §5: a cube query is the union of its cuboids, NULL-padding the
-// grouped-out columns). Both sinks emit chunks, so box boundaries carry
-// vectors and rows exist only where someone asks for them: the root Result,
-// and the row path.
+// chunks, as rows, or both. There are two paths, and they share as little as
+// the hash table (grouptable.go) and the aggregate states.
 //
-// The row path (evalSelect, evalGroupBy: row-at-a-time over compiled closures,
-// compile.go, or the tree-walking interpreter, expr.go) is the reference the
-// vectorized engine is tested against, what Config.Vectorize = VecOff and
-// Config.Interpret select, and the fallback for the box shapes the source
-// declines, each counted under exec.vector.declined.<reason> (source.go lists
-// the reasons). It joins left to right — hash joins where equality predicates
-// connect the next child to the joined prefix, nested loops otherwise — and
-// applies residual predicates under SQL three-valued logic.
+// The engine is one chunk pipeline, a source feeding one of two sinks
+// (source.go, vector.go, vecgroupby.go). The source of a SELECT box scans the
+// chunks of its first ForEach child — a base table, or the relation of an
+// evaluated child box — narrows them with selection-vector filters and, when
+// the box joins, probes them against hash tables built from the equality
+// predicates that tie every other child to the first (a star join). The sink
+// is projection for a SELECT box and hash aggregation for a GROUP BY box,
+// which also fuses a SELECT child into its source and evaluates each grouping
+// set of its canonicalized supergroup. Both sinks emit chunks, so box
+// boundaries carry vectors and rows exist only where someone asks for them.
+// A box's chunks are spread over Config.Parallelism workers (default
+// GOMAXPROCS) in contiguous ranges whose results are concatenated or merged in
+// range order, so row order does not depend on the worker count
+// (floating-point SUM may re-associate; see EqualResults tolerance).
 //
-// Both engines partition their input across Config.Parallelism workers
-// (default GOMAXPROCS) into contiguous ranges — of chunks, of rows — whose
-// results are concatenated or merged in range order, so the parallel path
-// produces the same rows in the same order as the serial path (floating-point
-// SUM may re-associate; see EqualResults tolerance).
+// The row path (evalSelect below, evalGroupBy in groupby.go) is the reference,
+// the definition the pipeline's answers are checked against, written to be
+// read: serial, a row at a time, every expression walked by the tree
+// interpreter (expr.go). It joins left to right — hash joins where equality predicates
+// connect the next child to the joined prefix, nested loops otherwise —
+// applies residual predicates under SQL three-valued logic, and computes a
+// multidimensional GROUP BY as the union of its grouping sets, NULL-padding
+// the grouped-out columns (paper §5). Config.Interpret runs a whole graph on
+// it; otherwise it runs only the boxes whose shape the source declines, each
+// counted under exec.vector.declined.<reason> (source.go lists the reasons).
 package exec
 
 import (
@@ -63,12 +63,12 @@ type Result struct {
 	Cols []string
 	Rows [][]sqltypes.Value
 	// Mode reports how the run evaluated: ModeVectorized when at least one
-	// box ran on the vectorized path, ModeInterpreted under Config.Interpret,
-	// ModeCompiledRow otherwise. EXPLAIN surfaces it.
+	// box ran on the chunk pipeline, ModeInterpreted when none did — under
+	// Config.Interpret, or because every box declined. EXPLAIN surfaces it.
 	Mode string
 	// Declined holds one decline reason (the suffix of its
-	// exec.vector.declined.<reason> counter) per box that ran on the row path
-	// although the run was vectorizing, in evaluation order.
+	// exec.vector.declined.<reason> counter) per box that ran on the
+	// reference path although the run did not ask for it, in evaluation order.
 	Declined []string
 }
 
@@ -121,14 +121,13 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	}
 	bud := &runBudget{ctx: ctx, maxRows: int64(lim.MaxRows)}
 	ev := &evaluator{
-		store:  e.store,
-		memo:   map[int]*relation{},
-		bud:    bud,
-		chg:    charger{b: bud},
-		par:    lim.Parallelism,
-		interp: lim.Interpret,
-		vec:    !lim.Interpret && lim.Vectorize == VecAuto,
-		obsv:   e.obsv,
+		store:     e.store,
+		memo:      map[int]*relation{},
+		bud:       bud,
+		chg:       charger{b: bud},
+		par:       lim.Parallelism,
+		interpret: lim.Interpret,
+		obsv:      e.obsv,
 	}
 	rel, err := ev.evalBox(g.Root)
 	if err != nil {
@@ -149,12 +148,9 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	for i, c := range g.Root.Cols {
 		cols[i] = c.Name
 	}
-	mode := ModeCompiledRow
-	switch {
-	case ev.usedVector:
+	mode := ModeInterpreted
+	if ev.usedVector {
 		mode = ModeVectorized
-	case lim.Interpret:
-		mode = ModeInterpreted
 	}
 	return &Result{Cols: cols, Rows: rows, Mode: mode, Declined: ev.declined}, nil
 }
@@ -172,14 +168,13 @@ type evaluator struct {
 	store *storage.Store
 	memo  map[int]*relation
 
-	bud    *runBudget
-	chg    charger // the main goroutine's charger; workers get their own
-	par    int     // Config.Parallelism (0 = GOMAXPROCS)
-	interp bool    // Config.Interpret: skip kernel compilation
-	vec    bool    // Config.Vectorize == VecAuto (and not interpreting)
-	obsv   *obs.Observer
+	bud       *runBudget
+	chg       charger // the main goroutine's charger; workers get their own
+	par       int     // Config.Parallelism (0 = GOMAXPROCS)
+	interpret bool    // Config.Interpret: every box on the reference path
+	obsv      *obs.Observer
 
-	// usedVector records that at least one box ran on the vectorized path
+	// usedVector records that at least one box ran on the chunk pipeline
 	// this run (set on the main goroutine only; reported via Result.Mode);
 	// declined lists why the others did not (Result.Declined).
 	usedVector bool
@@ -187,20 +182,20 @@ type evaluator struct {
 }
 
 // checkpoint charges n materialized rows against the shared budget and
-// periodically polls the context (main-goroutine loops; workers use their own
-// charger).
+// periodically polls the context (main-goroutine loops, the reference path's
+// among them; pipeline workers use their own charger).
 func (ev *evaluator) checkpoint(n int) error {
 	return ev.chg.checkpoint(n)
 }
 
 // relation is what a box evaluates to and what the memo holds: the box's
-// output as column chunks, as rows, or both. A vectorized box emits chunks
+// output as column chunks, as rows, or both. A pipeline box emits chunks
 // whose vectors it owns or shares with frozen storage; either way they are
-// read-only from then on. The row path emits rows. The other form is derived
-// once, on the main goroutine, and only when a consumer asks: rows by a
-// row-path parent or the root Result (one slab for the whole relation), chunks
-// by a vectorized parent of a row-path box (columnarize, the one row→vector
-// edge left).
+// read-only from then on. The reference path emits rows. The other form is
+// derived once, on the main goroutine, and only when a consumer asks: rows by
+// a reference-path parent or the root Result (one slab for the whole
+// relation), chunks by a pipeline parent of a declined box (columnarize, the
+// one row→vector edge left).
 type relation struct {
 	n      int
 	chunks []*storage.Chunk
@@ -245,7 +240,7 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 	if err := ev.chg.flush(); err != nil {
 		return nil, err
 	}
-	var rel *relation // a vectorized evaluator leaves it nil when it declines
+	var rel *relation // the pipeline leaves it nil when it declines the box
 	var rows [][]sqltypes.Value
 	var err error
 	switch b.Kind {
@@ -261,14 +256,14 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 			err = ev.chg.flush()
 		}
 	case qgm.SelectBox:
-		if ev.vec {
+		if !ev.interpret {
 			rel, err = ev.evalSelectVec(b)
 		}
 		if rel == nil && err == nil {
 			rows, err = ev.evalSelect(b)
 		}
 	case qgm.GroupByBox:
-		if ev.vec {
+		if !ev.interpret {
 			rel, err = ev.evalGroupByVec(b)
 		}
 		if rel == nil && err == nil {
@@ -367,9 +362,13 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 		ectx.setSlot(next.ID, slot)
 
 		if len(joined) == 0 {
-			bindings, err = ev.driveScan(next, childRows, preds, usedPred, ectx)
-			if err != nil {
-				return nil, err
+			// The first child's rows are the initial bindings; the filter
+			// below applies the predicates over it alone.
+			arena := bindArena{width: 1, expect: len(childRows)}
+			bindings = make([]binding, len(childRows))
+			for i, r := range childRows {
+				bindings[i] = arena.next()
+				bindings[i][0] = r
 			}
 		} else if len(hashPreds) > 0 {
 			bindings, err = ev.hashJoin(bindings, next, slot, childRows, preds, hashPreds, ectx)
@@ -408,37 +407,20 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 		return nil, err
 	}
 
-	// Compute output expressions, partitioned across workers; each worker
-	// writes a disjoint index range, so order is exactly the serial order.
-	// The expressions are compiled to kernels once — every quantifier has its
-	// slot by now — and each worker calls the shared read-only closures.
-	colKs := make([]scalarKernel, len(b.Cols))
-	for ci, c := range b.Cols {
-		colKs[ci] = ev.scalarKernel(ectx, c.Expr)
-	}
+	// One output row per surviving binding.
 	out := make([][]sqltypes.Value, len(bindings))
-	err = ev.parallelChunks(len(bindings), ev.workersFor(len(bindings)),
-		func(w, lo, hi int, chg *charger) error {
-			slab := rowSlab{width: len(colKs)}
-			slab.reserve(hi - lo)
-			for i := lo; i < hi; i++ {
-				if err := chg.checkpoint(1); err != nil {
-					return err
-				}
-				row := slab.next()
-				for ci, k := range colKs {
-					v, err := k(bindings[i])
-					if err != nil {
-						return err
-					}
-					row[ci] = v
-				}
-				out[i] = row
+	slab := rowSlab{width: len(b.Cols)}
+	slab.reserve(len(bindings))
+	for i, bd := range bindings {
+		if err := ev.checkpoint(1); err != nil {
+			return nil, err
+		}
+		out[i] = slab.next()
+		for ci, c := range b.Cols {
+			if out[i][ci], err = ectx.evalScalar(c.Expr, bd); err != nil {
+				return nil, err
 			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+		}
 	}
 
 	if b.Distinct {
@@ -453,65 +435,6 @@ func extend(bd binding, r []sqltypes.Value) binding {
 	copy(nb, bd)
 	nb[len(bd)] = r
 	return nb
-}
-
-// driveScan builds the initial binding set from the first (driving)
-// quantifier's rows, applying any predicates evaluable over it alone, with
-// the scan+filter partitioned across workers. Chunks are concatenated in
-// order, so the binding order matches the serial path.
-func (ev *evaluator) driveScan(next *qgm.Quantifier, childRows [][]sqltypes.Value, preds []qgm.Expr, usedPred []bool, ectx *exprCtx) ([]binding, error) {
-	apply, err := applicablePreds(preds, usedPred, map[int]bool{next.ID: true}, ectx, false)
-	if err != nil {
-		return nil, err
-	}
-	applyKs := ev.predKernelsFor(ectx, preds, apply)
-	workers := ev.workersFor(len(childRows))
-	parts := make([][]binding, workers)
-	err = ev.parallelChunks(len(childRows), workers, func(w, lo, hi int, chg *charger) error {
-		out := make([]binding, 0, hi-lo)
-		arena := bindArena{width: 1, expect: hi - lo}
-		for _, r := range childRows[lo:hi] {
-			if err := chg.checkpoint(0); err != nil {
-				return err
-			}
-			bd := arena.next()
-			bd[0] = r
-			keep := true
-			for _, k := range applyKs {
-				t, err := k(bd)
-				if err != nil {
-					return err
-				}
-				if t != sqltypes.True {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, bd)
-			}
-		}
-		parts[w] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, pi := range apply {
-		usedPred[pi] = true
-	}
-	if workers == 1 {
-		return parts[0], nil
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	bindings := make([]binding, 0, total)
-	for _, p := range parts {
-		bindings = append(bindings, p...)
-	}
-	return bindings, nil
 }
 
 // hashablePreds returns indices of unused equality predicates that connect
@@ -579,76 +502,58 @@ func sideQuants(e qgm.Expr, scalars map[int]sqltypes.Value) map[int]bool {
 }
 
 func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int, childRows [][]sqltypes.Value, preds []qgm.Expr, hashPreds []int, ectx *exprCtx) ([]binding, error) {
-	// Split each hash predicate into (prefix expr, child expr).
-	type keyPair struct{ prefix, child qgm.Expr }
-	pairs := make([]keyPair, 0, len(hashPreds))
+	// Split each hash predicate into its prefix side and its child side.
+	var prefixKeys, childKeys []qgm.Expr
 	for _, pi := range hashPreds {
 		bin := preds[pi].(*qgm.Bin)
-		lq := sideQuants(bin.L, ectx.scalars)
-		if len(lq) == 1 && lq[next.ID] {
-			pairs = append(pairs, keyPair{prefix: bin.R, child: bin.L})
+		if lq := sideQuants(bin.L, ectx.scalars); len(lq) == 1 && lq[next.ID] {
+			prefixKeys, childKeys = append(prefixKeys, bin.R), append(childKeys, bin.L)
 		} else {
-			pairs = append(pairs, keyPair{prefix: bin.L, child: bin.R})
+			prefixKeys, childKeys = append(prefixKeys, bin.L), append(childKeys, bin.R)
 		}
 	}
 
-	// Compile both sides' key expressions once (the child's slot was assigned
-	// just before this call; prefix expressions only reference joined
-	// quantifiers).
-	childKs := make([]scalarKernel, len(pairs))
-	prefixKs := make([]scalarKernel, len(pairs))
-	for i, kp := range pairs {
-		childKs[i] = ev.scalarKernel(ectx, kp.child)
-		prefixKs[i] = ev.scalarKernel(ectx, kp.prefix)
-	}
-
-	// Build hash table on child rows, keyed through a reusable scratch buffer
-	// (a key string is only allocated when it enters the table). Keys use the
-	// binary encoding — build and probe sides match, and its equivalence
-	// classes are the GroupKey classes, which are exactly `=` equality.
-	table := make(map[string][][]sqltypes.Value, len(childRows))
-	childBd := make(binding, slot+1)
+	// joinKey renders one side's key over a binding into buf; ok is false when
+	// a key value is NULL (NULL join keys never match). Keys use the binary
+	// encoding — build and probe sides match, and its equivalence classes are
+	// the GroupKey classes, which are exactly `=` equality.
 	var buf []byte
-	for _, r := range childRows {
-		childBd[slot] = r
+	joinKey := func(keys []qgm.Expr, bd binding) (ok bool, err error) {
 		buf = buf[:0]
-		null := false
-		for _, k := range childKs {
-			v, err := k(childBd)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
+		for _, e := range keys {
+			v, err := ectx.evalScalar(e, bd)
+			if err != nil || v.IsNull() {
+				return false, err
 			}
 			buf = sqltypes.AppendBinKeyValue(buf, v)
 			buf = append(buf, 0)
 		}
-		if null {
-			continue // NULL join keys never match
+		return true, nil
+	}
+
+	// Build the hash table on the child's rows (a key string is only
+	// allocated when it enters the table), then probe it with the prefix.
+	table := make(map[string][][]sqltypes.Value, len(childRows))
+	childBd := make(binding, slot+1)
+	for _, r := range childRows {
+		childBd[slot] = r
+		ok, err := joinKey(childKeys, childBd)
+		if err != nil {
+			return nil, err
 		}
-		table[string(buf)] = append(table[string(buf)], r)
+		if ok {
+			table[string(buf)] = append(table[string(buf)], r)
+		}
 	}
 
 	arena := bindArena{width: slot + 1, expect: len(bindings)}
 	out := make([]binding, 0, len(bindings))
 	for _, bd := range bindings {
-		buf = buf[:0]
-		null := false
-		for _, k := range prefixKs {
-			v, err := k(bd)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			buf = sqltypes.AppendBinKeyValue(buf, v)
-			buf = append(buf, 0)
+		ok, err := joinKey(prefixKeys, bd)
+		if err != nil {
+			return nil, err
 		}
-		if null {
+		if !ok {
 			continue
 		}
 		for _, r := range table[string(buf)] {
@@ -720,45 +625,11 @@ func applicablePreds(preds []qgm.Expr, used []bool, joined map[int]bool, ectx *e
 	return apply, nil
 }
 
-// filter applies predicates whose quantifiers are all joined, partitioning
-// large binding sets across workers. With final set, all unused predicates
+// filter keeps the bindings on which every predicate whose quantifiers are all
+// joined is True, compacting in place. With final set, all unused predicates
 // must be evaluable and are applied.
 func (ev *evaluator) filter(bindings []binding, preds []qgm.Expr, used []bool, joined map[int]bool, ectx *exprCtx, final bool) ([]binding, error) {
 	apply, err := applicablePreds(preds, used, joined, ectx, final)
-	if err != nil {
-		return nil, err
-	}
-	if len(apply) == 0 {
-		return bindings, nil
-	}
-	applyKs := ev.predKernelsFor(ectx, preds, apply)
-	workers := ev.workersFor(len(bindings))
-	parts := make([][]binding, workers)
-	err = ev.parallelChunks(len(bindings), workers, func(w, lo, hi int, chg *charger) error {
-		chunk := bindings[lo:hi]
-		out := chunk[:0] // compact in place within the disjoint chunk
-		for _, bd := range chunk {
-			if err := chg.checkpoint(0); err != nil {
-				return err
-			}
-			keep := true
-			for _, k := range applyKs {
-				t, err := k(bd)
-				if err != nil {
-					return err
-				}
-				if t != sqltypes.True {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, bd)
-			}
-		}
-		parts[w] = out
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -766,8 +637,21 @@ func (ev *evaluator) filter(bindings []binding, preds []qgm.Expr, used []bool, j
 		used[pi] = true
 	}
 	out := bindings[:0]
-	for _, p := range parts {
-		out = append(out, p...)
+rows:
+	for _, bd := range bindings {
+		if err := ev.checkpoint(0); err != nil {
+			return nil, err
+		}
+		for _, pi := range apply {
+			t, err := ectx.evalPred(preds[pi], bd)
+			if err != nil {
+				return nil, err
+			}
+			if t != sqltypes.True {
+				continue rows
+			}
+		}
+		out = append(out, bd)
 	}
 	return out, nil
 }

@@ -30,17 +30,14 @@ func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 	return specs, -1
 }
 
-// evalGroupBy evaluates a GROUP BY box: for each grouping set of the
-// canonicalized supergroup, it groups the child rows by the set's columns and
-// computes the aggregate columns, NULL-padding the grouped-out grouping
-// columns (paper §5, Figure 12 semantics).
-//
-// Both phases are partitioned across workers: the per-row expression
-// pre-evaluation writes disjoint index ranges, and aggregation builds one
-// partial groupTable per contiguous chunk, merged in ascending chunk order.
-// Because chunks are contiguous and in order, the merged first-seen key order
-// and each group's representative values are identical to the serial path;
-// only floating-point SUM may re-associate.
+// evalGroupBy evaluates a GROUP BY box as the union of its grouping sets
+// (paper §5, Figure 12 semantics): every child row is grouped once per set of
+// the canonicalized supergroup, by that set's columns, and each set emits its
+// groups with the grouped-out grouping columns NULL. One pass over the rows:
+// evaluate the grouping expressions and the aggregate arguments, then per set
+// find the row's group and accumulate. Groups come out set by set in
+// first-appearance order and each group sees its rows in order, which is the
+// order the pipeline reproduces.
 func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
 		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
@@ -50,7 +47,6 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	childRows := child.rowsOf()
 	ectx := &exprCtx{}
 	ectx.setSlot(q.ID, 0)
 
@@ -58,173 +54,57 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if bad >= 0 {
 		return nil, fmt.Errorf("exec: GROUP BY output column %q is not an aggregate", b.Cols[bad].Name)
 	}
-	nGroup := len(b.GroupBy)
-
-	// Fused fast path (compiled mode only): when every grouping column and
-	// aggregate argument lowers to a direct column reference into the child
-	// row, the pre-evaluation pass and its two per-row intermediate slices are
-	// skipped entirely and aggregation reads the child rows in place. This is
-	// where compilation pays on aggregation-heavy plans; the interpreter keeps
-	// the general two-pass structure. Either way the aggregation loop below
-	// reads grouping value pos at groupCols[pos] and argument ai at
-	// argCols[ai] (-1: COUNT(*)) of a per-row source slice.
-	fused := !ev.interp
-	groupCols := make([]int, nGroup)
-	argCols := make([]int, len(aggSpecs))
-	maxCol := -1
-	directCol := func(e qgm.Expr) (int, bool) {
-		cr, ok := e.(*qgm.ColRef)
-		if !ok || cr.Q == nil || cr.Q.ID != q.ID {
-			return -1, false
-		}
-		if cr.Col > maxCol {
-			maxCol = cr.Col
-		}
-		return cr.Col, true
-	}
-	for pos, col := range b.GroupBy {
-		if !fused {
-			break
-		}
-		groupCols[pos], fused = directCol(b.Cols[col].Expr)
-	}
-	for ai, spec := range aggSpecs {
-		if !fused {
-			break
-		}
-		if argCols[ai] = -1; !spec.agg.Star {
-			argCols[ai], fused = directCol(spec.agg.Arg)
-		}
-	}
-
-	var groupVals [][]sqltypes.Value // per row: grouping col values, in GroupBy order
-	var argVals [][]sqltypes.Value   // per row: aggregate argument values
-	if fused {
-		// Every fused expression is a fully compiled direct access.
-		for range b.GroupBy {
-			ev.countCompile(true)
-		}
-		for _, spec := range aggSpecs {
-			if !spec.agg.Star {
-				ev.countCompile(true)
-			}
-		}
-	} else {
-		// Compile the grouping-column and aggregate-argument expressions to
-		// kernels once; COUNT(*) has no argument and keeps a nil kernel.
-		groupKs := make([]scalarKernel, nGroup)
-		for pos, col := range b.GroupBy {
-			groupKs[pos] = ev.scalarKernel(ectx, b.Cols[col].Expr)
-			groupCols[pos] = pos
-		}
-		argKs := make([]scalarKernel, len(aggSpecs))
-		for ai, spec := range aggSpecs {
-			if argCols[ai] = -1; !spec.agg.Star {
-				argKs[ai] = ev.scalarKernel(ectx, spec.agg.Arg)
-				argCols[ai] = ai
-			}
-		}
-		groupVals = make([][]sqltypes.Value, len(childRows))
-		argVals = make([][]sqltypes.Value, len(childRows))
-		err = ev.parallelChunks(len(childRows), ev.workersFor(len(childRows)),
-			func(w, lo, hi int, chg *charger) error {
-				bd := binding{nil}
-				for ri := lo; ri < hi; ri++ {
-					if err := chg.checkpoint(1); err != nil {
-						return err
-					}
-					bd[0] = childRows[ri]
-					gv := make([]sqltypes.Value, nGroup)
-					for pos, k := range groupKs {
-						v, err := k(bd)
-						if err != nil {
-							return err
-						}
-						gv[pos] = v
-					}
-					groupVals[ri] = gv
-					av := make([]sqltypes.Value, len(aggSpecs))
-					for ai, k := range argKs {
-						if k == nil {
-							continue
-						}
-						v, err := k(bd)
-						if err != nil {
-							return err
-						}
-						av[ai] = v
-					}
-					argVals[ri] = av
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	sets := b.GroupingSets
 	if len(sets) == 0 {
-		sets = [][]int{allInts(nGroup)}
+		sets = [][]int{allInts(len(b.GroupBy))}
+	}
+	tables := make([]*groupTable, len(sets))
+	for si, gs := range sets {
+		tables[si] = newGroupTable(len(gs), len(aggSpecs))
+	}
+
+	bd := binding{nil}
+	groupVals := make([]sqltypes.Value, len(b.GroupBy)) // this row's grouping values, in GroupBy order
+	argVals := make([]sqltypes.Value, len(aggSpecs))    // this row's aggregate arguments; COUNT(*) has none
+	key := make([]sqltypes.Value, len(b.GroupBy))
+	for _, row := range child.rowsOf() {
+		bd[0] = row
+		if err := ev.checkpoint(1); err != nil {
+			return nil, err
+		}
+		for pos, col := range b.GroupBy {
+			if groupVals[pos], err = ectx.evalScalar(b.Cols[col].Expr, bd); err != nil {
+				return nil, err
+			}
+		}
+		for ai, spec := range aggSpecs {
+			if spec.agg.Star {
+				continue
+			}
+			if argVals[ai], err = ectx.evalScalar(spec.agg.Arg, bd); err != nil {
+				return nil, err
+			}
+		}
+		for si, gs := range sets {
+			for i, pos := range gs {
+				key[i] = groupVals[pos]
+			}
+			aggs := tables[si].aggs.at(tables[si].find(key[:len(gs)]))
+			for ai, spec := range aggSpecs {
+				if err := aggs[ai].accumulate(spec.agg, argVals[ai]); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
 	var out [][]sqltypes.Value
 	slab := rowSlab{width: len(b.Cols)}
 	for si, gs := range sets {
-		// Fused mode charges the per-input-row budget here (once, on the first
-		// grouping set) because the pre-evaluation pass that normally charges
-		// it was skipped.
-		rowCharge := 0
-		if fused && si == 0 {
-			rowCharge = 1
-		}
-
-		// Build one partial per chunk, then merge in chunk order.
-		workers := ev.workersFor(len(childRows))
-		partials := make([]*groupTable, workers)
-		err = ev.parallelChunks(len(childRows), workers,
-			func(w, lo, hi int, chg *charger) error {
-				t := newGroupTable(len(gs), len(aggSpecs))
-				key := make([]sqltypes.Value, len(gs))
-				for ri := lo; ri < hi; ri++ {
-					if err := chg.checkpoint(rowCharge); err != nil {
-						return err
-					}
-					gsrc, asrc := childRows[ri], childRows[ri]
-					if !fused {
-						gsrc, asrc = groupVals[ri], argVals[ri]
-					} else if maxCol >= len(gsrc) {
-						return fmt.Errorf("exec: column %d out of range (row width %d)", maxCol, len(gsrc))
-					}
-					for i, pos := range gs {
-						key[i] = gsrc[groupCols[pos]]
-					}
-					aggs := t.aggs.at(t.find(key))
-					for ai, spec := range aggSpecs {
-						var av sqltypes.Value
-						if argCols[ai] >= 0 {
-							av = asrc[argCols[ai]]
-						}
-						if err := aggs[ai].accumulate(spec.agg, av); err != nil {
-							return err
-						}
-					}
-				}
-				partials[w] = t
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range partials[1:] {
-			if err := partials[0].mergeFrom(p, aggSpecs); err != nil {
-				return nil, err
-			}
-		}
-		n := outRows(partials[0], gs)
+		n := outRows(tables[si], gs)
 		slab.reserve(n)
 		out = slices.Grow(out, n)
-		err = ev.emitGroups(b, aggSpecs, gs, partials[0], func(row []sqltypes.Value) {
+		err = ev.emitGroups(b, aggSpecs, gs, tables[si], func(row []sqltypes.Value) {
 			out = append(out, slab.next())
 			copy(out[len(out)-1], row)
 		})

@@ -8,51 +8,31 @@ import (
 	"time"
 )
 
-// Config collects every knob of one engine run — resource bounds, wall-clock
-// budget, and parallelism — in a single documented struct. The zero value
-// means unlimited and serial-or-parallel at the engine's discretion; Run uses
-// it.
+// Config is the budget and the path of one engine run: two resource bounds,
+// the chunk pipeline's worker cap, and the switch that runs the reference
+// interpreter instead of the pipeline. The zero value is unlimited, on the
+// pipeline, with GOMAXPROCS workers; Run uses it.
 type Config struct {
 	// MaxRows caps the rows the run may materialize, summed over every
 	// operator (scans, join outputs, group outputs). It bounds memory and
 	// work for runaway plans (e.g. an accidental cross join), not just the
-	// final result size. Under parallel execution the cap is charged through
-	// one atomic counter shared by all workers, so it holds run-wide (workers
-	// batch their charges, so a run may overshoot by at most a few batches
-	// before tripping).
+	// final result size. The pipeline's workers charge one shared atomic
+	// counter, so the cap holds run-wide (workers batch their charges, so a
+	// run may overshoot by at most a few batches before tripping).
 	MaxRows int
 	// Timeout is the wall-clock budget for the run; it is applied on top of
 	// whatever deadline the caller's context already carries.
 	Timeout time.Duration
-	// Parallelism caps the worker count of parallel operators (partitioned
-	// aggregation, scan+filter partitioning). 0 means GOMAXPROCS; 1 forces
-	// the serial path, which is the reference for result-parity testing.
+	// Parallelism caps the workers the chunk pipeline spreads a box's chunks
+	// over (vector.go, vecgroupby.go). 0 means GOMAXPROCS; 1 keeps it on the
+	// calling goroutine. The reference path is serial and ignores it.
 	Parallelism int
-	// Interpret disables the compiled expression kernels and forces the
-	// tree-walking interpreter for every per-row expression. The interpreter
-	// is the reference path for the interpreted/compiled parity tests and the
-	// baseline leg of the kernel benchmarks; results are identical either
-	// way.
+	// Interpret runs every box on the reference path: serial, a row at a
+	// time, every expression walked by the tree interpreter (expr.go). It is
+	// the oracle the pipeline's answers are checked against, not a serving
+	// mode; results are identical either way.
 	Interpret bool
-	// Vectorize selects the executor's evaluation strategy. The zero value
-	// (VecAuto) runs every box on the chunk pipeline (scans, equality joins,
-	// selects and GROUP BYs over any child; see DESIGN.md §13), falling back
-	// per box for the few shapes it declines — and per expression, via lifted
-	// row kernels; VecOff pins the row-at-a-time reference path. Interpret
-	// implies the row path regardless.
-	Vectorize VecMode
 }
-
-// VecMode is the Config.Vectorize knob.
-type VecMode uint8
-
-const (
-	// VecAuto (the zero value) enables the vectorized path where supported.
-	VecAuto VecMode = iota
-	// VecOff forces the row-at-a-time path, the reference for parity tests
-	// and the row-vs-vector benchmark legs.
-	VecOff
-)
 
 // ErrBudgetExceeded is returned (wrapped) when a run materializes more than
 // Config.MaxRows rows.
@@ -64,7 +44,7 @@ var ErrCanceled = errors.New("exec: canceled")
 
 // pollEvery gates context polling in hot loops: a charger checks ctx.Done()
 // at least once per this many checkpoint calls (plus once per box and once
-// per parallel partition).
+// per worker's share of the chunks).
 const pollEvery = 256
 
 // chargeBatch is how many rows a charger accumulates locally before pushing
@@ -72,9 +52,9 @@ const pollEvery = 256
 // workers and how far a run can overshoot MaxRows before tripping.
 const chargeBatch = 64
 
-// runBudget is the shared, concurrency-safe resource budget of one run:
-// every worker of every parallel operator charges the same atomic counter,
-// so Config.MaxRows bounds the run as a whole, not per goroutine.
+// runBudget is the shared, concurrency-safe resource budget of one run: the
+// main goroutine and every pipeline worker charge the same atomic counter, so
+// Config.MaxRows bounds the run as a whole, not per goroutine.
 type runBudget struct {
 	ctx     context.Context
 	maxRows int64 // 0 = unlimited

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -612,13 +613,13 @@ func requireIdentical(t *testing.T, sql string, want, got *Result) {
 }
 
 // TestPropertyVectorizedMatchesRowEngine: over random data and the plan
-// shapes the vectorized engine accelerates (chunk filters, grouped and global
+// shapes the chunk pipeline runs (chunk filters, grouped and global
 // aggregates, grouping sets, DISTINCT aggregates, star-join GROUP BY, join
-// SELECTs, SELECTs over a GROUP BY), the serial vectorized results are
-// identical to the serial row engine — same rows, same order, same bits
-// (serial float SUMs accumulate in the same order, so no tolerance is needed)
-// — and bag-equal to the interpreter. Join SELECTs aggregate nothing, so they
-// (ordered) must also keep the order with two workers.
+// SELECTs, SELECTs over a GROUP BY), the serial pipeline's results are
+// identical to the row path's — same rows, same order, same bits (serial
+// float SUMs accumulate in the same order, so no tolerance is needed). Join
+// SELECTs aggregate nothing, so they (ordered) must also keep the order with
+// two workers.
 func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	check := func(cat *catalog.Catalog, store *storage.Store, sql string, ordered bool) *Result {
@@ -628,7 +629,7 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		row, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 1, Vectorize: VecOff})
+		row, err := engine.RunCtx(context.Background(), g, Config{Interpret: true})
 		if err != nil {
 			t.Fatalf("%s (row): %v", sql, err)
 		}
@@ -637,13 +638,6 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 			t.Fatalf("%s (vectorized): %v", sql, err)
 		}
 		requireIdentical(t, sql, row, vec)
-		interp, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 1, Interpret: true})
-		if err != nil {
-			t.Fatalf("%s (interpreted): %v", sql, err)
-		}
-		if diff := EqualResults(interp, vec); diff != "" {
-			t.Fatalf("%s: vectorized vs interpreter: %s", sql, diff)
-		}
 		if ordered {
 			par, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 2})
 			if err != nil {
@@ -752,10 +746,97 @@ func TestJoinSelectErrorParity(t *testing.T) {
 		}
 		// The same expression on surviving tuples raises the row path's error.
 		sql := "select v / (v - v) as boom from f, d where fk = dk"
-		_, want := run(sql, Config{Parallelism: 1, Vectorize: VecOff})
+		_, want := run(sql, Config{Interpret: true})
 		_, got := run(sql, Config{Parallelism: par})
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Fatalf("%s (parallelism %d): vectorized error %v, row path %v", sql, par, got, want)
+		}
+	}
+}
+
+// TestDeclinedBoxesAnswerAsTheInterpreter: one row per decline reason of
+// source.go. A declined box runs on the row path, so the run must name the
+// reason (Result.Declined and the exec.vector.declined.<reason> counter), say
+// in Mode whether any other box still ran on the pipeline, and answer — rows,
+// or error — exactly as Config.Interpret does.
+//
+// Six reasons are reachable by a statement. The other four are box shapes
+// qgm.Build never emits — the parser requires FROM (no-input), has no
+// correlated subquery and puts every aggregate in a GROUP BY box
+// (expr-beyond-child), and builds a GROUP BY box over one child with grouped
+// or aggregated columns only (groupby-shape, non-aggregate-output) — so their
+// rows edit a built graph into the shape; the row path rejects three of them
+// with an error, which is why the pipeline hands them over.
+func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
+	cat, store := starTables(rand.New(rand.NewSource(6)), 600)
+	groupByBox := func(g *qgm.Graph) *qgm.Box {
+		b := g.Root
+		for b.Kind != qgm.GroupByBox {
+			b = b.Quantifiers[0].Box
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		reason, mode, sql string
+		edit              func(g *qgm.Graph)
+		wantErr           bool
+	}{
+		{reason: declCrossJoin, mode: ModeInterpreted, sql: "select v, nm from f, d where v < 5"},
+		{reason: declCrossJoin, mode: ModeVectorized, sql: "select nm, count(*) as c from f, d group by nm"},
+		{reason: declNonEquiJoin, mode: ModeInterpreted, sql: "select v, nm from f, d where fk = dk and v < dk * 20"},
+		{reason: declDimDimJoin, mode: ModeInterpreted, sql: "select v, w from f, d, e where fk = dk and dk = ek"},
+		{reason: declConstPred, mode: ModeVectorized, sql: "select v, nm from f, d where fk = dk and (select count(*) from z) = 0"},
+		{reason: declMixedSource, mode: ModeInterpreted, sql: "select v + dk as x from f, d where fk = dk"},
+		{reason: declMixedSource, mode: ModeVectorized, sql: "select nm, sum(v + dk) as x from f, d where fk = dk group by nm"},
+		// d's rows with dk = 3 fail the output expression; the join never sees them.
+		{reason: declDimEval, mode: ModeInterpreted, sql: "select v, 10 / (dk - 3) as q from f, d where fk = dk and dk <> 3"},
+		{reason: declNoInput, mode: ModeInterpreted, sql: "select 7 as k from z",
+			edit: func(g *qgm.Graph) { g.Root.Quantifiers = nil }},
+		{reason: declBeyondChild, sql: "select v from f", wantErr: true,
+			edit: func(g *qgm.Graph) { g.Root.Cols[0].Expr = &qgm.ColRef{} }},
+		{reason: declGroupShape, sql: "select fk, count(*) as c from f group by fk", wantErr: true,
+			edit: func(g *qgm.Graph) {
+				b := groupByBox(g)
+				b.Quantifiers = append(b.Quantifiers, b.Quantifiers[0])
+			}},
+		{reason: declNonAggOutput, sql: "select fk, count(*) as c from f group by fk", wantErr: true,
+			edit: func(g *qgm.Graph) { groupByBox(g).Cols[1].Expr = &qgm.Const{Val: sqltypes.NewInt(1)} }},
+	} {
+		g, err := qgm.BuildSQL(tc.sql, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if tc.edit != nil {
+			tc.edit(g)
+		}
+		o := obs.New()
+		engine := NewEngine(store)
+		engine.SetObserver(o)
+		want, wantErr := engine.RunCtx(context.Background(), g, Config{Interpret: true})
+		if o.Counter(CtrVecDeclined) != 0 {
+			t.Fatalf("%s: Config.Interpret counted a decline", tc.sql)
+		}
+		got, gotErr := engine.RunCtx(context.Background(), g, Config{})
+		if n := o.Counter(CtrVecDeclined + "." + tc.reason); n != 1 || o.Counter(CtrVecDeclined) != 1 {
+			t.Fatalf("%s: %d declines counted, %d of them as %s", tc.sql, o.Counter(CtrVecDeclined), n, tc.reason)
+		}
+		if tc.wantErr {
+			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: error %v, interpreter's %v", tc.sql, gotErr, wantErr)
+			}
+			continue
+		}
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%s: %v, interpreter %v", tc.sql, gotErr, wantErr)
+		}
+		if !slices.Equal(got.Declined, []string{tc.reason}) || got.Mode != tc.mode {
+			t.Fatalf("%s: declined %v in mode %s, want [%s] in mode %s", tc.sql, got.Declined, got.Mode, tc.reason, tc.mode)
+		}
+		if want.Mode != ModeInterpreted || len(want.Declined) != 0 || len(want.Rows) == 0 {
+			t.Fatalf("%s: interpreter ran in mode %s, declined %v, %d rows", tc.sql, want.Mode, want.Declined, len(want.Rows))
+		}
+		if diff := EqualResults(want, got); diff != "" {
+			t.Fatalf("%s: %s", tc.sql, diff)
 		}
 	}
 }

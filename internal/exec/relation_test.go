@@ -46,7 +46,7 @@ func havingFixture(t testing.TB, groups int) (*storage.Store, *qgm.Graph, int) {
 // for tests that look at the memo.
 func testEvaluator(store *storage.Store, o *obs.Observer) *evaluator {
 	bud := &runBudget{ctx: context.Background()}
-	return &evaluator{store: store, memo: map[int]*relation{}, bud: bud, chg: charger{b: bud}, par: 1, vec: true, obsv: o}
+	return &evaluator{store: store, memo: map[int]*relation{}, bud: bud, chg: charger{b: bud}, par: 1, obsv: o}
 }
 
 // TestHavingMaterializesOnlySurvivors: a HAVING select over a GROUP BY reads

@@ -191,7 +191,7 @@ func TestScratchReuseMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		row, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 1, Vectorize: VecOff})
+		row, err := engine.RunCtx(context.Background(), g, Config{Interpret: true})
 		if err != nil {
 			t.Fatalf("%s (row): %v", sql, err)
 		}

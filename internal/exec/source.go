@@ -197,10 +197,13 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		}
 		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), 0)}
 		sd.ctx.setSlot(dq.ID, 0)
-		predKs := ev.predKernelsFor(sd.ctx, dimPreds[k], allInts(len(dimPreds[k])))
+		predKs := make([]predKernel, len(dimPreds[k]))
+		for i, p := range dimPreds[k] {
+			predKs[i] = sd.ctx.compilePred(p)
+		}
 		keyKs := make([]scalarKernel, len(dimKeys[k]))
 		for i, e := range dimKeys[k] {
-			keyKs[i] = ev.scalarKernel(sd.ctx, e)
+			keyKs[i] = sd.ctx.compileScalar(e)
 			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(factKeys[k][i]))
 		}
 		bd := make(binding, 1)
@@ -303,7 +306,7 @@ func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
 		default:
 			c.src, c.dimVals = src, new(sqltypes.Vec)
 			dim := &s.dims[src]
-			rk := s.ev.scalarKernel(dim.ctx, e)
+			rk := dim.ctx.compileScalar(e)
 			bd := make(binding, 1)
 			for ri, r := range dim.rows {
 				bd[0] = r

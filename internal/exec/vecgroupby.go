@@ -109,7 +109,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 				accums[ai].bind(aggSpecs[ai].agg, av)
 			}
 			// The per-input-row budget charge, batched per chunk (same totals
-			// as the row path's fused per-row charge).
+			// as the row path's per-row charge).
 			if err := chg.checkpoint(n); err != nil {
 				return err
 			}

@@ -12,20 +12,23 @@ import (
 // This file is the vectorized expression layer and the projection sink.
 // Expressions are lowered once per box to kernels that run per chunk:
 // predicate filters narrow a selection vector, scalar kernels produce one
-// sqltypes.Vec per expression per chunk. Semantics are pinned to the row
-// engine: typed fast loops cover the common kinds and delegate every error
-// (and every odd-kind element) to the same sqltypes functions the row kernels
-// call, and any expression shape the vector compiler does not handle is
+// sqltypes.Vec per expression per chunk. Semantics are pinned to the
+// reference: typed fast loops cover the common kinds and delegate every error
+// (and every odd-kind element) to the same sqltypes functions the interpreter
+// calls, and any expression shape the vector compiler does not handle is
 // "lifted" — the chunk's rows are materialized one at a time into a scratch
-// binding and the existing compiled row kernel runs per element. Where the
-// chunks come from — a scan, a star join, a child box's relation — is the
-// source's business (source.go); what happens to the vectors is the sink's:
+// binding and a row closure (compile.go) runs per element. Where the chunks
+// come from — a scan, a star join, a child box's relation — is the source's
+// business (source.go); what happens to the vectors is the sink's:
 // evalSelectVec below projects them into output chunks, evalGroupByVec
 // (vecgroupby.go) aggregates them.
 //
-// A box runs here unless its source declines it whole to the row path; lifts
-// (exec.vector.lifted) and declines are counted. What still declines, by
-// counter — exec.vector.declined.<reason>, beside the total
+// A box runs here unless its source declines it whole; a declined box runs on
+// the reference path — the interpreter, serial — and every box does under
+// Config.Interpret, which counts nothing. No statement of the benchmark's four
+// workloads declines, so how fast a declined box runs is not measured
+// anywhere. Lifts (exec.vector.lifted) and declines are counted. What
+// declines, by counter — exec.vector.declined.<reason>, beside the total
 // exec.vector.declined:
 //
 //	cross-join            a join operand no equality predicate ties to the first
@@ -39,28 +42,24 @@ import (
 //	groupby-shape         a GROUP BY without exactly one ForEach child
 //	non-aggregate-output  a GROUP BY output column neither grouped nor aggregated
 //
-// Config.Interpret and Config.Vectorize = VecOff pin the row path without
-// counting anything.
-//
-// One intended divergence from the row path (documented in DESIGN.md §13):
+// One intended divergence from the reference (documented in DESIGN.md §13):
 // within a chunk, predicates run predicate-major rather than row-major, so
 // when several rows would raise evaluation errors a different row's error may
 // surface first, and a row eliminated by an earlier conjunct never evaluates
-// later conjuncts (the row engine surfaces an error from a later conjunct
-// even when an earlier one was Unknown). The parity suites pin that on
-// error-free workloads results are identical, serially bit-for-bit.
+// later conjuncts (the reference surfaces an error from a later conjunct even
+// when an earlier one was Unknown). The parity suites pin that on error-free
+// workloads results are identical, serially bit-for-bit.
 
-// Observability counters for the vectorized path.
+// Observability counters for the chunk pipeline.
 const (
 	CtrVecBoxes    = "exec.vector.boxes"    // boxes evaluated vectorized
 	CtrVecDeclined = "exec.vector.declined" // boxes that fell back whole; also counted per reason, CtrVecDeclined.<reason>
-	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated via lifted row kernels
+	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated via lifted row closures
 )
 
 // Result evaluation modes reported by Result.Mode / EXPLAIN.
 const (
 	ModeVectorized  = "vectorized"
-	ModeCompiledRow = "compiled-row"
 	ModeInterpreted = "interpreted"
 )
 
@@ -185,10 +184,10 @@ func (vc *vecCompiler) newSlot() int {
 	return vc.slots - 1
 }
 
-// lift hands an expression to the compiled row kernel, evaluated per selected
-// row over a materialized scratch binding. Correct for every shape; counted.
+// lift hands an expression to its row closure, evaluated per selected row over
+// a materialized scratch binding. Correct for every shape; counted.
 func (vc *vecCompiler) lift(e qgm.Expr) vecKernel {
-	rk := vc.ev.scalarKernel(vc.ectx, e)
+	rk := vc.ectx.compileScalar(e)
 	vc.ev.obsv.Add(CtrVecLifted, 1)
 	slot := vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
@@ -536,8 +535,7 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 		}
 	}
 	// Lifted predicate: OR, NOT, IS NULL, LIKE, scalar-in-pred, etc.
-	pk, ok := vc.ectx.compilePred(p) // never interpreted: Config.Interpret pins the row path
-	vc.ev.countCompile(ok)
+	pk := vc.ectx.compilePred(p)
 	vc.ev.obsv.Add(CtrVecLifted, 1)
 	return func(cs *chunkState) error {
 		n := cs.n()

@@ -239,11 +239,12 @@ func isModulePath(path string) bool {
 // ---- callee effects on frozen values ----
 
 // calleeFact is the summary for one callee: whether calling it may write
-// through its receiver or any pointer-reachable argument.
+// through its receiver or any pointer-reachable argument. The zero fact says
+// it writes through neither: a row's presence is what certifies a callee
+// read-only.
 type calleeFact struct {
 	mutatesRecv bool
 	mutatesArgs []int // arg indices whose pointee may be written; nil = none
-	readonly    bool  // explicit read-only entry (module-internal whitelist)
 }
 
 func (c calleeFact) mutatesArg(i int) bool {
@@ -265,20 +266,20 @@ var calleeFacts = map[string]calleeFact{
 	// designated mutators; everything else reads.
 	"repro/internal/storage.(Chunk).appendRow":  {mutatesRecv: true},
 	"repro/internal/storage.(Chunk).Row":        {mutatesArgs: []int{1}}, // writes dst
-	"repro/internal/storage.(Chunk).frozen":     {readonly: true},
-	"repro/internal/storage.frozenChunks":       {readonly: true},
-	"repro/internal/storage.buildChunks":        {readonly: true},
-	"repro/internal/storage.materializeRows":    {readonly: true},
+	"repro/internal/storage.(Chunk).frozen":     {},
+	"repro/internal/storage.frozenChunks":       {},
+	"repro/internal/storage.buildChunks":        {},
+	"repro/internal/storage.materializeRows":    {},
 	"repro/internal/sqltypes.(Vec).AppendValue": {mutatesRecv: true},
 	"repro/internal/sqltypes.(Vec).AppendNull":  {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).Frozen":      {readonly: true},
-	"repro/internal/sqltypes.(Vec).Value":       {readonly: true},
-	"repro/internal/sqltypes.(Vec).IsNull":      {readonly: true},
-	"repro/internal/sqltypes.(Vec).Len":         {readonly: true},
-	"repro/internal/sqltypes.(Vec).Kind":        {readonly: true},
-	"repro/internal/sqltypes.(Vec).HasNulls":    {readonly: true},
-	"repro/internal/sqltypes.(Vec).Generic":     {readonly: true},
-	"repro/internal/sqltypes.(Vec).Prefix":      {readonly: true},
+	"repro/internal/sqltypes.(Vec).Frozen":      {},
+	"repro/internal/sqltypes.(Vec).Value":       {},
+	"repro/internal/sqltypes.(Vec).IsNull":      {},
+	"repro/internal/sqltypes.(Vec).Len":         {},
+	"repro/internal/sqltypes.(Vec).Kind":        {},
+	"repro/internal/sqltypes.(Vec).HasNulls":    {},
+	"repro/internal/sqltypes.(Vec).Generic":     {},
+	"repro/internal/sqltypes.(Vec).Prefix":      {},
 	// The executor's scratch refills overwrite elements below the current
 	// length: on a storage column they are the write the seal forbids.
 	"repro/internal/sqltypes.(Vec).Reset":         {mutatesRecv: true},
@@ -292,7 +293,7 @@ var calleeFacts = map[string]calleeFact{
 	"repro/internal/sqltypes.(Vec).Gather":        {mutatesRecv: true}, // reads its src argument
 	// The key normalisation reads the vector and writes only into the two
 	// buffers it is handed.
-	"repro/internal/sqltypes.(Vec).KeyCells": {readonly: true, mutatesArgs: []int{1, 2}},
+	"repro/internal/sqltypes.(Vec).KeyCells": {mutatesArgs: []int{1, 2}},
 }
 
 // stdlibMutators are the standard-library callees that write through an

@@ -272,7 +272,7 @@ func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows 
 		if len(rows) == 0 {
 			return nil, nil
 		}
-		res, err := exec.NewEngine(m.store.Overlay(table, td.Meta, rows)).Run(p.AST.Graph)
+		res, err := m.run(exec.NewEngine(m.store.Overlay(table, td.Meta, rows)), p.AST.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("maintain: delta eval: %w", err)
 		}
@@ -452,7 +452,7 @@ func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 	if err := qgmcheck.Structural(clone); err != nil {
 		return fmt.Errorf("maintain: scoped plan failed verification: %w", err)
 	}
-	res, err := m.engine.Run(clone)
+	res, err := m.run(m.engine, clone)
 	if err != nil {
 		return fmt.Errorf("maintain: scoped recompute: %w", err)
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/maintain"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
@@ -35,7 +36,36 @@ type parityEnv struct {
 	plans  []*maintain.Plan
 }
 
+// newParityEnv deploys the whole portfolio: every paper AST and the DS set.
 func newParityEnv(t *testing.T, n int) *parityEnv {
+	t.Helper()
+	names := make([]string, 0, len(bench.ASTDefs))
+	for name := range bench.ASTDefs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return newParityEnvOf(t, n, append(paperDefs(names...), dsDefs()...), nil)
+}
+
+func paperDefs(names ...string) []catalog.ASTDef {
+	var defs []catalog.ASTDef
+	for _, name := range names {
+		defs = append(defs, catalog.ASTDef{Name: name, SQL: bench.ASTDefs[name]})
+	}
+	return defs
+}
+
+func dsDefs() []catalog.ASTDef {
+	var defs []catalog.ASTDef
+	for _, ds := range workload.DSASTs {
+		defs = append(defs, catalog.ASTDef{Name: ds.Name, SQL: ds.SQL})
+	}
+	return defs
+}
+
+// newParityEnvOf loads n fact rows and materialises defs; o (nil = none)
+// observes the materialising engine and the maintainer alike.
+func newParityEnvOf(t *testing.T, n int, defs []catalog.ASTDef, o *obs.Observer) *parityEnv {
 	t.Helper()
 	cat := catalog.New()
 	workload.Schema(cat)
@@ -45,22 +75,10 @@ func newParityEnv(t *testing.T, n int) *parityEnv {
 		cat:    cat,
 		store:  store,
 		engine: exec.NewEngine(store),
-		m:      maintain.New(store).WithCatalog(cat),
+		m:      maintain.New(store).WithCatalog(cat).WithObserver(o),
 	}
+	e.engine.SetObserver(o)
 	rw := core.NewRewriter(cat, core.Options{})
-
-	var defs []catalog.ASTDef
-	names := make([]string, 0, len(bench.ASTDefs))
-	for name := range bench.ASTDefs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		defs = append(defs, catalog.ASTDef{Name: name, SQL: bench.ASTDefs[name]})
-	}
-	for _, ds := range workload.DSASTs {
-		defs = append(defs, catalog.ASTDef{Name: ds.Name, SQL: ds.SQL})
-	}
 	for _, def := range defs {
 		ca, err := rw.CompileAST(def)
 		if err != nil {

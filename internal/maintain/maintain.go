@@ -427,5 +427,17 @@ func (m *Maintainer) evalDefinition(p *Plan, site string) (res *exec.Result, err
 	if err := faultinject.Hit(site); err != nil {
 		return nil, err
 	}
-	return m.engine.Run(p.AST.Graph)
+	return m.run(m.engine, p.AST.Graph)
+}
+
+// run evaluates one maintenance graph — a definition, a delta over an overlay,
+// a scoped recompute. A box of it that the chunk pipeline declines runs on the
+// executor's serial reference path, whose speed nothing measures, so it is
+// counted: the delta engine has no observer of its own to say so.
+func (m *Maintainer) run(eng *exec.Engine, g *qgm.Graph) (*exec.Result, error) {
+	res, err := eng.Run(g)
+	if err == nil && len(res.Declined) > 0 {
+		m.obsv.Add("maintain.exec.declined", int64(len(res.Declined)))
+	}
+	return res, err
 }

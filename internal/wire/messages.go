@@ -17,7 +17,7 @@ type Rows struct {
 	// ColumnTypeDatabaseTypeName / ColumnTypeScanType.
 	Kinds    []sqltypes.Kind
 	Rows     [][]sqltypes.Value
-	Mode     string // execution mode: vectorized / compiled-row / interpreted
+	Mode     string // execution mode: vectorized / interpreted
 	AST      string // summary table that served the plan; "" = base tables
 	CacheHit bool
 	FellBack bool

@@ -86,7 +86,7 @@ func TestRowsRoundTrip(t *testing.T) {
 
 func TestRowsEmptyResult(t *testing.T) {
 	cols := []string{"a"}
-	m := &Rows{Cols: cols, Kinds: InferKinds(cols, nil), Mode: "compiled-row"}
+	m := &Rows{Cols: cols, Kinds: InferKinds(cols, nil), Mode: "interpreted"}
 	got, err := DecodeRows(m.Encode())
 	if err != nil {
 		t.Fatal(err)
