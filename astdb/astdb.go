@@ -107,7 +107,6 @@ func (e *Engine) register(asts ...*core.CompiledAST) {
 
 // settings accumulates functional options.
 type settings struct {
-	store       *storage.Store
 	cfg         exec.Config
 	cacheCap    int // 0 = default size, <0 = disabled
 	obsv        *obs.Observer
@@ -117,10 +116,6 @@ type settings struct {
 
 // Option configures Open and Wrap.
 type Option func(*settings)
-
-// WithStore supplies the storage backing the engine (Open only; Wrap uses the
-// executor's store). Default: a fresh empty store.
-func WithStore(s *storage.Store) Option { return func(c *settings) { c.store = s } }
 
 // WithLimits sets the execution config (row budget, timeout, parallelism)
 // applied to every query and materialization the engine runs.
@@ -140,10 +135,6 @@ func WithObserver(o *obs.Observer) Option { return func(c *settings) { c.obsv = 
 func WithAllowStale(allow bool) Option {
 	return func(c *settings) { c.coreOpts.AllowStale = allow }
 }
-
-// WithCoreOptions sets the full rewriter option block (ablation switches,
-// AllowStale). Open only; apply before WithAllowStale if combining.
-func WithCoreOptions(o core.Options) Option { return func(c *settings) { c.coreOpts = o } }
 
 // WithVerifyPlans turns on static plan verification (internal/qgmcheck) at
 // both engine seams: every parsed query graph is checked post-build (a
@@ -170,10 +161,7 @@ func Open(cat *catalog.Catalog, options ...Option) (*Engine, error) {
 	for _, o := range options {
 		o(&c)
 	}
-	store := c.store
-	if store == nil {
-		store = storage.NewStore()
-	}
+	store := storage.NewStore()
 	rw := core.NewRewriter(cat, c.coreOpts)
 	e := assemble(cat, store, exec.NewEngine(store), rw, c)
 	asts, err := rw.CompileAll()
@@ -183,8 +171,8 @@ func Open(cat *catalog.Catalog, options ...Option) (*Engine, error) {
 
 // Wrap builds the facade around existing components — an executor, a rewriter,
 // and compiled summary tables — without copying or re-registering anything.
-// The store and catalog come from the executor and rewriter; WithStore,
-// WithAllowStale, and WithCoreOptions are ignored.
+// The store and catalog come from the executor and rewriter; WithAllowStale
+// is ignored.
 func Wrap(rw *core.Rewriter, exe *exec.Engine, asts []*core.CompiledAST, options ...Option) *Engine {
 	c := settings{}
 	for _, o := range options {
@@ -383,7 +371,8 @@ func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 
 // Rewrite plans one SQL query without executing it, choosing the plan Query
 // would. Naming summary tables in only restricts the candidate set (bypassing
-// the cache, whose entries are keyed against the full set).
+// the cache, whose entries are keyed against the full set); a name that is no
+// registered summary table is an error (ErrUnknownTable).
 func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewrite, error) {
 	span := e.startSpan(ctx, "rewrite")
 	defer span.End()
@@ -395,11 +384,15 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 		}
 		return cr, nil
 	}
+	sel, err := e.set.Load().only(only)
+	if err != nil {
+		return nil, err
+	}
 	g, err := e.parse(span, sql)
 	if err != nil {
 		return nil, err
 	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, e.selectASTs(only), e.store)
+	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, e.store)
 	cr := &Rewrite{Plan: plan, Rewrite: res}
 	if res != nil {
 		cr.AST = res.AST.Def.Name
@@ -433,26 +426,32 @@ func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	return g, nil
 }
 
-// selectASTs returns the compiled ASTs restricted to the given names (all
-// when names is empty). The unrestricted case returns the published slice
-// itself; the filtered case builds a fresh slice — filtering in place would
-// scribble on the immutable published set.
-func (e *Engine) selectASTs(names []string) []*core.CompiledAST {
-	asts := e.set.Load().asts
+// only returns the set restricted to the named summary tables, in
+// registration order and on fresh slices (the whole published set when names
+// is empty), or an error wrapping ErrUnknownTable for the first name that is
+// not registered: a misspelt name must not read as "nothing to do".
+func (s astSet) only(names []string) (astSet, error) {
 	if len(names) == 0 {
-		return asts
+		return s, nil
 	}
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
 		want[n] = true
 	}
-	out := make([]*core.CompiledAST, 0, len(names))
-	for _, ca := range asts {
+	var out astSet
+	for i, ca := range s.asts {
 		if want[ca.Def.Name] {
-			out = append(out, ca)
+			out.asts = append(out.asts, ca)
+			out.plans = append(out.plans, s.plans[i])
+			delete(want, ca.Def.Name)
 		}
 	}
-	return out
+	for _, n := range names {
+		if want[n] {
+			return astSet{}, fmt.Errorf("%w: no summary table %q", ErrUnknownTable, n)
+		}
+	}
+	return out, nil
 }
 
 // runPlan executes one graph, converting a panic anywhere under the executor
@@ -538,23 +537,22 @@ func (e *Engine) insert(table string, rows [][]sqltypes.Value) ([]maintain.Stats
 // Refresh fully recomputes summary tables from the current base data: the
 // named ones, or every registered one when names is empty. A failed refresh
 // marks that AST stale and counts toward quarantine; failures are joined into
-// the returned error and the Stats slice is always complete.
+// the returned error and the Stats slice is always complete. A name that is
+// no registered summary table is an error (ErrUnknownTable) and refreshes
+// nothing.
 func (e *Engine) Refresh(ctx context.Context, names ...string) ([]maintain.Stats, error) {
+	if _, err := e.set.Load().only(names); err != nil {
+		return nil, err
+	}
 	_, done, err := e.write(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
+	sel, _ := e.set.Load().only(names) // the set only grows: the names checked above are still in it
 	var out []maintain.Stats
 	var errs []error
-	for _, p := range e.set.Load().plans {
-		if len(names) > 0 && !want[p.AST.Def.Name] {
-			continue
-		}
+	for _, p := range sel.plans {
 		st, err := e.maint.RefreshFull(p)
 		out = append(out, st)
 		if err != nil {

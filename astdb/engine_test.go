@@ -205,3 +205,53 @@ func TestDegradationEventsAreSequenced(t *testing.T) {
 		t.Errorf("observer event stream missing degradation seq %d: %+v", events[0].Seq, snap.Events)
 	}
 }
+
+// TestRefreshRejectsUnknownSummaryTable: a name that matches no registered
+// summary table used to refresh nothing and report success. It is an error
+// naming the table, decided before the call waits for the writer slot (so a
+// canceled context does not mask it).
+func TestRefreshRejectsUnknownSummaryTable(t *testing.T) {
+	db := openTinyDB(t)
+	ctx := context.Background()
+	if _, _, err := db.CreateSummaryTable(ctx, "byregion",
+		"select region, sum(amount) as total, count(*) as cnt from sales group by region"); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := db.Refresh(ctx, "byregion", "nosuch")
+	if !errors.Is(err, astdb.ErrUnknownTable) || !strings.Contains(err.Error(), `"nosuch"`) || len(stats) != 0 {
+		t.Fatalf(`Refresh("byregion", "nosuch") = %+v, %v; want no stats and ErrUnknownTable naming nosuch`, stats, err)
+	}
+	if stats, err := db.Refresh(ctx, "byregion"); err != nil || len(stats) != 1 {
+		t.Fatalf(`Refresh("byregion") = %+v, %v; want one clean refresh`, stats, err)
+	}
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := db.Refresh(canceled, "nosuch"); !errors.Is(err, astdb.ErrUnknownTable) {
+		t.Fatalf("unknown name on a canceled context: %v; want ErrUnknownTable before the writer slot", err)
+	}
+}
+
+// TestRewriteRejectsUnknownSummaryTable: restricting the candidates to a name
+// that is not registered used to plan silently with no candidates at all.
+func TestRewriteRejectsUnknownSummaryTable(t *testing.T) {
+	db := openTinyDB(t)
+	ctx := context.Background()
+	if _, _, err := db.CreateSummaryTable(ctx, "byregion",
+		"select region, sum(amount) as total, count(*) as cnt from sales group by region"); err != nil {
+		t.Fatal(err)
+	}
+	q := "select region, sum(amount) as total from sales group by region"
+	if rw, err := db.Rewrite(ctx, q, "byregion"); err != nil || rw.AST != "byregion" {
+		t.Fatalf(`Rewrite(only "byregion") = %+v, %v`, rw, err)
+	}
+	rw, err := db.Rewrite(ctx, q, "nosuch")
+	if !errors.Is(err, astdb.ErrUnknownTable) || !strings.Contains(err.Error(), `"nosuch"`) || rw != nil {
+		t.Fatalf(`Rewrite(only "nosuch") = %+v, %v; want ErrUnknownTable naming nosuch`, rw, err)
+	}
+	// Decided before planning: not even a statement that does not parse gets
+	// that far.
+	if _, err := db.Rewrite(ctx, "select from", "nosuch"); !errors.Is(err, astdb.ErrUnknownTable) {
+		t.Fatalf("unknown name with an unparsable statement: %v; want ErrUnknownTable", err)
+	}
+}

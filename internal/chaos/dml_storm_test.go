@@ -55,7 +55,7 @@ func assertNeverFreshAndWrong(t *testing.T, e *chaosEnv, round int) {
 			t.Fatalf("round %d: recompute %s: %v", round, ca.Def.Name, err)
 		}
 		got := e.store.MustTable(ca.Def.Name)
-		if diff := exec.EqualResults(want, &exec.Result{Cols: want.Cols, Rows: got.Rows()}); diff != "" {
+		if diff := exec.EqualResults(want, &exec.Result{Cols: want.Cols, Rows: got.Snapshot()}); diff != "" {
 			t.Fatalf("round %d: %s is FRESH AND WRONG: %s", round, ca.Def.Name, diff)
 		}
 	}

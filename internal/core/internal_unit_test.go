@@ -44,7 +44,7 @@ func TestDeriverMinimalVsLeafFirst(t *testing.T) {
 	disc := &qgm.ColRef{Q: rq, Col: 7}
 	target := &qgm.Bin{Op: "*",
 		L: &qgm.Bin{Op: "*", L: qty, R: price},
-		R: &qgm.Bin{Op: "-", L: &qgm.Const{Val: sqltypes.NewInt(1)}, R: disc},
+		R: &qgm.Bin{Op: "-", L: qgm.NewConst(sqltypes.NewInt(1)), R: disc},
 	}
 
 	countRefs := func(e qgm.Expr) int {
@@ -216,7 +216,7 @@ func TestCountStarLike(t *testing.T) {
 func TestIsConstRspace(t *testing.T) {
 	scalarQ := &qgm.Quantifier{ID: 1, Kind: qgm.Scalar}
 	rowQ := &qgm.Quantifier{ID: 2, Kind: qgm.ForEach}
-	c := &qgm.Const{Val: sqltypes.NewInt(1)}
+	c := qgm.NewConst(sqltypes.NewInt(1))
 	if !isConstRspace(c) {
 		t.Error("literal")
 	}
@@ -248,7 +248,7 @@ func TestProjectionOnly(t *testing.T) {
 	if !projectionOnly(mm) {
 		t.Error("bare projection")
 	}
-	sel.Preds = []qgm.Expr{&qgm.Const{Val: sqltypes.NewBool(true)}}
+	sel.Preds = []qgm.Expr{qgm.NewConst(sqltypes.NewBool(true))}
 	if projectionOnly(mm) {
 		t.Error("predicated compensation is not projection-only")
 	}

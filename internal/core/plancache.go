@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -43,7 +42,7 @@ import (
 // the cache.
 //
 // Concurrency: the cache is striped. Templates hash (FNV-1a) onto independent
-// LRU shards, each behind its own mutex, so concurrent sessions hitting
+// LRU shards, each behind its own lock, so concurrent sessions hitting
 // different statements never contend on one lock; lifetime statistics are
 // lock-free atomics. Small caches (capacity < planCacheStripeMin) collapse to
 // a single shard, which keeps exact global LRU order where capacity is tight
@@ -61,13 +60,17 @@ type PlanCache struct {
 
 // planShard is one independent LRU stripe of the cache.
 type planShard struct {
-	mu    sync.Mutex
-	cap   int
+	cap int
+	lru rcu.Guarded[planLRU]
+
+	// Pad to a cache line so neighboring shards' locks do not false-share.
+	_ [64]byte
+}
+
+// planLRU is a shard's recency list and its index.
+type planLRU struct {
 	ll    *list.List                  // of *cacheEntry; front = most recently used
 	byKey map[planKey][]*list.Element // a template's variants, most recently used first
-
-	// Pad to a cache line so neighboring shards' mutexes do not false-share.
-	_ [64]byte
 }
 
 // planKey is what a lookup must match exactly.
@@ -131,7 +134,10 @@ func NewPlanCache(capacity int) *PlanCache {
 		if i < rem {
 			sc++
 		}
-		c.shards[i] = planShard{cap: sc, ll: list.New(), byKey: map[planKey][]*list.Element{}}
+		c.shards[i].cap = sc
+		c.shards[i].lru.Do(func(l *planLRU) {
+			*l = planLRU{ll: list.New(), byKey: map[planKey][]*list.Element{}}
+		})
 	}
 	return c
 }
@@ -154,10 +160,7 @@ func (c *PlanCache) shard(template string) *planShard {
 func (c *PlanCache) Len() int {
 	n := 0
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
+		c.shards[i].lru.Do(func(l *planLRU) { n += l.ll.Len() })
 	}
 	return n
 }
@@ -177,21 +180,25 @@ func (c *PlanCache) Evictions() int64 {
 // known reports that the key has variants at all, so that a miss with known
 // set is a pinned literal that differed.
 func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, known bool) {
-	s := c.shard(key.template)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	variants := s.byKey[key]
-	for i, el := range variants {
-		if e := el.Value.(*cacheEntry); pinsHold(e.pins, lits) {
-			s.ll.MoveToFront(el)
-			copy(variants[1:], variants[:i])
-			variants[0] = el
-			c.hits.Add(1)
-			return e, true
+	c.shard(key.template).lru.Do(func(l *planLRU) {
+		variants := l.byKey[key]
+		known = len(variants) > 0
+		for i, el := range variants {
+			if e := el.Value.(*cacheEntry); pinsHold(e.pins, lits) {
+				l.ll.MoveToFront(el)
+				copy(variants[1:], variants[:i])
+				variants[0] = el
+				ent = e
+				return
+			}
 		}
+	})
+	if ent != nil {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	return nil, len(variants) > 0
+	return ent, known
 }
 
 // put stores ent, planned for lits, as the most recently used variant of its
@@ -201,38 +208,38 @@ func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, kn
 // it is within capacity, and put returns how many those were.
 func (c *PlanCache) put(ent *cacheEntry, lits []sqltypes.Value) int {
 	s := c.shard(ent.key.template)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	variants := s.byKey[ent.key]
-	out := -1
-	if len(variants) >= maxVariants {
-		out = len(variants) - 1
-	}
-	for i, el := range variants {
-		if pinsHold(el.Value.(*cacheEntry).pins, lits) {
-			out = i
-			break
-		}
-	}
-	if out >= 0 {
-		s.ll.Remove(variants[out])
-		variants = append(variants[:out:out], variants[out+1:]...)
-	}
-	s.byKey[ent.key] = append([]*list.Element{s.ll.PushFront(ent)}, variants...)
 	evicted := 0
-	for s.ll.Len() > s.cap {
-		// A key's variants are in list order, so the list's back is the last
-		// of its key's.
-		back := s.ll.Back()
-		s.ll.Remove(back)
-		key := back.Value.(*cacheEntry).key
-		if rest := s.byKey[key]; len(rest) > 1 {
-			s.byKey[key] = rest[:len(rest)-1]
-		} else {
-			delete(s.byKey, key)
+	s.lru.Do(func(l *planLRU) {
+		variants := l.byKey[ent.key]
+		out := -1
+		if len(variants) >= maxVariants {
+			out = len(variants) - 1
 		}
-		evicted++
-	}
+		for i, el := range variants {
+			if pinsHold(el.Value.(*cacheEntry).pins, lits) {
+				out = i
+				break
+			}
+		}
+		if out >= 0 {
+			l.ll.Remove(variants[out])
+			variants = append(variants[:out:out], variants[out+1:]...)
+		}
+		l.byKey[ent.key] = append([]*list.Element{l.ll.PushFront(ent)}, variants...)
+		for l.ll.Len() > s.cap {
+			// A key's variants are in list order, so the list's back is the
+			// last of its key's.
+			back := l.ll.Back()
+			l.ll.Remove(back)
+			key := back.Value.(*cacheEntry).key
+			if rest := l.byKey[key]; len(rest) > 1 {
+				l.byKey[key] = rest[:len(rest)-1]
+			} else {
+				delete(l.byKey, key)
+			}
+			evicted++
+		}
+	})
 	c.evictions.Add(int64(evicted))
 	return evicted
 }

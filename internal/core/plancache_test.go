@@ -444,3 +444,27 @@ func TestPlanCacheVariantsAreBoundedPerTemplate(t *testing.T) {
 		t.Fatal("variants of one template evicted another template")
 	}
 }
+
+// TestPlanCacheHitAllocs pins what a hit allocates: the template, the literal
+// vector and the bound copy of the plan, and nothing for the shard lookup
+// itself — a closure handed to the shard's Guarded that escaped would show
+// here first. The bound was measured at the commit before the shards moved
+// onto rcu.Guarded.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	e := newEnv(t, 2000)
+	asts := []*core.CompiledAST{e.registerAST(t, "pc_agg", pcAggSQL)}
+	cache := core.NewPlanCache(8)
+	ctx := context.Background()
+	sql := "select faid, count(*) as cnt from trans where faid > 3 group by faid"
+	lookup := func() {
+		cr, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
+		if err != nil || cr.AST != "pc_agg" {
+			t.Fatalf("lookup: %+v, %v", cr, err)
+		}
+	}
+	lookup()
+	const parent = 46
+	if got := testing.AllocsPerRun(200, lookup); got > parent {
+		t.Fatalf("a plan-cache hit allocated %.0f times, %d at the parent", got, parent)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
+	"repro/internal/rcu"
 )
 
 // Observability counter names reported by the rewriter. Constant strings keep
@@ -56,9 +56,13 @@ type Rewriter struct {
 	opts Options
 	obsv *obs.Observer // nil = observability disabled
 
-	mu       sync.Mutex
-	degraded []DegradationEvent
-	dropped  int // degradation events evicted since the last drain
+	degraded rcu.Guarded[degradationLog]
+}
+
+// degradationLog is the bounded buffer Degradations drains.
+type degradationLog struct {
+	events  []DegradationEvent
+	dropped int // events evicted since the last drain
 }
 
 // DegradationEvent is one recorded degradation, stamped with a process-wide
@@ -140,15 +144,15 @@ func (e *MatchPanicError) Error() string {
 // mirrored into its event stream under the same number.
 func (rw *Rewriter) noteDegraded(err error) {
 	ev := DegradationEvent{Seq: obs.NextSeq(), Err: err}
-	rw.mu.Lock()
-	if len(rw.degraded) >= maxDegradations {
-		copy(rw.degraded, rw.degraded[1:])
-		rw.degraded[len(rw.degraded)-1] = ev
-		rw.dropped++
-	} else {
-		rw.degraded = append(rw.degraded, ev)
-	}
-	rw.mu.Unlock()
+	rw.degraded.Do(func(l *degradationLog) {
+		if len(l.events) >= maxDegradations {
+			copy(l.events, l.events[1:])
+			l.events[len(l.events)-1] = ev
+			l.dropped++
+		} else {
+			l.events = append(l.events, ev)
+		}
+	})
 	rw.obsv.Add(CtrDegradations, 1)
 	if rw.obsv.Enabled() {
 		rw.obsv.EmitSeq(ev.Seq, "core.degraded", err.Error())
@@ -178,12 +182,11 @@ func (rw *Rewriter) Degradations() []error {
 // DegradationEvents drains and returns the sequenced degradation events
 // recorded since the last call, plus how many older events were evicted from
 // the bounded buffer before this drain.
-func (rw *Rewriter) DegradationEvents() ([]DegradationEvent, int) {
-	rw.mu.Lock()
-	events := rw.degraded
-	dropped := rw.dropped
-	rw.degraded, rw.dropped = nil, 0
-	rw.mu.Unlock()
+func (rw *Rewriter) DegradationEvents() (events []DegradationEvent, dropped int) {
+	rw.degraded.Do(func(l *degradationLog) {
+		events, dropped = l.events, l.dropped
+		*l = degradationLog{}
+	})
 	return events, dropped
 }
 

@@ -70,7 +70,7 @@ func (c *exprCtx) compileScalar(e qgm.Expr) scalarKernel {
 		}
 
 	case *qgm.Const:
-		v := t.Val
+		v := t.Peek()
 		return func(binding) (sqltypes.Value, error) { return v, nil }
 
 	case *qgm.Call:

@@ -48,7 +48,7 @@ func TestWherePredicate(t *testing.T) {
 	cat, store, e := fixture(t, 500)
 	res := run(t, cat, e, "select tid from trans where qty > 3")
 	want := 0
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		if r[5].Int() > 3 {
 			want++
 		}
@@ -63,11 +63,11 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	res := run(t, cat, e, "select tid, country from trans, loc where flid = lid and country = 'USA'")
 	// Brute force.
 	locs := map[int64]string{}
-	for _, r := range store.MustTable("loc").Rows() {
+	for _, r := range store.MustTable("loc").Snapshot() {
 		locs[r[0].Int()] = r[3].Str()
 	}
 	want := 0
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		if locs[r[3].Int()] == "USA" {
 			want++
 		}
@@ -81,7 +81,7 @@ func TestGroupByCount(t *testing.T) {
 	cat, store, e := fixture(t, 400)
 	res := run(t, cat, e, "select faid, count(*) as cnt from trans group by faid")
 	counts := map[int64]int64{}
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		counts[r[1].Int()]++
 	}
 	if len(res.Rows) != len(counts) {
@@ -107,7 +107,7 @@ func TestQ1EndToEnd(t *testing.T) {
 	// Brute force.
 	type locInfo struct{ state, country string }
 	locs := map[int64]locInfo{}
-	for _, r := range store.MustTable("loc").Rows() {
+	for _, r := range store.MustTable("loc").Snapshot() {
 		locs[r[0].Int()] = locInfo{r[2].Str(), r[3].Str()}
 	}
 	type key struct {
@@ -116,7 +116,7 @@ func TestQ1EndToEnd(t *testing.T) {
 		year  int64
 	}
 	counts := map[key]int64{}
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		li := locs[r[3].Int()]
 		if li.country != "USA" {
 			continue
@@ -278,7 +278,7 @@ func TestDistinctAggregates(t *testing.T) {
 	cat, store, e := fixture(t, 400)
 	res := run(t, cat, e, "select count(distinct faid) as n from trans")
 	distinct := map[int64]bool{}
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		distinct[r[1].Int()] = true
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(len(distinct)) {

@@ -50,7 +50,7 @@ func (c *exprCtx) evalScalar(e qgm.Expr, bd binding) (sqltypes.Value, error) {
 		return row[t.Col], nil
 
 	case *qgm.Const:
-		return t.Val, nil
+		return t.Peek(), nil
 
 	case *qgm.Call:
 		arg, err := c.evalScalar(t.Args[0], bd)

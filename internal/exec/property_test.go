@@ -195,7 +195,7 @@ func TestAggregatesSkipNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantAll, wantV, wantSum int64
-	for _, r := range store.MustTable("t").Rows() {
+	for _, r := range store.MustTable("t").Snapshot() {
 		wantAll++
 		if !r[3].IsNull() {
 			wantV++
@@ -312,7 +312,7 @@ func TestDistinctSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[[2]int64]bool{}
-	for _, r := range store.MustTable("t").Rows() {
+	for _, r := range store.MustTable("t").Snapshot() {
 		want[[2]int64{r[0].Int(), r[1].Int()}] = true
 	}
 	if len(res.Rows) != len(want) {
@@ -391,7 +391,7 @@ func TestDistinctAggregateVariants(t *testing.T) {
 		vals map[int64]bool
 	}
 	want := map[int64]*agg{}
-	for _, r := range store.MustTable("t").Rows() {
+	for _, r := range store.MustTable("t").Snapshot() {
 		a := r[0].Int()
 		if want[a] == nil {
 			want[a] = &agg{vals: map[int64]bool{}}
@@ -800,7 +800,7 @@ func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
 				b.Quantifiers = append(b.Quantifiers, b.Quantifiers[0])
 			}},
 		{reason: declNonAggOutput, sql: "select fk, count(*) as c from f group by fk", wantErr: true,
-			edit: func(g *qgm.Graph) { groupByBox(g).Cols[1].Expr = &qgm.Const{Val: sqltypes.NewInt(1)} }},
+			edit: func(g *qgm.Graph) { groupByBox(g).Cols[1].Expr = qgm.NewConst(sqltypes.NewInt(1)) }},
 	} {
 		g, err := qgm.BuildSQL(tc.sql, cat)
 		if err != nil {

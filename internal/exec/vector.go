@@ -234,7 +234,7 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 		}
 
 	case *qgm.Const:
-		return vc.constKernel(t.Val)
+		return vc.constKernel(t.Peek())
 
 	case *qgm.Call:
 		return vc.compileCall(t)

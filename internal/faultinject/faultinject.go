@@ -19,9 +19,10 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rcu"
 )
 
 // Fault describes what happens when an armed site is hit. Delay applies
@@ -40,51 +41,49 @@ type armed struct {
 	fired int
 }
 
-var (
-	active atomic.Bool // fast-path gate; true only between Enable and Disable
-
-	mu    sync.Mutex
+// registry is the armed sites and the RNG their probabilities draw from; both
+// are nil while the registry is disabled.
+type registry struct {
 	rng   *rand.Rand
 	sites map[string]*armed
+}
+
+var (
+	active atomic.Bool // fast-path gate; true only between Enable and Disable
+	reg    rcu.Guarded[registry]
 )
 
 // Enable arms the registry. The seed drives probabilistic faults so chaos
 // runs replay deterministically. Tests should defer Disable().
 func Enable(seed int64) {
-	mu.Lock()
-	defer mu.Unlock()
-	rng = rand.New(rand.NewSource(seed))
-	sites = make(map[string]*armed)
-	active.Store(true)
+	reg.Do(func(r *registry) {
+		*r = registry{rng: rand.New(rand.NewSource(seed)), sites: make(map[string]*armed)}
+		active.Store(true)
+	})
 }
 
 // Disable clears all armed sites and restores the zero-cost fast path.
 func Disable() {
-	mu.Lock()
-	defer mu.Unlock()
-	active.Store(false)
-	rng = nil
-	sites = nil
+	reg.Do(func(r *registry) {
+		active.Store(false)
+		*r = registry{}
+	})
 }
 
 // Set arms a site (or a site prefix, see package comment). It panics when the
 // registry is not enabled — arming faults outside a chaos test is a bug.
 func Set(site string, f Fault) {
-	mu.Lock()
-	defer mu.Unlock()
-	if sites == nil {
-		panic("faultinject: Set called before Enable")
-	}
-	sites[site] = &armed{Fault: f}
+	reg.Do(func(r *registry) {
+		if r.sites == nil {
+			panic("faultinject: Set called before Enable")
+		}
+		r.sites[site] = &armed{Fault: f}
+	})
 }
 
 // Clear disarms one site.
 func Clear(site string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if sites != nil {
-		delete(sites, site)
-	}
+	reg.Do(func(r *registry) { delete(r.sites, site) })
 }
 
 // Err is a convenience constructor for an always-firing error fault.
@@ -100,30 +99,27 @@ func Hit(site string) error {
 	if !active.Load() {
 		return nil
 	}
-	mu.Lock()
-	a := sites[site]
-	if a == nil {
-		if i := strings.IndexByte(site, ':'); i > 0 {
-			a = sites[site[:i]]
+	var f Fault // stays zero, and so does nothing below, unless the site fires
+	reg.Do(func(r *registry) {
+		a := r.sites[site]
+		if a == nil {
+			if i := strings.IndexByte(site, ':'); i > 0 {
+				a = r.sites[site[:i]]
+			}
 		}
-	}
-	if a == nil {
-		mu.Unlock()
-		return nil
-	}
-	a.hits++
-	if a.Times > 0 && a.fired >= a.Times {
-		mu.Unlock()
-		return nil
-	}
-	if a.Prob > 0 && a.Prob < 1 && rng.Float64() >= a.Prob {
-		mu.Unlock()
-		return nil
-	}
-	a.fired++
-	f := a.Fault
-	mu.Unlock()
-
+		if a == nil {
+			return
+		}
+		a.hits++
+		if a.Times > 0 && a.fired >= a.Times {
+			return
+		}
+		if a.Prob > 0 && a.Prob < 1 && r.rng.Float64() >= a.Prob {
+			return
+		}
+		a.fired++
+		f = a.Fault
+	})
 	if f.Delay > 0 {
 		time.Sleep(f.Delay)
 	}
@@ -134,23 +130,24 @@ func Hit(site string) error {
 }
 
 // Fired reports how many times a site actually fired (not just matched).
-func Fired(site string) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if a := sites[site]; a != nil {
-		return a.fired
-	}
-	return 0
+func Fired(site string) (n int) {
+	reg.Do(func(r *registry) {
+		if a := r.sites[site]; a != nil {
+			n = a.fired
+		}
+	})
+	return n
 }
 
 // Sites returns the armed site names in sorted order.
 func Sites() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(sites))
-	for s := range sites {
-		out = append(out, s)
-	}
+	var out []string
+	reg.Do(func(r *registry) {
+		out = make([]string, 0, len(r.sites))
+		for s := range r.sites {
+			out = append(out, s)
+		}
+	})
 	sort.Strings(out)
 	return out
 }

@@ -7,21 +7,17 @@ import (
 	"strings"
 )
 
-// All returns the full analyzer suite, in reporting order. The first group
-// is syntactic; rcu-publish is typed; the last three are the flow-sensitive
-// go/types analyzers (chunk-freeze, unlock-paths, and the typed
-// mutex-discipline) built on the CFG dataflow engine.
+// All returns the full analyzer suite, in reporting order. The first three
+// are syntactic; rcu-publish and boundaries are typed; chunk-freeze is the
+// flow-sensitive one, built on the CFG dataflow engine.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		DeprecatedAPI,
 		CtxFirst,
 		ObsNilGuard,
-		StorageRows,
 		RCUPublish,
 		ChunkFreeze,
-		UnlockPaths,
-		MutexDiscipline,
+		Boundaries,
 	}
 }
 
@@ -133,95 +129,6 @@ func isConstExpr(p *Package, e ast.Expr) bool {
 	return lit
 }
 
-// DeprecatedAPI forbids reintroducing retired surfaces. Both are deleted —
-// internal/resilient (folded into the astdb facade) and the exec.Limits
-// alias (renamed Config) — so the analyzer now guards against resurrection:
-// importing the dead package path, referencing exec.Limits from outside, or
-// re-declaring a top-level Limits inside internal/exec itself.
-var DeprecatedAPI = &Analyzer{
-	Name: "deprecated-api",
-	Doc:  "internal/resilient and exec.Limits are deleted; do not reintroduce them",
-	Run: func(p *Package) []Finding {
-		var out []Finding
-		if p.Path == "repro/internal/exec" {
-			out = append(out, limitsRedeclared(p)...)
-		}
-		for _, f := range p.Files {
-			execName := ""
-			for _, imp := range f.AST.Imports {
-				switch importPathOf(imp) {
-				case "repro/internal/resilient":
-					out = append(out, Finding{
-						Pos:     p.Fset.Position(imp.Pos()),
-						Message: "internal/resilient is deleted; use the astdb facade (astdb.Open/Wrap, Engine.Query)",
-					})
-				case "repro/internal/exec":
-					execName = importName(imp)
-				}
-			}
-			if execName == "" {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == execName && sel.Sel.Name == "Limits" {
-					out = append(out, Finding{
-						Pos:     p.Fset.Position(sel.Pos()),
-						Message: "exec.Limits is deleted; use exec.Config",
-					})
-				}
-				return true
-			})
-		}
-		return out
-	},
-}
-
-// limitsRedeclared flags any top-level declaration named Limits inside
-// internal/exec — type alias, struct, var, or func — so the retired name
-// cannot quietly come back.
-func limitsRedeclared(p *Package) []Finding {
-	var out []Finding
-	flag := func(pos token.Pos, what string) {
-		out = append(out, Finding{
-			Pos:     p.Fset.Position(pos),
-			Message: fmt.Sprintf("%s Limits reintroduces the deleted exec.Limits; keep the Config name", what),
-		})
-	}
-	for _, f := range p.Files {
-		if f.Test {
-			continue
-		}
-		for _, decl := range f.AST.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if s.Name.Name == "Limits" {
-							flag(s.Pos(), "type")
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.Name == "Limits" {
-								flag(n.Pos(), "value")
-							}
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Recv == nil && d.Name.Name == "Limits" {
-					flag(d.Pos(), "func")
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ctxFirstPkgs are the packages whose exported API is the engine's public
 // surface; their entry points follow the standard library convention of
 // taking the context first.
@@ -326,96 +233,6 @@ var ObsNilGuard = &Analyzer{
 					})
 				}
 			}
-		}
-		return out
-	},
-}
-
-// StorageRows forbids reaching into a TableData's row data from outside
-// internal/storage. The pre-columnar layout exported Rows as a documented
-// single-threaded escape hatch; with the chunked layout a raw row slice is a
-// derived cache, so direct access bypasses both the mutex and the row-view
-// invalidation. Callers go through Scan/Snapshot/ScanChunks. Without type
-// information the rule is syntactic: it flags `.Rows` on identifiers declared
-// as storage.TableData (parameters, results, struct fields, var specs) and on
-// direct chains through the Store methods returning *TableData (Table,
-// Create, Put).
-var StorageRows = &Analyzer{
-	Name: "storage-rows",
-	Doc:  "no direct TableData.Rows access outside internal/storage; use Scan/Snapshot/ScanChunks",
-	Run: func(p *Package) []Finding {
-		if p.Path == "repro/internal/storage" {
-			return nil
-		}
-		var out []Finding
-		for _, f := range p.Files {
-			if f.Test {
-				continue // tests may reach into fixtures they own
-			}
-			stName := ""
-			for _, imp := range f.AST.Imports {
-				if importPathOf(imp) == "repro/internal/storage" {
-					stName = importName(imp)
-				}
-			}
-			if stName == "" || stName == "_" {
-				continue
-			}
-			isTD := func(t ast.Expr) bool {
-				if star, ok := t.(*ast.StarExpr); ok {
-					t = star.X
-				}
-				sel, ok := t.(*ast.SelectorExpr)
-				if !ok {
-					return false
-				}
-				id, ok := sel.X.(*ast.Ident)
-				return ok && id.Name == stName && sel.Sel.Name == "TableData"
-			}
-			tdIdents := map[string]bool{}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				switch t := n.(type) {
-				case *ast.Field: // params, results, struct fields
-					if isTD(t.Type) {
-						for _, nm := range t.Names {
-							tdIdents[nm.Name] = true
-						}
-					}
-				case *ast.ValueSpec:
-					if t.Type != nil && isTD(t.Type) {
-						for _, nm := range t.Names {
-							tdIdents[nm.Name] = true
-						}
-					}
-				}
-				return true
-			})
-			flag := func(n ast.Node) {
-				out = append(out, Finding{
-					Pos:     p.Fset.Position(n.Pos()),
-					Message: "direct TableData.Rows access outside internal/storage; use Scan/Snapshot/ScanChunks",
-				})
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Rows" {
-					return true
-				}
-				switch x := sel.X.(type) {
-				case *ast.Ident:
-					if tdIdents[x.Name] {
-						flag(sel)
-					}
-				case *ast.CallExpr:
-					if ms, ok := x.Fun.(*ast.SelectorExpr); ok {
-						switch ms.Sel.Name {
-						case "Table", "Create", "Put":
-							flag(sel)
-						}
-					}
-				}
-				return true
-			})
 		}
 		return out
 	},

@@ -1,14 +1,13 @@
 // Control-flow graph construction over go/ast function bodies — stdlib only,
 // no x/tools. Blocks hold statements (and branch-condition expressions) in
 // execution order; edges cover if/for/range/switch/type-switch/select,
-// labeled break/continue, goto, and return/panic exits. Deferred calls are
-// collected per function: they run on every exit, including panic unwinds,
-// which is what lets the unlock-on-all-paths rule credit `defer mu.Unlock()`.
+// labeled break/continue and goto; a return or a call to panic ends its block
+// with no successor.
 //
 // Granularity is the statement: short-circuit && / || operands are not split
 // into separate blocks, and function literals are not inlined — each FuncLit
 // body is analyzed as its own function. Both limits are documented in
-// DESIGN.md §16.
+// DESIGN.md §11.
 package lint
 
 import (
@@ -21,20 +20,12 @@ type block struct {
 	idx   int
 	nodes []ast.Node // Stmt and branch-condition Expr nodes in order
 	succs []*block
-
-	// ret marks a block ended by an explicit return; exit marks any block
-	// from which the function leaves (return, panic, or falling off the
-	// end). last is the node position to report exit findings at.
-	ret  bool
-	exit bool
-	last ast.Node
 }
 
-// cfg is one function body's graph plus its deferred statements.
+// cfg is one function body's graph.
 type cfg struct {
 	blocks []*block
 	entry  *block
-	defers []*ast.DeferStmt
 }
 
 type loopTargets struct {
@@ -66,14 +57,7 @@ func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{c: &cfg{}, labels: map[string]*block{}}
 	entry := b.newBlock()
 	b.c.entry = entry
-	last := b.stmts(body.List, entry)
-	if last != nil {
-		// Falling off the end is an implicit return.
-		last.exit = true
-		if last.last == nil {
-			last.last = body
-		}
-	}
+	b.stmts(body.List, entry)
 	// Resolve pending gotos.
 	for _, g := range b.gotos {
 		if t, ok := b.labels[g.label]; ok {
@@ -120,7 +104,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block) *block {
 
 	case *ast.ReturnStmt:
 		cur.nodes = append(cur.nodes, s)
-		cur.ret, cur.exit, cur.last = true, true, s
 		return nil
 
 	case *ast.BranchStmt:
@@ -171,10 +154,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block) *block {
 		} else {
 			b.edge(cur, join)
 		}
-		if len(join.succs) == 0 && thenEnd == nil && s.Else != nil {
-			// Both arms terminated; join may be dead but harmless.
-		}
-		return join
+		return join // dead when both arms terminated, which is harmless
 
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -200,10 +180,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block) *block {
 		bodyEnd := b.stmts(s.Body.List, body)
 		b.loops = b.loops[:len(b.loops)-1]
 		b.edge(bodyEnd, post)
-		if s.Cond == nil && len(after.succs) == 0 {
-			// for{} with no breaks: after is unreachable; keep it as the
-			// fall-through so downstream code stays simple.
-		}
+		// for{} with no breaks leaves after unreachable; it is still the
+		// fall-through, so downstream code stays simple.
 		return after
 
 	case *ast.RangeStmt:
@@ -241,21 +219,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *block) *block {
 	case *ast.SelectStmt:
 		return b.switchClauses(cur, s.Body.List, true)
 
-	case *ast.DeferStmt:
-		cur.nodes = append(cur.nodes, s)
-		b.c.defers = append(b.c.defers, s)
-		return cur
-
 	case *ast.ExprStmt:
 		cur.nodes = append(cur.nodes, s)
 		if isPanicCall(s.X) {
-			cur.exit, cur.last = true, s
 			return nil
 		}
 		return cur
 
 	default:
-		// Assign, IncDec, Send, Go, Decl, Empty: straight-line.
+		// Assign, IncDec, Send, Go, Defer, Decl, Empty: straight-line.
 		cur.nodes = append(cur.nodes, s)
 		return cur
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // ChunkFreeze proves frozen chunks are only written pre-freeze.
@@ -207,24 +208,15 @@ func exprChunkState(p *Package, s *chunkFacts, e ast.Expr) chunkState {
 		}
 		if f := calleeOf(p.Info, x); f != nil {
 			key := funcKey(f)
-			if idx, ok := frozenReturning[key]; ok && contains(idx, 0) {
+			if idx, ok := frozenReturning[key]; ok && slices.Contains(idx, 0) {
 				return chunkFrozen
 			}
-			if idx, ok := freshReturning[key]; ok && contains(idx, 0) {
+			if idx, ok := freshReturning[key]; ok && slices.Contains(idx, 0) {
 				return chunkMutable
 			}
 		}
 	}
 	return chunkUnknown
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func pkgPathOfType(t types.Type) string {
@@ -266,9 +258,9 @@ func applyChunkTransfer(p *Package, s *chunkFacts, n ast.Node) {
 			}
 			for i, l := range asn.Lhs {
 				switch {
-				case contains(frozenIdx, i):
+				case slices.Contains(frozenIdx, i):
 					setBare(l, chunkFrozen)
-				case contains(freshIdx, i):
+				case slices.Contains(freshIdx, i):
 					setBare(l, chunkMutable)
 				default:
 					setBare(l, chunkUnknown)
@@ -381,7 +373,7 @@ func checkFrozenWrites(p *Package, aliases *aliasSets, s *chunkFacts, n ast.Node
 // plain assignments, &x, composite literals mentioning a root, builtin append
 // pass-through, and range binds all merge classes; call results are assumed
 // fresh (constructors dominate; an identity-returning helper would be a blind
-// spot, noted in DESIGN.md §16).
+// spot, noted in DESIGN.md §11).
 
 // aliasSets is the union-find over a function's variables.
 type aliasSets struct {

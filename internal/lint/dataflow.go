@@ -1,7 +1,7 @@
 // Forward dataflow over the CFG: a worklist iteration to fixpoint with
 // analysis-defined join and transfer. States are finite sets keyed by
-// types.Object identity (published roots, chunk seal states, held locks), so
-// termination follows from monotone joins over a finite lattice.
+// types.Object identity (chunk seal states), so termination follows from
+// monotone joins over a finite lattice.
 package lint
 
 import "go/ast"

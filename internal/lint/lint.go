@@ -1,17 +1,16 @@
 // Package lint is a stdlib-only static-analysis harness (go/parser, go/ast,
 // and go/types via the source importer; no go/packages, no go/analysis, no
-// golang.org/x/tools) enforcing the repo's architectural invariants. The
-// syntactic analyzers police determinism of the planning packages, deprecated
-// APIs, context-first entry points, and nil-receiver-safe observers; the
-// typed rcu-publish rule keeps lock-free publication inside internal/rcu; the
-// flow-sensitive suite (chunk-freeze, unlock-paths, mutex-discipline) builds
-// a control-flow graph per function and runs forward dataflow over it to
-// verify the chunk seal and the locking contracts — see DESIGN.md §16 for the
-// invariant catalogue and the engine's limits. The cmd/astlint CLI runs every
-// analyzer over the module and exits non-zero on unsuppressed findings;
-// //lint:ignore <rule> <reason> suppresses one finding and is counted, never
-// silent. The analyzers are data, so tests seed violations through
-// ParseSource and assert each one fires.
+// golang.org/x/tools) for the invariants Go's types cannot carry. Three
+// analyzers are syntactic (determinism of the planning packages, context-first
+// entry points, nil-receiver-safe observers); two are typed tables of who may
+// mention what (rcu-publish, boundaries), each the one door left open beside
+// a type that enforces the rest; chunk-freeze builds a control-flow graph per
+// function and runs forward dataflow over it to verify the storage seal.
+// DESIGN.md §11 is the catalogue: what holds, what enforces it, what is not
+// proved. The cmd/astlint CLI runs every analyzer over the module and exits
+// non-zero on unsuppressed findings; //lint:ignore <rule> <reason> suppresses
+// one finding and is counted, never silent. The analyzers are data, so tests
+// seed violations through ParseSource and assert each one fires.
 package lint
 
 import (

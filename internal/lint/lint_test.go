@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -143,46 +144,6 @@ func jitter(seed int64) int {
 	}
 }
 
-func TestDeprecatedAPIFlagsResilientImport(t *testing.T) {
-	src := `package somepkg
-import _ "repro/internal/resilient"
-`
-	fs := findings(t, lint.DeprecatedAPI, "repro/internal/somepkg", "somepkg/seed.go", src)
-	wantFinding(t, fs, "deprecated-api", "internal/resilient")
-}
-
-func TestDeprecatedAPIFlagsExecLimits(t *testing.T) {
-	src := `package somepkg
-import "repro/internal/exec"
-var lim exec.Limits
-`
-	fs := findings(t, lint.DeprecatedAPI, "repro/internal/somepkg", "somepkg/seed.go", src)
-	wantFinding(t, fs, "deprecated-api", "exec.Limits")
-}
-
-func TestDeprecatedAPIFlagsLimitsRedeclaration(t *testing.T) {
-	src := `package exec
-type Config struct{}
-type Limits = Config
-`
-	fs := findings(t, lint.DeprecatedAPI, "repro/internal/exec", "exec/seed.go", src)
-	wantFinding(t, fs, "deprecated-api", "reintroduces")
-
-	vsrc := `package exec
-var Limits int
-`
-	fs = findings(t, lint.DeprecatedAPI, "repro/internal/exec", "exec/seed2.go", vsrc)
-	wantFinding(t, fs, "deprecated-api", "reintroduces")
-
-	ok := `package exec
-type Config struct{}
-func limits() int { return 0 } // lower-case: fine
-`
-	if fs := findings(t, lint.DeprecatedAPI, "repro/internal/exec", "exec/ok.go", ok); len(fs) != 0 {
-		t.Fatalf("compliant exec source flagged: %v", fs)
-	}
-}
-
 func TestCtxFirstFlagsLateContext(t *testing.T) {
 	src := `package exec
 import "context"
@@ -231,6 +192,11 @@ func (o *Observer) bump() { o.n++ } // unexported: callers already guarded
 	}
 }
 
+// The seeded violations of the two retired lock rules (mutex-discipline,
+// unlock-paths) keep their names and sources. What they got wrong cannot be
+// written against rcu.Guarded, so what boundaries flags in each is the one
+// thing that made it possible: a mutex of the fixture's own.
+
 func TestMutexDisciplineFlagsUnlockedFieldAccess(t *testing.T) {
 	src := `package storage
 import "sync"
@@ -240,26 +206,34 @@ type TableData struct {
 }
 func (t *TableData) Size() int { return len(t.chunks) }
 `
-	fs := findings(t, lint.MutexDiscipline, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "mutex-discipline", "Size")
+	fs := findings(t, lint.Boundaries, "repro/internal/storage", "storage/seed.go", src)
+	wantFinding(t, fs, "boundaries", "sync.Mutex outside repro/internal/rcu")
+}
+
+// guardedIsClean asserts a fixture written against rcu.Guarded type-checks
+// and passes the whole suite.
+func guardedIsClean(t *testing.T, importPath, filename, src string) {
+	t.Helper()
+	p := rcuFixture(t, importPath, filename, src)
+	if len(p.TypeErrs) != 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
+	}
+	if fs := lint.Run([]*lint.Package{p}, lint.All()); len(fs) != 0 {
+		t.Fatalf("guarded source flagged: %v", fs)
+	}
 }
 
 func TestMutexDisciplineAcceptsLockedAccess(t *testing.T) {
-	src := `package storage
-import "sync"
+	guardedIsClean(t, "repro/internal/storage", "storage/ok.go", `package storage
+import "repro/internal/rcu"
 type TableData struct {
-	mu     sync.Mutex
-	chunks []int
+	builder rcu.Guarded[[]int]
 }
-func (t *TableData) Size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.chunks)
+func (t *TableData) Size() (n int) {
+	t.builder.Do(func(chunks *[]int) { n = len(*chunks) })
+	return n
 }
-`
-	if fs := findings(t, lint.MutexDiscipline, "repro/internal/storage", "storage/ok.go", src); len(fs) != 0 {
-		t.Fatalf("locked source flagged: %v", fs)
-	}
+`)
 }
 
 // The next four tests carry the seeded violations of the two retired rules
@@ -283,10 +257,8 @@ func (s *Store) read() map[string]int  { return s.tables.Load() }
 }
 
 func TestMutexDisciplineCoversStripedShards(t *testing.T) {
-	// Type-based matching reaches beyond receivers: a planShard picked out
-	// of an array must lock its own mutex before touching guarded fields.
-	// (The stand-in type uses the production name so the typed lockSpecs
-	// entry for repro/internal/core.planShard matches.)
+	// A planShard picked out of an array and read without its lock: get is
+	// the bug, and the shard's own mutex is what lets it be written.
 	src := `package core
 import "sync"
 type planShard struct {
@@ -305,57 +277,8 @@ func (c *cache) put(k string, v int) {
 	s.mu.Unlock()
 }
 `
-	fs := findings(t, lint.MutexDiscipline, "repro/internal/core", "core/seed.go", src)
-	wantFinding(t, fs, "mutex-discipline", "get")
-	for _, f := range fs {
-		if strings.Contains(f.Message, "put ") {
-			t.Fatalf("locked shard access flagged: %v", f)
-		}
-	}
-}
-
-func TestStorageRowsFlagsTypedIdent(t *testing.T) {
-	src := `package maintain
-import "repro/internal/storage"
-func rowCount(td *storage.TableData) int { return len(td.Rows) }
-`
-	fs := findings(t, lint.StorageRows, "repro/internal/maintain", "maintain/seed.go", src)
-	wantFinding(t, fs, "storage-rows", "TableData.Rows")
-}
-
-func TestStorageRowsFlagsStoreChain(t *testing.T) {
-	src := `package maintain
-import "repro/internal/storage"
-func rowCount(s *storage.Store) int { return len(s.Table("t").Rows) }
-`
-	fs := findings(t, lint.StorageRows, "repro/internal/maintain", "maintain/seed.go", src)
-	wantFinding(t, fs, "storage-rows", "TableData.Rows")
-}
-
-func TestStorageRowsIgnoresStorageTestsAndOtherRows(t *testing.T) {
-	// The storage package itself, test files, and unrelated Rows fields
-	// (e.g. exec.Result.Rows) all stay clean.
-	inStorage := `package storage
-type TableData struct{ Rows int }
-func (td *TableData) n() int { return td.Rows }
-`
-	if fs := findings(t, lint.StorageRows, "repro/internal/storage", "storage/ok.go", inStorage); len(fs) != 0 {
-		t.Fatalf("storage package flagged: %v", fs)
-	}
-	inTest := `package maintain
-import "repro/internal/storage"
-func rowCount(td *storage.TableData) int { return len(td.Rows) }
-`
-	if fs := findings(t, lint.StorageRows, "repro/internal/maintain", "maintain/x_test.go", inTest); len(fs) != 0 {
-		t.Fatalf("test file flagged: %v", fs)
-	}
-	otherRows := `package astdb
-import "repro/internal/storage"
-func use(s *storage.Store, r struct{ Rows [][]int }) int { _ = s; return len(r.Rows) }
-`
-	if fs := findings(t, lint.StorageRows, "repro/astdb", "astdb/ok.go", otherRows); len(fs) != 0 {
-		t.Fatalf("unrelated Rows field flagged: %v", fs)
-	}
+	fs := findings(t, lint.Boundaries, "repro/internal/core", "core/seed.go", src)
+	wantFinding(t, fs, "boundaries", "sync.Mutex outside repro/internal/rcu")
 }
 
 // ---- flow-sensitive analyzers: seeded violations per rule ----
@@ -401,12 +324,10 @@ func (b *Box) bad(rows []string, r string) {
 	wantFinding(t, fs, "rcu-publish", "rows was published")
 }
 
-func TestChunkFreezeFlagsWriteAfterFreeze(t *testing.T) {
-	// Inside internal/storage: a chunk is mutable from allocation until its
-	// freeze call; writing through the frozen view is the seeded bug. The
-	// stand-in Chunk reuses the production method name so the funcKey-driven
-	// frozenReturning table matches.
-	src := `package storage
+// The chunk-freeze fixtures are package-level because
+// TestCalleeFactsRowsAreNeeded replays them with summary rows dropped.
+const (
+	srcWriteAfterFreeze = `package storage
 type Chunk struct{ vals []int }
 func (c *Chunk) frozen() *Chunk { return c }
 func bad() int {
@@ -417,26 +338,11 @@ func bad() int {
 	return f.vals[1]
 }
 `
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "chunk-freeze", "after freeze")
-}
-
-func TestChunkFreezeFlagsWriteToFrozenParamOutsideStorage(t *testing.T) {
-	// Outside internal/storage, chunk-typed parameters are frozen views —
-	// consumers only ever receive snapshots.
-	src := `package exec
+	srcFrozenParam = `package exec
 type Chunk struct{ vals []int }
 func bad(c *Chunk) { c.vals[0] = 9 }
 `
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/seed.go", src)
-	wantFinding(t, fs, "chunk-freeze", "after freeze")
-}
-
-func TestChunkFreezeFlagsKernelRefillingStorageColumn(t *testing.T) {
-	// The mistake per-worker scratch makes easy: a kernel refills the chunk's
-	// own column instead of its scratch slot. The stand-ins claim the sqltypes
-	// path so the calleeFacts row for the real Vec.RefillInts matches.
-	src := `package sqltypes
+	srcKernelRefill = `package sqltypes
 type Vec struct{ ints []int64 }
 func (v *Vec) RefillInts(kind, n int) []int64 { v.ints = v.ints[:n]; return v.ints }
 type Chunk struct {
@@ -450,15 +356,7 @@ func yearKernelOK(c *Chunk, scratch *Vec) []int64 {
 	return scratch.RefillInts(1, c.N)
 }
 `
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/seed.go", src)
-	wantFinding(t, fs, "chunk-freeze", "RefillInts")
-}
-
-func TestChunkFreezeAcceptsFreshBuildAndReadOnlyUse(t *testing.T) {
-	// Regression for two bring-up false positives: a locally allocated chunk
-	// stays writable outside storage (the columnarize shape), and builtins
-	// like len are not "callees that may mutate".
-	src := `package exec
+	srcFreshBuild = `package exec
 type Vec struct{ n int }
 func (v *Vec) AppendValue(x int) { v.n++ }
 type Chunk struct{ Cols []Vec }
@@ -473,7 +371,95 @@ func build(rows [][]int) []*Chunk {
 }
 func count(c *Chunk) int { return len(c.Cols) }
 `
-	if fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/ok.go", src); len(fs) != 0 {
+)
+
+// srcEveryVecMutator calls each designated mutator of sqltypes.Vec on a
+// storage column: outside internal/storage a callee is taken to write its
+// receiver only if calleeFacts says so, so each of these findings is a row.
+const srcEveryVecMutator = `package sqltypes
+type Vec struct{ n int }
+func (v *Vec) AppendValue(x int)            { v.n++ }
+func (v *Vec) AppendNull()                  { v.n++ }
+func (v *Vec) Reset()                       { v.n = 0 }
+func (v *Vec) Reserve(kind, n int)          { v.n = n }
+func (v *Vec) RefillFloats(n int)           { v.n = n }
+func (v *Vec) RefillStrings(n int)          { v.n = n }
+func (v *Vec) RefillGeneric(n int)          { v.n = n }
+func (v *Vec) SetNull(i int)                { v.n = i }
+func (v *Vec) Splat(x, n int)               { v.n = n }
+func (v *Vec) Gather(src *Vec, idx []int32) { v.n = len(idx) }
+type Chunk struct{ Cols []Vec }
+func misuse(c *Chunk, scratch *Vec) {
+	c.Cols[0].AppendValue(1)
+	c.Cols[0].AppendNull()
+	c.Cols[0].Reset()
+	c.Cols[0].Reserve(1, 8)
+	c.Cols[0].RefillFloats(8)
+	c.Cols[0].RefillStrings(8)
+	c.Cols[0].RefillGeneric(8)
+	c.Cols[0].SetNull(0)
+	c.Cols[0].Splat(1, 8)
+	c.Cols[0].Gather(scratch, nil)
+	scratch.Gather(&c.Cols[0], nil) // reading a storage column into scratch is the point
+}
+`
+
+var chunkFixtures = []struct{ path, file, src string }{
+	{"repro/internal/storage", "storage/seed.go", srcWriteAfterFreeze},
+	{"repro/internal/exec", "exec/seed.go", srcFrozenParam},
+	{"repro/internal/sqltypes", "sqltypes/seed.go", srcKernelRefill},
+	{"repro/internal/exec", "exec/ok.go", srcFreshBuild},
+	{"repro/internal/sqltypes", "sqltypes/mutators.go", srcEveryVecMutator},
+}
+
+func TestChunkFreezeFlagsEveryVecMutatorOnAStorageColumn(t *testing.T) {
+	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/mutators.go", srcEveryVecMutator)
+	for _, m := range []string{"AppendValue", "AppendNull", "Reset", "Reserve", "RefillFloats",
+		"RefillStrings", "RefillGeneric", "SetNull", "Splat", "Gather"} {
+		n := 0
+		for _, f := range fs {
+			if strings.Contains(f.Message, ")."+m+",") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("want one finding for %s on a storage column, got %d in %v", m, n, fs)
+		}
+	}
+	if len(fs) != 10 {
+		t.Errorf("want 10 findings, got %d: %v", len(fs), fs)
+	}
+}
+
+func TestChunkFreezeFlagsWriteAfterFreeze(t *testing.T) {
+	// Inside internal/storage: a chunk is mutable from allocation until its
+	// freeze call; writing through the frozen view is the seeded bug. The
+	// stand-in Chunk reuses the production method name so the funcKey-driven
+	// frozenReturning table matches.
+	fs := findings(t, lint.ChunkFreeze, "repro/internal/storage", "storage/seed.go", srcWriteAfterFreeze)
+	wantFinding(t, fs, "chunk-freeze", "after freeze")
+}
+
+func TestChunkFreezeFlagsWriteToFrozenParamOutsideStorage(t *testing.T) {
+	// Outside internal/storage, chunk-typed parameters are frozen views —
+	// consumers only ever receive snapshots.
+	fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/seed.go", srcFrozenParam)
+	wantFinding(t, fs, "chunk-freeze", "after freeze")
+}
+
+func TestChunkFreezeFlagsKernelRefillingStorageColumn(t *testing.T) {
+	// The mistake per-worker scratch makes easy: a kernel refills the chunk's
+	// own column instead of its scratch slot. The stand-ins claim the sqltypes
+	// path so the calleeFacts row for the real Vec.RefillInts matches.
+	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/seed.go", srcKernelRefill)
+	wantFinding(t, fs, "chunk-freeze", "RefillInts")
+}
+
+func TestChunkFreezeAcceptsFreshBuildAndReadOnlyUse(t *testing.T) {
+	// Regression for two bring-up false positives: a locally allocated chunk
+	// stays writable outside storage (the columnarize shape), and builtins
+	// like len are not "callees that may mutate".
+	if fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/ok.go", srcFreshBuild); len(fs) != 0 {
 		t.Fatalf("fresh chunk build or len() flagged: %v", fs)
 	}
 }
@@ -494,42 +480,38 @@ func (t *T) bad(x int) int {
 	return t.n
 }
 `
-	fs := findings(t, lint.UnlockPaths, "repro/astdb", "astdb/seed.go", src)
-	wantFinding(t, fs, "unlock-paths", "not released")
+	fs := findings(t, lint.Boundaries, "repro/astdb", "astdb/seed.go", src)
+	wantFinding(t, fs, "boundaries", "sync.Mutex outside repro/internal/rcu")
 }
 
 func TestUnlockPathsAcceptsDeferAndBalancedPaths(t *testing.T) {
-	// Deferred unlocks (direct or inside a deferred closure) credit every
-	// exit, including the panic edge; manual unlock-before-return balances.
-	src := `package astdb
-import "sync"
+	// The three shapes the rule used to accept — deferred unlock with a panic
+	// on one path, unlock in a deferred closure, manual unlock before return —
+	// are one shape now: Do unlocks by defer on every exit.
+	guardedIsClean(t, "repro/astdb", "astdb/ok.go", `package astdb
+import "repro/internal/rcu"
 type T struct {
-	mu sync.Mutex
-	n  int
+	n rcu.Guarded[int]
 }
-func (t *T) okDefer(x int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if x > 0 {
-		panic("boom")
-	}
-	return t.n
-}
-func (t *T) okClosure() int {
-	t.mu.Lock()
-	defer func() { t.mu.Unlock() }()
-	return t.n
-}
-func (t *T) okManual() int {
-	t.mu.Lock()
-	n := t.n
-	t.mu.Unlock()
+func (t *T) okPanic(x int) (n int) {
+	t.n.Do(func(v *int) {
+		if x > 0 {
+			panic("boom")
+		}
+		n = *v
+	})
 	return n
 }
-`
-	if fs := findings(t, lint.UnlockPaths, "repro/astdb", "astdb/ok.go", src); len(fs) != 0 {
-		t.Fatalf("balanced locking flagged: %v", fs)
-	}
+func (t *T) okEarlyReturn(x int) (n int) {
+	t.n.Do(func(v *int) {
+		if x > 0 {
+			return
+		}
+		n = *v
+	})
+	return n
+}
+`)
 }
 
 func TestMutexDisciplineFlagsRequiresHeldCallSite(t *testing.T) {
@@ -616,6 +598,97 @@ func (b *Box) ok(rows []int) int {
 	}
 }
 
+func TestBoundariesFlagsEveryWayToDeclareAMutex(t *testing.T) {
+	// Identity, not spelling: a read-write mutex, an embedded one, one behind
+	// an alias and one behind a renamed import are all the same two types.
+	src := `package obs
+import (
+	"sync"
+	s2 "sync"
+)
+type lock = sync.Mutex
+type a struct{ mu sync.RWMutex }
+type b struct{ sync.Mutex }
+var c s2.Mutex
+var d lock
+`
+	fs := findings(t, lint.Boundaries, "repro/internal/obs", "obs/seed.go", src)
+	if len(fs) != 4 {
+		t.Fatalf("want 4 findings (the alias's use is the alias, not the mutex), got %d: %v", len(fs), fs)
+	}
+	for _, ok := range [][2]string{{"repro/internal/rcu", "rcu/rcu.go"}, {"repro/internal/obs", "obs/x_test.go"}} {
+		if fs := findings(t, lint.Boundaries, ok[0], ok[1], src); len(fs) != 0 {
+			t.Fatalf("%s flagged: %v", ok[1], fs)
+		}
+	}
+}
+
+func TestBoundariesFlagsNonPinningConstRead(t *testing.T) {
+	// The three mutations PR 19 used to show TestPinCompleteness is needed —
+	// a planning read of a constant that does not pin — however they are
+	// spelled: through Peek from a planning package, or at the field itself
+	// from any file of internal/qgm but the one Const lives in.
+	qgmSrc := `package qgm
+type Param struct{ pinned bool }
+type Const struct {
+	val   int
+	Param *Param
+}
+func NewConst(v int) *Const { return &Const{val: v} }
+func (c *Const) Value() int {
+	if c.Param != nil {
+		c.Param.pinned = true
+	}
+	return c.val
+}
+func (c *Const) Peek() int { return c.val }
+`
+	qgm, err := lint.ParseSource("repro/internal/qgm", "qgm/expr.go", qgmSrc)
+	if err != nil || len(qgm.TypeErrs) != 0 {
+		t.Fatalf("stand-in qgm: %v %v", err, qgm.TypeErrs)
+	}
+	if fs := lint.Run([]*lint.Package{qgm}, []*lint.Analyzer{lint.Boundaries}); len(fs) != 0 {
+		t.Fatalf("expr.go itself flagged: %v", fs)
+	}
+
+	planner := `package core
+import "repro/internal/qgm"
+func subsumes(a, b *qgm.Const) bool { return a.Value() <= b.Peek() }
+`
+	for _, path := range []string{"repro/internal/core", "repro/internal/catalog"} {
+		p, err := lint.ParseSource(path, "core/seed.go", planner, qgm)
+		if err != nil || len(p.TypeErrs) != 0 {
+			t.Fatalf("planner fixture: %v %v", err, p.TypeErrs)
+		}
+		fs := lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.Boundaries})
+		wantFinding(t, fs, "boundaries", "Const.Peek in "+path)
+	}
+	executor, err := lint.ParseSource("repro/internal/exec", "exec/ok.go", strings.Replace(planner, "package core", "package exec", 1), qgm)
+	if err != nil || len(executor.TypeErrs) != 0 {
+		t.Fatalf("executor fixture: %v %v", err, executor.TypeErrs)
+	}
+	if fs := lint.Run([]*lint.Package{executor}, []*lint.Analyzer{lint.Boundaries}); len(fs) != 0 {
+		t.Fatalf("the executor may peek: %v", fs)
+	}
+
+	equiv := qgmSrc + `
+func exprEqual(x, y *Const) bool { return x.Value() == y.Peek() }
+func inList(c *Const) int        { return c.val }
+`
+	fs := findings(t, lint.Boundaries, "repro/internal/qgm", "qgm/equiv.go", equiv)
+	if len(fs) < 2 {
+		t.Fatalf("want Peek and the field flagged outside expr.go, got %v", fs)
+	}
+	var sawPeek, sawField bool
+	for _, f := range fs {
+		sawPeek = sawPeek || strings.Contains(f.Message, "Const.Peek in repro/internal/qgm")
+		sawField = sawField || strings.Contains(f.Message, "Const.val outside repro/internal/qgm/expr.go")
+	}
+	if !sawPeek || !sawField {
+		t.Fatalf("missing a finding in %v", fs)
+	}
+}
+
 // ---- suppressions ----
 
 func TestSuppressionsSilenceAndAreCounted(t *testing.T) {
@@ -671,23 +744,91 @@ func stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestRepositoryIsClean is the dogfood gate: the full analyzer suite over the
-// whole module must report nothing. cmd/astlint enforces the same in CI; this
-// keeps `go test ./...` sufficient locally.
-func TestRepositoryIsClean(t *testing.T) {
+// module loads and type-checks the repository once for the tests that run
+// analyzers over it (about three seconds, most of it the standard library).
+var module = sync.OnceValues(func() ([]*lint.Package, error) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pkgs, err := lint.LoadModule(root)
+	return lint.LoadModule(root)
+})
+
+// TestRepositoryIsClean is the dogfood gate: the full analyzer suite over the
+// whole module must report nothing and suppress nothing. cmd/astlint enforces
+// the same in CI; this keeps `go test ./...` sufficient locally.
+func TestRepositoryIsClean(t *testing.T) {
+	pkgs, err := module()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; module walk is broken", len(pkgs))
 	}
-	fs := lint.Run(pkgs, lint.All())
+	fs, suppressed := lint.RunDetailed(pkgs, lint.All())
 	for _, f := range fs {
 		t.Errorf("%s", f)
+	}
+	for _, s := range suppressed {
+		t.Errorf("%s: suppressed by //lint:ignore (%s); the repository carries none", s.Finding, s.Reason)
+	}
+}
+
+// TestCalleeFactsRowsAreNeeded keeps chunk-freeze's hand-kept summary table
+// honest: dropping any one row must change what the analyzer reports on the
+// repository or on a seeded fixture — a new finding where the row certified a
+// callee read-only, a seeded finding lost where it named a mutator. A row
+// that changes nothing guards nothing: delete it.
+func TestCalleeFactsRowsAreNeeded(t *testing.T) {
+	pkgs, err := module()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	for _, fx := range chunkFixtures {
+		p, err := lint.ParseSource(fx.path, fx.file, fx.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs[:len(pkgs):len(pkgs)], p)
+	}
+	report := func() string {
+		var b strings.Builder
+		for _, f := range lint.Run(pkgs, []*lint.Analyzer{lint.ChunkFreeze}) {
+			b.WriteString(f.String() + "\n")
+		}
+		return b.String()
+	}
+	with := report()
+	for _, key := range lint.CalleeFactKeys() {
+		lint.WithoutCalleeFact(key, func() {
+			if report() == with {
+				t.Errorf("calleeFacts[%q] changes no finding on the repository or a fixture", key)
+			}
+		})
+	}
+}
+
+// TestEveryAnalyzerIsDocumented ties the suite to its catalogue: DESIGN.md
+// §11 names every analyzer of All(), and no rule that has been deleted.
+func TestEveryAnalyzerIsDocumented(t *testing.T) {
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n## 11. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 11")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, a := range lint.All() {
+		if !strings.Contains(section, "`"+a.Name+"`") {
+			t.Errorf("DESIGN.md §11 does not name the analyzer `%s`", a.Name)
+		}
+	}
+	for _, gone := range []string{"unlock-paths", "mutex-discipline", "deprecated-api", "storage-rows",
+		"publish-freeze", "storage-lock"} {
+		if strings.Contains(section, gone) {
+			t.Errorf("DESIGN.md §11 still names the deleted rule `%s`", gone)
+		}
 	}
 }

@@ -1,8 +1,8 @@
-// Typed helpers and the cross-function summary table shared by the
-// flow-sensitive analyzers (chunk-freeze, unlock-paths, mutex-discipline).
-// The summary table is the conservative escape from pure intra-procedural
-// analysis: for module-internal callees that take chunks or snapshots, it
-// records whether they may write through their receiver or arguments. Stdlib
+// Typed helpers shared by the typed analyzers, and chunk-freeze's
+// cross-function summary table. The summary table is the conservative escape
+// from pure intra-procedural analysis: for module-internal callees that take
+// chunks or snapshots, it records whether they may write through their
+// receiver or arguments. Stdlib
 // callees default to read-only with an explicit mutator list (sort, copy);
 // unknown module-internal callees default to "may mutate", which is what
 // makes passing a frozen value to an unlisted helper a finding rather than a
@@ -77,19 +77,6 @@ func namedOf(t types.Type) *types.Named {
 			return nil
 		}
 	}
-}
-
-// typeKey renders a named type as "pkgpath.Name" ("" for unnamed). Type
-// parameters are dropped, so rcu.Cell[T] keys as "repro/internal/rcu.Cell".
-func typeKey(t types.Type) string {
-	n := namedOf(t)
-	if n == nil || n.Obj() == nil {
-		return ""
-	}
-	if n.Obj().Pkg() == nil {
-		return n.Obj().Name()
-	}
-	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
 }
 
 // calleeOf resolves a call expression to the invoked *types.Func (methods
@@ -238,62 +225,30 @@ func isModulePath(path string) bool {
 
 // ---- callee effects on frozen values ----
 
-// calleeFact is the summary for one callee: whether calling it may write
-// through its receiver or any pointer-reachable argument. The zero fact says
-// it writes through neither: a row's presence is what certifies a callee
-// read-only.
-type calleeFact struct {
-	mutatesRecv bool
-	mutatesArgs []int // arg indices whose pointee may be written; nil = none
-}
-
-func (c calleeFact) mutatesArg(i int) bool {
-	for _, a := range c.mutatesArgs {
-		if a == i {
-			return true
-		}
-	}
-	return false
-}
-
-// calleeFacts is the hand-maintained summary for module-internal callees
-// that take chunks, snapshots, or views. Keys come
-// from funcKey. Anything module-internal and absent defaults to
-// "may mutate everything reachable" — add entries here (with review) rather
-// than suppressing findings at call sites.
-var calleeFacts = map[string]calleeFact{
-	// storage.Chunk and its vectors: appendRow/AppendValue/AppendNull are the
-	// designated mutators; everything else reads.
-	"repro/internal/storage.(Chunk).appendRow":  {mutatesRecv: true},
-	"repro/internal/storage.(Chunk).Row":        {mutatesArgs: []int{1}}, // writes dst
-	"repro/internal/storage.(Chunk).frozen":     {},
-	"repro/internal/storage.frozenChunks":       {},
-	"repro/internal/storage.buildChunks":        {},
-	"repro/internal/storage.materializeRows":    {},
-	"repro/internal/sqltypes.(Vec).AppendValue": {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).AppendNull":  {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).Frozen":      {},
-	"repro/internal/sqltypes.(Vec).Value":       {},
-	"repro/internal/sqltypes.(Vec).IsNull":      {},
-	"repro/internal/sqltypes.(Vec).Len":         {},
-	"repro/internal/sqltypes.(Vec).Kind":        {},
-	"repro/internal/sqltypes.(Vec).HasNulls":    {},
-	"repro/internal/sqltypes.(Vec).Generic":     {},
-	"repro/internal/sqltypes.(Vec).Prefix":      {},
-	// The executor's scratch refills overwrite elements below the current
-	// length: on a storage column they are the write the seal forbids.
-	"repro/internal/sqltypes.(Vec).Reset":         {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).Reserve":       {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).RefillInts":    {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).RefillFloats":  {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).RefillStrings": {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).RefillGeneric": {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).SetNull":       {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).Splat":         {mutatesRecv: true},
-	"repro/internal/sqltypes.(Vec).Gather":        {mutatesRecv: true}, // reads its src argument
-	// The key normalisation reads the vector and writes only into the two
-	// buffers it is handed.
-	"repro/internal/sqltypes.(Vec).KeyCells": {mutatesArgs: []int{1, 2}},
+// calleeFacts is the hand-kept summary of module-internal callees that are
+// handed chunks or their vectors: true for one that may write through its
+// receiver, false for one certified to write through nothing; neither kind
+// writes through an argument. Keys come from funcKey. Anything module-internal
+// and absent defaults to "may write everything reachable" — strictly, inside
+// internal/storage, where that default is a finding; elsewhere only a listed
+// mutator is. Every row earns its place: TestCalleeFactsRowsAreNeeded fails
+// on one whose removal changes no finding on the repository or a fixture.
+var calleeFacts = map[string]bool{
+	"repro/internal/sqltypes.(Vec).IsNull": false,
+	// AppendValue/AppendNull are the designated appenders; the executor's
+	// scratch refills overwrite elements below the current length. On a
+	// storage column each is the write the seal forbids.
+	"repro/internal/sqltypes.(Vec).AppendValue":   true,
+	"repro/internal/sqltypes.(Vec).AppendNull":    true,
+	"repro/internal/sqltypes.(Vec).Reset":         true,
+	"repro/internal/sqltypes.(Vec).Reserve":       true,
+	"repro/internal/sqltypes.(Vec).RefillInts":    true,
+	"repro/internal/sqltypes.(Vec).RefillFloats":  true,
+	"repro/internal/sqltypes.(Vec).RefillStrings": true,
+	"repro/internal/sqltypes.(Vec).RefillGeneric": true,
+	"repro/internal/sqltypes.(Vec).SetNull":       true,
+	"repro/internal/sqltypes.(Vec).Splat":         true,
+	"repro/internal/sqltypes.(Vec).Gather":        true, // reads its src argument
 }
 
 // stdlibMutators are the standard-library callees that write through an
@@ -326,14 +281,11 @@ func calleeEffectOn(f *types.Func, argIdx int) bool {
 		pkg = f.Pkg().Path()
 	}
 	key := funcKey(f)
-	if fact, ok := calleeFacts[key]; ok {
-		if argIdx < 0 {
-			return fact.mutatesRecv
-		}
-		return fact.mutatesArg(argIdx)
+	if writesRecv, ok := calleeFacts[key]; ok {
+		return argIdx < 0 && writesRecv
 	}
 	if !isModulePath(pkg) {
-		// sync.Mutex.Lock/Unlock, atomic loads/stores, fmt, errors, ...:
+		// atomic loads/stores, fmt, errors, ...:
 		// read-only unless on the explicit mutator list.
 		if idxs, ok := stdlibMutators[pkg+"."+f.Name()]; ok {
 			for _, i := range idxs {
@@ -346,24 +298,4 @@ func calleeEffectOn(f *types.Func, argIdx int) bool {
 	}
 	// Unlisted module-internal callee: conservatively a mutator.
 	return true
-}
-
-// ---- mutex specs (typed) ----
-
-// lockSpec is one type's locking contract: guarded fields may only be
-// touched with the mutex (or its read half) held on the same base value.
-type lockSpec struct {
-	mutex   string   // mutex field name
-	guarded []string // fields needing the mutex (Lock or RLock) held
-}
-
-// lockSpecs lists, by typeKey, the mutex-guarded state on the serving hot
-// path that is not behind an rcu type. Matching is type-based: an access
-// x.field requires key(x).mutex in the must-held set at that program point,
-// whatever the variable is called. Constructor ownership is flow-based:
-// freshly allocated values are exempt.
-var lockSpecs = map[string]lockSpec{
-	"repro/internal/storage.TableData": {mutex: "mu", guarded: []string{"chunks"}},
-	"repro/internal/core.planShard":    {mutex: "mu", guarded: []string{"ll", "byKey"}},
-	"repro/internal/obs.histStripe":    {mutex: "mu", guarded: []string{"h"}},
 }

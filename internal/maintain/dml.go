@@ -434,7 +434,7 @@ func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 			if pm.scoped[k][j].IsNull() {
 				c = &qgm.IsNull{E: e}
 			} else {
-				c = &qgm.Bin{Op: "=", L: e, R: &qgm.Const{Val: pm.scoped[k][j]}}
+				c = &qgm.Bin{Op: "=", L: e, R: qgm.NewConst(pm.scoped[k][j])}
 			}
 			if and == nil {
 				and = c

@@ -107,7 +107,7 @@ func (e *parityEnv) verifyAll(t *testing.T, after string) {
 			t.Fatalf("after %q: recompute %s: %v", after, ca.Def.Name, err)
 		}
 		got := e.store.MustTable(ca.Def.Name)
-		if diff := exec.EqualResults(want, &exec.Result{Cols: want.Cols, Rows: got.Rows()}); diff != "" {
+		if diff := exec.EqualResults(want, &exec.Result{Cols: want.Cols, Rows: got.Snapshot()}); diff != "" {
 			t.Fatalf("after %q: %s diverged from recomputation: %s", after, ca.Def.Name, diff)
 		}
 		if st := e.cat.Status(ca.Def.Name); st.Stale || st.Quarantined {

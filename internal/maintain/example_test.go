@@ -57,7 +57,7 @@ func Example() {
 		stats[0].DeltaRows, stats[0].Merged, stats[0].Added)
 
 	mat := store.MustTable("per_kind")
-	matRows := append([][]sqltypes.Value(nil), mat.Rows()...)
+	matRows := append([][]sqltypes.Value(nil), mat.Snapshot()...)
 	exec.SortRows(matRows)
 	for _, r := range matRows {
 		fmt.Printf("%s cnt=%s total=%s\n", r[0], r[1], r[2])

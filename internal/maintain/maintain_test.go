@@ -82,7 +82,7 @@ func checkAgainstRecompute(t *testing.T, f *fixture, ca *core.CompiledAST) {
 		t.Fatal(err)
 	}
 	got := f.store.MustTable(ca.Def.Name)
-	gotRes := &exec.Result{Cols: want.Cols, Rows: got.Rows()}
+	gotRes := &exec.Result{Cols: want.Cols, Rows: got.Snapshot()}
 	if diff := exec.EqualResults(want, gotRes); diff != "" {
 		t.Fatalf("maintained %s diverged from recomputation: %s", ca.Def.Name, diff)
 	}

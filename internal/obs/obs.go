@@ -20,7 +20,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,13 +55,17 @@ type Observer struct {
 	counters rcu.Map[string, *counterCell]
 	hists    rcu.Map[string, *histCell]
 
-	mu       sync.Mutex // guards events and spans
+	log     rcu.Guarded[recordLog]
+	spanLen atomic.Int64 // published len(log.spans): lock-free saturation check
+	dropped atomic.Int64 // spans not recorded past maxSpans
+	began   time.Time
+}
+
+// recordLog is the bounded event stream and span buffer.
+type recordLog struct {
 	events   []Event
 	evictedE int64
 	spans    []SpanRecord
-	spanLen  atomic.Int64 // published len(spans): lock-free saturation check
-	dropped  atomic.Int64 // spans not recorded past maxSpans
-	began    time.Time
 }
 
 // New returns an enabled, empty observer.
@@ -176,15 +179,15 @@ func (o *Observer) EmitSeq(seq uint64, kind, detail string) {
 		return
 	}
 	ev := Event{Seq: seq, Kind: kind, Detail: detail, At: time.Now()}
-	o.mu.Lock()
-	if len(o.events) >= maxEvents {
-		copy(o.events, o.events[1:])
-		o.events[len(o.events)-1] = ev
-		o.evictedE++
-	} else {
-		o.events = append(o.events, ev)
-	}
-	o.mu.Unlock()
+	o.log.Do(func(l *recordLog) {
+		if len(l.events) >= maxEvents {
+			copy(l.events, l.events[1:])
+			l.events[len(l.events)-1] = ev
+			l.evictedE++
+		} else {
+			l.events = append(l.events, ev)
+		}
+	})
 }
 
 // Snapshot is a point-in-time copy of everything the observer holds, for
@@ -201,22 +204,22 @@ type Snapshot struct {
 // Snapshot copies the observer's current state. Counters and histograms are
 // deep copies; mutating the snapshot never touches the live observer. Counter
 // and histogram stripes are merged here: each histogram stripe is read under
-// its own mutex, so every stripe contributes an internally consistent view
+// its own lock, so every stripe contributes an internally consistent view
 // (count always equals the bucket sum) even with writers running.
 func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
-	o.mu.Lock()
 	s := Snapshot{
-		Counters:      make(map[string]int64, o.counters.Len()),
-		Histograms:    make(map[string]Histogram, o.hists.Len()),
-		Events:        append([]Event(nil), o.events...),
-		EvictedEvents: o.evictedE,
-		Spans:         append([]SpanRecord(nil), o.spans...),
-		DroppedSpans:  o.dropped.Load(),
+		Counters:   make(map[string]int64, o.counters.Len()),
+		Histograms: make(map[string]Histogram, o.hists.Len()),
 	}
-	o.mu.Unlock()
+	o.log.Do(func(l *recordLog) {
+		s.Events = append([]Event(nil), l.events...)
+		s.EvictedEvents = l.evictedE
+		s.Spans = append([]SpanRecord(nil), l.spans...)
+		s.DroppedSpans = o.dropped.Load()
+	})
 	o.counters.Range(func(name string, c *counterCell) bool {
 		s.Counters[name] = c.load()
 		return true

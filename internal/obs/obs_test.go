@@ -155,6 +155,22 @@ func TestKnownInstrumentZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHistCellRecordZeroAlloc pins the striped write itself, and the span
+// pair every statement opens and closes: both reach their state through an
+// rcu.Guarded, and a callback that escaped to the heap would show here first.
+// (A recorded span costs its slot in the buffer, amortized.)
+func TestHistCellRecordZeroAlloc(t *testing.T) {
+	var c histCell
+	if got := testing.AllocsPerRun(1000, func() { c.record(time.Millisecond) }); got != 0 {
+		t.Fatalf("histCell.record allocated %.1f per run, want 0", got)
+	}
+	o := New()
+	o.Start("query").End()
+	if got := testing.AllocsPerRun(1000, func() { o.Start("query").End() }); got >= 1 {
+		t.Fatalf("a recorded span allocated %.1f per run, want amortized growth only", got)
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	o := New()
 	var wg sync.WaitGroup

@@ -39,21 +39,23 @@ func (o *Observer) Start(name string) Span {
 func (o *Observer) startSpan(name string, parent int) Span {
 	// Saturation fast path: once the span buffer is full — the steady state of
 	// any long-lived serving process — count the drop with one atomic instead
-	// of funneling every would-be span through the Observer mutex. spanLen only
+	// of funneling every would-be span through the Observer's lock. spanLen only
 	// grows, so a stale read can at worst take the slow path below.
 	if o.spanLen.Load() >= maxSpans {
 		o.dropped.Add(1)
 		return Span{}
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.spans) >= maxSpans {
-		o.dropped.Add(1)
-		return Span{}
-	}
-	o.spans = append(o.spans, SpanRecord{Name: name, Parent: parent, Start: time.Now()})
-	o.spanLen.Store(int64(len(o.spans)))
-	return Span{o: o, idx: len(o.spans) - 1}
+	var span Span
+	o.log.Do(func(l *recordLog) {
+		if len(l.spans) >= maxSpans {
+			o.dropped.Add(1)
+			return
+		}
+		l.spans = append(l.spans, SpanRecord{Name: name, Parent: parent, Start: time.Now()})
+		o.spanLen.Store(int64(len(l.spans)))
+		span = Span{o: o, idx: len(l.spans) - 1}
+	})
+	return span
 }
 
 // Child begins a span nested under s.
@@ -70,15 +72,20 @@ func (s Span) End() {
 	if s.o == nil {
 		return
 	}
-	s.o.mu.Lock()
-	rec := &s.o.spans[s.idx]
-	first := !rec.Ended
-	if first {
-		rec.Dur = time.Since(rec.Start)
-		rec.Ended = true
-	}
-	name, dur := rec.Name, rec.Dur
-	s.o.mu.Unlock()
+	var (
+		first bool
+		name  string
+		dur   time.Duration
+	)
+	s.o.log.Do(func(l *recordLog) {
+		rec := &l.spans[s.idx]
+		first = !rec.Ended
+		if first {
+			rec.Dur = time.Since(rec.Start)
+			rec.Ended = true
+		}
+		name, dur = rec.Name, rec.Dur
+	})
 	if first {
 		s.o.Observe(name, dur)
 	}

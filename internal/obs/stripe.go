@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"repro/internal/rcu"
 )
 
 // The observability hot path (Add, Observe) used to funnel every increment
@@ -64,14 +65,13 @@ func (c *counterCell) load() int64 {
 	return sum
 }
 
-// histStripe is one stripe of a histogram: a mutex-guarded bucket set. The
-// mutex (rather than per-field atomics) is what makes a merged snapshot
+// histStripe is one stripe of a histogram: a lock-guarded bucket set. The
+// lock (rather than per-field atomics) is what makes a merged snapshot
 // consistent per stripe — count, sum, max, and buckets are always observed
 // together, so a merged histogram can never report count ≠ Σbuckets.
 type histStripe struct {
-	mu sync.Mutex
-	h  histogram
-	_  [32]byte // pad: keep neighboring stripes off one cache line
+	h rcu.Guarded[histogram]
+	_ [32]byte // pad: keep neighboring stripes off one cache line
 }
 
 // histCell is one named histogram: numStripes independently locked stripes.
@@ -81,23 +81,18 @@ type histCell struct {
 
 // record adds one duration to the calling goroutine's stripe.
 func (c *histCell) record(d time.Duration) {
-	s := &c.stripes[stripeIdx()]
-	s.mu.Lock()
-	s.h.record(d)
-	s.mu.Unlock()
+	c.stripes[stripeIdx()].h.Do(func(h *histogram) { h.record(d) })
 }
 
 // merged returns the histogram summed over all stripes. Each stripe is read
-// under its own mutex, so every stripe contributes an internally consistent
+// under its own lock, so every stripe contributes an internally consistent
 // view; concurrent writers may land in a not-yet-read stripe (they appear in
 // the next snapshot) but can never tear one.
 func (c *histCell) merged() Histogram {
 	var out Histogram
 	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		h := s.h.snapshot()
-		s.mu.Unlock()
+		var h Histogram
+		c.stripes[i].h.Do(func(live *histogram) { h = live.snapshot() })
 		for b := range out.Buckets {
 			out.Buckets[b] += h.Buckets[b]
 		}

@@ -308,8 +308,7 @@ func inferType(e Expr) (sqltypes.Kind, bool) {
 		}
 		return k, n
 	case *Const:
-		// No pin: a literal's kind is part of the statement's template.
-		return t.Val.Kind(), t.Val.IsNull()
+		return t.Kind(), t.IsNull()
 	case *Call:
 		switch t.Name {
 		case "year", "month", "day":

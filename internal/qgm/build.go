@@ -111,10 +111,11 @@ type builder struct {
 // constant builds the Const of one literal. Under BuildParams a literal the
 // parser took as it stood gets its slot's Param; one the parser computed from
 // the token's value (l.Pinned) pins the slot here and carries none, because
-// its Val is not what another literal vector holds at that slot.
+// its value is not what another literal vector holds at that slot.
 func (b *builder) constant(l *parser.Lit) *Const {
+	c := NewConst(l.Val)
 	if !b.params || l.Param == 0 {
-		return &Const{Val: l.Val}
+		return c
 	}
 	for len(b.g.Params) < l.Param {
 		b.g.Params = append(b.g.Params, nil)
@@ -126,9 +127,10 @@ func (b *builder) constant(l *parser.Lit) *Const {
 	}
 	if l.Pinned {
 		p.pinned = true
-		return &Const{Val: l.Val}
+		return c
 	}
-	return &Const{Val: l.Val, Param: p}
+	c.Param = p
+	return c
 }
 
 // scopeEntry binds a FROM alias to the quantifier carrying its rows.
@@ -621,7 +623,7 @@ func (r *resolver) resolve(pe parser.Expr) (Expr, error) {
 		if t.Op == "NOT" {
 			return &Not{E: e}, nil
 		}
-		return &Bin{Op: "-", L: &Const{Val: sqltypes.NewInt(0)}, R: e}, nil
+		return &Bin{Op: "-", L: NewConst(sqltypes.NewInt(0)), R: e}, nil
 	case *parser.FuncCall:
 		if aggNames[t.Name] {
 			return nil, fmt.Errorf("qgm: aggregate %s() not allowed here", t.Name)
@@ -817,7 +819,7 @@ func (a *aggResolver) resolve(pe parser.Expr) (Expr, error) {
 		if t.Op == "NOT" {
 			return &Not{E: e}, nil
 		}
-		return &Bin{Op: "-", L: &Const{Val: sqltypes.NewInt(0)}, R: e}, nil
+		return &Bin{Op: "-", L: NewConst(sqltypes.NewInt(0)), R: e}, nil
 	case *parser.FuncCall:
 		n, ok := scalarBuiltins[t.Name]
 		if !ok {

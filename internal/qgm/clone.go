@@ -51,7 +51,7 @@ func (g *Graph) Bind(lits []sqltypes.Value) *Graph {
 				}
 			case *Const:
 				if lits != nil && c.Param != nil {
-					return &Const{Val: lits[c.Param.Slot]}
+					return NewConst(lits[c.Param.Slot])
 				}
 			}
 			return x

@@ -37,16 +37,20 @@ type ColRef struct {
 	Col int
 }
 
-// Const is a literal constant. Execution and the SQL printer read Val;
-// everything that decides something from the value while a statement is being
-// planned reads Value, which is what lets a cached plan be reused for other
-// literals (see Param).
+// Const is a literal constant. Everything that decides something from the
+// value while a statement is being planned reads Value, which is what lets a
+// cached plan be reused for other literals (see Param); what runs or prints a
+// finished plan reads Peek. The value itself is reachable from this file only
+// (astlint's boundaries rule), so there is no third way to read it.
 type Const struct {
-	Val sqltypes.Value
+	val sqltypes.Value
 	// Param is non-nil on a constant BuildParams read from a literal token of
-	// the statement: Val is then that token's value as it stood.
+	// the statement: the value is then that token's as it stood.
 	Param *Param
 }
+
+// NewConst returns a constant that is no statement literal (no Param).
+func NewConst(v sqltypes.Value) *Const { return &Const{val: v} }
 
 // Param is one literal of a statement planned for reuse with other literals
 // (BuildParams): Slot indexes the statement's literal vector
@@ -70,12 +74,25 @@ func (c *Const) Value() sqltypes.Value {
 	if c.Param != nil {
 		c.Param.pinned = true
 	}
-	return c.Val
+	return c.val
 }
+
+// Peek returns the constant's value without pinning its literal: for the
+// executor, which runs a finished plan, never for what chooses one — the
+// boundaries rule keeps it out of internal/core, internal/catalog and this
+// package.
+func (c *Const) Peek() sqltypes.Value { return c.val }
 
 // IsNull reports a NULL constant. It pins nothing: NULL is a keyword, part of
 // the statement's template, and no literal token's value is NULL.
-func (c *Const) IsNull() bool { return c.Val.IsNull() }
+func (c *Const) IsNull() bool { return c.val.IsNull() }
+
+// Kind returns the value's kind. It pins nothing either: a literal's kind is
+// part of the statement's template.
+func (c *Const) Kind() sqltypes.Kind { return c.val.Kind() }
+
+// SQL renders the value as a SQL literal, for the printer.
+func (c *Const) SQL() string { return c.val.SQLLiteral() }
 
 // Call is a scalar builtin application. Supported: year, month, day.
 type Call struct {
@@ -157,7 +174,7 @@ func (c *Const) String() string {
 	if c.Param != nil {
 		return "?" + strconv.Itoa(c.Param.Slot+1)
 	}
-	return c.Val.SQLLiteral()
+	return c.SQL()
 }
 
 // String renders the call.

@@ -24,8 +24,8 @@ func TestExprStringRendering(t *testing.T) {
 		want string
 	}{
 		{x, "q1.x"},
-		{&Const{Val: sqltypes.NewInt(5)}, "5"},
-		{&Const{Val: sqltypes.NewString("a'b")}, "'a''b'"},
+		{NewConst(sqltypes.NewInt(5)), "5"},
+		{NewConst(sqltypes.NewString("a'b")), "'a''b'"},
 		{&Call{Name: "year", Args: []Expr{x}}, "year(q1.x)"},
 		{&Bin{Op: "+", L: x, R: y}, "(q1.x + q1.y)"},
 		{&Not{E: x}, "(NOT q1.x)"},
@@ -52,7 +52,7 @@ func TestMapExprTopDownPrunes(t *testing.T) {
 	out := MapExprTopDown(e, func(n Expr) (Expr, bool) {
 		visited++
 		if b, ok := n.(*Bin); ok && b.Op == "*" {
-			return &Const{Val: sqltypes.NewInt(7)}, true
+			return NewConst(sqltypes.NewInt(7)), true
 		}
 		return nil, false
 	})
@@ -70,7 +70,7 @@ func TestMapExprRebuildsCase(t *testing.T) {
 	e := &Case{Whens: []CaseWhen{{Cond: x, Then: y}}, Else: x}
 	out := MapExpr(e, func(n Expr) Expr {
 		if c, ok := n.(*ColRef); ok && c.Col == 0 {
-			return &Const{Val: sqltypes.NewInt(9)}
+			return NewConst(sqltypes.NewInt(9))
 		}
 		return n
 	})

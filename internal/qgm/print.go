@@ -187,7 +187,7 @@ func renderExpr(e Expr, env *renderEnv) string {
 		}
 		return t.String()
 	case *Const:
-		return t.Val.SQLLiteral()
+		return t.SQL()
 	case *Call:
 		args := make([]string, len(t.Args))
 		for i, a := range t.Args {

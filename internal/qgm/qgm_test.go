@@ -297,7 +297,7 @@ func TestSubsumes(t *testing.T) {
 	q := g.Root.Quantifiers[0]
 	x := &ColRef{Q: q, Col: 4} // qty
 	mk := func(op string, v int64) Expr {
-		return &Bin{Op: op, L: x, R: &Const{Val: sqltypes.NewInt(v)}}
+		return &Bin{Op: op, L: x, R: NewConst(sqltypes.NewInt(v))}
 	}
 	cases := []struct {
 		p1, p2 Expr
@@ -316,7 +316,7 @@ func TestSubsumes(t *testing.T) {
 		{mk("<>", 7), mk("=", 7), false},
 		{mk(">", 10), mk("<", 20), false},
 		// Flipped constant side.
-		{&Bin{Op: "<", L: &Const{Val: sqltypes.NewInt(10)}, R: x}, mk(">", 20), true},
+		{&Bin{Op: "<", L: NewConst(sqltypes.NewInt(10)), R: x}, mk(">", 20), true},
 	}
 	for i, c := range cases {
 		if got := Subsumes(c.p1, c.p2, nil); got != c.want {
@@ -379,7 +379,7 @@ func TestWalkAndMapExpr(t *testing.T) {
 	// MapExpr: replace constants with 0.
 	mapped := MapExpr(expr, func(x Expr) Expr {
 		if _, ok := x.(*Const); ok {
-			return &Const{Val: sqltypes.NewInt(0)}
+			return NewConst(sqltypes.NewInt(0))
 		}
 		return x
 	})
@@ -412,7 +412,7 @@ func TestSubsumesInList(t *testing.T) {
 	eqv := func(vals ...int64) Expr {
 		var ors []Expr
 		for _, v := range vals {
-			ors = append(ors, &Bin{Op: "=", L: x, R: &Const{Val: sqltypes.NewInt(v)}})
+			ors = append(ors, &Bin{Op: "=", L: x, R: NewConst(sqltypes.NewInt(v))})
 		}
 		return OrAll(ors)
 	}
@@ -427,7 +427,7 @@ func TestSubsumesInList(t *testing.T) {
 	}
 	// Different tested expressions never subsume.
 	y := &ColRef{Q: q, Col: 0}
-	other := &Bin{Op: "=", L: y, R: &Const{Val: sqltypes.NewInt(1)}}
+	other := &Bin{Op: "=", L: y, R: NewConst(sqltypes.NewInt(1))}
 	if Subsumes(eqv(1, 2), other, nil) {
 		t.Error("different expressions")
 	}

@@ -374,7 +374,7 @@ func TestStructuralRejectsGroupByShapeCorruptions(t *testing.T) {
 		rule    string
 	}{
 		{"predicate on a GROUP BY box", func(gb *qgm.Box) {
-			gb.Preds = append(gb.Preds, &qgm.Const{Val: sqltypes.NewBool(true)})
+			gb.Preds = append(gb.Preds, qgm.NewConst(sqltypes.NewBool(true)))
 		}, "structure/groupby"},
 		{"grouping-set position out of range", func(gb *qgm.Box) {
 			gb.GroupingSets = [][]int{{5}}
@@ -383,7 +383,7 @@ func TestStructuralRejectsGroupByShapeCorruptions(t *testing.T) {
 			gb.Cols = append(gb.Cols, qgm.QCL{Name: "bad", Expr: &qgm.Bin{
 				Op: "+",
 				L:  &qgm.ColRef{Q: gb.Quantifiers[0], Col: 0},
-				R:  &qgm.Const{Val: sqltypes.NewInt(1)},
+				R:  qgm.NewConst(sqltypes.NewInt(1)),
 			}})
 		}, "structure/groupby"},
 	}

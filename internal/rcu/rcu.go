@@ -18,6 +18,11 @@
 // chunk-freeze analyzer). astlint's rcu-publish rule keeps atomic.Pointer and
 // atomic.Value fields out of every other package, so this is the only place
 // the idiom is spelled out.
+//
+// Guarded is the other half: state that is written as often as it is read and
+// so stays behind a plain mutex. It is here because it is the same move — the
+// lock and what it guards in one value — and because astlint's boundaries
+// rule allows a mutex to be declared in this package only.
 package rcu
 
 import (
@@ -96,4 +101,22 @@ func (m *Map[K, V]) Update(f func(draft map[K]V)) {
 		f(draft)
 		return draft
 	})
+}
+
+// Guarded is a T that can be reached only with its mutex held. The zero
+// Guarded holds the zero T and is ready to use; it must not be copied after
+// first use (go vet's copylocks check reports a copy).
+type Guarded[T any] struct {
+	mu sync.Mutex
+	v  T
+}
+
+// Do runs f on the guarded value under the mutex and releases it when f
+// returns or panics. f must not keep the pointer past its return, must not
+// call Do on the same Guarded, and should not block: results leave through
+// variables f captures.
+func (g *Guarded[T]) Do(f func(v *T)) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	f(&g.v)
 }

@@ -201,3 +201,52 @@ func TestPanickingUpdateKeepsPreviousGeneration(t *testing.T) {
 		t.Fatalf("a=%d, want 2", a)
 	}
 }
+
+// TestGuardedSerializesDo sends goroutines through Do on a zero Guarded: every
+// increment of a plain int and every map write must land (and, under -race, no
+// two callbacks may overlap), a callback that panics must leave the lock free
+// and its writes in place, and Do must not allocate.
+func TestGuardedSerializesDo(t *testing.T) {
+	type state struct {
+		n    int
+		seen map[int]int
+	}
+	const workers, rounds = 8, 500
+	var g Guarded[state]
+	g.Do(func(s *state) { s.seen = map[int]int{} })
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				g.Do(func(s *state) {
+					s.n++
+					s.seen[w]++
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the callback's panic did not reach the caller")
+			}
+		}()
+		g.Do(func(s *state) {
+			s.n++
+			panic("boom")
+		})
+	}()
+
+	got, perWorker := 0, 0
+	g.Do(func(s *state) { got, perWorker = s.n, s.seen[workers-1] }) // would deadlock on a held lock
+	if got != workers*rounds+1 || perWorker != rounds {
+		t.Fatalf("n = %d, last worker = %d; want %d and %d", got, perWorker, workers*rounds+1, rounds)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { g.Do(func(s *state) { got = s.n }) }); allocs != 0 {
+		t.Fatalf("Do allocated %.1f per run, want 0", allocs)
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/rcu"
 	"repro/internal/wire"
 )
 
@@ -81,13 +82,17 @@ type Server struct {
 	ln net.Listener
 	wg sync.WaitGroup // one per live session + one for the accept loop
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining bool
+	sessions rcu.Guarded[sessionSet]
 
 	drainCh    chan struct{} // closed when drain starts
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
+}
+
+// sessionSet is the set of live connections and whether intake has stopped.
+type sessionSet struct {
+	conns    map[net.Conn]struct{}
+	draining bool
 }
 
 // New builds a server over the engine. The engine's observer (if any)
@@ -97,16 +102,17 @@ func New(db *astdb.Engine, cfg Config) *Server {
 		cfg.WriteTimeout = 30 * time.Second
 	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		db:         db,
 		cfg:        cfg,
 		gate:       exec.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
 		obsv:       db.Observer(),
-		conns:      map[net.Conn]struct{}{},
 		drainCh:    make(chan struct{}),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
 	}
+	s.sessions.Do(func(ss *sessionSet) { ss.conns = map[net.Conn]struct{}{} })
+	return s
 }
 
 // Start listens on addr (":0" picks a free port) and serves in background
@@ -138,20 +144,23 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed by Shutdown
 		}
-		s.mu.Lock()
+		var draining, admitted bool
+		s.sessions.Do(func(ss *sessionSet) {
+			draining = ss.draining
+			if !draining && (s.cfg.MaxSessions <= 0 || len(ss.conns) < s.cfg.MaxSessions) {
+				ss.conns[conn] = struct{}{}
+				s.wg.Add(1) // under the lock: Shutdown's Wait starts after it sets draining
+				admitted = true
+			}
+		})
 		switch {
-		case s.draining:
-			s.mu.Unlock()
+		case admitted:
+			go s.serveConn(conn)
+		case draining:
 			conn.Close()
-		case s.cfg.MaxSessions > 0 && len(s.conns) >= s.cfg.MaxSessions:
-			s.mu.Unlock()
+		default:
 			s.obsv.Add(CtrSessionsRejected, 1)
 			s.rejectSession(conn)
-		default:
-			s.conns[conn] = struct{}{}
-			s.wg.Add(1)
-			s.mu.Unlock()
-			go s.serveConn(conn)
 		}
 	}
 }
@@ -222,9 +231,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		span.End()
 		s.obsv.Add(CtrSessionsClosed, 1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		s.sessions.Do(func(ss *sessionSet) { delete(ss.conns, conn) })
 		s.wg.Done()
 	}()
 	defer conn.Close()
@@ -464,15 +471,15 @@ func (s *Server) obsSnapshot() (byte, []byte) {
 // error then reports how much work was cut short. A second Shutdown waits on
 // the same drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.drainCh)
-		if s.ln != nil {
-			s.ln.Close()
+	s.sessions.Do(func(ss *sessionSet) {
+		if !ss.draining {
+			ss.draining = true
+			close(s.drainCh)
+			if s.ln != nil {
+				s.ln.Close()
+			}
 		}
-	}
-	s.mu.Unlock()
+	})
 
 	done := make(chan struct{})
 	go func() {
@@ -484,12 +491,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.hardCancel()
-		s.mu.Lock()
-		open := len(s.conns)
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
+		open := 0
+		s.sessions.Do(func(ss *sessionSet) {
+			open = len(ss.conns)
+			for c := range ss.conns {
+				c.Close()
+			}
+		})
 		<-done
 		return fmt.Errorf("server: drain deadline expired with %d sessions still open: %w", open, ctx.Err())
 	}

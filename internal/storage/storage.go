@@ -18,9 +18,7 @@
 // whatever generation they loaded. Snapshots are therefore stable by
 // construction: Scan returns a row-slice header and SnapshotChunks returns
 // frozen chunk headers that appends never reach, and Put swaps the whole
-// table so readers keep their old version. The legacy TableData.Rows field is
-// gone; tests and single-threaded loaders use the Rows() adapter, and an
-// astlint analyzer keeps non-test code off it.
+// table so readers keep their old version.
 //
 // Key invariant: the table map is keyed by the ASCII-lowercased table name,
 // normalized once when a writer registers the table (Create/Put/Overlay/
@@ -31,7 +29,6 @@ package storage
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/faultinject"
@@ -52,17 +49,22 @@ type tableView struct {
 // TableData is the stored data of one table: column-major chunks, plus a
 // lazily built row-view cache serving the row-at-a-time engine.
 //
-// The canonical (mutable) chunks live behind mu and are touched only by
+// The canonical (mutable) chunks are the unpublished builder, touched only by
 // Insert; every read goes through the immutable generation in view, so scans
-// never contend with an in-flight append.
+// never contend with an in-flight append. The builder keeps a lock of its own
+// although an engine admits one writer at a time: loaders, examples and tests
+// insert into a TableData directly, without the engine's writer slot.
 type TableData struct {
 	Meta *catalog.Table
 
-	mu     sync.Mutex // guards chunks and n, the state no reader sees
-	chunks []*Chunk   // canonical column-major data (writer-owned)
-	n      int        // total row count (writer-owned)
+	builder rcu.Guarded[tableBuilder] // what the next view is built from
+	view    rcu.Cell[tableView]       // current read snapshot
+}
 
-	view rcu.Cell[tableView] // current read snapshot
+// tableBuilder is the state of a table no reader sees.
+type tableBuilder struct {
+	chunks []*Chunk // canonical column-major data
+	n      int      // total row count
 }
 
 // Store maps table names to their data. All methods are safe for concurrent
@@ -81,10 +83,11 @@ func NewStore() *Store { return &Store{} }
 func newTableData(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
 	td := &TableData{Meta: meta}
 	if len(rows) > 0 {
-		td.chunks = buildChunks(len(meta.Columns), rows)
-		td.n = len(rows)
-		td.view.Update(func(tableView) tableView {
-			return tableView{frozen: frozenChunks(td.chunks), n: td.n, rows: rows, rowsOK: true}
+		td.builder.Do(func(b *tableBuilder) {
+			b.chunks, b.n = buildChunks(len(meta.Columns), rows), len(rows)
+			td.view.Update(func(tableView) tableView {
+				return tableView{frozen: frozenChunks(b.chunks), n: b.n, rows: rows, rowsOK: true}
+			})
 		})
 	}
 	return td
@@ -237,12 +240,6 @@ func (t *TableData) Snapshot() [][]sqltypes.Value {
 	return rows
 }
 
-// Rows is the row-view adapter for single-threaded loaders and tests; it is
-// Snapshot under a name that mirrors the retired direct-access field. Mixed
-// concurrent use follows Snapshot's rules; mutating the returned rows is not
-// allowed (copy and Put instead).
-func (t *TableData) Rows() [][]sqltypes.Value { return t.Snapshot() }
-
 // SnapshotChunks returns the frozen chunk view and the row count it covers.
 // Lock-free: the view is republished by every append, so readers never wait
 // behind a writer. Sealed chunks are shared; the tail chunk is header-copied
@@ -253,32 +250,32 @@ func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
 }
 
 // Insert appends one row after arity-checking it, then publishes the next
-// read view: the canonical chunks advance under mu, and the frozen snapshot
-// (plus the row-view cache, when materialized) becomes the next generation,
-// so concurrent scans observe either the old or the new one, never a
-// half-appended row. mu is held across the publication so that two inserts
-// publish in the order they appended.
+// read view: the canonical chunks advance under the builder's lock, and the
+// frozen snapshot (plus the row-view cache, when materialized) becomes the
+// next generation, so concurrent scans observe either the old or the new one,
+// never a half-appended row. The lock is held across the publication so that
+// two inserts publish in the order they appended.
 func (t *TableData) Insert(row []sqltypes.Value) error {
 	if len(row) != len(t.Meta.Columns) {
 		return fmt.Errorf("storage: row arity %d != %d for table %s", len(row), len(t.Meta.Columns), t.Meta.Name)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	last := len(t.chunks) - 1
-	if last < 0 || t.chunks[last].N == ChunkRows {
-		t.chunks = append(t.chunks, newChunk(len(t.Meta.Columns)))
-		last++
-	}
-	t.chunks[last].appendRow(row)
-	t.n++
-	next := tableView{frozen: frozenChunks(t.chunks), n: t.n}
-	t.view.Update(func(prev tableView) tableView {
-		if prev.rowsOK {
-			// Keep the row view warm: append writes past every outstanding
-			// snapshot header's length, so older generations stay stable.
-			next.rows, next.rowsOK = append(prev.rows, row), true
+	t.builder.Do(func(b *tableBuilder) {
+		last := len(b.chunks) - 1
+		if last < 0 || b.chunks[last].N == ChunkRows {
+			b.chunks = append(b.chunks, newChunk(len(t.Meta.Columns)))
+			last++
 		}
-		return next
+		b.chunks[last].appendRow(row)
+		b.n++
+		next := tableView{frozen: frozenChunks(b.chunks), n: b.n}
+		t.view.Update(func(prev tableView) tableView {
+			if prev.rowsOK {
+				// Keep the row view warm: append writes past every outstanding
+				// snapshot header's length, so older generations stay stable.
+				next.rows, next.rowsOK = append(prev.rows, row), true
+			}
+			return next
+		})
 	})
 	return nil
 }

@@ -62,7 +62,7 @@ func TestReferentialIntegrity(t *testing.T) {
 	_, store, _ := loadSmall(t, 2)
 	keys := func(table string, col int) map[int64]bool {
 		out := map[int64]bool{}
-		for _, r := range store.MustTable(table).Rows() {
+		for _, r := range store.MustTable(table).Snapshot() {
 			out[r[col].Int()] = true
 		}
 		return out
@@ -71,7 +71,7 @@ func TestReferentialIntegrity(t *testing.T) {
 	pgs := keys("pgroup", 0)
 	locs := keys("loc", 0)
 	custs := keys("cust", 0)
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		if !accts[r[1].Int()] {
 			t.Fatalf("dangling faid %d", r[1].Int())
 		}
@@ -82,7 +82,7 @@ func TestReferentialIntegrity(t *testing.T) {
 			t.Fatalf("dangling flid %d", r[3].Int())
 		}
 	}
-	for _, r := range store.MustTable("acct").Rows() {
+	for _, r := range store.MustTable("acct").Snapshot() {
 		if !custs[r[1].Int()] {
 			t.Fatalf("dangling acid %d", r[1].Int())
 		}
@@ -91,7 +91,7 @@ func TestReferentialIntegrity(t *testing.T) {
 
 func TestValidDatesAndRanges(t *testing.T) {
 	_, store, cfg := loadSmall(t, 3)
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		d := r[4]
 		if d.Kind() != sqltypes.KindDate {
 			t.Fatalf("date column kind %v", d.Kind())
@@ -115,7 +115,7 @@ func TestValidDatesAndRanges(t *testing.T) {
 func TestDeterministicBySeed(t *testing.T) {
 	_, s1, _ := loadSmall(t, 42)
 	_, s2, _ := loadSmall(t, 42)
-	a, b := s1.MustTable("trans").Rows(), s2.MustTable("trans").Rows()
+	a, b := s1.MustTable("trans").Snapshot(), s2.MustTable("trans").Snapshot()
 	if len(a) != len(b) {
 		t.Fatal("row counts differ")
 	}
@@ -127,7 +127,7 @@ func TestDeterministicBySeed(t *testing.T) {
 		}
 	}
 	_, s3, _ := loadSmall(t, 43)
-	c := s3.MustTable("trans").Rows()
+	c := s3.MustTable("trans").Snapshot()
 	same := true
 	for i := range a {
 		if !sqltypes.Identical(a[i][4], c[i][4]) {
@@ -147,7 +147,7 @@ func TestHomeLocationSkew(t *testing.T) {
 	_, store, _ := loadSmall(t, 4)
 	// Count per-account distinct locations vs transactions.
 	perAcct := map[int64]map[int64]int{}
-	for _, r := range store.MustTable("trans").Rows() {
+	for _, r := range store.MustTable("trans").Snapshot() {
 		aid, lid := r[1].Int(), r[3].Int()
 		if perAcct[aid] == nil {
 			perAcct[aid] = map[int64]int{}
