@@ -9,6 +9,7 @@ import (
 
 	"repro/astdb"
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -106,38 +107,82 @@ func TestTableWriter(t *testing.T) {
 // PR 15 went in (7.68 KiB per Engine.Query in EXPERIMENTS.md's set-up, which
 // adds the plan-cache probe) and must not go above it.
 func TestServedStatementBytesPerRun(t *testing.T) {
+	if perRun := bytesPerExecution(t, "q4 from ast6", "ast6", Queries["q4"], 0, 500); perRun > 4.28 {
+		t.Errorf("q4 from ast6 allocates %.2f KiB per execution, above 4.28", perRun)
+	}
+}
+
+// TestHighCardinalityGroupByBytesPerRun: the statements whose GROUP BY makes a
+// group every few rows, where what the group table keeps per group is most of
+// what a statement allocates — served q1 from ast1 (the p95 statement of
+// dash-cached) and ds6 over the base tables, with two workers so that the
+// partials' merge is in. Each is capped at its bytes per execution when the
+// group table began keeping keys as cells in segments (PR 25) plus 10 %: q1
+// 797.2 KiB at the parent → 513.3 after, ds6 2,014.0 → 952.4.
+func TestHighCardinalityGroupByBytesPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("bytes under -race are the race runtime's too")
+	}
+	for _, c := range []struct {
+		name, ast, sql string
+		max            float64
+	}{
+		{"q1 from ast1", "ast1", Queries["q1"], 565},
+		{"ds6 from the base tables", "", dsQuery(t, "ds6"), 1048},
+	} {
+		if perRun := bytesPerExecution(t, c.name, c.ast, c.sql, 2, 20); perRun > c.max {
+			t.Errorf("%s allocates %.1f KiB per execution, above %.1f", c.name, perRun, c.max)
+		}
+	}
+}
+
+func dsQuery(t *testing.T, name string) string {
+	for _, q := range workload.DSQueries {
+		if q.Name == name {
+			return q.SQL
+		}
+	}
+	t.Fatalf("no DS query %s", name)
+	return ""
+}
+
+// bytesPerExecution plans sql over a 20,000-row star schema — answered from
+// summary table ast, or from the base tables when ast is "" — and returns the
+// KiB one execution of the plan with par workers (0 = GOMAXPROCS) allocates,
+// averaged over runs.
+func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float64 {
+	t.Helper()
 	cat := catalog.New()
 	// The engine as benchmark/ and cmd/astserve configure it: observer on.
-	db, err := astdb.Open(cat, astdb.WithObserver(obs.New()))
+	db, err := astdb.Open(cat, astdb.WithObserver(obs.New()), astdb.WithLimits(exec.Config{Parallelism: par}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	workload.Schema(cat)
 	workload.Load(cat, db.Store(), workload.StarConfig{NumTrans: 20000, Seed: 7})
 	ctx := context.Background()
-	if _, _, err := db.CreateSummaryTable(ctx, "ast6", ASTDefs["ast6"]); err != nil {
-		t.Fatal(err)
+	if ast != "" {
+		if _, _, err := db.CreateSummaryTable(ctx, ast, ASTDefs[ast]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ans, err := db.Query(ctx, Queries["q4"])
-	if err != nil || ans.AST != "ast6" {
-		t.Fatalf("q4 from ast6: %v, answer %+v", err, ans)
+	ans, err := db.Query(ctx, sql)
+	if err != nil || ans.AST != ast {
+		t.Fatalf("answering from %q: %v, answer %+v", ast, err, ans)
 	}
 	run := func() {
 		if res, err := db.Execute(ctx, ans.Plan); err != nil || len(res.Rows) != len(ans.Result.Rows) {
-			t.Fatalf("executing q4's plan: %v", err)
+			t.Fatalf("executing the plan: %v", err)
 		}
 	}
 	run()
-	const runs = 500
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	t.Logf("q4 from ast6: %.2f KiB per execution", perRun)
-	if perRun > 4.28 {
-		t.Errorf("q4 from ast6 allocates %.2f KiB per execution, above 4.28", perRun)
-	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1024
+	t.Logf("%s: %.2f KiB per execution", name, perRun)
+	return perRun
 }

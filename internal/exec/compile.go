@@ -74,37 +74,13 @@ func (c *exprCtx) compileScalar(e qgm.Expr) scalarKernel {
 		return func(binding) (sqltypes.Value, error) { return v, nil }
 
 	case *qgm.Call:
-		arg := c.compileScalar(t.Args[0])
-		var fn func(sqltypes.Value) sqltypes.Value
-		switch t.Name {
-		case "year":
-			fn = func(v sqltypes.Value) sqltypes.Value { return sqltypes.NewInt(v.DateYear()) }
-		case "month":
-			fn = func(v sqltypes.Value) sqltypes.Value { return sqltypes.NewInt(v.DateMonth()) }
-		case "day":
-			fn = func(v sqltypes.Value) sqltypes.Value { return sqltypes.NewInt(v.DateDay()) }
-		default:
-			name := t.Name
-			return func(bd binding) (sqltypes.Value, error) {
-				v, err := arg(bd)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				if v.IsNull() {
-					return sqltypes.Null, nil
-				}
-				return sqltypes.Null, fmt.Errorf("exec: unknown function %q", name)
-			}
-		}
+		arg, name := c.compileScalar(t.Args[0]), t.Name
 		return func(bd binding) (sqltypes.Value, error) {
 			v, err := arg(bd)
-			if err != nil {
+			if err != nil || v.IsNull() {
 				return sqltypes.Null, err
 			}
-			if v.IsNull() {
-				return sqltypes.Null, nil
-			}
-			return fn(v), nil
+			return datePart(name, v)
 		}
 
 	case *qgm.Bin:
@@ -112,28 +88,7 @@ func (c *exprCtx) compileScalar(e qgm.Expr) scalarKernel {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
 			return valueOfPred(c.compilePred(t))
 		}
-		l := c.compileScalar(t.L)
-		r := c.compileScalar(t.R)
-		var fn func(a, b sqltypes.Value) (sqltypes.Value, error)
-		switch t.Op {
-		case "||":
-			fn = sqltypes.Concat
-		case "+":
-			fn = sqltypes.Add
-		case "-":
-			fn = sqltypes.Sub
-		case "*":
-			fn = sqltypes.Mul
-		case "/":
-			fn = sqltypes.Div
-		case "%":
-			fn = sqltypes.Mod
-		default:
-			op := t.Op
-			fn = func(a, b sqltypes.Value) (sqltypes.Value, error) {
-				return sqltypes.Null, fmt.Errorf("exec: unknown operator %q", op)
-			}
-		}
+		l, r, fn := c.compileScalar(t.L), c.compileScalar(t.R), binOpFn(t.Op)
 		return func(bd binding) (sqltypes.Value, error) {
 			lv, err := l(bd)
 			if err != nil {
@@ -227,23 +182,7 @@ func (c *exprCtx) compilePred(e qgm.Expr) predKernel {
 				return lv.Or(rv), nil
 			}
 		case "=", "<>", "<", "<=", ">", ">=":
-			l := c.compileScalar(t.L)
-			r := c.compileScalar(t.R)
-			var cmp func(int) bool
-			switch t.Op {
-			case "=":
-				cmp = func(c int) bool { return c == 0 }
-			case "<>":
-				cmp = func(c int) bool { return c != 0 }
-			case "<":
-				cmp = func(c int) bool { return c < 0 }
-			case "<=":
-				cmp = func(c int) bool { return c <= 0 }
-			case ">":
-				cmp = func(c int) bool { return c > 0 }
-			case ">=":
-				cmp = func(c int) bool { return c >= 0 }
-			}
+			l, r, cmp := c.compileScalar(t.L), c.compileScalar(t.R), cmpKeep(t.Op)
 			return func(bd binding) (sqltypes.Tri, error) {
 				lv, err := l(bd)
 				if err != nil {

@@ -38,6 +38,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
@@ -741,25 +742,7 @@ func valuesClose(x, y sqltypes.Value) bool {
 			return false
 		}
 		fx, fy := x.Float(), y.Float()
-		diff := fx - fy
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if ax := abs(fx); ax > scale {
-			scale = ax
-		}
-		if ay := abs(fy); ay > scale {
-			scale = ay
-		}
-		return diff <= 1e-9*scale
+		return math.Abs(fx-fy) <= 1e-9*max(1, math.Abs(fx), math.Abs(fy))
 	}
 	return sqltypes.Identical(x, y)
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

@@ -60,16 +60,7 @@ func (c *exprCtx) evalScalar(e qgm.Expr, bd binding) (sqltypes.Value, error) {
 		if arg.IsNull() {
 			return sqltypes.Null, nil
 		}
-		switch t.Name {
-		case "year":
-			return sqltypes.NewInt(arg.DateYear()), nil
-		case "month":
-			return sqltypes.NewInt(arg.DateMonth()), nil
-		case "day":
-			return sqltypes.NewInt(arg.DateDay()), nil
-		default:
-			return sqltypes.Null, fmt.Errorf("exec: unknown function %q", t.Name)
-		}
+		return datePart(t.Name, arg)
 
 	case *qgm.Bin:
 		switch t.Op {
@@ -88,38 +79,9 @@ func (c *exprCtx) evalScalar(e qgm.Expr, bd binding) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		switch t.Op {
-		case "||":
-			return sqltypes.Concat(l, r)
-		case "+":
-			return sqltypes.Add(l, r)
-		case "-":
-			return sqltypes.Sub(l, r)
-		case "*":
-			return sqltypes.Mul(l, r)
-		case "/":
-			return sqltypes.Div(l, r)
-		case "%":
-			return sqltypes.Mod(l, r)
-		default:
-			return sqltypes.Null, fmt.Errorf("exec: unknown operator %q", t.Op)
-		}
+		return binOpFn(t.Op)(l, r)
 
-	case *qgm.Not:
-		tv, err := c.evalPred(t, bd)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return tv.Value(), nil
-
-	case *qgm.IsNull:
-		tv, err := c.evalPred(t, bd)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return tv.Value(), nil
-
-	case *qgm.Like:
+	case *qgm.Not, *qgm.IsNull, *qgm.Like:
 		tv, err := c.evalPred(t, bd)
 		if err != nil {
 			return sqltypes.Null, err
@@ -195,20 +157,7 @@ func (c *exprCtx) evalPred(e qgm.Expr, bd binding) (sqltypes.Tri, error) {
 			if err != nil {
 				return sqltypes.Unknown, err
 			}
-			switch t.Op {
-			case "=":
-				return sqltypes.TriOf(cv == 0), nil
-			case "<>":
-				return sqltypes.TriOf(cv != 0), nil
-			case "<":
-				return sqltypes.TriOf(cv < 0), nil
-			case "<=":
-				return sqltypes.TriOf(cv <= 0), nil
-			case ">":
-				return sqltypes.TriOf(cv > 0), nil
-			case ">=":
-				return sqltypes.TriOf(cv >= 0), nil
-			}
+			return sqltypes.TriOf(cmpKeep(t.Op)(cv)), nil
 		}
 		// Arithmetic in predicate position: evaluate and interpret.
 		v, err := c.evalScalar(t, bd)
@@ -229,11 +178,7 @@ func (c *exprCtx) evalPred(e qgm.Expr, bd binding) (sqltypes.Tri, error) {
 		if err != nil {
 			return sqltypes.Unknown, err
 		}
-		isNull := v.IsNull()
-		if t.Neg {
-			return sqltypes.TriOf(!isNull), nil
-		}
-		return sqltypes.TriOf(isNull), nil
+		return sqltypes.TriOf(v.IsNull() != t.Neg), nil
 
 	case *qgm.Like:
 		v, err := c.evalScalar(t.E, bd)
@@ -250,11 +195,7 @@ func (c *exprCtx) evalPred(e qgm.Expr, bd binding) (sqltypes.Tri, error) {
 		if v.Kind() != sqltypes.KindString || p.Kind() != sqltypes.KindString {
 			return sqltypes.Unknown, fmt.Errorf("exec: LIKE on %s and %s", v.Kind(), p.Kind())
 		}
-		match := sqltypes.LikeMatch(v.Str(), p.Str())
-		if t.Neg {
-			return sqltypes.TriOf(!match), nil
-		}
-		return sqltypes.TriOf(match), nil
+		return sqltypes.TriOf(sqltypes.LikeMatch(v.Str(), p.Str()) != t.Neg), nil
 
 	default:
 		v, err := c.evalScalar(e, bd)
@@ -262,5 +203,60 @@ func (c *exprCtx) evalPred(e qgm.Expr, bd binding) (sqltypes.Tri, error) {
 			return sqltypes.Unknown, err
 		}
 		return sqltypes.TriFromValue(v), nil
+	}
+}
+
+// datePart applies YEAR, MONTH or DAY to a non-NULL value. The accessors
+// panic on a value that is not a date or an integer, on every path alike.
+func datePart(name string, v sqltypes.Value) (sqltypes.Value, error) {
+	switch name {
+	case "year":
+		return sqltypes.NewInt(v.DateYear()), nil
+	case "month":
+		return sqltypes.NewInt(v.DateMonth()), nil
+	case "day":
+		return sqltypes.NewInt(v.DateDay()), nil
+	}
+	return sqltypes.Null, fmt.Errorf("exec: unknown function %q", name)
+}
+
+// binOpFn maps an arithmetic/concat operator to its sqltypes function.
+func binOpFn(op string) func(a, b sqltypes.Value) (sqltypes.Value, error) {
+	switch op {
+	case "||":
+		return sqltypes.Concat
+	case "+":
+		return sqltypes.Add
+	case "-":
+		return sqltypes.Sub
+	case "*":
+		return sqltypes.Mul
+	case "/":
+		return sqltypes.Div
+	case "%":
+		return sqltypes.Mod
+	default:
+		return func(a, b sqltypes.Value) (sqltypes.Value, error) {
+			return sqltypes.Null, fmt.Errorf("exec: unknown operator %q", op)
+		}
+	}
+}
+
+// cmpKeep maps a comparison operator to the test it makes of a three-way
+// comparison's result.
+func cmpKeep(op string) func(c int) bool {
+	switch op {
+	case "=":
+		return func(c int) bool { return c == 0 }
+	case "<>":
+		return func(c int) bool { return c != 0 }
+	case "<":
+		return func(c int) bool { return c < 0 }
+	case "<=":
+		return func(c int) bool { return c <= 0 }
+	case ">":
+		return func(c int) bool { return c > 0 }
+	default:
+		return func(c int) bool { return c >= 0 }
 	}
 }

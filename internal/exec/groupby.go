@@ -119,19 +119,19 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 // one for a global aggregate (empty grouping set) over empty input, where
 // COUNT is 0 and the other aggregates are NULL.
 func outRows(t *groupTable, gs []int) int {
-	if t.len() == 0 && len(gs) == 0 {
+	if t.n == 0 && len(gs) == 0 {
 		return 1
 	}
-	return t.len()
+	return t.n
 }
 
 // emitGroups hands emit grouping set gs's output rows, one per group of t in
-// first-appearance order: grouping columns from the group's repr (NULL when
-// grouped out of the set), aggregate columns from its states. The row is
-// scratch, overwritten for the next group; emit copies what it keeps.
+// first-appearance order: grouping columns rebuilt from the group's cells
+// (NULL when grouped out of the set), aggregate columns from its states. The
+// row is scratch, overwritten for the next group; emit copies what it keeps.
 func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupTable, emit func(row []sqltypes.Value)) error {
 	row := make([]sqltypes.Value, len(b.Cols)) // grouped-out columns stay NULL
-	if outRows(t, gs) > t.len() {
+	if outRows(t, gs) > t.n {
 		var empty aggState // the empty global aggregate
 		for _, spec := range specs {
 			row[spec.col] = empty.result(spec.agg)
@@ -139,14 +139,14 @@ func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupT
 		emit(row)
 		return nil
 	}
-	for g := 0; g < t.len(); g++ {
+	for g := 0; g < t.n; g++ {
 		if err := ev.checkpoint(1); err != nil {
 			return err
 		}
-		repr, aggs := t.repr.at(g), t.aggs.at(g)
 		for i, pos := range gs {
-			row[b.GroupBy[pos]] = repr[i]
+			row[b.GroupBy[pos]] = t.value(g, i)
 		}
+		aggs := t.aggs.at(g)
 		for ai, spec := range specs {
 			row[spec.col] = aggs[ai].result(spec.agg)
 		}
@@ -189,12 +189,35 @@ func allInts(n int) []int {
 // aggState accumulates one aggregate within one group. An aggregate uses one
 // field: COUNT counts, SUM/MIN/MAX keep the running value in val (NULL until
 // the first non-NULL input — inputs are never NULL, so neither is a running
-// value), DISTINCT collects its inputs by group key. Kept small because the
-// groupTable holds one per group per aggregate.
+// value), DISTINCT collects its inputs. Kept small because the groupTable
+// holds one per group per aggregate.
 type aggState struct {
 	count    int64
 	val      sqltypes.Value
-	distinct map[string]sqltypes.Value
+	distinct *distinctSet
+}
+
+// distinctSet is a DISTINCT aggregate's inputs: the binary keys
+// (sqltypes.AppendBinKeyValue) seen, and for SUM/MIN/MAX the first value of
+// each class in first-appearance order, which is the order the result folds
+// them in — so the answer depends neither on map order nor on the worker
+// count. COUNT needs only the number of keys.
+type distinctSet struct {
+	seen map[string]struct{}
+	vals []sqltypes.Value
+}
+
+// addDistinct adds v, whose binary key is key, unless its class is in the set.
+func (a *aggState) addDistinct(spec *qgm.Agg, key []byte, v sqltypes.Value) {
+	if a.distinct == nil {
+		a.distinct = &distinctSet{seen: map[string]struct{}{}}
+	}
+	if _, ok := a.distinct.seen[string(key)]; !ok {
+		a.distinct.seen[string(key)] = struct{}{}
+		if spec.Op != "count" {
+			a.distinct.vals = append(a.distinct.vals, v)
+		}
+	}
 }
 
 // fold combines a non-NULL value — an input, or a later chunk's partial —
@@ -232,10 +255,8 @@ func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
 		return nil // aggregates skip NULL inputs
 	}
 	if spec.Distinct {
-		if a.distinct == nil {
-			a.distinct = map[string]sqltypes.Value{}
-		}
-		a.distinct[arg.GroupKey()] = arg
+		var buf [16]byte
+		a.addDistinct(spec, sqltypes.AppendBinKeyValue(buf[:0], arg), arg)
 		return nil
 	}
 	switch spec.Op {
@@ -251,16 +272,25 @@ func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
 
 // merge folds another chunk's state for the same group into a. This is the
 // partial-aggregate combine of parallel aggregation: COUNT adds, SUM adds the
-// partial sums, MIN/MAX compare extrema, and DISTINCT unions the key sets.
-// The other state must come from a later chunk (the group keeps the earlier
-// chunk's representative values) and is consumed by the merge.
+// partial sums, MIN/MAX compare extrema, and DISTINCT adds the other set's
+// keys — its values in their order. The other state must come from a later
+// chunk (the group keeps the earlier chunk's representative values) and is
+// consumed by the merge.
 func (a *aggState) merge(spec *qgm.Agg, o *aggState) error {
 	if spec.Distinct {
-		if a.distinct == nil {
+		switch {
+		case a.distinct == nil:
 			a.distinct = o.distinct
-		} else {
-			for k, v := range o.distinct {
-				a.distinct[k] = v
+		case o.distinct == nil:
+		case spec.Op == "count":
+			for k := range o.distinct.seen {
+				a.distinct.seen[k] = struct{}{}
+			}
+		default:
+			var buf []byte
+			for _, v := range o.distinct.vals {
+				buf = sqltypes.AppendBinKeyValue(buf[:0], v)
+				a.addDistinct(spec, buf, v)
 			}
 		}
 		return nil
@@ -274,19 +304,21 @@ func (a *aggState) merge(spec *qgm.Agg, o *aggState) error {
 
 func (a *aggState) result(spec *qgm.Agg) sqltypes.Value {
 	switch {
+	case spec.Op == "count" && spec.Distinct && a.distinct == nil:
+		return sqltypes.NewInt(0)
 	case spec.Op == "count" && spec.Distinct:
-		return sqltypes.NewInt(int64(len(a.distinct)))
+		return sqltypes.NewInt(int64(len(a.distinct.seen)))
 	case spec.Op == "count":
 		return sqltypes.NewInt(a.count)
 	case spec.Op != "sum" && spec.Op != "min" && spec.Op != "max":
 		return sqltypes.Null
-	case !spec.Distinct:
+	case !spec.Distinct || a.distinct == nil:
 		return a.val // NULL when no input was non-NULL
 	}
 	// SUM/MIN/MAX DISTINCT fold the set here; unlike the running fold, a
 	// pairing that cannot be added or compared makes the result NULL.
 	var acc sqltypes.Value
-	for _, v := range a.distinct {
+	for _, v := range a.distinct.vals {
 		if acc.IsNull() {
 			acc = v
 			continue

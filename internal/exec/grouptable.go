@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/sqltypes"
@@ -9,39 +10,49 @@ import (
 // groupTable is the one hash table of the executor: both GROUP BY paths
 // aggregate into it, and the star probe looks its dimension keys up in it. It
 // maps a key — one value per key column — to an ordinal, dense in
-// first-appearance order, with everything per group held in strided arrays
-// indexed by ordinal; no per-group heap object.
+// first-appearance order, with everything per group held in slabs indexed by
+// ordinal; no per-group heap object.
 //
-// A key is stored as typed cells, sqltypes.KeyCell's normalisation of each
-// value: for ordinal g and key column j a class classes[g*nk+j] and a word
-// words[g*(nk+1)+1+j], behind the hash folded from the cells in
-// words[g*(nk+1)]. A string cell's word is only the string's hash; the string
-// itself is the group's repr value, which holds the key values of the group's
-// first row (in key column order). aggs holds the group's aggregate states.
-// index is open addressing over ordinal+1 (0 = empty), kept at most half full.
-// Slices handed out by repr.at and aggs.at are valid until the next insertion.
+// A group is stored as what findBatch computes for its first row, in a record
+// of keys: the hash folded from its cells, per key column the cell's word
+// (sqltypes.KeyCell), then the columns' codes, eight to a word. A code is the
+// cell's class in its low nibble and the value's kind in its high one, so
+// value rebuilds the first row's value bit for bit (an integral float is of
+// the int class but of kind float). A string cell's word is the index of its
+// string in strs, which holds nothing else; the floats a cell cannot rebuild
+// (−0.0, a NaN other than KeyCell's one) are of kind spilled and kept whole in
+// spill. aggs holds the group's aggregate states. index is open addressing
+// over ordinal+1 (0 = empty) with the hash's top bits above the ordinal, at
+// most half full, so a probe passes over another key without reading its
+// record. Slices from the slabs are valid until the next insertion.
 //
 // findBatch is the entry point: a strip of a chunk's key columns in, a
-// []uint32 of ordinals out. find is its one-row form, used by the row path, by
-// mergeFrom and to build a dimension. A lookup-only findBatch (insert false)
-// writes nothing to the table, so a built dimension is probed by all workers
-// at once.
+// []uint32 of ordinals out. find is its one-row form, used by the row path and
+// to build a dimension. A lookup-only findBatch (insert false) writes nothing
+// to the table, so a built dimension is probed by all workers at once.
 type groupTable struct {
-	classes []sqltypes.Kind
-	words   []int64
-	index   []uint32
-	repr    slab[sqltypes.Value]
-	aggs    slab[aggState]
-	row     *rowKey // find's scratch
+	nk, n int // key columns, groups
+	index []uint32
+	keys  slab[int64]
+	strs  slab[string] // stride 1
+	nstr  int
+	spill map[int]sqltypes.Value // by ordinal*nk + key column
+	aggs  slab[aggState]
+	row   *rowKey // find's scratch
 }
 
 // noGroup is what a lookup-only findBatch reports for a key not in the table.
 const noGroup = ^uint32(0)
 
+// kindSpilled is the kind nibble of a cell whose value is in spill.
+const kindSpilled = 0xf
+
 func newGroupTable(nKeys, nAggs int) *groupTable {
 	return &groupTable{
+		nk:    nKeys,
 		index: make([]uint32, 16),
-		repr:  slab[sqltypes.Value]{stride: nKeys},
+		keys:  slab[int64]{stride: 1 + nKeys + (nKeys+7)/8},
+		strs:  slab[string]{stride: 1},
 		aggs:  slab[aggState]{stride: nAggs},
 	}
 }
@@ -59,8 +70,8 @@ type slab[T any] struct {
 const segGroups = 64
 
 func (s *slab[T]) at(g int) []T {
-	o := g % segGroups * s.stride
-	return s.segs[g/segGroups][o : o+s.stride : o+s.stride]
+	o, n := uint(g)%segGroups*uint(s.stride), uint(s.stride)
+	return s.segs[uint(g)/segGroups][o : o+n : o+n]
 }
 
 // add appends group g (the current group count), zeroed.
@@ -80,11 +91,27 @@ func (s *slab[T]) add(g int) {
 	s.segs[si] = seg[:end]
 }
 
-// len returns the number of groups.
-func (t *groupTable) len() int { return len(t.words) / (t.repr.stride + 1) }
+// code returns key column j's code in record rec.
+func (t *groupTable) code(rec []int64, j int) uint8 {
+	return uint8(rec[1+t.nk+int(uint(j)/8)] >> (uint(j) % 8 * 8))
+}
 
-func (t *groupTable) reprOf(g int) []sqltypes.Value { return t.repr.at(g) }
-func (t *groupTable) aggsOf(g int) []aggState       { return t.aggs.at(g) }
+// str returns the string of a string cell's word.
+func (t *groupTable) str(w int64) string { return t.strs.at(int(w))[0] }
+
+// value rebuilds group g's value of key column j.
+func (t *groupTable) value(g, j int) sqltypes.Value {
+	rec := t.keys.at(g)
+	code, w := t.code(rec, j), rec[1+j]
+	switch kind := sqltypes.Kind(code >> 4); kind {
+	case kindSpilled:
+		return t.spill[g*t.nk+j]
+	case sqltypes.KindString:
+		return sqltypes.NewString(t.str(w))
+	default:
+		return sqltypes.FromKeyCell(kind, sqltypes.Kind(code&0xf), w)
+	}
+}
 
 // stripRows is how many rows findBatch takes at most. Callers walk a chunk in
 // strips of that many rows — keys in, ordinals out, then whatever consumes the
@@ -94,7 +121,7 @@ const stripRows = 256
 
 // keyCol is one key column of the current strip, normalised by load — once per
 // strip however many grouping sets use it: the vector and the strip's offset
-// in it (for a string cell's string and a new group's repr) and the cells. A
+// in it (for a string cell's string and a new group's kind) and the cells. A
 // worker owns one per key column; the buffers are sized to the strip's row
 // count on first use and double after that.
 type keyCol struct {
@@ -128,6 +155,14 @@ func (k *keyCol) classOf(i int) sqltypes.Kind {
 	return k.classes[i]
 }
 
+// str returns row i's string; its class must be KindString.
+func (k *keyCol) str(i int) string {
+	if k.vec.Generic() {
+		return k.vec.Any[k.lo+i].Str()
+	}
+	return k.vec.Strs[k.lo+i]
+}
+
 // resize returns scratch s with length n, contents stale.
 func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
@@ -139,12 +174,19 @@ func resize[T any](s []T, n int) []T {
 // findBatch writes to ords the ordinal of each row's group; ords' length is
 // the strip's row count, and hash is scratch of that length. A row's key is
 // the columns set of keys, in that order. With insert, a key not yet in the
-// table becomes a new group (repr from the row, zero aggregate states) — rows
+// table becomes a new group (cells from the row, zero aggregate states) — rows
 // are taken in order, so ordinals stay dense in first-appearance order;
 // without, its ordinal is noGroup. Hashes are folded a column at a time, rows
-// are then probed one by one: stored hash first, then the typed cells.
+// are then probed one by one: index tag first, then the record's cells.
 func (t *groupTable) findBatch(keys []keyCol, set []int, hash []uint64, ords []uint32, insert bool) {
 	const k0, k1 = 0x9e3779b97f4a7c15, 0xd6e8feb86659fd93
+	if len(set) == 0 && len(ords) > 1 { // the empty grouping set: one key, one probe
+		t.findBatch(keys, set, hash[:1], ords[:1], insert)
+		for i := range ords {
+			ords[i] = ords[0]
+		}
+		return
+	}
 	for i := range hash {
 		hash[i] = k0
 	}
@@ -154,46 +196,84 @@ func (t *groupTable) findBatch(keys []keyCol, set []int, hash []uint64, ords []u
 			hash[i] = mix64(hash[i]^uint64(w)^uint64(k.classOf(i))<<56, k1)
 		}
 	}
-	nk := len(set)
 rows:
 	for i, h := range hash {
-		mask := uint64(len(t.index) - 1)
-		slot := h & mask
+		mask := uint32(len(t.index) - 1)
+		slot, tag := uint32(h)&mask, uint32(h>>32)&^mask
 	probe:
 		for ; t.index[slot] != 0; slot = (slot + 1) & mask {
-			g := int(t.index[slot] - 1)
-			words := t.words[g*(nk+1):][:nk+1]
-			if uint64(words[0]) != h {
+			e := t.index[slot]
+			if e&^mask != tag {
 				continue
 			}
+			rec := t.keys.at(int(e&mask) - 1)
 			for j, c := range set {
-				k := &keys[c]
-				if class := k.classOf(i); words[1+j] != k.words[i] || t.classes[g*nk+j] != class ||
-					class == sqltypes.KindString && t.repr.at(g)[j].Str() != k.vec.Value(k.lo+i).Str() {
+				k, w := &keys[c], rec[1+j]
+				class := k.classOf(i)
+				if sqltypes.Kind(t.code(rec, j)&0xf) != class ||
+					class == sqltypes.KindString && t.str(w) != k.str(i) || class != sqltypes.KindString && w != k.words[i] {
 					continue probe
 				}
 			}
-			ords[i] = uint32(g)
+			ords[i] = e&mask - 1
 			continue rows
 		}
-		if ords[i] = noGroup; !insert {
-			continue
-		}
-		g := t.len()
-		t.classes, t.words = growZero(t.classes, nk), growZero(t.words, nk+1)
-		t.repr.add(g)
-		t.aggs.add(g)
-		words, repr := t.words[g*(nk+1):], t.repr.at(g)
-		words[0] = int64(h)
-		for j, c := range set {
-			k := &keys[c]
-			t.classes[g*nk+j], words[1+j], repr[j] = k.classOf(i), k.words[i], k.vec.Value(k.lo+i)
-		}
-		ords[i] = uint32(g)
-		if t.index[slot] = uint32(g + 1); 2*(g+1) > len(t.index) {
-			t.rehash()
+		if ords[i] = noGroup; insert {
+			ords[i] = uint32(t.addRow(keys, set, i, slot, h))
 		}
 	}
+}
+
+// addRow makes row i of the strip a new group, at the empty index slot where
+// its probe ended.
+func (t *groupTable) addRow(keys []keyCol, set []int, i int, slot uint32, h uint64) int {
+	g, rec := t.add(slot, h)
+	for j, c := range set {
+		k := &keys[c]
+		class, w, v := k.classOf(i), k.words[i], k.vec.Value(k.lo+i)
+		kind := v.Kind()
+		switch {
+		case class == sqltypes.KindString:
+			w = t.addStr(v.Str())
+		case kind == sqltypes.KindFloat &&
+			math.Float64bits(sqltypes.FromKeyCell(kind, class, w).Float()) != math.Float64bits(v.Float()):
+			t.spillCell(g, j, v)
+			kind = kindSpilled
+		}
+		rec[1+j] = w
+		rec[1+t.nk+j/8] |= int64(uint8(class)|uint8(kind)<<4) << (j % 8 * 8)
+	}
+	return g
+}
+
+// add makes group t.n with hash h at an empty index slot and returns it with
+// its record, for the caller to fill with cells.
+func (t *groupTable) add(slot uint32, h uint64) (int, []int64) {
+	g := t.n
+	t.n++
+	t.keys.add(g)
+	t.aggs.add(g)
+	rec := t.keys.at(g)
+	rec[0] = int64(h)
+	if t.index[slot] = uint32(h>>32)&^uint32(len(t.index)-1) | uint32(g+1); 2*t.n > len(t.index) {
+		t.rehash()
+	}
+	return g, rec
+}
+
+// addStr stores a string cell's string and returns its word.
+func (t *groupTable) addStr(s string) int64 {
+	t.strs.add(t.nstr)
+	t.strs.at(t.nstr)[0] = s
+	t.nstr++
+	return int64(t.nstr - 1)
+}
+
+func (t *groupTable) spillCell(g, j int, v sqltypes.Value) {
+	if t.spill == nil {
+		t.spill = map[int]sqltypes.Value{}
+	}
+	t.spill[g*t.nk+j] = v
 }
 
 // rowKey is a one-row strip over one-element generic vectors.
@@ -220,52 +300,76 @@ func (t *groupTable) find(key []sqltypes.Value) int {
 	return int(r.ord[0])
 }
 
-// growZero returns s with n more zero elements (nothing here ever shrinks,
-// so spare capacity is still zero from make). Capacity doubles: append would
-// grow a large slice by a quarter at a time and copy five times its final
-// size on the way.
-func growZero[T any](s []T, n int) []T {
-	if len(s)+n > cap(s) {
-		grown := make([]T, len(s), max(2*cap(s), len(s)+n, 4*n))
-		copy(grown, s)
-		s = grown
-	}
-	return s[:len(s)+n]
-}
-
 // rehash doubles the index and re-seats every ordinal from its stored hash.
 func (t *groupTable) rehash() {
 	t.index = make([]uint32, 2*len(t.index))
-	mask := uint64(len(t.index) - 1)
-	for g, n := 0, t.len(); g < n; g++ {
-		i := uint64(t.words[g*(t.repr.stride+1)]) & mask
+	mask := uint32(len(t.index) - 1)
+	for g := 0; g < t.n; g++ {
+		h := uint64(t.keys.at(g)[0])
+		i := uint32(h) & mask
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.index[i] = uint32(g + 1)
+		t.index[i] = uint32(h>>32)&^mask | uint32(g+1)
 	}
 }
 
 // mergeFrom folds a later worker's partial into t, walking o's ordinals in
-// order: a group new to t is appended (so t keeps global first-appearance
-// order, and the earlier partition's repr), a known one has its aggregate
-// states combined. o is consumed.
+// order and probing t with each group's stored hash and cells: a group new to
+// t is appended (so t keeps global first-appearance order, and the earlier
+// partition's representative), a known one has its aggregate states combined.
+// o is consumed.
 func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
-	for og := 0; og < o.len(); og++ {
-		known := t.len()
-		g := t.find(o.repr.at(og))
-		into, from := t.aggs.at(g), o.aggs.at(og)
-		if g >= known {
-			copy(into, from)
-			continue
-		}
-		for ai := range specs {
-			if err := into[ai].merge(specs[ai].agg, &from[ai]); err != nil {
-				return err
+	for og := 0; og < o.n; og++ {
+		orec, from := o.keys.at(og), o.aggs.at(og)
+		if g, slot := t.probe(o, orec); g < 0 {
+			g, rec := t.add(slot, uint64(orec[0]))
+			copy(rec, orec)
+			for j := 0; j < t.nk; j++ {
+				switch code := o.code(orec, j); {
+				case code&0xf == uint8(sqltypes.KindString):
+					rec[1+j] = t.addStr(o.str(orec[1+j]))
+				case code>>4 == kindSpilled:
+					t.spillCell(g, j, o.spill[og*t.nk+j])
+				}
+			}
+			copy(t.aggs.at(g), from)
+		} else {
+			into := t.aggs.at(g)
+			for ai := range specs {
+				if err := into[ai].merge(specs[ai].agg, &from[ai]); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// probe returns the ordinal in t of o's group with record orec, or -1 and the
+// empty slot where the probe ended.
+func (t *groupTable) probe(o *groupTable, orec []int64) (int, uint32) {
+	h, mask := uint64(orec[0]), uint32(len(t.index)-1)
+	slot := uint32(h) & mask
+	for ; t.index[slot] != 0; slot = (slot + 1) & mask {
+		e := t.index[slot]
+		if g := int(e&mask) - 1; e&^mask == uint32(h>>32)&^mask && t.sameKey(t.keys.at(g), o, orec) {
+			return g, slot
+		}
+	}
+	return -1, slot
+}
+
+// sameKey reports whether record rec of t and record orec of o hold one key.
+func (t *groupTable) sameKey(rec []int64, o *groupTable, orec []int64) bool {
+	for j := 0; j < t.nk; j++ {
+		class, w, ow := t.code(rec, j)&0xf, rec[1+j], orec[1+j]
+		if o.code(orec, j)&0xf != class ||
+			class == uint8(sqltypes.KindString) && t.str(w) != o.str(ow) || class != uint8(sqltypes.KindString) && w != ow {
+			return false
+		}
+	}
+	return true
 }
 
 // mix64 is a folded 64×64→128 multiply. The hash built from it is

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -426,6 +427,53 @@ func TestDistinctAggregateVariants(t *testing.T) {
 		if r[2].Int() != sum || r[3].Int() != mn || r[4].Int() != mx {
 			t.Fatalf("distinct aggs wrong: %v want sum=%d min=%d max=%d", r, sum, mn, mx)
 		}
+	}
+}
+
+// TestSumDistinctFoldsInFirstAppearanceOrder: float addition is not
+// associative, so SUM DISTINCT is one answer only if its set folds in one
+// order. Group 1's values are spread over three chunks (a duplicate in the
+// second), so at two workers each partial sees some of them: 200 runs on the
+// interpreter and on the pipeline at one and two workers give one bit pattern.
+func TestSumDistinctFoldsInFirstAppearanceOrder(t *testing.T) {
+	cat := catalog.New()
+	cat.MustAddTable(&catalog.Table{Name: "f", Columns: []catalog.Column{
+		{Name: "g", Type: sqltypes.KindInt},
+		{Name: "x", Type: sqltypes.KindFloat},
+	}})
+	meta, _ := cat.Table("f")
+	rows := make([][]sqltypes.Value, 3*storage.ChunkRows)
+	for i := range rows {
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(2), sqltypes.NewFloat(float64(i%7) + 0.25)}
+	}
+	for i, x := range []float64{1e16, 1, -1e16, 3, 1e16, 0.5, 7e15} {
+		rows[i*storage.ChunkRows/3+100] = []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewFloat(x)}
+	}
+	store := storage.NewStore()
+	store.Put(meta, rows)
+	g, err := qgm.BuildSQL("select g, sum(distinct x) as s, count(distinct x) as c from f group by g", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := NewEngine(store)
+	answers := map[string]string{} // answer → the first config that gave it
+	for _, cfg := range []Config{{Interpret: true}, {Parallelism: 1}, {Parallelism: 2}} {
+		for run := 0; run < 200; run++ {
+			res, err := engine.RunCtx(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, r := range res.Rows {
+				fmt.Fprintf(&b, "%v:%x:%v ", r[0], math.Float64bits(r[1].Float()), r[2])
+			}
+			if _, ok := answers[b.String()]; !ok {
+				answers[b.String()] = fmt.Sprintf("%+v run %d", cfg, run)
+			}
+		}
+	}
+	if len(answers) != 1 {
+		t.Fatalf("%d answers over 600 runs: %v", len(answers), answers)
 	}
 }
 

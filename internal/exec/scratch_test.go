@@ -121,8 +121,8 @@ func TestKeyScratchIsSizedByTheStrip(t *testing.T) {
 	for lo := 0; lo < v.Len(); lo += stripRows {
 		lookup(lo, stripRows)
 	}
-	if c, w := cap(keys[0].classes), cap(keys[0].buf); c != stripRows || w != stripRows || tab.len() != 50 {
-		t.Fatalf("after a %d-row chunk: %d classes, %d words, %d groups", v.Len(), c, w, tab.len())
+	if c, w := cap(keys[0].classes), cap(keys[0].buf); c != stripRows || w != stripRows || tab.n != 50 {
+		t.Fatalf("after a %d-row chunk: %d classes, %d words, %d groups", v.Len(), c, w, tab.n)
 	}
 	// An integer column without NULLs is its own key cells: nothing is buffered.
 	var ints sqltypes.Vec

@@ -233,7 +233,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		}
 		// Counting sort by ordinal: list[offsets[g]:offsets[g+1]] are the rows
 		// of key g, in row order.
-		sd.offsets = make([]int32, sd.table.len()+2)
+		sd.offsets = make([]int32, sd.table.n+2)
 		for _, g := range ords {
 			if g >= 0 {
 				sd.offsets[g+2]++

@@ -314,24 +314,12 @@ func (a *vecAccum) fold(aggs *slab[aggState], ai, at int, ords []uint32) error {
 			}
 		}
 	case accDistinct:
-		// Binary keys instead of the row engine's decimal GroupKey: the
-		// equivalence classes are identical and distinct sets built by the
-		// vectorized path are only ever merged with each other. First value
-		// of a class wins as its representative (the row engine keeps the
-		// last); observable only through the result kind of SUM/MIN/MAX
-		// DISTINCT over classes mixing int and float spellings.
 		for i, g := range ords {
 			if av.IsNull(at + i) {
 				continue
 			}
-			s := &aggs.at(int(g))[ai]
 			a.kbuf = sqltypes.AppendBinKeyValue(a.kbuf[:0], av.Value(at+i))
-			if s.distinct == nil {
-				s.distinct = map[string]sqltypes.Value{}
-			}
-			if _, ok := s.distinct[string(a.kbuf)]; !ok {
-				s.distinct[string(a.kbuf)] = av.Value(at + i)
-			}
+			aggs.at(int(g))[ai].addDistinct(a.spec, a.kbuf, av.Value(at+i))
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -70,8 +71,8 @@ const (
 // Scratch ownership: every compiled kernel node owns one slot of vecs
 // (vecCompiler.newSlot) and refills it on each call, so a kernel's result is
 // valid until that kernel's next call on this worker — long enough for the
-// chunk, never longer. Whatever outlives the chunk (a group's repr, output
-// rows, DISTINCT sets) copies Values out. Slots grow to the live row count on
+// chunk, never longer. Whatever outlives the chunk (a group's cells, output
+// rows, DISTINCT sets) copies out. Slots grow to the live row count on
 // first use; an unfiltered box never allocates selBuf, a box without lifted
 // kernels never allocates row.
 type chunkState struct {
@@ -353,39 +354,10 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 				out.AppendNull()
 				continue
 			}
-			switch name {
-			case "year":
-				out.AppendValue(sqltypes.NewInt(v.DateYear()))
-			case "month":
-				out.AppendValue(sqltypes.NewInt(v.DateMonth()))
-			case "day":
-				out.AppendValue(sqltypes.NewInt(v.DateDay()))
-			}
+			x, _ := datePart(name, v)
+			out.AppendValue(x)
 		}
 		return out, nil
-	}
-}
-
-// binOpFn maps an arithmetic/concat operator to its sqltypes function — the
-// per-element delegate for slow paths and exact errors.
-func binOpFn(op string) func(a, b sqltypes.Value) (sqltypes.Value, error) {
-	switch op {
-	case "||":
-		return sqltypes.Concat
-	case "+":
-		return sqltypes.Add
-	case "-":
-		return sqltypes.Sub
-	case "*":
-		return sqltypes.Mul
-	case "/":
-		return sqltypes.Div
-	case "%":
-		return sqltypes.Mod
-	default:
-		return func(a, b sqltypes.Value) (sqltypes.Value, error) {
-			return sqltypes.Null, fmt.Errorf("exec: unknown operator %q", op)
-		}
 	}
 }
 
@@ -562,23 +534,7 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 // coercion) and pairings it rejects both delegate per element for the exact
 // result or error.
 func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
-	l := vc.compileScalar(bin.L)
-	r := vc.compileScalar(bin.R)
-	var keep func(c int) bool
-	switch bin.Op {
-	case "=":
-		keep = func(c int) bool { return c == 0 }
-	case "<>":
-		keep = func(c int) bool { return c != 0 }
-	case "<":
-		keep = func(c int) bool { return c < 0 }
-	case "<=":
-		keep = func(c int) bool { return c <= 0 }
-	case ">":
-		keep = func(c int) bool { return c > 0 }
-	case ">=":
-		keep = func(c int) bool { return c >= 0 }
-	}
+	l, r, keep := vc.compileScalar(bin.L), vc.compileScalar(bin.R), cmpKeep(bin.Op)
 	return func(cs *chunkState) error {
 		lv, err := l(cs)
 		if err != nil {
@@ -609,7 +565,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				if nullAt(di) {
 					continue
 				}
-				if keep(cmpInt64(lv.Ints[di], rv.Ints[di])) {
+				if keep(cmp.Compare(lv.Ints[di], rv.Ints[di])) {
 					out = append(out, int32(cs.rowIdx(di)))
 				}
 			}
@@ -630,14 +586,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				if nullAt(di) {
 					continue
 				}
-				x, y := lv.Strs[di], rv.Strs[di]
-				c := 0
-				if x < y {
-					c = -1
-				} else if x > y {
-					c = 1
-				}
-				if keep(c) {
+				if keep(cmp.Compare(lv.Strs[di], rv.Strs[di])) {
 					out = append(out, int32(cs.rowIdx(di)))
 				}
 			}
@@ -659,17 +608,6 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 		}
 		cs.setSel(out)
 		return nil
-	}
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 

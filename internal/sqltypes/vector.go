@@ -432,6 +432,22 @@ func (v Value) KeyCell() (Kind, int64) {
 	}
 }
 
+// FromKeyCell rebuilds a value of the given kind, not a string (a string's
+// word is only its hash), from its KeyCell class and word. It is KeyCell's
+// inverse except for what KeyCell folds: a float -0.0 comes back as 0.0 and
+// every NaN as the one NaN of its word.
+func FromKeyCell(kind, class Kind, word int64) Value {
+	switch {
+	case kind == KindFloat && class == KindInt:
+		return Value{kind: KindFloat, f: float64(word)}
+	case kind == KindFloat:
+		return Value{kind: KindFloat, f: math.Float64frombits(uint64(word))}
+	case kind == KindNull:
+		return Null
+	}
+	return Value{kind: kind, i: word}
+}
+
 func floatCell(f float64) (Kind, int64) {
 	switch {
 	case f == math.Trunc(f) && math.Abs(f) < 1e15:
