@@ -420,6 +420,12 @@ func BenchmarkExecOperators(b *testing.B) {
 			from trans group by faid, flid, year(date)`, true},
 		{"star_probe_only", `select aid, status, qty * price * (1 - disc) as amt
 			from trans, pgroup, acct where pgid = fpgid and faid = aid`, false},
+		// DISTINCT's pair tables: Figure 13's Q11.3, which no summary table
+		// serves, and ds11's scalar subquery, one group folded a strip at a
+		// time.
+		{"groupby_count_distinct", `select flid, year(date) as year, month(date) as month, count(distinct faid) as custcnt
+			from trans group by flid, year(date), month(date)`, true},
+		{"global_count_distinct", `select sum(qty * price) / count(distinct faid) as avg_spend from trans`, true},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})

@@ -6,7 +6,7 @@
 // Boxes evaluate bottom-up with per-box memoization (QGM is a DAG — a shared
 // box evaluates once); what a box evaluates to is a relation, held as column
 // chunks, as rows, or both. There are two paths, and they share as little as
-// the hash table (grouptable.go) and the aggregate states.
+// the hash table (grouptable.go) and its aggregate folds.
 //
 // The engine is one chunk pipeline, a source feeding one of two sinks
 // (source.go, vector.go, vecgroupby.go). The source of a SELECT box scans the

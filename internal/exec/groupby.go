@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/qgm"
@@ -12,20 +13,26 @@ import (
 type aggSpec struct {
 	agg *qgm.Agg
 	col int
+	op  aggOp
 }
 
 // aggSpecsOf lists the box's aggregate columns; bad is the index of a
-// non-grouping output column that is not an aggregate, or -1.
+// non-grouping output column that is not an aggregate (COUNT, SUM, MIN or
+// MAX), or -1.
 func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 	for i := range b.Cols {
 		if b.IsGroupCol(i) {
 			continue
 		}
 		agg, ok := b.Cols[i].Expr.(*qgm.Agg)
+		var op aggOp
+		if ok {
+			op, ok = aggOps[agg.Op]
+		}
 		if !ok {
 			return nil, i
 		}
-		specs = append(specs, aggSpec{agg: agg, col: i})
+		specs = append(specs, aggSpec{agg: agg, col: i, op: op})
 	}
 	return specs, -1
 }
@@ -35,9 +42,10 @@ func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 // the canonicalized supergroup, by that set's columns, and each set emits its
 // groups with the grouped-out grouping columns NULL. One pass over the rows:
 // evaluate the grouping expressions and the aggregate arguments, then per set
-// find the row's group and accumulate. Groups come out set by set in
-// first-appearance order and each group sees its rows in order, which is the
-// order the pipeline reproduces.
+// find the row's group and fold the row into it, a one-row strip for the
+// pipeline's fold. Groups come out set by set in first-appearance order and
+// each group sees its rows in order, which is the order the pipeline
+// reproduces.
 func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
 		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
@@ -60,13 +68,15 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	}
 	tables := make([]*groupTable, len(sets))
 	for si, gs := range sets {
-		tables[si] = newGroupTable(len(gs), len(aggSpecs))
+		tables[si] = newGroupTable(len(gs), aggSpecs)
 	}
 
 	bd := binding{nil}
 	groupVals := make([]sqltypes.Value, len(b.GroupBy)) // this row's grouping values, in GroupBy order
-	argVals := make([]sqltypes.Value, len(aggSpecs))    // this row's aggregate arguments; COUNT(*) has none
 	key := make([]sqltypes.Value, len(b.GroupBy))
+	args := make([]sqltypes.Vec, len(aggSpecs)) // this row's aggregate arguments, one-row strips; COUNT(*) has none
+	accums := make([]vecAccum, len(aggSpecs))
+	hash, ord := [1]uint64{}, [1]uint32{} // the one-row strip's scratch and ordinal
 	for _, row := range child.rowsOf() {
 		bd[0] = row
 		if err := ev.checkpoint(1); err != nil {
@@ -78,20 +88,20 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 			}
 		}
 		for ai, spec := range aggSpecs {
-			if spec.agg.Star {
-				continue
+			if arg := args[ai].RefillGeneric(1); !spec.agg.Star {
+				if arg[0], err = ectx.evalScalar(spec.agg.Arg, bd); err != nil {
+					return nil, err
+				}
 			}
-			if argVals[ai], err = ectx.evalScalar(spec.agg.Arg, bd); err != nil {
-				return nil, err
-			}
+			accums[ai].bind(&aggSpecs[ai], &args[ai])
 		}
 		for si, gs := range sets {
 			for i, pos := range gs {
 				key[i] = groupVals[pos]
 			}
-			aggs := tables[si].aggs.at(tables[si].find(key[:len(gs)]))
-			for ai, spec := range aggSpecs {
-				if err := aggs[ai].accumulate(spec.agg, argVals[ai]); err != nil {
+			ord[0] = uint32(tables[si].find(key[:len(gs)]))
+			for ai := range accums {
+				if err := accums[ai].fold(tables[si], ai, 0, ord[:], len(gs) == 0, hash[:]); err != nil {
 					return nil, err
 				}
 			}
@@ -101,9 +111,8 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	var out [][]sqltypes.Value
 	slab := rowSlab{width: len(b.Cols)}
 	for si, gs := range sets {
-		n := outRows(tables[si], gs)
-		slab.reserve(n)
-		out = slices.Grow(out, n)
+		slab.reserve(tables[si].n)
+		out = slices.Grow(out, tables[si].n)
 		err = ev.emitGroups(b, aggSpecs, gs, tables[si], func(row []sqltypes.Value) {
 			out = append(out, slab.next())
 			copy(out[len(out)-1], row)
@@ -115,30 +124,13 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 	return out, nil
 }
 
-// outRows is how many rows grouping set gs emits from t: one per group, and
-// one for a global aggregate (empty grouping set) over empty input, where
-// COUNT is 0 and the other aggregates are NULL.
-func outRows(t *groupTable, gs []int) int {
-	if t.n == 0 && len(gs) == 0 {
-		return 1
-	}
-	return t.n
-}
-
 // emitGroups hands emit grouping set gs's output rows, one per group of t in
 // first-appearance order: grouping columns rebuilt from the group's cells
-// (NULL when grouped out of the set), aggregate columns from its states. The
-// row is scratch, overwritten for the next group; emit copies what it keeps.
+// (NULL when grouped out of the set), aggregate columns from its state cells.
+// The row is scratch, overwritten for the next group; emit copies what it
+// keeps.
 func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupTable, emit func(row []sqltypes.Value)) error {
 	row := make([]sqltypes.Value, len(b.Cols)) // grouped-out columns stay NULL
-	if outRows(t, gs) > t.n {
-		var empty aggState // the empty global aggregate
-		for _, spec := range specs {
-			row[spec.col] = empty.result(spec.agg)
-		}
-		emit(row)
-		return nil
-	}
 	for g := 0; g < t.n; g++ {
 		if err := ev.checkpoint(1); err != nil {
 			return err
@@ -146,9 +138,9 @@ func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupT
 		for i, pos := range gs {
 			row[b.GroupBy[pos]] = t.value(g, i)
 		}
-		aggs := t.aggs.at(g)
-		for ai, spec := range specs {
-			row[spec.col] = aggs[ai].result(spec.agg)
+		rec := t.aggs.at(g)
+		for ai := range specs {
+			row[specs[ai].col] = t.result(rec, ai, &specs[ai])
 		}
 		emit(row)
 	}
@@ -186,158 +178,108 @@ func allInts(n int) []int {
 	return out
 }
 
-// aggState accumulates one aggregate within one group. An aggregate uses one
-// field: COUNT counts, SUM/MIN/MAX keep the running value in val (NULL until
-// the first non-NULL input — inputs are never NULL, so neither is a running
-// value), DISTINCT collects its inputs. Kept small because the groupTable
-// holds one per group per aggregate.
-type aggState struct {
-	count    int64
-	val      sqltypes.Value
-	distinct *distinctSet
+// aggOp is an aggregate's operator, decoded once per box.
+type aggOp uint8
+
+const (
+	opCount aggOp = iota
+	opSum
+	opMin
+	opMax
+)
+
+var aggOps = map[string]aggOp{"count": opCount, "sum": opSum, "min": opMin, "max": opMax}
+
+// A group's aggregate states are cells, one per aggregate in the group's
+// record of aggs: a word, and a kind code among the codes that follow the
+// words, eight to a word. COUNT — DISTINCT or not — keeps its counter in the
+// word. SUM, MIN and MAX keep their running value: the code is its kind
+// (KindNull until the first non-NULL input) and the word its payload — an
+// integer, date or boolean payload as it is, a float's bits, a string's index
+// in strs, where a new extremum overwrites it in place. stateValue rebuilds
+// the value as value does a key cell's, and the slab holds no pointers. A
+// DISTINCT aggregate folds a value at its first appearance in its group
+// (vecAccum.fold); a pairing there that cannot be added or compared poisons
+// the cell, and its result is NULL.
+const kindPoisoned sqltypes.Kind = 0xf
+
+// kindOf returns the kind code of cell ai of state record rec.
+func (t *groupTable) kindOf(rec []int64, ai int) sqltypes.Kind {
+	return sqltypes.Kind(rec[t.na+ai/8] >> (uint(ai) % 8 * 8))
 }
 
-// distinctSet is a DISTINCT aggregate's inputs: the binary keys
-// (sqltypes.AppendBinKeyValue) seen, and for SUM/MIN/MAX the first value of
-// each class in first-appearance order, which is the order the result folds
-// them in — so the answer depends neither on map order nor on the worker
-// count. COUNT needs only the number of keys.
-type distinctSet struct {
-	seen map[string]struct{}
-	vals []sqltypes.Value
+func (t *groupTable) setKind(rec []int64, ai int, k sqltypes.Kind) {
+	w, sh := &rec[t.na+ai/8], uint(ai)%8*8
+	*w = int64(uint64(*w)&^(0xff<<sh) | uint64(k)<<sh)
 }
 
-// addDistinct adds v, whose binary key is key, unless its class is in the set.
-func (a *aggState) addDistinct(spec *qgm.Agg, key []byte, v sqltypes.Value) {
-	if a.distinct == nil {
-		a.distinct = &distinctSet{seen: map[string]struct{}{}}
-	}
-	if _, ok := a.distinct.seen[string(key)]; !ok {
-		a.distinct.seen[string(key)] = struct{}{}
-		if spec.Op != "count" {
-			a.distinct.vals = append(a.distinct.vals, v)
+// setState makes v, not NULL, the running value of cell ai.
+func (t *groupTable) setState(rec []int64, ai int, v sqltypes.Value) {
+	switch v.Kind() {
+	case sqltypes.KindString:
+		if t.kindOf(rec, ai) == sqltypes.KindString {
+			t.strs.at(int(rec[ai]))[0] = v.Str()
+		} else {
+			rec[ai] = t.addStr(v.Str())
 		}
+	case sqltypes.KindFloat:
+		rec[ai] = int64(math.Float64bits(v.Float()))
+	default:
+		rec[ai] = v.Int()
+	}
+	t.setKind(rec, ai, v.Kind())
+}
+
+// stateValue rebuilds the running value of cell ai: NULL before the first
+// input and once poisoned.
+func (t *groupTable) stateValue(rec []int64, ai int) sqltypes.Value {
+	switch k := t.kindOf(rec, ai); k {
+	case sqltypes.KindString:
+		return sqltypes.NewString(t.str(rec[ai]))
+	case kindPoisoned:
+		return sqltypes.Null
+	default:
+		return sqltypes.FromKeyCell(k, k, rec[ai])
 	}
 }
 
-// fold combines a non-NULL value — an input, or a later chunk's partial —
-// into the running SUM, MIN or MAX.
-func (a *aggState) fold(op string, v sqltypes.Value) error {
-	if a.val.IsNull() {
-		a.val = v
-		return nil
+// result is aggregate s's answer from its cell ai.
+func (t *groupTable) result(rec []int64, ai int, s *aggSpec) sqltypes.Value {
+	if s.op == opCount {
+		return sqltypes.NewInt(rec[ai])
 	}
-	switch op {
-	case "sum":
-		s, err := sqltypes.Add(a.val, v)
-		if err != nil {
+	return t.stateValue(rec, ai)
+}
+
+// update folds one input v into cell ai. COUNT(*) counts the row, COUNT
+// counts v unless it is NULL; SUM, MIN and MAX skip NULL, take their first
+// value as it is, then add, or keep the lesser or greater under Compare. A sum
+// that cannot be added is an error and a failed comparison keeps the state —
+// except under DISTINCT, where either poisons the cell.
+func (t *groupTable) update(rec []int64, ai int, s *aggSpec, v sqltypes.Value) error {
+	switch kind := t.kindOf(rec, ai); {
+	case s.agg.Star || s.op == opCount && !v.IsNull():
+		rec[ai]++
+	case v.IsNull() || s.op == opCount || kind == kindPoisoned:
+	case kind == sqltypes.KindNull:
+		t.setState(rec, ai, v)
+	case s.op == opSum:
+		sum, err := sqltypes.Add(t.stateValue(rec, ai), v)
+		switch {
+		case err == nil:
+			t.setState(rec, ai, sum)
+		case s.agg.Distinct:
+			t.setKind(rec, ai, kindPoisoned)
+		default:
 			return err
 		}
-		a.val = s
-	case "min":
-		if c, err := sqltypes.Compare(v, a.val); err == nil && c < 0 {
-			a.val = v
-		}
-	case "max":
-		if c, err := sqltypes.Compare(v, a.val); err == nil && c > 0 {
-			a.val = v
-		}
-	}
-	return nil
-}
-
-func (a *aggState) accumulate(spec *qgm.Agg, arg sqltypes.Value) error {
-	if spec.Star {
-		a.count++
-		return nil
-	}
-	if arg.IsNull() {
-		return nil // aggregates skip NULL inputs
-	}
-	if spec.Distinct {
-		var buf [16]byte
-		a.addDistinct(spec, sqltypes.AppendBinKeyValue(buf[:0], arg), arg)
-		return nil
-	}
-	switch spec.Op {
-	case "count":
-		a.count++
-	case "sum", "min", "max":
-		return a.fold(spec.Op, arg)
 	default:
-		return fmt.Errorf("exec: unknown aggregate %q", spec.Op)
+		switch c, err := sqltypes.Compare(v, t.stateValue(rec, ai)); {
+		case err != nil && s.agg.Distinct:
+			t.setKind(rec, ai, kindPoisoned)
+		case err == nil && (s.op == opMin && c < 0 || s.op == opMax && c > 0):
+			t.setState(rec, ai, v)
+		}
 	}
 	return nil
-}
-
-// merge folds another chunk's state for the same group into a. This is the
-// partial-aggregate combine of parallel aggregation: COUNT adds, SUM adds the
-// partial sums, MIN/MAX compare extrema, and DISTINCT adds the other set's
-// keys — its values in their order. The other state must come from a later
-// chunk (the group keeps the earlier chunk's representative values) and is
-// consumed by the merge.
-func (a *aggState) merge(spec *qgm.Agg, o *aggState) error {
-	if spec.Distinct {
-		switch {
-		case a.distinct == nil:
-			a.distinct = o.distinct
-		case o.distinct == nil:
-		case spec.Op == "count":
-			for k := range o.distinct.seen {
-				a.distinct.seen[k] = struct{}{}
-			}
-		default:
-			var buf []byte
-			for _, v := range o.distinct.vals {
-				buf = sqltypes.AppendBinKeyValue(buf[:0], v)
-				a.addDistinct(spec, buf, v)
-			}
-		}
-		return nil
-	}
-	a.count += o.count // COUNT(*) and COUNT(x) both live here
-	if o.val.IsNull() {
-		return nil
-	}
-	return a.fold(spec.Op, o.val)
-}
-
-func (a *aggState) result(spec *qgm.Agg) sqltypes.Value {
-	switch {
-	case spec.Op == "count" && spec.Distinct && a.distinct == nil:
-		return sqltypes.NewInt(0)
-	case spec.Op == "count" && spec.Distinct:
-		return sqltypes.NewInt(int64(len(a.distinct.seen)))
-	case spec.Op == "count":
-		return sqltypes.NewInt(a.count)
-	case spec.Op != "sum" && spec.Op != "min" && spec.Op != "max":
-		return sqltypes.Null
-	case !spec.Distinct || a.distinct == nil:
-		return a.val // NULL when no input was non-NULL
-	}
-	// SUM/MIN/MAX DISTINCT fold the set here; unlike the running fold, a
-	// pairing that cannot be added or compared makes the result NULL.
-	var acc sqltypes.Value
-	for _, v := range a.distinct.vals {
-		if acc.IsNull() {
-			acc = v
-			continue
-		}
-		if spec.Op == "sum" {
-			s, err := sqltypes.Add(acc, v)
-			if err != nil {
-				return sqltypes.Null
-			}
-			acc = s
-			continue
-		}
-		c, err := sqltypes.Compare(v, acc)
-		if err != nil {
-			return sqltypes.Null
-		}
-		if (spec.Op == "min" && c < 0) || (spec.Op == "max" && c > 0) {
-			acc = v
-		}
-	}
-	return acc
 }

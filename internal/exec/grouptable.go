@@ -19,12 +19,15 @@ import (
 // cell's class in its low nibble and the value's kind in its high one, so
 // value rebuilds the first row's value bit for bit (an integral float is of
 // the int class but of kind float). A string cell's word is the index of its
-// string in strs, which holds nothing else; the floats a cell cannot rebuild
-// (−0.0, a NaN other than KeyCell's one) are of kind spilled and kept whole in
-// spill. aggs holds the group's aggregate states. index is open addressing
-// over ordinal+1 (0 = empty) with the hash's top bits above the ordinal, at
-// most half full, so a probe passes over another key without reading its
-// record. Slices from the slabs are valid until the next insertion.
+// string in strs, which holds the strings of key cells and of string state
+// cells (a MIN or MAX running value, overwritten in place); each slot belongs
+// to its one cell. The floats a cell cannot rebuild (−0.0, a NaN other than
+// KeyCell's one) are of kind spilled and kept whole in spill. aggs holds the
+// group's aggregate state cells (groupby.go), and pairs one pair table per
+// DISTINCT aggregate. index is open addressing over
+// ordinal+1 (0 = empty) with the hash's top bits above the ordinal, at most
+// half full, so a probe passes over another key without reading its record.
+// Slices from the slabs are valid until the next insertion.
 //
 // findBatch is the entry point: a strip of a chunk's key columns in, a
 // []uint32 of ordinals out. find is its one-row form, used by the row path and
@@ -37,8 +40,10 @@ type groupTable struct {
 	strs  slab[string] // stride 1
 	nstr  int
 	spill map[int]sqltypes.Value // by ordinal*nk + key column
-	aggs  slab[aggState]
-	row   *rowKey // find's scratch
+	na    int                    // aggregates
+	aggs  slab[int64]            // per group: na state words, then their kind codes, eight to a word
+	pairs []*groupTable          // by aggregate, up to the last DISTINCT one: its pair table, or nil
+	row   *rowKey                // find's scratch
 }
 
 // noGroup is what a lookup-only findBatch reports for a key not in the table.
@@ -47,14 +52,28 @@ const noGroup = ^uint32(0)
 // kindSpilled is the kind nibble of a cell whose value is in spill.
 const kindSpilled = 0xf
 
-func newGroupTable(nKeys, nAggs int) *groupTable {
-	return &groupTable{
+// newGroupTable makes a table of nKeys key columns that aggregates specs (none
+// for a dimension or a pair table). A DISTINCT aggregate gets a pair table:
+// pairCols, or the argument alone when there are no key columns.
+func newGroupTable(nKeys int, specs []aggSpec) *groupTable {
+	t := &groupTable{
 		nk:    nKeys,
 		index: make([]uint32, 16),
 		keys:  slab[int64]{stride: 1 + nKeys + (nKeys+7)/8},
 		strs:  slab[string]{stride: 1},
-		aggs:  slab[aggState]{stride: nAggs},
+		na:    len(specs),
+		aggs:  slab[int64]{stride: len(specs) + (len(specs)+7)/8},
 	}
+	for ai, s := range specs {
+		if s.agg.Distinct {
+			t.pairs = append(t.pairs, make([]*groupTable, ai+1-len(t.pairs))...)
+			t.pairs[ai] = newGroupTable(min(nKeys, 1)+1, nil)
+		}
+	}
+	if nKeys == 0 {
+		t.find(nil) // the empty grouping set has its one group whatever the input
+	}
+	return t
 }
 
 // slab is a strided array of per-group records that grows without copying
@@ -174,7 +193,7 @@ func resize[T any](s []T, n int) []T {
 // findBatch writes to ords the ordinal of each row's group; ords' length is
 // the strip's row count, and hash is scratch of that length. A row's key is
 // the columns set of keys, in that order. With insert, a key not yet in the
-// table becomes a new group (cells from the row, zero aggregate states) — rows
+// table becomes a new group (cells from the row, zero state cells) — rows
 // are taken in order, so ordinals stay dense in first-appearance order;
 // without, its ordinal is noGroup. Hashes are folded a column at a time, rows
 // are then probed one by one: index tag first, then the record's cells.
@@ -317,13 +336,19 @@ func (t *groupTable) rehash() {
 // mergeFrom folds a later worker's partial into t, walking o's ordinals in
 // order and probing t with each group's stored hash and cells: a group new to
 // t is appended (so t keeps global first-appearance order, and the earlier
-// partition's representative), a known one has its aggregate states combined.
-// o is consumed.
+// partition's representative). COUNTs add. Every other aggregate is folded
+// as the pipeline folds rows, a strip at a time, each row's group remapped to
+// t's: SUM/MIN/MAX take o's running values as inputs, and DISTINCT takes o's
+// pairs, in o's order, rebuilt from their cells. o is consumed: its index, no
+// longer probed, keeps each of its groups' ordinal in t.
 func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
-	for og := 0; og < o.n; og++ {
-		orec, from := o.keys.at(og), o.aggs.at(og)
-		if g, slot := t.probe(o, orec); g < 0 {
-			g, rec := t.add(slot, uint64(orec[0]))
+	remap := o.index[:o.n] // at most half full, so long enough
+	for og := range remap {
+		orec := o.keys.at(og)
+		g, slot := t.probe(o, orec)
+		if g < 0 {
+			var rec []int64
+			g, rec = t.add(slot, uint64(orec[0]))
 			copy(rec, orec)
 			for j := 0; j < t.nk; j++ {
 				switch code := o.code(orec, j); {
@@ -333,13 +358,40 @@ func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
 					t.spillCell(g, j, o.spill[og*t.nk+j])
 				}
 			}
-			copy(t.aggs.at(g), from)
-		} else {
-			into := t.aggs.at(g)
-			for ai := range specs {
-				if err := into[ai].merge(specs[ai].agg, &from[ai]); err != nil {
-					return err
+		}
+		remap[og] = uint32(g)
+		into, from := t.aggs.at(g), o.aggs.at(og)
+		for ai := range specs {
+			if specs[ai].op == opCount && !specs[ai].agg.Distinct {
+				into[ai] += from[ai]
+			}
+		}
+	}
+	hash, ords := [stripRows]uint64{}, [stripRows]uint32{}
+	for ai := range specs {
+		s, src := &specs[ai], o // src's rows are the strip's: o's groups, or o's pairs
+		if s.agg.Distinct {
+			src = o.pairs[ai]
+		} else if s.op == opCount {
+			continue
+		}
+		a, args := vecAccum{}, sqltypes.Vec{}
+		for lo := 0; lo < src.n; lo += stripRows {
+			n := min(stripRows, src.n-lo)
+			args.Reset()
+			for i := range n {
+				og, v := lo+i, sqltypes.Null
+				if src == o {
+					v = o.stateValue(o.aggs.at(og), ai)
+				} else if og, v = 0, src.value(og, src.nk-1); src.nk == 2 {
+					og = int(src.keys.at(lo + i)[1]) // the pair's group
 				}
+				ords[i] = remap[og]
+				args.AppendValue(v)
+			}
+			a.bind(s, &args)
+			if err := a.fold(t, ai, 0, ords[:n], false, hash[:n]); err != nil {
+				return err
 			}
 		}
 	}

@@ -10,13 +10,20 @@ import (
 	"repro/internal/sqltypes"
 )
 
+// countStar is COUNT(*), the aggregate of the tests that count rows into a
+// table's cells by hand.
+var (
+	countStar  = aggSpec{agg: &qgm.Agg{Op: "count", Star: true}, op: opCount}
+	countStars = []aggSpec{countStar}
+)
+
 // TestGroupTableOrdinalsSurviveGrowth inserts enough keys to resize the index
 // and to open many slab segments, and checks what the GROUP BY paths rely on:
 // ordinals are dense in insertion order, and a key finds its ordinal, key values and
 // states again after every resize.
 func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 	const n = 10 * segGroups
-	tab := newGroupTable(2, 2)
+	tab := newGroupTable(2, []aggSpec{countStar, countStar})
 	key := func(i int) []sqltypes.Value {
 		return []sqltypes.Value{sqltypes.NewString(fmt.Sprintf("k%05d", i)), sqltypes.NewInt(int64(i % 3))}
 	}
@@ -24,7 +31,7 @@ func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 		if g := tab.find(key(i)); g != i || tab.n != i+1 {
 			t.Fatalf("insert %d: ordinal %d, len %d", i, g, tab.n)
 		}
-		tab.aggs.at(i)[1].count = int64(i)
+		tab.aggs.at(i)[1] = int64(i)
 	}
 	for i := n - 1; i >= 0; i-- {
 		if g := tab.find(key(i)); g != i || tab.n != n {
@@ -33,7 +40,7 @@ func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 		if got := keyValues(tab, i); got[0].Str() != key(i)[0].Str() || got[1].Int() != int64(i%3) {
 			t.Fatalf("key of %d = %v", i, got)
 		}
-		if got := tab.aggs.at(i)[1].count; got != int64(i) {
+		if got := tab.aggs.at(i)[1]; got != int64(i) {
 			t.Fatalf("aggs of %d = %d", i, got)
 		}
 	}
@@ -44,18 +51,17 @@ func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 // representative for shared groups, and combines their states. The shared
 // groups' key column is int in one partial and float in the other.
 func TestGroupTableMergeKeepsFirstAppearance(t *testing.T) {
-	specs := []aggSpec{{agg: &qgm.Agg{Op: "count", Star: true}}}
 	fill := func(keys ...sqltypes.Value) *groupTable {
-		tab := newGroupTable(1, 1)
+		tab := newGroupTable(1, countStars)
 		for _, k := range keys {
-			tab.aggs.at(tab.find([]sqltypes.Value{k}))[0].count++
+			tab.aggs.at(tab.find([]sqltypes.Value{k}))[0]++
 		}
 		return tab
 	}
 	i, f := sqltypes.NewInt, sqltypes.NewFloat
 	a := fill(i(1), i(2), i(1))
 	b := fill(f(3), f(2), f(2.5), f(2), sqltypes.Null)
-	if err := a.mergeFrom(b, specs); err != nil {
+	if err := a.mergeFrom(b, countStars); err != nil {
 		t.Fatal(err)
 	}
 	want := []struct {
@@ -66,8 +72,8 @@ func TestGroupTableMergeKeepsFirstAppearance(t *testing.T) {
 		t.Fatalf("merged len %d, want %d", a.n, len(want))
 	}
 	for g, w := range want {
-		if r := keyValues(a, g)[0]; r.Kind() != w.key.Kind() || r.String() != w.key.String() || a.aggs.at(g)[0].count != w.count {
-			t.Fatalf("group %d = (%v %s, %d), want %+v", g, r, r.Kind(), a.aggs.at(g)[0].count, w)
+		if r := keyValues(a, g)[0]; r.Kind() != w.key.Kind() || r.String() != w.key.String() || a.aggs.at(g)[0] != w.count {
+			t.Fatalf("group %d = (%v %s, %d), want %+v", g, r, r.Kind(), a.aggs.at(g)[0], w)
 		}
 	}
 }
@@ -162,7 +168,8 @@ func requireReprs(t testing.TB, tab *groupTable, first [][]sqltypes.Value) {
 // payload, booleans, NULL and the empty string, strings containing NUL,
 // generic columns, columns whose payload kind changes from chunk to chunk,
 // tables that rehash in the middle of a chunk (the index starts at 16 slots),
-// the empty grouping set, lookup-only calls, the one-row find, and mergeFrom
+// the empty grouping set (whose one group is there before any row), lookup-only
+// calls, the one-row find, and mergeFrom
 // of a second table built from differently typed chunks.
 func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -180,8 +187,12 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 		var refs [2][]ref
 		for side := range tabs {
 			for _, gs := range sets {
-				tabs[side] = append(tabs[side], newGroupTable(len(gs), 1))
-				refs[side] = append(refs[side], ref{ords: map[string]int{}})
+				r := ref{ords: map[string]int{}}
+				if len(gs) == 0 { // the empty grouping set's one group is there from the start
+					r = ref{ords: map[string]int{refKey(nil): 0}, count: []int64{0}, first: [][]sqltypes.Value{{}}}
+				}
+				tabs[side] = append(tabs[side], newGroupTable(len(gs), countStars))
+				refs[side] = append(refs[side], r)
 			}
 		}
 		keys := make([]keyCol, nCols)
@@ -231,7 +242,7 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 						t.Fatalf("trial %d chunk %d set %v row %d %v: ordinal %d, reference %d", trial, chunk, gs, di, key, g, want)
 					}
 					r.count[want]++
-					tab.aggs.at(want)[0].count++
+					tab.aggs.at(want)[0]++
 					if di%37 == 0 {
 						if one := tab.find(rowKey(gs, di)); one != want {
 							t.Fatalf("trial %d set %v %v: one-row find %d, batch %d", trial, gs, key, one, want)
@@ -246,7 +257,6 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 		}
 		// Merge side 1 into side 0: side 0's groups keep their ordinals, side
 		// 1's new ones follow in its order, counts add.
-		specs := []aggSpec{{agg: &qgm.Agg{Op: "count", Star: true}}}
 		for si, gs := range sets {
 			a, b := tabs[0][si], tabs[1][si]
 			want := refs[0][si]
@@ -259,15 +269,15 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 				}
 				want.count[want.ords[k]] += refs[1][si].count[g]
 			}
-			if err := a.mergeFrom(b, specs); err != nil {
+			if err := a.mergeFrom(b, countStars); err != nil {
 				t.Fatal(err)
 			}
 			if a.n != len(want.ords) {
 				t.Fatalf("trial %d set %v: %d groups after merge, reference %d", trial, gs, a.n, len(want.ords))
 			}
 			for g := 0; g < a.n; g++ {
-				if ord := want.ords[refKey(keyValues(a, g))]; ord != g || a.aggs.at(g)[0].count != want.count[g] {
-					t.Fatalf("trial %d set %v: merged group %d %v has reference ordinal %d, count %d vs %d", trial, gs, g, keyValues(a, g), ord, a.aggs.at(g)[0].count, want.count[g])
+				if ord := want.ords[refKey(keyValues(a, g))]; ord != g || a.aggs.at(g)[0] != want.count[g] {
+					t.Fatalf("trial %d set %v: merged group %d %v has reference ordinal %d, count %d vs %d", trial, gs, g, keyValues(a, g), ord, a.aggs.at(g)[0], want.count[g])
 				}
 			}
 			requireReprs(t, a, want.first)
@@ -314,13 +324,92 @@ func fuzzKeyVec(in *fuzzIn, v *sqltypes.Vec, n int) {
 	}
 }
 
-// FuzzGroupTable feeds strips of typed and generic key vectors through one
-// table with findBatch (lookup-only, then inserting), and the same rows
-// through two partials — the first strips to one, the rest to the other, by
-// findBatch or row by row with find — which are then merged with mergeFrom.
-// It checks every ordinal against a map keyed by the decimal GroupKey, every
-// representative against its group's first row bit for bit, and that the
-// merged partials equal the one table: groups, order, representatives, counts.
+// fuzzOneGroupSeed has no key columns and one strip of six float arguments,
+// all above zero (1.5, 1, 2, 19910412, 1e15, 1e300): a register fold that did
+// not start from its first value would get MIN wrong.
+var fuzzOneGroupSeed = []byte{0, 0, 5, 2, 3, 2, 5, 6, 20, 21}
+
+// fuzzSpecs are the aggregates FuzzGroupTable folds over its argument column:
+// COUNT(*), COUNT, MIN, MAX and the four DISTINCT forms, and SUM when withSum
+// — a SUM over strings is an error, so half the inputs leave it out and fold
+// every kind without one.
+func fuzzSpecs(withSum bool) []aggSpec {
+	specs := []aggSpec{countStar}
+	for _, distinct := range []bool{false, true} {
+		for _, op := range []aggOp{opCount, opSum, opMin, opMax} {
+			if op != opSum || distinct || withSum {
+				specs = append(specs, aggSpec{agg: &qgm.Agg{Op: [...]string{"count", "sum", "min", "max"}[op], Distinct: distinct}, op: op})
+			}
+		}
+	}
+	return specs
+}
+
+// fuzzGroup is the reference of one group: its rows, its non-NULL arguments in
+// row order, and their first appearances by decimal GroupKey.
+type fuzzGroup struct {
+	rows        int64
+	vals, dvals []sqltypes.Value
+	dseen       map[string]bool
+	sides       [2]bool // which partials its rows went to
+	allInt      bool    // every non-NULL argument is an int
+}
+
+// refFold is SUM, MIN or MAX over vals in order as the definitions read: the
+// first value as it is, then Add or Compare. A pairing that cannot be added
+// or compared is skipped by MIN/MAX and makes a DISTINCT result NULL.
+func refFold(op aggOp, distinct bool, vals []sqltypes.Value) sqltypes.Value {
+	var acc sqltypes.Value
+	for _, v := range vals {
+		if acc.IsNull() {
+			acc = v
+			continue
+		}
+		var c int
+		var err error
+		if op == opSum {
+			acc, err = sqltypes.Add(acc, v)
+		} else if c, err = sqltypes.Compare(v, acc); err == nil && (op == opMin && c < 0 || op == opMax && c > 0) {
+			acc = v
+		}
+		if err != nil && distinct {
+			return sqltypes.Null
+		}
+	}
+	return acc
+}
+
+// want is the reference result of aggregate s over group r.
+func (r *fuzzGroup) want(s *aggSpec) sqltypes.Value {
+	vals := r.vals
+	if s.agg.Distinct {
+		vals = r.dvals
+	}
+	switch {
+	case s.agg.Star:
+		return sqltypes.NewInt(r.rows)
+	case s.op == opCount:
+		return sqltypes.NewInt(int64(len(vals)))
+	}
+	return refFold(s.op, s.agg.Distinct, vals)
+}
+
+// FuzzGroupTable feeds strips of typed and generic key vectors, each row with
+// an argument of any kind, through one table with findBatch (lookup-only, then
+// inserting) and the pipeline's per-strip folds of COUNT/SUM/MIN/MAX and their
+// DISTINCT forms; and the same rows through two partials split at a fuzzed
+// row — each strip piece by findBatch and the strip folds, or row by row with
+// find and one-row strips, as the row path folds — which are then merged with
+// mergeFrom. With no key columns every strip is one group and the folds run
+// in a register. It checks every ordinal against a map keyed by the decimal
+// GroupKey, every representative against its group's first row bit for bit,
+// every result of the one table against the definitions over the rows in order
+// (refFold; DISTINCT over first appearances by GroupKey), and that the merged
+// partials equal the one table: groups, order, representatives and every
+// result bit for bit — except a non-DISTINCT SUM/MIN/MAX of a group on both
+// sides of the split whose arguments are not all ints, which merging may
+// legitimately re-associate or, past NaNs and mixed kinds, order differently.
+// A SUM that cannot add must fail on both routes.
 func FuzzGroupTable(f *testing.F) {
 	f.Add([]byte{2, 40, 6, 1, 9, 17, 23, 4, 7, 255, 248, 0, 0, 0, 0, 0, 1, 3, 2, 12, 5, 99, 0, 7})
 	rng := rand.New(rand.NewSource(25))
@@ -329,17 +418,35 @@ func FuzzGroupTable(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
-	specs := []aggSpec{{agg: &qgm.Agg{Op: "count", Star: true}}}
+	f.Add([]byte{})         // no key columns and no rows: the empty grouping set's one group, never fed
+	f.Add(fuzzOneGroupSeed) // no key columns: every strip folds in a register
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzIn(data)
-		nCols := 1 + in.next()%3
+		nCols, specs := in.next()%4, fuzzSpecs(in.next()%2 == 0)
 		set := allInts(nCols)
-		whole := newGroupTable(nCols, 1)
-		parts := [2]*groupTable{newGroupTable(nCols, 1), newGroupTable(nCols, 1)}
-		ords, first := map[string]int{}, [][]sqltypes.Value(nil)
+		whole := newGroupTable(nCols, specs)
+		parts := [2]*groupTable{newGroupTable(nCols, specs), newGroupTable(nCols, specs)}
+		ords, first, groups := map[string]int{}, [][]sqltypes.Value(nil), []*fuzzGroup(nil)
+		if nCols == 0 { // the empty grouping set's one group is there from the start
+			ords[refKey(nil)], first, groups = 0, [][]sqltypes.Value{{}}, []*fuzzGroup{{dseen: map[string]bool{}, allInt: true}}
+		}
 		keys, vecs := make([]keyCol, nCols), make([]sqltypes.Vec, nCols)
+		accums := make([]vecAccum, len(specs))
+		var arg, row sqltypes.Vec // the strip's argument column; one row of it
 		var hash [stripRows]uint64
 		var got [stripRows]uint32
+		var wholeErr, partErr error
+		// foldStrip folds rows lo to hi of the strip, whose groups are in got,
+		// into tab a strip at a time, as the pipeline does.
+		foldStrip := func(tab *groupTable, lo, hi int) error {
+			for ai := range specs {
+				accums[ai].bind(&specs[ai], &arg)
+				if err := accums[ai].fold(tab, ai, lo, got[:hi-lo], nCols == 0, hash[:hi-lo]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		side := 0
 		for strip := 0; len(in) > 0 && strip < 24; strip++ {
 			n := 1 + in.next()%96
@@ -347,6 +454,7 @@ func FuzzGroupTable(f *testing.F) {
 				fuzzKeyVec(&in, &vecs[c], n)
 				keys[c].load(&vecs[c], 0, n)
 			}
+			fuzzKeyVec(&in, &arg, n)
 			key := func(di int) []sqltypes.Value {
 				k := make([]sqltypes.Value, nCols)
 				for c := range k {
@@ -361,6 +469,12 @@ func FuzzGroupTable(f *testing.F) {
 				}
 			}
 			whole.findBatch(keys, set, hash[:n], got[:n], true)
+			cut := n // rows from cut on go to partial 1
+			if side == 0 && in.next()%4 == 0 {
+				cut, side = in.next()%(n+1), 1
+			} else if side == 1 {
+				cut = 0
+			}
 			for di, g := range got[:n] {
 				k := refKey(key(di))
 				want, known := ords[k]
@@ -368,25 +482,56 @@ func FuzzGroupTable(f *testing.F) {
 					want = len(ords)
 					ords[k] = want
 					first = append(first, key(di))
+					groups = append(groups, &fuzzGroup{dseen: map[string]bool{}, allInt: true})
 				}
 				if int(g) != want {
 					t.Fatalf("strip %d row %d %v: ordinal %d, reference %d", strip, di, key(di), g, want)
 				}
-				whole.aggs.at(want)[0].count++
-			}
-			if side == 0 && in.next()%4 == 0 {
-				side = 1
-			}
-			p := parts[side]
-			if in.next()%2 == 0 {
-				p.findBatch(keys, set, hash[:n], got[:n], true)
-			} else {
-				for di := range got[:n] {
-					got[di] = uint32(p.find(key(di)))
+				r, v := groups[want], arg.Value(di)
+				r.rows++
+				if di >= cut {
+					r.sides[1] = true
+				} else {
+					r.sides[0] = true
+				}
+				if v.IsNull() {
+					continue
+				}
+				r.vals = append(r.vals, v)
+				r.allInt = r.allInt && v.Kind() == sqltypes.KindInt
+				if gk := v.GroupKey(); !r.dseen[gk] {
+					r.dseen[gk] = true
+					r.dvals = append(r.dvals, v)
 				}
 			}
-			for _, g := range got[:n] {
-				p.aggs.at(int(g))[0].count++
+			if err := foldStrip(whole, 0, n); err != nil {
+				wholeErr = err
+			}
+			for p, lo, hi := 0, 0, cut; p < 2; p, lo, hi = p+1, cut, n {
+				if lo == hi {
+					continue
+				}
+				tab := parts[p]
+				if in.next()%2 == 0 {
+					for c := range keys {
+						keys[c].load(&vecs[c], lo, hi-lo)
+					}
+					tab.findBatch(keys, set, hash[:hi-lo], got[:hi-lo], true)
+					if err := foldStrip(tab, lo, hi); err != nil {
+						partErr = err
+					}
+					continue
+				}
+				for di := lo; di < hi; di++ {
+					row.RefillGeneric(1)[0] = arg.Value(di)
+					got[0] = uint32(tab.find(key(di)))
+					for ai := range specs {
+						accums[ai].bind(&specs[ai], &row)
+						if err := accums[ai].fold(tab, ai, 0, got[:1], nCols == 0, hash[:1]); err != nil {
+							partErr = err
+						}
+					}
+				}
 			}
 		}
 		if whole.n != len(ords) {
@@ -395,15 +540,28 @@ func FuzzGroupTable(f *testing.F) {
 		requireReprs(t, whole, first)
 		merged := parts[0]
 		if err := merged.mergeFrom(parts[1], specs); err != nil {
-			t.Fatal(err)
+			partErr = err
+		}
+		if (wholeErr != nil) != (partErr != nil) {
+			t.Fatalf("one table: %v; partials and merge: %v", wholeErr, partErr)
+		}
+		if wholeErr != nil {
+			return
 		}
 		if merged.n != whole.n {
 			t.Fatalf("merged partials hold %d groups, one table %d", merged.n, whole.n)
 		}
 		requireReprs(t, merged, first)
-		for g := 0; g < whole.n; g++ {
-			if m, w := merged.aggs.at(g)[0].count, whole.aggs.at(g)[0].count; m != w {
-				t.Fatalf("group %d %v: %d rows merged, %d in one table", g, first[g], m, w)
+		for g, r := range groups {
+			for ai := range specs {
+				s := &specs[ai]
+				w, m := whole.result(whole.aggs.at(g), ai, s), merged.result(merged.aggs.at(g), ai, s)
+				if want := r.want(s); !sameBits(w, want) {
+					t.Fatalf("group %d %v, %s(distinct %v): %v (%s), definition %v (%s)", g, first[g], s.agg.Op, s.agg.Distinct, w, w.Kind(), want, want.Kind())
+				}
+				if exact := s.op == opCount || s.agg.Distinct || !r.sides[0] || !r.sides[1] || r.allInt; exact && !sameBits(m, w) {
+					t.Fatalf("group %d %v, %s(distinct %v): %v (%s) merged, %v (%s) in one table", g, first[g], s.agg.Op, s.agg.Distinct, m, m.Kind(), w, w.Kind())
+				}
 			}
 		}
 	})

@@ -477,6 +477,281 @@ func TestSumDistinctFoldsInFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
+// distinctAgg is one aggregate of TestDistinctAggregatesMatchBruteForce: an
+// operator, DISTINCT or not, over column col ("" is COUNT(*)).
+type distinctAgg struct {
+	op       aggOp
+	distinct bool
+	col      string
+}
+
+func (a distinctAgg) sql() string {
+	name := [...]string{"count", "sum", "min", "max"}[a.op]
+	switch {
+	case a.col == "":
+		return "count(*)"
+	case a.distinct:
+		return name + "(distinct " + a.col + ")"
+	}
+	return name + "(" + a.col + ")"
+}
+
+// bruteForce answers a GROUP BY from its rows alone, with no group table:
+// per grouping set, groups keyed by the decimal GroupKeys of their values,
+// each aggregate over the group's non-NULL arguments in row order — for
+// DISTINCT, over each value's first appearance by GroupKey — folded as
+// refFold reads the definitions. Output rows are the selected grouping
+// columns (NULL when grouped out), then the aggregates, keyed by refKey of
+// their grouping columns.
+func bruteForce(rows [][]sqltypes.Value, cols map[string]int, groupBy []string, sets [][]string, aggs []distinctAgg) map[string][]sqltypes.Value {
+	type group struct {
+		out   []sqltypes.Value
+		vals  [][]sqltypes.Value // per aggregate: its arguments as it folds them
+		seen  []map[string]bool
+		count int64
+	}
+	want := map[string][]sqltypes.Value{}
+	for _, set := range sets {
+		groups, order := map[string]*group{}, []*group(nil)
+		for _, r := range rows {
+			out := make([]sqltypes.Value, len(groupBy)+len(aggs))
+			for i, c := range groupBy {
+				if slices.Contains(set, c) {
+					out[i] = r[cols[c]]
+				}
+			}
+			k := refKey(out[:len(groupBy)])
+			gr := groups[k]
+			if gr == nil {
+				gr = &group{out: out, vals: make([][]sqltypes.Value, len(aggs)), seen: make([]map[string]bool, len(aggs))}
+				groups[k] = gr
+				order = append(order, gr)
+			}
+			gr.count++
+			for ai, a := range aggs {
+				if a.col == "" || r[cols[a.col]].IsNull() {
+					continue
+				}
+				v := r[cols[a.col]]
+				if a.distinct {
+					if gr.seen[ai] == nil {
+						gr.seen[ai] = map[string]bool{}
+					}
+					if gr.seen[ai][v.GroupKey()] {
+						continue
+					}
+					gr.seen[ai][v.GroupKey()] = true
+				}
+				gr.vals[ai] = append(gr.vals[ai], v)
+			}
+		}
+		for _, gr := range order {
+			for ai, a := range aggs {
+				v := sqltypes.NewInt(gr.count)
+				switch {
+				case a.col == "":
+				case a.op == opCount:
+					v = sqltypes.NewInt(int64(len(gr.vals[ai])))
+				default:
+					v = refFold(a.op, a.distinct, gr.vals[ai])
+				}
+				gr.out[len(groupBy)+ai] = v
+			}
+			want[refKey(gr.out[:len(groupBy)])] = gr.out
+		}
+	}
+	return want
+}
+
+// TestDistinctAggregatesMatchBruteForce: COUNT/SUM/MIN/MAX DISTINCT beside
+// plain aggregates, under GROUP BY, ROLLUP and a global aggregate, against
+// answers computed here from the rows (bruteForce). The argument column holds
+// NULLs, 1 and 1.0, −0.0 and 0, and is int in one chunk, float in the next and
+// both after that (a generic vector); the string column has NULLs. Every case
+// runs on the interpreter and on the pipeline at 1, 2 and 4 workers: serially
+// every result is bit for bit, and with more workers too except a plain float
+// SUM, which merging may re-associate (1e-9). Two cases pin semantics: DISTINCT
+// sees two NaN payloads as one value, as GROUP BY does; and a DISTINCT set
+// whose values cannot be added or compared has a NULL SUM, MIN and MAX.
+func TestDistinctAggregatesMatchBruteForce(t *testing.T) {
+	const n = 5*storage.ChunkRows + 300 // five chunks and a bit: four workers at Parallelism 4
+	rng := rand.New(rand.NewSource(26))
+	i, f, str := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString
+	ints := []sqltypes.Value{i(0), i(1), i(2), i(-3), i(7), i(1 << 40)}
+	floats := []sqltypes.Value{f(1), f(math.Copysign(0, -1)), f(0), f(0.5), f(2.25), f(0.1), f(1e16), f(-1e16), f(7)}
+	mixed := func(_ int) sqltypes.Value {
+		return slices.Concat(ints, floats, []sqltypes.Value{sqltypes.Null})[rng.Intn(len(ints)+len(floats)+1)]
+	}
+	byChunk := func(row int) sqltypes.Value {
+		switch c := row / storage.ChunkRows; {
+		case rng.Intn(6) == 0:
+			return sqltypes.Null
+		case c == 0:
+			return ints[rng.Intn(len(ints))]
+		case c == 1:
+			return floats[rng.Intn(len(floats))]
+		}
+		return mixed(row)
+	}
+	nans := func(row int) sqltypes.Value {
+		return [...]sqltypes.Value{f(math.NaN()), f(math.Float64frombits(0xfff8000000000000)), f(float64(row % 3)), sqltypes.Null}[row%4]
+	}
+	incomparable := func(row int) sqltypes.Value {
+		switch row % 5 {
+		case 0: // group 0: strings and ints
+			return [...]sqltypes.Value{str("a"), i(1), str("b"), i(2)}[row/5%4]
+		case 1:
+			return ints[row/5%len(ints)]
+		case 2:
+			return str(fmt.Sprintf("v%d", row/5%4))
+		}
+		return mixed(row)
+	}
+	all := func(col string) []distinctAgg {
+		return []distinctAgg{{opCount, true, col}, {opSum, true, col}, {opMin, true, col}, {opMax, true, col}}
+	}
+	plain := []distinctAgg{{opCount, false, ""}, {opCount, false, "x"}, {opSum, false, "x"}, {opMin, false, "x"}, {opMax, false, "x"}}
+	strs := []distinctAgg{{opCount, true, "s"}, {opMin, true, "s"}, {opMax, true, "s"}}
+	for _, tc := range []struct {
+		name    string
+		x       func(row int) sqltypes.Value
+		groupBy []string
+		rollup  bool
+		aggs    []distinctAgg
+		nullKey []sqltypes.Value // a group whose SUM/MIN/MAX DISTINCT must be NULL
+	}{
+		{name: "group by", x: byChunk, groupBy: []string{"g"}, aggs: slices.Concat(all("x"), plain, strs)},
+		{name: "rollup", x: byChunk, groupBy: []string{"g", "h"}, rollup: true, aggs: slices.Concat(all("x"), plain[:3], strs)},
+		{name: "global", x: byChunk, aggs: slices.Concat(all("x"), plain, strs)},
+		{name: "global over a generic column", x: mixed, aggs: slices.Concat(all("x"), plain)},
+		{name: "two NaN payloads count once", x: nans, groupBy: []string{"g"}, aggs: []distinctAgg{{opCount, true, "x"}, {opCount, false, "x"}}},
+		{name: "incomparable DISTINCT set is NULL", x: incomparable, groupBy: []string{"g"}, aggs: all("x"), nullKey: []sqltypes.Value{i(0)}},
+	} {
+		cat := catalog.New()
+		cat.MustAddTable(&catalog.Table{Name: "t", Columns: []catalog.Column{
+			{Name: "g", Type: sqltypes.KindInt},
+			{Name: "h", Type: sqltypes.KindString},
+			{Name: "x", Type: sqltypes.KindFloat, Nullable: true},
+			{Name: "s", Type: sqltypes.KindString, Nullable: true},
+		}})
+		meta, _ := cat.Table("t")
+		rows := make([][]sqltypes.Value, n)
+		for r := range rows {
+			s := str(fmt.Sprintf("s%d", r*7%11))
+			if r%9 == 0 {
+				s = sqltypes.Null
+			}
+			rows[r] = []sqltypes.Value{i(int64(r % 5)), str(fmt.Sprintf("h%d", r/7%3)), tc.x(r), s}
+		}
+		store := storage.NewStore()
+		store.Put(meta, rows)
+
+		sel := slices.Clone(tc.groupBy)
+		for ai, a := range tc.aggs {
+			sel = append(sel, fmt.Sprintf("%s as a%d", a.sql(), ai))
+		}
+		sql, sets := "select "+strings.Join(sel, ", ")+" from t", [][]string{tc.groupBy}
+		switch {
+		case tc.rollup:
+			sql, sets = sql+" group by rollup(g, h)", [][]string{{"g", "h"}, {"g"}, {}}
+		case len(tc.groupBy) > 0:
+			sql += " group by " + strings.Join(tc.groupBy, ", ")
+		}
+		want := bruteForce(rows, map[string]int{"g": 0, "h": 1, "x": 2, "s": 3}, tc.groupBy, sets, tc.aggs)
+		if tc.nullKey != nil {
+			for ai, v := range want[refKey(tc.nullKey)][len(tc.groupBy):] {
+				if tc.aggs[ai].op != opCount && !v.IsNull() {
+					t.Fatalf("%s: the reference's %s is %v, not NULL", tc.name, tc.aggs[ai].sql(), v)
+				}
+			}
+		}
+		g, err := qgm.BuildSQL(sql, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		engine := NewEngine(store)
+		for _, cfg := range []Config{{Interpret: true}, {Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}} {
+			res, err := engine.RunCtx(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", tc.name, cfg, err)
+			}
+			if len(res.Rows) != len(want) {
+				t.Fatalf("%s %+v: %d rows, reference %d", tc.name, cfg, len(res.Rows), len(want))
+			}
+			for _, r := range res.Rows {
+				w := want[refKey(r[:len(tc.groupBy)])]
+				if w == nil {
+					t.Fatalf("%s %+v: row %v is not in the reference", tc.name, cfg, r)
+				}
+				for j, v := range r {
+					a := distinctAgg{}
+					if j >= len(tc.groupBy) {
+						a = tc.aggs[j-len(tc.groupBy)]
+					}
+					if reassoc := cfg.Parallelism > 1 && a.op == opSum && !a.distinct; reassoc && !valuesClose(v, w[j]) || !reassoc && !sameBits(v, w[j]) {
+						t.Fatalf("%s %+v: %s of %v is %v (%s), reference %v (%s)", tc.name, cfg, strings.Split(sel[j], " as ")[0], r[:len(tc.groupBy)], v, v.Kind(), w[j], w[j].Kind())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectDistinctBoxMatchesTheInterpreter: a SELECT box with Distinct set
+// (qgm.Build turns SELECT DISTINCT into a GROUP BY, so only a rewrite or an
+// edited graph makes one) dedupes the same on the pipeline as on the
+// interpreter. Over values at every class boundary —
+// 1 and 1.0, −0.0 and 0, two NaN payloads, NULL, strings, a column that is
+// int, then float, then both — both keep the first of each set of equal rows,
+// in order, bit for bit, at one and at two workers.
+func TestSelectDistinctBoxMatchesTheInterpreter(t *testing.T) {
+	cat := catalog.New()
+	cat.MustAddTable(&catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "g", Type: sqltypes.KindInt},
+		{Name: "x", Type: sqltypes.KindFloat, Nullable: true},
+	}})
+	meta, _ := cat.Table("t")
+	f := sqltypes.NewFloat
+	pool := []sqltypes.Value{sqltypes.NewInt(1), f(1), f(math.Copysign(0, -1)), f(0), sqltypes.NewInt(0), f(math.NaN()),
+		f(math.Float64frombits(0xfff8000000000000)), sqltypes.Null, f(2.5), sqltypes.NewString("a"), sqltypes.NewInt(7)}
+	rows := make([][]sqltypes.Value, 3*storage.ChunkRows)
+	for i := range rows {
+		x := pool[(i*7)%len(pool)]
+		switch c := i / storage.ChunkRows; {
+		case c == 0 && x.Kind() != sqltypes.KindInt:
+			x = sqltypes.NewInt(int64(i % 3))
+		case c == 1 && x.Kind() != sqltypes.KindFloat:
+			x = f(float64(i%3) + 0.5)
+		}
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i % 4)), x}
+	}
+	store := storage.NewStore()
+	store.Put(meta, rows)
+	g, err := qgm.BuildSQL("select x, g % 2 as p from t", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Root.Distinct = true
+	engine := NewEngine(store)
+	want, err := engine.RunCtx(context.Background(), g, Config{Interpret: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		got, err := engine.RunCtx(context.Background(), g, Config{Parallelism: par})
+		if err != nil || got.Mode != ModeVectorized || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("parallelism %d: %v, mode %s, %d rows, interpreter %d", par, err, got.Mode, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			for j, v := range want.Rows[i] {
+				if !sameBits(got.Rows[i][j], v) {
+					t.Fatalf("parallelism %d row %d: %v, interpreter %v", par, i, got.Rows[i], want.Rows[i])
+				}
+			}
+		}
+	}
+}
+
 // TestDateFunctions: YEAR/MONTH/DAY over DATE columns and NULL propagation.
 func TestDateFunctions(t *testing.T) {
 	cat := catalog.New()

@@ -103,7 +103,7 @@ func TestKeyScratchIsSizedByTheStrip(t *testing.T) {
 	for i := 0; i < storage.ChunkRows; i++ {
 		v.AppendValue(sqltypes.NewString(fmt.Sprintf("s%d", i%50))) // strings: the cells are not the payload
 	}
-	keys, tab := make([]keyCol, 1), newGroupTable(1, 0)
+	keys, tab := make([]keyCol, 1), newGroupTable(1, nil)
 	var hash [stripRows]uint64
 	var ords [stripRows]uint32
 	lookup := func(lo, n int) {

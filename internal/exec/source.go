@@ -195,7 +195,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		if err != nil {
 			return nil, "", err
 		}
-		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), 0)}
+		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
 		sd.ctx.setSlot(dq.ID, 0)
 		predKs := make([]predKernel, len(dimPreds[k]))
 		for i, p := range dimPreds[k] {

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"unsafe"
+
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 )
@@ -74,7 +76,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		sw := s.worker()
 		tables := make([]*groupTable, len(sets))
 		for si := range tables {
-			tables[si] = newGroupTable(len(sets[si]), len(aggSpecs))
+			tables[si] = newGroupTable(len(sets[si]), aggSpecs)
 		}
 		var ordinals [stripRows]uint32 // the strip's ordinals and hashes stay on this stack
 		var hashes [stripRows]uint64
@@ -106,7 +108,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 						return err
 					}
 				}
-				accums[ai].bind(aggSpecs[ai].agg, av)
+				accums[ai].bind(&aggSpecs[ai], av)
 			}
 			// The per-input-row budget charge, batched per chunk (same totals
 			// as the row path's per-row charge).
@@ -116,8 +118,8 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 			// A strip of rows at a time: the grouping vectors are normalised
 			// into key cells once, for all sets; per set one call turns rows
 			// into ordinals, then one aggregate at a time folds over
-			// (ordinals, argument vector). Each group still sees its rows in
-			// order, so float SUMs add up as on the row path.
+			// (ordinals, argument vector) into the state cells. Each group still
+			// sees its rows in order, so float SUMs add up as on the row path.
 			for at := 0; at < n; at += stripRows {
 				ords := ordinals[:min(stripRows, n-at)]
 				for pos := range keys {
@@ -127,7 +129,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 					t := tables[si]
 					t.findBatch(keys, gs, hashes[:len(ords)], ords, true)
 					for ai := range accums {
-						if err := accums[ai].fold(&t.aggs, ai, at, ords); err != nil {
+						if err := accums[ai].fold(t, ai, at, ords, len(gs) == 0, hashes[:len(ords)]); err != nil {
 							return err
 						}
 					}
@@ -145,13 +147,13 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	// into column chunks sized by the total group count.
 	merged := partials[0]
 	cw := chunkWriter{ncols: len(b.Cols)}
-	for si, gs := range sets {
+	for si := range sets {
 		for _, p := range partials[1:] {
 			if err := merged[si].mergeFrom(p[si], aggSpecs); err != nil {
 				return nil, err
 			}
 		}
-		cw.left += outRows(merged[si], gs)
+		cw.left += merged[si].n
 	}
 	for si, gs := range sets {
 		if err := ev.emitGroups(b, aggSpecs, gs, merged[si], cw.add); err != nil {
@@ -206,19 +208,23 @@ func (ev *evaluator) groupSource(b *qgm.Box, q *qgm.Quantifier, exprs []qgm.Expr
 	return s, cols, nil
 }
 
-// vecAccum folds one aggregate's argument vector into group states. bind
-// re-aims it at a chunk's vector and picks fold's loop once per chunk, so kind
-// dispatch is not per row; the typed modes mutate the same aggState fields the
-// row engine's accumulate does and fall back to it for anything outside
-// count/sum/min/max over typed numeric vectors, so merge and result semantics
-// are unchanged. One per aggregate per worker: no closure is built per chunk.
+// vecAccum folds one aggregate's argument vector into a table's state cells.
+// bind re-aims it at a chunk's vector and picks fold's loop once per chunk, so
+// kind dispatch is not per row; what the typed loops do not cover goes through
+// update. One per aggregate per worker: no closure is built per chunk.
 type vecAccum struct {
-	spec  *qgm.Agg
+	spec  *aggSpec
 	av    *sqltypes.Vec
 	mode  accumMode
-	op    aggOp // which of sum/min/max, for the typed modes
 	nulls bool
-	kbuf  []byte // DISTINCT key scratch
+	d     *pairStrip // made by the first bind of a DISTINCT aggregate
+}
+
+// pairStrip is a DISTINCT aggregate's strip: group ordinals, pair keys and ordinals.
+type pairStrip struct {
+	ords  sqltypes.Vec
+	keys  [2]keyCol
+	pords []uint32
 }
 
 type accumMode uint8
@@ -232,128 +238,143 @@ const (
 	accFloat // sum/min/max over a float payload
 )
 
-type aggOp uint8
-
-const (
-	opSum aggOp = iota
-	opMin
-	opMax
-)
-
-func (a *vecAccum) bind(spec *qgm.Agg, av *sqltypes.Vec) {
-	a.spec, a.av, a.mode = spec, av, accBoxed
+func (a *vecAccum) bind(spec *aggSpec, av *sqltypes.Vec) {
+	a.spec, a.av, a.mode, a.nulls = spec, av, accBoxed, av != nil && av.HasNulls()
 	switch {
-	case spec.Star:
+	case spec.agg.Star:
 		a.mode = accStar
-		return
-	case av.Generic():
-		return
-	case spec.Distinct:
+	case spec.agg.Distinct:
 		a.mode = accDistinct
-		return
-	}
-	a.nulls = av.HasNulls()
-	switch spec.Op {
-	case "count":
+		if a.d == nil {
+			a.d = new(pairStrip)
+		}
+	case av.Generic():
+	case spec.op == opCount:
 		a.mode = accCount
-		return
-	case "sum":
-		a.op = opSum
-	case "min":
-		a.op = opMin
-	case "max":
-		a.op = opMax
-	default:
-		return
-	}
-	switch av.Kind() {
-	case sqltypes.KindInt:
+	case av.Kind() == sqltypes.KindInt:
 		a.mode = accInt
-	case sqltypes.KindFloat:
+	case av.Kind() == sqltypes.KindFloat:
 		a.mode = accFloat
 	}
 }
 
-// fold adds a strip of the chunk's elements into aggregate ai of their groups:
-// element at+i goes to group ords[i]. The mode picks the loop, once per strip.
-func (a *vecAccum) fold(aggs *slab[aggState], ai, at int, ords []uint32) error {
-	av := a.av
+// fold adds a strip of the chunk's elements into aggregate ai of t: element
+// at+i goes to group ords[i]. The mode picks the loop, once per strip. When
+// the strip is one group's (one: the empty grouping set), COUNT adds once and
+// a typed SUM/MIN/MAX runs in a register, loading and storing the cell once;
+// the values still combine in row order, so the bits are the row path's. hash
+// is scratch as long as the strip.
+func (a *vecAccum) fold(t *groupTable, ai, at int, ords []uint32, one bool, hash []uint64) error {
+	av, n := a.av, len(ords)
 	switch a.mode {
-	case accStar:
-		for _, g := range ords {
-			aggs.at(int(g))[ai].count++
+	case accStar, accCount:
+		if one && !a.nulls {
+			t.aggs.at(int(ords[0]))[ai] += int64(n)
+			return nil
 		}
-	case accCount:
 		for i, g := range ords {
-			if !av.IsNull(at + i) {
-				aggs.at(int(g))[ai].count++
+			if a.mode == accStar || !av.IsNull(at+i) {
+				t.aggs.at(int(g))[ai]++
 			}
 		}
 	case accInt:
-		for i, x := range av.Ints[at : at+len(ords)] {
-			if a.nulls && av.IsNull(at+i) {
-				continue
-			}
-			if err := a.addInt(&aggs.at(int(ords[i]))[ai], x); err != nil {
-				return err
-			}
-		}
+		return foldTyped(a, t, ai, at, ords, one, av.Ints[at:at+n], sqltypes.KindInt)
 	case accFloat:
-		for i, f := range av.Floats[at : at+len(ords)] {
-			if a.nulls && av.IsNull(at+i) {
-				continue
-			}
-			if err := a.addFloat(&aggs.at(int(ords[i]))[ai], f); err != nil {
-				return err
-			}
-		}
+		return foldTyped(a, t, ai, at, ords, one, av.Floats[at:at+n], sqltypes.KindFloat)
 	case accBoxed:
 		for i, g := range ords {
-			if err := aggs.at(int(g))[ai].accumulate(a.spec, av.Value(at+i)); err != nil {
+			if err := t.update(t.aggs.at(int(g)), ai, a.spec, av.Value(at+i)); err != nil {
 				return err
 			}
 		}
 	case accDistinct:
-		for i, g := range ords {
-			if av.IsNull(at + i) {
-				continue
+		// One inserting findBatch gives each row its (group, argument) pair's
+		// ordinal; a row whose ordinal is the next new one is its value's first
+		// appearance in its group, and counts or folds. Rows are taken in order,
+		// so a group's values fold in first-appearance order whatever the strips.
+		d, p := a.d, t.pairs[ai]
+		if p.nk == 2 {
+			words := d.ords.RefillInts(sqltypes.KindInt, n)
+			for i, g := range ords {
+				words[i] = int64(g)
 			}
-			a.kbuf = sqltypes.AppendBinKeyValue(a.kbuf[:0], av.Value(at+i))
-			aggs.at(int(g))[ai].addDistinct(a.spec, a.kbuf, av.Value(at+i))
+			d.keys[0].load(&d.ords, 0, n)
+		}
+		d.keys[1].load(av, at, n)
+		d.pords = resize(d.pords, n)
+		next := uint32(p.n)
+		p.findBatch(d.keys[:], pairCols[2-p.nk:], hash, d.pords, true)
+		for i, po := range d.pords {
+			if po == next {
+				next++
+				if err := t.update(t.aggs.at(int(ords[i])), ai, a.spec, av.Value(at+i)); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// addInt and addFloat are the typed running values: same arithmetic as
-// aggState.fold on the same kinds (the strict inequalities match Compare's
-// cmpInt/cmpFloat exactly, so ties and NaN comparisons keep the current
-// extremum). A state holding another kind — earlier chunks of another payload
-// kind — takes the boxed route.
-func (a *vecAccum) addInt(s *aggState, x int64) error {
-	switch {
-	case s.val.IsNull():
-	case s.val.Kind() != sqltypes.KindInt:
-		return s.fold(a.spec.Op, sqltypes.NewInt(x))
-	case a.op == opSum:
-		x = s.val.Int() + x
-	case a.op == opMin && !(x < s.val.Int()), a.op == opMax && !(x > s.val.Int()):
+// pairCols are a pair table's key columns in a pairStrip's keys: the group
+// ordinal, then the argument; the empty grouping set's uses the argument alone.
+var pairCols = []int{0, 1}
+
+// foldTyped is fold's loop over a strip xs of an int or float payload of
+// kind kind. A state of that kind is its payload's bits in the word (an int
+// as it is, a float's IEEE bits), read and written by bit-cast; a state of
+// another kind takes update.
+func foldTyped[T int64 | float64](a *vecAccum, t *groupTable, ai, at int, ords []uint32, one bool, xs []T, kind sqltypes.Kind) error {
+	op, rec := a.spec.op, t.aggs.at(int(ords[0]))
+	if k := t.kindOf(rec, ai); one && (k == kind || k == sqltypes.KindNull) {
+		acc, have := bitcast[int64, T](rec[ai]), k == kind
+		for i, x := range xs {
+			switch {
+			case a.nulls && a.av.IsNull(at+i):
+			case have:
+				acc = combine(op, acc, x)
+			default:
+				acc, have = x, true
+			}
+		}
+		if have {
+			rec[ai] = bitcast[T, int64](acc)
+			t.setKind(rec, ai, kind)
+		}
 		return nil
 	}
-	s.val = sqltypes.NewInt(x)
+	for i, x := range xs {
+		if a.nulls && a.av.IsNull(at+i) {
+			continue
+		}
+		switch rec := t.aggs.at(int(ords[i])); t.kindOf(rec, ai) {
+		case kind:
+			rec[ai] = bitcast[T, int64](combine(op, bitcast[int64, T](rec[ai]), x))
+		case sqltypes.KindNull:
+			rec[ai] = bitcast[T, int64](x)
+			t.setKind(rec, ai, kind)
+		default:
+			if err := t.update(rec, ai, a.spec, a.av.Value(at+i)); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-func (a *vecAccum) addFloat(s *aggState, f float64) error {
+// bitcast reinterprets the eight bytes of x as a To: math.Float64bits and
+// its inverse, and the identity on an int64.
+func bitcast[From, To int64 | float64](x From) To { return *(*To)(unsafe.Pointer(&x)) }
+
+// combine is SUM, MIN or MAX of a running value and an input of one numeric
+// type. The strict comparisons keep the running value on ties and NaNs, as
+// Compare's do.
+func combine[T int64 | float64](op aggOp, acc, x T) T {
 	switch {
-	case s.val.IsNull():
-	case s.val.Kind() != sqltypes.KindFloat:
-		return s.fold(a.spec.Op, sqltypes.NewFloat(f))
-	case a.op == opSum:
-		f = s.val.Float() + f
-	case a.op == opMin && !(f < s.val.Float()), a.op == opMax && !(f > s.val.Float()):
-		return nil
+	case op == opSum:
+		return acc + x
+	case op == opMin && x < acc, op == opMax && x > acc:
+		return x
 	}
-	s.val = sqltypes.NewFloat(f)
-	return nil
+	return acc
 }

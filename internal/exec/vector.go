@@ -72,7 +72,7 @@ const (
 // (vecCompiler.newSlot) and refills it on each call, so a kernel's result is
 // valid until that kernel's next call on this worker — long enough for the
 // chunk, never longer. Whatever outlives the chunk (a group's cells, output
-// rows, DISTINCT sets) copies out. Slots grow to the live row count on
+// rows, DISTINCT pairs) copies out. Slots grow to the live row count on
 // first use; an unfiltered box never allocates selBuf, a box without lifted
 // kernels never allocates row.
 type chunkState struct {

@@ -373,9 +373,8 @@ func (v *Vec) Frozen() Vec {
 
 // AppendBinKeyValue appends v's binary grouping key to buf: the byte form of
 // KeyCell's equivalence classes (a class tag, then a fixed-width payload
-// except for strings), for the keys of Go maps — the row path's hash join and
-// the per-group DISTINCT sets. It distinguishes NaN payloads, which KeyCell
-// and the decimal GroupKey do not.
+// except for strings), for the keys of the row path's hash join, a Go map. It
+// distinguishes NaN payloads, which KeyCell and the decimal GroupKey do not.
 func AppendBinKeyValue(buf []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
