@@ -511,8 +511,9 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 // definition reads it — incrementally where the maintenance plan allows, by
 // full recomputation otherwise. Per-AST refresh failures are recorded in the
 // returned Stats (the AST goes stale) and joined into the returned error. The
-// batch is all-or-nothing: an unknown table or a row of the wrong arity
-// rejects it with nothing inserted and nothing refreshed.
+// batch is all-or-nothing: an unknown table (ErrUnknownTable), a row of the
+// wrong arity or a value its column refuses (ErrParse) rejects it with nothing
+// inserted and nothing refreshed.
 func (e *Engine) Insert(ctx context.Context, table string, rows [][]sqltypes.Value) ([]maintain.Stats, error) {
 	_, done, err := e.write(ctx)
 	if err != nil {
@@ -531,7 +532,8 @@ func (e *Engine) insert(table string, rows [][]sqltypes.Value) ([]maintain.Stats
 	if _, ok := e.store.Table(table); !ok {
 		e.store.Create(meta)
 	}
-	return e.maint.ApplyInsert(e.set.Load().plans, table, rows)
+	stats, err := e.maint.ApplyInsert(e.set.Load().plans, table, rows)
+	return stats, valueError(err)
 }
 
 // Refresh fully recomputes summary tables from the current base data: the

@@ -90,7 +90,7 @@ func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLRes
 			apply = e.maint.ApplyUpdate
 		}
 		n, stats, err := apply(e.set.Load().plans, dml)
-		return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, err
+		return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, valueError(err)
 	default:
 		return nil, fmt.Errorf("%w: expected INSERT, DELETE, or UPDATE, got %s", ErrParse, statementKind(stmt))
 	}
@@ -160,8 +160,10 @@ func statementKind(stmt parser.Statement) string {
 }
 
 // literalRows turns a parsed INSERT ... VALUES into rows for its table:
-// literal values only, with ISO date strings coerced into DATE-typed columns.
-// Summary tables are write-protected here exactly like DELETE/UPDATE targets.
+// literal values only. Fitting each value to its column — NOT NULL, kinds, ISO
+// strings into DATE columns — is the maintainer's, as it is for UPDATE's SET
+// values. Summary tables are write-protected here exactly like DELETE/UPDATE
+// targets.
 func (e *Engine) literalRows(s *parser.InsertStmt) (string, [][]sqltypes.Value, error) {
 	if err := e.rejectSummaryTarget(s.Table); err != nil {
 		return "", nil, err
@@ -179,14 +181,6 @@ func (e *Engine) literalRows(s *parser.InsertStmt) (string, [][]sqltypes.Value, 
 				return "", nil, fmt.Errorf("%w: INSERT values must be literals, got %s", ErrParse, expr.SQL())
 			}
 			vals[i] = lit.Val
-			if i < len(meta.Columns) && meta.Columns[i].Type == sqltypes.KindDate &&
-				lit.Val.Kind() == sqltypes.KindString {
-				d, err := sqltypes.ParseDate(lit.Val.Str())
-				if err != nil {
-					return "", nil, fmt.Errorf("%w: %w", ErrParse, err)
-				}
-				vals[i] = d
-			}
 		}
 		rows = append(rows, vals)
 	}

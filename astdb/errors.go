@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
+	"repro/internal/maintain"
 	"repro/internal/qgm"
 )
 
@@ -46,4 +47,15 @@ func compileError(err error) error {
 		return fmt.Errorf("%w: %w", ErrUnknownTable, err)
 	}
 	return fmt.Errorf("%w: %w", ErrParse, err)
+}
+
+// valueError classifies a write the maintainer refused before mutating
+// anything — a value its column does not take, an INSERT row of the wrong
+// arity — as an ErrParse: the statement does not type-check against its
+// table. Every other error passes through unchanged.
+func valueError(err error) error {
+	if errors.Is(err, maintain.ErrValue) {
+		return fmt.Errorf("%w: %w", ErrParse, err)
+	}
+	return err
 }

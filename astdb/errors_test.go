@@ -82,6 +82,25 @@ func TestTypedErrorSurface(t *testing.T) {
 		_, err := db.Query(ctx, "select nocol from trans")
 		check(t, err, astdb.ErrParse)
 	})
+	// A value its column refuses is the statement's fault, on every write route.
+	for _, c := range []struct{ name, sql string }{
+		{"insert-bad-date", "insert into trans values (900001, 1, 1, 9, '1995-13-04', 5, 9.5, 0.1)"},
+		{"insert-int-date", "insert into trans values (900001, 1, 1, 9, 19951399, 5, 9.5, 0.1)"},
+		{"insert-null", "insert into trans values (900001, 1, 1, 9, '1995-01-04', NULL, 9.5, 0.1)"},
+		{"insert-wrong-kind", "insert into trans values (900001, 'x', 1, 9, '1995-01-04', 5, 9.5, 0.1)"},
+		{"insert-arity", "insert into trans values (900001, 1)"},
+		{"update-null", "update trans set qty = NULL where tid = 1"},
+		{"update-bad-date", "update trans set date = 19951399 where tid = 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := db.ExecStatement(ctx, c.sql)
+			check(t, err, astdb.ErrParse)
+		})
+	}
+	t.Run("insert-api-null", func(t *testing.T) {
+		_, err := db.Insert(ctx, "loc", [][]sqltypes.Value{{sqltypes.Null, sqltypes.NewString("a"), sqltypes.NewString("b"), sqltypes.NewString("c")}})
+		check(t, err, astdb.ErrParse)
+	})
 	t.Run("unknown-table-query", func(t *testing.T) {
 		_, err := db.Query(ctx, "select a from nosuch")
 		check(t, err, astdb.ErrUnknownTable)

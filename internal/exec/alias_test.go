@@ -10,8 +10,8 @@ import (
 )
 
 // aliasFixture loads a tiny table and returns a graph whose root IS the base
-// table box — the shape where Result.Rows would alias the store's live row
-// slice if RunCtx didn't copy on return.
+// table box — the shape where Result.Rows could reach stored data if the run
+// handed back anything but rows of its own.
 func aliasFixture(t *testing.T) (*storage.Store, *qgm.Graph) {
 	t.Helper()
 	cat := catalog.New()

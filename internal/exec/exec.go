@@ -140,11 +140,6 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	rows := rel.rowsOf()
 	e.obsv.Add(CtrRowsEmitted, int64(len(rows)))
 	e.obsv.ObserveSince(HistRun, began)
-	// A base-table root would hand the caller the table's live row slice;
-	// consumers sort Result.Rows in place, which must never reorder storage.
-	if g.Root.Kind == qgm.BaseTableBox {
-		rows = append([][]sqltypes.Value(nil), rows...)
-	}
 	cols := make([]string, len(g.Root.Cols))
 	for i, c := range g.Root.Cols {
 		cols[i] = c.Name
@@ -190,13 +185,11 @@ func (ev *evaluator) checkpoint(n int) error {
 }
 
 // relation is what a box evaluates to and what the memo holds: the box's
-// output as column chunks, as rows, or both. A pipeline box emits chunks
-// whose vectors it owns or shares with frozen storage; either way they are
-// read-only from then on. The reference path emits rows. The other form is
-// derived once, on the main goroutine, and only when a consumer asks: rows by
-// a reference-path parent or the root Result (one slab for the whole
-// relation), chunks by a pipeline parent of a declined box (columnarize, the
-// one row→vector edge left).
+// output as column chunks, as rows, or both. A base table is its frozen
+// storage chunks, a pipeline box emits chunks (read-only from then on), the
+// reference path emits rows. The other form is derived once, on the main
+// goroutine, when a consumer asks: rows of the run's own by a reference-path
+// parent or the root Result, chunks by a pipeline parent of a declined box.
 type relation struct {
 	n      int
 	chunks []*storage.Chunk
@@ -212,24 +205,21 @@ func chunkRelation(chunks []*storage.Chunk) *relation {
 }
 
 func (r *relation) rowsOf() [][]sqltypes.Value {
-	if r.rows == nil && r.n > 0 {
-		slab := rowSlab{width: len(r.chunks[0].Cols)}
-		slab.reserve(r.n)
-		r.rows = make([][]sqltypes.Value, 0, r.n)
-		for _, c := range r.chunks {
-			for i := 0; i < c.N; i++ {
-				row := slab.next()
-				c.Row(i, row)
-				r.rows = append(r.rows, row)
-			}
-		}
+	if r.rows == nil {
+		r.rows = storage.Rows(r.chunks, r.n)
 	}
 	return r.rows
 }
 
+// chunksOf columnarizes a row-path box's rows for a pipeline parent. Row order
+// is preserved, so chunk-order merging keeps the row path's group order.
 func (r *relation) chunksOf(ncols int) []*storage.Chunk {
 	if r.chunks == nil && r.n > 0 {
-		r.chunks = columnarize(r.rows, ncols)
+		w := storage.Writer{Cols: ncols, Left: r.n}
+		for _, row := range r.rows {
+			w.Add(row)
+		}
+		r.chunks = w.Chunks
 	}
 	return r.chunks
 }
@@ -246,15 +236,16 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 	var err error
 	switch b.Kind {
 	case qgm.BaseTableBox:
-		rows, err = ev.store.Scan(b.Table.Name)
-		if err == nil {
-			ev.obsv.Add(CtrRowsScanned, int64(len(rows)))
-			err = ev.checkpoint(len(rows))
-		}
-		if err == nil {
-			// Poll unconditionally after a scan: a slow storage layer must
-			// surface the deadline here, not rows later in a join loop.
-			err = ev.chg.flush()
+		var chunks []*storage.Chunk
+		var n int
+		if chunks, n, err = ev.store.ScanChunks(b.Table.Name); err == nil {
+			rel = chunkRelation(chunks)
+			ev.obsv.Add(CtrRowsScanned, int64(n))
+			if err = ev.checkpoint(n); err == nil {
+				// Poll unconditionally after a scan: a slow storage layer must
+				// surface the deadline here, not rows later in a join loop.
+				err = ev.chg.flush()
+			}
 		}
 	case qgm.SelectBox:
 		if !ev.interpret {

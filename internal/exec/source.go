@@ -24,7 +24,7 @@ type source struct {
 	ectx    exprCtx
 	fact    *qgm.Quantifier
 	dimQs   []*qgm.Quantifier
-	rel     *relation // the fact, when it is an evaluated child and not a base table
+	rel     *relation // the fact, evaluated: a child box by planSource, a base table by open
 	filters []vecFilter
 	dims    []starDim
 	chunks  []*storage.Chunk // set by open
@@ -186,16 +186,17 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		}
 	}
 
-	// Build each dimension from its evaluated rows (memoized, charged as on
-	// the row path). The row path evaluates dimension expressions only on
-	// rows that survive the join, so an error here declines instead.
+	// Build each dimension from its evaluated relation (memoized, charged as
+	// on the row path), reading its rows through one buffer. The row path
+	// evaluates dimension expressions only on rows that survive the join, so
+	// an error here declines instead.
 	s.dims = make([]starDim, nd)
 	for k, dq := range s.dimQs {
 		rel, err := ev.evalBox(dq.Box)
 		if err != nil {
 			return nil, "", err
 		}
-		sd := starDim{rows: rel.rowsOf(), ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
+		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), n: rel.n, ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
 		sd.ctx.setSlot(dq.ID, 0)
 		predKs := make([]predKernel, len(dimPreds[k]))
 		for i, p := range dimPreds[k] {
@@ -208,28 +209,25 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		}
 		bd := make(binding, 1)
 		key := make([]sqltypes.Value, len(keyKs))
-		ords := make([]int32, len(sd.rows)) // per row: the ordinal of its key, -1 when it is not in the table
-	rows:
-		for ri, r := range sd.rows {
+		ords := make([]int32, rel.n) // per row: the ordinal of its key, -1 when it is not in the table
+		err = storage.EachRow(sd.chunks, func(ri int, r []sqltypes.Value) error {
 			bd[0], ords[ri] = r, -1
 			for _, pk := range predKs {
-				tv, err := pk(bd)
-				if err != nil {
-					return nil, declDimEval, nil
-				}
-				if tv != sqltypes.True {
-					continue rows
+				if tv, err := pk(bd); err != nil || tv != sqltypes.True {
+					return err
 				}
 			}
 			for i, kk := range keyKs {
-				if key[i], err = kk(bd); err != nil {
-					return nil, declDimEval, nil
-				}
-				if key[i].IsNull() {
-					continue rows // NULL join keys never match
+				var err error
+				if key[i], err = kk(bd); err != nil || key[i].IsNull() {
+					return err // NULL join keys never match
 				}
 			}
 			ords[ri] = int32(sd.table.find(key))
+			return nil
+		})
+		if err != nil {
+			return nil, declDimEval, nil
 		}
 		// Counting sort by ordinal: list[offsets[g]:offsets[g+1]] are the rows
 		// of key g, in row order.
@@ -258,15 +256,16 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 	return s, "", nil
 }
 
-// starDim is one dimension of a join: its rows, the fact-side key kernels
-// (evaluated per chunk) and a groupTable of its distinct keys, with each key's
-// rows as a CSR list: list[offsets[g]:offsets[g+1]] are the row numbers of the
-// key with ordinal g, in row order. Rows failing the dimension's local
-// predicates or carrying a NULL key are absent, so a NULL fact key finds
-// nothing (NULL join keys never match, as in hashJoin). Read-only once built:
-// workers probe it concurrently.
+// starDim is one dimension of a join: its chunks and row count, the
+// fact-side key kernels (evaluated per chunk) and a groupTable of its distinct
+// keys, with each key's rows as a CSR list: list[offsets[g]:offsets[g+1]] are
+// the row numbers of the key with ordinal g, in row order. Rows failing the
+// dimension's local predicates or carrying a NULL key are absent, so a NULL
+// fact key finds nothing (NULL join keys never match, as in hashJoin).
+// Read-only once built: workers probe it concurrently.
 type starDim struct {
-	rows    [][]sqltypes.Value
+	chunks  []*storage.Chunk
+	n       int
 	ctx     *exprCtx
 	keyKs   []vecKernel
 	set     []int // all the key columns, in order
@@ -306,18 +305,18 @@ func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
 		default:
 			c.src, c.dimVals = src, new(sqltypes.Vec)
 			dim := &s.dims[src]
-			rk := dim.ctx.compileScalar(e)
-			bd := make(binding, 1)
-			for ri, r := range dim.rows {
+			rk, bd := dim.ctx.compileScalar(e), make(binding, 1)
+			err := storage.EachRow(dim.chunks, func(ri int, r []sqltypes.Value) error {
 				bd[0] = r
 				v, err := rk(bd)
-				if err != nil {
-					return nil, declDimEval
-				}
 				if ri == 0 {
-					c.dimVals.Reserve(v.Kind(), len(dim.rows))
+					c.dimVals.Reserve(v.Kind(), dim.n)
 				}
 				c.dimVals.AppendValue(v)
+				return err
+			})
+			if err != nil {
+				return nil, declDimEval
 			}
 		}
 		if len(s.dims) > 0 {
@@ -327,14 +326,15 @@ func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
 	return out, ""
 }
 
-// open fetches the fact chunks: the child's relation, or a scan with the same
-// budget charges, counters and fault site as the row path's base-box scan.
+// open fetches the fact chunks: the child's relation, or the base table's,
+// whose scan waits until here.
 func (s *source) open() (err error) {
-	if s.rel != nil {
-		s.chunks, s.total = s.rel.chunksOf(len(s.fact.Box.Cols)), s.rel.n
-		return nil
+	if s.rel == nil {
+		s.rel, err = s.ev.evalBox(s.fact.Box)
 	}
-	s.chunks, s.total, err = s.ev.scanChunks(s.fact.Box.Table.Name)
+	if err == nil {
+		s.chunks, s.total = s.rel.chunksOf(len(s.fact.Box.Cols)), s.rel.n
+	}
 	return err
 }
 
@@ -463,41 +463,4 @@ func (w *srcWorker) eval(c *srcCol) (*sqltypes.Vec, error) {
 	out := w.cs.slot(c.slot)
 	out.Gather(src, idx)
 	return out, nil
-}
-
-// chunkWriter builds a relation's chunks a row at a time, ChunkRows rows to a
-// chunk; left is how many rows are still to come, so each chunk's vectors are
-// sized once, from the first row's kinds.
-type chunkWriter struct {
-	ncols, left int
-	chunks      []*storage.Chunk
-}
-
-func (w *chunkWriter) add(row []sqltypes.Value) {
-	var c *storage.Chunk
-	if k := len(w.chunks); k > 0 && w.chunks[k-1].N < storage.ChunkRows {
-		c = w.chunks[k-1]
-	} else {
-		c = &storage.Chunk{Cols: make([]sqltypes.Vec, w.ncols)}
-		for ci := range c.Cols {
-			c.Cols[ci].Reserve(row[ci].Kind(), min(w.left, storage.ChunkRows))
-		}
-		w.chunks = append(w.chunks, c)
-	}
-	for ci := range c.Cols {
-		c.Cols[ci].AppendValue(row[ci])
-	}
-	c.N++
-	w.left--
-}
-
-// columnarize builds read-only chunks from a row-path box's rows, for a
-// vectorized parent: the one place rows turn back into vectors. Row order is
-// preserved, so chunk-order merging keeps the row path's group order.
-func columnarize(rows [][]sqltypes.Value, ncols int) []*storage.Chunk {
-	w := chunkWriter{ncols: ncols, left: len(rows)}
-	for _, r := range rows {
-		w.add(r)
-	}
-	return w.chunks
 }

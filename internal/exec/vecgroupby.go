@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // evalGroupByVec is the aggregation sink: it folds the tuples of its source
@@ -146,23 +147,23 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	// Merge workers' per-set partials in chunk order, then emit set by set
 	// into column chunks sized by the total group count.
 	merged := partials[0]
-	cw := chunkWriter{ncols: len(b.Cols)}
+	w := storage.Writer{Cols: len(b.Cols)}
 	for si := range sets {
 		for _, p := range partials[1:] {
 			if err := merged[si].mergeFrom(p[si], aggSpecs); err != nil {
 				return nil, err
 			}
 		}
-		cw.left += merged[si].n
+		w.Left += merged[si].n
 	}
 	for si, gs := range sets {
-		if err := ev.emitGroups(b, aggSpecs, gs, merged[si], cw.add); err != nil {
+		if err := ev.emitGroups(b, aggSpecs, gs, merged[si], w.Add); err != nil {
 			return nil, err
 		}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
 	ev.usedVector = true
-	return chunkRelation(cw.chunks), nil
+	return chunkRelation(w.Chunks), nil
 }
 
 // groupSource plans where a GROUP BY's tuples come from. A child that is a

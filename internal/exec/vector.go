@@ -646,23 +646,6 @@ func exprOverQuant(e qgm.Expr, qid int, scalars map[int]sqltypes.Value) bool {
 	return ok
 }
 
-// scanChunks scans a base table in chunk form with the same budget charges,
-// counters and fault-site behavior as the row path's base-box scan.
-func (ev *evaluator) scanChunks(name string) ([]*storage.Chunk, int, error) {
-	chunks, n, err := ev.store.ScanChunks(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	ev.obsv.Add(CtrRowsScanned, int64(n))
-	if err := ev.checkpoint(n); err != nil {
-		return nil, 0, err
-	}
-	if err := ev.chg.flush(); err != nil {
-		return nil, 0, err
-	}
-	return chunks, n, nil
-}
-
 // evalSelectVec is the projection sink: the box's source yields each chunk's
 // tuples, the output expressions evaluate over them, and the resulting vectors
 // leave as one output chunk per input chunk — only what the filters and the

@@ -2,12 +2,12 @@
 // chunks are writable between allocation and their freeze call, and frozen
 // views are never written. Abstract state per variable: unknown (untracked),
 // mutable (freshly allocated this function), or frozen (result of
-// Chunk.frozen / frozenChunks / SnapshotChunks / ScanChunks / Vec.Frozen, a
-// read of tableView.frozen, or — outside internal/storage — any chunk-typed
+// Chunk.frozen / SnapshotChunks / ScanChunks / Vec.Frozen, a read of
+// tableView.frozen, or — outside internal/storage — any chunk-typed
 // parameter, since consumers only ever receive frozen views). Joins take the
 // maximum, so a value frozen on any path is frozen. Writes through a frozen
 // root (field/index assigns, IncDec, append/copy into its backing,
-// designated mutator methods like appendRow/AppendValue) are findings.
+// designated mutator methods like AppendValue) are findings.
 // Inside internal/storage, passing a frozen value to a module-internal
 // callee not certified read-only by the summary table is also a finding;
 // other packages only get the direct-write and known-mutator rules, because
@@ -39,17 +39,9 @@ const (
 // frozenReturning maps callees to the result indices that are frozen views.
 var frozenReturning = map[string][]int{
 	"repro/internal/storage.(Chunk).frozen":             {0},
-	"repro/internal/storage.frozenChunks":               {0},
 	"repro/internal/storage.(TableData).SnapshotChunks": {0},
 	"repro/internal/storage.(Store).ScanChunks":         {0},
 	"repro/internal/sqltypes.(Vec).Frozen":              {0},
-}
-
-// freshReturning maps callees to result indices that are freshly allocated
-// mutable chunks.
-var freshReturning = map[string][]int{
-	"repro/internal/storage.newChunk":    {0},
-	"repro/internal/storage.buildChunks": {0},
 }
 
 func runChunkFreeze(p *Package) []Finding {
@@ -206,14 +198,8 @@ func exprChunkState(p *Package, s *chunkFacts, e ast.Expr) chunkState {
 		if isBuiltin(p.Info, x, "new") || isBuiltin(p.Info, x, "make") {
 			return chunkMutable
 		}
-		if f := calleeOf(p.Info, x); f != nil {
-			key := funcKey(f)
-			if idx, ok := frozenReturning[key]; ok && slices.Contains(idx, 0) {
-				return chunkFrozen
-			}
-			if idx, ok := freshReturning[key]; ok && slices.Contains(idx, 0) {
-				return chunkMutable
-			}
+		if f := calleeOf(p.Info, x); f != nil && slices.Contains(frozenReturning[funcKey(f)], 0) {
+			return chunkFrozen
 		}
 	}
 	return chunkUnknown
@@ -251,18 +237,14 @@ func applyChunkTransfer(p *Package, s *chunkFacts, n ast.Node) {
 	if len(asn.Rhs) == 1 && len(asn.Lhs) > 1 {
 		// Tuple assign from one call: per-result classification.
 		if call, ok := ast.Unparen(asn.Rhs[0]).(*ast.CallExpr); ok {
-			var frozenIdx, freshIdx []int
+			var frozenIdx []int
 			if f := calleeOf(p.Info, call); f != nil {
 				frozenIdx = frozenReturning[funcKey(f)]
-				freshIdx = freshReturning[funcKey(f)]
 			}
 			for i, l := range asn.Lhs {
-				switch {
-				case slices.Contains(frozenIdx, i):
+				if slices.Contains(frozenIdx, i) {
 					setBare(l, chunkFrozen)
-				case slices.Contains(freshIdx, i):
-					setBare(l, chunkMutable)
-				default:
+				} else {
 					setBare(l, chunkUnknown)
 				}
 			}

@@ -21,6 +21,7 @@ package maintain
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // maxScopedGroups caps how many groups one scoped recompute will restrict the
@@ -38,10 +40,17 @@ import (
 // recomputing everything, so the refresh falls back to full.
 const maxScopedGroups = 256
 
+// ErrValue marks a statement rejected for a value its column refuses, or an
+// INSERT row of the wrong arity: the statement's fault, checked before
+// anything is mutated.
+var ErrValue = errors.New("maintain: value does not fit its column")
+
 // ApplyInsert appends rows to a base table and refreshes every AST whose
 // definition reads it (incrementally where the plan allows); plans for ASTs
-// not reading the table are skipped. The batch is all-or-nothing: a row of the
-// wrong arity rejects it before any merge is prepared or any row appended.
+// not reading the table are skipped. Every cell is checked against its column
+// as UPDATE's SET values are (coerceValue), and the batch is all-or-nothing: a
+// row of the wrong arity or a value its column refuses rejects it before any
+// merge is prepared or any row appended, and the rows land in one publication.
 //
 // Failures degrade per AST instead of aborting, as apply describes: the
 // returned error joins the per-AST failures and the Stats slice is always
@@ -52,16 +61,23 @@ func (m *Maintainer) ApplyInsert(plans []*Plan, table string, rows [][]sqltypes.
 	if !ok {
 		return nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
+	cols := td.Meta.Columns
+	checked := make([][]sqltypes.Value, len(rows))
 	for i, r := range rows {
-		if len(r) != len(td.Meta.Columns) {
-			return nil, fmt.Errorf("maintain: row %d has %d values, table %s has %d columns",
-				i, len(r), td.Meta.Name, len(td.Meta.Columns))
+		if len(r) != len(cols) {
+			return nil, fmt.Errorf("%w: row %d has %d values, table %s has %d columns",
+				ErrValue, i, len(r), td.Meta.Name, len(cols))
+		}
+		checked[i] = make([]sqltypes.Value, len(r))
+		for j, v := range r {
+			var err error
+			if checked[i][j], err = coerceValue(v, cols[j]); err != nil {
+				return nil, fmt.Errorf("maintain: row %d, column %s: %w", i, cols[j].Name, err)
+			}
 		}
 	}
-	return m.apply(plans, table, "maintain.incremental:", nil, rows, func() {
-		for _, r := range rows {
-			td.MustInsert(r...) // arity, its only failure, was checked above
-		}
+	return m.apply(plans, table, "maintain.incremental:", nil, checked, func() error {
+		return td.Rewrite(nil, checked)
 	})
 }
 
@@ -85,79 +101,87 @@ func (m *Maintainer) ApplyUpdate(plans []*Plan, dml *qgm.DML) (int, []Stats, err
 	return m.applyWhere(plans, dml, "maintain.update:", true)
 }
 
-// applyWhere walks a snapshot of dml's table once, splitting it by the WHERE
-// into the rows the statement leaves alone and the rows it matches; matched
-// rows are dropped, or with set rewritten through dml's assignments. The new
-// base table replaces the old one in a single copy-on-write Put, so concurrent
-// readers keep a consistent pre-mutation snapshot.
+// applyWhere walks the chunks of dml's table once, through one reused row
+// buffer, and records the positions its WHERE matches: each matched row is
+// dropped, or with set rewritten through dml's assignments in place. The base
+// table is then rewritten copy-on-write (TableData.Rewrite), so concurrent
+// readers keep a consistent pre-mutation snapshot and every chunk the
+// statement does not reach is shared.
 func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bool) (int, []Stats, error) {
 	table := strings.ToLower(dml.Table.Name)
 	td, ok := m.store.Table(table)
 	if !ok {
 		return 0, nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
-	snap := td.Snapshot()
+	chunks, _ := td.SnapshotChunks()
 	ev := exec.NewRowEvaluator(dml.Q)
 	var oldRows, newRows [][]sqltypes.Value
-	newBase := make([][]sqltypes.Value, 0, len(snap))
-	for _, row := range snap {
+	var edits []storage.Edit
+	err := storage.EachRow(chunks, func(pos int, row []sqltypes.Value) error {
 		if dml.Where != nil {
-			tri, err := ev.Pred(dml.Where, row)
-			if err != nil {
-				return 0, nil, fmt.Errorf("maintain: %v WHERE: %w", dml.Kind, err)
-			}
-			if tri != sqltypes.True {
-				newBase = append(newBase, row)
-				continue
+			if tri, err := ev.Pred(dml.Where, row); err != nil {
+				return fmt.Errorf("maintain: %v WHERE: %w", dml.Kind, err)
+			} else if tri != sqltypes.True {
+				return nil
 			}
 		}
-		oldRows = append(oldRows, row)
-		if !set {
-			continue
-		}
-		nr := append([]sqltypes.Value(nil), row...)
-		for _, s := range dml.Sets {
-			col := dml.Table.Columns[s.Col]
-			v, err := ev.Scalar(s.Expr, row)
-			if err == nil {
-				v, err = coerceValue(v, col)
+		old := slices.Clone(row)
+		oldRows = append(oldRows, old)
+		edit := storage.Edit{Pos: pos}
+		if set {
+			edit.Row = slices.Clone(old)
+			for _, s := range dml.Sets {
+				col := dml.Table.Columns[s.Col]
+				v, err := ev.Scalar(s.Expr, old)
+				if err == nil {
+					v, err = coerceValue(v, col)
+				}
+				if err != nil {
+					return fmt.Errorf("maintain: UPDATE SET %s: %w", col.Name, err)
+				}
+				edit.Row[s.Col] = v
 			}
-			if err != nil {
-				return 0, nil, fmt.Errorf("maintain: UPDATE SET %s: %w", col.Name, err)
-			}
-			nr[s.Col] = v
+			newRows = append(newRows, edit.Row)
 		}
-		newRows = append(newRows, nr)
-		newBase = append(newBase, nr)
+		edits = append(edits, edit)
+		return nil
+	})
+	if err != nil || len(oldRows) == 0 {
+		return 0, nil, err
 	}
-	if len(oldRows) == 0 {
-		return 0, nil, nil
-	}
-	stats, err := m.apply(plans, table, site, oldRows, newRows, func() { m.store.Put(td.Meta, newBase) })
+	stats, err := m.apply(plans, table, site, oldRows, newRows, func() error { return td.Rewrite(edits, nil) })
 	return len(oldRows), stats, err
 }
 
-// coerceValue conforms an evaluated SET value to its column: NOT NULL is
-// enforced, integers widen into float columns, and integer yyyymmdd values
-// land in date columns.
+// coerceValue conforms a value to its column, for INSERT's cells and UPDATE's
+// SET values alike: NOT NULL is enforced, integers widen into float columns,
+// and ISO strings and integer yyyymmdd values land in date columns when
+// ParseDate's range check passes. Every error it returns is an ErrValue.
 func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 	if v.IsNull() {
 		if !col.Nullable {
-			return v, fmt.Errorf("NULL into NOT NULL column")
+			return v, fmt.Errorf("%w: NULL into NOT NULL column", ErrValue)
 		}
 		return v, nil
 	}
+	var err error
 	switch {
 	case v.Kind() == col.Type:
 		return v, nil
 	case col.Type == sqltypes.KindFloat && v.Kind() == sqltypes.KindInt:
 		return sqltypes.NewFloat(v.Float()), nil
+	case col.Type == sqltypes.KindDate && v.Kind() == sqltypes.KindString:
+		v, err = sqltypes.ParseDate(v.Str())
 	case col.Type == sqltypes.KindDate && v.Kind() == sqltypes.KindInt:
 		n := v.Int()
-		return sqltypes.NewDate(int(n/10000), int((n/100)%100), int(n%100)), nil
+		v, err = sqltypes.CheckedDate(int(n/10000), int((n/100)%100), int(n%100))
 	default:
-		return v, fmt.Errorf("%v value into %v column", v.Kind(), col.Type)
+		err = fmt.Errorf("%v value into %v column", v.Kind(), col.Type)
 	}
+	if err != nil {
+		return v, fmt.Errorf("%w: %w", ErrValue, err)
+	}
+	return v, nil
 }
 
 // apply is the one write sequence behind INSERT, DELETE and UPDATE. For every
@@ -176,7 +200,7 @@ func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 // A Maintainer has no lock of its own: two apply calls racing on one store
 // lose base rows and publish merges of each other's pre-images. Callers
 // serialize writers (astdb.Engine does, with its writer slot).
-func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [][]sqltypes.Value, mutate func()) ([]Stats, error) {
+func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [][]sqltypes.Value, mutate func() error) ([]Stats, error) {
 	type job struct {
 		p     *Plan
 		pm    *pendingMerge // nil = full recompute
@@ -198,12 +222,14 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 		jobs = append(jobs, j)
 	}
 
-	mutate()
+	if err := mutate(); err != nil {
+		return nil, err
+	}
 
 	var out []Stats
 	var errs []error
 	for _, j := range jobs {
-		if j.pm == nil || m.scopedRecompute(j.p, j.pm) != nil {
+		if j.pm == nil || m.scopedRecompute(j.p, j.pm) != nil || j.pm.mat.Rewrite(j.pm.edits, j.pm.added) != nil {
 			st, err := m.RefreshFull(j.p)
 			st.Duration = time.Since(j.start)
 			out = append(out, st)
@@ -213,9 +239,6 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 			continue
 		}
 		st := j.pm.st
-		if st.DeltaRows > 0 {
-			m.store.Put(j.p.AST.Table, j.pm.rows)
-		}
 		m.markFresh(st.AST)
 		st.Duration = time.Since(j.start)
 		out = append(out, st)
@@ -232,21 +255,24 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 	return out, errors.Join(errs...)
 }
 
-// pendingMerge is a prepared (but unpublished) post-statement materialization.
+// pendingMerge is a prepared (but unpublished) post-statement materialization:
+// a copy of every group the deltas touch, by position — its merged row, or
+// nil when it retires — and the groups they add.
 type pendingMerge struct {
-	rows   [][]sqltypes.Value
-	scoped map[string][]sqltypes.Value // group key → grouping-key values
+	mat    *storage.TableData
+	edits  []storage.Edit     // in position order
+	added  [][]sqltypes.Value // new groups, appended in order
+	scoped map[string]int     // group key → its entry in edits, to recompute
 	st     Stats
 }
 
-// groupKey renders a row's grouping-key columns into a map key.
-func (p *Plan) groupKey(r []sqltypes.Value) string {
-	var sb strings.Builder
+// groupKey appends the rendering of a row's grouping-key columns, a map key,
+// to buf.
+func (p *Plan) groupKey(buf []byte, r []sqltypes.Value) []byte {
 	for _, k := range p.keyCols {
-		sb.WriteString(r[k].GroupKey())
-		sb.WriteByte(0)
+		buf = append(r[k].AppendGroupKey(buf), 0)
 	}
-	return sb.String()
+	return buf
 }
 
 // prepareMerge evaluates one AST's delete delta (its definition over oldRows)
@@ -290,53 +316,58 @@ func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows 
 }
 
 // mergeDeltas folds a delete delta and an insert delta (either may be empty)
-// into a copy of the current materialization; it is copy-on-write down to the
-// row, so a reader holding the published table never sees a change. Retirement
-// is strict: a delete delta for a group the materialization does not hold, or
-// a tracker going negative, means the materialization and the base disagree —
+// into a pending rewrite of the current materialization. One walk over the
+// table finds the groups the deltas name and copies just those rows, so a
+// reader holding the published table never sees a change. Retirement is
+// strict: a delete delta for a group the materialization does not hold, or a
+// tracker going negative, means the materialization and the base disagree —
 // the merge is abandoned (full recompute) rather than published.
 func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pendingMerge, error) {
 	mat, ok := m.store.Table(p.Name())
 	if !ok {
 		return nil, fmt.Errorf("maintain: AST %q not materialized", p.Name())
 	}
-	pm := &pendingMerge{scoped: map[string][]sqltypes.Value{}}
+	pm := &pendingMerge{mat: mat, scoped: map[string]int{}}
 	pm.st = Stats{AST: p.Name(), Strategy: Incremental, DeltaRows: len(del) + len(ins)}
 	if pm.st.DeltaRows == 0 {
-		return pm, nil // nothing to fold in; apply publishes nothing
+		return pm, nil // nothing to fold in; the rewrite is empty
 	}
-	snap := mat.Snapshot()
-	merged := make([][]sqltypes.Value, len(snap), len(snap)+len(ins))
-	copy(merged, snap)
-	index := make(map[string]int, len(merged))
-	for i, r := range merged {
-		index[p.groupKey(r)] = i
+	index := make(map[string]int, len(del)+len(ins)) // a delta's group key → its entry in pm.edits, -1 for none
+	for _, d := range slices.Concat(del, ins) {
+		index[string(p.groupKey(nil, d))] = -1
 	}
+	chunks, _ := mat.SnapshotChunks()
+	var buf []byte
+	_ = storage.EachRow(chunks, func(pos int, row []sqltypes.Value) error { // never fails: the callback returns nil
+		if buf = p.groupKey(buf[:0], row); index[string(buf)] == -1 {
+			index[string(buf)] = len(pm.edits)
+			pm.edits = append(pm.edits, storage.Edit{Pos: pos, Row: slices.Clone(row)})
+		}
+		return nil
+	})
 	scopedCol := make(map[int]bool, len(p.scopedCols))
 	for _, c := range p.scopedCols {
 		scopedCol[c] = true
 	}
-	dead := map[int]bool{}
 
 	for _, d := range del {
-		k := p.groupKey(d)
-		i, ok := index[k]
-		if !ok {
+		k := string(p.groupKey(nil, d))
+		e := index[k]
+		if e < 0 {
 			return nil, fmt.Errorf("maintain: delete delta names a group %s does not hold", p.Name())
 		}
-		nr := append([]sqltypes.Value(nil), merged[i]...)
+		nr := pm.edits[e].Row
 		oc, dc := nr[p.counterCol], d[p.counterCol]
 		if oc.IsNull() || dc.IsNull() {
 			return nil, fmt.Errorf("maintain: NULL tracker count in %s", p.Name())
 		}
-		n := oc.Int() - dc.Int()
-		if n < 0 {
+		left := oc.Int() - dc.Int()
+		if left < 0 {
 			return nil, fmt.Errorf("maintain: tracker count of %s went negative", p.Name())
 		}
-		if n == 0 {
+		if left == 0 {
 			// Every row of the group left: retire it.
-			dead[i] = true
-			delete(index, k)
+			pm.edits[e].Row, index[k] = nil, -1
 			pm.st.Retired++
 			continue
 		}
@@ -356,47 +387,29 @@ func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pending
 			}
 			nr[ci] = v
 		}
-		nr[p.counterCol] = sqltypes.NewInt(n)
+		nr[p.counterCol] = sqltypes.NewInt(left)
 		if len(p.scopedCols) > 0 {
-			kv := make([]sqltypes.Value, len(p.keyCols))
-			for j, kc := range p.keyCols {
-				kv[j] = nr[kc]
-			}
-			pm.scoped[k] = kv
+			pm.scoped[k] = e
 		}
-		merged[i] = nr
 		pm.st.Merged++
 	}
 	for _, d := range ins {
-		k := p.groupKey(d)
-		if i, ok := index[k]; ok {
+		k := string(p.groupKey(nil, d))
+		if e := index[k]; e >= 0 {
 			// Insert-side merge is the ApplyInsert rule; scoped columns
 			// are overwritten by the recompute below anyway.
-			nr := append([]sqltypes.Value(nil), merged[i]...)
-			if err := mergeRow(p, nr, d); err != nil {
+			if err := mergeRow(p, pm.edits[e].Row, d); err != nil {
 				return nil, err
 			}
-			merged[i] = nr
 			pm.st.Merged++
 		} else {
 			// New group (or one fully retired above and reborn from the
 			// new rows alone — the insert delta is then its exact value).
-			nr := append([]sqltypes.Value(nil), d...)
-			merged = append(merged, nr)
-			index[k] = len(merged) - 1
+			// An insert delta names each group once, so it is not indexed.
+			pm.added = append(pm.added, slices.Clone(d))
 			pm.st.Added++
 		}
 	}
-	if len(dead) > 0 {
-		final := make([][]sqltypes.Value, 0, len(merged)-len(dead))
-		for i, r := range merged {
-			if !dead[i] {
-				final = append(final, r)
-			}
-		}
-		merged = final
-	}
-	pm.rows = merged
 	return pm, nil
 }
 
@@ -404,7 +417,7 @@ func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pending
 // groups a delete touched: it re-evaluates the AST definition over the
 // post-mutation base tables with the affected groups' key equalities injected
 // into the lower box, then splices the recomputed rows into the pending
-// materialization. The injected plan is gated through qgmcheck before it
+// merge's copies of them. The injected plan is gated through qgmcheck before it
 // runs. No-op when no group needs it.
 func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 	if len(pm.scoped) == 0 {
@@ -428,13 +441,14 @@ func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 	var or qgm.Expr
 	for _, k := range keys {
 		var and qgm.Expr
+		r := pm.edits[pm.scoped[k]].Row
 		for j, ord := range p.keyLowerOrds {
 			e := lower.Cols[ord].Expr
 			var c qgm.Expr
-			if pm.scoped[k][j].IsNull() {
+			if v := r[p.keyCols[j]]; v.IsNull() {
 				c = &qgm.IsNull{E: e}
 			} else {
-				c = &qgm.Bin{Op: "=", L: e, R: qgm.NewConst(pm.scoped[k][j])}
+				c = &qgm.Bin{Op: "=", L: e, R: qgm.NewConst(v)}
 			}
 			if and == nil {
 				and = c
@@ -458,20 +472,16 @@ func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 	}
 	byKey := make(map[string][]sqltypes.Value, len(res.Rows))
 	for _, r := range res.Rows {
-		byKey[p.groupKey(r)] = r
+		byKey[string(p.groupKey(nil, r))] = r
 	}
-	for i, r := range pm.rows {
-		k := p.groupKey(r)
-		if _, affected := pm.scoped[k]; !affected {
-			continue
-		}
+	for k, e := range pm.scoped {
 		nr, ok := byKey[k]
 		if !ok {
 			// The tracker says rows remain but the recompute found none: the
 			// materialization and base disagree.
 			return fmt.Errorf("maintain: scoped recompute lost group in %s", p.Name())
 		}
-		pm.rows[i] = append([]sqltypes.Value(nil), nr...)
+		pm.edits[e].Row = slices.Clone(nr)
 	}
 	pm.st.Scoped = len(pm.scoped)
 	return nil

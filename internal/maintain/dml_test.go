@@ -9,7 +9,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/parser"
 	"repro/internal/qgm"
-	"repro/internal/sqltypes"
 )
 
 func buildDelete(t testing.TB, f *fixture, sql string) *qgm.DML {
@@ -195,9 +194,9 @@ func TestScopedRecomputeCap(t *testing.T) {
 	ca := f.compile(t, "capast", `
 		select flid, count(*) as c, min(price) as mn from trans group by flid`)
 	p := f.m.Analyze(ca)
-	pm := &pendingMerge{scoped: map[string][]sqltypes.Value{}}
+	pm := &pendingMerge{scoped: map[string]int{}}
 	for i := 0; i <= maxScopedGroups; i++ {
-		pm.scoped[fmt.Sprint(i)] = []sqltypes.Value{sqltypes.NewInt(int64(i))}
+		pm.scoped[fmt.Sprint(i)] = i
 	}
 	if err := f.m.scopedRecompute(p, pm); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("want cap error, got %v", err)

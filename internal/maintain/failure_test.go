@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/qgm"
+	"repro/internal/sqltypes"
 )
 
 // newTrackedFixture is newFixture with the maintainer wired to the catalog.
@@ -250,28 +251,38 @@ func TestRefreshFullDirectRecovery(t *testing.T) {
 	checkAgainstRecompute(t, f, ca)
 }
 
-// TestInsertBatchIsAllOrNothing: arity is checked for the whole batch before
-// any merge is prepared or any row appended, so a batch whose last row is
-// short changes neither the base table nor a summary table, and staleness is
-// not how the caller finds out.
+// TestInsertBatchIsAllOrNothing: arity and every cell's column check are done
+// for the whole batch before any merge is prepared or any row appended, so a
+// batch whose last row is short, or carries a value its column refuses,
+// changes neither the base table nor a summary table — the same *TableData
+// holds the same published chunks — and staleness is not how the caller finds
+// out.
 func TestInsertBatchIsAllOrNothing(t *testing.T) {
 	f := newTrackedFixture(t, 600)
 	ca := f.compile(t, "allornone", `select flid, count(*) as c, sum(qty) as s from trans group by flid`)
 	plan := f.m.Analyze(ca)
-	before := f.store.MustTable("allornone").Snapshot()
+	before := f.store.MustTable("allornone")
+	beforeChunks, _ := before.SnapshotChunks()
 
-	rows := randTransRows(f, rand.New(rand.NewSource(15)), 10)
-	rows[9] = rows[9][:3]
-	stats, err := f.m.ApplyInsert([]*Plan{plan}, "trans", rows)
-	if err == nil || stats != nil {
-		t.Fatalf("short last row: stats=%+v err=%v, want nil and an error", stats, err)
-	}
-	if got := f.store.MustTable("trans").Cardinality(); got != 600 {
-		t.Fatalf("trans has %d rows, want 600: part of the batch was inserted", got)
-	}
-	after := f.store.MustTable("allornone").Snapshot()
-	if len(after) != len(before) || (len(after) > 0 && &after[0] != &before[0]) {
-		t.Fatal("the summary table was republished by a rejected batch")
+	for name, spoil := range map[string]func([]sqltypes.Value) []sqltypes.Value{
+		"short last row":       func(r []sqltypes.Value) []sqltypes.Value { return r[:3] },
+		"NULL qty in last row": func(r []sqltypes.Value) []sqltypes.Value { r[5] = sqltypes.Null; return r },
+		"string faid":          func(r []sqltypes.Value) []sqltypes.Value { r[1] = sqltypes.NewString("x"); return r },
+	} {
+		rows := randTransRows(f, rand.New(rand.NewSource(15)), 10)
+		rows[9] = spoil(rows[9])
+		stats, err := f.m.ApplyInsert([]*Plan{plan}, "trans", rows)
+		if err == nil || stats != nil {
+			t.Fatalf("%s: stats=%+v err=%v, want nil and an error", name, stats, err)
+		}
+		if got := f.store.MustTable("trans").Cardinality(); got != 600 {
+			t.Fatalf("%s: trans has %d rows, want 600: part of the batch was inserted", name, got)
+		}
+		after := f.store.MustTable("allornone")
+		afterChunks, _ := after.SnapshotChunks()
+		if after != before || len(afterChunks) == 0 || &afterChunks[0] != &beforeChunks[0] {
+			t.Fatalf("%s: the summary table was republished by a rejected batch", name)
+		}
 	}
 	if st := f.cat.Status("allornone"); st.Stale || st.Quarantined || st.Epoch != 0 {
 		t.Fatalf("a rejected batch changed the AST's status: %+v", st)

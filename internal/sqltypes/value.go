@@ -108,10 +108,16 @@ func ParseDate(s string) (Value, error) {
 	if err != nil {
 		return Null, fmt.Errorf("sqltypes: malformed date %q: %v", s, err)
 	}
-	if m < 1 || m > 12 || d < 1 || d > 31 || y < 0 || y > 9999 {
-		return Null, fmt.Errorf("sqltypes: date out of range %q", s)
+	return CheckedDate(y, m, d)
+}
+
+// CheckedDate returns the date year-month-day, or an error when a component
+// is out of range: a year of 0–9999, a month of 1–12, a day of 1–31.
+func CheckedDate(year, month, day int) (Value, error) {
+	if month < 1 || month > 12 || day < 1 || day > 31 || year < 0 || year > 9999 {
+		return Null, fmt.Errorf("sqltypes: date out of range %04d-%02d-%02d", year, month, day)
 	}
-	return NewDate(y, m, d), nil
+	return NewDate(year, month, day), nil
 }
 
 // MustParseDate is ParseDate that panics on error; for tests and literals.

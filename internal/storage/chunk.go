@@ -18,25 +18,6 @@ type Chunk struct {
 	Cols []sqltypes.Vec
 }
 
-// newChunk returns an empty chunk with ncols column vectors.
-func newChunk(ncols int) *Chunk {
-	return &Chunk{Cols: make([]sqltypes.Vec, ncols)}
-}
-
-// appendRow appends one row to the chunk, NULL-padding short rows and
-// dropping values beyond the schema width (Insert arity-checks; bulk loads
-// are trusted to match their catalog schema).
-func (c *Chunk) appendRow(row []sqltypes.Value) {
-	for i := range c.Cols {
-		if i < len(row) {
-			c.Cols[i].AppendValue(row[i])
-		} else {
-			c.Cols[i].AppendNull()
-		}
-	}
-	c.N++
-}
-
 // Row materializes row i of the chunk into dst (which must have length
 // len(Cols)).
 func (c *Chunk) Row(i int, dst []sqltypes.Value) {
@@ -61,29 +42,76 @@ func (c *Chunk) frozen() *Chunk {
 	return f
 }
 
-// buildChunks converts row-major data to chunks.
-func buildChunks(ncols int, rows [][]sqltypes.Value) []*Chunk {
-	chunks := make([]*Chunk, 0, (len(rows)+ChunkRows-1)/ChunkRows)
-	var cur *Chunk
-	for _, r := range rows {
-		if cur == nil || cur.N == ChunkRows {
-			cur = newChunk(ncols)
-			chunks = append(chunks, cur)
-		}
-		cur.appendRow(r)
-	}
-	return chunks
+// Writer is the one place rows turn into chunks — a table's inserts, bulk
+// loads and rewrites, and the executor's output and row-path relations all go
+// through Add. It fills Chunks ChunkRows rows to a chunk, so every chunk but
+// the last is full. Left is how many rows are still to come (0 when unknown):
+// a new chunk reserves its vectors once, for that many rows up to ChunkRows,
+// in the kinds of its first row. A row has at least Cols values.
+type Writer struct {
+	Cols   int
+	Left   int
+	N      int
+	Chunks []*Chunk
 }
 
-// materializeRows converts chunks back to row-major data.
-func materializeRows(n int, chunks []*Chunk) [][]sqltypes.Value {
+// Add appends one row. Only the last chunk is written, and only past its
+// length, so frozen views of it stay valid.
+func (w *Writer) Add(row []sqltypes.Value) {
+	k := len(w.Chunks)
+	if k == 0 || w.Chunks[k-1].N == ChunkRows {
+		c := &Chunk{Cols: make([]sqltypes.Vec, w.Cols)}
+		for i := range c.Cols {
+			c.Cols[i].Reserve(row[i].Kind(), min(max(w.Left, 0), ChunkRows))
+		}
+		w.Chunks = append(w.Chunks, c)
+		k++
+	}
+	c := w.Chunks[k-1]
+	for i := range c.Cols {
+		c.Cols[i].AppendValue(row[i])
+	}
+	c.N++
+	w.N++
+	w.Left--
+}
+
+// Rows materializes n rows of chunks into rows the caller owns, carved,
+// capacity-capped, from one fresh block.
+func Rows(chunks []*Chunk, n int) [][]sqltypes.Value {
+	if n == 0 {
+		return nil
+	}
+	width := len(chunks[0].Cols)
+	vals := make([]sqltypes.Value, n*width)
 	rows := make([][]sqltypes.Value, 0, n)
 	for _, c := range chunks {
 		for i := 0; i < c.N; i++ {
-			row := make([]sqltypes.Value, len(c.Cols))
+			row := vals[:width:width]
+			vals = vals[width:]
 			c.Row(i, row)
 			rows = append(rows, row)
 		}
 	}
 	return rows
+}
+
+// EachRow calls f with every row of chunks and its position, in order, each
+// loaded into one buffer reused from row to row: f must not keep it. It stops
+// at f's first error and returns it.
+func EachRow(chunks []*Chunk, f func(pos int, row []sqltypes.Value) error) error {
+	var buf []sqltypes.Value
+	pos := 0
+	for _, c := range chunks {
+		if buf == nil {
+			buf = make([]sqltypes.Value, len(c.Cols))
+		}
+		for i := 0; i < c.N; i, pos = i+1, pos+1 {
+			c.Row(i, buf)
+			if err := f(pos, buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -4,21 +4,21 @@
 // graphs over this store.
 //
 // Layout: each table's rows live in fixed-capacity column-major chunks
-// (ChunkRows rows each; per-column typed vectors with null bitmaps — see
-// Chunk). The vectorized executor scans chunks directly via ScanChunks; the
-// row engine and maintenance layer read through the row-view adapter
-// (Scan/Snapshot), a lazily materialized [][]Value cache that is kept warm
-// across appends.
+// (ChunkRows rows each, every chunk but the last full; per-column typed
+// vectors with null bitmaps — see Chunk). Chunks are the only stored form of
+// a table. The executor and the write path read them through ScanChunks and
+// SnapshotChunks; Scan and Snapshot materialize rows per call for readers that
+// want rows. Rows become chunks in one place, Writer.Add.
 //
 // Concurrency: reads are lock-free. The store's table map is an rcu.Map and
 // each table's data view an rcu.Cell: Scan, ScanChunks, Table, Cardinality,
 // and TableRows load the current immutable generation and never block behind
-// a writer. Writers (Insert, Put, Create, Drop) publish the replacement — a
-// copied table map, or a frozen chunk view — and in-flight readers keep
-// whatever generation they loaded. Snapshots are therefore stable by
-// construction: Scan returns a row-slice header and SnapshotChunks returns
-// frozen chunk headers that appends never reach, and Put swaps the whole
-// table so readers keep their old version.
+// a writer. Writers (Insert, Rewrite, Put, Create, Drop) publish the
+// replacement — a copied table map, or a frozen chunk view — and in-flight
+// readers keep whatever generation they loaded. Snapshots are therefore
+// stable by construction: SnapshotChunks returns frozen chunk headers that
+// appends never reach, Rewrite builds new chunks for whatever it changes, and
+// Put swaps the whole table so readers keep their old version.
 //
 // Key invariant: the table map is keyed by the ASCII-lowercased table name,
 // normalized once when a writer registers the table (Create/Put/Overlay/
@@ -37,34 +37,27 @@ import (
 )
 
 // tableView is one immutable published generation of a table's data: frozen
-// chunks, the row count they cover, and (once materialized) the row-view
-// cache.
+// chunks and the row count they cover. It is the only stored form of a table;
+// rows exist only where a caller asks for them (Snapshot, Scan).
 type tableView struct {
 	frozen []*Chunk // frozen: sealed chunks shared, tail header-copied
 	n      int      // row count covered by chunks
-	rows   [][]sqltypes.Value
-	rowsOK bool
 }
 
-// TableData is the stored data of one table: column-major chunks, plus a
-// lazily built row-view cache serving the row-at-a-time engine.
+// TableData is the stored data of one table: column-major chunks, every one
+// but the last full, so row pos is row pos%ChunkRows of chunk pos/ChunkRows.
 //
 // The canonical (mutable) chunks are the unpublished builder, touched only by
-// Insert; every read goes through the immutable generation in view, so scans
-// never contend with an in-flight append. The builder keeps a lock of its own
-// although an engine admits one writer at a time: loaders, examples and tests
-// insert into a TableData directly, without the engine's writer slot.
+// Insert and Rewrite; every read goes through the immutable generation in
+// view, so scans never contend with an in-flight write. The builder keeps a
+// lock of its own although an engine admits one writer at a time: loaders,
+// examples and tests insert into a TableData directly, without the engine's
+// writer slot.
 type TableData struct {
 	Meta *catalog.Table
 
-	builder rcu.Guarded[tableBuilder] // what the next view is built from
-	view    rcu.Cell[tableView]       // current read snapshot
-}
-
-// tableBuilder is the state of a table no reader sees.
-type tableBuilder struct {
-	chunks []*Chunk // canonical column-major data
-	n      int      // total row count
+	builder rcu.Guarded[Writer] // what the next view is built from
+	view    rcu.Cell[tableView] // current read snapshot
 }
 
 // Store maps table names to their data. All methods are safe for concurrent
@@ -77,33 +70,26 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// newTableData builds a table from row-major data, seeding the row-view
-// cache with the given slice (callers hand ownership over, as they did when
-// rows were the primary representation).
+// newTableData builds a table from row-major data, which the caller keeps.
+// Rows of the wrong arity are a programming error: it panics.
 func newTableData(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
 	td := &TableData{Meta: meta}
-	if len(rows) > 0 {
-		td.builder.Do(func(b *tableBuilder) {
-			b.chunks, b.n = buildChunks(len(meta.Columns), rows), len(rows)
-			td.view.Update(func(tableView) tableView {
-				return tableView{frozen: frozenChunks(b.chunks), n: b.n, rows: rows, rowsOK: true}
-			})
-		})
+	td.builder.Do(func(b *Writer) { b.Cols = len(meta.Columns) })
+	if err := td.Rewrite(nil, rows); err != nil {
+		panic(err)
 	}
 	return td
 }
 
-// frozenChunks returns the read-only view of the canonical chunks: sealed
-// chunks are shared, the tail is header-copied (Chunk.frozen).
-func frozenChunks(chunks []*Chunk) []*Chunk {
-	if len(chunks) == 0 {
-		return nil
+// publish makes the builder's chunks the next read generation: full chunks
+// are shared, the tail is header-copied (Chunk.frozen). Callers hold the
+// builder's lock, so generations publish in the order they were written.
+func (t *TableData) publish(b *Writer) {
+	next := tableView{frozen: make([]*Chunk, len(b.Chunks)), n: b.N}
+	for i, c := range b.Chunks {
+		next.frozen[i] = c.frozen()
 	}
-	snap := make([]*Chunk, len(chunks))
-	for i, c := range chunks {
-		snap[i] = c.frozen()
-	}
-	return snap
+	t.view.Update(func(tableView) tableView { return next })
 }
 
 // Create registers an empty table with the given schema.
@@ -191,11 +177,10 @@ func (s *Store) Overlay(name string, meta *catalog.Table, rows [][]sqltypes.Valu
 	return out
 }
 
-// Scan returns a snapshot of a table's rows for execution. It is the
-// storage-layer fault site ("storage.scan:<table>"): chaos tests inject scan
-// errors and delays here to prove the pipeline answers from base tables
-// anyway.
-func (s *Store) Scan(name string) ([][]sqltypes.Value, error) {
+// scan resolves a table for a scan. It is the storage-layer fault site
+// ("storage.scan:<table>"): chaos tests inject scan errors and delays here to
+// prove the pipeline answers from base tables anyway.
+func (s *Store) scan(name string) (*TableData, error) {
 	td, ok := s.Table(name)
 	if !ok {
 		return nil, fmt.Errorf("storage: table %q not loaded", strings.ToLower(name))
@@ -203,45 +188,38 @@ func (s *Store) Scan(name string) ([][]sqltypes.Value, error) {
 	if err := faultinject.Hit("storage.scan:" + td.Meta.Name); err != nil {
 		return nil, fmt.Errorf("storage: scanning %q: %w", td.Meta.Name, err)
 	}
+	return td, nil
+}
+
+// Scan returns a table's rows, materialized for this call (Snapshot).
+func (s *Store) Scan(name string) ([][]sqltypes.Value, error) {
+	td, err := s.scan(name)
+	if err != nil {
+		return nil, err
+	}
 	return td.Snapshot(), nil
 }
 
 // ScanChunks returns a frozen column-major snapshot of a table plus its row
-// count, for the vectorized executor. It hits the same fault site as Scan —
-// chaos coverage does not depend on which executor path runs.
+// count, for the executor. It hits the same fault site as Scan.
 func (s *Store) ScanChunks(name string) ([]*Chunk, int, error) {
-	td, ok := s.Table(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("storage: table %q not loaded", strings.ToLower(name))
-	}
-	if err := faultinject.Hit("storage.scan:" + td.Meta.Name); err != nil {
-		return nil, 0, fmt.Errorf("storage: scanning %q: %w", td.Meta.Name, err)
+	td, err := s.scan(name)
+	if err != nil {
+		return nil, 0, err
 	}
 	chunks, n := td.SnapshotChunks()
 	return chunks, n, nil
 }
 
-// Snapshot returns the current rows as a stable slice header: rows appended
-// after the call are not visible through it. The fast path is one atomic
-// view load; only the first call after a bulk chunk load pays materializing
-// the row view, which then stays warm across Inserts.
+// Snapshot returns the current rows, materialized for this call into rows
+// the caller owns. The write path and the executor read chunks instead.
 func (t *TableData) Snapshot() [][]sqltypes.Value {
-	if v := t.view.Load(); v.rowsOK {
-		return v.rows
-	}
-	var rows [][]sqltypes.Value
-	t.view.Update(func(v tableView) tableView {
-		if !v.rowsOK { // still cold: no writer published a warm view meanwhile
-			v.rows, v.rowsOK = materializeRows(v.n, v.frozen), true
-		}
-		rows = v.rows
-		return v
-	})
-	return rows
+	v := t.view.Load()
+	return Rows(v.frozen, v.n)
 }
 
 // SnapshotChunks returns the frozen chunk view and the row count it covers.
-// Lock-free: the view is republished by every append, so readers never wait
+// Lock-free: the view is republished by every write, so readers never wait
 // behind a writer. Sealed chunks are shared; the tail chunk is header-copied
 // with cloned null bitmaps (see Chunk.frozen).
 func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
@@ -249,35 +227,79 @@ func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
 	return v.frozen, v.n
 }
 
-// Insert appends one row after arity-checking it, then publishes the next
-// read view: the canonical chunks advance under the builder's lock, and the
-// frozen snapshot (plus the row-view cache, when materialized) becomes the
-// next generation, so concurrent scans observe either the old or the new one,
-// never a half-appended row. The lock is held across the publication so that
-// two inserts publish in the order they appended.
+// Insert appends one row after arity-checking it and publishes the next read
+// view (a one-row Rewrite): the canonical tail chunk grows past what earlier
+// generations see, so concurrent scans observe either the old or the new
+// generation, never a half-appended row.
 func (t *TableData) Insert(row []sqltypes.Value) error {
-	if len(row) != len(t.Meta.Columns) {
-		return fmt.Errorf("storage: row arity %d != %d for table %s", len(row), len(t.Meta.Columns), t.Meta.Name)
-	}
-	t.builder.Do(func(b *tableBuilder) {
-		last := len(b.chunks) - 1
-		if last < 0 || b.chunks[last].N == ChunkRows {
-			b.chunks = append(b.chunks, newChunk(len(t.Meta.Columns)))
-			last++
-		}
-		b.chunks[last].appendRow(row)
-		b.n++
-		next := tableView{frozen: frozenChunks(b.chunks), n: b.n}
-		t.view.Update(func(prev tableView) tableView {
-			if prev.rowsOK {
-				// Keep the row view warm: append writes past every outstanding
-				// snapshot header's length, so older generations stay stable.
-				next.rows, next.rowsOK = append(prev.rows, row), true
+	return t.Rewrite(nil, [][]sqltypes.Value{row})
+}
+
+// Edit is one position of a Rewrite: the row at Pos is replaced by Row, or
+// dropped when Row is nil.
+type Edit struct {
+	Pos int
+	Row []sqltypes.Value
+}
+
+// Rewrite replaces the table by its current rows with edits applied — sorted
+// by position, at most one per row — and add appended, in one publication.
+// A chunk whose rows all stay unchanged at their old positions (every chunk
+// before the first edit, and later ones while no row has been dropped) is
+// kept, a kept tail growing in place; the rest is rebuilt through the
+// builder's Writer, so every chunk but the last stays full. Readers keep the
+// generation they hold. A malformed edit or row changes nothing.
+func (t *TableData) Rewrite(edits []Edit, add [][]sqltypes.Value) (err error) {
+	t.builder.Do(func(b *Writer) {
+		for i, e := range edits {
+			if e.Pos < 0 || e.Pos >= b.N || (i > 0 && e.Pos <= edits[i-1].Pos) || (e.Row != nil && len(e.Row) != b.Cols) {
+				err = fmt.Errorf("storage: rewrite of %s: edit of row %d out of order, out of range or of the wrong arity", t.Meta.Name, e.Pos)
+				return
 			}
-			return next
-		})
+		}
+		for _, r := range add {
+			if len(r) != b.Cols {
+				err = fmt.Errorf("storage: row arity %d != %d for table %s", len(r), b.Cols, t.Meta.Name)
+				return
+			}
+		}
+		if len(edits) == 0 && len(add) == 0 {
+			return
+		}
+		// The Writer refills the chunk list in place: it never holds more
+		// chunks than the loop has read, so it overwrites only read entries.
+		old := b.Chunks
+		b.Chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
+		var row []sqltypes.Value
+		pos := 0
+		for _, c := range old {
+			if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.N) {
+				b.Chunks = append(b.Chunks, c)
+				b.N, b.Left, pos = b.N+c.N, b.Left-c.N, pos+c.N
+				continue
+			}
+			if row == nil {
+				row = make([]sqltypes.Value, b.Cols)
+			}
+			for i := 0; i < c.N; i, pos = i+1, pos+1 {
+				switch {
+				case len(edits) == 0 || edits[0].Pos != pos:
+					c.Row(i, row)
+					b.Add(row)
+				case edits[0].Row != nil:
+					b.Add(edits[0].Row)
+					fallthrough
+				default:
+					edits = edits[1:]
+				}
+			}
+		}
+		for _, r := range add {
+			b.Add(r)
+		}
+		t.publish(b)
 	})
-	return nil
+	return err
 }
 
 // MustInsert is Insert that panics on error.

@@ -9,12 +9,12 @@ import (
 )
 
 // TestViewPointerReadersDuringDMLStorm is the RCU contract test for the
-// storage read path: Scan/SnapshotChunks are pure atomic loads of a published
-// view, so readers must observe internally consistent views — row count equals
-// the sum of chunk lengths, the materialized row slice matches the count, and
-// an insert-only table's count is monotonic per reader — while one writer
-// appends and another storms the store-level table map with Put (the
-// copy-on-write swap DML uses) and Create/Drop of unrelated tables.
+// storage read path: Scan/SnapshotChunks start from one atomic load of a
+// published view, so readers must observe internally consistent views — row
+// count equals the sum of chunk lengths, rows materialized later are no fewer,
+// and an insert-only table's count is monotonic per reader — while one writer
+// appends and another storms the store-level table map with Put (the swap a
+// full refresh takes) and Create/Drop of unrelated tables.
 func TestViewPointerReadersDuringDMLStorm(t *testing.T) {
 	s := NewStore()
 	td := s.Create(meta())

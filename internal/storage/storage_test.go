@@ -58,61 +58,65 @@ func TestDropAndMustTablePanic(t *testing.T) {
 	s.MustTable("t")
 }
 
-// TestChunkRowRoundTrip pins the dual representation: rows loaded through
-// Insert land in column chunks, and both the row-view adapter and the chunk
-// snapshot reproduce them exactly, across chunk boundaries.
+// TestChunkRowRoundTrip: rows loaded through Insert land in column chunks,
+// and Snapshot, which materializes rows from those chunks per call,
+// reproduces them exactly and in order across chunk boundaries.
 func TestChunkRowRoundTrip(t *testing.T) {
 	s := NewStore()
 	td := s.Create(meta())
 	n := ChunkRows*2 + 37
-	for i := 0; i < n; i++ {
+	want := make([][]sqltypes.Value, n)
+	for i := range want {
 		b := sqltypes.NewString(string(rune('a' + i%26)))
 		if i%7 == 0 {
 			b = sqltypes.Null
 		}
-		td.MustInsert(sqltypes.NewInt(int64(i)), b)
-	}
-	rows := td.Snapshot()
-	if len(rows) != n {
-		t.Fatalf("row view has %d rows, want %d", len(rows), n)
+		want[i] = []sqltypes.Value{sqltypes.NewInt(int64(i)), b}
+		td.MustInsert(want[i]...)
 	}
 	chunks, cn := td.SnapshotChunks()
-	if cn != n || len(chunks) != 3 {
+	if cn != n || len(chunks) != 3 || chunks[0].N != ChunkRows || chunks[1].N != ChunkRows {
 		t.Fatalf("chunk snapshot: n=%d chunks=%d", cn, len(chunks))
 	}
-	ri := 0
-	for _, c := range chunks {
-		for i := 0; i < c.N; i++ {
-			for j := range c.Cols {
-				got, want := c.Cols[j].Value(i), rows[ri][j]
-				if got.Kind() != want.Kind() || got.String() != want.String() {
-					t.Fatalf("row %d col %d: chunk %v vs row %v", ri, j, got, want)
-				}
+	sameRows(t, td.Snapshot(), want)
+	if a, b := td.Snapshot(), td.Snapshot(); &a[0][0] == &b[0][0] {
+		t.Fatal("two Snapshots share rows: the store keeps a row copy")
+	}
+}
+
+// sameRows fails unless got and want hold identical values row for row.
+func sameRows(t *testing.T, got, want [][]sqltypes.Value) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if !sqltypes.Identical(got[i][j], want[i][j]) {
+				t.Fatalf("row %d col %d: %v, want %v", i, j, got[i][j], want[i][j])
 			}
-			ri++
 		}
 	}
 }
 
-// TestSnapshotStability pins the copy-on-write contract for both views:
-// snapshots taken before appends never see them.
+// TestSnapshotStability pins the copy-on-write contract: a chunk snapshot
+// taken before an append never sees it, not even through the null bitmap the
+// tail shares with later rows.
 func TestSnapshotStability(t *testing.T) {
 	s := NewStore()
 	td := s.Create(meta())
 	td.MustInsert(sqltypes.NewInt(1), sqltypes.NewString("x"))
-	rows := td.Snapshot()
 	chunks, cn := td.SnapshotChunks()
 	td.MustInsert(sqltypes.NewInt(2), sqltypes.Null)
-	if len(rows) != 1 || cn != 1 || chunks[0].N != 1 {
-		t.Fatalf("snapshots moved: rows=%d chunk n=%d", len(rows), chunks[0].N)
+	if cn != 1 || chunks[0].N != 1 {
+		t.Fatalf("snapshot moved: n=%d chunk n=%d", cn, chunks[0].N)
 	}
 	if chunks[0].Cols[1].IsNull(0) {
 		t.Fatal("null bit from a later append leaked into the frozen chunk")
 	}
-	rows2 := td.Snapshot()
 	c2, n2 := td.SnapshotChunks()
-	if len(rows2) != 2 || n2 != 2 || c2[0].N != 2 {
-		t.Fatalf("fresh snapshots stale: rows=%d n=%d", len(rows2), n2)
+	if rows := td.Snapshot(); len(rows) != 2 || n2 != 2 || c2[0].N != 2 {
+		t.Fatalf("fresh snapshots stale: rows=%d n=%d", len(rows), n2)
 	}
 }
 
@@ -200,11 +204,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}
 	if got := testing.AllocsPerRun(500, insert); got > 4 {
-		t.Errorf("Insert (cold row view): %v allocs per row, want <= 4", got)
-	}
-	td.Snapshot()
-	if got := testing.AllocsPerRun(500, insert); got > 4 {
-		t.Errorf("Insert (warm row view): %v allocs per row, want <= 4", got)
+		t.Errorf("Insert: %v allocs per row, want <= 4", got)
 	}
 	for _, name := range []string{"trans", "TrAns"} {
 		if got := testing.AllocsPerRun(500, func() { s.Table(name) }); got != 0 {
