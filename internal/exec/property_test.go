@@ -1040,6 +1040,93 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 			t.Fatalf("%s: declined %v", residual, vec.Declined)
 		}
 	}
+
+	// Disjunctions of key tuples (x IN (…), a scoped recompute's group keys):
+	// the probe takes the rows it should, lifting nothing. The others run the
+	// predicate a row at a time: terms named in different orders and float
+	// constants at compile time; per chunk, where KeyCell equality is not
+	// Compare's (a date column against int constants, a float column, the
+	// generic chunk of m) or where a key kernel fails. All of them answer as
+	// the interpreter does, serially and at two workers.
+	kcat, kstore := keyTable()
+	tuples := func(n int) string {
+		ors := make([]string, n)
+		for i := range ors {
+			ors[i] = fmt.Sprintf("(g = %d and year(d) = %d and month(d) = %d)", i%7, 1990+i%4, 1+i%13)
+		}
+		return strings.Join(ors, " or ")
+	}
+	for _, tc := range []struct {
+		sql   string
+		probe bool
+	}{
+		{"select g, d, n from k where " + tuples(1), true},
+		{"select g, year(d) as y, month(d) as mo, min(n) as lo, max(n) as hi, count(*) as c from k where " + tuples(64) +
+			" group by g, year(d), month(d)", true},
+		{"select g, d, s from k where " + tuples(300), true},
+		{"select g, n, s from k where g in (1, 3, 5)", true},
+		{"select g, n from k where (g = 1 and n is null) or (g = 2 and n = 3) or (n is null and g = 4)", false}, // the third names its terms in another order
+		{"select g, n from k where (g = 1 and n is null) or (g = 2 and n = 3) or (g = 4 and n is null)", true},
+		{"select g, s from k where s in ('s1', 's4', 'zz') or s is null", true},
+		{"select g, s from k where (s = 's2' and g = 2) or (s = 's3' and g = 3)", true},
+		{"select g, d from k where d = 19900101 or d = 19910202", false},
+		{"select g, n from k where g = 1.0 or g = 1.5", false},
+		{"select g, x from k where x = 1 or x = 0", false},
+		{"select g, m from k where m = 3 or m = 4", false},
+		// 10 / g fails where g = 0, a row the interpreter never divides on.
+		{"select g from k where (g = 1 and 10 / g = 10) or (g = 2 and 10 / g = 5)", false},
+	} {
+		if vec := check(kcat, kstore, tc.sql, true); len(vec.Rows) == 0 {
+			t.Fatalf("%s: no rows", tc.sql)
+		}
+		o := obs.New()
+		engine := NewEngine(kstore)
+		engine.SetObserver(o)
+		g, err := qgm.BuildSQL(tc.sql, kcat)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if _, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 2}); err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if lifted := o.Counter(CtrVecLifted); (lifted == 0) != tc.probe {
+			t.Fatalf("%s: %d lifted", tc.sql, lifted)
+		}
+	}
+}
+
+// keyTable builds k over the kinds a key-set probe meets, in three chunks and
+// a bit: g int, d date, n nullable int, s string with NULLs, x float, and m, an
+// int column whose second chunk also holds floats (a generic vector).
+func keyTable() (*catalog.Catalog, *storage.Store) {
+	cat := catalog.New()
+	cat.MustAddTable(&catalog.Table{Name: "k", Columns: []catalog.Column{
+		{Name: "g", Type: sqltypes.KindInt},
+		{Name: "d", Type: sqltypes.KindDate},
+		{Name: "n", Type: sqltypes.KindInt, Nullable: true},
+		{Name: "s", Type: sqltypes.KindString, Nullable: true},
+		{Name: "x", Type: sqltypes.KindFloat},
+		{Name: "m", Type: sqltypes.KindInt},
+	}})
+	meta, _ := cat.Table("k")
+	rows := make([][]sqltypes.Value, 3*storage.ChunkRows+300)
+	for i := range rows {
+		n, s, m := sqltypes.NewInt(int64(i%5)), sqltypes.NewString(fmt.Sprintf("s%d", i%6)), sqltypes.NewInt(int64(i%9))
+		if i%4 == 0 {
+			n = sqltypes.Null
+		}
+		if i%10 == 0 {
+			s = sqltypes.Null
+		}
+		if i/storage.ChunkRows == 1 && i%5 == 0 {
+			m = sqltypes.NewFloat(float64(i%9) + 0.5*float64(i%2))
+		}
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i % 7)), sqltypes.NewDate(1990+i%3, 1+i%12, 1+i%28), n, s,
+			sqltypes.NewFloat(float64(i%4) / 2), m}
+	}
+	store := storage.NewStore()
+	store.Put(meta, rows)
+	return cat, store
 }
 
 // TestJoinSelectErrorParity: an output expression of a join SELECT is

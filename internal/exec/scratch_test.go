@@ -52,9 +52,9 @@ func chunkedTables(chunks int) (*catalog.Catalog, *storage.Store) {
 // GROUP BY allocate per worker, per group-table growth step and per output
 // row block — not per chunk. Eight times the chunks, same groups: the
 // allocation counts may differ by a few (scratch that doubles once more),
-// not by a multiple. The last two queries are there for the hash scratch:
+// not by a multiple. The last three queries are there for the hash scratch:
 // key cells that are not the vector's own payload (strings, floats), two
-// probes' ordinals, three key columns.
+// probes' ordinals, three key columns, a key set.
 func TestGroupByAllocsDoNotScaleWithChunks(t *testing.T) {
 	queries := map[string]string{
 		"fused": `select g, year(d) as y, count(*) as c, sum(v * 2) as s, min(v) as lo
@@ -64,6 +64,12 @@ func TestGroupByAllocsDoNotScaleWithChunks(t *testing.T) {
 		"twodims": `select a.nm, b.nm as bn, g, count(*) as c, max(v) as hi
 			from f, dim a, dim b where fk = a.dk and g = b.dk and v % 2 = 0 group by a.nm, b.nm, g`,
 		"floatkey": `select v * 0.5 as h, count(*) as c from f where v < 100 group by v * 0.5`,
+		// A key set's probe: its table is built once per run, its scratch once
+		// per worker.
+		"keyset": `select g, year(d) as y, month(d) as m, min(v) as lo, max(v) as hi from f
+			where (g = 1 and year(d) = 1990 and month(d) = 1) or (g = 2 and year(d) = 1991 and month(d) = 5)
+			or (g = 3 and year(d) = 1992 and month(d) = 9) or (g = 5 and year(d) = 1990 and month(d) = 12)
+			group by g, year(d), month(d)`,
 	}
 	allocs := func(chunks, par int, sql string) float64 {
 		cat, store := chunkedTables(chunks)

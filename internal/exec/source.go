@@ -198,28 +198,22 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		}
 		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), n: rel.n, ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
 		sd.ctx.setSlot(dq.ID, 0)
-		predKs := make([]predKernel, len(dimPreds[k]))
-		for i, p := range dimPreds[k] {
-			predKs[i] = sd.ctx.compilePred(p)
-		}
-		keyKs := make([]scalarKernel, len(dimKeys[k]))
-		for i, e := range dimKeys[k] {
-			keyKs[i] = sd.ctx.compileScalar(e)
-			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(factKeys[k][i]))
+		for _, e := range factKeys[k] {
+			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(e))
 		}
 		bd := make(binding, 1)
-		key := make([]sqltypes.Value, len(keyKs))
+		key := make([]sqltypes.Value, len(dimKeys[k]))
 		ords := make([]int32, rel.n) // per row: the ordinal of its key, -1 when it is not in the table
 		err = storage.EachRow(sd.chunks, func(ri int, r []sqltypes.Value) error {
 			bd[0], ords[ri] = r, -1
-			for _, pk := range predKs {
-				if tv, err := pk(bd); err != nil || tv != sqltypes.True {
+			for _, p := range dimPreds[k] {
+				if tv, err := sd.ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
 					return err
 				}
 			}
-			for i, kk := range keyKs {
+			for i, e := range dimKeys[k] {
 				var err error
-				if key[i], err = kk(bd); err != nil || key[i].IsNull() {
+				if key[i], err = sd.ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
 					return err // NULL join keys never match
 				}
 			}
@@ -305,10 +299,10 @@ func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
 		default:
 			c.src, c.dimVals = src, new(sqltypes.Vec)
 			dim := &s.dims[src]
-			rk, bd := dim.ctx.compileScalar(e), make(binding, 1)
+			bd := make(binding, 1)
 			err := storage.EachRow(dim.chunks, func(ri int, r []sqltypes.Value) error {
 				bd[0] = r
-				v, err := rk(bd)
+				v, err := dim.ctx.evalScalar(e, bd)
 				if ri == 0 {
 					c.dimVals.Reserve(v.Kind(), dim.n)
 				}
@@ -339,14 +333,14 @@ func (s *source) open() (err error) {
 }
 
 // srcWorker is one worker's cursor over the source: its chunk state and, for a
-// join, the probe scratch (made by the first chunk). The chunk state is an
-// object of its own because kernels hold it; the worker around it then stays
-// on the sink's stack, as long as worker is small enough to inline.
+// join, the probe scratch (made by the first chunk; the key columns are the
+// chunk state's). The chunk state is an object of its own because kernels
+// hold it; the worker around it then stays on the sink's stack, as long as
+// worker is small enough to inline.
 type srcWorker struct {
 	s        *source
 	cs       *chunkState
 	kv       [][]*sqltypes.Vec // per dim: fact key vectors for the current chunk
-	keys     []keyCol          // the fact key columns of the dimension being probed
 	hash     []uint64          // findBatch's scratch
 	ords     [][]uint32        // per dim, per fact row of the strip: ordinal of the matching dimension key
 	match    [][]int32         // per dim: matched dim rows for the current fact row
@@ -386,9 +380,7 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 		w.kv, w.ords, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]uint32, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
 		for k := range s.dims {
 			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
-			if len(w.kv[k]) > len(w.keys) {
-				w.keys = make([]keyCol, len(w.kv[k]))
-			}
+			cs.keyCols(len(w.kv[k]))
 		}
 	}
 	for k := range s.dims {
@@ -412,10 +404,10 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 		w.hash = resize(w.hash, m)
 		for k := range s.dims {
 			for j, v := range w.kv[k] {
-				w.keys[j].load(v, lo, m)
+				cs.keys[j].load(v, lo, m)
 			}
 			w.ords[k] = resize(w.ords[k], m)
-			s.dims[k].table.findBatch(w.keys, s.dims[k].set, w.hash, w.ords[k], false)
+			s.dims[k].table.findBatch(cs.keys, s.dims[k].set, w.hash, w.ords[k], false)
 		}
 	facts:
 		for i := 0; i < m; i++ {

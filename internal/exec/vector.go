@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
@@ -16,13 +17,14 @@ import (
 // sqltypes.Vec per expression per chunk. Semantics are pinned to the
 // reference: typed fast loops cover the common kinds and delegate every error
 // (and every odd-kind element) to the same sqltypes functions the interpreter
-// calls, and any expression shape the vector compiler does not handle is
-// "lifted" — the chunk's rows are materialized one at a time into a scratch
-// binding and a row closure (compile.go) runs per element. Where the chunks
-// come from — a scan, a star join, a child box's relation — is the source's
-// business (source.go); what happens to the vectors is the sink's:
-// evalSelectVec below projects them into output chunks, evalGroupByVec
-// (vecgroupby.go) aggregates them.
+// calls, a disjunction of key tuples (x IN (…), a scoped recompute's group
+// keys) is a hash probe, and any other expression shape the vector compiler
+// does not handle is "lifted" — the chunk's rows are materialized one at a
+// time into a scratch binding and the tree interpreter (expr.go) evaluates the
+// expression per element. Where the chunks come from — a scan, a star join, a
+// child box's relation — is the source's business (source.go); what happens
+// to the vectors is the sink's: evalSelectVec below projects them into output
+// chunks, evalGroupByVec (vecgroupby.go) aggregates them.
 //
 // A box runs here unless its source declines it whole; a declined box runs on
 // the reference path — the interpreter, serial — and every box does under
@@ -55,7 +57,7 @@ import (
 const (
 	CtrVecBoxes    = "exec.vector.boxes"    // boxes evaluated vectorized
 	CtrVecDeclined = "exec.vector.declined" // boxes that fell back whole; also counted per reason, CtrVecDeclined.<reason>
-	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated via lifted row closures
+	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated a row at a time by the interpreter
 )
 
 // Result evaluation modes reported by Result.Mode / EXPLAIN.
@@ -74,14 +76,22 @@ const (
 // chunk, never longer. Whatever outlives the chunk (a group's cells, output
 // rows, DISTINCT pairs) copies out. Slots grow to the live row count on
 // first use; an unfiltered box never allocates selBuf, a box without lifted
-// kernels never allocates row.
+// kernels never allocates bd, one without a probe never allocates keys.
 type chunkState struct {
 	chunk  *storage.Chunk
-	sel    []int32          // live row indices, dense-ordered; nil = all of [0, chunk.N)
-	selBuf []int32          // backing of sel, reused chunk after chunk
-	vecs   []*sqltypes.Vec  // kernel output slots, each allocated by its first use
-	row    []sqltypes.Value // lifted-kernel row scratch
-	bd     binding          // {row}
+	sel    []int32         // live row indices, dense-ordered; nil = all of [0, chunk.N)
+	selBuf []int32         // backing of sel, reused chunk after chunk
+	vecs   []*sqltypes.Vec // kernel output slots, each allocated by its first use
+	bd     binding         // a lifted expression's binding: one row of scratch
+	keys   []keyCol        // a probe's key columns: a key set's or a star join's
+}
+
+// keyCols returns the probe's key-column scratch, at least nk columns long.
+func (cs *chunkState) keyCols(nk int) []keyCol {
+	if len(cs.keys) < nk {
+		cs.keys = append(cs.keys, make([]keyCol, nk-len(cs.keys))...)
+	}
+	return cs.keys
 }
 
 // slot returns scratch slot i. Many are never asked for: a column reference
@@ -114,14 +124,13 @@ func (cs *chunkState) rowIdx(di int) int {
 	return di
 }
 
-// materialize fills the scratch binding with chunk row ri, for lifted row
-// kernels.
+// materialize fills the scratch binding with chunk row ri, for a lifted
+// expression.
 func (cs *chunkState) materialize(ri int) binding {
-	if cs.row == nil {
-		cs.row = make([]sqltypes.Value, len(cs.chunk.Cols))
-		cs.bd = binding{cs.row}
+	if cs.bd == nil {
+		cs.bd = binding{make([]sqltypes.Value, len(cs.chunk.Cols))}
 	}
-	cs.chunk.Row(ri, cs.row)
+	cs.chunk.Row(ri, cs.bd[0])
 	return cs.bd
 }
 
@@ -170,7 +179,7 @@ type vecFilter func(cs *chunkState) error
 
 // vecCompiler lowers expressions over one quantifier — the one whose chunks
 // the source scans — to vector kernels. ectx carries the scalar-subquery
-// values and that quantifier's slot 0, so lifted row kernels resolve
+// values and that quantifier's slot 0, so a lifted expression resolves
 // references exactly as the row path would.
 type vecCompiler struct {
 	ev      *evaluator
@@ -185,17 +194,16 @@ func (vc *vecCompiler) newSlot() int {
 	return vc.slots - 1
 }
 
-// lift hands an expression to its row closure, evaluated per selected row over
+// lift hands an expression to the interpreter, evaluated per selected row over
 // a materialized scratch binding. Correct for every shape; counted.
 func (vc *vecCompiler) lift(e qgm.Expr) vecKernel {
-	rk := vc.ectx.compileScalar(e)
 	vc.ev.obsv.Add(CtrVecLifted, 1)
-	slot := vc.newSlot()
+	ectx, slot := vc.ectx, vc.newSlot()
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
 		out := cs.slot(slot)
 		out.Reset()
 		for di, n := 0, cs.n(); di < n; di++ {
-			v, err := rk(cs.materialize(cs.rowIdx(di)))
+			v, err := ectx.evalScalar(e, cs.materialize(cs.rowIdx(di)))
 			if err != nil {
 				return nil, err
 			}
@@ -485,8 +493,8 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 
 // compileFilter lowers a predicate conjunct to a selection-narrowing filter.
 // ANDs split into sequential filters (keep-only-True composes); comparisons
-// get typed loops; everything else runs the compiled row predicate per
-// selected row.
+// get typed loops; a disjunction of key tuples probes a hash table of them;
+// everything else is lifted, evaluated by the interpreter per selected row.
 func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 	if bin, ok := p.(*qgm.Bin); ok {
 		switch bin.Op {
@@ -506,20 +514,107 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 			return vc.compileCmpFilter(bin)
 		}
 	}
-	// Lifted predicate: OR, NOT, IS NULL, LIKE, scalar-in-pred, etc.
-	pk := vc.ectx.compilePred(p)
+	if exprs, consts, ok := qgm.AsInList(p); ok {
+		if f := vc.compileKeySet(p, exprs, consts); f != nil {
+			return f
+		}
+	}
+	// Lifted predicate: OR, NOT, IS NOT NULL, LIKE, scalar-in-pred, etc.
 	vc.ev.obsv.Add(CtrVecLifted, 1)
+	return vc.rowFilter(p)
+}
+
+// rowFilter runs predicate p through the interpreter, a selected row at a
+// time.
+func (vc *vecCompiler) rowFilter(p qgm.Expr) vecFilter {
+	ectx := vc.ectx
 	return func(cs *chunkState) error {
 		n := cs.n()
 		out := cs.selOut()
 		for di := 0; di < n; di++ {
 			ri := cs.rowIdx(di)
-			tv, err := pk(cs.materialize(ri))
+			tv, err := ectx.evalPred(p, cs.materialize(ri))
 			if err != nil {
 				return err
 			}
 			if tv == sqltypes.True {
 				out = append(out, int32(ri))
+			}
+		}
+		cs.setSel(out)
+		return nil
+	}
+}
+
+// compileKeySet lowers p, a disjunction of key tuples (qgm.AsInList: the
+// desugared x IN (…), a scoped recompute's group keys), to a semi-join: the
+// tuples are the keys of a groupTable built here, once per box, and a chunk
+// keeps the rows whose key is in it — a lookup-only findBatch a strip at a
+// time, as the star probe does. An IS NULL term is a NULL cell. The probe
+// decides what the predicate does only where KeyCell equality is Compare's:
+// each key column's constants must be of one kind among int, date, bool and
+// string (Compare finds NaN equal to every float, a date equal to an int and
+// an int to a float at 1e15 and above; KeyCell classes do not), else p is
+// not compiled here (nil). Per chunk, a key vector must be typed of its
+// column's kind or all NULL (any vector will do for a column of IS NULL terms
+// only), and every key kernel must succeed (the interpreter stops at a tuple's
+// first false term; the kernels do not); any other chunk runs p a row at a
+// time, counted as one lift per box.
+func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm.Const) vecFilter {
+	nk := len(exprs)
+	kinds := make([]sqltypes.Kind, nk) // KindNull while a column has no constant
+	for i, c := range consts {
+		if c == nil {
+			continue
+		}
+		switch k, j := c.Kind(), i%nk; {
+		case k != sqltypes.KindInt && k != sqltypes.KindDate && k != sqltypes.KindBool && k != sqltypes.KindString,
+			kinds[j] != sqltypes.KindNull && kinds[j] != k:
+			return nil
+		default:
+			kinds[j] = k
+		}
+	}
+	table, key := newGroupTable(nk, nil), make([]sqltypes.Value, nk)
+	for lo := 0; lo < len(consts); lo += nk {
+		for j, c := range consts[lo : lo+nk] {
+			if key[j] = sqltypes.Null; c != nil {
+				key[j] = c.Peek()
+			}
+		}
+		table.find(key)
+	}
+	kernels := make([]vecKernel, nk)
+	for j, e := range exprs {
+		kernels[j] = vc.compileScalar(e)
+	}
+	set, rows := allInts(nk), vc.rowFilter(p)
+	var lifted atomic.Bool
+	return func(cs *chunkState) error {
+		keys := cs.keyCols(nk)
+		for j, kk := range kernels {
+			v, err := kk(cs)
+			if err != nil || kinds[j] != sqltypes.KindNull && (v.Generic() || v.Kind() != kinds[j] && !isAllNull(v)) {
+				if !lifted.Swap(true) {
+					vc.ev.obsv.Add(CtrVecLifted, 1)
+				}
+				return rows(cs)
+			}
+			keys[j].vec = v // loaded a strip at a time below
+		}
+		var hash [stripRows]uint64 // the strip's hashes and ordinals stay on this stack
+		var ords [stripRows]uint32
+		out := cs.selOut()
+		for lo, n := 0, cs.n(); lo < n; lo += stripRows {
+			m := min(stripRows, n-lo)
+			for j := range nk {
+				keys[j].load(keys[j].vec, lo, m)
+			}
+			table.findBatch(keys, set, hash[:m], ords[:m], false)
+			for i, g := range ords[:m] {
+				if g != noGroup {
+					out = append(out, int32(cs.rowIdx(lo+i)))
+				}
 			}
 		}
 		cs.setSel(out)

@@ -36,8 +36,10 @@ import (
 )
 
 // maxScopedGroups caps how many groups one scoped recompute will restrict the
-// definition to; past it the injected OR-of-keys predicate costs more than
-// recomputing everything, so the refresh falls back to full.
+// definition to; past it the refresh falls back to full. The cap bounds the
+// size of the injected OR-of-keys predicate, a few tree nodes per key term
+// built and checked per statement, not its evaluation: the executor probes a
+// hash table of the keys, one lookup per row whatever their number.
 const maxScopedGroups = 256
 
 // ErrValue marks a statement rejected for a value its column refuses, or an

@@ -15,8 +15,10 @@ import (
 // box for box. A declined box would run on the executor's serial reference
 // path, which no workload measures. The maintainer's own engine reports a
 // decline as exec.vector.declined; the delta engine has no observer, so the
-// maintainer counts for it (maintain.exec.declined). The second row is a
-// definition that does decline, to show both counters would say so.
+// maintainer counts for it (maintain.exec.declined). Nor does any expression
+// of the maintainer's engine lift (exec.vector.lifted): the scoped
+// recompute's key predicate is a probe. The second row is a definition that
+// does decline, to show both decline counters would say so.
 func TestMaintenanceStaysOnTheChunkPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -47,10 +49,13 @@ func TestMaintenanceStaysOnTheChunkPipeline(t *testing.T) {
 					}
 				}},
 			} {
-				ran := o.Counter(step.ran)
+				ran, lifted := o.Counter(step.ran), o.Counter(exec.CtrVecLifted)
 				step.run()
 				if o.Counter(step.ran) == ran {
 					t.Fatalf("%s: %s did not move", step.name, step.ran)
+				}
+				if n := o.Counter(exec.CtrVecLifted) - lifted; !tc.declines && n != 0 {
+					t.Fatalf("%s: %d lifted", step.name, n)
 				}
 				if own, delta := declined(o); !tc.declines && own+delta != 0 {
 					t.Fatalf("%s: %d boxes left the pipeline on the maintainer's engine, %d in delta runs", step.name, own, delta)

@@ -211,8 +211,8 @@ func Subsumes(p1, p2 Expr, eq *Equiv) bool {
 	}
 	// IN-list containment: `x IN (bigger set)` subsumes `x IN (subset)`
 	// (IN desugars to a disjunction of equalities at build time).
-	if s1, e1, ok1 := asInList(p1); ok1 {
-		if s2, e2, ok2 := asInList(p2); ok2 && ExprEqual(e1, e2, eq) {
+	if s1, e1, ok1 := inSet(p1); ok1 {
+		if s2, e2, ok2 := inSet(p2); ok2 && ExprEqual(e1, e2, eq) {
 			for k := range s2 {
 				if !s1[k] {
 					return false
@@ -257,48 +257,86 @@ func Subsumes(p1, p2 Expr, eq *Equiv) bool {
 	}
 }
 
-// asInList recognizes a disjunction of equalities of one expression with
-// constants (the desugared form of IN) — including a single equality — and
-// returns the constant set keyed by GroupKey plus the tested expression.
-func asInList(p Expr) (map[string]bool, Expr, bool) {
-	var testee Expr
-	set := map[string]bool{}
-	var walk func(e Expr) bool
-	walk = func(e Expr) bool {
-		b, ok := e.(*Bin)
-		if !ok {
-			return false
-		}
-		if b.Op == "OR" {
-			return walk(b.L) && walk(b.R)
-		}
-		if b.Op != "=" {
-			return false
-		}
-		var c *Const
-		var x Expr
-		if cc, ok := b.R.(*Const); ok {
-			c, x = cc, b.L
-		} else if cc, ok := b.L.(*Const); ok {
-			c, x = cc, b.R
-		} else {
-			return false
-		}
-		if c.IsNull() {
-			return false
-		}
-		if testee == nil {
-			testee = x
-		} else if !ExprEqual(testee, x, nil) {
-			return false
-		}
-		set[c.Value().GroupKey()] = true
-		return true
-	}
-	if !walk(p) || testee == nil {
+// inSet reads the IN list Subsumes decides — one expression, no IS NULL term —
+// as its constants keyed by GroupKey, pinning each, and the tested expression.
+func inSet(p Expr) (map[string]bool, Expr, bool) {
+	exprs, consts, ok := AsInList(p)
+	if !ok || len(exprs) != 1 {
 		return nil, nil, false
 	}
-	return set, testee, true
+	set := make(map[string]bool, len(consts))
+	for _, c := range consts {
+		if c == nil {
+			return nil, nil, false
+		}
+		set[c.Value().GroupKey()] = true
+	}
+	return set, exprs[0], true
+}
+
+// AsInList recognizes a disjunction of conjunctions of point terms over one
+// list of expressions, named in the same order in every disjunct:
+// `(e1 = c AND e2 IS NULL AND …) OR (…)`, where a point term is `e = c` or
+// `c = e` with c a non-NULL constant, or `e IS NULL`. The desugared `x IN (…)`
+// is its one-expression case, a single equality included, and the key
+// predicate of a scoped recompute its general one. It returns the expressions
+// and each disjunct's constants in turn, one per expression (nil for IS NULL),
+// without reading them; only the expressions are compared, by ExprEqual.
+func AsInList(p Expr) (exprs []Expr, consts []*Const, ok bool) {
+	l := inList{}
+	if !l.disjunct(p) {
+		return nil, nil, false
+	}
+	return l.exprs, l.consts, true
+}
+
+type inList struct {
+	exprs  []Expr
+	consts []*Const
+	terms  int // terms read so far of the disjunct being read
+}
+
+func (l *inList) disjunct(e Expr) bool {
+	if b, ok := e.(*Bin); ok && b.Op == "OR" {
+		return l.disjunct(b.L) && l.disjunct(b.R)
+	}
+	l.terms = 0
+	return l.term(e) && l.terms == len(l.exprs)
+}
+
+func (l *inList) term(e Expr) bool {
+	var x Expr
+	var c *Const
+	switch t := e.(type) {
+	case *Bin:
+		if t.Op == "AND" {
+			return l.term(t.L) && l.term(t.R)
+		}
+		isConst := false
+		if c, isConst = t.R.(*Const); isConst {
+			x = t.L
+		} else if c, isConst = t.L.(*Const); isConst {
+			x = t.R
+		}
+		if t.Op != "=" || !isConst || c.IsNull() {
+			return false
+		}
+	case *IsNull:
+		if t.Neg {
+			return false
+		}
+		x = t.E
+	default:
+		return false
+	}
+	if len(l.consts) == l.terms { // the first disjunct names the expressions
+		l.exprs = append(l.exprs, x)
+	} else if l.terms == len(l.exprs) || !ExprEqual(l.exprs[l.terms], x, nil) {
+		return false
+	}
+	l.terms++
+	l.consts = append(l.consts, c)
+	return true
 }
 
 type rangeCmp struct {

@@ -431,4 +431,28 @@ func TestSubsumesInList(t *testing.T) {
 	if Subsumes(eqv(1, 2), other, nil) {
 		t.Error("different expressions")
 	}
+
+	// AsInList reads tuples of point terms over one list of expressions;
+	// Subsumes decides only the one-expression lists without IS NULL.
+	isNull := func(e Expr) Expr { return &IsNull{E: e} }
+	eq := func(e Expr, v int64) Expr { return &Bin{Op: "=", L: e, R: NewConst(sqltypes.NewInt(v))} }
+	tuples := OrAll([]Expr{AndAll([]Expr{eq(x, 1), isNull(y)}), AndAll([]Expr{eq(x, 2), eq(y, 5)})})
+	exprs, consts, ok := AsInList(tuples)
+	if !ok || len(exprs) != 2 || exprs[0] != x || exprs[1] != y || len(consts) != 4 || consts[1] != nil || consts[3].Value().Int() != 5 {
+		t.Errorf("AsInList(%s) = %v, %v, %v", tuples, exprs, consts, ok)
+	}
+	for _, p := range []Expr{
+		OrAll([]Expr{AndAll([]Expr{eq(x, 1), isNull(y)}), AndAll([]Expr{eq(y, 5), eq(x, 2)})}), // another order
+		OrAll([]Expr{eq(x, 1), AndAll([]Expr{eq(x, 2), eq(y, 5)})}),                            // another length
+		&Bin{Op: "=", L: x, R: NewConst(sqltypes.Null)},
+		&IsNull{E: x, Neg: true},
+		&Bin{Op: "<", L: x, R: NewConst(sqltypes.NewInt(1))},
+	} {
+		if _, _, ok := AsInList(p); ok {
+			t.Errorf("AsInList(%s) recognised", p)
+		}
+	}
+	if Subsumes(eqv(1, 2, 3), OrAll([]Expr{eqv(1, 2), isNull(x)}), nil) || Subsumes(tuples, tuples.(*Bin).L, nil) {
+		t.Error("an IS NULL term or a second expression is not Subsumes' IN list")
+	}
 }
