@@ -16,6 +16,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
@@ -88,7 +89,14 @@ func benchPair(b *testing.B, queryKey, astKey string) {
 				b.Fatal(err)
 			}
 		}
+		reportSizeRatio(b, env, astKey)
 	})
+}
+
+// reportSizeRatio reports how many times more rows trans has than the summary
+// table ast: the §1.1 claim that a summary table is much smaller than its base.
+func reportSizeRatio(b *testing.B, env *bench.Env, ast string) {
+	b.ReportMetric(float64(env.Store.TableRows("trans"))/float64(env.Store.TableRows(ast)), "size_ratio")
 }
 
 func BenchmarkE01_Fig2_Q1(b *testing.B)    { benchPair(b, "q1", "ast1") }
@@ -189,6 +197,7 @@ func BenchmarkE12_Speedup(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				reportSizeRatio(b, env, pair.a)
 			})
 		}
 	}
@@ -387,6 +396,56 @@ func BenchmarkE14_DSSuite(b *testing.B) {
 	}
 }
 
+// BenchmarkE16_Refresh measures keeping one summary table fresh under an
+// insert batch (the paper's problem (c)) at benchScale: the delta merge of
+// ApplyInsert ("incremental") against appending the batch and recomputing the
+// definition ("full"). Every iteration starts from the loaded trans and the
+// materialised table; putting them back is outside the timer.
+func BenchmarkE16_Refresh(b *testing.B) {
+	const def = `select flid, year(date) as year, month(date) as month,
+		count(*) as cnt, sum(qty) as sq, sum(qty * price) as rev, min(price) as lo, max(price) as hi
+		from trans group by flid, year(date), month(date)`
+	env := bench.NewEnv(benchScale, core.Options{})
+	m := maintain.New(env.Store)
+	plan := m.Analyze(env.MustRegisterAST("e16", def))
+	if plan.Strategy != maintain.Incremental {
+		b.Fatalf("e16 is not maintained incrementally: %s", plan.Reason)
+	}
+	trans := env.Store.MustTable("trans")
+	base, summary := trans.Snapshot(), env.Store.MustTable("e16").Snapshot()
+	for _, batch := range []int{100, 1000, 10000} {
+		// The batch repeats the loaded rows under new keys, so every foreign
+		// key holds and the groups it touches are the data's own.
+		rows := make([][]sqltypes.Value, batch)
+		for i := range rows {
+			rows[i] = append([]sqltypes.Value{sqltypes.NewInt(int64(10_000_000 + i))}, base[i%len(base)][1:]...)
+		}
+		for _, mode := range []string{"incremental", "full"} {
+			b.Run(fmt.Sprintf("batch=%d/%s", batch, mode), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					env.Store.Put(trans.Meta, base)
+					env.Store.Put(plan.AST.Table, summary)
+					b.StartTimer()
+					if mode == "incremental" {
+						st, err := m.ApplyInsert([]*maintain.Plan{plan}, "trans", rows)
+						if err != nil || st[0].Strategy != maintain.Incremental {
+							b.Fatalf("incremental refresh: %v, %+v", err, st)
+						}
+						continue
+					}
+					if err := env.Store.MustTable("trans").Rewrite(nil, rows); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := m.RefreshFull(plan); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkExecOperators is the per-operator layer under the end-to-end
 // benchmark (benchmark/): one leg per vectorized operator shape, each a plan
 // run on its own with nothing from the rewriter, the wire or the driver
@@ -473,12 +532,12 @@ func keysetSQL(n int) string {
 		from trans where ` + strings.Join(tuples, " or ") + ` group by fpgid, year(date), month(date)`
 }
 
-// BenchmarkE15_CatalogScaling measures rewrite-candidate selection latency as
+// BenchmarkE18_CatalogScaling measures rewrite-candidate selection latency as
 // the AST catalog grows, with and without the signature index. The catalog is
 // 64 disjoint single-table schemas with ASTs registered round-robin, so for
 // the single-table probe query the index refuses all but every 64th candidate
 // before the matcher runs.
-func BenchmarkE15_CatalogScaling(b *testing.B) {
+func BenchmarkE18_CatalogScaling(b *testing.B) {
 	sizes := []int{1, 16, 64, 256}
 	if testing.Short() {
 		sizes = []int{1, 64}

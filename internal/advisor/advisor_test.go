@@ -1,13 +1,16 @@
 package advisor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/maintain"
 	"repro/internal/qgm"
+	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -112,7 +115,9 @@ func TestSubsumes(t *testing.T) {
 
 // TestSelectASTsEndToEnd: measure cuboids on real data, pick ASTs, and verify
 // the proposals (a) materialize, (b) actually serve matching queries via the
-// rewriter.
+// rewriter, and (c) keep serving them, maintained incrementally, through three
+// insert batches — the advisor → materialise → insert → still served round
+// trip of the paper's problems (a)–(c).
 func TestSelectASTsEndToEnd(t *testing.T) {
 	cat := catalog.New()
 	workload.Schema(cat)
@@ -142,7 +147,9 @@ func TestSelectASTsEndToEnd(t *testing.T) {
 	}
 
 	rw := core.NewRewriter(cat, core.Options{})
-	served := 0
+	m := maintain.New(store)
+	var plans []*maintain.Plan
+	cuboidQuery := map[string]string{} // proposal → a query grouped on its first dimension
 	for _, p := range props {
 		ca, err := rw.CompileAST(p.Def)
 		if err != nil {
@@ -156,43 +163,77 @@ func TestSelectASTsEndToEnd(t *testing.T) {
 			t.Fatalf("proposal %s: measured %d rows, materialized %d", p.Def.Name, p.Rows, len(res.Rows))
 		}
 		store.Put(ca.Table, res.Rows)
-
-		// A query grouped on a subset of the proposal's dims must rewrite.
-		if len(p.Dims) == 0 {
-			continue
+		plan := m.Analyze(ca)
+		if plan.Strategy != maintain.Incremental {
+			t.Fatalf("proposal %s is not maintained incrementally: %s", p.Def.Name, plan.Reason)
 		}
-		sql := "select " + p.Dims[0] + "expr, count(*) as c from trans group by "
-		_ = sql
-		var dimExpr string
+		plans = append(plans, plan)
 		for _, d := range cfg.Dims {
-			if d.Name == p.Dims[0] {
-				dimExpr = d.Expr
+			if len(p.Dims) > 0 && d.Name == p.Dims[0] {
+				cuboidQuery[p.Def.Name] = "select " + d.Expr + " as d0, count(*) as c from trans group by " + d.Expr
 			}
 		}
-		q := "select " + dimExpr + " as d0, count(*) as c from trans group by " + dimExpr
-		orig, err := qgm.BuildSQL(q, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		origRes, err := engine.Run(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, _ := qgm.BuildSQL(q, cat)
-		if rw.Rewrite(g, ca) == nil {
-			t.Fatalf("proposal %s does not serve its own cuboid query %q", p.Def.Name, q)
-		}
-		newRes, err := engine.Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := exec.EqualResults(origRes, newRes); diff != "" {
-			t.Fatalf("proposal %s wrong: %s", p.Def.Name, diff)
-		}
-		served++
 	}
-	if served == 0 {
-		t.Fatal("no proposal served a query")
+	if len(cuboidQuery) == 0 {
+		t.Fatal("no proposal has a cuboid query to serve")
+	}
+
+	// Each proposal serves its cuboid query, with the base tables' answer.
+	served := func(when string) {
+		t.Helper()
+		for _, plan := range plans {
+			q, ok := cuboidQuery[plan.AST.Def.Name]
+			if !ok {
+				continue
+			}
+			orig, err := qgm.BuildSQL(q, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			origRes, err := engine.Run(orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _ := qgm.BuildSQL(q, cat)
+			if rw.Rewrite(g, plan.AST) == nil {
+				t.Fatalf("%s: proposal %s does not serve its own cuboid query %q", when, plan.AST.Def.Name, q)
+			}
+			newRes, err := engine.Run(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := exec.EqualResults(origRes, newRes); diff != "" {
+				t.Fatalf("%s: proposal %s wrong: %s", when, plan.AST.Def.Name, diff)
+			}
+		}
+	}
+	served("materialised")
+
+	// Each batch repeats loaded rows under new keys, half of them moved to a
+	// year no earlier batch had, so it both merges into groups and adds some.
+	base, err := store.Scan("trans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for batch := 1; batch <= 3; batch++ {
+		rows := make([][]sqltypes.Value, 500)
+		for i := range rows {
+			k := batch*len(rows) + i
+			rows[i] = append([]sqltypes.Value{sqltypes.NewInt(int64(1_000_000 + k))}, base[k%len(base)][1:]...)
+			if i%2 == 0 {
+				rows[i][4] = sqltypes.NewDate(2000+batch, 1+i%12, 1)
+			}
+		}
+		stats, err := m.ApplyInsert(plans, "trans", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			if st.Strategy != maintain.Incremental {
+				t.Fatalf("batch %d: %s refreshed by %s, not incrementally", batch, st.AST, st.Strategy)
+			}
+		}
+		served(fmt.Sprintf("after insert batch %d", batch))
 	}
 }
 

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/astdb"
@@ -13,27 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
-
-// TestAllExperimentsSmoke runs every registered experiment at a small scale;
-// each must succeed and print a table. This keeps the EXPERIMENTS.md pipeline
-// from rotting.
-func TestAllExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments skipped in -short mode")
-	}
-	for _, e := range Registry() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, 3000); err != nil {
-				t.Fatalf("%s (%s): %v\noutput so far:\n%s", e.ID, e.PaperRef, err, buf.String())
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-		})
-	}
-}
 
 // TestPairingsCoverAllFiguresAndQueries: every declared query and AST is used
 // by some pairing, and each pairing has SQL.
@@ -59,43 +36,6 @@ func TestPairingsCoverAllFiguresAndQueries(t *testing.T) {
 		if !usedA[a] {
 			t.Errorf("AST %q not paired", a)
 		}
-	}
-}
-
-func TestTrialSpeedup(t *testing.T) {
-	env := NewEnv(1000, coreOptions())
-	ast, err := env.RegisterAST("ast7", ASTDefs["ast7"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := env.RunTrial(Queries["q7"], ast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Rewritten || !tr.Verified {
-		t.Fatalf("trial failed: %+v", tr)
-	}
-	if tr.Speedup() <= 0 {
-		t.Fatalf("speedup %f", tr.Speedup())
-	}
-	if !strings.Contains(strings.ToLower(tr.NewSQL), "ast7") {
-		t.Fatalf("NewSQL does not read the AST: %s", tr.NewSQL)
-	}
-}
-
-func TestTableWriter(t *testing.T) {
-	var buf bytes.Buffer
-	tbl := newTable("a", "long_header")
-	tbl.add("x", 42)
-	tbl.add("yy", 3.14159)
-	tbl.flush(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "long_header") || !strings.Contains(out, "3.14") {
-		t.Fatalf("table output:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("want 4 lines, got %d", len(lines))
 	}
 }
 

@@ -1,35 +1,30 @@
-// Package bench is the experiment harness: it reproduces every figure and
-// table of the paper (the worked rewrite examples of Figures 2–15, the cube
-// semantics of Figure 12, the negative example of Table 1) and quantifies the
-// performance claims (§1.1, §8) on the synthetic Figure 1 star schema —
-// original vs rewritten latency, AST/base size ratios, matching overhead, and
-// ablations of the documented design choices.
+// Package bench holds what the repository's tests, benchmarks and tools share
+// about the paper: the figures' queries and summary tables (Queries, ASTDefs,
+// Pairings), an Env that loads the Figure 1 star schema at a given scale, the
+// wide catalog of the catalog-scaling benchmark, and the wire load generator
+// behind cmd/astload. The figures themselves are asserted by tests
+// (internal/core's TestFigure*, astdb's selection goldens) and timed by the
+// root bench_test.go.
 package bench
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"time"
 
 	"repro/astdb"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/qgm"
-	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// Env is a loaded database plus a rewriter: the shared substrate of all
-// experiments.
+// Env is a loaded database plus a rewriter.
 type Env struct {
 	Cat    *catalog.Catalog
 	Store  *storage.Store
 	Engine *exec.Engine
 	RW     *core.Rewriter
-	Cfg    workload.StarConfig
 	ASTs   map[string]*core.CompiledAST
 }
 
@@ -38,13 +33,12 @@ func NewEnv(numTrans int, opts core.Options) *Env {
 	cat := catalog.New()
 	workload.Schema(cat)
 	store := storage.NewStore()
-	cfg := workload.Load(cat, store, workload.StarConfig{NumTrans: numTrans, Seed: 20000521})
+	workload.Load(cat, store, workload.StarConfig{NumTrans: numTrans, Seed: 20000521})
 	return &Env{
 		Cat:    cat,
 		Store:  store,
 		Engine: exec.NewEngine(store),
 		RW:     core.NewRewriter(cat, opts),
-		Cfg:    cfg,
 		ASTs:   map[string]*core.CompiledAST{},
 	}
 }
@@ -90,131 +84,4 @@ func (e *Env) MustRegisterAST(name, sql string) *core.CompiledAST {
 		panic(err)
 	}
 	return ca
-}
-
-// Run parses, builds and executes a query, returning the result and the
-// execution latency (excluding parse/build time).
-func (e *Env) Run(sql string) (*exec.Result, time.Duration, error) {
-	g, err := qgm.BuildSQL(sql, e.Cat)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	res, err := e.Engine.Run(g)
-	return res, time.Since(start), err
-}
-
-// Trial is the outcome of one original-vs-rewritten measurement.
-type Trial struct {
-	Query     string
-	AST       string
-	NewSQL    string
-	Rewritten bool
-	Verified  bool
-	Diff      string // first difference when not verified
-
-	OrigRows int
-	OrigDur  time.Duration
-	NewDur   time.Duration
-	MatchDur time.Duration // time spent matching + splicing
-}
-
-// Speedup returns the original/rewritten latency ratio.
-func (t *Trial) Speedup() float64 {
-	if t.NewDur <= 0 {
-		return 0
-	}
-	return float64(t.OrigDur) / float64(t.NewDur)
-}
-
-// RunTrial executes a query both ways against one AST and verifies result
-// equality.
-func (e *Env) RunTrial(sql string, ast *core.CompiledAST) (*Trial, error) {
-	tr := &Trial{Query: sql, AST: ast.Def.Name}
-
-	origRes, origDur, err := e.Run(sql)
-	if err != nil {
-		return nil, fmt.Errorf("bench: original: %w", err)
-	}
-	tr.OrigDur = origDur
-	tr.OrigRows = len(origRes.Rows)
-
-	g, err := qgm.BuildSQL(sql, e.Cat)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := e.RW.Rewrite(g, ast)
-	tr.MatchDur = time.Since(start)
-	if res == nil {
-		return tr, nil
-	}
-	tr.Rewritten = true
-	tr.NewSQL = g.SQL()
-
-	start = time.Now()
-	newRes, err := e.Engine.Run(g)
-	if err != nil {
-		return nil, fmt.Errorf("bench: rewritten: %w\nSQL: %s", err, tr.NewSQL)
-	}
-	tr.NewDur = time.Since(start)
-	tr.Diff = exec.EqualResults(origRes, newRes)
-	tr.Verified = tr.Diff == ""
-	return tr, nil
-}
-
-// Cardinality returns a loaded table's row count (0 when missing).
-func (e *Env) Cardinality(table string) int {
-	td, ok := e.Store.Table(table)
-	if !ok {
-		return 0
-	}
-	return td.Cardinality()
-}
-
-// Experiment is one reproducible unit: a paper figure or claim.
-type Experiment struct {
-	ID       string
-	Title    string
-	PaperRef string
-	Run      func(w io.Writer, scale int) error
-}
-
-// Registry returns all experiments in presentation order.
-func Registry() []Experiment {
-	return []Experiment{
-		{"E01", "Q1/AST1 rewrite and speedup", "Figure 2", RunE01},
-		{"E02", "SELECT boxes with exact child matches", "Figure 5", RunE02},
-		{"E03", "GROUP BY re-aggregation (month→year)", "Figure 6", RunE03},
-		{"E04", "GROUP BY with SELECT child compensation", "Figure 7", RunE04},
-		{"E05", "GROUP BY with rejoin child compensation", "Figure 8", RunE05},
-		{"E06", "GROUP BY child compensation (histograms)", "Figure 10", RunE06},
-		{"E07", "SELECT with grouping compensation + scalar subquery", "Figure 11", RunE07},
-		{"E08", "Grouping-sets semantics sample", "Figure 12", RunE08},
-		{"E09", "Simple GROUP BY vs cube AST", "Figure 13", RunE09},
-		{"E10", "Cube query vs cube AST", "Figure 14", RunE10},
-		{"E11", "Semantic HAVING mismatch rejection", "Table 1 / Figure 15", RunE11},
-		{"E12", "Speedups and size ratios across scales", "§1.1/§8 claims", RunE12},
-		{"E13", "Matching overhead", "§8 practicality claim", RunE13},
-		{"E14", "TPC-D-style suite over a deployed AST set", "§1/§8 TPC-D claims", RunE14},
-		{"E15", "Advisor + incremental maintenance round trip", "intro problems (a),(b),(c)", RunE15},
-		{"E16", "Incremental vs full AST refresh cost", "intro problem (c)", RunE16},
-		{"E17", "Verification sensitivity (negative control)", "harness audit", RunE17},
-		{"A01", "Ablation: minimal-QCL derivation", "§4.1.1 example", RunA01},
-		{"A02", "Ablation: 1:N rejoin regrouping elimination", "§4.2.1 example 2", RunA02},
-		{"A03", "Ablation: smallest-cuboid selection", "§5.1", RunA03},
-	}
-}
-
-// coreOptions returns the default (paper-faithful) options; a helper for
-// tests.
-func coreOptions() core.Options { return core.Options{} }
-
-// sqltypesAdd adds one to an integer value (E17 corruption helper).
-func sqltypesAdd(v sqltypes.Value, n int64) sqltypes.Value {
-	out, err := sqltypes.Add(v, sqltypes.NewInt(n))
-	if err != nil {
-		return v
-	}
-	return out
 }

@@ -54,7 +54,7 @@ func checkParity(t *testing.T, eng *exec.Engine, g *qgm.Graph) {
 // must produce the same result at every worker count as the serial reference
 // path.
 func TestSerialParallelParity(t *testing.T) {
-	env := NewEnv(parityScale, coreOptions())
+	env := NewEnv(parityScale, core.Options{})
 	for name, sql := range ASTDefs {
 		env.MustRegisterAST(name, sql)
 	}
@@ -86,7 +86,7 @@ func TestSerialParallelParity(t *testing.T) {
 // TestSerialParallelParityDS extends the parity property to the TPC-D-style
 // suite, both against base tables and routed through the deployed AST set.
 func TestSerialParallelParityDS(t *testing.T) {
-	env := NewEnv(parityScale, coreOptions())
+	env := NewEnv(parityScale, core.Options{})
 	var asts []*core.CompiledAST
 	for _, d := range workload.DSASTs {
 		ca, err := env.RegisterAST(d.Name, d.SQL)
@@ -119,7 +119,7 @@ func TestSerialParallelParityDS(t *testing.T) {
 // pipeline's workers — MaxRows is charged run-wide through the shared counter
 // and context cancellation surfaces as the typed error, at every worker count.
 func TestParallelBudgetAndCancellation(t *testing.T) {
-	env := NewEnv(parityScale, coreOptions())
+	env := NewEnv(parityScale, core.Options{})
 	g, err := qgm.BuildSQL(Queries["q1"], env.Cat)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // whenever the full matcher finds a match the index must have admitted the
 // pair. The index may only refute pairs the matcher would reject.
 func TestPruneSupersetPaperSuite(t *testing.T) {
-	env := NewEnv(400, coreOptions())
+	env := NewEnv(400, core.Options{})
 	type namedAST struct {
 		name string
 		ca   *core.CompiledAST
@@ -53,7 +53,7 @@ func TestPruneSupersetPaperSuite(t *testing.T) {
 				t.Fatalf("%s: query signature must be computable over catalog tables", qname)
 			}
 			admit := env.Cat.AdmitsAST(a.name, qsig, false)
-			matches := core.NewMatcher(env.Cat, g, a.ca.Graph, coreOptions()).Run()
+			matches := core.NewMatcher(env.Cat, g, a.ca.Graph, core.Options{}).Run()
 			pairs++
 			if len(matches) > 0 {
 				matchedPairs++

@@ -8,17 +8,16 @@ import (
 	"repro/internal/exec"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
-	"repro/internal/workload"
 )
 
 // WideTables is the synthetic catalog width used by the catalog-scaling
-// experiment (E15): enough tables that most registered ASTs are disjoint from
+// benchmark (E18): enough tables that most registered ASTs are disjoint from
 // any single-table query, which is exactly the situation the signature index
 // is built for.
 const WideTables = 64
 
 // NewWideEnv builds an environment over numTables small synthetic tables
-// t0 … t{numTables-1}(k, g, v), each loaded with rowsPer rows. E15's
+// t0 … t{numTables-1}(k, g, v), each loaded with rowsPer rows. E18's
 // interesting dimension is the number of registered ASTs, not data volume, so
 // the tables stay tiny.
 func NewWideEnv(numTables, rowsPer int) *Env {
@@ -48,7 +47,6 @@ func NewWideEnv(numTables, rowsPer int) *Env {
 		Store:  store,
 		Engine: exec.NewEngine(store),
 		RW:     core.NewRewriter(cat, core.Options{}),
-		Cfg:    workload.StarConfig{},
 		ASTs:   map[string]*core.CompiledAST{},
 	}
 }
@@ -72,6 +70,6 @@ func RegisterWideASTs(e *Env, count, numTables int) ([]*core.CompiledAST, error)
 	return asts, nil
 }
 
-// WideQuery is the probe query for the catalog-scaling experiment: a
+// WideQuery is the probe query for the catalog-scaling benchmark: a
 // single-table aggregate over t0.
 const WideQuery = "select g, count(*) as c from t0 group by g"

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -116,20 +117,20 @@ func usesTable(g *qgm.Graph, name string) bool {
 	return false
 }
 
+// withOptions is the same environment planned by a rewriter with other
+// options: the ablation legs rewrite with the paper's choice switched off.
+func (e *env) withOptions(opts core.Options) *env {
+	c := *e
+	c.rw = core.NewRewriter(e.cat, opts)
+	return &c
+}
+
 // TestFigure2_Q1 is the paper's introductory example: Q1 regroups AST1's
 // (faid, flid, year) counts by (faid, state, year) after rejoining Loc.
 func TestFigure2_Q1(t *testing.T) {
 	e := newEnv(t, 4000)
-	ast1 := e.registerAST(t, "ast1", `
-		select faid, flid, year(date) as year, count(*) as cnt
-		from trans
-		group by faid, flid, year(date)`)
-	sql := e.mustRewrite(t, `
-		select faid, state, year(date) as year, count(*) as cnt
-		from trans, loc
-		where flid = lid and country = 'USA'
-		group by faid, state, year(date)
-		having count(*) > 3`, ast1)
+	ast1 := e.registerAST(t, "ast1", bench.ASTDefs["ast1"])
+	sql := e.mustRewrite(t, bench.Queries["q1"], ast1)
 	if !strings.Contains(strings.ToLower(sql), "sum(") {
 		t.Errorf("expected re-summed counts in NewQ1, got: %s", sql)
 	}
@@ -140,36 +141,29 @@ func TestFigure2_Q1(t *testing.T) {
 // minimal-QCL derivation of qty*price*(1-disc) from the value column.
 func TestFigure5_Q2(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast2 := e.registerAST(t, "ast2", `
-		select tid, faid, fpgid, status, country, price, qty, disc, qty * price as value
-		from trans, loc, acct
-		where lid = flid and faid = aid and disc > 0.1`)
-	sql := e.mustRewrite(t, `
-		select aid, status, qty * price * (1 - disc) as amt
-		from trans, pgroup, acct
-		where pgid = fpgid and faid = aid
-		and price > 100 and disc > 0.1 and pgname = 'TV'`, ast2)
-	low := strings.ToLower(sql)
-	if !strings.Contains(low, "value") {
+	ast2 := e.registerAST(t, "ast2", bench.ASTDefs["ast2"])
+	sql := e.mustRewrite(t, bench.Queries["q2"], ast2)
+	if !strings.Contains(sql, "(ast2.value * (1 - ast2.disc)) AS amt") {
 		t.Errorf("expected amt derived via the value column, got: %s", sql)
 	}
-	if !strings.Contains(low, "pgroup") {
+	if !strings.Contains(strings.ToLower(sql), "pgroup") {
 		t.Errorf("expected PGroup rejoin, got: %s", sql)
 	}
+
+	// A01: deriving from the leaves instead recomputes value from qty and price.
+	t.Run("A01_leaf_first_derivation", func(t *testing.T) {
+		sql := e.withOptions(core.Options{LeafFirstDerivation: true}).mustRewrite(t, bench.Queries["q2"], ast2)
+		if !strings.Contains(sql, "((ast2.qty * ast2.price) * (1 - ast2.disc)) AS amt") {
+			t.Errorf("leaf-first derivation should rebuild amt from qty and price, got: %s", sql)
+		}
+	})
 }
 
 // TestFigure6_Q4 exercises §4.1.2: exact child match, regrouping monthly sums
 // into yearly sums via derivation rule (c).
 func TestFigure6_Q4(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast4 := e.registerAST(t, "ast4", `
-		select year(date) as year, month(date) as month, sum(qty * price) as value
-		from trans
-		group by year(date), month(date)`)
-	e.mustRewrite(t, `
-		select year(date) as year, sum(qty * price) as value
-		from trans
-		group by year(date)`, ast4)
+	e.mustRewrite(t, bench.Queries["q4"], e.registerAST(t, "ast6", bench.ASTDefs["ast6"]))
 }
 
 // TestFigure7_Q6 exercises §4.2.1 example 1: SELECT child compensation with
@@ -177,15 +171,7 @@ func TestFigure6_Q4(t *testing.T) {
 // derived from the subsumer's grouping columns.
 func TestFigure7_Q6(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast6 := e.registerAST(t, "ast6", `
-		select year(date) as year, month(date) as month, sum(qty * price) as value
-		from trans
-		group by year(date), month(date)`)
-	e.mustRewrite(t, `
-		select year(date) % 100 as yy, sum(qty * price) as value
-		from trans
-		where month(date) >= 6
-		group by year(date) % 100`, ast6)
+	e.mustRewrite(t, bench.Queries["q6"], e.registerAST(t, "ast6", bench.ASTDefs["ast6"]))
 }
 
 // TestFigure8_Q7 exercises §4.2.1 example 2: a rejoin (Loc) inside the child
@@ -193,18 +179,19 @@ func TestFigure7_Q6(t *testing.T) {
 // needed; the counts read off the AST directly.
 func TestFigure8_Q7(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast7 := e.registerAST(t, "ast7", `
-		select flid, year(date) as year, count(*) as cnt
-		from trans
-		group by flid, year(date)`)
-	sql := e.mustRewrite(t, `
-		select lid, year(date) as year, count(*) as cnt
-		from trans, loc
-		where flid = lid and country = 'USA'
-		group by lid, year(date)`, ast7)
-	if strings.Contains(strings.ToLower(sql), "sum(") {
+	ast7 := e.registerAST(t, "ast7", bench.ASTDefs["ast7"])
+	sql := strings.ToLower(e.mustRewrite(t, bench.Queries["q7"], ast7))
+	if strings.Contains(sql, "sum(") || strings.Contains(sql, "group by") {
 		t.Errorf("1:N rejoin should avoid regrouping, got: %s", sql)
 	}
+
+	// A02: without the 1:N elimination the rewrite regroups.
+	t.Run("A02_always_regroup", func(t *testing.T) {
+		sql := e.withOptions(core.Options{AlwaysRegroup: true}).mustRewrite(t, bench.Queries["q7"], ast7)
+		if !strings.Contains(strings.ToLower(sql), "group by") {
+			t.Errorf("always-regroup should add a GROUP BY, got: %s", sql)
+		}
+	})
 }
 
 // TestFigure10_Q8 exercises §4.2.2: histogram query over a histogram AST —
@@ -212,18 +199,7 @@ func TestFigure8_Q7(t *testing.T) {
 // match and the copy construction of Figure 9.
 func TestFigure10_Q8(t *testing.T) {
 	e := newEnv(t, 3000)
-	ast8 := e.registerAST(t, "ast8", `
-		select year, tcnt, count(*) as mcnt
-		from (select year(date) as year, month(date) as month, count(*) as tcnt
-		      from trans
-		      group by year(date), month(date)) m
-		group by year, tcnt`)
-	e.mustRewrite(t, `
-		select tcnt, count(*) as ycnt
-		from (select year(date) as year, month(date) as month, count(*) as tcnt
-		      from trans
-		      group by year(date), month(date)) m
-		group by tcnt`, ast8)
+	e.mustRewrite(t, bench.Queries["q8"], e.registerAST(t, "ast8", bench.ASTDefs["ast8"]))
 }
 
 // TestFigure11_Q10 exercises §4.2.4 and the §6 derivation walkthrough: a
@@ -231,34 +207,21 @@ func TestFigure10_Q8(t *testing.T) {
 // block that must be matched and threaded through the pulled-up stack.
 func TestFigure11_Q10(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast10 := e.registerAST(t, "ast10", `
-		select flid, year(date) as year, count(*) as cnt,
-		       (select count(*) from trans) as totcnt
-		from trans
-		group by flid, year(date)`)
+	// Not bench.Queries["q10"] (TestFigure11_Q10_Ratio's): the scalar
+	// subquery is an output column of its own here, not a divisor.
 	e.mustRewrite(t, `
 		select flid, count(*) as cnt, (select count(*) from trans) as totcnt
 		from trans, loc
 		where flid = lid and country = 'USA'
 		group by flid
-		having count(*) > 2`, ast10)
+		having count(*) > 2`, e.registerAST(t, "ast10", bench.ASTDefs["ast10"]))
 }
 
 // TestFigure11_Q10_Ratio is the paper's exact Q10: the output column is the
 // ratio cnt/totcnt whose derivation is traced in §6.
 func TestFigure11_Q10_Ratio(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast10 := e.registerAST(t, "ast10r", `
-		select flid, year(date) as year, count(*) as cnt,
-		       (select count(*) from trans) as totcnt
-		from trans
-		group by flid, year(date)`)
-	e.mustRewrite(t, `
-		select flid, count(*) * 100 / (select count(*) from trans) as cntpct
-		from trans, loc
-		where flid = lid and country = 'USA'
-		group by flid
-		having count(*) > 2`, ast10)
+	e.mustRewrite(t, bench.Queries["q10"], e.registerAST(t, "ast10", bench.ASTDefs["ast10"]))
 }
 
 // TestFigure13_Q11 exercises §5.1: simple GROUP BY queries against a
@@ -266,18 +229,10 @@ func TestFigure11_Q10_Ratio(t *testing.T) {
 // regrouping (Q11.2), and the COUNT(DISTINCT) no-match (Q11.3).
 func TestFigure13_Q11(t *testing.T) {
 	e := newEnv(t, 3000)
-	ast11 := e.registerAST(t, "ast11", `
-		select flid, faid, year(date) as year, month(date) as month, count(*) as cnt
-		from trans
-		group by grouping sets((flid, faid, year(date)), (flid, year(date)),
-		                       (flid, year(date), month(date)), (year(date)))`)
+	ast11 := e.registerAST(t, "ast11", bench.ASTDefs["ast11"])
 
 	t.Run("Q11.1_exact_cuboid", func(t *testing.T) {
-		sql := e.mustRewrite(t, `
-			select flid, year(date) as year, count(*) as cnt
-			from trans
-			where year(date) > 1990
-			group by flid, year(date)`, ast11)
+		sql := e.mustRewrite(t, bench.Queries["q11_1"], ast11)
 		low := strings.ToLower(sql)
 		if !strings.Contains(low, "is null") || !strings.Contains(low, "is not null") {
 			t.Errorf("expected slicing predicates, got: %s", sql)
@@ -288,11 +243,7 @@ func TestFigure13_Q11(t *testing.T) {
 	})
 
 	t.Run("Q11.2_regrouped_cuboid", func(t *testing.T) {
-		sql := e.mustRewrite(t, `
-			select flid, year(date) as year, count(*) as cnt
-			from trans
-			where month(date) >= 6
-			group by flid, year(date)`, ast11)
+		sql := e.mustRewrite(t, bench.Queries["q11_2"], ast11)
 		low := strings.ToLower(sql)
 		if !strings.Contains(low, "sum(") || !strings.Contains(low, "group by") {
 			t.Errorf("Q11.2 should regroup with summed counts, got: %s", sql)
@@ -300,11 +251,16 @@ func TestFigure13_Q11(t *testing.T) {
 	})
 
 	t.Run("Q11.3_no_match", func(t *testing.T) {
-		e.mustNotRewrite(t, `
-			select flid, year(date) as year, month(date) as month,
-			       count(distinct faid) as custcnt
-			from trans
-			group by flid, year(date), month(date)`, ast11)
+		e.mustNotRewrite(t, bench.Queries["q11_3"], ast11)
+	})
+
+	// A03: taking the first cuboid that answers Q11.1 instead of the
+	// smallest reads a finer one and regroups it.
+	t.Run("A03_first_cuboid", func(t *testing.T) {
+		sql := e.withOptions(core.Options{FirstCuboid: true}).mustRewrite(t, bench.Queries["q11_1"], ast11)
+		if !strings.Contains(strings.ToLower(sql), "group by") {
+			t.Errorf("first-cuboid selection should regroup Q11.1, got: %s", sql)
+		}
 	})
 }
 
@@ -313,32 +269,18 @@ func TestFigure13_Q11(t *testing.T) {
 // union-grouping-set fallback with multidimensional regrouping (Q12.2).
 func TestFigure14_Q12(t *testing.T) {
 	e := newEnv(t, 3000)
-	ast12 := e.registerAST(t, "ast12", `
-		select flid, faid, year(date) as year, month(date) as month, count(*) as cnt
-		from trans
-		group by grouping sets((flid, faid, year(date)), (flid, year(date)),
-		                       (flid, year(date), month(date)), (year(date)))`)
+	ast11 := e.registerAST(t, "ast11", bench.ASTDefs["ast11"])
 
 	t.Run("Q12.1_sliced_cuboids", func(t *testing.T) {
-		sql := e.mustRewrite(t, `
-			select flid, year(date) as year, count(*) as cnt
-			from trans
-			where year(date) > 1990
-			group by grouping sets((flid, year(date)), (year(date)))`, ast12)
-		low := strings.ToLower(sql)
-		if !strings.Contains(low, " or ") {
+		sql := e.mustRewrite(t, bench.Queries["q12_1"], ast11)
+		if !strings.Contains(strings.ToLower(sql), " or ") {
 			t.Errorf("expected disjunctive slicing, got: %s", sql)
 		}
 	})
 
 	t.Run("Q12.2_union_fallback", func(t *testing.T) {
-		sql := e.mustRewrite(t, `
-			select flid, year(date) as year, count(*) as cnt
-			from trans
-			where year(date) > 1990
-			group by grouping sets((flid), (year(date)))`, ast12)
-		low := strings.ToLower(sql)
-		if !strings.Contains(low, "grouping sets") {
+		sql := e.mustRewrite(t, bench.Queries["q12_2"], ast11)
+		if !strings.Contains(strings.ToLower(sql), "grouping sets") {
 			t.Errorf("expected multidimensional regrouping, got: %s", sql)
 		}
 	})
@@ -351,15 +293,7 @@ func TestFigure14_Q12(t *testing.T) {
 // semantically from the AST's cnt > 2.
 func TestTable1_HavingMismatch(t *testing.T) {
 	e := newEnv(t, 2000)
-	astBad := e.registerAST(t, "astbad", `
-		select flid, year(date) as year, count(*) as cnt
-		from trans
-		group by flid, year(date)
-		having count(*) > 2`)
-	e.mustNotRewrite(t, `
-		select flid, count(*) as cnt
-		from trans
-		group by flid`, astBad)
+	e.mustNotRewrite(t, bench.Queries["qbad"], e.registerAST(t, "astbad", bench.ASTDefs["astbad"]))
 
 	// The paper's exact 4-row example, for good measure.
 	cat := catalog.New()
@@ -377,9 +311,7 @@ func TestTable1_HavingMismatch(t *testing.T) {
 	}
 	engine := exec.NewEngine(store)
 	rw := core.NewRewriter(cat, core.Options{})
-	ca, err := rw.CompileAST(catalog.ASTDef{Name: "astbad2", SQL: `
-		select flid, year(date) as year, count(*) as cnt
-		from trans group by flid, year(date) having count(*) > 2`})
+	ca, err := rw.CompileAST(catalog.ASTDef{Name: "astbad", SQL: bench.ASTDefs["astbad"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +323,7 @@ func TestTable1_HavingMismatch(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][2].Int() != 3 {
 		t.Fatalf("AST result unexpected: %v", res.Rows)
 	}
-	q, err := qgm.BuildSQL("select flid, count(*) as cnt from trans group by flid", cat)
+	q, err := qgm.BuildSQL(bench.Queries["qbad"], cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,10 @@ func aliasFixture(t *testing.T) (*storage.Store, *qgm.Graph) {
 }
 
 // TestResultDoesNotAliasStore: consumers routinely SortRows(res.Rows) in
-// place and even overwrite cells (E17 does, deliberately); neither may ever
-// reach the stored table. This is the audit test for the memoization aliasing
-// fix — before the copy-on-return in RunCtx, sorting a base-table-root result
-// silently reordered storage for every later reader.
+// place and may overwrite cells; neither may ever reach the stored table.
+// This is the audit test for the memoization aliasing fix — before the
+// copy-on-return in RunCtx, sorting a base-table-root result silently
+// reordered storage for every later reader.
 func TestResultDoesNotAliasStore(t *testing.T) {
 	store, g := aliasFixture(t)
 	res, err := NewEngine(store).Run(g)
