@@ -7,12 +7,14 @@
 // statement-mix configuration, so one run captures the paper's comparison at
 // every concurrency level:
 //
-//   - original:  no summary tables, plan cache off — every query runs
+//   - original: no summary tables, plan cache off — every query runs
 //     against base tables;
 //   - rewritten: summary tables materialized, plan cache off — every query
 //     pays matching + rewriting, then runs against the AST;
-//   - cached:    summary tables + plan cache — steady state, matching
+//   - cached: summary tables + plan cache — steady state, matching
 //     amortized away.
+//
+// The sweep behind BENCH_4.json:
 //
 //	astload -scale 20000 -json BENCH_4.json
 //

@@ -199,7 +199,7 @@ type relation struct {
 func chunkRelation(chunks []*storage.Chunk) *relation {
 	rel := &relation{chunks: chunks}
 	for _, c := range chunks {
-		rel.n += c.N
+		rel.n += c.Len()
 	}
 	return rel
 }
@@ -219,7 +219,7 @@ func (r *relation) chunksOf(ncols int) []*storage.Chunk {
 		for _, row := range r.rows {
 			w.Add(row)
 		}
-		r.chunks = w.Chunks
+		r.chunks = w.Seal()
 	}
 	return r.chunks
 }

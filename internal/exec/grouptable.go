@@ -158,7 +158,7 @@ type keyCol struct {
 func (k *keyCol) load(v *sqltypes.Vec, lo, n int) {
 	k.vec, k.lo, k.class, k.classes = v, lo, v.Kind(), k.classes[:0]
 	if intClass(v) && !v.HasNulls() {
-		k.words = v.Ints[lo : lo+n]
+		k.words = v.Ints()[lo : lo+n]
 		return
 	}
 	k.classes, k.buf = resize(k.classes, n), resize(k.buf, n)
@@ -177,9 +177,9 @@ func (k *keyCol) classOf(i int) sqltypes.Kind {
 // str returns row i's string; its class must be KindString.
 func (k *keyCol) str(i int) string {
 	if k.vec.Generic() {
-		return k.vec.Any[k.lo+i].Str()
+		return k.vec.Any()[k.lo+i].Str()
 	}
-	return k.vec.Strs[k.lo+i]
+	return k.vec.Strs()[k.lo+i]
 }
 
 // resize returns scratch s with length n, contents stale.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -110,6 +111,52 @@ func TestHavingMaterializesOnlySurvivors(t *testing.T) {
 	if allocsLarge-allocsSmall > (large-small)/8 {
 		t.Errorf("allocations grow with the groups: %.0f at %d, %.0f at %d", allocsSmall, small, allocsLarge, large)
 	}
+}
+
+// TestEveryRelationChunkIsSealed: whatever a box evaluates to — a base table's
+// chunks, a projection's output (shared input columns, gathered, computed and
+// constant ones), a GROUP BY's groups, a row-path relation columnarized for a
+// pipeline parent — every vector a reader of the relation holds is sealed.
+func TestEveryRelationChunkIsSealed(t *testing.T) {
+	store, g, tRows := havingFixture(t, 3000)
+	sealed := func(what string, chunks []*storage.Chunk) {
+		t.Helper()
+		if len(chunks) == 0 {
+			t.Fatalf("%s: no chunks", what)
+		}
+		for i, c := range chunks {
+			for j := range c.Width() {
+				if !c.Col(j).Sealed() {
+					t.Errorf("%s: chunk %d column %d is not sealed", what, i, j)
+				}
+			}
+		}
+	}
+	for _, sql := range []string{
+		"select k, count(*) as c from t group by k having count(*) > 3",
+		"select k, v + 1 as w, 7 as seven from t where v < 3",
+		"select k, v from t",
+	} {
+		q, err := qgm.BuildSQL(sql, g.Cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := testEvaluator(store, nil)
+		if _, err := ev.evalBox(q.Root); err != nil {
+			t.Fatal(err)
+		}
+		if len(ev.memo) < 2 {
+			t.Fatalf("%s: %d relations memoized", sql, len(ev.memo))
+		}
+		for id, rel := range ev.memo {
+			if rel.n > 0 {
+				sealed(fmt.Sprintf("%s: box %d", sql, id), rel.chunks)
+			}
+		}
+	}
+	rows, _ := store.Scan("t")
+	rel := &relation{n: tRows, rows: rows}
+	sealed("columnarized rows", rel.chunksOf(2))
 }
 
 // TestSharedGroupByEvaluatesOnce: a GROUP BY box with two parents — the

@@ -136,7 +136,7 @@ func TestKeyScratchIsSizedByTheStrip(t *testing.T) {
 		ints.AppendValue(sqltypes.NewInt(int64(i)))
 	}
 	var k keyCol
-	if k.load(&ints, 0, stripRows); cap(k.classes) != 0 || cap(k.buf) != 0 || &k.words[0] != &ints.Ints[0] {
+	if k.load(&ints, 0, stripRows); cap(k.classes) != 0 || cap(k.buf) != 0 || &k.words[0] != &ints.Ints()[0] {
 		t.Fatalf("integer key column was copied: %d classes, %d words", cap(k.classes), cap(k.buf))
 	}
 }

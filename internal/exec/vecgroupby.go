@@ -163,7 +163,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
 	ev.usedVector = true
-	return chunkRelation(w.Chunks), nil
+	return chunkRelation(w.Seal()), nil
 }
 
 // groupSource plans where a GROUP BY's tuples come from. A child that is a
@@ -279,9 +279,9 @@ func (a *vecAccum) fold(t *groupTable, ai, at int, ords []uint32, one bool, hash
 			}
 		}
 	case accInt:
-		return foldTyped(a, t, ai, at, ords, one, av.Ints[at:at+n], sqltypes.KindInt)
+		return foldTyped(a, t, ai, at, ords, one, av.Ints()[at:at+n], sqltypes.KindInt)
 	case accFloat:
-		return foldTyped(a, t, ai, at, ords, one, av.Floats[at:at+n], sqltypes.KindFloat)
+		return foldTyped(a, t, ai, at, ords, one, av.Floats()[at:at+n], sqltypes.KindFloat)
 	case accBoxed:
 		for i, g := range ords {
 			if err := t.update(t.aggs.at(int(g)), ai, a.spec, av.Value(at+i)); err != nil {

@@ -113,7 +113,7 @@ func (cs *chunkState) n() int {
 	if cs.sel != nil {
 		return len(cs.sel)
 	}
-	return cs.chunk.N
+	return cs.chunk.Len()
 }
 
 // rowIdx maps a dense selection index to a chunk row index.
@@ -128,7 +128,7 @@ func (cs *chunkState) rowIdx(di int) int {
 // expression.
 func (cs *chunkState) materialize(ri int) binding {
 	if cs.bd == nil {
-		cs.bd = binding{make([]sqltypes.Value, len(cs.chunk.Cols))}
+		cs.bd = binding{make([]sqltypes.Value, cs.chunk.Width())}
 	}
 	cs.chunk.Row(ri, cs.bd[0])
 	return cs.bd
@@ -149,23 +149,20 @@ func (cs *chunkState) selOut() []int32 {
 // zero-copy.
 func (cs *chunkState) setSel(out []int32) {
 	cs.selBuf = out[:0]
-	if cs.sel != nil || len(out) < cs.chunk.N {
+	if cs.sel != nil || len(out) < cs.chunk.Len() {
 		cs.sel = out
 	}
 }
 
 // emit hands v, a kernel's result for the current chunk, over to an output
-// chunk. A column of the input chunk is frozen and shared as it is; anything
+// chunk. A column of the input chunk is sealed and shared as it is; anything
 // else lives in one of this worker's scratch slots, which gives its payload
 // away and starts the next chunk empty.
 func (cs *chunkState) emit(v *sqltypes.Vec) sqltypes.Vec {
 	out := *v
-	for i := range cs.chunk.Cols {
-		if v == &cs.chunk.Cols[i] {
-			return out
-		}
+	if !v.Sealed() {
+		*v = sqltypes.Vec{}
 	}
-	*v = sqltypes.Vec{}
 	return out
 }
 
@@ -230,12 +227,12 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 		}
 		col, slot := t.Col, vc.newSlot()
 		return func(cs *chunkState) (*sqltypes.Vec, error) {
-			if col >= len(cs.chunk.Cols) {
-				return nil, fmt.Errorf("exec: column %d out of range (row width %d)", col, len(cs.chunk.Cols))
+			if col >= cs.chunk.Width() {
+				return nil, fmt.Errorf("exec: column %d out of range (row width %d)", col, cs.chunk.Width())
 			}
-			src := &cs.chunk.Cols[col]
+			src := cs.chunk.Col(col)
 			if cs.sel == nil {
-				return src, nil // the frozen storage vector itself
+				return src, nil // the sealed storage vector itself
 			}
 			out := cs.slot(slot)
 			out.Gather(src, cs.sel)
@@ -338,11 +335,11 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 					if av.IsNull(i) {
 						out.SetNull(i)
 					} else {
-						ints[i] = f(av.Ints[i])
+						ints[i] = f(av.Ints()[i])
 					}
 				}
 			} else {
-				for i, d := range av.Ints {
+				for i, d := range av.Ints() {
 					ints[i] = f(d)
 				}
 			}
@@ -385,9 +382,9 @@ func isAllNull(v *sqltypes.Vec) bool {
 // checked non-NULL).
 func floatAt(v *sqltypes.Vec, i int) float64 {
 	if v.Kind() == sqltypes.KindFloat {
-		return v.Floats[i]
+		return v.Floats()[i]
 	}
-	return float64(v.Ints[i])
+	return float64(v.Ints()[i])
 }
 
 // vecBinArith evaluates a binary arithmetic/concat operator element-wise into
@@ -418,7 +415,7 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 				out.SetNull(i)
 				continue
 			}
-			x, y := a.Ints[i], b.Ints[i]
+			x, y := a.Ints()[i], b.Ints()[i]
 			switch op {
 			case "+":
 				ints[i] = x + y
@@ -474,7 +471,7 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 				out.SetNull(i)
 				continue
 			}
-			ss[i] = a.Strs[i] + b.Strs[i]
+			ss[i] = a.Strs()[i] + b.Strs()[i]
 		}
 		return nil
 	}
@@ -660,7 +657,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				if nullAt(di) {
 					continue
 				}
-				if keep(cmp.Compare(lv.Ints[di], rv.Ints[di])) {
+				if keep(cmp.Compare(lv.Ints()[di], rv.Ints()[di])) {
 					out = append(out, int32(cs.rowIdx(di)))
 				}
 			}
@@ -681,7 +678,7 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				if nullAt(di) {
 					continue
 				}
-				if keep(cmp.Compare(lv.Strs[di], rv.Strs[di])) {
+				if keep(cmp.Compare(lv.Strs()[di], rv.Strs()[di])) {
 					out = append(out, int32(cs.rowIdx(di)))
 				}
 			}
@@ -784,15 +781,15 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
 			if err := chg.checkpoint(n); err != nil {
 				return err
 			}
-			out := &storage.Chunk{N: n, Cols: make([]sqltypes.Vec, len(cols))}
+			out := make([]sqltypes.Vec, len(cols))
 			for i := range cols {
 				v, err := sw.eval(&cols[i])
 				if err != nil {
 					return err
 				}
-				out.Cols[i] = sw.cs.emit(v)
+				out[i] = sw.cs.emit(v)
 			}
-			parts[w] = append(parts[w], out)
+			parts[w] = append(parts[w], storage.NewChunk(n, out))
 		}
 		return nil
 	})

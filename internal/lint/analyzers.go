@@ -8,15 +8,13 @@ import (
 )
 
 // All returns the full analyzer suite, in reporting order. The first three
-// are syntactic; rcu-publish and boundaries are typed; chunk-freeze is the
-// flow-sensitive one, built on the CFG dataflow engine.
+// are syntactic; rcu-publish and boundaries are typed.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		CtxFirst,
 		ObsNilGuard,
 		RCUPublish,
-		ChunkFreeze,
 		Boundaries,
 	}
 }

@@ -2,7 +2,9 @@
 // mentioned on. A row is for an invariant a type already enforces everywhere
 // but at one door — rcu.Guarded makes "guarded state is touched under its
 // lock, and the lock is released on every exit" unwritable, provided nobody
-// declares a mutex of their own; qgm.Const makes "planning pins every literal
+// declares a mutex of their own; rcu.Cell and rcu.Map make "a published
+// generation is never written" unwritable, provided nobody publishes through
+// an atomic pointer of their own; qgm.Const makes "planning pins every literal
 // it reads" unwritable, provided planning cannot reach the accessor that does
 // not pin — and the row shuts that door. Matching is by object identity in the
 // type-checked package, so an alias, a dot import or an embedded field is the
@@ -41,12 +43,15 @@ type boundary struct {
 
 const (
 	useGuarded = "keep the state in an rcu.Guarded and reach it through Do"
+	useCell    = "publish through rcu.Cell or rcu.Map"
 	useValue   = "planning reads a constant with Value(), which pins its literal for the plan cache"
 )
 
 var boundaries = []boundary{
 	{pkg: "sync", name: "Mutex", only: lockOwners, instead: useGuarded},
 	{pkg: "sync", name: "RWMutex", only: lockOwners, instead: useGuarded},
+	{pkg: "sync/atomic", name: "Pointer", only: []string{rcuPath}, instead: useCell},
+	{pkg: "sync/atomic", name: "Value", only: []string{rcuPath}, instead: useCell},
 	{pkg: qgmPath, name: "Const.Peek", never: []string{corePath, catalogPath, qgmPath}, instead: useValue},
 	{pkg: qgmPath, name: "Const.val", only: []string{qgmPath + "/expr.go"}, instead: useValue},
 }
@@ -54,7 +59,7 @@ var boundaries = []boundary{
 // Boundaries is the analyzer over the table above.
 var Boundaries = &Analyzer{
 	Name: "boundaries",
-	Doc:  "no mutex declared outside internal/rcu (use rcu.Guarded); planning never reads a qgm.Const without pinning it",
+	Doc:  "no mutex or atomic pointer declared outside internal/rcu (use rcu.Guarded, rcu.Cell); planning never reads a qgm.Const without pinning it",
 	Run:  runBoundaries,
 }
 

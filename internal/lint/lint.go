@@ -2,10 +2,10 @@
 // and go/types via the source importer; no go/packages, no go/analysis, no
 // golang.org/x/tools) for the invariants Go's types cannot carry. Three
 // analyzers are syntactic (determinism of the planning packages, context-first
-// entry points, nil-receiver-safe observers); two are typed tables of who may
-// mention what (rcu-publish, boundaries), each the one door left open beside
-// a type that enforces the rest; chunk-freeze builds a control-flow graph per
-// function and runs forward dataflow over it to verify the storage seal.
+// entry points, nil-receiver-safe observers); two are typed (rcu-publish, the
+// hand-over rule of rcu.Cell, and boundaries, a table of who may mention
+// what), each the one door left open beside a type that enforces the rest.
+// The storage seal is not here: sealed vectors refuse writes at run time.
 // DESIGN.md §11 is the catalogue: what holds, what enforces it, what is not
 // proved. The cmd/astlint CLI runs every analyzer over the module and exits
 // non-zero on unsuppressed findings; //lint:ignore <rule> <reason> suppresses

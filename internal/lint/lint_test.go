@@ -5,13 +5,17 @@ package lint_test
 // passes). CI runs the same suite through cmd/astlint.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/lint"
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // rcuFixture parses a seeded source file that imports the real internal/rcu
@@ -281,8 +285,6 @@ func (c *cache) put(k string, v int) {
 	wantFinding(t, fs, "boundaries", "sync.Mutex outside repro/internal/rcu")
 }
 
-// ---- flow-sensitive analyzers: seeded violations per rule ----
-
 func TestPublishFreezeFlagsPostPublishWrite(t *testing.T) {
 	// This one still compiles: the callback hands readers a value the
 	// function keeps a name for. rcu-publish flags the later use.
@@ -324,143 +326,113 @@ func (b *Box) bad(rows []string, r string) {
 	wantFinding(t, fs, "rcu-publish", "rows was published")
 }
 
-// The chunk-freeze fixtures are package-level because
-// TestCalleeFactsRowsAreNeeded replays them with summary rows dropped.
-const (
-	srcWriteAfterFreeze = `package storage
-type Chunk struct{ vals []int }
-func (c *Chunk) frozen() *Chunk { return c }
-func bad() int {
-	c := &Chunk{vals: make([]int, 4)}
-	c.vals[0] = 1
-	f := c.frozen()
-	f.vals[1] = 2
-	return f.vals[1]
-}
-`
-	srcFrozenParam = `package exec
-type Chunk struct{ vals []int }
-func bad(c *Chunk) { c.vals[0] = 9 }
-`
-	srcKernelRefill = `package sqltypes
-type Vec struct{ ints []int64 }
-func (v *Vec) RefillInts(kind, n int) []int64 { v.ints = v.ints[:n]; return v.ints }
-type Chunk struct {
-	N    int
-	Cols []Vec
-}
-func yearKernel(c *Chunk, scratch *Vec) []int64 {
-	return c.Cols[0].RefillInts(1, c.N)
-}
-func yearKernelOK(c *Chunk, scratch *Vec) []int64 {
-	return scratch.RefillInts(1, c.N)
-}
-`
-	srcFreshBuild = `package exec
-type Vec struct{ n int }
-func (v *Vec) AppendValue(x int) { v.n++ }
-type Chunk struct{ Cols []Vec }
-func build(rows [][]int) []*Chunk {
-	var out []*Chunk
-	c := &Chunk{Cols: make([]Vec, 2)}
-	for _, r := range rows {
-		c.Cols[0].AppendValue(r[0])
+// The seal of a storage chunk is a type and a run-time check, not a rule. The
+// fixtures of the retired chunk-freeze rule keep their names and are
+// type-checked against the real internal/storage and internal/sqltypes: a
+// write through a field must fail to compile.
+
+// sealFixture parses a seeded source file of package exec that imports the
+// real internal/storage and internal/sqltypes.
+func sealFixture(t *testing.T, src string) *lint.Package {
+	t.Helper()
+	pkgs, err := module()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
 	}
-	out = append(out, c)
-	return out
-}
-func count(c *Chunk) int { return len(c.Cols) }
-`
-)
-
-// srcEveryVecMutator calls each designated mutator of sqltypes.Vec on a
-// storage column: outside internal/storage a callee is taken to write its
-// receiver only if calleeFacts says so, so each of these findings is a row.
-const srcEveryVecMutator = `package sqltypes
-type Vec struct{ n int }
-func (v *Vec) AppendValue(x int)            { v.n++ }
-func (v *Vec) AppendNull()                  { v.n++ }
-func (v *Vec) Reset()                       { v.n = 0 }
-func (v *Vec) Reserve(kind, n int)          { v.n = n }
-func (v *Vec) RefillFloats(n int)           { v.n = n }
-func (v *Vec) RefillStrings(n int)          { v.n = n }
-func (v *Vec) RefillGeneric(n int)          { v.n = n }
-func (v *Vec) SetNull(i int)                { v.n = i }
-func (v *Vec) Splat(x, n int)               { v.n = n }
-func (v *Vec) Gather(src *Vec, idx []int32) { v.n = len(idx) }
-type Chunk struct{ Cols []Vec }
-func misuse(c *Chunk, scratch *Vec) {
-	c.Cols[0].AppendValue(1)
-	c.Cols[0].AppendNull()
-	c.Cols[0].Reset()
-	c.Cols[0].Reserve(1, 8)
-	c.Cols[0].RefillFloats(8)
-	c.Cols[0].RefillStrings(8)
-	c.Cols[0].RefillGeneric(8)
-	c.Cols[0].SetNull(0)
-	c.Cols[0].Splat(1, 8)
-	c.Cols[0].Gather(scratch, nil)
-	scratch.Gather(&c.Cols[0], nil) // reading a storage column into scratch is the point
-}
-`
-
-var chunkFixtures = []struct{ path, file, src string }{
-	{"repro/internal/storage", "storage/seed.go", srcWriteAfterFreeze},
-	{"repro/internal/exec", "exec/seed.go", srcFrozenParam},
-	{"repro/internal/sqltypes", "sqltypes/seed.go", srcKernelRefill},
-	{"repro/internal/exec", "exec/ok.go", srcFreshBuild},
-	{"repro/internal/sqltypes", "sqltypes/mutators.go", srcEveryVecMutator},
-}
-
-func TestChunkFreezeFlagsEveryVecMutatorOnAStorageColumn(t *testing.T) {
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/mutators.go", srcEveryVecMutator)
-	for _, m := range []string{"AppendValue", "AppendNull", "Reset", "Reserve", "RefillFloats",
-		"RefillStrings", "RefillGeneric", "SetNull", "Splat", "Gather"} {
-		n := 0
-		for _, f := range fs {
-			if strings.Contains(f.Message, ")."+m+",") {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Errorf("want one finding for %s on a storage column, got %d in %v", m, n, fs)
+	var deps []*lint.Package
+	for _, p := range pkgs {
+		if (p.Path == "repro/internal/storage" || p.Path == "repro/internal/sqltypes") && !strings.HasSuffix(p.Name, "_test") {
+			deps = append(deps, p)
 		}
 	}
-	if len(fs) != 10 {
-		t.Errorf("want 10 findings, got %d: %v", len(fs), fs)
+	if len(deps) != 2 {
+		t.Fatalf("found %d of internal/storage and internal/sqltypes", len(deps))
 	}
+	p, err := lint.ParseSource("repro/internal/exec", "exec/seed.go", src, deps...)
+	if err != nil {
+		t.Fatalf("parse seeded source: %v", err)
+	}
+	return p
 }
 
 func TestChunkFreezeFlagsWriteAfterFreeze(t *testing.T) {
-	// Inside internal/storage: a chunk is mutable from allocation until its
-	// freeze call; writing through the frozen view is the seeded bug. The
-	// stand-in Chunk reuses the production method name so the funcKey-driven
-	// frozenReturning table matches.
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/storage", "storage/seed.go", srcWriteAfterFreeze)
-	wantFinding(t, fs, "chunk-freeze", "after freeze")
+	// Writing through a chunk a snapshot handed out: its fields are not
+	// there to write.
+	p := sealFixture(t, `package exec
+import "repro/internal/storage"
+func bad(s *storage.Store) {
+	chunks, _, _ := s.ScanChunks("t")
+	chunks[0].N = 0
+}
+`)
+	wantTypeError(t, p, "chunks[0].N undefined")
 }
 
 func TestChunkFreezeFlagsWriteToFrozenParamOutsideStorage(t *testing.T) {
-	// Outside internal/storage, chunk-typed parameters are frozen views —
-	// consumers only ever receive snapshots.
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/seed.go", srcFrozenParam)
-	wantFinding(t, fs, "chunk-freeze", "after freeze")
+	// A consumer handed a chunk or one of its vectors cannot replace a column
+	// or write into a payload.
+	p := sealFixture(t, `package exec
+import (
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
+)
+func bad(c *storage.Chunk, v sqltypes.Vec) { c.Cols[0] = v }
+`)
+	wantTypeError(t, p, "c.Cols undefined")
+	p = sealFixture(t, `package exec
+import "repro/internal/sqltypes"
+func bad(v *sqltypes.Vec) { v.Ints[0] = 1 }
+`)
+	wantTypeError(t, p, "cannot index v.Ints")
 }
 
 func TestChunkFreezeFlagsKernelRefillingStorageColumn(t *testing.T) {
 	// The mistake per-worker scratch makes easy: a kernel refills the chunk's
-	// own column instead of its scratch slot. The stand-ins claim the sqltypes
-	// path so the calleeFacts row for the real Vec.RefillInts matches.
-	fs := findings(t, lint.ChunkFreeze, "repro/internal/sqltypes", "sqltypes/seed.go", srcKernelRefill)
-	wantFinding(t, fs, "chunk-freeze", "RefillInts")
+	// own column instead of its scratch slot. Spelled through the field it
+	// does not compile; through the accessor it panics with the seal's message.
+	p := sealFixture(t, `package exec
+import (
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
+)
+func yearKernel(c *storage.Chunk, n int) []int64 { return c.Cols[0].RefillInts(sqltypes.KindInt, n) }
+`)
+	wantTypeError(t, p, "c.Cols undefined")
+
+	store := storage.NewStore()
+	td := store.Create(&catalog.Table{Name: "t", Columns: []catalog.Column{{Name: "d", Type: sqltypes.KindInt}}})
+	td.MustInsert(sqltypes.NewInt(19950104))
+	chunks, _ := td.SnapshotChunks()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "refill on a sealed vector") {
+			t.Fatalf("refilling a storage column: panic %v, want the seal's", r)
+		}
+	}()
+	chunks[0].Col(0).RefillInts(sqltypes.KindInt, 1)
 }
 
 func TestChunkFreezeAcceptsFreshBuildAndReadOnlyUse(t *testing.T) {
-	// Regression for two bring-up false positives: a locally allocated chunk
-	// stays writable outside storage (the columnarize shape), and builtins
-	// like len are not "callees that may mutate".
-	if fs := findings(t, lint.ChunkFreeze, "repro/internal/exec", "exec/ok.go", srcFreshBuild); len(fs) != 0 {
-		t.Fatalf("fresh chunk build or len() flagged: %v", fs)
+	// Building chunks through a Writer and reading them through the accessors
+	// type-checks and passes the whole suite.
+	p := sealFixture(t, `package exec
+import (
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
+)
+func build(rows [][]sqltypes.Value) []*storage.Chunk {
+	w := storage.Writer{Cols: 2, Left: len(rows)}
+	for _, r := range rows {
+		w.Add(r)
+	}
+	return w.Seal()
+}
+func count(c *storage.Chunk) int { return c.Len()*c.Width() + len(c.Col(0).Ints()) }
+`)
+	if len(p.TypeErrs) != 0 {
+		t.Fatalf("fixture does not type-check: %v", p.TypeErrs)
+	}
+	if fs := lint.Run([]*lint.Package{p}, lint.All()); len(fs) != 0 {
+		t.Fatalf("fresh chunk build or read flagged: %v", fs)
 	}
 }
 
@@ -531,32 +503,41 @@ func bad(s *Store, m *int)       { s.setTable(m) }
 }
 
 func TestRCUPublishFlagsHandRolledPointer(t *testing.T) {
-	// The idiom spelled out by hand — a mutex beside an atomic.Pointer — is
-	// what internal/rcu replaces; declaring one anywhere else is a finding.
-	src := `package storage
-import (
-	"sync"
-	"sync/atomic"
-)
+	// The idiom spelled out by hand — an atomic.Pointer or an atomic.Value of
+	// one's own — is what internal/rcu replaces; boundaries flags either type
+	// anywhere else, whatever the spelling.
+	ptr := `package storage
+import "sync/atomic"
 type Store struct {
-	mu     sync.Mutex
 	tables atomic.Pointer[map[string]int]
 	epoch  atomic.Int64
 }
 `
-	fs := findings(t, lint.RCUPublish, "repro/internal/storage", "storage/seed.go", src)
-	wantFinding(t, fs, "rcu-publish", "atomic.Pointer outside internal/rcu")
-
-	val := `package obs
+	for _, c := range []struct {
+		path, file, src string
+		want            []string
+	}{
+		{"repro/internal/storage", "storage/seed.go", ptr, []string{"sync/atomic.Pointer outside repro/internal/rcu"}},
+		{"repro/internal/obs", "obs/seed.go", `package obs
 import "sync/atomic"
 var registry atomic.Value
-`
-	fs = findings(t, lint.RCUPublish, "repro/internal/obs", "obs/seed.go", val)
-	wantFinding(t, fs, "rcu-publish", "atomic.Value outside internal/rcu")
-
-	for _, ok := range [][2]string{{"repro/internal/rcu", "rcu/rcu.go"}, {"repro/internal/storage", "storage/x_test.go"}} {
-		if fs := findings(t, lint.RCUPublish, ok[0], ok[1], src); len(fs) != 0 {
-			t.Fatalf("%s flagged: %v", ok[1], fs)
+`, []string{"sync/atomic.Value outside repro/internal/rcu"}},
+		{"repro/internal/obs", "obs/dot.go", `package obs
+import . "sync/atomic"
+type cache struct{ m Pointer[map[string]int] }
+var registry Value
+`, []string{"sync/atomic.Pointer outside", "sync/atomic.Value outside"}},
+		{"repro/internal/rcu", "rcu/rcu.go", ptr, nil},
+		{"repro/internal/storage", "storage/x_test.go", ptr, nil},
+	} {
+		fs := findings(t, lint.Boundaries, c.path, c.file, c.src)
+		if len(fs) != len(c.want) {
+			t.Fatalf("%s: want %d findings, got %v", c.file, len(c.want), fs)
+		}
+		for i, f := range fs {
+			if f.Analyzer != "boundaries" || !strings.Contains(f.Message, c.want[i]) {
+				t.Errorf("%s: finding %v, want boundaries mentioning %q", c.file, f, c.want[i])
+			}
 		}
 	}
 }
@@ -774,40 +755,6 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// TestCalleeFactsRowsAreNeeded keeps chunk-freeze's hand-kept summary table
-// honest: dropping any one row must change what the analyzer reports on the
-// repository or on a seeded fixture — a new finding where the row certified a
-// callee read-only, a seeded finding lost where it named a mutator. A row
-// that changes nothing guards nothing: delete it.
-func TestCalleeFactsRowsAreNeeded(t *testing.T) {
-	pkgs, err := module()
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	for _, fx := range chunkFixtures {
-		p, err := lint.ParseSource(fx.path, fx.file, fx.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs[:len(pkgs):len(pkgs)], p)
-	}
-	report := func() string {
-		var b strings.Builder
-		for _, f := range lint.Run(pkgs, []*lint.Analyzer{lint.ChunkFreeze}) {
-			b.WriteString(f.String() + "\n")
-		}
-		return b.String()
-	}
-	with := report()
-	for _, key := range lint.CalleeFactKeys() {
-		lint.WithoutCalleeFact(key, func() {
-			if report() == with {
-				t.Errorf("calleeFacts[%q] changes no finding on the repository or a fixture", key)
-			}
-		})
-	}
-}
-
 // TestEveryAnalyzerIsDocumented ties the suite to its catalogue: DESIGN.md
 // §11 names every analyzer of All(), and no rule that has been deleted.
 func TestEveryAnalyzerIsDocumented(t *testing.T) {
@@ -826,7 +773,7 @@ func TestEveryAnalyzerIsDocumented(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"unlock-paths", "mutex-discipline", "deprecated-api", "storage-rows",
-		"publish-freeze", "storage-lock"} {
+		"publish-freeze", "storage-lock", "chunk-freeze"} {
 		if strings.Contains(section, gone) {
 			t.Errorf("DESIGN.md §11 still names the deleted rule `%s`", gone)
 		}

@@ -1,15 +1,13 @@
 // RCUPublish keeps lock-free publication inside internal/rcu. The types there
 // make the two classic mistakes — a Store outside the writer lock, a write to
-// a published map — impossible to write, which leaves two things to police.
-// Syntactic, everywhere but internal/rcu and test files: nobody spells the
-// idiom out by hand again, so no mention of the types sync/atomic.Pointer or
-// sync/atomic.Value. Typed, the one misuse the types cannot express away: a
-// variable of the enclosing function that an rcu.Cell Update callback returns
-// (bare, behind & or a selector, or as an element of a returned composite
-// literal) belongs to the readers once Update returns, so any later mention
-// of it in that function is a finding. That check is by source position, not
-// control flow: a loop that reuses the variable on its next iteration is not
-// seen.
+// a published map — impossible to write, and boundaries keeps the hand-rolled
+// idiom (sync/atomic.Pointer, sync/atomic.Value) inside internal/rcu. What is
+// left is the one misuse the types cannot express away: a variable of the
+// enclosing function that an rcu.Cell Update callback returns (bare, behind &
+// or a selector, or as an element of a returned composite literal) belongs to
+// the readers once Update returns, so any later mention of it in that
+// function is a finding. That check is by source position, not control flow:
+// a loop that reuses the variable on its next iteration is not seen.
 package lint
 
 import (
@@ -20,15 +18,15 @@ import (
 
 const rcuPath = "repro/internal/rcu"
 
-// RCUPublish is the analyzer for both rules above.
+// RCUPublish is the analyzer for the hand-over rule above.
 var RCUPublish = &Analyzer{
 	Name: "rcu-publish",
-	Doc:  "atomic.Pointer/atomic.Value only inside internal/rcu; nothing an rcu.Cell Update publishes is used afterwards",
+	Doc:  "nothing an rcu.Cell Update publishes is used afterwards",
 	Run:  runRCUPublish,
 }
 
 func runRCUPublish(p *Package) []Finding {
-	if p.Path == rcuPath {
+	if p.Path == rcuPath || p.Info == nil {
 		return nil
 	}
 	var out []Finding
@@ -36,28 +34,7 @@ func runRCUPublish(p *Package) []Finding {
 		if f.Test {
 			continue
 		}
-		atomicName := ""
-		for _, imp := range f.AST.Imports {
-			if importPathOf(imp) == "sync/atomic" {
-				atomicName = importName(imp)
-			}
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if ok && atomicName != "" && isIdent(sel.X, atomicName) &&
-				(sel.Sel.Name == "Pointer" || sel.Sel.Name == "Value") {
-				out = append(out, Finding{
-					Pos: p.Fset.Position(sel.Pos()),
-					Message: fmt.Sprintf("atomic.%s outside internal/rcu: publish through rcu.Cell or rcu.Map",
-						sel.Sel.Name),
-				})
-			}
-			return true
-		})
-		if p.Info == nil {
-			continue
-		}
-		forEachFuncBody(f, func(name string, _ *ast.FuncType, _ *ast.FieldList, body *ast.BlockStmt) {
+		forEachFuncBody(f, func(name string, body *ast.BlockStmt) {
 			inspectShallow(body, func(call *ast.CallExpr) {
 				published := publishedCaptures(p.Info, call)
 				ast.Inspect(body, func(n ast.Node) bool {
@@ -83,8 +60,7 @@ func runRCUPublish(p *Package) []Finding {
 // hand to readers. Call results are taken to be fresh, and values of basic
 // types are copies, so neither counts.
 func publishedCaptures(info *types.Info, call *ast.CallExpr) map[types.Object]bool {
-	f := calleeOf(info, call)
-	if len(call.Args) != 1 || funcKey(f) != rcuPath+".(Cell).Update" {
+	if len(call.Args) != 1 || !isCellUpdate(info, call) {
 		return nil
 	}
 	lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit)

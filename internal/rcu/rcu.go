@@ -15,9 +15,9 @@
 // either. What the types do not cover is memory reachable *through* a
 // generation — a slice inside a loaded struct, a pointer stored as a map
 // value: that stays frozen by convention (and, for storage chunks, by the
-// chunk-freeze analyzer). astlint's rcu-publish rule keeps atomic.Pointer and
-// atomic.Value fields out of every other package, so this is the only place
-// the idiom is spelled out.
+// seal of sqltypes.Vec). astlint's boundaries rule keeps atomic.Pointer and
+// atomic.Value out of every other package, so this is the only place the
+// idiom is spelled out.
 //
 // Guarded is the other half: state that is written as often as it is read and
 // so stays behind a plain mutex. It is here because it is the same move — the

@@ -14,19 +14,20 @@ import (
 // []Value payload, so every value a row store can hold is representable; the
 // typed form is the fast path, not a constraint.
 //
-// Concurrency contract (relied on by storage snapshots): a Vec is append-only.
-// Appends never overwrite payload elements below the current length, so a
-// value copy of the Vec header (with its slice lengths) freezes a consistent
-// prefix — except the null bitmap, whose packed words are shared across rows;
-// Frozen() clones it. Degrading to the generic payload builds a fresh slice
-// rather than mutating the typed one, so frozen headers keep reading their
-// original payload.
+// Concurrency contract (relied on by storage snapshots): a vector a reader can
+// reach is sealed, and every mutator — AppendValue, AppendNull, Reset,
+// Reserve, SetNull and the refill behind Refill*, Splat and Gather — panics on
+// it; Frozen and Prefix copies keep the seal. A storage table's own tail is
+// not sealed: appends never overwrite payload below the current length, and
+// degrading to the generic payload builds a fresh slice, so Frozen (a header
+// copy pinning the lengths, with the null bitmap cloned, its packed words
+// being shared across rows) reads a consistent prefix. The payload is read
+// through accessors; the seal does not stop a write into the slice one returns.
 //
 // The executor's scratch vectors are the other kind of Vec: owned by one
-// worker, refilled in place chunk after chunk through Reset, the Refill*
-// family, Splat and Gather, all of which keep payload and bitmap capacity.
-// Those methods overwrite elements below the current length, so they must
-// never be called on a vector a storage snapshot can reach.
+// worker, never sealed, refilled in place chunk after chunk through Reset, the
+// Refill* family, Splat and Gather, all of which keep payload and bitmap
+// capacity.
 
 // Bitmap is a packed bitset, one bit per row index.
 type Bitmap []uint64
@@ -62,23 +63,47 @@ func (b Bitmap) Clone() Bitmap {
 // empty, untyped vector.
 type Vec struct {
 	kind    Kind // payload kind; KindNull until the first non-null append
-	generic bool // payload lives in Any (mixed kinds)
+	generic bool // payload lives in vals (mixed kinds)
+	sealed  bool // readers may hold it: every mutator panics
 	n       int
 
-	// Payload slices; exactly one is active. Ints backs KindInt, KindBool
+	// Payload slices; exactly one is active. ints backs KindInt, KindBool
 	// and KindDate (the date encoding is the int64 yyyymmdd payload).
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Any    []Value
+	ints   []int64
+	floats []float64
+	strs   []string
+	vals   []Value
 
-	// Nulls marks NULL rows. Inactive (nil) when no NULL has been appended.
-	Nulls    Bitmap
+	// nulls marks NULL rows. Inactive (nil) when no NULL has been appended.
+	nulls    Bitmap
 	hasNulls bool
 }
 
 // Len returns the number of values.
 func (v *Vec) Len() int { return v.n }
+
+// Ints returns the payload of a KindInt, KindBool or KindDate vector, Floats
+// of a KindFloat one, Strs of a KindString one and Any of a generic one; a
+// typed payload holds a zero at a NULL. The slices are the vector's own and
+// are read-only.
+func (v *Vec) Ints() []int64     { return v.ints }
+func (v *Vec) Floats() []float64 { return v.floats }
+func (v *Vec) Strs() []string    { return v.strs }
+func (v *Vec) Any() []Value      { return v.vals }
+
+// Seal makes v read-only for good, before it is handed to readers: from now on
+// every mutator panics.
+func (v *Vec) Seal() { v.sealed = true }
+
+// Sealed reports whether v is read-only.
+func (v *Vec) Sealed() bool { return v.sealed }
+
+// writable panics, naming the mutator op, if v is sealed.
+func (v *Vec) writable(op string) {
+	if v.sealed {
+		panic("sqltypes: " + op + " on a sealed vector")
+	}
+}
 
 // Kind returns the payload kind; KindNull for an untyped (all-NULL or empty)
 // vector. Meaningless when Generic() is true.
@@ -94,31 +119,31 @@ func (v *Vec) HasNulls() bool { return v.hasNulls }
 // IsNull reports whether element i is NULL.
 func (v *Vec) IsNull(i int) bool {
 	if v.generic {
-		return v.Any[i].IsNull()
+		return v.vals[i].IsNull()
 	}
-	return v.hasNulls && v.Nulls.Get(i)
+	return v.hasNulls && v.nulls.Get(i)
 }
 
 // Value reconstructs element i as a Value, NULLs included. The result is
 // identical (kind and payload) to the Value originally appended.
 func (v *Vec) Value(i int) Value {
 	if v.generic {
-		return v.Any[i]
+		return v.vals[i]
 	}
-	if v.hasNulls && v.Nulls.Get(i) {
+	if v.hasNulls && v.nulls.Get(i) {
 		return Null
 	}
 	switch v.kind {
 	case KindInt:
-		return Value{kind: KindInt, i: v.Ints[i]}
+		return Value{kind: KindInt, i: v.ints[i]}
 	case KindBool:
-		return Value{kind: KindBool, i: v.Ints[i]}
+		return Value{kind: KindBool, i: v.ints[i]}
 	case KindDate:
-		return Value{kind: KindDate, i: v.Ints[i]}
+		return Value{kind: KindDate, i: v.ints[i]}
 	case KindFloat:
-		return Value{kind: KindFloat, f: v.Floats[i]}
+		return Value{kind: KindFloat, f: v.floats[i]}
 	case KindString:
-		return Value{kind: KindString, s: v.Strs[i]}
+		return Value{kind: KindString, s: v.strs[i]}
 	default: // untyped: every element is NULL
 		return Null
 	}
@@ -126,17 +151,18 @@ func (v *Vec) Value(i int) Value {
 
 // AppendNull appends a NULL, keeping the active payload aligned.
 func (v *Vec) AppendNull() {
-	v.Nulls.Set(v.n)
+	v.writable("AppendNull")
+	v.nulls.Set(v.n)
 	v.hasNulls = true
 	switch {
 	case v.generic:
-		v.Any = append(v.Any, Null)
+		v.vals = append(v.vals, Null)
 	case v.kind == KindFloat:
-		v.Floats = append(v.Floats, 0)
+		v.floats = append(v.floats, 0)
 	case v.kind == KindString:
-		v.Strs = append(v.Strs, "")
+		v.strs = append(v.strs, "")
 	case v.kind != KindNull:
-		v.Ints = append(v.Ints, 0)
+		v.ints = append(v.ints, 0)
 	}
 	// Untyped vectors carry no payload; length is tracked by n alone and the
 	// payload is zero-filled if a typed value arrives later.
@@ -147,12 +173,13 @@ func (v *Vec) AppendNull() {
 // appending a different kind later degrades the vector to the generic payload
 // (a fresh slice — concurrent frozen readers keep their typed view).
 func (v *Vec) AppendValue(x Value) {
+	v.writable("AppendValue")
 	if x.kind == KindNull {
 		v.AppendNull()
 		return
 	}
 	if v.generic {
-		v.Any = append(v.Any, x)
+		v.vals = append(v.vals, x)
 		v.n++
 		return
 	}
@@ -161,26 +188,26 @@ func (v *Vec) AppendValue(x Value) {
 		v.kind = x.kind
 		switch x.kind {
 		case KindFloat:
-			v.Floats = backfill(v.Floats, v.n)
+			v.floats = backfill(v.floats, v.n)
 		case KindString:
-			v.Strs = backfill(v.Strs, v.n)
+			v.strs = backfill(v.strs, v.n)
 		default:
-			v.Ints = backfill(v.Ints, v.n)
+			v.ints = backfill(v.ints, v.n)
 		}
 	}
 	if x.kind != v.kind {
 		v.degrade()
-		v.Any = append(v.Any, x)
+		v.vals = append(v.vals, x)
 		v.n++
 		return
 	}
 	switch v.kind {
 	case KindFloat:
-		v.Floats = append(v.Floats, x.f)
+		v.floats = append(v.floats, x.f)
 	case KindString:
-		v.Strs = append(v.Strs, x.s)
+		v.strs = append(v.strs, x.s)
 	default:
-		v.Ints = append(v.Ints, x.i)
+		v.ints = append(v.ints, x.i)
 	}
 	v.n++
 }
@@ -204,36 +231,39 @@ func (v *Vec) degrade() {
 		anyv[i] = v.Value(i)
 	}
 	v.generic = true
-	v.Any = anyv
-	v.Ints, v.Floats, v.Strs = nil, nil, nil
+	v.vals = anyv
+	v.ints, v.floats, v.strs = nil, nil, nil
 }
 
 // Reset empties v for refilling through AppendValue/AppendNull, keeping the
 // capacity of every payload and of the null bitmap.
 func (v *Vec) Reset() {
-	*v = Vec{Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0], Any: v.Any[:0], Nulls: v.Nulls[:0]}
+	v.writable("Reset")
+	*v = Vec{ints: v.ints[:0], floats: v.floats[:0], strs: v.strs[:0], vals: v.vals[:0], nulls: v.nulls[:0]}
 }
 
 // Reserve gives an empty vector room for n values of kind, so that appending
 // them does not grow the payload step by step. It fixes nothing: the first
 // non-null append still decides the vector's kind.
 func (v *Vec) Reserve(kind Kind, n int) {
+	v.writable("Reserve")
 	switch kind {
 	case KindNull:
 	case KindFloat:
-		v.Floats = slices.Grow(v.Floats, n)
+		v.floats = slices.Grow(v.floats, n)
 	case KindString:
-		v.Strs = slices.Grow(v.Strs, n)
+		v.strs = slices.Grow(v.strs, n)
 	default:
-		v.Ints = slices.Grow(v.Ints, n)
+		v.ints = slices.Grow(v.ints, n)
 	}
 }
 
 // refill makes v an n-element vector of the given shape with no NULLs; the
 // caller resizes the active payload with regrow.
 func (v *Vec) refill(kind Kind, generic bool, n int) {
+	v.writable("refill")
 	v.kind, v.generic, v.n = kind, generic, n
-	v.Nulls, v.hasNulls = v.Nulls[:0], false
+	v.nulls, v.hasNulls = v.nulls[:0], false
 }
 
 // regrow resizes a scratch payload to n elements, reusing capacity. Contents
@@ -250,35 +280,36 @@ func regrow[T any](s []T, n int) []T {
 // fill: every element must be written, or marked with SetNull.
 func (v *Vec) RefillInts(kind Kind, n int) []int64 {
 	v.refill(kind, false, n)
-	v.Ints = regrow(v.Ints, n)
-	return v.Ints
+	v.ints = regrow(v.ints, n)
+	return v.ints
 }
 
 // RefillFloats is RefillInts for a KindFloat vector.
 func (v *Vec) RefillFloats(n int) []float64 {
 	v.refill(KindFloat, false, n)
-	v.Floats = regrow(v.Floats, n)
-	return v.Floats
+	v.floats = regrow(v.floats, n)
+	return v.floats
 }
 
 // RefillStrings is RefillInts for a KindString vector.
 func (v *Vec) RefillStrings(n int) []string {
 	v.refill(KindString, false, n)
-	v.Strs = regrow(v.Strs, n)
-	return v.Strs
+	v.strs = regrow(v.strs, n)
+	return v.strs
 }
 
 // RefillGeneric is RefillInts for the generic payload; NULL elements are NULL
 // Values, so every element must be written.
 func (v *Vec) RefillGeneric(n int) []Value {
 	v.refill(KindNull, true, n)
-	v.Any = regrow(v.Any, n)
-	return v.Any
+	v.vals = regrow(v.vals, n)
+	return v.vals
 }
 
 // SetNull marks element i of a refilled typed vector NULL.
 func (v *Vec) SetNull(i int) {
-	v.Nulls.Set(i)
+	v.writable("SetNull")
+	v.nulls.Set(i)
 	v.hasNulls = true
 }
 
@@ -305,19 +336,20 @@ func fill[T any](s []T, x T) {
 	}
 }
 
-// Prefix returns a header over v's first n elements, sharing its payload.
+// Prefix returns a header over v's first n elements, sharing its payload and
+// its seal.
 func (v *Vec) Prefix(n int) Vec {
 	p := *v
 	p.n = n
 	switch {
 	case v.generic:
-		p.Any = v.Any[:n]
+		p.vals = v.vals[:n]
 	case v.kind == KindFloat:
-		p.Floats = v.Floats[:n]
+		p.floats = v.floats[:n]
 	case v.kind == KindString:
-		p.Strs = v.Strs[:n]
+		p.strs = v.strs[:n]
 	case v.kind != KindNull:
-		p.Ints = v.Ints[:n]
+		p.ints = v.ints[:n]
 	}
 	return p
 }
@@ -330,7 +362,7 @@ func (v *Vec) Gather(src *Vec, idx []int32) {
 	case src.generic:
 		vals := v.RefillGeneric(n)
 		for i, ri := range idx {
-			vals[i] = src.Any[ri]
+			vals[i] = src.vals[ri]
 		}
 		return
 	case src.kind == KindNull: // untyped: every element NULL
@@ -339,35 +371,35 @@ func (v *Vec) Gather(src *Vec, idx []int32) {
 	case src.kind == KindFloat:
 		fs := v.RefillFloats(n)
 		for i, ri := range idx {
-			fs[i] = src.Floats[ri]
+			fs[i] = src.floats[ri]
 		}
 	case src.kind == KindString:
 		ss := v.RefillStrings(n)
 		for i, ri := range idx {
-			ss[i] = src.Strs[ri]
+			ss[i] = src.strs[ri]
 		}
 	default:
 		ints := v.RefillInts(src.kind, n)
 		for i, ri := range idx {
-			ints[i] = src.Ints[ri]
+			ints[i] = src.ints[ri]
 		}
 	}
 	if src.hasNulls {
 		for i, ri := range idx {
-			if src.Nulls.Get(int(ri)) {
+			if src.nulls.Get(int(ri)) {
 				v.SetNull(i)
 			}
 		}
 	}
 }
 
-// Frozen returns a header copy safe to read concurrently with further
+// Frozen returns a sealed header copy safe to read concurrently with further
 // appends to v: slice lengths pin the current prefix, and the null bitmap —
 // whose packed words would otherwise be shared with rows appended later — is
 // cloned.
 func (v *Vec) Frozen() Vec {
 	f := *v
-	f.Nulls = v.Nulls.Clone()
+	f.nulls, f.sealed = v.nulls.Clone(), true
 	return f
 }
 
@@ -463,7 +495,7 @@ func (v *Vec) KeyCells(lo int, classes []Kind, words []int64) {
 	hi := lo + len(classes)
 	switch {
 	case v.generic:
-		for i, x := range v.Any[lo:hi] {
+		for i, x := range v.vals[lo:hi] {
 			classes[i], words[i] = x.KeyCell()
 		}
 		return
@@ -473,21 +505,21 @@ func (v *Vec) KeyCells(lo int, classes []Kind, words []int64) {
 		}
 		return
 	case v.kind == KindFloat:
-		for i, f := range v.Floats[lo:hi] {
+		for i, f := range v.floats[lo:hi] {
 			classes[i], words[i] = floatCell(f)
 		}
 	case v.kind == KindString:
-		for i, s := range v.Strs[lo:hi] {
+		for i, s := range v.strs[lo:hi] {
 			classes[i], words[i] = KindString, int64(maphash.String(keySeed, s))
 		}
 	default:
-		for i, x := range v.Ints[lo:hi] {
+		for i, x := range v.ints[lo:hi] {
 			classes[i], words[i] = v.kind, x
 		}
 	}
 	if v.hasNulls {
 		for i := range classes {
-			if v.Nulls.Get(lo + i) {
+			if v.nulls.Get(lo + i) {
 				classes[i], words[i] = KindNull, 0
 			}
 		}

@@ -1,7 +1,9 @@
 package sqltypes
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -249,5 +251,87 @@ func TestVecReserveKeepsKindOpen(t *testing.T) {
 	w.AppendValue(NewString("x"))
 	if w.Kind() != KindString || w.Value(0).Str() != "x" {
 		t.Fatalf("kind reserved for leaked: %s %v", w.Kind(), w.Value(0))
+	}
+}
+
+// panicOf runs f and returns what it panicked with, "" when it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestSealedVecRefusesEveryMutator: every mutator panics, naming itself, on a
+// sealed vector — one sealed in place, a Frozen copy, a Prefix of either — and
+// on none of the scratch vectors; a sealed vector still reads into scratch
+// through Gather.
+func TestSealedVecRefusesEveryMutator(t *testing.T) {
+	build := func() *Vec {
+		v := &Vec{}
+		for i := range 5 {
+			v.AppendValue(NewInt(int64(i)))
+		}
+		v.AppendNull()
+		return v
+	}
+	src := build()
+	src.Seal()
+	sealed := []struct {
+		name string
+		make func() *Vec
+	}{
+		{"Seal", func() *Vec { return src }},
+		{"Frozen", func() *Vec { f := build().Frozen(); return &f }},
+		{"Prefix of a sealed vector", func() *Vec { p := src.Prefix(3); return &p }},
+		{"Prefix of a Frozen copy", func() *Vec { f := build().Frozen(); p := f.Prefix(3); return &p }},
+	}
+	scratch := []struct {
+		name string
+		make func() *Vec
+	}{
+		{"zero", func() *Vec { return &Vec{} }},
+		{"appended", build},
+		{"Prefix of scratch", func() *Vec { p := build().Prefix(3); return &p }},
+		{"Gathered from a sealed vector", func() *Vec { v := &Vec{}; v.Gather(src, []int32{5, 0}); return v }},
+	}
+	for _, m := range []struct {
+		name, msg string
+		call      func(v *Vec)
+	}{
+		{"AppendValue", "AppendValue on a sealed vector", func(v *Vec) { v.AppendValue(NewInt(9)) }},
+		{"AppendNull", "AppendNull on a sealed vector", func(v *Vec) { v.AppendNull() }},
+		{"Reset", "Reset on a sealed vector", func(v *Vec) { v.Reset() }},
+		{"Reserve", "Reserve on a sealed vector", func(v *Vec) { v.Reserve(KindInt, 8) }},
+		{"SetNull", "SetNull on a sealed vector", func(v *Vec) { v.SetNull(0) }},
+		{"RefillInts", "refill on a sealed vector", func(v *Vec) { v.RefillInts(KindInt, 2) }},
+		{"RefillFloats", "refill on a sealed vector", func(v *Vec) { v.RefillFloats(2) }},
+		{"RefillStrings", "refill on a sealed vector", func(v *Vec) { v.RefillStrings(2) }},
+		{"RefillGeneric", "refill on a sealed vector", func(v *Vec) { v.RefillGeneric(2) }},
+		{"Splat", "refill on a sealed vector", func(v *Vec) { v.Splat(NewInt(1), 4) }},
+		{"Splat NULL", "refill on a sealed vector", func(v *Vec) { v.Splat(Null, 4) }},
+		{"Gather", "refill on a sealed vector", func(v *Vec) { v.Gather(src, []int32{1}) }},
+	} {
+		for _, s := range sealed {
+			if v := s.make(); !v.Sealed() {
+				t.Fatalf("%s: not sealed", s.name)
+			}
+			if got := panicOf(func() { m.call(s.make()) }); !strings.Contains(got, m.msg) {
+				t.Errorf("%s on %s: panic %q, want %q", m.name, s.name, got, m.msg)
+			}
+		}
+		for _, s := range scratch {
+			if got := panicOf(func() { m.call(s.make()) }); got != "" {
+				t.Errorf("%s on a scratch vector (%s) panicked: %s", m.name, s.name, got)
+			}
+		}
+	}
+	var into Vec
+	into.Gather(src, []int32{5, 0, 4})
+	if into.Sealed() || !into.IsNull(0) || into.Value(1).Int() != 0 || into.Value(2).Int() != 4 {
+		t.Fatalf("Gather from a sealed vector reads %v %v %v (sealed %v)", into.Value(0), into.Value(1), into.Value(2), into.Sealed())
 	}
 }

@@ -44,21 +44,32 @@ func applyModel(model [][]sqltypes.Value, edits []Edit, add [][]sqltypes.Value) 
 	return append(out, add...)
 }
 
-// checkLayout fails unless every chunk but the last is full and the chunks
-// cover n rows.
+// checkLayout fails unless every chunk but the last is full, the chunks cover
+// n rows, every column a reader can reach is sealed, and the builder's short
+// tail is not, so the table can still grow.
 func checkLayout(t *testing.T, td *TableData) {
 	t.Helper()
 	chunks, n := td.SnapshotChunks()
 	sum := 0
 	for i, c := range chunks {
-		if i < len(chunks)-1 && c.N != ChunkRows {
-			t.Fatalf("chunk %d of %d holds %d rows: only the last may be short", i, len(chunks), c.N)
+		if i < len(chunks)-1 && c.Len() != ChunkRows {
+			t.Fatalf("chunk %d of %d holds %d rows: only the last may be short", i, len(chunks), c.Len())
 		}
-		sum += c.N
+		for j := range c.Width() {
+			if !c.Col(j).Sealed() {
+				t.Fatalf("chunk %d column %d of the snapshot is not sealed", i, j)
+			}
+		}
+		sum += c.Len()
 	}
 	if sum != n || td.Cardinality() != n {
 		t.Fatalf("chunks cover %d rows, view says %d", sum, n)
 	}
+	td.builder.Do(func(b *Writer) {
+		if k := len(b.chunks); k > 0 && b.chunks[k-1].Len() < ChunkRows && b.chunks[k-1].Col(0).Sealed() {
+			t.Fatal("the builder's short tail is sealed: the table cannot grow")
+		}
+	})
 }
 
 // TestRewriteSharesUnchangedChunks: Rewrite shares a full chunk exactly when
@@ -138,8 +149,8 @@ func TestRewriteKeepsOldGenerations(t *testing.T) {
 			for pass := 0; pass < 20; pass++ {
 				pos := 0
 				for _, c := range chunks {
-					for i := 0; i < c.N; i, pos = i+1, pos+1 {
-						if got := c.Cols[0].Ints[i]; got != model[pos][0].Int() {
+					for i := 0; i < c.Len(); i, pos = i+1, pos+1 {
+						if got := c.Col(0).Ints()[i]; got != model[pos][0].Int() {
 							t.Errorf("old generation row %d reads %d", pos, got)
 							return
 						}
@@ -165,7 +176,8 @@ func TestRewriteKeepsOldGenerations(t *testing.T) {
 
 // FuzzStoreRewrite: a table of zero to three chunks, rows replaced, dropped and
 // appended at random, against the same edits applied to a [][]Value, then an
-// Insert on top: the rows, their order and the chunk layout must agree.
+// Insert on top: the rows, their order and the chunk layout must agree, and
+// after each step every published column is sealed and the tail still grows.
 func FuzzStoreRewrite(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint8(3), int64(1))
 	f.Add(uint16(ChunkRows), uint16(1), uint8(0), int64(2))

@@ -16,7 +16,7 @@
 // a writer. Writers (Insert, Rewrite, Put, Create, Drop) publish the
 // replacement — a copied table map, or a frozen chunk view — and in-flight
 // readers keep whatever generation they loaded. Snapshots are therefore
-// stable by construction: SnapshotChunks returns frozen chunk headers that
+// stable by construction: SnapshotChunks returns sealed chunk headers that
 // appends never reach, Rewrite builds new chunks for whatever it changes, and
 // Put swaps the whole table so readers keep their old version.
 //
@@ -40,7 +40,7 @@ import (
 // chunks and the row count they cover. It is the only stored form of a table;
 // rows exist only where a caller asks for them (Snapshot, Scan).
 type tableView struct {
-	frozen []*Chunk // frozen: sealed chunks shared, tail header-copied
+	frozen []*Chunk // all sealed: full chunks shared, tail header-copied
 	n      int      // row count covered by chunks
 }
 
@@ -85,8 +85,8 @@ func newTableData(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
 // are shared, the tail is header-copied (Chunk.frozen). Callers hold the
 // builder's lock, so generations publish in the order they were written.
 func (t *TableData) publish(b *Writer) {
-	next := tableView{frozen: make([]*Chunk, len(b.Chunks)), n: b.N}
-	for i, c := range b.Chunks {
+	next := tableView{frozen: make([]*Chunk, len(b.chunks)), n: b.N}
+	for i, c := range b.chunks {
 		next.frozen[i] = c.frozen()
 	}
 	t.view.Update(func(tableView) tableView { return next })
@@ -220,8 +220,8 @@ func (t *TableData) Snapshot() [][]sqltypes.Value {
 
 // SnapshotChunks returns the frozen chunk view and the row count it covers.
 // Lock-free: the view is republished by every write, so readers never wait
-// behind a writer. Sealed chunks are shared; the tail chunk is header-copied
-// with cloned null bitmaps (see Chunk.frozen).
+// behind a writer. Full chunks are shared; the tail chunk is header-copied
+// with cloned null bitmaps (see Chunk.frozen). Every chunk is sealed.
 func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
 	v := t.view.Load()
 	return v.frozen, v.n
@@ -268,20 +268,20 @@ func (t *TableData) Rewrite(edits []Edit, add [][]sqltypes.Value) (err error) {
 		}
 		// The Writer refills the chunk list in place: it never holds more
 		// chunks than the loop has read, so it overwrites only read entries.
-		old := b.Chunks
-		b.Chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
+		old := b.chunks
+		b.chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
 		var row []sqltypes.Value
 		pos := 0
 		for _, c := range old {
-			if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.N) {
-				b.Chunks = append(b.Chunks, c)
-				b.N, b.Left, pos = b.N+c.N, b.Left-c.N, pos+c.N
+			if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.n) {
+				b.chunks = append(b.chunks, c)
+				b.N, b.Left, pos = b.N+c.n, b.Left-c.n, pos+c.n
 				continue
 			}
 			if row == nil {
 				row = make([]sqltypes.Value, b.Cols)
 			}
-			for i := 0; i < c.N; i, pos = i+1, pos+1 {
+			for i := 0; i < c.n; i, pos = i+1, pos+1 {
 				switch {
 				case len(edits) == 0 || edits[0].Pos != pos:
 					c.Row(i, row)

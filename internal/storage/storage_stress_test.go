@@ -63,7 +63,7 @@ func TestViewPointerReadersDuringDMLStorm(t *testing.T) {
 				chunks, n := s.MustTable("t").SnapshotChunks()
 				sum := 0
 				for _, c := range chunks {
-					sum += c.N
+					sum += c.Len()
 				}
 				if sum != n {
 					errc <- fmt.Errorf("reader %d: view count %d != chunk sum %d", r, n, sum)

@@ -75,7 +75,7 @@ func TestChunkRowRoundTrip(t *testing.T) {
 		td.MustInsert(want[i]...)
 	}
 	chunks, cn := td.SnapshotChunks()
-	if cn != n || len(chunks) != 3 || chunks[0].N != ChunkRows || chunks[1].N != ChunkRows {
+	if cn != n || len(chunks) != 3 || chunks[0].Len() != ChunkRows || chunks[1].Len() != ChunkRows {
 		t.Fatalf("chunk snapshot: n=%d chunks=%d", cn, len(chunks))
 	}
 	sameRows(t, td.Snapshot(), want)
@@ -108,14 +108,14 @@ func TestSnapshotStability(t *testing.T) {
 	td.MustInsert(sqltypes.NewInt(1), sqltypes.NewString("x"))
 	chunks, cn := td.SnapshotChunks()
 	td.MustInsert(sqltypes.NewInt(2), sqltypes.Null)
-	if cn != 1 || chunks[0].N != 1 {
-		t.Fatalf("snapshot moved: n=%d chunk n=%d", cn, chunks[0].N)
+	if cn != 1 || chunks[0].Len() != 1 {
+		t.Fatalf("snapshot moved: n=%d chunk n=%d", cn, chunks[0].Len())
 	}
-	if chunks[0].Cols[1].IsNull(0) {
+	if chunks[0].Col(1).IsNull(0) {
 		t.Fatal("null bit from a later append leaked into the frozen chunk")
 	}
 	c2, n2 := td.SnapshotChunks()
-	if rows := td.Snapshot(); len(rows) != 2 || n2 != 2 || c2[0].N != 2 {
+	if rows := td.Snapshot(); len(rows) != 2 || n2 != 2 || c2[0].Len() != 2 {
 		t.Fatalf("fresh snapshots stale: rows=%d n=%d", len(rows), n2)
 	}
 }
@@ -171,9 +171,9 @@ func TestConcurrentReadersAndInserts(t *testing.T) {
 				}
 				sum := 0
 				for _, c := range chunks {
-					for i := 0; i < c.N; i++ {
-						if !c.Cols[0].IsNull(i) {
-							sum += int(c.Cols[0].Value(i).Int())
+					for i := 0; i < c.Len(); i++ {
+						if !c.Col(0).IsNull(i) {
+							sum += int(c.Col(0).Value(i).Int())
 						}
 					}
 				}
