@@ -41,15 +41,13 @@ import (
 // refresh that leaves every table usable changes nothing: DML does not flush
 // the cache.
 //
-// Concurrency: the cache is striped. Templates hash (FNV-1a) onto independent
-// LRU shards, each behind its own lock, so concurrent sessions hitting
-// different statements never contend on one lock; lifetime statistics are
-// lock-free atomics. Small caches (capacity < planCacheStripeMin) collapse to
-// a single shard, which keeps exact global LRU order where capacity is tight
-// enough for eviction order to be observable. A stored plan is never written:
-// every lookup, the one that stored it included, gets its own bound copy.
+// Concurrency: the cache is one LRU behind one lock, held for a map lookup
+// and a list move; lifetime statistics are lock-free atomics. A stored plan
+// is never written: every lookup, the one that stored it included, gets its
+// own bound copy.
 type PlanCache struct {
-	shards []planShard
+	cap int
+	lru rcu.Guarded[planLRU]
 
 	hits, misses, evictions atomic.Int64
 
@@ -58,16 +56,7 @@ type PlanCache struct {
 	usable rcu.Cell[*usableSet]
 }
 
-// planShard is one independent LRU stripe of the cache.
-type planShard struct {
-	cap int
-	lru rcu.Guarded[planLRU]
-
-	// Pad to a cache line so neighboring shards' locks do not false-share.
-	_ [64]byte
-}
-
-// planLRU is a shard's recency list and its index.
+// planLRU is the cache's recency list and its index.
 type planLRU struct {
 	ll    *list.List                  // of *cacheEntry; front = most recently used
 	byKey map[planKey][]*list.Element // a template's variants, most recently used first
@@ -109,59 +98,22 @@ const DefaultPlanCacheSize = 256
 // arise only from pinned literals that vary, and each lookup walks them all.
 const maxVariants = 4
 
-// planCacheStripes is the shard count for caches large enough to stripe
-// (power of two, so shard selection is a mask).
-const planCacheStripes = 16
-
-// planCacheStripeMin is the smallest capacity that stripes: below it a
-// per-shard capacity would round to a handful of entries and hash skew could
-// evict hot plans a global LRU would keep.
-const planCacheStripeMin = 4 * planCacheStripes
-
 // NewPlanCache returns an empty cache holding at most capacity plans.
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheSize
 	}
-	n := 1
-	if capacity >= planCacheStripeMin {
-		n = planCacheStripes
-	}
-	c := &PlanCache{shards: make([]planShard, n)}
-	base, rem := capacity/n, capacity%n
-	for i := range c.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		c.shards[i].cap = sc
-		c.shards[i].lru.Do(func(l *planLRU) {
-			*l = planLRU{ll: list.New(), byKey: map[planKey][]*list.Element{}}
-		})
-	}
+	c := &PlanCache{cap: capacity}
+	c.lru.Do(func(l *planLRU) {
+		*l = planLRU{ll: list.New(), byKey: map[planKey][]*list.Element{}}
+	})
 	return c
-}
-
-// shard maps a template to its stripe by FNV-1a hash. The usable set is not
-// hashed: the eras of one statement share a stripe.
-func (c *PlanCache) shard(template string) *planShard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(template); i++ {
-		h ^= uint64(template[i])
-		h *= 1099511628211
-	}
-	return &c.shards[h&uint64(len(c.shards)-1)]
 }
 
 // Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		c.shards[i].lru.Do(func(l *planLRU) { n += l.ll.Len() })
-	}
+	c.lru.Do(func(l *planLRU) { n = l.ll.Len() })
 	return n
 }
 
@@ -180,7 +132,7 @@ func (c *PlanCache) Evictions() int64 {
 // known reports that the key has variants at all, so that a miss with known
 // set is a pinned literal that differed.
 func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, known bool) {
-	c.shard(key.template).lru.Do(func(l *planLRU) {
+	c.lru.Do(func(l *planLRU) {
 		variants := l.byKey[key]
 		known = len(variants) > 0
 		for i, el := range variants {
@@ -204,12 +156,11 @@ func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, kn
 // put stores ent, planned for lits, as the most recently used variant of its
 // key. Within the key it takes the place of the variant that answers lits, if
 // a concurrent miss stored one first, else of the least recently used one once
-// there are maxVariants; then the shard's least recently used entries go until
-// it is within capacity, and put returns how many those were.
+// there are maxVariants; then the cache's least recently used entries go
+// until it is within capacity, and put returns how many those were.
 func (c *PlanCache) put(ent *cacheEntry, lits []sqltypes.Value) int {
-	s := c.shard(ent.key.template)
 	evicted := 0
-	s.lru.Do(func(l *planLRU) {
+	c.lru.Do(func(l *planLRU) {
 		variants := l.byKey[ent.key]
 		out := -1
 		if len(variants) >= maxVariants {
@@ -226,7 +177,7 @@ func (c *PlanCache) put(ent *cacheEntry, lits []sqltypes.Value) int {
 			variants = append(variants[:out:out], variants[out+1:]...)
 		}
 		l.byKey[ent.key] = append([]*list.Element{l.ll.PushFront(ent)}, variants...)
-		for l.ll.Len() > s.cap {
+		for l.ll.Len() > c.cap {
 			// A key's variants are in list order, so the list's back is the
 			// last of its key's.
 			back := l.ll.Back()

@@ -14,18 +14,17 @@ import (
 	"repro/internal/qgm"
 )
 
-// TestPlanCacheStripedConcurrentHits hammers a striped cache (capacity ≥
-// planCacheStripeMin, so 16 shards) from many goroutines over more distinct
-// queries than the cache holds, forcing concurrent hits, misses, inserts, and
-// evictions across shards. Run under -race this is the memory-safety proof for
-// the striping; the assertions prove the accounting survives the races: every
-// lookup is classified exactly once (hits + misses == lookups) and no shard
-// ever exceeds its capacity.
-func TestPlanCacheStripedConcurrentHits(t *testing.T) {
+// TestPlanCacheConcurrentHits hammers a cache from many goroutines over more
+// distinct queries than it holds, forcing concurrent hits, misses, inserts,
+// and evictions. Run under -race this is the memory-safety proof for the
+// cache's one lock; the assertions prove the accounting survives the races:
+// every lookup is classified exactly once (hits + misses == lookups) and the
+// cache never exceeds its capacity.
+func TestPlanCacheConcurrentHits(t *testing.T) {
 	e := newEnv(t, 1000)
 	ast := e.registerAST(t, "pc_stress", pcAggSQL)
 	asts := []*core.CompiledAST{ast}
-	const capacity = 64 // striped: 16 shards × 4 entries
+	const capacity = 64
 	cache := core.NewPlanCache(capacity)
 
 	// More distinct templates than capacity (the alias is template text; a

@@ -186,6 +186,51 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheDefaultCapacityIsOneLRU: a cache of the default capacity holds
+// that many templates without evicting any, and the next one evicts exactly
+// the least recently used template — LRU order over the whole cache, not
+// within a slice of it.
+func TestPlanCacheDefaultCapacityIsOneLRU(t *testing.T) {
+	e := newEnv(t, 1000)
+	asts := []*core.CompiledAST{e.registerAST(t, "pc_lru", pcAggSQL)}
+	cache := core.NewPlanCache(0)
+	ctx := context.Background()
+	// The alias is template text, so every query is its own template.
+	q := func(i int) string {
+		return "select faid, count(*) as cnt" + strconv.Itoa(i) + " from trans group by faid"
+	}
+	lookup := func(i int) *core.CachedRewrite {
+		t.Helper()
+		cr, err := e.rw.RewriteSQLCached(ctx, cache, q(i), asts, e.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cr
+	}
+	const n = core.DefaultPlanCacheSize
+	for i := 0; i < n; i++ {
+		lookup(i)
+	}
+	if got := cache.Evictions(); got != 0 {
+		t.Fatalf("%d templates in a cache of %d evicted %d", n, n, got)
+	}
+	if !lookup(0).Hit { // template 1 is now the least recently used
+		t.Fatal("the first template was not kept")
+	}
+	lookup(n)
+	if got := cache.Evictions(); got != 1 || cache.Len() != n {
+		t.Fatalf("one template past capacity: %d evictions, %d cached; want 1, %d", got, cache.Len(), n)
+	}
+	for i := 0; i <= n; i++ {
+		if i != 1 && !lookup(i).Hit {
+			t.Fatalf("template %d was evicted, want only template 1", i)
+		}
+	}
+	if lookup(1).Hit {
+		t.Fatal("the least recently used template was kept")
+	}
+}
+
 // TestCostRewritePicksCheapestAndBreaksTiesByName: cost-based selection picks
 // the candidate with the larger estimated gain and produces an equivalent
 // plan, and equal gains resolve to the smaller summary-table name whatever
@@ -448,10 +493,10 @@ func TestPlanCacheVariantsAreBoundedPerTemplate(t *testing.T) {
 }
 
 // TestPlanCacheHitAllocs pins what a hit allocates: the template, the literal
-// vector and the bound copy of the plan, and nothing for the shard lookup
-// itself — a closure handed to the shard's Guarded that escaped would show
-// here first. The bound was measured at the commit before the shards moved
-// onto rcu.Guarded.
+// vector and the bound copy of the plan, and nothing for the LRU lookup
+// itself — a closure handed to the cache's Guarded that escaped would show
+// here first. The bound was measured before the cache moved onto
+// rcu.Guarded.
 func TestPlanCacheHitAllocs(t *testing.T) {
 	e := newEnv(t, 2000)
 	asts := []*core.CompiledAST{e.registerAST(t, "pc_agg", pcAggSQL)}

@@ -7,11 +7,10 @@ import (
 	"time"
 )
 
-// TestStripedCountersConcurrentWriters proves the striped counter path loses
-// nothing: many goroutines increment the same counter (same cell, usually
-// different stripes) and different counters (registry growth mid-storm), and
-// the merged totals equal exactly what was written.
-func TestStripedCountersConcurrentWriters(t *testing.T) {
+// TestCountersConcurrentWriters proves the counter path loses nothing: many
+// goroutines increment the same counter and different counters (registry
+// growth mid-storm), and the totals equal exactly what was written.
+func TestCountersConcurrentWriters(t *testing.T) {
 	o := New()
 	const workers = 8
 	const addsPer = 2000
@@ -40,13 +39,12 @@ func TestStripedCountersConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestStripedHistogramSnapshotConsistency races histogram writers against a
-// snapshot reader. Each stripe is merged under its own mutex, so every
-// snapshot must be internally consistent — Count equals the bucket sum, Sum
-// and Max only grow — even while recordings land concurrently; the final
-// quiesced snapshot must account for every recording, and Quantile must stay
-// well-defined on every intermediate merge.
-func TestStripedHistogramSnapshotConsistency(t *testing.T) {
+// TestHistogramSnapshotConsistency races histogram writers against a
+// snapshot reader. A histogram is read under its lock, so every snapshot must
+// be internally consistent — Count equals the bucket sum and only grows —
+// even while recordings land concurrently; the final quiesced snapshot must
+// account for every recording.
+func TestHistogramSnapshotConsistency(t *testing.T) {
 	o := New()
 	const workers = 6
 	const recsPer = 3000
@@ -82,15 +80,6 @@ func TestStripedHistogramSnapshotConsistency(t *testing.T) {
 				return
 			}
 			lastCount = h.Count
-			if h.Count > 0 {
-				if q := h.Quantile(0.99); q < 0 {
-					select {
-					case errc <- fmt.Errorf("quantile went negative: %v", q):
-					default:
-					}
-					return
-				}
-			}
 		}
 	}()
 

@@ -1,6 +1,10 @@
 package obs
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/rcu"
+)
 
 // histBounds are the upper bounds of the latency buckets (the last bucket is
 // unbounded). Power-of-ten decades cover everything from sub-microsecond
@@ -27,7 +31,23 @@ func HistBucketLabel(i int) string {
 	return ">=" + histBounds[len(histBounds)-1].String()
 }
 
-// histogram is the live, mutex-guarded (by Observer.mu) latency histogram.
+// histCell is one named histogram. The lock (rather than per-field atomics)
+// is what makes a snapshot consistent: count, sum, max and buckets are read
+// together, so a snapshot never reports count ≠ Σbuckets.
+type histCell struct {
+	h rcu.Guarded[histogram]
+}
+
+func (c *histCell) record(d time.Duration) {
+	c.h.Do(func(h *histogram) { h.record(d) })
+}
+
+func (c *histCell) snapshot() (s Histogram) {
+	c.h.Do(func(h *histogram) { s = h.snapshot() })
+	return s
+}
+
+// histogram is the live latency histogram behind a histCell's lock.
 type histogram struct {
 	buckets [NumHistBuckets]int64
 	count   int64
@@ -66,41 +86,4 @@ func (h Histogram) Mean() time.Duration {
 		return 0
 	}
 	return h.Sum / time.Duration(h.Count)
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the recorded durations
-// from the bucket counts. The estimate interpolates linearly inside the
-// bucket holding the quantile rank — coarse (buckets are decades) but
-// monotone, and good enough for the server's p50/p99 snapshot lines; exact
-// percentiles need the raw samples (the load generator keeps those). The
-// overflow bucket reports Max. Returns 0 when the histogram is empty.
-func (h Histogram) Quantile(q float64) time.Duration {
-	if h.Count == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var seen float64
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		if seen+float64(c) >= rank {
-			lo := time.Duration(0)
-			if i > 0 {
-				lo = histBounds[i-1]
-			}
-			if i >= len(histBounds) {
-				// Overflow bucket: no upper bound to interpolate toward.
-				return h.Max
-			}
-			hi := histBounds[i]
-			frac := (rank - seen) / float64(c)
-			return lo + time.Duration(frac*float64(hi-lo))
-		}
-		seen += float64(c)
-	}
-	return h.Max
 }

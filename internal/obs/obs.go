@@ -46,13 +46,11 @@ const maxSpans = 4096
 // value is not used directly — construct with New. A nil *Observer is the
 // disabled observer: every method is a cheap no-op.
 //
-// All methods are safe for concurrent use, and the counter/histogram write
-// path is contention-free: the name→cell registries are rcu maps (a writer
-// copies one only the first time a name is seen), and each cell is striped
-// per goroutine (see stripe.go), so two sessions bumping the same counter
-// touch different cache lines. Reads (Counter, Snapshot) merge the stripes.
+// All methods are safe for concurrent use. The name→instrument registries
+// are rcu maps (a writer copies one only the first time a name is seen); a
+// counter is one atomic word and a histogram one lock-guarded bucket set.
 type Observer struct {
-	counters rcu.Map[string, *counterCell]
+	counters rcu.Map[string, *atomic.Int64]
 	hists    rcu.Map[string, *histCell]
 
 	log     rcu.Guarded[recordLog]
@@ -101,7 +99,7 @@ func (o *Observer) Add(name string, n int64) {
 	if o == nil {
 		return
 	}
-	cellOf(&o.counters, name).add(n)
+	cellOf(&o.counters, name).Add(n)
 }
 
 // Counter reads a counter's current value (0 when never incremented).
@@ -113,7 +111,7 @@ func (o *Observer) Counter(name string) int64 {
 	if !ok {
 		return 0
 	}
-	return c.load()
+	return c.Load()
 }
 
 // Now returns the current wall-clock time when the observer is enabled and
@@ -139,9 +137,7 @@ func (o *Observer) ObserveSince(name string, began time.Time) {
 	o.Observe(name, time.Since(began))
 }
 
-// Observe records one duration into the named latency histogram. Only the
-// calling goroutine's stripe is locked, so concurrent sessions recording into
-// the same histogram do not serialize.
+// Observe records one duration into the named latency histogram.
 func (o *Observer) Observe(name string, d time.Duration) {
 	if o == nil {
 		return
@@ -202,10 +198,9 @@ type Snapshot struct {
 }
 
 // Snapshot copies the observer's current state. Counters and histograms are
-// deep copies; mutating the snapshot never touches the live observer. Counter
-// and histogram stripes are merged here: each histogram stripe is read under
-// its own lock, so every stripe contributes an internally consistent view
-// (count always equals the bucket sum) even with writers running.
+// deep copies; mutating the snapshot never touches the live observer. Each
+// histogram is read under its own lock, so its count equals its bucket sum
+// even with writers running.
 func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
@@ -220,12 +215,12 @@ func (o *Observer) Snapshot() Snapshot {
 		s.Spans = append([]SpanRecord(nil), l.spans...)
 		s.DroppedSpans = o.dropped.Load()
 	})
-	o.counters.Range(func(name string, c *counterCell) bool {
-		s.Counters[name] = c.load()
+	o.counters.Range(func(name string, c *atomic.Int64) bool {
+		s.Counters[name] = c.Load()
 		return true
 	})
 	o.hists.Range(func(name string, h *histCell) bool {
-		s.Histograms[name] = h.merged()
+		s.Histograms[name] = h.snapshot()
 		return true
 	})
 	return s

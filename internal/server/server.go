@@ -24,7 +24,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -179,42 +178,6 @@ type request struct {
 	payload []byte
 }
 
-// sessionWriterBuf sizes each session's response buffer: big enough to absorb
-// a burst of cached-query responses in one syscall, small enough that 64
-// sessions cost ~1 MiB.
-const sessionWriterBuf = 16 << 10
-
-// sessionWriter batches one session's response frames through a buffered
-// writer. Responses are flushed when the worker is about to block waiting for
-// the next request (flush-on-idle, see serveConn), so a request/response
-// client sees no added latency while a pipelining client gets many responses
-// per write syscall instead of one each.
-type sessionWriter struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
-}
-
-func newSessionWriter(conn net.Conn, timeout time.Duration) *sessionWriter {
-	return &sessionWriter{conn: conn, bw: bufio.NewWriterSize(conn, sessionWriterBuf), timeout: timeout}
-}
-
-// writeFrame buffers one response frame. The write deadline is armed first so
-// a buffer-overflow spill to a stuck client still times out.
-func (w *sessionWriter) writeFrame(typ byte, payload []byte) error {
-	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	return wire.WriteFrame(w.bw, typ, payload)
-}
-
-// flush pushes buffered responses to the socket.
-func (w *sessionWriter) flush() error {
-	if w.bw.Buffered() == 0 {
-		return nil
-	}
-	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	return w.bw.Flush()
-}
-
 // serveConn runs one session: a reader goroutine pulls frames off the
 // socket; this goroutine handles them in order and writes the responses.
 // The split is what makes cancellation and drain work — the reader notices a
@@ -260,45 +223,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	w := newSessionWriter(conn, s.cfg.WriteTimeout)
 	for {
-		// Prefer pending requests over the drain signal so a request that
-		// raced the drain is served, not dropped. While requests are pending
-		// their responses accumulate in the session writer; the flush in the
-		// default arm below runs exactly when the worker would otherwise
-		// block, so no response ever waits behind an idle socket.
 		select {
 		case r, ok := <-reqs:
-			if !ok {
-				w.flush()
+			if !ok || !s.handle(ctx, conn, r) {
 				return
 			}
-			if !s.handle(ctx, w, r) {
-				return
+		case <-s.drainCh:
+			// Graceful drain: stop intake, then serve whatever the reader
+			// already pulled off the socket — a request that raced the drain
+			// signal included — before closing.
+			conn.SetReadDeadline(time.Now())
+			for r := range reqs {
+				s.handle(ctx, conn, r)
 			}
-		default:
-			if w.flush() != nil {
-				return
-			}
-			select {
-			case r, ok := <-reqs:
-				if !ok {
-					w.flush()
-					return
-				}
-				if !s.handle(ctx, w, r) {
-					return
-				}
-			case <-s.drainCh:
-				// Graceful drain: stop intake, then serve whatever the
-				// reader already pulled off the socket before closing.
-				conn.SetReadDeadline(time.Now())
-				for r := range reqs {
-					s.handle(ctx, w, r)
-				}
-				w.flush()
-				return
-			}
+			return
 		}
 	}
 }
@@ -313,9 +252,9 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// handle serves one request and buffers its response on the session writer;
-// false means the session is beyond saving (response write failed).
-func (s *Server) handle(ctx context.Context, w *sessionWriter, r request) bool {
+// handle serves one request and writes its response, one Write under the
+// write deadline; false means the session is beyond saving (the write failed).
+func (s *Server) handle(ctx context.Context, conn net.Conn, r request) bool {
 	began := s.obsv.Now()
 	var typ byte
 	var payload []byte
@@ -338,7 +277,8 @@ func (s *Server) handle(ctx context.Context, w *sessionWriter, r request) bool {
 	if s.isDraining() {
 		s.obsv.Add(CtrDrainServed, 1)
 	}
-	return w.writeFrame(typ, payload) == nil
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	return wire.WriteFrame(conn, typ, payload) == nil
 }
 
 // errResponse classifies err under the wire taxonomy.

@@ -411,3 +411,59 @@ func TestShutdownIdleSessions(t *testing.T) {
 		t.Fatalf("%d sessions opened, %d closed", opened, closed)
 	}
 }
+
+// TestBackToBackRequestsAnsweredInOrder: a client that sends two requests
+// before reading gets both responses, in the order it sent them.
+func TestBackToBackRequestsAnsweredInOrder(t *testing.T) {
+	_, _, addr := testEnv(t, Config{})
+	conn := dial(t, addr)
+	for _, sql := range []string{`select count(*) as c1 from trans`, `select count(*) as c2 from loc`} {
+		if err := wire.WriteFrame(conn, wire.MsgQuery, wire.EncodeString(sql)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for _, want := range []string{"c1", "c2"} {
+		typ, p, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := wire.DecodeRows(p)
+		if typ != wire.MsgRows || err != nil {
+			t.Fatalf("response %s: type %#x, %v", want, typ, err)
+		}
+		if len(rows.Cols) != 1 || rows.Cols[0] != want {
+			t.Fatalf("response columns %v, want [%s]", rows.Cols, want)
+		}
+	}
+}
+
+// TestWriteDeadlineClosesStuckSession: a peer that sends a request and never
+// reads the response loses its session once Config.WriteTimeout passes. The
+// session runs over net.Pipe, which buffers nothing, so the response write
+// blocks until the deadline fires.
+func TestWriteDeadlineClosesStuckSession(t *testing.T) {
+	db, _, _ := testEnv(t, Config{})
+	s := New(db, Config{WriteTimeout: 100 * time.Millisecond})
+	peer, conn := net.Pipe()
+	t.Cleanup(func() { peer.Close() })
+	s.sessions.Do(func(ss *sessionSet) { ss.conns[conn] = struct{}{} })
+	closed := s.obsv.Counter(CtrSessionsClosed)
+	s.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		s.serveConn(conn)
+		close(done)
+	}()
+	if err := wire.WriteFrame(peer, wire.MsgPing, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("session still open a second after its response write stalled")
+	}
+	if got := s.obsv.Counter(CtrSessionsClosed); got != closed+1 {
+		t.Fatalf("%s = %d, want %d", CtrSessionsClosed, got, closed+1)
+	}
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Non-test Go lines per package directory, and the two totals a CHANGES entry
-# quotes: everything outside benchmark/, and benchmark/ itself. Run from
-# anywhere inside the repository.
+# Non-test Go lines per package directory, the two totals a CHANGES entry
+# quotes (everything outside benchmark/, and benchmark/ itself), then the
+# line count of each long-lived document. Run from anywhere inside the
+# repository.
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 git ls-files -- '*.go' | grep -v '_test\.go$' | while read -r f; do
@@ -13,3 +14,6 @@ done | awk '
 		close("sort -k2")
 		printf "%7d  total outside benchmark/\n%7d  benchmark/\n", rest, bench
 	}'
+for f in DESIGN.md EXPERIMENTS.md README.md .claude/skills/verify/SKILL.md; do
+	printf '%7d  %s\n' "$(wc -l < "$f")" "$f"
+done
