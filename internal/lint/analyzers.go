@@ -3,17 +3,14 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
-	"strings"
+	"go/types"
 )
 
-// All returns the full analyzer suite, in reporting order. The first three
-// are syntactic; rcu-publish and boundaries are typed.
+// All returns the full analyzer suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		CtxFirst,
-		ObsNilGuard,
 		RCUPublish,
 		Boundaries,
 	}
@@ -28,9 +25,14 @@ var deterministicPkgs = map[string]bool{
 	"repro/internal/qgm":  true,
 }
 
+// clockReads are the functions of package time that read the wall clock.
+var clockReads = map[string]bool{"Now": true, "Since": true, "Until": true}
+
 // Determinism forbids wall-clock and randomness in the planning packages.
 // Latency measurement goes through obs.Observer.Now/ObserveSince, which are
-// nil-guarded and zero-cost when observability is off.
+// nil-guarded and zero-cost when observability is off. A call is matched by
+// the function the type checker resolved, so a renamed or dot import is the
+// same call.
 //
 // Test files are covered too (property tests drive the planner and must
 // replay identically), with one carve-out: a *rand.Rand built from a
@@ -39,73 +41,45 @@ var deterministicPkgs = map[string]bool{
 // non-constant seeds are not.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no wall-clock or unseeded randomness in internal/core, internal/exec, internal/qgm",
 	Run: func(p *Package) []Finding {
 		if !deterministicPkgs[p.Path] {
 			return nil
 		}
 		var out []Finding
+		report := func(n ast.Node, format string, args ...any) {
+			out = append(out, Finding{Pos: p.Fset.Position(n.Pos()), Message: fmt.Sprintf(format, args...)})
+		}
 		for _, f := range p.Files {
-			timeName, randName := "", ""
+			imports := map[string]string{}
 			for _, imp := range f.AST.Imports {
-				switch importPathOf(imp) {
-				case "time":
-					timeName = importName(imp)
-				case "math/rand", "math/rand/v2":
-					if !f.Test {
-						out = append(out, Finding{
-							Pos: p.Fset.Position(imp.Pos()),
-							Message: fmt.Sprintf("package %s must stay deterministic: do not import %s",
-								p.Path, importPathOf(imp)),
-						})
-						continue
-					}
-					randName = importName(imp)
+				path := importPathOf(imp)
+				if isRand(path) && !f.Test {
+					report(imp, "package %s must stay deterministic: do not import %s", p.Path, path)
 				}
-			}
-			if (timeName == "" || timeName == "_") && (randName == "" || randName == "_") {
-				continue
+				imports[importName(imp)] = path
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if id.Name == timeName && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
-					out = append(out, Finding{
-						Pos: p.Fset.Position(call.Pos()),
-						Message: fmt.Sprintf("time.%s in deterministic package %s; use obs.Observer.Now/ObserveSince",
-							sel.Sel.Name, p.Path),
-					})
-				}
-				if id.Name == randName && randName != "" {
+				pkg, name := callee(p, imports, call)
+				switch {
+				case pkg == "time" && clockReads[name]:
+					report(call, "time.%s in deterministic package %s; use obs.Observer.Now/ObserveSince", name, p.Path)
+				case isRand(pkg) && f.Test:
 					// Allowed: rand.New(...) and rand.NewSource(<const>).
 					// Everything else on the package (rand.Intn, rand.Shuffle,
-					// ...) uses the shared global source.
-					switch sel.Sel.Name {
+					// ...) uses the shared global source. A non-test file
+					// was already reported at its import.
+					switch name {
 					case "New":
 					case "NewSource":
 						if len(call.Args) == 1 && !isConstExpr(p, call.Args[0]) {
-							out = append(out, Finding{
-								Pos: p.Fset.Position(call.Pos()),
-								Message: fmt.Sprintf("rand.NewSource seed must be a compile-time constant in deterministic package %s",
-									p.Path),
-							})
+							report(call, "rand.NewSource seed must be a compile-time constant in deterministic package %s", p.Path)
 						}
 					default:
-						out = append(out, Finding{
-							Pos: p.Fset.Position(call.Pos()),
-							Message: fmt.Sprintf("global rand.%s in deterministic package %s; use rand.New(rand.NewSource(<const>))",
-								sel.Sel.Name, p.Path),
-						})
+						report(call, "global rand.%s in deterministic package %s; use rand.New(rand.NewSource(<const>))", name, p.Path)
 					}
 				}
 				return true
@@ -113,6 +87,39 @@ var Determinism = &Analyzer{
 		}
 		return out
 	},
+}
+
+func isRand(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
+
+// callee names the package-level function a call invokes, as (package path,
+// name), or ("", "") for a method, a conversion or a function value. The
+// type checker's object decides; where it resolved none (the package did not
+// type-check), the selector's spelling is matched against the file's imports
+// (local name → path).
+func callee(p *Package, imports map[string]string, call *ast.CallExpr) (pkg, name string) {
+	var id *ast.Ident
+	var x ast.Expr
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id, x = fun.Sel, fun.X
+	default:
+		return "", ""
+	}
+	if p.Info != nil {
+		if obj, ok := p.Info.Uses[id]; ok {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+				return "", ""
+			}
+			return fn.Pkg().Path(), fn.Name()
+		}
+	}
+	if qual, ok := x.(*ast.Ident); ok && imports[qual.Name] != "" {
+		return imports[qual.Name], id.Name
+	}
+	return "", ""
 }
 
 // isConstExpr reports whether e evaluates to a compile-time constant,
@@ -139,7 +146,6 @@ var ctxFirstPkgs = map[string]bool{
 // executor to take context.Context as their first parameter.
 var CtxFirst = &Analyzer{
 	Name: "ctx-first",
-	Doc:  "exported astdb/exec entry points take context.Context first",
 	Run: func(p *Package) []Finding {
 		if !ctxFirstPkgs[p.Path] {
 			return nil
@@ -195,99 +201,4 @@ func ctxParamPos(params *ast.FieldList, ctxName string) int {
 		pos += n
 	}
 	return -1
-}
-
-// ObsNilGuard requires every exported *obs.Observer method to decide the nil
-// receiver in its first statement — the contract that lets every subsystem
-// instrument unconditionally with observability off.
-var ObsNilGuard = &Analyzer{
-	Name: "obs-nil-guard",
-	Doc:  "exported *obs.Observer methods begin with a nil-receiver guard",
-	Run: func(p *Package) []Finding {
-		if p.Path != "repro/internal/obs" {
-			return nil
-		}
-		var out []Finding
-		for _, f := range p.Files {
-			if f.Test {
-				continue
-			}
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() || fd.Body == nil {
-					continue
-				}
-				recv, ptr := receiverType(fd)
-				if recv != "Observer" || !ptr {
-					continue
-				}
-				recvName := receiverName(fd)
-				if recvName == "" || len(fd.Body.List) == 0 ||
-					!stmtComparesNil(fd.Body.List[0], recvName) {
-					out = append(out, Finding{
-						Pos: p.Fset.Position(fd.Pos()),
-						Message: fmt.Sprintf("(*Observer).%s must begin with a nil-receiver guard (if %s == nil / return %s != nil)",
-							fd.Name.Name, orElse(recvName, "o"), orElse(recvName, "o")),
-					})
-				}
-			}
-		}
-		return out
-	},
-}
-
-// receiverType returns the receiver's named type and whether it is a pointer
-// receiver ("" for plain functions).
-func receiverType(fd *ast.FuncDecl) (name string, pointer bool) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return "", false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		pointer = true
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name, pointer
-	}
-	return "", pointer
-}
-
-// receiverName returns the receiver binding's name ("" when anonymous).
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// stmtComparesNil reports whether the statement contains a comparison of the
-// named identifier against nil (the guard idiom: `if o == nil { … }` or
-// `return o != nil`).
-func stmtComparesNil(s ast.Stmt, name string) bool {
-	found := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		b, ok := n.(*ast.BinaryExpr)
-		if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {
-			return true
-		}
-		if isIdent(b.X, name) && isIdent(b.Y, "nil") || isIdent(b.Y, name) && isIdent(b.X, "nil") {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func isIdent(e ast.Expr, name string) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func orElse(s, def string) string {
-	if strings.TrimSpace(s) == "" {
-		return def
-	}
-	return s
 }

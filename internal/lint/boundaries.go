@@ -59,7 +59,6 @@ var boundaries = []boundary{
 // Boundaries is the analyzer over the table above.
 var Boundaries = &Analyzer{
 	Name: "boundaries",
-	Doc:  "no mutex or atomic pointer declared outside internal/rcu (use rcu.Guarded, rcu.Cell); planning never reads a qgm.Const without pinning it",
 	Run:  runBoundaries,
 }
 

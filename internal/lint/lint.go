@@ -1,16 +1,16 @@
 // Package lint is a stdlib-only static-analysis harness (go/parser, go/ast,
 // and go/types via the source importer; no go/packages, no go/analysis, no
-// golang.org/x/tools) for the invariants Go's types cannot carry. Three
-// analyzers are syntactic (determinism of the planning packages, context-first
-// entry points, nil-receiver-safe observers); two are typed (rcu-publish, the
-// hand-over rule of rcu.Cell, and boundaries, a table of who may mention
-// what), each the one door left open beside a type that enforces the rest.
-// The storage seal is not here: sealed vectors refuse writes at run time.
-// DESIGN.md §11 is the catalogue: what holds, what enforces it, what is not
-// proved. The cmd/astlint CLI runs every analyzer over the module and exits
-// non-zero on unsuppressed findings; //lint:ignore <rule> <reason> suppresses
-// one finding and is counted, never silent. The analyzers are data, so tests
-// seed violations through ParseSource and assert each one fires.
+// golang.org/x/tools) for the invariants Go's types cannot carry. Two
+// analyzers police conventions: determinism (no clock or unseeded randomness
+// in the planning packages) and ctx-first (context-first entry points). Two
+// shut the one door left open beside a type that enforces the rest:
+// rcu-publish, the hand-over rule of rcu.Cell, and boundaries, a table of who
+// may mention what. The storage seal is not here: sealed vectors refuse
+// writes at run time. DESIGN.md §11 is the catalogue: what holds, what
+// enforces it, what is not proved. TestRepositoryIsClean runs every analyzer
+// over the module under `go test ./...` and fails on any finding; there is no
+// suppression syntax. The analyzers are data, so tests seed violations
+// through ParseSource and assert each one fires.
 package lint
 
 import (
@@ -65,15 +65,31 @@ type Package struct {
 // findings; the runner stamps the analyzer name onto each.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(p *Package) []Finding
 }
 
-// Run applies the analyzers to the packages and returns the unsuppressed
-// findings in deterministic (file, line, analyzer) order. Use RunDetailed to
-// also see what //lint:ignore comments silenced.
+// Run applies the analyzers to the packages and returns their findings in
+// deterministic (file, line, analyzer) order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	out, _ := RunDetailed(pkgs, analyzers)
+	var out []Finding
+	for _, p := range pkgs {
+		for _, a := range analyzers {
+			for _, f := range a.Run(p) {
+				f.Analyzer = a.Name
+				out = append(out, f)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Pos, out[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return out[i].Analyzer < out[j].Analyzer
+	})
 	return out
 }
 

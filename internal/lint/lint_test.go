@@ -2,7 +2,8 @@ package lint_test
 
 // Two halves: every analyzer fires on a seeded violation (the rules are not
 // vacuous), and the whole suite is clean over this repository (the gate
-// passes). CI runs the same suite through cmd/astlint.
+// passes). TestRepositoryIsClean is the only runner: `go test ./...` is the
+// lint gate.
 
 import (
 	"fmt"
@@ -77,6 +78,34 @@ func stamp() int64 { return time.Now().UnixNano() }
 `
 	fs := findings(t, lint.Determinism, "repro/internal/core", "core/seed.go", src)
 	wantFinding(t, fs, "determinism", "time.Now")
+
+	// A package whose time import cannot be loaded has no object to resolve
+	// the call to; the selector's spelling against the imports decides.
+	p, err := lint.ParseSource("repro/internal/core", "core/seed.go", src, &lint.Package{Path: "time"})
+	if err != nil || len(p.TypeErrs) == 0 {
+		t.Fatalf("want a fixture that fails to type-check: %v %v", err, p.TypeErrs)
+	}
+	wantFinding(t, lint.Run([]*lint.Package{p}, []*lint.Analyzer{lint.Determinism}), "determinism", "time.Now")
+}
+
+func TestDeterminismFlagsDotImportedClock(t *testing.T) {
+	// The callee is resolved by object, so a dot import is the same call.
+	src := `package exec
+import . "time"
+func stamp() int64 { return Now().UnixNano() }
+`
+	fs := findings(t, lint.Determinism, "repro/internal/exec", "exec/seed.go", src)
+	wantFinding(t, fs, "determinism", "time.Now")
+}
+
+func TestDeterminismFlagsTimeUntil(t *testing.T) {
+	// time.Until reads the wall clock as time.Since does.
+	src := `package core
+import clock "time"
+func left(deadline clock.Time) clock.Duration { return clock.Until(deadline) }
+`
+	fs := findings(t, lint.Determinism, "repro/internal/core", "core/seed.go", src)
+	wantFinding(t, fs, "determinism", "time.Until")
 }
 
 func TestDeterminismFlagsMathRand(t *testing.T) {
@@ -167,32 +196,6 @@ func helper(name string, ctx context.Context) error { return ctx.Err() } // unex
 `
 	if fs := findings(t, lint.CtxFirst, "repro/internal/exec", "exec/ok.go", src); len(fs) != 0 {
 		t.Fatalf("compliant source flagged: %v", fs)
-	}
-}
-
-func TestObsNilGuardFlagsUnguardedMethod(t *testing.T) {
-	src := `package obs
-type Observer struct{ n int }
-func (o *Observer) Bump() { o.n++ }
-`
-	fs := findings(t, lint.ObsNilGuard, "repro/internal/obs", "obs/seed.go", src)
-	wantFinding(t, fs, "obs-nil-guard", "Bump")
-}
-
-func TestObsNilGuardAcceptsGuardIdioms(t *testing.T) {
-	src := `package obs
-type Observer struct{ n int }
-func (o *Observer) Bump() {
-	if o == nil {
-		return
-	}
-	o.n++
-}
-func (o *Observer) Enabled() bool { return o != nil }
-func (o *Observer) bump() { o.n++ } // unexported: callers already guarded
-`
-	if fs := findings(t, lint.ObsNilGuard, "repro/internal/obs", "obs/ok.go", src); len(fs) != 0 {
-		t.Fatalf("guarded source flagged: %v", fs)
 	}
 }
 
@@ -670,61 +673,6 @@ func inList(c *Const) int        { return c.val }
 	}
 }
 
-// ---- suppressions ----
-
-func TestSuppressionsSilenceAndAreCounted(t *testing.T) {
-	src := `package core
-import "time"
-//lint:ignore determinism fixture exercises the suppression path
-func stamp() int64 { return time.Now().UnixNano() }
-`
-	p, err := lint.ParseSource("repro/internal/core", "core/seed.go", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	fs, sup := lint.RunDetailed([]*lint.Package{p}, []*lint.Analyzer{lint.Determinism})
-	if len(fs) != 0 {
-		t.Fatalf("suppressed finding still reported: %v", fs)
-	}
-	if len(sup) != 1 {
-		t.Fatalf("want 1 suppression, got %d: %v", len(sup), sup)
-	}
-	if sup[0].Finding.Analyzer != "determinism" {
-		t.Fatalf("suppressed wrong analyzer: %v", sup[0])
-	}
-	if sup[0].Reason != "fixture exercises the suppression path" {
-		t.Fatalf("reason not preserved: %q", sup[0].Reason)
-	}
-}
-
-func TestSuppressionsRejectMissingReason(t *testing.T) {
-	src := `package core
-import "time"
-//lint:ignore determinism
-func stamp() int64 { return time.Now().UnixNano() }
-`
-	p, err := lint.ParseSource("repro/internal/core", "core/seed.go", src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	fs, sup := lint.RunDetailed([]*lint.Package{p}, []*lint.Analyzer{lint.Determinism})
-	if len(sup) != 0 {
-		t.Fatalf("malformed ignore suppressed something: %v", sup)
-	}
-	var sawBadIgnore, sawOriginal bool
-	for _, f := range fs {
-		if f.Analyzer == "lint-ignore" {
-			sawBadIgnore = true
-		}
-		if f.Analyzer == "determinism" {
-			sawOriginal = true
-		}
-	}
-	if !sawBadIgnore || !sawOriginal {
-		t.Fatalf("want lint-ignore + unsuppressed determinism findings, got %v", fs)
-	}
-}
-
 // module loads and type-checks the repository once for the tests that run
 // analyzers over it (about three seconds, most of it the standard library).
 var module = sync.OnceValues(func() ([]*lint.Package, error) {
@@ -735,9 +683,9 @@ var module = sync.OnceValues(func() ([]*lint.Package, error) {
 	return lint.LoadModule(root)
 })
 
-// TestRepositoryIsClean is the dogfood gate: the full analyzer suite over the
-// whole module must report nothing and suppress nothing. cmd/astlint enforces
-// the same in CI; this keeps `go test ./...` sufficient locally.
+// TestRepositoryIsClean is the lint gate: the full analyzer suite over the
+// whole module must report nothing. There is no suppression syntax; a rule
+// that is wrong about a line is fixed or deleted.
 func TestRepositoryIsClean(t *testing.T) {
 	pkgs, err := module()
 	if err != nil {
@@ -746,12 +694,8 @@ func TestRepositoryIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; module walk is broken", len(pkgs))
 	}
-	fs, suppressed := lint.RunDetailed(pkgs, lint.All())
-	for _, f := range fs {
+	for _, f := range lint.Run(pkgs, lint.All()) {
 		t.Errorf("%s", f)
-	}
-	for _, s := range suppressed {
-		t.Errorf("%s: suppressed by //lint:ignore (%s); the repository carries none", s.Finding, s.Reason)
 	}
 }
 
@@ -773,7 +717,7 @@ func TestEveryAnalyzerIsDocumented(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"unlock-paths", "mutex-discipline", "deprecated-api", "storage-rows",
-		"publish-freeze", "storage-lock", "chunk-freeze"} {
+		"publish-freeze", "storage-lock", "chunk-freeze", "obs-nil-guard"} {
 		if strings.Contains(section, gone) {
 			t.Errorf("DESIGN.md §11 still names the deleted rule `%s`", gone)
 		}

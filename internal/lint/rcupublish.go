@@ -21,7 +21,6 @@ const rcuPath = "repro/internal/rcu"
 // RCUPublish is the analyzer for the hand-over rule above.
 var RCUPublish = &Analyzer{
 	Name: "rcu-publish",
-	Doc:  "nothing an rcu.Cell Update publishes is used afterwards",
 	Run:  runRCUPublish,
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,31 @@ func TestEventsSequencedAndBounded(t *testing.T) {
 	}
 }
 
+// TestNilObserverIsSafe calls every exported method of *Observer on a nil
+// receiver with zero-valued arguments: none may panic. The method set is read
+// by reflection, so a method added later is covered without editing the test.
+func TestNilObserverIsSafe(t *testing.T) {
+	o := reflect.ValueOf((*Observer)(nil))
+	for i := 0; i < o.NumMethod(); i++ {
+		name, m := o.Type().Method(i).Name, o.Method(i)
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(m.Type().In(j))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Observer)(nil).%s panicked: %v", name, r)
+				}
+			}()
+			m.Call(args)
+		}()
+	}
+	if o.NumMethod() < 10 {
+		t.Fatalf("called %d methods, want at least 10", o.NumMethod())
+	}
+}
+
 // TestDisabledObserverZeroAlloc locks the nil-sink fast path: every
 // instrumentation entry point, called on a disabled observer, allocates
 // nothing. This is what lets the hot paths (cached rewrites, exec row loops)
@@ -122,6 +148,8 @@ func TestDisabledObserverZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		o.Add("exec.rows.scanned", 128)
 		o.Observe("exec.run", time.Millisecond)
+		o.ObserveSince("exec.run", o.Now())
+		_ = o.Emit("core.degraded", "detail")
 		o.EmitSeq(7, "core.degraded", "detail")
 		sp := o.Start("query")
 		c := sp.Child("rewrite")

@@ -20,10 +20,12 @@
 //     columns, every droppable cuboid column must be pinned or preserved, and
 //     regroup-eliminating rejoins must join on a proven unique key (comp/*).
 //
-// The checker is an oracle, not a gatekeeper on the hot path: it runs after
-// qgm.Build in tests and fuzzing, after every accepted rewrite behind
-// core.Options.VerifyPlans, and behind the astdb.WithVerifyPlans debug
-// option — all off by default.
+// Part of the checker gates the hot path: Structural runs on every accepted
+// rewrite (a failure discards it and the query runs on the base plan), and
+// CheckDeltaPlan before every incremental refresh (a failure degrades it to a
+// full recompute). The full Check is an oracle: it runs after qgm.Build in
+// tests and fuzzing, and behind core.Options.VerifyPlans and the
+// astdb.WithVerifyPlans debug option, both off by default.
 package qgmcheck
 
 import (

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Non-test Go lines per package directory, the two totals a CHANGES entry
 # quotes (everything outside benchmark/, and benchmark/ itself), then the
-# line count of each long-lived document. Run from anywhere inside the
-# repository.
+# line count of each long-lived document. Exits 1 when DESIGN.md or the
+# verify skill is longer than its budget below: the budgets are a ratchet,
+# lowered as the documents shrink and never raised. Run from anywhere inside
+# the repository.
 set -euo pipefail
+design_budget=1723
+skill_budget=355
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 git ls-files -- '*.go' | grep -v '_test\.go$' | while read -r f; do
 	printf '%s %s\n' "$(dirname "$f")" "$(wc -l < "$f")"
@@ -17,3 +21,14 @@ done | awk '
 for f in DESIGN.md EXPERIMENTS.md README.md .claude/skills/verify/SKILL.md; do
 	printf '%7d  %s\n' "$(wc -l < "$f")" "$f"
 done
+status=0
+while read -r f budget; do
+	if (($(wc -l < "$f") > budget)); then
+		printf '%s: %d lines, over its budget of %d\n' "$f" "$(wc -l < "$f")" "$budget" >&2
+		status=1
+	fi
+done <<BUDGETS
+DESIGN.md $design_budget
+.claude/skills/verify/SKILL.md $skill_budget
+BUDGETS
+exit $status
