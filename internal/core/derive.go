@@ -58,7 +58,7 @@ func (d *deriver) derive(t qgm.Expr) (qgm.Expr, error) {
 			return ref, nil
 		}
 	}
-	switch x := t.(type) {
+	switch t.(type) {
 	case *qgm.ColRef:
 		if d.leafFirst {
 			if ref, ok := d.lookup(t); ok {
@@ -66,79 +66,14 @@ func (d *deriver) derive(t qgm.Expr) (qgm.Expr, error) {
 			}
 		}
 		return nil, &errUnderivable{expr: t}
-	case *qgm.Const:
-		return x, nil
-	case *qgm.Call:
-		args := make([]qgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			da, err := d.derive(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = da
-		}
-		return &qgm.Call{Name: x.Name, Args: args}, nil
-	case *qgm.Bin:
-		l, err := d.derive(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := d.derive(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &qgm.Bin{Op: x.Op, L: l, R: r}, nil
-	case *qgm.Not:
-		e, err := d.derive(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &qgm.Not{E: e}, nil
-	case *qgm.IsNull:
-		e, err := d.derive(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return &qgm.IsNull{E: e, Neg: x.Neg}, nil
-	case *qgm.Like:
-		e, err := d.derive(x.E)
-		if err != nil {
-			return nil, err
-		}
-		p, err := d.derive(x.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &qgm.Like{E: e, Pattern: p, Neg: x.Neg}, nil
-	case *qgm.Case:
-		whens := make([]qgm.CaseWhen, len(x.Whens))
-		for i, w := range x.Whens {
-			cond, err := d.derive(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := d.derive(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = qgm.CaseWhen{Cond: cond, Then: then}
-		}
-		var els qgm.Expr
-		if x.Else != nil {
-			var err error
-			els, err = d.derive(x.Else)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &qgm.Case{Whens: whens, Else: els}, nil
-	case *qgm.Agg:
+	case nil, *qgm.Agg:
 		// Aggregates are derived by the GROUP BY pattern rules, never by the
 		// generic scalar deriver.
 		return nil, &errUnderivable{expr: t}
-	default:
-		return nil, &errUnderivable{expr: t}
 	}
+	// Constants stay; every other operator is recomputed over its derived
+	// operands.
+	return qgm.MapChildren(t, d.derive)
 }
 
 // lookup finds a subsumer output column computing t.

@@ -194,12 +194,43 @@ func TestFigure8_Q7(t *testing.T) {
 	})
 }
 
-// TestFigure10_Q8 exercises §4.2.2: histogram query over a histogram AST —
-// the child compensation itself contains a GROUP BY, triggering the recursive
-// match and the copy construction of Figure 9.
+// TestFigure10_Q8: the paper's histogram query over the histogram AST. Its
+// monthly-count block matches ast8's exactly, the tcnt histogram regroups
+// ast8's (year, tcnt) one under §4.1.2, and the root is rewritten under
+// §4.2.4; no pair needs §4.2.2, which TestSection422_RecursiveGroupBy
+// exercises.
 func TestFigure10_Q8(t *testing.T) {
 	e := newEnv(t, 3000)
 	e.mustRewrite(t, bench.Queries["q8"], e.registerAST(t, "ast8", bench.ASTDefs["ast8"]))
+}
+
+// TestSection422_RecursiveGroupBy exercises §4.2.2: a histogram of yearly
+// counts over ast8's histogram of monthly counts. The inner GROUP BY (year)
+// matches ast8's (year, month) with a regrouping compensation, so the outer
+// pair's child compensation contains a GROUP BY: the matcher recurses on that
+// compensation GROUP BY and copies the subsumee on top (Figure 9), pulling
+// the stack up level by level.
+func TestSection422_RecursiveGroupBy(t *testing.T) {
+	e := newEnv(t, 3000)
+	ast8 := e.registerAST(t, "ast8", bench.ASTDefs["ast8"])
+	const sql = `select tcnt, count(*) as ycnt
+		from (select year(date) as year, count(*) as tcnt from trans group by year(date)) m
+		group by tcnt`
+	e.mustRewrite(t, sql, ast8)
+	g, err := qgm.BuildSQL(sql, e.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	for _, te := range e.rw.Explain(g, ast8) {
+		if te.Matched {
+			patterns = append(patterns, te.Subsumee+" "+te.Pattern)
+			if strings.HasPrefix(te.Subsumee, "GB-") && te.Pattern == "§4.2.2" {
+				return
+			}
+		}
+	}
+	t.Fatalf("no GROUP BY pair matched under §4.2.2; matches: %v", patterns)
 }
 
 // TestFigure11_Q10 exercises §4.2.4 and the §6 derivation walkthrough: a

@@ -99,16 +99,16 @@ func (m *Matcher) matchGroupBy(e, r *qgm.Box) *Match {
 	stack := res.stack
 	prev := stack[len(stack)-1]
 	for i := jg + 1; i < len(mm.Stack); i++ {
-		clone, ok := m.cloneStackBox(mm.Stack[i], mm.Stack[i-1], prev, mm)
-		if !ok {
+		clone, err := m.cloneStackBox(mm.Stack[i], mm.Stack[i-1], prev)
+		if err != nil {
 			return nil
 		}
 		stack = append(stack, clone)
 		prev = clone
 	}
 	// Copy the subsumee itself on top (GB-pC(N+1) in Figure 9).
-	eCopy, ok := m.cloneStackBox(e, cE, prev, nil)
-	if !ok {
+	eCopy, err := m.cloneStackBox(e, cE, prev)
+	if err != nil {
 		return nil
 	}
 	stack = append(stack, eCopy)
@@ -232,10 +232,9 @@ func (m *Matcher) finishGBMatch(e, r *qgm.Box, res *gbCoreResult) *Match {
 }
 
 // cloneStackBox clones one box of a compensation stack (or the subsumee
-// itself), re-pointing references from oldChild to newChild positionally.
-// origMatch supplies rejoin identification for compensation boxes (nil when
-// cloning the subsumee, whose extra quantifiers are rejoins by definition).
-func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box, origMatch *Match) (*qgm.Box, bool) {
+// itself), re-pointing references from oldChild to newChild positionally;
+// every other quantifier of b is a rejoin and is cloned.
+func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box) (*qgm.Box, error) {
 	label := "Sel"
 	if b.Kind == qgm.GroupByBox {
 		label = "GB"
@@ -255,37 +254,39 @@ func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box, origMatch *Match
 	rmap, cloned := m.cloneRejoins(rejoinQs)
 	clone.Quantifiers = append(clone.Quantifiers, cloned...)
 
-	ok := true
-	remap := func(e qgm.Expr) qgm.Expr {
-		return qgm.MapExprTopDown(e, func(x qgm.Expr) (qgm.Expr, bool) {
-			c, isRef := x.(*qgm.ColRef)
-			if !isRef {
-				return nil, false
-			}
-			if c.Q.Box == oldChild {
-				return &qgm.ColRef{Q: qNew, Col: c.Col}, true
-			}
-			if q, isRejoin := rmap[c.Q.ID]; isRejoin {
-				return &qgm.ColRef{Q: q, Col: c.Col}, true
-			}
-			ok = false
-			return c, true
-		})
+	var remap func(e qgm.Expr) (qgm.Expr, error)
+	remap = func(e qgm.Expr) (qgm.Expr, error) {
+		c, isRef := e.(*qgm.ColRef)
+		if !isRef {
+			return qgm.MapChildren(e, remap)
+		}
+		if c.Q.Box == oldChild {
+			return &qgm.ColRef{Q: qNew, Col: c.Col}, nil
+		}
+		if q, isRejoin := rmap[c.Q.ID]; isRejoin {
+			return &qgm.ColRef{Q: q, Col: c.Col}, nil
+		}
+		return nil, &errUnderivable{expr: c}
 	}
 	for _, col := range b.Cols {
-		clone.Cols = append(clone.Cols, qgm.QCL{Name: col.Name, Expr: remap(col.Expr)})
+		x, err := remap(col.Expr)
+		if err != nil {
+			return nil, err
+		}
+		clone.Cols = append(clone.Cols, qgm.QCL{Name: col.Name, Expr: x})
 	}
 	for _, p := range b.Preds {
-		clone.Preds = append(clone.Preds, remap(p))
+		x, err := remap(p)
+		if err != nil {
+			return nil, err
+		}
+		clone.Preds = append(clone.Preds, x)
 	}
 	clone.GroupBy = append([]int(nil), b.GroupBy...)
 	for _, gs := range b.GroupingSets {
 		clone.GroupingSets = append(clone.GroupingSets, append([]int(nil), gs...))
 	}
-	if !ok {
-		return nil, false
-	}
-	return clone, true
+	return clone, nil
 }
 
 // cuboidPlan records how one subsumee grouping set maps onto one subsumer

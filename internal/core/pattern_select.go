@@ -74,14 +74,10 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 
 	// Build the subsumee-side predicate pool: the subsumee's own predicates
 	// and all child-compensation predicates, translated into the subsumer's
-	// context (§6). Translation failure fails the match.
+	// context (§6).
 	var pool []*poolEntry
 	for i, p := range e.Preds {
-		rs, err := t.translate(p)
-		if err != nil {
-			return m.reject(e, r, "predicate %s is untranslatable into the subsumer context", p.String())
-		}
-		pool = append(pool, &poolEntry{rspace: rs, fromE: true, origIdx: i})
+		pool = append(pool, &poolEntry{rspace: t.translate(p), fromE: true, origIdx: i})
 	}
 	compPairs := append([]*childPair(nil), selPairs...)
 	if gbPair != nil {

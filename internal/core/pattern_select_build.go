@@ -54,11 +54,7 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 
 	// Condition 4: every subsumee output column must be derivable.
 	for _, col := range e.Cols {
-		rs, err := t.translate(col.Expr)
-		if err != nil {
-			return nil
-		}
-		dp, err := d.derive(rs)
+		dp, err := d.derive(t.translate(col.Expr))
 		if err != nil {
 			return nil
 		}
@@ -127,52 +123,44 @@ func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair,
 	rmapE, cloneQs := m.cloneRejoins(a.rejoins)
 	top.Quantifiers = append([]*qgm.Quantifier{qTop}, cloneQs...)
 
-	remap := func(expr qgm.Expr) (qgm.Expr, bool) {
-		ok := true
-		out := qgm.MapExprTopDown(expr, func(x qgm.Expr) (qgm.Expr, bool) {
-			c, isRef := x.(*qgm.ColRef)
-			if !isRef {
-				return nil, false
-			}
-			if q, cloned := rmapE[c.Q.ID]; cloned {
-				return &qgm.ColRef{Q: q, Col: c.Col}, true
-			}
-			p := a.byEQ[c.Q.ID]
-			if p == nil {
-				ok = false
-				return c, true
-			}
-			if p == gp {
-				idx, err := pu.ensureOrig(len(pu.src)-1, c.Col)
-				if err != nil {
-					ok = false
-					return c, true
-				}
-				return &qgm.ColRef{Q: qTop, Col: idx}, true
-			}
+	var remap func(x qgm.Expr) (qgm.Expr, error)
+	remap = func(x qgm.Expr) (qgm.Expr, error) {
+		c, isRef := x.(*qgm.ColRef)
+		if !isRef {
+			return qgm.MapChildren(x, remap)
+		}
+		if q, cloned := rmapE[c.Q.ID]; cloned {
+			return &qgm.ColRef{Q: q, Col: c.Col}, nil
+		}
+		p := a.byEQ[c.Q.ID]
+		if p == nil {
+			return nil, &errUnderivable{expr: c}
+		}
+		var idx int
+		var err error
+		if p == gp {
+			idx, err = pu.ensureOrig(len(pu.src)-1, c.Col)
+		} else {
 			// Exactly matched (or projection-only) sibling child: translate
 			// to subsumer space and thread the value up through the stack.
-			rs := t.translateQNC(p, c.Col)
-			idx, err := pu.ensureRspace(len(pu.src)-1, rs)
-			if err != nil {
-				ok = false
-				return c, true
-			}
-			return &qgm.ColRef{Q: qTop, Col: idx}, true
-		})
-		return out, ok
+			idx, err = pu.ensureRspace(len(pu.src)-1, t.translateQNC(p, c.Col))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &qgm.ColRef{Q: qTop, Col: idx}, nil
 	}
 
 	for _, p := range ePreds {
-		dp, ok := remap(p)
-		if !ok {
+		dp, err := remap(p)
+		if err != nil {
 			return nil
 		}
 		top.Preds = append(top.Preds, dp)
 	}
 	for _, col := range e.Cols {
-		dp, ok := remap(col.Expr)
-		if !ok {
+		dp, err := remap(col.Expr)
+		if err != nil {
 			return nil
 		}
 		top.Cols = append(top.Cols, qgm.QCL{Name: col.Name, Expr: dp})

@@ -26,9 +26,8 @@ type pullup struct {
 	rsCache []map[string]int  // per level: subsumer-space expression → clone column
 	rejoins []map[int]*qgm.Quantifier
 
-	qSub   *qgm.Quantifier
-	d0     *deriver
-	failed bool
+	qSub *qgm.Quantifier
+	d0   *deriver
 }
 
 // newPullup clones the stack skeleton (boxes, quantifiers, grouping
@@ -216,30 +215,21 @@ func (pu *pullup) ensureOrig(i, j int) (int, error) {
 // remapLevel rewrites an expression of original stack level i (references to
 // level i-1 and level-local rejoins) into the clone's space.
 func (pu *pullup) remapLevel(e qgm.Expr, i int) (qgm.Expr, error) {
-	var fail error
-	out := qgm.MapExprTopDown(e, func(x qgm.Expr) (qgm.Expr, bool) {
-		c, ok := x.(*qgm.ColRef)
-		if !ok {
-			return nil, false
-		}
-		if q, cloned := pu.rejoins[i][c.Q.ID]; cloned {
-			return &qgm.ColRef{Q: q, Col: c.Col}, true
-		}
-		if c.Q.Box == pu.src[i-1] {
-			below, err := pu.ensureOrig(i-1, c.Col)
-			if err != nil {
-				fail = err
-				return c, true
-			}
-			return &qgm.ColRef{Q: pu.cloneQ[i-1], Col: below}, true
-		}
-		fail = fmt.Errorf("core: unresolvable reference %s at stack level %d", c.String(), i)
-		return c, true
-	})
-	if fail != nil {
-		return nil, fail
+	c, ok := e.(*qgm.ColRef)
+	if !ok {
+		return qgm.MapChildren(e, func(x qgm.Expr) (qgm.Expr, error) { return pu.remapLevel(x, i) })
 	}
-	return out, nil
+	if q, cloned := pu.rejoins[i][c.Q.ID]; cloned {
+		return &qgm.ColRef{Q: q, Col: c.Col}, nil
+	}
+	if c.Q.Box != pu.src[i-1] {
+		return nil, fmt.Errorf("core: unresolvable reference %s at stack level %d", c.String(), i)
+	}
+	below, err := pu.ensureOrig(i-1, c.Col)
+	if err != nil {
+		return nil, err
+	}
+	return &qgm.ColRef{Q: pu.cloneQ[i-1], Col: below}, nil
 }
 
 // ensureRspace threads a subsumer-space expression up to stack level i,

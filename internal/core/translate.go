@@ -111,25 +111,10 @@ type translator struct {
 	assign *assignment
 }
 
-// errUntranslatable marks subsumee QNCs that cannot be brought into the
-// subsumer's context.
-type errUntranslatable struct{ msg string }
-
-func (e *errUntranslatable) Error() string { return "core: untranslatable: " + e.msg }
-
 // translate rewrites an expression over the subsumee's QNCs into the
 // subsumer-children space. Rejoin references are preserved.
-func (t *translator) translate(e qgm.Expr) (out qgm.Expr, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ue, ok := r.(*errUntranslatable); ok {
-				out, err = nil, ue
-				return
-			}
-			panic(r)
-		}
-	}()
-	out = qgm.MapExprTopDown(e, func(x qgm.Expr) (qgm.Expr, bool) {
+func (t *translator) translate(e qgm.Expr) qgm.Expr {
+	return qgm.MapExprTopDown(e, func(x qgm.Expr) (qgm.Expr, bool) {
 		c, ok := x.(*qgm.ColRef)
 		if !ok {
 			return nil, false
@@ -142,7 +127,6 @@ func (t *translator) translate(e qgm.Expr) (out qgm.Expr, err error) {
 		}
 		return t.translateQNC(p, c.Col), true
 	})
-	return out, nil
 }
 
 // translateQNC translates one subsumee QNC over a matched child.
@@ -284,20 +268,6 @@ func refersToAny(e qgm.Expr, qs map[int]bool) bool {
 		return !found
 	})
 	return found
-}
-
-// refersOnly reports whether every QNC in e is over one of the given
-// quantifiers.
-func refersOnly(e qgm.Expr, qs map[int]bool) bool {
-	ok := true
-	qgm.WalkExpr(e, func(x qgm.Expr) bool {
-		if c, isRef := x.(*qgm.ColRef); isRef && c.Q != nil && !qs[c.Q.ID] {
-			ok = false
-			return false
-		}
-		return ok
-	})
-	return ok
 }
 
 func quantSet(qs ...*qgm.Quantifier) map[int]bool {

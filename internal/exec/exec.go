@@ -506,9 +506,9 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 	}
 
 	// joinKey renders one side's key over a binding into buf; ok is false when
-	// a key value is NULL (NULL join keys never match). Keys use the binary
-	// encoding — build and probe sides match, and its equivalence classes are
-	// the GroupKey classes, which are exactly `=` equality.
+	// a key value is NULL (NULL join keys never match). Keys are the decimal
+	// GroupKey, in the classes of KeyCell, which the pipeline's probe joins
+	// on: 1 joins 1.0, and a NaN joins every NaN whatever its payload.
 	var buf []byte
 	joinKey := func(keys []qgm.Expr, bd binding) (ok bool, err error) {
 		buf = buf[:0]
@@ -517,7 +517,7 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 			if err != nil || v.IsNull() {
 				return false, err
 			}
-			buf = sqltypes.AppendBinKeyValue(buf, v)
+			buf = v.AppendGroupKey(buf)
 			buf = append(buf, 0)
 		}
 		return true, nil

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -294,5 +295,73 @@ func TestEqualResultsDetectsDifference(t *testing.T) {
 	}
 	if msg := EqualResults(a, a); msg != "" {
 		t.Fatalf("expected equal, got %s", msg)
+	}
+}
+
+// TestAggregateBlockLowering: HAVING and select-list expressions over
+// aggregates and grouping expressions return the rows of their hand-expanded
+// twins — sugar against its expansion (BETWEEN, IN, unary minus), every other
+// shape against the same expression applied over a derived table that
+// computes the aggregates — under the interpreter and on the pipeline alike.
+func TestAggregateBlockLowering(t *testing.T) {
+	cat, _, e := fixture(t, 2000)
+	for _, c := range []struct{ name, sql, twin string }{
+		{"not",
+			"select flid, count(*) as c from trans group by flid having not (count(*) > 60)",
+			"select flid, c from (select flid, count(*) as c from trans group by flid) t where not (c > 60)"},
+		{"unary minus",
+			"select flid, -sum(qty) as s from trans group by flid",
+			"select flid, 0 - sum(qty) as s from trans group by flid"},
+		{"year of max",
+			"select flid, year(max(date)) as y from trans group by flid",
+			"select flid, year(m) as y from (select flid, max(date) as m from trans group by flid) t"},
+		{"is null",
+			"select flid, count(*) as c from trans group by flid having max(disc) is not null and not (min(price) is null)",
+			"select flid, c from (select flid, count(*) as c, max(disc) as d, min(price) as p from trans group by flid) t where d is not null and not (p is null)"},
+		{"like",
+			"select country, count(*) as c from loc group by country having min(city) like '%0_8'",
+			"select country, c from (select country, count(*) as c, min(city) as m from loc group by country) t where m like '%0_8'"},
+		{"between",
+			"select flid, sum(qty) as s from trans group by flid having sum(qty) between 5 and 9",
+			"select flid, sum(qty) as s from trans group by flid having sum(qty) >= 5 and sum(qty) <= 9"},
+		{"not between",
+			"select flid, sum(qty) as s from trans group by flid having sum(qty) not between 5 and 9",
+			"select flid, sum(qty) as s from trans group by flid having not (sum(qty) >= 5 and sum(qty) <= 9)"},
+		{"in",
+			"select flid, count(*) as c from trans group by flid having count(*) in (2, 3, 6)",
+			"select flid, count(*) as c from trans group by flid having count(*) = 2 or count(*) = 3 or count(*) = 6"},
+		{"not in",
+			"select flid, count(*) as c from trans group by flid having count(*) not in (2, 3, 6)",
+			"select flid, count(*) as c from trans group by flid having not (count(*) = 2 or count(*) = 3 or count(*) = 6)"},
+		{"case",
+			"select flid, case when count(*) > 100 then 'many' when count(*) > 2 then 'some' else 'few' end as k from trans group by flid",
+			"select flid, case when c > 100 then 'many' when c > 2 then 'some' else 'few' end as k from (select flid, count(*) as c from trans group by flid) t"},
+		{"around a grouping expression",
+			"select year(date) + 1 as y1, count(*) as c from trans group by year(date) having year(date) + 1 > 1990",
+			"select y + 1 as y1, c from (select year(date) as y, count(*) as c from trans group by year(date)) t where y + 1 > 1990"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want *Result
+			for _, sql := range []string{c.sql, c.twin} {
+				g, err := qgm.BuildSQL(sql, cat)
+				if err != nil {
+					t.Fatalf("build %q: %v", sql, err)
+				}
+				for _, cfg := range []Config{{Interpret: true}, {Parallelism: 2}} {
+					got, err := e.RunCtx(context.Background(), g, cfg)
+					if err != nil {
+						t.Fatalf("%q (interpret %v): %v", sql, cfg.Interpret, err)
+					}
+					if want == nil {
+						want = got
+						if len(want.Rows) == 0 {
+							t.Fatalf("%q returns no rows: the case tests nothing", sql)
+						}
+					} else if d := EqualResults(want, got); d != "" {
+						t.Fatalf("%q (interpret %v) differs from %q under the interpreter: %s", sql, cfg.Interpret, c.sql, d)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1250,3 +1250,39 @@ func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
 		}
 	}
 }
+
+// TestHashJoinKeysNaNAsEquality: the row path's hash join keeps the rows its
+// own `=` keeps. Two NaNs with different payloads compare equal, so the join
+// of a(ak, af) and b(bk, bf) on af = bf returns their one pair under the
+// interpreter as on the pipeline, and so does the self-comparison.
+func TestHashJoinKeysNaNAsEquality(t *testing.T) {
+	cat := catalog.New()
+	store := storage.NewStore()
+	for _, tb := range []struct {
+		name, k, f string
+		nan        float64
+	}{{"a", "ak", "af", math.NaN()}, {"b", "bk", "bf", math.Float64frombits(0xfff8000000000000)}} {
+		cat.MustAddTable(&catalog.Table{Name: tb.name, Columns: []catalog.Column{
+			{Name: tb.k, Type: sqltypes.KindInt},
+			{Name: tb.f, Type: sqltypes.KindFloat},
+		}})
+		meta, _ := cat.Table(tb.name)
+		store.Put(meta, [][]sqltypes.Value{{sqltypes.NewInt(1), sqltypes.NewFloat(tb.nan)}})
+	}
+	engine := NewEngine(store)
+	for _, sql := range []string{"select ak, bk from a, b where af = bf", "select ak from a where af = af"} {
+		g, err := qgm.BuildSQL(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{{Interpret: true}, {Parallelism: 1}} {
+			res, err := engine.RunCtx(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				t.Errorf("%s (interpret %v): %d rows, want 1", sql, cfg.Interpret, len(res.Rows))
+			}
+		}
+	}
+}

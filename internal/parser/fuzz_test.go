@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -23,6 +24,10 @@ import (
 //     hand the rewriter an ill-typed or structurally broken graph. DML
 //     statements (DELETE/UPDATE) go through their own builders, which must
 //     likewise reject cleanly or succeed, never panic.
+//  4. Every expression of a built graph has one shape: qgm.MapExpr with the
+//     identity rebuilds an equal expression, and qgm.WalkExpr visits exactly
+//     the nodes MapExpr rebuilds — a child that qgm's node switch forgets
+//     fails here.
 func FuzzParse(f *testing.F) {
 	// Seeds: the paper's AST definitions and example queries, plus edge cases.
 	for _, sql := range []string{
@@ -43,6 +48,18 @@ func FuzzParse(f *testing.F) {
 		`select -1 + 2 * (3 - 4) as x from trans`,
 		`select flid, year(date) as year, count(*) as cnt from trans
 			group by grouping sets((flid, year(date)), (year(date)))`,
+		// Aggregate-block lowering: every expression shape over aggregates
+		// and grouping expressions, in HAVING and in the select list.
+		`select flid, -sum(qty) as s, year(max(date)) as y from trans
+			group by flid having not (count(*) > 2)`,
+		`select flid, count(*) as c from trans group by flid
+			having max(disc) is not null and sum(qty) between 5 and 9`,
+		`select country, count(*) as c from loc group by country
+			having min(city) like '%0_8' or count(*) not in (2, 3, 6)`,
+		`select flid, case when count(*) > 2 then 'some' else 'few' end as k
+			from trans group by flid`,
+		`select year(date) + 1 as y1, count(*) as c from trans
+			group by year(date) having year(date) + 1 > 1990`,
 		"", "select", "select from where", "select 'unterminated",
 		"select ((((1))))", "group by",
 		// DML grammar coverage: WHERE-less forms, multi-assignment SET,
@@ -90,6 +107,14 @@ func FuzzParse(f *testing.F) {
 			if vs := qgmcheck.Check(g); len(vs) > 0 {
 				t.Fatalf("built graph fails the static checker for %q:\n%v", src, vs)
 			}
+			for _, b := range g.Boxes() {
+				for _, c := range b.Cols {
+					checkOneShape(t, src, c.Expr)
+				}
+				for _, p := range b.Preds {
+					checkOneShape(t, src, p)
+				}
+			}
 		case *parser.DeleteStmt:
 			_, _ = qgm.BuildDelete(s, cat)
 		case *parser.UpdateStmt:
@@ -103,4 +128,24 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkOneShape asserts property 4 for one expression: the identity MapExpr
+// is ExprEqual to e and renders as e does, and the nodes WalkExpr visits
+// render, as a multiset, as the nodes MapExpr hands its function.
+func checkOneShape(t *testing.T, src string, e qgm.Expr) {
+	if e == nil {
+		return
+	}
+	var walked, rebuilt []string
+	qgm.WalkExpr(e, func(x qgm.Expr) bool { walked = append(walked, x.String()); return true })
+	m := qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr { rebuilt = append(rebuilt, x.String()); return x })
+	if !qgm.ExprEqual(m, e, nil) || m.String() != e.String() {
+		t.Fatalf("MapExpr with the identity changes %s into %s (input %q)", e, m, src)
+	}
+	slices.Sort(walked)
+	slices.Sort(rebuilt)
+	if !slices.Equal(walked, rebuilt) {
+		t.Fatalf("WalkExpr visits %q, MapExpr rebuilds %q (input %q)", walked, rebuilt, src)
+	}
 }

@@ -599,35 +599,74 @@ func (r *resolver) resolveReadOnly(pe parser.Expr) (Expr, error) {
 	return ro.resolve(pe)
 }
 
-func (r *resolver) resolve(pe parser.Expr) (Expr, error) {
+func (r *resolver) resolve(pe parser.Expr) (Expr, error) { return r.b.lower(pe, r.node) }
+
+// node is a plain block's step of the lowering walk: columns resolve in the
+// block's scope, a scalar subquery becomes a Scalar child of the box, and an
+// aggregate is refused.
+func (r *resolver) node(pe parser.Expr) (Expr, bool, error) {
 	switch t := pe.(type) {
 	case *parser.ColRef:
-		return r.scope.resolveColumn(t.Qualifier, t.Name)
+		c, err := r.scope.resolveColumn(t.Qualifier, t.Name)
+		if err != nil {
+			return nil, true, err
+		}
+		return c, true, nil
+	case *parser.FuncCall:
+		if aggNames[t.Name] {
+			return nil, true, fmt.Errorf("qgm: aggregate %s() not allowed here", t.Name)
+		}
+	case *parser.SubqueryExpr:
+		if r.readOnly {
+			return nil, true, fmt.Errorf("qgm: scalar subquery not allowed in this context")
+		}
+		e, err := r.b.scalarSubquery(t, fmt.Sprintf("%s.s%d", r.tag, r.subN), r.box)
+		r.subN++
+		return e, true, err
+	}
+	return nil, false, nil
+}
+
+// lower is the one lowering of a parse expression to QGM. node sees every
+// parse node first and either lowers it itself (done) or leaves it to the
+// structural descent below, which lowers the node's children through lower
+// again and builds the QGM node — so each piece of SQL sugar (unary minus,
+// BETWEEN, IN) is spelled out once for both kinds of block.
+func (b *builder) lower(pe parser.Expr, node func(parser.Expr) (e Expr, done bool, err error)) (Expr, error) {
+	if e, done, err := node(pe); done || err != nil {
+		return e, err
+	}
+	// kids lowers the given children in order.
+	kids := func(pes ...parser.Expr) ([]Expr, error) {
+		out := make([]Expr, len(pes))
+		for i, x := range pes {
+			e, err := b.lower(x, node)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = e
+		}
+		return out, nil
+	}
+	switch t := pe.(type) {
 	case *parser.Lit:
-		return r.b.constant(t), nil
+		return b.constant(t), nil
 	case *parser.BinExpr:
-		l, err := r.resolve(t.L)
+		k, err := kids(t.L, t.R)
 		if err != nil {
 			return nil, err
 		}
-		rr, err := r.resolve(t.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: t.Op, L: l, R: rr}, nil
+		return &Bin{Op: t.Op, L: k[0], R: k[1]}, nil
 	case *parser.UnaryExpr:
-		e, err := r.resolve(t.E)
+		k, err := kids(t.E)
 		if err != nil {
 			return nil, err
 		}
 		if t.Op == "NOT" {
-			return &Not{E: e}, nil
+			return &Not{E: k[0]}, nil
 		}
-		return &Bin{Op: "-", L: NewConst(sqltypes.NewInt(0)), R: e}, nil
+		return &Bin{Op: "-", L: NewConst(sqltypes.NewInt(0)), R: k[0]}, nil
 	case *parser.FuncCall:
-		if aggNames[t.Name] {
-			return nil, fmt.Errorf("qgm: aggregate %s() not allowed here", t.Name)
-		}
 		n, ok := scalarBuiltins[t.Name]
 		if !ok {
 			return nil, fmt.Errorf("qgm: unknown function %q", t.Name)
@@ -635,108 +674,87 @@ func (r *resolver) resolve(pe parser.Expr) (Expr, error) {
 		if len(t.Args) != n {
 			return nil, fmt.Errorf("qgm: %s() takes %d argument(s)", t.Name, n)
 		}
-		args := make([]Expr, len(t.Args))
-		for i, a := range t.Args {
-			e, err := r.resolve(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = e
+		args, err := kids(t.Args...)
+		if err != nil {
+			return nil, err
 		}
 		return &Call{Name: t.Name, Args: args}, nil
 	case *parser.IsNullExpr:
-		e, err := r.resolve(t.E)
+		k, err := kids(t.E)
 		if err != nil {
 			return nil, err
 		}
-		return &IsNull{E: e, Neg: t.Not}, nil
+		return &IsNull{E: k[0], Neg: t.Not}, nil
 	case *parser.LikeExpr:
-		e, err := r.resolve(t.E)
+		k, err := kids(t.E, t.Pattern)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := r.resolve(t.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &Like{E: e, Pattern: pat, Neg: t.Not}, nil
+		return &Like{E: k[0], Pattern: k[1], Neg: t.Not}, nil
 	case *parser.BetweenExpr:
-		e, err := r.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := r.resolve(t.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.resolve(t.Hi)
+		k, err := kids(t.E, t.Lo, t.Hi)
 		if err != nil {
 			return nil, err
 		}
 		rng := &Bin{Op: "AND",
-			L: &Bin{Op: ">=", L: e, R: lo},
-			R: &Bin{Op: "<=", L: e, R: hi}}
+			L: &Bin{Op: ">=", L: k[0], R: k[1]},
+			R: &Bin{Op: "<=", L: k[0], R: k[2]}}
 		if t.Not {
 			return &Not{E: rng}, nil
 		}
 		return rng, nil
 	case *parser.InExpr:
-		e, err := r.resolve(t.E)
+		k, err := kids(append([]parser.Expr{t.E}, t.List...)...)
 		if err != nil {
 			return nil, err
 		}
-		var ors []Expr
-		for _, item := range t.List {
-			ie, err := r.resolve(item)
-			if err != nil {
-				return nil, err
-			}
-			ors = append(ors, &Bin{Op: "=", L: e, R: ie})
+		ors := make([]Expr, len(t.List))
+		for i, item := range k[1:] {
+			ors[i] = &Bin{Op: "=", L: k[0], R: item}
 		}
 		out := OrAll(ors)
 		if t.Not {
 			return &Not{E: out}, nil
 		}
 		return out, nil
-	case *parser.SubqueryExpr:
-		if r.readOnly {
-			return nil, fmt.Errorf("qgm: scalar subquery not allowed in this context")
+	case *parser.CaseExpr:
+		var pes []parser.Expr
+		for _, w := range t.Whens {
+			pes = append(pes, w.Cond, w.Then)
 		}
-		sub, err := r.b.buildBlock(t.Query, fmt.Sprintf("%s.s%d", r.tag, r.subN))
-		r.subN++
+		if t.Else != nil {
+			pes = append(pes, t.Else)
+		}
+		k, err := kids(pes...)
 		if err != nil {
 			return nil, err
 		}
-		if len(sub.Cols) != 1 {
-			return nil, fmt.Errorf("qgm: scalar subquery must produce exactly one column")
-		}
-		q := r.b.g.NewQuantifier(Scalar, sub, "")
-		r.box.Quantifiers = append(r.box.Quantifiers, q)
-		return &ColRef{Q: q, Col: 0}, nil
-	case *parser.CaseExpr:
 		c := &Case{}
-		for _, w := range t.Whens {
-			cond, err := r.resolve(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := r.resolve(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			c.Whens = append(c.Whens, CaseWhen{Cond: cond, Then: then})
+		for i := range t.Whens {
+			c.Whens = append(c.Whens, CaseWhen{Cond: k[2*i], Then: k[2*i+1]})
 		}
 		if t.Else != nil {
-			e, err := r.resolve(t.Else)
-			if err != nil {
-				return nil, err
-			}
-			c.Else = e
+			c.Else = k[len(k)-1]
 		}
 		return c, nil
 	default:
 		return nil, fmt.Errorf("qgm: unsupported expression %T", pe)
 	}
+}
+
+// scalarSubquery builds a scalar subquery as a block of its own and attaches
+// it to box as a Scalar child, returning the reference to its one column.
+func (b *builder) scalarSubquery(sq *parser.SubqueryExpr, tag string, box *Box) (Expr, error) {
+	sub, err := b.buildBlock(sq.Query, tag)
+	if err != nil {
+		return nil, err
+	}
+	if len(sub.Cols) != 1 {
+		return nil, fmt.Errorf("qgm: scalar subquery must produce exactly one column")
+	}
+	q := b.g.NewQuantifier(Scalar, sub, "")
+	box.Quantifiers = append(box.Quantifiers, q)
+	return &ColRef{Q: q, Col: 0}, nil
 }
 
 // aggResolver resolves select-list and HAVING expressions of an aggregating
@@ -757,164 +775,44 @@ type aggResolver struct {
 	subN   int
 }
 
-func (a *aggResolver) resolve(pe parser.Expr) (Expr, error) {
-	// Scalar subqueries attach to the upper box.
+func (a *aggResolver) resolve(pe parser.Expr) (Expr, error) { return a.b.lower(pe, a.node) }
+
+// node is an aggregating block's step of the lowering walk: a scalar subquery
+// attaches to the upper box, an aggregate call maps to a GROUP BY column, a
+// subtree equal to a grouping expression to its grouping column, a constant
+// stays, and a bare column is refused. Anything else descends.
+func (a *aggResolver) node(pe parser.Expr) (Expr, bool, error) {
 	if sq, ok := pe.(*parser.SubqueryExpr); ok {
-		sub, err := a.b.buildBlock(sq.Query, fmt.Sprintf("%s.h%d", a.tag, a.subN))
+		e, err := a.b.scalarSubquery(sq, fmt.Sprintf("%s.h%d", a.tag, a.subN), a.top)
 		a.subN++
-		if err != nil {
-			return nil, err
-		}
-		if len(sub.Cols) != 1 {
-			return nil, fmt.Errorf("qgm: scalar subquery must produce exactly one column")
-		}
-		q := a.b.g.NewQuantifier(Scalar, sub, "")
-		a.top.Quantifiers = append(a.top.Quantifiers, q)
-		return &ColRef{Q: q, Col: 0}, nil
+		return e, true, err
 	}
-
-	// Aggregate function: resolve the argument in the lower scope and map to
-	// a GROUP BY output column.
 	if fc, ok := pe.(*parser.FuncCall); ok && aggNames[fc.Name] {
-		return a.resolveAggCall(fc)
+		e, err := a.resolveAggCall(fc)
+		return e, true, err
 	}
-
-	// Whole subtree equal to a grouping expression?
-	if e, err := a.lower.resolveReadOnly(pe); err == nil {
-		for i, g := range a.gexprs {
-			if ExprEqual(g, e, nil) {
-				return &ColRef{Q: a.qGb, Col: i}, nil
-			}
+	_, isCol := pe.(*parser.ColRef)
+	e, err := a.lower.resolveReadOnly(pe)
+	if err != nil {
+		// The subtree reads an aggregate or a subquery (or is wrong, and
+		// its children will say so).
+		if isCol {
+			return nil, true, err
 		}
-		// Constants are fine anywhere.
-		if _, ok := e.(*Const); ok {
-			return e, nil
-		}
-		if _, ok := pe.(*parser.ColRef); ok {
-			return nil, fmt.Errorf("qgm: column %s is neither grouped nor aggregated", pe.SQL())
-		}
-	} else if _, ok := pe.(*parser.ColRef); ok {
-		return nil, err
+		return nil, false, nil
 	}
-
-	// Recurse structurally.
-	switch t := pe.(type) {
-	case *parser.Lit:
-		return a.b.constant(t), nil
-	case *parser.BinExpr:
-		l, err := a.resolve(t.L)
-		if err != nil {
-			return nil, err
+	for i, g := range a.gexprs {
+		if ExprEqual(g, e, nil) {
+			return &ColRef{Q: a.qGb, Col: i}, true, nil
 		}
-		r, err := a.resolve(t.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: t.Op, L: l, R: r}, nil
-	case *parser.UnaryExpr:
-		e, err := a.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		if t.Op == "NOT" {
-			return &Not{E: e}, nil
-		}
-		return &Bin{Op: "-", L: NewConst(sqltypes.NewInt(0)), R: e}, nil
-	case *parser.FuncCall:
-		n, ok := scalarBuiltins[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("qgm: unknown function %q", t.Name)
-		}
-		if len(t.Args) != n {
-			return nil, fmt.Errorf("qgm: %s() takes %d argument(s)", t.Name, n)
-		}
-		args := make([]Expr, len(t.Args))
-		for i, arg := range t.Args {
-			e, err := a.resolve(arg)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = e
-		}
-		return &Call{Name: t.Name, Args: args}, nil
-	case *parser.IsNullExpr:
-		e, err := a.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: e, Neg: t.Not}, nil
-	case *parser.LikeExpr:
-		e, err := a.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := a.resolve(t.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return &Like{E: e, Pattern: pat, Neg: t.Not}, nil
-	case *parser.BetweenExpr:
-		e, err := a.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := a.resolve(t.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := a.resolve(t.Hi)
-		if err != nil {
-			return nil, err
-		}
-		rng := &Bin{Op: "AND",
-			L: &Bin{Op: ">=", L: e, R: lo},
-			R: &Bin{Op: "<=", L: e, R: hi}}
-		if t.Not {
-			return &Not{E: rng}, nil
-		}
-		return rng, nil
-	case *parser.InExpr:
-		e, err := a.resolve(t.E)
-		if err != nil {
-			return nil, err
-		}
-		var ors []Expr
-		for _, item := range t.List {
-			ie, err := a.resolve(item)
-			if err != nil {
-				return nil, err
-			}
-			ors = append(ors, &Bin{Op: "=", L: e, R: ie})
-		}
-		out := OrAll(ors)
-		if t.Not {
-			return &Not{E: out}, nil
-		}
-		return out, nil
-	case *parser.CaseExpr:
-		c := &Case{}
-		for _, w := range t.Whens {
-			cond, err := a.resolve(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := a.resolve(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			c.Whens = append(c.Whens, CaseWhen{Cond: cond, Then: then})
-		}
-		if t.Else != nil {
-			e, err := a.resolve(t.Else)
-			if err != nil {
-				return nil, err
-			}
-			c.Else = e
-		}
-		return c, nil
-	default:
-		return nil, fmt.Errorf("qgm: expression %s is neither grouped nor aggregated", pe.SQL())
 	}
+	if _, ok := e.(*Const); ok {
+		return e, true, nil
+	}
+	if isCol {
+		return nil, true, fmt.Errorf("qgm: column %s is neither grouped nor aggregated", pe.SQL())
+	}
+	return nil, false, nil
 }
 
 // resolveAggCall maps an aggregate call to a GROUP BY output column, adding

@@ -41,7 +41,7 @@ type ColRef struct {
 // value while a statement is being planned reads Value, which is what lets a
 // cached plan be reused for other literals (see Param); what runs or prints a
 // finished plan reads Peek. The value itself is reachable from this file only
-// (astlint's boundaries rule), so there is no third way to read it.
+// (the lint package's boundaries rule), so there is no third way to read it.
 type Const struct {
 	val sqltypes.Value
 	// Param is non-nil on a constant BuildParams read from a literal token of
@@ -237,39 +237,15 @@ func (c *Case) String() string {
 }
 
 // WalkExpr invokes fn on e and all descendants (pre-order). fn returning
-// false prunes descent into that node's children.
+// false prunes descent into that node's children. It allocates nothing.
 func WalkExpr(e Expr, fn func(Expr) bool) {
 	if e == nil || !fn(e) {
 		return
 	}
-	switch t := e.(type) {
-	case *Call:
-		for _, a := range t.Args {
-			WalkExpr(a, fn)
-		}
-	case *Bin:
-		WalkExpr(t.L, fn)
-		WalkExpr(t.R, fn)
-	case *Not:
-		WalkExpr(t.E, fn)
-	case *IsNull:
-		WalkExpr(t.E, fn)
-	case *Like:
-		WalkExpr(t.E, fn)
-		WalkExpr(t.Pattern, fn)
-	case *Agg:
-		if t.Arg != nil {
-			WalkExpr(t.Arg, fn)
-		}
-	case *Case:
-		for _, w := range t.Whens {
-			WalkExpr(w.Cond, fn)
-			WalkExpr(w.Then, fn)
-		}
-		if t.Else != nil {
-			WalkExpr(t.Else, fn)
-		}
-	}
+	eachChild(e, false, func(c Expr) (Expr, error) {
+		WalkExpr(c, fn)
+		return c, nil
+	})
 }
 
 // MapExpr rebuilds e bottom-up, replacing each node with fn(node) after its
@@ -279,42 +255,8 @@ func MapExpr(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	switch t := e.(type) {
-	case *ColRef, *Const:
-		return fn(e)
-	case *Call:
-		args := make([]Expr, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = MapExpr(a, fn)
-		}
-		return fn(&Call{Name: t.Name, Args: args})
-	case *Bin:
-		return fn(&Bin{Op: t.Op, L: MapExpr(t.L, fn), R: MapExpr(t.R, fn)})
-	case *Not:
-		return fn(&Not{E: MapExpr(t.E, fn)})
-	case *IsNull:
-		return fn(&IsNull{E: MapExpr(t.E, fn), Neg: t.Neg})
-	case *Like:
-		return fn(&Like{E: MapExpr(t.E, fn), Pattern: MapExpr(t.Pattern, fn), Neg: t.Neg})
-	case *Agg:
-		var arg Expr
-		if t.Arg != nil {
-			arg = MapExpr(t.Arg, fn)
-		}
-		return fn(&Agg{Op: t.Op, Arg: arg, Star: t.Star, Distinct: t.Distinct})
-	case *Case:
-		whens := make([]CaseWhen, len(t.Whens))
-		for i, w := range t.Whens {
-			whens[i] = CaseWhen{Cond: MapExpr(w.Cond, fn), Then: MapExpr(w.Then, fn)}
-		}
-		var els Expr
-		if t.Else != nil {
-			els = MapExpr(t.Else, fn)
-		}
-		return fn(&Case{Whens: whens, Else: els})
-	default:
-		return fn(e)
-	}
+	out, _ := MapChildren(e, func(c Expr) (Expr, error) { return MapExpr(c, fn), nil })
+	return fn(out)
 }
 
 // MapExprTopDown rebuilds e, calling fn on each node before descending; if fn
@@ -327,42 +269,91 @@ func MapExprTopDown(e Expr, fn func(Expr) (Expr, bool)) Expr {
 	if repl, ok := fn(e); ok {
 		return repl
 	}
-	switch t := e.(type) {
-	case *ColRef, *Const:
-		return e
-	case *Call:
-		args := make([]Expr, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = MapExprTopDown(a, fn)
+	out, _ := MapChildren(e, func(c Expr) (Expr, error) { return MapExprTopDown(c, fn), nil })
+	return out
+}
+
+// MapChildren returns a new node of e's kind whose children are fn's results
+// for e's children, in order, or fn's first error. A leaf (ColRef, Const) is
+// returned as it is. It is the step every recursive rewrite of an expression
+// takes at a node it does not rewrite itself.
+func MapChildren(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
+	return eachChild(e, true, fn)
+}
+
+// eachChild is the one place that knows each node kind's children: it passes
+// them to fn in order — an absent Agg.Arg or Case.Else is skipped — and stops
+// at fn's first error. With rebuild set it returns a new node holding fn's
+// results; without, it returns e and allocates nothing (WalkExpr).
+func eachChild(e Expr, rebuild bool, fn func(Expr) (Expr, error)) (Expr, error) {
+	var err error
+	child := func(c Expr) Expr {
+		if c == nil || err != nil {
+			return c
 		}
-		return &Call{Name: t.Name, Args: args}
-	case *Bin:
-		return &Bin{Op: t.Op, L: MapExprTopDown(t.L, fn), R: MapExprTopDown(t.R, fn)}
-	case *Not:
-		return &Not{E: MapExprTopDown(t.E, fn)}
-	case *IsNull:
-		return &IsNull{E: MapExprTopDown(t.E, fn), Neg: t.Neg}
-	case *Like:
-		return &Like{E: MapExprTopDown(t.E, fn), Pattern: MapExprTopDown(t.Pattern, fn), Neg: t.Neg}
-	case *Agg:
-		var arg Expr
-		if t.Arg != nil {
-			arg = MapExprTopDown(t.Arg, fn)
-		}
-		return &Agg{Op: t.Op, Arg: arg, Star: t.Star, Distinct: t.Distinct}
-	case *Case:
-		whens := make([]CaseWhen, len(t.Whens))
-		for i, w := range t.Whens {
-			whens[i] = CaseWhen{Cond: MapExprTopDown(w.Cond, fn), Then: MapExprTopDown(w.Then, fn)}
-		}
-		var els Expr
-		if t.Else != nil {
-			els = MapExprTopDown(t.Else, fn)
-		}
-		return &Case{Whens: whens, Else: els}
-	default:
-		return e
+		c, err = fn(c)
+		return c
 	}
+	switch t := e.(type) {
+	case *Call:
+		var args []Expr
+		if rebuild {
+			args = make([]Expr, len(t.Args))
+		}
+		for i, a := range t.Args {
+			a = child(a)
+			if rebuild {
+				args[i] = a
+			}
+		}
+		if rebuild {
+			e = &Call{Name: t.Name, Args: args}
+		}
+	case *Bin:
+		l, r := child(t.L), child(t.R)
+		if rebuild {
+			e = &Bin{Op: t.Op, L: l, R: r}
+		}
+	case *Not:
+		x := child(t.E)
+		if rebuild {
+			e = &Not{E: x}
+		}
+	case *IsNull:
+		x := child(t.E)
+		if rebuild {
+			e = &IsNull{E: x, Neg: t.Neg}
+		}
+	case *Like:
+		x, p := child(t.E), child(t.Pattern)
+		if rebuild {
+			e = &Like{E: x, Pattern: p, Neg: t.Neg}
+		}
+	case *Agg:
+		x := child(t.Arg)
+		if rebuild {
+			e = &Agg{Op: t.Op, Arg: x, Star: t.Star, Distinct: t.Distinct}
+		}
+	case *Case:
+		var whens []CaseWhen
+		if rebuild {
+			whens = make([]CaseWhen, len(t.Whens))
+		}
+		for i, w := range t.Whens {
+			w = CaseWhen{Cond: child(w.Cond), Then: child(w.Then)}
+			if rebuild {
+				whens[i] = w
+			}
+		}
+		x := child(t.Else)
+		if rebuild {
+			e = &Case{Whens: whens, Else: x}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // ColRefs returns all QNC references in e, in visit order.

@@ -1,11 +1,12 @@
 package qgm
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/parser"
 	"repro/internal/sqltypes"
 )
 
@@ -364,11 +365,6 @@ func TestSQLPrinterRoundTrip(t *testing.T) {
 }
 
 func TestWalkAndMapExpr(t *testing.T) {
-	e, err := parser.ParseExpr("1 + 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = e // parser-level expr; qgm-level walkers tested below
 	g := build(t, "select qty * price + 1 as x from trans")
 	expr := g.Root.Cols[0].Expr
 	count := 0
@@ -391,6 +387,61 @@ func TestWalkAndMapExpr(t *testing.T) {
 	}
 	if len(ColRefs(expr)) != 2 {
 		t.Fatal("ColRefs count")
+	}
+
+	// Every node kind, every child slot: a Case with and without Else, Not,
+	// Like with its pattern, Call, IsNull, Agg with and without Arg, Bin.
+	q := g.Root.Quantifiers[0]
+	col := func(i int) Expr { return &ColRef{Q: q, Col: i} }
+	all := &Case{
+		Whens: []CaseWhen{
+			{Cond: &Not{E: &Like{E: col(6), Pattern: NewConst(sqltypes.NewString("a%")), Neg: true}},
+				Then: &Call{Name: "year", Args: []Expr{col(3)}}},
+			{Cond: &IsNull{E: col(6), Neg: true},
+				Then: &Agg{Op: "sum", Arg: &Bin{Op: "*", L: col(4), R: col(5)}, Distinct: true}},
+		},
+		Else: &Case{Whens: []CaseWhen{{Cond: &IsNull{E: col(4)}, Then: &Agg{Op: "count", Star: true}}}},
+	}
+	var walked []string
+	WalkExpr(all, func(x Expr) bool { walked = append(walked, x.String()); return true })
+	if len(walked) != 17 {
+		t.Fatalf("WalkExpr visited %d nodes, want 17", len(walked))
+	}
+	var rebuilt []string
+	ident := MapExpr(all, func(x Expr) Expr { rebuilt = append(rebuilt, x.String()); return x })
+	if !ExprEqual(ident, all, nil) || ident.String() != all.String() || ident == Expr(all) {
+		t.Fatalf("MapExpr identity: %s, want a copy of %s", ident, all)
+	}
+	slices.Sort(walked)
+	slices.Sort(rebuilt)
+	if !slices.Equal(walked, rebuilt) {
+		t.Fatalf("WalkExpr visits %v, MapExpr rebuilds %v", walked, rebuilt)
+	}
+	top := MapExprTopDown(all, func(Expr) (Expr, bool) { return nil, false })
+	if !ExprEqual(top, all, nil) || top.String() != all.String() {
+		t.Fatalf("MapExprTopDown identity: %s", top)
+	}
+	pruned := 0
+	WalkExpr(all, func(x Expr) bool { pruned++; _, isCase := x.(*Case); return isCase })
+	if pruned != 8 { // the outer Case, its five children, the inner Case's two
+		t.Fatalf("pruned walk visited %d nodes, want 8", pruned)
+	}
+	if n := testing.AllocsPerRun(100, func() { WalkExpr(all, func(Expr) bool { return true }) }); n != 0 {
+		t.Fatalf("WalkExpr allocates %v times", n)
+	}
+
+	// MapChildren stops at fn's first error and builds nothing.
+	errStop := errors.New("stop")
+	calls := 0
+	out, err := MapChildren(&Like{E: col(6), Pattern: col(6)}, func(x Expr) (Expr, error) {
+		calls++
+		return nil, errStop
+	})
+	if out != nil || err != errStop || calls != 1 {
+		t.Fatalf("MapChildren after an error: %v, %v, %d calls", out, err, calls)
+	}
+	if leaf, err := MapChildren(col(1), nil); err != nil || leaf.String() != col(1).String() {
+		t.Fatalf("MapChildren of a leaf: %v, %v", leaf, err)
 	}
 }
 

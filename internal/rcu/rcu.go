@@ -15,14 +15,14 @@
 // either. What the types do not cover is memory reachable *through* a
 // generation — a slice inside a loaded struct, a pointer stored as a map
 // value: that stays frozen by convention (and, for storage chunks, by the
-// seal of sqltypes.Vec). astlint's boundaries rule keeps atomic.Pointer and
-// atomic.Value out of every other package, so this is the only place the
+// seal of sqltypes.Vec). The lint package's boundaries rule keeps atomic.Pointer
+// and atomic.Value out of every other package, so this is the only place the
 // idiom is spelled out.
 //
 // Guarded is the other half: state that is written as often as it is read and
 // so stays behind a plain mutex. It is here because it is the same move — the
-// lock and what it guards in one value — and because astlint's boundaries
-// rule allows a mutex to be declared in this package only.
+// lock and what it guards in one value — and because the boundaries rule
+// allows a mutex to be declared in this package only.
 package rcu
 
 import (

@@ -403,53 +403,18 @@ func (v *Vec) Frozen() Vec {
 	return f
 }
 
-// AppendBinKeyValue appends v's binary grouping key to buf: the byte form of
-// KeyCell's equivalence classes (a class tag, then a fixed-width payload
-// except for strings), for the keys of the row path's hash join, a Go map. It
-// distinguishes NaN payloads, which KeyCell and the decimal GroupKey do not.
-func AppendBinKeyValue(buf []byte, v Value) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(buf, '\x00', 'N')
-	case KindInt:
-		return appendBE64(append(buf, '\x01'), uint64(v.i))
-	case KindFloat:
-		return appendBinFloat(buf, v.f)
-	case KindString:
-		return append(append(buf, '\x03'), v.s...)
-	case KindBool:
-		return append(append(buf, '\x04'), byte(v.i))
-	case KindDate:
-		return appendBE64(append(buf, '\x05'), uint64(v.i))
-	default:
-		return append(buf, '\x7f', '?')
-	}
-}
-
-func appendBinFloat(buf []byte, f float64) []byte {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return appendBE64(append(buf, '\x01'), uint64(int64(f)))
-	}
-	return appendBE64(append(buf, '\x02'), math.Float64bits(f))
-}
-
-func appendBE64(buf []byte, x uint64) []byte {
-	return append(buf,
-		byte(x>>56), byte(x>>48), byte(x>>40), byte(x>>32),
-		byte(x>>24), byte(x>>16), byte(x>>8), byte(x))
-}
-
 // keySeed seeds the string hash of KeyCell: fixed for the process, so equal
 // strings get equal words wherever they are normalised.
 var keySeed = maphash.MakeSeed()
 
 // KeyCell normalises v for hashing and grouping into a class and a 64-bit
-// word (for the integer, boolean and date classes, the payload itself): two values are in one group exactly when class and word agree and,
-// for the string class, the strings are equal (the word is only their hash).
-// The classes are AppendBinKey's — the kind, except that an integral float
-// below 1e15 is in the class of the integer (1.0 groups with 1, -0.0 with 0);
-// NULL is a class of its own, a date is not an int — and every NaN shares one
-// word, as in the decimal GroupKey.
+// word (for the integer, boolean and date classes, the payload itself): two
+// values are in one group exactly when class and word agree and, for the
+// string class, the strings are equal (the word is only their hash). The
+// classes are the decimal GroupKey's — the kind, except that an integral
+// float below 1e15 is in the class of the integer (1.0 groups with 1, -0.0
+// with 0); NULL is a class of its own, a date is not an int — and every NaN
+// shares one word, as in GroupKey.
 func (v Value) KeyCell() (Kind, int64) {
 	switch v.kind {
 	case KindNull:
