@@ -62,7 +62,6 @@ func SortRows(rows [][]sqltypes.Value) { exec.SortRows(rows) }
 type Engine struct {
 	cat   *catalog.Catalog
 	store *storage.Store
-	exe   *exec.Engine
 	rw    *core.Rewriter
 	maint *maintain.Maintainer
 	obsv  *obs.Observer
@@ -164,7 +163,7 @@ func Open(cat *catalog.Catalog, options ...Option) (*Engine, error) {
 	}
 	store := storage.NewStore()
 	rw := core.NewRewriter(cat, c.coreOpts)
-	e := assemble(cat, store, exec.NewEngine(store), rw, c)
+	e := assemble(cat, store, rw, c)
 	asts, err := rw.CompileAll()
 	e.register(asts...)
 	return e, err
@@ -179,16 +178,15 @@ func Wrap(rw *core.Rewriter, exe *exec.Engine, asts []*core.CompiledAST, options
 	for _, o := range options {
 		o(&c)
 	}
-	e := assemble(rw.Catalog(), exe.Store(), exe, rw, c)
+	e := assemble(rw.Catalog(), exe.Store(), rw, c)
 	e.register(asts...)
 	return e
 }
 
-func assemble(cat *catalog.Catalog, store *storage.Store, exe *exec.Engine, rw *core.Rewriter, c settings) *Engine {
+func assemble(cat *catalog.Catalog, store *storage.Store, rw *core.Rewriter, c settings) *Engine {
 	e := &Engine{
 		cat:   cat,
 		store: store,
-		exe:   exe,
 		rw:    rw,
 		maint: maintain.New(store).WithCatalog(cat),
 		cfg:   c.cfg,
@@ -203,7 +201,6 @@ func assemble(cat *catalog.Catalog, store *storage.Store, exe *exec.Engine, rw *
 	if c.obsv != nil {
 		e.obsv = c.obsv
 		rw.SetObserver(c.obsv)
-		exe.SetObserver(c.obsv)
 		cat.SetObserver(c.obsv)
 		e.maint.WithObserver(c.obsv)
 	}
@@ -302,6 +299,11 @@ type Answer struct {
 // the engine's limits, and fall back to the base plan — marking every summary
 // table the plan read stale — if the rewritten plan fails. Only typed budget
 // errors and base-plan failures are returned.
+//
+// The query reads one generation of the store (storage.Store.Pin): the plan
+// cache's usable set, routing, cost sizing and every scan see the same tables
+// and the same freshness, so a plan over several summary tables never mixes
+// states a writer published one after the other.
 func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	span := e.startSpan(ctx, "query")
 	defer span.End()
@@ -313,11 +315,12 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 		}
 		return e.queryGraph(ctx, g)
 	}
-	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store)
+	st := e.store.Pin()
+	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, st)
 	if err != nil {
 		return nil, compileError(err)
 	}
-	r, err := e.runPlan(ctx, cr.Plan)
+	r, err := e.runPlan(ctx, st, cr.Plan)
 	if err == nil {
 		return &Answer{Result: r, Plan: cr.Plan, Rewrite: cr.Rewrite, ASTs: cr.ASTs, CacheHit: cr.Hit}, nil
 	}
@@ -332,7 +335,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	if berr != nil {
 		return nil, err
 	}
-	r, err = e.runPlan(ctx, base)
+	r, err = e.runPlan(ctx, st, base)
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +352,9 @@ func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 }
 
 func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	plan, res := e.rw.RewriteOrFallback(ctx, query, e.set.Load().asts, e.store)
-	r, err := e.runPlan(ctx, plan)
+	st := e.store.Pin()
+	plan, res := e.rw.RewriteOrFallback(ctx, query, e.set.Load().asts, st)
+	r, err := e.runPlan(ctx, st, plan)
 	if err == nil {
 		return &Answer{Result: r, Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
 	}
@@ -360,7 +364,7 @@ func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 		return nil, err
 	}
 	e.markStale(res.Tables())
-	r, err = e.runPlan(ctx, query)
+	r, err = e.runPlan(ctx, st, query)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +380,7 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
 	if e.cache != nil && len(only) == 0 {
-		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store)
+		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store.Pin())
 		if err != nil {
 			return nil, compileError(err)
 		}
@@ -390,25 +394,29 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	if err != nil {
 		return nil, err
 	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, e.store)
+	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, e.store.Pin())
 	return &Rewrite{Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
 }
 
-// markStale marks every named summary table stale: a failed rewritten plan
-// cannot say which of the tables it read failed it. A table named twice is
-// marked once.
+// markStale marks every named summary table stale, in one publication: a
+// failed rewritten plan cannot say which of the tables it read failed it. A
+// table named twice is marked once. It does not wait for the writer slot: a
+// statement in flight applies its own transitions on top of these when it
+// publishes, so the marks survive unless it refreshes the table.
 func (e *Engine) markStale(names []string) {
+	var ts []catalog.Transition
 	for i, n := range names {
 		if !slices.Contains(names[:i], n) {
-			e.cat.MarkStale(n)
+			ts = append(ts, e.cat.Stale(n))
 		}
 	}
+	e.store.Apply(ts...)
 }
 
 // Execute runs one graph under the engine's limits, with panics converted to
 // errors. It performs no rewriting and no fallback.
 func (e *Engine) Execute(ctx context.Context, g *qgm.Graph) (*exec.Result, error) {
-	return e.runPlan(ctx, g)
+	return e.runPlan(ctx, e.store.Pin(), g)
 }
 
 // parse builds a graph from SQL under a "parse" child span, classifying
@@ -459,15 +467,18 @@ func (s astSet) only(names []string) (astSet, error) {
 	return out, nil
 }
 
-// runPlan executes one graph, converting a panic anywhere under the executor
-// into an error so the fallback logic always gets control back.
-func (e *Engine) runPlan(ctx context.Context, g *qgm.Graph) (r *exec.Result, err error) {
+// runPlan executes one graph over the store st, converting a panic anywhere
+// under the executor into an error so the fallback logic always gets control
+// back.
+func (e *Engine) runPlan(ctx context.Context, st *storage.Store, g *qgm.Graph) (r *exec.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r, err = nil, fmt.Errorf("astdb: execution panicked: %v", rec)
 		}
 	}()
-	return e.exe.RunCtx(ctx, g, e.cfg)
+	exe := exec.NewEngine(st)
+	exe.SetObserver(e.obsv)
+	return exe.RunCtx(ctx, g, e.cfg)
 }
 
 // CreateTable registers a table in the catalog and creates its (empty)
@@ -502,7 +513,7 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 	if err := e.cat.RegisterAST(catalog.ASTDef{Name: name, SQL: sql}); err != nil {
 		return nil, 0, err
 	}
-	res, err := e.runPlan(ctx, ca.Graph)
+	res, err := e.runPlan(ctx, e.store.Pin(), ca.Graph)
 	if err != nil {
 		e.cat.UnregisterAST(name)
 		return nil, 0, fmt.Errorf("astdb: materializing %s: %w", name, err)
@@ -557,16 +568,7 @@ func (e *Engine) Refresh(ctx context.Context, names ...string) ([]maintain.Stats
 	}
 	defer done()
 	sel, _ := e.set.Load().only(names) // the set only grows: the names checked above are still in it
-	var out []maintain.Stats
-	var errs []error
-	for _, p := range sel.plans {
-		st, err := e.maint.RefreshFull(p)
-		out = append(out, st)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return out, errors.Join(errs...)
+	return e.maint.Refresh(sel.plans)
 }
 
 // sortedByName orders compiled ASTs by name (for deterministic reporting).

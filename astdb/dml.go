@@ -226,6 +226,7 @@ func (e *Engine) ExplainDML(ctx context.Context, sql string) (*MaintenanceReport
 	}
 	rep := &MaintenanceReport{Statement: stmt.SQL(), Kind: dml.Kind.String(), Table: dml.Table.Name}
 	plans := e.set.Load().plans
+	statuses := e.store.Statuses()
 	for _, ca := range sortedByName(e.ASTs()) {
 		var p *maintain.Plan
 		for _, cand := range plans {
@@ -238,7 +239,7 @@ func (e *Engine) ExplainDML(ctx context.Context, sql string) (*MaintenanceReport
 			continue
 		}
 		route := MaintenanceRoute{AST: p.Name(), Status: "fresh"}
-		st := e.cat.Status(p.Name())
+		st := statuses.Status(p.Name())
 		switch {
 		case st.Quarantined:
 			route.Status = "quarantined"

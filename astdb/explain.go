@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -91,21 +92,22 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.set.Load().asts), e.store)
+	st := e.store.Pin()
+	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.set.Load().asts), st)
 	rep := &Report{SQL: sql}
 	for _, d := range decisions {
-		rep.Candidates = append(rep.Candidates, e.candidateOf(d))
+		rep.Candidates = append(rep.Candidates, candidateOf(st.Statuses(), d))
 		if d.Pruned {
 			rep.CandidatesPruned++
 		}
 	}
 	if res != nil {
 		for _, r := range append([]*core.Result{res}, res.More...) {
-			base, rewritten := e.rw.CostEstimate(r.Match, r.AST, e.store)
+			base, rewritten := e.rw.CostEstimate(r.Match, r.AST, st)
 			rep.Chosen = append(rep.Chosen, Choice{r.AST.Def.Name, r.Match.Pattern, base, rewritten})
 		}
 	}
-	if r, err := e.runPlan(ctx, plan); err != nil {
+	if r, err := e.runPlan(ctx, st, plan); err != nil {
 		rep.ExecError = err.Error()
 	} else {
 		rep.ActualRows = len(r.Rows)
@@ -115,10 +117,11 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	return rep, nil
 }
 
-// candidateOf summarizes one selection decision as an EXPLAIN entry.
-func (e *Engine) candidateOf(d core.Decision) Candidate {
+// candidateOf summarizes one selection decision, made under the status
+// generation gen, as an EXPLAIN entry.
+func candidateOf(gen *catalog.Statuses, d core.Decision) Candidate {
 	c := Candidate{AST: d.AST.Def.Name, Status: "fresh", Usable: d.Usable, Pruned: d.Pruned, Trace: d.Trace}
-	st := e.cat.Status(c.AST)
+	st := gen.Status(c.AST)
 	switch {
 	case st.Quarantined:
 		c.Status = "quarantined"

@@ -460,7 +460,7 @@ func BenchmarkE16_Refresh(b *testing.B) {
 						}
 						continue
 					}
-					if err := env.Store.MustTable("trans").Rewrite(nil, rows); err != nil {
+					if err := env.Store.Rewrite("trans", nil, rows); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := m.RefreshFull(plan); err != nil {

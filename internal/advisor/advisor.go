@@ -18,8 +18,6 @@ package advisor
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -226,29 +224,3 @@ func cuboidRows(cfg Config, mask int, cat *catalog.Catalog, engine *exec.Engine)
 	}
 	return int(res.Rows[0][0].Int()), nil
 }
-
-// Describe renders a selection for reports: view masks as dimension lists,
-// sorted by pick order.
-func Describe(cfg Config, sel *Selection, l *Lattice) string {
-	var sb strings.Builder
-	for i, v := range sel.Views {
-		var dims []string
-		for d := 0; d < len(cfg.Dims); d++ {
-			if v&(1<<d) != 0 {
-				dims = append(dims, cfg.Dims[d].Name)
-			}
-		}
-		sort.Strings(dims)
-		name := "()"
-		if len(dims) > 0 {
-			name = "(" + strings.Join(dims, ",") + ")"
-		}
-		fmt.Fprintf(&sb, "pick %d: %s rows=%d benefit=%d\n", i+1, name, l.Size[v], sel.Benefits[i])
-	}
-	fmt.Fprintf(&sb, "total answering cost: %d (vs %d unaided)\n",
-		sel.TotalCost, l.Size[l.Top()]*(1<<l.N))
-	return sb.String()
-}
-
-// PopCount is exported for reporting convenience.
-func PopCount(mask int) int { return bits.OnesCount(uint(mask)) }

@@ -319,7 +319,7 @@ func smokeRefresh(t *testing.T, scale int) {
 		incremental := table()
 		env.Store.Put(trans.Meta, base)
 		env.Store.Put(plan.AST.Table, summary)
-		if err := env.Store.MustTable("trans").Rewrite(nil, rows); err != nil {
+		if err := env.Store.Rewrite("trans", nil, rows); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.RefreshFull(plan); err != nil {

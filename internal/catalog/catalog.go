@@ -2,7 +2,9 @@
 // primary/unique keys, referential-integrity (foreign key) constraints, and
 // the registry of Automatic Summary Tables (ASTs). The matching algorithm
 // consults the catalog to prove extra-join losslessness (paper §4.1.1
-// condition 1) and 1:N rejoin cardinality (paper §4.2.1).
+// condition 1) and 1:N rejoin cardinality (paper §4.2.1). An AST's freshness
+// is defined here (Statuses, Transition) but lives in the store, in the same
+// generation as the tables (storage.Store, attached with SetFreshness).
 package catalog
 
 import (
@@ -100,10 +102,12 @@ type ASTDef struct {
 
 // Catalog is the metadata store. Schema mutation (AddTable, RegisterAST, …)
 // is not safe for concurrent use; the read path (lookups) is safe once
-// populated. AST freshness and the signature index are rcu generations: readers
-// (Status, Usable, AdmitsAST, the plan cache's usable set) take one atomic load
-// and no lock, so maintenance may mark ASTs stale or fresh while every
-// concurrent query-path check stays contention-free.
+// populated. AST freshness is not kept here: it is part of the store's one
+// generation (storage.Store, attached with SetFreshness), beside the tables it
+// describes, so a reader checks a summary table's status and reads its rows in
+// the same state. The catalog keeps the rules of freshness — the transitions
+// and the quarantine threshold — and the signature index, an rcu.Map whose
+// readers take one atomic load and no lock.
 type Catalog struct {
 	tables   map[string]*Table
 	tableIDs map[string]int // stable numeric IDs for signature bitmaps
@@ -111,31 +115,34 @@ type Catalog struct {
 	fkEdges  []fkEdge // fks as table IDs, for the signature index
 	asts     []ASTDef
 
-	// status is the current generation of every AST's freshness. Every
-	// transition is one publication, so Status, Usable and AdmitsAST can never
-	// disagree about a table.
-	status          rcu.Cell[*Statuses]
+	fresh           Freshness // nil until a store is attached: every AST fresh
 	quarantineAfter atomic.Int64
 	obsv            *obs.Observer // nil = observability disabled
 
-	// sigs is the candidate-pruning signature index (signature.go), keyed
-	// like status.
+	// sigs is the candidate-pruning signature index (signature.go), keyed by
+	// lowercased AST name.
 	sigs rcu.Map[string, *Signature]
 }
 
-// transition applies f to the named AST's status and publishes the result,
-// returning it. Every freshness change goes through here.
-func (c *Catalog) transition(name string, f func(*ASTStatus)) ASTStatus {
-	name = strings.ToLower(name)
-	var st ASTStatus
-	c.status.Update(func(cur *Statuses) *Statuses {
-		next := cur.draft()
-		st = next.byName[name]
-		f(&st)
-		next.byName[name] = st
-		return next
-	})
-	return st
+// Freshness is where a catalog's summary-table statuses are published: the
+// store holding the materializations (storage.Store), so that a statement's
+// table changes and its freshness transitions are one publication.
+type Freshness interface {
+	// Statuses returns the current generation.
+	Statuses() *Statuses
+	// Apply publishes the generation that follows under ts (or, on a
+	// store pinned for a statement, stages them for the statement's one
+	// publication).
+	Apply(ts ...Transition)
+}
+
+// SetFreshness attaches the store whose generations carry this catalog's AST
+// freshness. Attaching the store already attached does nothing, so it is safe
+// beside concurrent readers; attach a different one before serving.
+func (c *Catalog) SetFreshness(f Freshness) {
+	if c.fresh != f {
+		c.fresh = f
+	}
 }
 
 // Statuses is one generation of every AST's freshness: a lowercased name maps
@@ -163,18 +170,54 @@ func (s *Statuses) Usable(name string, allowStale bool) bool {
 	return !st.Quarantined && (allowStale || !st.Stale)
 }
 
-// draft returns a private copy of the generation for a writer to modify and
-// publish.
-func (s *Statuses) draft() *Statuses {
+// Transition is one AST's status change (Catalog.Fresh, Stale, Failed). It is
+// a value so that a writer can record it while it builds a statement's
+// generation and apply it to whatever generation is current when the
+// statement publishes.
+type Transition struct {
+	name string
+	f    func(*ASTStatus) // nil forgets the AST
+}
+
+// Next returns the generation that follows s under ts, applied in order; s
+// itself when ts is empty.
+func (s *Statuses) Next(ts []Transition) *Statuses {
+	if len(ts) == 0 {
+		return s
+	}
 	next := &Statuses{byName: map[string]ASTStatus{}}
 	if s != nil {
 		maps.Copy(next.byName, s.byName)
 	}
+	for _, t := range ts {
+		if t.f == nil {
+			delete(next.byName, t.name)
+			continue
+		}
+		st := next.byName[t.name]
+		t.f(&st)
+		next.byName[t.name] = st
+	}
 	return next
 }
 
-// Statuses returns the current generation: one atomic load, no lock.
-func (c *Catalog) Statuses() *Statuses { return c.status.Load() }
+// Statuses returns the attached store's current generation: one atomic load,
+// no lock.
+func (c *Catalog) Statuses() *Statuses {
+	if c.fresh == nil {
+		return nil
+	}
+	return c.fresh.Statuses()
+}
+
+// apply publishes ts through the attached store. Changing freshness with no
+// store attached is a wiring error.
+func (c *Catalog) apply(ts ...Transition) {
+	if c.fresh == nil {
+		panic("catalog: AST freshness changed with no store attached (SetFreshness)")
+	}
+	c.fresh.Apply(ts...)
+}
 
 // DefaultQuarantineThreshold is the number of consecutive refresh failures
 // after which an AST is quarantined (circuit broken) until a successful full
@@ -389,11 +432,9 @@ func (c *Catalog) UnregisterAST(name string) {
 		}
 	}
 	c.asts = out
-	c.status.Update(func(cur *Statuses) *Statuses {
-		next := cur.draft()
-		delete(next.byName, name)
-		return next
-	})
+	if c.fresh != nil {
+		c.fresh.Apply(Transition{name: name})
+	}
 	c.sigs.Update(func(draft map[string]*Signature) { delete(draft, name) })
 }
 
@@ -434,64 +475,65 @@ func (c *Catalog) SetQuarantineThreshold(n int) {
 // load, no lock.
 func (c *Catalog) Status(name string) ASTStatus { return c.Statuses().Status(name) }
 
-// MarkFresh records a successful refresh: bumps the epoch, clears staleness
-// and quarantine, and resets the failure counter. A successful full
-// recompute is the only way out of quarantine.
-func (c *Catalog) MarkFresh(name string) {
-	c.transition(name, func(st *ASTStatus) {
-		st.Epoch++
-		st.Stale = false
-		st.Quarantined = false
-		st.Failures = 0
+// Fresh is a successful refresh: it bumps the epoch and clears staleness,
+// quarantine and the failure count. A successful full recompute is the only
+// way out of quarantine.
+func (c *Catalog) Fresh(name string) Transition {
+	return c.change(name, "catalog.ast.fresh", "catalog.fresh", func(st *ASTStatus) {
+		*st = ASTStatus{Epoch: st.Epoch + 1}
 	})
-	c.obsv.Add("catalog.ast.fresh", 1)
-	if c.obsv.Enabled() {
-		c.obsv.Emit("catalog.fresh", name)
-	}
 }
 
-// MarkStale flags the AST's materialization as out of date without counting
-// a refresh failure (used when a read of the materialized table fails, or a
-// base insert lands without the AST being refreshed).
-func (c *Catalog) MarkStale(name string) {
-	c.transition(name, func(st *ASTStatus) {
-		st.Stale = true
-	})
-	c.obsv.Add("catalog.ast.stale", 1)
-	if c.obsv.Enabled() {
-		c.obsv.Emit("catalog.stale", name)
-	}
+// Stale flags the AST's materialization as out of date without counting a
+// refresh failure (a read of the materialized table failed, or a base change
+// landed without the AST being refreshed).
+func (c *Catalog) Stale(name string) Transition {
+	return c.change(name, "catalog.ast.stale", "catalog.stale", func(st *ASTStatus) { st.Stale = true })
 }
 
-// RecordRefreshFailure marks the AST stale, increments its consecutive
-// failure count, and trips the quarantine breaker when the threshold is
-// reached. It returns the updated status.
-func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
-	tripped := false
-	out := c.transition(name, func(st *ASTStatus) {
-		st.Stale = true
-		st.Failures++
-		if int64(st.Failures) >= c.quarantineAfter.Load() {
-			tripped = !st.Quarantined
+// Failed is a failed refresh: it marks the AST stale, increments its
+// consecutive failure count, and trips the quarantine breaker when the
+// threshold is reached.
+func (c *Catalog) Failed(name string) Transition {
+	return c.change(name, "catalog.ast.refresh_failures", "catalog.refresh_failure", func(st *ASTStatus) {
+		st.Stale, st.Failures = true, st.Failures+1
+		if !st.Quarantined && int64(st.Failures) >= c.quarantineAfter.Load() {
 			st.Quarantined = true
+			c.obsv.Add("catalog.ast.quarantines", 1)
+			if c.obsv.Enabled() {
+				c.obsv.Emit("catalog.quarantine", name)
+			}
 		}
 	})
-	c.obsv.Add("catalog.ast.refresh_failures", 1)
-	if tripped {
-		c.obsv.Add("catalog.ast.quarantines", 1)
-	}
-	if c.obsv.Enabled() {
-		c.obsv.Emit("catalog.refresh_failure", name)
-		if tripped {
-			c.obsv.Emit("catalog.quarantine", name)
+}
+
+// change is the Transition f of the named AST, counted under counter and
+// emitted as event when it is applied.
+func (c *Catalog) change(name, counter, event string, f func(*ASTStatus)) Transition {
+	return Transition{name: strings.ToLower(name), f: func(st *ASTStatus) {
+		f(st)
+		c.obsv.Add(counter, 1)
+		if c.obsv.Enabled() {
+			c.obsv.Emit(event, name)
 		}
-	}
-	return out
+	}}
+}
+
+// MarkFresh publishes Fresh(name) through the attached store.
+func (c *Catalog) MarkFresh(name string) { c.apply(c.Fresh(name)) }
+
+// MarkStale publishes Stale(name) through the attached store.
+func (c *Catalog) MarkStale(name string) { c.apply(c.Stale(name)) }
+
+// RecordRefreshFailure publishes Failed(name) through the attached store and
+// returns the AST's status after it.
+func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
+	c.apply(c.Failed(name))
+	return c.Status(name)
 }
 
 // Usable is Statuses.Usable on the current generation. Lock-free (one atomic
-// load), so per-candidate checks on the query path never serialize against
-// maintenance transitions.
+// load).
 func (c *Catalog) Usable(name string, allowStale bool) bool {
 	return c.Statuses().Usable(name, allowStale)
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"testing"
 
+	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 )
 
@@ -168,7 +169,7 @@ func TestTablesSorted(t *testing.T) {
 }
 
 func TestASTStatusLifecycle(t *testing.T) {
-	c := New()
+	c := attached()
 	c.MustRegisterAST(ASTDef{Name: "a1", SQL: "select 1"})
 
 	if st := c.Status("a1"); st != (ASTStatus{}) {
@@ -198,7 +199,7 @@ func TestASTStatusLifecycle(t *testing.T) {
 }
 
 func TestQuarantineCircuitBreaker(t *testing.T) {
-	c := New()
+	c := attached()
 	c.SetQuarantineThreshold(2)
 	for i := 0; i < 1; i++ {
 		st := c.RecordRefreshFailure("q")
@@ -226,7 +227,7 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 }
 
 func TestStatusConcurrentAccess(t *testing.T) {
-	c := New()
+	c := attached()
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -246,7 +247,7 @@ func TestStatusConcurrentAccess(t *testing.T) {
 }
 
 func TestUnregisterASTClearsStatus(t *testing.T) {
-	c := New()
+	c := attached()
 	c.MustRegisterAST(ASTDef{Name: "gone", SQL: "select 1"})
 	c.MarkStale("gone")
 	c.UnregisterAST("gone")
@@ -258,7 +259,7 @@ func TestUnregisterASTClearsStatus(t *testing.T) {
 // TestStatusIsAllocationFree pins the query path's freshness check — once per
 // registered summary table per plan-cache lookup — at zero allocations.
 func TestStatusIsAllocationFree(t *testing.T) {
-	c := New()
+	c := attached()
 	c.MarkFresh("a1")
 	c.MarkStale("a2")
 	if got := testing.AllocsPerRun(1000, func() {
@@ -268,4 +269,21 @@ func TestStatusIsAllocationFree(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("Status allocates %v per run, want 0", got)
 	}
+}
+
+// published is the Freshness the catalog's own tests attach: the statuses in
+// one rcu.Cell, as storage.Store keeps them beside the tables.
+type published struct{ cell rcu.Cell[*Statuses] }
+
+func (p *published) Statuses() *Statuses { return p.cell.Load() }
+
+func (p *published) Apply(ts ...Transition) {
+	p.cell.Update(func(cur *Statuses) *Statuses { return cur.Next(ts) })
+}
+
+// attached is a new catalog with a Freshness attached.
+func attached() *Catalog {
+	c := New()
+	c.SetFreshness(&published{})
+	return c
 }

@@ -179,10 +179,11 @@ func (c *Catalog) ASTSignature(name string) (*Signature, bool) {
 
 // AdmitsAST is the index-side admission check consulted once per (query, AST)
 // pair before full matching. It returns false only when the index can prove
-// the AST cannot serve the query: its freshness forbids use (Usable), or its
-// signature fails one of the conservative refutation rules against the query
-// signature q. ASTs without an index entry, and nil query signatures, are
-// always admitted.
+// the AST cannot serve the query: its current freshness forbids use (Usable),
+// or its signature fails one of the conservative refutation rules against the
+// query signature q. ASTs without an index entry, and nil query signatures,
+// are always admitted. The rewriter checks freshness on the generation it
+// plans against and asks SignatureAdmits for the rest.
 func (c *Catalog) AdmitsAST(name string, q *Signature, allowStale bool) bool {
 	name = strings.ToLower(name)
 	sig, ok := c.sigs.Get(name)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"repro/internal/qgm"
 )
 
@@ -156,32 +158,10 @@ func uniqueColName(b *qgm.Box, base string) string {
 	for i := 0; ; i++ {
 		name := base
 		if i > 0 || base == "c" {
-			name = base + itoa(len(b.Cols)+i)
+			name = base + strconv.Itoa(len(b.Cols)+i)
 		}
 		if b.ColIndex(name) < 0 {
 			return name
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

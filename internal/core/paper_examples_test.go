@@ -35,6 +35,7 @@ func newEnv(t testing.TB, numTrans int) *env {
 	workload.Schema(cat)
 	store := storage.NewStore()
 	workload.Load(cat, store, workload.StarConfig{NumTrans: numTrans, Seed: 7})
+	cat.SetFreshness(store)
 	return &env{
 		cat:    cat,
 		store:  store,

@@ -51,7 +51,7 @@ type PlanCache struct {
 
 	hits, misses, evictions atomic.Int64
 
-	// usable is the usable set last derived, kept until the catalog publishes
+	// usable is the usable set last derived, kept until the store publishes
 	// another status generation (or the caller passes other candidates).
 	usable rcu.Cell[*usableSet]
 }
@@ -267,7 +267,7 @@ func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql 
 		}
 		return nil, err
 	}
-	gen := rw.cat.Statuses()
+	gen := sizer.Statuses()
 	key := planKey{usable: rw.usableKey(cache, gen, asts), template: template}
 	ent, known := cache.get(key, lits)
 	if ent != nil {
@@ -292,18 +292,14 @@ func (rw *Rewriter) RewriteSQLCached(ctx context.Context, cache *PlanCache, sql 
 	if err != nil {
 		return nil, err
 	}
-	plan, res := rw.plan(ctx, query, asts, sizer, nil)
+	plan, res := rw.plan(ctx, query, asts, sizer, gen, nil)
 	ent = &cacheEntry{key: key, plan: plan, asts: res.Tables()}
 	for _, p := range query.Params {
 		if p != nil && p.Pinned() {
 			ent.pins = append(ent.pins, pin{slot: p.Slot, val: lits[p.Slot]})
 		}
 	}
-	// The plan was chosen among the tables usable while it was planned; it
-	// belongs under key only if those were the ones of gen throughout.
-	if rw.cat.Statuses() == gen {
-		rw.obsv.Add(CtrCacheEvictions, int64(cache.put(ent, lits)))
-		rw.obsv.Add(CtrCachePins, int64(len(ent.pins)))
-	}
+	rw.obsv.Add(CtrCacheEvictions, int64(cache.put(ent, lits)))
+	rw.obsv.Add(CtrCachePins, int64(len(ent.pins)))
 	return &CachedRewrite{Plan: plan.Bind(lits), ASTs: ent.asts, Rewrite: res}, nil
 }

@@ -193,10 +193,10 @@ func (rw *Rewriter) DegradationEvents() (events []DegradationEvent, dropped int)
 	return events, dropped
 }
 
-// usable reports whether an AST may serve rewrites right now: quarantined
-// ASTs never, stale ones only under Options.AllowStale.
-func (rw *Rewriter) usable(ast *CompiledAST) bool {
-	return rw.cat.Usable(ast.Def.Name, rw.opts.AllowStale)
+// usable reports whether an AST may serve rewrites in the status generation
+// gen: quarantined ASTs never, stale ones only under Options.AllowStale.
+func (rw *Rewriter) usable(gen *catalog.Statuses, ast *CompiledAST) bool {
+	return gen.Usable(ast.Def.Name, rw.opts.AllowStale)
 }
 
 // querySig computes the query's pruning signature once per rewrite, or nil
@@ -208,14 +208,14 @@ func (rw *Rewriter) querySig(query *qgm.Graph) *catalog.Signature {
 	return ComputeSignature(rw.cat, query)
 }
 
-// admit consults the catalog signature index for one candidate before the
+// admit consults the catalog signature index for one usable candidate before the
 // full match is attempted. A nil query signature admits everything (pruning
 // disabled or the query references tables the index cannot map).
 func (rw *Rewriter) admit(qsig *catalog.Signature, ast *CompiledAST) bool {
 	if qsig == nil {
 		return true
 	}
-	if !rw.cat.AdmitsAST(ast.Def.Name, qsig, rw.opts.AllowStale) {
+	if sig, ok := rw.cat.ASTSignature(ast.Def.Name); ok && !rw.cat.SignatureAdmits(sig, qsig) {
 		rw.obsv.Add(CtrPruned, 1)
 		return false
 	}
@@ -283,7 +283,7 @@ func (r *Result) Tables() []string {
 // the highest (largest-subtree) one is replaced, maximizing the work the AST
 // absorbs.
 func (rw *Rewriter) Rewrite(query *qgm.Graph, ast *CompiledAST) *Result {
-	if !rw.usable(ast) {
+	if !rw.usable(rw.cat.Statuses(), ast) {
 		return nil
 	}
 	matches, _ := rw.safeMatches(context.Background(), query, ast, false)
@@ -303,12 +303,15 @@ func (rw *Rewriter) Rewrite(query *qgm.Graph, ast *CompiledAST) *Result {
 	return &Result{AST: ast, Match: best, Replaced: best.Subsumee}
 }
 
-// Sizer estimates table cardinalities for cost-based AST applicability —
-// problem (b) of the paper's introduction ("deciding whether an AST should
-// actually be used in answering a query", citing Chaudhuri et al.).
-// *storage.Store implements it.
+// Sizer is the database state a plan is chosen against: table cardinalities
+// for cost-based AST applicability — problem (b) of the paper's introduction
+// ("deciding whether an AST should actually be used in answering a query",
+// citing Chaudhuri et al.) — and the summary tables' freshness. *storage.Store
+// implements it; a pinned one answers both from the generation the plan will
+// run on.
 type Sizer interface {
 	TableRows(name string) int
+	Statuses() *catalog.Statuses
 }
 
 // Decision is what the selection loop established about one candidate summary
@@ -347,7 +350,7 @@ type Decision struct {
 // A non-nil explain collects one Decision per entry of asts, in order, with
 // tracing on; unusable and pruned candidates are then matched too, for their
 // decision log, but stay out of the selection.
-func (rw *Rewriter) selectBest(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, explain *[]Decision, one bool) *Result {
+func (rw *Rewriter) selectBest(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, gen *catalog.Statuses, explain *[]Decision, one bool) *Result {
 	span := obs.SpanFromContext(ctx).Child("match")
 	defer span.End()
 	qsig := rw.querySig(query)
@@ -358,7 +361,7 @@ func (rw *Rewriter) selectBest(ctx context.Context, query *qgm.Graph, asts []*Co
 	}
 	var pays []paying
 	for _, ast := range asts {
-		usable := rw.usable(ast)
+		usable := rw.usable(gen, ast)
 		eligible := usable && rw.admit(qsig, ast)
 		if !eligible && explain == nil {
 			continue
@@ -431,13 +434,13 @@ func intact(g *qgm.Graph, box *qgm.Box, mark int) bool {
 // first (see selectBest). It returns nil when no candidate matches or none is
 // estimated cheaper. Unlike RewriteOrFallback it does not verify the result.
 func (rw *Rewriter) RewriteBestCost(query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
-	return rw.selectBest(context.Background(), query, asts, sizer, nil, false)
+	return rw.selectBest(context.Background(), query, asts, sizer, sizer.Statuses(), nil, false)
 }
 
 // RewriteBestCostCtx is RewriteBestCost bounded by a context. Like every
 // selection entry point it mutates the query graph; see selectBest.
 func (rw *Rewriter) RewriteBestCostCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
-	return rw.selectBest(ctx, query, asts, sizer, nil, false)
+	return rw.selectBest(ctx, query, asts, sizer, sizer.Statuses(), nil, false)
 }
 
 // plan is the one planning function behind every route that must hand back a
@@ -446,9 +449,9 @@ func (rw *Rewriter) RewriteBestCostCtx(ctx context.Context, query *qgm.Graph, as
 // splices, plan re-plans a fresh clone with the first splice only; when it
 // refuses that too, it degrades to the untouched input graph. Each refusal is
 // recorded, naming the plan it discarded.
-func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, explain *[]Decision) (*qgm.Graph, *Result) {
+func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer, gen *catalog.Statuses, explain *[]Decision) (*qgm.Graph, *Result) {
 	clone := query.Clone()
-	res := rw.selectBest(ctx, clone, asts, sizer, explain, false)
+	res := rw.selectBest(ctx, clone, asts, sizer, gen, explain, false)
 	if res == nil {
 		return query, nil
 	}
@@ -457,7 +460,7 @@ func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*Compiled
 		rw.noteDegraded(fmt.Errorf("core: discarding invalid rewrite against %q, re-planning with %q only: %w",
 			strings.Join(res.Tables(), ","), res.AST.Def.Name, err))
 		clone = query.Clone()
-		if res = rw.selectBest(ctx, clone, []*CompiledAST{res.AST}, sizer, nil, true); res == nil {
+		if res = rw.selectBest(ctx, clone, []*CompiledAST{res.AST}, sizer, gen, nil, true); res == nil {
 			return query, nil
 		}
 		err = rw.verifyRewrite(clone, asts)
@@ -477,7 +480,7 @@ func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*Compiled
 // untouched with a nil Result. The input graph is never mutated, so callers
 // can re-run it as the base plan if executing the rewritten plan later fails.
 func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) (*qgm.Graph, *Result) {
-	return rw.plan(ctx, query, asts, sizer, nil)
+	return rw.plan(ctx, query, asts, sizer, sizer.Statuses(), nil)
 }
 
 // ExplainRewrite is RewriteOrFallback that also reports, per entry of asts,
@@ -486,7 +489,7 @@ func (rw *Rewriter) RewriteOrFallback(ctx context.Context, query *qgm.Graph, ast
 // arguments: both run the same loop and the same gate.
 func (rw *Rewriter) ExplainRewrite(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) (*qgm.Graph, *Result, []Decision) {
 	decisions := make([]Decision, 0, len(asts))
-	plan, res := rw.plan(ctx, query, asts, sizer, &decisions)
+	plan, res := rw.plan(ctx, query, asts, sizer, sizer.Statuses(), &decisions)
 	return plan, res, decisions
 }
 

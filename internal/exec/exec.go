@@ -151,15 +151,6 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	return &Result{Cols: cols, Rows: rows, Mode: mode, Declined: ev.declined}, nil
 }
 
-// MustRun is Run that panics on error; for tests.
-func (e *Engine) MustRun(g *qgm.Graph) *Result {
-	r, err := e.Run(g)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 type evaluator struct {
 	store *storage.Store
 	memo  map[int]*relation

@@ -405,7 +405,7 @@ func yearKernel(c *storage.Chunk, n int) []int64 { return c.Cols[0].RefillInts(s
 	store := storage.NewStore()
 	td := store.Create(&catalog.Table{Name: "t", Columns: []catalog.Column{{Name: "d", Type: sqltypes.KindInt}}})
 	td.MustInsert(sqltypes.NewInt(19950104))
-	chunks, _ := td.SnapshotChunks()
+	chunks, _ := store.MustTable("t").SnapshotChunks()
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "refill on a sealed vector") {
 			t.Fatalf("refilling a storage column: panic %v, want the seal's", r)

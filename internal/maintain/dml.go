@@ -2,20 +2,23 @@
 // row sets: the rows leaving the base table and the rows entering it. An
 // INSERT has only the second, a DELETE only the first, an UPDATE both. Each
 // summary table's delta is its definition evaluated over just those rows (on
-// an overlay store), and one merge folds both in: the entering side adds —
-// COUNT and SUM add, MIN and MAX take extremes (Gray et al.'s rule for
-// distributive aggregates) — and the leaving side subtracts by count-tracked
-// retirement, following Cohen & Nutt: COUNT and non-nullable SUM subtract
-// exactly, a group is retired the moment its COUNT(*) tracker reaches zero,
-// and MIN/MAX (and SUM over nullable input), which cannot be un-merged, are
-// recomputed from the post-mutation base tables for just the groups that lost
-// rows.
+// a pinned store with the table replaced by them), and one merge folds both
+// in: the entering side adds — COUNT and SUM add, MIN and MAX take extremes
+// (Gray et al.'s rule for distributive aggregates) — and the leaving side
+// subtracts by count-tracked retirement, following Cohen & Nutt: COUNT and
+// non-nullable SUM subtract exactly, a group is retired the moment its
+// COUNT(*) tracker reaches zero, and MIN/MAX (and SUM over nullable input),
+// which cannot be un-merged, are recomputed from the post-mutation base tables
+// for just the groups that lost rows.
 //
-// Never fresh and wrong: every merge is prepared before the base mutation,
-// published only after it (and after any scoped recompute) succeeds, and every
+// Never fresh and wrong: every merge is prepared before the base mutation and
+// staged only after it (and after any scoped recompute) succeeds; every
 // failure — delta evaluation, inconsistent tracker counts, injected faults,
 // scoped recompute errors — falls back to a full recompute, whose own failure
-// marks the AST stale and counts toward quarantine.
+// marks the AST stale and counts toward quarantine. The statement is built on
+// a store pinned to the generation it started from and committed once at its
+// end, so readers see the base change, every summary table it maintains and
+// every freshness transition together or not at all.
 package maintain
 
 import (
@@ -59,7 +62,8 @@ var ErrValue = errors.New("maintain: value does not fit its column")
 // complete.
 func (m *Maintainer) ApplyInsert(plans []*Plan, table string, rows [][]sqltypes.Value) ([]Stats, error) {
 	table = strings.ToLower(table)
-	td, ok := m.store.Table(table)
+	d := m.store.Pin()
+	td, ok := d.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
@@ -78,9 +82,7 @@ func (m *Maintainer) ApplyInsert(plans []*Plan, table string, rows [][]sqltypes.
 			}
 		}
 	}
-	return m.apply(plans, table, "maintain.incremental:", nil, checked, func() error {
-		return td.Rewrite(nil, checked)
-	})
+	return m.apply(d, plans, table, "maintain.incremental:", nil, checked, nil)
 }
 
 // ApplyDelete removes the rows of dml's table matched by its predicate (3VL:
@@ -106,12 +108,13 @@ func (m *Maintainer) ApplyUpdate(plans []*Plan, dml *qgm.DML) (int, []Stats, err
 // applyWhere walks the chunks of dml's table once, through one reused row
 // buffer, and records the positions its WHERE matches: each matched row is
 // dropped, or with set rewritten through dml's assignments in place. The base
-// table is then rewritten copy-on-write (TableData.Rewrite), so concurrent
-// readers keep a consistent pre-mutation snapshot and every chunk the
-// statement does not reach is shared.
+// table is then rewritten copy-on-write (Store.Rewrite), so concurrent readers
+// keep a consistent pre-mutation snapshot and every chunk the statement does
+// not reach is shared.
 func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bool) (int, []Stats, error) {
 	table := strings.ToLower(dml.Table.Name)
-	td, ok := m.store.Table(table)
+	d := m.store.Pin()
+	td, ok := d.Table(table)
 	if !ok {
 		return 0, nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
@@ -151,7 +154,7 @@ func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bo
 	if err != nil || len(oldRows) == 0 {
 		return 0, nil, err
 	}
-	stats, err := m.apply(plans, table, site, oldRows, newRows, func() error { return td.Rewrite(edits, nil) })
+	stats, err := m.apply(d, plans, table, site, oldRows, newRows, edits)
 	return len(oldRows), stats, err
 }
 
@@ -186,23 +189,26 @@ func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 	return v, nil
 }
 
-// apply is the one write sequence behind INSERT, DELETE and UPDATE. For every
-// plan reading table it prepares, against the pre-mutation store, the merge of
-// the statement's deltas — the definition over oldRows subtracted, over
-// newRows added; then mutate changes the base table; only then is each
-// prepared merge completed (scoped recompute where MIN/MAX groups lost rows)
-// and published. A plan that does not route incrementally, an AST the catalog
-// holds stale or quarantined (its materialization is missing earlier deltas,
-// and merging into it would launder that into freshness), and a prepared merge
-// that fails at any point all take a full recompute over the post-mutation
-// base instead. Only a successful refresh of either kind marks the AST fresh;
-// a failed full recompute is recorded in that AST's Stats, marks it stale, and
-// the remaining ASTs still refresh.
+// apply is the one write sequence behind INSERT, DELETE and UPDATE, built on
+// d, a store pinned to the generation the statement started from. For every
+// plan reading table it prepares, against the pre-mutation tables, the merge
+// of the statement's deltas — the definition over oldRows subtracted, over
+// newRows added; then the base table is rewritten (edits applied, newRows
+// appended when there are no edits); only then is each prepared merge
+// completed (scoped recompute where MIN/MAX groups lost rows) and staged, and
+// d is committed: one publication for the whole statement. A plan that does
+// not route incrementally, an AST d holds stale or quarantined (its
+// materialization is missing earlier deltas, and merging into it would
+// launder that into freshness), and a prepared merge that fails at any point
+// all take a full recompute over the post-mutation base instead. Only a
+// successful refresh of either kind marks the AST fresh; a failed full
+// recompute is recorded in that AST's Stats, marks it stale, and the remaining
+// ASTs still refresh.
 //
 // A Maintainer has no lock of its own: two apply calls racing on one store
 // lose base rows and publish merges of each other's pre-images. Callers
 // serialize writers (astdb.Engine does, with its writer slot).
-func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [][]sqltypes.Value, mutate func() error) ([]Stats, error) {
+func (m *Maintainer) apply(d *storage.Store, plans []*Plan, table, site string, oldRows, newRows [][]sqltypes.Value, edits []storage.Edit) ([]Stats, error) {
 	type job struct {
 		p     *Plan
 		pm    *pendingMerge // nil = full recompute
@@ -218,21 +224,26 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 		if len(oldRows) > 0 {
 			route = p.DeleteRouting
 		}
-		if strat, _ := route(table); strat == Incremental && !m.staleOrQuarantined(p.Name()) {
-			j.pm, _ = m.prepareMerge(p, table, site+p.Name(), oldRows, newRows)
+		if strat, _ := route(table); strat == Incremental && !m.staleOrQuarantined(d, p.Name()) {
+			j.pm, _ = m.prepareMerge(d, p, table, site+p.Name(), oldRows, newRows)
 		}
 		jobs = append(jobs, j)
 	}
 
-	if err := mutate(); err != nil {
+	add := newRows
+	if edits != nil {
+		add = nil
+	}
+	if err := d.Rewrite(table, edits, add); err != nil {
 		return nil, err
 	}
+	defer d.Commit()
 
 	var out []Stats
 	var errs []error
 	for _, j := range jobs {
-		if j.pm == nil || m.scopedRecompute(j.p, j.pm) != nil || j.pm.mat.Rewrite(j.pm.edits, j.pm.added) != nil {
-			st, err := m.RefreshFull(j.p)
+		if j.pm == nil || m.scopedRecompute(d, j.p, j.pm) != nil || d.Rewrite(j.p.Name(), j.pm.edits, j.pm.added) != nil {
+			st, err := m.refreshFull(d, j.p)
 			st.Duration = time.Since(j.start)
 			out = append(out, st)
 			if err != nil {
@@ -241,7 +252,7 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 			continue
 		}
 		st := j.pm.st
-		m.markFresh(st.AST)
+		m.mark(d, m.cat.Fresh, st.AST)
 		st.Duration = time.Since(j.start)
 		out = append(out, st)
 		m.obsv.Add("maintain.refresh.incremental", 1)
@@ -257,11 +268,10 @@ func (m *Maintainer) apply(plans []*Plan, table, site string, oldRows, newRows [
 	return out, errors.Join(errs...)
 }
 
-// pendingMerge is a prepared (but unpublished) post-statement materialization:
+// pendingMerge is a prepared (but unstaged) post-statement materialization:
 // a copy of every group the deltas touch, by position — its merged row, or
 // nil when it retires — and the groups they add.
 type pendingMerge struct {
-	mat    *storage.TableData
 	edits  []storage.Edit     // in position order
 	added  [][]sqltypes.Value // new groups, appended in order
 	scoped map[string]int     // group key → its entry in edits, to recompute
@@ -278,12 +288,12 @@ func (p *Plan) groupKey(buf []byte, r []sqltypes.Value) []byte {
 }
 
 // prepareMerge evaluates one AST's delete delta (its definition over oldRows)
-// and insert delta (over newRows) on overlay stores — the table replaced by
-// just those rows, every other table as it is, nothing mutated; for a change
-// to one table that is exactly Δ(join) — and merges both into a pending copy
-// of the materialization. Panics are recovered into errors; on any error the
-// caller falls back to full recomputation.
-func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows [][]sqltypes.Value) (pm *pendingMerge, err error) {
+// and insert delta (over newRows), each on a pin of d with the table replaced
+// by just those rows — every other table as it is, nothing staged on d; for a
+// change to one table that is exactly Δ(join) — and merges both into a
+// pending copy of the materialization. Panics are recovered into errors; on
+// any error the caller falls back to full recomputation.
+func (m *Maintainer) prepareMerge(d *storage.Store, p *Plan, table, site string, oldRows, newRows [][]sqltypes.Value) (pm *pendingMerge, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pm, err = nil, fmt.Errorf("maintain: delta merge panicked: %v", r)
@@ -295,12 +305,14 @@ func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows 
 	if err := m.auditPlan(p); err != nil {
 		return nil, err
 	}
-	td := m.store.MustTable(table)
+	meta := d.MustTable(table).Meta
 	delta := func(rows [][]sqltypes.Value) ([][]sqltypes.Value, error) {
 		if len(rows) == 0 {
 			return nil, nil
 		}
-		res, err := m.run(exec.NewEngine(m.store.Overlay(table, td.Meta, rows)), p.AST.Graph)
+		only := d.Pin()
+		only.Put(meta, rows)
+		res, err := m.run(exec.NewEngine(only), p.AST.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("maintain: delta eval: %w", err)
 		}
@@ -314,7 +326,7 @@ func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows 
 	if err != nil {
 		return nil, err
 	}
-	return m.mergeDeltas(p, del, ins)
+	return m.mergeDeltas(d, p, del, ins)
 }
 
 // mergeDeltas folds a delete delta and an insert delta (either may be empty)
@@ -324,12 +336,12 @@ func (m *Maintainer) prepareMerge(p *Plan, table, site string, oldRows, newRows 
 // strict: a delete delta for a group the materialization does not hold, or a
 // tracker going negative, means the materialization and the base disagree —
 // the merge is abandoned (full recompute) rather than published.
-func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pendingMerge, error) {
-	mat, ok := m.store.Table(p.Name())
+func (m *Maintainer) mergeDeltas(d *storage.Store, p *Plan, del, ins [][]sqltypes.Value) (*pendingMerge, error) {
+	mat, ok := d.Table(p.Name())
 	if !ok {
 		return nil, fmt.Errorf("maintain: AST %q not materialized", p.Name())
 	}
-	pm := &pendingMerge{mat: mat, scoped: map[string]int{}}
+	pm := &pendingMerge{scoped: map[string]int{}}
 	pm.st = Stats{AST: p.Name(), Strategy: Incremental, DeltaRows: len(del) + len(ins)}
 	if pm.st.DeltaRows == 0 {
 		return pm, nil // nothing to fold in; the rewrite is empty
@@ -417,11 +429,11 @@ func (m *Maintainer) mergeDeltas(p *Plan, del, ins [][]sqltypes.Value) (*pending
 
 // scopedRecompute restores the MIN/MAX (and nullable-SUM) columns of the
 // groups a delete touched: it re-evaluates the AST definition over the
-// post-mutation base tables with the affected groups' key equalities injected
-// into the lower box, then splices the recomputed rows into the pending
-// merge's copies of them. The injected plan is gated through qgmcheck before it
-// runs. No-op when no group needs it.
-func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
+// post-mutation base tables of d with the affected groups' key equalities
+// injected into the lower box, then splices the recomputed rows into the
+// pending merge's copies of them. The injected plan is gated through qgmcheck
+// before it runs. No-op when no group needs it.
+func (m *Maintainer) scopedRecompute(d *storage.Store, p *Plan, pm *pendingMerge) error {
 	if len(pm.scoped) == 0 {
 		return nil
 	}
@@ -468,7 +480,7 @@ func (m *Maintainer) scopedRecompute(p *Plan, pm *pendingMerge) error {
 	if err := qgmcheck.Structural(clone); err != nil {
 		return fmt.Errorf("maintain: scoped plan failed verification: %w", err)
 	}
-	res, err := m.run(m.engine, clone)
+	res, err := m.run(m.engine(d), clone)
 	if err != nil {
 		return fmt.Errorf("maintain: scoped recompute: %w", err)
 	}

@@ -198,7 +198,7 @@ func TestScopedRecomputeCap(t *testing.T) {
 	for i := 0; i <= maxScopedGroups; i++ {
 		pm.scoped[fmt.Sprint(i)] = i
 	}
-	if err := f.m.scopedRecompute(p, pm); err == nil || !strings.Contains(err.Error(), "cap") {
+	if err := f.m.scopedRecompute(f.store, p, pm); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("want cap error, got %v", err)
 	}
 }

@@ -16,6 +16,7 @@
 package maintain
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -111,61 +112,64 @@ func (p *Plan) DeleteRouting(table string) (Strategy, string) {
 // Maintainer applies base-table changes and refreshes the materialized ASTs
 // that read them. Refresh failures are per-AST, never fatal to the maintenance
 // pass: a failed incremental refresh falls back to full recomputation, and a
-// failed full recomputation marks the AST stale in the attached catalog
-// (counting toward its quarantine circuit breaker) while the remaining ASTs
-// still refresh. A Maintainer is single-writer by contract: it does not
-// serialize concurrent Apply/Refresh calls, its caller does.
+// failed full recomputation marks the AST stale (counting toward its
+// quarantine circuit breaker) while the remaining ASTs still refresh. Every
+// call builds its changes on a store pinned to the generation it started from
+// — the base rewrite, every merged or recomputed summary table and every
+// freshness transition — and commits them in one publication at its end. A
+// Maintainer is single-writer by contract: it does not serialize concurrent
+// Apply/Refresh calls, its caller does.
 type Maintainer struct {
-	store  *storage.Store
-	engine *exec.Engine
-	cat    *catalog.Catalog // optional; enables freshness/quarantine tracking
-	obsv   *obs.Observer    // nil = observability disabled
+	store *storage.Store
+	cat   *catalog.Catalog // optional; enables freshness/quarantine tracking
+	obsv  *obs.Observer    // nil = observability disabled
 }
 
 // New returns a maintainer over the store.
 func New(store *storage.Store) *Maintainer {
-	return &Maintainer{store: store, engine: exec.NewEngine(store)}
+	return &Maintainer{store: store}
 }
 
 // WithCatalog attaches the catalog whose per-AST freshness state this
-// maintainer drives: successful refreshes bump the AST's epoch and clear
-// staleness, failures mark it stale and feed the quarantine breaker. It
-// returns m for chaining.
+// maintainer drives — successful refreshes bump the AST's epoch and clear
+// staleness, failures mark it stale and feed the quarantine breaker — and
+// makes the maintainer's store the place that freshness is published
+// (catalog.SetFreshness). It returns m for chaining.
 func (m *Maintainer) WithCatalog(cat *catalog.Catalog) *Maintainer {
 	m.cat = cat
+	cat.SetFreshness(m.store)
 	return m
 }
 
 // WithObserver attaches an observer recording refresh counters, durations,
-// and failure events; nil detaches. The engine the maintainer runs full
-// recomputes on reports to the same observer. It returns m for chaining.
+// and failure events; nil detaches. The engines the maintainer runs full and
+// scoped recomputes on report to the same observer. It returns m for chaining.
 func (m *Maintainer) WithObserver(o *obs.Observer) *Maintainer {
 	m.obsv = o
-	m.engine.SetObserver(o)
 	return m
 }
 
-func (m *Maintainer) markFresh(name string) {
+// engine returns an executor over d that reports to the maintainer's
+// observer.
+func (m *Maintainer) engine(d *storage.Store) *exec.Engine {
+	e := exec.NewEngine(d)
+	e.SetObserver(m.obsv)
+	return e
+}
+
+// mark stages an AST's freshness transition on d, when a catalog is attached.
+func (m *Maintainer) mark(d *storage.Store, t func(string) catalog.Transition, name string) {
 	if m.cat != nil {
-		m.cat.MarkFresh(name)
+		d.Apply(t(name))
 	}
 }
 
-func (m *Maintainer) recordFailure(name string) {
-	if m.cat != nil {
-		m.cat.RecordRefreshFailure(name)
-	}
-}
-
-// staleOrQuarantined reports whether the catalog says the AST's current
+// staleOrQuarantined reports whether d's generation says the AST's
 // materialization cannot be trusted. Merging deltas into untrusted contents
-// would carry the corruption forward (and markFresh would then resurrect the
-// AST with wrong data), so recovery must always be a full recompute.
-func (m *Maintainer) staleOrQuarantined(name string) bool {
-	if m.cat == nil {
-		return false
-	}
-	st := m.cat.Status(name)
+// would carry the corruption forward (and a fresh mark would then resurrect
+// the AST with wrong data), so recovery must always be a full recompute.
+func (m *Maintainer) staleOrQuarantined(d *storage.Store, name string) bool {
+	st := d.Statuses().Status(name)
 	return st.Stale || st.Quarantined
 }
 
@@ -393,32 +397,57 @@ type Stats struct {
 // full recompute is the recovery path out of staleness and quarantine. On
 // failure the AST is marked stale and the failure counts toward quarantine.
 func (m *Maintainer) RefreshFull(p *Plan) (Stats, error) {
+	out, _ := m.Refresh([]*Plan{p})
+	return out[0], out[0].Err
+}
+
+// Refresh is RefreshFull of every plan, in order, committed in one
+// publication. The Stats slice is always complete; failures are joined into
+// the error.
+func (m *Maintainer) Refresh(plans []*Plan) ([]Stats, error) {
+	d := m.store.Pin()
+	defer d.Commit()
+	out := make([]Stats, 0, len(plans))
+	var errs []error
+	for _, p := range plans {
+		st, err := m.refreshFull(d, p)
+		out = append(out, st)
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return out, errors.Join(errs...)
+}
+
+// refreshFull is RefreshFull on the pinned store d: it reads d's tables and
+// stages the new materialization and the transition on d.
+func (m *Maintainer) refreshFull(d *storage.Store, p *Plan) (Stats, error) {
 	start := time.Now()
 	st := Stats{AST: p.AST.Def.Name, Strategy: FullRecompute}
-	res, err := m.evalDefinition(p, "maintain.full:"+p.AST.Def.Name)
+	res, err := m.evalDefinition(d, p, "maintain.full:"+p.AST.Def.Name)
 	if err != nil {
 		st.Err = fmt.Errorf("maintain: full refresh of %s: %w", p.AST.Def.Name, err)
 		st.Duration = time.Since(start)
-		m.recordFailure(p.AST.Def.Name)
+		m.mark(d, m.cat.Failed, p.AST.Def.Name)
 		m.obsv.Add("maintain.refresh.failures", 1)
 		if m.obsv.Enabled() {
 			m.obsv.Emit("maintain.refresh_failure", st.Err.Error())
 		}
 		return st, st.Err
 	}
-	m.store.Put(p.AST.Table, res.Rows)
+	d.Put(p.AST.Table, res.Rows)
 	st.DeltaRows = len(res.Rows)
 	st.Duration = time.Since(start)
-	m.markFresh(p.AST.Def.Name)
+	m.mark(d, m.cat.Fresh, p.AST.Def.Name)
 	m.obsv.Add("maintain.refresh.full", 1)
 	m.obsv.Observe("maintain.refresh.full", st.Duration)
 	return st, nil
 }
 
-// evalDefinition runs an AST's defining query with a fault-injection site and
-// panic recovery, so one broken refresh cannot take down the maintenance
-// pass.
-func (m *Maintainer) evalDefinition(p *Plan, site string) (res *exec.Result, err error) {
+// evalDefinition runs an AST's defining query over d with a fault-injection
+// site and panic recovery, so one broken refresh cannot take down the
+// maintenance pass.
+func (m *Maintainer) evalDefinition(d *storage.Store, p *Plan, site string) (res *exec.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("refresh panicked: %v", r)
@@ -427,13 +456,14 @@ func (m *Maintainer) evalDefinition(p *Plan, site string) (res *exec.Result, err
 	if err := faultinject.Hit(site); err != nil {
 		return nil, err
 	}
-	return m.run(m.engine, p.AST.Graph)
+	return m.run(m.engine(d), p.AST.Graph)
 }
 
-// run evaluates one maintenance graph — a definition, a delta over an overlay,
-// a scoped recompute. A box of it that the chunk pipeline declines runs on the
-// executor's serial reference path, whose speed nothing measures, so it is
-// counted: the delta engine has no observer of its own to say so.
+// run evaluates one maintenance graph — a definition, a delta over a pin with
+// one table replaced, a scoped recompute. A box of it that the chunk pipeline
+// declines runs on the executor's serial reference path, whose speed nothing
+// measures, so it is counted: the delta engine has no observer of its own to
+// say so.
 func (m *Maintainer) run(eng *exec.Engine, g *qgm.Graph) (*exec.Result, error) {
 	res, err := eng.Run(g)
 	if err == nil && len(res.Declined) > 0 {

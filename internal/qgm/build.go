@@ -76,15 +76,6 @@ func buildGraph(stmt *parser.SelectStmt, cat *catalog.Catalog, params bool) (*Gr
 	return g, nil
 }
 
-// MustBuild is Build that panics on error; for tests and built-in workloads.
-func MustBuild(stmt *parser.SelectStmt, cat *catalog.Catalog) *Graph {
-	g, err := Build(stmt, cat)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // BuildSQL parses and compiles in one step.
 func BuildSQL(sql string, cat *catalog.Catalog) (*Graph, error) {
 	stmt, err := parser.Parse(sql)

@@ -1,7 +1,8 @@
 // Package rcu is the engine's one publication primitive. State that the
-// query path reads on every statement — AST freshness, the signature index,
-// the table map, each table's data view, the observer's instrument
-// registries, the engine's AST set — is read far more often than it changes,
+// query path reads on every statement — the database (every table's data
+// and the summary tables' freshness, one generation in one storage.Store
+// cell), the signature index, the observer's instrument registries, the
+// engine's AST set — is read far more often than it changes,
 // so it is kept as a sequence of immutable generations: a reader takes the
 // current one with a single atomic load and never blocks, a writer builds the
 // next one and swaps it in, and a reader that already loaded keeps the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	_ "repro/astdb/driver"
@@ -122,5 +123,113 @@ func TestTwoSessionsWriteConcurrently(t *testing.T) {
 		if diff := exec.EqualResults(want, got); diff != "" {
 			t.Errorf("%s is FRESH AND WRONG: %s", ca.Def.Name, diff)
 		}
+	}
+}
+
+// TestSplicedSummaryTablesReadOneGenerationOverTheWire is the tear probe over
+// two driver sessions: one inserts 64-row batches while the other reads, 3,000
+// times, a join of two derived tables the planner splices to two summary
+// tables. With amount always 1, sum(amount) = count(*) in every committed
+// state, so no row read over the wire may have total ≠ cnt.
+func TestSplicedSummaryTablesReadOneGenerationOverTheWire(t *testing.T) {
+	db, _, addr := testEnv(t, Config{MaxConcurrent: 4, QueueDepth: 4})
+	ctx := context.Background()
+	if err := db.CreateTable(&catalog.Table{Name: "sales", Columns: []catalog.Column{
+		{Name: "id", Type: sqltypes.KindInt},
+		{Name: "region", Type: sqltypes.KindInt},
+		{Name: "amount", Type: sqltypes.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]sqltypes.Value, 4000)
+	for i := range rows {
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 4)), sqltypes.NewInt(1)}
+	}
+	if _, err := db.Insert(ctx, "sales", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range [][2]string{
+		{"s_sum", `select region, sum(amount) as total from sales group by region`},
+		{"s_cnt", `select region, count(*) as cnt from sales group by region`},
+	} {
+		if _, _, err := db.CreateSummaryTable(ctx, def[0], def[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const probe = `select a.region, a.total, b.cnt
+		from (select region, sum(amount) as total from sales group by region) as a,
+		     (select region, count(*) as cnt from sales group by region) as b
+		where a.region = b.region`
+	if ans, err := db.Query(ctx, probe); err != nil || len(ans.ASTs) != 2 {
+		t.Fatalf("the probe is not served by both summary tables: %v, %v", err, ans)
+	}
+
+	pool, err := sql.Open("astdb", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	writer, err := pool.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	reader, err := pool.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	var batches atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for next := 4000; ; next += 64 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			vals := make([]string, 64)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("(%d, %d, 1)", next+i, (next+i)%4)
+			}
+			if _, err := writer.ExecContext(ctx, "insert into sales values "+strings.Join(vals, ", ")); err != nil {
+				t.Error(err)
+				return
+			}
+			batches.Add(1)
+		}
+	}()
+	torn, read := 0, 0
+	for i := 0; i < 3000; i++ {
+		rs, err := reader.QueryContext(ctx, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rs.Next() {
+			var region, total, cnt int64
+			if err := rs.Scan(&region, &total, &cnt); err != nil {
+				t.Fatal(err)
+			}
+			if read++; total != cnt {
+				if torn++; torn == 1 {
+					t.Errorf("read %d, region %d: total %d ≠ cnt %d", i, region, total, cnt)
+				}
+			}
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d rows torn in 3,000 reads over the wire", torn, read)
+	}
+	if batches.Load() == 0 {
+		t.Fatal("no batch was inserted during the reads")
 	}
 }

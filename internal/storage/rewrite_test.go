@@ -8,10 +8,11 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// rewriteFixture is a table of n rows (i, "s<i%5>"), every 7th b NULL, and the
-// same rows as a model.
-func rewriteFixture(n int) (*TableData, [][]sqltypes.Value) {
-	td := NewStore().Create(meta())
+// rewriteFixture is a store holding table t of n rows (i, "s<i%5>"), every
+// 7th b NULL, and the same rows as a model.
+func rewriteFixture(n int) (*Store, [][]sqltypes.Value) {
+	s := NewStore()
+	td := s.Create(meta())
 	model := make([][]sqltypes.Value, n)
 	for i := range model {
 		b := sqltypes.NewString(string(rune('s' + i%5)))
@@ -21,7 +22,7 @@ func rewriteFixture(n int) (*TableData, [][]sqltypes.Value) {
 		model[i] = []sqltypes.Value{sqltypes.NewInt(int64(i)), b}
 		td.MustInsert(model[i]...)
 	}
-	return td, model
+	return s, model
 }
 
 func row(i int64) []sqltypes.Value {
@@ -44,11 +45,23 @@ func applyModel(model [][]sqltypes.Value, edits []Edit, add [][]sqltypes.Value) 
 	return append(out, add...)
 }
 
-// checkLayout fails unless every chunk but the last is full, the chunks cover
-// n rows, every column a reader can reach is sealed, and the builder's short
-// tail is not, so the table can still grow.
-func checkLayout(t *testing.T, td *TableData) {
+// checkLayout fails unless, in the store's published generation, table t's
+// chunks are full but the last and cover its n rows, every column of every
+// table a reader can reach is sealed, and t's builder's short tail is not, so
+// the table can still grow.
+func checkLayout(t *testing.T, s *Store) {
 	t.Helper()
+	gen := s.cell.Load()
+	for _, other := range gen.tables {
+		for i, c := range other.frozen {
+			for j := range c.Width() {
+				if !c.Col(j).Sealed() {
+					t.Fatalf("%s: chunk %d column %d of the generation is not sealed", other.Meta.Name, i, j)
+				}
+			}
+		}
+	}
+	td := s.MustTable("t")
 	chunks, n := td.SnapshotChunks()
 	sum := 0
 	for i, c := range chunks {
@@ -92,19 +105,19 @@ func TestRewriteSharesUnchangedChunks(t *testing.T) {
 		{"replace at position 0 and drop in chunk 1", []Edit{{Pos: 0, Row: row(-1)}, {Pos: ChunkRows + 1}}, nil, []bool{false, false, false, false}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			td, model := rewriteFixture(n)
-			before, _ := td.SnapshotChunks()
-			if err := td.Rewrite(c.edits, c.add); err != nil {
+			s, model := rewriteFixture(n)
+			before, _ := s.MustTable("t").SnapshotChunks()
+			if err := s.Rewrite("t", c.edits, c.add); err != nil {
 				t.Fatal(err)
 			}
-			after, _ := td.SnapshotChunks()
+			after, _ := s.MustTable("t").SnapshotChunks()
 			for i, want := range c.shared {
 				if got := i < len(after) && after[i] == before[i]; got != want {
 					t.Errorf("old chunk %d shared: %v, want %v", i, got, want)
 				}
 			}
-			checkLayout(t, td)
-			sameRows(t, td.Snapshot(), applyModel(model, c.edits, c.add))
+			checkLayout(t, s)
+			sameRows(t, s.MustTable("t").Snapshot(), applyModel(model, c.edits, c.add))
 		})
 	}
 }
@@ -112,8 +125,8 @@ func TestRewriteSharesUnchangedChunks(t *testing.T) {
 // TestRewriteRejectsAndChangesNothing: an edit list out of order or out of
 // range, or a row of the wrong arity, is an error that publishes nothing.
 func TestRewriteRejectsAndChangesNothing(t *testing.T) {
-	td, model := rewriteFixture(ChunkRows + 3)
-	before, _ := td.SnapshotChunks()
+	s, model := rewriteFixture(ChunkRows + 3)
+	before := s.MustTable("t")
 	for _, c := range []struct {
 		name  string
 		edits []Edit
@@ -125,22 +138,22 @@ func TestRewriteRejectsAndChangesNothing(t *testing.T) {
 		{"short edit row", []Edit{{Pos: 1, Row: row(1)[:1]}}, nil},
 		{"short appended row", nil, [][]sqltypes.Value{row(1)[:1]}},
 	} {
-		if err := td.Rewrite(c.edits, c.add); err == nil {
+		if err := s.Rewrite("t", c.edits, c.add); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if after, _ := td.SnapshotChunks(); &after[0] != &before[0] {
+	if s.MustTable("t") != before {
 		t.Fatal("a rejected rewrite published a generation")
 	}
-	sameRows(t, td.Snapshot(), model)
+	sameRows(t, before.Snapshot(), model)
 }
 
 // TestRewriteKeepsOldGenerations: readers holding a generation keep reading
 // its rows while a writer rewrites the table under them (run with -race: the
 // rebuilt chunks must never be the ones an earlier generation reads).
 func TestRewriteKeepsOldGenerations(t *testing.T) {
-	td, model := rewriteFixture(2*ChunkRows + 50)
-	chunks, n := td.SnapshotChunks()
+	s, model := rewriteFixture(2*ChunkRows + 50)
+	chunks, n := s.MustTable("t").SnapshotChunks()
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
@@ -165,27 +178,31 @@ func TestRewriteKeepsOldGenerations(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		edits := []Edit{{Pos: i, Row: row(int64(-i))}, {Pos: ChunkRows + i}}
-		if err := td.Rewrite(edits, [][]sqltypes.Value{row(int64(i))}); err != nil {
+		if err := s.Rewrite("t", edits, [][]sqltypes.Value{row(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		td.MustInsert(row(int64(i))...)
+		s.MustTable("t").MustInsert(row(int64(i))...)
 	}
 	wg.Wait()
-	checkLayout(t, td)
+	checkLayout(t, s)
 }
 
 // FuzzStoreRewrite: a table of zero to three chunks, rows replaced, dropped and
-// appended at random, against the same edits applied to a [][]Value, then an
-// Insert on top: the rows, their order and the chunk layout must agree, and
-// after each step every published column is sealed and the tail still grows.
+// appended at random — on the live store, or on a pinned one that publishes
+// nothing until its Commit — against the same edits applied to a [][]Value,
+// then an Insert on top: the rows, their order and the chunk layout must
+// agree, and after each step every published column is sealed and the tail
+// still grows.
 func FuzzStoreRewrite(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint8(3), int64(1))
 	f.Add(uint16(ChunkRows), uint16(1), uint8(0), int64(2))
 	f.Add(uint16(3*ChunkRows), uint16(40), uint8(10), int64(3))
 	f.Add(uint16(2*ChunkRows+17), uint16(900), uint8(200), int64(4))
+	f.Add(uint16(ChunkRows+5), uint16(30), uint8(2), int64(5))
+	f.Add(uint16(2*ChunkRows), uint16(0), uint8(40), int64(7))
 	f.Fuzz(func(t *testing.T, n, nEdits uint16, nAdd uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		td, model := rewriteFixture(int(n) % (3*ChunkRows + 1))
+		s, model := rewriteFixture(int(n) % (3*ChunkRows + 1))
 		value := func() sqltypes.Value {
 			switch rng.Intn(4) {
 			case 0:
@@ -209,14 +226,26 @@ func FuzzStoreRewrite(f *testing.F) {
 		for i := range add {
 			add[i] = []sqltypes.Value{value(), value()}
 		}
-		if err := td.Rewrite(edits, add); err != nil {
-			t.Fatal(err)
+		if seed%2 == 0 {
+			if err := s.Rewrite("t", edits, add); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			before := s.MustTable("t")
+			p := s.Pin()
+			if err := p.Rewrite("t", edits, add); err != nil {
+				t.Fatal(err)
+			}
+			if s.MustTable("t") != before {
+				t.Fatal("a pinned store's rewrite was published before Commit")
+			}
+			p.Commit()
 		}
 		want := applyModel(model, edits, add)
-		checkLayout(t, td)
-		sameRows(t, td.Snapshot(), want)
-		td.MustInsert(row(7)...)
-		checkLayout(t, td)
-		sameRows(t, td.Snapshot(), append(want, row(7)))
+		checkLayout(t, s)
+		sameRows(t, s.MustTable("t").Snapshot(), want)
+		s.MustTable("t").MustInsert(row(7)...)
+		checkLayout(t, s)
+		sameRows(t, s.MustTable("t").Snapshot(), append(want, row(7)))
 	})
 }

@@ -10,24 +10,24 @@
 // SnapshotChunks; Scan and Snapshot materialize rows per call for readers that
 // want rows. Rows become chunks in one place, Writer.Add.
 //
-// Concurrency: reads are lock-free. The store's table map is an rcu.Map and
-// each table's data view an rcu.Cell: Scan, ScanChunks, Table, Cardinality,
-// and TableRows load the current immutable generation and never block behind
-// a writer. Writers (Insert, Rewrite, Put, Create, Drop) publish the
-// replacement — a copied table map, or a frozen chunk view — and in-flight
-// readers keep whatever generation they loaded. Snapshots are therefore
-// stable by construction: SnapshotChunks returns sealed chunk headers that
-// appends never reach, Rewrite builds new chunks for whatever it changes, and
-// Put swaps the whole table so readers keep their old version.
+// Concurrency: the whole database — every table's sealed chunk view and the
+// summary tables' freshness (catalog.Statuses) — is one sequence of immutable
+// generations in one rcu.Cell, so a summary table is always read beside the
+// base tables it was computed from. Readers never block. Pin fixes one
+// generation for a statement; a write on the live store publishes one
+// generation, a write on a pinned store is staged there until Commit
+// publishes all of it in one swap.
 //
-// Key invariant: the table map is keyed by the ASCII-lowercased table name,
-// normalized once when a writer registers the table (Create/Put/Overlay/
-// Drop). Lookups fold their argument without allocating (hot path: every
-// query scan and every maintenance overlay resolves names).
+// Key invariant: tables are keyed by the ASCII-lowercased table name,
+// normalized once when a writer registers the table (Create/Put/Drop).
+// Lookups fold their argument without allocating (hot path: every query scan
+// and every maintenance step resolves names).
 package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -36,60 +36,163 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// tableView is one immutable published generation of a table's data: frozen
-// chunks and the row count they cover. It is the only stored form of a table;
-// rows exist only where a caller asks for them (Snapshot, Scan).
-type tableView struct {
-	frozen []*Chunk // all sealed: full chunks shared, tail header-copied
-	n      int      // row count covered by chunks
+// state is one generation of the database.
+type state struct {
+	names  map[string]int    // lowercased table name → its slot in tables
+	tables []TableData       // by slot; a dropped table leaves a zero slot for the next one
+	status *catalog.Statuses // the summary tables' freshness
 }
 
-// TableData is the stored data of one table: column-major chunks, every one
-// but the last full, so row pos is row pos%ChunkRows of chunk pos/ChunkRows.
-//
-// The canonical (mutable) chunks are the unpublished builder, touched only by
-// Insert and Rewrite; every read goes through the immutable generation in
-// view, so scans never contend with an in-flight write. The builder keeps a
-// lock of its own although an engine admits one writer at a time: loaders,
-// examples and tests insert into a TableData directly, without the engine's
-// writer slot.
+// with returns the generation with the named table replaced by td, added, or
+// dropped (the zero td).
+func (st state) with(name string, td TableData) state {
+	slot, ok := st.names[name]
+	if !ok && td.table == nil {
+		return st
+	}
+	next := state{names: st.names, tables: make([]TableData, len(st.tables)), status: st.status}
+	copy(next.tables, st.tables)
+	if ok && td.table != nil {
+		next.tables[slot] = td
+		return next
+	}
+	next.names = make(map[string]int, len(st.names)+1)
+	maps.Copy(next.names, st.names)
+	if ok {
+		next.tables[slot] = TableData{}
+		delete(next.names, name)
+		return next
+	}
+	if slot = slices.IndexFunc(next.tables, func(t TableData) bool { return t.table == nil }); slot < 0 {
+		slot, next.tables = len(next.tables), append(next.tables, td)
+	}
+	next.tables[slot], next.names[name] = td, slot
+	return next
+}
+
+// TableData is one generation's view of a table: its schema and its sealed
+// chunks, every one but the last full, so row pos is row pos%ChunkRows of
+// chunk pos/ChunkRows. A TableData is never written: a table's next contents
+// are a new TableData in a new generation, so a view looked up before a write
+// keeps reading what it read.
 type TableData struct {
-	Meta *catalog.Table
-
-	builder rcu.Guarded[Writer] // what the next view is built from
-	view    rcu.Cell[tableView] // current read snapshot
+	*table          // Meta, and what every generation of the table shares
+	frozen []*Chunk // all sealed: full chunks shared, the tail header-copied
 }
 
-// Store maps table names to their data. All methods are safe for concurrent
-// use; readers are lock-free, writers (Create, Put, Drop) publish a copied
-// map.
+// table is what the generations of one table share: its schema and key, the
+// mutable chunks the next view is built from, touched only by rewrite, and
+// the live store TableData.Insert publishes through. The builder keeps a lock
+// of its own although an engine admits one writer at a time: loaders,
+// examples and tests insert into a table directly, without the engine's
+// writer slot.
+type table struct {
+	Meta    *catalog.Table
+	name    string // lowercased
+	builder rcu.Guarded[Writer]
+	live    *Store
+}
+
+// view seals the builder's chunks into the table's next TableData: the full
+// chunks, every one but the last, are shared; the last is header-copied
+// (Chunk.frozen).
+func (w *table) view(b *Writer) TableData {
+	td := TableData{table: w, frozen: make([]*Chunk, len(b.chunks))}
+	if k := copy(td.frozen, b.chunks); k > 0 {
+		td.frozen[k-1] = td.frozen[k-1].frozen()
+	}
+	return td
+}
+
+// Store is the database: the live store, or a store pinned to one generation
+// (Pin), which belongs to one goroutine.
 type Store struct {
-	tables rcu.Map[string, *TableData]
+	cell rcu.Cell[state] // the live store's: the one publication point
+	live *Store          // nil on the live store; on a pinned one, the live store it came from
+
+	st     state    // a pinned store's generation, with its staged table writes applied
+	staged []staged // its table writes, in order, for Commit
+	ts     []catalog.Transition
+}
+
+// staged is one table write of a pinned store (the zero td drops the table).
+type staged struct {
+	name string
+	td   TableData
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// newTableData builds a table from row-major data, which the caller keeps.
-// Rows of the wrong arity are a programming error: it panics.
-func newTableData(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
-	td := &TableData{Meta: meta}
-	td.builder.Do(func(b *Writer) { b.Cols = len(meta.Columns) })
-	if err := td.Rewrite(nil, rows); err != nil {
-		panic(err)
+func (s *Store) root() *Store {
+	if s.live != nil {
+		return s.live
 	}
-	return td
+	return s
 }
 
-// publish makes the builder's chunks the next read generation: full chunks
-// are shared, the tail is header-copied (Chunk.frozen). Callers hold the
-// builder's lock, so generations publish in the order they were written.
-func (t *TableData) publish(b *Writer) {
-	next := tableView{frozen: make([]*Chunk, len(b.chunks)), n: b.N}
-	for i, c := range b.chunks {
-		next.frozen[i] = c.frozen()
+// load returns the generation this store reads.
+func (s *Store) load() state {
+	if s.live != nil {
+		return s.st
 	}
-	t.view.Update(func(tableView) tableView { return next })
+	return s.cell.Load()
+}
+
+// Pin returns a store fixed at this store's generation. Reads through it never
+// see a later publication; writes to it change what it reads and nothing else
+// until Commit. The write path evaluates a delta on a pin, never committed,
+// with one table replaced by the delta's rows.
+func (s *Store) Pin() *Store {
+	return &Store{live: s.root(), st: s.load()}
+}
+
+// Commit publishes a pinned store's staged writes, in order, onto whatever
+// generation is current, in one swap: transitions apply to the statuses of
+// that generation, so one published meanwhile survives unless a staged one
+// overrides it. The caller must be the database's one writer. On the live
+// store Commit does nothing.
+func (s *Store) Commit() {
+	staged, ts := s.staged, s.ts
+	s.staged, s.ts = nil, nil
+	if len(staged) == 0 && len(ts) == 0 {
+		return
+	}
+	s.root().cell.Update(func(cur state) state {
+		for _, w := range staged {
+			cur = cur.with(w.name, w.td)
+		}
+		cur.status = cur.status.Next(ts)
+		return cur
+	})
+}
+
+// set writes td as the named table (see state.with): the live store
+// publishes, a pinned store stages.
+func (s *Store) set(name string, td TableData) {
+	if s.live == nil {
+		s.cell.Update(func(cur state) state { return cur.with(name, td) })
+		return
+	}
+	s.st = s.st.with(name, td)
+	s.staged = append(s.staged, staged{name, td})
+}
+
+// Statuses returns the summary tables' freshness in this store's generation;
+// with Apply, the store is a catalog.Freshness.
+func (s *Store) Statuses() *catalog.Statuses { return s.load().status }
+
+// Apply publishes freshness transitions in one generation; a pinned store
+// stages them for Commit (its own Statuses stay those it was pinned at).
+func (s *Store) Apply(ts ...catalog.Transition) {
+	if s.live != nil {
+		s.ts = append(s.ts, ts...)
+		return
+	}
+	s.cell.Update(func(cur state) state {
+		cur.status = cur.status.Next(ts)
+		return cur
+	})
 }
 
 // Create registers an empty table with the given schema.
@@ -98,58 +201,62 @@ func (s *Store) Create(meta *catalog.Table) *TableData {
 }
 
 // Put replaces (or creates) a table's data wholesale. Readers that already
-// scanned the table keep their previous snapshot.
+// scanned the table keep their previous snapshot. Rows of the wrong arity are
+// a programming error: Put panics.
 func (s *Store) Put(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
-	td := newTableData(meta, rows)
-	name := strings.ToLower(meta.Name)
-	s.tables.Update(func(draft map[string]*TableData) { draft[name] = td })
-	return td
+	w := &table{Meta: meta, name: strings.ToLower(meta.Name), live: s.root()}
+	var td TableData
+	w.builder.Do(func(b *Writer) {
+		b.Cols = len(meta.Columns)
+		if _, err := w.rewrite(b, nil, rows); err != nil {
+			panic(err)
+		}
+		td = w.view(b)
+	})
+	s.set(w.name, td)
+	out, _ := s.Table(w.name)
+	return out
 }
 
 // Drop removes a table.
 func (s *Store) Drop(name string) {
-	name = strings.ToLower(name)
-	s.tables.Update(func(draft map[string]*TableData) { delete(draft, name) })
+	s.set(strings.ToLower(name), TableData{})
 }
 
-// Table returns a table's data by name. Lock-free.
+// Table returns a table's view in this store's generation. Lock-free.
 func (s *Store) Table(name string) (*TableData, bool) {
-	return lookupFold(&s.tables, name)
+	st := s.load()
+	slot, ok := lookupFold(st.names, name)
+	if !ok {
+		return nil, false
+	}
+	return &st.tables[slot], true
 }
 
 // lookupFold resolves a possibly mixed-case name against the lowercase-keyed
-// table map without allocating on the common spellings: an already-lowercase
-// name is looked up as it is, and a mixed-case ASCII one of up to 32 bytes is
-// folded into a stack buffer (the runtime builds a non-escaping string that
-// short in a stack temporary). Anything else pays strings.ToLower.
-func lookupFold(m *rcu.Map[string, *TableData], name string) (*TableData, bool) {
-	hasUpper := false
+// names without allocating for an ASCII name of up to 32 bytes: it is folded
+// into a stack buffer, and the runtime builds the non-escaping map key that
+// short in a stack temporary. Anything else pays strings.ToLower.
+func lookupFold(m map[string]int, name string) (int, bool) {
+	var buf [32]byte
+	if len(name) > len(buf) {
+		slot, ok := m[strings.ToLower(name)]
+		return slot, ok
+	}
+	b := buf[:len(name)]
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		if c >= 0x80 {
-			// Non-ASCII: defer to full Unicode folding.
-			return m.Get(strings.ToLower(name))
+		if c >= 0x80 { // non-ASCII: full Unicode folding
+			slot, ok := m[strings.ToLower(name)]
+			return slot, ok
 		}
 		if 'A' <= c && c <= 'Z' {
-			hasUpper = true
+			c += 'a' - 'A'
 		}
+		b[i] = c
 	}
-	if !hasUpper {
-		return m.Get(name)
-	}
-	if len(name) <= 32 {
-		var arr [32]byte
-		b := arr[:len(name)]
-		for i := 0; i < len(name); i++ {
-			c := name[i]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			b[i] = c
-		}
-		return m.Get(string(b))
-	}
-	return m.Get(strings.ToLower(name))
+	slot, ok := m[string(b)]
+	return slot, ok
 }
 
 // MustTable is Table that panics when missing.
@@ -159,22 +266,6 @@ func (s *Store) MustTable(name string) *TableData {
 		panic(fmt.Sprintf("storage: table %q not loaded", name))
 	}
 	return td
-}
-
-// Overlay returns a new Store that shares every table with s except name,
-// which is replaced by the given rows. Maintenance uses it to evaluate a
-// delta query (base table = just the inserted rows) without mutating the
-// shared store under concurrent readers.
-func (s *Store) Overlay(name string, meta *catalog.Table, rows [][]sqltypes.Value) *Store {
-	out := NewStore()
-	out.tables.Update(func(draft map[string]*TableData) {
-		s.tables.Range(func(n string, td *TableData) bool {
-			draft[n] = td
-			return true
-		})
-		draft[strings.ToLower(name)] = newTableData(meta, rows)
-	})
-	return out
 }
 
 // scan resolves a table for a scan. It is the storage-layer fault site
@@ -211,95 +302,26 @@ func (s *Store) ScanChunks(name string) ([]*Chunk, int, error) {
 	return chunks, n, nil
 }
 
-// Snapshot returns the current rows, materialized for this call into rows
-// the caller owns. The write path and the executor read chunks instead.
+// Snapshot returns the view's rows, materialized for this call into rows the
+// caller owns. The write path and the executor read chunks instead.
 func (t *TableData) Snapshot() [][]sqltypes.Value {
-	v := t.view.Load()
-	return Rows(v.frozen, v.n)
+	return Rows(t.frozen, t.Cardinality())
 }
 
-// SnapshotChunks returns the frozen chunk view and the row count it covers.
-// Lock-free: the view is republished by every write, so readers never wait
-// behind a writer. Full chunks are shared; the tail chunk is header-copied
-// with cloned null bitmaps (see Chunk.frozen). Every chunk is sealed.
+// SnapshotChunks returns the view's sealed chunks and the row count they
+// cover. Full chunks are shared between generations; the tail chunk is
+// header-copied with cloned null bitmaps (see Chunk.frozen).
 func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
-	v := t.view.Load()
-	return v.frozen, v.n
+	return t.frozen, t.Cardinality()
 }
 
-// Insert appends one row after arity-checking it and publishes the next read
-// view (a one-row Rewrite): the canonical tail chunk grows past what earlier
-// generations see, so concurrent scans observe either the old or the new
-// generation, never a half-appended row.
+// Insert appends one row after arity-checking it to the table of t's name in
+// the live store it belongs to, publishing one generation (a one-row
+// Rewrite): the canonical tail chunk grows past what earlier generations see,
+// so concurrent scans observe either the old or the new generation, never a
+// half-appended row. t itself keeps the rows it had.
 func (t *TableData) Insert(row []sqltypes.Value) error {
-	return t.Rewrite(nil, [][]sqltypes.Value{row})
-}
-
-// Edit is one position of a Rewrite: the row at Pos is replaced by Row, or
-// dropped when Row is nil.
-type Edit struct {
-	Pos int
-	Row []sqltypes.Value
-}
-
-// Rewrite replaces the table by its current rows with edits applied — sorted
-// by position, at most one per row — and add appended, in one publication.
-// A chunk whose rows all stay unchanged at their old positions (every chunk
-// before the first edit, and later ones while no row has been dropped) is
-// kept, a kept tail growing in place; the rest is rebuilt through the
-// builder's Writer, so every chunk but the last stays full. Readers keep the
-// generation they hold. A malformed edit or row changes nothing.
-func (t *TableData) Rewrite(edits []Edit, add [][]sqltypes.Value) (err error) {
-	t.builder.Do(func(b *Writer) {
-		for i, e := range edits {
-			if e.Pos < 0 || e.Pos >= b.N || (i > 0 && e.Pos <= edits[i-1].Pos) || (e.Row != nil && len(e.Row) != b.Cols) {
-				err = fmt.Errorf("storage: rewrite of %s: edit of row %d out of order, out of range or of the wrong arity", t.Meta.Name, e.Pos)
-				return
-			}
-		}
-		for _, r := range add {
-			if len(r) != b.Cols {
-				err = fmt.Errorf("storage: row arity %d != %d for table %s", len(r), b.Cols, t.Meta.Name)
-				return
-			}
-		}
-		if len(edits) == 0 && len(add) == 0 {
-			return
-		}
-		// The Writer refills the chunk list in place: it never holds more
-		// chunks than the loop has read, so it overwrites only read entries.
-		old := b.chunks
-		b.chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
-		var row []sqltypes.Value
-		pos := 0
-		for _, c := range old {
-			if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.n) {
-				b.chunks = append(b.chunks, c)
-				b.N, b.Left, pos = b.N+c.n, b.Left-c.n, pos+c.n
-				continue
-			}
-			if row == nil {
-				row = make([]sqltypes.Value, b.Cols)
-			}
-			for i := 0; i < c.n; i, pos = i+1, pos+1 {
-				switch {
-				case len(edits) == 0 || edits[0].Pos != pos:
-					c.Row(i, row)
-					b.Add(row)
-				case edits[0].Row != nil:
-					b.Add(edits[0].Row)
-					fallthrough
-				default:
-					edits = edits[1:]
-				}
-			}
-		}
-		for _, r := range add {
-			b.Add(r)
-		}
-		t.publish(b)
-	})
-	return err
+	return t.live.Rewrite(t.name, nil, [][]sqltypes.Value{row})
 }
 
 // MustInsert is Insert that panics on error.
@@ -309,14 +331,100 @@ func (t *TableData) MustInsert(row ...sqltypes.Value) {
 	}
 }
 
-// Cardinality returns the row count. Lock-free.
-func (t *TableData) Cardinality() int {
-	return t.view.Load().n
+// Edit is one position of a Rewrite: the row at Pos is replaced by Row, or
+// dropped when Row is nil.
+type Edit struct {
+	Pos int
+	Row []sqltypes.Value
 }
 
-// TableRows reports a table's cardinality (0 when not loaded); it implements
-// the rewriter's Sizer interface for cost-based AST applicability. Lock-free:
-// the cost-based rewrite path sizes tables on every uncached query.
+// Rewrite replaces the named table by its current rows with edits applied —
+// sorted by position, at most one per row — and add appended, in one write (a
+// publication on the live store, a staged write on a pinned one). A chunk
+// whose rows all stay unchanged at their old positions (every chunk before the
+// first edit, and later ones while no row has been dropped) is kept, a kept
+// tail growing in place; the rest is rebuilt through the table's Writer, so
+// every chunk but the last stays full. Readers keep the generation they hold.
+// A malformed edit or row changes nothing.
+func (s *Store) Rewrite(name string, edits []Edit, add [][]sqltypes.Value) (err error) {
+	td, ok := s.Table(name)
+	if !ok {
+		return fmt.Errorf("storage: table %q not loaded", strings.ToLower(name))
+	}
+	// Under the builder's lock, so a table's generations publish in the order
+	// they were written.
+	td.builder.Do(func(b *Writer) {
+		var next TableData
+		if next, err = td.rewrite(b, edits, add); err == nil && next.table != nil {
+			s.set(td.name, next)
+		}
+	})
+	return err
+}
+
+// rewrite applies a Rewrite to the builder b and returns the table's next
+// view, or the zero TableData when there is nothing to change.
+func (w *table) rewrite(b *Writer, edits []Edit, add [][]sqltypes.Value) (TableData, error) {
+	for i, e := range edits {
+		if e.Pos < 0 || e.Pos >= b.N || (i > 0 && e.Pos <= edits[i-1].Pos) || (e.Row != nil && len(e.Row) != b.Cols) {
+			return TableData{}, fmt.Errorf("storage: rewrite of %s: edit of row %d out of order, out of range or of the wrong arity", w.Meta.Name, e.Pos)
+		}
+	}
+	for _, r := range add {
+		if len(r) != b.Cols {
+			return TableData{}, fmt.Errorf("storage: row arity %d != %d for table %s", len(r), b.Cols, w.Meta.Name)
+		}
+	}
+	if len(edits) == 0 && len(add) == 0 {
+		return TableData{}, nil
+	}
+	// The Writer refills the chunk list in place: it never holds more chunks
+	// than the loop has read, so it overwrites only read entries.
+	old := b.chunks
+	b.chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
+	var row []sqltypes.Value
+	pos := 0
+	for _, c := range old {
+		if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.n) {
+			b.chunks = append(b.chunks, c)
+			b.N, b.Left, pos = b.N+c.n, b.Left-c.n, pos+c.n
+			continue
+		}
+		if row == nil {
+			row = make([]sqltypes.Value, b.Cols)
+		}
+		for i := 0; i < c.n; i, pos = i+1, pos+1 {
+			switch {
+			case len(edits) == 0 || edits[0].Pos != pos:
+				c.Row(i, row)
+				b.Add(row)
+			case edits[0].Row != nil:
+				b.Add(edits[0].Row)
+				fallthrough
+			default:
+				edits = edits[1:]
+			}
+		}
+	}
+	for _, r := range add {
+		b.Add(r)
+	}
+	return w.view(b), nil
+}
+
+// Cardinality returns the view's row count: every chunk but the last is full.
+func (t *TableData) Cardinality() int {
+	k := len(t.frozen)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)*ChunkRows + t.frozen[k-1].n
+}
+
+// TableRows reports a table's cardinality in this store's generation (0 when
+// not loaded); with Statuses it implements the rewriter's Sizer interface for
+// cost-based AST applicability. Lock-free: the cost-based rewrite path sizes
+// tables on every uncached query.
 func (s *Store) TableRows(name string) int {
 	td, ok := s.Table(name)
 	if !ok {

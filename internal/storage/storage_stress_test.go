@@ -9,12 +9,13 @@ import (
 )
 
 // TestViewPointerReadersDuringDMLStorm is the RCU contract test for the
-// storage read path: Scan/SnapshotChunks start from one atomic load of a
-// published view, so readers must observe internally consistent views — row
-// count equals the sum of chunk lengths, rows materialized later are no fewer,
-// and an insert-only table's count is monotonic per reader — while one writer
-// appends and another storms the store-level table map with Put (the swap a
-// full refresh takes) and Create/Drop of unrelated tables.
+// storage read path: Table/Scan start from one atomic load of the store's one
+// generation, so readers must observe internally consistent views — row count
+// equals the sum of chunk lengths, rows materialized later are no fewer, and
+// an insert-only table's count is monotonic per reader — while one writer
+// appends and another storms the same generations with Put (the swap a full
+// refresh takes) and Drop of an unrelated table: a publication of one table
+// must never lose or roll back another's.
 func TestViewPointerReadersDuringDMLStorm(t *testing.T) {
 	s := NewStore()
 	td := s.Create(meta())
@@ -95,10 +96,10 @@ func TestViewPointerReadersDuringDMLStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := td.Cardinality(); got != writes {
+	if got := s.MustTable("t").Cardinality(); got != writes {
 		t.Fatalf("final cardinality %d, want %d", got, writes)
 	}
-	rows := td.Snapshot()
+	rows := s.MustTable("t").Snapshot()
 	if len(rows) != writes {
 		t.Fatalf("final snapshot %d rows, want %d", len(rows), writes)
 	}

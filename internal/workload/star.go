@@ -148,32 +148,33 @@ func Schema(cat *catalog.Catalog) {
 }
 
 // Load generates data per config into the store (whose tables must already be
-// in the catalog — call Schema first). It returns the configuration actually
-// used (with defaults filled).
+// in the catalog — call Schema first), publishing each table once. It returns
+// the configuration actually used (with defaults filled).
 func Load(cat *catalog.Catalog, store *storage.Store, cfg StarConfig) StarConfig {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
-	mustMeta := func(name string) *catalog.Table {
+	put := func(name string, rows [][]sqltypes.Value) {
 		t, ok := cat.Table(name)
 		if !ok {
 			panic(fmt.Sprintf("workload: table %q not in catalog; call Schema first", name))
 		}
-		return t
+		store.Put(t, rows)
 	}
 
 	// PGroup.
-	pg := store.Create(mustMeta("pgroup"))
+	var pg [][]sqltypes.Value
 	for i := 0; i < cfg.NumGroups; i++ {
 		name := productNames[i%len(productNames)]
 		if i >= len(productNames) {
 			name = fmt.Sprintf("%s-%d", name, i/len(productNames))
 		}
-		pg.MustInsert(sqltypes.NewInt(int64(i+1)), sqltypes.NewString(name))
+		pg = append(pg, []sqltypes.Value{sqltypes.NewInt(int64(i + 1)), sqltypes.NewString(name)})
 	}
+	put("pgroup", pg)
 
 	// Loc: ~70% USA.
-	loc := store.Create(mustMeta("loc"))
+	var loc [][]sqltypes.Value
 	for i := 0; i < cfg.NumLocs; i++ {
 		var country, state string
 		if i%10 < 7 {
@@ -185,30 +186,33 @@ func Load(cat *catalog.Catalog, store *storage.Store, cfg StarConfig) StarConfig
 			state = ss[rng.Intn(len(ss))]
 		}
 		city := fmt.Sprintf("City%03d", i+1)
-		loc.MustInsert(sqltypes.NewInt(int64(i+1)), sqltypes.NewString(city),
-			sqltypes.NewString(state), sqltypes.NewString(country))
+		loc = append(loc, []sqltypes.Value{sqltypes.NewInt(int64(i + 1)), sqltypes.NewString(city),
+			sqltypes.NewString(state), sqltypes.NewString(country)})
 	}
+	put("loc", loc)
 
 	// Cust.
-	cust := store.Create(mustMeta("cust"))
+	var cust [][]sqltypes.Value
 	for i := 0; i < cfg.NumCusts; i++ {
-		cust.MustInsert(sqltypes.NewInt(int64(i+1)),
+		cust = append(cust, []sqltypes.Value{sqltypes.NewInt(int64(i + 1)),
 			sqltypes.NewString(fmt.Sprintf("Customer%05d", i+1)),
-			sqltypes.NewInt(int64(18+rng.Intn(70))))
+			sqltypes.NewInt(int64(18 + rng.Intn(70)))})
 	}
+	put("cust", cust)
 
 	// Acct: each belongs to a customer; status mostly active.
-	acct := store.Create(mustMeta("acct"))
+	var acct [][]sqltypes.Value
 	statuses := []string{"active", "active", "active", "closed", "frozen"}
 	for i := 0; i < cfg.NumAccts; i++ {
-		acct.MustInsert(sqltypes.NewInt(int64(i+1)),
-			sqltypes.NewInt(int64(1+rng.Intn(cfg.NumCusts))),
-			sqltypes.NewString(statuses[rng.Intn(len(statuses))]))
+		acct = append(acct, []sqltypes.Value{sqltypes.NewInt(int64(i + 1)),
+			sqltypes.NewInt(int64(1 + rng.Intn(cfg.NumCusts))),
+			sqltypes.NewString(statuses[rng.Intn(len(statuses))])})
 	}
+	put("acct", acct)
 
 	// Trans: each account has a home location; 85% of its transactions are in
 	// the home location, the rest uniform. Dates spread over the year range.
-	trans := store.Create(mustMeta("trans"))
+	trans := make([][]sqltypes.Value, 0, cfg.NumTrans)
 	home := make([]int, cfg.NumAccts)
 	for i := range home {
 		home[i] = 1 + rng.Intn(cfg.NumLocs)
@@ -227,8 +231,8 @@ func Load(cat *catalog.Catalog, store *storage.Store, cfg StarConfig) StarConfig
 		qty := 1 + rng.Intn(5)
 		price := float64(1+rng.Intn(5000)) / 10.0
 		disc := float64(rng.Intn(30)) / 100.0
-		trans.MustInsert(
-			sqltypes.NewInt(int64(i+1)),
+		trans = append(trans, []sqltypes.Value{
+			sqltypes.NewInt(int64(i + 1)),
 			sqltypes.NewInt(int64(aid)),
 			sqltypes.NewInt(int64(pgid)),
 			sqltypes.NewInt(int64(lid)),
@@ -236,7 +240,8 @@ func Load(cat *catalog.Catalog, store *storage.Store, cfg StarConfig) StarConfig
 			sqltypes.NewInt(int64(qty)),
 			sqltypes.NewFloat(price),
 			sqltypes.NewFloat(disc),
-		)
+		})
 	}
+	put("trans", trans)
 	return cfg
 }
