@@ -39,8 +39,6 @@ import (
 
 // Re-exported pipeline types, so facade users need no internal imports.
 type (
-	// Result is an executed query's column names and rows.
-	Result = exec.Result
 	// Config is the budget and the path of one engine run (row budget,
 	// timeout, pipeline workers, reference interpreter).
 	Config = exec.Config
@@ -272,10 +270,11 @@ func (e *Engine) startSpan(ctx context.Context, name string) obs.Span {
 	return e.obsv.Start(name)
 }
 
-// Answer is the outcome of one resilient query.
+// Answer is the outcome of one resilient query: the executor's Output, whose
+// chunks become rows only for a caller that asks (Rows, Result).
 type Answer struct {
-	Result *exec.Result
-	// Plan is the graph that produced Result: the rewritten plan when a
+	exec.Output
+	// Plan is the graph that produced the result: the rewritten plan when a
 	// summary table served the query, the base plan otherwise.
 	Plan *qgm.Graph
 	// Rewrite carries the match details when the rewriter matched a summary
@@ -322,7 +321,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	}
 	r, err := e.runPlan(ctx, st, cr.Plan)
 	if err == nil {
-		return &Answer{Result: r, Plan: cr.Plan, Rewrite: cr.Rewrite, ASTs: cr.ASTs, CacheHit: cr.Hit}, nil
+		return &Answer{Output: *r, Plan: cr.Plan, Rewrite: cr.Rewrite, ASTs: cr.ASTs, CacheHit: cr.Hit}, nil
 	}
 	if len(cr.ASTs) == 0 || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
 		return nil, err
@@ -339,7 +338,7 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Result: r, Plan: base, Rewrite: cr.Rewrite, FellBack: true, CacheHit: cr.Hit}, nil
+	return &Answer{Output: *r, Plan: base, Rewrite: cr.Rewrite, FellBack: true, CacheHit: cr.Hit}, nil
 }
 
 // QueryGraph is Query for an already-built graph; it bypasses the plan cache.
@@ -356,7 +355,7 @@ func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 	plan, res := e.rw.RewriteOrFallback(ctx, query, e.set.Load().asts, st)
 	r, err := e.runPlan(ctx, st, plan)
 	if err == nil {
-		return &Answer{Result: r, Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
+		return &Answer{Output: *r, Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
 	}
 	// Budget exhaustion and cancellation surface typed: retrying on base
 	// tables could only be slower.
@@ -368,7 +367,7 @@ func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Result: r, Plan: query, Rewrite: res, FellBack: true}, nil
+	return &Answer{Output: *r, Plan: query, Rewrite: res, FellBack: true}, nil
 }
 
 // Rewrite plans one SQL query without executing it, choosing the plan Query
@@ -416,7 +415,11 @@ func (e *Engine) markStale(names []string) {
 // Execute runs one graph under the engine's limits, with panics converted to
 // errors. It performs no rewriting and no fallback.
 func (e *Engine) Execute(ctx context.Context, g *qgm.Graph) (*exec.Result, error) {
-	return e.runPlan(ctx, e.store.Pin(), g)
+	out, err := e.runPlan(ctx, e.store.Pin(), g)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result(), nil
 }
 
 // parse builds a graph from SQL under a "parse" child span, classifying
@@ -470,7 +473,7 @@ func (s astSet) only(names []string) (astSet, error) {
 // runPlan executes one graph over the store st, converting a panic anywhere
 // under the executor into an error so the fallback logic always gets control
 // back.
-func (e *Engine) runPlan(ctx context.Context, st *storage.Store, g *qgm.Graph) (r *exec.Result, err error) {
+func (e *Engine) runPlan(ctx context.Context, st *storage.Store, g *qgm.Graph) (r *exec.Output, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r, err = nil, fmt.Errorf("astdb: execution panicked: %v", rec)
@@ -478,7 +481,7 @@ func (e *Engine) runPlan(ctx context.Context, st *storage.Store, g *qgm.Graph) (
 	}()
 	exe := exec.NewEngine(st)
 	exe.SetObserver(e.obsv)
-	return exe.RunCtx(ctx, g, e.cfg)
+	return exe.RunChunks(ctx, g, e.cfg)
 }
 
 // CreateTable registers a table in the catalog and creates its (empty)
@@ -518,9 +521,9 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 		e.cat.UnregisterAST(name)
 		return nil, 0, fmt.Errorf("astdb: materializing %s: %w", name, err)
 	}
-	e.store.Put(ca.Table, res.Rows)
+	e.store.Put(ca.Table, res.Rows())
 	e.register(ca)
-	return ca, len(res.Rows), nil
+	return ca, res.Len(), nil
 }
 
 // Insert appends rows to a base table and refreshes every summary table whose

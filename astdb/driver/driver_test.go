@@ -144,12 +144,12 @@ func TestPaperSuiteIdenticalRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want.Result.Rows) {
-				t.Fatalf("driver %d rows, in-process %d", len(got), len(want.Result.Rows))
+			if len(got) != len(want.Rows()) {
+				t.Fatalf("driver %d rows, in-process %d", len(got), len(want.Rows()))
 			}
 			for r := range got {
 				for c := range got[r] {
-					wv := asDriverValue(t, want.Result.Rows[r][c])
+					wv := asDriverValue(t, want.Rows()[r][c])
 					if !reflect.DeepEqual(got[r][c], wv) {
 						t.Fatalf("row %d col %d: driver %#v, in-process %#v", r, c, got[r][c], wv)
 					}
@@ -188,8 +188,8 @@ func TestPlaceholdersAndExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want.Result.Rows) {
-			t.Fatalf("interpolated query: %d rows, want %d", len(got), len(want.Result.Rows))
+		if len(got) != len(want.Rows()) {
+			t.Fatalf("interpolated query: %d rows, want %d", len(got), len(want.Rows()))
 		}
 	})
 
@@ -286,6 +286,46 @@ func TestColumnTypes(t *testing.T) {
 		if nullable, ok := ct.Nullable(); !ok || !nullable {
 			t.Fatalf("col %d not reported nullable", i)
 		}
+	}
+}
+
+// TestColumnKindsAreTrue: a column whose values are of two kinds reports
+// ScanType any and no type name, so a client that scans each column into a
+// value of its ScanType reads every row. Column x is qty (INTEGER) on some
+// rows and price (DOUBLE) on others; the header names only the first.
+func TestColumnKindsAreTrue(t *testing.T) {
+	ts := startServer(t, server.Config{})
+	db := ts.open(t)
+	rows, err := db.QueryContext(context.Background(),
+		`select tid, case when qty > 3 then qty else price end as x from trans where tid < 30`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	cts, err := rows.ColumnTypes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anyType := reflect.TypeOf(new(any)).Elem()
+	if cts[0].ScanType() != reflect.TypeOf(int64(0)) || cts[0].DatabaseTypeName() != "INTEGER" {
+		t.Fatalf("tid: scan type %v, type name %q", cts[0].ScanType(), cts[0].DatabaseTypeName())
+	}
+	if cts[1].ScanType() != anyType || cts[1].DatabaseTypeName() != "" {
+		t.Fatalf("x: scan type %v, type name %q; want any and none", cts[1].ScanType(), cts[1].DatabaseTypeName())
+	}
+	seen := map[reflect.Type]bool{}
+	for rows.Next() {
+		dest := []any{reflect.New(cts[0].ScanType()).Interface(), reflect.New(cts[1].ScanType()).Interface()}
+		if err := rows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		seen[reflect.TypeOf(*dest[1].(*any))] = true
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !seen[reflect.TypeOf(int64(0))] || !seen[reflect.TypeOf(float64(0))] {
+		t.Fatalf("x read as %v: the query must mix INTEGER and DOUBLE values", seen)
 	}
 }
 

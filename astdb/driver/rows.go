@@ -2,7 +2,6 @@ package driver
 
 import (
 	"database/sql/driver"
-	"fmt"
 	"io"
 	"reflect"
 	"time"
@@ -13,7 +12,8 @@ import (
 
 // Rows adapts a fully-received wire result set to driver.Rows. The protocol
 // ships whole results (the engine materializes aggregates anyway), so Next
-// never touches the network.
+// never touches the network. The result is the decoded chunk, one vector per
+// column, and Next reads row i of each.
 type Rows struct {
 	m *wire.Rows
 	i int
@@ -27,79 +27,79 @@ func (r *Rows) Close() error { return nil }
 
 // Next implements driver.Rows.
 func (r *Rows) Next(dest []driver.Value) error {
-	if r.i >= len(r.m.Rows) {
+	c := r.m.Chunks[0]
+	if r.i >= c.Len() {
 		return io.EOF
 	}
-	row := r.m.Rows[r.i]
-	r.i++
-	for c := range dest {
-		v, err := toDriverValue(row[c])
-		if err != nil {
-			return err
-		}
-		dest[c] = v
+	for j := range dest {
+		dest[j] = driverValue(c.Col(j), r.i)
 	}
+	r.i++
 	return nil
 }
 
-// toDriverValue maps an engine value onto database/sql's value domain.
-func toDriverValue(v sqltypes.Value) (driver.Value, error) {
-	switch v.Kind() {
-	case sqltypes.KindNull:
-		return nil, nil
-	case sqltypes.KindInt:
-		return v.Int(), nil
-	case sqltypes.KindFloat:
-		return v.Float(), nil
-	case sqltypes.KindString:
-		return v.Str(), nil
-	case sqltypes.KindBool:
-		return v.Bool(), nil
-	case sqltypes.KindDate:
-		return time.Date(int(v.DateYear()), time.Month(v.DateMonth()), int(v.DateDay()),
-			0, 0, 0, 0, time.UTC), nil
-	default:
-		return nil, fmt.Errorf("astdb driver: unmappable value kind %v", v.Kind())
+// driverValue maps element i of v onto database/sql's value domain, read from
+// the vector's typed payload. An element of a mixed column is read from a
+// one-element vector of its own kind.
+func driverValue(v *sqltypes.Vec, i int) driver.Value {
+	if v.Generic() {
+		var one sqltypes.Vec
+		one.Splat(v.Any()[i], 1)
+		return driverValue(&one, 0)
 	}
+	if v.IsNull(i) {
+		return nil
+	}
+	switch v.Kind() {
+	case sqltypes.KindInt:
+		return v.Ints()[i]
+	case sqltypes.KindFloat:
+		return v.Floats()[i]
+	case sqltypes.KindString:
+		return v.Strs()[i]
+	case sqltypes.KindBool:
+		return v.Ints()[i] != 0
+	default:
+		return date(v.Ints()[i])
+	}
+}
+
+// date maps a yyyymmdd date payload to midnight UTC.
+func date(ymd int64) time.Time {
+	return time.Date(int(ymd/10000), time.Month(ymd/100%100), int(ymd%100), 0, 0, 0, 0, time.UTC)
 }
 
 // ColumnTypeDatabaseTypeName implements driver.RowsColumnTypeDatabaseTypeName
 // ("INTEGER", "DOUBLE", "VARCHAR", "BOOLEAN", "DATE"; "NULL" for a column
-// with no non-NULL values in this result).
+// with no non-NULL values in this result; "" for a column whose values are of
+// more than one kind).
 func (r *Rows) ColumnTypeDatabaseTypeName(index int) string {
-	return r.m.Kinds[index].String()
+	v := r.m.Chunks[0].Col(index)
+	if v.Generic() {
+		return ""
+	}
+	return v.Kind().String()
 }
 
-// ColumnTypeScanType implements driver.RowsColumnTypeScanType.
+// ColumnTypeScanType implements driver.RowsColumnTypeScanType: the Go type of
+// every non-NULL value of the column in this result, any when they differ.
 func (r *Rows) ColumnTypeScanType(index int) reflect.Type {
-	switch r.m.Kinds[index] {
-	case sqltypes.KindInt:
+	switch v := r.m.Chunks[0].Col(index); {
+	case v.Generic():
+	case v.Kind() == sqltypes.KindInt:
 		return reflect.TypeOf(int64(0))
-	case sqltypes.KindFloat:
+	case v.Kind() == sqltypes.KindFloat:
 		return reflect.TypeOf(float64(0))
-	case sqltypes.KindString:
+	case v.Kind() == sqltypes.KindString:
 		return reflect.TypeOf("")
-	case sqltypes.KindBool:
+	case v.Kind() == sqltypes.KindBool:
 		return reflect.TypeOf(false)
-	case sqltypes.KindDate:
+	case v.Kind() == sqltypes.KindDate:
 		return reflect.TypeOf(time.Time{})
-	default:
-		return reflect.TypeOf(new(any)).Elem()
 	}
+	return reflect.TypeOf(new(any)).Elem()
 }
 
 // ColumnTypeNullable implements driver.RowsColumnTypeNullable: every engine
 // column may be NULL (outer contexts, all-NULL aggregates).
 func (r *Rows) ColumnTypeNullable(index int) (nullable, ok bool) { return true, true }
-
-// Mode reports the server-side execution mode of this result (vectorized /
-// interpreted) — observational, for load tooling.
-func (r *Rows) Mode() string { return r.m.Mode }
-
-// AST reports which summary tables served the plan: their names in splice
-// order, joined by "," (a table spliced twice is named twice); "" means base
-// tables.
-func (r *Rows) AST() string { return r.m.AST }
-
-// CacheHit reports whether the plan came from the server's plan cache.
-func (r *Rows) CacheHit() bool { return r.m.CacheHit }

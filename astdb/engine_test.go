@@ -69,8 +69,8 @@ func TestEngineLifecycle(t *testing.T) {
 	if strings.Join(ans.ASTs, ",") != "byregion" || ans.CacheHit {
 		t.Fatalf("first query: ast=%q hit=%t, want byregion/miss", strings.Join(ans.ASTs, ","), ans.CacheHit)
 	}
-	if len(ans.Result.Rows) != 2 {
-		t.Fatalf("query returned %d rows, want 2", len(ans.Result.Rows))
+	if len(ans.Rows()) != 2 {
+		t.Fatalf("query returned %d rows, want 2", len(ans.Rows()))
 	}
 	// Second query: plan-cache hit.
 	ans2, err := db.Query(ctx, q)
@@ -101,16 +101,16 @@ func TestEngineLifecycle(t *testing.T) {
 	if !ans3.CacheHit || strings.Join(ans3.ASTs, ",") != "byregion" {
 		t.Fatalf("post-insert query: ast=%q hit=%t, want byregion/hit: a refresh flushed the plan", strings.Join(ans3.ASTs, ","), ans3.CacheHit)
 	}
-	astdb.SortRows(ans3.Result.Rows)
+	astdb.SortRows(ans3.Rows())
 	// east total must now be 10.
 	found := false
-	for _, r := range ans3.Result.Rows {
+	for _, r := range ans3.Rows() {
 		if r[0].String() == "east" && r[1].String() == "10" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("post-insert totals wrong: %v", ans3.Result.Rows)
+		t.Fatalf("post-insert totals wrong: %v", ans3.Rows())
 	}
 
 	// A malformed row is a hard error before any maintenance runs.
@@ -156,8 +156,8 @@ func TestQueryFallsBackWhenRewrittenPlanFails(t *testing.T) {
 	if !ans.FellBack {
 		t.Fatalf("expected fallback answer, got %+v", ans)
 	}
-	if len(ans.Result.Rows) != 2 {
-		t.Fatalf("fallback returned %d rows, want 2", len(ans.Result.Rows))
+	if len(ans.Rows()) != 2 {
+		t.Fatalf("fallback returned %d rows, want 2", len(ans.Rows()))
 	}
 	if st := db.Catalog().Status("byregion"); !st.Stale {
 		t.Error("failed summary table must be marked stale")
@@ -193,7 +193,7 @@ func TestFallbackMarksEveryTableStale(t *testing.T) {
 		if !ans.FellBack {
 			t.Fatalf("%s: expected a fallback answer, got %+v", name, ans)
 		}
-		if diff := exec.EqualResults(want, ans.Result); diff != "" {
+		if diff := exec.EqualResults(want, ans.Result()); diff != "" {
 			t.Fatalf("%s: fallback rows differ from the base plan: %s", name, diff)
 		}
 		if !db.Catalog().Status("st_acct_spend").Stale {

@@ -34,7 +34,7 @@ type Report struct {
 	// evaluated the plan: "vectorized" when at least one box ran on the chunk
 	// pipeline, "interpreted" when none did (Config.Interpret, or every box
 	// declined). RowPathBoxes lists, one decline reason per box, the boxes the
-	// pipeline handed to the row path (exec.Result.Declined).
+	// pipeline handed to the row path (exec.Output.Declined).
 	ActualRows   int
 	ExecMode     string
 	RowPathBoxes []string
@@ -110,7 +110,7 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	if r, err := e.runPlan(ctx, st, plan); err != nil {
 		rep.ExecError = err.Error()
 	} else {
-		rep.ActualRows = len(r.Rows)
+		rep.ActualRows = r.Len()
 		rep.ExecMode = r.Mode
 		rep.RowPathBoxes = r.Declined
 	}

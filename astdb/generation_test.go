@@ -105,7 +105,7 @@ func TestSplicedSummaryTablesReadOneGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range ans.Result.Rows {
+		for _, r := range ans.Rows() {
 			rows++
 			if !sqltypes.Identical(r[1], r[2]) {
 				if torn++; torn == 1 {
@@ -158,7 +158,7 @@ func TestFreshnessPublishesWithTheTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range ans.Result.Rows {
+		for _, r := range ans.Rows() {
 			if !sqltypes.Identical(r[1], r[2]) {
 				t.Fatalf("read %d: total %v ≠ cnt %v over %v: it read a summary table its own generation marks stale", i, r[1], r[2], ans.ASTs)
 			}

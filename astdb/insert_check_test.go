@@ -38,10 +38,10 @@ func TestInsertChecksColumnsAsUpdateDoes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := db.Query(ctx, "select tid, date, price from trans where tid = 900002")
-	if err != nil || len(got.Result.Rows) != 1 {
+	if err != nil || len(got.Rows()) != 1 {
 		t.Fatalf("%v, %+v", err, got)
 	}
-	if row := got.Result.Rows[0]; row[1].String() != "1995-01-04" || row[2].Kind() != sqltypes.KindFloat || row[2].Float() != 9 {
+	if row := got.Rows()[0]; row[1].String() != "1995-01-04" || row[2].Kind() != sqltypes.KindFloat || row[2].Float() != 9 {
 		t.Errorf("stored %v, want the date 1995-01-04 and the float 9", row)
 	}
 }
@@ -83,7 +83,7 @@ func TestRejectedNullInsertLeavesSummaryRight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := exec.EqualResults(want, got.Result); diff != "" {
-		t.Fatalf("sq answers %v, the base table %v: %s", got.Result.Rows, want.Rows, diff)
+	if diff := exec.EqualResults(want, got.Result()); diff != "" {
+		t.Fatalf("sq answers %v, the base table %v: %s", got.Rows(), want.Rows, diff)
 	}
 }

@@ -60,9 +60,7 @@ func TestObserverParity(t *testing.T) {
 				t.Fatalf("%s pass %d: routing diverged: observed (ast=%q hit=%t) vs plain (ast=%q hit=%t)",
 					name, pass, strings.Join(a.ASTs, ","), a.CacheHit, strings.Join(b.ASTs, ","), b.CacheHit)
 			}
-			astdb.SortRows(a.Result.Rows)
-			astdb.SortRows(b.Result.Rows)
-			if diff := exec.EqualResults(a.Result, b.Result); diff != "" {
+			if diff := exec.EqualResults(a.Result(), b.Result()); diff != "" {
 				t.Fatalf("%s pass %d: results diverged: %s", name, pass, diff)
 			}
 		}

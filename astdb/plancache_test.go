@@ -55,7 +55,7 @@ func TestQueryBindsLiteralsThroughThePlanCache(t *testing.T) {
 			t.Errorf("statement %d: hit=%t ast=%q (without a cache %q), want hit=%t ast=%q",
 				i, ans.CacheHit, strings.Join(ans.ASTs, ","), strings.Join(ref.ASTs, ","), s.hit, s.ast)
 		}
-		if diff := exec.EqualResults(ref.Result, ans.Result); diff != "" {
+		if diff := exec.EqualResults(ref.Result(), ans.Result()); diff != "" {
 			t.Errorf("statement %d (hit=%t): %s", i, ans.CacheHit, diff)
 		}
 		if got := o.Counter(core.CtrCacheVariantMisses); got != s.variantMisses {

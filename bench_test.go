@@ -6,12 +6,15 @@ package repro_test
 
 import (
 	"context"
+	"database/sql"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	_ "repro/astdb/driver" // registers the "astdb" database/sql driver
 	"repro/internal/bench"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/qgm"
+	"repro/internal/server"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -594,5 +598,61 @@ func BenchmarkE18_CatalogScaling(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkServedResult serves paper queries (q4, q11_1, q11_2 and q1: 3,
+// 397, 567 and 216 rows at benchScale, each read from a summary table)
+// through an in-process wire server and database/sql, from QueryContext to
+// the last row scanned into any values, as an application reads them.
+// ns/value and allocs/value divide by the result values moved, so the cost of
+// moving an answer — encode, decode, Next — shows apart from the statement's
+// fixed cost, which q4 nearly is.
+func BenchmarkServedResult(b *testing.B) {
+	env := sharedEnv(b, benchScale)
+	srv := server.New(env.DB(), server.Config{})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	pool, err := sql.Open("astdb", addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	ctx := context.Background()
+	for _, q := range []string{"q4", "q11_1", "q11_2", "q1"} {
+		b.Run(q, func(b *testing.B) {
+			values := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := pool.QueryContext(ctx, bench.Queries[q])
+				if err != nil {
+					b.Fatal(err)
+				}
+				cols, _ := rows.Columns()
+				vals, ptrs := make([]any, len(cols)), make([]any, len(cols))
+				for j := range vals {
+					ptrs[j] = &vals[j]
+				}
+				for rows.Next() {
+					if err := rows.Scan(ptrs...); err != nil {
+						b.Fatal(err)
+					}
+					values += len(cols)
+				}
+				if err := rows.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(values), "allocs/value")
+			b.ReportMetric(float64(values)/float64(b.N), "values/op")
+		})
 	}
 }

@@ -401,8 +401,9 @@ func (sh *shell) query(s *parser.SelectStmt) error {
 		fmt.Fprintln(sh.out, "-- no summary table matches; executing against base tables")
 	}
 	sh.reportDegradations()
-	astdb.SortRows(ans.Result.Rows)
-	sh.printResult(ans.Result)
+	res := ans.Result()
+	astdb.SortRows(res.Rows)
+	sh.printResult(res)
 	return nil
 }
 

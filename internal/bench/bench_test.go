@@ -124,7 +124,7 @@ func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float
 		t.Fatalf("answering from %q: %v, answer %+v", ast, err, ans)
 	}
 	run := func() {
-		if res, err := db.Execute(ctx, ans.Plan); err != nil || len(res.Rows) != len(ans.Result.Rows) {
+		if res, err := db.Execute(ctx, ans.Plan); err != nil || len(res.Rows) != len(ans.Rows()) {
 			t.Fatalf("executing the plan: %v", err)
 		}
 	}

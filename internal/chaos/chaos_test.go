@@ -129,7 +129,7 @@ func (e *chaosEnv) askAll(t *testing.T, want []*exec.Result, lim exec.Config, al
 			}
 			t.Fatalf("query %q failed: %v", sql, err)
 		}
-		if diff := exec.EqualResults(want[i], ans.Result); diff != "" {
+		if diff := exec.EqualResults(want[i], ans.Result()); diff != "" {
 			t.Fatalf("WRONG ANSWER for %q: %s", sql, diff)
 		}
 		out[i] = ans
@@ -331,7 +331,7 @@ func TestSlowScanTimeout(t *testing.T) {
 			sawTyped = true
 			continue
 		}
-		if diff := exec.EqualResults(want[i], ans.Result); diff != "" {
+		if diff := exec.EqualResults(want[i], ans.Result()); diff != "" {
 			t.Fatalf("WRONG ANSWER for %q under timeout: %s", sql, diff)
 		}
 	}

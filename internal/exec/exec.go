@@ -59,7 +59,7 @@ const (
 	HistRun            = "exec.run"
 )
 
-// Result is the output of running a graph.
+// Result is the output of running a graph, flattened to rows.
 type Result struct {
 	Cols []string
 	Rows [][]sqltypes.Value
@@ -71,6 +71,26 @@ type Result struct {
 	// exec.vector.declined.<reason> counter) per box that ran on the
 	// reference path although the run did not ask for it, in evaluation order.
 	Declined []string
+}
+
+// Output is the output of running a graph as the run left it: the root
+// relation, sealed chunks from the pipeline or rows from the reference path.
+// Chunks and Rows derive the other form once, on one goroutine, and keep it.
+type Output struct {
+	Cols     []string
+	Mode     string   // as in Result
+	Declined []string // as in Result
+	rel      *relation
+}
+
+// Len, Chunks and Rows read the output: its row count, chunks and rows.
+func (o *Output) Len() int                 { return o.rel.n }
+func (o *Output) Chunks() []*storage.Chunk { return o.rel.chunksOf(len(o.Cols)) }
+func (o *Output) Rows() [][]sqltypes.Value { return o.rel.rowsOf() }
+
+// Result flattens the output into a Result.
+func (o *Output) Result() *Result {
+	return &Result{Cols: o.Cols, Rows: o.Rows(), Mode: o.Mode, Declined: o.Declined}
 }
 
 // Engine runs QGM graphs against a store.
@@ -106,11 +126,20 @@ func (e *Engine) runSpan(ctx context.Context) obs.Span {
 	return e.obsv.Start("exec")
 }
 
-// RunCtx evaluates the graph under a context and a resource budget. It
+// RunCtx is RunChunks flattened to rows.
+func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result, error) {
+	out, err := e.RunChunks(ctx, g, lim)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result(), nil
+}
+
+// RunChunks evaluates the graph under a context and a resource budget. It
 // returns an error wrapping ErrCanceled when the context (or Config.Timeout)
 // expires mid-run and one wrapping ErrBudgetExceeded when the run
 // materializes more than Config.MaxRows rows.
-func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result, error) {
+func (e *Engine) RunChunks(ctx context.Context, g *qgm.Graph, lim Config) (*Output, error) {
 	span := e.runSpan(ctx)
 	defer span.End()
 	e.obsv.Add(CtrRuns, 1)
@@ -137,8 +166,7 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	if err := ev.chg.flush(); err != nil {
 		return nil, err
 	}
-	rows := rel.rowsOf()
-	e.obsv.Add(CtrRowsEmitted, int64(len(rows)))
+	e.obsv.Add(CtrRowsEmitted, int64(rel.n))
 	e.obsv.ObserveSince(HistRun, began)
 	cols := make([]string, len(g.Root.Cols))
 	for i, c := range g.Root.Cols {
@@ -148,7 +176,7 @@ func (e *Engine) RunCtx(ctx context.Context, g *qgm.Graph, lim Config) (*Result,
 	if ev.usedVector {
 		mode = ModeVectorized
 	}
-	return &Result{Cols: cols, Rows: rows, Mode: mode, Declined: ev.declined}, nil
+	return &Output{Cols: cols, Mode: mode, Declined: ev.declined, rel: rel}, nil
 }
 
 type evaluator struct {
@@ -179,8 +207,9 @@ func (ev *evaluator) checkpoint(n int) error {
 // output as column chunks, as rows, or both. A base table is its frozen
 // storage chunks, a pipeline box emits chunks (read-only from then on), the
 // reference path emits rows. The other form is derived once, on the main
-// goroutine, when a consumer asks: rows of the run's own by a reference-path
-// parent or the root Result, chunks by a pipeline parent of a declined box.
+// goroutine, when a consumer asks: rows by a reference-path parent or a
+// caller that flattens the Output, chunks by a pipeline parent of a declined
+// box or a caller that reads the root's chunks (the server encodes them).
 type relation struct {
 	n      int
 	chunks []*storage.Chunk

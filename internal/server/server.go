@@ -314,10 +314,9 @@ func (s *Server) query(ctx context.Context, payload []byte) (byte, []byte) {
 		return errResponse(err)
 	}
 	m := &wire.Rows{
-		Cols:     ans.Result.Cols,
-		Kinds:    wire.InferKinds(ans.Result.Cols, ans.Result.Rows),
-		Rows:     ans.Result.Rows,
-		Mode:     ans.Result.Mode,
+		Cols:     ans.Cols,
+		Chunks:   ans.Chunks(),
+		Mode:     ans.Mode,
 		AST:      strings.Join(ans.ASTs, ","),
 		CacheHit: ans.CacheHit,
 		FellBack: ans.FellBack,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -100,13 +102,14 @@ func TestServerRoundTrip(t *testing.T) {
 		if got.AST != "byloc" || got.AST != strings.Join(want.ASTs, ",") {
 			t.Fatalf("routing: wire AST %q, in-process %q", got.AST, strings.Join(want.ASTs, ","))
 		}
-		if len(got.Rows) != len(want.Result.Rows) {
-			t.Fatalf("wire %d rows, in-process %d", len(got.Rows), len(want.Result.Rows))
+		gotRows := storage.Rows(got.Chunks, got.Chunks[0].Len())
+		if len(gotRows) != want.Len() {
+			t.Fatalf("wire %d rows, in-process %d", len(gotRows), want.Len())
 		}
-		for r := range got.Rows {
-			for c := range got.Rows[r] {
-				if !sqltypes.Identical(got.Rows[r][c], want.Result.Rows[r][c]) {
-					t.Fatalf("row %d col %d: %v != %v", r, c, got.Rows[r][c], want.Result.Rows[r][c])
+		for r, row := range gotRows {
+			for c, v := range row {
+				if !sqltypes.Identical(v, want.Rows()[r][c]) {
+					t.Fatalf("row %d col %d: %v != %v", r, c, v, want.Rows()[r][c])
 				}
 			}
 		}
@@ -465,5 +468,62 @@ func TestWriteDeadlineClosesStuckSession(t *testing.T) {
 	}
 	if got := s.obsv.Counter(CtrSessionsClosed); got != closed+1 {
 		t.Fatalf("%s = %d, want %d", CtrSessionsClosed, got, closed+1)
+	}
+}
+
+// TestServedBytesPerRow: beyond the payload it sends, the server allocates
+// less per extra result row than that row's encoded size. The root relation
+// is encoded from its chunks; flattening it to rows cost a 24 B row header
+// and a 40 B Value per column, several times the row's encoded size. Each
+// table is read whole with no WHERE, so the executor hands the table's own
+// chunks over and allocates per chunk, not per row.
+func TestServedBytesPerRow(t *testing.T) {
+	cat := catalog.New()
+	db, err := astdb.Open(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sizes := []int{1024, 5120}
+	for _, n := range sizes {
+		name := fmt.Sprintf("t%d", n)
+		if err := db.CreateTable(&catalog.Table{Name: name, Columns: []catalog.Column{
+			{Name: "id", Type: sqltypes.KindInt},
+			{Name: "v", Type: sqltypes.KindFloat},
+			{Name: "s", Type: sqltypes.KindString},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]sqltypes.Value, n)
+		for i := range rows {
+			rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i) / 7), sqltypes.NewString(fmt.Sprint("r", i%97))}
+		}
+		if _, err := db.Insert(ctx, name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(db, Config{})
+	serve := func(n int) (bytes float64, payload int) {
+		q := wire.EncodeString(fmt.Sprintf("select id, v, s from t%d", n))
+		var p []byte
+		s.query(ctx, q) // warm the plan cache
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 20
+		for range runs {
+			if _, p = s.query(ctx, q); len(p) == 0 {
+				t.Fatal("empty payload")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, len(p)
+	}
+	b0, p0 := serve(sizes[0])
+	b1, p1 := serve(sizes[1])
+	extra := float64(sizes[1] - sizes[0])
+	perRow, encoded := (b1-b0)/extra, float64(p1-p0)/extra
+	t.Logf("per extra row: %.1f B allocated, %.1f B encoded", perRow, encoded)
+	if perRow-encoded >= encoded {
+		t.Fatalf("the server allocates %.1f B per extra row beyond its %.1f encoded bytes", perRow-encoded, encoded)
 	}
 }

@@ -54,6 +54,26 @@ func (e *Encoder) Value(v sqltypes.Value) {
 	}
 }
 
+// vecValue appends element i of v: the bytes Value(v.Value(i)) appends, read
+// from the vector's typed payload instead of through a Value.
+func (e *Encoder) vecValue(v *sqltypes.Vec, i int) {
+	if v.Generic() || v.IsNull(i) {
+		e.Value(v.Value(i))
+		return
+	}
+	e.buf = append(e.buf, byte(v.Kind()))
+	switch v.Kind() {
+	case sqltypes.KindFloat:
+		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v.Floats()[i]))
+	case sqltypes.KindString:
+		e.String(v.Strs()[i])
+	case sqltypes.KindBool:
+		e.Bool(v.Ints()[i] != 0)
+	default:
+		e.Varint(v.Ints()[i])
+	}
+}
+
 // valueSize is the number of bytes Value appends for v.
 func valueSize(v sqltypes.Value) int {
 	var tmp [binary.MaxVarintLen64]byte
@@ -173,13 +193,7 @@ func (d *Decoder) Value() sqltypes.Value {
 		ymd := d.Varint()
 		return sqltypes.NewDate(int(ymd/10000), int((ymd/100)%100), int(ymd%100))
 	case sqltypes.KindFloat:
-		if len(d.buf) < 8 {
-			d.fail("float")
-			return sqltypes.Value{}
-		}
-		bits := binary.BigEndian.Uint64(d.buf[:8])
-		d.buf = d.buf[8:]
-		return sqltypes.NewFloat(math.Float64frombits(bits))
+		return sqltypes.NewFloat(d.float())
 	case sqltypes.KindString:
 		return sqltypes.NewString(d.String())
 	case sqltypes.KindBool:
@@ -187,6 +201,76 @@ func (d *Decoder) Value() sqltypes.Value {
 	default:
 		d.fail(fmt.Sprintf("value (unknown kind %d)", kind))
 		return sqltypes.Value{}
+	}
+}
+
+// float reads the big-endian bits of a float.
+func (d *Decoder) float() float64 {
+	if len(d.buf) < 8 {
+		d.fail("float")
+		return 0
+	}
+	bits := binary.BigEndian.Uint64(d.buf[:8])
+	d.buf = d.buf[8:]
+	return math.Float64frombits(bits)
+}
+
+// column is one result column being decoded: a vector refilled for every row
+// in the kind the header names, its payload, and the Values that replace it
+// when a cell of another kind comes: a mixed column decodes Generic.
+type column struct {
+	v      *sqltypes.Vec
+	ints   []int64
+	floats []float64
+	strs   []string
+	vals   []sqltypes.Value
+}
+
+// refill makes v a column of n rows of kind k, decoded through c.
+func (c *column) refill(v *sqltypes.Vec, k sqltypes.Kind, n int) {
+	switch c.v = v; k {
+	case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
+		c.ints = c.v.RefillInts(k, n)
+	case sqltypes.KindFloat:
+		c.floats = c.v.RefillFloats(n)
+	case sqltypes.KindString:
+		c.strs = c.v.RefillStrings(n)
+	default: // all NULL, or a kind no value has
+		c.v.Splat(sqltypes.Null, n)
+	}
+}
+
+// cell reads the value of row r into c: the bytes Value reads, a cell of the
+// column's kind written straight into its payload, which the refill zeroed.
+func (d *Decoder) cell(c *column, r int) {
+	if c.vals == nil && d.err == nil && len(d.buf) > 0 {
+		if k := sqltypes.Kind(d.buf[0]); k == sqltypes.KindNull || k == c.v.Kind() {
+			d.buf = d.buf[1:]
+			switch k {
+			case sqltypes.KindNull:
+				c.v.SetNull(r)
+			case sqltypes.KindFloat:
+				c.floats[r] = d.float()
+			case sqltypes.KindString:
+				c.strs[r] = d.String()
+			case sqltypes.KindBool:
+				if d.Bool() {
+					c.ints[r] = 1
+				}
+			default:
+				c.ints[r] = d.Varint()
+			}
+			return
+		}
+		var g sqltypes.Vec
+		c.vals = g.RefillGeneric(c.v.Len())
+		for i := range r {
+			c.vals[i] = c.v.Value(i)
+		}
+		*c.v = g
+	}
+	if v := d.Value(); c.vals != nil { // without vals, Value only records the error
+		c.vals[r] = v
 	}
 }
 

@@ -1,22 +1,27 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // Rows is the MsgRows payload: a finished result set plus the routing facts
 // the engine reports about it (which summary table served the plan, whether
 // it came from the plan cache, whether execution fell back to base tables).
+// The result is Rows or Chunks, encoded to the same bytes; the server sends
+// the executor's chunks, DecodeRows returns one chunk of a vector per column.
 type Rows struct {
 	Cols []string
-	// Kinds is the per-column type, inferred by the server from the first
-	// non-NULL value of each column (KindNull when a column is all NULL or
-	// the result is empty). The driver surfaces it through
-	// ColumnTypeDatabaseTypeName / ColumnTypeScanType.
+	// Kinds is the per-column type header: the kind of each column's first
+	// non-NULL value (KindNull when a column is all NULL or the result is
+	// empty). Encode infers it when it is nil. The driver reports the kinds of
+	// the decoded vectors instead, which also tell a mixed column apart.
 	Kinds    []sqltypes.Kind
 	Rows     [][]sqltypes.Value
+	Chunks   []*storage.Chunk
 	Mode     string // execution mode: vectorized / interpreted
 	AST      string // summary tables that served the plan, in splice order and joined by ","; "" = base tables
 	CacheHit bool
@@ -25,56 +30,84 @@ type Rows struct {
 
 // Encode serializes the message into a MsgRows payload.
 func (m *Rows) Encode() []byte {
-	e := Encoder{buf: make([]byte, 0, m.sizeHint())}
+	n, hint := m.sizeHint()
+	e := Encoder{buf: make([]byte, 0, hint)}
 	e.Uvarint(uint64(len(m.Cols)))
 	for _, c := range m.Cols {
 		e.String(c)
 	}
-	for _, k := range m.Kinds {
+	for _, k := range m.kinds() {
 		e.Uvarint(uint64(k))
 	}
 	e.String(m.Mode)
 	e.String(m.AST)
 	e.Bool(m.CacheHit)
 	e.Bool(m.FellBack)
-	e.Uvarint(uint64(len(m.Rows)))
+	e.Uvarint(uint64(n))
 	for _, row := range m.Rows {
 		for _, v := range row {
 			e.Value(v)
 		}
 	}
+	for _, c := range m.Chunks {
+		for i := 0; i < c.Len(); i++ {
+			for j := 0; j < c.Width(); j++ {
+				e.vecValue(c.Col(j), i)
+			}
+		}
+	}
 	return e.Bytes()
 }
 
-// sizeHint estimates the encoded size so that Encode allocates its buffer
-// once instead of doubling it a dozen times under a large reply: the header,
-// plus rows × the widest of three sampled rows (first, middle, last — group
-// keys and ids tend to grow down a result) with an eighth to spare. A low
-// guess only costs an append regrow.
-func (m *Rows) sizeHint() int {
-	n := 32 + len(m.Mode) + len(m.AST) + 2*len(m.Kinds)
-	for _, c := range m.Cols {
-		n += len(c) + 2
-	}
-	if len(m.Rows) == 0 {
-		return n
-	}
+// sizeHint counts the rows and estimates the payload from the widest of the
+// first, middle and last row of the rows and of each chunk (ids and group keys
+// tend to grow down a result), with an eighth to spare, so that Encode
+// allocates its buffer once. A low guess only costs an append regrow.
+func (m *Rows) sizeHint() (n, hint int) {
 	widest := 0
-	for _, ri := range [3]int{0, len(m.Rows) / 2, len(m.Rows) - 1} {
+	sample := func(width int, at func(j int) sqltypes.Value) {
 		w := 0
-		for _, v := range m.Rows[ri] {
-			w += valueSize(v)
+		for j := range width {
+			w += valueSize(at(j))
 		}
 		widest = max(widest, w)
 	}
-	return n + len(m.Rows)*(widest+widest/8+1)
+	n = len(m.Rows)
+	for _, r := range []int{0, n / 2, n - 1}[:min(n, 3)] {
+		sample(len(m.Rows[r]), func(j int) sqltypes.Value { return m.Rows[r][j] })
+	}
+	for _, c := range m.Chunks {
+		for _, i := range []int{0, c.Len() / 2, c.Len() - 1}[:min(c.Len(), 3)] {
+			sample(c.Width(), func(j int) sqltypes.Value { return c.Col(j).Value(i) })
+		}
+		n += c.Len()
+	}
+	return n, 32 + len(m.Mode) + len(m.AST) + 4*len(m.Cols) + n*(widest+widest/8+1)
 }
 
-// DecodeRows parses a MsgRows payload.
+// kinds is Kinds, or when that is nil what InferKinds makes of rows and chunks.
+func (m *Rows) kinds() []sqltypes.Kind {
+	if m.Kinds != nil {
+		return m.Kinds
+	}
+	kinds := InferKinds(m.Cols, m.Rows)
+	for _, c := range m.Chunks {
+		for j := range kinds {
+			for i := 0; i < c.Len() && kinds[j] == sqltypes.KindNull; i++ {
+				kinds[j] = c.Col(j).Value(i).Kind()
+			}
+		}
+	}
+	return kinds
+}
+
+// DecodeRows parses a MsgRows payload into one chunk of one vector per
+// column. A value costs at least a byte, so the header may claim no more
+// values than the payload has bytes, and every allocation is bounded by them.
 func DecodeRows(p []byte) (*Rows, error) {
 	d := NewDecoder(p)
 	ncols := d.Uvarint()
-	if ncols > uint64(len(p)) { // each column name costs >= 1 byte
+	if ncols > uint64(len(p))/2 { // a column's name and kind cost >= 2 bytes
 		return nil, fmt.Errorf("wire: rows header claims %d columns in %d bytes", ncols, len(p))
 	}
 	m := &Rows{Cols: make([]string, ncols), Kinds: make([]sqltypes.Kind, ncols)}
@@ -89,20 +122,22 @@ func DecodeRows(p []byte) (*Rows, error) {
 	m.CacheHit = d.Bool()
 	m.FellBack = d.Bool()
 	nrows := d.Uvarint()
-	if ncols > 0 && nrows > uint64(len(p)) { // each value costs >= 1 byte
-		return nil, fmt.Errorf("wire: rows header claims %d rows in %d bytes", nrows, len(p))
+	if d.Err() != nil || nrows > uint64(len(p))/max(ncols, 1) { // a row of no columns is still held to a byte
+		return nil, cmp.Or(d.Err(), fmt.Errorf("wire: rows header claims %d rows of %d columns in %d bytes", nrows, ncols, len(p)))
 	}
-	m.Rows = make([][]sqltypes.Value, 0, nrows)
-	for r := uint64(0); r < nrows && d.Err() == nil; r++ {
-		row := make([]sqltypes.Value, ncols)
-		for c := range row {
-			row[c] = d.Value()
+	vecs, cols := make([]sqltypes.Vec, ncols), make([]column, ncols)
+	for c, k := range m.Kinds {
+		cols[c].refill(&vecs[c], k, int(nrows))
+	}
+	for r := 0; r < int(nrows) && d.Err() == nil; r++ {
+		for c := range cols {
+			d.cell(&cols[c], r)
 		}
-		m.Rows = append(m.Rows, row)
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
+	m.Chunks = []*storage.Chunk{storage.NewChunk(int(nrows), vecs)}
 	return m, nil
 }
 

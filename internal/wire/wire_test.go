@@ -9,6 +9,7 @@ import (
 
 	"repro/astdb"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -59,6 +60,9 @@ func sampleRows() *Rows {
 	}
 }
 
+// decoded flattens a decoded message's chunk back into rows.
+func decoded(m *Rows) [][]sqltypes.Value { return storage.Rows(m.Chunks, m.Chunks[0].Len()) }
+
 func TestRowsRoundTrip(t *testing.T) {
 	want := sampleRows()
 	got, err := DecodeRows(want.Encode())
@@ -74,13 +78,14 @@ func TestRowsRoundTrip(t *testing.T) {
 			t.Fatalf("kind[%d] = %v, want %v", i, got.Kinds[i], k)
 		}
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("row count %d, want %d", len(got.Rows), len(want.Rows))
+	rows := decoded(got)
+	if len(rows) != len(want.Rows) {
+		t.Fatalf("row count %d, want %d", len(rows), len(want.Rows))
 	}
 	for r := range want.Rows {
 		for c := range want.Rows[r] {
-			if !sqltypes.Identical(got.Rows[r][c], want.Rows[r][c]) {
-				t.Fatalf("row %d col %d: %v != %v", r, c, got.Rows[r][c], want.Rows[r][c])
+			if !sqltypes.Identical(rows[r][c], want.Rows[r][c]) {
+				t.Fatalf("row %d col %d: %v != %v", r, c, rows[r][c], want.Rows[r][c])
 			}
 		}
 	}
@@ -93,8 +98,35 @@ func TestRowsEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 0 || len(got.Cols) != 1 || got.Kinds[0] != sqltypes.KindNull {
+	if got.Chunks[0].Len() != 0 || len(got.Cols) != 1 || got.Kinds[0] != sqltypes.KindNull {
 		t.Fatalf("empty result mishandled: %+v", got)
+	}
+}
+
+// TestDecodeBoundsRowsByPayload: a header may not claim more values than the
+// payload has bytes, a row of no columns counting as one. A 21-byte payload
+// claiming 2^40 rows of no columns once asked for a 2^40-entry row slice, a
+// fatal out-of-memory error no recover could catch.
+func TestDecodeBoundsRowsByPayload(t *testing.T) {
+	for _, tc := range []struct {
+		cols []string
+		rows uint64
+	}{{nil, 1 << 40}, {nil, 22}, {[]string{"a"}, 1 << 40}, {[]string{"a", "b"}, 12}} {
+		var e Encoder
+		e.Uvarint(uint64(len(tc.cols)))
+		for _, c := range tc.cols {
+			e.String(c)
+			e.Uvarint(uint64(sqltypes.KindInt))
+		}
+		e.String("vectorized")
+		e.String("")
+		e.Bool(false)
+		e.Bool(false)
+		e.Uvarint(tc.rows)
+		p := e.Bytes()
+		if _, err := DecodeRows(p); err == nil || !strings.Contains(err.Error(), "claims") {
+			t.Fatalf("%d rows of %d columns in %d bytes: err = %v", tc.rows, len(tc.cols), len(p), err)
+		}
 	}
 }
 
@@ -194,7 +226,7 @@ func TestRowsEncodeAllocs(t *testing.T) {
 			})
 		}
 		m.Kinds = InferKinds(m.Cols, m.Rows)
-		if got, err := DecodeRows(m.Encode()); err != nil || len(got.Rows) != n {
+		if got, err := DecodeRows(m.Encode()); err != nil || got.Chunks[0].Len() != n {
 			t.Fatalf("round trip of %d rows: %v", n, err)
 		}
 		return testing.AllocsPerRun(10, func() { m.Encode() })
