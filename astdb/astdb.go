@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -69,9 +70,10 @@ type Engine struct {
 	// verifyPlans checks every parsed graph with qgmcheck (WithVerifyPlans).
 	verifyPlans bool
 
-	// set is read on every Query and every DML statement with one atomic
-	// load; registering a summary table publishes the next generation, so
-	// engine bookkeeping never serializes concurrent Query calls.
+	// set is the one record of which summary tables exist: every reader and
+	// every name check reads it (view), with one atomic load, and only
+	// register publishes it, so engine bookkeeping never serializes
+	// concurrent Query calls.
 	set rcu.Cell[astSet]
 
 	// writer is the single writer slot (capacity 1), held through write. It
@@ -89,8 +91,13 @@ type astSet struct {
 }
 
 // register publishes the set extended by the given summary tables, analyzing
-// each for maintenance.
+// each for maintenance. It also copies each signature into the catalog's
+// index, a mirror no serving path reads (the rewriter prunes on
+// CompiledAST.Sig).
 func (e *Engine) register(asts ...*core.CompiledAST) {
+	for _, ca := range asts {
+		e.cat.SetASTSignature(ca.Def.Name, ca.Sig)
+	}
 	e.set.Update(func(s astSet) astSet {
 		next := astSet{
 			asts:  append(s.asts[:len(s.asts):len(s.asts)], asts...),
@@ -149,22 +156,15 @@ func WithVerifyPlans(on bool) Option {
 	}
 }
 
-// Open builds a fresh pipeline over the catalog and compiles every summary
-// table definition registered in it. Compilation failures are not fatal: the
-// engine is returned usable with the definitions that did compile, alongside
-// a joined error naming the broken ones. Materializations are not computed;
-// call Refresh to populate (or re-populate) the summary tables.
+// Open builds a fresh pipeline over the catalog, with an empty store and no
+// summary tables: CreateSummaryTable is how one comes to exist. The error is
+// always nil.
 func Open(cat *catalog.Catalog, options ...Option) (*Engine, error) {
 	c := settings{}
 	for _, o := range options {
 		o(&c)
 	}
-	store := storage.NewStore()
-	rw := core.NewRewriter(cat, c.coreOpts)
-	e := assemble(cat, store, rw, c)
-	asts, err := rw.CompileAll()
-	e.register(asts...)
-	return e, err
+	return assemble(cat, storage.NewStore(), core.NewRewriter(cat, c.coreOpts), c), nil
 }
 
 // Wrap builds the facade around existing components — an executor, a rewriter,
@@ -314,8 +314,8 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 		}
 		return e.queryGraph(ctx, g)
 	}
-	st := e.store.Pin()
-	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, st)
+	set, st := e.view()
+	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, set.asts, st)
 	if err != nil {
 		return nil, compileError(err)
 	}
@@ -351,8 +351,8 @@ func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, err
 }
 
 func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	st := e.store.Pin()
-	plan, res := e.rw.RewriteOrFallback(ctx, query, e.set.Load().asts, st)
+	set, st := e.view()
+	plan, res := e.rw.RewriteOrFallback(ctx, query, set.asts, st)
 	r, err := e.runPlan(ctx, st, plan)
 	if err == nil {
 		return &Answer{Output: *r, Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
@@ -378,14 +378,15 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	span := e.startSpan(ctx, "rewrite")
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
+	set, st := e.view()
 	if e.cache != nil && len(only) == 0 {
-		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, e.set.Load().asts, e.store.Pin())
+		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, set.asts, st)
 		if err != nil {
 			return nil, compileError(err)
 		}
 		return cr, nil
 	}
-	sel, err := e.set.Load().only(only)
+	sel, err := set.only(only)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +394,7 @@ func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewr
 	if err != nil {
 		return nil, err
 	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, e.store.Pin())
+	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, st)
 	return &Rewrite{Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
 }
 
@@ -442,6 +443,24 @@ func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	return g, nil
 }
 
+// view is how every reader gets its summary tables and the generation it
+// plans and runs on. The set is loaded before the store is pinned: a summary
+// table is published only after its rows are committed (CreateSummaryTable),
+// so every table in the set is in the pinned generation. Pinned first, a
+// reader could plan on a table its generation lacks, sized at 0 rows, and
+// fall back and mark it stale.
+func (e *Engine) view() (astSet, *storage.Store) {
+	set := e.set.Load()
+	return set, e.store.Pin()
+}
+
+// index returns the position of the named summary table in the set, or -1.
+// It folds case, as the catalog and the store do; every name check of the
+// engine goes through it.
+func (s astSet) index(name string) int {
+	return slices.IndexFunc(s.asts, func(ca *core.CompiledAST) bool { return strings.EqualFold(ca.Def.Name, name) })
+}
+
 // only returns the set restricted to the named summary tables, in
 // registration order and on fresh slices (the whole published set when names
 // is empty), or an error wrapping ErrUnknownTable for the first name that is
@@ -450,21 +469,19 @@ func (s astSet) only(names []string) (astSet, error) {
 	if len(names) == 0 {
 		return s, nil
 	}
-	want := make(map[string]bool, len(names))
+	keep := make([]bool, len(s.asts))
 	for _, n := range names {
-		want[n] = true
+		i := s.index(n)
+		if i < 0 {
+			return astSet{}, fmt.Errorf("%w: no summary table %q", ErrUnknownTable, n)
+		}
+		keep[i] = true
 	}
 	var out astSet
-	for i, ca := range s.asts {
-		if want[ca.Def.Name] {
-			out.asts = append(out.asts, ca)
+	for i, k := range keep {
+		if k {
+			out.asts = append(out.asts, s.asts[i])
 			out.plans = append(out.plans, s.plans[i])
-			delete(want, ca.Def.Name)
-		}
-	}
-	for _, n := range names {
-		if want[n] {
-			return astSet{}, fmt.Errorf("%w: no summary table %q", ErrUnknownTable, n)
 		}
 	}
 	return out, nil
@@ -485,8 +502,11 @@ func (e *Engine) runPlan(ctx context.Context, st *storage.Store, g *qgm.Graph) (
 }
 
 // CreateTable registers a table in the catalog and creates its (empty)
-// storage.
+// storage. A summary table's name is refused.
 func (e *Engine) CreateTable(t *catalog.Table) error {
+	if e.set.Load().index(t.Name) >= 0 {
+		return fmt.Errorf("astdb: %q is a summary table", t.Name)
+	}
 	if err := e.cat.AddTable(t); err != nil {
 		return err
 	}
@@ -501,26 +521,33 @@ func (e *Engine) AddForeignKey(fk catalog.ForeignKey) error {
 	return e.cat.AddForeignKey(fk)
 }
 
-// CreateSummaryTable compiles, registers, and materializes one summary table
-// definition, returning the compiled AST and its materialized row count.
+// CreateSummaryTable is how a summary table comes to exist: it compiles one
+// definition, materializes it and registers it, returning the compiled AST
+// and its materialized row count. A name a summary table or a base table
+// already has is refused, and so is a definition that does not compile or
+// materialize; each refusal leaves every summary table as it was.
 func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*core.CompiledAST, int, error) {
 	ctx, done, err := e.write(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer done()
+	if e.set.Load().index(name) >= 0 {
+		return nil, 0, fmt.Errorf("astdb: summary table %q already exists", name)
+	}
+	if _, ok := e.cat.Table(name); ok {
+		return nil, 0, fmt.Errorf("astdb: %q is a base table", name)
+	}
 	ca, err := e.rw.CompileAST(catalog.ASTDef{Name: name, SQL: sql})
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := e.cat.RegisterAST(catalog.ASTDef{Name: name, SQL: sql}); err != nil {
-		return nil, 0, err
-	}
 	res, err := e.runPlan(ctx, e.store.Pin(), ca.Graph)
 	if err != nil {
-		e.cat.UnregisterAST(name)
 		return nil, 0, fmt.Errorf("astdb: materializing %s: %w", name, err)
 	}
+	// Rows first, then the set: a reader loads the set before it pins the
+	// store (view), so a table it finds in the set is in its generation.
 	e.store.Put(ca.Table, res.Rows())
 	e.register(ca)
 	return ca, res.Len(), nil

@@ -3,6 +3,7 @@ package astdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/maintain"
@@ -69,9 +70,10 @@ func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLRes
 		return nil, err
 	}
 	defer done()
+	set := e.set.Load() // only a writer publishes it, and this one holds the slot
 	switch s := stmt.(type) {
 	case *parser.InsertStmt:
-		table, rows, err := e.literalRows(s)
+		table, rows, err := e.literalRows(set, s)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +83,7 @@ func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLRes
 		}
 		return &DMLResult{Table: table, Affected: len(rows), Stats: stats}, err
 	case *parser.DeleteStmt, *parser.UpdateStmt:
-		dml, err := e.compileDML(stmt)
+		dml, err := e.compileDML(set, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +91,7 @@ func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLRes
 		if dml.Kind == qgm.DMLUpdate {
 			apply = e.maint.ApplyUpdate
 		}
-		n, stats, err := apply(e.set.Load().plans, dml)
+		n, stats, err := apply(set.plans, dml)
 		return &DMLResult{Table: dml.Table.Name, Affected: n, Stats: stats}, valueError(err)
 	default:
 		return nil, fmt.Errorf("%w: expected INSERT, DELETE, or UPDATE, got %s", ErrParse, statementKind(stmt))
@@ -97,10 +99,10 @@ func (e *Engine) ExecParsed(ctx context.Context, stmt parser.Statement) (*DMLRes
 }
 
 // compileDML builds one parsed DELETE or UPDATE against the catalog, rejecting
-// statements that target a summary table: materializations are
+// statements that target a summary table of set: materializations are
 // system-maintained, and mutating one directly would silently break the
 // freshness contract.
-func (e *Engine) compileDML(stmt parser.Statement) (*qgm.DML, error) {
+func (e *Engine) compileDML(set astSet, stmt parser.Statement) (*qgm.DML, error) {
 	var table string
 	var build func() (*qgm.DML, error)
 	switch t := stmt.(type) {
@@ -111,7 +113,7 @@ func (e *Engine) compileDML(stmt parser.Statement) (*qgm.DML, error) {
 	default:
 		return nil, fmt.Errorf("%w: expected DELETE or UPDATE, got %s", ErrParse, statementKind(stmt))
 	}
-	if err := e.rejectSummaryTarget(table); err != nil {
+	if err := set.rejectTarget(table); err != nil {
 		return nil, err
 	}
 	dml, err := build()
@@ -126,13 +128,11 @@ func (e *Engine) compileDML(stmt parser.Statement) (*qgm.DML, error) {
 	return dml, nil
 }
 
-// rejectSummaryTarget returns ErrWriteProtected when table names a registered
-// summary table: materializations are system-maintained.
-func (e *Engine) rejectSummaryTarget(table string) error {
-	for _, def := range e.cat.ASTs() {
-		if strings.EqualFold(def.Name, table) {
-			return fmt.Errorf("%w: %q is system-maintained", ErrWriteProtected, table)
-		}
+// rejectTarget returns ErrWriteProtected when table names a summary table of
+// the set: materializations are system-maintained.
+func (s astSet) rejectTarget(table string) error {
+	if s.index(table) >= 0 {
+		return fmt.Errorf("%w: %q is system-maintained", ErrWriteProtected, table)
 	}
 	return nil
 }
@@ -164,8 +164,8 @@ func statementKind(stmt parser.Statement) string {
 // strings into DATE columns — is the maintainer's, as it is for UPDATE's SET
 // values. Summary tables are write-protected here exactly like DELETE/UPDATE
 // targets.
-func (e *Engine) literalRows(s *parser.InsertStmt) (string, [][]sqltypes.Value, error) {
-	if err := e.rejectSummaryTarget(s.Table); err != nil {
+func (e *Engine) literalRows(set astSet, s *parser.InsertStmt) (string, [][]sqltypes.Value, error) {
+	if err := set.rejectTarget(s.Table); err != nil {
 		return "", nil, err
 	}
 	meta, ok := e.cat.Table(s.Table)
@@ -220,22 +220,17 @@ func (e *Engine) ExplainDML(ctx context.Context, sql string) (*MaintenanceReport
 	if ex, ok := stmt.(*parser.ExplainStmt); ok && ex.DML != nil {
 		stmt = ex.DML
 	}
-	dml, err := e.compileDML(stmt)
+	set, pin := e.view()
+	dml, err := e.compileDML(set, stmt)
 	if err != nil {
 		return nil, err
 	}
 	rep := &MaintenanceReport{Statement: stmt.SQL(), Kind: dml.Kind.String(), Table: dml.Table.Name}
-	plans := e.set.Load().plans
-	statuses := e.store.Statuses()
-	for _, ca := range sortedByName(e.ASTs()) {
-		var p *maintain.Plan
-		for _, cand := range plans {
-			if cand.Name() == ca.Def.Name {
-				p = cand
-				break
-			}
-		}
-		if p == nil || !p.ReadsTable(dml.Table.Name) {
+	plans := slices.Clone(set.plans)
+	slices.SortFunc(plans, func(a, b *maintain.Plan) int { return strings.Compare(a.Name(), b.Name()) })
+	statuses := pin.Statuses()
+	for _, p := range plans {
+		if !p.ReadsTable(dml.Table.Name) {
 			continue
 		}
 		route := MaintenanceRoute{AST: p.Name(), Status: "fresh"}

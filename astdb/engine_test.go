@@ -266,8 +266,11 @@ func TestRefreshRejectsUnknownSummaryTable(t *testing.T) {
 	if !errors.Is(err, astdb.ErrUnknownTable) || !strings.Contains(err.Error(), `"nosuch"`) || len(stats) != 0 {
 		t.Fatalf(`Refresh("byregion", "nosuch") = %+v, %v; want no stats and ErrUnknownTable naming nosuch`, stats, err)
 	}
-	if stats, err := db.Refresh(ctx, "byregion"); err != nil || len(stats) != 1 {
-		t.Fatalf(`Refresh("byregion") = %+v, %v; want one clean refresh`, stats, err)
+	// Names fold case, as they do in the catalog, the store and DML.
+	for _, name := range []string{"byregion", "ByRegion"} {
+		if stats, err := db.Refresh(ctx, name); err != nil || len(stats) != 1 {
+			t.Fatalf(`Refresh(%q) = %+v, %v; want one clean refresh`, name, stats, err)
+		}
 	}
 
 	canceled, cancel := context.WithCancel(ctx)
@@ -287,8 +290,10 @@ func TestRewriteRejectsUnknownSummaryTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "select region, sum(amount) as total from sales group by region"
-	if rw, err := db.Rewrite(ctx, q, "byregion"); err != nil || strings.Join(rw.ASTs, ",") != "byregion" {
-		t.Fatalf(`Rewrite(only "byregion") = %+v, %v`, rw, err)
+	for _, name := range []string{"byregion", "BYREGION"} {
+		if rw, err := db.Rewrite(ctx, q, name); err != nil || strings.Join(rw.ASTs, ",") != "byregion" {
+			t.Fatalf(`Rewrite(only %q) = %+v, %v`, name, rw, err)
+		}
 	}
 	rw, err := db.Rewrite(ctx, q, "nosuch")
 	if !errors.Is(err, astdb.ErrUnknownTable) || !strings.Contains(err.Error(), `"nosuch"`) || rw != nil {

@@ -92,8 +92,8 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := e.store.Pin()
-	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(e.set.Load().asts), st)
+	set, st := e.view()
+	plan, res, decisions := e.rw.ExplainRewrite(ctx, g, sortedByName(set.asts), st)
 	rep := &Report{SQL: sql}
 	for _, d := range decisions {
 		rep.Candidates = append(rep.Candidates, candidateOf(st.Statuses(), d))

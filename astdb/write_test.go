@@ -183,12 +183,30 @@ func TestConcurrentWritersLoseNothing(t *testing.T) {
 
 // TestCreateSummaryTableRacingWriter: a statement that lands between the
 // materializing scan and the registration of a new summary table used to be
-// merged into every table but the new one, which stayed fresh without it.
+// merged into every table but the new one, which stayed fresh without it. An
+// EXPLAIN of a DELETE, which takes no writer slot, runs beside them: it used to
+// read the catalog's list of summary tables while CreateSummaryTable appended
+// to it (a data race under -race).
 func TestCreateSummaryTableRacingWriter(t *testing.T) {
 	db := openSalesDB(t, 16000)
 	ctx := context.Background()
 
 	stop := make(chan struct{})
+	explainDone := make(chan struct{})
+	go func() {
+		defer close(explainDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := db.ExplainDML(ctx, "delete from sales where region = 1"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -214,6 +232,7 @@ func TestCreateSummaryTableRacingWriter(t *testing.T) {
 	}
 	close(stop)
 	<-writerDone
+	<-explainDone
 
 	assertFreshMeansRight(t, db)
 }

@@ -52,7 +52,7 @@ func TestPruneSupersetPaperSuite(t *testing.T) {
 			if qsig == nil {
 				t.Fatalf("%s: query signature must be computable over catalog tables", qname)
 			}
-			admit := env.Cat.AdmitsAST(a.name, qsig, false)
+			admit := env.Cat.SignatureAdmits(a.ca.Sig, qsig)
 			matches := core.NewMatcher(env.Cat, g, a.ca.Graph, core.Options{}).Run()
 			pairs++
 			if len(matches) > 0 {

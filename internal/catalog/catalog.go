@@ -1,10 +1,11 @@
 // Package catalog holds database metadata: table schemas, nullability,
-// primary/unique keys, referential-integrity (foreign key) constraints, and
-// the registry of Automatic Summary Tables (ASTs). The matching algorithm
-// consults the catalog to prove extra-join losslessness (paper §4.1.1
-// condition 1) and 1:N rejoin cardinality (paper §4.2.1). An AST's freshness
-// is defined here (Statuses, Transition) but lives in the store, in the same
-// generation as the tables (storage.Store, attached with SetFreshness).
+// primary/unique keys and referential-integrity (foreign key) constraints.
+// The matching algorithm consults the catalog to prove extra-join
+// losslessness (paper §4.1.1 condition 1) and 1:N rejoin cardinality (paper
+// §4.2.1). Which Automatic Summary Tables (ASTs) exist is not recorded here:
+// the engine (astdb) keeps that set. An AST's freshness is defined here
+// (Statuses, Transition) but lives in the store, in the same generation as
+// the tables (storage.Store, attached with SetFreshness).
 package catalog
 
 import (
@@ -92,15 +93,15 @@ type ForeignKey struct {
 	ParentCols  []string
 }
 
-// ASTDef is a registered Automatic Summary Table: a name for the materialized
-// result plus the defining query text. The rewriter builds its QGM graph on
-// registration.
+// ASTDef is an Automatic Summary Table's definition: a name for the
+// materialized result plus the defining query text, which the rewriter
+// compiles into its QGM graph (core.Rewriter.CompileAST).
 type ASTDef struct {
 	Name string
 	SQL  string
 }
 
-// Catalog is the metadata store. Schema mutation (AddTable, RegisterAST, …)
+// Catalog is the metadata store. Schema mutation (AddTable, AddForeignKey, …)
 // is not safe for concurrent use; the read path (lookups) is safe once
 // populated. AST freshness is not kept here: it is part of the store's one
 // generation (storage.Store, attached with SetFreshness), beside the tables it
@@ -113,14 +114,14 @@ type Catalog struct {
 	tableIDs map[string]int // stable numeric IDs for signature bitmaps
 	fks      []ForeignKey
 	fkEdges  []fkEdge // fks as table IDs, for the signature index
-	asts     []ASTDef
 
 	fresh           Freshness // nil until a store is attached: every AST fresh
 	quarantineAfter atomic.Int64
 	obsv            *obs.Observer // nil = observability disabled
 
-	// sigs is the candidate-pruning signature index (signature.go), keyed by
-	// lowercased AST name.
+	// sigs mirrors each registered summary table's signature (signature.go),
+	// keyed by lowercased name. No serving path reads it: the rewriter prunes
+	// on core.CompiledAST.Sig.
 	sigs rcu.Map[string, *Signature]
 }
 
@@ -176,7 +177,7 @@ func (s *Statuses) Usable(name string, allowStale bool) bool {
 // statement publishes.
 type Transition struct {
 	name string
-	f    func(*ASTStatus) // nil forgets the AST
+	f    func(*ASTStatus)
 }
 
 // Next returns the generation that follows s under ts, applied in order; s
@@ -190,10 +191,6 @@ func (s *Statuses) Next(ts []Transition) *Statuses {
 		maps.Copy(next.byName, s.byName)
 	}
 	for _, t := range ts {
-		if t.f == nil {
-			delete(next.byName, t.name)
-			continue
-		}
 		st := next.byName[t.name]
 		t.f(&st)
 		next.byName[t.name] = st
@@ -397,45 +394,6 @@ outer:
 		return false
 	}
 	return true
-}
-
-// RegisterAST records an AST definition. The rewriter compiles the SQL when
-// it needs the QGM graph; registration itself only checks for name clashes.
-func (c *Catalog) RegisterAST(def ASTDef) error {
-	def.Name = strings.ToLower(def.Name)
-	for _, a := range c.asts {
-		if a.Name == def.Name {
-			return fmt.Errorf("catalog: AST %q already registered", def.Name)
-		}
-	}
-	c.asts = append(c.asts, def)
-	return nil
-}
-
-// MustRegisterAST is RegisterAST that panics on error.
-func (c *Catalog) MustRegisterAST(def ASTDef) {
-	if err := c.RegisterAST(def); err != nil {
-		panic(err)
-	}
-}
-
-// ASTs returns the registered AST definitions in registration order.
-func (c *Catalog) ASTs() []ASTDef { return c.asts }
-
-// UnregisterAST removes an AST definition by name.
-func (c *Catalog) UnregisterAST(name string) {
-	name = strings.ToLower(name)
-	out := c.asts[:0]
-	for _, a := range c.asts {
-		if a.Name != name {
-			out = append(out, a)
-		}
-	}
-	c.asts = out
-	if c.fresh != nil {
-		c.fresh.Apply(Transition{name: name})
-	}
-	c.sigs.Update(func(draft map[string]*Signature) { delete(draft, name) })
 }
 
 // ASTStatus is the runtime freshness state of one AST. The zero value means

@@ -141,21 +141,6 @@ func TestLosslessJoin(t *testing.T) {
 	}
 }
 
-func TestASTRegistry(t *testing.T) {
-	c := twoTables(t)
-	c.MustRegisterAST(ASTDef{Name: "A1", SQL: "select 1 from parent"})
-	if err := c.RegisterAST(ASTDef{Name: "a1", SQL: "x"}); err == nil {
-		t.Error("duplicate AST name accepted (case-insensitive)")
-	}
-	if len(c.ASTs()) != 1 {
-		t.Fatalf("ASTs: %v", c.ASTs())
-	}
-	c.UnregisterAST("A1")
-	if len(c.ASTs()) != 0 {
-		t.Error("unregister failed")
-	}
-}
-
 func TestTablesSorted(t *testing.T) {
 	c := twoTables(t)
 	names := c.Tables()
@@ -170,7 +155,6 @@ func TestTablesSorted(t *testing.T) {
 
 func TestASTStatusLifecycle(t *testing.T) {
 	c := attached()
-	c.MustRegisterAST(ASTDef{Name: "a1", SQL: "select 1"})
 
 	if st := c.Status("a1"); st != (ASTStatus{}) {
 		t.Fatalf("fresh AST has non-zero status: %+v", st)
@@ -243,16 +227,6 @@ func TestStatusConcurrentAccess(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		<-done
-	}
-}
-
-func TestUnregisterASTClearsStatus(t *testing.T) {
-	c := attached()
-	c.MustRegisterAST(ASTDef{Name: "gone", SQL: "select 1"})
-	c.MarkStale("gone")
-	c.UnregisterAST("gone")
-	if st := c.Status("gone"); st.Stale {
-		t.Fatalf("status survived unregister: %+v", st)
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 	"strings"
 )
 
-// This file is the candidate-pruning signature index. At AST compile time the
-// rewriter computes a cheap Signature per AST and inserts it here; at rewrite
-// time it computes the query's signature once and asks AdmitsAST for every
-// registered AST before paying for a full bottom-up QGM match. Pruning is
+// This file is candidate pruning by signature. At AST compile time the
+// rewriter computes a cheap Signature per AST (core.CompiledAST.Sig); at
+// rewrite time it computes the query's signature once and asks SignatureAdmits
+// for every candidate before paying for a full bottom-up QGM match. Pruning is
 // strictly conservative: every rule below refutes a *necessary* condition of
 // the matching algorithm (see DESIGN.md §10 for the safety argument per rule),
-// so a pruned AST is always one the full matcher would reject. An AST without
-// an index entry is always admitted — the index is an accelerator, never a
-// gate that could cost a legitimate rewrite.
+// so a pruned AST is always one the full matcher would reject. A nil
+// signature is always admitted — pruning is an accelerator, never a gate that
+// could cost a legitimate rewrite. The index (SetASTSignature, AdmitsAST) is a
+// mirror the engine writes when it registers a summary table; no serving path
+// reads it.
 
 // TableSet is a bitmap over catalog table IDs (assigned by AddTable in
 // registration order and stable across DropTable/re-AddTable cycles, so

@@ -32,7 +32,6 @@ func sigCatalog(t *testing.T) (*Catalog, *Signature) {
 // as soon as Usable would.
 func TestSignatureIndexStaleness(t *testing.T) {
 	c, sig := sigCatalog(t)
-	c.MustRegisterAST(ASTDef{Name: "a1", SQL: "select id from t"})
 	c.SetASTSignature("a1", sig)
 	q := sig // identical signature: always structurally admissible
 
@@ -88,11 +87,7 @@ func TestSignatureIndexStaleness(t *testing.T) {
 		t.Fatal("recovered AST must be re-admitted")
 	}
 
-	c.UnregisterAST("a1")
-	if _, ok := c.ASTSignature("a1"); ok {
-		t.Fatal("unregistering must drop the signature entry")
-	}
-	if !c.AdmitsAST("a1", q, false) {
+	if _, ok := c.ASTSignature("a9"); ok || !c.AdmitsAST("a9", q, false) {
 		t.Fatal("an AST without an index entry is always admitted")
 	}
 }
@@ -101,7 +96,6 @@ func TestSignatureIndexStaleness(t *testing.T) {
 // already stale or quarantined must not make it look fresh.
 func TestSignatureIndexSeedsFromStatus(t *testing.T) {
 	c, sig := sigCatalog(t)
-	c.MustRegisterAST(ASTDef{Name: "a2", SQL: "select id from t"})
 	c.MarkStale("a2")
 	c.SetASTSignature("a2", sig)
 	if c.AdmitsAST("a2", sig, false) {

@@ -67,14 +67,11 @@ func newChaosEnvOpts(t testing.TB, opts core.Options) *chaosEnv {
 		m:      maintain.New(store).WithCatalog(cat),
 	}
 	for _, def := range chaosASTs {
-		cat.MustRegisterAST(def)
-	}
-	asts, err := e.rw.CompileAll()
-	if err != nil {
-		t.Fatalf("compile ASTs: %v", err)
-	}
-	e.asts = asts
-	for _, ca := range asts {
+		ca, err := e.rw.CompileAST(def)
+		if err != nil {
+			t.Fatalf("compile %s: %v", def.Name, err)
+		}
+		e.asts = append(e.asts, ca)
 		res, err := e.engine.Run(ca.Graph)
 		if err != nil {
 			t.Fatalf("materialize %s: %v", ca.Def.Name, err)

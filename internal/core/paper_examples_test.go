@@ -236,7 +236,10 @@ func TestSection422_RecursiveGroupBy(t *testing.T) {
 
 // TestFigure11_Q10 exercises §4.2.4 and the §6 derivation walkthrough: a
 // SELECT subsumee with grouping child compensation plus a scalar subquery
-// block that must be matched and threaded through the pulled-up stack.
+// block. The matcher visits box pairs breadth first from the leaves and pairs
+// the top boxes before the scalar subqueries' three-level blocks, so the
+// compensation re-evaluates the subquery (a rejoin) rather than threading
+// ast10's totcnt up the stack; TestFigure11_NewQ10 threads one.
 func TestFigure11_Q10(t *testing.T) {
 	e := newEnv(t, 2000)
 	// Not bench.Queries["q10"] (TestFigure11_Q10_Ratio's): the scalar
@@ -254,6 +257,30 @@ func TestFigure11_Q10(t *testing.T) {
 func TestFigure11_Q10_Ratio(t *testing.T) {
 	e := newEnv(t, 2000)
 	e.mustRewrite(t, bench.Queries["q10"], e.registerAST(t, "ast10", bench.ASTDefs["ast10"]))
+}
+
+// TestFigure11_NewQ10 is §4.2.4's NewQ10 shape, "group by flid, totcnt": the
+// scalar subquery's value is read from the summary table and threaded up
+// through the pulled-up GROUP BY as an extra grouping column (ensureRspace),
+// which is sound because it is constant per group. The scalar is a one-box
+// lookup instead of ast10's count(*), so that its pair is matched before the
+// top boxes' (see TestFigure11_Q10).
+func TestFigure11_NewQ10(t *testing.T) {
+	e := newEnv(t, 2000)
+	ast := e.registerAST(t, "ast10c", `
+		select flid, year(date) as year, count(*) as cnt,
+		       (select city from loc where lid = 1) as c1
+		from trans
+		group by flid, year(date)`)
+	sql := e.mustRewrite(t, `
+		select flid, count(*) as cnt, (select city from loc where lid = 1) as c1
+		from trans, loc
+		where flid = lid and country = 'USA'
+		group by flid
+		having count(*) > 2`, ast)
+	if !strings.Contains(sql, "GROUP BY ast10c.flid, ast10c.c1") {
+		t.Fatalf("the scalar is not a grouping column of the compensation: %s", sql)
+	}
 }
 
 // TestFigure13_Q11 exercises §5.1: simple GROUP BY queries against a

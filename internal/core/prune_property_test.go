@@ -56,7 +56,7 @@ func TestPrunePropertyRandomized(t *testing.T) {
 		if qsig == nil {
 			t.Fatalf("trial %d: query signature should always be computable over the star schema", i)
 		}
-		admit := e.cat.AdmitsAST(astName, qsig, false)
+		admit := e.cat.SignatureAdmits(ca.Sig, qsig)
 
 		// Matching mutates the query graph (compensation boxes), so run it on
 		// the graph we just built; each trial builds a fresh one.

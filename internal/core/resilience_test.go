@@ -1,8 +1,9 @@
 package core_test
 
-// Tests for the graceful-degradation layer: partial CompileAll, match-panic
-// recovery, staleness/quarantine filtering, and RewriteOrFallback's
-// always-runnable guarantee.
+// Tests for the graceful-degradation layer: match-panic recovery,
+// staleness/quarantine filtering, and RewriteOrFallback's always-runnable
+// guarantee. A broken definition refused on its own is astdb's
+// TestBrokenDefinitionIsRefusedAlone.
 
 import (
 	"context"
@@ -10,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -22,31 +22,6 @@ const resAST = `select flid, year(date) as year, count(*) as cnt
 	from trans group by flid, year(date)`
 
 const resQuery = `select flid, count(*) as cnt from trans where year(date) > 1990 group by flid`
-
-func TestCompileAllSkipsBrokenASTs(t *testing.T) {
-	e := newEnv(t, 200)
-	e.cat.MustRegisterAST(catalog.ASTDef{Name: "good1", SQL: resAST})
-	e.cat.MustRegisterAST(catalog.ASTDef{Name: "broken_syntax", SQL: "select from where"})
-	e.cat.MustRegisterAST(catalog.ASTDef{Name: "broken_table", SQL: "select x from no_such_table"})
-	e.cat.MustRegisterAST(catalog.ASTDef{Name: "good2", SQL: "select state, count(*) as c from trans, loc where flid = lid group by state"})
-
-	asts, err := e.rw.CompileAll()
-	if err == nil {
-		t.Fatal("expected a joined error for the broken definitions")
-	}
-	if len(asts) != 2 {
-		t.Fatalf("got %d compiled ASTs, want 2 (the good ones)", len(asts))
-	}
-	for _, ca := range asts {
-		if !strings.HasPrefix(ca.Def.Name, "good") {
-			t.Fatalf("unexpected survivor %q", ca.Def.Name)
-		}
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "broken_syntax") || !strings.Contains(msg, "broken_table") {
-		t.Fatalf("joined error misses a broken AST: %v", err)
-	}
-}
 
 func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 	e := newEnv(t, 300)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -38,14 +37,15 @@ const (
 	CtrCacheVariantMisses = "core.plancache.variant_misses"
 )
 
-// CompiledAST is a registered Automatic Summary Table ready for matching: its
-// definition, its QGM graph, and the schema of its materialized table.
+// CompiledAST is an Automatic Summary Table ready for matching: its
+// definition, its QGM graph, the schema of its materialized table, and its
+// pruning signature.
 type CompiledAST struct {
 	Def   catalog.ASTDef
 	Graph *qgm.Graph
 	Table *catalog.Table
-	// Sig is the pruning signature computed at compile time and registered in
-	// the catalog's signature index; nil disables pruning for this AST.
+	// Sig is the pruning signature computed at compile time (admit reads it);
+	// nil disables pruning for this AST.
 	Sig *catalog.Signature
 }
 
@@ -95,9 +95,9 @@ func (rw *Rewriter) Catalog() *catalog.Catalog { return rw.cat }
 // call concurrently with rewrites.
 func (rw *Rewriter) SetObserver(o *obs.Observer) { rw.obsv = o }
 
-// CompileAST parses and compiles an AST definition. The returned Table
-// describes the materialized result (callers register it in the catalog and
-// populate it in storage before executing rewritten queries).
+// CompileAST parses and compiles an AST definition; it writes nothing. The
+// returned Table describes the materialized result (callers populate it in
+// storage before executing rewritten queries).
 func (rw *Rewriter) CompileAST(def catalog.ASTDef) (*CompiledAST, error) {
 	stmt, err := parser.Parse(def.SQL)
 	if err != nil {
@@ -107,28 +107,7 @@ func (rw *Rewriter) CompileAST(def catalog.ASTDef) (*CompiledAST, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: AST %q: %w", def.Name, err)
 	}
-	sig := ComputeSignature(rw.cat, g)
-	rw.cat.SetASTSignature(def.Name, sig)
-	return &CompiledAST{Def: def, Graph: g, Table: g.Root.OutputTable(def.Name), Sig: sig}, nil
-}
-
-// CompileAll compiles every AST registered in the catalog. A definition that
-// fails to compile is skipped, not fatal: the successfully compiled ASTs are
-// always returned, alongside a joined error carrying one entry per broken
-// definition (nil when all compiled). Callers should use the returned slice
-// even when err != nil.
-func (rw *Rewriter) CompileAll() ([]*CompiledAST, error) {
-	var out []*CompiledAST
-	var errs []error
-	for _, def := range rw.cat.ASTs() {
-		ca, err := rw.CompileAST(def)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		out = append(out, ca)
-	}
-	return out, errors.Join(errs...)
+	return &CompiledAST{Def: def, Graph: g, Table: g.Root.OutputTable(def.Name), Sig: ComputeSignature(rw.cat, g)}, nil
 }
 
 // MatchPanicError records a panic recovered during one AST's match attempt.
@@ -208,14 +187,14 @@ func (rw *Rewriter) querySig(query *qgm.Graph) *catalog.Signature {
 	return ComputeSignature(rw.cat, query)
 }
 
-// admit consults the catalog signature index for one usable candidate before the
-// full match is attempted. A nil query signature admits everything (pruning
-// disabled or the query references tables the index cannot map).
+// admit checks one usable candidate's own signature against the query's
+// before the full match is attempted. A nil signature on either side admits
+// (pruning disabled, or a graph the signature cannot map).
 func (rw *Rewriter) admit(qsig *catalog.Signature, ast *CompiledAST) bool {
 	if qsig == nil {
 		return true
 	}
-	if sig, ok := rw.cat.ASTSignature(ast.Def.Name); ok && !rw.cat.SignatureAdmits(sig, qsig) {
+	if !rw.cat.SignatureAdmits(ast.Sig, qsig) {
 		rw.obsv.Add(CtrPruned, 1)
 		return false
 	}

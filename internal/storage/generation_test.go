@@ -9,13 +9,12 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// boundCatalog is a catalog registering summary table "a1" over a one-table
-// schema, its freshness published through s.
+// boundCatalog is a catalog indexing the signature of summary table "a1" over
+// a one-table schema, its freshness published through s.
 func boundCatalog(t *testing.T, s *Store) (*catalog.Catalog, *catalog.Signature) {
 	t.Helper()
 	c := catalog.New()
 	c.MustAddTable(&catalog.Table{Name: "t", Columns: meta().Columns, PrimaryKey: []string{"a"}})
-	c.MustRegisterAST(catalog.ASTDef{Name: "a1", SQL: "select a from t"})
 	id, ok := c.TableID("t")
 	if !ok {
 		t.Fatal("table t has no ID")
