@@ -5,6 +5,7 @@ import (
 	"database/sql/driver"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -218,7 +219,8 @@ func toValue(arg any) (sqltypes.Value, error) {
 }
 
 // interpolate substitutes each ordinal "?" outside string literals with the
-// SQL literal of the corresponding argument.
+// SQL literal of the corresponding argument. A NaN or infinite float has none
+// and is refused.
 func interpolate(query string, args []driver.NamedValue) (string, error) {
 	if len(args) == 0 && !strings.ContainsRune(query, '?') {
 		return query, nil
@@ -240,6 +242,9 @@ func interpolate(query string, args []driver.NamedValue) (string, error) {
 			v, err := toValue(args[next].Value)
 			if err != nil {
 				return "", err
+			}
+			if v.Kind() == sqltypes.KindFloat && (math.IsNaN(v.Float()) || math.IsInf(v.Float(), 0)) {
+				return "", fmt.Errorf("astdb driver: argument %d is %v, which has no SQL literal", next+1, v)
 			}
 			b.WriteString(v.SQLLiteral())
 			next++

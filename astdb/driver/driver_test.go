@@ -10,6 +10,7 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -234,6 +235,21 @@ func TestPlaceholdersAndExec(t *testing.T) {
 				t.Fatalf("count(qty >= %d) = %d, previous %d", qty, c, prev)
 			}
 			prev = c
+		}
+	})
+
+	t.Run("non-finite-float-args-refused", func(t *testing.T) {
+		// NaN and ±Inf have no SQL literal: the driver refuses them, naming the
+		// argument, and sends the server nothing.
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			before := ts.obsv.Counter(server.CtrRequests)
+			_, err := db.QueryContext(ctx, `select count(*) as c from trans where qty > ? and price < ?`, 1, f)
+			if err == nil || !strings.Contains(err.Error(), "argument 2") {
+				t.Fatalf("%v: %v, want a refusal of argument 2", f, err)
+			}
+			if after := ts.obsv.Counter(server.CtrRequests); after != before {
+				t.Fatalf("%v: the server saw %d requests", f, after-before)
+			}
 		}
 	})
 

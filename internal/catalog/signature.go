@@ -96,13 +96,6 @@ func (s TableSet) Minus(o TableSet) TableSet {
 	return out
 }
 
-// Clone returns an independent copy.
-func (s TableSet) Clone() TableSet {
-	out := TableSet{bits: make([]uint64, len(s.bits))}
-	copy(out.bits, s.bits)
-	return out
-}
-
 // IDs returns the member IDs in ascending order.
 func (s TableSet) IDs() []int {
 	var out []int

@@ -526,9 +526,8 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 	}
 
 	// joinKey renders one side's key over a binding into buf; ok is false when
-	// a key value is NULL (NULL join keys never match). Keys are the decimal
-	// GroupKey, in the classes of KeyCell, which the pipeline's probe joins
-	// on: 1 joins 1.0, and a NaN joins every NaN whatever its payload.
+	// a key value is NULL (NULL join keys never match). Keys are GroupKeys:
+	// two keys join exactly when Compare finds them equal.
 	var buf []byte
 	joinKey := func(keys []qgm.Expr, bd binding) (ok bool, err error) {
 		buf = buf[:0]
@@ -743,17 +742,15 @@ func EqualResults(a, b *Result) string {
 	return ""
 }
 
-// valuesClose is value equality with relative float tolerance.
+// valuesClose is Identical, or two numbers, one a float, within a relative
+// tolerance.
 func valuesClose(x, y sqltypes.Value) bool {
-	if x.IsNull() || y.IsNull() {
-		return x.IsNull() && y.IsNull()
+	if sqltypes.Identical(x, y) {
+		return true
 	}
-	if x.Kind() == sqltypes.KindFloat || y.Kind() == sqltypes.KindFloat {
-		if !x.IsNumeric() || !y.IsNumeric() {
-			return false
-		}
+	if (x.Kind() == sqltypes.KindFloat || y.Kind() == sqltypes.KindFloat) && x.IsNumeric() && y.IsNumeric() {
 		fx, fy := x.Float(), y.Float()
 		return math.Abs(fx-fy) <= 1e-9*max(1, math.Abs(fx), math.Abs(fy))
 	}
-	return sqltypes.Identical(x, y)
+	return false
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/catalog"
@@ -295,6 +297,58 @@ func TestEqualResultsDetectsDifference(t *testing.T) {
 	}
 	if msg := EqualResults(a, a); msg != "" {
 		t.Fatalf("expected equal, got %s", msg)
+	}
+	// NaN — of any payload — and infinities in the same rows are equal, and
+	// NaN is not a number near it.
+	res := func(vs ...float64) *Result {
+		r := &Result{Cols: []string{"x"}}
+		for _, v := range vs {
+			r.Rows = append(r.Rows, []sqltypes.Value{sqltypes.NewFloat(v)})
+		}
+		return r
+	}
+	nan, other := math.NaN(), math.Float64frombits(0x7ff8000000000042)
+	if msg := EqualResults(res(nan, 1, math.Inf(1)), res(math.Inf(1), other, 1)); msg != "" {
+		t.Fatalf("equal answers reported different: %s", msg)
+	}
+	if msg := EqualResults(res(nan, 1), res(1, 1)); msg == "" {
+		t.Fatal("NaN reported equal to 1.0")
+	}
+}
+
+// TestSortRowsIsOneOrder: SortRows puts every permutation of a row set that
+// holds NaN, infinities, -0.0, NULL and mixed ints and floats in one order.
+func TestSortRowsIsOneOrder(t *testing.T) {
+	f, i := sqltypes.NewFloat, sqltypes.NewInt
+	rows := [][]sqltypes.Value{
+		{f(math.NaN()), i(1)}, {f(1), i(1)}, {f(math.Inf(-1)), i(1)}, {f(math.Inf(1)), i(1)},
+		{sqltypes.Null, i(1)}, {i(2), i(1)}, {f(math.Copysign(0, -1)), i(3)},
+	}
+	var want string
+	var permute func(k int)
+	permute = func(k int) { // Heap's algorithm: every order of rows[:k]
+		if k == 1 {
+			sorted := append([][]sqltypes.Value(nil), rows...)
+			SortRows(sorted)
+			if got := fmt.Sprint(sorted); want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("SortRows(%v) = %s, but %s for another order", rows, got, want)
+			}
+			return
+		}
+		for j := range k {
+			permute(k - 1)
+			if k%2 == 0 {
+				rows[j], rows[k-1] = rows[k-1], rows[j]
+			} else {
+				rows[0], rows[k-1] = rows[k-1], rows[0]
+			}
+		}
+	}
+	permute(len(rows))
+	if want != "[[NULL 1] [-Infinity 1] [-0.0 3] [1.0 1] [2 1] [Infinity 1] [NaN 1]]" {
+		t.Fatalf("SortRows order %s", want)
 	}
 }
 

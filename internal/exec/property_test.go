@@ -1042,12 +1042,13 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	}
 
 	// Disjunctions of key tuples (x IN (…), a scoped recompute's group keys):
-	// the probe takes the rows it should, lifting nothing. The others run the
-	// predicate a row at a time: terms named in different orders and float
-	// constants at compile time; per chunk, where KeyCell equality is not
-	// Compare's (a date column against int constants, a float column, the
-	// generic chunk of m) or where a key kernel fails. All of them answer as
-	// the interpreter does, serially and at two workers.
+	// the probe takes the rows it should, lifting nothing — float constants
+	// and float columns, NaN and -0.0 among them, included. The others run
+	// the predicate a row at a time: terms named in different orders at
+	// compile time; per chunk, where a term could fail (the generic chunk of
+	// m) or where a key kernel fails. All of them answer as the interpreter
+	// does, serially and at two workers; so does an int against a float
+	// beyond 2^53.
 	kcat, kstore := keyTable()
 	tuples := func(n int) string {
 		ors := make([]string, n)
@@ -1069,9 +1070,12 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		{"select g, n from k where (g = 1 and n is null) or (g = 2 and n = 3) or (g = 4 and n is null)", true},
 		{"select g, s from k where s in ('s1', 's4', 'zz') or s is null", true},
 		{"select g, s from k where (s = 's2' and g = 2) or (s = 's3' and g = 3)", true},
-		{"select g, d from k where d = 19900101 or d = 19910202", false},
-		{"select g, n from k where g = 1.0 or g = 1.5", false},
-		{"select g, x from k where x = 1 or x = 0", false},
+		{"select g, d from k where d = DATE '1990-01-01' or d = DATE '1991-02-02'", true},
+		{"select g, n from k where g = 1.0 or g = 1.5", true},
+		{"select g, x from k where x = 1 or x = 0", true},
+		{"select g, x from k where x in (1.5, 2.5)", true},
+		{"select g, n from k where n > 9007199254740992.0", true}, // 2^53 + 1 against 2^53, exactly
+		{"select g, x, y from k where x < y", true},               // a float chunk of y is generic
 		{"select g, m from k where m = 3 or m = 4", false},
 		// 10 / g fails where g = 0, a row the interpreter never divides on.
 		{"select g from k where (g = 1 and 10 / g = 10) or (g = 2 and 10 / g = 5)", false},
@@ -1096,8 +1100,9 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 }
 
 // keyTable builds k over the kinds a key-set probe meets, in three chunks and
-// a bit: g int, d date, n nullable int, s string with NULLs, x float, and m, an
-// int column whose second chunk also holds floats (a generic vector).
+// a bit: g int, d date, n nullable int (one of them 2^53 + 1), s string with
+// NULLs, x float with NaNs and -0.0s, m, an int column whose second chunk
+// also holds floats (a generic vector), and y, the same for a float column.
 func keyTable() (*catalog.Catalog, *storage.Store) {
 	cat := catalog.New()
 	cat.MustAddTable(&catalog.Table{Name: "k", Columns: []catalog.Column{
@@ -1107,6 +1112,7 @@ func keyTable() (*catalog.Catalog, *storage.Store) {
 		{Name: "s", Type: sqltypes.KindString, Nullable: true},
 		{Name: "x", Type: sqltypes.KindFloat},
 		{Name: "m", Type: sqltypes.KindInt},
+		{Name: "y", Type: sqltypes.KindFloat},
 	}})
 	meta, _ := cat.Table("k")
 	rows := make([][]sqltypes.Value, 3*storage.ChunkRows+300)
@@ -1114,15 +1120,25 @@ func keyTable() (*catalog.Catalog, *storage.Store) {
 		n, s, m := sqltypes.NewInt(int64(i%5)), sqltypes.NewString(fmt.Sprintf("s%d", i%6)), sqltypes.NewInt(int64(i%9))
 		if i%4 == 0 {
 			n = sqltypes.Null
+		} else if i == 7 {
+			n = sqltypes.NewInt(1<<53 + 1)
 		}
 		if i%10 == 0 {
 			s = sqltypes.Null
 		}
+		y := sqltypes.NewFloat(float64(i%3) + 0.25)
 		if i/storage.ChunkRows == 1 && i%5 == 0 {
-			m = sqltypes.NewFloat(float64(i%9) + 0.5*float64(i%2))
+			m, y = sqltypes.NewFloat(float64(i%9)+0.5*float64(i%2)), sqltypes.NewInt(int64(i%3))
+		}
+		x := float64(i%4) / 2
+		switch i % 11 {
+		case 3:
+			x = math.NaN()
+		case 4:
+			x = math.Copysign(0, -1)
 		}
 		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i % 7)), sqltypes.NewDate(1990+i%3, 1+i%12, 1+i%28), n, s,
-			sqltypes.NewFloat(float64(i%4) / 2), m}
+			sqltypes.NewFloat(x), m, y}
 	}
 	store := storage.NewStore()
 	store.Put(meta, rows)

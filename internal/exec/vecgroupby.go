@@ -368,13 +368,12 @@ func foldTyped[T int64 | float64](a *vecAccum, t *groupTable, ai, at int, ords [
 func bitcast[From, To int64 | float64](x From) To { return *(*To)(unsafe.Pointer(&x)) }
 
 // combine is SUM, MIN or MAX of a running value and an input of one numeric
-// type. The strict comparisons keep the running value on ties and NaNs, as
-// Compare's do.
+// type; MIN and MAX keep the running value on ties, as update does.
 func combine[T int64 | float64](op aggOp, acc, x T) T {
 	switch {
 	case op == opSum:
 		return acc + x
-	case op == opMin && x < acc, op == opMax && x > acc:
+	case op == opMin && sqltypes.Less(x, acc), op == opMax && sqltypes.Less(acc, x):
 		return x
 	}
 	return acc

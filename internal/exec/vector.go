@@ -547,13 +547,12 @@ func (vc *vecCompiler) rowFilter(p qgm.Expr) vecFilter {
 // desugared x IN (…), a scoped recompute's group keys), to a semi-join: the
 // tuples are the keys of a groupTable built here, once per box, and a chunk
 // keeps the rows whose key is in it — a lookup-only findBatch a strip at a
-// time, as the star probe does. An IS NULL term is a NULL cell. The probe
-// decides what the predicate does only where KeyCell equality is Compare's:
-// each key column's constants must be of one kind among int, date, bool and
-// string (Compare finds NaN equal to every float, a date equal to an int and
-// an int to a float at 1e15 and above; KeyCell classes do not), else p is
-// not compiled here (nil). Per chunk, a key vector must be typed of its
-// column's kind or all NULL (any vector will do for a column of IS NULL terms
+// time, as the star probe does. An IS NULL term is a NULL cell. KeyCell
+// equality is Compare's, so the probe decides what the predicate does
+// wherever no term fails: each key column's constants must compare with each
+// other (sqltypes.Comparable), else p is not compiled here (nil). Per chunk, a
+// key vector must be typed of a kind that compares with its column's
+// constants, or all NULL (any vector will do for a column of IS NULL terms
 // only), and every key kernel must succeed (the interpreter stops at a tuple's
 // first false term; the kernels do not); any other chunk runs p a row at a
 // time, counted as one lift per box.
@@ -561,15 +560,12 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 	nk := len(exprs)
 	kinds := make([]sqltypes.Kind, nk) // KindNull while a column has no constant
 	for i, c := range consts {
-		if c == nil {
-			continue
-		}
-		switch k, j := c.Kind(), i%nk; {
-		case k != sqltypes.KindInt && k != sqltypes.KindDate && k != sqltypes.KindBool && k != sqltypes.KindString,
-			kinds[j] != sqltypes.KindNull && kinds[j] != k:
+		switch j := i % nk; {
+		case c == nil:
+		case kinds[j] != sqltypes.KindNull && !sqltypes.Comparable(kinds[j], c.Kind()):
 			return nil
 		default:
-			kinds[j] = k
+			kinds[j] = c.Kind()
 		}
 	}
 	table, key := newGroupTable(nk, nil), make([]sqltypes.Value, nk)
@@ -591,7 +587,7 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 		keys := cs.keyCols(nk)
 		for j, kk := range kernels {
 			v, err := kk(cs)
-			if err != nil || kinds[j] != sqltypes.KindNull && (v.Generic() || v.Kind() != kinds[j] && !isAllNull(v)) {
+			if err != nil || kinds[j] != sqltypes.KindNull && (v.Generic() || !sqltypes.Comparable(v.Kind(), kinds[j]) && !isAllNull(v)) {
 				if !lifted.Swap(true) {
 					vc.ev.obsv.Add(CtrVecLifted, 1)
 				}
@@ -622,8 +618,9 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 // compileCmpFilter lowers one comparison conjunct. The operand kernels run
 // over the current selection; the compare loop keeps rows where the
 // comparison is True (NULL operands are Unknown and drop). Kind dispatch
-// happens once per chunk — mixed pairings Compare handles (date/int, numeric
-// coercion) and pairings it rejects both delegate per element for the exact
+// happens once per chunk: typed int-class, numeric and string pairs run loops
+// under sqltypes.Compare's rule, and every other pairing — a generic vector,
+// a pairing Compare rejects — delegates to it per element for the exact
 // result or error.
 func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 	l, r, keep := vc.compileScalar(bin.L), vc.compileScalar(bin.R), cmpKeep(bin.Op)
@@ -646,13 +643,8 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 		case isAllNull(lv) || isAllNull(rv):
 			// Comparison with NULL is Unknown everywhere: empty selection.
 
-		case isInt(lv) && isInt(rv),
-			intClass(lv) && intClass(rv) && lv.Kind() == rv.Kind(),
-			intClass(lv) && intClass(rv) &&
-				(lv.Kind() == sqltypes.KindDate || lv.Kind() == sqltypes.KindInt) &&
-				(rv.Kind() == sqltypes.KindDate || rv.Kind() == sqltypes.KindInt):
-			// Int/int, same-kind int-class (date/date, bool/bool), and the
-			// date/int pairings Compare allows: payload compare.
+		case intClass(lv) && intClass(rv) && sqltypes.Comparable(lv.Kind(), rv.Kind()):
+			// Int, date and bool payloads: the payload is the value.
 			for di := 0; di < n; di++ {
 				if nullAt(di) {
 					continue
@@ -662,12 +654,27 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 				}
 			}
 
-		case isNumericVec(lv) && isNumericVec(rv):
+		case isNumericVec(lv) && isNumericVec(rv) && lv.Kind() == rv.Kind(): // two floats: two ints took the payload loop
+			lf, rf := lv.Floats(), rv.Floats()
 			for di := 0; di < n; di++ {
 				if nullAt(di) {
 					continue
 				}
-				if keep(cmpF64(floatAt(lv, di), floatAt(rv, di))) {
+				if keep(sqltypes.CompareNum(lf[di], rf[di])) {
+					out = append(out, int32(cs.rowIdx(di)))
+				}
+			}
+
+		case isNumericVec(lv) && isNumericVec(rv): // an int and a float, in either order
+			ints, fs, sign := lv.Ints(), rv.Floats(), 1
+			if lv.Kind() == sqltypes.KindFloat {
+				ints, fs, sign = rv.Ints(), lv.Floats(), -1
+			}
+			for di := 0; di < n; di++ {
+				if nullAt(di) {
+					continue
+				}
+				if keep(sign * sqltypes.CompareIntFloat(ints[di], fs[di])) {
 					out = append(out, int32(cs.rowIdx(di)))
 				}
 			}
@@ -700,17 +707,6 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 		}
 		cs.setSel(out)
 		return nil
-	}
-}
-
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 

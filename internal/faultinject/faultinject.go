@@ -17,7 +17,6 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -137,17 +136,4 @@ func Fired(site string) (n int) {
 		}
 	})
 	return n
-}
-
-// Sites returns the armed site names in sorted order.
-func Sites() []string {
-	var out []string
-	reg.Do(func(r *registry) {
-		out = make([]string, 0, len(r.sites))
-		for s := range r.sites {
-			out = append(out, s)
-		}
-	})
-	sort.Strings(out)
-	return out
 }

@@ -530,18 +530,10 @@ func mergeRow(p *Plan, dst, delta []sqltypes.Value) error {
 	return nil
 }
 
+// extreme is the lesser (min) or greater of a and b under Compare, the one
+// not NULL, or a when they tie or do not compare.
 func extreme(a, b sqltypes.Value, min bool) sqltypes.Value {
-	if a.IsNull() {
-		return b
-	}
-	if b.IsNull() {
-		return a
-	}
-	c, err := sqltypes.Compare(b, a)
-	if err != nil {
-		return a
-	}
-	if (min && c < 0) || (!min && c > 0) {
+	if c, err := sqltypes.Compare(b, a); a.IsNull() || err == nil && (min && c < 0 || !min && c > 0) {
 		return b
 	}
 	return a

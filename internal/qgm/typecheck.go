@@ -6,9 +6,10 @@ package qgm
 // the same issues as named types/* violations when verifying plans the
 // matcher assembled. Checking is conservative: sqltypes.KindNull acts as an
 // unknown wildcard (scalar subqueries, untyped constants, unresolvable
-// inputs), and only definite disagreements are issues. Dates are stored as
-// int64 yyyymmdd, so the numeric family {Int, Float, Date} is mutually
-// comparable and arithmetic-capable; strings and booleans are not.
+// inputs), and only definite disagreements are issues. Comparisons admit what
+// sqltypes.Comparable does. Dates are stored as int64 yyyymmdd, so the
+// numeric family {Int, Float, Date} is arithmetic-capable; strings and
+// booleans are not.
 
 import (
 	"fmt"
@@ -39,12 +40,10 @@ func IsBoolKind(k sqltypes.Kind) bool { return k == sqltypes.KindBool || isUnkno
 func isStringKind(k sqltypes.Kind) bool { return k == sqltypes.KindString || isUnknownKind(k) }
 
 // comparableKinds reports whether two operand kinds may appear on the two
-// sides of a comparison operator.
+// sides of a comparison operator: where sqltypes.Compare answers, or a kind
+// is unknown.
 func comparableKinds(a, b sqltypes.Kind) bool {
-	if isUnknownKind(a) || isUnknownKind(b) || a == b {
-		return true
-	}
-	return isNumericKind(a) && isNumericKind(b)
+	return isUnknownKind(a) || isUnknownKind(b) || sqltypes.Comparable(a, b)
 }
 
 // TypeIssues walks one expression bottom-up and collects each node whose

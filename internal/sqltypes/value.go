@@ -1,7 +1,7 @@
 // Package sqltypes implements the SQL value system used throughout the
 // repository: typed datums (integer, float, string, boolean, date and NULL),
-// three-valued logic, arithmetic, comparison with numeric coercion, and
-// hashable grouping keys.
+// three-valued logic, arithmetic, one value order (Compare) and the grouping
+// keys that agree with it.
 //
 // Dates are stored as an int64 encoded as yyyymmdd (e.g. 19910412), which
 // makes the date extraction functions YEAR, MONTH and DAY pure integer
@@ -195,9 +195,13 @@ func (v Value) String() string {
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
 		// Trim trailing zeros but keep at least one decimal so floats are
-		// visually distinct from ints in experiment output.
+		// visually distinct from ints in experiment output; NaN, Infinity and
+		// -Infinity are as PostgreSQL writes them.
 		s := strconv.FormatFloat(v.f, 'f', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
+		switch {
+		case math.IsInf(v.f, 0):
+			return strings.Replace(strings.TrimPrefix(s, "+"), "Inf", "Infinity", 1)
+		case !strings.ContainsAny(s, ".eEN"):
 			s += ".0"
 		}
 		return s
@@ -227,84 +231,81 @@ func (v Value) SQLLiteral() string {
 	}
 }
 
-// Compare orders two non-NULL values. Numeric kinds coerce to float when
-// mixed. It returns -1, 0 or +1, and an error when the kinds are not
-// comparable. NULL inputs return an error; callers implement SQL NULL
-// semantics above this level.
+// Comparable reports whether values of kinds a and b compare: two numbers
+// (an int or a float), two dates, two strings or two booleans. NULL compares
+// with nothing; callers implement SQL NULL semantics above this level. It is
+// exactly the pairs on which Compare returns no error.
+func Comparable(a, b Kind) bool {
+	return a == b && a != KindNull || Value{kind: a}.IsNumeric() && Value{kind: b}.IsNumeric()
+}
+
+// Compare orders two values of comparable kinds, returning -1, 0 or +1, and
+// an error for any other pair. It is a total order on each family of
+// Comparable, and the equality of grouping: Compare(a, b) == 0 exactly when
+// a and b have one KeyCell. An int and a float compare exactly, not through
+// a float64 rounding; -0.0 equals 0; every NaN is one value, above every
+// number, +Inf included (PostgreSQL's rule). A date is not a number: it
+// compares with dates only.
 func Compare(a, b Value) (int, error) {
-	if a.IsNull() || b.IsNull() {
-		return 0, fmt.Errorf("sqltypes: Compare on NULL")
-	}
 	switch {
-	case a.kind == KindInt && b.kind == KindInt:
-		return cmpInt(a.i, b.i), nil
-	case a.IsNumeric() && b.IsNumeric():
-		return cmpFloat(a.Float(), b.Float()), nil
-	case a.kind == KindString && b.kind == KindString:
-		return strings.Compare(a.s, b.s), nil
-	case a.kind == KindDate && b.kind == KindDate:
-		return cmpInt(a.i, b.i), nil
-	case a.kind == KindBool && b.kind == KindBool:
-		return cmpInt(a.i, b.i), nil
-	// Dates compare with ints so date-encoded columns can be compared with
-	// integer literals (used by generated workloads).
-	case a.kind == KindDate && b.kind == KindInt:
-		return cmpInt(a.i, b.i), nil
-	case a.kind == KindInt && b.kind == KindDate:
-		return cmpInt(a.i, b.i), nil
-	default:
+	case !Comparable(a.kind, b.kind):
 		return 0, fmt.Errorf("sqltypes: cannot compare %s with %s", a.kind, b.kind)
-	}
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case a.kind == KindString:
+		return strings.Compare(a.s, b.s), nil
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return CompareNum(a.f, b.f), nil
+	case a.kind == KindFloat:
+		return -CompareIntFloat(b.i, a.f), nil
+	case b.kind == KindFloat:
+		return CompareIntFloat(a.i, b.f), nil
 	default:
-		return 0
+		return CompareNum(a.i, b.i), nil
 	}
 }
 
-func cmpFloat(a, b float64) int {
+// Less reports whether a sorts before b, two payloads of one numeric type,
+// under Compare's rule: NaN, the one value unequal to itself, sorts above
+// every number and equals every NaN.
+func Less[T int64 | float64](a, b T) bool { return a < b || b != b && a == a }
+
+// CompareNum is Compare on two payloads of one numeric type.
+func CompareNum[T int64 | float64](a, b T) int {
 	switch {
-	case a < b:
+	case Less(a, b):
 		return -1
-	case a > b:
+	case Less(b, a):
 		return 1
-	default:
-		return 0
 	}
+	return 0
 }
 
-// Equal reports SQL equality of two values under Compare semantics; NULL is
-// never equal to anything (including NULL). Use Identical for grouping.
-func Equal(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
+// CompareIntFloat is Compare on an int payload and a float, exactly: the
+// float's integral part is compared as an int64 when it is in range.
+func CompareIntFloat(i int64, f float64) int {
+	if t := math.Trunc(f); t >= -1<<63 && t < 1<<63 {
+		if c := CompareNum(i, int64(t)); c != 0 {
+			return c
+		}
+		return CompareNum(t, f)
 	}
-	c, err := Compare(a, b)
-	return err == nil && c == 0
+	return CompareNum(0, f) // f is NaN or beyond the int64 range
 }
 
-// Identical reports grouping equality: NULLs are identical to each other, and
-// numeric values are identical when they compare equal (so 1 groups with 1.0).
+// Identical reports grouping equality: two NULLs are identical, a NULL and a
+// value are not, and two values are when they have one KeyCell — when
+// Compare finds them equal (so 1 groups with 1.0).
 func Identical(a, b Value) bool {
-	if a.IsNull() && b.IsNull() {
-		return true
+	if a.kind == KindString || b.kind == KindString {
+		return a.kind == b.kind && a.s == b.s // a string's word is only its hash
 	}
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	c, err := Compare(a, b)
-	return err == nil && c == 0
+	ca, wa := a.KeyCell()
+	cb, wb := b.KeyCell()
+	return ca == cb && wa == wb
 }
 
-// GroupKey renders a value for use in composite grouping keys. Distinct
-// values map to distinct strings; numerically equal int/float values map to
-// the same string (GROUP BY treats 1 and 1.0 as one group).
+// GroupKey renders a value for use in composite grouping keys: two values
+// map to one string exactly when they are Identical. It is a decimal encoding
+// of its own, the reference KeyCell is tested against, in the same classes.
 func (v Value) GroupKey() string {
 	return string(v.AppendGroupKey(nil))
 }
@@ -319,7 +320,7 @@ func (v Value) AppendGroupKey(buf []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(append(buf, '\x01'), v.i, 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		if v.f == math.Trunc(v.f) && v.f >= -1<<63 && v.f < 1<<63 {
 			return strconv.AppendInt(append(buf, '\x01'), int64(v.f), 10)
 		}
 		return strconv.AppendFloat(append(buf, '\x02'), v.f, 'b', -1, 64)

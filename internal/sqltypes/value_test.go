@@ -66,14 +66,22 @@ func TestParseDate(t *testing.T) {
 	}
 }
 
+// TestCompareMixedNumeric pins the float rule: an int meets a float exactly,
+// -0.0 equals 0, and NaN equals NaN and sorts above +Inf.
 func TestCompareMixedNumeric(t *testing.T) {
-	c, err := Compare(NewInt(2), NewFloat(2.0))
-	if err != nil || c != 0 {
-		t.Fatalf("2 vs 2.0: c=%d err=%v", c, err)
-	}
-	c, err = Compare(NewFloat(1.5), NewInt(2))
-	if err != nil || c != -1 {
-		t.Fatalf("1.5 vs 2: c=%d err=%v", c, err)
+	nan, inf := NewFloat(math.NaN()), NewFloat(math.Inf(1))
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(2), NewFloat(2.0), 0}, {NewFloat(1.5), NewInt(2), -1},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1}, {NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
+		{NewFloat(math.Copysign(0, -1)), NewInt(0), 0},
+		{nan, nan, 0}, {nan, inf, 1}, {NewInt(math.MaxInt64), nan, -1}, {NewFloat(1), nan, -1},
+	} {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
 	}
 }
 
@@ -84,11 +92,17 @@ func TestCompareIncompatible(t *testing.T) {
 	if _, err := Compare(Null, NewInt(1)); err == nil {
 		t.Fatal("NULL comparison should error (caller handles 3VL)")
 	}
+	// A date is not the number of its payload: it compares with dates only.
+	for _, n := range []Value{NewInt(19910412), NewFloat(19910412)} {
+		if _, err := Compare(NewDate(1991, 4, 12), n); err == nil {
+			t.Errorf("a date compared with %v (%v)", n, n.Kind())
+		}
+	}
 }
 
 func TestEqualVsIdenticalOnNull(t *testing.T) {
-	if Equal(Null, Null) {
-		t.Fatal("SQL equality: NULL = NULL is not true")
+	if _, err := Compare(Null, Null); err == nil {
+		t.Fatal("SQL equality: NULL = NULL is not true, so Compare refuses it")
 	}
 	if !Identical(Null, Null) {
 		t.Fatal("grouping: NULL is identical to NULL")
@@ -250,8 +264,10 @@ func TestFloatStringRendering(t *testing.T) {
 	if NewFloat(2.5).String() != "2.5" {
 		t.Errorf("float 2.5 renders as %q", NewFloat(2.5).String())
 	}
-	if NewFloat(math.Inf(1)).String() == "" {
-		t.Error("infinity must render")
+	for f, want := range map[float64]string{math.NaN(): "NaN", math.Inf(1): "Infinity", math.Inf(-1): "-Infinity"} {
+		if got := NewFloat(f).String(); got != want {
+			t.Errorf("float %v renders as %q, want %q", f, got, want)
+		}
 	}
 }
 
@@ -426,5 +442,76 @@ func TestAppendGroupKeyMatchesGroupKey(t *testing.T) {
 			t.Errorf("collision: %v and %v both map to %q", prev, v, k)
 		}
 		seen[k] = v
+	}
+}
+
+// orderProbe is a value set at the edges of the one value order: NaN
+// payloads, signed zeros, infinities, 2^53 ± 1 and the int64 range as ints
+// and as floats, fractions around them, dates and the ints and floats of
+// their payloads, strings, booleans and NULL.
+func orderProbe() []Value {
+	const p53 = 1 << 53
+	vals := []Value{
+		Null,
+		NewFloat(math.NaN()), NewFloat(-math.NaN()),
+		NewFloat(math.Float64frombits(0x7ff0000000000001)), NewFloat(math.Float64frombits(0xfff8000000000042)),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewInt(0),
+		NewInt(1), NewFloat(1), NewFloat(1.5), NewFloat(0.5), NewFloat(-0.5), NewInt(-1), NewFloat(-1),
+		NewInt(p53 - 1), NewInt(p53), NewInt(p53 + 1),
+		NewFloat(p53 - 1), NewFloat(p53), NewFloat(p53 + 2), NewFloat(p53 - 0.5),
+		NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), NewInt(math.MinInt64), NewInt(math.MinInt64 + 1),
+		NewFloat(1 << 63), NewFloat(-1 << 63), NewFloat(math.Nextafter(-1<<63, 0)), NewFloat(math.Nextafter(-1<<63, -2e19)),
+		NewFloat(1e15), NewFloat(1e15 + 0.5), NewFloat(1e18), NewFloat(-1e18), NewInt(1e18),
+		NewDate(1991, 4, 12), NewInt(19910412), NewFloat(19910412), NewFloat(19910412.5), NewDate(1991, 4, 13),
+		NewString(""), NewString("1"), NewString("a"), NewString("b"),
+		NewBool(false), NewBool(true),
+	}
+	return vals
+}
+
+// TestCompareIsOneValueOrder: on every pair of the probe set, Comparable says
+// whether Compare answers; Compare is reflexive, antisymmetric and
+// transitive; and Compare(a, b) == 0 exactly when the KeyCells are equal,
+// exactly when the GroupKeys are, exactly when Identical says so.
+func TestCompareIsOneValueOrder(t *testing.T) {
+	vals := orderProbe()
+	cmpOf := func(a, b Value) (int, bool) {
+		c, err := Compare(a, b)
+		if ok := Comparable(a.Kind(), b.Kind()); ok != (err == nil) {
+			t.Fatalf("Comparable(%v, %v) = %v, but Compare's error is %v", a.Kind(), b.Kind(), ok, err)
+		}
+		return c, err == nil
+	}
+	for _, a := range vals {
+		if c, ok := cmpOf(a, a); !a.IsNull() && (!ok || c != 0) {
+			t.Errorf("Compare(%v, %v) = %d, %v: not reflexive", a, a, c, ok)
+		}
+		for _, b := range vals {
+			ab, ok := cmpOf(a, b)
+			if ba, _ := cmpOf(b, a); ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			ca, wa := a.KeyCell()
+			cb, wb := b.KeyCell()
+			cells := ca == cb && wa == wb && (ca != KindString || a.Str() == b.Str())
+			if same := ok && ab == 0 || a.IsNull() && b.IsNull(); cells != same ||
+				(a.GroupKey() == b.GroupKey()) != same || Identical(a, b) != same {
+				t.Errorf("%v (%v) and %v (%v): Compare %d, %v; KeyCells equal %v; GroupKeys equal %v; Identical %v",
+					a, a.Kind(), b, b.Kind(), ab, ok, cells, a.GroupKey() == b.GroupKey(), Identical(a, b))
+			}
+			if !ok {
+				continue
+			}
+			for _, c := range vals {
+				bc, ok := cmpOf(b, c)
+				if !ok || ab > 0 || bc > 0 {
+					continue
+				}
+				if ac, _ := cmpOf(a, c); ac > 0 || (ab < 0 || bc < 0) && ac == 0 || ab == 0 && bc == 0 && ac != 0 {
+					t.Errorf("not transitive: %v ≤ %v ≤ %v (%d, %d) but Compare(%v, %v) = %d", a, b, c, ab, bc, a, c, ac)
+				}
+			}
+		}
 	}
 }

@@ -410,11 +410,12 @@ var keySeed = maphash.MakeSeed()
 // KeyCell normalises v for hashing and grouping into a class and a 64-bit
 // word (for the integer, boolean and date classes, the payload itself): two
 // values are in one group exactly when class and word agree and, for the
-// string class, the strings are equal (the word is only their hash). The
-// classes are the decimal GroupKey's — the kind, except that an integral
-// float below 1e15 is in the class of the integer (1.0 groups with 1, -0.0
-// with 0); NULL is a class of its own, a date is not an int — and every NaN
-// shares one word, as in GroupKey.
+// string class, the strings are equal (the word is only their hash) — exactly
+// when Compare finds them equal. The classes are Compare's: an int and an
+// integral float in int64 range are of the int class (1.0 groups with 1,
+// -0.0 with 0); any other float is of the float class, where every NaN
+// shares one word; NULL, a date, a string and a boolean are each a class of
+// their own kind.
 func (v Value) KeyCell() (Kind, int64) {
 	switch v.kind {
 	case KindNull:
@@ -446,7 +447,7 @@ func FromKeyCell(kind, class Kind, word int64) Value {
 
 func floatCell(f float64) (Kind, int64) {
 	switch {
-	case f == math.Trunc(f) && math.Abs(f) < 1e15:
+	case f == math.Trunc(f) && f >= -1<<63 && f < 1<<63:
 		return KindInt, int64(f)
 	case f != f:
 		f = math.NaN()
