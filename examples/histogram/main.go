@@ -78,7 +78,7 @@ func main() {
 		log.Fatalf("MISMATCH: %s", diff)
 	}
 
-	exec.SortRows(newRes.Rows)
+	// Rows in the order the engine emits its groups: first appearance.
 	fmt.Println("\ntcnt | months with that monthly count")
 	for _, r := range newRes.Rows {
 		fmt.Printf("%4s | %s\n", r[0], r[1])

@@ -205,11 +205,11 @@ func (ev *evaluator) checkpoint(n int) error {
 
 // relation is what a box evaluates to and what the memo holds: the box's
 // output as column chunks, as rows, or both. A base table is its frozen
-// storage chunks, a pipeline box emits chunks (read-only from then on), the
-// reference path emits rows. The other form is derived once, on the main
-// goroutine, when a consumer asks: rows by a reference-path parent or a
-// caller that flattens the Output, chunks by a pipeline parent of a declined
-// box or a caller that reads the root's chunks (the server encodes them).
+// storage chunks, a pipeline box and any GROUP BY emit chunks (read-only from
+// then on), a row-path SELECT rows. The other form is derived once, on the
+// main goroutine, when a consumer asks: rows by a reference-path parent or a
+// caller that flattens the Output, chunks by a pipeline parent of a row-path
+// SELECT or a caller that reads the root's chunks (the server encodes them).
 type relation struct {
 	n      int
 	chunks []*storage.Chunk
@@ -279,7 +279,7 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 			rel, err = ev.evalGroupByVec(b)
 		}
 		if rel == nil && err == nil {
-			rows, err = ev.evalGroupBy(b)
+			rel, err = ev.evalGroupBy(b)
 		}
 	default:
 		err = fmt.Errorf("exec: unsupported box kind %v", b.Kind)
@@ -419,15 +419,15 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 		return nil, err
 	}
 
-	// One output row per surviving binding.
-	out := make([][]sqltypes.Value, len(bindings))
-	slab := rowSlab{width: len(b.Cols)}
-	slab.reserve(len(bindings))
+	// One output row per surviving binding, all carved, capacity-capped, from
+	// one block: whoever keeps a Result row beyond the run should copy it.
+	out, w := make([][]sqltypes.Value, len(bindings)), len(b.Cols)
+	block := make([]sqltypes.Value, len(bindings)*w)
 	for i, bd := range bindings {
 		if err := ev.checkpoint(1); err != nil {
 			return nil, err
 		}
-		out[i] = slab.next()
+		out[i] = block[i*w : (i+1)*w : (i+1)*w]
 		for ci, c := range b.Cols {
 			if out[i][ci], err = ectx.evalScalar(c.Expr, bd); err != nil {
 				return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // aggSpec is one aggregate output column of a GROUP BY box.
@@ -46,7 +47,7 @@ func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 // pipeline's fold. Groups come out set by set in first-appearance order and
 // each group sees its rows in order, which is the order the pipeline
 // reproduces.
-func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
+func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
 		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
 	}
@@ -108,66 +109,42 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) ([][]sqltypes.Value, error) {
 		}
 	}
 
-	var out [][]sqltypes.Value
-	slab := rowSlab{width: len(b.Cols)}
+	return ev.groupChunks(b, aggSpecs, sets, tables)
+}
+
+// groupChunks is the one way groups leave their tables, on both paths: a
+// GROUP BY's output, set by set and each set's groups in first-appearance
+// order, as sealed chunks of up to ChunkRows groups. Grouping columns come
+// from keyColumn, NULL when grouped out of the set, aggregate columns from
+// stateColumn. The budget is charged a chunk at a time.
+func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tables []*groupTable) (*relation, error) {
+	nc := 0
+	for _, t := range tables {
+		nc += (t.n + storage.ChunkRows - 1) / storage.ChunkRows
+	}
+	chunks := make([]*storage.Chunk, 0, nc)
 	for si, gs := range sets {
-		slab.reserve(tables[si].n)
-		out = slices.Grow(out, tables[si].n)
-		err = ev.emitGroups(b, aggSpecs, gs, tables[si], func(row []sqltypes.Value) {
-			out = append(out, slab.next())
-			copy(out[len(out)-1], row)
-		})
-		if err != nil {
-			return nil, err
+		t := tables[si]
+		for lo := 0; lo < t.n; lo += storage.ChunkRows {
+			n := min(storage.ChunkRows, t.n-lo)
+			if err := ev.checkpoint(n); err != nil {
+				return nil, err
+			}
+			cols := make([]sqltypes.Vec, len(b.Cols))
+			for pos, col := range b.GroupBy {
+				if j := slices.Index(gs, pos); j >= 0 {
+					t.keyColumn(&cols[col], j, lo, n)
+				} else {
+					cols[col].Splat(sqltypes.Null, n)
+				}
+			}
+			for ai := range specs {
+				t.stateColumn(&cols[specs[ai].col], ai, &specs[ai], lo, n)
+			}
+			chunks = append(chunks, storage.NewChunk(n, cols))
 		}
 	}
-	return out, nil
-}
-
-// emitGroups hands emit grouping set gs's output rows, one per group of t in
-// first-appearance order: grouping columns rebuilt from the group's cells
-// (NULL when grouped out of the set), aggregate columns from its state cells.
-// The row is scratch, overwritten for the next group; emit copies what it
-// keeps.
-func (ev *evaluator) emitGroups(b *qgm.Box, specs []aggSpec, gs []int, t *groupTable, emit func(row []sqltypes.Value)) error {
-	row := make([]sqltypes.Value, len(b.Cols)) // grouped-out columns stay NULL
-	for g := 0; g < t.n; g++ {
-		if err := ev.checkpoint(1); err != nil {
-			return err
-		}
-		for i, pos := range gs {
-			row[b.GroupBy[pos]] = t.value(g, i)
-		}
-		rec := t.aggs.at(g)
-		for ai := range specs {
-			row[specs[ai].col] = t.result(rec, ai, &specs[ai])
-		}
-		emit(row)
-	}
-	return nil
-}
-
-// rowSlab carves a box's output rows from block allocations instead of one
-// allocation per row. Rows are capacity-capped, so appending to one can never
-// overwrite its neighbour; they share backing storage, so whoever keeps a
-// Result row beyond the run should copy it.
-type rowSlab struct {
-	width int
-	free  []sqltypes.Value
-}
-
-// reserve makes room for the next n rows in one block.
-func (s *rowSlab) reserve(n int) {
-	if need := n * s.width; len(s.free) < need {
-		s.free = make([]sqltypes.Value, need)
-	}
-}
-
-// next returns the next reserved row, all NULL.
-func (s *rowSlab) next() []sqltypes.Value {
-	row := s.free[:s.width:s.width]
-	s.free = s.free[s.width:]
-	return row
+	return chunkRelation(chunks), nil
 }
 
 func allInts(n int) []int {
@@ -241,14 +218,6 @@ func (t *groupTable) stateValue(rec []int64, ai int) sqltypes.Value {
 	default:
 		return sqltypes.FromKeyCell(k, k, rec[ai])
 	}
-}
-
-// result is aggregate s's answer from its cell ai.
-func (t *groupTable) result(rec []int64, ai int, s *aggSpec) sqltypes.Value {
-	if s.op == opCount {
-		return sqltypes.NewInt(rec[ai])
-	}
-	return t.stateValue(rec, ai)
 }
 
 // update folds one input v into cell ai. COUNT(*) counts the row, COUNT

@@ -132,6 +132,94 @@ func (t *groupTable) value(g, j int) sqltypes.Value {
 	}
 }
 
+// keyColumn fills v with key column j of groups lo to lo+n, each cell as
+// value rebuilds it.
+func (t *groupTable) keyColumn(v *sqltypes.Vec, j, lo, n int) {
+	c := cellCol{s: &t.keys, word: 1 + j, code: 1 + t.nk + j/8, sh: uint(j) % 8 * 8, key: true}
+	t.column(v, c, lo, n, func(g int) sqltypes.Value { return t.value(g, j) })
+}
+
+// stateColumn fills v with aggregate s's results, from cell ai of groups lo
+// to lo+n: a COUNT's counts, or each running value as stateValue rebuilds it.
+func (t *groupTable) stateColumn(v *sqltypes.Vec, ai int, s *aggSpec, lo, n int) {
+	c := cellCol{s: &t.aggs, word: ai, code: t.na + ai/8, sh: uint(ai) % 8 * 8, count: s.op == opCount}
+	t.column(v, c, lo, n, func(g int) sqltypes.Value { return t.stateValue(t.aggs.at(g), ai) })
+}
+
+// cellCol is one column of cells in a slab of records: per record, the cell's
+// word at word and its code in bits sh to sh+8 of word code. A key cell's code
+// is class | kind<<4, a state cell's its kind, which is its class too; a
+// COUNT's cell is its count, an int.
+type cellCol struct {
+	s          *slab[int64]
+	word, code int
+	sh         uint
+	key, count bool
+}
+
+func (c cellCol) cell(g int) (kind, class sqltypes.Kind, w int64) {
+	rec := c.s.at(g)
+	switch code := sqltypes.Kind(rec[c.code] >> c.sh); {
+	case c.count:
+		return sqltypes.KindInt, sqltypes.KindInt, rec[c.word]
+	case c.key:
+		return code >> 4, code & 0xf, rec[c.word]
+	default:
+		return code, code, rec[c.word]
+	}
+}
+
+// column fills v with cells lo to lo+n of c: in one typed payload when their
+// kinds are one but for NULLs and none is spilled or poisoned (0xf), else
+// each as cell rebuilds it.
+func (t *groupTable) column(v *sqltypes.Vec, c cellCol, lo, n int, cell func(g int) sqltypes.Value) {
+	kind := sqltypes.KindNull
+	for g := lo; g < lo+n; g++ {
+		switch k, _, _ := c.cell(g); {
+		case k == 0xf || k != sqltypes.KindNull && kind != sqltypes.KindNull && k != kind:
+			v.Reset()
+			for g := lo; g < lo+n; g++ {
+				v.AppendValue(cell(g))
+			}
+			return
+		case k != sqltypes.KindNull:
+			kind = k
+		}
+	}
+	var ints []int64
+	var floats []float64
+	var strs []string
+	switch kind {
+	case sqltypes.KindNull:
+		v.Splat(sqltypes.Null, n)
+		return
+	case sqltypes.KindFloat:
+		floats = v.RefillFloats(n)
+	case sqltypes.KindString:
+		strs = v.RefillStrings(n)
+	default:
+		ints = v.RefillInts(kind, n)
+	}
+	for i := range n {
+		k, class, w := c.cell(lo + i)
+		if k == sqltypes.KindNull {
+			v.SetNull(i) // its word is 0, the payload's zero
+		}
+		switch {
+		case ints != nil:
+			ints[i] = w
+		case strs != nil && k == sqltypes.KindNull:
+			strs[i] = ""
+		case strs != nil:
+			strs[i] = t.str(w)
+		case class == sqltypes.KindInt:
+			floats[i] = float64(w)
+		default:
+			floats[i] = math.Float64frombits(uint64(w))
+		}
+	}
+}
+
 // stripRows is how many rows findBatch takes at most. Callers walk a chunk in
 // strips of that many rows — keys in, ordinals out, then whatever consumes the
 // ordinals — so all the scratch of hashing is a few hundred rows long whatever
@@ -244,16 +332,25 @@ rows:
 }
 
 // addRow makes row i of the strip a new group, at the empty index slot where
-// its probe ended.
+// its probe ended. Kinds and strings are read from the strip's vectors: only
+// an element of a generic vector, or a float that may spill, becomes a Value.
 func (t *groupTable) addRow(keys []keyCol, set []int, i int, slot uint32, h uint64) int {
 	g, rec := t.add(slot, h)
 	for j, c := range set {
 		k := &keys[c]
-		class, w, v := k.classOf(i), k.words[i], k.vec.Value(k.lo+i)
-		kind := v.Kind()
+		class, w, kind, v := k.classOf(i), k.words[i], k.vec.Kind(), sqltypes.Null
+		switch {
+		case k.vec.Generic():
+			v = k.vec.Any()[k.lo+i]
+			kind = v.Kind()
+		case class == sqltypes.KindNull:
+			kind = sqltypes.KindNull
+		case kind == sqltypes.KindFloat:
+			v = sqltypes.NewFloat(k.vec.Floats()[k.lo+i])
+		}
 		switch {
 		case class == sqltypes.KindString:
-			w = t.addStr(v.Str())
+			w = t.addStr(k.str(i))
 		case kind == sqltypes.KindFloat &&
 			math.Float64bits(sqltypes.FromKeyCell(kind, class, w).Float()) != math.Float64bits(v.Float()):
 			t.spillCell(g, j, v)
@@ -338,9 +435,9 @@ func (t *groupTable) rehash() {
 // t is appended (so t keeps global first-appearance order, and the earlier
 // partition's representative). COUNTs add. Every other aggregate is folded
 // as the pipeline folds rows, a strip at a time, each row's group remapped to
-// t's: SUM/MIN/MAX take o's running values as inputs, and DISTINCT takes o's
-// pairs, in o's order, rebuilt from their cells. o is consumed: its index, no
-// longer probed, keeps each of its groups' ordinal in t.
+// t's: SUM/MIN/MAX take o's running values as inputs (stateColumn), and
+// DISTINCT takes o's pairs' arguments, in o's order (keyColumn). o is
+// consumed: its index, no longer probed, keeps each of its groups' ordinal in t.
 func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
 	remap := o.index[:o.n] // at most half full, so long enough
 	for og := range remap {
@@ -378,16 +475,19 @@ func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
 		a, args := vecAccum{}, sqltypes.Vec{}
 		for lo := 0; lo < src.n; lo += stripRows {
 			n := min(stripRows, src.n-lo)
-			args.Reset()
 			for i := range n {
-				og, v := lo+i, sqltypes.Null
-				if src == o {
-					v = o.stateValue(o.aggs.at(og), ai)
-				} else if og, v = 0, src.value(og, src.nk-1); src.nk == 2 {
-					og = int(src.keys.at(lo + i)[1]) // the pair's group
+				og := lo + i
+				if src != o && src.nk == 1 {
+					og = 0
+				} else if src != o {
+					og = int(src.keys.at(og)[1]) // the pair's group
 				}
 				ords[i] = remap[og]
-				args.AppendValue(v)
+			}
+			if src == o {
+				o.stateColumn(&args, ai, s, lo, n)
+			} else {
+				src.keyColumn(&args, src.nk-1, lo, n)
 			}
 			a.bind(s, &args)
 			if err := a.fold(t, ai, 0, ords[:n], false, hash[:n]); err != nil {

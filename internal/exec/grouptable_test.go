@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // countStar is COUNT(*), the aggregate of the tests that count rows into a
@@ -409,7 +411,8 @@ func (r *fuzzGroup) want(s *aggSpec) sqltypes.Value {
 // result bit for bit — except a non-DISTINCT SUM/MIN/MAX of a group on both
 // sides of the split whose arguments are not all ints, which merging may
 // legitimately re-associate or, past NaNs and mixed kinds, order differently.
-// A SUM that cannot add must fail on both routes.
+// A SUM that cannot add must fail on both routes. Both tables then emit through
+// groupChunks, and every emitted cell must be what its table's cell holds.
 func FuzzGroupTable(f *testing.F) {
 	f.Add([]byte{2, 40, 6, 1, 9, 17, 23, 4, 7, 255, 248, 0, 0, 0, 0, 0, 1, 3, 2, 12, 5, 99, 0, 7})
 	rng := rand.New(rand.NewSource(25))
@@ -552,6 +555,9 @@ func FuzzGroupTable(f *testing.F) {
 			t.Fatalf("merged partials hold %d groups, one table %d", merged.n, whole.n)
 		}
 		requireReprs(t, merged, first)
+		// Both emit their cells; the cells of the two are compared below.
+		emitGroupChunks(t, nCols, [][]int{set}, specs, []*groupTable{whole})
+		emitGroupChunks(t, nCols, [][]int{set}, specs, []*groupTable{merged})
 		for g, r := range groups {
 			for ai := range specs {
 				s := &specs[ai]
@@ -565,4 +571,227 @@ func FuzzGroupTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// result is aggregate s's answer from cell ai of state record rec, one cell at
+// a time: the reference stateColumn is checked against.
+func (t *groupTable) result(rec []int64, ai int, s *aggSpec) sqltypes.Value {
+	if s.op == opCount {
+		return sqltypes.NewInt(rec[ai])
+	}
+	return t.stateValue(rec, ai)
+}
+
+// buildGroups folds rows — nk key values, then the aggregates' argument —
+// into one table per grouping set, a row at a time, as the row path does.
+func buildGroups(t testing.TB, nk int, sets [][]int, specs []aggSpec, rows [][]sqltypes.Value) []*groupTable {
+	t.Helper()
+	tabs := make([]*groupTable, len(sets))
+	for si, gs := range sets {
+		tabs[si] = newGroupTable(len(gs), specs)
+	}
+	var arg sqltypes.Vec
+	var a vecAccum
+	var hash [1]uint64
+	var ord [1]uint32
+	for _, r := range rows {
+		arg.RefillGeneric(1)[0] = r[nk]
+		for si, gs := range sets {
+			key := make([]sqltypes.Value, len(gs))
+			for i, pos := range gs {
+				key[i] = r[pos]
+			}
+			ord[0] = uint32(tabs[si].find(key))
+			for ai := range specs {
+				a.bind(&specs[ai], &arg)
+				if err := a.fold(tabs[si], ai, 0, ord[:], len(gs) == 0, hash[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return tabs
+}
+
+// emitGroupChunks emits tables (grouping sets over nk key columns) through
+// groupChunks, the key columns first and then the aggregates, and checks
+// every cell against value and result, bit for bit and NULL for NULL, a
+// grouped-out column against NULL; and the chunks' shape: sealed, ChunkRows
+// groups each but a set's last, no chunk holding two sets.
+func emitGroupChunks(t testing.TB, nk int, sets [][]int, specs []aggSpec, tabs []*groupTable) []*storage.Chunk {
+	t.Helper()
+	specs = slices.Clone(specs)
+	for ai := range specs {
+		specs[ai].col = nk + ai
+	}
+	b := &qgm.Box{Cols: make([]qgm.QCL, nk+len(specs)), GroupBy: allInts(nk)}
+	rel, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := rel.chunks
+	for si, gs := range sets {
+		tab := tabs[si]
+		for lo := 0; lo < tab.n; lo += storage.ChunkRows {
+			c := chunks[0]
+			chunks = chunks[1:]
+			if want := min(storage.ChunkRows, tab.n-lo); c.Len() != want || c.Width() != len(b.Cols) {
+				t.Fatalf("set %v, groups from %d: a chunk of %d×%d, want %d×%d", gs, lo, c.Len(), c.Width(), want, len(b.Cols))
+			}
+			for col := range c.Width() {
+				v := c.Col(col)
+				if !v.Sealed() {
+					t.Fatalf("set %v, groups from %d: column %d is not sealed", gs, lo, col)
+				}
+				for i := range c.Len() {
+					g, want := lo+i, sqltypes.Null
+					if j := slices.Index(gs, col); col >= nk {
+						want = tab.result(tab.aggs.at(g), col-nk, &specs[col-nk])
+					} else if j >= 0 {
+						want = tab.value(g, j)
+					}
+					if got := v.Value(i); !sameBits(got, want) || v.IsNull(i) != want.IsNull() {
+						t.Fatalf("set %v, group %d, column %d: emitted %v (%s, null %v), cells %v (%s)", gs, g, col, got, got.Kind(), v.IsNull(i), want, want.Kind())
+					}
+				}
+			}
+		}
+	}
+	if len(chunks) != 0 {
+		t.Fatalf("%d chunks beyond the groups", len(chunks))
+	}
+	return rel.chunks
+}
+
+// TestGroupColumnsMatchTheCells: what leaves a group table through
+// keyColumn and stateColumn — emitted by groupChunks, or folded into another
+// table by mergeFrom — is what value and result rebuild cell by cell: kind,
+// payload bits and NULL-ness, both on the typed path of a uniform block and on
+// the cell-by-cell one of a mixed block. Each case is built once as one table
+// and once as two partials merged, split at a third and at a half of its
+// rows; the merged tables emit the one table's chunks bit for bit.
+func TestGroupColumnsMatchTheCells(t *testing.T) {
+	i, f, s, null := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.Null
+	d, bo := sqltypes.NewDate, sqltypes.NewBool
+	negZero, oddNaN := math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)
+	agg := func(op aggOp, distinct bool) aggSpec {
+		return aggSpec{agg: &qgm.Agg{Op: [...]string{"count", "sum", "min", "max"}[op], Distinct: distinct}, op: op}
+	}
+	numeric := []aggSpec{countStar, agg(opCount, false), agg(opSum, false), agg(opMin, false), agg(opMax, false), agg(opSum, true)}
+	ordered := []aggSpec{countStar, agg(opCount, true), agg(opMin, false), agg(opMax, false), agg(opMax, true)}
+	many := make([][]sqltypes.Value, 0, 2600)
+	for g := range 2600 {
+		k := i(int64(g % 2500))
+		switch g {
+		case 1500:
+			k = f(1500.5) // a float in the second chunk's int column
+		case 2048:
+			k = null // the third chunk starts with a NULL
+		}
+		a := i(int64(g))
+		if g%7 == 0 {
+			a = null
+		}
+		many = append(many, []sqltypes.Value{k, a})
+	}
+	for _, c := range []struct {
+		name  string
+		nk    int
+		sets  [][]int // nil: one set of all nk columns
+		specs []aggSpec
+		rows  [][]sqltypes.Value
+	}{
+		{"an int and an integral float in one key column", 1, nil, numeric, [][]sqltypes.Value{
+			{i(1), i(10)}, {f(2), i(20)}, {f(2.5), i(30)}, {i(3), i(40)}, {f(2), i(50)}, {i(1), i(60)}}},
+		{"integral and fractional floats", 1, nil, numeric, [][]sqltypes.Value{
+			{f(2), f(0.5)}, {f(2.5), f(1.5)}, {f(-3), f(2)}, {f(math.NaN()), f(-1.5)}, {f(1e300), f(0.25)}, {f(2), f(4)}}},
+		{"-0.0 and a non-canonical NaN", 1, nil, numeric, [][]sqltypes.Value{
+			{f(negZero), f(negZero)}, {f(oddNaN), f(1.5)}, {f(0), f(negZero)}, {f(1.5), f(oddNaN)}, {f(math.NaN()), f(2.5)}, {f(1.5), f(-0.5)}}},
+		{"strings, dates and bools", 2, nil, ordered, [][]sqltypes.Value{
+			{s("a"), d(1991, 4, 12), bo(true)}, {s(""), d(1991, 4, 12), bo(false)}, {s("a"), d(1992, 1, 1), s("x")},
+			{s("a\x00b"), d(0, 0, 1), bo(true)}, {s(""), d(1991, 4, 12), bo(true)}, {s("a"), d(1991, 4, 12), bo(false)}}},
+		{"a NULL key", 1, nil, numeric, [][]sqltypes.Value{
+			{null, i(1)}, {i(1), i(2)}, {null, i(3)}, {i(2), f(0.5)}, {d(1991, 4, 12), i(5)}, {i(1), i(6)}}},
+		{"a SUM that saw only NULLs", 1, nil, numeric, [][]sqltypes.Value{
+			{i(1), null}, {i(2), i(7)}, {i(1), null}, {i(3), null}, {i(2), null}, {i(3), null}}},
+		{"a poisoned DISTINCT SUM", 1, nil, []aggSpec{countStar, agg(opSum, true), agg(opCount, true)}, [][]sqltypes.Value{
+			{i(1), i(1)}, {i(2), i(2)}, {i(1), s("a")}, {i(2), i(3)}, {i(1), i(4)}, {i(2), i(2)}}},
+		{"more than ChunkRows groups", 1, nil, numeric, many},
+		{"grouping sets with grouped-out columns", 2, [][]int{{0, 1}, {1}, {0}, {}}, numeric, [][]sqltypes.Value{
+			{s("a"), i(1), i(10)}, {s("b"), i(1), i(20)}, {s("a"), i(2), null}, {s("c"), null, i(40)}, {s("a"), i(1), i(50)}, {s("b"), i(3), i(60)}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sets := c.sets
+			if sets == nil {
+				sets = [][]int{allInts(c.nk)}
+			}
+			want := emitGroupChunks(t, c.nk, sets, c.specs, buildGroups(t, c.nk, sets, c.specs, c.rows))
+			for _, cut := range []int{len(c.rows) / 3, len(c.rows) / 2} {
+				merged := buildGroups(t, c.nk, sets, c.specs, c.rows[:cut])
+				for si, tab := range buildGroups(t, c.nk, sets, c.specs, c.rows[cut:]) {
+					if err := merged[si].mergeFrom(tab, c.specs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSameChunks(t, fmt.Sprintf("merged at row %d", cut), emitGroupChunks(t, c.nk, sets, c.specs, merged), want)
+			}
+		})
+	}
+}
+
+// requireSameChunks checks that got holds want's values, chunk for chunk and
+// bit for bit.
+func requireSameChunks(t testing.TB, what string, got, want []*storage.Chunk) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chunks, want %d", what, len(got), len(want))
+	}
+	for ci, c := range got {
+		if c.Len() != want[ci].Len() {
+			t.Fatalf("%s: chunk %d holds %d groups, want %d", what, ci, c.Len(), want[ci].Len())
+		}
+		for col := range c.Width() {
+			for i := range c.Len() {
+				if g, w := c.Col(col).Value(i), want[ci].Col(col).Value(i); !sameBits(g, w) {
+					t.Fatalf("%s: chunk %d row %d column %d: %v (%s), want %v (%s)", what, ci, i, col, g, g.Kind(), w, w.Kind())
+				}
+			}
+		}
+	}
+}
+
+// TestGroupChunksAllocatePerChunk: emitting a built table allocates the chunk
+// list and the relation, then per chunk of ChunkRows groups its vector slice,
+// the chunk and one payload per column — nothing per group or per cell.
+func TestGroupChunksAllocatePerChunk(t *testing.T) {
+	specs := []aggSpec{countStar, {agg: &qgm.Agg{Op: "sum"}, op: opSum}, {agg: &qgm.Agg{Op: "min"}, op: opMin}}
+	const width = 2 + 3 // key columns, then aggregates
+	allocs := func(groups int) float64 {
+		rows := make([][]sqltypes.Value, groups)
+		for g := range rows {
+			rows[g] = []sqltypes.Value{sqltypes.NewInt(int64(g)), sqltypes.NewString(fmt.Sprintf("k%d", g%3)), sqltypes.NewInt(int64(g))}
+		}
+		sets := [][]int{{0, 1}}
+		tabs := buildGroups(t, 2, sets, specs, rows)
+		emitGroupChunks(t, 2, sets, specs, tabs) // the cells are right
+		b := &qgm.Box{Cols: make([]qgm.QCL, width), GroupBy: []int{0, 1}}
+		specs := slices.Clone(specs)
+		for ai := range specs {
+			specs[ai].col = 2 + ai
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const harness = 3 // testEvaluator's evaluator, budget and memo
+	for _, groups := range []int{1000, 5000} {
+		chunks := (groups + storage.ChunkRows - 1) / storage.ChunkRows
+		got, want := allocs(groups), float64(harness+2+chunks*(2+width))
+		t.Logf("%d groups: %.0f allocations, %d chunks", groups, got, chunks)
+		if got != want {
+			t.Errorf("%d groups in %d chunks: %.0f allocations, want %.0f (2 per run, %d per chunk)", groups, chunks, got, want, 2+width)
+		}
+	}
 }

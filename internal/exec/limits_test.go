@@ -167,3 +167,60 @@ func TestCancelMidProbe(t *testing.T) {
 		t.Fatalf("%d boxes declined: the join did not run on the probe", d)
 	}
 }
+
+// TestMaxRowsBudgetDuringEmission: a GROUP BY's groups are charged as they are
+// emitted, a chunk at a time, so a budget that covers the input but not the
+// groups trips during emission, with the typed error, on both paths. The GROUP
+// BY box runs alone, so nothing after its emission is charged. Its input is
+// charged alike whatever the groups: the budget is the least that one group
+// over the same rows runs in, plus half the groups.
+func TestMaxRowsBudgetDuringEmission(t *testing.T) {
+	const groups = 3000
+	store, fix, _ := havingFixture(t, groups)
+	groupBy := func(sql string) *qgm.Box {
+		g, err := qgm.BuildSQL(sql, fix.Cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range g.Boxes() {
+			if b.Kind == qgm.GroupByBox {
+				return b
+			}
+		}
+		t.Fatalf("%s: no GROUP BY box", sql)
+		return nil
+	}
+	many := groupBy("select k, count(*) as c from t group by k")
+	one := groupBy("select k * 0 as z, count(*) as c from t group by k * 0")
+	for _, cfg := range []Config{{Parallelism: 1}, {Parallelism: 2}, {Interpret: true}} {
+		runs := func(b *qgm.Box, budget int) bool {
+			ev := testEvaluator(store, nil)
+			ev.par, ev.interpret, ev.bud.maxRows = cfg.Parallelism, cfg.Interpret, int64(budget)
+			_, err := ev.evalBox(b)
+			if err == nil {
+				err = ev.chg.flush()
+			}
+			if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatal(err)
+			}
+			if err == nil && ev.usedVector == cfg.Interpret {
+				t.Fatalf("%+v: the pipeline ran %v", cfg, ev.usedVector)
+			}
+			return err == nil
+		}
+		lo, hi := 1, 1<<20 // the least budget one group runs in is in (lo, hi]
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; runs(one, mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		if budget := hi + groups/2; runs(many, budget) {
+			t.Errorf("%+v: %d groups emitted within a budget of %d, what one group needs and half the groups", cfg, groups, budget)
+		}
+		if !runs(many, hi+groups) {
+			t.Errorf("%+v: %d groups do not run within a budget of %d", cfg, groups, hi+groups)
+		}
+	}
+}

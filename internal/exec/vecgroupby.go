@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
-	"repro/internal/storage"
 )
 
 // evalGroupByVec is the aggregation sink: it folds the tuples of its source
@@ -144,26 +143,18 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		return nil, err
 	}
 
-	// Merge workers' per-set partials in chunk order, then emit set by set
-	// into column chunks sized by the total group count.
+	// Merge workers' per-set partials in chunk order, then emit set by set.
 	merged := partials[0]
-	w := storage.Writer{Cols: len(b.Cols)}
 	for si := range sets {
 		for _, p := range partials[1:] {
 			if err := merged[si].mergeFrom(p[si], aggSpecs); err != nil {
 				return nil, err
 			}
 		}
-		w.Left += merged[si].n
-	}
-	for si, gs := range sets {
-		if err := ev.emitGroups(b, aggSpecs, gs, merged[si], w.Add); err != nil {
-			return nil, err
-		}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
 	ev.usedVector = true
-	return chunkRelation(w.Seal()), nil
+	return ev.groupChunks(b, aggSpecs, sets, merged)
 }
 
 // groupSource plans where a GROUP BY's tuples come from. A child that is a

@@ -16,8 +16,8 @@ type Chunk struct {
 	cols []sqltypes.Vec // one vector per table column
 }
 
-// NewChunk seals cols, n rows each, as a chunk: the executor's projection
-// output.
+// NewChunk seals cols, n rows each, as a chunk: the executor's projection and
+// GROUP BY output.
 func NewChunk(n int, cols []sqltypes.Vec) *Chunk {
 	c := &Chunk{n: n, cols: cols}
 	c.seal()
@@ -59,13 +59,13 @@ func (c *Chunk) frozen() *Chunk {
 	return f
 }
 
-// Writer is the one place rows turn into chunks — a table's inserts, bulk
-// loads and rewrites, and the executor's output and row-path relations all go
-// through Add. It fills chunks ChunkRows rows to a chunk, so every chunk but
-// the last is full, and seals each as it fills. Left is how many rows are
-// still to come (0 when unknown): a new chunk reserves its vectors once, for
-// that many rows up to ChunkRows, in the kinds of its first row. A row has at
-// least Cols values.
+// Writer is the one place rows turn into chunks: a table's inserts, bulk loads
+// and rewrites, and a row-path SELECT's output read by a pipeline parent (a
+// GROUP BY's output is never rows: NewChunk seals its columns). It fills
+// chunks ChunkRows rows to a chunk, so every chunk but the last is full, and
+// seals each as it fills. Left is how many rows are still to come (0 when
+// unknown): a new chunk reserves its vectors once, for that many rows up to
+// ChunkRows, in the kinds of its first row. A row has at least Cols values.
 type Writer struct {
 	Cols   int
 	Left   int

@@ -58,15 +58,15 @@ repro/cmd/astload 107
 repro/cmd/astrw 245
 repro/cmd/astserve 72
 repro/examples/cube 41
-repro/examples/histogram 35
-repro/examples/quickstart 32
+repro/examples/histogram 7
+repro/examples/quickstart 7
 repro/examples/retail 41
 repro/examples/warehouse 77
 repro/internal/advisor 6
 repro/internal/bench 100
 repro/internal/catalog 13
 repro/internal/core 129
-repro/internal/exec 141
+repro/internal/exec 135
 repro/internal/faultinject 1
 repro/internal/lint 37
 repro/internal/maintain 46
