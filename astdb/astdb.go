@@ -546,9 +546,9 @@ func (e *Engine) CreateSummaryTable(ctx context.Context, name, sql string) (*cor
 	if err != nil {
 		return nil, 0, fmt.Errorf("astdb: materializing %s: %w", name, err)
 	}
-	// Rows first, then the set: a reader loads the set before it pins the
+	// Chunks first, then the set: a reader loads the set before it pins the
 	// store (view), so a table it finds in the set is in its generation.
-	e.store.Put(ca.Table, res.Rows())
+	e.store.Put(ca.Table, res.Chunks())
 	e.register(ca)
 	return ca, res.Len(), nil
 }

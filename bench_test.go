@@ -21,6 +21,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/maintain"
 	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/qgm"
 	"repro/internal/server"
 	"repro/internal/sqltypes"
@@ -426,11 +427,14 @@ func BenchmarkE14_DSSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkE16_Refresh measures keeping one summary table fresh under an
-// insert batch (the paper's problem (c)) at benchScale: the delta merge of
+// BenchmarkE16_Refresh measures keeping one summary table fresh (the paper's
+// problem (c)) at benchScale: under an insert batch, the delta merge of
 // ApplyInsert ("incremental") against appending the batch and recomputing the
-// definition ("full"). Every iteration starts from the loaded trans and the
-// materialised table; putting them back is outside the timer.
+// definition ("full"); and under one statement of the benchmark writer's
+// batch size, 64 rows, inserted, updated or deleted ("dml=64/…"), each
+// reporting the groups it recomputed scoped. Every iteration starts from the
+// loaded trans and the materialised table; putting them back is outside the
+// timer.
 func BenchmarkE16_Refresh(b *testing.B) {
 	const def = `select flid, year(date) as year, month(date) as month,
 		count(*) as cnt, sum(qty) as sq, sum(qty * price) as rev, min(price) as lo, max(price) as hi
@@ -443,19 +447,26 @@ func BenchmarkE16_Refresh(b *testing.B) {
 	}
 	trans := env.Store.MustTable("trans")
 	base, summary := trans.Snapshot(), env.Store.MustTable("e16").Snapshot()
-	for _, batch := range []int{100, 1000, 10000} {
-		// The batch repeats the loaded rows under new keys, so every foreign
-		// key holds and the groups it touches are the data's own.
-		rows := make([][]sqltypes.Value, batch)
+	restore := func() {
+		env.Store.PutRows(trans.Meta, base)
+		env.Store.PutRows(plan.AST.Table, summary)
+	}
+	// A batch repeats the loaded rows under new keys, so every foreign key
+	// holds and the groups it touches are the data's own.
+	batch := func(n int) [][]sqltypes.Value {
+		rows := make([][]sqltypes.Value, n)
 		for i := range rows {
 			rows[i] = append([]sqltypes.Value{sqltypes.NewInt(int64(10_000_000 + i))}, base[i%len(base)][1:]...)
 		}
+		return rows
+	}
+	for _, n := range []int{100, 1000, 10000} {
+		rows := batch(n)
 		for _, mode := range []string{"incremental", "full"} {
-			b.Run(fmt.Sprintf("batch=%d/%s", batch, mode), func(b *testing.B) {
+			b.Run(fmt.Sprintf("batch=%d/%s", n, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					env.Store.Put(trans.Meta, base)
-					env.Store.Put(plan.AST.Table, summary)
+					restore()
 					b.StartTimer()
 					if mode == "incremental" {
 						st, err := m.ApplyInsert([]*maintain.Plan{plan}, "trans", rows)
@@ -474,6 +485,53 @@ func BenchmarkE16_Refresh(b *testing.B) {
 			})
 		}
 	}
+	// The writer updates the batch it just inserted and deletes one from a few
+	// cycles back, so the legs take the table's last 64 rows.
+	lo, hi := base[len(base)-64][0].Int(), base[len(base)-1][0].Int()
+	where := fmt.Sprintf(" where tid >= %d and tid <= %d", min(lo, hi), max(lo, hi))
+	dml := func(sql string) *qgm.DML {
+		stmt, err := parser.ParseStatement(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var d *qgm.DML
+		if u, ok := stmt.(*parser.UpdateStmt); ok {
+			d, err = qgm.BuildUpdate(u, env.Cat)
+		} else {
+			d, err = qgm.BuildDelete(stmt.(*parser.DeleteStmt), env.Cat)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	update, del, rows := dml("update trans set qty = qty + 1"+where), dml("delete from trans"+where), batch(64)
+	for _, kind := range []string{"insert", "update", "delete"} {
+		b.Run("dml=64/"+kind, func(b *testing.B) {
+			scoped := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				restore()
+				b.StartTimer()
+				var st []maintain.Stats
+				n, err := 64, error(nil)
+				switch kind {
+				case "insert":
+					st, err = m.ApplyInsert([]*maintain.Plan{plan}, "trans", rows)
+				case "update":
+					n, st, err = m.ApplyUpdate([]*maintain.Plan{plan}, update)
+				default:
+					n, st, err = m.ApplyDelete([]*maintain.Plan{plan}, del)
+				}
+				if err != nil || n != 64 || st[0].Strategy != maintain.Incremental {
+					b.Fatalf("%s: %d rows, %v, %+v", kind, n, err, st)
+				}
+				scoped += st[0].Scoped
+			}
+			b.ReportMetric(float64(scoped)/float64(b.N), "scoped/op")
+		})
+	}
+	restore()
 }
 
 // BenchmarkExecOperators is the per-operator layer under the end-to-end

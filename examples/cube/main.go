@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store.Put(cube.Table, res.Rows)
+	store.PutRows(cube.Table, res.Rows)
 	fmt.Printf("materialized sales_cube: %d rows over %d grouping sets (trans: %d rows)\n\n",
 		len(res.Rows), 6, store.MustTable("trans").Cardinality())
 

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store.Put(ast.Table, astRes.Rows)
+	store.PutRows(ast.Table, astRes.Rows)
 	fmt.Printf("materialized month_histogram: %d rows\n\n", len(astRes.Rows))
 
 	// Q8: the same histogram without the year dimension — how many months

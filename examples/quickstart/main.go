@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store.Put(ast.Table, astRows.Rows)
+	store.PutRows(ast.Table, astRows.Rows)
 	fmt.Printf("materialized ast1: %d rows (trans has %d — %.0fx smaller)\n",
 		len(astRows.Rows), store.MustTable("trans").Cardinality(),
 		float64(store.MustTable("trans").Cardinality())/float64(len(astRows.Rows)))

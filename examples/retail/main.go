@@ -95,7 +95,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Put(ca.Table, res.Rows)
+		store.PutRows(ca.Table, res.Rows)
 		asts = append(asts, ca)
 		fmt.Printf("materialized %-22s %6d rows\n", def.Name, len(res.Rows))
 	}

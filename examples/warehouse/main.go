@@ -61,7 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.Put(ca.Table, res.Rows)
+		store.PutRows(ca.Table, res.Rows)
 		asts = append(asts, ca)
 		plan := m.Analyze(ca)
 		plans = append(plans, plan)

@@ -162,7 +162,7 @@ func TestSelectASTsEndToEnd(t *testing.T) {
 		if len(res.Rows) != p.Rows {
 			t.Fatalf("proposal %s: measured %d rows, materialized %d", p.Def.Name, p.Rows, len(res.Rows))
 		}
-		store.Put(ca.Table, res.Rows)
+		store.PutRows(ca.Table, res.Rows)
 		plan := m.Analyze(ca)
 		if plan.Strategy != maintain.Incremental {
 			t.Fatalf("proposal %s is not maintained incrementally: %s", p.Def.Name, plan.Reason)

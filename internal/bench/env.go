@@ -72,7 +72,7 @@ func (e *Env) RegisterAST(name, sql string) (*core.CompiledAST, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: materializing %s: %w", name, err)
 	}
-	e.Store.Put(ca.Table, res.Rows)
+	e.Store.PutRows(ca.Table, res.Rows)
 	e.ASTs[name] = ca
 	return ca, nil
 }

@@ -311,14 +311,14 @@ func smokeRefresh(t *testing.T, scale int) {
 	}
 	for _, batch := range []int{100, 1000} {
 		rows := repeatedTrans(t, env, 20_000_000, batch)
-		env.Store.Put(trans.Meta, base)
-		env.Store.Put(plan.AST.Table, summary)
+		env.Store.PutRows(trans.Meta, base)
+		env.Store.PutRows(plan.AST.Table, summary)
 		if st, err := m.ApplyInsert([]*maintain.Plan{plan}, "trans", rows); err != nil || st[0].Strategy != maintain.Incremental {
 			t.Fatalf("batch %d: incremental refresh: %v, %+v", batch, err, st)
 		}
 		incremental := table()
-		env.Store.Put(trans.Meta, base)
-		env.Store.Put(plan.AST.Table, summary)
+		env.Store.PutRows(trans.Meta, base)
+		env.Store.PutRows(plan.AST.Table, summary)
 		if err := env.Store.Rewrite("trans", nil, rows); err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func smokeNegativeControl(t *testing.T, scale int) {
 		t.Fatal(err)
 	}
 	dirty[0][2] = cnt
-	env.Store.Put(td.Meta, dirty)
+	env.Store.PutRows(td.Meta, dirty)
 	if exec.EqualResults(want, mustRun(t, env, g)) == "" {
 		t.Fatal("the answer check did not detect a corrupted count")
 	}

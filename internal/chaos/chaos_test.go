@@ -76,7 +76,7 @@ func newChaosEnvOpts(t testing.TB, opts core.Options) *chaosEnv {
 		if err != nil {
 			t.Fatalf("materialize %s: %v", ca.Def.Name, err)
 		}
-		e.store.Put(ca.Table, res.Rows)
+		e.store.PutRows(ca.Table, res.Rows)
 		e.plans = append(e.plans, e.m.Analyze(ca))
 	}
 	return e

@@ -50,7 +50,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	store.Put(ast.Table, rows.Rows)
+	store.PutRows(ast.Table, rows.Rows)
 
 	// A coarser query rewrites to re-aggregate the summary.
 	g, err := qgm.BuildSQL("select region, sum(amount) as total from sales group by region", cat)

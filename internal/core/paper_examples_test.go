@@ -55,7 +55,7 @@ func (e *env) registerAST(t testing.TB, name, sql string) *core.CompiledAST {
 	if err != nil {
 		t.Fatalf("materialize AST %s: %v", name, err)
 	}
-	e.store.Put(ca.Table, res.Rows)
+	e.store.PutRows(ca.Table, res.Rows)
 	return ca
 }
 

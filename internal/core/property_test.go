@@ -159,7 +159,7 @@ func TestPropertyRewriteSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: materialize %q: %v", i, astSQL, err)
 		}
-		e.store.Put(ca.Table, astRes.Rows)
+		e.store.PutRows(ca.Table, astRes.Rows)
 
 		orig, err := qgm.BuildSQL(querySQL, e.cat)
 		if err != nil {
@@ -184,7 +184,7 @@ func TestPropertyRewriteSoundness(t *testing.T) {
 		newRes, err := e.engine.Run(q2)
 		if err != nil {
 			// The AST table was dropped above; re-materialize for execution.
-			e.store.Put(ca.Table, astRes.Rows)
+			e.store.PutRows(ca.Table, astRes.Rows)
 			newRes, err = e.engine.Run(q2)
 			e.store.Drop(astName)
 			if err != nil {
@@ -237,7 +237,7 @@ func TestPropertyRewriteSoundnessAblations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.store.Put(ca.Table, astRes.Rows)
+				e.store.PutRows(ca.Table, astRes.Rows)
 				orig, err := qgm.BuildSQL(querySQL, e.cat)
 				if err != nil {
 					t.Fatal(err)

@@ -155,7 +155,7 @@ func TestPruneDisabledByOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.store.Put(ca.Table, res.Rows)
+	e.store.PutRows(ca.Table, res.Rows)
 	q, err := qgm.BuildSQL("select cid, count(*) as n from cust group by cid", e.cat)
 	if err != nil {
 		t.Fatal(err)

@@ -235,11 +235,7 @@ func (r *relation) rowsOf() [][]sqltypes.Value {
 // is preserved, so chunk-order merging keeps the row path's group order.
 func (r *relation) chunksOf(ncols int) []*storage.Chunk {
 	if r.chunks == nil && r.n > 0 {
-		w := storage.Writer{Cols: ncols, Left: r.n}
-		for _, row := range r.rows {
-			w.Add(row)
-		}
-		r.chunks = w.Seal()
+		r.chunks = storage.Chunked(ncols, r.rows)
 	}
 	return r.chunks
 }

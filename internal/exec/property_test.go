@@ -450,7 +450,7 @@ func TestSumDistinctFoldsInFirstAppearanceOrder(t *testing.T) {
 		rows[i*storage.ChunkRows/3+100] = []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewFloat(x)}
 	}
 	store := storage.NewStore()
-	store.Put(meta, rows)
+	store.PutRows(meta, rows)
 	g, err := qgm.BuildSQL("select g, sum(distinct x) as s, count(distinct x) as c from f group by g", cat)
 	if err != nil {
 		t.Fatal(err)
@@ -644,7 +644,7 @@ func TestDistinctAggregatesMatchBruteForce(t *testing.T) {
 			rows[r] = []sqltypes.Value{i(int64(r % 5)), str(fmt.Sprintf("h%d", r/7%3)), tc.x(r), s}
 		}
 		store := storage.NewStore()
-		store.Put(meta, rows)
+		store.PutRows(meta, rows)
 
 		sel := slices.Clone(tc.groupBy)
 		for ai, a := range tc.aggs {
@@ -726,7 +726,7 @@ func TestSelectDistinctBoxMatchesTheInterpreter(t *testing.T) {
 		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i % 4)), x}
 	}
 	store := storage.NewStore()
-	store.Put(meta, rows)
+	store.PutRows(meta, rows)
 	g, err := qgm.BuildSQL("select x, g % 2 as p from t", cat)
 	if err != nil {
 		t.Fatal(err)
@@ -1141,7 +1141,7 @@ func keyTable() (*catalog.Catalog, *storage.Store) {
 			sqltypes.NewFloat(x), m, y}
 	}
 	store := storage.NewStore()
-	store.Put(meta, rows)
+	store.PutRows(meta, rows)
 	return cat, store
 }
 
@@ -1283,7 +1283,7 @@ func TestHashJoinKeysNaNAsEquality(t *testing.T) {
 			{Name: tb.f, Type: sqltypes.KindFloat},
 		}})
 		meta, _ := cat.Table(tb.name)
-		store.Put(meta, [][]sqltypes.Value{{sqltypes.NewInt(1), sqltypes.NewFloat(tb.nan)}})
+		store.PutRows(meta, [][]sqltypes.Value{{sqltypes.NewInt(1), sqltypes.NewFloat(tb.nan)}})
 	}
 	engine := NewEngine(store)
 	for _, sql := range []string{"select ak, bk from a, b where af = bf", "select ak from a where af = af"} {

@@ -34,8 +34,8 @@ func havingFixture(t testing.TB, groups int) (*storage.Store, *qgm.Graph, int) {
 	store := storage.NewStore()
 	tm, _ := cat.Table("t")
 	om, _ := cat.Table("one")
-	store.Put(tm, rows)
-	store.Put(om, [][]sqltypes.Value{{sqltypes.NewInt(1)}})
+	store.PutRows(tm, rows)
+	store.PutRows(om, [][]sqltypes.Value{{sqltypes.NewInt(1)}})
 	g, err := qgm.BuildSQL("select k, count(*) as c from t group by k having count(*) > 3", cat)
 	if err != nil {
 		t.Fatal(err)

@@ -39,12 +39,12 @@ func chunkedTables(chunks int) (*catalog.Catalog, *storage.Store) {
 			sqltypes.NewInt(int64(i % 5)),
 		}
 	}
-	store.Put(fm, rows)
+	store.PutRows(fm, rows)
 	dimRows := make([][]sqltypes.Value, 5)
 	for i := range dimRows {
 		dimRows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("n%d", i%3))}
 	}
-	store.Put(dm, dimRows)
+	store.PutRows(dm, dimRows)
 	return cat, store
 }
 
@@ -177,7 +177,7 @@ func TestScratchReuseMatchesRowEngine(t *testing.T) {
 		}
 		rows[i] = []sqltypes.Value{a, d, m, sqltypes.NewString(fmt.Sprintf("s%d", i%6))}
 	}
-	store.Put(meta, rows)
+	store.PutRows(meta, rows)
 
 	queries := []string{
 		"select a * a + a as x from t",

@@ -88,7 +88,7 @@ func newParityEnvOf(t *testing.T, n int, defs []catalog.ASTDef, o *obs.Observer)
 		if err != nil {
 			t.Fatalf("materialize %s: %v", def.Name, err)
 		}
-		store.Put(ca.Table, res.Rows)
+		store.PutRows(ca.Table, res.Rows)
 		cat.MarkFresh(def.Name)
 		e.asts = append(e.asts, ca)
 		e.plans = append(e.plans, e.m.Analyze(ca))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/parser"
 	"repro/internal/qgm"
+	"repro/internal/sqltypes"
 )
 
 func buildDelete(t testing.TB, f *fixture, sql string) *qgm.DML {
@@ -194,11 +195,11 @@ func TestScopedRecomputeCap(t *testing.T) {
 	ca := f.compile(t, "capast", `
 		select flid, count(*) as c, min(price) as mn from trans group by flid`)
 	p := f.m.Analyze(ca)
-	pm := &pendingMerge{scoped: map[string]int{}}
-	for i := 0; i <= maxScopedGroups; i++ {
-		pm.scoped[fmt.Sprint(i)] = i
+	keys := make([][]sqltypes.Value, maxScopedGroups+1)
+	for i := range keys {
+		keys[i] = []sqltypes.Value{sqltypes.NewInt(int64(i))}
 	}
-	if err := f.m.scopedRecompute(f.store, p, pm); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := f.m.scopedRecompute(f.store, p, keys); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("want cap error, got %v", err)
 	}
 }

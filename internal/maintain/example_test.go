@@ -40,7 +40,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	store.Put(ast.Table, rows.Rows)
+	store.PutRows(ast.Table, rows.Rows)
 
 	m := maintain.New(store)
 	plan := m.Analyze(ast)

@@ -16,6 +16,7 @@
 package maintain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -49,18 +50,12 @@ func (s Strategy) String() string {
 	return "full"
 }
 
-// colRole classifies one output column of a maintainable AST.
-type colRole struct {
-	key bool
-	agg *qgm.Agg // non-nil for aggregate columns
-}
-
 // Plan is the per-AST maintenance plan produced by Analyze.
 type Plan struct {
 	AST      *core.CompiledAST
 	Strategy Strategy
-	Reason   string // why full recomputation is needed, when it is
-	roles    []colRole
+	Reason   string     // why full recomputation is needed, when it is
+	aggs     []*qgm.Agg // per output column: its aggregate, nil for a grouping column
 	keyCols  []int
 	baseTabs map[string]bool // base tables the definition reads
 
@@ -269,7 +264,7 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 	}
 
 	// Every output column must be a plain reference to a GROUP BY output.
-	p.roles = make([]colRole, len(root.Cols))
+	p.aggs = make([]*qgm.Agg, len(root.Cols))
 	for i, c := range root.Cols {
 		cr, ok := c.Expr.(*qgm.ColRef)
 		if !ok || cr.Q.Box != gb {
@@ -277,7 +272,6 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 			return p
 		}
 		if gb.IsGroupCol(cr.Col) {
-			p.roles[i] = colRole{key: true}
 			p.keyCols = append(p.keyCols, i)
 			continue
 		}
@@ -288,7 +282,7 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 		}
 		switch agg.Op {
 		case "count", "sum", "min", "max":
-			p.roles[i] = colRole{agg: agg}
+			p.aggs[i] = agg
 		default:
 			p.Reason = fmt.Sprintf("aggregate %q not mergeable", agg.Op)
 			return p
@@ -313,17 +307,17 @@ func (p *Plan) analyzeDelete(gb *qgm.Box) {
 		_, nullable := qgm.InferType(a.Arg)
 		return !nullable
 	}
-	for i, role := range p.roles {
-		if role.key {
+	for i, agg := range p.aggs {
+		if agg == nil {
 			continue
 		}
-		switch role.agg.Op {
+		switch agg.Op {
 		case "count":
-			if p.counterCol < 0 && nonNullableArg(role.agg) {
+			if p.counterCol < 0 && nonNullableArg(agg) {
 				p.counterCol = i
 			}
 		case "sum":
-			if !nonNullableArg(role.agg) {
+			if !nonNullableArg(agg) {
 				p.scopedCols = append(p.scopedCols, i)
 			}
 		case "min", "max":
@@ -424,7 +418,7 @@ func (m *Maintainer) Refresh(plans []*Plan) ([]Stats, error) {
 func (m *Maintainer) refreshFull(d *storage.Store, p *Plan) (Stats, error) {
 	start := time.Now()
 	st := Stats{AST: p.AST.Def.Name, Strategy: FullRecompute}
-	res, err := m.evalDefinition(d, p, "maintain.full:"+p.AST.Def.Name)
+	out, err := m.evalDefinition(d, p, "maintain.full:"+p.AST.Def.Name)
 	if err != nil {
 		st.Err = fmt.Errorf("maintain: full refresh of %s: %w", p.AST.Def.Name, err)
 		st.Duration = time.Since(start)
@@ -435,8 +429,8 @@ func (m *Maintainer) refreshFull(d *storage.Store, p *Plan) (Stats, error) {
 		}
 		return st, st.Err
 	}
-	d.Put(p.AST.Table, res.Rows)
-	st.DeltaRows = len(res.Rows)
+	d.Put(p.AST.Table, out.Chunks())
+	st.DeltaRows = out.Len()
 	st.Duration = time.Since(start)
 	m.mark(d, m.cat.Fresh, p.AST.Def.Name)
 	m.obsv.Add("maintain.refresh.full", 1)
@@ -447,10 +441,10 @@ func (m *Maintainer) refreshFull(d *storage.Store, p *Plan) (Stats, error) {
 // evalDefinition runs an AST's defining query over d with a fault-injection
 // site and panic recovery, so one broken refresh cannot take down the
 // maintenance pass.
-func (m *Maintainer) evalDefinition(d *storage.Store, p *Plan, site string) (res *exec.Result, err error) {
+func (m *Maintainer) evalDefinition(d *storage.Store, p *Plan, site string) (out *exec.Output, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("refresh panicked: %v", r)
+			out, err = nil, fmt.Errorf("refresh panicked: %v", r)
 		}
 	}()
 	if err := faultinject.Hit(site); err != nil {
@@ -464,10 +458,10 @@ func (m *Maintainer) evalDefinition(d *storage.Store, p *Plan, site string) (res
 // declines runs on the executor's serial reference path, whose speed nothing
 // measures, so it is counted: the delta engine has no observer of its own to
 // say so.
-func (m *Maintainer) run(eng *exec.Engine, g *qgm.Graph) (*exec.Result, error) {
-	res, err := eng.Run(g)
-	if err == nil && len(res.Declined) > 0 {
-		m.obsv.Add("maintain.exec.declined", int64(len(res.Declined)))
+func (m *Maintainer) run(eng *exec.Engine, g *qgm.Graph) (*exec.Output, error) {
+	out, err := eng.RunChunks(context.TODO(), g, exec.Config{}) // the maintainer's signatures carry no context
+	if err == nil && len(out.Declined) > 0 {
+		m.obsv.Add("maintain.exec.declined", int64(len(out.Declined)))
 	}
-	return res, err
+	return out, err
 }

@@ -47,7 +47,7 @@ func (f *fixture) compile(t testing.TB, name, sql string) *core.CompiledAST {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.store.Put(ca.Table, res.Rows)
+	f.store.PutRows(ca.Table, res.Rows)
 	return ca
 }
 

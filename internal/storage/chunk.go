@@ -43,13 +43,18 @@ func (c *Chunk) seal() {
 	}
 }
 
-// frozen returns a read-only view of the chunk: full chunks were sealed when
-// they filled and are shared directly; a partially filled tail chunk is
-// header-copied into sealed vectors with cloned null bitmaps, because appends
-// to the tail write typed payload elements only past the frozen length but set
-// null bits in packed words shared with frozen rows.
+// sealed reports whether nothing more is written to c: it filled, or it came
+// sealed into the table (Put).
+func (c *Chunk) sealed() bool {
+	return c.n == ChunkRows || len(c.cols) > 0 && c.cols[0].Sealed()
+}
+
+// frozen returns a read-only view of the chunk: a sealed chunk is shared
+// directly; an open tail is header-copied into sealed vectors with cloned null
+// bitmaps, because appends to the tail write typed payload elements only past
+// the frozen length but set null bits in packed words shared with frozen rows.
 func (c *Chunk) frozen() *Chunk {
-	if c.n == ChunkRows {
+	if c.sealed() {
 		return c
 	}
 	f := &Chunk{n: c.n, cols: make([]sqltypes.Vec, len(c.cols))}
@@ -62,10 +67,11 @@ func (c *Chunk) frozen() *Chunk {
 // Writer is the one place rows turn into chunks: a table's inserts, bulk loads
 // and rewrites, and a row-path SELECT's output read by a pipeline parent (a
 // GROUP BY's output is never rows: NewChunk seals its columns). It fills
-// chunks ChunkRows rows to a chunk, so every chunk but the last is full, and
-// seals each as it fills. Left is how many rows are still to come (0 when
-// unknown): a new chunk reserves its vectors once, for that many rows up to
-// ChunkRows, in the kinds of its first row. A row has at least Cols values.
+// chunks ChunkRows rows to a chunk and seals each as it fills; after a sealed
+// chunk (a full one, or one Put shared) it opens a new one. Left is how many
+// rows are still to come (0 when unknown): a new chunk reserves its vectors
+// once, for that many rows up to ChunkRows, in the kinds of its first row. A
+// row has at least Cols values.
 type Writer struct {
 	Cols   int
 	Left   int
@@ -77,7 +83,7 @@ type Writer struct {
 // length, so frozen views of it stay valid.
 func (w *Writer) Add(row []sqltypes.Value) {
 	k := len(w.chunks)
-	if k == 0 || w.chunks[k-1].n == ChunkRows {
+	if k == 0 || w.chunks[k-1].sealed() {
 		c := &Chunk{cols: make([]sqltypes.Vec, w.Cols)}
 		for i := range c.cols {
 			c.cols[i].Reserve(row[i].Kind(), min(max(w.Left, 0), ChunkRows))
@@ -103,6 +109,15 @@ func (w *Writer) Seal() []*Chunk {
 		w.chunks[k-1].seal()
 	}
 	return w.chunks
+}
+
+// Chunked is rows written through a Writer of width columns and sealed.
+func Chunked(width int, rows [][]sqltypes.Value) []*Chunk {
+	w := Writer{Cols: width, Left: len(rows)}
+	for _, r := range rows {
+		w.Add(r)
+	}
+	return w.Seal()
 }
 
 // Rows materializes n rows of chunks into rows the caller owns, carved,

@@ -215,7 +215,7 @@ func TestPinnedWritesPublishOnce(t *testing.T) {
 	}
 	summary := meta()
 	summary.Name = "a1"
-	p.Put(summary, [][]sqltypes.Value{row(3), row(4)})
+	p.PutRows(summary, [][]sqltypes.Value{row(3), row(4)})
 	p.Drop("gone")
 	p.Apply(c.Stale("a1"))
 	if p.TableRows("t") != 2 || p.TableRows("a1") != 2 {

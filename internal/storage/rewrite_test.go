@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,10 +47,11 @@ func applyModel(model [][]sqltypes.Value, edits []Edit, add [][]sqltypes.Value) 
 }
 
 // checkLayout fails unless, in the store's published generation, table t's
-// chunks are full but the last and cover its n rows, every column of every
-// table a reader can reach is sealed, and t's builder's short tail is not, so
-// the table can still grow.
-func checkLayout(t *testing.T, s *Store) {
+// chunks are none of them empty and cover its n rows — full but the last,
+// unless it was Put short chunks (put) — every column of every table a reader
+// can reach is sealed, and t's builder's short tail is not, unless Put sealed
+// it, so the table can still grow.
+func checkLayout(t *testing.T, s *Store, put ...*Chunk) {
 	t.Helper()
 	gen := s.cell.Load()
 	for _, other := range gen.tables {
@@ -65,8 +67,8 @@ func checkLayout(t *testing.T, s *Store) {
 	chunks, n := td.SnapshotChunks()
 	sum := 0
 	for i, c := range chunks {
-		if i < len(chunks)-1 && c.Len() != ChunkRows {
-			t.Fatalf("chunk %d of %d holds %d rows: only the last may be short", i, len(chunks), c.Len())
+		if c.Len() == 0 || put == nil && i < len(chunks)-1 && c.Len() != ChunkRows {
+			t.Fatalf("chunk %d of %d holds %d rows: only the last may be short, none empty", i, len(chunks), c.Len())
 		}
 		for j := range c.Width() {
 			if !c.Col(j).Sealed() {
@@ -79,7 +81,7 @@ func checkLayout(t *testing.T, s *Store) {
 		t.Fatalf("chunks cover %d rows, view says %d", sum, n)
 	}
 	td.builder.Do(func(b *Writer) {
-		if k := len(b.chunks); k > 0 && b.chunks[k-1].Len() < ChunkRows && b.chunks[k-1].Col(0).Sealed() {
+		if k := len(b.chunks); k > 0 && b.chunks[k-1].Len() < ChunkRows && b.chunks[k-1].Col(0).Sealed() && !slices.Contains(put, b.chunks[k-1]) {
 			t.Fatal("the builder's short tail is sealed: the table cannot grow")
 		}
 	})
@@ -142,10 +144,32 @@ func TestRewriteRejectsAndChangesNothing(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
+	if err := s.Rewrite("t", nil, nil); err != nil || s.MustTable("t") != before {
+		t.Fatalf("an empty rewrite: %v, or it published a generation", err)
+	}
 	if s.MustTable("t") != before {
 		t.Fatal("a rejected rewrite published a generation")
 	}
 	sameRows(t, before.Snapshot(), model)
+}
+
+// TestRewriteSealsAnOpenChunkBeforeAKeptOne: a table Put as short sealed
+// chunks, its first rewritten (rows re-added through the Writer) and its
+// second kept, must not publish the Writer's open chunk in the middle.
+func TestRewriteSealsAnOpenChunkBeforeAKeptOne(t *testing.T) {
+	s, model := rewriteFixture(0)
+	model = [][]sqltypes.Value{row(1), row(2), row(3), row(4)}
+	put := append(Chunked(2, model[:2]), Chunked(2, model[2:])...)
+	s.Put(meta(), put)
+	edits := []Edit{{Pos: 0, Row: row(-1)}}
+	if err := s.Rewrite("t", edits, nil); err != nil {
+		t.Fatal(err)
+	}
+	if chunks, _ := s.MustTable("t").SnapshotChunks(); len(chunks) != 2 || chunks[1] != put[1] {
+		t.Fatalf("chunks %v, want a rebuilt first chunk and the second kept", chunks)
+	}
+	checkLayout(t, s, put...)
+	sameRows(t, s.MustTable("t").Snapshot(), applyModel(model, edits, nil))
 }
 
 // TestRewriteKeepsOldGenerations: readers holding a generation keep reading
@@ -187,22 +211,37 @@ func TestRewriteKeepsOldGenerations(t *testing.T) {
 	checkLayout(t, s)
 }
 
-// FuzzStoreRewrite: a table of zero to three chunks, rows replaced, dropped and
-// appended at random — on the live store, or on a pinned one that publishes
-// nothing until its Commit — against the same edits applied to a [][]Value,
-// then an Insert on top: the rows, their order and the chunk layout must
-// agree, and after each step every published column is sealed and the tail
-// still grows.
+// FuzzStoreRewrite: a table of zero to three chunks — filled by Insert, or
+// Put as short sealed chunks of 1 to short rows each, as a cube's per-set
+// output — rows replaced, dropped and appended at random — on the live store,
+// or on a pinned one that publishes nothing until its Commit — against the
+// same edits applied to a [][]Value, then an Insert on top: the rows, their
+// order and the chunk layout must agree, after each step every published
+// column is sealed and the tail still grows, and the Put chunks still hold
+// what they held (a write into one would also panic on its seal).
 func FuzzStoreRewrite(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint8(3), int64(1))
-	f.Add(uint16(ChunkRows), uint16(1), uint8(0), int64(2))
-	f.Add(uint16(3*ChunkRows), uint16(40), uint8(10), int64(3))
-	f.Add(uint16(2*ChunkRows+17), uint16(900), uint8(200), int64(4))
-	f.Add(uint16(ChunkRows+5), uint16(30), uint8(2), int64(5))
-	f.Add(uint16(2*ChunkRows), uint16(0), uint8(40), int64(7))
-	f.Fuzz(func(t *testing.T, n, nEdits uint16, nAdd uint8, seed int64) {
+	f.Add(uint16(0), uint16(0), uint8(3), int64(1), uint8(0))
+	f.Add(uint16(ChunkRows), uint16(1), uint8(0), int64(2), uint8(0))
+	f.Add(uint16(3*ChunkRows), uint16(40), uint8(10), int64(3), uint8(0))
+	f.Add(uint16(2*ChunkRows+17), uint16(900), uint8(200), int64(4), uint8(0))
+	f.Add(uint16(ChunkRows+5), uint16(30), uint8(2), int64(5), uint8(0))
+	f.Add(uint16(2*ChunkRows), uint16(0), uint8(40), int64(7), uint8(0))
+	f.Add(uint16(40), uint16(0), uint8(3), int64(8), uint8(7))
+	f.Add(uint16(ChunkRows+300), uint16(5), uint8(9), int64(9), uint8(200))
+	f.Add(uint16(700), uint16(400), uint8(0), int64(10), uint8(1))
+	f.Fuzz(func(t *testing.T, n, nEdits uint16, nAdd uint8, seed int64, short uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		s, model := rewriteFixture(int(n) % (3*ChunkRows + 1))
+		var put []*Chunk
+		var held [][][]sqltypes.Value
+		for lo := 0; short > 0 && lo < len(model); {
+			hi := min(len(model), lo+1+rng.Intn(int(short)))
+			put = append(put, Chunked(2, model[lo:hi])...)
+			held, lo = append(held, model[lo:hi]), hi
+		}
+		if put != nil {
+			s.Put(meta(), put)
+		}
 		value := func() sqltypes.Value {
 			switch rng.Intn(4) {
 			case 0:
@@ -242,10 +281,13 @@ func FuzzStoreRewrite(f *testing.F) {
 			p.Commit()
 		}
 		want := applyModel(model, edits, add)
-		checkLayout(t, s)
+		checkLayout(t, s, put...)
 		sameRows(t, s.MustTable("t").Snapshot(), want)
 		s.MustTable("t").MustInsert(row(7)...)
-		checkLayout(t, s)
+		checkLayout(t, s, put...)
 		sameRows(t, s.MustTable("t").Snapshot(), append(want, row(7)))
+		for i, c := range put {
+			sameRows(t, Rows([]*Chunk{c}, c.Len()), held[i])
+		}
 	})
 }

@@ -3,12 +3,16 @@
 // is the execution substrate — the paper ran inside DB2; we run the same QGM
 // graphs over this store.
 //
-// Layout: each table's rows live in fixed-capacity column-major chunks
-// (ChunkRows rows each, every chunk but the last full; per-column typed
-// vectors with null bitmaps — see Chunk). Chunks are the only stored form of
-// a table. The executor and the write path read them through ScanChunks and
-// SnapshotChunks; Scan and Snapshot materialize rows per call for readers that
-// want rows. Rows become chunks in one place, Writer.Add.
+// Layout: each table's rows live in column-major chunks of at most ChunkRows
+// rows (per-column typed vectors with null bitmaps — see Chunk). Chunks are
+// the only stored form of a table. Put takes sealed chunks as they are — the
+// executor's output, a cube's short per-set chunks among them — so any chunk
+// may be short; the table's Writer fills chunks to ChunkRows, opens a new one
+// rather than write into a sealed chunk, and seals its open chunk before one a
+// Rewrite keeps, so only a table's last chunk is open. The executor and the
+// write path read chunks through ScanChunks and SnapshotChunks; Scan and
+// Snapshot materialize rows per call for readers that want rows. Rows become
+// chunks in one place, Writer.Add.
 //
 // Concurrency: the whole database — every table's sealed chunk view and the
 // summary tables' freshness (catalog.Statuses) — is one sequence of immutable
@@ -71,13 +75,13 @@ func (st state) with(name string, td TableData) state {
 }
 
 // TableData is one generation's view of a table: its schema and its sealed
-// chunks, every one but the last full, so row pos is row pos%ChunkRows of
-// chunk pos/ChunkRows. A TableData is never written: a table's next contents
-// are a new TableData in a new generation, so a view looked up before a write
-// keeps reading what it read.
+// chunks, in position order, n rows in all. A TableData is never written: a
+// table's next contents are a new TableData in a new generation, so a view
+// looked up before a write keeps reading what it read.
 type TableData struct {
 	*table          // Meta, and what every generation of the table shares
-	frozen []*Chunk // all sealed: full chunks shared, the tail header-copied
+	frozen []*Chunk // all sealed: sealed chunks shared, the open tail header-copied
+	n      int
 }
 
 // table is what the generations of one table share: its schema and key, the
@@ -93,11 +97,10 @@ type table struct {
 	live    *Store
 }
 
-// view seals the builder's chunks into the table's next TableData: the full
-// chunks, every one but the last, are shared; the last is header-copied
-// (Chunk.frozen).
+// view seals the builder's chunks into the table's next TableData: the sealed
+// chunks are shared; an open tail is header-copied (Chunk.frozen).
 func (w *table) view(b *Writer) TableData {
-	td := TableData{table: w, frozen: make([]*Chunk, len(b.chunks))}
+	td := TableData{table: w, frozen: make([]*Chunk, len(b.chunks)), n: b.N}
 	if k := copy(td.frozen, b.chunks); k > 0 {
 		td.frozen[k-1] = td.frozen[k-1].frozen()
 	}
@@ -200,22 +203,37 @@ func (s *Store) Create(meta *catalog.Table) *TableData {
 	return s.Put(meta, nil)
 }
 
-// Put replaces (or creates) a table's data wholesale. Readers that already
-// scanned the table keep their previous snapshot. Rows of the wrong arity are
-// a programming error: Put panics.
-func (s *Store) Put(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
+// Put replaces (or creates) a table's data wholesale with sealed chunks,
+// shared as they are: the table's Writer never writes into them. Readers that
+// already scanned the table keep their previous snapshot. A chunk of the
+// wrong width is a programming error: Put panics.
+func (s *Store) Put(meta *catalog.Table, chunks []*Chunk) *TableData {
 	w := &table{Meta: meta, name: strings.ToLower(meta.Name), live: s.root()}
 	var td TableData
 	w.builder.Do(func(b *Writer) {
-		b.Cols = len(meta.Columns)
-		if _, err := w.rewrite(b, nil, rows); err != nil {
-			panic(err)
+		b.Cols, b.chunks = len(meta.Columns), slices.Clone(chunks)
+		for _, c := range chunks {
+			if len(c.cols) != b.Cols {
+				panic(fmt.Sprintf("storage: chunk width %d != %d for table %s", len(c.cols), b.Cols, meta.Name))
+			}
+			b.N += c.n
 		}
 		td = w.view(b)
 	})
 	s.set(w.name, td)
 	out, _ := s.Table(w.name)
 	return out
+}
+
+// PutRows is Put of rows, chunked by a Writer (Chunked). A row of the wrong
+// arity is a programming error: PutRows panics.
+func (s *Store) PutRows(meta *catalog.Table, rows [][]sqltypes.Value) *TableData {
+	for _, r := range rows {
+		if len(r) != len(meta.Columns) {
+			panic(fmt.Sprintf("storage: row arity %d != %d for table %s", len(r), len(meta.Columns), meta.Name))
+		}
+	}
+	return s.Put(meta, Chunked(len(meta.Columns), rows))
 }
 
 // Drop removes a table.
@@ -386,6 +404,9 @@ func (w *table) rewrite(b *Writer, edits []Edit, add [][]sqltypes.Value) (TableD
 	pos := 0
 	for _, c := range old {
 		if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.n) {
+			if k := len(b.chunks); k > 0 && !b.chunks[k-1].sealed() {
+				b.chunks[k-1].seal() // an open chunk before a kept one is written no more
+			}
 			b.chunks = append(b.chunks, c)
 			b.N, b.Left, pos = b.N+c.n, b.Left-c.n, pos+c.n
 			continue
@@ -412,14 +433,8 @@ func (w *table) rewrite(b *Writer, edits []Edit, add [][]sqltypes.Value) (TableD
 	return w.view(b), nil
 }
 
-// Cardinality returns the view's row count: every chunk but the last is full.
-func (t *TableData) Cardinality() int {
-	k := len(t.frozen)
-	if k == 0 {
-		return 0
-	}
-	return (k-1)*ChunkRows + t.frozen[k-1].n
-}
+// Cardinality returns the view's row count, its chunks' lengths summed.
+func (t *TableData) Cardinality() int { return t.n }
 
 // TableRows reports a table's cardinality in this store's generation (0 when
 // not loaded); with Statuses it implements the rewriter's Sizer interface for

@@ -42,7 +42,7 @@ func TestViewPointerReadersDuringDMLStorm(t *testing.T) {
 		other.Name = "other"
 		for i := 0; i < 400; i++ {
 			rows := [][]sqltypes.Value{{sqltypes.Value(sqltypes.NewInt(int64(i))), sqltypes.Value(sqltypes.NewString("x"))}}
-			s.Put(other, rows)
+			s.PutRows(other, rows)
 			if i%7 == 0 {
 				s.Drop("other")
 			}

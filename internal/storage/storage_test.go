@@ -40,9 +40,22 @@ func TestPutReplaces(t *testing.T) {
 	s := NewStore()
 	s.Create(meta())
 	rows := [][]sqltypes.Value{{sqltypes.NewInt(9), sqltypes.NewString("z")}}
-	s.Put(meta(), rows)
+	s.PutRows(meta(), rows)
 	if s.MustTable("t").Cardinality() != 1 {
 		t.Fatal("Put did not replace")
+	}
+	for name, put := range map[string]func(){
+		"a short row":        func() { s.PutRows(meta(), [][]sqltypes.Value{rows[0][:1]}) },
+		"a one-column chunk": func() { s.Put(meta(), Chunked(1, [][]sqltypes.Value{rows[0][:1]})) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put of %s did not panic", name)
+				}
+			}()
+			put()
+		}()
 	}
 }
 

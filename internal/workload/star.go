@@ -159,7 +159,7 @@ func Load(cat *catalog.Catalog, store *storage.Store, cfg StarConfig) StarConfig
 		if !ok {
 			panic(fmt.Sprintf("workload: table %q not in catalog; call Schema first", name))
 		}
-		store.Put(t, rows)
+		store.PutRows(t, rows)
 	}
 
 	// PGroup.

@@ -69,7 +69,7 @@ repro/internal/core 129
 repro/internal/exec 135
 repro/internal/faultinject 1
 repro/internal/lint 37
-repro/internal/maintain 46
+repro/internal/maintain 31
 repro/internal/obs 6
 repro/internal/parser 117
 repro/internal/qgm 100
@@ -77,7 +77,7 @@ repro/internal/qgmcheck 83
 repro/internal/rcu 1
 repro/internal/server 29
 repro/internal/sqltypes 23
-repro/internal/storage 10
+repro/internal/storage 9
 repro/internal/wire 23
 repro/internal/workload 1
 BUDGETS
