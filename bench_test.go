@@ -475,7 +475,7 @@ func BenchmarkE16_Refresh(b *testing.B) {
 						}
 						continue
 					}
-					if err := env.Store.Rewrite("trans", nil, rows); err != nil {
+					if err := env.Store.Rewrite("trans", storage.Changes{Add: storage.Chunked(len(trans.Meta.Columns), rows)}); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := m.RefreshFull(plan); err != nil {
@@ -486,9 +486,13 @@ func BenchmarkE16_Refresh(b *testing.B) {
 		}
 	}
 	// The writer updates the batch it just inserted and deletes one from a few
-	// cycles back, so the legs take the table's last 64 rows.
-	lo, hi := base[len(base)-64][0].Int(), base[len(base)-1][0].Int()
-	where := fmt.Sprintf(" where tid >= %d and tid <= %d", min(lo, hi), max(lo, hi))
+	// cycles back, so the legs take the table's last 64 rows; delete-front
+	// takes positions 1000 to 1063, where a delete shifts every later row.
+	tids := func(from int) string {
+		lo, hi := base[from][0].Int(), base[from+63][0].Int()
+		return fmt.Sprintf(" where tid >= %d and tid <= %d", min(lo, hi), max(lo, hi))
+	}
+	where := tids(len(base) - 64)
 	dml := func(sql string) *qgm.DML {
 		stmt, err := parser.ParseStatement(sql)
 		if err != nil {
@@ -506,7 +510,8 @@ func BenchmarkE16_Refresh(b *testing.B) {
 		return d
 	}
 	update, del, rows := dml("update trans set qty = qty + 1"+where), dml("delete from trans"+where), batch(64)
-	for _, kind := range []string{"insert", "update", "delete"} {
+	front := dml("delete from trans" + tids(1000))
+	for _, kind := range []string{"insert", "update", "delete", "delete-front"} {
 		b.Run("dml=64/"+kind, func(b *testing.B) {
 			scoped := 0
 			for i := 0; i < b.N; i++ {
@@ -520,8 +525,10 @@ func BenchmarkE16_Refresh(b *testing.B) {
 					st, err = m.ApplyInsert([]*maintain.Plan{plan}, "trans", rows)
 				case "update":
 					n, st, err = m.ApplyUpdate([]*maintain.Plan{plan}, update)
-				default:
+				case "delete":
 					n, st, err = m.ApplyDelete([]*maintain.Plan{plan}, del)
+				default:
+					n, st, err = m.ApplyDelete([]*maintain.Plan{plan}, front)
 				}
 				if err != nil || n != 64 || st[0].Strategy != maintain.Incremental {
 					b.Fatalf("%s: %d rows, %v, %+v", kind, n, err, st)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -143,7 +147,7 @@ func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float
 // tenTableEngine is the benchmark's deployment in process: the 100k-row star
 // schema (200 accounts, 100 customers) with its ten summary tables, the
 // paper's ast1, ast6 and ast7 and the DS set.
-func tenTableEngine(t *testing.T) *astdb.Engine {
+func tenTableEngine(t *testing.T, trans int) *astdb.Engine {
 	t.Helper()
 	cat := catalog.New()
 	db, err := astdb.Open(cat)
@@ -151,7 +155,7 @@ func tenTableEngine(t *testing.T) *astdb.Engine {
 		t.Fatal(err)
 	}
 	workload.Schema(cat)
-	workload.Load(cat, db.Store(), workload.StarConfig{NumTrans: 100000, NumAccts: 200, NumCusts: 100, Seed: 7})
+	workload.Load(cat, db.Store(), workload.StarConfig{NumTrans: trans, NumAccts: 200, NumCusts: 100, Seed: 7})
 	defs := []catalog.ASTDef{{Name: "ast1", SQL: ASTDefs["ast1"]}, {Name: "ast6", SQL: ASTDefs["ast6"]}, {Name: "ast7", SQL: ASTDefs["ast7"]}}
 	for _, ds := range workload.DSASTs {
 		defs = append(defs, catalog.ASTDef{Name: ds.Name, SQL: ds.SQL})
@@ -168,16 +172,15 @@ func tenTableEngine(t *testing.T) *astdb.Engine {
 }
 
 // TestWriteBytesPerStatement: a 64-row UPDATE or DELETE costs what it
-// touches, not the table. Both statements hit the first 64 rows of trans —
-// for a DELETE the worst place, since every later row moves up and every
-// chunk after the first is rebuilt. When the store kept a row copy of every
-// table and each statement rebuilt the whole table from it, each cost about
-// 30 MiB in process.
+// touches, not the table. Both statements hit the first 64 rows of trans,
+// where a DELETE shifts every later row: a rewrite must rebuild the chunks
+// it reaches and keep the rest. The bound is twice the larger statement's
+// bytes.
 func TestWriteBytesPerStatement(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("bytes under -race are the race runtime's too; the set-up is a 100k-row load")
 	}
-	db := tenTableEngine(t)
+	db := tenTableEngine(t, 100000)
 	for _, sql := range []string{
 		"update trans set qty = qty + 1 where tid >= 1 and tid < 65",
 		"delete from trans where tid >= 1 and tid < 65",
@@ -191,8 +194,55 @@ func TestWriteBytesPerStatement(t *testing.T) {
 		}
 		mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		t.Logf("%s: %.1f MiB", sql, mib)
-		if mib > 10 {
-			t.Errorf("%s allocates %.1f MiB, above 10", sql, mib)
+		if mib > 2 {
+			t.Errorf("%s allocates %.1f MiB, above 2", sql, mib)
+		}
+	}
+}
+
+// TestChunkCountStaysBoundedUnderChurn: 1,000 cycles of the maintain-mixed
+// writer's statements — a 64-row INSERT, an UPDATE of that batch, a DELETE of
+// the batch eight cycles older — over the benchmark's ten summary tables
+// leave no table with more than 2·⌈n/ChunkRows⌉ + 1 chunks: the short chunks
+// a rewrite leaves behind fold into their neighbours instead of piling up.
+func TestChunkCountStaysBoundedUnderChurn(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("3,000 statements over ten summary tables")
+	}
+	db, ctx := tenTableEngine(t, 5000), context.Background()
+	rng := rand.New(rand.NewSource(43))
+	const first, batch, lag = 10_000_000, 64, 8
+	for cycle := range 1000 {
+		lo := first + cycle*batch
+		rows := make([][]sqltypes.Value, batch)
+		for i := range rows {
+			rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(lo + i)), sqltypes.NewInt(int64(1 + rng.Intn(200))),
+				sqltypes.NewInt(int64(1 + rng.Intn(20))), sqltypes.NewInt(int64(1 + rng.Intn(50))),
+				sqltypes.NewDate(1990+rng.Intn(3), 1+rng.Intn(12), 1+rng.Intn(28)), sqltypes.NewInt(int64(1 + rng.Intn(5))),
+				sqltypes.NewFloat(float64(1+rng.Intn(5000)) / 10), sqltypes.NewFloat(float64(rng.Intn(30)) / 100)}
+		}
+		if _, err := db.Insert(ctx, "trans", rows); err != nil {
+			t.Fatal(err)
+		}
+		stmts := []string{fmt.Sprintf("update trans set qty = qty + 1 where tid >= %d and tid < %d", lo, lo+batch)}
+		if old := lo - lag*batch; old >= first {
+			stmts = append(stmts, fmt.Sprintf("delete from trans where tid >= %d and tid < %d", old, old+batch))
+		}
+		for _, sql := range stmts {
+			if res, err := db.ExecStatement(ctx, sql); err != nil || res.Affected != batch {
+				t.Fatalf("cycle %d: %s: %v, %+v", cycle, sql, err, res)
+			}
+		}
+	}
+	names := []string{"acct", "cust", "loc", "pgroup", "trans"}
+	for _, ca := range db.ASTs() {
+		names = append(names, ca.Def.Name)
+	}
+	for _, name := range names {
+		chunks, n := db.Store().MustTable(name).SnapshotChunks()
+		bound := 2*((n+storage.ChunkRows-1)/storage.ChunkRows) + 1
+		if t.Logf("%s: %d chunks for %d rows", name, len(chunks), n); len(chunks) > bound {
+			t.Errorf("%s: %d chunks for %d rows, above %d", name, len(chunks), n, bound)
 		}
 	}
 }
@@ -208,7 +258,7 @@ func TestLiveHeapAfterScans(t *testing.T) {
 	var base, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&base)
-	db := tenTableEngine(t)
+	db := tenTableEngine(t, 100000)
 	for _, name := range []string{"acct", "cust", "loc", "pgroup", "trans"} {
 		if _, err := db.Store().Scan(name); err != nil {
 			t.Fatal(err)

@@ -319,7 +319,7 @@ func smokeRefresh(t *testing.T, scale int) {
 		incremental := table()
 		env.Store.PutRows(trans.Meta, base)
 		env.Store.PutRows(plan.AST.Table, summary)
-		if err := env.Store.Rewrite("trans", nil, rows); err != nil {
+		if err := env.Store.Rewrite("trans", storage.Changes{Add: storage.Chunked(len(trans.Meta.Columns), rows)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.RefreshFull(plan); err != nil {

@@ -31,6 +31,9 @@ type GroupMerge struct {
 	flags                  []uint8
 	lost                   map[[2]int]sqltypes.Value // (group, aggregate) → stored value of a cell the delete side may have emptied
 	v                      sqltypes.Vec
+	kc                     []keyCol // each's strip: key columns, hashes, ordinals
+	hash                   [stripRows]uint64
+	ords                   [stripRows]uint32
 	Merged, Added, Retired int // delta groups, as maintain's Stats count them
 }
 
@@ -72,7 +75,7 @@ func MergeGroups(stored, del, ins []*storage.Chunk, spec MergeSpec) (*GroupMerge
 		m.all = append(m.all, ai)
 		m.specs = append(m.specs, aggSpec{agg: &qgm.Agg{Op: agg.Op}, col: c, op: max(aggOps[agg.Op], opSum)}) // counts add up
 	}
-	m.t = newGroupTable(len(m.keys), m.specs)
+	m.t, m.kc = newGroupTable(len(m.keys), m.specs), make([]keyCol, len(m.keys))
 	m.each(del, true, nil)
 	m.each(ins, true, nil)
 	m.pos, m.flags = make([]int, m.t.n), make([]uint8, m.t.n)
@@ -167,18 +170,16 @@ func reaches(op aggOp, o int) bool { return op == opMin && o <= 0 || op == opMax
 // each finds (insert) or looks up the groups of every strip of chunks and
 // calls f, when not nil, with the strip and its ordinals.
 func (m *GroupMerge) each(chunks []*storage.Chunk, insert bool, f func(c *storage.Chunk, at int, ords []uint32) error) error {
-	keys, set := make([]keyCol, len(m.keys)), allInts(len(m.keys))
-	var hash [stripRows]uint64
-	var ords [stripRows]uint32
+	set := allInts(len(m.keys))
 	for _, c := range chunks {
 		for at := 0; at < c.Len(); at += stripRows {
 			n := min(stripRows, c.Len()-at)
 			for j, col := range m.keys {
-				keys[j].load(c.Col(col), at, n)
+				m.kc[j].load(c.Col(col), at, n)
 			}
-			m.t.findBatch(keys, set, hash[:n], ords[:n], insert)
+			m.t.findBatch(m.kc, set, m.hash[:n], m.ords[:n], insert)
 			if f != nil {
-				if err := f(c, at, ords[:n]); err != nil {
+				if err := f(c, at, m.ords[:n]); err != nil {
 					return err
 				}
 			}
@@ -266,35 +267,36 @@ func (m *GroupMerge) Splice(chunks []*storage.Chunk) error {
 	return err
 }
 
-// Edits returns the merge as a Rewrite of the stored table: per stored group
-// an edit, in position order, nil when it retired and was not reborn, and the
-// new groups' rows. Groups leave through keyColumn and stateColumn.
-func (m *GroupMerge) Edits() (edits []storage.Edit, add [][]sqltypes.Value) {
-	width := len(m.keys) + len(m.specs)
-	vals, cols := make([]sqltypes.Value, m.t.n*width), make([]sqltypes.Vec, width)
-	for lo := 0; lo < m.t.n; lo += storage.ChunkRows {
-		n := min(storage.ChunkRows, m.t.n-lo)
-		for j, c := range m.keys {
-			m.t.keyColumn(&cols[c], j, lo, n)
-		}
-		for ai := range m.specs {
-			m.t.stateColumn(&cols[m.specs[ai].col], ai, &m.specs[ai], lo, n)
-		}
-		for g := lo; g < lo+n; g++ {
-			row := vals[g*width : (g+1)*width : (g+1)*width]
-			for c := range row {
-				row[c] = cols[c].Value(g - lo)
-			}
-			if m.flags[g]&(mRetired|mInserted) == mRetired {
-				row = nil
-			}
-			if m.pos[g] < 0 {
-				add = append(add, row)
-			} else {
-				edits = append(edits, storage.Edit{Pos: m.pos[g], Row: row})
-			}
+// Changes returns the merge as a Rewrite of the stored table: each stored
+// group's position dropped when it retired and was not reborn, else set to
+// its row; the new groups' rows appended. Groups leave through keyColumn and
+// stateColumn, once, and are gathered into chunks in position order.
+func (m *GroupMerge) Changes() storage.Changes {
+	var ch storage.Changes
+	var set, add []int32
+	for g, p := range m.pos {
+		switch {
+		case p < 0:
+			add = append(add, int32(g))
+		case m.flags[g]&(mRetired|mInserted) == mRetired:
+			ch.Drop = append(ch.Drop, p)
+		default:
+			set = append(set, int32(g))
 		}
 	}
-	slices.SortFunc(edits, func(a, b storage.Edit) int { return cmp.Compare(a.Pos, b.Pos) })
-	return edits, add
+	slices.Sort(ch.Drop)
+	slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(m.pos[a], m.pos[b]) })
+	for _, g := range set {
+		ch.Set = append(ch.Set, m.pos[g])
+	}
+	cols := make([]sqltypes.Vec, len(m.keys)+len(m.specs))
+	for j, c := range m.keys {
+		m.t.keyColumn(&cols[c], j, 0, m.t.n)
+	}
+	for ai := range m.specs {
+		m.t.stateColumn(&cols[m.specs[ai].col], ai, &m.specs[ai], 0, m.t.n)
+	}
+	groups := storage.NewChunk(m.t.n, cols)
+	ch.With, ch.Add = storage.Gather(groups, set), storage.Gather(groups, add)
+	return ch
 }

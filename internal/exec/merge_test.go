@@ -54,8 +54,9 @@ func TestMergeGroupsRefusalsAndSplice(t *testing.T) {
 	if err := m.Splice(chunks(r(1, 1, n(6), n(6)))); err != nil {
 		t.Fatal(err)
 	}
-	edits, add := m.Edits()
-	if len(edits) != 1 || edits[0].Pos != 0 || len(add) != 0 || edits[0].Row[1].Int() != 1 || edits[0].Row[2].Int() != 6 || edits[0].Row[3].Int() != 6 {
-		t.Fatalf("edits %v, add %v: want row 0 to be the recompute's [1 1 6 6]", edits, add)
+	ch := m.Changes()
+	if rows := storage.Rows(ch.With, len(ch.Set)); len(ch.Set) != 1 || ch.Set[0] != 0 || len(ch.Drop)+len(ch.Add) != 0 ||
+		rows[0][1].Int() != 1 || rows[0][2].Int() != 6 || rows[0][3].Int() != 6 {
+		t.Fatalf("changes %+v: want row 0 set to the recompute's [1 1 6 6]", ch)
 	}
 }

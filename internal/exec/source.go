@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -250,6 +251,50 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 	return s, "", nil
 }
 
+// Filter runs where (nil: every row) and exprs over chunks, the rows of
+// quantifier q, on the kernels a box compiles them to: what those do not lower
+// is lifted, and counted on o, as in a box. For each chunk with rows where
+// where is True it calls f with the chunk, the position of its first row,
+// those rows (nil: all of them) and exprs' vectors aligned with them, valid
+// until f returns. It stops at the first error. DML finds its rows and
+// computes their SET values here.
+func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []qgm.Expr, o *obs.Observer,
+	f func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error) error {
+	ectx := &exprCtx{}
+	ectx.setSlot(q.ID, 0)
+	return (&evaluator{obsv: o}).filterChunks(ectx, q.ID, chunks, where, exprs, f)
+}
+
+// filterChunks is Filter over quantifier qid, bound in ectx beside the
+// scalar-subquery values.
+func (ev *evaluator) filterChunks(ectx *exprCtx, qid int, chunks []*storage.Chunk, where qgm.Expr, exprs []qgm.Expr,
+	f func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error) error {
+	vc := vecCompiler{ev: ev, ectx: ectx, baseQID: qid}
+	var filters []vecFilter
+	if where != nil {
+		filters = []vecFilter{vc.compileFilter(where)}
+	}
+	kernels := make([]vecKernel, len(exprs))
+	for i, e := range exprs {
+		kernels[i] = vc.compileScalar(e)
+	}
+	cs, vals, at := &chunkState{vecs: make([]*sqltypes.Vec, vc.slots)}, make([]*sqltypes.Vec, len(exprs)), 0
+	for _, c := range chunks {
+		err := cs.narrow(c, filters)
+		for i := 0; i < len(kernels) && err == nil && cs.n() > 0; i++ {
+			vals[i], err = kernels[i](cs)
+		}
+		if err == nil && cs.n() > 0 {
+			err = f(c, at, cs.sel, vals)
+		}
+		if err != nil {
+			return err
+		}
+		at += c.Len()
+	}
+	return nil
+}
+
 // starDim is one dimension of a join: its chunks and row count, the
 // fact-side key kernels (evaluated per chunk) and a groupTable of its distinct
 // keys, with each key's rows as a CSR list: list[offsets[g]:offsets[g+1]] are
@@ -299,15 +344,12 @@ func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
 		default:
 			c.src, c.dimVals = src, new(sqltypes.Vec)
 			dim := &s.dims[src]
-			bd := make(binding, 1)
-			err := storage.EachRow(dim.chunks, func(ri int, r []sqltypes.Value) error {
-				bd[0] = r
-				v, err := dim.ctx.evalScalar(e, bd)
-				if ri == 0 {
-					c.dimVals.Reserve(v.Kind(), dim.n)
+			err := s.ev.filterChunks(dim.ctx, s.dimQs[src].ID, dim.chunks, nil, []qgm.Expr{e}, func(_ *storage.Chunk, at int, _ []int32, vals []*sqltypes.Vec) error {
+				if at == 0 {
+					c.dimVals.Reserve(vals[0].Kind(), dim.n)
 				}
-				c.dimVals.AppendValue(v)
-				return err
+				c.dimVals.AppendVec(vals[0], 0, vals[0].Len())
+				return nil
 			})
 			if err != nil {
 				return nil, declDimEval
@@ -363,14 +405,8 @@ func (s *source) worker() *srcWorker {
 // per tuple.
 func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 	s, cs := w.s, w.cs
-	cs.reset(c)
-	for _, f := range s.filters {
-		if err := f(cs); err != nil {
-			return 0, err
-		}
-		if cs.n() == 0 {
-			return 0, nil
-		}
+	if err := cs.narrow(c, s.filters); err != nil || cs.n() == 0 {
+		return 0, err
 	}
 	nd := len(s.dims)
 	if nd == 0 {

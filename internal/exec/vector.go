@@ -108,6 +108,18 @@ func (cs *chunkState) reset(c *storage.Chunk) {
 	cs.sel = nil
 }
 
+// narrow moves cs to chunk c and narrows its selection by each filter in
+// turn, stopping once none is left.
+func (cs *chunkState) narrow(c *storage.Chunk, filters []vecFilter) error {
+	cs.reset(c)
+	for _, f := range filters {
+		if err := f(cs); err != nil || cs.n() == 0 {
+			return err
+		}
+	}
+	return nil
+}
+
 // n returns the live (selected) row count.
 func (cs *chunkState) n() int {
 	if cs.sel != nil {

@@ -64,25 +64,25 @@ func (m *Maintainer) ApplyInsert(plans []*Plan, table string, rows [][]sqltypes.
 	if !ok {
 		return nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
-	cols, w := td.Meta.Columns, len(td.Meta.Columns)
-	checked, cells := make([][]sqltypes.Value, len(rows)), make([]sqltypes.Value, len(rows)*w)
+	cols := td.Meta.Columns
 	for i, r := range rows {
-		if len(r) != w {
+		if len(r) != len(cols) {
 			return nil, fmt.Errorf("%w: row %d has %d values, table %s has %d columns",
-				ErrValue, i, len(r), td.Meta.Name, w)
-		}
-		checked[i] = cells[i*w : (i+1)*w : (i+1)*w]
-		copy(checked[i], r)
-		for j := range checked[i] {
-			if c := &checked[i][j]; c.Kind() != cols[j].Type {
-				var err error
-				if *c, err = coerceValue(*c, cols[j]); err != nil {
-					return nil, fmt.Errorf("maintain: row %d, column %s: %w", i, cols[j].Name, err)
-				}
-			}
+				ErrValue, i, len(r), td.Meta.Name, len(cols))
 		}
 	}
-	return m.apply(d, plans, table, "maintain.incremental:", nil, storage.Chunked(w, checked), nil, checked)
+	ins := storage.Chunked(len(cols), rows)
+	for i, c := range ins {
+		vecs := make([]sqltypes.Vec, len(cols))
+		for j := range vecs {
+			var err error
+			if vecs[j], err = fitted(c.Col(j), cols[j]); err != nil {
+				return nil, fmt.Errorf("maintain: INSERT: %w", err)
+			}
+		}
+		ins[i] = storage.NewChunk(c.Len(), vecs)
+	}
+	return m.apply(d, plans, table, "maintain.incremental:", nil, storage.Changes{Add: ins})
 }
 
 // ApplyDelete removes the rows of dml's table matched by its predicate (3VL:
@@ -105,13 +105,14 @@ func (m *Maintainer) ApplyUpdate(plans []*Plan, dml *qgm.DML) (int, []Stats, err
 	return m.applyWhere(plans, dml, "maintain.update:", true)
 }
 
-// applyWhere walks the chunks of dml's table once, through one reused row
-// buffer, and records the positions its WHERE matches: each matched row is
-// dropped, or with set rewritten through dml's assignments in place, and
-// written to the chunks of the rows leaving (and entering) the table. The
-// base table is then rewritten copy-on-write (Store.Rewrite), so concurrent
-// readers keep a consistent pre-mutation snapshot and every chunk the
-// statement does not reach is shared.
+// applyWhere finds the rows of dml's table where its WHERE is True on the
+// executor's chunk kernels, as a SELECT would (exec.Filter), with the SET
+// values of those rows beside them. The rows leaving the table are gathered
+// from each chunk; for an UPDATE, the rows entering it are those with the SET
+// columns replaced by their values, fitted to their columns. The base table
+// is then rewritten copy-on-write (Store.Rewrite), so concurrent readers keep
+// a consistent pre-mutation snapshot and every chunk the statement does not
+// reach is shared.
 func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bool) (int, []Stats, error) {
 	table := strings.ToLower(dml.Table.Name)
 	d := m.store.Pin()
@@ -120,48 +121,78 @@ func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bo
 		return 0, nil, fmt.Errorf("maintain: table %q not loaded", table)
 	}
 	chunks, _ := td.SnapshotChunks()
-	ev := exec.NewRowEvaluator(dml.Q)
-	del, ins := storage.Writer{Cols: len(td.Meta.Columns)}, storage.Writer{Cols: len(td.Meta.Columns)}
-	var edits []storage.Edit
-	err := storage.EachRow(chunks, func(pos int, row []sqltypes.Value) error {
-		if dml.Where != nil {
-			if tri, err := ev.Pred(dml.Where, row); err != nil {
-				return fmt.Errorf("maintain: %v WHERE: %w", dml.Kind, err)
-			} else if tri != sqltypes.True {
-				return nil
+	exprs := make([]qgm.Expr, len(dml.Sets))
+	for i, s := range dml.Sets {
+		exprs[i] = s.Expr
+	}
+	var del []*storage.Chunk
+	var ch storage.Changes
+	pos := &ch.Drop // the positions the statement reaches
+	if set {
+		pos = &ch.Set
+	}
+	err := exec.Filter(dml.Q, chunks, dml.Where, exprs, m.obsv, func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error {
+		out := c
+		if sel != nil {
+			out = storage.Gather(c, sel)[0]
+		}
+		for i := range out.Len() {
+			p := i
+			if sel != nil {
+				p = int(sel[i])
+			}
+			*pos = append(*pos, at+p)
+		}
+		if del = append(del, out); !set {
+			return nil
+		}
+		cols := make([]sqltypes.Vec, out.Width())
+		for j := range cols {
+			cols[j] = *out.Col(j)
+		}
+		for i, s := range dml.Sets {
+			var err error
+			if cols[s.Col], err = fitted(vals[i], dml.Table.Columns[s.Col]); err != nil {
+				return fmt.Errorf("SET %w", err)
 			}
 		}
-		del.Add(row)
-		edit := storage.Edit{Pos: pos}
-		if set {
-			edit.Row = slices.Clone(row)
-			for _, s := range dml.Sets {
-				col := dml.Table.Columns[s.Col]
-				v, err := ev.Scalar(s.Expr, row)
-				if err == nil {
-					v, err = coerceValue(v, col)
-				}
-				if err != nil {
-					return fmt.Errorf("maintain: UPDATE SET %s: %w", col.Name, err)
-				}
-				edit.Row[s.Col] = v
-			}
-			ins.Add(edit.Row)
-		}
-		edits = append(edits, edit)
+		ch.With = append(ch.With, storage.NewChunk(out.Len(), cols))
 		return nil
 	})
-	if err != nil || del.N == 0 {
-		return 0, nil, err
+	if err != nil {
+		return 0, nil, fmt.Errorf("maintain: %v: %w", dml.Kind, err)
 	}
-	stats, err := m.apply(d, plans, table, site, del.Seal(), ins.Seal(), edits, nil)
-	return del.N, stats, err
+	if len(del) == 0 {
+		return 0, nil, nil
+	}
+	stats, err := m.apply(d, plans, table, site, del, ch)
+	return len(ch.Drop) + len(ch.Set), stats, err
+}
+
+// fitted is v's values fitted to col, in a vector of their own: copied as
+// they are when they are of col's kind (NULLs where col allows them), else
+// each cell of another kind through coerceValue.
+func fitted(v *sqltypes.Vec, col catalog.Column) (out sqltypes.Vec, err error) {
+	if !v.Generic() && (v.Kind() == col.Type || v.Kind() == sqltypes.KindNull) && (col.Nullable || !v.HasNulls()) {
+		out.AppendVec(v, 0, v.Len())
+		return out, nil
+	}
+	for i := range v.Len() {
+		x := v.Value(i)
+		if x.Kind() != col.Type {
+			if x, err = coerceValue(x, col); err != nil {
+				return out, fmt.Errorf("column %s: %w", col.Name, err)
+			}
+		}
+		out.AppendValue(x)
+	}
+	return out, nil
 }
 
 // coerceValue conforms a value to its column, for INSERT's cells and UPDATE's
-// SET values alike: NOT NULL is enforced, integers widen into float columns,
-// and ISO strings and integer yyyymmdd values land in date columns when
-// ParseDate's range check passes. Every error it returns is an ErrValue.
+// SET values alike (fitted): NOT NULL is enforced, integers widen into float
+// columns, and ISO strings and integer yyyymmdd values land in date columns
+// when ParseDate's range check passes. Every error it returns is an ErrValue.
 func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 	if v.IsNull() {
 		if !col.Nullable {
@@ -191,13 +222,14 @@ func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 
 // apply is the one write sequence behind INSERT, DELETE and UPDATE, built on
 // d, a store pinned to the generation the statement started from, over the
-// chunks of the rows leaving table (del) and entering it (ins), each put in a
-// pin of d as table. For every plan reading table it prepares, against the
+// chunks of the rows leaving table (del) and the base rewrite ch, whose set
+// or appended chunks are the rows entering it (ins), each side put in a pin
+// of d as table. For every plan reading table it prepares, against the
 // pre-mutation tables, the merge of the statement's deltas — the definition
-// over del subtracted, over ins added; then the base table is rewritten
-// (edits applied, add appended); only then is each prepared merge completed
-// (scoped recompute where MIN/MAX groups lost their extreme) and staged, and
-// d is committed: one publication for the whole statement. A plan that does
+// over del subtracted, over ins added; then the base table is rewritten by
+// ch; only then is each prepared merge completed (scoped recompute where
+// MIN/MAX groups lost their extreme) and staged, and d is committed: one
+// publication for the whole statement. A plan that does
 // not route incrementally, an AST d holds stale or quarantined (its
 // materialization is missing earlier deltas, and merging into it would
 // launder that into freshness), and a prepared merge that fails at any point
@@ -209,7 +241,7 @@ func coerceValue(v sqltypes.Value, col catalog.Column) (sqltypes.Value, error) {
 // A Maintainer has no lock of its own: two apply calls racing on one store
 // lose base rows and publish merges of each other's pre-images. Callers
 // serialize writers (astdb.Engine does, with its writer slot).
-func (m *Maintainer) apply(d *storage.Store, plans []*Plan, table, site string, del, ins []*storage.Chunk, edits []storage.Edit, add [][]sqltypes.Value) ([]Stats, error) {
+func (m *Maintainer) apply(d *storage.Store, plans []*Plan, table, site string, del []*storage.Chunk, ch storage.Changes) ([]Stats, error) {
 	type job struct {
 		p     *Plan
 		mg    *exec.GroupMerge // nil = full recompute
@@ -218,7 +250,7 @@ func (m *Maintainer) apply(d *storage.Store, plans []*Plan, table, site string, 
 	}
 	var jobs []job
 	var sides [2]*storage.Store
-	for i, chunks := range [][]*storage.Chunk{del, ins} {
+	for i, chunks := range [][]*storage.Chunk{del, slices.Concat(ch.With, ch.Add)} {
 		if len(chunks) > 0 {
 			sides[i] = d.Pin()
 			sides[i].Put(d.MustTable(table).Meta, chunks)
@@ -239,7 +271,7 @@ func (m *Maintainer) apply(d *storage.Store, plans []*Plan, table, site string, 
 		jobs = append(jobs, j)
 	}
 
-	if err := d.Rewrite(table, edits, add); err != nil {
+	if err := d.Rewrite(table, ch); err != nil {
 		return nil, err
 	}
 	defer d.Commit()
@@ -318,7 +350,7 @@ func (m *Maintainer) prepareMerge(d *storage.Store, p *Plan, site string, sides 
 
 // finish completes a prepared merge on d after the base mutation: the scoped
 // recompute of the groups that need one, then one Rewrite of the touched
-// groups.
+// groups, handed over as chunks.
 func (m *Maintainer) finish(d *storage.Store, p *Plan, mg *exec.GroupMerge, st *Stats) error {
 	if st.DeltaRows == 0 {
 		return nil // nothing to fold in
@@ -333,8 +365,7 @@ func (m *Maintainer) finish(d *storage.Store, p *Plan, mg *exec.GroupMerge, st *
 		}
 		st.Scoped = len(keys)
 	}
-	edits, add := mg.Edits()
-	return d.Rewrite(p.Name(), edits, add)
+	return d.Rewrite(p.Name(), mg.Changes())
 }
 
 // scopedRecompute re-evaluates the AST definition over the post-mutation base

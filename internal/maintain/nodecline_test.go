@@ -17,8 +17,10 @@ import (
 // decline as exec.vector.declined; the delta engine has no observer, so the
 // maintainer counts for it (maintain.exec.declined). Nor does any expression
 // of the maintainer's engine lift (exec.vector.lifted): the scoped
-// recompute's key predicate is a probe. The second row is a definition that
-// does decline, to show both decline counters would say so.
+// recompute's key predicate is a probe, and the UPDATE's and DELETE's WHERE
+// and SET run on the kernels too (exec.Filter counts a lift on the same
+// observer, as a WHERE of OR shows at the end). The second row is a
+// definition that does decline, to show both decline counters would say so.
 func TestMaintenanceStaysOnTheChunkPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -60,6 +62,11 @@ func TestMaintenanceStaysOnTheChunkPipeline(t *testing.T) {
 				if own, delta := declined(o); !tc.declines && own+delta != 0 {
 					t.Fatalf("%s: %d boxes left the pipeline on the maintainer's engine, %d in delta runs", step.name, own, delta)
 				}
+			}
+			lifted := o.Counter(exec.CtrVecLifted)
+			e.update(t, "update trans set qty = qty + 1 where tid < 0 or qty < 0")
+			if o.Counter(exec.CtrVecLifted) != lifted+1 {
+				t.Fatal("a DML WHERE the kernels lift went uncounted")
 			}
 			if own, delta := declined(o); tc.declines && (own == 0 || delta == 0) {
 				t.Fatalf("a declining definition went uncounted: exec.vector.declined %d, maintain.exec.declined %d", own, delta)

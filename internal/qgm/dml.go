@@ -36,8 +36,8 @@ type DMLSet struct {
 
 // DML is a compiled DELETE or UPDATE: a single base-table quantifier with the
 // WHERE predicate and SET expressions bound to it. Unlike a query it has no
-// box tree — the executor evaluates Where/Sets row-at-a-time against Q's
-// columns (exec.RowEvaluator).
+// box tree — the executor evaluates Where and Sets over the chunks of Q's
+// table on the kernels a SELECT's WHERE runs on (exec.Filter).
 type DML struct {
 	Kind  DMLKind
 	Table *catalog.Table

@@ -303,6 +303,12 @@ func Identical(a, b Value) bool {
 	return ca == cb && wa == wb
 }
 
+// Same reports whether a and b are one value: one kind and one payload, bit
+// for bit (so -0.0 is not 0.0, and a NaN is the NaN of its bits).
+func Same(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
 // GroupKey renders a value for use in composite grouping keys: two values
 // map to one string exactly when they are Identical. It is a decimal encoding
 // of its own, the reference KeyCell is tested against, in the same classes.

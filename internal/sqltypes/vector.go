@@ -212,6 +212,34 @@ func (v *Vec) AppendValue(x Value) {
 	v.n++
 }
 
+// AppendVec appends elements lo to hi of src: the payload slice at once when
+// the kinds agree (or v is empty and untyped), else each element as
+// AppendValue does.
+func (v *Vec) AppendVec(src *Vec, lo, hi int) {
+	v.writable("AppendVec")
+	if lo == hi || v.generic || src.generic || src.kind == KindNull || v.kind != src.kind && (v.kind != KindNull || v.n > 0) {
+		for i := lo; i < hi; i++ {
+			v.AppendValue(src.Value(i))
+		}
+		return
+	}
+	v.kind = src.kind
+	switch src.kind {
+	case KindFloat:
+		v.floats = append(v.floats, src.floats[lo:hi]...)
+	case KindString:
+		v.strs = append(v.strs, src.strs[lo:hi]...)
+	default:
+		v.ints = append(v.ints, src.ints[lo:hi]...)
+	}
+	for i := lo; src.hasNulls && i < hi; i++ {
+		if src.nulls.Get(i) {
+			v.SetNull(v.n + i - lo)
+		}
+	}
+	v.n += hi - lo
+}
+
 // backfill returns n zero elements ahead of the first typed append: in s's
 // spare capacity when Reset or Reserve left enough, else freshly allocated
 // with room to grow.

@@ -2,6 +2,7 @@ package sqltypes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,6 +305,7 @@ func TestSealedVecRefusesEveryMutator(t *testing.T) {
 	}{
 		{"AppendValue", "AppendValue on a sealed vector", func(v *Vec) { v.AppendValue(NewInt(9)) }},
 		{"AppendNull", "AppendNull on a sealed vector", func(v *Vec) { v.AppendNull() }},
+		{"AppendVec", "AppendVec on a sealed vector", func(v *Vec) { v.AppendVec(src, 0, 1) }},
 		{"Reset", "Reset on a sealed vector", func(v *Vec) { v.Reset() }},
 		{"Reserve", "Reserve on a sealed vector", func(v *Vec) { v.Reserve(KindInt, 8) }},
 		{"SetNull", "SetNull on a sealed vector", func(v *Vec) { v.SetNull(0) }},
@@ -333,5 +335,48 @@ func TestSealedVecRefusesEveryMutator(t *testing.T) {
 	into.Gather(src, []int32{5, 0, 4})
 	if into.Sealed() || !into.IsNull(0) || into.Value(1).Int() != 0 || into.Value(2).Int() != 4 {
 		t.Fatalf("Gather from a sealed vector reads %v %v %v (sealed %v)", into.Value(0), into.Value(1), into.Value(2), into.Sealed())
+	}
+}
+
+// TestAppendVecIsAppendValue: appending a run of a vector — typed onto typed
+// of its kind, onto an empty or a NULLs-only vector, onto another kind or a
+// generic vector, a run with NULLs, an empty run — leaves the vector as
+// appending each element's Value does, kinds, NULLs and bits included (a run
+// of NULLs only may keep its source's kind, as Gather does).
+func TestAppendVecIsAppendValue(t *testing.T) {
+	of := func(vals ...Value) *Vec {
+		v := &Vec{}
+		for _, x := range vals {
+			v.AppendValue(x)
+		}
+		return v
+	}
+	nan := NewFloat(math.Float64frombits(0x7ff8000000000001))
+	srcs := []*Vec{
+		of(NewInt(1), Null, NewInt(3)), of(NewFloat(math.Copysign(0, -1)), nan, Null), of(NewString("a"), NewString("")),
+		of(NewDate(1995, 1, 4), Null), of(Null, Null), of(NewInt(1), NewString("x")), {},
+	}
+	for di, dst := range []func() *Vec{
+		func() *Vec { return &Vec{} }, func() *Vec { return of(Null) }, func() *Vec { return of(NewInt(7)) },
+		func() *Vec { return of(NewFloat(2), Null) }, func() *Vec { return of(NewString("s")) }, func() *Vec { return of(NewInt(1), NewFloat(1)) },
+	} {
+		for si, src := range srcs {
+			for lo := 0; lo <= src.Len(); lo++ {
+				got, want := dst(), dst()
+				got.AppendVec(src, lo, src.Len())
+				for i := lo; i < src.Len(); i++ {
+					want.AppendValue(src.Value(i))
+				}
+				if got.Len() != want.Len() || got.Generic() != want.Generic() || !got.Generic() && want.Kind() != KindNull && got.Kind() != want.Kind() {
+					t.Fatalf("dst %d src %d from %d: %d %v %v, want %d %v %v", di, si, lo, got.Len(), got.Kind(), got.Generic(), want.Len(), want.Kind(), want.Generic())
+				}
+				for i := range got.Len() {
+					g, w := got.Value(i), want.Value(i)
+					if g.Kind() != w.Kind() || g.IsNull() != w.IsNull() || math.Float64bits(g.f) != math.Float64bits(w.f) || g.i != w.i || g.s != w.s {
+						t.Fatalf("dst %d src %d from %d: element %d is %v, want %v", di, si, lo, i, g, w)
+					}
+				}
+			}
+		}
 	}
 }

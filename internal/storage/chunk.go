@@ -64,14 +64,16 @@ func (c *Chunk) frozen() *Chunk {
 	return f
 }
 
-// Writer is the one place rows turn into chunks: a table's inserts, bulk loads
-// and rewrites, and a row-path SELECT's output read by a pipeline parent (a
-// GROUP BY's output is never rows: NewChunk seals its columns). It fills
-// chunks ChunkRows rows to a chunk and seals each as it fills; after a sealed
-// chunk (a full one, or one Put shared) it opens a new one. Left is how many
-// rows are still to come (0 when unknown): a new chunk reserves its vectors
-// once, for that many rows up to ChunkRows, in the kinds of its first row. A
-// row has at least Cols values.
+// Writer is the one place rows turn into chunks: a table's inserts and bulk
+// loads, and a row-path SELECT's output read by a pipeline parent (a GROUP
+// BY's output is never rows: NewChunk seals its columns). A rewrite passes it
+// chunks instead, whose vectors it copies a run at a time (Append). It fills
+// chunks ChunkRows rows to a chunk and seals each as it fills; it never
+// writes into a sealed chunk, but replaces a short sealed last chunk (one Put
+// or a rewrite kept) by an open copy, so short chunks fill up rather than pile
+// up. Left is how many rows are still to come (0 when unknown): a new chunk
+// reserves its vectors once, for that many rows up to ChunkRows. A row has at
+// least Cols values.
 type Writer struct {
 	Cols   int
 	Left   int
@@ -82,24 +84,81 @@ type Writer struct {
 // Add appends one row. Only the last chunk is written, and only past its
 // length, so frozen views of it stay valid.
 func (w *Writer) Add(row []sqltypes.Value) {
-	k := len(w.chunks)
-	if k == 0 || w.chunks[k-1].sealed() {
-		c := &Chunk{cols: make([]sqltypes.Vec, w.Cols)}
-		for i := range c.cols {
-			c.cols[i].Reserve(row[i].Kind(), min(max(w.Left, 0), ChunkRows))
+	c := w.tail()
+	if c == nil {
+		if c = w.open(); c.n == 0 {
+			for i := range c.cols {
+				c.cols[i].Reserve(row[i].Kind(), min(max(w.Left, 0), ChunkRows))
+			}
 		}
-		w.chunks = append(w.chunks, c)
-		k++
 	}
-	c := w.chunks[k-1]
 	for i := range c.cols {
 		c.cols[i].AppendValue(row[i])
 	}
-	if c.n++; c.n == ChunkRows {
+	w.grew(c, 1)
+}
+
+// Append appends rows lo to hi of src, copying its vectors a run at a time.
+func (w *Writer) Append(src *Chunk, lo, hi int) {
+	for lo < hi {
+		c := w.tail()
+		if c == nil {
+			c = w.open()
+		}
+		k := min(hi-lo, ChunkRows-c.n)
+		for j := range c.cols {
+			if c.n == 0 {
+				c.cols[j].Reserve(src.cols[j].Kind(), min(max(w.Left, 0), ChunkRows))
+			}
+			c.cols[j].AppendVec(&src.cols[j], lo, lo+k)
+		}
+		w.grew(c, k)
+		lo += k
+	}
+}
+
+// tail returns the last chunk while it is open, the one the next rows go
+// into, else nil.
+func (w *Writer) tail() *Chunk {
+	if k := len(w.chunks); k > 0 && !w.chunks[k-1].sealed() {
+		return w.chunks[k-1]
+	}
+	return nil
+}
+
+// open appends a new chunk, holding a copy of the last one's rows when that
+// is sealed but short.
+func (w *Writer) open() *Chunk {
+	k := len(w.chunks)
+	c := &Chunk{cols: make([]sqltypes.Vec, w.Cols)}
+	if k > 0 && w.chunks[k-1].n < ChunkRows {
+		k, c.n = k-1, w.chunks[k-1].n
+		for j, v := range w.chunks[k].cols {
+			c.cols[j].Reserve(v.Kind(), min(c.n+max(w.Left, 0), ChunkRows))
+			c.cols[j].AppendVec(&v, 0, c.n)
+		}
+	}
+	w.chunks = append(w.chunks[:k], c)
+	return c
+}
+
+// grew counts n rows appended to c, sealing it when it fills.
+func (w *Writer) grew(c *Chunk, n int) {
+	if c.n += n; c.n == ChunkRows {
 		c.seal()
 	}
-	w.N++
-	w.Left--
+	w.N += n
+	w.Left -= n
+}
+
+// keep appends c itself, shared; the open chunk before it is written no more.
+func (w *Writer) keep(c *Chunk) {
+	if k := len(w.chunks); k > 0 && !w.chunks[k-1].sealed() {
+		w.chunks[k-1].seal()
+	}
+	w.chunks = append(w.chunks, c)
+	w.N += c.n
+	w.Left -= c.n
 }
 
 // Seal seals the last chunk and returns the chunks, for a writer whose rows
@@ -118,6 +177,21 @@ func Chunked(width int, rows [][]sqltypes.Value) []*Chunk {
 		w.Add(r)
 	}
 	return w.Seal()
+}
+
+// Gather is the rows sel of c, in that order, in chunks of up to ChunkRows
+// rows.
+func Gather(c *Chunk, sel []int32) []*Chunk {
+	var out []*Chunk
+	for lo := 0; lo < len(sel); lo += ChunkRows {
+		idx := sel[lo:min(lo+ChunkRows, len(sel))]
+		cols := make([]sqltypes.Vec, len(c.cols))
+		for j := range cols {
+			cols[j].Gather(&c.cols[j], idx)
+		}
+		out = append(out, NewChunk(len(idx), cols))
+	}
+	return out
 }
 
 // Rows materializes n rows of chunks into rows the caller owns, carved,

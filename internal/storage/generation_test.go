@@ -210,7 +210,7 @@ func TestPinnedWritesPublishOnce(t *testing.T) {
 	before := s.Pin()
 
 	p := s.Pin()
-	if err := p.Rewrite("t", nil, [][]sqltypes.Value{row(2)}); err != nil {
+	if err := p.Rewrite("t", Changes{Add: Chunked(2, [][]sqltypes.Value{row(2)})}); err != nil {
 		t.Fatal(err)
 	}
 	summary := meta()

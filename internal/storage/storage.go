@@ -7,12 +7,13 @@
 // rows (per-column typed vectors with null bitmaps — see Chunk). Chunks are
 // the only stored form of a table. Put takes sealed chunks as they are — the
 // executor's output, a cube's short per-set chunks among them — so any chunk
-// may be short; the table's Writer fills chunks to ChunkRows, opens a new one
-// rather than write into a sealed chunk, and seals its open chunk before one a
-// Rewrite keeps, so only a table's last chunk is open. The executor and the
-// write path read chunks through ScanChunks and SnapshotChunks; Scan and
-// Snapshot materialize rows per call for readers that want rows. Rows become
-// chunks in one place, Writer.Add.
+// may be short; the table's Writer fills chunks to ChunkRows, never writes
+// into a sealed chunk, and seals its open chunk before one a Rewrite keeps, so
+// only a table's last chunk is open. The executor and the write path read
+// chunks through ScanChunks and SnapshotChunks; Scan and Snapshot materialize
+// rows per call for readers that want rows. Rows become chunks in one place,
+// Writer.Add; a write after that is chunks too — Rewrite takes Changes whose
+// rows are chunks, and copies their vectors a run at a time.
 //
 // Concurrency: the whole database — every table's sealed chunk view and the
 // summary tables' freshness (catalog.Statuses) — is one sequence of immutable
@@ -334,12 +335,24 @@ func (t *TableData) SnapshotChunks() ([]*Chunk, int) {
 }
 
 // Insert appends one row after arity-checking it to the table of t's name in
-// the live store it belongs to, publishing one generation (a one-row
-// Rewrite): the canonical tail chunk grows past what earlier generations see,
-// so concurrent scans observe either the old or the new generation, never a
-// half-appended row. t itself keeps the rows it had.
+// the live store it belongs to, publishing one generation: the canonical tail
+// chunk grows past what earlier generations see, so concurrent scans observe
+// either the old or the new generation, never a half-appended row. t itself
+// keeps the rows it had.
 func (t *TableData) Insert(row []sqltypes.Value) error {
-	return t.live.Rewrite(t.name, nil, [][]sqltypes.Value{row})
+	td, ok := t.live.Table(t.name)
+	switch {
+	case !ok:
+		return fmt.Errorf("storage: table %q not loaded", t.name)
+	case len(row) != len(td.Meta.Columns):
+		return fmt.Errorf("storage: row arity %d != %d for table %s", len(row), len(td.Meta.Columns), td.Meta.Name)
+	}
+	td.builder.Do(func(b *Writer) {
+		b.Left = b.N + 1
+		b.Add(row)
+		t.live.set(td.name, td.view(b))
+	})
+	return nil
 }
 
 // MustInsert is Insert that panics on error.
@@ -349,22 +362,20 @@ func (t *TableData) MustInsert(row ...sqltypes.Value) {
 	}
 }
 
-// Edit is one position of a Rewrite: the row at Pos is replaced by Row, or
-// dropped when Row is nil.
-type Edit struct {
-	Pos int
-	Row []sqltypes.Value
+// Changes is one Rewrite of a table, in chunk form: the rows at positions
+// Drop go, the rows at positions Set become the rows of With, in order, and
+// the rows of Add are appended. Drop and Set ascend, and no position is in
+// both.
+type Changes struct {
+	Drop, Set []int
+	With, Add []*Chunk
 }
 
-// Rewrite replaces the named table by its current rows with edits applied —
-// sorted by position, at most one per row — and add appended, in one write (a
-// publication on the live store, a staged write on a pinned one). A chunk
-// whose rows all stay unchanged at their old positions (every chunk before the
-// first edit, and later ones while no row has been dropped) is kept, a kept
-// tail growing in place; the rest is rebuilt through the table's Writer, so
-// every chunk but the last stays full. Readers keep the generation they hold.
-// A malformed edit or row changes nothing.
-func (s *Store) Rewrite(name string, edits []Edit, add [][]sqltypes.Value) (err error) {
+// Rewrite replaces the named table by its current rows with ch applied, in
+// one write (a publication on the live store, a staged write on a pinned
+// one). Readers keep the generation they hold. Malformed changes change
+// nothing.
+func (s *Store) Rewrite(name string, ch Changes) (err error) {
 	td, ok := s.Table(name)
 	if !ok {
 		return fmt.Errorf("storage: table %q not loaded", strings.ToLower(name))
@@ -373,64 +384,130 @@ func (s *Store) Rewrite(name string, edits []Edit, add [][]sqltypes.Value) (err 
 	// they were written.
 	td.builder.Do(func(b *Writer) {
 		var next TableData
-		if next, err = td.rewrite(b, edits, add); err == nil && next.table != nil {
+		if next, err = td.rewrite(b, ch); err == nil && next.table != nil {
 			s.set(td.name, next)
 		}
 	})
 	return err
 }
 
-// rewrite applies a Rewrite to the builder b and returns the table's next
-// view, or the zero TableData when there is nothing to change.
-func (w *table) rewrite(b *Writer, edits []Edit, add [][]sqltypes.Value) (TableData, error) {
-	for i, e := range edits {
-		if e.Pos < 0 || e.Pos >= b.N || (i > 0 && e.Pos <= edits[i-1].Pos) || (e.Row != nil && len(e.Row) != b.Cols) {
-			return TableData{}, fmt.Errorf("storage: rewrite of %s: edit of row %d out of order, out of range or of the wrong arity", w.Meta.Name, e.Pos)
+// rewrite applies ch to the builder b and returns the table's next view, or
+// the zero TableData when there is nothing to change. A chunk's set rows are
+// patched in (patch), which shares every column whose cells all stay the
+// same; a chunk no drop reaches is then kept. One a drop reaches is rebuilt
+// through the Writer, and so is the chunk after a rebuilt one while the two
+// fit in one chunk, so that short chunks do not pile up. Appended rows are
+// copied into the open tail, but for a full chunk of them, which is kept.
+func (w *table) rewrite(b *Writer, ch Changes) (TableData, error) {
+	if err := w.check(b, ch); err != nil || len(ch.Drop)+len(ch.Set)+len(ch.Add) == 0 {
+		return TableData{}, err
+	}
+	old, drop, set, with, wo := b.chunks, ch.Drop, ch.Set, ch.With, 0 // wo: the next row of with[0]
+	b.chunks, b.N, b.Left = make([]*Chunk, 0, len(old)+1), 0, b.N
+	pos, rebuilt := 0, false       // rebuilt: the Writer's last chunk follows a rebuilt one
+	next := func() (*Chunk, int) { // the next set row: with[0]'s row wo
+		for with[0].n == wo {
+			with, wo = with[1:], 0
 		}
+		wo++
+		return with[0], wo - 1
 	}
-	for _, r := range add {
-		if len(r) != b.Cols {
-			return TableData{}, fmt.Errorf("storage: row arity %d != %d for table %s", len(r), b.Cols, w.Meta.Name)
-		}
-	}
-	if len(edits) == 0 && len(add) == 0 {
-		return TableData{}, nil
-	}
-	// The Writer refills the chunk list in place: it never holds more chunks
-	// than the loop has read, so it overwrites only read entries.
-	old := b.chunks
-	b.chunks, b.N, b.Left = old[:0], 0, b.N+len(add)
-	var row []sqltypes.Value
-	pos := 0
 	for _, c := range old {
-		if b.N == pos && (len(edits) == 0 || edits[0].Pos >= pos+c.n) {
-			if k := len(b.chunks); k > 0 && !b.chunks[k-1].sealed() {
-				b.chunks[k-1].seal() // an open chunk before a kept one is written no more
-			}
-			b.chunks = append(b.chunks, c)
-			b.N, b.Left, pos = b.N+c.n, b.Left-c.n, pos+c.n
+		start, end, k := pos, pos+c.n, 0
+		for k < len(set) && set[k] < end {
+			k++
+		}
+		c, set = patch(c, start, set[:k], next), set[k:]
+		if k := len(b.chunks); (len(drop) == 0 || drop[0] >= end) && (!rebuilt || k == 0 || b.chunks[k-1].n+c.n > ChunkRows) {
+			b.keep(c)
+			pos, rebuilt = end, false
 			continue
 		}
-		if row == nil {
-			row = make([]sqltypes.Value, b.Cols)
-		}
-		for i := 0; i < c.n; i, pos = i+1, pos+1 {
-			switch {
-			case len(edits) == 0 || edits[0].Pos != pos:
-				c.Row(i, row)
-				b.Add(row)
-			case edits[0].Row != nil:
-				b.Add(edits[0].Row)
-				fallthrough
-			default:
-				edits = edits[1:]
+		for rebuilt = true; pos < end; {
+			at := end
+			if len(drop) > 0 {
+				at = min(at, drop[0])
+			}
+			b.Append(c, pos-start, at-start)
+			if pos = at; pos < end {
+				drop, pos = drop[1:], pos+1
 			}
 		}
 	}
-	for _, r := range add {
-		b.Add(r)
+	for _, c := range ch.Add {
+		if c.n == ChunkRows {
+			b.keep(c)
+		} else {
+			b.Append(c, 0, c.n)
+		}
 	}
 	return w.view(b), nil
+}
+
+// patch is c, whose first row is at position start, with the rows at
+// positions set replaced by the rows next hands out: c itself when every
+// replaced cell stays the same (sqltypes.Same), else a chunk sharing the
+// columns whose cells do and holding copies of the others, sealed as c is.
+func patch(c *Chunk, start int, set []int, next func() (*Chunk, int)) *Chunk {
+	if len(set) == 0 {
+		return c
+	}
+	srcs, rows := make([]*Chunk, len(set)), make([]int, len(set))
+	for i := range set {
+		srcs[i], rows[i] = next()
+	}
+	var p *Chunk
+	for j := range c.cols {
+		i := 0
+		for i < len(set) && sqltypes.Same(c.cols[j].Value(set[i]-start), srcs[i].cols[j].Value(rows[i])) {
+			i++
+		}
+		if i == len(set) {
+			continue
+		}
+		if p == nil {
+			p = &Chunk{n: c.n, cols: slices.Clone(c.cols)}
+		}
+		v, from := &p.cols[j], 0
+		*v = sqltypes.Vec{}
+		v.Reserve(c.cols[j].Kind(), c.n)
+		for i, pos := range set {
+			v.AppendVec(&c.cols[j], from, pos-start)
+			v.AppendVec(&srcs[i].cols[j], rows[i], rows[i]+1)
+			from = pos - start + 1
+		}
+		if v.AppendVec(&c.cols[j], from, c.n); c.sealed() {
+			v.Seal()
+		}
+	}
+	if p == nil {
+		return c
+	}
+	return p
+}
+
+// check refuses changes whose positions are out of order or range or both
+// dropped and set, whose With rows are not one per Set position, or whose
+// chunks are of the wrong width.
+func (w *table) check(b *Writer, ch Changes) error {
+	ps, n := slices.Concat(ch.Drop, ch.Set), 0
+	slices.Sort(ps)
+	if !slices.IsSorted(ch.Drop) || !slices.IsSorted(ch.Set) || len(slices.Compact(ps)) < len(ch.Drop)+len(ch.Set) ||
+		len(ps) > 0 && (ps[0] < 0 || ps[len(ps)-1] >= b.N) {
+		return fmt.Errorf("storage: rewrite of %s: positions out of order, out of range or repeated", w.Meta.Name)
+	}
+	for i, c := range slices.Concat(ch.With, ch.Add) {
+		if len(c.cols) != b.Cols {
+			return fmt.Errorf("storage: chunk width %d != %d for table %s", len(c.cols), b.Cols, w.Meta.Name)
+		}
+		if i < len(ch.With) {
+			n += c.n
+		}
+	}
+	if n != len(ch.Set) {
+		return fmt.Errorf("storage: rewrite of %s: %d rows for %d set positions", w.Meta.Name, n, len(ch.Set))
+	}
+	return nil
 }
 
 // Cardinality returns the view's row count, its chunks' lengths summed.

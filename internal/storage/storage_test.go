@@ -34,6 +34,13 @@ func TestInsertArityCheck(t *testing.T) {
 	if err := td.Insert([]sqltypes.Value{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
+	s.Drop("t")
+	if err := td.Insert([]sqltypes.Value{sqltypes.NewInt(1), sqltypes.Null}); err == nil {
+		t.Fatal("an insert into a dropped table was accepted")
+	}
+	if err := s.Rewrite("t", Changes{}); err == nil {
+		t.Fatal("a rewrite of a dropped table was accepted")
+	}
 }
 
 func TestPutReplaces(t *testing.T) {

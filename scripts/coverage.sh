@@ -66,10 +66,10 @@ repro/internal/advisor 6
 repro/internal/bench 100
 repro/internal/catalog 13
 repro/internal/core 129
-repro/internal/exec 135
+repro/internal/exec 128
 repro/internal/faultinject 1
 repro/internal/lint 37
-repro/internal/maintain 31
+repro/internal/maintain 30
 repro/internal/obs 6
 repro/internal/parser 117
 repro/internal/qgm 100
@@ -77,7 +77,7 @@ repro/internal/qgmcheck 83
 repro/internal/rcu 1
 repro/internal/server 29
 repro/internal/sqltypes 23
-repro/internal/storage 9
+repro/internal/storage 8
 repro/internal/wire 23
 repro/internal/workload 1
 BUDGETS
