@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,10 +31,20 @@ var knownDims = map[string]advisor.Dimension{
 }
 
 func main() {
-	scale := flag.Int("scale", 20000, "fact-table rows to generate")
-	k := flag.Int("k", 3, "number of summary tables to pick")
-	dims := flag.String("dims", "flid,faid,year", "comma-separated dimensions: flid,faid,fpgid,qty,year,month")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "astadvisor: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, measures the lattice and writes
+// the picks to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("astadvisor", flag.ExitOnError)
+	scale := fs.Int("scale", 20000, "fact-table rows to generate")
+	k := fs.Int("k", 3, "number of summary tables to pick")
+	dims := fs.String("dims", "flid,faid,year", "comma-separated dimensions: flid,faid,fpgid,qty,year,month")
+	fs.Parse(args)
 
 	cfg := advisor.Config{
 		Fact: "trans",
@@ -43,8 +54,7 @@ func main() {
 	for _, d := range strings.Split(*dims, ",") {
 		dim, ok := knownDims[strings.TrimSpace(strings.ToLower(d))]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "astadvisor: unknown dimension %q (known: flid,faid,fpgid,qty,year,month)\n", d)
-			os.Exit(1)
+			return fmt.Errorf("unknown dimension %q (known: flid,faid,fpgid,qty,year,month)", d)
 		}
 		cfg.Dims = append(cfg.Dims, dim)
 	}
@@ -53,19 +63,19 @@ func main() {
 	workload.Schema(cat)
 	store := storage.NewStore()
 	workload.Load(cat, store, workload.StarConfig{NumTrans: *scale, Seed: 1})
-	fmt.Printf("-- measuring %d cuboids over %d fact rows...\n", 1<<len(cfg.Dims), *scale)
+	fmt.Fprintf(stdout, "-- measuring %d cuboids over %d fact rows...\n", 1<<len(cfg.Dims), *scale)
 
 	props, lattice, err := advisor.SelectASTs(cfg, cat, store)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "astadvisor: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("-- lattice top (raw data): %d rows\n", lattice.Size[lattice.Top()])
+	fmt.Fprintf(stdout, "-- lattice top (raw data): %d rows\n", lattice.Size[lattice.Top()])
 	for i, p := range props {
-		fmt.Printf("-- pick %d: dims=%v rows=%d benefit=%d\n", i+1, p.Dims, p.Rows, p.Benefit)
-		fmt.Printf("CREATE SUMMARY TABLE %s AS\n  %s;\n\n", p.Def.Name, p.Def.SQL)
+		fmt.Fprintf(stdout, "-- pick %d: dims=%v rows=%d benefit=%d\n", i+1, p.Dims, p.Rows, p.Benefit)
+		fmt.Fprintf(stdout, "CREATE SUMMARY TABLE %s AS\n  %s;\n\n", p.Def.Name, p.Def.SQL)
 	}
 	if len(props) == 0 {
-		fmt.Println("-- no beneficial summary tables found")
+		fmt.Fprintln(stdout, "-- no beneficial summary tables found")
 	}
+	return nil
 }

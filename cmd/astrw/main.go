@@ -45,16 +45,27 @@ type shell struct {
 }
 
 func main() {
-	file := flag.String("f", "", "SQL script to execute (default: stdin)")
-	demo := flag.Bool("demo", false, "preload the paper's credit-card star schema with synthetic data")
-	scale := flag.Int("scale", 10000, "demo fact-table rows")
-	maxRows := flag.Int("maxrows", 20, "maximum result rows to print")
-	timeout := flag.Duration("timeout", 0, "per-query execution timeout (0 = none)")
-	limit := flag.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
-	allowStale := flag.Bool("allow-stale", false, "let queries read summary tables marked stale")
-	explain := flag.Bool("explain", false, "render the EXPLAIN report for every SELECT instead of executing it")
-	obsFlag := flag.Bool("obs", false, "record observability data and print the snapshot at exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs the script named by -f, the
+// statements read from stdin, or an interactive session when stdin is a
+// terminal, and writes every report to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("astrw", flag.ExitOnError)
+	file := fs.String("f", "", "SQL script to execute (default: stdin)")
+	demo := fs.Bool("demo", false, "preload the paper's credit-card star schema with synthetic data")
+	scale := fs.Int("scale", 10000, "demo fact-table rows")
+	maxRows := fs.Int("maxrows", 20, "maximum result rows to print")
+	timeout := fs.Duration("timeout", 0, "per-query execution timeout (0 = none)")
+	limit := fs.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
+	allowStale := fs.Bool("allow-stale", false, "let queries read summary tables marked stale")
+	explain := fs.Bool("explain", false, "render the EXPLAIN report for every SELECT instead of executing it")
+	obsFlag := fs.Bool("obs", false, "record observability data and print the snapshot at exit")
+	fs.Parse(args)
 
 	opts := []astdb.Option{
 		astdb.WithLimits(astdb.Config{MaxRows: *limit, Timeout: *timeout}),
@@ -65,10 +76,9 @@ func main() {
 	}
 	db, err := astdb.Open(catalog.New(), opts...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	sh := &shell{db: db, out: os.Stdout, maxRows: *maxRows, explainAll: *explain}
+	sh := &shell{db: db, out: stdout, maxRows: *maxRows, explainAll: *explain}
 
 	if *demo {
 		workload.Schema(db.Catalog())
@@ -77,44 +87,44 @@ func main() {
 			db.Store().MustTable("trans").Cardinality())
 	}
 
-	defer func() {
-		if *obsFlag {
-			fmt.Fprintln(sh.out, "\n-- observability snapshot --")
-			db.Snapshot().Render(sh.out)
-		}
-	}()
+	if err := sh.runInput(*file, stdin); err != nil {
+		return err
+	}
+	if *obsFlag {
+		fmt.Fprintln(sh.out, "\n-- observability snapshot --")
+		db.Snapshot().Render(sh.out)
+	}
+	return nil
+}
 
-	if *file != "" {
-		src, err := os.ReadFile(*file)
+// runInput runs the script in file, or else what stdin holds: statement by
+// statement when it is a terminal, as one script otherwise.
+func (sh *shell) runInput(file string, stdin io.Reader) error {
+	if file != "" {
+		src, err := os.ReadFile(file)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		if err := sh.runScript(string(src)); err != nil {
-			fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return sh.runScript(string(src))
 	}
-
-	if interactive() {
-		sh.repl()
-		return
+	if interactive(stdin) {
+		sh.repl(stdin)
+		return nil
 	}
-	src, err := io.ReadAll(bufio.NewReader(os.Stdin))
+	src, err := io.ReadAll(stdin)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if err := sh.runScript(string(src)); err != nil {
-		fmt.Fprintf(os.Stderr, "astrw: %v\n", err)
-		os.Exit(1)
-	}
+	return sh.runScript(string(src))
 }
 
 // interactive reports whether stdin is a terminal.
-func interactive() bool {
-	fi, err := os.Stdin.Stat()
+func interactive(stdin io.Reader) bool {
+	f, ok := stdin.(*os.File)
+	if !ok {
+		return false
+	}
+	fi, err := f.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
@@ -135,9 +145,9 @@ func (sh *shell) runScript(src string) error {
 
 // repl reads statements interactively, one ';'-terminated statement at a
 // time; errors are reported without exiting.
-func (sh *shell) repl() {
+func (sh *shell) repl(in io.Reader) {
 	fmt.Fprintln(sh.out, "astrw — Automatic Summary Table shell. Statements end with ';'. Ctrl-D to exit.")
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -39,26 +40,34 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	go func() { cancel(fmt.Errorf("received %s", <-sigs)) }()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "astserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", "127.0.0.1:5433", "listen address (host:port, port 0 picks a free port)")
-	demo := flag.Bool("demo", false, "preload the paper's credit-card star schema with synthetic data")
-	scale := flag.Int("scale", 10000, "demo fact-table rows")
-	asts := flag.String("asts", "", `summary tables to materialize: "paper" (ast1,ast6,ast7), "ds" (the TPC-D-style set), or comma-separated names from the paper suite`)
-	maxSessions := flag.Int("max-sessions", 0, "maximum concurrent sessions (0 = unlimited)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "maximum concurrently executing queries (0 = unlimited)")
-	queueDepth := flag.Int("queue-depth", 0, "admission queue depth once all execution slots are busy")
-	timeout := flag.Duration("timeout", 0, "per-query execution timeout (0 = none)")
-	limit := flag.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
-	planCache := flag.Int("plancache", 0, "rewrite plan cache capacity (0 = default, <0 = disabled)")
-	obsFlag := flag.Bool("obs", true, "record observability data (served to clients via the obs request)")
-	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a graceful drain may take before in-flight queries are canceled")
-	flag.Parse()
+// run is the whole command: it parses args, loads and materializes what they
+// ask for, serves until ctx is canceled and then drains, reporting each step
+// on stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("astserve", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:5433", "listen address (host:port, port 0 picks a free port)")
+	demo := fs.Bool("demo", false, "preload the paper's credit-card star schema with synthetic data")
+	scale := fs.Int("scale", 10000, "demo fact-table rows")
+	asts := fs.String("asts", "", `summary tables to materialize: "paper" (ast1,ast6,ast7), "ds" (the TPC-D-style set), or comma-separated names from the paper suite`)
+	maxSessions := fs.Int("max-sessions", 0, "maximum concurrent sessions (0 = unlimited)")
+	maxConcurrent := fs.Int("max-concurrent", 0, "maximum concurrently executing queries (0 = unlimited)")
+	queueDepth := fs.Int("queue-depth", 0, "admission queue depth once all execution slots are busy")
+	timeout := fs.Duration("timeout", 0, "per-query execution timeout (0 = none)")
+	limit := fs.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
+	planCache := fs.Int("plancache", 0, "rewrite plan cache capacity (0 = default, <0 = disabled)")
+	obsFlag := fs.Bool("obs", true, "record observability data (served to clients via the obs request)")
+	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a graceful drain may take before in-flight queries are canceled")
+	fs.Parse(args)
 
 	opts := []astdb.Option{
 		astdb.WithLimits(exec.Config{MaxRows: *limit, Timeout: *timeout}),
@@ -74,14 +83,14 @@ func run() error {
 	if *demo {
 		workload.Schema(db.Catalog())
 		workload.Load(db.Catalog(), db.Store(), workload.StarConfig{NumTrans: *scale, Seed: 1})
-		fmt.Printf("demo schema loaded: trans(%d rows), loc, pgroup, acct, cust\n",
+		fmt.Fprintf(stdout, "demo schema loaded: trans(%d rows), loc, pgroup, acct, cust\n",
 			db.Store().MustTable("trans").Cardinality())
 	}
 	if *asts != "" {
 		if !*demo {
 			return fmt.Errorf("-asts needs -demo (the summary tables are defined over the demo schema)")
 		}
-		if err := materialize(db, *asts); err != nil {
+		if err := materialize(ctx, db, *asts, stdout); err != nil {
 			return err
 		}
 	}
@@ -95,31 +104,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("astserve listening on %s\n", bound)
+	fmt.Fprintf(stdout, "astserve listening on %s\n", bound)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigs
-	fmt.Printf("received %s, draining (grace %s)\n", sig, *drainGrace)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
+	<-ctx.Done()
+	fmt.Fprintf(stdout, "%v, draining (grace %s)\n", context.Cause(ctx), *drainGrace)
+	drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainGrace)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(drain); err != nil {
 		return err
 	}
-	fmt.Println("drained cleanly")
+	fmt.Fprintln(stdout, "drained cleanly")
 	return nil
 }
 
 // materialize creates the requested summary tables through the facade (so
 // they are catalog-registered, write-protected, and maintained under DML).
-func materialize(db *astdb.Engine, spec string) error {
-	ctx := context.Background()
+func materialize(ctx context.Context, db *astdb.Engine, spec string, stdout io.Writer) error {
 	create := func(name, sql string) error {
 		_, rows, err := db.CreateSummaryTable(ctx, name, sql)
 		if err != nil {
 			return fmt.Errorf("summary table %s: %w", name, err)
 		}
-		fmt.Printf("materialized %s (%d rows)\n", name, rows)
+		fmt.Fprintf(stdout, "materialized %s (%d rows)\n", name, rows)
 		return nil
 	}
 	switch spec {

@@ -1,10 +1,9 @@
 // Package bench holds what the repository's tests, benchmarks and tools share
 // about the paper: the figures' queries and summary tables (Queries, ASTDefs,
-// Pairings), an Env that loads the Figure 1 star schema at a given scale, the
-// wide catalog of the catalog-scaling benchmark, and the wire load generator
-// behind cmd/astload. The figures themselves are asserted by tests
-// (internal/core's TestFigure*, astdb's selection goldens) and timed by the
-// root bench_test.go.
+// Pairings), an Env that loads the Figure 1 star schema at a given scale, and
+// the wide catalog of the catalog-scaling benchmark. The figures themselves
+// are asserted by tests (internal/core's TestFigure*, astdb's selection
+// goldens) and timed by the root bench_test.go.
 package bench
 
 import (

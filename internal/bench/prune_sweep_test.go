@@ -72,3 +72,28 @@ func TestPruneSupersetPaperSuite(t *testing.T) {
 		t.Error("paper sweep never pruned a pair: the index is vacuous on the paper workloads")
 	}
 }
+
+// TestWideCatalogAdmitsOneTableInN pins the shape BenchmarkE18_CatalogScaling
+// times: over the wide catalog the signature index admits, for the probe
+// query on t0, exactly the summary tables over t0, and one of them answers it.
+func TestWideCatalogAdmitsOneTableInN(t *testing.T) {
+	const tables = 4
+	env := NewWideEnv(tables, 16)
+	asts, err := RegisterWideASTs(env, 10, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := qgm.BuildSQL(WideQuery, env.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qsig := core.ComputeSignature(env.Cat, g)
+	for j, a := range asts {
+		if got, want := env.Cat.SignatureAdmits(a.Sig, qsig), j%tables == 0; got != want {
+			t.Errorf("w%03d (over t%d): admitted %v, want %v", j, j%tables, got, want)
+		}
+	}
+	if env.RW.RewriteBestCost(g, asts, env.Store) == nil {
+		t.Error("the probe query did not rewrite")
+	}
+}

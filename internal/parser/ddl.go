@@ -244,9 +244,7 @@ func (p *parser) acceptIdentWord(word string) bool {
 }
 
 func (p *parser) parseCreate() (Statement, error) {
-	if err := p.expectIdentWord("create"); err != nil {
-		return nil, err
-	}
+	p.advance() // create
 	if p.acceptIdentWord("summary") {
 		if err := p.expectIdentWord("table"); err != nil {
 			return nil, err
@@ -417,9 +415,7 @@ func (p *parser) parseParenIdentList() ([]string, error) {
 }
 
 func (p *parser) parseInsert() (Statement, error) {
-	if err := p.expectIdentWord("insert"); err != nil {
-		return nil, err
-	}
+	p.advance() // insert
 	if err := p.expectIdentWord("into"); err != nil {
 		return nil, err
 	}

@@ -54,9 +54,7 @@ func (u *UpdateStmt) SQL() string {
 
 // parseDelete parses DELETE FROM table [WHERE pred].
 func (p *parser) parseDelete() (Statement, error) {
-	if err := p.expectIdentWord("delete"); err != nil {
-		return nil, err
-	}
+	p.advance() // delete
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
@@ -79,9 +77,7 @@ func (p *parser) parseDelete() (Statement, error) {
 // an identifier word (like the statement verbs), not a lexer keyword, so
 // columns named "set" stay usable elsewhere.
 func (p *parser) parseUpdate() (Statement, error) {
-	if err := p.expectIdentWord("update"); err != nil {
-		return nil, err
-	}
+	p.advance() // update
 	name, err := p.parseIdent("table name")
 	if err != nil {
 		return nil, err

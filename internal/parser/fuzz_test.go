@@ -77,6 +77,9 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(sql)
 	}
+	for _, m := range parser.MalformedSQL {
+		f.Add(m.SQL)
+	}
 
 	// One fixed paper-schema catalog for the build oracle; building mutates
 	// only the graph, never the catalog.

@@ -36,7 +36,7 @@ func MustParse(src string) *SelectStmt {
 	return s
 }
 
-// ParseExpr parses a standalone scalar expression (used by tests and the CLI).
+// ParseExpr parses a standalone scalar expression; only tests call it.
 func ParseExpr(src string) (Expr, error) {
 	toks, err := Lex(src)
 	if err != nil {
@@ -664,9 +664,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 func (p *parser) parseCase() (Expr, error) {
-	if err := p.expectKeyword("CASE"); err != nil {
-		return nil, err
-	}
+	p.advance() // CASE
 	c := &CaseExpr{}
 	for p.acceptKeyword("WHEN") {
 		cond, err := p.parseOr()

@@ -392,6 +392,9 @@ func TestRoundTripFixpoint(t *testing.T) {
 		"select distinct a from t, u where t.x = u.y order by a desc",
 		"select (select count(*) from u) as n from t",
 		"select x from (select a as x from t) d where x in (1, 2)",
+		"select a, b from t group by rollup(a, b) order by a, b desc",
+		"select a from t group by cube(a, b)",
+		"select date.date from t",
 	}
 	for _, q := range queries {
 		s1, err := Parse(q)
@@ -454,6 +457,22 @@ func TestParseScriptAndDDL(t *testing.T) {
 	if _, ok := stmts[4].(*SelectStmt); !ok {
 		t.Fatal("select")
 	}
+	// Every statement prints to SQL that parses back to the same print.
+	for _, stmt := range append(stmts, mustScript(t, "explain delete from t where a = 1")...) {
+		again := mustScript(t, stmt.SQL())
+		if len(again) != 1 || again[0].SQL() != stmt.SQL() {
+			t.Errorf("%s does not print back to itself", stmt.SQL())
+		}
+	}
+}
+
+func mustScript(t *testing.T, src string) []Statement {
+	t.Helper()
+	stmts, err := ParseScript(src)
+	if err != nil {
+		t.Fatalf("ParseScript(%q): %v", src, err)
+	}
+	return stmts
 }
 
 func TestDDLSQLRendering(t *testing.T) {

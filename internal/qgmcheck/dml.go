@@ -262,11 +262,7 @@ func (r *run) checkDeltaPlan(p DeltaPlan) {
 			r.add("delta/keys", root, "%d lower-box key ordinals for %d key columns", len(p.KeyLowerOrds), len(p.KeyCols))
 			return
 		}
-		lower := gb.Child()
-		if lower == nil {
-			r.add("delta/shape", gb, "GROUP BY box has no child")
-			return
-		}
+		lower := gb.Child() // not nil: the structural rules passed
 		for j, kc := range p.KeyCols {
 			gcr, ok := gb.Cols[gbRef[kc].Col].Expr.(*qgm.ColRef)
 			if !ok {

@@ -59,6 +59,7 @@ func TestCheckDMLAcceptsCompiledStatements(t *testing.T) {
 		`delete from trans`,
 		`update trans set qty = qty + 1 where flid = 3`,
 		`update trans set price = 2, disc = disc / 2 where qty > 1`,
+		`update trans set date = 19950304 where tid = 1`,
 	} {
 		if vs := qgmcheck.CheckDML(compileDML(t, env, sql)); len(vs) > 0 {
 			t.Errorf("%s: clean compiled statement rejected: %v", sql, vs)

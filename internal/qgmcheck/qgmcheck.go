@@ -131,7 +131,7 @@ func (r *run) check(g *qgm.Graph) {
 		return // inference over a cyclic graph would not terminate
 	}
 	boxes := g.Boxes()
-	r.checkIdentity(g, boxes)
+	r.checkIdentity(boxes)
 	for _, b := range boxes {
 		r.checkShape(b)
 		r.checkBindings(b)
@@ -146,7 +146,9 @@ func (r *run) check(g *qgm.Graph) {
 }
 
 // checkAcyclic verifies the quantifier edges form a DAG reachable from the
-// root. Returns false (after recording structure/cycle) when a cycle exists.
+// root, and that no two boxes share an ID: it walks boxes by pointer, where
+// qgm.Graph.Boxes walks by ID and would skip the second box under an ID.
+// Returns false (after recording structure/cycle) when a cycle exists.
 func (r *run) checkAcyclic(g *qgm.Graph) bool {
 	const (
 		white = 0
@@ -154,6 +156,7 @@ func (r *run) checkAcyclic(g *qgm.Graph) bool {
 		black = 2
 	)
 	color := map[*qgm.Box]int{}
+	ids := map[int]*qgm.Box{}
 	ok := true
 	var visit func(b *qgm.Box)
 	visit = func(b *qgm.Box) {
@@ -168,6 +171,10 @@ func (r *run) checkAcyclic(g *qgm.Graph) bool {
 		case black:
 			return
 		}
+		if prev, dup := ids[b.ID]; dup {
+			r.add("structure/box-id", b, "duplicate box ID %d (also %s)", b.ID, prev.Label)
+		}
+		ids[b.ID] = b
 		color[b] = gray
 		for _, q := range b.Quantifiers {
 			visit(q.Box)
@@ -178,26 +185,15 @@ func (r *run) checkAcyclic(g *qgm.Graph) bool {
 	return ok
 }
 
-// checkIdentity verifies global identity invariants: box IDs are unique,
-// quantifier IDs are unique, and each quantifier belongs to exactly one box
-// (child boxes may be shared — that is the QGM's DAG shape — but edges may
-// not).
-func (r *run) checkIdentity(g *qgm.Graph, boxes []*qgm.Box) {
-	boxIDs := map[int]*qgm.Box{}
-	for _, b := range boxes {
-		if prev, dup := boxIDs[b.ID]; dup {
-			r.add("structure/box-id", b, "duplicate box ID %d (also %s)", b.ID, prev.Label)
-		}
-		boxIDs[b.ID] = b
-	}
+// checkIdentity verifies the quantifier identity invariants (box IDs are
+// checkAcyclic's): quantifier IDs are unique, and each quantifier belongs to
+// exactly one box (child boxes may be shared — that is the QGM's DAG shape —
+// but edges may not).
+func (r *run) checkIdentity(boxes []*qgm.Box) {
 	quantOwner := map[*qgm.Quantifier]*qgm.Box{}
 	quantIDs := map[int]*qgm.Quantifier{}
 	for _, b := range boxes {
 		for _, q := range b.Quantifiers {
-			if q == nil {
-				r.add("structure/quantifier", b, "nil quantifier")
-				continue
-			}
 			if q.Box == nil {
 				r.add("structure/quantifier", b, "quantifier q%d has no child box", q.ID)
 			}

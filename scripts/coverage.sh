@@ -53,17 +53,13 @@ awk '
 ' - "$profile" <<'BUDGETS'
 repro/astdb 47
 repro/astdb/driver 50
-repro/cmd/astadvisor 26
-repro/cmd/astload 107
-repro/cmd/astrw 245
-repro/cmd/astserve 72
-repro/examples/cube 41
+repro/cmd/astadvisor 3
+repro/cmd/astrw 25
+repro/cmd/astserve 12
 repro/examples/histogram 7
 repro/examples/quickstart 7
-repro/examples/retail 41
-repro/examples/warehouse 77
-repro/internal/advisor 6
-repro/internal/bench 100
+repro/internal/advisor 5
+repro/internal/bench 4
 repro/internal/catalog 13
 repro/internal/core 129
 repro/internal/exec 128
@@ -71,11 +67,11 @@ repro/internal/faultinject 1
 repro/internal/lint 37
 repro/internal/maintain 30
 repro/internal/obs 6
-repro/internal/parser 117
-repro/internal/qgm 100
-repro/internal/qgmcheck 83
+repro/internal/parser 4
+repro/internal/qgm 95
+repro/internal/qgmcheck 19
 repro/internal/rcu 1
-repro/internal/server 29
+repro/internal/server 28
 repro/internal/sqltypes 23
 repro/internal/storage 8
 repro/internal/wire 23
