@@ -30,7 +30,9 @@ type ch = astdb.Choice
 // tables), where ten candidates compete and ast7 ties nothing. A row with
 // several splices is a plan of the one-pass §7 selection: its first splice is
 // the choice recorded then, and the later ones serve blocks that choice left
-// on base tables.
+// on base tables. Q10 and ds7 read ast10 once: their match of ast10's root
+// reads totcnt from ast10 too (Figure 11's NewQ10), so no block is left for a
+// second splice.
 var (
 	paperSetChoices = []planChoice{
 		{"ds1", nil},
@@ -42,11 +44,11 @@ var (
 		{"ds4", nil},
 		{"ds5", nil},
 		{"ds6", []ch{{"ast11", "§4.2.3", 1500, 833}}},
-		{"ds7", []ch{{"ast10", "§4.2.4", 3200, 406}, {"ast10", "§4.2.4", 1500, 206}}},
+		{"ds7", []ch{{"ast10", "§4.2.4", 3200, 406}}},
 		{"ds8", nil},
 		{"ds9", []ch{{"ast10", "§4.2.4", 1700, 406}}},
 		{"q1", []ch{{"ast1", "§4.2.4", 1700, 446}}},
-		{"q10", []ch{{"ast10", "§4.2.4", 3200, 406}, {"ast10", "§4.2.4", 1500, 206}}},
+		{"q10", []ch{{"ast10", "§4.2.4", 3200, 406}}},
 		{"q11_1", []ch{{"ast10", "§4.2.3", 1500, 206}}}, // ties ast7 on gain: the smaller name wins
 		{"q11_2", []ch{{"ast11", "§4.2.4", 1500, 833}}},
 		{"q11_3", nil},

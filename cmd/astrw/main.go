@@ -332,15 +332,7 @@ func (sh *shell) createAST(s *parser.CreateASTStmt) error {
 // delete, or update.
 func (sh *shell) reportMaintenance(stats []astdb.Stats) {
 	for _, st := range stats {
-		if st.Err != nil {
-			fmt.Fprintf(sh.out, "-- degraded: summary table %s refresh failed (now stale): %v\n", st.AST, st.Err)
-			continue
-		}
-		extra := ""
-		if st.Retired > 0 || st.Scoped > 0 {
-			extra = fmt.Sprintf(", %d group(s) retired, %d scope-recomputed", st.Retired, st.Scoped)
-		}
-		fmt.Fprintf(sh.out, "-- refreshed summary table %s (%s, %d delta rows%s)\n", st.AST, st.Strategy, st.DeltaRows, extra)
+		fmt.Fprintf(sh.out, "-- %s\n", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -53,7 +54,7 @@ func TestPruneSupersetPaperSuite(t *testing.T) {
 				t.Fatalf("%s: query signature must be computable over catalog tables", qname)
 			}
 			admit := env.Cat.SignatureAdmits(a.ca.Sig, qsig)
-			matches := core.NewMatcher(env.Cat, g, a.ca.Graph, core.Options{}).Run()
+			matches := core.NewMatcher(env.Cat, g, a.ca.Graph, core.Options{}).RunCtx(context.Background())
 			pairs++
 			if len(matches) > 0 {
 				matchedPairs++

@@ -38,7 +38,7 @@ type dsource struct {
 type errUnderivable struct{ expr qgm.Expr }
 
 func (e *errUnderivable) Error() string {
-	return "core: expression not derivable from subsumer outputs: " + e.expr.String()
+	return e.expr.String() + " is not derivable from the subsumer's outputs"
 }
 
 // derive rewrites t (subsumer-space) over the compensation's quantifiers, or
@@ -81,9 +81,6 @@ func (d *deriver) derive(t qgm.Expr) (qgm.Expr, error) {
 // lookup finds a subsumer output column computing t.
 func (d *deriver) lookup(t qgm.Expr) (qgm.Expr, bool) {
 	for _, s := range d.sources {
-		if s.expr == nil {
-			continue
-		}
 		if qgm.ExprEqual(s.expr, t, d.eq) {
 			return s.ref, true
 		}
@@ -97,10 +94,22 @@ func (d *deriver) derivable(t qgm.Expr) bool {
 	return err == nil
 }
 
+// mustDerive derives an expression that a feasibility check already derived
+// from the same sources. A failure is a matcher bug; safeMatches recovers the
+// panic as a degradation.
+func (d *deriver) mustDerive(t qgm.Expr) qgm.Expr {
+	x, err := d.derive(t)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 // subsumerSources builds the deriver sources for a subsumer box consumed via
 // quantifier qSub: output column k computes r.Cols[k].Expr (a subsumer-space
 // expression) and is referenced as qSub.k. onlyCols restricts the usable
-// columns (e.g. grouping columns of a selected cuboid); nil allows all.
+// columns (e.g. grouping columns of a selected cuboid); nil allows all. r is
+// a SELECT or GROUP BY box, so every column has an expression.
 func subsumerSources(r *qgm.Box, qSub *qgm.Quantifier, onlyCols []int) []dsource {
 	var allowed map[int]bool
 	if onlyCols != nil {
@@ -112,11 +121,6 @@ func subsumerSources(r *qgm.Box, qSub *qgm.Quantifier, onlyCols []int) []dsource
 	var out []dsource
 	for k, c := range r.Cols {
 		if allowed != nil && !allowed[k] {
-			continue
-		}
-		if c.Expr == nil {
-			// Base-table subsumer column: its "expression" is itself; the
-			// caller handles base tables separately.
 			continue
 		}
 		out = append(out, dsource{expr: c.Expr, ref: &qgm.ColRef{Q: qSub, Col: k}})

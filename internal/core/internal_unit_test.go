@@ -5,6 +5,7 @@ package core
 // helpers, and compensation utilities.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -137,7 +138,7 @@ func TestAssignChildrenInjective(t *testing.T) {
 	q := buildG(t, cat, sql)
 	a := buildG(t, cat, sql)
 	m := NewMatcher(cat, q, a, Options{})
-	matches := m.Run()
+	matches := m.RunCtx(context.Background())
 	var root *Match
 	for _, mm := range matches {
 		if mm.Subsumee == q.Root {

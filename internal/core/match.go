@@ -1,10 +1,10 @@
 // Package core implements the paper's contribution: the AST matching and
 // query-rewrite algorithm (§3–§6). It consists of
 //
-//   - the navigator (§3), which scans the query and AST QGM graphs bottom-up,
-//     pairing candidate subsumee/subsumer boxes and invoking the match
-//     function until the AST's root box is matched with one or more query
-//     boxes;
+//   - the navigator (§3), which sweeps the query and AST QGM graphs
+//     bottom-up, invoking the match function on each candidate
+//     subsumee/subsumer box pair after the pairs of their children, and
+//     returns the query boxes matched with the AST's root box;
 //   - the match function, with sufficient matching conditions and
 //     compensation construction for the paper's patterns: SELECT/SELECT with
 //     exact child matches (§4.1.1), GROUP BY/GROUP BY (§4.1.2), GROUP BY with
@@ -100,11 +100,8 @@ type Match struct {
 	compBoxes map[int]bool
 }
 
-// Comp returns the top compensation box (nil for exact matches).
+// Comp returns the top compensation box of a non-exact match.
 func (m *Match) Comp() *qgm.Box {
-	if len(m.Stack) == 0 {
-		return nil
-	}
 	return m.Stack[len(m.Stack)-1]
 }
 
@@ -199,68 +196,51 @@ func (m *Matcher) accept(match *Match) *Match {
 	return match
 }
 
-// Run executes the navigator (§3): it seeds the candidate set with all pairs
-// of leaf boxes, and after each successful match enqueues all pairs of
-// parents of the matched boxes, so that whenever the match function runs, the
-// matches between the input boxes' children are already known. It returns all
-// matches whose subsumer is the AST's root box, i.e. the points where the
-// whole AST can be substituted into the query.
-func (m *Matcher) Run() []*Match {
-	return m.RunCtx(context.Background())
-}
-
-// RunCtx is Run bounded by a context: when the context expires mid-search the
-// navigator stops and returns the root matches established so far (matching
-// is best-effort — a truncated search costs rewrite opportunities, never
-// correctness).
+// RunCtx executes the navigator (§3) and returns every match whose subsumer
+// is the AST's root box, i.e. the points where the whole AST can be
+// substituted into the query. It is one nested sweep over both graphs'
+// child-before-parent box lists, the query's outside, so a pair is tried
+// only after every pair of its children: the match function runs once per
+// pair, on a pair of leaves or a pair with at least one matched child pair,
+// and sees all of its children's matches. When the context expires mid-sweep
+// the navigator stops and returns the root matches established so far
+// (matching is best-effort — a truncated search costs rewrite opportunities,
+// never correctness).
 func (m *Matcher) RunCtx(ctx context.Context) []*Match {
-	eParents := m.eg.Parents()
-	rParents := m.rg.Parents()
-
-	type pair struct{ e, r *qgm.Box }
-	var queue []pair
-	inQueue := map[pairKey]bool{}
-	push := func(e, r *qgm.Box) {
-		k := pairKey{e.ID, r.ID}
-		if !inQueue[k] {
-			inQueue[k] = true
-			queue = append(queue, pair{e, r})
-		}
-	}
-
-	for _, el := range m.eg.Leaves() {
-		for _, rl := range m.rg.Leaves() {
-			push(el, rl)
-		}
-	}
-
 	done := ctx.Done()
-	for len(queue) > 0 {
-		select {
-		case <-done:
-			return m.rootMatches()
-		default:
-		}
-		p := queue[0]
-		queue = queue[1:]
-		delete(inQueue, pairKey{p.e.ID, p.r.ID})
-
-		if _, done := m.memo[pairKey{p.e.ID, p.r.ID}]; done {
-			continue
-		}
-		match := m.matchPair(p.e, p.r)
-		if match == nil {
-			continue
-		}
-		m.memo[pairKey{p.e.ID, p.r.ID}] = match
-		for _, pe := range eParents[p.e.ID] {
-			for _, pr := range rParents[p.r.ID] {
-				push(pe.Parent, pr.Parent)
+	rBoxes := m.rg.Boxes()
+	for _, e := range m.eg.Boxes() {
+		for _, r := range rBoxes {
+			select {
+			case <-done:
+				return m.rootMatches()
+			default:
+			}
+			if !m.childMatched(e, r) {
+				continue
+			}
+			if match := m.matchPair(e, r); match != nil {
+				m.memo[pairKey{e.ID, r.ID}] = match
 			}
 		}
 	}
-
 	return m.rootMatches()
+}
+
+// childMatched reports whether a pair is worth trying: both boxes are leaves,
+// or some pair of their children matched.
+func (m *Matcher) childMatched(e, r *qgm.Box) bool {
+	if len(e.Quantifiers) == 0 && len(r.Quantifiers) == 0 {
+		return true
+	}
+	for _, qe := range e.Quantifiers {
+		for _, qr := range r.Quantifiers {
+			if m.matchOf(qe.Box, qr.Box) != nil {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rootMatches collects the established matches whose subsumer is the AST's
@@ -276,8 +256,8 @@ func (m *Matcher) rootMatches() []*Match {
 	return out
 }
 
-// MatchOf returns the established match for a box pair, if any.
-func (m *Matcher) MatchOf(e, r *qgm.Box) *Match {
+// matchOf returns the established match for a box pair, if any.
+func (m *Matcher) matchOf(e, r *qgm.Box) *Match {
 	return m.memo[pairKey{e.ID, r.ID}]
 }
 
@@ -299,12 +279,10 @@ func (m *Matcher) matchPair(e, r *qgm.Box) *Match {
 			colMap[i] = i
 		}
 		return m.accept(&Match{Subsumee: e, Subsumer: r, Exact: true, ColMap: colMap, Pattern: "base table"})
-	case qgm.SelectBox:
-		return m.accept(m.matchSelect(e, r))
 	case qgm.GroupByBox:
 		return m.accept(m.matchGroupBy(e, r))
-	default:
-		return nil
+	default: // qgm.SelectBox
+		return m.accept(m.matchSelect(e, r))
 	}
 }
 

@@ -7,6 +7,7 @@ package core_test
 // generated data.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +64,35 @@ func (e *env) registerAST(t testing.TB, name, sql string) *core.CompiledAST {
 // and rewritten results agree. It returns the rewritten SQL.
 func (e *env) mustRewrite(t *testing.T, querySQL string, ast *core.CompiledAST) string {
 	t.Helper()
+	return e.rewritePlan(t, querySQL, ast).SQL()
+}
+
+// mustRewriteReads is mustRewrite that also asserts the tables the rewritten
+// plan reads, sorted: the summary table and the base tables its compensation
+// still joins, as the paper's rewritten query names them.
+func (e *env) mustRewriteReads(t *testing.T, querySQL string, ast *core.CompiledAST, reads ...string) string {
+	t.Helper()
+	g := e.rewritePlan(t, querySQL, ast)
+	if got := planReads(g); !slices.Equal(got, reads) {
+		t.Fatalf("rewritten plan reads %q, want %q:\n%s", got, reads, g.SQL())
+	}
+	return g.SQL()
+}
+
+// planReads lists the tables a plan's leaves read, sorted and without
+// repeats.
+func planReads(g *qgm.Graph) []string {
+	var out []string
+	for _, b := range g.Leaves() {
+		out = append(out, b.Table.Name)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// rewritePlan is mustRewrite's check; it returns the rewritten graph.
+func (e *env) rewritePlan(t *testing.T, querySQL string, ast *core.CompiledAST) *qgm.Graph {
+	t.Helper()
 	orig, err := qgm.BuildSQL(querySQL, e.cat)
 	if err != nil {
 		t.Fatalf("build query: %v", err)
@@ -94,7 +124,7 @@ func (e *env) mustRewrite(t *testing.T, querySQL string, ast *core.CompiledAST) 
 		t.Fatalf("rewritten result differs: %s\noriginal SQL: %s\nrewritten SQL: %s\nrewritten graph:\n%s",
 			diff, querySQL, q2.SQL(), q2.Dump())
 	}
-	return q2.SQL()
+	return q2
 }
 
 // mustNotRewrite asserts no rewrite happens.
@@ -236,50 +266,42 @@ func TestSection422_RecursiveGroupBy(t *testing.T) {
 
 // TestFigure11_Q10 exercises §4.2.4 and the §6 derivation walkthrough: a
 // SELECT subsumee with grouping child compensation plus a scalar subquery
-// block. The matcher visits box pairs breadth first from the leaves and pairs
-// the top boxes before the scalar subqueries' three-level blocks, so the
-// compensation re-evaluates the subquery (a rejoin) rather than threading
-// ast10's totcnt up the stack; TestFigure11_NewQ10 threads one.
+// block. The navigator tries a pair only after its children's pairs, so the
+// top boxes are matched knowing that the scalar subqueries' three-level
+// blocks match exactly: the compensation reads totcnt from ast10 and threads
+// it up the stack instead of re-evaluating the subquery over trans.
 func TestFigure11_Q10(t *testing.T) {
 	e := newEnv(t, 2000)
 	// Not bench.Queries["q10"] (TestFigure11_Q10_Ratio's): the scalar
 	// subquery is an output column of its own here, not a divisor.
-	e.mustRewrite(t, `
+	e.mustRewriteReads(t, `
 		select flid, count(*) as cnt, (select count(*) from trans) as totcnt
 		from trans, loc
 		where flid = lid and country = 'USA'
 		group by flid
-		having count(*) > 2`, e.registerAST(t, "ast10", bench.ASTDefs["ast10"]))
+		having count(*) > 2`, e.registerAST(t, "ast10", bench.ASTDefs["ast10"]), "ast10", "loc")
 }
 
 // TestFigure11_Q10_Ratio is the paper's exact Q10: the output column is the
-// ratio cnt/totcnt whose derivation is traced in §6.
+// ratio cnt/totcnt whose derivation is traced in §6, with both operands read
+// from ast10.
 func TestFigure11_Q10_Ratio(t *testing.T) {
 	e := newEnv(t, 2000)
-	e.mustRewrite(t, bench.Queries["q10"], e.registerAST(t, "ast10", bench.ASTDefs["ast10"]))
+	sql := e.mustRewriteReads(t, bench.Queries["q10"], e.registerAST(t, "ast10", bench.ASTDefs["ast10"]), "ast10", "loc")
+	if !strings.Contains(sql, "((sum(ast10.cnt) * 100) / ast10.totcnt) AS cntpct") {
+		t.Fatalf("cntpct is not derived from ast10's cnt and totcnt: %s", sql)
+	}
 }
 
 // TestFigure11_NewQ10 is §4.2.4's NewQ10 shape, "group by flid, totcnt": the
 // scalar subquery's value is read from the summary table and threaded up
 // through the pulled-up GROUP BY as an extra grouping column (ensureRspace),
-// which is sound because it is constant per group. The scalar is a one-box
-// lookup instead of ast10's count(*), so that its pair is matched before the
-// top boxes' (see TestFigure11_Q10).
+// which is sound because it is constant per group.
 func TestFigure11_NewQ10(t *testing.T) {
 	e := newEnv(t, 2000)
-	ast := e.registerAST(t, "ast10c", `
-		select flid, year(date) as year, count(*) as cnt,
-		       (select city from loc where lid = 1) as c1
-		from trans
-		group by flid, year(date)`)
-	sql := e.mustRewrite(t, `
-		select flid, count(*) as cnt, (select city from loc where lid = 1) as c1
-		from trans, loc
-		where flid = lid and country = 'USA'
-		group by flid
-		having count(*) > 2`, ast)
-	if !strings.Contains(sql, "GROUP BY ast10c.flid, ast10c.c1") {
-		t.Fatalf("the scalar is not a grouping column of the compensation: %s", sql)
+	sql := e.mustRewriteReads(t, bench.Queries["q10"], e.registerAST(t, "ast10", bench.ASTDefs["ast10"]), "ast10", "loc")
+	if !strings.Contains(sql, "GROUP BY ast10.flid, ast10.totcnt") {
+		t.Fatalf("totcnt is not a grouping column of the compensation: %s", sql)
 	}
 }
 
@@ -291,7 +313,7 @@ func TestFigure13_Q11(t *testing.T) {
 	ast11 := e.registerAST(t, "ast11", bench.ASTDefs["ast11"])
 
 	t.Run("Q11.1_exact_cuboid", func(t *testing.T) {
-		sql := e.mustRewrite(t, bench.Queries["q11_1"], ast11)
+		sql := e.mustRewriteReads(t, bench.Queries["q11_1"], ast11, "ast11")
 		low := strings.ToLower(sql)
 		if !strings.Contains(low, "is null") || !strings.Contains(low, "is not null") {
 			t.Errorf("expected slicing predicates, got: %s", sql)
@@ -302,7 +324,7 @@ func TestFigure13_Q11(t *testing.T) {
 	})
 
 	t.Run("Q11.2_regrouped_cuboid", func(t *testing.T) {
-		sql := e.mustRewrite(t, bench.Queries["q11_2"], ast11)
+		sql := e.mustRewriteReads(t, bench.Queries["q11_2"], ast11, "ast11")
 		low := strings.ToLower(sql)
 		if !strings.Contains(low, "sum(") || !strings.Contains(low, "group by") {
 			t.Errorf("Q11.2 should regroup with summed counts, got: %s", sql)
@@ -331,14 +353,14 @@ func TestFigure14_Q12(t *testing.T) {
 	ast11 := e.registerAST(t, "ast11", bench.ASTDefs["ast11"])
 
 	t.Run("Q12.1_sliced_cuboids", func(t *testing.T) {
-		sql := e.mustRewrite(t, bench.Queries["q12_1"], ast11)
+		sql := e.mustRewriteReads(t, bench.Queries["q12_1"], ast11, "ast11")
 		if !strings.Contains(strings.ToLower(sql), " or ") {
 			t.Errorf("expected disjunctive slicing, got: %s", sql)
 		}
 	})
 
 	t.Run("Q12.2_union_fallback", func(t *testing.T) {
-		sql := e.mustRewrite(t, bench.Queries["q12_2"], ast11)
+		sql := e.mustRewriteReads(t, bench.Queries["q12_2"], ast11, "ast11")
 		if !strings.Contains(strings.ToLower(sql), "grouping sets") {
 			t.Errorf("expected multidimensional regrouping, got: %s", sql)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/qgm"
@@ -35,59 +36,38 @@ type gbCol struct {
 // of the subsumee itself). Multidimensional grouping sets on either side are
 // handled by the core via cuboid matching (§5.1, §5.2).
 func (m *Matcher) matchGroupBy(e, r *qgm.Box) *Match {
+	// Universal condition 1 holds: a GROUP BY box has one child, and the
+	// navigator tries a pair only once a child pair matched.
 	cE, cR := e.Child(), r.Child()
-	mm := m.MatchOf(cE, cR)
-	if mm == nil {
-		return m.reject(e, r, "universal condition 1: the children do not match")
-	}
+	mm := m.matchOf(cE, cR)
 	rqc := r.Quantifiers[0]
 
-	if mm.Exact || !mm.hasGroupingComp() {
+	if !mm.hasGroupingComp() {
+		// The child compensation is empty or one SELECT box.
 		var childSel *qgm.Box
 		if !mm.Exact {
-			if len(mm.Stack) != 1 || mm.Stack[0].Kind != qgm.SelectBox {
-				return m.reject(e, r, "child compensation has an unsupported shape")
-			}
 			childSel = mm.Stack[0]
 		}
 		view := m.viewFromQueryGB(e, mm, rqc)
-		if view == nil {
-			return m.reject(e, r, "grouping expressions or aggregate arguments are untranslatable")
-		}
 		res := m.matchGBCore(view, r, rqc, childSel, mm)
 		if res == nil {
 			return m.reject(e, r, "no subsumer cuboid satisfies the grouping/aggregate/pull-up conditions (§4.1.2/§4.2.1/§5)")
 		}
 		match := m.finishGBMatch(e, r, res)
-		if match != nil {
-			match.Pattern = gbPattern(view, r, mm.Exact)
-		}
+		match.Pattern = gbPattern(view, r, mm.Exact)
 		return match
 	}
 
 	// §4.2.2: the child compensation contains grouping. Recursively match the
 	// lowest compensation GROUP BY box with the subsumer, then copy the upper
-	// compensation boxes and the subsumee itself on top.
-	jg := -1
-	for i, b := range mm.Stack {
-		if b.Kind == qgm.GroupByBox {
-			jg = i
-			break
-		}
-	}
-	if jg < 1 {
-		return m.reject(e, r, "compensation stack does not start with a SELECT")
-	}
-	var childSel *qgm.Box
-	if jg == 1 {
-		childSel = mm.Stack[0]
-	} else {
+	// compensation boxes and the subsumee itself on top. Every compensation
+	// stack starts with a SELECT over the subsumer.
+	jg := slices.IndexFunc(mm.Stack, func(b *qgm.Box) bool { return b.Kind == qgm.GroupByBox })
+	if jg != 1 {
 		return m.reject(e, r, "more than one box below the lowest compensation GROUP BY: unsupported shape")
 	}
+	childSel := mm.Stack[0]
 	view := m.viewFromCompGB(mm.Stack[jg], mm, rqc)
-	if view == nil {
-		return m.reject(e, r, "compensation GROUP BY expressions are untranslatable")
-	}
 	res := m.matchGBCore(view, r, rqc, childSel, mm)
 	if res == nil {
 		return m.reject(e, r, "recursive match of the compensation GROUP BY with the subsumer failed (§4.2.2)")
@@ -99,19 +79,11 @@ func (m *Matcher) matchGroupBy(e, r *qgm.Box) *Match {
 	stack := res.stack
 	prev := stack[len(stack)-1]
 	for i := jg + 1; i < len(mm.Stack); i++ {
-		clone, err := m.cloneStackBox(mm.Stack[i], mm.Stack[i-1], prev)
-		if err != nil {
-			return nil
-		}
-		stack = append(stack, clone)
-		prev = clone
+		prev = m.cloneStackBox(mm.Stack[i], mm.Stack[i-1], prev)
+		stack = append(stack, prev)
 	}
 	// Copy the subsumee itself on top (GB-pC(N+1) in Figure 9).
-	eCopy, err := m.cloneStackBox(e, cE, prev)
-	if err != nil {
-		return nil
-	}
-	stack = append(stack, eCopy)
+	stack = append(stack, m.cloneStackBox(e, cE, prev))
 
 	match := &Match{Subsumee: e, Subsumer: r, Stack: stack, SubQ: res.qSub, Pattern: "§4.2.2"}
 	match.indexComp()
@@ -138,15 +110,12 @@ func gbPattern(view *gbView, r *qgm.Box, childExact bool) string {
 
 // viewFromQueryGB builds the subsumee view for a query GROUP BY box whose
 // child matched the subsumer's child (exactly or with SELECT compensation).
+// The box's grouping columns and aggregate arguments are columns of its one
+// child: qgm.Build computes every expression in the SELECT box below.
 func (m *Matcher) viewFromQueryGB(e *qgm.Box, mm *Match, rqc *qgm.Quantifier) *gbView {
-	eqc := e.Quantifiers[0]
-	p := &childPair{eq: eqc, rq: rqc, m: mm}
+	p := &childPair{eq: e.Quantifiers[0], rq: rqc, m: mm}
 	tr := func(expr qgm.Expr) qgm.Expr {
-		c, ok := expr.(*qgm.ColRef)
-		if !ok || c.Q != eqc {
-			return nil
-		}
-		return (&translator{}).translateQNCPair(p, c.Col)
+		return (&translator{}).translateQNC(p, expr.(*qgm.ColRef).Col)
 	}
 	return buildView(e, tr)
 }
@@ -162,16 +131,13 @@ func (m *Matcher) viewFromCompGB(gb *qgm.Box, mm *Match, rqc *qgm.Quantifier) *g
 }
 
 // buildView assembles a gbView, translating each grouping column and
-// aggregate argument with tr. tr returns nil for untranslatable expressions.
+// aggregate argument with tr. Every other column of a GROUP BY box is an
+// aggregate, and every GROUP BY box has at least one grouping set.
 func buildView(b *qgm.Box, tr func(qgm.Expr) qgm.Expr) *gbView {
 	v := &gbView{box: b}
 	posOf := map[int]int{}
 	for pos, g := range b.GroupBy {
-		t := tr(b.Cols[g].Expr)
-		if t == nil {
-			return nil
-		}
-		v.groupExprs = append(v.groupExprs, t)
+		v.groupExprs = append(v.groupExprs, tr(b.Cols[g].Expr))
 		posOf[g] = pos
 	}
 	for i, c := range b.Cols {
@@ -179,35 +145,17 @@ func buildView(b *qgm.Box, tr func(qgm.Expr) qgm.Expr) *gbView {
 			v.cols = append(v.cols, gbCol{name: c.Name, isGroup: true, groupPos: posOf[i]})
 			continue
 		}
-		agg, ok := c.Expr.(*qgm.Agg)
-		if !ok {
-			return nil
-		}
+		agg := c.Expr.(*qgm.Agg)
 		col := gbCol{name: c.Name, agg: agg}
 		if !agg.Star {
 			col.argR = tr(agg.Arg)
-			if col.argR == nil {
-				return nil
-			}
 		}
 		v.cols = append(v.cols, col)
 	}
 	for _, gs := range b.GroupingSets {
 		v.groupingSets = append(v.groupingSets, append([]int(nil), gs...))
 	}
-	if len(v.groupingSets) == 0 {
-		all := make([]int, len(v.groupExprs))
-		for i := range all {
-			all[i] = i
-		}
-		v.groupingSets = [][]int{all}
-	}
 	return v
-}
-
-// translateQNCPair exposes per-pair QNC translation for view construction.
-func (t *translator) translateQNCPair(p *childPair, col int) qgm.Expr {
-	return t.translateQNC(p, col)
 }
 
 // gbCoreResult is the outcome of the core GROUP BY match: the compensation
@@ -234,7 +182,7 @@ func (m *Matcher) finishGBMatch(e, r *qgm.Box, res *gbCoreResult) *Match {
 // cloneStackBox clones one box of a compensation stack (or the subsumee
 // itself), re-pointing references from oldChild to newChild positionally;
 // every other quantifier of b is a rejoin and is cloned.
-func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box) (*qgm.Box, error) {
+func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box) *qgm.Box {
 	label := "Sel"
 	if b.Kind == qgm.GroupByBox {
 		label = "GB"
@@ -254,39 +202,29 @@ func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box) (*qgm.Box, error
 	rmap, cloned := m.cloneRejoins(rejoinQs)
 	clone.Quantifiers = append(clone.Quantifiers, cloned...)
 
-	var remap func(e qgm.Expr) (qgm.Expr, error)
-	remap = func(e qgm.Expr) (qgm.Expr, error) {
-		c, isRef := e.(*qgm.ColRef)
-		if !isRef {
-			return qgm.MapChildren(e, remap)
-		}
-		if c.Q.Box == oldChild {
-			return &qgm.ColRef{Q: qNew, Col: c.Col}, nil
-		}
-		if q, isRejoin := rmap[c.Q.ID]; isRejoin {
-			return &qgm.ColRef{Q: q, Col: c.Col}, nil
-		}
-		return nil, &errUnderivable{expr: c}
+	remap := func(e qgm.Expr) qgm.Expr {
+		return qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
+			c, isRef := x.(*qgm.ColRef)
+			if !isRef {
+				return x
+			}
+			if c.Q.Box == oldChild {
+				return &qgm.ColRef{Q: qNew, Col: c.Col}
+			}
+			return &qgm.ColRef{Q: rmap[c.Q.ID], Col: c.Col}
+		})
 	}
 	for _, col := range b.Cols {
-		x, err := remap(col.Expr)
-		if err != nil {
-			return nil, err
-		}
-		clone.Cols = append(clone.Cols, qgm.QCL{Name: col.Name, Expr: x})
+		clone.Cols = append(clone.Cols, qgm.QCL{Name: col.Name, Expr: remap(col.Expr)})
 	}
 	for _, p := range b.Preds {
-		x, err := remap(p)
-		if err != nil {
-			return nil, err
-		}
-		clone.Preds = append(clone.Preds, x)
+		clone.Preds = append(clone.Preds, remap(p))
 	}
 	clone.GroupBy = append([]int(nil), b.GroupBy...)
 	for _, gs := range b.GroupingSets {
 		clone.GroupingSets = append(clone.GroupingSets, append([]int(nil), gs...))
 	}
-	return clone, nil
+	return clone
 }
 
 // cuboidPlan records how one subsumee grouping set maps onto one subsumer

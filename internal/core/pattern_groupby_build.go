@@ -16,16 +16,14 @@ type aggSpec struct {
 // directAggCol finds a subsumer aggregate column that computes exactly the
 // subsumee aggregate (used when no regrouping happens: §4.1.2 condition 2,
 // "every aggregate subsumee QCL matches with some subsumer aggregate QCL").
-// COUNT(*) and COUNT(z) with non-nullable z are interchangeable.
+// COUNT(*) and COUNT(z) with non-nullable z are interchangeable. Every
+// column of a GROUP BY box that is not a grouping column is an aggregate.
 func (m *Matcher) directAggCol(c gbCol, r *qgm.Box, eqCR *qgm.Equiv) int {
 	for k, col := range r.Cols {
 		if r.IsGroupCol(k) {
 			continue
 		}
-		ra, ok := col.Expr.(*qgm.Agg)
-		if !ok {
-			continue
-		}
+		ra := col.Expr.(*qgm.Agg)
 		if countStarLike(c.agg, c.argR) && countStarLike(ra, ra.Arg) {
 			return k
 		}
@@ -59,7 +57,7 @@ func countRowsCol(r *qgm.Box) int {
 		if r.IsGroupCol(k) {
 			continue
 		}
-		if ra, ok := col.Expr.(*qgm.Agg); ok && countStarLike(ra, ra.Arg) {
+		if ra := col.Expr.(*qgm.Agg); countStarLike(ra, ra.Arg) {
 			return k
 		}
 	}
@@ -77,7 +75,7 @@ func (m *Matcher) deriveAgg(c gbCol, r *qgm.Box, qSub *qgm.Quantifier, eqCR *qgm
 			if r.IsGroupCol(k) {
 				continue
 			}
-			if ra, ok := col.Expr.(*qgm.Agg); ok && pred(ra) {
+			if pred(col.Expr.(*qgm.Agg)) {
 				return k
 			}
 		}
@@ -86,8 +84,20 @@ func (m *Matcher) deriveAgg(c gbCol, r *qgm.Box, qSub *qgm.Quantifier, eqCR *qgm
 	ref := func(k int) qgm.Expr { return &qgm.ColRef{Q: qSub, Col: k} }
 
 	a := c.agg
-	switch {
-	case a.Op == "count" && !a.Distinct:
+	if a.Distinct {
+		// Rules (f) and (g): COUNT/SUM(DISTINCT x) require x to derive from
+		// grouping columns; the compensation re-aggregates with DISTINCT
+		// (a strengthening of the paper's COUNT(y), which miscounts when the
+		// subsumer groups by columns beyond x — see DESIGN.md). MIN/MAX
+		// ignore DISTINCT.
+		da, err := d.derive(c.argR)
+		if err != nil {
+			return nil
+		}
+		return &aggSpec{op: a.Op, distinct: a.Op == "count" || a.Op == "sum", arg: da}
+	}
+	switch a.Op {
+	case "count":
 		// Rules (a) and (b): COUNT(*) is SUM of any whole-group count;
 		// COUNT(x) is SUM(COUNT(y)) for y ≡ x, or of a whole-group count when
 		// x is non-nullable.
@@ -106,7 +116,7 @@ func (m *Matcher) deriveAgg(c gbCol, r *qgm.Box, qSub *qgm.Quantifier, eqCR *qgm
 		}
 		return nil
 
-	case a.Op == "sum" && !a.Distinct:
+	case "sum":
 		// Rule (c): SUM(x) is SUM(SUM(y)); or, when x derives from grouping
 		// columns, SUM(x' * cnt) with the expression computed below the
 		// regrouping.
@@ -125,7 +135,7 @@ func (m *Matcher) deriveAgg(c gbCol, r *qgm.Box, qSub *qgm.Quantifier, eqCR *qgm
 		}
 		return &aggSpec{op: "sum", arg: &qgm.Bin{Op: "*", L: da, R: ref(k)}}
 
-	case (a.Op == "min" || a.Op == "max") && !a.Distinct:
+	default:
 		// Rules (d) and (e): MIN/MAX re-aggregate their partial extremes, or
 		// apply directly to values derived from grouping columns.
 		if k := findAgg(func(ra *qgm.Agg) bool {
@@ -138,24 +148,6 @@ func (m *Matcher) deriveAgg(c gbCol, r *qgm.Box, qSub *qgm.Quantifier, eqCR *qgm
 			return nil
 		}
 		return &aggSpec{op: a.Op, arg: da}
-
-	case a.Distinct:
-		// Rules (f) and (g): COUNT/SUM(DISTINCT x) require x to derive from
-		// grouping columns; the compensation re-aggregates with DISTINCT
-		// (a strengthening of the paper's COUNT(y), which miscounts when the
-		// subsumer groups by columns beyond x — see DESIGN.md).
-		switch a.Op {
-		case "count", "sum", "min", "max":
-			da, err := d.derive(c.argR)
-			if err != nil {
-				return nil
-			}
-			return &aggSpec{op: a.Op, distinct: a.Op == "count" || a.Op == "sum", arg: da}
-		}
-		return nil
-
-	default:
-		return nil
 	}
 }
 
@@ -190,16 +182,13 @@ func (m *Matcher) buildGBComp(
 	}
 
 	// Pull up the child compensation's predicates (§4.2.1 condition 3),
-	// derived from the selected cuboid's grouping columns and rejoins.
+	// derived from the selected cuboid's grouping columns and rejoins. Here
+	// and below, derivations and aggregate rules succeed: matchGBCore's plan
+	// checked each against the same sources.
 	if childSel != nil {
 		dPred := m.cuboidDeriver(r, qSub, m.predSourceSet(plans, r), eqCR, rejoinQs, rmap)
 		for _, p := range childSel.Preds {
-			rs := expandCompExpr(mm, rqc, p)
-			dp, err := dPred.derive(rs)
-			if err != nil {
-				return nil
-			}
-			s.Preds = append(s.Preds, dp)
+			s.Preds = append(s.Preds, dPred.mustDerive(expandCompExpr(mm, rqc, p)))
 		}
 	}
 
@@ -221,16 +210,9 @@ func (m *Matcher) buildGBComp(
 		for i, c := range view.cols {
 			var rcol int
 			if c.isGroup {
-				rpos, ok := global[c.groupPos]
-				if !ok {
-					return nil
-				}
-				rcol = r.GroupBy[rpos]
+				rcol = r.GroupBy[global[c.groupPos]]
 			} else {
 				rcol = m.directAggCol(c, r, eqCR)
-				if rcol < 0 {
-					return nil
-				}
 			}
 			s.Cols = append(s.Cols, qgm.QCL{Name: c.name, Expr: &qgm.ColRef{Q: qSub, Col: rcol}})
 			colMap[i] = rcol
@@ -249,19 +231,12 @@ func (m *Matcher) buildGBComp(
 			if rpos, ok := plan0.directMap[c.groupPos]; ok {
 				expr = &qgm.ColRef{Q: qSub, Col: r.GroupBy[rpos]}
 			} else {
-				var err error
-				expr, err = dFull.derive(view.groupExprs[c.groupPos])
-				if err != nil {
-					return nil
-				}
+				expr = dFull.mustDerive(view.groupExprs[c.groupPos])
 			}
 			s.Cols = append(s.Cols, qgm.QCL{Name: c.name, Expr: expr})
 			continue
 		}
 		spec := m.deriveAgg(c, r, qSub, eqCR, dFull)
-		if spec == nil {
-			return nil
-		}
 		specs[i] = spec
 		s.Cols = append(s.Cols, qgm.QCL{Name: c.name, Expr: spec.arg})
 	}
@@ -333,12 +308,9 @@ func (m *Matcher) slicingPred(r *qgm.Box, qSub *qgm.Quantifier, plans []*cuboidP
 				conj = append(conj, &qgm.IsNull{E: &qgm.ColRef{Q: qSub, Col: col}})
 			}
 		}
-		if len(conj) == 0 {
-			// Degenerate: this cuboid is indistinguishable; slicing would be
-			// wrong, but selected==all was ruled out above, so fail safe by
-			// keeping a TRUE conjunct.
-			continue
-		}
+		// conj is not empty: a position in every grouping set gets no
+		// conjunct, and the sets are distinct, so some position is missing
+		// from one of them.
 		disjuncts = append(disjuncts, qgm.AndAll(conj))
 	}
 	return qgm.OrAll(disjuncts)

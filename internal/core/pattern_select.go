@@ -64,9 +64,9 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 	}
 
 	// Condition 1 (§4.1.1): every extra join must be lossless.
-	extraJoinPreds := m.extrasLossless(r, a)
-	if extraJoinPreds == nil {
-		return m.reject(e, r, "condition 1 (§4.1.1): an extra subsumer join is not provably lossless")
+	extraJoinPreds, lossy := m.extrasLossless(r, a)
+	if lossy != nil {
+		return m.reject(e, r, "condition 1 (§4.1.1): the extra join of %s is not provably lossless", lossy.Box.Label)
 	}
 
 	t := &translator{assign: a}
@@ -76,18 +76,17 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 	// and all child-compensation predicates, translated into the subsumer's
 	// context (§6).
 	var pool []*poolEntry
-	for i, p := range e.Preds {
-		pool = append(pool, &poolEntry{rspace: t.translate(p), fromE: true, origIdx: i})
+	for _, p := range e.Preds {
+		pool = append(pool, &poolEntry{rspace: t.translate(p), orig: p, level: -1})
 	}
 	compPairs := append([]*childPair(nil), selPairs...)
 	if gbPair != nil {
 		compPairs = append(compPairs, gbPair)
 	}
 	for _, cp := range compPairs {
-		for _, box := range cp.m.Stack {
-			for pi, p := range box.Preds {
-				rs := expandCompExpr(cp.m, cp.rq, p)
-				pool = append(pool, &poolEntry{rspace: rs, compPair: cp, compBox: box, compIdx: pi})
+		for level, box := range cp.m.Stack {
+			for _, p := range box.Preds {
+				pool = append(pool, &poolEntry{rspace: expandCompExpr(cp.m, cp.rq, p), orig: p, level: level})
 			}
 		}
 	}
@@ -123,20 +122,21 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 	}
 
 	if gbPair == nil {
-		mm := m.buildSelectComp(e, r, a, t, eqR, pool)
-		if mm != nil {
-			if len(selPairs) > 0 {
-				mm.Pattern = "§4.2.3"
-			} else {
-				mm.Pattern = "§4.1.1"
-			}
+		mm, err := m.buildSelectComp(e, r, a, t, eqR, pool)
+		if err != nil {
+			return m.reject(e, r, "%v", err)
+		}
+		mm.Pattern = "§4.1.1"
+		if len(selPairs) > 0 {
+			mm.Pattern = "§4.2.3"
 		}
 		return mm
 	}
-	mm := m.buildSelectGBComp(e, r, a, gbPair, t, eqR, pool)
-	if mm != nil {
-		mm.Pattern = "§4.2.4"
+	mm, err := m.buildSelectGBComp(e, r, a, gbPair, t, eqR, pool)
+	if err != nil {
+		return m.reject(e, r, "pulling the grouping compensation up (§4.2.4): %v", err)
 	}
+	mm.Pattern = "§4.2.4"
 	return mm
 }
 
@@ -148,57 +148,38 @@ type poolEntry struct {
 	rspace    qgm.Expr
 	satisfied bool // exactly matched by a subsumer predicate
 
-	fromE    bool // subsumee predicate (vs child-compensation)
-	origIdx  int  // index into e.Preds when fromE
-	compPair *childPair
-	compBox  *qgm.Box // stack box holding the predicate when !fromE
-	compIdx  int
+	orig  qgm.Expr // the predicate as its box states it
+	level int      // its box's level in the child compensation; -1 for the subsumee's own
 }
 
 // extrasLossless verifies §4.1.1 condition 1 for every extra subsumer child:
 // all subsumer predicates referencing an extra child must be RI equi-join
-// predicates whose child (foreign-key) side is a matched — or already
-// verified extra — base table, with the catalog proving losslessness. It
-// returns the set of subsumer predicate indices that are extra-join
-// predicates, or nil if some extra join may lose or duplicate rows.
-func (m *Matcher) extrasLossless(r *qgm.Box, a *assignment) map[int]bool {
+// predicates whose child (foreign-key) side is a matched base table, with the
+// catalog proving losslessness. It returns the set of subsumer predicate
+// indices that are extra-join predicates, or the first extra child whose join
+// may lose or duplicate rows. An extra joined to another extra is refused: the
+// predicate between them puts each on the foreign-key side of the other's
+// check.
+func (m *Matcher) extrasLossless(r *qgm.Box, a *assignment) (map[int]bool, *qgm.Quantifier) {
 	extraJoin := map[int]bool{}
-	// Quantifiers considered "safe" multiplicity anchors.
-	safe := map[int]bool{}
+	matched := map[int]bool{}
 	for _, p := range a.pairs {
-		safe[p.rq.ID] = true
+		matched[p.rq.ID] = true
 	}
-	pending := []*qgm.Quantifier{}
 	for _, x := range a.extras {
-		if x.Kind == qgm.Scalar {
-			// An (uncorrelated) scalar child contributes one value, never
-			// multiplicity; nothing to verify.
-			continue
-		}
-		pending = append(pending, x)
-	}
-	for len(pending) > 0 {
-		progress := false
-		for i := 0; i < len(pending); i++ {
-			x := pending[i]
-			if m.extraLossless(r, x, safe, extraJoin) {
-				safe[x.ID] = true
-				pending = append(pending[:i], pending[i+1:]...)
-				progress = true
-				i--
-			}
-		}
-		if !progress {
-			return nil
+		// An (uncorrelated) scalar child contributes one value, never
+		// multiplicity; nothing to verify.
+		if x.Kind != qgm.Scalar && !m.extraLossless(r, x, matched, extraJoin) {
+			return nil, x
 		}
 	}
-	return extraJoin
+	return extraJoin, nil
 }
 
 // extraLossless checks one extra child: every subsumer predicate referencing
-// it must be an equality to a safe base-table child, and together those
+// it must be an equality to a matched base-table child, and together those
 // equalities must be covered by an RI constraint with non-nullable FK side.
-func (m *Matcher) extraLossless(r *qgm.Box, x *qgm.Quantifier, safe map[int]bool, extraJoin map[int]bool) bool {
+func (m *Matcher) extraLossless(r *qgm.Box, x *qgm.Quantifier, matched map[int]bool, extraJoin map[int]bool) bool {
 	if x.Box.Kind != qgm.BaseTableBox {
 		return false
 	}
@@ -231,7 +212,7 @@ func (m *Matcher) extraLossless(r *qgm.Box, x *qgm.Quantifier, safe map[int]bool
 		default:
 			return false // local predicate on the extra child, or self-equality
 		}
-		if !safe[oc.Q.ID] || oc.Q.Box.Kind != qgm.BaseTableBox {
+		if !matched[oc.Q.ID] || oc.Q.Box.Kind != qgm.BaseTableBox {
 			return false
 		}
 		pairs = append(pairs, pair{

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/qgm"
 )
 
@@ -9,7 +11,7 @@ import (
 // subsumer that rejoins the rejoin children, re-applies all unsatisfied
 // subsumee and child-compensation predicates, and derives the subsumee's
 // output columns.
-func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, eqR *qgm.Equiv, pool []*poolEntry) *Match {
+func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, eqR *qgm.Equiv, pool []*poolEntry) (*Match, error) {
 	// Collect rejoin quantifiers: the subsumee's own rejoin children plus the
 	// rejoin children inside SELECT-only child compensations (§4.2.3: the
 	// compensation "includes the rejoin children (if any)").
@@ -47,7 +49,7 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 		}
 		dp, err := d.derive(pe.rspace)
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("conditions 3 and 5 (§4.1.1/§4.2.3), re-applying a predicate: %w", err)
 		}
 		c.Preds = append(c.Preds, dp)
 	}
@@ -56,7 +58,7 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 	for _, col := range e.Cols {
 		dp, err := d.derive(t.translate(col.Expr))
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("condition 4 (§4.1.1), deriving column %s: %w", col.Name, err)
 		}
 		c.Cols = append(c.Cols, qgm.QCL{Name: col.Name, Expr: dp})
 	}
@@ -80,13 +82,13 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 			colMap[i] = cr.Col
 		}
 		if pure && (!e.Distinct || len(seen) == len(r.Cols)) {
-			return &Match{Subsumee: e, Subsumer: r, Exact: true, ColMap: colMap}
+			return &Match{Subsumee: e, Subsumer: r, Exact: true, ColMap: colMap}, nil
 		}
 	}
 
 	mm := &Match{Subsumee: e, Subsumer: r, Stack: []*qgm.Box{c}, SubQ: qSub}
 	mm.indexComp()
-	return mm
+	return mm, nil
 }
 
 // buildSelectGBComp constructs the compensation for §4.2.4: the grouping
@@ -94,25 +96,25 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 // level, deriving the bottom level from the subsumer's outputs and creating
 // pass-through columns on demand, per the §6 walkthrough of Figure 11), and a
 // final SELECT box compensates the subsumee's own predicates and columns.
-func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair, t *translator, eqR *qgm.Equiv, pool []*poolEntry) *Match {
-	pu := newPullup(m, r, gp, eqR)
-	if pu == nil {
-		return nil
+func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair, t *translator, eqR *qgm.Equiv, pool []*poolEntry) (*Match, error) {
+	pu, err := newPullup(m, r, gp, eqR)
+	if err != nil {
+		return nil, err
 	}
 
-	// Re-apply unsatisfied child-compensation predicates at their own level;
+	// Re-apply unsatisfied child-compensation predicates at their own level
+	// (every other child's compensation is a projection: see matchSelect);
 	// remember unsatisfied subsumee predicates for the top box.
 	var ePreds []qgm.Expr
 	for _, pe := range pool {
-		if pe.satisfied {
-			continue
-		}
-		if pe.fromE {
-			ePreds = append(ePreds, e.Preds[pe.origIdx])
-			continue
-		}
-		if !pu.addPredAt(pe.compBox, pe.compIdx) {
-			return nil
+		switch {
+		case pe.satisfied:
+		case pe.level < 0:
+			ePreds = append(ePreds, pe.orig)
+		default:
+			if err := pu.addPredAt(pe.level, pe.orig); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -133,9 +135,6 @@ func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair,
 			return &qgm.ColRef{Q: q, Col: c.Col}, nil
 		}
 		p := a.byEQ[c.Q.ID]
-		if p == nil {
-			return nil, &errUnderivable{expr: c}
-		}
 		var idx int
 		var err error
 		if p == gp {
@@ -154,14 +153,14 @@ func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair,
 	for _, p := range ePreds {
 		dp, err := remap(p)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		top.Preds = append(top.Preds, dp)
 	}
 	for _, col := range e.Cols {
 		dp, err := remap(col.Expr)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		top.Cols = append(top.Cols, qgm.QCL{Name: col.Name, Expr: dp})
 	}
@@ -170,5 +169,5 @@ func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair,
 	stack := append(pu.stack(), top)
 	mm := &Match{Subsumee: e, Subsumer: r, Stack: stack, SubQ: pu.qSub}
 	mm.indexComp()
-	return mm
+	return mm, nil
 }

@@ -492,6 +492,29 @@ func TestPlanCacheVariantsAreBoundedPerTemplate(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEvictsOneVariant: at capacity the least recently used entry
+// goes even when it is one variant of a template, and the template's newer
+// variant stays.
+func TestPlanCacheEvictsOneVariant(t *testing.T) {
+	e := newEnv(t, 1000)
+	asts := []*core.CompiledAST{e.registerAST(t, "pc_var1", `
+		select flid, year(date) as year, count(*) as cnt from trans
+		where year(date) > 1985 group by flid, year(date)`)}
+	cache := core.NewPlanCache(2)
+	q := func(y int) string {
+		return "select flid, count(*) as cnt from trans where year(date) > " + strconv.Itoa(y) + " group by flid"
+	}
+	lookupAndCheck(t, e, cache, q(1987), asts)
+	lookupAndCheck(t, e, cache, q(1990), asts)
+	lookupAndCheck(t, e, cache, "select faid, count(*) as cnt from trans group by faid", asts)
+	if cr := lookupAndCheck(t, e, cache, q(1990), asts); !cr.Hit {
+		t.Fatal("the newer variant was evicted")
+	}
+	if cr := lookupAndCheck(t, e, cache, q(1987), asts); cr.Hit {
+		t.Fatal("the least recently used variant was kept")
+	}
+}
+
 // TestPlanCacheHitAllocs pins what a hit allocates: the template, the literal
 // vector and the bound copy of the plan, and nothing for the LRU lookup
 // itself — a closure handed to the cache's Guarded that escaped would show

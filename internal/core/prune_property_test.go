@@ -7,10 +7,12 @@ package core_test
 // companion to the paper-suite sweep in internal/bench.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/qgm"
@@ -60,7 +62,7 @@ func TestPrunePropertyRandomized(t *testing.T) {
 
 		// Matching mutates the query graph (compensation boxes), so run it on
 		// the graph we just built; each trial builds a fresh one.
-		matches := core.NewMatcher(e.cat, q, ca.Graph, core.Options{}).Run()
+		matches := core.NewMatcher(e.cat, q, ca.Graph, core.Options{}).RunCtx(context.Background())
 
 		if len(matches) > 0 {
 			matched++
@@ -165,5 +167,44 @@ func TestPruneDisabledByOption(t *testing.T) {
 	// matching gate, not the cost gate.
 	if rw.Rewrite(q, ca) == nil {
 		t.Fatal("NoPrune rewriter should still rewrite a matching pair")
+	}
+	// The selection loop matches every usable candidate: one over another
+	// table is tried, not pruned as the index prunes it by default.
+	other, err := rw.CompileAST(catalog.ASTDef{Name: "noprloc", SQL: "select lid, count(*) as n from loc group by lid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := qgm.BuildSQL("select cid, count(*) as n from cust group by cid", e.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rw     *core.Rewriter
+		pruned bool
+	}{{e.rw, true}, {rw, false}} {
+		if _, _, ds := c.rw.ExplainRewrite(context.Background(), q2, []*core.CompiledAST{other}, e.store); ds[0].Pruned != c.pruned {
+			t.Errorf("NoPrune=%v: pruned = %v", c.rw.Options().NoPrune, ds[0].Pruned)
+		}
+	}
+}
+
+// TestSignatureOfAnUnknownTableIsNil: a graph over a table the catalog does
+// not know — a plan that reads a summary table — has no signature, which
+// every index check reads as "admit".
+func TestSignatureOfAnUnknownTableIsNil(t *testing.T) {
+	e := newEnv(t, 300)
+	ast := e.registerAST(t, "sigx", bench.ASTDefs["ast7"])
+	g, err := qgm.BuildSQL(bench.Queries["q7"], e.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.ComputeSignature(e.cat, g) == nil {
+		t.Fatal("q7 over the star schema has no signature")
+	}
+	if e.rw.Rewrite(g, ast) == nil {
+		t.Fatal("q7 did not rewrite against ast7")
+	}
+	if sig := core.ComputeSignature(e.cat, g); sig != nil {
+		t.Fatalf("a plan reading sigx has a signature: %+v", sig)
 	}
 }

@@ -15,15 +15,12 @@ import (
 // pass-through columns threading subsumer outputs (such as Figure 11's totcnt)
 // up through intermediate GROUP BY boxes.
 type pullup struct {
-	m   *Matcher
-	r   *qgm.Box
 	gp  *childPair
 	src []*qgm.Box // original child-compensation stack, bottom to top
 
 	clones  []*qgm.Box
 	cloneQ  []*qgm.Quantifier // cloneQ[i] consumes clones[i] (used by level i+1 and the caller's top box)
 	colMap  []map[int]int     // per level: original column → clone column
-	rsCache []map[string]int  // per level: subsumer-space expression → clone column
 	rejoins []map[int]*qgm.Quantifier
 
 	qSub *qgm.Quantifier
@@ -31,23 +28,20 @@ type pullup struct {
 }
 
 // newPullup clones the stack skeleton (boxes, quantifiers, grouping
-// structure). It returns nil when a grouping column cannot be derived.
-func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) *pullup {
+// structure). It fails when a grouping column cannot be derived from the
+// subsumer's outputs. A compensation stack holds SELECT and GROUP BY boxes
+// only, starting with a SELECT over the subsumer.
+func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) (*pullup, error) {
 	src := gp.m.Stack
-	if len(src) == 0 || src[0].Kind != qgm.SelectBox {
-		return nil
-	}
 	pu := &pullup{
-		m: m, r: r, gp: gp, src: src,
+		gp: gp, src: src,
 		clones:  make([]*qgm.Box, len(src)),
 		cloneQ:  make([]*qgm.Quantifier, len(src)),
 		colMap:  make([]map[int]int, len(src)),
-		rsCache: make([]map[string]int, len(src)),
 		rejoins: make([]map[int]*qgm.Quantifier, len(src)),
 	}
 	for i := range src {
 		pu.colMap[i] = map[int]int{}
-		pu.rsCache[i] = map[string]int{}
 	}
 
 	// Level 0: a SELECT over the subsumer, with the original bottom level's
@@ -74,8 +68,7 @@ func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) *pullup {
 
 	for i := 1; i < len(src); i++ {
 		b := src[i]
-		switch b.Kind {
-		case qgm.SelectBox:
+		if b.Kind == qgm.SelectBox {
 			ci := m.newCompBox(qgm.SelectBox, compLabel("Sel"))
 			var rq []*qgm.Quantifier
 			for _, q := range b.Quantifiers {
@@ -88,21 +81,18 @@ func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) *pullup {
 			ci.Distinct = b.Distinct
 			pu.rejoins[i] = rmap
 			pu.clones[i] = ci
-		case qgm.GroupByBox:
+		} else {
 			ci := m.newCompBox(qgm.GroupByBox, compLabel("GB"))
 			ci.Regroup = b.Regroup
 			ci.Quantifiers = []*qgm.Quantifier{pu.cloneQ[i-1]}
 			pu.rejoins[i] = map[int]*qgm.Quantifier{}
 			pu.clones[i] = ci
 			// Grouping columns are cloned eagerly: they define the groups.
+			// Each is a column of the level below.
 			for _, g := range b.GroupBy {
-				cr, ok := b.Cols[g].Expr.(*qgm.ColRef)
-				if !ok || cr.Q.Box != src[i-1] {
-					return nil
-				}
-				below, err := pu.ensureOrig(i-1, cr.Col)
+				below, err := pu.ensureOrig(i-1, b.Cols[g].Expr.(*qgm.ColRef).Col)
 				if err != nil {
-					return nil
+					return nil, err
 				}
 				idx := len(ci.Cols)
 				ci.Cols = append(ci.Cols, qgm.QCL{
@@ -115,12 +105,10 @@ func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) *pullup {
 			for _, gs := range b.GroupingSets {
 				ci.GroupingSets = append(ci.GroupingSets, append([]int(nil), gs...))
 			}
-		default:
-			return nil
 		}
 		pu.cloneQ[i] = m.newQuant(qgm.ForEach, pu.clones[i], "")
 	}
-	return pu
+	return pu, nil
 }
 
 // topBox returns the top clone.
@@ -129,36 +117,22 @@ func (pu *pullup) topBox() *qgm.Box { return pu.clones[len(pu.clones)-1] }
 // stack returns the clone chain bottom to top.
 func (pu *pullup) stack() []*qgm.Box { return pu.clones }
 
-// addPredAt re-applies one original stack predicate at its own level,
-// deriving the bottom level from the subsumer (§4.2.3 condition 5 / §4.2.4
-// pull-up conditions).
-func (pu *pullup) addPredAt(origBox *qgm.Box, predIdx int) bool {
-	level := -1
-	for i, b := range pu.src {
-		if b == origBox {
-			level = i
-			break
-		}
-	}
-	if level < 0 {
-		return false
-	}
-	p := origBox.Preds[predIdx]
+// addPredAt re-applies predicate p of original stack level `level` at the
+// same level of the clone, deriving the bottom level from the subsumer
+// (§4.2.3 condition 5 / §4.2.4 pull-up conditions).
+func (pu *pullup) addPredAt(level int, p qgm.Expr) error {
+	var dv qgm.Expr
+	var err error
 	if level == 0 {
-		rs := expandCompExpr(pu.gp.m, pu.gp.rq, p)
-		dv, err := pu.d0.derive(rs)
-		if err != nil {
-			return false
-		}
-		pu.clones[0].Preds = append(pu.clones[0].Preds, dv)
-		return true
+		dv, err = pu.d0.derive(expandCompExpr(pu.gp.m, pu.gp.rq, p))
+	} else {
+		dv, err = pu.remapLevel(p, level)
 	}
-	dv, err := pu.remapLevel(p, level)
 	if err != nil {
-		return false
+		return err
 	}
 	pu.clones[level].Preds = append(pu.clones[level].Preds, dv)
-	return true
+	return nil
 }
 
 // ensureOrig makes original column j of stack level i available in the clone
@@ -168,9 +142,6 @@ func (pu *pullup) ensureOrig(i, j int) (int, error) {
 		return idx, nil
 	}
 	b := pu.src[i]
-	if j >= len(b.Cols) {
-		return 0, fmt.Errorf("core: column %d out of range in %s", j, fmtBox(b))
-	}
 	var idx int
 	switch {
 	case i == 0:
@@ -186,12 +157,10 @@ func (pu *pullup) ensureOrig(i, j int) (int, error) {
 			return 0, err
 		}
 		idx = addQCL(pu.clones[i], b.Cols[j].Name, dv)
-	case b.Kind == qgm.GroupByBox:
-		// Grouping columns were pre-mapped; this must be an aggregate.
-		agg, ok := b.Cols[j].Expr.(*qgm.Agg)
-		if !ok {
-			return 0, fmt.Errorf("core: unexpected non-aggregate column %q in %s", b.Cols[j].Name, fmtBox(b))
-		}
+	default:
+		// A GROUP BY level: grouping columns were pre-mapped, so this is an
+		// aggregate.
+		agg := b.Cols[j].Expr.(*qgm.Agg)
 		var arg qgm.Expr
 		if !agg.Star {
 			var err error
@@ -205,15 +174,14 @@ func (pu *pullup) ensureOrig(i, j int) (int, error) {
 			Name: b.Cols[j].Name,
 			Expr: &qgm.Agg{Op: agg.Op, Arg: arg, Star: agg.Star, Distinct: agg.Distinct},
 		})
-	default:
-		return 0, fmt.Errorf("core: unsupported stack box kind in %s", fmtBox(b))
 	}
 	pu.colMap[i][j] = idx
 	return idx, nil
 }
 
-// remapLevel rewrites an expression of original stack level i (references to
-// level i-1 and level-local rejoins) into the clone's space.
+// remapLevel rewrites an expression of original stack level i into the
+// clone's space: its references are to level i-1 or to the level's own
+// rejoins.
 func (pu *pullup) remapLevel(e qgm.Expr, i int) (qgm.Expr, error) {
 	c, ok := e.(*qgm.ColRef)
 	if !ok {
@@ -221,9 +189,6 @@ func (pu *pullup) remapLevel(e qgm.Expr, i int) (qgm.Expr, error) {
 	}
 	if q, cloned := pu.rejoins[i][c.Q.ID]; cloned {
 		return &qgm.ColRef{Q: q, Col: c.Col}, nil
-	}
-	if c.Q.Box != pu.src[i-1] {
-		return nil, fmt.Errorf("core: unresolvable reference %s at stack level %d", c.String(), i)
 	}
 	below, err := pu.ensureOrig(i-1, c.Col)
 	if err != nil {
@@ -240,58 +205,42 @@ func (pu *pullup) remapLevel(e qgm.Expr, i int) (qgm.Expr, error) {
 // added as an extra grouping column, which the paper's NewQ10 does with
 // "group by flid, totcnt".
 func (pu *pullup) ensureRspace(i int, t qgm.Expr) (int, error) {
-	key := t.String()
-	if idx, ok := pu.rsCache[i][key]; ok {
-		return idx, nil
-	}
-	var idx int
 	if i == 0 {
 		dv, err := pu.d0.derive(t)
 		if err != nil {
 			return 0, err
 		}
-		idx = addQCL(pu.clones[0], "", dv)
-	} else {
-		below, err := pu.ensureRspace(i-1, t)
-		if err != nil {
-			return 0, err
-		}
-		ref := &qgm.ColRef{Q: pu.cloneQ[i-1], Col: below}
-		ci := pu.clones[i]
-		switch ci.Kind {
-		case qgm.SelectBox:
-			idx = addQCL(ci, "", ref)
-		case qgm.GroupByBox:
-			// Reuse an existing grouping column when it already carries the
-			// value.
-			found := -1
-			for _, g := range ci.GroupBy {
-				if qgm.ExprEqual(ci.Cols[g].Expr, ref, nil) {
-					found = g
-					break
-				}
-			}
-			if found >= 0 {
-				idx = found
-				break
-			}
-			if !isConstRspace(t) {
-				return 0, fmt.Errorf("core: cannot thread non-constant %s through GROUP BY compensation", t.String())
-			}
-			idx = len(ci.Cols)
-			ci.Cols = append(ci.Cols, qgm.QCL{Name: uniqueColName(ci, "c"), Expr: ref})
-			pos := len(ci.GroupBy)
-			ci.GroupBy = append(ci.GroupBy, idx)
-			// The new column joins every grouping set: being constant, it
-			// never changes the groups and is never NULL-padded.
-			for k := range ci.GroupingSets {
-				ci.GroupingSets[k] = append(ci.GroupingSets[k], pos)
-			}
-		default:
-			return 0, fmt.Errorf("core: unsupported stack box kind")
+		return addQCL(pu.clones[0], "", dv), nil
+	}
+	below, err := pu.ensureRspace(i-1, t)
+	if err != nil {
+		return 0, err
+	}
+	ref := &qgm.ColRef{Q: pu.cloneQ[i-1], Col: below}
+	ci := pu.clones[i]
+	if ci.Kind == qgm.SelectBox {
+		return addQCL(ci, "", ref), nil
+	}
+	// A GROUP BY level reuses a grouping column that already carries the
+	// value, as addQCL does at the other levels: a value threaded twice adds
+	// no column.
+	for _, g := range ci.GroupBy {
+		if qgm.ExprEqual(ci.Cols[g].Expr, ref, nil) {
+			return g, nil
 		}
 	}
-	pu.rsCache[i][key] = idx
+	if !isConstRspace(t) {
+		return 0, fmt.Errorf("core: cannot thread non-constant %s through GROUP BY compensation", t.String())
+	}
+	idx := len(ci.Cols)
+	ci.Cols = append(ci.Cols, qgm.QCL{Name: uniqueColName(ci, "c"), Expr: ref})
+	pos := len(ci.GroupBy)
+	ci.GroupBy = append(ci.GroupBy, idx)
+	// The new column joins every grouping set: being constant, it never
+	// changes the groups and is never NULL-padded.
+	for k := range ci.GroupingSets {
+		ci.GroupingSets[k] = append(ci.GroupingSets[k], pos)
+	}
 	return idx, nil
 }
 

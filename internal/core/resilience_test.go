@@ -125,7 +125,8 @@ func TestFaultedCandidateLeavesSharedGraphUsable(t *testing.T) {
 			var mp *core.MatchPanicError
 			found := false
 			for _, d := range degs {
-				if errors.As(d, &mp) && mp.AST == "faulty" || strings.Contains(d.Error(), "injected match fault") {
+				if errors.As(d, &mp) && mp.AST == "faulty" && strings.Contains(d.Error(), `match against AST "faulty" panicked`) ||
+					strings.Contains(d.Error(), "injected match fault") {
 					found = true
 				}
 			}

@@ -515,13 +515,8 @@ func (rw *Rewriter) Options() Options { return rw.opts }
 // rewritten plan's cost is the materialized AST's rows plus any rejoined base
 // tables in the compensation. EXPLAIN surfaces both numbers per candidate.
 func (rw *Rewriter) CostEstimate(mm *Match, ast *CompiledAST, sizer Sizer) (baseRows, rewrittenRows int) {
-	seen := map[int]bool{}
-	var walk func(b *qgm.Box)
+	var walk func(b *qgm.Box) // a query graph shares no box but base tables
 	walk = func(b *qgm.Box) {
-		if seen[b.ID] {
-			return
-		}
-		seen[b.ID] = true
 		for _, q := range b.Quantifiers {
 			if q.Box.Kind == qgm.BaseTableBox {
 				baseRows += sizer.TableRows(q.Box.Table.Name)

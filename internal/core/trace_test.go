@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 	g, _ := qgm.BuildSQL("select tid from trans", e.cat)
 	matcher := core.NewMatcher(e.cat, g, ast.Graph, core.Options{})
-	matcher.Run()
+	matcher.RunCtx(context.Background())
 	if len(matcher.Trace()) != 0 {
 		t.Fatal("trace should be empty when disabled")
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/qgm"
 )
 
@@ -37,7 +35,7 @@ func (m *Matcher) assignChildren(e, r *qgm.Box) *assignment {
 			if eq.Kind != rq.Kind {
 				continue
 			}
-			if mm := m.MatchOf(eq.Box, rq.Box); mm != nil {
+			if mm := m.matchOf(eq.Box, rq.Box); mm != nil {
 				cands[i] = append(cands[i], j)
 			}
 		}
@@ -66,7 +64,7 @@ func (m *Matcher) assignChildren(e, r *qgm.Box) *assignment {
 			used[j] = true
 			sel[i] = j
 			ex := 0
-			if m.MatchOf(eqs[i].Box, rqs[j].Box).Exact {
+			if m.matchOf(eqs[i].Box, rqs[j].Box).Exact {
 				ex = 1
 			}
 			rec(i+1, matched+1, exact+ex)
@@ -84,7 +82,7 @@ func (m *Matcher) assignChildren(e, r *qgm.Box) *assignment {
 			a.rejoins = append(a.rejoins, eq)
 			continue
 		}
-		p := &childPair{eq: eq, rq: rqs[j], m: m.MatchOf(eq.Box, rqs[j].Box)}
+		p := &childPair{eq: eq, rq: rqs[j], m: m.matchOf(eq.Box, rqs[j].Box)}
 		a.pairs = append(a.pairs, p)
 		a.byEQ[eq.ID] = p
 	}
@@ -178,26 +176,20 @@ func expandCompExpr(mm *Match, rq *qgm.Quantifier, e qgm.Expr) qgm.Expr {
 func outputEquiv(q *qgm.Quantifier) *qgm.Equiv {
 	eq := qgm.NewEquiv()
 	b := q.Box
-	if b == nil {
-		return eq
-	}
 	var inner *qgm.Equiv
 	switch b.Kind {
 	case qgm.SelectBox:
 		inner = qgm.EquivFromPreds(b.Preds)
 	case qgm.GroupByBox:
 		// Grouping columns are pass-throughs of the child box; lift the
-		// child's output equivalence through them.
-		child := b.Quantifiers[0]
-		childEq := outputEquiv(child)
-		for _, i := range b.GroupBy {
-			for _, j := range b.GroupBy {
-				if i >= j {
-					continue
-				}
-				ci, iok := b.Cols[i].Expr.(*qgm.ColRef)
-				cj, jok := b.Cols[j].Expr.(*qgm.ColRef)
-				if iok && jok && childEq.Same(ci, cj) {
+		// child's output equivalence through them. Two columns stay equal
+		// only when every grouping set keeps both or neither: a cuboid that
+		// keeps one NULL-pads the other.
+		childEq := outputEquiv(b.Quantifiers[0])
+		for pi, i := range b.GroupBy {
+			for pj := pi + 1; pj < len(b.GroupBy); pj++ {
+				j := b.GroupBy[pj]
+				if childEq.Same(b.Cols[i].Expr.(*qgm.ColRef), b.Cols[j].Expr.(*qgm.ColRef)) && paddedAlike(b, pi, pj) {
 					eq.Union(&qgm.ColRef{Q: q, Col: i}, &qgm.ColRef{Q: q, Col: j})
 				}
 			}
@@ -208,9 +200,6 @@ func outputEquiv(q *qgm.Quantifier) *qgm.Equiv {
 	}
 	for i := range b.Cols {
 		for j := i + 1; j < len(b.Cols); j++ {
-			if b.Cols[i].Expr == nil || b.Cols[j].Expr == nil {
-				continue
-			}
 			if qgm.ExprEqual(b.Cols[i].Expr, b.Cols[j].Expr, inner) {
 				eq.Union(&qgm.ColRef{Q: q, Col: i}, &qgm.ColRef{Q: q, Col: j})
 			}
@@ -219,7 +208,18 @@ func outputEquiv(q *qgm.Quantifier) *qgm.Equiv {
 	return eq
 }
 
-// mergeEquiv unions several equivalence relations (over disjoint QNC spaces)
+// paddedAlike reports whether every grouping set of b holds both or neither
+// of the grouping positions pi and pj.
+func paddedAlike(b *qgm.Box, pi, pj int) bool {
+	for _, gs := range b.GroupingSets {
+		if containsPos(gs, pi) != containsPos(gs, pj) {
+			return false
+		}
+	}
+	return true
+}
+
+// subsumerEquiv unions several equivalence relations (over disjoint QNC spaces)
 // plus the subsumer box's own equality predicates into one relation usable
 // for comparing translated subsumee expressions with subsumer expressions.
 func subsumerEquiv(r *qgm.Box) *qgm.Equiv {
@@ -227,9 +227,6 @@ func subsumerEquiv(r *qgm.Box) *qgm.Equiv {
 	// Equalities implied by each child's output structure (probing pairs of
 	// columns is cheap: column counts are small).
 	for _, q := range r.Quantifiers {
-		if q.Box == nil {
-			continue
-		}
 		child := outputEquiv(q)
 		n := len(q.Box.Cols)
 		for i := 0; i < n; i++ {
@@ -279,5 +276,3 @@ func quantSet(qs ...*qgm.Quantifier) map[int]bool {
 	}
 	return out
 }
-
-func fmtBox(b *qgm.Box) string { return fmt.Sprintf("%s(#%d)", b.Label, b.ID) }

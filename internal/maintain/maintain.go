@@ -386,6 +386,23 @@ type Stats struct {
 	Err       error // non-nil when this AST's refresh failed (it is now stale)
 }
 
+// String is the one-line account of a refresh that the shell and the wire
+// protocol report. A full recompute counts the summary table's rows, an
+// incremental refresh its delta groups.
+func (s Stats) String() string {
+	switch {
+	case s.Err != nil:
+		return fmt.Sprintf("degraded: summary table %s refresh failed (now stale): %v", s.AST, s.Err)
+	case s.Strategy == FullRecompute:
+		return fmt.Sprintf("refreshed summary table %s (full recompute, %d rows)", s.AST, s.DeltaRows)
+	case s.Retired > 0 || s.Scoped > 0:
+		return fmt.Sprintf("refreshed summary table %s (incremental, %d delta groups, %d group(s) retired, %d scope-recomputed)",
+			s.AST, s.DeltaRows, s.Retired, s.Scoped)
+	default:
+		return fmt.Sprintf("refreshed summary table %s (incremental, %d delta groups)", s.AST, s.DeltaRows)
+	}
+}
+
 // RefreshFull recomputes one AST from its definition over the current base
 // tables. On success the AST's catalog status is marked fresh — a successful
 // full recompute is the recovery path out of staleness and quarantine. On

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -283,4 +284,23 @@ func buildAndRun(f *fixture, sql string) (*exec.Result, error) {
 		return nil, err
 	}
 	return f.engine.Run(g)
+}
+
+// TestStatsString: a full recompute reports the summary table's rows, never
+// delta rows, and an incremental refresh its delta groups.
+func TestStatsString(t *testing.T) {
+	for _, c := range []struct {
+		st   Stats
+		want string
+	}{
+		{Stats{AST: "a", Strategy: FullRecompute, DeltaRows: 220}, "refreshed summary table a (full recompute, 220 rows)"},
+		{Stats{AST: "a", DeltaRows: 4}, "refreshed summary table a (incremental, 4 delta groups)"},
+		{Stats{AST: "a", DeltaRows: 3, Retired: 1, Scoped: 2},
+			"refreshed summary table a (incremental, 3 delta groups, 1 group(s) retired, 2 scope-recomputed)"},
+		{Stats{AST: "a", Err: errors.New("boom")}, "degraded: summary table a refresh failed (now stale): boom"},
+	} {
+		if got := c.st.String(); got != c.want {
+			t.Errorf("got %q, want %q", got, c.want)
+		}
+	}
 }

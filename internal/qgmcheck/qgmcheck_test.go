@@ -304,31 +304,20 @@ func TestRejectsTypeConfusedComparison(t *testing.T) {
 }
 
 // Corruption 13: a scalar quantifier whose child grew a second output column
-// (scalar subqueries must stay single-valued).
+// (scalar subqueries must stay single-valued). Q10 over ast7 keeps its scalar
+// subquery: ast7 has no totcnt, so the compensation re-evaluates it.
 func TestRejectsWideScalarSubquery(t *testing.T) {
-	g, ck := rewritten(t, "q10", "ast10")
-	found := false
+	g, ck := rewritten(t, "q10", "ast7")
 	for _, b := range g.Boxes() {
 		for _, q := range b.Quantifiers {
 			if q.Kind == qgm.Scalar {
-				child := q.Box
-				child.Cols = append(child.Cols, child.Cols[0])
-				if child.Kind == qgm.GroupByBox {
-					// Keep the box's own shape rules satisfied so the arity
-					// violation is isolated.
-					found = true
-				}
-				found = true
+				q.Box.Cols = append(q.Box.Cols, q.Box.Cols[0])
+				wantRule(t, ck, g, "binding/scalar")
+				return
 			}
 		}
-		if found {
-			break
-		}
 	}
-	if !found {
-		t.Fatal("no scalar quantifier in the q10 plan")
-	}
-	wantRule(t, ck, g, "binding/scalar")
+	t.Fatal("no scalar quantifier in the q10 plan")
 }
 
 // Structural accepts a clean plan and rejects the pointer-identity corruption

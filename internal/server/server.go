@@ -342,18 +342,11 @@ func (s *Server) exec(ctx context.Context, payload []byte) (byte, []byte) {
 	// res non-nil with err non-nil means the statement applied but some
 	// summary-table refresh degraded (those ASTs are stale, queries fall
 	// back); the statement outcome is still success.
-	var maint strings.Builder
-	for _, st := range res.Stats {
-		if maint.Len() > 0 {
-			maint.WriteString("; ")
-		}
-		if st.Err != nil {
-			fmt.Fprintf(&maint, "%s: degraded (%v)", st.AST, st.Err)
-			continue
-		}
-		fmt.Fprintf(&maint, "%s: %s, %d delta rows", st.AST, st.Strategy, st.DeltaRows)
+	maint := make([]string, len(res.Stats))
+	for i, st := range res.Stats {
+		maint[i] = st.String()
 	}
-	m := &wire.ExecOK{Table: res.Table, Affected: int64(res.Affected), Maintenance: maint.String()}
+	m := &wire.ExecOK{Table: res.Table, Affected: int64(res.Affected), Maintenance: strings.Join(maint, "; ")}
 	return wire.MsgExecOK, m.Encode()
 }
 

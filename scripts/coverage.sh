@@ -13,6 +13,19 @@
 # left uncovered in three runs (a few blocks on racy paths vary from run to
 # run), lowered as tests reach more and never raised. A package without a
 # budget may leave nothing uncovered.
+#
+# internal/core's budget is the blocks below, which no test reaches, one line
+# each for why the block stays:
+#   derive.go derive: an aggregate or nil operand; kept so a bug cannot put an aggregate in a SELECT.
+#   derive.go mustDerive: the panic of a derivation a feasibility check already made; recovered as a degradation.
+#   derive.go addQCL: a pulled-up column named like an earlier one; grouping columns, named by the query, go first.
+#   pattern_groupby.go matchGroupBy: a child compensation with two boxes under its lowest GROUP BY (three nested GROUP BYs).
+#   pattern_groupby.go matchGBCore: a §5.2 predicate each chosen cuboid derives but the columns they share do not.
+#   plancache.go RewriteSQLCached: a statement parser.Template refuses and qgm.BuildSQL accepts (one parser).
+#   pullup.go ensureRspace: a value threaded twice through one GROUP BY level; each scalar child is threaded once.
+#   pullup.go ensureRspace: a non-constant value; matchSelect pairs only scalar children beside a grouping child.
+#   rewrite.go plan: a re-plan with the first splice that matches nothing the first plan matched.
+#   rewrite.go verifyRewrite: a plan qgmcheck.Structural refuses, which only a matcher bug builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,14 +67,14 @@ awk '
 repro/astdb 47
 repro/astdb/driver 50
 repro/cmd/astadvisor 3
-repro/cmd/astrw 25
+repro/cmd/astrw 23
 repro/cmd/astserve 12
 repro/examples/histogram 7
 repro/examples/quickstart 7
 repro/internal/advisor 5
 repro/internal/bench 4
 repro/internal/catalog 13
-repro/internal/core 129
+repro/internal/core 11
 repro/internal/exec 128
 repro/internal/faultinject 1
 repro/internal/lint 37
@@ -71,7 +84,7 @@ repro/internal/parser 4
 repro/internal/qgm 95
 repro/internal/qgmcheck 19
 repro/internal/rcu 1
-repro/internal/server 28
+repro/internal/server 26
 repro/internal/sqltypes 23
 repro/internal/storage 8
 repro/internal/wire 23
