@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/qgm"
 )
 
 // Report is the outcome of Explain: per-candidate matching decisions, the
@@ -30,15 +31,10 @@ type Report struct {
 	Chosen []Choice
 
 	// ActualRows counts the rows the chosen plan produced; ExecError records
-	// an execution failure instead. ExecMode reports how the executor
-	// evaluated the plan: "vectorized" when at least one box ran on the chunk
-	// pipeline, "interpreted" when none did (Config.Interpret, or every box
-	// declined). RowPathBoxes lists, one decline reason per box, the boxes the
-	// pipeline handed to the row path (exec.Output.Declined).
-	ActualRows   int
-	ExecMode     string
-	RowPathBoxes []string
-	ExecError    string
+	// an execution failure instead. ExecMode is the executor's Result.Mode.
+	ActualRows int
+	ExecMode   string
+	ExecError  string
 }
 
 // Choice is one splice of the chosen plan: the summary table, the paper
@@ -61,8 +57,9 @@ type Candidate struct {
 	MatchedBox   string // query box label the AST can replace
 	Compensation string // compensation box kinds, or "projection only"
 
-	// FailReason is the decisive failure for unmatched candidates: the last
-	// rejected pair's reason, naming the paper condition that failed.
+	// FailReason is the decisive failure for unmatched candidates, naming the
+	// paper condition that failed: the last rejected pair's whose subsumer
+	// could have served (not a scalar subquery's box), else the last one's.
 	FailReason string
 	FailedPair string // "subsumee vs subsumer" box labels of that rejection
 
@@ -112,7 +109,6 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	} else {
 		rep.ActualRows = r.Len()
 		rep.ExecMode = r.Mode
-		rep.RowPathBoxes = r.Declined
 	}
 	return rep, nil
 }
@@ -130,20 +126,28 @@ func candidateOf(gen *catalog.Statuses, d core.Decision) Candidate {
 	}
 	if d.Match == nil {
 		c.FailReason = "no candidate box pairs"
-		for i := len(d.Trace) - 1; i >= 0; i-- {
-			if !d.Trace[i].Matched {
-				c.FailReason = d.Trace[i].Reason
-				c.FailedPair = d.Trace[i].Subsumee + " vs " + d.Trace[i].Subsumer
-				break
+		on := map[string]bool{} // the root and the boxes it reads through ForEach quantifiers
+		for todo := []*qgm.Box{d.AST.Graph.Root}; len(todo) > 0; todo = todo[1:] {
+			for _, q := range todo[0].Quantifiers {
+				if q.Kind == qgm.ForEach {
+					todo = append(todo, q.Box)
+				}
 			}
+			on[todo[0].Label] = true
+		}
+		var last *core.TraceEntry
+		for i, te := range d.Trace {
+			if !te.Matched && (last == nil || !on[last.Subsumer] || on[te.Subsumer]) {
+				last = &d.Trace[i]
+			}
+		}
+		if last != nil {
+			c.FailReason, c.FailedPair = last.Reason, last.Subsumee+" vs "+last.Subsumer
 		}
 		return c
 	}
-	c.Matched = true
-	c.Exact = d.Match.Exact
-	c.Pattern = d.Match.Pattern
-	c.MatchedBox = d.Match.Subsumee.Label
-	c.Compensation = compSummary(d.Match)
+	c.Matched, c.Exact, c.Pattern = true, d.Match.Exact, d.Match.Pattern
+	c.MatchedBox, c.Compensation = d.Match.Subsumee.Label, compSummary(d.Match)
 	c.BaseRows, c.RewrittenRows = d.BaseRows, d.RewrittenRows
 	return c
 }
@@ -199,11 +203,7 @@ func (r *Report) Render(w io.Writer) {
 	if r.ExecError != "" {
 		fmt.Fprintf(w, "execution failed: %s\n", r.ExecError)
 	} else {
-		mode := r.ExecMode
-		if n := len(r.RowPathBoxes); n > 0 {
-			mode += fmt.Sprintf(" (%d on the row path: %s)", n, strings.Join(r.RowPathBoxes, ", "))
-		}
-		fmt.Fprintf(w, "execution: %s, actual rows: %d\n", mode, r.ActualRows)
+		fmt.Fprintf(w, "execution: %s, actual rows: %d\n", r.ExecMode, r.ActualRows)
 	}
 }
 

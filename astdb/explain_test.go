@@ -119,20 +119,21 @@ func TestExplainNamesFailingCondition(t *testing.T) {
 	}
 }
 
-// TestExplainListsRowPathBoxes: Result.Mode says "vectorized" as soon as one
-// box vectorized, so the execution line also says how many boxes did not, and
-// why — here a cross join under a vectorized GROUP BY.
-func TestExplainListsRowPathBoxes(t *testing.T) {
-	db := explainEngine(t, "ast7")
-	rep, err := db.Explain(context.Background(),
-		`select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.RowPathBoxes) != 1 || rep.RowPathBoxes[0] != "cross-join" {
-		t.Fatalf("row-path boxes: %v", rep.RowPathBoxes)
-	}
-	if want := "execution: vectorized (1 on the row path: cross-join), actual rows:"; !strings.Contains(rep.String(), want) {
-		t.Errorf("report lacks %q:\n%s", want, rep)
+// TestExplainQuotesTheServingRefusal: an unmatched candidate's "rejected:"
+// line quotes the last refused pair whose subsumer the summary table's root
+// reads through ForEach quantifiers. ast10's scalar subquery box (Sel-Q.h0)
+// is refused after its main SELECT, but could never have served q11_2.
+func TestExplainQuotesTheServingRefusal(t *testing.T) {
+	for _, tc := range []struct{ query, ast, pair, reason string }{
+		{"q11_2", "ast10", "Sel-Q vs Sel-Q", "q1.date is not derivable"},
+		{"qbad", "astbad", "TopSel-Q vs TopSel-Q", "condition 2"},
+	} {
+		rep, err := explainEngine(t, tc.ast).Explain(context.Background(), bench.Queries[tc.query])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := rep.Candidates[0]; c.Matched || c.FailedPair != tc.pair || !strings.Contains(c.FailReason, tc.reason) {
+			t.Errorf("%s against %s: rejected %q (%s), want %s for %q", tc.query, tc.ast, c.FailReason, c.FailedPair, tc.pair, tc.reason)
+		}
 	}
 }

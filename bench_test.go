@@ -585,6 +585,11 @@ func BenchmarkExecOperators(b *testing.B) {
 		// A scoped recompute's lower box: MIN/MAX of the 64 groups one 64-row
 		// DELETE touches, an OR of key tuples probed as a hash semi-join.
 		{"keyset_filter", keysetSQL(64), true},
+		// Joins only the joined chunk answers: a star join with a predicate
+		// across its operands, and a GROUP BY over a cross join of two
+		// dimensions (pgroup × the US rows of loc, whatever the scale).
+		{"residual_join", `select tid, city, qty * price as amt from trans, loc where flid = lid and qty * 20 < lid`, false},
+		{"cross_groupby", `select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`, false},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})
@@ -593,9 +598,15 @@ func BenchmarkExecOperators(b *testing.B) {
 			if err != nil {
 				b.Fatalf("%s: %v", op.name, err)
 			}
+			boxes := 0
+			for _, bx := range g.Boxes() {
+				if bx.Kind != qgm.BaseTableBox {
+					boxes++
+				}
+			}
 			b.Run(op.name+"/"+strconv.Itoa(scale), func(b *testing.B) {
-				// Result.Mode says vectorized as soon as one box is; the
-				// observer's decline counter says whether every box was.
+				// Every box runs on the pipeline, and no expression of it is
+				// evaluated a row at a time.
 				o := obs.New()
 				env.Engine.SetObserver(o)
 				defer env.Engine.SetObserver(nil)
@@ -605,8 +616,8 @@ func BenchmarkExecOperators(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if d, l := o.Counter(exec.CtrVecDeclined), o.Counter(exec.CtrVecLifted); d != 0 || l != 0 {
-					b.Fatalf("%s: %d boxes declined to the row path, %d expressions lifted", op.name, d, l)
+				if n, l := o.Counter(exec.CtrVecBoxes), o.Counter(exec.CtrVecLifted); n != int64(b.N*boxes) || l != 0 {
+					b.Fatalf("%s: %d boxes on the pipeline in %d runs of %d, %d expressions lifted", op.name, n, b.N, boxes, l)
 				}
 				if op.groupBy {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scale), "ns/row")

@@ -5,16 +5,16 @@
 //
 // Boxes evaluate bottom-up with per-box memoization (QGM is a DAG — a shared
 // box evaluates once); what a box evaluates to is a relation, held as column
-// chunks, as rows, or both. There are two paths, and they share as little as
-// the hash table (grouptable.go) and its aggregate folds.
+// chunks, as rows, or both.
 //
 // The engine is one chunk pipeline, a source feeding one of two sinks
-// (source.go, vector.go, vecgroupby.go). The source of a SELECT box scans the
-// chunks of its first ForEach child — a base table, or the relation of an
-// evaluated child box — narrows them with selection-vector filters and, when
-// the box joins, probes them against hash tables built from the equality
-// predicates that tie every other child to the first (a star join). The sink
-// is projection for a SELECT box and hash aggregation for a GROUP BY box,
+// (source.go, vector.go, vecgroupby.go), and every SELECT and GROUP BY box
+// runs on it. The source of a SELECT box scans the chunks of its first ForEach
+// child — a base table, or the relation of an evaluated child box — narrows
+// them with selection-vector filters and, when the box joins, probes them
+// against hash tables of every other child (a star join), then gathers the
+// tuples into one joined chunk that the box's other expressions read. The
+// sink is projection for a SELECT box and hash aggregation for a GROUP BY box,
 // which also fuses a SELECT child into its source and evaluates each grouping
 // set of its canonicalized supergroup. Both sinks emit chunks, so box
 // boundaries carry vectors and rows exist only where someone asks for them.
@@ -30,9 +30,9 @@
 // connect the next child to the joined prefix, nested loops otherwise —
 // applies residual predicates under SQL three-valued logic, and computes a
 // multidimensional GROUP BY as the union of its grouping sets, NULL-padding
-// the grouped-out columns (paper §5). Config.Interpret runs a whole graph on
-// it; otherwise it runs only the boxes whose shape the source declines, each
-// counted under exec.vector.declined.<reason> (source.go lists the reasons).
+// the grouped-out columns (paper §5). Only Config.Interpret runs it, on a
+// whole graph; the two share the hash table (grouptable.go), its aggregate
+// folds and the GROUP BY's shape check.
 package exec
 
 import (
@@ -63,24 +63,18 @@ const (
 type Result struct {
 	Cols []string
 	Rows [][]sqltypes.Value
-	// Mode reports how the run evaluated: ModeVectorized when at least one
-	// box ran on the chunk pipeline, ModeInterpreted when none did — under
-	// Config.Interpret, or because every box declined. EXPLAIN surfaces it.
+	// Mode reports how the run evaluated: ModeInterpreted under
+	// Config.Interpret, ModeVectorized otherwise. EXPLAIN surfaces it.
 	Mode string
-	// Declined holds one decline reason (the suffix of its
-	// exec.vector.declined.<reason> counter) per box that ran on the
-	// reference path although the run did not ask for it, in evaluation order.
-	Declined []string
 }
 
 // Output is the output of running a graph as the run left it: the root
 // relation, sealed chunks from the pipeline or rows from the reference path.
 // Chunks and Rows derive the other form once, on one goroutine, and keep it.
 type Output struct {
-	Cols     []string
-	Mode     string   // as in Result
-	Declined []string // as in Result
-	rel      *relation
+	Cols []string
+	Mode string // as in Result
+	rel  *relation
 }
 
 // Len, Chunks and Rows read the output: its row count, chunks and rows.
@@ -90,7 +84,7 @@ func (o *Output) Rows() [][]sqltypes.Value { return o.rel.rowsOf() }
 
 // Result flattens the output into a Result.
 func (o *Output) Result() *Result {
-	return &Result{Cols: o.Cols, Rows: o.Rows(), Mode: o.Mode, Declined: o.Declined}
+	return &Result{Cols: o.Cols, Rows: o.Rows(), Mode: o.Mode}
 }
 
 // Engine runs QGM graphs against a store.
@@ -172,11 +166,11 @@ func (e *Engine) RunChunks(ctx context.Context, g *qgm.Graph, lim Config) (*Outp
 	for i, c := range g.Root.Cols {
 		cols[i] = c.Name
 	}
-	mode := ModeInterpreted
-	if ev.usedVector {
-		mode = ModeVectorized
+	mode := ModeVectorized
+	if lim.Interpret {
+		mode = ModeInterpreted
 	}
-	return &Output{Cols: cols, Mode: mode, Declined: ev.declined, rel: rel}, nil
+	return &Output{Cols: cols, Mode: mode, rel: rel}, nil
 }
 
 type evaluator struct {
@@ -184,32 +178,20 @@ type evaluator struct {
 	memo  map[int]*relation
 
 	bud       *runBudget
-	chg       charger // the main goroutine's charger; workers get their own
+	chg       charger // the main goroutine's charger (the reference path's among them); workers get their own
 	par       int     // Config.Parallelism (0 = GOMAXPROCS)
 	interpret bool    // Config.Interpret: every box on the reference path
 	obsv      *obs.Observer
-
-	// usedVector records that at least one box ran on the chunk pipeline
-	// this run (set on the main goroutine only; reported via Result.Mode);
-	// declined lists why the others did not (Result.Declined).
-	usedVector bool
-	declined   []string
-}
-
-// checkpoint charges n materialized rows against the shared budget and
-// periodically polls the context (main-goroutine loops, the reference path's
-// among them; pipeline workers use their own charger).
-func (ev *evaluator) checkpoint(n int) error {
-	return ev.chg.checkpoint(n)
 }
 
 // relation is what a box evaluates to and what the memo holds: the box's
 // output as column chunks, as rows, or both. A base table is its frozen
 // storage chunks, a pipeline box and any GROUP BY emit chunks (read-only from
-// then on), a row-path SELECT rows. The other form is derived once, on the
-// main goroutine, when a consumer asks: rows by a reference-path parent or a
-// caller that flattens the Output, chunks by a pipeline parent of a row-path
-// SELECT or a caller that reads the root's chunks (the server encodes them).
+// then on), a DISTINCT or row-path SELECT rows. The other form is derived
+// once, on the main goroutine, when a consumer asks: rows by a reference-path
+// parent or a caller that flattens the Output, chunks by a pipeline parent of
+// a DISTINCT SELECT or a caller that reads the root's chunks (the server
+// encodes them).
 type relation struct {
 	n      int
 	chunks []*storage.Chunk
@@ -231,8 +213,8 @@ func (r *relation) rowsOf() [][]sqltypes.Value {
 	return r.rows
 }
 
-// chunksOf columnarizes a row-path box's rows for a pipeline parent. Row order
-// is preserved, so chunk-order merging keeps the row path's group order.
+// chunksOf columnarizes a relation held as rows. Row order is preserved, so
+// chunk-order merging keeps the row path's group order.
 func (r *relation) chunksOf(ncols int) []*storage.Chunk {
 	if r.chunks == nil && r.n > 0 {
 		r.chunks = storage.Chunked(ncols, r.rows)
@@ -247,7 +229,7 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 	if err := ev.chg.flush(); err != nil {
 		return nil, err
 	}
-	var rel *relation // the pipeline leaves it nil when it declines the box
+	var rel *relation
 	var rows [][]sqltypes.Value
 	var err error
 	switch b.Kind {
@@ -257,25 +239,23 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 		if chunks, n, err = ev.store.ScanChunks(b.Table.Name); err == nil {
 			rel = chunkRelation(chunks)
 			ev.obsv.Add(CtrRowsScanned, int64(n))
-			if err = ev.checkpoint(n); err == nil {
+			if err = ev.chg.checkpoint(n); err == nil {
 				// Poll unconditionally after a scan: a slow storage layer must
 				// surface the deadline here, not rows later in a join loop.
 				err = ev.chg.flush()
 			}
 		}
 	case qgm.SelectBox:
-		if !ev.interpret {
+		if ev.interpret {
+			rows, err = ev.evalSelect(b)
+		} else {
 			rel, err = ev.evalSelectVec(b)
 		}
-		if rel == nil && err == nil {
-			rows, err = ev.evalSelect(b)
-		}
 	case qgm.GroupByBox:
-		if !ev.interpret {
-			rel, err = ev.evalGroupByVec(b)
-		}
-		if rel == nil && err == nil {
+		if ev.interpret {
 			rel, err = ev.evalGroupBy(b)
+		} else {
+			rel, err = ev.evalGroupByVec(b)
 		}
 	default:
 		err = fmt.Errorf("exec: unsupported box kind %v", b.Kind)
@@ -391,7 +371,7 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 			out := make([]binding, 0, len(bindings)*max(1, len(childRows)))
 			for _, bd := range bindings {
 				for _, r := range childRows {
-					if err := ev.checkpoint(1); err != nil {
+					if err := ev.chg.checkpoint(1); err != nil {
 						return nil, err
 					}
 					out = append(out, extend(bd, r))
@@ -420,7 +400,7 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 	out, w := make([][]sqltypes.Value, len(bindings)), len(b.Cols)
 	block := make([]sqltypes.Value, len(bindings)*w)
 	for i, bd := range bindings {
-		if err := ev.checkpoint(1); err != nil {
+		if err := ev.chg.checkpoint(1); err != nil {
 			return nil, err
 		}
 		out[i] = block[i*w : (i+1)*w : (i+1)*w]
@@ -564,7 +544,7 @@ func (ev *evaluator) hashJoin(bindings []binding, next *qgm.Quantifier, slot int
 			continue
 		}
 		for _, r := range table[string(buf)] {
-			if err := ev.checkpoint(1); err != nil {
+			if err := ev.chg.checkpoint(1); err != nil {
 				return nil, err
 			}
 			nb := arena.next()
@@ -646,7 +626,7 @@ func (ev *evaluator) filter(bindings []binding, preds []qgm.Expr, used []bool, j
 	out := bindings[:0]
 rows:
 	for _, bd := range bindings {
-		if err := ev.checkpoint(0); err != nil {
+		if err := ev.chg.checkpoint(0); err != nil {
 			return nil, err
 		}
 		for _, pi := range apply {

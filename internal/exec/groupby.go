@@ -17,10 +17,14 @@ type aggSpec struct {
 	op  aggOp
 }
 
-// aggSpecsOf lists the box's aggregate columns; bad is the index of a
-// non-grouping output column that is not an aggregate (COUNT, SUM, MIN or
-// MAX), or -1.
-func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
+// groupShape checks a GROUP BY box, for both paths alike — one ForEach child,
+// every output column grouped or an aggregate (COUNT, SUM, MIN or MAX) — and
+// returns its child and its aggregate columns.
+func groupShape(b *qgm.Box) (*qgm.Quantifier, []aggSpec, error) {
+	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
+		return nil, nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
+	}
+	var specs []aggSpec
 	for i := range b.Cols {
 		if b.IsGroupCol(i) {
 			continue
@@ -31,11 +35,11 @@ func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 			op, ok = aggOps[agg.Op]
 		}
 		if !ok {
-			return nil, i
+			return nil, nil, fmt.Errorf("exec: GROUP BY output column %q is not an aggregate", b.Cols[i].Name)
 		}
 		specs = append(specs, aggSpec{agg: agg, col: i, op: op})
 	}
-	return specs, -1
+	return b.Quantifiers[0], specs, nil
 }
 
 // evalGroupBy evaluates a GROUP BY box as the union of its grouping sets
@@ -48,10 +52,10 @@ func aggSpecsOf(b *qgm.Box) (specs []aggSpec, bad int) {
 // each group sees its rows in order, which is the order the pipeline
 // reproduces.
 func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
-	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
-		return nil, fmt.Errorf("exec: GROUP BY box %s must have one ForEach child", b.Label)
+	q, aggSpecs, err := groupShape(b)
+	if err != nil {
+		return nil, err
 	}
-	q := b.Quantifiers[0]
 	child, err := ev.evalBox(q.Box)
 	if err != nil {
 		return nil, err
@@ -59,10 +63,6 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 	ectx := &exprCtx{}
 	ectx.setSlot(q.ID, 0)
 
-	aggSpecs, bad := aggSpecsOf(b)
-	if bad >= 0 {
-		return nil, fmt.Errorf("exec: GROUP BY output column %q is not an aggregate", b.Cols[bad].Name)
-	}
 	sets := b.GroupingSets
 	if len(sets) == 0 {
 		sets = [][]int{allInts(len(b.GroupBy))}
@@ -80,7 +80,7 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 	hash, ord := [1]uint64{}, [1]uint32{} // the one-row strip's scratch and ordinal
 	for _, row := range child.rowsOf() {
 		bd[0] = row
-		if err := ev.checkpoint(1); err != nil {
+		if err := ev.chg.checkpoint(1); err != nil {
 			return nil, err
 		}
 		for pos, col := range b.GroupBy {
@@ -127,7 +127,7 @@ func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tabl
 		t := tables[si]
 		for lo := 0; lo < t.n; lo += storage.ChunkRows {
 			n := min(storage.ChunkRows, t.n-lo)
-			if err := ev.checkpoint(n); err != nil {
+			if err := ev.chg.checkpoint(n); err != nil {
 				return nil, err
 			}
 			cols := make([]sqltypes.Vec, len(b.Cols))

@@ -872,12 +872,18 @@ func starTables(rng *rand.Rand, facts int) (*catalog.Catalog, *storage.Store) {
 	cat.MustAddTable(&catalog.Table{Name: "d", Columns: []catalog.Column{intCol("dk"), {Name: "nm", Type: sqltypes.KindString}}})
 	cat.MustAddTable(&catalog.Table{Name: "e", Columns: []catalog.Column{intCol("ek"), intCol("eg"), intCol("w")}})
 	cat.MustAddTable(&catalog.Table{Name: "z", Columns: []catalog.Column{intCol("zk"), intCol("zn")}})
+	cat.MustAddTable(&catalog.Table{Name: "p", Columns: []catalog.Column{intCol("pk")}})
+	cat.MustAddTable(&catalog.Table{Name: "q", Columns: []catalog.Column{intCol("qk"), intCol("qn")}})
 	store := storage.NewStore()
 	create := func(name string) *storage.TableData {
 		meta, _ := cat.Table(name)
 		return store.Create(meta)
 	}
-	fd, dd, ed := create("f"), create("d"), create("e")
+	fd, dd, ed, pd, qd := create("f"), create("d"), create("e"), create("p"), create("q")
+	pd.MustInsert(sqltypes.NewInt(1))
+	pd.MustInsert(sqltypes.NewInt(2))
+	qd.MustInsert(sqltypes.NewInt(1), sqltypes.NewInt(10))
+	qd.MustInsert(sqltypes.NewInt(1), sqltypes.NewInt(11))
 	create("z")
 	dfd, dupd, fnd := create("df"), create("dup"), create("fn")
 	for i := 0; i < 16; i++ {
@@ -935,32 +941,47 @@ func requireIdentical(t *testing.T, sql string, want, got *Result) {
 	}
 }
 
-// TestPropertyVectorizedMatchesRowEngine: over random data and the plan
-// shapes the chunk pipeline runs (chunk filters, grouped and global
-// aggregates, grouping sets, DISTINCT aggregates, star-join GROUP BY, join
-// SELECTs, SELECTs over a GROUP BY), the serial pipeline's results are
-// identical to the row path's — same rows, same order, same bits (serial
-// float SUMs accumulate in the same order, so no tolerance is needed). Join
-// SELECTs aggregate nothing, so they (ordered) must also keep the order with
-// two workers.
+// TestPropertyVectorizedMatchesRowEngine: over random data and every plan
+// shape (chunk filters, grouped and global aggregates, grouping sets, DISTINCT
+// aggregates, star-join GROUP BY, join SELECTs, SELECTs over a GROUP BY, joins
+// with residual predicates, cross joins, a SELECT with no input), the serial
+// pipeline's results are identical to the row path's — same rows, same order,
+// same bits (serial float SUMs accumulate in the same order, so no tolerance
+// is needed) — and every SELECT and GROUP BY box of the plan runs on the
+// pipeline. Join SELECTs aggregate nothing, so they (ordered) must also keep
+// the order with two workers.
 func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	check := func(cat *catalog.Catalog, store *storage.Store, sql string, ordered bool) *Result {
+	run := func(cat *catalog.Catalog, store *storage.Store, sql string, ordered bool, edit func(*qgm.Graph)) *Result {
 		t.Helper()
 		engine := NewEngine(store)
 		g, err := qgm.BuildSQL(sql, cat)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
+		if edit != nil {
+			edit(g)
+		}
 		row, err := engine.RunCtx(context.Background(), g, Config{Interpret: true})
 		if err != nil {
 			t.Fatalf("%s (row): %v", sql, err)
 		}
+		o := obs.New()
+		engine.SetObserver(o)
 		vec, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s (vectorized): %v", sql, err)
 		}
 		requireIdentical(t, sql, row, vec)
+		boxes := 0
+		for _, b := range g.Boxes() {
+			if b.Kind == qgm.SelectBox || b.Kind == qgm.GroupByBox {
+				boxes++
+			}
+		}
+		if n := o.Counter(CtrVecBoxes); vec.Mode != ModeVectorized || n != int64(boxes) {
+			t.Fatalf("%s: mode %s, %d of %d boxes on the pipeline", sql, vec.Mode, n, boxes)
+		}
 		if ordered {
 			par, err := engine.RunCtx(context.Background(), g, Config{Parallelism: 2})
 			if err != nil {
@@ -969,6 +990,10 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 			requireIdentical(t, sql+" (parallelism 2)", row, par)
 		}
 		return vec
+	}
+	check := func(cat *catalog.Catalog, store *storage.Store, sql string, ordered bool) *Result {
+		t.Helper()
+		return run(cat, store, sql, ordered, nil)
 	}
 	tQueries := []string{
 		"select a, b, count(*) as cnt, sum(v) as sv from t group by a, b",
@@ -1011,13 +1036,31 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		"select v, dk, nm from f, d where fs = nm and fk = dk",
 		"select fk, v, un from f, dup where fk = uk and v < 3",
 		"select nv, nm from fn, d where nk = dk",
+		"select pk, qn from p, q where pk = qk", // as many tuples as fact rows, one of them twice
+	}
+	// Joins whose tuples only the joined chunk holds: a dimension no equality
+	// ties to the fact (a cross join, under a SELECT and under a GROUP BY), a
+	// predicate across operands, an equality between two dimensions (in FROM
+	// order, and the other way round, where the row path joins d before e), a
+	// constant predicate, an output and an aggregate argument over two
+	// operands, an output that fails on the dimension rows a dimension-local
+	// predicate drops, and a joined column emitted twice.
+	residualQueries := []string{
+		"select v, nm from f, d where v < 5",
+		"select nm, count(*) as c, sum(v) as sv from f, d group by nm",
+		"select v, nm from f, d where fk = dk and v < dk * 20",
+		"select v, w from f, d, e where fk = dk and dk = ek",
+		"select v, w, nm from f, e, d where fk = dk and dk = ek",
+		"select v, nm from f, d where fk = dk and (select count(*) from z) = 0",
+		"select v + dk as x from f, d where fk = dk",
+		"select nm, sum(v + dk) as x from f, d where fk = dk group by nm",
+		"select v, 10 / (dk - 3) as q from f, d where fk = dk and dk <> 3",
+		"select nm, v, nm as again from f, d where fk = dk and v < 50", // one joined column emitted twice
 	}
 	for trial := 0; trial < 12; trial++ {
 		cat, store := randomTable(rng, 50+rng.Intn(1500))
 		for _, sql := range tQueries {
-			if vec := check(cat, store, sql, false); vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
-				t.Fatalf("%s: mode %s, declined %v", sql, vec.Mode, vec.Declined)
-			}
+			check(cat, store, sql, false)
 		}
 		facts := 50 + rng.Intn(1500)
 		if trial%4 == 3 {
@@ -1026,18 +1069,19 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		scat, sstore := starTables(rng, facts)
 		for i, sql := range slices.Concat(starQueries, joinQueries, keyClassQueries) {
 			vec := check(scat, sstore, sql, i >= len(starQueries))
-			if vec.Mode != ModeVectorized || len(vec.Declined) > 0 {
-				t.Fatalf("%s: mode %s, declined %v", sql, vec.Mode, vec.Declined)
-			}
 			if i >= len(starQueries)+len(joinQueries) && len(vec.Rows) == 0 {
 				t.Fatalf("%s: no rows", sql)
 			}
 		}
-		// A residual predicate across operands still declines, by name, and
-		// still answers as the row path does.
-		residual := "select v, nm from f, d where fk = dk and v < 50 and dk < 6 and v < dk * 20"
-		if vec := check(scat, sstore, residual, true); len(vec.Declined) != 1 || vec.Declined[0] != declNonEquiJoin {
-			t.Fatalf("%s: declined %v", residual, vec.Declined)
+		for _, sql := range residualQueries {
+			if vec := check(scat, sstore, sql, true); len(vec.Rows) == 0 {
+				t.Fatalf("%s: no rows", sql)
+			}
+		}
+		// A SELECT with no input reads one empty row; qgm.Build requires
+		// FROM, so the graph is edited into the shape.
+		if vec := run(scat, sstore, "select 7 as k, 2 * 3 as six from z where 1 = 1", true, func(g *qgm.Graph) { g.Root.Quantifiers = nil }); len(vec.Rows) != 1 {
+			t.Fatalf("a SELECT with no input: %d rows", len(vec.Rows))
 		}
 	}
 
@@ -1166,8 +1210,8 @@ func TestJoinSelectErrorParity(t *testing.T) {
 			"select v / (v - v) as boom from f, d where fk = dk and v < 0",
 		} {
 			res, err := run(sql, Config{Parallelism: par})
-			if err != nil || len(res.Rows) != 0 || len(res.Declined) > 0 {
-				t.Fatalf("%s (parallelism %d): %v, %d rows, declined %v", sql, par, err, len(res.Rows), res.Declined)
+			if err != nil || len(res.Rows) != 0 {
+				t.Fatalf("%s (parallelism %d): %v, %d rows", sql, par, err, len(res.Rows))
 			}
 		}
 		// The same expression on surviving tuples raises the row path's error.
@@ -1180,20 +1224,17 @@ func TestJoinSelectErrorParity(t *testing.T) {
 	}
 }
 
-// TestDeclinedBoxesAnswerAsTheInterpreter: one row per decline reason of
-// source.go. A declined box runs on the row path, so the run must name the
-// reason (Result.Declined and the exec.vector.declined.<reason> counter), say
-// in Mode whether any other box still ran on the pipeline, and answer — rows,
-// or error — exactly as Config.Interpret does.
-//
-// Six reasons are reachable by a statement. The other four are box shapes
-// qgm.Build never emits — the parser requires FROM (no-input), has no
-// correlated subquery and puts every aggregate in a GROUP BY box
-// (expr-beyond-child), and builds a GROUP BY box over one child with grouped
-// or aggregated columns only (groupby-shape, non-aggregate-output) — so their
-// rows edit a built graph into the shape; the row path rejects three of them
-// with an error, which is why the pipeline hands them over.
-func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
+// TestBoxErrorsAgainstTheInterpreter: where a box fails, the pipeline fails
+// as Config.Interpret does, with its error text, serially and at two workers.
+// The first three rows are box shapes qgm.Build never emits — a column
+// reference bound to no quantifier, a GROUP BY over two children, a GROUP BY
+// output column neither grouped nor aggregated — so they edit a built graph
+// into the shape. The last two pin the one place the two differ (DESIGN.md
+// §13): the pipeline evaluates a dimension-local predicate on every row of
+// the dimension while hashing it, so it raises an error on a row no fact row
+// joins (dk = 7: the fact rows with fk = 7 are filtered out), which the row
+// path raises only when that table comes first in FROM.
+func TestBoxErrorsAgainstTheInterpreter(t *testing.T) {
 	cat, store := starTables(rand.New(rand.NewSource(6)), 600)
 	groupByBox := func(g *qgm.Graph) *qgm.Box {
 		b := g.Root
@@ -1203,30 +1244,21 @@ func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
 		return b
 	}
 	for _, tc := range []struct {
-		reason, mode, sql string
-		edit              func(g *qgm.Graph)
-		wantErr           bool
+		sql              string
+		edit             func(g *qgm.Graph)
+		interpreterFails bool
 	}{
-		{reason: declCrossJoin, mode: ModeInterpreted, sql: "select v, nm from f, d where v < 5"},
-		{reason: declCrossJoin, mode: ModeVectorized, sql: "select nm, count(*) as c from f, d group by nm"},
-		{reason: declNonEquiJoin, mode: ModeInterpreted, sql: "select v, nm from f, d where fk = dk and v < dk * 20"},
-		{reason: declDimDimJoin, mode: ModeInterpreted, sql: "select v, w from f, d, e where fk = dk and dk = ek"},
-		{reason: declConstPred, mode: ModeVectorized, sql: "select v, nm from f, d where fk = dk and (select count(*) from z) = 0"},
-		{reason: declMixedSource, mode: ModeInterpreted, sql: "select v + dk as x from f, d where fk = dk"},
-		{reason: declMixedSource, mode: ModeVectorized, sql: "select nm, sum(v + dk) as x from f, d where fk = dk group by nm"},
-		// d's rows with dk = 3 fail the output expression; the join never sees them.
-		{reason: declDimEval, mode: ModeInterpreted, sql: "select v, 10 / (dk - 3) as q from f, d where fk = dk and dk <> 3"},
-		{reason: declNoInput, mode: ModeInterpreted, sql: "select 7 as k from z",
-			edit: func(g *qgm.Graph) { g.Root.Quantifiers = nil }},
-		{reason: declBeyondChild, sql: "select v from f", wantErr: true,
+		{sql: "select v from f", interpreterFails: true,
 			edit: func(g *qgm.Graph) { g.Root.Cols[0].Expr = &qgm.ColRef{} }},
-		{reason: declGroupShape, sql: "select fk, count(*) as c from f group by fk", wantErr: true,
+		{sql: "select fk, count(*) as c from f group by fk", interpreterFails: true,
 			edit: func(g *qgm.Graph) {
 				b := groupByBox(g)
 				b.Quantifiers = append(b.Quantifiers, b.Quantifiers[0])
 			}},
-		{reason: declNonAggOutput, sql: "select fk, count(*) as c from f group by fk", wantErr: true,
+		{sql: "select fk, count(*) as c from f group by fk", interpreterFails: true,
 			edit: func(g *qgm.Graph) { groupByBox(g).Cols[1].Expr = qgm.NewConst(sqltypes.NewInt(1)) }},
+		{sql: "select v, nm from f, d where fk = dk and fk < 7 and 10 / (dk - 7) <> 0"},
+		{sql: "select v, nm from d, f where fk = dk and fk < 7 and 10 / (dk - 7) <> 0", interpreterFails: true},
 	} {
 		g, err := qgm.BuildSQL(tc.sql, cat)
 		if err != nil {
@@ -1235,34 +1267,16 @@ func TestDeclinedBoxesAnswerAsTheInterpreter(t *testing.T) {
 		if tc.edit != nil {
 			tc.edit(g)
 		}
-		o := obs.New()
 		engine := NewEngine(store)
-		engine.SetObserver(o)
 		want, wantErr := engine.RunCtx(context.Background(), g, Config{Interpret: true})
-		if o.Counter(CtrVecDeclined) != 0 {
-			t.Fatalf("%s: Config.Interpret counted a decline", tc.sql)
+		if (wantErr != nil) != tc.interpreterFails || wantErr == nil && len(want.Rows) == 0 {
+			t.Fatalf("%s: interpreter error %v", tc.sql, wantErr)
 		}
-		got, gotErr := engine.RunCtx(context.Background(), g, Config{})
-		if n := o.Counter(CtrVecDeclined + "." + tc.reason); n != 1 || o.Counter(CtrVecDeclined) != 1 {
-			t.Fatalf("%s: %d declines counted, %d of them as %s", tc.sql, o.Counter(CtrVecDeclined), n, tc.reason)
-		}
-		if tc.wantErr {
-			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s: error %v, interpreter's %v", tc.sql, gotErr, wantErr)
+		for _, par := range []int{1, 2} {
+			_, err := engine.RunCtx(context.Background(), g, Config{Parallelism: par})
+			if err == nil || wantErr != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s (parallelism %d): error %v, interpreter's %v", tc.sql, par, err, wantErr)
 			}
-			continue
-		}
-		if wantErr != nil || gotErr != nil {
-			t.Fatalf("%s: %v, interpreter %v", tc.sql, gotErr, wantErr)
-		}
-		if !slices.Equal(got.Declined, []string{tc.reason}) || got.Mode != tc.mode {
-			t.Fatalf("%s: declined %v in mode %s, want [%s] in mode %s", tc.sql, got.Declined, got.Mode, tc.reason, tc.mode)
-		}
-		if want.Mode != ModeInterpreted || len(want.Declined) != 0 || len(want.Rows) == 0 {
-			t.Fatalf("%s: interpreter ran in mode %s, declined %v, %d rows", tc.sql, want.Mode, want.Declined, len(want.Rows))
-		}
-		if diff := EqualResults(want, got); diff != "" {
-			t.Fatalf("%s: %s", tc.sql, diff)
 		}
 	}
 }

@@ -1,35 +1,52 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
-// source is the one chunk source of the vectorized path, planned once per
-// SELECT box (planSource), or for the single child of a GROUP BY. It reads the
-// chunks of the box's first ForEach quantifier — a base-table scan, or the
-// relation of an already evaluated child box — and narrows each with the
-// predicates local to that quantifier. When the box joins, the first
-// quantifier is the fact side of a star join: every further ForEach quantifier
-// is a dimension, hashed at plan time on the equality predicates that tie it
-// to the fact (its local predicates applied while hashing), and each chunk's
-// surviving fact rows probe those tables in batches. Per chunk and per worker
-// (srcWorker) the source yields a selection and a tuple count; the two sinks —
-// GROUP BY aggregation and SELECT projection — ask it for the column vectors of
-// their expressions in the tuple domain (cols at plan time, eval per chunk).
+// source is the one chunk source of the pipeline, planned once per SELECT box
+// (planSource), or for the single child of a GROUP BY. It reads the chunks of
+// the box's first ForEach quantifier — a base-table scan, or the relation of
+// an already evaluated child box; one zero-width row when there is none — and
+// narrows each with the predicates local to that quantifier. When the box
+// joins, the first quantifier is the fact side of a star join: every further
+// ForEach quantifier is a dimension, hashed at plan time on the equalities
+// that tie it to the fact (on the empty key, which every fact row finds, when
+// none does), its local predicates applied while hashing, and each chunk's
+// surviving fact rows probe those tables in batches. The tuples then become
+// one joined chunk: the columns the box's other expressions read, gathered
+// through the tuples' fact and dimension rows. Those expressions are
+// rewritten onto its columns (onJoined), read as the fact quantifier's, so
+// every kernel reads one quantifier, as in a box that does not join. Per
+// chunk and per worker (srcWorker) the source yields the state the sink's
+// kernels run over and its tuple count.
 type source struct {
-	ev      *evaluator
-	vc      vecCompiler // lowers expressions over the fact quantifier
-	ectx    exprCtx
-	fact    *qgm.Quantifier
-	dimQs   []*qgm.Quantifier
-	rel     *relation // the fact, evaluated: a child box by planSource, a base table by open
-	filters []vecFilter
-	dims    []starDim
-	chunks  []*storage.Chunk // set by open
-	total   int
+	ev       *evaluator
+	vc       vecCompiler // lowers expressions over the fact quantifier, or over the joined chunk
+	ectx     exprCtx
+	fact     *qgm.Quantifier   // nil: the box reads one zero-width row
+	dimQs    []*qgm.Quantifier // in the row path's join order (joinOrder)
+	rel      *relation         // the fact, evaluated: a child box by planSource, a base table by open
+	filters  []vecFilter
+	dims     []starDim
+	jcols    []joinCol        // the joined chunk's columns, added as onJoined meets them
+	residual []vecFilter      // the joined chunk's filters: predicates neither local nor a fact = dimension key
+	fused    *qgm.Quantifier  // a GROUP BY's quantifier over the SELECT box planned here (groupSource)
+	chunks   []*storage.Chunk // set by open
+	total    int
+}
+
+// joinCol is column col of the fact (src = srcFact) or of dimension src, whose
+// whole column, indexed by row number, is dim.
+type joinCol struct {
+	src, col int
+	dim      *sqltypes.Vec
 }
 
 // Where a source expression comes from: a dimension's index, or one of these.
@@ -40,85 +57,107 @@ const (
 	srcBeyond = -4 // something outside the box: an unbound or foreign quantifier, an aggregate
 )
 
-// Why a box left the vectorized path: the suffix of its
-// exec.vector.declined.<reason> counter and its entry in Result.Declined.
-const (
-	declNoInput      = "no-input"             // SELECT without a ForEach quantifier
-	declBeyondChild  = "expr-beyond-child"    // srcBeyond in a predicate, output or grouping expression
-	declMixedSource  = "mixed-source-expr"    // output, grouping or argument expression over several join operands
-	declCrossJoin    = "cross-join"           // a join operand no equality ties to the first one
-	declNonEquiJoin  = "non-equi-join"        // a predicate across operands that is not fact-side = dim-side
-	declDimDimJoin   = "dim-dim-join"         // an equality between two operands neither of which is the first
-	declConstPred    = "constant-predicate"   // a join with a predicate over no operand at all
-	declDimEval      = "dim-eval-error"       // a dimension expression raised an error the join might have avoided
-	declGroupShape   = "groupby-shape"        // GROUP BY without exactly one ForEach child
-	declNonAggOutput = "non-aggregate-output" // GROUP BY output column neither grouped nor aggregated
-)
-
-// decline records that a box falls back to the row path, and why.
-func (ev *evaluator) decline(reason string) {
-	ev.declined = append(ev.declined, reason)
-	if ev.obsv != nil {
-		ev.obsv.Add(CtrVecDeclined, 1)
-		ev.obsv.Add(CtrVecDeclined+"."+reason, 1)
+// operand maps a quantifier ID to srcFact, a dimension's index, or srcBeyond.
+func (s *source) operand(qid int) int {
+	if s.fact != nil && qid == s.fact.ID {
+		return srcFact
 	}
+	for k, dq := range s.dimQs {
+		if dq.ID == qid {
+			return k
+		}
+	}
+	return srcBeyond
+}
+
+// span returns the least and the greatest operand e reads — srcFact, or k
+// for the k-th dimension — srcConst twice when it reads none, and srcBeyond
+// twice when it reaches beyond the box. It runs per predicate of every box,
+// so it must not allocate: WalkExpr does not retain its callback.
+func (s *source) span(e qgm.Expr) (lo, hi int) {
+	lo, hi = srcConst, srcConst
+	qgm.WalkExpr(e, func(x qgm.Expr) bool {
+		if lo == srcBeyond {
+			return false
+		}
+		k := srcConst
+		switch t := x.(type) {
+		case *qgm.Agg:
+			k = srcBeyond
+		case *qgm.ColRef:
+			if t.Q == nil {
+				k = srcBeyond
+			} else if _, isScalar := s.ectx.scalars[t.Q.ID]; !isScalar {
+				k = s.operand(t.Q.ID)
+			}
+		}
+		switch {
+		case k == srcBeyond, lo == srcConst:
+			lo, hi = k, k
+		case k != srcConst:
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		return true
+	})
+	return lo, hi
 }
 
 // classify maps an expression to its single source: srcConst, srcFact, or k
 // for the k-th dimension; srcMixed and srcBeyond are the two ways it can have
-// none. It runs per predicate and per output expression of every box, so it
-// must not allocate: WalkExpr does not retain its callback.
+// none.
 func (s *source) classify(e qgm.Expr) int {
-	src := srcConst
-	qgm.WalkExpr(e, func(x qgm.Expr) bool {
-		if src < srcConst {
-			return false
+	lo, hi := s.span(e)
+	if lo != hi {
+		return srcMixed
+	}
+	return lo
+}
+
+// joinOrder puts the dimensions in the order the row path joins them
+// (evalSelect): next comes the first one that an equality ties to the fact
+// and the dimensions before it, else the first one left. The probe's tuples
+// then come out in the row path's order.
+func (s *source) joinOrder(preds []qgm.Expr) {
+	for i := range s.dimQs {
+		for j := i; j < len(s.dimQs); j++ {
+			if s.tied(preds, j, i) {
+				q := s.dimQs[j]
+				s.dimQs = slices.Insert(slices.Delete(s.dimQs, j, j+1), i, q)
+				break
+			}
 		}
-		from := srcConst
-		switch t := x.(type) {
-		case *qgm.Agg:
-			from = srcBeyond
-		case *qgm.ColRef:
-			if t.Q == nil {
-				from = srcBeyond
-			} else if _, isScalar := s.vc.ectx.scalars[t.Q.ID]; !isScalar {
-				from = srcBeyond
-				if t.Q.ID == s.fact.ID {
-					from = srcFact
-				}
-				for k, dq := range s.dimQs {
-					if dq.ID == t.Q.ID {
-						from = k
-					}
+	}
+}
+
+// tied reports whether one of preds equates an expression over dimension j
+// alone with one over the fact and the first n dimensions: what the row path
+// hash-joins dimension j on.
+func (s *source) tied(preds []qgm.Expr, j, n int) bool {
+	for _, p := range preds {
+		if bin, ok := p.(*qgm.Bin); ok && bin.Op == "=" {
+			for _, e := range [2][2]qgm.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
+				if lo, hi := s.span(e[1]); s.classify(e[0]) == j && lo >= srcFact && hi < n {
+					return true
 				}
 			}
 		}
-		switch {
-		case from == srcConst:
-		case from == srcBeyond, src == srcConst:
-			src = from
-		case src != from:
-			src = srcMixed
-		}
-		return true
-	})
-	return src
+	}
+	return false
 }
 
 // planSource plans the source of a SELECT box, or of a GROUP BY box read as a
-// SELECT with one quantifier and no predicates. A non-empty reason means the
-// shape declines; nothing unmemoized has been evaluated by then, so the row
-// path repeats no work. Scalar subqueries evaluate first and dimensions in
-// FROM order, as on the row path; the fact scan waits for open.
-func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error) {
-	s = &source{ev: ev}
+// SELECT with one quantifier and no predicates. Scalar subqueries evaluate
+// first and dimensions in join order, as on the row path; the fact scan waits
+// for open. A predicate reaching beyond the box is the row path's error.
+func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
+	s := &source{ev: ev}
 	var scalars map[int]sqltypes.Value
 	for _, q := range b.Quantifiers {
 		switch {
 		case q.Kind == qgm.Scalar:
 			v, err := ev.scalarValue(q.Box)
 			if err != nil {
-				return nil, "", err
+				return nil, err
 			}
 			if scalars == nil {
 				scalars = map[int]sqltypes.Value{}
@@ -131,74 +170,67 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 			s.dimQs = append(s.dimQs, q)
 		}
 	}
-	if s.fact == nil {
-		return nil, declNoInput, nil
-	}
 	s.ectx.scalars = scalars
-	s.ectx.setSlot(s.fact.ID, 0)
-	s.vc = vecCompiler{ev: ev, ectx: &s.ectx, baseQID: s.fact.ID}
+	s.vc = vecCompiler{ev: ev, ectx: &s.ectx, baseQID: -1}
+	if s.fact == nil {
+		// No input: one zero-width row, the row path's one empty binding.
+		s.chunks, s.total = []*storage.Chunk{storage.NewChunk(1, nil)}, 1
+	} else {
+		s.ectx.setSlot(s.fact.ID, 0)
+		s.vc.baseQID = s.fact.ID
+	}
+	s.joinOrder(b.Preds)
 
 	// Partition the predicates: fact-local ones become chunk filters,
-	// dimension-local ones apply while the dimension is hashed, and a
-	// predicate across operands must be a fact = dimension equality, which
-	// becomes a hash key.
+	// dimension-local ones apply while the dimension is hashed, a fact =
+	// dimension equality becomes a hash key, and every other one filters the
+	// joined chunk.
 	nd := len(s.dimQs)
-	var factPreds []qgm.Expr
+	var factPreds, residual []qgm.Expr
 	dimPreds := make([][]qgm.Expr, nd)
 	factKeys := make([][]qgm.Expr, nd)
 	dimKeys := make([][]qgm.Expr, nd)
 	for _, p := range b.Preds {
 		switch src := s.classify(p); {
+		case src == srcBeyond:
+			return nil, fmt.Errorf("exec: predicate %s not evaluable", p.String())
 		case src >= 0:
 			dimPreds[src] = append(dimPreds[src], p)
 		case src == srcFact, src == srcConst && nd == 0:
 			factPreds = append(factPreds, p)
-		case src == srcConst:
-			return nil, declConstPred, nil
-		case src == srcBeyond:
-			return nil, declBeyondChild, nil
 		default:
-			bin, isBin := p.(*qgm.Bin)
-			if !isBin || bin.Op != "=" {
-				return nil, declNonEquiJoin, nil
+			if bin, isBin := p.(*qgm.Bin); isBin && bin.Op == "=" {
+				fk, dk := bin.L, bin.R
+				if s.classify(fk) >= 0 {
+					fk, dk = dk, fk
+				}
+				if k := s.classify(dk); s.classify(fk) == srcFact && k >= 0 {
+					factKeys[k], dimKeys[k] = append(factKeys[k], fk), append(dimKeys[k], dk)
+					continue
+				}
 			}
-			l, r, fk, dk := s.classify(bin.L), s.classify(bin.R), bin.L, bin.R
-			if l >= 0 && r >= 0 {
-				return nil, declDimDimJoin, nil
-			}
-			if l >= 0 {
-				l, r, fk, dk = r, l, dk, fk
-			}
-			if l != srcFact || r < 0 {
-				return nil, declNonEquiJoin, nil
-			}
-			factKeys[r] = append(factKeys[r], fk)
-			dimKeys[r] = append(dimKeys[r], dk)
+			residual = append(residual, p)
 		}
 	}
-	for k := range s.dimQs {
-		if len(factKeys[k]) == 0 {
-			return nil, declCrossJoin, nil
-		}
-	}
-	if s.fact.Box.Kind != qgm.BaseTableBox {
+	if s.fact != nil && s.fact.Box.Kind != qgm.BaseTableBox {
+		var err error
 		if s.rel, err = ev.evalBox(s.fact.Box); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
 
 	// Build each dimension from its evaluated relation (memoized, charged as
-	// on the row path), reading its rows through one buffer. The row path
-	// evaluates dimension expressions only on rows that survive the join, so
-	// an error here declines instead.
+	// on the row path), reading its rows through one buffer. Its local
+	// predicates and keys are evaluated on every row of it, joined or not.
 	s.dims = make([]starDim, nd)
 	for k, dq := range s.dimQs {
 		rel, err := ev.evalBox(dq.Box)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), n: rel.n, ctx: &exprCtx{scalars: scalars}, set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
-		sd.ctx.setSlot(dq.ID, 0)
+		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
+		ctx := &exprCtx{scalars: scalars}
+		ctx.setSlot(dq.ID, 0)
 		for _, e := range factKeys[k] {
 			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(e))
 		}
@@ -208,13 +240,13 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 		err = storage.EachRow(sd.chunks, func(ri int, r []sqltypes.Value) error {
 			bd[0], ords[ri] = r, -1
 			for _, p := range dimPreds[k] {
-				if tv, err := sd.ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
+				if tv, err := ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
 					return err
 				}
 			}
 			for i, e := range dimKeys[k] {
 				var err error
-				if key[i], err = sd.ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
+				if key[i], err = ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
 					return err // NULL join keys never match
 				}
 			}
@@ -222,7 +254,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 			return nil
 		})
 		if err != nil {
-			return nil, declDimEval, nil
+			return nil, err
 		}
 		// Counting sort by ordinal: list[offsets[g]:offsets[g+1]] are the rows
 		// of key g, in row order.
@@ -248,7 +280,67 @@ func (ev *evaluator) planSource(b *qgm.Box) (s *source, reason string, err error
 	for i, p := range factPreds {
 		s.filters[i] = s.vc.compileFilter(p)
 	}
-	return s, "", nil
+	for _, p := range residual {
+		s.residual = append(s.residual, s.vc.compileFilter(s.onJoined(p)))
+	}
+	return s, nil
+}
+
+// compile lowers a sink expression to a kernel over the tuples the worker
+// yields (srcWorker.cur): the fact chunk's rows, or the joined chunk's. Over a
+// fused SELECT, a reference to its column c is first its expression for c
+// (expressions are immutable, so sharing is fine).
+func (s *source) compile(e qgm.Expr) vecKernel {
+	if q := s.fused; q != nil {
+		e = qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
+			cr, isRef := x.(*qgm.ColRef)
+			switch {
+			case !isRef || cr.Q == nil || cr.Q.ID != q.ID:
+				return x
+			case cr.Col < 0 || cr.Col >= len(q.Box.Cols):
+				return &qgm.ColRef{}
+			}
+			return q.Box.Cols[cr.Col].Expr
+		})
+	}
+	return s.vc.compileScalar(s.onJoined(e))
+}
+
+// onJoined rewrites e, in a join, onto the joined chunk, which takes the fact
+// quantifier's place: a column of an operand becomes the fact's column of
+// that number in the joined chunk, added on first use. A reference past an
+// operand's columns becomes an unbound one, for the interpreter's error.
+func (s *source) onJoined(e qgm.Expr) qgm.Expr {
+	if len(s.dims) == 0 {
+		return e
+	}
+	return qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
+		cr, isRef := x.(*qgm.ColRef)
+		if !isRef || cr.Q == nil {
+			return x
+		}
+		src, q := s.operand(cr.Q.ID), s.fact
+		switch {
+		case src == srcBeyond:
+			return x
+		case src >= 0:
+			q = s.dimQs[src]
+		}
+		if cr.Col < 0 || cr.Col >= len(q.Box.Cols) {
+			return &qgm.ColRef{}
+		}
+		for i, c := range s.jcols {
+			if c.src == src && c.col == cr.Col {
+				return &qgm.ColRef{Q: s.fact, Col: i}
+			}
+		}
+		c := joinCol{src: src, col: cr.Col}
+		if src >= 0 {
+			c.dim = s.dims[src].column(cr.Col)
+		}
+		s.jcols = append(s.jcols, c)
+		return &qgm.ColRef{Q: s.fact, Col: len(s.jcols) - 1}
+	})
 }
 
 // Filter runs where (nil: every row) and exprs over chunks, the rows of
@@ -262,14 +354,7 @@ func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []
 	f func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error) error {
 	ectx := &exprCtx{}
 	ectx.setSlot(q.ID, 0)
-	return (&evaluator{obsv: o}).filterChunks(ectx, q.ID, chunks, where, exprs, f)
-}
-
-// filterChunks is Filter over quantifier qid, bound in ectx beside the
-// scalar-subquery values.
-func (ev *evaluator) filterChunks(ectx *exprCtx, qid int, chunks []*storage.Chunk, where qgm.Expr, exprs []qgm.Expr,
-	f func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error) error {
-	vc := vecCompiler{ev: ev, ectx: ectx, baseQID: qid}
+	vc := vecCompiler{ev: &evaluator{obsv: o}, ectx: ectx, baseQID: q.ID}
 	var filters []vecFilter
 	if where != nil {
 		filters = []vecFilter{vc.compileFilter(where)}
@@ -295,17 +380,16 @@ func (ev *evaluator) filterChunks(ectx *exprCtx, qid int, chunks []*storage.Chun
 	return nil
 }
 
-// starDim is one dimension of a join: its chunks and row count, the
+// starDim is one dimension of a join: its chunks, the
 // fact-side key kernels (evaluated per chunk) and a groupTable of its distinct
 // keys, with each key's rows as a CSR list: list[offsets[g]:offsets[g+1]] are
 // the row numbers of the key with ordinal g, in row order. Rows failing the
 // dimension's local predicates or carrying a NULL key are absent, so a NULL
-// fact key finds nothing (NULL join keys never match, as in hashJoin).
+// fact key finds nothing (NULL join keys never match, as in hashJoin). A
+// dimension with no key has one, the empty one, which every fact row finds.
 // Read-only once built: workers probe it concurrently.
 type starDim struct {
 	chunks  []*storage.Chunk
-	n       int
-	ctx     *exprCtx
 	keyKs   []vecKernel
 	set     []int // all the key columns, in order
 	table   *groupTable
@@ -313,58 +397,26 @@ type starDim struct {
 	list    []int32
 }
 
-// srcCol is one sink expression in the tuple domain. A fact-sourced one
-// (src < 0) is a chunk kernel's result; a dimension-sourced one (src = k) is
-// precomputed per dimension row at plan time, as a vector indexed by row
-// number, and gathered through the tuples' dim-k row numbers into the worker's
-// scratch slot. k is nil where there is no expression (COUNT(*)'s argument).
-type srcCol struct {
-	src     int
-	k       vecKernel
-	dimVals *sqltypes.Vec
-	slot    int
-}
-
-// cols compiles the sink's expressions; a nil one yields an empty column. A
-// non-empty reason declines.
-func (s *source) cols(exprs []qgm.Expr) ([]srcCol, string) {
-	out := make([]srcCol, len(exprs))
-	for i, e := range exprs {
-		c := &out[i]
-		if c.src = srcFact; e == nil {
-			continue
-		}
-		switch src := s.classify(e); {
-		case src == srcBeyond:
-			return nil, declBeyondChild
-		case src == srcMixed:
-			return nil, declMixedSource
-		case src < 0:
-			c.k = s.vc.compileScalar(e)
-		default:
-			c.src, c.dimVals = src, new(sqltypes.Vec)
-			dim := &s.dims[src]
-			err := s.ev.filterChunks(dim.ctx, s.dimQs[src].ID, dim.chunks, nil, []qgm.Expr{e}, func(_ *storage.Chunk, at int, _ []int32, vals []*sqltypes.Vec) error {
-				if at == 0 {
-					c.dimVals.Reserve(vals[0].Kind(), dim.n)
-				}
-				c.dimVals.AppendVec(vals[0], 0, vals[0].Len())
-				return nil
-			})
-			if err != nil {
-				return nil, declDimEval
-			}
-		}
-		if len(s.dims) > 0 {
-			c.slot = s.vc.newSlot()
-		}
+// column returns column c of the dimension over all its rows, indexed by row
+// number: its one chunk's own, or its chunks' concatenated once.
+func (d *starDim) column(c int) *sqltypes.Vec {
+	if len(d.chunks) == 1 {
+		return d.chunks[0].Col(c)
 	}
-	return out, ""
+	v := new(sqltypes.Vec)
+	for _, ch := range d.chunks {
+		v.AppendVec(ch.Col(c), 0, ch.Len())
+	}
+	v.Seal()
+	return v
 }
 
 // open fetches the fact chunks: the child's relation, or the base table's,
 // whose scan waits until here.
 func (s *source) open() (err error) {
+	if s.fact == nil {
+		return nil
+	}
 	if s.rel == nil {
 		s.rel, err = s.ev.evalBox(s.fact.Box)
 	}
@@ -374,45 +426,47 @@ func (s *source) open() (err error) {
 	return err
 }
 
-// srcWorker is one worker's cursor over the source: its chunk state and, for a
-// join, the probe scratch (made by the first chunk; the key columns are the
-// chunk state's). The chunk state is an object of its own because kernels
-// hold it; the worker around it then stays on the sink's stack, as long as
-// worker is small enough to inline.
+// srcWorker is one worker's cursor over the source: the fact chunk's state
+// and, for a join, the probe scratch (made by the first chunk; the key columns
+// are the fact state's) and the joined chunk's state and column scratch. The
+// chunk states are objects of their own because kernels hold them; the worker
+// around them then stays on the sink's stack, as long as worker is small
+// enough to inline.
 type srcWorker struct {
 	s        *source
-	cs       *chunkState
+	cs       *chunkState       // the fact chunk's
+	cur      *chunkState       // the sink's kernels' input: cs, or a join's js
+	js       *chunkState       // the joined chunk's
+	jv       []sqltypes.Vec    // the joined chunk's gathered columns
 	kv       [][]*sqltypes.Vec // per dim: fact key vectors for the current chunk
-	hash     []uint64          // findBatch's scratch
 	ords     [][]uint32        // per dim, per fact row of the strip: ordinal of the matching dimension key
 	match    [][]int32         // per dim: matched dim rows for the current fact row
 	ctr      []int             // odometer counters
-	fdi      []int32           // per tuple: its fact row's position in the selection
+	fdi      []int32           // per tuple: its fact row
 	ddi      [][]int32         // per dim, per tuple: dim row number
-	expanded bool              // some fact row matched more than once: tuples ≠ selection
+	expanded bool              // some fact row matched more than once
 }
 
 func (s *source) worker() *srcWorker {
-	return &srcWorker{s: s, cs: &chunkState{vecs: make([]*sqltypes.Vec, s.vc.slots)}}
+	cs := &chunkState{vecs: make([]*sqltypes.Vec, s.vc.slots)}
+	return &srcWorker{s: s, cs: cs, cur: cs}
 }
 
 // next moves the worker to chunk c and returns its tuple count: the rows the
-// fact-local filters keep, joined against every dimension. The selection ends
-// up holding exactly the fact rows that joined, so a sink's fact-sourced
-// kernels never run on a row a filter or the join removed. Tuple order is the
-// row path's join order: fact-row major, earlier dimensions outer, the last
-// dimension varying fastest. Join output is charged to the budget here, one
-// per tuple.
+// fact-local filters keep, joined against every dimension and kept by the
+// residual predicates. A sink's kernels never run on a row a filter or the
+// join removed. Tuple order is the row path's join order: fact-row major,
+// earlier dimensions outer, the last dimension varying fastest. Join output is
+// charged to the budget here, one per tuple the probe yields.
 func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 	s, cs := w.s, w.cs
-	if err := cs.narrow(c, s.filters); err != nil || cs.n() == 0 {
-		return 0, err
-	}
 	nd := len(s.dims)
-	if nd == 0 {
-		return cs.n(), nil
+	if err := cs.narrow(c, s.filters); err != nil || cs.n() == 0 || nd == 0 {
+		return cs.n(), err
 	}
-	if w.kv == nil {
+	if w.js == nil {
+		w.js = &chunkState{cols: make([]*sqltypes.Vec, len(s.jcols)), vecs: make([]*sqltypes.Vec, s.vc.slots)}
+		w.jv, w.cur = make([]sqltypes.Vec, len(s.jcols)), w.js
 		w.kv, w.ords, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]uint32, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
 		for k := range s.dims {
 			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
@@ -428,22 +482,21 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 			w.kv[k][j] = v
 		}
 	}
-	w.fdi = w.fdi[:0]
+	w.fdi, w.expanded = w.fdi[:0], false
 	for k := range w.ddi {
 		w.ddi[k] = w.ddi[k][:0]
 	}
-	sel := cs.selOut()
+	var hash [stripRows]uint64 // findBatch's scratch stays on this stack
 	for lo, n := 0, cs.n(); lo < n; lo += stripRows {
 		// A strip of fact rows at a time, one lookup-only batch call per
 		// dimension turns the fact keys into dimension key ordinals.
 		m := min(stripRows, n-lo)
-		w.hash = resize(w.hash, m)
 		for k := range s.dims {
 			for j, v := range w.kv[k] {
 				cs.keys[j].load(v, lo, m)
 			}
 			w.ords[k] = resize(w.ords[k], m)
-			s.dims[k].table.findBatch(cs.keys, s.dims[k].set, w.hash, w.ords[k], false)
+			s.dims[k].table.findBatch(cs.keys, s.dims[k].set, hash[:m], w.ords[k], false)
 		}
 	facts:
 		for i := 0; i < m; i++ {
@@ -454,11 +507,10 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 				}
 				w.match[k] = s.dims[k].list[s.dims[k].offsets[g]:s.dims[k].offsets[g+1]]
 			}
-			pos := int32(len(sel))
-			sel = append(sel, int32(cs.rowIdx(lo+i)))
+			ri, first := int32(cs.rowIdx(lo+i)), len(w.fdi)
 			clear(w.ctr)
 			for k := 0; k >= 0; {
-				w.fdi = append(w.fdi, pos)
+				w.fdi = append(w.fdi, ri)
 				for k = 0; k < nd; k++ {
 					w.ddi[k] = append(w.ddi[k], w.match[k][w.ctr[k]])
 				}
@@ -469,26 +521,34 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 					w.ctr[k] = 0
 				}
 			}
+			w.expanded = w.expanded || len(w.fdi)-first > 1
 		}
 	}
-	cs.setSel(sel)
-	w.expanded = len(w.fdi) != len(sel)
-	return len(w.fdi), chg.checkpoint(len(w.fdi))
+	if err := chg.checkpoint(len(w.fdi)); err != nil || len(w.fdi) == 0 {
+		return 0, err
+	}
+	return w.gather()
 }
 
-// eval computes one sink column for the current chunk's tuples.
-func (w *srcWorker) eval(c *srcCol) (*sqltypes.Vec, error) {
-	src, idx := c.dimVals, w.fdi
-	if c.src >= 0 {
-		idx = w.ddi[c.src]
-	} else {
-		v, err := c.k(w.cs)
-		if err != nil || !w.expanded {
-			return v, err
+// gather makes the current tuples the joined chunk and narrows it by the
+// residual predicates. When every fact row of the chunk joined once, in order,
+// a fact column is the storage vector itself.
+func (w *srcWorker) gather() (int, error) {
+	js, n := w.js, len(w.fdi)
+	whole := !w.expanded && n == w.cs.rows
+	for i, c := range w.s.jcols {
+		switch {
+		case c.src >= 0:
+			w.jv[i].Gather(c.dim, w.ddi[c.src])
+			js.cols[i] = &w.jv[i]
+		case whole:
+			js.cols[i] = w.cs.cols[c.col]
+		default:
+			w.jv[i].Gather(w.cs.cols[c.col], w.fdi)
+			js.cols[i] = &w.jv[i]
 		}
-		src = v
 	}
-	out := w.cs.slot(c.slot)
-	out.Gather(src, idx)
-	return out, nil
+	js.rows, js.sel = n, nil
+	err := js.filter(w.s.residual)
+	return js.n(), err
 }

@@ -11,54 +11,36 @@ import (
 // into one groupTable per grouping set and emits the groups as column chunks.
 // Where the tuples come from is the source's business (groupSource): the
 // child's own chunks, or — the dominant shape of the paper's star-schema
-// aggregations — the scan or star join of a SELECT child fused away.
+// aggregations — the scan or join of a SELECT child fused away.
 //
 // Group and argument vectors are computed once per chunk and shared across all
 // grouping sets, and per-worker partials merge in chunk order, so first-seen
 // group order, each group's representative values, and (serially) even float
 // SUM accumulation order are identical to the row path.
-//
-// A nil relation declines to the row path, which raises its own errors for
-// the shapes refused here.
 func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
-	if len(b.Quantifiers) != 1 || b.Quantifiers[0].Kind != qgm.ForEach {
-		ev.decline(declGroupShape)
-		return nil, nil
-	}
-	q := b.Quantifiers[0]
-	aggSpecs, bad := aggSpecsOf(b)
-	if bad >= 0 {
-		ev.decline(declNonAggOutput)
-		return nil, nil
+	q, aggSpecs, err := groupShape(b)
+	if err != nil {
+		return nil, err
 	}
 	nGroup := len(b.GroupBy)
-
-	// The sink's expressions: grouping columns, then aggregate arguments (nil
-	// for COUNT(*)). Each must range over the box's single child quantifier;
-	// correlation and nested aggregates go to the row path.
-	exprs := make([]qgm.Expr, nGroup+len(aggSpecs))
-	for pos, col := range b.GroupBy {
-		exprs[pos] = b.Cols[col].Expr
-	}
-	for ai, spec := range aggSpecs {
-		if !spec.agg.Star {
-			exprs[nGroup+ai] = spec.agg.Arg
-		}
-	}
-	for _, e := range exprs {
-		if e != nil && !exprOverQuant(e, q.ID, nil) {
-			ev.decline(declBeyondChild)
-			return nil, nil
-		}
-	}
-	s, cols, err := ev.groupSource(b, q, exprs)
+	s, err := ev.groupSource(b, q)
 	if err == nil {
 		err = s.open()
 	}
 	if err != nil {
 		return nil, err
 	}
-	groupCols, argCols := cols[:nGroup], cols[nGroup:]
+	// The sink's kernels: grouping columns, then aggregate arguments (none for
+	// COUNT(*)).
+	groupKs, argKs := make([]vecKernel, nGroup), make([]vecKernel, len(aggSpecs))
+	for pos, col := range b.GroupBy {
+		groupKs[pos] = s.compile(b.Cols[col].Expr)
+	}
+	for ai, spec := range aggSpecs {
+		if !spec.agg.Star {
+			argKs[ai] = s.compile(spec.agg.Arg)
+		}
+	}
 
 	sets := b.GroupingSets
 	if len(sets) == 0 {
@@ -94,17 +76,17 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 			if n == 0 {
 				continue
 			}
-			for pos := range groupCols {
-				if keys[pos].vec, err = sw.eval(&groupCols[pos]); err != nil {
+			for pos, k := range groupKs {
+				if keys[pos].vec, err = k(sw.cur); err != nil {
 					return err
 				}
 			}
 			// Kind dispatch per chunk, not per row: each aggregate's
 			// accumulator is re-aimed at this chunk's argument vector.
-			for ai := range argCols {
+			for ai, k := range argKs {
 				var av *sqltypes.Vec
-				if !aggSpecs[ai].agg.Star {
-					if av, err = sw.eval(&argCols[ai]); err != nil {
+				if k != nil {
+					if av, err = k(sw.cur); err != nil {
 						return err
 					}
 				}
@@ -153,51 +135,26 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
-	ev.usedVector = true
 	return ev.groupChunks(b, aggSpecs, sets, merged)
 }
 
 // groupSource plans where a GROUP BY's tuples come from. A child that is a
-// duplicate-preserving SELECT is fused away when its own source plans: its
-// output expressions substitute into the sink's, its predicates and joins
-// become the source's, and it is neither materialized nor memoized (in the
-// workloads' plans a GROUP BY's select child has no other consumer). Any other
-// child — a base table, a DISTINCT or declining SELECT, another GROUP BY —
-// is read as it evaluates through the normal box machinery, which cannot
-// decline here: one quantifier, no predicates, expressions checked by the
-// caller.
-func (ev *evaluator) groupSource(b *qgm.Box, q *qgm.Quantifier, exprs []qgm.Expr) (*source, []srcCol, error) {
-	if child := q.Box; child.Kind == qgm.SelectBox && !child.Distinct {
-		s, reason, err := ev.planSource(child)
-		if err != nil {
-			return nil, nil, err
-		}
-		if reason == "" {
-			// Replace each reference to the child's column c with the child's
-			// expression for c (expressions are immutable, so sharing is
-			// fine). A reference that cannot be replaced stays, and cols
-			// declines it as beyond the child's own quantifiers.
-			fused := make([]qgm.Expr, len(exprs))
-			for i, e := range exprs {
-				fused[i] = qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
-					cr, isRef := x.(*qgm.ColRef)
-					if !isRef || cr.Q == nil || cr.Q.ID != q.ID || cr.Col < 0 || cr.Col >= len(child.Cols) || child.Cols[cr.Col].Expr == nil {
-						return x
-					}
-					return child.Cols[cr.Col].Expr
-				})
-			}
-			if cols, reason := s.cols(fused); reason == "" {
-				return s, cols, nil
-			}
-		}
+// duplicate-preserving SELECT is fused away (source.fused): its output
+// expressions substitute into the sink's, its predicates and joins become the
+// source's, and it is neither materialized nor memoized (in the workloads'
+// plans a GROUP BY's select child has no other consumer), though it counts as
+// a box the pipeline ran. Any other child — a base table, a DISTINCT SELECT,
+// another GROUP BY — is read as it evaluates.
+func (ev *evaluator) groupSource(b *qgm.Box, q *qgm.Quantifier) (*source, error) {
+	if q.Box.Kind != qgm.SelectBox || q.Box.Distinct {
+		return ev.planSource(b)
 	}
-	s, _, err := ev.planSource(b)
-	if err != nil {
-		return nil, nil, err
+	s, err := ev.planSource(q.Box)
+	if err == nil {
+		s.fused = q
+		ev.obsv.Add(CtrVecBoxes, 1)
 	}
-	cols, _ := s.cols(exprs)
-	return s, cols, nil
+	return s, err
 }
 
 // vecAccum folds one aggregate's argument vector into a table's state cells.

@@ -21,54 +21,39 @@ import (
 // keys) is a hash probe, and any other expression shape the vector compiler
 // does not handle is "lifted" — the chunk's rows are materialized one at a
 // time into a scratch binding and the tree interpreter (expr.go) evaluates the
-// expression per element. Where the chunks come from — a scan, a star join, a
-// child box's relation — is the source's business (source.go); what happens
-// to the vectors is the sink's: evalSelectVec below projects them into output
-// chunks, evalGroupByVec (vecgroupby.go) aggregates them.
+// expression per element. Where the chunks come from — a scan, a child box's
+// relation, the joined chunk of a join — is the source's business (source.go);
+// what happens to the vectors is the sink's: evalSelectVec below projects them
+// into output chunks, evalGroupByVec (vecgroupby.go) aggregates them. Every
+// SELECT and GROUP BY box runs here unless Config.Interpret asks for the
+// reference path; lifts are counted (exec.vector.lifted).
 //
-// A box runs here unless its source declines it whole; a declined box runs on
-// the reference path — the interpreter, serial — and every box does under
-// Config.Interpret, which counts nothing. No statement of the benchmark's four
-// workloads declines, so how fast a declined box runs is not measured
-// anywhere. Lifts (exec.vector.lifted) and declines are counted. What
-// declines, by counter — exec.vector.declined.<reason>, beside the total
-// exec.vector.declined:
-//
-//	cross-join            a join operand no equality predicate ties to the first
-//	non-equi-join         a predicate across operands other than first-side = other-side
-//	dim-dim-join          an equality between two operands neither of which is the first
-//	constant-predicate    a join with a predicate over no operand at all
-//	mixed-source-expr     an output, grouping or argument expression over several operands
-//	expr-beyond-child     an expression reaching outside the box, or an aggregate in a SELECT
-//	dim-eval-error        a dimension expression failed on a row the join might have dropped
-//	no-input              a SELECT without a ForEach child
-//	groupby-shape         a GROUP BY without exactly one ForEach child
-//	non-aggregate-output  a GROUP BY output column neither grouped nor aggregated
-//
-// One intended divergence from the reference (documented in DESIGN.md §13):
+// Intended divergences from the reference (documented in DESIGN.md §13):
 // within a chunk, predicates run predicate-major rather than row-major, so
 // when several rows would raise evaluation errors a different row's error may
 // surface first, and a row eliminated by an earlier conjunct never evaluates
 // later conjuncts (the reference surfaces an error from a later conjunct even
-// when an earlier one was Unknown). The parity suites pin that on error-free
-// workloads results are identical, serially bit-for-bit.
+// when an earlier one was Unknown). A dimension's local predicates and keys
+// run on all its rows while it is hashed, joined or not. The parity suites pin
+// that on error-free workloads results are identical, serially bit-for-bit.
 
 // Observability counters for the chunk pipeline.
 const (
-	CtrVecBoxes    = "exec.vector.boxes"    // boxes evaluated vectorized
-	CtrVecDeclined = "exec.vector.declined" // boxes that fell back whole; also counted per reason, CtrVecDeclined.<reason>
-	CtrVecLifted   = "exec.vector.lifted"   // expressions evaluated a row at a time by the interpreter
+	CtrVecBoxes  = "exec.vector.boxes"  // boxes evaluated on the pipeline, a GROUP BY's fused SELECT child among them
+	CtrVecLifted = "exec.vector.lifted" // expressions evaluated a row at a time by the interpreter
 )
 
-// Result evaluation modes reported by Result.Mode / EXPLAIN.
+// Result evaluation modes reported by Result.Mode / EXPLAIN: the reference
+// path under Config.Interpret, the pipeline otherwise.
 const (
 	ModeVectorized  = "vectorized"
 	ModeInterpreted = "interpreted"
 )
 
-// chunkState is one worker's cursor over one storage chunk: the chunk, the
-// current selection (nil = all rows live), and the worker's scratch. Kernels
-// evaluate over the selection in dense order.
+// chunkState is one worker's cursor over one chunk: its columns — a storage
+// chunk's, or a join's joined chunk (source.go) — and row count, the current
+// selection (nil = all rows live), and the worker's scratch. Kernels evaluate
+// over the selection in dense order.
 //
 // Scratch ownership: every compiled kernel node owns one slot of vecs
 // (vecCompiler.newSlot) and refills it on each call, so a kernel's result is
@@ -78,8 +63,9 @@ const (
 // first use; an unfiltered box never allocates selBuf, a box without lifted
 // kernels never allocates bd, one without a probe never allocates keys.
 type chunkState struct {
-	chunk  *storage.Chunk
-	sel    []int32         // live row indices, dense-ordered; nil = all of [0, chunk.N)
+	cols   []*sqltypes.Vec // the chunk's columns: sealed storage vectors, or a joined chunk's
+	rows   int             // the chunk's row count
+	sel    []int32         // live row indices, dense-ordered; nil = all of [0, rows)
 	selBuf []int32         // backing of sel, reused chunk after chunk
 	vecs   []*sqltypes.Vec // kernel output slots, each allocated by its first use
 	bd     binding         // a lifted expression's binding: one row of scratch
@@ -95,7 +81,7 @@ func (cs *chunkState) keyCols(nk int) []keyCol {
 }
 
 // slot returns scratch slot i. Many are never asked for: a column reference
-// over an unfiltered chunk answers with the storage vector itself.
+// over an unfiltered chunk answers with the column itself.
 func (cs *chunkState) slot(i int) *sqltypes.Vec {
 	if cs.vecs[i] == nil {
 		cs.vecs[i] = new(sqltypes.Vec)
@@ -103,15 +89,19 @@ func (cs *chunkState) slot(i int) *sqltypes.Vec {
 	return cs.vecs[i]
 }
 
-func (cs *chunkState) reset(c *storage.Chunk) {
-	cs.chunk = c
-	cs.sel = nil
+// narrow moves cs to storage chunk c and narrows its selection by filters.
+func (cs *chunkState) narrow(c *storage.Chunk, filters []vecFilter) error {
+	cs.cols = slices.Grow(cs.cols[:0], c.Width())
+	for i := range c.Width() {
+		cs.cols = append(cs.cols, c.Col(i))
+	}
+	cs.rows, cs.sel = c.Len(), nil
+	return cs.filter(filters)
 }
 
-// narrow moves cs to chunk c and narrows its selection by each filter in
-// turn, stopping once none is left.
-func (cs *chunkState) narrow(c *storage.Chunk, filters []vecFilter) error {
-	cs.reset(c)
+// filter narrows the selection by each filter in turn, stopping once none is
+// left.
+func (cs *chunkState) filter(filters []vecFilter) error {
 	for _, f := range filters {
 		if err := f(cs); err != nil || cs.n() == 0 {
 			return err
@@ -125,7 +115,7 @@ func (cs *chunkState) n() int {
 	if cs.sel != nil {
 		return len(cs.sel)
 	}
-	return cs.chunk.Len()
+	return cs.rows
 }
 
 // rowIdx maps a dense selection index to a chunk row index.
@@ -140,9 +130,11 @@ func (cs *chunkState) rowIdx(di int) int {
 // expression.
 func (cs *chunkState) materialize(ri int) binding {
 	if cs.bd == nil {
-		cs.bd = binding{make([]sqltypes.Value, cs.chunk.Width())}
+		cs.bd = binding{make([]sqltypes.Value, len(cs.cols))}
 	}
-	cs.chunk.Row(ri, cs.bd[0])
+	for j, v := range cs.cols {
+		cs.bd[0][j] = v.Value(ri)
+	}
 	return cs.bd
 }
 
@@ -161,15 +153,17 @@ func (cs *chunkState) selOut() []int32 {
 // zero-copy.
 func (cs *chunkState) setSel(out []int32) {
 	cs.selBuf = out[:0]
-	if cs.sel != nil || len(out) < cs.chunk.Len() {
+	if cs.sel != nil || len(out) < cs.rows {
 		cs.sel = out
 	}
 }
 
 // emit hands v, a kernel's result for the current chunk, over to an output
-// chunk. A column of the input chunk is sealed and shared as it is; anything
-// else lives in one of this worker's scratch slots, which gives its payload
-// away and starts the next chunk empty.
+// chunk. A storage column is sealed and shared as it is; anything else — one
+// of this worker's scratch slots, a joined chunk's column — gives its payload
+// away and starts the next chunk empty. A joined chunk's column is read by
+// every kernel that references it, so a sink emits only once every kernel of
+// the chunk has run.
 func (cs *chunkState) emit(v *sqltypes.Vec) sqltypes.Vec {
 	out := *v
 	if !v.Sealed() {
@@ -239,12 +233,12 @@ func (vc *vecCompiler) compileScalar(e qgm.Expr) vecKernel {
 		}
 		col, slot := t.Col, vc.newSlot()
 		return func(cs *chunkState) (*sqltypes.Vec, error) {
-			if col >= cs.chunk.Width() {
-				return nil, fmt.Errorf("exec: column %d out of range (row width %d)", col, cs.chunk.Width())
+			if col >= len(cs.cols) {
+				return nil, fmt.Errorf("exec: column %d out of range (row width %d)", col, len(cs.cols))
 			}
-			src := cs.chunk.Col(col)
+			src := cs.cols[col]
 			if cs.sel == nil {
-				return src, nil // the sealed storage vector itself
+				return src, nil // the column itself
 			}
 			out := cs.slot(slot)
 			out.Gather(src, cs.sel)
@@ -722,54 +716,19 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 	}
 }
 
-// exprOverQuant reports whether e references only quantifier qid (scalar
-// subqueries count as constants) and contains no aggregate — the shape the
-// vector compiler evaluates with exact row-path error behavior. Anything else
-// declines the box so the row path raises its own errors. It runs per
-// predicate, output column and aggregate argument of every box, so it must
-// not allocate: WalkExpr does not retain its callback.
-func exprOverQuant(e qgm.Expr, qid int, scalars map[int]sqltypes.Value) bool {
-	ok := true
-	qgm.WalkExpr(e, func(x qgm.Expr) bool {
-		switch t := x.(type) {
-		case *qgm.ColRef:
-			if t.Q == nil {
-				ok = false
-			} else if _, isScalar := scalars[t.Q.ID]; !isScalar && t.Q.ID != qid {
-				ok = false
-			}
-		case *qgm.Agg:
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
 // evalSelectVec is the projection sink: the box's source yields each chunk's
 // tuples, the output expressions evaluate over them, and the resulting vectors
 // leave as one output chunk per input chunk — only what the filters and the
 // join kept is ever materialized. Chunks partition across workers in order, so
-// output order matches the serial row path. A nil relation means the shape
-// declined and the caller must run the row path.
+// output order matches the serial row path.
 func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
-	s, reason, err := ev.planSource(b)
+	s, err := ev.planSource(b)
 	if err != nil {
 		return nil, err
 	}
-	exprs := make([]qgm.Expr, len(b.Cols))
+	kernels := make([]vecKernel, len(b.Cols))
 	for i, c := range b.Cols {
-		if exprs[i] = c.Expr; c.Expr == nil && reason == "" {
-			reason = declBeyondChild // cols reads nil as "no expression"; a SELECT has none such
-		}
-	}
-	var cols []srcCol
-	if reason == "" {
-		cols, reason = s.cols(exprs)
-	}
-	if reason != "" {
-		ev.decline(reason)
-		return nil, nil
+		kernels[i] = s.compile(c.Expr)
 	}
 	if err := s.open(); err != nil {
 		return nil, err
@@ -777,7 +736,7 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
 	workers := ev.workersFor(s.total)
 	parts := make([][]*storage.Chunk, max(workers, 1))
 	err = ev.parallelChunks(len(s.chunks), workers, func(w, lo, hi int, chg *charger) error {
-		sw := s.worker()
+		sw, vecs := s.worker(), make([]*sqltypes.Vec, len(kernels))
 		for _, c := range s.chunks[lo:hi] {
 			n, err := sw.next(c, chg)
 			if err != nil {
@@ -789,13 +748,18 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
 			if err := chg.checkpoint(n); err != nil {
 				return err
 			}
-			out := make([]sqltypes.Vec, len(cols))
-			for i := range cols {
-				v, err := sw.eval(&cols[i])
-				if err != nil {
+			for i, k := range kernels {
+				if vecs[i], err = k(sw.cur); err != nil {
 					return err
 				}
-				out[i] = sw.cs.emit(v)
+			}
+			out := make([]sqltypes.Vec, len(kernels))
+			for i, v := range vecs {
+				if j := slices.Index(vecs[:i], v); j >= 0 {
+					out[i] = out[j] // one joined column, output twice
+				} else {
+					out[i] = sw.cur.emit(v)
+				}
 			}
 			parts[w] = append(parts[w], storage.NewChunk(n, out))
 		}
@@ -814,6 +778,5 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
 		rel = &relation{n: len(rows), rows: rows}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
-	ev.usedVector = true
 	return rel, nil
 }

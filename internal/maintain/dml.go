@@ -20,6 +20,7 @@
 package maintain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -333,7 +334,7 @@ func (m *Maintainer) prepareMerge(d *storage.Store, p *Plan, site string, sides 
 		if only == nil {
 			continue
 		}
-		out, err := m.run(exec.NewEngine(only), p.AST.Graph)
+		out, err := exec.NewEngine(only).RunChunks(context.TODO(), p.AST.Graph, exec.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("maintain: delta eval: %w", err)
 		}
@@ -398,7 +399,7 @@ func (m *Maintainer) scopedRecompute(d *storage.Store, p *Plan, keys [][]sqltype
 	if err := qgmcheck.Structural(clone); err != nil {
 		return nil, fmt.Errorf("maintain: scoped plan failed verification: %w", err)
 	}
-	out, err := m.run(m.engine(d), clone)
+	out, err := m.engine(d).RunChunks(context.TODO(), clone, exec.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("maintain: scoped recompute: %w", err)
 	}

@@ -467,18 +467,5 @@ func (m *Maintainer) evalDefinition(d *storage.Store, p *Plan, site string) (out
 	if err := faultinject.Hit(site); err != nil {
 		return nil, err
 	}
-	return m.run(m.engine(d), p.AST.Graph)
-}
-
-// run evaluates one maintenance graph — a definition, a delta over a pin with
-// one table replaced, a scoped recompute. A box of it that the chunk pipeline
-// declines runs on the executor's serial reference path, whose speed nothing
-// measures, so it is counted: the delta engine has no observer of its own to
-// say so.
-func (m *Maintainer) run(eng *exec.Engine, g *qgm.Graph) (*exec.Output, error) {
-	out, err := eng.RunChunks(context.TODO(), g, exec.Config{}) // the maintainer's signatures carry no context
-	if err == nil && len(out.Declined) > 0 {
-		m.obsv.Add("maintain.exec.declined", int64(len(out.Declined)))
-	}
-	return out, err
+	return m.engine(d).RunChunks(context.TODO(), p.AST.Graph, exec.Config{}) // the maintainer's signatures carry no context
 }

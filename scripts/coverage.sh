@@ -75,7 +75,7 @@ repro/internal/advisor 5
 repro/internal/bench 4
 repro/internal/catalog 13
 repro/internal/core 11
-repro/internal/exec 128
+repro/internal/exec 123
 repro/internal/faultinject 1
 repro/internal/lint 37
 repro/internal/maintain 30
