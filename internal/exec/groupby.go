@@ -100,7 +100,7 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 			for i, pos := range gs {
 				key[i] = groupVals[pos]
 			}
-			ord[0] = uint32(tables[si].find(key[:len(gs)]))
+			ord[0] = tables[si].find(key[:len(gs)], true)
 			for ai := range accums {
 				if err := accums[ai].fold(tables[si], ai, 0, ord[:], len(gs) == 0, hash[:]); err != nil {
 					return nil, err

@@ -71,7 +71,7 @@ func newGroupTable(nKeys int, specs []aggSpec) *groupTable {
 		}
 	}
 	if nKeys == 0 {
-		t.find(nil) // the empty grouping set has its one group whatever the input
+		t.find(nil, true) // the empty grouping set has its one group whatever the input
 	}
 	return t
 }
@@ -402,8 +402,8 @@ type rowKey struct {
 }
 
 // find is findBatch for one row: the ordinal of the group with these key
-// values, added when it is new.
-func (t *groupTable) find(key []sqltypes.Value) int {
+// values.
+func (t *groupTable) find(key []sqltypes.Value, insert bool) uint32 {
 	if t.row == nil {
 		t.row = &rowKey{keys: make([]keyCol, len(key)), vecs: make([]sqltypes.Vec, len(key)), set: allInts(len(key))}
 	}
@@ -412,8 +412,8 @@ func (t *groupTable) find(key []sqltypes.Value) int {
 		r.vecs[c].RefillGeneric(1)[0] = v
 		r.keys[c].load(&r.vecs[c], 0, 1)
 	}
-	t.findBatch(r.keys, r.set, r.hash[:], r.ord[:], true)
-	return int(r.ord[0])
+	t.findBatch(r.keys, r.set, r.hash[:], r.ord[:], insert)
+	return r.ord[0]
 }
 
 // rehash doubles the index and re-seats every ordinal from its stored hash.

@@ -30,13 +30,13 @@ func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 		return []sqltypes.Value{sqltypes.NewString(fmt.Sprintf("k%05d", i)), sqltypes.NewInt(int64(i % 3))}
 	}
 	for i := 0; i < n; i++ {
-		if g := tab.find(key(i)); g != i || tab.n != i+1 {
+		if g := int(tab.find(key(i), true)); g != i || tab.n != i+1 {
 			t.Fatalf("insert %d: ordinal %d, len %d", i, g, tab.n)
 		}
 		tab.aggs.at(i)[1] = int64(i)
 	}
 	for i := n - 1; i >= 0; i-- {
-		if g := tab.find(key(i)); g != i || tab.n != n {
+		if g := int(tab.find(key(i), true)); g != i || tab.n != n {
 			t.Fatalf("lookup %d: ordinal %d, len %d", i, g, tab.n)
 		}
 		if got := keyValues(tab, i); got[0].Str() != key(i)[0].Str() || got[1].Int() != int64(i%3) {
@@ -56,7 +56,7 @@ func TestGroupTableMergeKeepsFirstAppearance(t *testing.T) {
 	fill := func(keys ...sqltypes.Value) *groupTable {
 		tab := newGroupTable(1, countStars)
 		for _, k := range keys {
-			tab.aggs.at(tab.find([]sqltypes.Value{k}))[0]++
+			tab.aggs.at(int(tab.find([]sqltypes.Value{k}, true)))[0]++
 		}
 		return tab
 	}
@@ -246,7 +246,7 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 					r.count[want]++
 					tab.aggs.at(want)[0]++
 					if di%37 == 0 {
-						if one := tab.find(rowKey(gs, di)); one != want {
+						if one := int(tab.find(rowKey(gs, di), true)); one != want {
 							t.Fatalf("trial %d set %v %v: one-row find %d, batch %d", trial, gs, key, one, want)
 						}
 					}
@@ -527,7 +527,7 @@ func FuzzGroupTable(f *testing.F) {
 				}
 				for di := lo; di < hi; di++ {
 					row.RefillGeneric(1)[0] = arg.Value(di)
-					got[0] = uint32(tab.find(key(di)))
+					got[0] = tab.find(key(di), true)
 					for ai := range specs {
 						accums[ai].bind(&specs[ai], &row)
 						if err := accums[ai].fold(tab, ai, 0, got[:1], nCols == 0, hash[:1]); err != nil {
@@ -601,7 +601,7 @@ func buildGroups(t testing.TB, nk int, sets [][]int, specs []aggSpec, rows [][]s
 			for i, pos := range gs {
 				key[i] = r[pos]
 			}
-			ord[0] = uint32(tabs[si].find(key))
+			ord[0] = tabs[si].find(key, true)
 			for ai := range specs {
 				a.bind(&specs[ai], &arg)
 				if err := a.fold(tabs[si], ai, 0, ord[:], len(gs) == 0, hash[:]); err != nil {

@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // buildTestGraph compiles SQL over the star-schema fixture (exec_test.go).
@@ -137,8 +139,8 @@ func (c *countdownCtx) Err() error { return context.Canceled }
 
 // TestCancelMidProbe: a context canceled while the probe is half way through
 // the fact chunks surfaces as ErrCanceled. The serial run polls the context a
-// fixed number of times, nearly all of them from the per-chunk loop, so the
-// middle poll is mid-probe.
+// fixed number of times, nearly all of them from the probe as it charges its
+// tuples, so the middle poll is mid-probe.
 func TestCancelMidProbe(t *testing.T) {
 	e, g, _ := joinFixture(t)
 	closed := make(chan struct{})
@@ -148,7 +150,7 @@ func TestCancelMidProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dry.polls < 24 {
-		t.Fatalf("only %d polls: the per-chunk loop is not polling", dry.polls)
+		t.Fatalf("only %d polls: the probe is not polling", dry.polls)
 	}
 	ctx := &countdownCtx{Context: context.Background(), cancelAt: dry.polls / 2, closed: closed}
 	_, err := e.RunCtx(ctx, g, Config{Parallelism: 1})
@@ -157,6 +159,88 @@ func TestCancelMidProbe(t *testing.T) {
 	}
 	if ctx.polls != ctx.cancelAt {
 		t.Fatalf("run went on for %d polls after the one that canceled it", ctx.polls-ctx.cancelAt)
+	}
+}
+
+// TestCrossJoinChargedAsBuilt: a cross join's tuples are charged as the probe
+// builds them, a run of the dimension's rows at a time, so MaxRows trips and a
+// cancellation is seen within one fact row's tuples, not a chunk's (ChunkRows
+// times the dimension's rows).
+func TestCrossJoinChargedAsBuilt(t *testing.T) {
+	cat, store, e := fixture(t, 2*storage.ChunkRows)
+	n := store.MustTable("trans").Cardinality()
+	build := func(sql string) *qgm.Graph {
+		g, err := qgm.BuildSQL(sql, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	cross := build(`select a.tid as t1, b.tid as t2 from trans a, trans b`)
+	for _, par := range []int{1, 2} {
+		ev := testEvaluator(store, nil)
+		ev.par, ev.bud.maxRows = par, int64(3*n)
+		if _, err := ev.evalBox(cross.Root); !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("parallelism %d: want ErrBudgetExceeded, got %v", par, err)
+		}
+		// Each worker overshoots by at most one run and one batch.
+		if used, most := ev.bud.used.Load(), int64(3*n+par*(n+chargeBatch)); used > most {
+			t.Fatalf("parallelism %d: %d rows charged before a budget of %d tripped, more than %d", par, used, 3*n, most)
+		}
+	}
+
+	closed := make(chan struct{})
+	close(closed)
+	count := build(`select count(*) as c from trans a, trans b`)
+	dry := &countdownCtx{Context: context.Background(), closed: closed}
+	if _, err := e.RunCtx(dry, count, Config{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if dry.polls < n {
+		t.Fatalf("%d polls over %d tuples: the probe polls less than once per fact row", dry.polls, n*n)
+	}
+	ctx := &countdownCtx{Context: context.Background(), cancelAt: dry.polls / 2, closed: closed}
+	if _, err := e.RunCtx(ctx, count, Config{Parallelism: 1}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if ctx.polls != ctx.cancelAt {
+		t.Fatalf("run went on for %d polls after the one that canceled it", ctx.polls-ctx.cancelAt)
+	}
+}
+
+// TestSnowflakeChargedAsJoined: a dimension tied only to another dimension
+// (cust, through acct) is probed on that tie, so the probe charges the joined
+// tuples, not every fact row paired with every customer. The row path charges
+// the same scans, tuples and output rows, and besides them the bindings of its
+// first join step (trans with acct), which the probe never builds.
+func TestSnowflakeChargedAsJoined(t *testing.T) {
+	cat := catalog.New()
+	workload.Schema(cat)
+	store := storage.NewStore()
+	workload.Load(cat, store, workload.StarConfig{NumTrans: 2000, NumAccts: 40, NumCusts: 400, Seed: 42})
+	g, err := qgm.BuildSQL(`select tid, cname from trans, acct, cust where faid = aid and acid = cid`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := func(interpret bool) (int, int64) {
+		ev := testEvaluator(store, nil)
+		ev.interpret = interpret
+		rel, err := ev.evalBox(g.Root)
+		if err == nil {
+			err = ev.chg.flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.n, ev.bud.used.Load()
+	}
+	n, pipe := charged(false)
+	rn, row := charged(true)
+	if n != 2000 || rn != n {
+		t.Fatalf("%d tuples on the pipeline, %d on the row path, want every transaction once", n, rn)
+	}
+	if pipe != row-int64(n) {
+		t.Fatalf("the pipeline charged %d rows, the row path %d: want the row path's less its %d first-step bindings", pipe, row, n)
 	}
 }
 

@@ -1012,7 +1012,7 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	}
 	// Join SELECTs, every one on the star probe: NULL keys on both sides and
 	// duplicate dimension keys (fk = dk), two dimensions with a two-column key
-	// (odometer order: fact-row major, d outer, e inner), an empty dimension,
+	// (tuple order: fact-row major, d outer, e inner), an empty dimension,
 	// a dimension that is a GROUP BY, the small table first in FROM, DISTINCT,
 	// a scalar subquery in the output list, fact-local and dimension-local
 	// predicates together. Then the probe's key classes: an int fact key
@@ -1044,7 +1044,10 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	// order, and the other way round, where the row path joins d before e), a
 	// constant predicate, an output and an aggregate argument over two
 	// operands, an output that fails on the dimension rows a dimension-local
-	// predicate drops, and a joined column emitted twice.
+	// predicate drops, and a joined column emitted twice. Then dimensions keyed
+	// on an earlier dimension (a snowflake): last, with a thousand rows under
+	// one key; a chain of three, the middle one filtered; on an expression; on
+	// a dimension no equality ties to the fact; under a GROUP BY.
 	residualQueries := []string{
 		"select v, nm from f, d where v < 5",
 		"select nm, count(*) as c, sum(v) as sv from f, d group by nm",
@@ -1056,6 +1059,11 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 		"select nm, sum(v + dk) as x from f, d where fk = dk group by nm",
 		"select v, 10 / (dk - 3) as q from f, d where fk = dk and dk <> 3",
 		"select nm, v, nm as again from f, d where fk = dk and v < 50", // one joined column emitted twice
+		"select v, nm, un from f, d, dup where fk = dk and dk = uk",
+		"select v, un, w from f, d, dup, e where fk = dk and uk = dk and ek = uk and un < 5",
+		"select v, w from f, d, e where fk = dk and ek = dk + 1",
+		"select nm, w from f, d, e where ek = dk and v < 3",
+		"select nm, count(*) as c, sum(w) as sw from f, d, e where fk = dk and dk = ek group by nm",
 	}
 	for trial := 0; trial < 12; trial++ {
 		cat, store := randomTable(rng, 50+rng.Intn(1500))
@@ -1229,11 +1237,15 @@ func TestJoinSelectErrorParity(t *testing.T) {
 // The first three rows are box shapes qgm.Build never emits — a column
 // reference bound to no quantifier, a GROUP BY over two children, a GROUP BY
 // output column neither grouped nor aggregated — so they edit a built graph
-// into the shape. The last two pin the one place the two differ (DESIGN.md
-// §13): the pipeline evaluates a dimension-local predicate on every row of
-// the dimension while hashing it, so it raises an error on a row no fact row
-// joins (dk = 7: the fact rows with fk = 7 are filtered out), which the row
-// path raises only when that table comes first in FROM.
+// into the shape. The next two pin one of the two places the two differ
+// (DESIGN.md §13): the pipeline evaluates a dimension-local predicate on every
+// row of the dimension while hashing it, so it raises an error on a row no
+// fact row joins (dk = 7: the fact rows with fk = 7 are filtered out), which the row
+// path raises only when that table comes first in FROM. The last row pins the
+// other place: a dimension keyed on an earlier one (e on d) is looked up from
+// every row of d that d's own predicates keep, so the key 10 / (dk - 7) fails
+// on a row of d that no fact row joins, where the row path evaluates it on
+// joined tuples only.
 func TestBoxErrorsAgainstTheInterpreter(t *testing.T) {
 	cat, store := starTables(rand.New(rand.NewSource(6)), 600)
 	groupByBox := func(g *qgm.Graph) *qgm.Box {
@@ -1259,6 +1271,7 @@ func TestBoxErrorsAgainstTheInterpreter(t *testing.T) {
 			edit: func(g *qgm.Graph) { groupByBox(g).Cols[1].Expr = qgm.NewConst(sqltypes.NewInt(1)) }},
 		{sql: "select v, nm from f, d where fk = dk and fk < 7 and 10 / (dk - 7) <> 0"},
 		{sql: "select v, nm from d, f where fk = dk and fk < 7 and 10 / (dk - 7) <> 0", interpreterFails: true},
+		{sql: "select v, w from f, d, e where fk = dk and fk < 7 and ek = 10 / (dk - 7) + 10"},
 	} {
 		g, err := qgm.BuildSQL(tc.sql, cat)
 		if err != nil {

@@ -94,7 +94,7 @@ func TestHavingMaterializesOnlySurvivors(t *testing.T) {
 			key := make([]sqltypes.Value, 1)
 			for k := 0; k < groups; k++ {
 				key[0] = sqltypes.NewInt(int64(k))
-				gt.find(key)
+				gt.find(key, true)
 			}
 		})
 		return bytes

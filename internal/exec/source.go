@@ -17,9 +17,11 @@ import (
 // narrows each with the predicates local to that quantifier. When the box
 // joins, the first quantifier is the fact side of a star join: every further
 // ForEach quantifier is a dimension, hashed at plan time on the equalities
-// that tie it to the fact (on the empty key, which every fact row finds, when
-// none does), its local predicates applied while hashing, and each chunk's
-// surviving fact rows probe those tables in batches. The tuples then become
+// that tie it to the fact, else on those that tie it to an earlier dimension
+// (a snowflake), else on the empty key, which every fact row finds; its local
+// predicates apply while hashing. Each chunk's surviving fact rows probe the
+// tables keyed on the fact in batches, and a dimension keyed on an earlier one
+// is looked up from that one's row in the tuple. The tuples then become
 // one joined chunk: the columns the box's other expressions read, gathered
 // through the tuples' fact and dimension rows. Those expressions are
 // rewritten onto its columns (onJoined), read as the fact quantifier's, so
@@ -182,14 +184,13 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 	s.joinOrder(b.Preds)
 
 	// Partition the predicates: fact-local ones become chunk filters,
-	// dimension-local ones apply while the dimension is hashed, a fact =
-	// dimension equality becomes a hash key, and every other one filters the
-	// joined chunk.
+	// dimension-local ones apply while the dimension is hashed, an equality
+	// between a dimension and an earlier operand may become a hash key (tie),
+	// and every other one filters the joined chunk.
 	nd := len(s.dimQs)
 	var factPreds, residual []qgm.Expr
 	dimPreds := make([][]qgm.Expr, nd)
-	factKeys := make([][]qgm.Expr, nd)
-	dimKeys := make([][]qgm.Expr, nd)
+	ties := make([][]tie, nd)
 	for _, p := range b.Preds {
 		switch src := s.classify(p); {
 		case src == srcBeyond:
@@ -200,12 +201,12 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 			factPreds = append(factPreds, p)
 		default:
 			if bin, isBin := p.(*qgm.Bin); isBin && bin.Op == "=" {
-				fk, dk := bin.L, bin.R
-				if s.classify(fk) >= 0 {
-					fk, dk = dk, fk
+				on, de := bin.L, bin.R
+				if s.classify(on) > s.classify(de) {
+					on, de = de, on
 				}
-				if k := s.classify(dk); s.classify(fk) == srcFact && k >= 0 {
-					factKeys[k], dimKeys[k] = append(factKeys[k], fk), append(dimKeys[k], dk)
+				if from, k := s.classify(on), s.classify(de); from >= srcFact && from < k {
+					ties[k] = append(ties[k], tie{from: from, on: on, dim: de, pred: p})
 					continue
 				}
 			}
@@ -220,61 +221,55 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 	}
 
 	// Build each dimension from its evaluated relation (memoized, charged as
-	// on the row path), reading its rows through one buffer. Its local
+	// on the row path), reading its rows through one buffer. It is keyed on
+	// its ties to the fact, else on those to the earlier dimension of its
+	// first tie; its other ties filter the joined chunk. Its local
 	// predicates and keys are evaluated on every row of it, joined or not.
 	s.dims = make([]starDim, nd)
+	member := make([][]uint32, nd) // per dimension, per row: the ordinal of its key, noGroup when it is not in the table
 	for k, dq := range s.dimQs {
 		rel, err := ev.evalBox(dq.Box)
 		if err != nil {
 			return nil, err
 		}
-		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), set: allInts(len(dimKeys[k])), table: newGroupTable(len(dimKeys[k]), nil)}
-		ctx := &exprCtx{scalars: scalars}
-		ctx.setSlot(dq.ID, 0)
-		for _, e := range factKeys[k] {
-			sd.keyKs = append(sd.keyKs, s.vc.compileScalar(e))
+		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), via: srcFact}
+		if len(ties[k]) > 0 && !slices.ContainsFunc(ties[k], func(t tie) bool { return t.from == srcFact }) {
+			sd.via = ties[k][0].from
 		}
-		bd := make(binding, 1)
-		key := make([]sqltypes.Value, len(dimKeys[k]))
-		ords := make([]int32, rel.n) // per row: the ordinal of its key, -1 when it is not in the table
-		err = storage.EachRow(sd.chunks, func(ri int, r []sqltypes.Value) error {
-			bd[0], ords[ri] = r, -1
-			for _, p := range dimPreds[k] {
-				if tv, err := ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
-					return err
-				}
+		var on, keys []qgm.Expr
+		for _, t := range ties[k] {
+			if t.from != sd.via {
+				residual = append(residual, t.pred)
+				continue
 			}
-			for i, e := range dimKeys[k] {
-				var err error
-				if key[i], err = ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
-					return err // NULL join keys never match
-				}
+			on, keys = append(on, t.on), append(keys, t.dim)
+			if sd.via == srcFact {
+				sd.keyKs = append(sd.keyKs, s.vc.compileScalar(t.on))
 			}
-			ords[ri] = int32(sd.table.find(key))
-			return nil
-		})
+		}
+		sd.set, sd.table = allInts(len(keys)), newGroupTable(len(keys), nil)
+		ords, err := keyOrds(sd.table, true, sd.chunks, dq.ID, scalars, dimPreds[k], keys, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Counting sort by ordinal: list[offsets[g]:offsets[g+1]] are the rows
-		// of key g, in row order.
-		sd.offsets = make([]int32, sd.table.n+2)
-		for _, g := range ords {
-			if g >= 0 {
-				sd.offsets[g+2]++
+		// Each key's rows, in row order: a chain from head[g] through next.
+		sd.head, sd.next = make([]int32, sd.table.n), make([]int32, len(ords))
+		for g := range sd.head {
+			sd.head[g] = -1
+		}
+		for ri := len(ords) - 1; ri >= 0; ri-- {
+			if g := ords[ri]; g != noGroup {
+				sd.next[ri], sd.head[g] = sd.head[g], int32(ri)
 			}
 		}
-		for g := 2; g < len(sd.offsets); g++ {
-			sd.offsets[g] += sd.offsets[g-1]
-		}
-		sd.list = make([]int32, sd.offsets[len(sd.offsets)-1])
-		for ri, g := range ords {
-			if g >= 0 {
-				sd.list[sd.offsets[g+1]] = int32(ri)
-				sd.offsets[g+1]++
+		if j := sd.via; j >= 0 {
+			// Keyed on dimension j: per row of j that can join, the ordinal of
+			// its key here.
+			if sd.viaOrd, err = keyOrds(sd.table, false, s.dims[j].chunks, s.dimQs[j].ID, scalars, nil, on, member[j]); err != nil {
+				return nil, err
 			}
 		}
-		s.dims[k] = sd
+		s.dims[k], member[k] = sd, ords
 	}
 	s.filters = make([]vecFilter, len(factPreds))
 	for i, p := range factPreds {
@@ -284,6 +279,44 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 		s.residual = append(s.residual, s.vc.compileFilter(s.onJoined(p)))
 	}
 	return s, nil
+}
+
+// tie is an equality between an expression over dimension k alone (dim) and
+// one over an earlier operand alone (on): the fact (from = srcFact) or
+// dimension from < k.
+type tie struct {
+	from          int
+	on, dim, pred qgm.Expr
+}
+
+// keyOrds returns, per row of chunks (the rows of quantifier qid), the
+// ordinal in t of its values of keys, found or, with insert, added. It is
+// noGroup for a row with a NULL key (which never joins), one that a predicate
+// of preds does not hold on, or one whose in is noGroup, when in is set.
+func keyOrds(t *groupTable, insert bool, chunks []*storage.Chunk, qid int, scalars map[int]sqltypes.Value, preds, keys []qgm.Expr, in []uint32) ([]uint32, error) {
+	ctx := &exprCtx{scalars: scalars}
+	ctx.setSlot(qid, 0)
+	var ords []uint32
+	bd, key := make(binding, 1), make([]sqltypes.Value, len(keys))
+	err := storage.EachRow(chunks, func(ri int, r []sqltypes.Value) error {
+		if bd[0], ords = r, append(ords, noGroup); in != nil && in[ri] == noGroup {
+			return nil
+		}
+		for _, p := range preds {
+			if tv, err := ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
+				return err
+			}
+		}
+		for i, e := range keys {
+			var err error
+			if key[i], err = ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
+				return err
+			}
+		}
+		ords[ri] = t.find(key, insert)
+		return nil
+	})
+	return ords, err
 }
 
 // compile lowers a sink expression to a kernel over the tuples the worker
@@ -380,21 +413,37 @@ func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []
 	return nil
 }
 
-// starDim is one dimension of a join: its chunks, the
-// fact-side key kernels (evaluated per chunk) and a groupTable of its distinct
-// keys, with each key's rows as a CSR list: list[offsets[g]:offsets[g+1]] are
-// the row numbers of the key with ordinal g, in row order. Rows failing the
-// dimension's local predicates or carrying a NULL key are absent, so a NULL
-// fact key finds nothing (NULL join keys never match, as in hashJoin). A
-// dimension with no key has one, the empty one, which every fact row finds.
-// Read-only once built: workers probe it concurrently.
+// starDim is one dimension of a join: its chunks, what it is keyed on — the
+// fact (via = srcFact), whose key kernels are evaluated per chunk, or an
+// earlier dimension via, whose row r finds key ordinal viaOrd[r] — and a
+// groupTable of its distinct keys, with each key's rows chained in row order:
+// head[g] is the first row of the key with ordinal g, next[r] the one after
+// row r, -1 after the last. Rows failing the dimension's local predicates or
+// carrying a NULL key are in no chain, so a NULL key finds nothing (NULL join
+// keys never match, as in hashJoin). A dimension with no key has one, the
+// empty one, which every fact row finds. Read-only once built: workers probe
+// it concurrently.
 type starDim struct {
-	chunks  []*storage.Chunk
-	keyKs   []vecKernel
-	set     []int // all the key columns, in order
-	table   *groupTable
-	offsets []int32
-	list    []int32
+	chunks     []*storage.Chunk
+	via        int
+	keyKs      []vecKernel
+	viaOrd     []uint32
+	set        []int // all the key columns, in order
+	table      *groupTable
+	head, next []int32
+}
+
+// first returns the first row of d that joins fact row i of the strip, whose
+// key ordinals are ords, or, when d is keyed on an earlier dimension, that
+// one's current row (row[d.via]); -1 when none does.
+func (d *starDim) first(ords []uint32, i int, row []int32) int32 {
+	if d.via >= 0 {
+		ords, i = d.viaOrd, int(row[d.via])
+	}
+	if ords[i] == noGroup {
+		return -1
+	}
+	return d.head[ords[i]]
 }
 
 // column returns column c of the dimension over all its rows, indexed by row
@@ -440,8 +489,8 @@ type srcWorker struct {
 	jv       []sqltypes.Vec    // the joined chunk's gathered columns
 	kv       [][]*sqltypes.Vec // per dim: fact key vectors for the current chunk
 	ords     [][]uint32        // per dim, per fact row of the strip: ordinal of the matching dimension key
-	match    [][]int32         // per dim: matched dim rows for the current fact row
-	ctr      []int             // odometer counters
+	row      []int32           // per dim: its current row
+	at       []int32           // per dim: its next row that joins the fact row and the earlier dims' rows, -1: none
 	fdi      []int32           // per tuple: its fact row
 	ddi      [][]int32         // per dim, per tuple: dim row number
 	expanded bool              // some fact row matched more than once
@@ -457,7 +506,9 @@ func (s *source) worker() *srcWorker {
 // residual predicates. A sink's kernels never run on a row a filter or the
 // join removed. Tuple order is the row path's join order: fact-row major,
 // earlier dimensions outer, the last dimension varying fastest. Join output is
-// charged to the budget here, one per tuple the probe yields.
+// charged to the budget as it is built, one per tuple, a run of the last
+// dimension's rows at a time, so a cross join trips MaxRows or a cancellation
+// within one fact row's tuples.
 func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 	s, cs := w.s, w.cs
 	nd := len(s.dims)
@@ -467,7 +518,7 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 	if w.js == nil {
 		w.js = &chunkState{cols: make([]*sqltypes.Vec, len(s.jcols)), vecs: make([]*sqltypes.Vec, s.vc.slots)}
 		w.jv, w.cur = make([]sqltypes.Vec, len(s.jcols)), w.js
-		w.kv, w.ords, w.match, w.ctr, w.ddi = make([][]*sqltypes.Vec, nd), make([][]uint32, nd), make([][]int32, nd), make([]int, nd), make([][]int32, nd)
+		w.kv, w.ords, w.row, w.at, w.ddi = make([][]*sqltypes.Vec, nd), make([][]uint32, nd), make([]int32, nd), make([]int32, nd), make([][]int32, nd)
 		for k := range s.dims {
 			w.kv[k] = make([]*sqltypes.Vec, len(s.dims[k].keyKs))
 			cs.keyCols(len(w.kv[k]))
@@ -487,45 +538,62 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 		w.ddi[k] = w.ddi[k][:0]
 	}
 	var hash [stripRows]uint64 // findBatch's scratch stays on this stack
+	last := nd - 1
 	for lo, n := 0, cs.n(); lo < n; lo += stripRows {
 		// A strip of fact rows at a time, one lookup-only batch call per
-		// dimension turns the fact keys into dimension key ordinals.
+		// dimension keyed on the fact turns the fact keys into dimension key
+		// ordinals.
 		m := min(stripRows, n-lo)
 		for k := range s.dims {
-			for j, v := range w.kv[k] {
-				cs.keys[j].load(v, lo, m)
+			if s.dims[k].via == srcFact {
+				for j, v := range w.kv[k] {
+					cs.keys[j].load(v, lo, m)
+				}
+				w.ords[k] = resize(w.ords[k], m)
+				s.dims[k].table.findBatch(cs.keys, s.dims[k].set, hash[:m], w.ords[k], false)
 			}
-			w.ords[k] = resize(w.ords[k], m)
-			s.dims[k].table.findBatch(cs.keys, s.dims[k].set, hash[:m], w.ords[k], false)
 		}
 	facts:
 		for i := 0; i < m; i++ {
 			for k := range s.dims {
-				g := w.ords[k][i]
-				if g == noGroup {
+				if s.dims[k].via == srcFact && w.ords[k][i] == noGroup {
 					continue facts
 				}
-				w.match[k] = s.dims[k].list[s.dims[k].offsets[g]:s.dims[k].offsets[g+1]]
 			}
+			// Depth first over the dimensions: each steps through its rows
+			// that join, and the last one's become tuples, charged a run at a
+			// time.
 			ri, first := int32(cs.rowIdx(lo+i)), len(w.fdi)
-			clear(w.ctr)
+			w.at[0] = s.dims[0].first(w.ords[0], i, w.row)
 			for k := 0; k >= 0; {
-				w.fdi = append(w.fdi, ri)
-				for k = 0; k < nd; k++ {
-					w.ddi[k] = append(w.ddi[k], w.match[k][w.ctr[k]])
-				}
-				for k = nd - 1; k >= 0; k-- {
-					if w.ctr[k]++; w.ctr[k] < len(w.match[k]) {
-						break
+				d := &s.dims[k]
+				switch r := w.at[k]; {
+				case r < 0:
+					k--
+				case k < last:
+					w.row[k], w.at[k] = r, d.next[r]
+					k++
+					w.at[k] = s.dims[k].first(w.ords[k], i, w.row)
+				default:
+					run := len(w.fdi)
+					for ; r >= 0; r = d.next[r] {
+						w.fdi = append(w.fdi, ri)
+						for j := range k {
+							w.ddi[j] = append(w.ddi[j], w.row[j])
+						}
+						w.ddi[k] = append(w.ddi[k], r)
 					}
-					w.ctr[k] = 0
+					if err := chg.checkpoint(len(w.fdi) - run); err != nil {
+						return 0, err
+					}
+					k--
 				}
 			}
 			w.expanded = w.expanded || len(w.fdi)-first > 1
 		}
 	}
-	if err := chg.checkpoint(len(w.fdi)); err != nil || len(w.fdi) == 0 {
-		return 0, err
+	if len(w.fdi) == 0 {
+		return 0, nil
 	}
 	return w.gather()
 }

@@ -581,7 +581,7 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 				key[j] = c.Peek()
 			}
 		}
-		table.find(key)
+		table.find(key, true)
 	}
 	kernels := make([]vecKernel, nk)
 	for j, e := range exprs {
