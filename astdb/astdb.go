@@ -32,7 +32,6 @@ import (
 	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/qgm"
-	"repro/internal/qgmcheck"
 	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -66,9 +65,6 @@ type Engine struct {
 	obsv  *obs.Observer
 	cfg   exec.Config
 	cache *core.PlanCache // nil = plan caching disabled
-
-	// verifyPlans checks every parsed graph with qgmcheck (WithVerifyPlans).
-	verifyPlans bool
 
 	// set is the one record of which summary tables exist: every reader and
 	// every name check reads it (view), with one atomic load, and only
@@ -112,11 +108,10 @@ func (e *Engine) register(asts ...*core.CompiledAST) {
 
 // settings accumulates functional options.
 type settings struct {
-	cfg         exec.Config
-	cacheCap    int // 0 = default size, <0 = disabled
-	obsv        *obs.Observer
-	coreOpts    core.Options
-	verifyPlans bool
+	cfg      exec.Config
+	cacheCap int // 0 = default size, <0 = disabled
+	obsv     *obs.Observer
+	coreOpts core.Options
 }
 
 // Option configures Open and Wrap.
@@ -139,21 +134,6 @@ func WithObserver(o *obs.Observer) Option { return func(c *settings) { c.obsv = 
 // ones are never used). Open only; Wrap keeps the passed rewriter's options.
 func WithAllowStale(allow bool) Option {
 	return func(c *settings) { c.coreOpts.AllowStale = allow }
-}
-
-// WithVerifyPlans turns on static plan verification (internal/qgmcheck) at
-// both engine seams: every parsed query graph is checked post-build (a
-// failing build is an engine bug and surfaces as an error), and the rewriter
-// runs the deep semantic checker over every accepted rewrite (a failing
-// rewrite is discarded and the query degrades to the base plan). Default off:
-// the deep checker allocates per plan, and the zero-overhead observability
-// contract holds only without it. Open only; Wrap keeps the passed rewriter's
-// options, but the post-parse seam still applies.
-func WithVerifyPlans(on bool) Option {
-	return func(c *settings) {
-		c.coreOpts.VerifyPlans = on
-		c.verifyPlans = on
-	}
 }
 
 // Open builds a fresh pipeline over the catalog, with an empty store and no
@@ -190,8 +170,6 @@ func assemble(cat *catalog.Catalog, store *storage.Store, rw *core.Rewriter, c s
 		cfg:   c.cfg,
 
 		writer: make(chan struct{}, 1),
-
-		verifyPlans: c.verifyPlans,
 	}
 	if c.cacheCap >= 0 {
 		e.cache = core.NewPlanCache(c.cacheCap)
@@ -424,21 +402,13 @@ func (e *Engine) Execute(ctx context.Context, g *qgm.Graph) (*exec.Result, error
 }
 
 // parse builds a graph from SQL under a "parse" child span, classifying
-// failures under the typed error surface (ErrParse / ErrUnknownTable). With
-// WithVerifyPlans, the built graph is additionally run through the static
-// checker: a violation here means the builder produced an unsound graph, and
-// surfaces as an error rather than silently planning over it.
+// failures under the typed error surface (ErrParse / ErrUnknownTable).
 func (e *Engine) parse(span obs.Span, sql string) (*qgm.Graph, error) {
 	p := span.Child("parse")
 	g, err := qgm.BuildSQL(sql, e.cat)
 	p.End()
 	if err != nil {
 		return nil, compileError(err)
-	}
-	if e.verifyPlans {
-		if verr := qgmcheck.AsError(qgmcheck.Check(g)); verr != nil {
-			return nil, fmt.Errorf("astdb: built graph failed verification: %w", verr)
-		}
 	}
 	return g, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/maintain"
 	"repro/internal/parser"
 	"repro/internal/qgm"
-	"repro/internal/qgmcheck"
 	"repro/internal/sqltypes"
 )
 
@@ -119,11 +118,6 @@ func (e *Engine) compileDML(set astSet, stmt parser.Statement) (*qgm.DML, error)
 	dml, err := build()
 	if err != nil {
 		return nil, compileError(err)
-	}
-	if e.verifyPlans {
-		if verr := qgmcheck.AsError(qgmcheck.CheckDML(dml)); verr != nil {
-			return nil, fmt.Errorf("astdb: built %v failed verification: %w", dml.Kind, verr)
-		}
 	}
 	return dml, nil
 }

@@ -64,10 +64,10 @@ func TestForeignKeyProvesExtraJoinLossless(t *testing.T) {
 	}
 }
 
-// TestAllowStaleServesStaleNeverQuarantined: after one failed refresh a
-// summary table is stale and serves only an engine opened WithAllowStale;
-// after a second, with the threshold at two, it is quarantined and serves no
-// engine.
+// TestAllowStaleServesStaleNeverQuarantined: after one or two failed
+// refreshes a summary table is stale and serves only an engine opened
+// WithAllowStale; after a third, the quarantine threshold, it is quarantined
+// and serves no engine.
 func TestAllowStaleServesStaleNeverQuarantined(t *testing.T) {
 	faultinject.Enable(1)
 	defer faultinject.Disable()
@@ -77,7 +77,6 @@ func TestAllowStaleServesStaleNeverQuarantined(t *testing.T) {
 	sites := []string{"maintain.incremental:byregion", "maintain.full:byregion"}
 	for _, allow := range []bool{false, true} {
 		db := openTinyDB(t, astdb.WithAllowStale(allow))
-		db.Catalog().SetQuarantineThreshold(2)
 		if _, _, err := db.CreateSummaryTable(ctx, "byregion",
 			"select region, sum(amount) as total, count(*) as cnt from sales group by region"); err != nil {
 			t.Fatal(err)
@@ -88,12 +87,12 @@ func TestAllowStaleServesStaleNeverQuarantined(t *testing.T) {
 		for _, s := range sites {
 			faultinject.Set(s, faultinject.Err(s))
 		}
-		for failures, want := range []bool{allow, false} {
+		for failures, want := range []bool{allow, allow, false} {
 			if _, err := db.Insert(ctx, "sales", row); err == nil {
 				t.Fatalf("allow %v: refresh %d did not fail", allow, failures+1)
 			}
 			st := db.Catalog().Status("byregion")
-			if !st.Stale || st.Quarantined != (failures == 1) {
+			if !st.Stale || st.Quarantined != (failures == catalog.DefaultQuarantineThreshold-1) {
 				t.Fatalf("allow %v, after %d failures: status %+v", allow, failures+1, st)
 			}
 			if _, asts := answer(t, db, query); slices.Equal(asts, []string{"byregion"}) != want {

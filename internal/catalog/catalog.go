@@ -13,7 +13,6 @@ import (
 	"maps"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/rcu"
@@ -115,9 +114,8 @@ type Catalog struct {
 	fks      []ForeignKey
 	fkEdges  []fkEdge // fks as table IDs, for the signature index
 
-	fresh           Freshness // nil until a store is attached: every AST fresh
-	quarantineAfter atomic.Int64
-	obsv            *obs.Observer // nil = observability disabled
+	fresh Freshness     // nil until a store is attached: every AST fresh
+	obsv  *obs.Observer // nil = observability disabled
 
 	// sigs mirrors each registered summary table's signature (signature.go),
 	// keyed by lowercased name. No serving path reads it: the rewriter prunes
@@ -223,12 +221,10 @@ const DefaultQuarantineThreshold = 3
 
 // New returns an empty catalog.
 func New() *Catalog {
-	c := &Catalog{
+	return &Catalog{
 		tables:   make(map[string]*Table),
 		tableIDs: make(map[string]int),
 	}
-	c.quarantineAfter.Store(DefaultQuarantineThreshold)
-	return c
 }
 
 // AddTable registers a table schema. It returns an error on duplicate names
@@ -419,15 +415,6 @@ type ASTStatus struct {
 // Not safe to call concurrently with status updates.
 func (c *Catalog) SetObserver(o *obs.Observer) { c.obsv = o }
 
-// SetQuarantineThreshold overrides the consecutive-failure count that trips
-// the circuit breaker. n <= 0 restores the default.
-func (c *Catalog) SetQuarantineThreshold(n int) {
-	if n <= 0 {
-		n = DefaultQuarantineThreshold
-	}
-	c.quarantineAfter.Store(int64(n))
-}
-
 // Status returns a copy of the AST's freshness state (zero value when the
 // AST was never refreshed or marked), from the current generation: one atomic
 // load, no lock.
@@ -455,7 +442,7 @@ func (c *Catalog) Stale(name string) Transition {
 func (c *Catalog) Failed(name string) Transition {
 	return c.change(name, "catalog.ast.refresh_failures", "catalog.refresh_failure", func(st *ASTStatus) {
 		st.Stale, st.Failures = true, st.Failures+1
-		if !st.Quarantined && int64(st.Failures) >= c.quarantineAfter.Load() {
+		if !st.Quarantined && st.Failures >= DefaultQuarantineThreshold {
 			st.Quarantined = true
 			c.obsv.Add("catalog.ast.quarantines", 1)
 			if c.obsv.Enabled() {

@@ -184,15 +184,14 @@ func TestASTStatusLifecycle(t *testing.T) {
 
 func TestQuarantineCircuitBreaker(t *testing.T) {
 	c := attached()
-	c.SetQuarantineThreshold(2)
-	for i := 0; i < 1; i++ {
+	for i := 1; i < DefaultQuarantineThreshold; i++ {
 		st := c.RecordRefreshFailure("q")
 		if st.Quarantined {
-			t.Fatalf("quarantined after %d failures (threshold 2)", i+1)
+			t.Fatalf("quarantined after %d failures (threshold %d)", i, DefaultQuarantineThreshold)
 		}
 	}
 	st := c.RecordRefreshFailure("q")
-	if !st.Quarantined || st.Failures != 2 || !st.Stale {
+	if !st.Quarantined || st.Failures != DefaultQuarantineThreshold || !st.Stale {
 		t.Fatalf("after threshold failures: %+v", st)
 	}
 	// Quarantine ignores AllowStale.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/maintain"
 	"repro/internal/qgm"
+	"repro/internal/qgmcheck"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -50,10 +51,6 @@ type chaosEnv struct {
 }
 
 func newChaosEnv(t testing.TB) *chaosEnv {
-	return newChaosEnvOpts(t, core.Options{})
-}
-
-func newChaosEnvOpts(t testing.TB, opts core.Options) *chaosEnv {
 	t.Helper()
 	cat := catalog.New()
 	workload.Schema(cat)
@@ -63,7 +60,7 @@ func newChaosEnvOpts(t testing.TB, opts core.Options) *chaosEnv {
 		cat:    cat,
 		store:  store,
 		engine: exec.NewEngine(store),
-		rw:     core.NewRewriter(cat, opts),
+		rw:     core.NewRewriter(cat, core.Options{}),
 		m:      maintain.New(store).WithCatalog(cat),
 	}
 	for _, def := range chaosASTs {
@@ -173,25 +170,33 @@ func TestControlRewritesHappen(t *testing.T) {
 	}
 }
 
-// TestControlUnderVerifyPlans repeats the control scenario with the deep
-// static checker (internal/qgmcheck) gating every accepted rewrite: the same
-// queries must still be served from the summary tables (sound plans pass
-// verification), with identical answers and no recorded degradations.
+// TestControlUnderVerifyPlans repeats the control scenario and runs the deep
+// static checker (internal/qgmcheck, with the summary tables' definitions)
+// over every served plan: the same queries must still be served from the
+// summary tables, every served plan must pass the checker, and no
+// degradation may be recorded.
 func TestControlUnderVerifyPlans(t *testing.T) {
-	e := newChaosEnvOpts(t, core.Options{VerifyPlans: true})
+	e := newChaosEnv(t)
 	want := e.baselines(t)
 	answers := e.askAll(t, want, exec.Config{}, false)
+	ck := qgmcheck.Checker{ASTDefs: map[string]*qgm.Graph{}}
+	for _, ca := range e.asts {
+		ck.ASTDefs[ca.Def.Name] = ca.Graph
+	}
 	rewritten := 0
-	for _, a := range answers {
-		if a != nil && a.Rewrite != nil {
+	for i, a := range answers {
+		if a.Rewrite != nil {
 			rewritten++
+		}
+		if vs := ck.Check(a.Plan); len(vs) > 0 {
+			t.Errorf("served plan of %q is unsound: %v", chaosQueries[i], vs)
 		}
 	}
 	if rewritten < 3 {
 		t.Fatalf("only %d/%d queries used a summary table under verification", rewritten, len(chaosQueries))
 	}
 	if degs := e.rw.Degradations(); len(degs) != 0 {
-		t.Fatalf("verification degraded sound plans: %v", degs)
+		t.Fatalf("sound plans degraded: %v", degs)
 	}
 }
 

@@ -60,14 +60,6 @@ type Options struct {
 	// benchmarks; pruning is conservative, so results are identical either
 	// way.
 	NoPrune bool
-
-	// VerifyPlans runs the deep plan-soundness checker (internal/qgmcheck:
-	// type inference, compensation post-conditions, re-aggregation validity)
-	// over every accepted rewrite, in addition to the structural check that
-	// always gates rewrites. A failing plan is discarded and recorded as a
-	// degradation, never an error. Default false: the deep checker allocates
-	// per plan, and the rewrite hot paths stay allocation-free without it.
-	VerifyPlans bool
 }
 
 // Match records an established subsumption relationship between a query box

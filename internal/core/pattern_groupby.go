@@ -188,7 +188,6 @@ func (m *Matcher) cloneStackBox(b, oldChild, newChild *qgm.Box) *qgm.Box {
 		label = "GB"
 	}
 	clone := m.newCompBox(b.Kind, compLabel(label))
-	clone.Distinct = b.Distinct
 	clone.Regroup = b.Regroup
 	qNew := m.newQuant(qgm.ForEach, newChild, "")
 	clone.Quantifiers = []*qgm.Quantifier{qNew}

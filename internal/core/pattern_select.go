@@ -22,12 +22,6 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 	if len(a.pairs) == 0 {
 		return m.reject(e, r, "universal condition 1: no pair of children matches")
 	}
-	// DISTINCT: a duplicate-eliminating subsumer cannot serve a
-	// duplicate-preserving subsumee. The converse is fine — the compensation
-	// re-applies DISTINCT, which also makes rejoin multiplicity irrelevant.
-	if !e.Distinct && r.Distinct {
-		return m.reject(e, r, "subsumer is DISTINCT: duplicates the subsumee needs were eliminated")
-	}
 
 	// Classify child matches.
 	var gbPair *childPair
@@ -58,9 +52,6 @@ func (m *Matcher) matchSelect(e, r *qgm.Box) *Match {
 				return m.reject(e, r, "§4.2.4 requires no common joins besides the grouping-compensated child")
 			}
 		}
-	}
-	if e.Distinct && gbPair != nil {
-		return m.reject(e, r, "DISTINCT over pulled-up grouping stacks: out of scope")
 	}
 
 	// Condition 1 (§4.1.1): every extra join must be lossless.
@@ -256,7 +247,7 @@ func projectionOnly(mm *Match) bool {
 		return false
 	}
 	c := mm.Stack[0]
-	if c.Kind != qgm.SelectBox || len(c.Preds) > 0 || c.Distinct || len(c.Quantifiers) != 1 {
+	if c.Kind != qgm.SelectBox || len(c.Preds) > 0 || len(c.Quantifiers) != 1 {
 		return false
 	}
 	for _, col := range c.Cols {

@@ -62,13 +62,9 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 		}
 		c.Cols = append(c.Cols, qgm.QCL{Name: col.Name, Expr: dp})
 	}
-	c.Distinct = e.Distinct
 
-	// Exactness: empty compensation modulo projection (footnote 5). With
-	// DISTINCT, the subsumer must itself be DISTINCT and the projection must
-	// keep all subsumer columns, otherwise projecting could re-introduce
-	// duplicates the compensation must remove.
-	if len(rejoins) == 0 && len(c.Preds) == 0 && e.Distinct == r.Distinct {
+	// Exactness: empty compensation modulo projection (footnote 5).
+	if len(rejoins) == 0 && len(c.Preds) == 0 {
 		colMap := make([]int, len(c.Cols))
 		pure := true
 		seen := map[int]bool{}
@@ -81,7 +77,7 @@ func (m *Matcher) buildSelectComp(e, r *qgm.Box, a *assignment, t *translator, e
 			seen[cr.Col] = true
 			colMap[i] = cr.Col
 		}
-		if pure && (!e.Distinct || len(seen) == len(r.Cols)) {
+		if pure {
 			return &Match{Subsumee: e, Subsumer: r, Exact: true, ColMap: colMap}, nil
 		}
 	}
@@ -164,7 +160,6 @@ func (m *Matcher) buildSelectGBComp(e, r *qgm.Box, a *assignment, gp *childPair,
 		}
 		top.Cols = append(top.Cols, qgm.QCL{Name: col.Name, Expr: dp})
 	}
-	top.Distinct = e.Distinct
 
 	stack := append(pu.stack(), top)
 	mm := &Match{Subsumee: e, Subsumer: r, Stack: stack, SubQ: pu.qSub}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/qgm"
@@ -176,7 +177,6 @@ func TestPlanCacheConcurrentBinding(t *testing.T) {
 	for _, d := range defs {
 		asts = append(asts, e.registerAST(t, d.name, d.sql))
 	}
-	e.cat.SetQuarantineThreshold(1)
 	cache := core.NewPlanCache(core.DefaultPlanCacheSize)
 	ctx := context.Background()
 
@@ -251,7 +251,9 @@ func TestPlanCacheConcurrentBinding(t *testing.T) {
 				e.cat.MarkStale("cb_gone")
 				gone = true
 			case !dead && n > 2*total/3:
-				e.cat.RecordRefreshFailure("cb_dead")
+				for range catalog.DefaultQuarantineThreshold {
+					e.cat.RecordRefreshFailure("cb_dead")
+				}
 				dead = true
 			case i%2 == 0:
 				e.cat.MarkStale("cb_flip")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/qgm"
@@ -125,8 +126,11 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 	}
 
 	// Quarantine: same contract as stale, reached via refresh failures.
-	e.cat.SetQuarantineThreshold(1)
-	if st := e.cat.RecordRefreshFailure("pc_stale"); !st.Quarantined {
+	var st catalog.ASTStatus
+	for range catalog.DefaultQuarantineThreshold {
+		st = e.cat.RecordRefreshFailure("pc_stale")
+	}
+	if !st.Quarantined {
 		t.Fatalf("setup: AST not quarantined: %+v", st)
 	}
 	cr5, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)

@@ -78,7 +78,6 @@ func newPullup(m *Matcher, r *qgm.Box, gp *childPair, eqR *qgm.Equiv) (*pullup, 
 			}
 			rmap, cloned := m.cloneRejoins(rq)
 			ci.Quantifiers = append([]*qgm.Quantifier{pu.cloneQ[i-1]}, cloned...)
-			ci.Distinct = b.Distinct
 			pu.rejoins[i] = rmap
 			pu.clones[i] = ci
 		} else {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -52,8 +53,9 @@ func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 	}
 
 	// Quarantine beats AllowStale.
-	e.cat.SetQuarantineThreshold(1)
-	e.cat.RecordRefreshFailure("staleast")
+	for range catalog.DefaultQuarantineThreshold {
+		e.cat.RecordRefreshFailure("staleast")
+	}
 	g4, _ := qgm.BuildSQL(resQuery, e.cat)
 	if res := rwStale.Rewrite(g4, ca); res != nil {
 		t.Fatal("quarantined AST was used")

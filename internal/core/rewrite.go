@@ -434,7 +434,7 @@ func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*Compiled
 	if res == nil {
 		return query, nil
 	}
-	err := rw.verifyRewrite(clone, asts)
+	err := verifyRewrite(clone)
 	if err != nil && len(res.More) > 0 {
 		rw.noteDegraded(fmt.Errorf("core: discarding invalid rewrite against %q, re-planning with %q only: %w",
 			strings.Join(res.Tables(), ","), res.AST.Def.Name, err))
@@ -442,7 +442,7 @@ func (rw *Rewriter) plan(ctx context.Context, query *qgm.Graph, asts []*Compiled
 		if res = rw.selectBest(ctx, clone, []*CompiledAST{res.AST}, sizer, gen, nil, true); res == nil {
 			return query, nil
 		}
-		err = rw.verifyRewrite(clone, asts)
+		err = verifyRewrite(clone)
 	}
 	if err != nil {
 		rw.noteDegraded(fmt.Errorf("core: discarding invalid rewrite against %q: %w", res.AST.Def.Name, err))
@@ -472,29 +472,15 @@ func (rw *Rewriter) ExplainRewrite(ctx context.Context, query *qgm.Graph, asts [
 	return plan, res, decisions
 }
 
-// verifyRewrite gates an accepted rewrite. The structural check
-// (qgmcheck.Structural: shapes, pointer-identity bindings, aggregate
-// placement, grouping-set canonicalization, scalar arity) always runs; with
-// Options.VerifyPlans the full semantic checker runs too — type inference and
-// the compensation post-conditions of internal/qgmcheck, classified against
-// the candidate AST definitions. Verification failures discard the rewrite
-// (the caller degrades to the base plan); they are never query failures.
-func (rw *Rewriter) verifyRewrite(g *qgm.Graph, asts []*CompiledAST) error {
+// verifyRewrite gates an accepted rewrite with qgmcheck.Structural: shapes,
+// pointer-identity bindings, aggregate placement, grouping-set
+// canonicalization, scalar arity. A failure discards the rewrite (the caller
+// degrades to the base plan); it is never a query failure.
+func verifyRewrite(g *qgm.Graph) error {
 	if err := faultinject.Hit("core.verify"); err != nil {
 		return err
 	}
-	if err := qgmcheck.Structural(g); err != nil {
-		return err
-	}
-	if !rw.opts.VerifyPlans {
-		return nil
-	}
-	defs := make(map[string]*qgm.Graph, len(asts))
-	for _, ca := range asts {
-		defs[ca.Def.Name] = ca.Graph
-	}
-	ck := &qgmcheck.Checker{ASTDefs: defs}
-	return qgmcheck.AsError(ck.Check(g))
+	return qgmcheck.Structural(g)
 }
 
 // Explain runs the matcher with tracing enabled (without rewriting) and

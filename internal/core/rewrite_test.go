@@ -153,8 +153,11 @@ func TestDistinctHandling(t *testing.T) {
 	dist := e.registerAST(t, "dist_pairs", "select distinct faid, flid, qty from trans")
 	e.mustRewrite(t, "select distinct faid, flid, qty from trans where qty > 2", dist)
 
-	// A plain (duplicate-preserving) query must not read a DISTINCT AST.
+	// A plain (duplicate-preserving) query must not read a DISTINCT AST, nor
+	// a grouping query one whose DISTINCT sits over the same grouping.
 	e.mustNotRewrite(t, "select faid, flid, qty from trans", dist)
+	e.mustNotRewrite(t, "select flid, year(date) as year, count(*) as c from trans group by flid, year(date)",
+		e.registerAST(t, "dist_groups", distinctAST7))
 }
 
 // TestSubsumedPredicateReapplied: AST keeps more rows (qty > 1); the query's

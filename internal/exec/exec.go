@@ -187,11 +187,10 @@ type evaluator struct {
 // relation is what a box evaluates to and what the memo holds: the box's
 // output as column chunks, as rows, or both. A base table is its frozen
 // storage chunks, a pipeline box and any GROUP BY emit chunks (read-only from
-// then on), a DISTINCT or row-path SELECT rows. The other form is derived
-// once, on the main goroutine, when a consumer asks: rows by a reference-path
-// parent or a caller that flattens the Output, chunks by a pipeline parent of
-// a DISTINCT SELECT or a caller that reads the root's chunks (the server
-// encodes them).
+// then on), a reference-path SELECT rows. The other form is derived once, on
+// the main goroutine, when a consumer asks: rows by a reference-path parent
+// or a caller that flattens the Output, chunks by a caller that reads the
+// root's chunks (the server encodes them).
 type relation struct {
 	n      int
 	chunks []*storage.Chunk
@@ -213,8 +212,8 @@ func (r *relation) rowsOf() [][]sqltypes.Value {
 	return r.rows
 }
 
-// chunksOf columnarizes a relation held as rows. Row order is preserved, so
-// chunk-order merging keeps the row path's group order.
+// chunksOf columnarizes a relation held as rows (a reference-path root read
+// as chunks), preserving row order.
 func (r *relation) chunksOf(ncols int) []*storage.Chunk {
 	if r.chunks == nil && r.n > 0 {
 		r.chunks = storage.Chunked(ncols, r.rows)
@@ -409,10 +408,6 @@ func (ev *evaluator) evalSelect(b *qgm.Box) ([][]sqltypes.Value, error) {
 				return nil, err
 			}
 		}
-	}
-
-	if b.Distinct {
-		out = dedupeRows(out)
 	}
 	return out, nil
 }
@@ -641,24 +636,6 @@ rows:
 		out = append(out, bd)
 	}
 	return out, nil
-}
-
-func dedupeRows(rows [][]sqltypes.Value) [][]sqltypes.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	var buf []byte
-	for _, r := range rows {
-		buf = buf[:0]
-		for _, v := range r {
-			buf = v.AppendGroupKey(buf)
-			buf = append(buf, 0)
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // SortRows orders rows lexicographically (NULL first) for deterministic

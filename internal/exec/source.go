@@ -232,7 +232,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 		if err != nil {
 			return nil, err
 		}
-		sd := starDim{chunks: rel.chunksOf(len(dq.Box.Cols)), via: srcFact}
+		sd := starDim{chunks: rel.chunks, via: srcFact}
 		if len(ties[k]) > 0 && !slices.ContainsFunc(ties[k], func(t tie) bool { return t.from == srcFact }) {
 			sd.via = ties[k][0].from
 		}
@@ -470,7 +470,7 @@ func (s *source) open() (err error) {
 		s.rel, err = s.ev.evalBox(s.fact.Box)
 	}
 	if err == nil {
-		s.chunks, s.total = s.rel.chunksOf(len(s.fact.Box.Cols)), s.rel.n
+		s.chunks, s.total = s.rel.chunks, s.rel.n
 	}
 	return err
 }

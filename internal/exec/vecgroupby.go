@@ -138,15 +138,14 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	return ev.groupChunks(b, aggSpecs, sets, merged)
 }
 
-// groupSource plans where a GROUP BY's tuples come from. A child that is a
-// duplicate-preserving SELECT is fused away (source.fused): its output
-// expressions substitute into the sink's, its predicates and joins become the
-// source's, and it is neither materialized nor memoized (in the workloads'
-// plans a GROUP BY's select child has no other consumer), though it counts as
-// a box the pipeline ran. Any other child — a base table, a DISTINCT SELECT,
-// another GROUP BY — is read as it evaluates.
+// groupSource plans where a GROUP BY's tuples come from. A SELECT child is
+// fused away (source.fused): its output expressions substitute into the
+// sink's, its predicates and joins become the source's, and it is neither
+// materialized nor memoized (in the workloads' plans a GROUP BY's select child
+// has no other consumer), though it counts as a box the pipeline ran. Any
+// other child — a base table, another GROUP BY — is read as it evaluates.
 func (ev *evaluator) groupSource(b *qgm.Box, q *qgm.Quantifier) (*source, error) {
-	if q.Box.Kind != qgm.SelectBox || q.Box.Distinct {
+	if q.Box.Kind != qgm.SelectBox {
 		return ev.planSource(b)
 	}
 	s, err := ev.planSource(q.Box)

@@ -772,11 +772,6 @@ func (ev *evaluator) evalSelectVec(b *qgm.Box) (*relation, error) {
 	if workers > 1 {
 		chunks = slices.Concat(parts...)
 	}
-	rel := chunkRelation(chunks)
-	if b.Distinct {
-		rows := dedupeRows(rel.rowsOf())
-		rel = &relation{n: len(rows), rows: rows}
-	}
 	ev.obsv.Add(CtrVecBoxes, 1)
-	return rel, nil
+	return chunkRelation(chunks), nil
 }

@@ -321,9 +321,6 @@ func (m *Maintainer) prepareMerge(d *storage.Store, p *Plan, site string, sides 
 	if err := faultinject.Hit(site); err != nil {
 		return nil, err
 	}
-	if err := m.auditPlan(p); err != nil {
-		return nil, err
-	}
 	mat, ok := d.Table(p.Name())
 	if !ok {
 		return nil, fmt.Errorf("maintain: AST %q not materialized", p.Name())

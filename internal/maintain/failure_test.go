@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/qgm"
@@ -119,20 +120,19 @@ func TestQuarantineAndRecovery(t *testing.T) {
 	defer faultinject.Disable()
 
 	f := newTrackedFixture(t, 800)
-	f.cat.SetQuarantineThreshold(2)
 	ca := f.compile(t, "quaast", `select flid, count(distinct faid) as c from trans group by flid`)
 	plan := f.m.Analyze(ca)
-	faultinject.Set("maintain.full:quaast", faultinject.Fault{Err: errors.New("disk on fire"), Times: 2})
+	faultinject.Set("maintain.full:quaast", faultinject.Fault{Err: errors.New("disk on fire"), Times: catalog.DefaultQuarantineThreshold})
 
 	rng := rand.New(rand.NewSource(12))
-	// Two failed refreshes trip the breaker.
-	for i := 0; i < 2; i++ {
+	// Three failed refreshes trip the breaker.
+	for i := 0; i < catalog.DefaultQuarantineThreshold; i++ {
 		if _, err := f.m.ApplyInsert([]*Plan{plan}, "trans", randTransRows(f, rng, 10)); err == nil {
 			t.Fatalf("refresh %d should fail", i)
 		}
 	}
 	st := f.cat.Status("quaast")
-	if !st.Quarantined || st.Failures != 2 {
+	if !st.Quarantined || st.Failures != catalog.DefaultQuarantineThreshold {
 		t.Fatalf("breaker did not trip: %+v", st)
 	}
 
@@ -146,7 +146,7 @@ func TestQuarantineAndRecovery(t *testing.T) {
 		t.Fatal("rewriter used a quarantined AST")
 	}
 
-	// The injected fault is exhausted (Times: 2): a successful full
+	// The injected fault is exhausted: a successful full
 	// recompute un-quarantines and the AST serves queries again.
 	if _, err := f.m.RefreshFull(plan); err != nil {
 		t.Fatalf("recovery recompute failed: %v", err)

@@ -2,17 +2,21 @@
 // (c) of the paper's introduction ("maintaining the ASTs efficiently when the
 // base tables are updated", citing Mumick, Quass & Mumick, SIGMOD 1997).
 //
-// Analyze classifies each summary table once. A definition is incrementally
-// maintainable when it is a single block — one GROUP BY (simple, or grouping
-// sets / rollup / cube over non-nullable grouping expressions, which merge per
-// NULL-padded output row) over a join of base tables, no HAVING, no DISTINCT —
-// and every output column is a plain grouping column or a COUNT, SUM, MIN or
-// MAX. Such a table is refreshed by delta aggregation: the definition is
-// evaluated over just the changed rows and the per-group result merged into
-// the materialization. Deletes additionally need a COUNT(*) tracker column to
-// retire emptied groups. Everything else — and any table referenced twice in
-// a definition, where the single-table delta is unsound — is refreshed by full
-// recomputation. The write path itself is in dml.go.
+// Analyze classifies each summary table once, from its immutable definition
+// graph, and the plan it derives is the only record of how the table is
+// refreshed: no refresh re-derives or re-checks it. A definition is
+// incrementally maintainable when it is a single block — one GROUP BY
+// (simple, or grouping sets / rollup / cube over non-nullable grouping
+// expressions, which merge per NULL-padded output row) over a join of base
+// tables, no HAVING — and every output column is a plain grouping column or a
+// COUNT, SUM, MIN or MAX. SELECT DISTINCT is the GROUP BY qgm.Build makes of
+// it, so a DISTINCT over one block is such a definition and one over a
+// grouping block is not. Such a table is refreshed by delta aggregation: the
+// definition is evaluated over just the changed rows and the per-group result
+// merged into the materialization. Deletes additionally need a COUNT(*)
+// tracker column to retire emptied groups. Everything else — and any table
+// referenced twice in a definition, where the single-table delta is unsound —
+// is refreshed by full recomputation. The write path itself is in dml.go.
 package maintain
 
 import (
@@ -28,7 +32,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/qgm"
-	"repro/internal/qgmcheck"
 	"repro/internal/storage"
 )
 
@@ -193,29 +196,20 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 	}
 
 	// Canonical single-block shape: top SELECT over GROUP BY over SELECT over
-	// base tables only, or a single SELECT over base tables (no aggregation).
+	// base tables only. qgm.Build makes every root a SELECT, reads a GROUP BY
+	// through the only ForEach quantifier of the SELECT above it, gives every
+	// GROUP BY a SELECT child that its grouping columns reference, and lowers
+	// every aggregate to COUNT, SUM, MIN or MAX.
 	root := g.Root
-	if root.Kind != qgm.SelectBox {
-		p.Reason = "root is not a SELECT box"
-		return p
-	}
-	if root.Distinct {
-		p.Reason = "DISTINCT output cannot be merged incrementally"
-		return p
-	}
 	var gb *qgm.Box
 	for _, q := range root.Quantifiers {
-		if q.Kind == qgm.Scalar {
+		switch {
+		case q.Kind == qgm.Scalar:
 			p.Reason = "scalar subquery in definition"
 			return p
-		}
-		if q.Box.Kind == qgm.GroupByBox {
-			if gb != nil {
-				p.Reason = "multiple GROUP BY children"
-				return p
-			}
+		case q.Box.Kind == qgm.GroupByBox:
 			gb = q.Box
-		} else if q.Box.Kind != qgm.BaseTableBox {
+		case q.Box.Kind != qgm.BaseTableBox:
 			p.Reason = "nested block in definition"
 			return p
 		}
@@ -224,19 +218,11 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 		p.Reason = "no aggregation (append-only refresh would need dedup tracking)"
 		return p
 	}
-	if len(root.Quantifiers) != 1 {
-		p.Reason = "join above the GROUP BY"
-		return p
-	}
 	if len(root.Preds) > 0 {
 		p.Reason = "HAVING filters groups; deltas may resurrect filtered groups"
 		return p
 	}
 	lower := gb.Child()
-	if lower.Kind != qgm.SelectBox {
-		p.Reason = "non-SELECT below GROUP BY"
-		return p
-	}
 	for _, q := range lower.Quantifiers {
 		if q.Kind == qgm.Scalar {
 			p.Reason = "scalar subquery in definition"
@@ -267,7 +253,7 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 	p.aggs = make([]*qgm.Agg, len(root.Cols))
 	for i, c := range root.Cols {
 		cr, ok := c.Expr.(*qgm.ColRef)
-		if !ok || cr.Q.Box != gb {
+		if !ok {
 			p.Reason = fmt.Sprintf("output column %q is computed, not a plain reference", c.Name)
 			return p
 		}
@@ -280,13 +266,7 @@ func (m *Maintainer) Analyze(ast *core.CompiledAST) *Plan {
 			p.Reason = "DISTINCT aggregate cannot be merged incrementally"
 			return p
 		}
-		switch agg.Op {
-		case "count", "sum", "min", "max":
-			p.aggs[i] = agg
-		default:
-			p.Reason = fmt.Sprintf("aggregate %q not mergeable", agg.Op)
-			return p
-		}
+		p.aggs[i] = agg
 	}
 	p.Strategy = Incremental
 	p.analyzeDelete(gb)
@@ -337,40 +317,11 @@ func (p *Plan) analyzeDelete(gb *qgm.Box) {
 		// box, so it needs each grouping column's lower-box output ordinal.
 		for _, kc := range p.keyCols {
 			cr := p.AST.Graph.Root.Cols[kc].Expr.(*qgm.ColRef) // shape validated above
-			gcr, ok := gb.Cols[cr.Col].Expr.(*qgm.ColRef)
-			if !ok {
-				p.delReason = "grouping column is not a plain lower-box reference"
-				return
-			}
-			p.keyLowerOrds = append(p.keyLowerOrds, gcr.Col)
+			p.keyLowerOrds = append(p.keyLowerOrds, gb.Cols[cr.Col].Expr.(*qgm.ColRef).Col)
 		}
 	}
 	p.delStrategy = Incremental
 	p.delReason = ""
-}
-
-// deltaProjection exposes the plan's derived ordinal tables for qgmcheck's
-// delta-plan audit.
-func (p *Plan) deltaProjection() qgmcheck.DeltaPlan {
-	return qgmcheck.DeltaPlan{
-		Graph:        p.AST.Graph,
-		KeyCols:      p.keyCols,
-		CounterCol:   p.counterCol,
-		ScopedCols:   p.scopedCols,
-		KeyLowerOrds: p.keyLowerOrds,
-	}
-}
-
-// auditPlan gates an incremental refresh: a plan whose ordinal tables
-// disagree with its definition graph would merge the wrong columns, so any
-// violation turns into an error and the caller falls back to full
-// recomputation (which does not consult the ordinals).
-func (m *Maintainer) auditPlan(p *Plan) error {
-	if vs := qgmcheck.CheckDeltaPlan(p.deltaProjection()); len(vs) > 0 {
-		m.obsv.Add("maintain.plan.audit_failures", 1)
-		return fmt.Errorf("maintain: plan for %s failed verification: %w", p.Name(), qgmcheck.AsError(vs))
-	}
-	return nil
 }
 
 // Stats reports one refresh.

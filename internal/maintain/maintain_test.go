@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -114,6 +115,81 @@ func TestAnalyzeClassification(t *testing.T) {
 		if p.Strategy != c.want {
 			t.Errorf("case %d (%s): strategy %v (reason %q), want %v", i, c.sql, p.Strategy, p.Reason, c.want)
 		}
+	}
+}
+
+// TestAnalyzeRefusals runs one definition per refusal Analyze can make of a
+// graph qgm.Build produced, and per delete-path decision, and asserts the
+// strategy, the reason and the delete routing's reason. The star schema has no
+// nullable column, so the nullable rows read a table of their own.
+func TestAnalyzeRefusals(t *testing.T) {
+	f := newFixture(t, 200)
+	f.cat.MustAddTable(&catalog.Table{Name: "nulls", Columns: []catalog.Column{
+		{Name: "g", Type: sqltypes.KindInt, Nullable: true},
+		{Name: "x", Type: sqltypes.KindInt, Nullable: true},
+	}})
+	meta, _ := f.cat.Table("nulls")
+	f.store.PutRows(meta, [][]sqltypes.Value{{sqltypes.Null, sqltypes.NewInt(1)}, {sqltypes.NewInt(2), sqltypes.Null}})
+	const (
+		scalar   = "scalar subquery in definition"
+		nested   = "nested block in definition"
+		noTrack  = "no COUNT(*) tracker column to retire emptied groups"
+		selfJoin = "table referenced more than once in the definition: single-table delta is unsound for self-joins"
+	)
+	for i, c := range []struct {
+		name, sql         string
+		strategy          Strategy
+		reason, delReason string
+		scoped            []int
+	}{
+		{"scalar subquery at the root", `select flid, count(*) as c, (select count(*) from loc) as n from trans group by flid`,
+			FullRecompute, scalar, scalar, nil},
+		{"nested block at the root", `select d.flid, d.c from (select flid, count(*) as c from trans group by flid) d`,
+			FullRecompute, nested, nested, nil},
+		{"no aggregation", `select tid, qty from trans`,
+			FullRecompute, "no aggregation (append-only refresh would need dedup tracking)", "no aggregation (append-only refresh would need dedup tracking)", nil},
+		{"having", `select flid, count(*) as c from trans group by flid having count(*) > 2`,
+			FullRecompute, "HAVING filters groups; deltas may resurrect filtered groups", "HAVING filters groups; deltas may resurrect filtered groups", nil},
+		{"scalar subquery under the GROUP BY", `select flid, count(*) as c from trans where qty > (select min(lid) from loc) group by flid`,
+			FullRecompute, scalar, scalar, nil},
+		{"nested block under the GROUP BY", `select y, count(*) as c from (select year(date) as y from trans) d group by y`,
+			FullRecompute, nested, nested, nil},
+		{"distinct over a grouping block", `select distinct flid, count(*) as c from trans group by flid`,
+			FullRecompute, nested, nested, nil},
+		{"supergroup over a nullable grouping expression", `select g, count(*) as c from nulls group by rollup(g)`,
+			FullRecompute, "supergroup over a nullable grouping expression: NULL padding is ambiguous",
+			"supergroup over a nullable grouping expression: NULL padding is ambiguous", nil},
+		{"computed output", `select flid, count(*) * 2 as c2 from trans group by flid`,
+			FullRecompute, `output column "c2" is computed, not a plain reference`, `output column "c2" is computed, not a plain reference`, nil},
+		{"distinct aggregate", `select flid, count(distinct faid) as c from trans group by flid`,
+			FullRecompute, "DISTINCT aggregate cannot be merged incrementally", "DISTINCT aggregate cannot be merged incrementally", nil},
+		{"self-join", `select a.flid, count(*) as c from trans a, trans b where a.tid = b.tid group by a.flid`,
+			Incremental, "", selfJoin, nil},
+		{"no tracker", `select flid, sum(qty) as s from trans group by flid`,
+			Incremental, "", noTrack, nil},
+		{"count of a nullable argument is no tracker", `select g, count(x) as c from nulls group by g`,
+			Incremental, "", noTrack, nil},
+		{"distinct has no tracker", `select distinct flid, faid from trans`,
+			Incremental, "", noTrack, nil},
+		{"supergroup with a MIN", `select flid, faid, count(*) as c, min(qty) as m from trans group by rollup(flid, faid)`,
+			Incremental, "", "supergroup with MIN/MAX (or nullable SUM): recompute cannot be scoped to cuboid groups", []int{3}},
+		{"a MAX is scoped", `select flid, count(*) as c, max(qty) as m from trans group by flid`,
+			Incremental, "", "", []int{2}},
+		{"a nullable SUM is scoped", `select g, count(*) as c, sum(x) as s from nulls group by g`,
+			Incremental, "", "", []int{2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := f.m.Analyze(f.compile(t, fmt.Sprintf("refusal%d", i), c.sql))
+			table := "trans"
+			if p.ReadsTable("nulls") {
+				table = "nulls"
+			}
+			_, delReason := p.DeleteRouting(table)
+			if p.Strategy != c.strategy || p.Reason != c.reason || delReason != c.delReason || !slices.Equal(p.scopedCols, c.scoped) {
+				t.Fatalf("strategy %v, reason %q, delete reason %q, scoped %v; want %v, %q, %q, %v",
+					p.Strategy, p.Reason, delReason, p.scopedCols, c.strategy, c.reason, c.delReason, c.scoped)
+			}
+		})
 	}
 }
 

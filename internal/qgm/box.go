@@ -84,9 +84,6 @@ type Box struct {
 	// Preds are the predicates (WHERE/HAVING conjuncts) of a SELECT box.
 	Preds []Expr
 
-	// Distinct marks a duplicate-eliminating SELECT box.
-	Distinct bool
-
 	// GroupBy lists the ordinals (into Cols) of the grouping columns of a
 	// GROUP BY box, in grouping order. GroupingSets holds the canonicalized
 	// supergroup: each set is a sorted list of positions into GroupBy. A

@@ -509,7 +509,6 @@ func (b *builder) buildAggBlock(stmt *parser.SelectStmt, sel *Box, sc *scope, r 
 		}
 		top.Cols = append(top.Cols, QCL{Name: outName(it, e, len(top.Cols)), Expr: e})
 	}
-	top.Distinct = stmt.Distinct
 	uniquifyNames(top)
 	return top, nil
 }

@@ -28,7 +28,6 @@ func (g *Graph) Bind(lits []sqltypes.Value) *Graph {
 	for _, b := range g.Boxes() {
 		nb := out.NewBox(b.Kind, b.Label)
 		nb.Table = b.Table
-		nb.Distinct = b.Distinct
 		nb.Regroup = b.Regroup
 		nb.GroupBy = append([]int(nil), b.GroupBy...)
 		for _, gs := range b.GroupingSets {

@@ -119,9 +119,6 @@ func renderBlock(top, gb, lower *Box) string {
 	if outBox == nil {
 		outBox = gb
 	}
-	if outBox.Distinct {
-		sb.WriteString("DISTINCT ")
-	}
 	for i, c := range outBox.Cols {
 		if i > 0 {
 			sb.WriteString(", ")
@@ -253,9 +250,6 @@ func (g *Graph) Dump() string {
 		fmt.Fprintf(&sb, "box %d [%s] %s", b.ID, b.Kind, b.Label)
 		if b.Kind == BaseTableBox {
 			fmt.Fprintf(&sb, " table=%s", b.Table.Name)
-		}
-		if b.Distinct {
-			sb.WriteString(" DISTINCT")
 		}
 		sb.WriteString("\n")
 		for _, q := range b.Quantifiers {

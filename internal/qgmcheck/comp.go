@@ -49,7 +49,7 @@ func defInfo(def *qgm.Graph) *astDefInfo {
 	// through its plain-ColRef columns.
 	root := def.Root
 	colOf := func(i int) int { return i } // materialized ordinal → root ordinal
-	for root.Kind == qgm.SelectBox && !root.Distinct && len(root.Preds) == 0 &&
+	for root.Kind == qgm.SelectBox && len(root.Preds) == 0 &&
 		len(root.Quantifiers) == 1 && root.Quantifiers[0].Kind == qgm.ForEach {
 		inner := root.Quantifiers[0].Box
 		wrap := root

@@ -7,22 +7,10 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// DML and delta-plan rules (dml/*, delta/*). SELECT plans flow through Check
-// and Structural; the mutation side has two more compiled artifacts worth
-// auditing before they touch data:
-//
-//   - a qgm.DML (compiled DELETE/UPDATE): no box tree, but its WHERE and SET
-//     expressions must be bound to the single base-table quantifier, typed,
-//     aggregate-free, and assignment-compatible with the target columns;
-//   - a maintenance delta plan (the ordinal tables maintain.Analyze derives
-//     and Plan.InsertRouting/DeleteRouting route on): key columns, the
-//     COUNT(*) tracker, and the scoped-recompute ordinals must agree with the
-//     definition graph, or the merge would subtract the wrong columns.
-//
-// Both checks are cheap (row-local expressions, one small graph), so maintain
-// gates every incremental refresh through CheckDeltaPlan — a violation falls
-// back to full recomputation instead of publishing a corrupt merge — and
-// astdb gates compiled DML through CheckDML behind WithVerifyPlans.
+// DML rules (dml/*). SELECT plans flow through Check and Structural; a
+// qgm.DML (compiled DELETE/UPDATE) has no box tree, but its WHERE and SET
+// expressions must be bound to the single base-table quantifier, typed,
+// aggregate-free, and assignment-compatible with the target columns.
 
 // CheckDML audits a compiled DELETE or UPDATE statement and returns the
 // violations in discovery order.
@@ -137,141 +125,4 @@ func assignableSetKind(k, col sqltypes.Kind) bool {
 		return true
 	}
 	return false
-}
-
-// DeltaPlan is the structural projection of a maintenance plan: the AST's
-// definition graph plus the derived ordinal tables the delta-merge machinery
-// routes on. internal/maintain builds one before every incremental refresh;
-// a violation means the plan and the definition disagree — merging with those
-// ordinals would add or subtract the wrong columns — so the caller must fall
-// back to full recomputation.
-type DeltaPlan struct {
-	Graph        *qgm.Graph
-	KeyCols      []int // root output ordinals that are grouping keys
-	CounterCol   int   // COUNT(*)-equivalent tracker ordinal; -1 = none
-	ScopedCols   []int // ordinals restored by a group-scoped recompute
-	KeyLowerOrds []int // lower-box output ordinal per key column (scoped path)
-}
-
-// CheckDeltaPlan audits a maintenance plan projection against its definition
-// graph. The graph is checked structurally first; ordinal rules assume a
-// well-formed single-block aggregation shape and report delta/shape when the
-// graph does not have one.
-func CheckDeltaPlan(p DeltaPlan) []Violation {
-	r := &run{structuralOnly: true}
-	r.check(p.Graph)
-	if len(r.vs) > 0 {
-		return r.vs // ordinal rules over a broken graph would mislead
-	}
-	r.checkDeltaPlan(p)
-	return r.vs
-}
-
-func (r *run) checkDeltaPlan(p DeltaPlan) {
-	root := p.Graph.Root
-	if root.Kind != qgm.SelectBox || len(root.Quantifiers) != 1 ||
-		root.Quantifiers[0].Box == nil || root.Quantifiers[0].Box.Kind != qgm.GroupByBox {
-		r.add("delta/shape", root, "maintainable plan must be a SELECT over exactly one GROUP BY")
-		return
-	}
-	gb := root.Quantifiers[0].Box
-	arity := len(root.Cols)
-
-	inRange := func(rule string, what string, ords []int) bool {
-		ok := true
-		seen := make(map[int]bool, len(ords))
-		for _, o := range ords {
-			if o < 0 || o >= arity {
-				r.add(rule, root, "%s ordinal %d out of range (arity %d)", what, o, arity)
-				ok = false
-				continue
-			}
-			if seen[o] {
-				r.add(rule, root, "duplicate %s ordinal %d", what, o)
-				ok = false
-			}
-			seen[o] = true
-		}
-		return ok
-	}
-	if !inRange("delta/ordinal", "key", p.KeyCols) {
-		return
-	}
-	if !inRange("delta/ordinal", "scoped", p.ScopedCols) {
-		return
-	}
-	if p.CounterCol < -1 || p.CounterCol >= arity {
-		r.add("delta/ordinal", root, "tracker ordinal %d out of range (arity %d)", p.CounterCol, arity)
-		return
-	}
-
-	// Every root output must be a plain reference into the GROUP BY box, and
-	// the key/aggregate partition recorded in the plan must match the graph's.
-	isKey := make(map[int]bool, len(p.KeyCols))
-	for _, k := range p.KeyCols {
-		isKey[k] = true
-	}
-	gbRef := make([]*qgm.ColRef, arity)
-	for i, c := range root.Cols {
-		cr, ok := c.Expr.(*qgm.ColRef)
-		if !ok || cr.Q == nil || cr.Q.Box != gb || cr.Col < 0 || cr.Col >= len(gb.Cols) {
-			r.add("delta/shape", root, "output %q is not a plain reference into the GROUP BY box", c.Name)
-			return
-		}
-		gbRef[i] = cr
-		if gb.IsGroupCol(cr.Col) != isKey[i] {
-			r.add("delta/keys", root, "output %q: plan says key=%v, definition says key=%v", c.Name, isKey[i], gb.IsGroupCol(cr.Col))
-		}
-	}
-
-	aggAt := func(i int) *qgm.Agg {
-		a, _ := gb.Cols[gbRef[i].Col].Expr.(*qgm.Agg)
-		return a
-	}
-	if p.CounterCol >= 0 {
-		a := aggAt(p.CounterCol)
-		switch {
-		case isKey[p.CounterCol] || a == nil:
-			r.add("delta/tracker", root, "tracker ordinal %d is not an aggregate column", p.CounterCol)
-		case a.Op != "count":
-			r.add("delta/tracker", root, "tracker ordinal %d is %s, not a COUNT", p.CounterCol, a.Op)
-		case !a.Star:
-			if _, nullable := qgm.InferType(a.Arg); nullable {
-				r.add("delta/tracker", root, "tracker ordinal %d counts a nullable expression; it cannot track group cardinality", p.CounterCol)
-			}
-		}
-	}
-	for _, sc := range p.ScopedCols {
-		a := aggAt(sc)
-		if isKey[sc] || a == nil {
-			r.add("delta/scoped", root, "scoped ordinal %d is not an aggregate column", sc)
-			continue
-		}
-		switch a.Op {
-		case "min", "max", "sum":
-		default:
-			r.add("delta/scoped", root, "scoped ordinal %d is %s; only MIN/MAX/SUM need scoped recompute", sc, a.Op)
-		}
-	}
-
-	// The scoped-recompute path injects key equalities into the lower box, so
-	// each recorded lower ordinal must be exactly where the grouping column
-	// reads from.
-	if len(p.KeyLowerOrds) > 0 {
-		if len(p.KeyLowerOrds) != len(p.KeyCols) {
-			r.add("delta/keys", root, "%d lower-box key ordinals for %d key columns", len(p.KeyLowerOrds), len(p.KeyCols))
-			return
-		}
-		lower := gb.Child() // not nil: the structural rules passed
-		for j, kc := range p.KeyCols {
-			gcr, ok := gb.Cols[gbRef[kc].Col].Expr.(*qgm.ColRef)
-			if !ok {
-				r.add("delta/keys", gb, "grouping column %d is not a plain lower-box reference", gbRef[kc].Col)
-				continue
-			}
-			if ord := p.KeyLowerOrds[j]; ord != gcr.Col || ord < 0 || ord >= len(lower.Cols) {
-				r.add("delta/keys", gb, "key column %d maps to lower ordinal %d, definition reads %d", kc, ord, gcr.Col)
-			}
-		}
-	}
 }

@@ -1,10 +1,9 @@
 package qgmcheck_test
 
-// Seeded-corruption tests for the mutation-side checks: CheckDML over compiled
-// DELETE/UPDATE statements and CheckDeltaPlan over maintenance-plan ordinal
-// projections. Same discipline as the SELECT-rewrite suite: a healthy artifact
-// passes, then each test applies one corruption of the kind a binder or
-// analyzer bug would produce and asserts the named rule rejects it.
+// Seeded-corruption tests for CheckDML over compiled DELETE/UPDATE statements.
+// Same discipline as the SELECT-rewrite suite: a healthy statement passes,
+// then each test applies one corruption of the kind a binder bug would
+// produce and asserts the named rule rejects it.
 
 import (
 	"testing"
@@ -142,105 +141,4 @@ func TestCheckDMLRejectsSetTypeMismatch(t *testing.T) {
 	}
 	d.Sets[0].Expr = &qgm.ColRef{Q: d.Q, Col: dateCol}
 	wantViolation(t, qgmcheck.CheckDML(d), "dml/set")
-}
-
-// deltaFixture compiles the canonical maintainable definition and derives the
-// correct ordinal projection from the graph itself, the way maintain.Analyze
-// does: flid is the key, COUNT(*) the tracker, MIN(price) the scoped column.
-func deltaFixture(t *testing.T) qgmcheck.DeltaPlan {
-	t.Helper()
-	env := bench.NewEnv(60, core.Options{})
-	g, err := qgm.BuildSQL(
-		`select flid, count(*) as c, min(price) as mn from trans group by flid`, env.Cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb := g.Root.Quantifiers[0].Box
-	keyRef := g.Root.Cols[0].Expr.(*qgm.ColRef)
-	lowerOrd := gb.Cols[keyRef.Col].Expr.(*qgm.ColRef).Col
-	p := qgmcheck.DeltaPlan{
-		Graph:        g,
-		KeyCols:      []int{0},
-		CounterCol:   1,
-		ScopedCols:   []int{2},
-		KeyLowerOrds: []int{lowerOrd},
-	}
-	if vs := qgmcheck.CheckDeltaPlan(p); len(vs) > 0 {
-		t.Fatalf("healthy delta plan rejected: %v", vs)
-	}
-	return p
-}
-
-// The tracker ordinal re-pointed at the grouping key: merging would subtract
-// key values as counts.
-func TestCheckDeltaPlanRejectsKeyAsTracker(t *testing.T) {
-	p := deltaFixture(t)
-	p.CounterCol = 0
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/tracker")
-}
-
-// The tracker ordinal re-pointed at the MIN column: not a COUNT, cannot track
-// group cardinality.
-func TestCheckDeltaPlanRejectsNonCountTracker(t *testing.T) {
-	p := deltaFixture(t)
-	p.CounterCol = 2
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/tracker")
-}
-
-// A key ordinal past the plan's arity.
-func TestCheckDeltaPlanRejectsOutOfRangeKey(t *testing.T) {
-	p := deltaFixture(t)
-	p.KeyCols = []int{0, 99}
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/ordinal")
-}
-
-// The key partition disagreeing with the definition: the plan claims the
-// COUNT column is a grouping key.
-func TestCheckDeltaPlanRejectsKeyPartitionMismatch(t *testing.T) {
-	p := deltaFixture(t)
-	p.KeyCols = []int{0, 1}
-	p.KeyLowerOrds = nil // isolate the partition rule from the lower-ordinal rule
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/keys")
-}
-
-// A scoped-recompute ordinal naming the grouping key instead of an aggregate.
-func TestCheckDeltaPlanRejectsScopedKeyColumn(t *testing.T) {
-	p := deltaFixture(t)
-	p.ScopedCols = []int{0}
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/scoped")
-}
-
-// A lower-box key ordinal drifted off the column the grouping key actually
-// reads — the scoped recompute would inject equalities over the wrong column.
-func TestCheckDeltaPlanRejectsLowerOrdinalDrift(t *testing.T) {
-	p := deltaFixture(t)
-	p.KeyLowerOrds = []int{p.KeyLowerOrds[0] + 1}
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/keys")
-}
-
-// A definition without the single-block aggregation shape: ordinal rules must
-// refuse to interpret it rather than mis-read a SELECT-only plan.
-func TestCheckDeltaPlanRejectsNonAggregateShape(t *testing.T) {
-	env := bench.NewEnv(60, core.Options{})
-	g, err := qgm.BuildSQL(`select flid, qty from trans where qty > 1`, env.Cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := qgmcheck.DeltaPlan{Graph: g, KeyCols: []int{0}, CounterCol: -1}
-	wantViolation(t, qgmcheck.CheckDeltaPlan(p), "delta/shape")
-}
-
-// A structurally broken graph short-circuits: CheckDeltaPlan reports the
-// structural violation and does not run ordinal rules over garbage.
-func TestCheckDeltaPlanStructuralFirst(t *testing.T) {
-	p := deltaFixture(t)
-	gb := p.Graph.Root.Quantifiers[0].Box
-	gb.Cols[0].Expr = &qgm.ColRef{Q: &qgm.Quantifier{ID: 9999, Box: gb}, Col: 0}
-	vs := qgmcheck.CheckDeltaPlan(p)
-	wantViolation(t, vs, "binding/resolve")
-	for _, v := range vs {
-		if v.Rule == "delta/keys" || v.Rule == "delta/tracker" {
-			t.Errorf("ordinal rule %s ran over a structurally broken graph", v.Rule)
-		}
-	}
 }

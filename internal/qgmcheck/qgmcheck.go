@@ -20,12 +20,11 @@
 //     columns, every droppable cuboid column must be pinned or preserved, and
 //     regroup-eliminating rejoins must join on a proven unique key (comp/*).
 //
-// Part of the checker gates the hot path: Structural runs on every accepted
-// rewrite (a failure discards it and the query runs on the base plan), and
-// CheckDeltaPlan before every incremental refresh (a failure degrades it to a
-// full recompute). The full Check is an oracle: it runs after qgm.Build in
-// tests and fuzzing, and behind core.Options.VerifyPlans and the
-// astdb.WithVerifyPlans debug option, both off by default.
+// Only Structural runs at run time: on every accepted rewrite (a failure
+// discards it and the query runs on the base plan) and on every scoped
+// recompute plan maintenance builds. The full Check, CheckDML and the comp/*
+// rules are test oracles: the test suites, fuzzing and the chaos suite run
+// them over built graphs, compiled DML and every served plan.
 package qgmcheck
 
 import (

@@ -9,13 +9,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
-	"repro/internal/sqltypes"
 )
 
 // TestEveryRuleRejectsItsEdit is one row per way a checker rule fires: each
 // row edits a clean artifact — a built SELECT graph (through Structural, or
 // Check where the rule is not structural), a rewritten plan, a compiled
-// DELETE/UPDATE or a delta plan — and the named rule must reject it, both in
+// DELETE/UPDATE — and the named rule must reject it, both in
 // the violation list and in the error text.
 func TestEveryRuleRejectsItsEdit(t *testing.T) {
 	env := bench.NewEnv(60, core.Options{})
@@ -74,13 +73,6 @@ func TestEveryRuleRejectsItsEdit(t *testing.T) {
 	dml := func(sql string, edit func(*qgm.DML) *qgm.DML) func(*testing.T) error {
 		return func(t *testing.T) error {
 			return qgmcheck.AsError(qgmcheck.CheckDML(edit(compileDML(t, env, sql))))
-		}
-	}
-	delta := func(edit func(*qgmcheck.DeltaPlan)) func(*testing.T) error {
-		return func(t *testing.T) error {
-			p := deltaFixture(t)
-			edit(&p)
-			return qgmcheck.AsError(qgmcheck.CheckDeltaPlan(p))
 		}
 	}
 	intCol := func(x graph) qgm.Expr { return x.sel.Cols[0].Expr } // Sel-Q's flid
@@ -157,34 +149,6 @@ func TestEveryRuleRejectsItsEdit(t *testing.T) {
 		{"dml/set", "an UPDATE without SET", dml(`update trans set qty = 3`, func(d *qgm.DML) *qgm.DML { d.Sets = nil; return d })},
 		{"dml/set", "SET past the arity", dml(`update trans set qty = 3`, func(d *qgm.DML) *qgm.DML { d.Sets[0].Col = 99; return d })},
 		{"dml/set", "SET without a value", dml(`update trans set qty = 3`, func(d *qgm.DML) *qgm.DML { d.Sets[0].Expr = nil; return d })},
-		{"delta/shape", "a plan that is no GROUP BY", func(t *testing.T) error {
-			g, err := qgm.BuildSQL(`select flid, qty from trans where qty > 1`, env.Cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return qgmcheck.AsError(qgmcheck.CheckDeltaPlan(qgmcheck.DeltaPlan{Graph: g, CounterCol: -1}))
-		}},
-		{"delta/shape", "a computed output", delta(func(p *qgmcheck.DeltaPlan) {
-			c := &p.Graph.Root.Cols[1]
-			c.Expr = &qgm.Bin{Op: "+", L: c.Expr, R: c.Expr}
-		})},
-		{"delta/ordinal", "a key twice", delta(func(p *qgmcheck.DeltaPlan) { p.KeyCols = []int{0, 0} })},
-		{"delta/ordinal", "a scoped ordinal past the arity", delta(func(p *qgmcheck.DeltaPlan) { p.ScopedCols = []int{9} })},
-		{"delta/ordinal", "a tracker past the arity", delta(func(p *qgmcheck.DeltaPlan) { p.CounterCol = 9 })},
-		{"delta/tracker", "a tracker that counts NULL", func(t *testing.T) error {
-			p := deltaFixture(t)
-			a := agg(t, p.Graph.Root.Quantifiers[0].Box, "count")
-			a.Star, a.Arg = false, qgm.NewConst(sqltypes.Null)
-			return qgmcheck.AsError(qgmcheck.CheckDeltaPlan(p))
-		}},
-		{"delta/scoped", "a scoped COUNT", delta(func(p *qgmcheck.DeltaPlan) { p.ScopedCols = []int{1} })},
-		{"delta/keys", "fewer lower ordinals than keys", delta(func(p *qgmcheck.DeltaPlan) {
-			p.KeyLowerOrds = append(p.KeyLowerOrds, 0)
-		})},
-		{"delta/keys", "an aggregate named as a key", delta(func(p *qgmcheck.DeltaPlan) {
-			p.KeyCols = []int{0, 1}
-			p.KeyLowerOrds = append(p.KeyLowerOrds, 0)
-		})},
 	} {
 		t.Run(tc.rule+"/"+tc.edit, func(t *testing.T) {
 			err := tc.check(t)

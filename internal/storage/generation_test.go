@@ -45,7 +45,6 @@ func boundCatalog(t *testing.T, s *Store) (*catalog.Catalog, *catalog.Signature)
 func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 	s := NewStore()
 	c, _ := boundCatalog(t, s)
-	c.SetQuarantineThreshold(3)
 
 	const readers = 6
 	const writers = 2
@@ -71,7 +70,7 @@ func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 					return
 				}
 				lastEpoch = st.Epoch
-				if st.Failures >= 3 && !st.Quarantined {
+				if st.Failures >= catalog.DefaultQuarantineThreshold && !st.Quarantined {
 					errc <- fmt.Errorf("reader %d: %d failures past threshold without quarantine: %+v", r, st.Failures, st)
 					return
 				}

@@ -64,7 +64,7 @@ awk '
 		exit status
 	}
 ' - "$profile" <<'BUDGETS'
-repro/astdb 47
+repro/astdb 44
 repro/astdb/driver 50
 repro/cmd/astadvisor 3
 repro/cmd/astrw 23
@@ -73,15 +73,15 @@ repro/examples/histogram 7
 repro/examples/quickstart 7
 repro/internal/advisor 5
 repro/internal/bench 4
-repro/internal/catalog 13
+repro/internal/catalog 12
 repro/internal/core 11
 repro/internal/exec 123
 repro/internal/faultinject 1
 repro/internal/lint 37
-repro/internal/maintain 30
+repro/internal/maintain 9
 repro/internal/obs 6
 repro/internal/parser 4
-repro/internal/qgm 95
+repro/internal/qgm 88
 repro/internal/qgmcheck 19
 repro/internal/rcu 1
 repro/internal/server 26
