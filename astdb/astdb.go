@@ -1,8 +1,10 @@
 // Package astdb is the unified facade over the Automatic Summary Table
 // reproduction: one Engine value ties together the catalog, storage, the
 // rewriter (matching §3–§6 of the paper), the executor, the plan cache, and
-// incremental maintenance, behind context-first Query / Rewrite / Explain /
-// Refresh entry points.
+// incremental maintenance. A SELECT is answered by Query, through the plan
+// cache, and described by Explain, which plans without it; a DML statement
+// goes through ExecStatement (or ExecParsed, parsed) and a summary table is
+// created by CreateSummaryTable and recomputed by Refresh.
 //
 // The facade also carries the degrade-gracefully contract that used to live in
 // internal/resilient: routing a query through a summary table is an
@@ -44,8 +46,6 @@ type (
 	Config = exec.Config
 	// Stats describes one AST maintenance action.
 	Stats = maintain.Stats
-	// Rewrite is the outcome of a plan-cache-aware rewrite.
-	Rewrite = core.CachedRewrite
 )
 
 // SortRows orders result rows deterministically (for display and diffing).
@@ -64,7 +64,7 @@ type Engine struct {
 	maint *maintain.Maintainer
 	obsv  *obs.Observer
 	cfg   exec.Config
-	cache *core.PlanCache // nil = plan caching disabled
+	cache *core.PlanCache
 
 	// set is the one record of which summary tables exist: every reader and
 	// every name check reads it (view), with one atomic load, and only
@@ -109,7 +109,7 @@ func (e *Engine) register(asts ...*core.CompiledAST) {
 // settings accumulates functional options.
 type settings struct {
 	cfg      exec.Config
-	cacheCap int // 0 = default size, <0 = disabled
+	cacheCap int // <= 0 = default size
 	obsv     *obs.Observer
 	coreOpts core.Options
 }
@@ -121,8 +121,9 @@ type Option func(*settings)
 // applied to every query and materialization the engine runs.
 func WithLimits(cfg exec.Config) Option { return func(c *settings) { c.cfg = cfg } }
 
-// WithPlanCache sizes the rewrite plan cache: n > 0 sets the capacity, n == 0
-// keeps the default (core.DefaultPlanCacheSize), n < 0 disables caching.
+// WithPlanCache sizes the rewrite plan cache: n > 0 sets the capacity, n <= 0
+// keeps the default (core.DefaultPlanCacheSize). Every SELECT Query answers is
+// planned through the cache; nothing turns it off.
 func WithPlanCache(n int) Option { return func(c *settings) { c.cacheCap = n } }
 
 // WithObserver attaches an observability sink. The observer is threaded
@@ -168,11 +169,9 @@ func assemble(cat *catalog.Catalog, store *storage.Store, rw *core.Rewriter, c s
 		rw:    rw,
 		maint: maintain.New(store).WithCatalog(cat),
 		cfg:   c.cfg,
+		cache: core.NewPlanCache(c.cacheCap),
 
 		writer: make(chan struct{}, 1),
-	}
-	if c.cacheCap >= 0 {
-		e.cache = core.NewPlanCache(c.cacheCap)
 	}
 	if c.obsv != nil {
 		e.obsv = c.obsv
@@ -189,9 +188,6 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Store returns the engine's storage.
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// Rewriter returns the underlying rewriter.
-func (e *Engine) Rewriter() *core.Rewriter { return e.rw }
-
 // Observer returns the attached observer (nil when observability is off).
 func (e *Engine) Observer() *obs.Observer { return e.obsv }
 
@@ -205,20 +201,10 @@ func (e *Engine) ASTs() []*core.CompiledAST {
 	return append([]*core.CompiledAST(nil), e.set.Load().asts...)
 }
 
-// Degradations drains the degradation errors (recovered match panics,
-// discarded invalid rewrites) recorded since the last call.
-func (e *Engine) Degradations() []error { return e.rw.Degradations() }
-
-// DegradationEvents drains the sequenced degradation events and reports how
-// many older ones the bounded buffer evicted before this drain.
-func (e *Engine) DegradationEvents() ([]core.DegradationEvent, int) {
-	return e.rw.DegradationEvents()
-}
-
 // write makes the caller the engine's one writer. Every mutating entry point —
-// Insert, Delete, Update, ExecStatement/ExecParsed, Refresh, CreateSummaryTable
-// — starts here: it opens the "maintain" span and takes the writer slot, which
-// the returned function gives back (and ends the span). Each of those is a
+// Insert, ExecStatement/ExecParsed, Refresh, CreateSummaryTable — starts here:
+// it opens the "maintain" span and takes the writer slot, which the returned
+// function gives back (and ends the span). Each of those is a
 // read-modify-publish sequence over the base table and the summary tables
 // reading it (maintain.Maintainer's apply), and two of them interleaved lose
 // base rows and leave summary tables fresh and wrong; the slot is where they
@@ -270,9 +256,9 @@ type Answer struct {
 	CacheHit bool
 }
 
-// Query answers one SQL query with graceful degradation, through the plan
-// cache when one is configured: parse, rewrite against the registered summary
-// tables (every one estimated to pay, with or without a cache), execute under
+// Query answers one SQL query with graceful degradation, always through the
+// plan cache: plan against the registered summary tables (every one estimated
+// to pay) or reuse the plan cached for the statement's template, execute under
 // the engine's limits, and fall back to the base plan — marking every summary
 // table the plan read stale — if the rewritten plan fails. Only typed budget
 // errors and base-plan failures are returned.
@@ -285,13 +271,6 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	span := e.startSpan(ctx, "query")
 	defer span.End()
 	ctx = obs.ContextWithSpan(ctx, span)
-	if e.cache == nil {
-		g, err := e.parse(span, sql)
-		if err != nil {
-			return nil, err
-		}
-		return e.queryGraph(ctx, g)
-	}
 	set, st := e.view()
 	cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, set.asts, st)
 	if err != nil {
@@ -301,6 +280,8 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	if err == nil {
 		return &Answer{Output: *r, Plan: cr.Plan, Rewrite: cr.Rewrite, ASTs: cr.ASTs, CacheHit: cr.Hit}, nil
 	}
+	// Budget exhaustion and cancellation surface typed: retrying on base
+	// tables could only be slower.
 	if len(cr.ASTs) == 0 || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
 		return nil, err
 	}
@@ -319,63 +300,6 @@ func (e *Engine) Query(ctx context.Context, sql string) (*Answer, error) {
 	return &Answer{Output: *r, Plan: base, Rewrite: cr.Rewrite, FellBack: true, CacheHit: cr.Hit}, nil
 }
 
-// QueryGraph is Query for an already-built graph; it bypasses the plan cache.
-// The input graph is never mutated (the rewrite works on a clone), so it
-// stays available as the fallback base plan.
-func (e *Engine) QueryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	span := e.startSpan(ctx, "query")
-	defer span.End()
-	return e.queryGraph(obs.ContextWithSpan(ctx, span), query)
-}
-
-func (e *Engine) queryGraph(ctx context.Context, query *qgm.Graph) (*Answer, error) {
-	set, st := e.view()
-	plan, res := e.rw.RewriteOrFallback(ctx, query, set.asts, st)
-	r, err := e.runPlan(ctx, st, plan)
-	if err == nil {
-		return &Answer{Output: *r, Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
-	}
-	// Budget exhaustion and cancellation surface typed: retrying on base
-	// tables could only be slower.
-	if res == nil || errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled) {
-		return nil, err
-	}
-	e.markStale(res.Tables())
-	r, err = e.runPlan(ctx, st, query)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Output: *r, Plan: query, Rewrite: res, FellBack: true}, nil
-}
-
-// Rewrite plans one SQL query without executing it, choosing the plan Query
-// would. Naming summary tables in only restricts the candidate set (bypassing
-// the cache, whose entries are keyed against the full set); a name that is no
-// registered summary table is an error (ErrUnknownTable).
-func (e *Engine) Rewrite(ctx context.Context, sql string, only ...string) (*Rewrite, error) {
-	span := e.startSpan(ctx, "rewrite")
-	defer span.End()
-	ctx = obs.ContextWithSpan(ctx, span)
-	set, st := e.view()
-	if e.cache != nil && len(only) == 0 {
-		cr, err := e.rw.RewriteSQLCached(ctx, e.cache, sql, set.asts, st)
-		if err != nil {
-			return nil, compileError(err)
-		}
-		return cr, nil
-	}
-	sel, err := set.only(only)
-	if err != nil {
-		return nil, err
-	}
-	g, err := e.parse(span, sql)
-	if err != nil {
-		return nil, err
-	}
-	plan, res := e.rw.RewriteOrFallback(ctx, g, sel.asts, st)
-	return &Rewrite{Plan: plan, Rewrite: res, ASTs: res.Tables()}, nil
-}
-
 // markStale marks every named summary table stale, in one publication: a
 // failed rewritten plan cannot say which of the tables it read failed it. A
 // table named twice is marked once. It does not wait for the writer slot: a
@@ -389,16 +313,6 @@ func (e *Engine) markStale(names []string) {
 		}
 	}
 	e.store.Apply(ts...)
-}
-
-// Execute runs one graph under the engine's limits, with panics converted to
-// errors. It performs no rewriting and no fallback.
-func (e *Engine) Execute(ctx context.Context, g *qgm.Graph) (*exec.Result, error) {
-	out, err := e.runPlan(ctx, e.store.Pin(), g)
-	if err != nil {
-		return nil, err
-	}
-	return out.Result(), nil
 }
 
 // parse builds a graph from SQL under a "parse" child span, classifying

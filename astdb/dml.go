@@ -20,42 +20,15 @@ type DMLResult struct {
 	Stats    []maintain.Stats
 }
 
-// Delete executes DELETE FROM t [WHERE ...] and refreshes every summary table
-// whose definition reads t — by count-tracked delta retirement where the
-// maintenance plan allows, by full recomputation otherwise. Per-AST refresh
-// failures are recorded in the returned Stats (the AST goes stale) and joined
-// into the returned error; a statement-level error (parse, unknown table,
-// predicate evaluation) aborts before anything is mutated.
-func (e *Engine) Delete(ctx context.Context, sql string) (*DMLResult, error) {
-	return e.execSQL(ctx, sql, "DELETE")
-}
-
-// Update executes UPDATE t SET ... [WHERE ...] and refreshes every summary
-// table whose definition reads t; the incremental path applies the delete
-// delta of the old rows and the insert delta of the new rows in one merge.
-// Error semantics match Delete.
-func (e *Engine) Update(ctx context.Context, sql string) (*DMLResult, error) {
-	return e.execSQL(ctx, sql, "UPDATE")
-}
-
 // ExecStatement executes one DML statement given as SQL text — INSERT ...
 // VALUES, DELETE, or UPDATE — and reports the affected-row count plus the
 // per-AST maintenance outcomes. It is the single statement entry point the
 // wire server's exec message and the driver's ExecContext map to; SELECTs
 // belong to Query and DDL to CreateTable/CreateSummaryTable.
 func (e *Engine) ExecStatement(ctx context.Context, sql string) (*DMLResult, error) {
-	return e.execSQL(ctx, sql, "")
-}
-
-// execSQL parses sql once, checks it is the kind of statement the caller asked
-// for ("" accepts any DML), and hands the statement to ExecParsed.
-func (e *Engine) execSQL(ctx context.Context, sql, want string) (*DMLResult, error) {
 	stmt, err := parser.ParseStatement(sql)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrParse, err)
-	}
-	if got := statementKind(stmt); want != "" && got != want {
-		return nil, fmt.Errorf("%w: expected %s, got %s", ErrParse, want, got)
 	}
 	return e.ExecParsed(ctx, stmt)
 }

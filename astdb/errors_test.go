@@ -110,11 +110,11 @@ func TestTypedErrorSurface(t *testing.T) {
 		check(t, err, astdb.ErrUnknownTable)
 	})
 	t.Run("unknown-table-delete", func(t *testing.T) {
-		_, err := db.Delete(ctx, "delete from nosuch")
+		_, err := db.ExecStatement(ctx, "delete from nosuch")
 		check(t, err, astdb.ErrUnknownTable)
 	})
 	t.Run("write-protected-dml", func(t *testing.T) {
-		_, err := db.Update(ctx, "update byloc set cnt = 0")
+		_, err := db.ExecStatement(ctx, "update byloc set cnt = 0")
 		check(t, err, astdb.ErrWriteProtected)
 	})
 	t.Run("write-protected-insert", func(t *testing.T) {

@@ -31,9 +31,8 @@ type Report struct {
 	Chosen []Choice
 
 	// ActualRows counts the rows the chosen plan produced; ExecError records
-	// an execution failure instead. ExecMode is the executor's Result.Mode.
+	// an execution failure instead.
 	ActualRows int
-	ExecMode   string
 	ExecError  string
 }
 
@@ -78,7 +77,8 @@ type Candidate struct {
 // order (unusable and pruned ones too, for their decision log). What the
 // report names as the chosen plan is therefore what Query runs, by
 // construction. The chosen plan is then executed for its actual row count.
-// Explain bypasses the plan cache and never mutates engine state beyond
+// Explain plans without the plan cache — it is the uncached reference a cached
+// Query's choice is checked against — and never mutates engine state beyond
 // counters.
 func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 	span := e.startSpan(ctx, "explain")
@@ -108,7 +108,6 @@ func (e *Engine) Explain(ctx context.Context, sql string) (*Report, error) {
 		rep.ExecError = err.Error()
 	} else {
 		rep.ActualRows = r.Len()
-		rep.ExecMode = r.Mode
 	}
 	return rep, nil
 }
@@ -203,7 +202,7 @@ func (r *Report) Render(w io.Writer) {
 	if r.ExecError != "" {
 		fmt.Fprintf(w, "execution failed: %s\n", r.ExecError)
 	} else {
-		fmt.Fprintf(w, "execution: %s, actual rows: %d\n", r.ExecMode, r.ActualRows)
+		fmt.Fprintf(w, "actual rows: %d\n", r.ActualRows)
 	}
 }
 

@@ -15,14 +15,14 @@ import (
 // TestQueryBindsLiteralsThroughThePlanCache: through the facade, a statement
 // that differs from a cached one only in literals planning never looked at is
 // a plan-cache hit with its own literals' rows; one that differs in a literal
-// a decision rested on plans afresh; and an engine without a cache answers
-// every one of them the same.
+// a decision rested on plans afresh; and every answer is the base tables'
+// and reads the tables Explain, which plans without the cache, chooses.
 func TestQueryBindsLiteralsThroughThePlanCache(t *testing.T) {
 	env := benchmarkSetEnv(t)
 	env.MustRegisterAST("p_year", `select flid, year(date) as year, count(*) as cnt from trans
 		where year(date) > 1990 group by flid, year(date)`)
 	o := obs.New()
-	cached, plain := env.DB(astdb.WithObserver(o)), env.DB(astdb.WithPlanCache(-1))
+	db := env.DB(astdb.WithObserver(o))
 	ctx := context.Background()
 
 	for i, s := range []struct {
@@ -43,19 +43,23 @@ func TestQueryBindsLiteralsThroughThePlanCache(t *testing.T) {
 		{`select flid, count(*) as cnt from trans where year(date) > 1991 group by flid`, true, "p_year", 1},
 		{`SELECT flid, COUNT(*) AS cnt FROM trans WHERE year(date) > 1989 GROUP BY flid -- again`, true, "ast7", 1},
 	} {
-		ans, err := cached.Query(ctx, s.sql)
+		ans, err := db.Query(ctx, s.sql)
 		if err != nil {
 			t.Fatalf("statement %d: %v", i, err)
 		}
-		ref, err := plain.Query(ctx, s.sql)
+		rep, err := db.Explain(ctx, s.sql)
 		if err != nil {
-			t.Fatalf("statement %d, no cache: %v", i, err)
+			t.Fatalf("statement %d, explain: %v", i, err)
 		}
-		if ans.CacheHit != s.hit || strings.Join(ans.ASTs, ",") != s.ast || strings.Join(ref.ASTs, ",") != s.ast || ref.CacheHit {
-			t.Errorf("statement %d: hit=%t ast=%q (without a cache %q), want hit=%t ast=%q",
-				i, ans.CacheHit, strings.Join(ans.ASTs, ","), strings.Join(ref.ASTs, ","), s.hit, s.ast)
+		var explained []string
+		for _, c := range rep.Chosen {
+			explained = append(explained, c.AST)
 		}
-		if diff := exec.EqualResults(ref.Result(), ans.Result()); diff != "" {
+		if ans.CacheHit != s.hit || strings.Join(ans.ASTs, ",") != s.ast || strings.Join(explained, ",") != s.ast {
+			t.Errorf("statement %d: hit=%t ast=%q (EXPLAIN %q), want hit=%t ast=%q",
+				i, ans.CacheHit, strings.Join(ans.ASTs, ","), explained, s.hit, s.ast)
+		}
+		if diff := exec.EqualResults(baseResult(t, db, s.sql), ans.Result()); diff != "" {
 			t.Errorf("statement %d (hit=%t): %s", i, ans.CacheHit, diff)
 		}
 		if got := o.Counter(core.CtrCacheVariantMisses); got != s.variantMisses {
@@ -69,9 +73,30 @@ func TestQueryBindsLiteralsThroughThePlanCache(t *testing.T) {
 
 	// A number no literal can carry is the same typed parse error either way.
 	const big = "select flid from trans where flid > 99999999999999999999"
-	_, cerr := cached.Query(ctx, big)
-	_, perr := plain.Query(ctx, big)
+	_, cerr := db.Query(ctx, big)
+	_, perr := db.Explain(ctx, big)
 	if !errors.Is(cerr, astdb.ErrParse) || perr == nil || cerr.Error() != perr.Error() {
-		t.Errorf("overflowing literal:\n cached: %v\n plain:  %v", cerr, perr)
+		t.Errorf("overflowing literal:\n query:   %v\n explain: %v", cerr, perr)
+	}
+}
+
+// TestWithPlanCacheSizesTheCache: a cache of one plan keeps the last template
+// it planned, so alternating two templates misses every time.
+func TestWithPlanCacheSizesTheCache(t *testing.T) {
+	o := obs.New()
+	db := openTinyDB(t, astdb.WithPlanCache(1), astdb.WithObserver(o))
+	ctx := context.Background()
+	const a, b = "select region from sales", "select amount from sales"
+	for i, s := range []struct {
+		sql string
+		hit bool
+	}{{a, false}, {a, true}, {b, false}, {a, false}} {
+		ans, err := db.Query(ctx, s.sql)
+		if err != nil || ans.CacheHit != s.hit {
+			t.Fatalf("query %d (%s): hit=%v, %v; want hit=%v", i, s.sql, ans != nil && ans.CacheHit, err, s.hit)
+		}
+	}
+	if got := o.Counter(core.CtrCacheEvictions); got != 2 {
+		t.Fatalf("%s = %d, want 2", core.CtrCacheEvictions, got)
 	}
 }

@@ -78,7 +78,7 @@ func assertFreshMeansRight(t *testing.T, db *astdb.Engine) {
 		if st := db.Catalog().Status(ca.Def.Name); st.Stale || st.Quarantined {
 			continue
 		}
-		want, err := db.Execute(context.Background(), ca.Graph)
+		want, err := exec.NewEngine(db.Store()).RunCtx(context.Background(), ca.Graph, exec.Config{})
 		if err != nil {
 			t.Fatalf("recompute %s: %v", ca.Def.Name, err)
 		}
@@ -251,7 +251,7 @@ func TestQueuedWriterHonoursCancellation(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := db.Delete(context.Background(), "delete from sales where region = 0")
+		_, err := db.ExecStatement(context.Background(), "delete from sales where region = 0")
 		firstDone <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); faultinject.Fired(site) == 0; {

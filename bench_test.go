@@ -668,7 +668,7 @@ func BenchmarkE18_CatalogScaling(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if rw.RewriteBestCost(g, asts, env.Store) == nil {
+					if rw.RewriteBestCostCtx(context.Background(), g, asts, env.Store) == nil {
 						b.Fatal("wide query did not rewrite")
 					}
 				}

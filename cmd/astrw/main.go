@@ -6,7 +6,9 @@
 // through the matching algorithm against all registered summary tables; when
 // a match is found the rewritten query runs instead and both forms are
 // printed. Every DML statement refreshes the summary tables that read the
-// mutated table and reports each refresh's route and delta statistics.
+// mutated table and reports each refresh's route and delta statistics. After
+// each statement the shell prints the degradations (core.degraded events)
+// the statement recorded.
 //
 // Usage:
 //
@@ -41,7 +43,8 @@ type shell struct {
 	db         *astdb.Engine
 	out        io.Writer
 	maxRows    int
-	explainAll bool // -explain: render the EXPLAIN report for every SELECT
+	explainAll bool   // -explain: render the EXPLAIN report for every SELECT
+	reported   uint64 // sequence number of the last degradation printed
 }
 
 func main() {
@@ -64,17 +67,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	limit := fs.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
 	allowStale := fs.Bool("allow-stale", false, "let queries read summary tables marked stale")
 	explain := fs.Bool("explain", false, "render the EXPLAIN report for every SELECT instead of executing it")
-	obsFlag := fs.Bool("obs", false, "record observability data and print the snapshot at exit")
+	obsFlag := fs.Bool("obs", false, "print the observability snapshot at exit")
 	fs.Parse(args)
 
-	opts := []astdb.Option{
+	db, err := astdb.Open(catalog.New(),
 		astdb.WithLimits(astdb.Config{MaxRows: *limit, Timeout: *timeout}),
 		astdb.WithAllowStale(*allowStale),
-	}
-	if *obsFlag {
-		opts = append(opts, astdb.WithObserver(obs.New()))
-	}
-	db, err := astdb.Open(catalog.New(), opts...)
+		astdb.WithObserver(obs.New()))
 	if err != nil {
 		return err
 	}
@@ -136,7 +135,9 @@ func (sh *shell) runScript(src string) error {
 		return err
 	}
 	for _, stmt := range stmts {
-		if err := sh.exec(stmt); err != nil {
+		err := sh.exec(stmt)
+		sh.reportDegradations()
+		if err != nil {
 			return err
 		}
 	}
@@ -366,7 +367,6 @@ func (sh *shell) explain(s *parser.SelectStmt) error {
 		return err
 	}
 	rep.Render(sh.out)
-	sh.reportDegradations()
 	return nil
 }
 
@@ -387,7 +387,6 @@ func (sh *shell) query(s *parser.SelectStmt) error {
 	fmt.Fprintf(sh.out, "\n> %s\n", s.SQL())
 	ans, err := sh.db.Query(context.Background(), s.SQL())
 	if err != nil {
-		sh.reportDegradations()
 		return err
 	}
 	switch {
@@ -402,18 +401,21 @@ func (sh *shell) query(s *parser.SelectStmt) error {
 	case len(sh.db.ASTs()) > 0:
 		fmt.Fprintln(sh.out, "-- no summary table matches; executing against base tables")
 	}
-	sh.reportDegradations()
 	res := ans.Result()
 	astdb.SortRows(res.Rows)
 	sh.printResult(res)
 	return nil
 }
 
-// reportDegradations surfaces recovered failures (match panics, unusable
-// candidates) as comments so degraded service is visible, not silent.
+// reportDegradations prints the core.degraded events newer than the last one
+// it printed (recovered match panics, discarded invalid rewrites) as comments,
+// so degraded service is visible, not silent.
 func (sh *shell) reportDegradations() {
-	for _, d := range sh.db.Degradations() {
-		fmt.Fprintf(sh.out, "-- degraded: %v\n", d)
+	for _, ev := range sh.db.Snapshot().Events {
+		if ev.Kind == "core.degraded" && ev.Seq > sh.reported {
+			fmt.Fprintf(sh.out, "-- degraded: %s\n", ev.Detail)
+			sh.reported = ev.Seq
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/astdb"
 	"repro/internal/bench"
 	"repro/internal/catalog"
+	"repro/internal/faultinject"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden transcript")
@@ -137,6 +138,28 @@ create table c (cid int not null, kid int, primary key (cid), foreign key (kid) 
 				got = got[i+len(w):]
 			}
 		})
+	}
+}
+
+// TestDegradationsPrintedOnce: a match fault is printed after the statement
+// that recorded it, and not again after the next one (whose plan comes from
+// the cache, so nothing is matched).
+func TestDegradationsPrintedOnce(t *testing.T) {
+	faultinject.Enable(1)
+	defer faultinject.Disable()
+	faultinject.Set("core.match:s", faultinject.Err("core.match:s"))
+	const q = "select flid, count(*) as c from trans group by flid;\n"
+	var out strings.Builder
+	if err := run([]string{"-demo", "-scale", "200"},
+		strings.NewReader("create summary table s as "+q+q+q), &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if n := strings.Count(got, "-- degraded: "); n != 1 {
+		t.Fatalf("%d degradations printed, want 1:\n%s", n, got)
+	}
+	if strings.Index(got, "-- degraded: ") > strings.LastIndex(got, "> SELECT") {
+		t.Fatalf("the degradation is printed after the second query:\n%s", got)
 	}
 }
 

@@ -64,14 +64,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	queueDepth := fs.Int("queue-depth", 0, "admission queue depth once all execution slots are busy")
 	timeout := fs.Duration("timeout", 0, "per-query execution timeout (0 = none)")
 	limit := fs.Int("limit", 0, "per-query row-materialization budget (0 = unlimited)")
-	planCache := fs.Int("plancache", 0, "rewrite plan cache capacity (0 = default, <0 = disabled)")
 	obsFlag := fs.Bool("obs", true, "record observability data (served to clients via the obs request)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a graceful drain may take before in-flight queries are canceled")
 	fs.Parse(args)
 
 	opts := []astdb.Option{
 		astdb.WithLimits(exec.Config{MaxRows: *limit, Timeout: *timeout}),
-		astdb.WithPlanCache(*planCache),
 	}
 	if *obsFlag {
 		opts = append(opts, astdb.WithObserver(obs.New()))

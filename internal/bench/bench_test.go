@@ -128,7 +128,9 @@ func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float
 		t.Fatalf("answering from %q: %v, answer %+v", ast, err, ans)
 	}
 	run := func() {
-		if res, err := db.Execute(ctx, ans.Plan); err != nil || len(res.Rows) != len(ans.Rows()) {
+		exe := exec.NewEngine(db.Store().Pin())
+		exe.SetObserver(db.Observer())
+		if res, err := exe.RunCtx(ctx, ans.Plan, exec.Config{Parallelism: par}); err != nil || len(res.Rows) != len(ans.Rows()) {
 			t.Fatalf("executing the plan: %v", err)
 		}
 	}

@@ -109,7 +109,7 @@ func TestSerialParallelParityDS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.RW.RewriteBestCost(g, asts, env.Store)
+			env.RW.RewriteBestCostCtx(context.Background(), g, asts, env.Store)
 			checkParity(t, env.Engine, g)
 		})
 	}

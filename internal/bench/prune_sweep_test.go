@@ -94,7 +94,7 @@ func TestWideCatalogAdmitsOneTableInN(t *testing.T) {
 			t.Errorf("w%03d (over t%d): admitted %v, want %v", j, j%tables, got, want)
 		}
 	}
-	if env.RW.RewriteBestCost(g, asts, env.Store) == nil {
+	if env.RW.RewriteBestCostCtx(context.Background(), g, asts, env.Store) == nil {
 		t.Error("the probe query did not rewrite")
 	}
 }

@@ -205,15 +205,6 @@ func (c *Catalog) Statuses() *Statuses {
 	return c.fresh.Statuses()
 }
 
-// apply publishes ts through the attached store. Changing freshness with no
-// store attached is a wiring error.
-func (c *Catalog) apply(ts ...Transition) {
-	if c.fresh == nil {
-		panic("catalog: AST freshness changed with no store attached (SetFreshness)")
-	}
-	c.fresh.Apply(ts...)
-}
-
 // DefaultQuarantineThreshold is the number of consecutive refresh failures
 // after which an AST is quarantined (circuit broken) until a successful full
 // recompute.
@@ -462,23 +453,4 @@ func (c *Catalog) change(name, counter, event string, f func(*ASTStatus)) Transi
 			c.obsv.Emit(event, name)
 		}
 	}}
-}
-
-// MarkFresh publishes Fresh(name) through the attached store.
-func (c *Catalog) MarkFresh(name string) { c.apply(c.Fresh(name)) }
-
-// MarkStale publishes Stale(name) through the attached store.
-func (c *Catalog) MarkStale(name string) { c.apply(c.Stale(name)) }
-
-// RecordRefreshFailure publishes Failed(name) through the attached store and
-// returns the AST's status after it.
-func (c *Catalog) RecordRefreshFailure(name string) ASTStatus {
-	c.apply(c.Failed(name))
-	return c.Status(name)
-}
-
-// Usable is Statuses.Usable on the current generation. Lock-free (one atomic
-// load).
-func (c *Catalog) Usable(name string, allowStale bool) bool {
-	return c.Statuses().Usable(name, allowStale)
 }

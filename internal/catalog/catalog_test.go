@@ -159,24 +159,24 @@ func TestASTStatusLifecycle(t *testing.T) {
 	if st := c.Status("a1"); st != (ASTStatus{}) {
 		t.Fatalf("fresh AST has non-zero status: %+v", st)
 	}
-	if !c.Usable("a1", false) {
+	if !c.Statuses().Usable("a1", false) {
 		t.Fatal("never-refreshed AST should be usable")
 	}
 
-	c.MarkStale("A1") // case-insensitive
-	if c.Usable("a1", false) {
+	c.fresh.Apply(c.Stale("A1")) // case-insensitive
+	if c.Statuses().Usable("a1", false) {
 		t.Fatal("stale AST usable with AllowStale=false")
 	}
-	if !c.Usable("a1", true) {
+	if !c.Statuses().Usable("a1", true) {
 		t.Fatal("stale AST not usable with AllowStale=true")
 	}
 
-	c.MarkFresh("a1")
+	c.fresh.Apply(c.Fresh("a1"))
 	st := c.Status("a1")
 	if st.Stale || st.Epoch != 1 || st.Failures != 0 {
-		t.Fatalf("after MarkFresh: %+v", st)
+		t.Fatalf("after Fresh: %+v", st)
 	}
-	c.MarkFresh("a1")
+	c.fresh.Apply(c.Fresh("a1"))
 	if got := c.Status("a1").Epoch; got != 2 {
 		t.Fatalf("epoch = %d, want 2", got)
 	}
@@ -185,26 +185,27 @@ func TestASTStatusLifecycle(t *testing.T) {
 func TestQuarantineCircuitBreaker(t *testing.T) {
 	c := attached()
 	for i := 1; i < DefaultQuarantineThreshold; i++ {
-		st := c.RecordRefreshFailure("q")
-		if st.Quarantined {
+		c.fresh.Apply(c.Failed("q"))
+		if c.Status("q").Quarantined {
 			t.Fatalf("quarantined after %d failures (threshold %d)", i, DefaultQuarantineThreshold)
 		}
 	}
-	st := c.RecordRefreshFailure("q")
+	c.fresh.Apply(c.Failed("q"))
+	st := c.Status("q")
 	if !st.Quarantined || st.Failures != DefaultQuarantineThreshold || !st.Stale {
 		t.Fatalf("after threshold failures: %+v", st)
 	}
 	// Quarantine ignores AllowStale.
-	if c.Usable("q", true) {
+	if c.Statuses().Usable("q", true) {
 		t.Fatal("quarantined AST should never be usable")
 	}
 	// A successful refresh is the only way out.
-	c.MarkFresh("q")
+	c.fresh.Apply(c.Fresh("q"))
 	st = c.Status("q")
 	if st.Quarantined || st.Stale || st.Failures != 0 || st.Epoch != 1 {
 		t.Fatalf("after recovery: %+v", st)
 	}
-	if !c.Usable("q", false) {
+	if !c.Statuses().Usable("q", false) {
 		t.Fatal("recovered AST should be usable")
 	}
 }
@@ -216,10 +217,10 @@ func TestStatusConcurrentAccess(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 200; j++ {
-				c.MarkStale("x")
-				c.RecordRefreshFailure("x")
-				c.MarkFresh("x")
-				c.Usable("x", false)
+				c.fresh.Apply(c.Stale("x"))
+				c.fresh.Apply(c.Failed("x"))
+				c.fresh.Apply(c.Fresh("x"))
+				c.Statuses().Usable("x", false)
 				c.Status("x")
 			}
 		}()
@@ -233,8 +234,8 @@ func TestStatusConcurrentAccess(t *testing.T) {
 // registered summary table per plan-cache lookup — at zero allocations.
 func TestStatusIsAllocationFree(t *testing.T) {
 	c := attached()
-	c.MarkFresh("a1")
-	c.MarkStale("a2")
+	c.fresh.Apply(c.Fresh("a1"))
+	c.fresh.Apply(c.Stale("a2"))
 	if got := testing.AllocsPerRun(1000, func() {
 		if c.Status("a1").Stale || !c.Status("a2").Stale || c.Status("absent").Epoch != 0 {
 			t.Fatal("wrong status")

@@ -174,7 +174,7 @@ func (c *Catalog) ASTSignature(name string) (*Signature, bool) {
 
 // AdmitsAST is the index-side admission check consulted once per (query, AST)
 // pair before full matching. It returns false only when the index can prove
-// the AST cannot serve the query: its current freshness forbids use (Usable),
+// the AST cannot serve the query: its current freshness forbids use (Statuses.Usable),
 // or its signature fails one of the conservative refutation rules against the
 // query signature q. ASTs without an index entry, and nil query signatures,
 // are always admitted. The rewriter checks freshness on the generation it
@@ -185,7 +185,7 @@ func (c *Catalog) AdmitsAST(name string, q *Signature, allowStale bool) bool {
 	if !ok {
 		return true
 	}
-	if !c.Usable(name, allowStale) {
+	if !c.Statuses().Usable(name, allowStale) {
 		return false
 	}
 	return c.SignatureAdmits(sig, q)

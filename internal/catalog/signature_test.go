@@ -39,7 +39,7 @@ func TestSignatureIndexStaleness(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, allowStale := range []bool{false, true} {
-			usable := c.Usable("a1", allowStale)
+			usable := c.Statuses().Usable("a1", allowStale)
 			admits := c.AdmitsAST("a1", q, allowStale)
 			if admits && !usable {
 				t.Fatalf("%s: index admits an AST Usable(allowStale=%v) rejects", step, allowStale)
@@ -55,7 +55,7 @@ func TestSignatureIndexStaleness(t *testing.T) {
 		t.Fatal("fresh AST must be admitted")
 	}
 
-	c.MarkStale("a1")
+	c.fresh.Apply(c.Stale("a1"))
 	check("stale")
 	if c.AdmitsAST("a1", q, false) {
 		t.Fatal("stale AST must be pruned when staleness is not allowed")
@@ -64,14 +64,14 @@ func TestSignatureIndexStaleness(t *testing.T) {
 		t.Fatal("stale AST must be admitted when staleness is allowed")
 	}
 
-	c.MarkFresh("a1")
+	c.fresh.Apply(c.Fresh("a1"))
 	check("refreshed")
 	if !c.AdmitsAST("a1", q, false) {
 		t.Fatal("refreshed AST must be re-admitted")
 	}
 
 	for i := 0; i < DefaultQuarantineThreshold; i++ {
-		c.RecordRefreshFailure("a1")
+		c.fresh.Apply(c.Failed("a1"))
 	}
 	if !c.Status("a1").Quarantined {
 		t.Fatal("AST should be quarantined after threshold failures")
@@ -81,7 +81,7 @@ func TestSignatureIndexStaleness(t *testing.T) {
 		t.Fatal("quarantined AST must be pruned even when staleness is allowed")
 	}
 
-	c.MarkFresh("a1")
+	c.fresh.Apply(c.Fresh("a1"))
 	check("recovered")
 	if !c.AdmitsAST("a1", q, false) {
 		t.Fatal("recovered AST must be re-admitted")
@@ -96,7 +96,7 @@ func TestSignatureIndexStaleness(t *testing.T) {
 // already stale or quarantined must not make it look fresh.
 func TestSignatureIndexSeedsFromStatus(t *testing.T) {
 	c, sig := sigCatalog(t)
-	c.MarkStale("a2")
+	c.fresh.Apply(c.Stale("a2"))
 	c.SetASTSignature("a2", sig)
 	if c.AdmitsAST("a2", sig, false) {
 		t.Fatal("signature inserted for an already-stale AST must start stale")

@@ -18,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/maintain"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
 	"repro/internal/sqltypes"
@@ -112,11 +113,7 @@ func (e *chaosEnv) askAll(t *testing.T, want []*exec.Result, lim exec.Config, al
 	db := e.db(lim)
 	out := make([]*astdb.Answer, len(chaosQueries))
 	for i, sql := range chaosQueries {
-		g, err := qgm.BuildSQL(sql, e.cat)
-		if err != nil {
-			t.Fatalf("build %q: %v", sql, err)
-		}
-		ans, err := db.QueryGraph(context.Background(), g)
+		ans, err := db.Query(context.Background(), sql)
 		if err != nil {
 			if allowBudgetErr && (errors.Is(err, exec.ErrBudgetExceeded) || errors.Is(err, exec.ErrCanceled)) {
 				continue
@@ -177,6 +174,8 @@ func TestControlRewritesHappen(t *testing.T) {
 // degradation may be recorded.
 func TestControlUnderVerifyPlans(t *testing.T) {
 	e := newChaosEnv(t)
+	o := obs.New()
+	e.rw.SetObserver(o)
 	want := e.baselines(t)
 	answers := e.askAll(t, want, exec.Config{}, false)
 	ck := qgmcheck.Checker{ASTDefs: map[string]*qgm.Graph{}}
@@ -195,8 +194,8 @@ func TestControlUnderVerifyPlans(t *testing.T) {
 	if rewritten < 3 {
 		t.Fatalf("only %d/%d queries used a summary table under verification", rewritten, len(chaosQueries))
 	}
-	if degs := e.rw.Degradations(); len(degs) != 0 {
-		t.Fatalf("sound plans degraded: %v", degs)
+	if n := o.Counter(core.CtrDegradations); n != 0 {
+		t.Fatalf("sound plans degraded %d times: %+v", n, o.Snapshot().Events)
 	}
 }
 
@@ -224,7 +223,7 @@ func TestScanErrorOnMaterializedTable(t *testing.T) {
 	}
 	// The read failures marked the ASTs stale: later queries skip them
 	// entirely rather than re-trying the broken scan.
-	if e.cat.Usable("cast1", false) && e.cat.Usable("cast2", false) {
+	if gen := e.cat.Statuses(); gen.Usable("cast1", false) && gen.Usable("cast2", false) {
 		t.Fatal("failed materialized reads did not mark any AST stale")
 	}
 }
@@ -233,6 +232,8 @@ func TestScanErrorOnMaterializedTable(t *testing.T) {
 // on base plans, results identical.
 func TestMatchPanic(t *testing.T) {
 	e := newChaosEnv(t)
+	o := obs.New()
+	e.rw.SetObserver(o)
 	want := e.baselines(t)
 
 	faultinject.Enable(1)
@@ -245,7 +246,7 @@ func TestMatchPanic(t *testing.T) {
 			t.Fatalf("query %d claimed a rewrite while matching panics", i)
 		}
 	}
-	if len(e.rw.Degradations()) == 0 {
+	if o.Counter(core.CtrDegradations) == 0 {
 		t.Fatal("match panics were not recorded")
 	}
 }
@@ -321,11 +322,7 @@ func TestSlowScanTimeout(t *testing.T) {
 	sawTyped := false
 	db := e.db(exec.Config{Timeout: 20 * time.Millisecond})
 	for i, sql := range chaosQueries {
-		g, err := qgm.BuildSQL(sql, e.cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans, err := db.QueryGraph(context.Background(), g)
+		ans, err := db.Query(context.Background(), sql)
 		if err != nil {
 			if !errors.Is(err, exec.ErrCanceled) && !errors.Is(err, exec.ErrBudgetExceeded) {
 				t.Fatalf("query %q: untyped failure %v", sql, err)
@@ -346,12 +343,8 @@ func TestSlowScanTimeout(t *testing.T) {
 // resilient pipeline (no silent truncation).
 func TestRowBudget(t *testing.T) {
 	e := newChaosEnv(t)
-	g, err := qgm.BuildSQL(chaosQueries[0], e.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := astdb.Wrap(e.rw, e.engine, nil, astdb.WithLimits(exec.Config{MaxRows: 10}))
-	_, err = db.QueryGraph(context.Background(), g)
+	_, err := db.Query(context.Background(), chaosQueries[0])
 	if !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func TestCostBasedPrefersSmallerAST(t *testing.T) {
 	origRes := mustRun(t, e, orig)
 
 	g, _ := qgm.BuildSQL(sql, e.cat)
-	res := e.rw.RewriteBestCost(g, []*core.CompiledAST{wide, small}, e.store)
+	res := e.rw.RewriteBestCostCtx(context.Background(), g, []*core.CompiledAST{wide, small}, e.store)
 	if res == nil {
 		t.Fatal("no rewrite")
 	}
@@ -53,7 +54,7 @@ func TestCostBasedRefusesUnprofitableAST(t *testing.T) {
 	}
 	// ...but the cost-based router refuses (AST rows == base rows).
 	g2, _ := qgm.BuildSQL(sql, e.cat)
-	if res := e.rw.RewriteBestCost(g2, []*core.CompiledAST{wide}, e.store); res != nil {
+	if res := e.rw.RewriteBestCostCtx(context.Background(), g2, []*core.CompiledAST{wide}, e.store); res != nil {
 		t.Fatalf("unprofitable rewrite accepted: %s", g2.SQL())
 	}
 }
@@ -72,7 +73,7 @@ func TestCostBasedCountsRejoins(t *testing.T) {
 	origRes := mustRun(t, e, orig)
 
 	g, _ := qgm.BuildSQL(sql, e.cat)
-	res := e.rw.RewriteBestCost(g, []*core.CompiledAST{agg}, e.store)
+	res := e.rw.RewriteBestCostCtx(context.Background(), g, []*core.CompiledAST{agg}, e.store)
 	if res == nil {
 		t.Fatal("profitable rejoin rewrite refused")
 	}

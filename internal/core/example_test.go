@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/catalog"
@@ -98,7 +99,7 @@ func ExampleRewriter_Explain() {
 	if err != nil {
 		panic(err)
 	}
-	for _, te := range rw.Explain(g, ast) {
+	for _, te := range rw.Explain(context.Background(), g, ast) {
 		status := "reject"
 		if te.Matched {
 			status = "match"

@@ -254,3 +254,16 @@ func TestProjectionOnly(t *testing.T) {
 		t.Error("predicated compensation is not projection-only")
 	}
 }
+
+// TestTraceOffByDefault: a matcher the rewriter did not ask to trace (only
+// EXPLAIN does) records no decision log.
+func TestTraceOffByDefault(t *testing.T) {
+	cat := starCat(t)
+	m := NewMatcher(cat, buildG(t, cat, "select tid from trans"), buildG(t, cat, "select tid, qty from trans"), Options{})
+	if len(m.RunCtx(context.Background())) == 0 {
+		t.Fatal("the projection should match")
+	}
+	if len(m.log) != 0 {
+		t.Fatal("trace should be empty when disabled")
+	}
+}

@@ -46,10 +46,6 @@ type Options struct {
 	// the first matching subsumer grouping set instead.
 	FirstCuboid bool
 
-	// Trace records a decision log (TraceEntry per candidate pair) for
-	// EXPLAIN-style diagnostics.
-	Trace bool
-
 	// AllowStale lets the rewriter use ASTs whose materialization is marked
 	// stale in the catalog (e.g. after a failed refresh). Quarantined ASTs
 	// are never used regardless. Default false: staleness disables an AST.
@@ -138,7 +134,8 @@ type Matcher struct {
 	rg *qgm.Graph // subsumer (AST) graph
 
 	memo  map[pairKey]*Match
-	trace []TraceEntry
+	trace bool         // record log; set by the Rewriter for EXPLAIN
+	log   []TraceEntry // the decision log, one TraceEntry per candidate pair
 }
 
 // NewMatcher prepares a matcher for a query graph and an AST graph.
@@ -146,15 +143,12 @@ func NewMatcher(cat *catalog.Catalog, query, ast *qgm.Graph, opts Options) *Matc
 	return &Matcher{cat: cat, opts: opts, eg: query, rg: ast, memo: map[pairKey]*Match{}}
 }
 
-// Trace returns the decision log when tracing is enabled (Options.Trace).
-func (m *Matcher) Trace() []TraceEntry { return m.trace }
-
 // reject records a failed candidate pair and returns nil, for use as a
 // one-line failure return in the pattern implementations.
 func (m *Matcher) reject(e, r *qgm.Box, format string, args ...any) *Match {
 	m.obsv.Add(CtrMatchRejects, 1)
-	if m.opts.Trace {
-		m.trace = append(m.trace, TraceEntry{
+	if m.trace {
+		m.log = append(m.log, TraceEntry{
 			Subsumee: e.Label, Subsumer: r.Label,
 			Reason: fmt.Sprintf(format, args...),
 		})
@@ -169,7 +163,7 @@ func (m *Matcher) accept(match *Match) *Match {
 			m.obsv.Add("core.match.accept."+match.Pattern, 1)
 		}
 	}
-	if m.opts.Trace && match != nil {
+	if m.trace && match != nil {
 		te := TraceEntry{
 			Subsumee: match.Subsumee.Label, Subsumer: match.Subsumer.Label,
 			Matched: true, Exact: match.Exact, Pattern: match.Pattern,
@@ -183,7 +177,7 @@ func (m *Matcher) accept(match *Match) *Match {
 			}
 			te.Reason = "compensation: " + strings.Join(kinds, " → ")
 		}
-		m.trace = append(m.trace, te)
+		m.log = append(m.log, te)
 	}
 	return match
 }

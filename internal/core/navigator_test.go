@@ -53,7 +53,7 @@ func TestNavigatorTriesChildPairsFirst(t *testing.T) {
 		eBoxes, rBoxes := byLabel(t, g), byLabel(t, asts[r.ast].Graph)
 		type pair struct{ e, r string }
 		at := map[pair]int{}
-		log := rw.Explain(g, asts[r.ast])
+		log := rw.Explain(context.Background(), g, asts[r.ast])
 		for i, te := range log {
 			p := pair{te.Subsumee, te.Subsumer}
 			if _, twice := at[p]; twice {
@@ -103,11 +103,10 @@ func TestNavigatorHonoursCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := core.NewMatcher(cat, g, ast.Graph, core.Options{Trace: true})
-	if matches := m.RunCtx(ctx); len(matches) != 0 {
+	if matches := core.NewMatcher(cat, g, ast.Graph, core.Options{}).RunCtx(ctx); len(matches) != 0 {
 		t.Errorf("cancelled sweep returned %d root matches", len(matches))
 	}
-	if log := m.Trace(); len(log) != 0 {
+	if log := rw.Explain(ctx, g, ast); len(log) != 0 {
 		t.Errorf("cancelled sweep tried pairs: %+v", log)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -198,7 +199,7 @@ func TestMatcherNearMisses(t *testing.T) {
 				t.Fatal(err)
 			}
 			var lines []string
-			for _, te := range e.rw.Explain(g, ast) {
+			for _, te := range e.rw.Explain(context.Background(), g, ast) {
 				lines = append(lines, te.Subsumee+" vs "+te.Subsumer+": "+te.Reason)
 			}
 			if !strings.Contains(strings.Join(lines, "\n"), c.want) {

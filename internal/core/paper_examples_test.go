@@ -7,6 +7,7 @@ package core_test
 // generated data.
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -253,7 +254,7 @@ func TestSection422_RecursiveGroupBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var patterns []string
-	for _, te := range e.rw.Explain(g, ast8) {
+	for _, te := range e.rw.Explain(context.Background(), g, ast8) {
 		if te.Matched {
 			patterns = append(patterns, te.Subsumee+" "+te.Pattern)
 			if strings.HasPrefix(te.Subsumee, "GB-") && te.Pattern == "§4.2.2" {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -35,21 +34,19 @@ import (
 // The usable set is what makes a hit safe against status changes: a cached
 // plan names its summary tables, and is valid for as long as the candidates
 // that may serve rewrites (registered, not quarantined, not stale unless
-// Options.AllowStale) are the ones it was planned against. MarkStale and
+// Options.AllowStale) are the ones it was planned against. A stale mark and
 // quarantine change the set and therefore the key — the entry stops being
 // found and ages out, or is found again once the table is back — while a
 // refresh that leaves every table usable changes nothing: DML does not flush
 // the cache.
 //
 // Concurrency: the cache is one LRU behind one lock, held for a map lookup
-// and a list move; lifetime statistics are lock-free atomics. A stored plan
-// is never written: every lookup, the one that stored it included, gets its
-// own bound copy.
+// and a list move. A stored plan is never written: every lookup, the one that
+// stored it included, gets its own bound copy. Hits, misses and evictions are
+// counted on the rewriter's observer (the core.plancache.* counters).
 type PlanCache struct {
 	cap int
 	lru rcu.Guarded[planLRU]
-
-	hits, misses, evictions atomic.Int64
 
 	// usable is the usable set last derived, kept until the store publishes
 	// another status generation (or the caller passes other candidates).
@@ -117,17 +114,6 @@ func (c *PlanCache) Len() int {
 	return n
 }
 
-// Stats returns lifetime hit and miss counts.
-func (c *PlanCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Evictions returns how many entries capacity pressure has evicted over the
-// cache's lifetime.
-func (c *PlanCache) Evictions() int64 {
-	return c.evictions.Load()
-}
-
 // get returns the variant of key whose pins hold for lits, promoting it;
 // known reports that the key has variants at all, so that a miss with known
 // set is a pinned literal that differed.
@@ -145,11 +131,6 @@ func (c *PlanCache) get(key planKey, lits []sqltypes.Value) (ent *cacheEntry, kn
 			}
 		}
 	})
-	if ent != nil {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return ent, known
 }
 
@@ -191,7 +172,6 @@ func (c *PlanCache) put(ent *cacheEntry, lits []sqltypes.Value) int {
 			evicted++
 		}
 	})
-	c.evictions.Add(int64(evicted))
 	return evicted
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 )
 
@@ -23,6 +24,8 @@ import (
 // cache never exceeds its capacity.
 func TestPlanCacheConcurrentHits(t *testing.T) {
 	e := newEnv(t, 1000)
+	o := obs.New()
+	e.rw.SetObserver(o)
 	ast := e.registerAST(t, "pc_stress", pcAggSQL)
 	asts := []*core.CompiledAST{ast}
 	const capacity = 64
@@ -71,7 +74,7 @@ func TestPlanCacheConcurrentHits(t *testing.T) {
 	if n := cache.Len(); n > capacity {
 		t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
 	}
-	hits, misses := cache.Stats()
+	hits, misses := o.Counter(core.CtrCacheHits), o.Counter(core.CtrCacheMisses)
 	if hits+misses != lookups.Load() {
 		t.Fatalf("hits %d + misses %d != lookups %d", hits, misses, lookups.Load())
 	}
@@ -81,7 +84,7 @@ func TestPlanCacheConcurrentHits(t *testing.T) {
 }
 
 // TestPlanCacheConcurrentInvalidation races cache lookups against the status
-// transitions that re-key entries (MarkStale / MarkFresh change the usable
+// transitions that re-key entries (Stale / Fresh transitions change the usable
 // set): readers must always get a runnable plan mid-flip, and once the writer
 // quiesces with the AST fresh, the fresh-era entry — kept, or repopulated by
 // the very next miss — answers with the rewrite intact.
@@ -129,12 +132,12 @@ func TestPlanCacheConcurrentInvalidation(t *testing.T) {
 		defer close(stop)
 		for i := 0; i < 60; i++ {
 			if i%2 == 0 {
-				e.cat.MarkStale("pc_flip")
+				e.store.Apply(e.cat.Stale("pc_flip"))
 			} else {
-				e.cat.MarkFresh("pc_flip")
+				e.store.Apply(e.cat.Fresh("pc_flip"))
 			}
 		}
-		e.cat.MarkFresh("pc_flip")
+		e.store.Apply(e.cat.Fresh("pc_flip"))
 	}()
 
 	wg.Wait()
@@ -248,17 +251,17 @@ func TestPlanCacheConcurrentBinding(t *testing.T) {
 		default:
 			switch n := lookups.Load(); {
 			case !gone && n > total/3:
-				e.cat.MarkStale("cb_gone")
+				e.store.Apply(e.cat.Stale("cb_gone"))
 				gone = true
 			case !dead && n > 2*total/3:
 				for range catalog.DefaultQuarantineThreshold {
-					e.cat.RecordRefreshFailure("cb_dead")
+					e.store.Apply(e.cat.Failed("cb_dead"))
 				}
 				dead = true
 			case i%2 == 0:
-				e.cat.MarkStale("cb_flip")
+				e.store.Apply(e.cat.Stale("cb_flip"))
 			default:
-				e.cat.MarkFresh("cb_flip")
+				e.store.Apply(e.cat.Fresh("cb_flip"))
 			}
 			runtime.Gosched()
 			continue
@@ -271,15 +274,15 @@ func TestPlanCacheConcurrentBinding(t *testing.T) {
 	// Sessions that outran the storm loop (it only yields, so on two cores it
 	// can miss a threshold) still leave the storm's end state to check.
 	if !gone {
-		e.cat.MarkStale("cb_gone")
+		e.store.Apply(e.cat.Stale("cb_gone"))
 	}
 	if !dead {
-		e.cat.RecordRefreshFailure("cb_dead")
+		e.store.Apply(e.cat.Failed("cb_dead"))
 	}
 
 	// Quiesced: the two tables taken away stay away, the flipped one serves —
 	// from its era's entry the second time at the latest.
-	e.cat.MarkFresh("cb_flip")
+	e.store.Apply(e.cat.Fresh("cb_flip"))
 	for i := 0; i < 2; i++ {
 		cr, err := e.rw.RewriteSQLCached(ctx, cache, text(3), asts, e.store)
 		if err != nil || !slices.Equal(cr.ASTs, []string{"cb_flip"}) || (i == 1 && !cr.Hit) {

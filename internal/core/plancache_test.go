@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 )
 
@@ -22,6 +23,8 @@ const pcAggSQL = `select faid, year(date) as year, count(*) as cnt
 // the same query (case, whitespace) have its template and hit the same entry.
 func TestPlanCacheHit(t *testing.T) {
 	e := newEnv(t, 2000)
+	o := obs.New()
+	e.rw.SetObserver(o)
 	ast := e.registerAST(t, "pc_agg", pcAggSQL)
 	asts := []*core.CompiledAST{ast}
 	cache := core.NewPlanCache(8)
@@ -56,8 +59,8 @@ func TestPlanCacheHit(t *testing.T) {
 	if !cr3.Hit {
 		t.Fatalf("a text with the same template missed the cache")
 	}
-	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
-		t.Fatalf("stats: hits=%d misses=%d", hits, misses)
+	if hits, misses := o.Counter(core.CtrCacheHits), o.Counter(core.CtrCacheMisses); hits != 2 || misses != 1 {
+		t.Fatalf("counters: hits=%d misses=%d", hits, misses)
 	}
 
 	// Hits hand out private clones: mutating one must not poison the cache.
@@ -95,7 +98,7 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 
 	// Stale: the cached AST-reading plan must not surface; the query answers
 	// from base tables.
-	e.cat.MarkStale("pc_stale")
+	e.store.Apply(e.cat.Stale("pc_stale"))
 	cr2, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 	// Fresh again: the stale-era base plan must not stick — the rewrite comes
 	// back, and it is the fresh-era entry that answers (the usable set is what
 	// it was; the epoch the refresh bumped is not part of the key).
-	e.cat.MarkFresh("pc_stale")
+	e.store.Apply(e.cat.Fresh("pc_stale"))
 	cr3, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +119,7 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 		t.Fatalf("refreshed AST not re-chosen from its era's entry: %+v", cr3)
 	}
 	// A refresh that leaves the table usable moves nothing.
-	e.cat.MarkFresh("pc_stale")
+	e.store.Apply(e.cat.Fresh("pc_stale"))
 	cr4, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +129,10 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 	}
 
 	// Quarantine: same contract as stale, reached via refresh failures.
-	var st catalog.ASTStatus
 	for range catalog.DefaultQuarantineThreshold {
-		st = e.cat.RecordRefreshFailure("pc_stale")
+		e.store.Apply(e.cat.Failed("pc_stale"))
 	}
-	if !st.Quarantined {
+	if st := e.cat.Status("pc_stale"); !st.Quarantined {
 		t.Fatalf("setup: AST not quarantined: %+v", st)
 	}
 	cr5, err := e.rw.RewriteSQLCached(ctx, cache, sql, asts, e.store)
@@ -142,8 +144,8 @@ func TestPlanCacheStalenessInvalidation(t *testing.T) {
 	}
 	// Stale under AllowStale is usable: that rewriter has its own era.
 	lenient := core.NewRewriter(e.cat, core.Options{AllowStale: true})
-	e.cat.MarkFresh("pc_stale")
-	e.cat.MarkStale("pc_stale")
+	e.store.Apply(e.cat.Fresh("pc_stale"))
+	e.store.Apply(e.cat.Stale("pc_stale"))
 	if cr, err := lenient.RewriteSQLCached(ctx, cache, sql, asts, e.store); err != nil || strings.Join(cr.ASTs, ",") != "pc_stale" {
 		t.Fatalf("AllowStale rewriter refused a stale AST: %+v, %v", cr, err)
 	}
@@ -196,6 +198,8 @@ func TestPlanCacheEviction(t *testing.T) {
 // within a slice of it.
 func TestPlanCacheDefaultCapacityIsOneLRU(t *testing.T) {
 	e := newEnv(t, 1000)
+	o := obs.New()
+	e.rw.SetObserver(o)
 	asts := []*core.CompiledAST{e.registerAST(t, "pc_lru", pcAggSQL)}
 	cache := core.NewPlanCache(0)
 	ctx := context.Background()
@@ -215,14 +219,14 @@ func TestPlanCacheDefaultCapacityIsOneLRU(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lookup(i)
 	}
-	if got := cache.Evictions(); got != 0 {
+	if got := o.Counter(core.CtrCacheEvictions); got != 0 {
 		t.Fatalf("%d templates in a cache of %d evicted %d", n, n, got)
 	}
 	if !lookup(0).Hit { // template 1 is now the least recently used
 		t.Fatal("the first template was not kept")
 	}
 	lookup(n)
-	if got := cache.Evictions(); got != 1 || cache.Len() != n {
+	if got := o.Counter(core.CtrCacheEvictions); got != 1 || cache.Len() != n {
 		t.Fatalf("one template past capacity: %d evictions, %d cached; want 1, %d", got, cache.Len(), n)
 	}
 	for i := 0; i <= n; i++ {

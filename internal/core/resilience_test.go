@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
 )
@@ -36,7 +37,7 @@ func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 		t.Fatal("fresh AST should match")
 	}
 
-	e.cat.MarkStale("staleast")
+	e.store.Apply(e.cat.Stale("staleast"))
 	g2, _ := qgm.BuildSQL(resQuery, e.cat)
 	if res := e.rw.Rewrite(g2, ca); res != nil {
 		t.Fatal("stale AST used with AllowStale=false")
@@ -54,7 +55,7 @@ func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 
 	// Quarantine beats AllowStale.
 	for range catalog.DefaultQuarantineThreshold {
-		e.cat.RecordRefreshFailure("staleast")
+		e.store.Apply(e.cat.Failed("staleast"))
 	}
 	g4, _ := qgm.BuildSQL(resQuery, e.cat)
 	if res := rwStale.Rewrite(g4, ca); res != nil {
@@ -62,7 +63,7 @@ func TestRewriteSkipsStaleAndQuarantined(t *testing.T) {
 	}
 
 	// Recovery restores matching.
-	e.cat.MarkFresh("staleast")
+	e.store.Apply(e.cat.Fresh("staleast"))
 	g5, _ := qgm.BuildSQL(resQuery, e.cat)
 	if res := e.rw.Rewrite(g5, ca); res == nil {
 		t.Fatal("recovered AST should match again")
@@ -86,6 +87,8 @@ func TestFaultedCandidateLeavesSharedGraphUsable(t *testing.T) {
 			defer faultinject.Disable()
 
 			e := newEnv(t, 300)
+			o := obs.New()
+			e.rw.SetObserver(o)
 			first := e.registerAST(t, "first", `select flid, faid, year(date) as year, count(*) as cnt
 				from trans group by flid, faid, year(date)`)
 			bad := e.registerAST(t, "faulty", resAST)
@@ -123,17 +126,15 @@ func TestFaultedCandidateLeavesSharedGraphUsable(t *testing.T) {
 				t.Fatalf("results differ: %s", diff)
 			}
 
-			degs := e.rw.Degradations()
-			var mp *core.MatchPanicError
+			degs := degradations(o)
 			found := false
 			for _, d := range degs {
-				if errors.As(d, &mp) && mp.AST == "faulty" && strings.Contains(d.Error(), `match against AST "faulty" panicked`) ||
-					strings.Contains(d.Error(), "injected match fault") {
+				if strings.Contains(d, `match against AST "faulty" panicked`) || strings.Contains(d, "injected match fault") {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("fault not recorded; degradations: %v", degs)
+				t.Fatalf("fault not recorded; degradations: %q", degs)
 			}
 		})
 	}
@@ -237,6 +238,8 @@ func TestRefusedPlanReplansWithTheFirstSplice(t *testing.T) {
 	}
 	want := mustRun(t, e, g)
 	for refusals, tables := range []string{"rp_yearly,rp_byacct", "rp_yearly", ""} {
+		o := obs.New()
+		e.rw.SetObserver(o)
 		faultinject.Clear("core.verify")
 		if refusals > 0 {
 			faultinject.Set("core.verify", faultinject.Fault{Err: errors.New("refused"), Times: refusals})
@@ -248,12 +251,25 @@ func TestRefusedPlanReplansWithTheFirstSplice(t *testing.T) {
 		if diff := exec.EqualResults(want, mustRun(t, e, plan)); diff != "" {
 			t.Fatalf("%d refusals: %s", refusals, diff)
 		}
-		degraded := e.rw.Degradations()
-		if len(degraded) != refusals {
-			t.Fatalf("%d refusals recorded %d degradations: %v", refusals, len(degraded), degraded)
+		degraded := degradations(o)
+		if len(degraded) != refusals || o.Counter(core.CtrDegradations) != int64(refusals) {
+			t.Fatalf("%d refusals recorded %d degradations (%s = %d): %q",
+				refusals, len(degraded), core.CtrDegradations, o.Counter(core.CtrDegradations), degraded)
 		}
-		if refusals > 0 && !strings.Contains(degraded[0].Error(), `re-planning with "rp_yearly" only`) {
-			t.Errorf("first refusal recorded %v", degraded[0])
+		if refusals > 0 && !strings.Contains(degraded[0], `re-planning with "rp_yearly" only`) {
+			t.Errorf("first refusal recorded %q", degraded[0])
 		}
 	}
+}
+
+// degradations returns the details of the core.degraded events o holds, in
+// the order they were recorded.
+func degradations(o *obs.Observer) []string {
+	var out []string
+	for _, ev := range o.Snapshot().Events {
+		if ev.Kind == "core.degraded" {
+			out = append(out, ev.Detail)
+		}
+	}
+	return out
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/qgm"
 	"repro/internal/qgmcheck"
-	"repro/internal/rcu"
 )
 
 // Observability counter names reported by the rewriter. Constant strings keep
@@ -58,29 +57,7 @@ type Rewriter struct {
 	cat  *catalog.Catalog
 	opts Options
 	obsv *obs.Observer // nil = observability disabled
-
-	degraded rcu.Guarded[degradationLog]
 }
-
-// degradationLog is the bounded buffer Degradations drains.
-type degradationLog struct {
-	events  []DegradationEvent
-	dropped int // events evicted since the last drain
-}
-
-// DegradationEvent is one recorded degradation, stamped with a process-wide
-// monotonic sequence number (obs.NextSeq) so it can be ordered against
-// catalog and maintenance events on one total order.
-type DegradationEvent struct {
-	Seq uint64
-	Err error
-}
-
-// maxDegradations bounds the degradation events retained between drains. A
-// long-running server with a persistently broken AST degrades on every query;
-// without the cap an undrained Rewriter would leak memory. The newest events
-// are kept (they are the ones worth diagnosing) and evictions are counted.
-const maxDegradations = 128
 
 // NewRewriter returns a rewriter over the catalog with the given options.
 func NewRewriter(cat *catalog.Catalog, opts Options) *Rewriter {
@@ -110,66 +87,14 @@ func (rw *Rewriter) CompileAST(def catalog.ASTDef) (*CompiledAST, error) {
 	return &CompiledAST{Def: def, Graph: g, Table: g.Root.OutputTable(def.Name), Sig: ComputeSignature(rw.cat, g)}, nil
 }
 
-// MatchPanicError records a panic recovered during one AST's match attempt.
-type MatchPanicError struct {
-	AST   string
-	Value any
-}
-
-func (e *MatchPanicError) Error() string {
-	return fmt.Sprintf("core: match against AST %q panicked: %v", e.AST, e.Value)
-}
-
-// noteDegraded records a degradation event for later inspection, evicting the
-// oldest retained event once the buffer holds maxDegradations. Each event
-// draws a process-wide sequence number and, when an observer is attached, is
-// mirrored into its event stream under the same number.
+// noteDegraded records a degradation once, on the observer: the
+// core.degradations counter and a core.degraded event carrying err (nothing
+// without an observer).
 func (rw *Rewriter) noteDegraded(err error) {
-	ev := DegradationEvent{Seq: obs.NextSeq(), Err: err}
-	rw.degraded.Do(func(l *degradationLog) {
-		if len(l.events) >= maxDegradations {
-			copy(l.events, l.events[1:])
-			l.events[len(l.events)-1] = ev
-			l.dropped++
-		} else {
-			l.events = append(l.events, ev)
-		}
-	})
 	rw.obsv.Add(CtrDegradations, 1)
 	if rw.obsv.Enabled() {
-		rw.obsv.EmitSeq(ev.Seq, "core.degraded", err.Error())
+		rw.obsv.Emit("core.degraded", err.Error())
 	}
-}
-
-// Degradations drains and returns the degradation errors (recovered match
-// panics, discarded invalid rewrites) recorded since the last call. At most
-// maxDegradations events are retained between drains; when older events were
-// evicted, the first entry is a synthetic error reporting how many. Use
-// DegradationEvents to also get the sequence numbers.
-func (rw *Rewriter) Degradations() []error {
-	events, dropped := rw.DegradationEvents()
-	out := make([]error, 0, len(events)+1)
-	if dropped > 0 {
-		out = append(out, fmt.Errorf("core: %d older degradation events dropped", dropped))
-	}
-	for _, ev := range events {
-		out = append(out, ev.Err)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// DegradationEvents drains and returns the sequenced degradation events
-// recorded since the last call, plus how many older events were evicted from
-// the bounded buffer before this drain.
-func (rw *Rewriter) DegradationEvents() (events []DegradationEvent, dropped int) {
-	rw.degraded.Do(func(l *degradationLog) {
-		events, dropped = l.events, l.dropped
-		*l = degradationLog{}
-	})
-	return events, dropped
 }
 
 // usable reports whether an AST may serve rewrites in the status generation
@@ -214,7 +139,7 @@ func (rw *Rewriter) safeMatches(ctx context.Context, query *qgm.Graph, ast *Comp
 		if r := recover(); r != nil {
 			out, log = nil, nil
 			rw.obsv.Add(CtrMatchPanics, 1)
-			rw.noteDegraded(&MatchPanicError{AST: ast.Def.Name, Value: r})
+			rw.noteDegraded(fmt.Errorf("core: match against AST %q panicked: %v", ast.Def.Name, r))
 		}
 	}()
 	rw.obsv.Add(CtrMatchCandidates, 1)
@@ -222,13 +147,9 @@ func (rw *Rewriter) safeMatches(ctx context.Context, query *qgm.Graph, ast *Comp
 		rw.noteDegraded(err)
 		return nil, nil
 	}
-	opts := rw.opts
-	if trace {
-		opts.Trace = true
-	}
-	matcher := NewMatcher(rw.cat, query, ast.Graph, opts)
-	matcher.obsv = rw.obsv
-	return matcher.RunCtx(ctx), matcher.Trace()
+	matcher := NewMatcher(rw.cat, query, ast.Graph, rw.opts)
+	matcher.obsv, matcher.trace = rw.obsv, trace
+	return matcher.RunCtx(ctx), matcher.log
 }
 
 // Result describes one successful rewrite. A plan that reads several summary
@@ -406,18 +327,14 @@ func intact(g *qgm.Graph, box *qgm.Box, mark int) bool {
 	return slices.Contains(g.Boxes(), box) && below(box)
 }
 
-// RewriteBestCost chooses among all (AST, matched box) candidates by a simple
-// scan-cost model — rows read from the AST's materialized table plus its
-// rejoined base tables, versus the base-table rows the replaced subtree would
-// read — and splices every candidate estimated to beat the base plan, best
-// first (see selectBest). It returns nil when no candidate matches or none is
-// estimated cheaper. Unlike RewriteOrFallback it does not verify the result.
-func (rw *Rewriter) RewriteBestCost(query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
-	return rw.selectBest(context.Background(), query, asts, sizer, sizer.Statuses(), nil, false)
-}
-
-// RewriteBestCostCtx is RewriteBestCost bounded by a context. Like every
-// selection entry point it mutates the query graph; see selectBest.
+// RewriteBestCostCtx chooses among all (AST, matched box) candidates by a
+// simple scan-cost model — rows read from the AST's materialized table plus
+// its rejoined base tables, versus the base-table rows the replaced subtree
+// would read — and splices every candidate estimated to beat the base plan,
+// best first (see selectBest), bounded by the context. It returns nil when no
+// candidate matches or none is estimated cheaper. Unlike RewriteOrFallback it
+// does not verify the result, and like every selection entry point it mutates
+// the query graph.
 func (rw *Rewriter) RewriteBestCostCtx(ctx context.Context, query *qgm.Graph, asts []*CompiledAST, sizer Sizer) *Result {
 	return rw.selectBest(ctx, query, asts, sizer, sizer.Statuses(), nil, false)
 }
@@ -485,10 +402,11 @@ func verifyRewrite(g *qgm.Graph) error {
 
 // Explain runs the matcher with tracing enabled (without rewriting) and
 // returns the per-candidate-pair decision log: which box pairs matched, which
-// failed, and which of the paper's conditions rejected them. Matching
-// allocates compensation boxes in the query graph; pass a throwaway graph.
-func (rw *Rewriter) Explain(query *qgm.Graph, ast *CompiledAST) []TraceEntry {
-	_, log := rw.safeMatches(context.Background(), query, ast, true)
+// failed, and which of the paper's conditions rejected them. The sweep stops
+// when ctx expires. Matching allocates compensation boxes in the query graph;
+// pass a throwaway graph.
+func (rw *Rewriter) Explain(ctx context.Context, query *qgm.Graph, ast *CompiledAST) []TraceEntry {
+	_, log := rw.safeMatches(ctx, query, ast, true)
 	return log
 }
 

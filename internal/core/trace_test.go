@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/qgm"
 )
 
@@ -27,7 +26,7 @@ func TestExplainTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := e.rw.Explain(g, ast)
+	entries := e.rw.Explain(context.Background(), g, ast)
 	if len(entries) == 0 {
 		t.Fatal("no trace entries")
 	}
@@ -61,7 +60,7 @@ func TestExplainSuccessfulMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := e.rw.Explain(g, ast)
+	entries := e.rw.Explain(context.Background(), g, ast)
 	found := false
 	for _, te := range entries {
 		if te.Matched && strings.Contains(te.Reason, "compensation") {
@@ -70,21 +69,5 @@ func TestExplainSuccessfulMatch(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected a compensated match in the trace: %+v", entries)
-	}
-}
-
-// TestTraceOffByDefault: without Options.Trace the matcher records nothing.
-func TestTraceOffByDefault(t *testing.T) {
-	e := newEnv(t, 300)
-	ast, err := e.rw.CompileAST(catalog.ASTDef{Name: "astexp3",
-		SQL: "select tid, qty from trans"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := qgm.BuildSQL("select tid from trans", e.cat)
-	matcher := core.NewMatcher(e.cat, g, ast.Graph, core.Options{})
-	matcher.RunCtx(context.Background())
-	if len(matcher.Trace()) != 0 {
-		t.Fatal("trace should be empty when disabled")
 	}
 }

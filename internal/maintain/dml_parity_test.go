@@ -89,7 +89,7 @@ func newParityEnvOf(t *testing.T, n int, defs []catalog.ASTDef, o *obs.Observer)
 			t.Fatalf("materialize %s: %v", def.Name, err)
 		}
 		store.PutRows(ca.Table, res.Rows)
-		cat.MarkFresh(def.Name)
+		store.Apply(cat.Fresh(def.Name))
 		e.asts = append(e.asts, ca)
 		e.plans = append(e.plans, e.m.Analyze(ca))
 	}

@@ -245,7 +245,7 @@ func TestRefreshFullDirectRecovery(t *testing.T) {
 	f := newTrackedFixture(t, 500)
 	ca := f.compile(t, "direct", `select flid, count(*) as c from trans group by flid`)
 	plan := f.m.Analyze(ca)
-	f.cat.MarkStale("direct")
+	f.store.Apply(f.cat.Stale("direct"))
 	st, err := f.m.RefreshFull(plan)
 	if err != nil || st.Err != nil {
 		t.Fatalf("RefreshFull failed: %v / %+v", err, st)

@@ -11,11 +11,11 @@
 // and calls it unconditionally, paying one predictable branch when
 // observability is off (asserted by TestDisabledObserverZeroAlloc).
 //
-// Sequence numbers come from one package-global monotonic counter (NextSeq),
-// not per-Observer state, so events recorded by different components — a
+// Sequence numbers come from one package-global monotonic counter, not
+// per-Observer state, so events recorded by different components — a
 // rewriter degradation, a catalog staleness transition, a maintenance
 // failure — interleave on a single total order even when they flow through
-// different observers or none at all.
+// different observers.
 package obs
 
 import (
@@ -28,11 +28,6 @@ import (
 
 // globalSeq is the process-wide monotonic event sequence.
 var globalSeq atomic.Uint64
-
-// NextSeq returns the next process-wide monotonic sequence number. Components
-// that must order their records against the event stream without an observer
-// attached (e.g. core.DegradationEvent) draw from the same counter.
-func NextSeq() uint64 { return globalSeq.Add(1) }
 
 // maxEvents bounds the retained event stream; the newest events are kept
 // (they are the ones worth diagnosing) and evictions are counted.
@@ -148,8 +143,8 @@ func (o *Observer) Observe(name string, d time.Duration) {
 // Event is one entry of the sequenced event stream: degradations, staleness
 // transitions, fault injections, cache evictions, fallbacks.
 type Event struct {
-	// Seq is the process-wide monotonic sequence number (NextSeq); records
-	// from different subsystems interleave on it.
+	// Seq is the process-wide monotonic sequence number; records from
+	// different subsystems interleave on it.
 	Seq    uint64
 	Kind   string // dot-separated taxonomy, e.g. "core.degraded"
 	Detail string
@@ -157,25 +152,15 @@ type Event struct {
 }
 
 // Emit records an event, assigning it the next global sequence number, and
-// returns that number (0 when disabled).
+// returns that number (0 when disabled). The number is drawn under the log's
+// lock, so the stream is in sequence order even when emitters race.
 func (o *Observer) Emit(kind, detail string) uint64 {
 	if o == nil {
 		return 0
 	}
-	seq := NextSeq()
-	o.EmitSeq(seq, kind, detail)
-	return seq
-}
-
-// EmitSeq records an event under a sequence number the caller already drew
-// from NextSeq — used when the same number must also tag a record kept
-// outside the observer (e.g. core.DegradationEvent).
-func (o *Observer) EmitSeq(seq uint64, kind, detail string) {
-	if o == nil {
-		return
-	}
-	ev := Event{Seq: seq, Kind: kind, Detail: detail, At: time.Now()}
+	ev := Event{Kind: kind, Detail: detail, At: time.Now()}
 	o.log.Do(func(l *recordLog) {
+		ev.Seq = globalSeq.Add(1)
 		if len(l.events) >= maxEvents {
 			copy(l.events, l.events[1:])
 			l.events[len(l.events)-1] = ev
@@ -184,6 +169,7 @@ func (o *Observer) EmitSeq(seq uint64, kind, detail string) {
 			l.events = append(l.events, ev)
 		}
 	})
+	return ev.Seq
 }
 
 // Snapshot is a point-in-time copy of everything the observer holds, for

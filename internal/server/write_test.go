@@ -115,7 +115,7 @@ func TestTwoSessionsWriteConcurrently(t *testing.T) {
 		if st := db.Catalog().Status(ca.Def.Name); st.Stale || st.Quarantined {
 			continue
 		}
-		want, err := db.Execute(ctx, ca.Graph)
+		want, err := exec.NewEngine(db.Store()).RunCtx(ctx, ca.Graph, exec.Config{})
 		if err != nil {
 			t.Fatalf("recompute %s: %v", ca.Def.Name, err)
 		}

@@ -28,7 +28,7 @@ func boundCatalog(t *testing.T, s *Store) (*catalog.Catalog, *catalog.Signature)
 }
 
 // TestStatusRCUReadersDuringTransitions is the RCU contract test for AST
-// status in the store's generation: lock-free readers (Status, Usable,
+// status in the store's generation: lock-free readers (Status, Statuses.Usable,
 // ASTSignature on the signature index) run against writers driving the full
 // transition cycle — stale, refresh failures up to quarantine, recovery — on
 // the live store and through pinned stores committed whole. Each reader checks
@@ -40,7 +40,7 @@ func boundCatalog(t *testing.T, s *Store) (*catalog.Catalog, *catalog.Signature)
 //   - a status with Failures at or past the threshold is also Quarantined —
 //     failure count and quarantine verdict are written in one generation, so a
 //     reader can never see the count without the verdict;
-//   - Usable and ASTSignature stay callable mid-transition (the -race run is
+//   - Statuses.Usable and ASTSignature stay callable mid-transition (the -race run is
 //     the memory-safety proof for their lock-free read paths).
 func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 	s := NewStore()
@@ -74,7 +74,7 @@ func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: %d failures past threshold without quarantine: %+v", r, st.Failures, st)
 					return
 				}
-				c.Usable("a1", false)
+				c.Statuses().Usable("a1", false)
 				c.ASTSignature("a1")
 			}
 		}(r)
@@ -89,12 +89,12 @@ func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				switch i % 5 {
 				case 0:
-					c.MarkStale("a1")
+					s.Apply(c.Stale("a1"))
 				case 1, 2, 3:
-					c.RecordRefreshFailure("a1")
+					s.Apply(c.Failed("a1"))
 				default:
 					if w == 0 {
-						c.MarkFresh("a1")
+						s.Apply(c.Fresh("a1"))
 						continue
 					}
 					slot.Lock()
@@ -117,17 +117,17 @@ func TestStatusRCUReadersDuringTransitions(t *testing.T) {
 
 	// Quiesce: one final recovery publishes a clean generation every reader
 	// would agree on.
-	c.MarkFresh("a1")
+	s.Apply(c.Fresh("a1"))
 	if st := c.Status("a1"); st.Stale || st.Quarantined || st.Failures != 0 {
 		t.Fatalf("after recovery: %+v", st)
 	}
 }
 
 // TestTransitionIsOnePublication: freshness lives in the store's one
-// generation, so the moment MarkStale, RecordRefreshFailure or MarkFresh
-// returns, Status, Usable and AdmitsAST all tell the new story — and a
-// concurrent reader that sees the same Status before and after asking the
-// other two never gets an answer that contradicts it (with freshness mirrored
+// generation, so the moment Store.Apply publishes a Stale, Failed or Fresh
+// transition, Status, Statuses.Usable and AdmitsAST all tell the new story —
+// and a concurrent reader that sees the same Status before and after asking
+// the other two never gets an answer that contradicts it (with freshness mirrored
 // into the signature index, admission could lag a transition). Run under
 // -race.
 func TestTransitionIsOnePublication(t *testing.T) {
@@ -151,7 +151,7 @@ func TestTransitionIsOnePublication(t *testing.T) {
 				}
 				for _, allowStale := range []bool{false, true} {
 					before := c.Status("a1")
-					u, a := c.Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale)
+					u, a := c.Statuses().Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale)
 					if after := c.Status("a1"); after != before {
 						continue // a transition landed in between: nothing to compare
 					}
@@ -172,24 +172,21 @@ func TestTransitionIsOnePublication(t *testing.T) {
 		}
 		for _, allowStale := range []bool{false, true} {
 			w := usable(want, allowStale)
-			if u, a := c.Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale); u != w || a != w {
+			if u, a := c.Statuses().Usable("a1", allowStale), c.AdmitsAST("a1", sig, allowStale); u != w || a != w {
 				t.Fatalf("%s allowStale=%v: Usable=%v AdmitsAST=%v, want both %v", step, allowStale, u, a, w)
 			}
 		}
 	}
 	for round := int64(0); round < 200; round++ {
-		c.MarkStale("a1")
-		agree("MarkStale", catalog.ASTStatus{Epoch: round, Stale: true})
+		s.Apply(c.Stale("a1"))
+		agree("Stale", catalog.ASTStatus{Epoch: round, Stale: true})
 		for f := 1; f <= catalog.DefaultQuarantineThreshold; f++ {
-			got := c.RecordRefreshFailure("a1")
-			agree("RecordRefreshFailure", catalog.ASTStatus{Epoch: round, Stale: true, Failures: f,
+			s.Apply(c.Failed("a1"))
+			agree("Failed", catalog.ASTStatus{Epoch: round, Stale: true, Failures: f,
 				Quarantined: f == catalog.DefaultQuarantineThreshold})
-			if got != c.Status("a1") {
-				t.Fatalf("RecordRefreshFailure returned %+v, published %+v", got, c.Status("a1"))
-			}
 		}
-		c.MarkFresh("a1")
-		agree("MarkFresh", catalog.ASTStatus{Epoch: round + 1})
+		s.Apply(c.Fresh("a1"))
+		agree("Fresh", catalog.ASTStatus{Epoch: round + 1})
 	}
 	close(stop)
 	wg.Wait()
@@ -282,8 +279,8 @@ func TestCommitKeepsConcurrentTransitions(t *testing.T) {
 	c, _ := boundCatalog(t, s)
 	p := s.Pin()
 	p.Apply(c.Fresh("refreshed"))
-	c.MarkStale("refreshed") // both land while the statement is in flight
-	c.MarkStale("untouched")
+	s.Apply(c.Stale("refreshed")) // both land while the statement is in flight
+	s.Apply(c.Stale("untouched"))
 	p.Commit()
 	if st := c.Status("refreshed"); st.Stale || st.Epoch != 1 {
 		t.Fatalf("the statement's own refresh lost to an earlier mark: %+v", st)

@@ -64,16 +64,16 @@ awk '
 		exit status
 	}
 ' - "$profile" <<'BUDGETS'
-repro/astdb 44
+repro/astdb 37
 repro/astdb/driver 50
 repro/cmd/astadvisor 3
-repro/cmd/astrw 23
+repro/cmd/astrw 22
 repro/cmd/astserve 12
 repro/examples/histogram 7
 repro/examples/quickstart 7
 repro/internal/advisor 5
 repro/internal/bench 4
-repro/internal/catalog 12
+repro/internal/catalog 11
 repro/internal/core 11
 repro/internal/exec 123
 repro/internal/faultinject 1
