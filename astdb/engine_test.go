@@ -3,6 +3,7 @@ package astdb_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -249,6 +250,43 @@ func TestDegradationEventsAreSequenced(t *testing.T) {
 	if degraded == 0 || int64(degraded) != snap.Counters[core.CtrDegradations] {
 		t.Fatalf("%d core.degraded events, %s = %d; want as many, at least one",
 			degraded, core.CtrDegradations, snap.Counters[core.CtrDegradations])
+	}
+}
+
+// TestDegradationOutlivesRoutineWrites: a degradation's event is its only
+// detailed record, and the observer keeps a bounded log of events, so routine
+// maintenance must not crowd it out: one degradation, then 2,000 one-row
+// inserts that refresh five summary tables each, and the core.degraded event
+// is still there. Each refresh is counted under catalog.ast.fresh.
+func TestDegradationOutlivesRoutineWrites(t *testing.T) {
+	o := obs.New()
+	db := openTinyDB(t, astdb.WithObserver(o))
+	ctx := context.Background()
+	for i := range 5 {
+		if _, _, err := db.CreateSummaryTable(ctx, fmt.Sprintf("byregion%d", i), fmt.Sprintf(
+			"select region, sum(amount) as total, count(*) as cnt from sales where amount > %d group by region", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.Enable(1)
+	faultinject.Set("core.match:byregion0", faultinject.Fault{Err: errors.New("injected match fault")})
+	_, err := db.Query(ctx, "select region, sum(amount) as total from sales where amount > 0 group by region")
+	faultinject.Disable()
+	if err != nil {
+		t.Fatalf("query must degrade: %v", err)
+	}
+	fresh := o.Snapshot().Counters["catalog.ast.fresh"]
+	for i := range 2000 {
+		if _, err := db.Insert(ctx, "sales", [][]sqltypes.Value{{sqltypes.NewString("west"), sqltypes.NewInt(int64(i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := o.Snapshot()
+	if got := snap.Counters["catalog.ast.fresh"] - fresh; got != 5*2000 {
+		t.Fatalf("catalog.ast.fresh counted %d refreshes, want %d", got, 5*2000)
+	}
+	if !slices.ContainsFunc(snap.Events, func(ev obs.Event) bool { return ev.Kind == "core.degraded" }) {
+		t.Fatalf("the core.degraded event is gone from the %d events kept (%s = %d)", len(snap.Events), core.CtrDegradations, snap.Counters[core.CtrDegradations])
 	}
 }
 

@@ -546,50 +546,54 @@ func BenchmarkE16_Refresh(b *testing.B) {
 // run on its own with nothing from the rewriter, the wire or the driver
 // around it, at 10k and 100k trans rows. allocs/op and B/op are the numbers
 // to watch: per-chunk, per-group and per-row allocation shows here first.
-// Serial (Parallelism 1), so allocs/op does not depend on GOMAXPROCS.
+// Serial (Parallelism 1), so allocs/op does not depend on GOMAXPROCS. A leg
+// that names a group table mode fails unless every GROUP BY table it ends
+// with is in that mode (exec.group.direct, exec.group.hashed): the direct
+// index must keep engaging on small integer keys, and only there.
 func BenchmarkExecOperators(b *testing.B) {
 	operators := []struct {
 		name, sql string
-		groupBy   bool // reports ns per trans row
+		groupBy   bool   // reports ns per trans row
+		mode      string // "direct" or "hashed": every group table's index
 	}{
-		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`, false},
+		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`, false, ""},
 		{"fused_groupby", `select fpgid, year(date) as year, count(*) as cnt, sum(qty * price) as gross, min(price) as lo
-			from trans where month(date) >= 6 group by fpgid, year(date)`, true},
+			from trans where month(date) >= 6 group by fpgid, year(date)`, true, "direct"},
 		{"star_groupby_gsets", `select state, year(date) as year, count(*) as cnt, sum(qty * price) as value
 			from trans, loc where flid = lid and country = 'USA'
-			group by grouping sets((state, year(date)), (state), ())`, true},
+			group by grouping sets((state, year(date)), (state), ())`, true, ""},
 		{"having_over_groupby", `select flid, year(date) as year, count(*) as cnt
-			from trans group by flid, year(date) having count(*) > 3`, true},
+			from trans group by flid, year(date) having count(*) > 3`, true, "direct"},
 		{"join_select", `select aid, status, qty * price * (1 - disc) as amt
 			from trans, pgroup, acct
 			where pgid = fpgid and faid = aid
-			and price > 100 and disc > 0.1 and pgname = 'TV'`, false},
+			and price > 100 and disc > 0.1 and pgname = 'TV'`, false, ""},
 		{"select_over_groupby", `select flid, count(*) as busy_months
 			from (select flid, year(date) as y, month(date) as m, count(*) as n
 			      from trans group by flid, year(date), month(date)) mm
-			where n > 5 group by flid`, true},
+			where n > 5 group by flid`, true, "direct"},
 		// The hash loop itself: a string key behind a star probe, a table
 		// of well over 10k groups at 100k rows, and the probe with nothing
 		// filtered out before it or aggregated after it.
-		{"groupby_string_key", `select city, count(*) as cnt from trans, loc where flid = lid group by city`, true},
+		{"groupby_string_key", `select city, count(*) as cnt from trans, loc where flid = lid group by city`, true, "hashed"},
 		{"groupby_15k_groups", `select faid, flid, year(date) as year, count(*) as cnt, sum(price) as gross
-			from trans group by faid, flid, year(date)`, true},
+			from trans group by faid, flid, year(date)`, true, "hashed"},
 		{"star_probe_only", `select aid, status, qty * price * (1 - disc) as amt
-			from trans, pgroup, acct where pgid = fpgid and faid = aid`, false},
+			from trans, pgroup, acct where pgid = fpgid and faid = aid`, false, ""},
 		// DISTINCT's pair tables: Figure 13's Q11.3, which no summary table
 		// serves, and ds11's scalar subquery, one group folded a strip at a
 		// time.
 		{"groupby_count_distinct", `select flid, year(date) as year, month(date) as month, count(distinct faid) as custcnt
-			from trans group by flid, year(date), month(date)`, true},
-		{"global_count_distinct", `select sum(qty * price) / count(distinct faid) as avg_spend from trans`, true},
+			from trans group by flid, year(date), month(date)`, true, ""},
+		{"global_count_distinct", `select sum(qty * price) / count(distinct faid) as avg_spend from trans`, true, ""},
 		// A scoped recompute's lower box: MIN/MAX of the 64 groups one 64-row
 		// DELETE touches, an OR of key tuples probed as a hash semi-join.
-		{"keyset_filter", keysetSQL(64), true},
+		{"keyset_filter", keysetSQL(64), true, ""},
 		// Joins only the joined chunk answers: a star join with a predicate
 		// across its operands, and a GROUP BY over a cross join of two
 		// dimensions (pgroup × the US rows of loc, whatever the scale).
-		{"residual_join", `select tid, city, qty * price as amt from trans, loc where flid = lid and qty * 20 < lid`, false},
-		{"cross_groupby", `select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`, false},
+		{"residual_join", `select tid, city, qty * price as amt from trans, loc where flid = lid and qty * 20 < lid`, false, ""},
+		{"cross_groupby", `select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`, false, ""},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})
@@ -618,6 +622,10 @@ func BenchmarkExecOperators(b *testing.B) {
 				}
 				if n, l := o.Counter(exec.CtrVecBoxes), o.Counter(exec.CtrVecLifted); n != int64(b.N*boxes) || l != 0 {
 					b.Fatalf("%s: %d boxes on the pipeline in %d runs of %d, %d expressions lifted", op.name, n, b.N, boxes, l)
+				}
+				direct, hashed := o.Counter(exec.CtrGroupDirect), o.Counter(exec.CtrGroupHashed)
+				if op.mode == "direct" && (direct == 0 || hashed > 0) || op.mode == "hashed" && (hashed == 0 || direct > 0) {
+					b.Fatalf("%s: %d direct and %d hashed group tables, want %s only", op.name, direct, hashed, op.mode)
 				}
 				if op.groupBy {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scale), "ns/row")

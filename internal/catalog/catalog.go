@@ -413,9 +413,11 @@ func (c *Catalog) Status(name string) ASTStatus { return c.Statuses().Status(nam
 
 // Fresh is a successful refresh: it bumps the epoch and clears staleness,
 // quarantine and the failure count. A successful full recompute is the only
-// way out of quarantine.
+// way out of quarantine. It is counted, not emitted: one per summary table
+// per maintained statement would crowd the observer's bounded event log,
+// evicting the rare events (a degradation) it keeps.
 func (c *Catalog) Fresh(name string) Transition {
-	return c.change(name, "catalog.ast.fresh", "catalog.fresh", func(st *ASTStatus) {
+	return c.change(name, "catalog.ast.fresh", "", func(st *ASTStatus) {
 		*st = ASTStatus{Epoch: st.Epoch + 1}
 	})
 }
@@ -444,12 +446,12 @@ func (c *Catalog) Failed(name string) Transition {
 }
 
 // change is the Transition f of the named AST, counted under counter and
-// emitted as event when it is applied.
+// emitted as event (unless "") when it is applied.
 func (c *Catalog) change(name, counter, event string, f func(*ASTStatus)) Transition {
 	return Transition{name: strings.ToLower(name), f: func(st *ASTStatus) {
 		f(st)
 		c.obsv.Add(counter, 1)
-		if c.obsv.Enabled() {
+		if event != "" && c.obsv.Enabled() {
 			c.obsv.Emit(event, name)
 		}
 	}}

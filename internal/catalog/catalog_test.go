@@ -3,6 +3,7 @@ package catalog
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rcu"
 	"repro/internal/sqltypes"
 )
@@ -182,8 +183,13 @@ func TestASTStatusLifecycle(t *testing.T) {
 	}
 }
 
+// TestQuarantineCircuitBreaker also checks what the observer keeps: each
+// failure and the quarantine are events, while a refresh — one per summary
+// table per maintained statement — is only counted, so it cannot crowd the
+// bounded event log.
 func TestQuarantineCircuitBreaker(t *testing.T) {
-	c := attached()
+	c, o := attached(), obs.New()
+	c.SetObserver(o)
 	for i := 1; i < DefaultQuarantineThreshold; i++ {
 		c.fresh.Apply(c.Failed("q"))
 		if c.Status("q").Quarantined {
@@ -207,6 +213,15 @@ func TestQuarantineCircuitBreaker(t *testing.T) {
 	}
 	if !c.Statuses().Usable("q", false) {
 		t.Fatal("recovered AST should be usable")
+	}
+	kinds := map[string]int{}
+	for _, ev := range o.Snapshot().Events {
+		kinds[ev.Kind]++
+	}
+	if kinds["catalog.refresh_failure"] != DefaultQuarantineThreshold || kinds["catalog.quarantine"] != 1 || len(kinds) != 2 ||
+		o.Counter("catalog.ast.fresh") != 1 {
+		t.Fatalf("events %v, catalog.ast.fresh %d: want one per failure, one quarantine, and the refresh counted, not emitted",
+			kinds, o.Counter("catalog.ast.fresh"))
 	}
 }
 

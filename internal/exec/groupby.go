@@ -69,7 +69,7 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 	}
 	tables := make([]*groupTable, len(sets))
 	for si, gs := range sets {
-		tables[si] = newGroupTable(len(gs), aggSpecs)
+		tables[si] = newGroupTable(len(gs), aggSpecs, child.n, false)
 	}
 
 	bd := binding{nil}
@@ -116,11 +116,17 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 // GROUP BY's output, set by set and each set's groups in first-appearance
 // order, as sealed chunks of up to ChunkRows groups. Grouping columns come
 // from keyColumn, NULL when grouped out of the set, aggregate columns from
-// stateColumn. The budget is charged a chunk at a time.
+// stateColumn. The budget is charged a chunk at a time, and each table is
+// counted by the index it ended with.
 func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tables []*groupTable) (*relation, error) {
 	nc := 0
 	for _, t := range tables {
 		nc += (t.n + storage.ChunkRows - 1) / storage.ChunkRows
+		ctr := CtrGroupDirect
+		if t.hashed {
+			ctr = CtrGroupHashed
+		}
+		ev.obsv.Add(ctr, 1)
 	}
 	chunks := make([]*storage.Chunk, 0, nc)
 	for si, gs := range sets {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 
@@ -24,27 +25,49 @@ import (
 // to its one cell. The floats a cell cannot rebuild (−0.0, a NaN other than
 // KeyCell's one) are of kind spilled and kept whole in spill. aggs holds the
 // group's aggregate state cells (groupby.go), and pairs one pair table per
-// DISTINCT aggregate. index is open addressing over
-// ordinal+1 (0 = empty) with the hash's top bits above the ordinal, at most
-// half full, so a probe passes over another key without reading its record.
-// Slices from the slabs are valid until the next insertion.
+// DISTINCT aggregate. Slices from the slabs are valid until the next
+// insertion.
+//
+// index holds ordinal+1 (0 = empty). A table starts direct: while each key
+// column's cells are of one integer class (int, date or bool) and the product
+// of the columns' spans of words fits limit, index has a cell per key in the
+// spans, so a probe is a subtract and a multiply per column and one load. A
+// key outside the spans widens them; one they cannot take converts the table
+// for good to hashed: open addressing with the hash's top bits above the
+// ordinal, at most half full, so a probe passes over another key without
+// reading its record. Either index is rebuilt from the records alone.
 //
 // findBatch is the entry point: a strip of a chunk's key columns in, a
 // []uint32 of ordinals out. find is its one-row form, used by the row path and
 // to build a dimension. A lookup-only findBatch (insert false) writes nothing
 // to the table, so a built dimension is probed by all workers at once.
 type groupTable struct {
-	nk, n int // key columns, groups
-	index []uint32
-	keys  slab[int64]
-	strs  slab[string] // stride 1
-	nstr  int
-	spill map[int]sqltypes.Value // by ordinal*nk + key column
-	na    int                    // aggregates
-	aggs  slab[int64]            // per group: na state words, then their kind codes, eight to a word
-	pairs []*groupTable          // by aggregate, up to the last DISTINCT one: its pair table, or nil
-	row   *rowKey                // find's scratch
+	nk, n  int // key columns, groups
+	index  []uint32
+	hashed bool
+	spans  []keySpan // by key column, while direct
+	limit  uint64    // the most cells a direct index may have
+	keys   slab[int64]
+	strs   slab[string] // stride 1
+	nstr   int
+	spill  map[int]sqltypes.Value // by ordinal*nk + key column
+	na     int                    // aggregates
+	aggs   slab[int64]            // per group: na state words, then their kind codes, eight to a word
+	pairs  []*groupTable          // by aggregate, up to the last DISTINCT one: its pair table, or nil
+	row    *rowKey                // find's scratch
 }
+
+// keySpan is a key column of a direct index: its cells' class, and its words
+// lo to lo+n-1 (none yet while n is 0), each stride cells after the last.
+type keySpan struct {
+	class     sqltypes.Kind
+	lo        int64
+	n, stride uint64
+}
+
+// maxCells bounds a direct index (32 KiB): 200 locations × 3 years × 12
+// months fit. cellMiss marks a row the direct index has no cell for.
+const maxCells, cellMiss = 1 << 13, 1 << 31
 
 // noGroup is what a lookup-only findBatch reports for a key not in the table.
 const noGroup = ^uint32(0)
@@ -53,21 +76,29 @@ const noGroup = ^uint32(0)
 const kindSpilled = 0xf
 
 // newGroupTable makes a table of nKeys key columns that aggregates specs (none
-// for a dimension or a pair table). A DISTINCT aggregate gets a pair table:
-// pairCols, or the argument alone when there are no key columns.
-func newGroupTable(nKeys int, specs []aggSpec) *groupTable {
+// for a dimension or a pair table). rows, when not 0, bounds its groups: its
+// direct index stays within a hashed one of that many, and with sized (the
+// bound is near: a dimension's rows, a key set's tuples, a delta's rows) it
+// sizes the first slab segment, up to a whole one. A DISTINCT aggregate gets
+// a pair table: pairCols, or the argument alone when there are no key columns.
+func newGroupTable(nKeys int, specs []aggSpec, rows int, sized bool) *groupTable {
+	first := 0
+	if sized {
+		first = min(rows, segGroups)
+	}
 	t := &groupTable{
 		nk:    nKeys,
-		index: make([]uint32, 16),
-		keys:  slab[int64]{stride: 1 + nKeys + (nKeys+7)/8},
+		spans: make([]keySpan, nKeys),
+		limit: uint64(min(maxCells, hashedLen(cmp.Or(rows, maxCells)))),
+		keys:  slab[int64]{stride: 1 + nKeys + (nKeys+7)/8, first: first},
 		strs:  slab[string]{stride: 1},
 		na:    len(specs),
-		aggs:  slab[int64]{stride: len(specs) + (len(specs)+7)/8},
+		aggs:  slab[int64]{stride: len(specs) + (len(specs)+7)/8, first: first},
 	}
 	for ai, s := range specs {
 		if s.agg.Distinct {
 			t.pairs = append(t.pairs, make([]*groupTable, ai+1-len(t.pairs))...)
-			t.pairs[ai] = newGroupTable(min(nKeys, 1)+1, nil)
+			t.pairs[ai] = newGroupTable(min(nKeys, 1)+1, nil, rows, false)
 		}
 	}
 	if nKeys == 0 {
@@ -78,12 +109,12 @@ func newGroupTable(nKeys int, specs []aggSpec) *groupTable {
 
 // slab is a strided array of per-group records that grows without copying
 // what it holds: segments of segGroups groups, except that the first one
-// starts at four groups and doubles up to that size, so a three-group table
-// stays a few hundred bytes while a seven-thousand-group one never re-copies
-// its megabyte of states.
+// starts at first groups (four when no bound sized it) and doubles up to
+// that size, so a three-group table stays a few hundred bytes while a
+// seven-thousand-group one never re-copies its megabyte of states.
 type slab[T any] struct {
-	stride int
-	segs   [][]T
+	stride, first int
+	segs          [][]T
 }
 
 const segGroups = 64
@@ -99,7 +130,7 @@ func (s *slab[T]) add(g int) {
 	if si == len(s.segs) {
 		first := segGroups
 		if si == 0 {
-			first = 4
+			first = cmp.Or(s.first, 4)
 		}
 		s.segs = append(s.segs, make([]T, 0, first*s.stride))
 	}
@@ -283,10 +314,10 @@ func resize[T any](s []T, n int) []T {
 // the columns set of keys, in that order. With insert, a key not yet in the
 // table becomes a new group (cells from the row, zero state cells) — rows
 // are taken in order, so ordinals stay dense in first-appearance order;
-// without, its ordinal is noGroup. Hashes are folded a column at a time, rows
-// are then probed one by one: index tag first, then the record's cells.
+// without, its ordinal is noGroup. A direct table takes the rows it can
+// (findDirect); for the rest, hashes are folded a column at a time, rows are
+// then probed one by one: index tag first, then the record's cells.
 func (t *groupTable) findBatch(keys []keyCol, set []int, hash []uint64, ords []uint32, insert bool) {
-	const k0, k1 = 0x9e3779b97f4a7c15, 0xd6e8feb86659fd93
 	if len(set) == 0 && len(ords) > 1 { // the empty grouping set: one key, one probe
 		t.findBatch(keys, set, hash[:1], ords[:1], insert)
 		for i := range ords {
@@ -294,19 +325,24 @@ func (t *groupTable) findBatch(keys []keyCol, set []int, hash []uint64, ords []u
 		}
 		return
 	}
+	from := 0
+	if !t.hashed {
+		from = t.findDirect(keys, set, ords, insert)
+	}
+	hash = hash[from:len(ords)]
 	for i := range hash {
 		hash[i] = k0
 	}
 	for _, c := range set {
 		k := &keys[c]
-		for i, w := range k.words[:len(hash)] {
-			hash[i] = mix64(hash[i]^uint64(w)^uint64(k.classOf(i))<<56, k1)
+		for i, w := range k.words[from : from+len(hash)] {
+			hash[i] = mixCell(hash[i], w, k.classOf(from+i))
 		}
 	}
 rows:
 	for i, h := range hash {
 		mask := uint32(len(t.index) - 1)
-		slot, tag := uint32(h)&mask, uint32(h>>32)&^mask
+		slot, tag, r := uint32(h)&mask, uint32(h>>32)&^mask, from+i
 	probe:
 		for ; t.index[slot] != 0; slot = (slot + 1) & mask {
 			e := t.index[slot]
@@ -316,26 +352,86 @@ rows:
 			rec := t.keys.at(int(e&mask) - 1)
 			for j, c := range set {
 				k, w := &keys[c], rec[1+j]
-				class := k.classOf(i)
+				class := k.classOf(r)
 				if sqltypes.Kind(t.code(rec, j)&0xf) != class ||
-					class == sqltypes.KindString && t.str(w) != k.str(i) || class != sqltypes.KindString && w != k.words[i] {
+					class == sqltypes.KindString && t.str(w) != k.str(r) || class != sqltypes.KindString && w != k.words[r] {
 					continue probe
 				}
 			}
-			ords[i] = e&mask - 1
+			ords[r] = e&mask - 1
 			continue rows
 		}
-		if ords[i] = noGroup; insert {
-			ords[i] = uint32(t.addRow(keys, set, i, slot, h))
+		if ords[r] = noGroup; insert {
+			g := t.addRow(keys, set, r, h)
+			if ords[r], t.index[slot] = uint32(g), tag|uint32(g+1); 2*t.n > len(t.index) {
+				t.rehash(2 * len(t.index))
+			}
 		}
 	}
 }
 
-// addRow makes row i of the strip a new group, at the empty index slot where
-// its probe ended. Kinds and strings are read from the strip's vectors: only
-// an element of a generic vector, or a float that may spill, becomes a Value.
-func (t *groupTable) addRow(keys []keyCol, set []int, i int, slot uint32, h uint64) int {
-	g, rec := t.add(slot, h)
+// findDirect is findBatch on a direct index: each row's cell, summed a column
+// at a time, then its entry. A new key without a cell widens the spans, and
+// the rows after it are addressed again, or converts the table; findDirect
+// returns the row the hashed probe goes on from, len(ords) when none.
+func (t *groupTable) findDirect(keys []keyCol, set []int, ords []uint32, insert bool) int {
+strip:
+	for from := 0; ; {
+		cells := ords[from:]
+		clear(cells)
+		for j, c := range set {
+			k, s := &keys[c], t.spans[j]
+			for i, w := range k.words[from:len(ords)] {
+				if off := uint64(w - s.lo); off < s.n && k.classOf(from+i) == s.class {
+					cells[i] += uint32(off * s.stride)
+				} else {
+					cells[i] |= cellMiss
+				}
+			}
+		}
+		for i, p := range cells {
+			switch {
+			case p < uint32(len(t.index)) && t.index[p] != 0:
+				cells[i] = t.index[p] - 1
+			case !insert:
+				cells[i] = noGroup
+			default:
+				g := t.addRow(keys, set, from+i, hashRow(keys, set, from+i))
+				if cells[i] = uint32(g); p < uint32(len(t.index)) {
+					t.index[p] = uint32(g + 1)
+					continue
+				}
+				if from += i + 1; !t.widen() { // no cell: widen the spans, or convert
+					t.hashed = true
+					t.rehash(hashedLen(t.n))
+					return from
+				}
+				continue strip
+			}
+		}
+		return len(ords)
+	}
+}
+
+// hashRow folds row i's hash, as findBatch does a strip's.
+func hashRow(keys []keyCol, set []int, i int) uint64 {
+	h := uint64(k0)
+	for _, c := range set {
+		h = mixCell(h, keys[c].words[i], keys[c].classOf(i))
+	}
+	return h
+}
+
+// addRow makes row i of the strip a new group with hash h, not yet in the
+// index. Kinds and strings are read from the strip's vectors: only an element
+// of a generic vector, or a float that may spill, becomes a Value.
+func (t *groupTable) addRow(keys []keyCol, set []int, i int, h uint64) int {
+	g := t.n
+	t.n++
+	t.keys.add(g)
+	t.aggs.add(g)
+	rec := t.keys.at(g)
+	rec[0] = int64(h)
 	for j, c := range set {
 		k := &keys[c]
 		class, w, kind, v := k.classOf(i), k.words[i], k.vec.Kind(), sqltypes.Null
@@ -362,19 +458,56 @@ func (t *groupTable) addRow(keys []keyCol, set []int, i int, slot uint32, h uint
 	return g
 }
 
-// add makes group t.n with hash h at an empty index slot and returns it with
-// its record, for the caller to fill with cells.
-func (t *groupTable) add(slot uint32, h uint64) (int, []int64) {
-	g := t.n
-	t.n++
-	t.keys.add(g)
-	t.aggs.add(g)
-	rec := t.keys.at(g)
-	rec[0] = int64(h)
-	if t.index[slot] = uint32(h>>32)&^uint32(len(t.index)-1) | uint32(g+1); 2*t.n > len(t.index) {
-		t.rehash()
+// widen makes the direct index cover the newest group's key, or reports false:
+// a cell not of its column's class (an integer one, the first group's), or
+// spans of the groups' words whose product is past limit. A span the key fell
+// outside of grows on both sides to twice its cells where the others leave
+// room. Every group is re-seated.
+func (t *groupTable) widen() bool {
+	rec, cells := t.keys.at(t.n-1), uint64(1)
+	for j := range t.spans {
+		s, w, class := &t.spans[j], rec[1+j], sqltypes.Kind(t.code(rec, j)&0xf)
+		if s.n > 0 && class != s.class || class != sqltypes.KindInt && class != sqltypes.KindDate && class != sqltypes.KindBool {
+			return false
+		}
+		lo, hi := w, w
+		for g := 0; g < t.n-1; g++ {
+			lo, hi = min(lo, t.keys.at(g)[1+j]), max(hi, t.keys.at(g)[1+j])
+		}
+		if s.stride = 0; uint64(w-s.lo) >= s.n {
+			s.stride = s.n // a widened span's old cells, until the strides are set
+		}
+		if s.class, s.lo, s.n = class, lo, uint64(hi)-uint64(lo)+1; s.n == 0 || s.n > t.limit || cells*s.n > t.limit {
+			return false // s.n == 0: all of int64
+		}
+		cells *= s.n
 	}
-	return g, rec
+	stride := uint64(1)
+	for j := range t.spans {
+		s := &t.spans[j]
+		if n := min(max(s.n, 2*s.stride), t.limit/(cells/s.n)); s.stride > 0 {
+			// Words are offsets from lo mod 2⁶⁴: a span past an end of
+			// int64 wraps around and still gives each word its own cell.
+			cells, s.lo, s.n = cells/s.n*n, s.lo-int64(n-s.n)/2, n
+		}
+		s.stride, stride = stride, stride*s.n
+	}
+	if c := cells; uint64(cap(t.index)) < c {
+		if 2*c > t.limit {
+			c = t.limit // past half the limit: room for every widening to come
+		}
+		t.index = make([]uint32, 0, c)
+	}
+	t.index = t.index[:cells]
+	clear(t.index)
+	for g := 0; g < t.n; g++ {
+		rec, p := t.keys.at(g), uint64(0)
+		for j, s := range t.spans {
+			p += uint64(rec[1+j]-s.lo) * s.stride
+		}
+		t.index[p] = uint32(g + 1)
+	}
+	return true
 }
 
 // addStr stores a string cell's string and returns its word.
@@ -416,9 +549,13 @@ func (t *groupTable) find(key []sqltypes.Value, insert bool) uint32 {
 	return r.ord[0]
 }
 
-// rehash doubles the index and re-seats every ordinal from its stored hash.
-func (t *groupTable) rehash() {
-	t.index = make([]uint32, 2*len(t.index))
+// hashedLen is the length of a hashed index of n groups.
+func hashedLen(n int) int { return max(16, 2<<bits.Len(uint(n-1))) }
+
+// rehash makes a hashed index of size entries and seats every ordinal in it
+// from its stored hash.
+func (t *groupTable) rehash(size int) {
+	t.index = make([]uint32, size)
 	mask := uint32(len(t.index) - 1)
 	for g := 0; g < t.n; g++ {
 		h := uint64(t.keys.at(g)[0])
@@ -430,41 +567,34 @@ func (t *groupTable) rehash() {
 	}
 }
 
-// mergeFrom folds a later worker's partial into t, walking o's ordinals in
-// order and probing t with each group's stored hash and cells: a group new to
-// t is appended (so t keeps global first-appearance order, and the earlier
-// partition's representative). COUNTs add. Every other aggregate is folded
-// as the pipeline folds rows, a strip at a time, each row's group remapped to
-// t's: SUM/MIN/MAX take o's running values as inputs (stateColumn), and
-// DISTINCT takes o's pairs' arguments, in o's order (keyColumn). o is
-// consumed: its index, no longer probed, keeps each of its groups' ordinal in t.
+// mergeFrom folds a later worker's partial into t: o's keys, a strip of its
+// groups at a time as keyColumn rebuilds them, go through findBatch, so a
+// group new to t is appended (t keeps global first-appearance order, and the
+// earlier partition's representative). COUNTs add. Every other aggregate is
+// folded as the pipeline folds rows, a strip at a time, each row's group
+// remapped to t's: SUM/MIN/MAX take o's running values as inputs
+// (stateColumn), and DISTINCT takes o's pairs' arguments, in o's order
+// (keyColumn). o is consumed: its index keeps each of its groups' ordinal in t.
 func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
-	remap := o.index[:o.n] // at most half full, so long enough
-	for og := range remap {
-		orec := o.keys.at(og)
-		g, slot := t.probe(o, orec)
-		if g < 0 {
-			var rec []int64
-			g, rec = t.add(slot, uint64(orec[0]))
-			copy(rec, orec)
-			for j := 0; j < t.nk; j++ {
-				switch code := o.code(orec, j); {
-				case code&0xf == uint8(sqltypes.KindString):
-					rec[1+j] = t.addStr(o.str(orec[1+j]))
-				case code>>4 == kindSpilled:
-					t.spillCell(g, j, o.spill[og*t.nk+j])
-				}
-			}
+	remap := o.index[:o.n] // a cell or two entries per group, so long enough
+	keys, vecs, set := make([]keyCol, t.nk), make([]sqltypes.Vec, t.nk), allInts(t.nk)
+	hash, ords := [stripRows]uint64{}, [stripRows]uint32{}
+	for lo := 0; lo < o.n; lo += stripRows {
+		n := min(stripRows, o.n-lo)
+		for j := range keys {
+			o.keyColumn(&vecs[j], j, lo, n)
+			keys[j].load(&vecs[j], 0, n)
 		}
-		remap[og] = uint32(g)
-		into, from := t.aggs.at(g), o.aggs.at(og)
+		t.findBatch(keys, set, hash[:n], remap[lo:lo+n], true)
+	}
+	for og, g := range remap {
+		into, from := t.aggs.at(int(g)), o.aggs.at(og)
 		for ai := range specs {
 			if specs[ai].op == opCount && !specs[ai].agg.Distinct {
 				into[ai] += from[ai]
 			}
 		}
 	}
-	hash, ords := [stripRows]uint64{}, [stripRows]uint32{}
 	for ai := range specs {
 		s, src := &specs[ai], o // src's rows are the strip's: o's groups, or o's pairs
 		if s.agg.Distinct {
@@ -498,30 +628,12 @@ func (t *groupTable) mergeFrom(o *groupTable, specs []aggSpec) error {
 	return nil
 }
 
-// probe returns the ordinal in t of o's group with record orec, or -1 and the
-// empty slot where the probe ended.
-func (t *groupTable) probe(o *groupTable, orec []int64) (int, uint32) {
-	h, mask := uint64(orec[0]), uint32(len(t.index)-1)
-	slot := uint32(h) & mask
-	for ; t.index[slot] != 0; slot = (slot + 1) & mask {
-		e := t.index[slot]
-		if g := int(e&mask) - 1; e&^mask == uint32(h>>32)&^mask && t.sameKey(t.keys.at(g), o, orec) {
-			return g, slot
-		}
-	}
-	return -1, slot
-}
+// mixCell folds a cell of class class and word w into hash h, which starts
+// at k0.
+const k0, k1 = 0x9e3779b97f4a7c15, 0xd6e8feb86659fd93
 
-// sameKey reports whether record rec of t and record orec of o hold one key.
-func (t *groupTable) sameKey(rec []int64, o *groupTable, orec []int64) bool {
-	for j := 0; j < t.nk; j++ {
-		class, w, ow := t.code(rec, j)&0xf, rec[1+j], orec[1+j]
-		if o.code(orec, j)&0xf != class ||
-			class == uint8(sqltypes.KindString) && t.str(w) != o.str(ow) || class != uint8(sqltypes.KindString) && w != ow {
-			return false
-		}
-	}
-	return true
+func mixCell(h uint64, w int64, class sqltypes.Kind) uint64 {
+	return mix64(h^uint64(w)^uint64(class)<<56, k1)
 }
 
 // mix64 is a folded 64×64→128 multiply. The hash built from it is

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/qgm"
@@ -25,7 +26,7 @@ var (
 // states again after every resize.
 func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 	const n = 10 * segGroups
-	tab := newGroupTable(2, []aggSpec{countStar, countStar})
+	tab := newGroupTable(2, []aggSpec{countStar, countStar}, 0, false)
 	key := func(i int) []sqltypes.Value {
 		return []sqltypes.Value{sqltypes.NewString(fmt.Sprintf("k%05d", i)), sqltypes.NewInt(int64(i % 3))}
 	}
@@ -48,13 +49,42 @@ func TestGroupTableOrdinalsSurviveGrowth(t *testing.T) {
 	}
 }
 
+// TestHashedIndexPassesOverTagCollisions: 100,000 int keys through a table
+// hashed from its first key fill an index of 2¹⁸ entries, whose tags are 14
+// bits, so some probe meets an entry whose tag matches and whose key does
+// not (small int keys, now direct, used to reach this in other tests); it
+// must go on past it. Every key keeps the ordinal of its first appearance,
+// found again lookup-only.
+func TestHashedIndexPassesOverTagCollisions(t *testing.T) {
+	tab := hashedOnly(1, nil)
+	var v sqltypes.Vec
+	var hash [stripRows]uint64
+	var ords [stripRows]uint32
+	keys := []keyCol{{}}
+	for _, insert := range []bool{true, false} {
+		for lo := 0; lo < 100_000; lo += stripRows {
+			xs := v.RefillInts(sqltypes.KindInt, stripRows)
+			for i := range xs {
+				xs[i] = int64(lo+i) * 7919
+			}
+			keys[0].load(&v, 0, stripRows)
+			tab.findBatch(keys, []int{0}, hash[:], ords[:], insert)
+			for i, g := range ords {
+				if int(g) != lo+i {
+					t.Fatalf("key %d (insert %v): ordinal %d, want %d", xs[i], insert, g, lo+i)
+				}
+			}
+		}
+	}
+}
+
 // TestGroupTableMergeKeepsFirstAppearance: merging a later partial appends
 // its new groups after the earlier partial's, keeps the earlier partial's
 // representative for shared groups, and combines their states. The shared
 // groups' key column is int in one partial and float in the other.
 func TestGroupTableMergeKeepsFirstAppearance(t *testing.T) {
 	fill := func(keys ...sqltypes.Value) *groupTable {
-		tab := newGroupTable(1, countStars)
+		tab := newGroupTable(1, countStars, 0, false)
 		for _, k := range keys {
 			tab.aggs.at(int(tab.find([]sqltypes.Value{k}, true)))[0]++
 		}
@@ -109,10 +139,18 @@ var keyPools = map[sqltypes.Kind][]sqltypes.Value{
 
 // randomKeyVec fills v with n values for one chunk of a key column: of one
 // payload kind (with NULLs), all NULL, or of every kind at once, which
-// degrades the vector to the generic payload.
-func randomKeyVec(rng *rand.Rand, v *sqltypes.Vec, n int) {
+// degrades the vector to the generic payload. With span, seven chunks in
+// eight are ints from a window of span words around 0 instead, which a
+// direct index takes while the windows' product fits maxCells.
+func randomKeyVec(rng *rand.Rand, v *sqltypes.Vec, n, span int) {
 	kind := sqltypes.Kind(rng.Intn(7)) // KindNull: all NULL; 6: mixed
 	v.Reset()
+	if span > 0 && rng.Intn(8) > 0 {
+		for range n {
+			v.AppendValue(sqltypes.NewInt(int64(rng.Intn(span) - span/4)))
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		k := kind
 		if kind == 6 {
@@ -170,9 +208,11 @@ func requireReprs(t testing.TB, tab *groupTable, first [][]sqltypes.Value) {
 // payload, booleans, NULL and the empty string, strings containing NUL,
 // generic columns, columns whose payload kind changes from chunk to chunk,
 // tables that rehash in the middle of a chunk (the index starts at 16 slots),
-// the empty grouping set (whose one group is there before any row), lookup-only
-// calls, the one-row find, and mergeFrom
-// of a second table built from differently typed chunks.
+// small int keys whose spans' product is under maxCells in some trials and
+// over it in others (direct tables that widen, and convert in the middle of a
+// chunk), the empty grouping set (whose one group is there before any row),
+// lookup-only calls, the one-row find, and mergeFrom of a second table built
+// from differently typed chunks.
 func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const nCols = 3
@@ -193,7 +233,7 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 				if len(gs) == 0 { // the empty grouping set's one group is there from the start
 					r = ref{ords: map[string]int{refKey(nil): 0}, count: []int64{0}, first: [][]sqltypes.Value{{}}}
 				}
-				tabs[side] = append(tabs[side], newGroupTable(len(gs), countStars))
+				tabs[side] = append(tabs[side], newGroupTable(len(gs), countStars, 0, false))
 				refs[side] = append(refs[side], r)
 			}
 		}
@@ -212,7 +252,7 @@ func TestGroupTableMatchesDecimalGroupKeys(t *testing.T) {
 		for chunk := 0; chunk < 6; chunk++ {
 			side, n := chunk%2, 1+rng.Intn(stripRows)
 			for c := range vecs {
-				randomKeyVec(rng, &vecs[c], n)
+				randomKeyVec(rng, &vecs[c], n, [...]int{0, 3, 20, 25, 90}[trial%5])
 				keys[c].load(&vecs[c], 0, n)
 			}
 			ords = resize(ords, n)
@@ -301,10 +341,16 @@ func (in *fuzzIn) next() int {
 
 // fuzzKeyVec fills v with n values for one strip of a key column, as
 // randomKeyVec does but driven by the input, which can also spell a float's
-// bits (any NaN payload, −0.0, subnormals).
+// bits (any NaN payload, −0.0, subnormals) or a strip of small ints.
 func fuzzKeyVec(in *fuzzIn, v *sqltypes.Vec, n int) {
-	kind := sqltypes.Kind(in.next() % 7) // KindNull: all NULL; 6: mixed
+	kind := sqltypes.Kind(in.next() % 8) // KindNull: all NULL; 6: mixed; 7: small ints
 	v.Reset()
+	if kind == 7 { // one byte each, around 0: spans whose product straddles maxCells
+		for range n {
+			v.AppendValue(sqltypes.NewInt(int64(in.next() - 64)))
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		k := kind
 		if kind == 6 {
@@ -427,8 +473,8 @@ func FuzzGroupTable(f *testing.F) {
 		in := fuzzIn(data)
 		nCols, specs := in.next()%4, fuzzSpecs(in.next()%2 == 0)
 		set := allInts(nCols)
-		whole := newGroupTable(nCols, specs)
-		parts := [2]*groupTable{newGroupTable(nCols, specs), newGroupTable(nCols, specs)}
+		whole := newGroupTable(nCols, specs, 0, false)
+		parts := [2]*groupTable{newGroupTable(nCols, specs, 0, false), newGroupTable(nCols, specs, 0, false)}
 		ords, first, groups := map[string]int{}, [][]sqltypes.Value(nil), []*fuzzGroup(nil)
 		if nCols == 0 { // the empty grouping set's one group is there from the start
 			ords[refKey(nil)], first, groups = 0, [][]sqltypes.Value{{}}, []*fuzzGroup{{dseen: map[string]bool{}, allInt: true}}
@@ -588,7 +634,7 @@ func buildGroups(t testing.TB, nk int, sets [][]int, specs []aggSpec, rows [][]s
 	t.Helper()
 	tabs := make([]*groupTable, len(sets))
 	for si, gs := range sets {
-		tabs[si] = newGroupTable(len(gs), specs)
+		tabs[si] = newGroupTable(len(gs), specs, 0, false)
 	}
 	var arg sqltypes.Vec
 	var a vecAccum
@@ -793,5 +839,230 @@ func TestGroupChunksAllocatePerChunk(t *testing.T) {
 		if got != want {
 			t.Errorf("%d groups in %d chunks: %.0f allocations, want %.0f (2 per run, %d per chunk)", groups, chunks, got, want, 2+width)
 		}
+	}
+}
+
+// hashedOnly is a table that hashes from its first key on: the reference a
+// direct index must agree with, ordinal for ordinal.
+func hashedOnly(nk int, specs []aggSpec) *groupTable {
+	t := newGroupTable(nk, specs, 0, false)
+	t.hashed = true
+	t.rehash(hashedLen(t.n))
+	return t
+}
+
+// feedBoth runs rows — one value per key column each — through tab and ref
+// as one strip, inserting or lookup-only, counts each row in its group's
+// first aggregate, and fails unless both give every row one ordinal and hold
+// the same groups: representatives bit for bit, and counts.
+func feedBoth(t *testing.T, tab, ref *groupTable, insert bool, rows ...[]sqltypes.Value) {
+	t.Helper()
+	vecs, keys := make([]sqltypes.Vec, tab.nk), make([]keyCol, tab.nk)
+	for c := range vecs {
+		for _, r := range rows {
+			vecs[c].AppendValue(r[c])
+		}
+		keys[c].load(&vecs[c], 0, len(rows))
+	}
+	var hash [stripRows]uint64
+	got, want := make([]uint32, len(rows)), make([]uint32, len(rows))
+	tab.findBatch(keys, allInts(tab.nk), hash[:len(rows)], got, insert)
+	ref.findBatch(keys, allInts(tab.nk), hash[:len(rows)], want, insert)
+	for i := range rows {
+		if got[i] != want[i] {
+			t.Fatalf("row %d %v: ordinal %d, hashed reference %d", i, rows[i], got[i], want[i])
+		}
+		if insert && len(tab.aggs.segs) > 0 {
+			tab.aggs.at(int(got[i]))[0]++
+			ref.aggs.at(int(want[i]))[0]++
+		}
+	}
+	requireSameGroups(t, tab, ref)
+}
+
+// requireSameGroups checks that tab holds ref's groups in ref's order, with
+// its representatives and the counts of its first aggregate.
+func requireSameGroups(t *testing.T, tab, ref *groupTable) {
+	t.Helper()
+	if tab.n != ref.n {
+		t.Fatalf("%d groups, hashed reference %d", tab.n, ref.n)
+	}
+	for g := range tab.n {
+		for j, v := range keyValues(tab, g) {
+			if w := ref.value(g, j); !sameBits(v, w) {
+				t.Fatalf("group %d: representative %v (%s), hashed reference %v (%s)", g, v, v.Kind(), w, w.Kind())
+			}
+		}
+		if tab.na > 0 && tab.aggs.at(g)[0] != ref.aggs.at(g)[0] {
+			t.Fatalf("group %d: count %d, hashed reference %d", g, tab.aggs.at(g)[0], ref.aggs.at(g)[0])
+		}
+	}
+}
+
+// directRows are keys of two small integer columns, 1–50 × 1–12 in an order
+// that widens the spans from both ends: a table they fill stays direct.
+func directRows() [][]sqltypes.Value {
+	var rows [][]sqltypes.Value
+	for i := range 120 {
+		rows = append(rows, []sqltypes.Value{sqltypes.NewInt(int64(25 + (i*7)%26*(1-2*(i%2)))), sqltypes.NewInt(int64(1 + i*5%12))})
+	}
+	return rows
+}
+
+// TestGroupTableTransitions drives a direct table through each way it can
+// leave its spans, after the direct rows and again after the strip that
+// leaves them, against the hashed reference: a key outside the spans they can
+// widen to take (negative keys among them), an integral float (of the int
+// class, so it stays direct), and the keys that convert it — outside any
+// spans maxCells holds, NULL, a date, a string, a float, and int64's ends, whose
+// span overflows. Lookup-only strips before and after find the same groups
+// and add none.
+func TestGroupTableTransitions(t *testing.T) {
+	i, f, d := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewDate
+	for _, c := range []struct {
+		name   string
+		strip  [][]sqltypes.Value
+		hashed bool
+	}{
+		{"a key the spans widen to", [][]sqltypes.Value{{i(60), i(5)}, {i(7), i(13)}}, false},
+		{"negative keys", [][]sqltypes.Value{{i(-3), i(5)}, {i(-40), i(-1)}, {i(-3), i(5)}}, false},
+		{"an integral float", [][]sqltypes.Value{{f(7), i(5)}, {f(51), i(2)}, {i(51), f(2)}}, false},
+		{"past maxCells", [][]sqltypes.Value{{i(3), i(5)}, {i(2 * maxCells), i(1)}, {i(3), i(5)}}, true},
+		{"NULL", [][]sqltypes.Value{{i(3), sqltypes.Null}, {i(3), i(5)}}, true},
+		{"a date", [][]sqltypes.Value{{d(1991, 4, 12), i(5)}, {i(3), i(5)}}, true},
+		{"a string", [][]sqltypes.Value{{i(3), sqltypes.NewString("a")}, {i(3), i(5)}}, true},
+		{"a fractional float", [][]sqltypes.Value{{f(2.5), i(5)}, {i(3), i(5)}}, true},
+		{"int64's ends", [][]sqltypes.Value{{i(math.MinInt64), i(1)}, {i(math.MaxInt64), i(1)}, {i(3), i(5)}}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, ref := newGroupTable(2, countStars, 0, false), hashedOnly(2, countStars)
+			rows := directRows()
+			feedBoth(t, tab, ref, false, rows[:5]...)
+			for lo := 0; lo < len(rows); lo += 40 {
+				feedBoth(t, tab, ref, true, rows[lo:lo+40]...)
+			}
+			if tab.hashed {
+				t.Fatalf("the direct rows converted the table")
+			}
+			feedBoth(t, tab, ref, false, c.strip...)
+			feedBoth(t, tab, ref, true, c.strip...)
+			if tab.hashed != c.hashed {
+				t.Fatalf("hashed %v after the strip, want %v", tab.hashed, c.hashed)
+			}
+			feedBoth(t, tab, ref, false, append(c.strip, rows...)...)
+			feedBoth(t, tab, ref, true, append(rows, c.strip...)...)
+		})
+	}
+}
+
+// TestDirectSpanWrapsPastInt64: a span widened past int64's end wraps around
+// to its other end and still gives each word a cell of its own — MinInt64
+// finds one after MaxInt64−2 — and a word beyond it is not in the table.
+func TestDirectSpanWrapsPastInt64(t *testing.T) {
+	tab, ref := newGroupTable(1, countStars, 0, false), hashedOnly(1, countStars)
+	var keys [][]sqltypes.Value
+	for _, k := range []int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 2, math.MinInt64, math.MaxInt64} {
+		keys = append(keys, []sqltypes.Value{sqltypes.NewInt(k)})
+		feedBoth(t, tab, ref, true, keys[len(keys)-1])
+	}
+	if tab.hashed || tab.spans[0].lo != math.MaxInt64-2 || tab.spans[0].n != 4 {
+		t.Fatalf("hashed %v, span %+v: want direct from MaxInt64−2, 4 cells", tab.hashed, tab.spans[0])
+	}
+	feedBoth(t, tab, ref, false, append(keys, []sqltypes.Value{sqltypes.NewInt(math.MinInt64 + 1)})...)
+}
+
+// TestGroupTableMergeAcrossModes merges partials through every pair of index
+// modes — both direct over one span or over spans their union widens or
+// cannot hold, and either side hashed — against the same merge of hashed
+// references.
+func TestGroupTableMergeAcrossModes(t *testing.T) {
+	i, null := sqltypes.NewInt, sqltypes.Null
+	rows := directRows()
+	shift := func(by int64) [][]sqltypes.Value {
+		out := make([][]sqltypes.Value, len(rows))
+		for r, row := range rows {
+			out[r] = []sqltypes.Value{i(row[0].Int() + by), row[1]}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name               string
+		into, from         [][]sqltypes.Value
+		intoHashed, merged bool // into's mode before the merge, and after
+	}{
+		{"direct into direct, one span", rows[:60], rows[40:], false, false},
+		{"direct into direct, spans widened", rows, shift(100), false, false},
+		{"direct into direct, past maxCells", rows, shift(maxCells), false, true},
+		{"direct into hashed", append(rows[:30:30], []sqltypes.Value{null, i(1)}), rows, true, true},
+		{"hashed into direct", rows[50:], append(rows[:30:30], []sqltypes.Value{i(3), null}), false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var tabs, refs [2]*groupTable
+			for side, part := range [2][][]sqltypes.Value{c.into, c.from} {
+				tabs[side], refs[side] = newGroupTable(2, countStars, 0, false), hashedOnly(2, countStars)
+				feedBoth(t, tabs[side], refs[side], true, part...)
+			}
+			if tabs[0].hashed != c.intoHashed {
+				t.Fatalf("into is hashed %v before the merge, want %v", tabs[0].hashed, c.intoHashed)
+			}
+			for side, tab := range []*groupTable{tabs[0], refs[0]} {
+				if err := tab.mergeFrom([]*groupTable{tabs[1], refs[1]}[side], countStars); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tabs[0].hashed != c.merged {
+				t.Fatalf("hashed %v after the merge, want %v", tabs[0].hashed, c.merged)
+			}
+			requireSameGroups(t, tabs[0], refs[0])
+			feedBoth(t, tabs[0], refs[0], false, append(c.into, c.from...)...)
+		})
+	}
+}
+
+// TestDirectDimensionUnderConcurrentProbes: workers probe one built direct
+// table lookup-only at once, as the star probe's workers share a dimension;
+// run under -race, no write may reach the table.
+func TestDirectDimensionUnderConcurrentProbes(t *testing.T) {
+	dim := newGroupTable(1, nil, 200, true)
+	for k := range 200 {
+		dim.find([]sqltypes.Value{sqltypes.NewInt(int64(1 + k))}, true)
+	}
+	if dim.hashed {
+		t.Fatal("a dimension keyed 1–200 is hashed")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var v sqltypes.Vec
+			var hash [stripRows]uint64
+			var ords [stripRows]uint32
+			keys := []keyCol{{}}
+			for round := range 50 {
+				xs := v.RefillInts(sqltypes.KindInt, stripRows)
+				for i := range xs {
+					xs[i] = int64((w*131+round*17+i*7)%260 - 30)
+				}
+				keys[0].load(&v, 0, stripRows)
+				dim.findBatch(keys, []int{0}, hash[:], ords[:], false)
+				for i, x := range xs {
+					want := noGroup
+					if x >= 1 && x <= 200 {
+						want = uint32(x - 1)
+					}
+					if ords[i] != want {
+						errs <- fmt.Errorf("worker %d: key %d found %d, want %d", w, x, ords[i], want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

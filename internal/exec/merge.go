@@ -75,7 +75,13 @@ func MergeGroups(stored, del, ins []*storage.Chunk, spec MergeSpec) (*GroupMerge
 		m.all = append(m.all, ai)
 		m.specs = append(m.specs, aggSpec{agg: &qgm.Agg{Op: agg.Op}, col: c, op: max(aggOps[agg.Op], opSum)}) // counts add up
 	}
-	m.t, m.kc = newGroupTable(len(m.keys), m.specs), make([]keyCol, len(m.keys))
+	rows := 0 // the delta's, a bound on its groups
+	for _, cs := range [2][]*storage.Chunk{del, ins} {
+		for _, c := range cs {
+			rows += c.Len()
+		}
+	}
+	m.t, m.kc = newGroupTable(len(m.keys), m.specs, rows, true), make([]keyCol, len(m.keys))
 	m.each(del, true, nil)
 	m.each(ins, true, nil)
 	m.pos, m.flags = make([]int, m.t.n), make([]uint8, m.t.n)

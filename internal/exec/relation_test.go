@@ -90,7 +90,7 @@ func TestHavingMaterializesOnlySurvivors(t *testing.T) {
 	}
 	table := func(groups int) uint64 { // what the group table alone allocates
 		_, bytes := measure(func() {
-			gt := newGroupTable(1, countStars)
+			gt := newGroupTable(1, countStars, 0, false)
 			key := make([]sqltypes.Value, 1)
 			for k := 0; k < groups; k++ {
 				key[0] = sqltypes.NewInt(int64(k))

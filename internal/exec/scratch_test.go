@@ -109,7 +109,7 @@ func TestKeyScratchIsSizedByTheStrip(t *testing.T) {
 	for i := 0; i < storage.ChunkRows; i++ {
 		v.AppendValue(sqltypes.NewString(fmt.Sprintf("s%d", i%50))) // strings: the cells are not the payload
 	}
-	keys, tab := make([]keyCol, 1), newGroupTable(1, nil)
+	keys, tab := make([]keyCol, 1), newGroupTable(1, nil, 0, false)
 	var hash [stripRows]uint64
 	var ords [stripRows]uint32
 	lookup := func(lo, n int) {

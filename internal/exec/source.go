@@ -247,7 +247,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 				sd.keyKs = append(sd.keyKs, s.vc.compileScalar(t.on))
 			}
 		}
-		sd.set, sd.table = allInts(len(keys)), newGroupTable(len(keys), nil)
+		sd.set, sd.table = allInts(len(keys)), newGroupTable(len(keys), nil, rel.n, true)
 		ords, err := keyOrds(sd.table, true, sd.chunks, dq.ID, scalars, dimPreds[k], keys, nil)
 		if err != nil {
 			return nil, err

@@ -58,7 +58,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		sw := s.worker()
 		tables := make([]*groupTable, len(sets))
 		for si := range tables {
-			tables[si] = newGroupTable(len(sets[si]), aggSpecs)
+			tables[si] = newGroupTable(len(sets[si]), aggSpecs, s.total, false)
 		}
 		var ordinals [stripRows]uint32 // the strip's ordinals and hashes stay on this stack
 		var hashes [stripRows]uint64

@@ -41,6 +41,9 @@ import (
 const (
 	CtrVecBoxes  = "exec.vector.boxes"  // boxes evaluated on the pipeline, a GROUP BY's fused SELECT child among them
 	CtrVecLifted = "exec.vector.lifted" // expressions evaluated a row at a time by the interpreter
+	// A GROUP BY's tables, one per grouping set, by the index each ended with.
+	CtrGroupDirect = "exec.group.direct"
+	CtrGroupHashed = "exec.group.hashed"
 )
 
 // Result evaluation modes reported by Result.Mode / EXPLAIN: the reference
@@ -574,7 +577,7 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 			kinds[j] = c.Kind()
 		}
 	}
-	table, key := newGroupTable(nk, nil), make([]sqltypes.Value, nk)
+	table, key := newGroupTable(nk, nil, len(consts)/nk, true), make([]sqltypes.Value, nk)
 	for lo := 0; lo < len(consts); lo += nk {
 		for j, c := range consts[lo : lo+nk] {
 			if key[j] = sqltypes.Null; c != nil {

@@ -111,6 +111,14 @@ func TestEventsSequencedAndBounded(t *testing.T) {
 			t.Fatalf("event stream out of order at %d", i)
 		}
 	}
+	// Rendered: the evictions, then the kept events in sequence order.
+	var sb strings.Builder
+	s.Render(&sb)
+	last := s.Events[len(s.Events)-1]
+	if out := sb.String(); !strings.Contains(out, "== events ==\n(12 older events evicted)\n") ||
+		!strings.HasSuffix(out, fmt.Sprintf("#%d fill: e%d\n", last.Seq, maxEvents+9)) {
+		t.Fatalf("rendered events:\n%s", out[strings.Index(out, "== events =="):][:200])
+	}
 }
 
 // TestNilObserverIsSafe calls every exported method of *Observer on a nil
