@@ -594,6 +594,12 @@ func BenchmarkExecOperators(b *testing.B) {
 		// dimensions (pgroup × the US rows of loc, whatever the scale).
 		{"residual_join", `select tid, city, qty * price as amt from trans, loc where flid = lid and qty * 20 < lid`, false, ""},
 		{"cross_groupby", `select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`, false, ""},
+		// The typed kernels under a base-table statement: ds5's float
+		// comparison ahead of a GROUP BY on a date part, and q4's and
+		// ds12's date part and int-by-float product over every row.
+		{"filter_float_cmp", `select year(date) as year, sum(qty * price * disc) as givenaway
+			from trans where disc > 0.1 group by year(date)`, true, ""},
+		{"date_arith_groupby", `select year(date) as year, sum(qty * price) as value from trans group by year(date)`, true, ""},
 	}
 	for _, scale := range []int{10_000, 100_000} {
 		env := bench.NewEnv(scale, core.Options{})

@@ -74,7 +74,8 @@ func TestServedStatementBytesPerRun(t *testing.T) {
 // workers so that the partials' merge is in. Each is capped at its bytes per
 // execution since aggregate states became cells and DISTINCT sets pair tables,
 // plus 10 %: q1 513.3 KiB before that change → 424.5 after, ds6 952.4 → 668.6,
-// q11_3 2,958.2 → 1,671.5.
+// q11_3 2,958.2 → 1,671.5; q11_3's since its pair table starts hashed rather
+// than widening its direct index to the limit first, 1,768.4 → 1,620.9.
 func TestHighCardinalityGroupByBytesPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("bytes under -race are the race runtime's too")
@@ -85,7 +86,7 @@ func TestHighCardinalityGroupByBytesPerRun(t *testing.T) {
 	}{
 		{"q1 from ast1", "ast1", Queries["q1"], 467},
 		{"ds6 from the base tables", "", dsQuery(t, "ds6"), 736},
-		{"q11_3 from the base tables", "", Queries["q11_3"], 1839},
+		{"q11_3 from the base tables", "", Queries["q11_3"], 1783},
 	} {
 		if perRun := bytesPerExecution(t, c.name, c.ast, c.sql, 2, 20); perRun > c.max {
 			t.Errorf("%s allocates %.1f KiB per execution, above %.1f", c.name, perRun, c.max)

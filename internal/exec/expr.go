@@ -157,7 +157,7 @@ func (c *exprCtx) evalPred(e qgm.Expr, bd binding) (sqltypes.Tri, error) {
 			if err != nil {
 				return sqltypes.Unknown, err
 			}
-			return sqltypes.TriOf(cmpKeep(t.Op)(cv)), nil
+			return sqltypes.TriOf(cmpWant(t.Op)[1+cv]), nil
 		}
 		// Arithmetic in predicate position: evaluate and interpret.
 		v, err := c.evalScalar(t, bd)
@@ -242,21 +242,21 @@ func binOpFn(op string) func(a, b sqltypes.Value) (sqltypes.Value, error) {
 	}
 }
 
-// cmpKeep maps a comparison operator to the test it makes of a three-way
-// comparison's result.
-func cmpKeep(op string) func(c int) bool {
+// cmpWant maps a comparison operator to the three-way comparison results it
+// holds for, indexed by the result plus one.
+func cmpWant(op string) [3]bool {
 	switch op {
 	case "=":
-		return func(c int) bool { return c == 0 }
+		return [3]bool{false, true, false}
 	case "<>":
-		return func(c int) bool { return c != 0 }
+		return [3]bool{true, false, true}
 	case "<":
-		return func(c int) bool { return c < 0 }
+		return [3]bool{true, false, false}
 	case "<=":
-		return func(c int) bool { return c <= 0 }
+		return [3]bool{true, true, false}
 	case ">":
-		return func(c int) bool { return c > 0 }
+		return [3]bool{false, false, true}
 	default:
-		return func(c int) bool { return c >= 0 }
+		return [3]bool{false, true, true}
 	}
 }

@@ -98,7 +98,14 @@ func newGroupTable(nKeys int, specs []aggSpec, rows int, sized bool) *groupTable
 	for ai, s := range specs {
 		if s.agg.Distinct {
 			t.pairs = append(t.pairs, make([]*groupTable, ai+1-len(t.pairs))...)
-			t.pairs[ai] = newGroupTable(min(nKeys, 1)+1, nil, rows, false)
+			p := newGroupTable(min(nKeys, 1)+1, nil, rows, false)
+			if nKeys > 0 && rows > maxCells {
+				// Its group ordinals could outgrow a direct index on their
+				// own: hashed from the start, not after widening to the limit.
+				p.hashed = true
+				p.rehash(hashedLen(p.n))
+			}
+			t.pairs[ai] = p
 		}
 	}
 	if nKeys == 0 {

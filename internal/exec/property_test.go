@@ -1149,10 +1149,12 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	}
 }
 
-// keyTable builds k over the kinds a key-set probe meets, in three chunks and
-// a bit: g int, d date, n nullable int (one of them 2^53 + 1), s string with
-// NULLs, x float with NaNs and -0.0s, m, an int column whose second chunk
-// also holds floats (a generic vector), and y, the same for a float column.
+// keyTable builds k over the kinds a key-set probe and a typed kernel meet, in
+// three chunks and a bit: g int, d date, n nullable int (one of them 2^53 +
+// 1), s string with NULLs, x float with NaNs and -0.0s, m, an int column whose
+// second chunk also holds floats (a generic vector), and y, the same for a
+// float column. Then nullable columns with NULLs mid-chunk: e date, z float
+// (NaNs of two payloads, -0.0 beside 0, 2^53) and w int, never 0.
 func keyTable() (*catalog.Catalog, *storage.Store) {
 	cat := catalog.New()
 	cat.MustAddTable(&catalog.Table{Name: "k", Columns: []catalog.Column{
@@ -1163,6 +1165,9 @@ func keyTable() (*catalog.Catalog, *storage.Store) {
 		{Name: "x", Type: sqltypes.KindFloat},
 		{Name: "m", Type: sqltypes.KindInt},
 		{Name: "y", Type: sqltypes.KindFloat},
+		{Name: "e", Type: sqltypes.KindDate, Nullable: true},
+		{Name: "z", Type: sqltypes.KindFloat, Nullable: true},
+		{Name: "w", Type: sqltypes.KindInt, Nullable: true},
 	}})
 	meta, _ := cat.Table("k")
 	rows := make([][]sqltypes.Value, 3*storage.ChunkRows+300)
@@ -1187,12 +1192,122 @@ func keyTable() (*catalog.Catalog, *storage.Store) {
 		case 4:
 			x = math.Copysign(0, -1)
 		}
+		e, z, w := sqltypes.NewDate(1990+i%4, 1+i%12, 1+i%28), sqltypes.NewFloat(float64(i%5)+0.5*float64(i%2)), sqltypes.NewInt(int64(i%6-2))
+		switch i % 13 {
+		case 1:
+			e, w = sqltypes.Null, sqltypes.Null
+		case 2:
+			z = sqltypes.Null
+		case 3:
+			z = sqltypes.NewFloat(math.NaN())
+		case 4:
+			z = sqltypes.NewFloat(math.Float64frombits(0x7ff8000000000001))
+		case 5:
+			z = sqltypes.NewFloat(math.Copysign(0, -1))
+		case 6:
+			z = sqltypes.NewFloat(1 << 53)
+		}
+		if i%6 == 2 {
+			w = sqltypes.NewInt(5)
+		}
 		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i % 7)), sqltypes.NewDate(1990+i%3, 1+i%12, 1+i%28), n, s,
-			sqltypes.NewFloat(x), m, y}
+			sqltypes.NewFloat(x), m, y, e, z, w}
 	}
 	store := storage.NewStore()
 	store.PutRows(meta, rows)
 	return cat, store
+}
+
+// TestKernelParity is the typed kernels' table, over keyTable: a comparison
+// under each operator over each typed pairing of kinds (int, date, float, int
+// and float either way, string), between two columns and with the constant on
+// either side; +, -, *, / and % over the same pairings (|| over strings, which
+// qgm refuses to add); year, month and day
+// over dates with NULLs. Each row runs over whole chunks and over a selection
+// an earlier conjunct narrowed, and answers as the interpreter does — the
+// same rows, bit for bit (sqltypes.Same), or the same error — serially and at
+// two workers, with nothing lifted.
+func TestKernelParity(t *testing.T) {
+	cat, store := keyTable()
+	pairings := []struct{ kind, col, other, c string }{ // col against another column and against a constant
+		{"int", "n", "w", "2"},
+		{"date", "e", "d", "DATE '1991-06-06'"},
+		{"float", "z", "x", "0.0"},
+		{"int-float", "n", "z", "9007199254740992.0"},
+		{"float-int", "z", "w", "9007199254740993"},
+		{"string", "s", "s", "'s3'"},
+	}
+	type row struct{ name, sql string }
+	var rows []row
+	add := func(name, sel, where string) {
+		for _, narrowed := range []bool{false, true} {
+			w, n := where, "whole"
+			if narrowed {
+				w, n = "g <> 2 and "+where, "narrowed"
+				if where == "" {
+					w = "g <> 2"
+				}
+			}
+			if w != "" {
+				w = " where " + w
+			}
+			rows = append(rows, row{name + " " + n, "select " + sel + " from k" + w})
+		}
+	}
+	for _, p := range pairings {
+		for _, form := range [][2]string{{p.col, p.other}, {p.col, p.c}, {p.c, p.col}} {
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				pred := form[0] + " " + op + " " + form[1]
+				add("cmp "+p.kind+" "+pred, "g, d, n, s, x, e, z, w", pred)
+			}
+			ops := []string{"+", "-", "*", "/", "%"}
+			if p.kind == "string" {
+				ops = []string{"||"}
+			}
+			for _, op := range ops {
+				expr := form[0] + " " + op + " " + form[1]
+				add("arith "+p.kind+" "+expr, "g, "+expr+" as v", "")
+			}
+		}
+	}
+	for _, f := range []string{"year", "month", "day"} {
+		for _, arg := range []string{"e", "d"} {
+			add(f+" "+arg, fmt.Sprintf("g, %s(%s) as v", f, arg), "")
+		}
+	}
+	engine := NewEngine(store)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			g, err := qgm.BuildSQL(r.sql, cat)
+			if err != nil {
+				t.Fatalf("%s: %v", r.sql, err)
+			}
+			want, wantErr := engine.RunCtx(context.Background(), g, Config{Interpret: true})
+			for _, par := range []int{1, 2} {
+				o := obs.New()
+				engine.SetObserver(o)
+				got, err := engine.RunCtx(context.Background(), g, Config{Parallelism: par})
+				engine.SetObserver(nil)
+				if lifted := o.Counter(CtrVecLifted); lifted != 0 {
+					t.Fatalf("%s (parallelism %d): %d lifted", r.sql, par, lifted)
+				}
+				if wantErr != nil || err != nil {
+					if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%s (parallelism %d): error %v, interpreter's %v", r.sql, par, err, wantErr)
+					}
+					continue
+				}
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s (parallelism %d): %d rows, interpreter's %d", r.sql, par, len(got.Rows), len(want.Rows))
+				}
+				for i := range want.Rows {
+					if !slices.EqualFunc(got.Rows[i], want.Rows[i], sqltypes.Same) {
+						t.Fatalf("%s (parallelism %d): row %d %v, interpreter's %v", r.sql, par, i, got.Rows[i], want.Rows[i])
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestJoinSelectErrorParity: an output expression of a join SELECT is

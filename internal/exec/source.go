@@ -538,8 +538,8 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 		w.ddi[k] = w.ddi[k][:0]
 	}
 	var hash [stripRows]uint64 // findBatch's scratch stays on this stack
-	last := nd - 1
-	for lo, n := 0, cs.n(); lo < n; lo += stripRows {
+	last, rows := nd-1, cs.live()
+	for lo, n := 0, len(rows); lo < n; lo += stripRows {
 		// A strip of fact rows at a time, one lookup-only batch call per
 		// dimension keyed on the fact turns the fact keys into dimension key
 		// ordinals.
@@ -563,7 +563,7 @@ func (w *srcWorker) next(c *storage.Chunk, chg *charger) (int, error) {
 			// Depth first over the dimensions: each steps through its rows
 			// that join, and the last one's become tuples, charged a run at a
 			// time.
-			ri, first := int32(cs.rowIdx(lo+i)), len(w.fdi)
+			ri, first := rows[lo+i], len(w.fdi)
 			w.at[0] = s.dims[0].first(w.ords[0], i, w.row)
 			for k := 0; k >= 0; {
 				d := &s.dims[k]

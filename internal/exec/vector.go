@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -70,9 +69,11 @@ type chunkState struct {
 	rows   int             // the chunk's row count
 	sel    []int32         // live row indices, dense-ordered; nil = all of [0, rows)
 	selBuf []int32         // backing of sel, reused chunk after chunk
+	all    []int32         // live's whole-chunk selection of a chunk longer than chunkRows
 	vecs   []*sqltypes.Vec // kernel output slots, each allocated by its first use
 	bd     binding         // a lifted expression's binding: one row of scratch
 	keys   []keyCol        // a probe's key columns: a key set's or a star join's
+	nulls  sqltypes.Bitmap // a comparison's NULL rows, by dense index
 }
 
 // keyCols returns the probe's key-column scratch, at least nk columns long.
@@ -121,12 +122,30 @@ func (cs *chunkState) n() int {
 	return cs.rows
 }
 
-// rowIdx maps a dense selection index to a chunk row index.
-func (cs *chunkState) rowIdx(di int) int {
-	if cs.sel != nil {
-		return int(cs.sel[di])
+// live returns the selection's chunk rows, in dense order: sel, or every row.
+func (cs *chunkState) live() []int32 {
+	switch {
+	case cs.sel != nil:
+		return cs.sel
+	case cs.rows <= len(chunkRows):
+		return chunkRows[:cs.rows]
+	case len(cs.all) < cs.rows: // a joined chunk of more tuples than a storage chunk has rows
+		cs.all = iota32(cs.rows)
 	}
-	return di
+	return cs.all[:cs.rows]
+}
+
+// chunkRows is every row of a storage chunk, 0 to storage.ChunkRows-1; read
+// by every worker, written by none.
+var chunkRows = iota32(storage.ChunkRows)
+
+// iota32 returns 0, 1, …, n-1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
 }
 
 // materialize fills the scratch binding with chunk row ri, for a lifted
@@ -208,8 +227,8 @@ func (vc *vecCompiler) lift(e qgm.Expr) vecKernel {
 	return func(cs *chunkState) (*sqltypes.Vec, error) {
 		out := cs.slot(slot)
 		out.Reset()
-		for di, n := 0, cs.n(); di < n; di++ {
-			v, err := ectx.evalScalar(e, cs.materialize(cs.rowIdx(di)))
+		for _, ri := range cs.live() {
+			v, err := ectx.evalScalar(e, cs.materialize(int(ri)))
 			if err != nil {
 				return nil, err
 			}
@@ -311,19 +330,14 @@ func intClass(v *sqltypes.Vec) bool {
 }
 
 // compileCall lowers year/month/day over an Ints-payload argument to an
-// integer loop (the date encoding is yyyymmdd); other kinds take the
-// per-element route through the same Value accessors as the row kernel, so
-// panics and NULL handling are identical. Unknown functions lift (the row
-// kernel carries the exact error).
+// integer loop, one per part (the date encoding is yyyymmdd), that runs over
+// NULLs' payloads too and takes the argument's NULLs from its bitmap; other
+// kinds take the per-element route through the same Value accessors as the
+// row kernel, so panics and NULL handling are identical. Unknown functions
+// lift (the row kernel carries the exact error).
 func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
-	var f func(int64) int64
 	switch t.Name {
-	case "year":
-		f = func(d int64) int64 { return d / 10000 }
-	case "month":
-		f = func(d int64) int64 { return (d / 100) % 100 }
-	case "day":
-		f = func(d int64) int64 { return d % 100 }
+	case "year", "month", "day":
 	default:
 		return vc.lift(t)
 	}
@@ -338,20 +352,22 @@ func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
 		n := av.Len()
 		out := cs.slot(slot)
 		if intClass(av) {
-			ints := out.RefillInts(sqltypes.KindInt, n)
-			if av.HasNulls() {
-				for i := 0; i < n; i++ {
-					if av.IsNull(i) {
-						out.SetNull(i)
-					} else {
-						ints[i] = f(av.Ints()[i])
-					}
+			ints, ds := out.RefillInts(sqltypes.KindInt, n), av.Ints()[:n]
+			switch name {
+			case "year":
+				for i, d := range ds {
+					ints[i] = d / 10000
 				}
-			} else {
-				for i, d := range av.Ints() {
-					ints[i] = f(d)
+			case "month":
+				for i, d := range ds {
+					ints[i] = d / 100 % 100
+				}
+			default:
+				for i, d := range ds {
+					ints[i] = d % 100
 				}
 			}
+			out.MarkNulls(av.Nulls())
 			return out, nil
 		}
 		if isAllNull(av) {
@@ -397,11 +413,13 @@ func floatAt(v *sqltypes.Vec, i int) float64 {
 }
 
 // vecBinArith evaluates a binary arithmetic/concat operator element-wise into
-// out (a scratch slot distinct from both operands). Typed int/int,
-// numeric/float and string/string pairs run dedicated loops; every other
-// pairing — and every error case — delegates per element to the sqltypes
-// function the row kernel uses, so results, NULL propagation and error
-// messages match the row path exactly.
+// out (a scratch slot distinct from both operands). Typed pairs run dedicated
+// loops: +, - and * over two numeric payloads one loop per operator, chosen
+// once per chunk (arith), with the operands' NULLs marked from their bitmaps;
+// / and % test each element for NULL and for a zero divisor; || concatenates
+// two string payloads. Every other pairing — and every error case — delegates
+// per element to the sqltypes function the row kernel uses, so results, NULL
+// propagation and error messages match the row path exactly.
 func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 	n := a.Len()
 	fn := binOpFn(op)
@@ -413,61 +431,52 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 		return nil
 	}
 
-	anyNulls := a.HasNulls() || b.HasNulls() || a.Generic() || b.Generic()
-	nullAt := func(i int) bool { return anyNulls && (a.IsNull(i) || b.IsNull(i)) }
-
+	numeric := isNumericVec(a) && isNumericVec(b)
 	switch {
-	case (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") && isInt(a) && isInt(b):
-		ints := out.RefillInts(sqltypes.KindInt, n)
-		for i := 0; i < n; i++ {
-			if nullAt(i) {
+	case numeric && (op == "+" || op == "-" || op == "*"):
+		// Computed over NULLs' payloads too; the bitmaps then mark them.
+		switch {
+		case isInt(a) && isInt(b):
+			arith(op, out.RefillInts(sqltypes.KindInt, n), a.Ints(), b.Ints())
+		case isInt(a):
+			arith(op, out.RefillFloats(n), a.Ints(), b.Floats())
+		case isInt(b):
+			arith(op, out.RefillFloats(n), a.Floats(), b.Ints())
+		default:
+			arith(op, out.RefillFloats(n), a.Floats(), b.Floats())
+		}
+		out.MarkNulls(a.Nulls())
+		out.MarkNulls(b.Nulls())
+		return nil
+
+	case (op == "/" || op == "%") && isInt(a) && isInt(b):
+		ints, x, y := out.RefillInts(sqltypes.KindInt, n), a.Ints(), b.Ints()
+		for i := range ints {
+			switch {
+			case a.IsNull(i) || b.IsNull(i):
 				out.SetNull(i)
-				continue
-			}
-			x, y := a.Ints()[i], b.Ints()[i]
-			switch op {
-			case "+":
-				ints[i] = x + y
-			case "-":
-				ints[i] = x - y
-			case "*":
-				ints[i] = x * y
-			case "/", "%":
-				if y == 0 {
-					_, err := fn(a.Value(i), b.Value(i))
-					return err
-				}
-				if op == "/" {
-					ints[i] = x / y
-				} else {
-					ints[i] = x % y
-				}
+			case y[i] == 0:
+				_, err := fn(a.Value(i), b.Value(i))
+				return err
+			case op == "/":
+				ints[i] = x[i] / y[i]
+			default:
+				ints[i] = x[i] % y[i]
 			}
 		}
 		return nil
 
-	case (op == "+" || op == "-" || op == "*" || op == "/") && isNumericVec(a) && isNumericVec(b):
-		// At least one side is float (both-int handled above): float result.
+	case numeric && op == "/": // at least one side is float: float result
 		fs := out.RefillFloats(n)
-		for i := 0; i < n; i++ {
-			if nullAt(i) {
+		for i := range fs {
+			switch {
+			case a.IsNull(i) || b.IsNull(i):
 				out.SetNull(i)
-				continue
-			}
-			x, y := floatAt(a, i), floatAt(b, i)
-			switch op {
-			case "+":
-				fs[i] = x + y
-			case "-":
-				fs[i] = x - y
-			case "*":
-				fs[i] = x * y
-			case "/":
-				if y == 0 {
-					_, err := fn(a.Value(i), b.Value(i))
-					return err
-				}
-				fs[i] = x / y
+			case floatAt(b, i) == 0:
+				_, err := fn(a.Value(i), b.Value(i))
+				return err
+			default:
+				fs[i] = floatAt(a, i) / floatAt(b, i)
 			}
 		}
 		return nil
@@ -475,8 +484,8 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 	case op == "||" && !a.Generic() && !b.Generic() &&
 		a.Kind() == sqltypes.KindString && b.Kind() == sqltypes.KindString:
 		ss := out.RefillStrings(n)
-		for i := 0; i < n; i++ {
-			if nullAt(i) {
+		for i := range ss {
+			if a.IsNull(i) || b.IsNull(i) {
 				out.SetNull(i)
 				continue
 			}
@@ -495,6 +504,27 @@ func vecBinArith(op string, a, b, out *sqltypes.Vec) error {
 		vals[i] = v
 	}
 	return nil
+}
+
+// arith fills z with x op y, for op one of +, - and *: one loop per operator,
+// each element converted to z's type first (an int is added to a float as the
+// float64 sqltypes.Add makes of it; int results wrap).
+func arith[Z, X, Y int64 | float64](op string, z []Z, x []X, y []Y) {
+	x, y = x[:len(z)], y[:len(z)]
+	switch op {
+	case "+":
+		for i := range z {
+			z[i] = Z(x[i]) + Z(y[i])
+		}
+	case "-":
+		for i := range z {
+			z[i] = Z(x[i]) - Z(y[i])
+		}
+	default:
+		for i := range z {
+			z[i] = Z(x[i]) * Z(y[i])
+		}
+	}
 }
 
 // compileFilter lowers a predicate conjunct to a selection-narrowing filter.
@@ -535,16 +565,14 @@ func (vc *vecCompiler) compileFilter(p qgm.Expr) vecFilter {
 func (vc *vecCompiler) rowFilter(p qgm.Expr) vecFilter {
 	ectx := vc.ectx
 	return func(cs *chunkState) error {
-		n := cs.n()
-		out := cs.selOut()
-		for di := 0; di < n; di++ {
-			ri := cs.rowIdx(di)
-			tv, err := ectx.evalPred(p, cs.materialize(ri))
+		rows, out := cs.live(), cs.selOut()
+		for _, ri := range rows {
+			tv, err := ectx.evalPred(p, cs.materialize(int(ri)))
 			if err != nil {
 				return err
 			}
 			if tv == sqltypes.True {
-				out = append(out, int32(ri))
+				out = append(out, ri)
 			}
 		}
 		cs.setSel(out)
@@ -606,8 +634,8 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 		}
 		var hash [stripRows]uint64 // the strip's hashes and ordinals stay on this stack
 		var ords [stripRows]uint32
-		out := cs.selOut()
-		for lo, n := 0, cs.n(); lo < n; lo += stripRows {
+		live, out := cs.live(), cs.selOut()
+		for lo, n := 0, len(live); lo < n; lo += stripRows {
 			m := min(stripRows, n-lo)
 			for j := range nk {
 				keys[j].load(keys[j].vec, lo, m)
@@ -615,7 +643,7 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 			table.findBatch(keys, set, hash[:m], ords[:m], false)
 			for i, g := range ords[:m] {
 				if g != noGroup {
-					out = append(out, int32(cs.rowIdx(lo+i)))
+					out = append(out, live[lo+i])
 				}
 			}
 		}
@@ -625,14 +653,15 @@ func (vc *vecCompiler) compileKeySet(p qgm.Expr, exprs []qgm.Expr, consts []*qgm
 }
 
 // compileCmpFilter lowers one comparison conjunct. The operand kernels run
-// over the current selection; the compare loop keeps rows where the
-// comparison is True (NULL operands are Unknown and drop). Kind dispatch
-// happens once per chunk: typed int-class, numeric and string pairs run loops
-// under sqltypes.Compare's rule, and every other pairing — a generic vector,
-// a pairing Compare rejects — delegates to it per element for the exact
-// result or error.
+// over the current selection; the filter keeps rows where the comparison is
+// True (NULL operands are Unknown and drop). Kind dispatch happens once per
+// chunk: typed int-class, float and string pairs run cmpRows's loop for the
+// operator, an int and a float compare exactly (CompareIntFloat), and every
+// other pairing — a generic vector, a pairing Compare rejects — delegates to
+// Compare per element for the exact result or error. The typed loops find a
+// NULL row by its bit in nullRows, the operands' bitmaps ORed.
 func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
-	l, r, keep := vc.compileScalar(bin.L), vc.compileScalar(bin.R), cmpKeep(bin.Op)
+	l, r, op, want := vc.compileScalar(bin.L), vc.compileScalar(bin.R), bin.Op, cmpWant(bin.Op)
 	return func(cs *chunkState) error {
 		lv, err := l(cs)
 		if err != nil {
@@ -642,81 +671,118 @@ func (vc *vecCompiler) compileCmpFilter(bin *qgm.Bin) vecFilter {
 		if err != nil {
 			return err
 		}
-		n := cs.n()
-		out := cs.selOut()
-
-		anyNulls := lv.HasNulls() || rv.HasNulls() || lv.Generic() || rv.Generic()
-		nullAt := func(i int) bool { return anyNulls && (lv.IsNull(i) || rv.IsNull(i)) }
-
+		rows, out, nulls := cs.live(), cs.selOut(), cs.nullRows(lv.Nulls(), rv.Nulls())
 		switch {
 		case isAllNull(lv) || isAllNull(rv):
 			// Comparison with NULL is Unknown everywhere: empty selection.
 
 		case intClass(lv) && intClass(rv) && sqltypes.Comparable(lv.Kind(), rv.Kind()):
 			// Int, date and bool payloads: the payload is the value.
-			for di := 0; di < n; di++ {
-				if nullAt(di) {
-					continue
-				}
-				if keep(cmp.Compare(lv.Ints()[di], rv.Ints()[di])) {
-					out = append(out, int32(cs.rowIdx(di)))
-				}
-			}
+			out = cmpRows(op, lv.Ints(), rv.Ints(), nulls, rows, out)
 
 		case isNumericVec(lv) && isNumericVec(rv) && lv.Kind() == rv.Kind(): // two floats: two ints took the payload loop
-			lf, rf := lv.Floats(), rv.Floats()
-			for di := 0; di < n; di++ {
-				if nullAt(di) {
-					continue
-				}
-				if keep(sqltypes.CompareNum(lf[di], rf[di])) {
-					out = append(out, int32(cs.rowIdx(di)))
-				}
-			}
+			out = cmpRows(op, lv.Floats(), rv.Floats(), nulls, rows, out)
 
 		case isNumericVec(lv) && isNumericVec(rv): // an int and a float, in either order
 			ints, fs, sign := lv.Ints(), rv.Floats(), 1
 			if lv.Kind() == sqltypes.KindFloat {
 				ints, fs, sign = rv.Ints(), lv.Floats(), -1
 			}
-			for di := 0; di < n; di++ {
-				if nullAt(di) {
-					continue
-				}
-				if keep(sign * sqltypes.CompareIntFloat(ints[di], fs[di])) {
-					out = append(out, int32(cs.rowIdx(di)))
+			for i, ri := range rows {
+				if want[1+sign*sqltypes.CompareIntFloat(ints[i], fs[i])] && !nulls.Get(i) {
+					out = append(out, ri)
 				}
 			}
 
 		case !lv.Generic() && !rv.Generic() &&
 			lv.Kind() == sqltypes.KindString && rv.Kind() == sqltypes.KindString:
-			for di := 0; di < n; di++ {
-				if nullAt(di) {
-					continue
-				}
-				if keep(cmp.Compare(lv.Strs()[di], rv.Strs()[di])) {
-					out = append(out, int32(cs.rowIdx(di)))
-				}
-			}
+			out = cmpRows(op, lv.Strs(), rv.Strs(), nulls, rows, out)
 
 		default:
 			// Mixed/odd kinds: Compare per element for exact semantics.
-			for di := 0; di < n; di++ {
-				if nullAt(di) {
+			for i, ri := range rows {
+				x, y := lv.Value(i), rv.Value(i)
+				if x.IsNull() || y.IsNull() {
 					continue
 				}
-				c, err := sqltypes.Compare(lv.Value(di), rv.Value(di))
+				c, err := sqltypes.Compare(x, y)
 				if err != nil {
 					return err
 				}
-				if keep(c) {
-					out = append(out, int32(cs.rowIdx(di)))
+				if want[1+c] {
+					out = append(out, ri)
 				}
 			}
 		}
 		cs.setSel(out)
 		return nil
 	}
+}
+
+// cmpRows appends to out the row rows[i] of each i at which l[i] op r[i] is
+// True: under sqltypes.Less's order, where a NaN equals only a NaN, with
+// row i not NULL (its bit in nulls, which covers every row). The operator
+// picks the loop, once per chunk; a loop calls no function value and takes no
+// branch on a row's outcome: each row is written, and kept by advancing.
+func cmpRows[T int64 | float64 | string](op string, l, r []T, nulls sqltypes.Bitmap, rows, out []int32) []int32 {
+	n, k := len(l), len(out)
+	r, rows, out = r[:n], rows[:n], slices.Grow(out, n)[:k+n]
+	switch op {
+	case "=":
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(x == r[i] || x != x && r[i] != r[i], nulls, i)
+		}
+	case "<>":
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(x != r[i] && (x == x || r[i] == r[i]), nulls, i)
+		}
+	case "<":
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(sqltypes.Less(x, r[i]), nulls, i)
+		}
+	case "<=":
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(!sqltypes.Less(r[i], x), nulls, i)
+		}
+	case ">":
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(sqltypes.Less(r[i], x), nulls, i)
+		}
+	default: // ">="
+		for i, x := range l {
+			out[k] = rows[i]
+			k += kept(!sqltypes.Less(x, r[i]), nulls, i)
+		}
+	}
+	return out[:k]
+}
+
+// kept is 1 when c holds and row i is not NULL, else 0.
+func kept(c bool, nulls sqltypes.Bitmap, i int) int {
+	b := 0
+	if c {
+		b = 1
+	}
+	return b &^ int(nulls[i>>6]>>(uint(i)&63))
+}
+
+// nullRows returns a bitmap of the live rows, by dense index, set where a or
+// b is NULL: the worker's scratch, one word per 64 rows.
+func (cs *chunkState) nullRows(a, b sqltypes.Bitmap) sqltypes.Bitmap {
+	nb := resize(cs.nulls, (cs.n()+63)/64)
+	clear(nb)
+	for _, m := range [2]sqltypes.Bitmap{a, b} {
+		for i, w := range m[:min(len(m), len(nb))] {
+			nb[i] |= w
+		}
+	}
+	cs.nulls = nb
+	return nb
 }
 
 // evalSelectVec is the projection sink: the box's source yields each chunk's

@@ -263,10 +263,10 @@ func Compare(a, b Value) (int, error) {
 	}
 }
 
-// Less reports whether a sorts before b, two payloads of one numeric type,
-// under Compare's rule: NaN, the one value unequal to itself, sorts above
-// every number and equals every NaN.
-func Less[T int64 | float64](a, b T) bool { return a < b || b != b && a == a }
+// Less reports whether a sorts before b, two payloads of one type, under
+// Compare's rule: NaN, the one value unequal to itself, sorts above every
+// number and equals every NaN. On ints and strings it is a < b.
+func Less[T int64 | float64 | string](a, b T) bool { return a < b || b != b && a == a }
 
 // CompareNum is Compare on two payloads of one numeric type.
 func CompareNum[T int64 | float64](a, b T) int {

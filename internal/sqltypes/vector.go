@@ -116,6 +116,11 @@ func (v *Vec) Generic() bool { return v.generic }
 // the per-element Values are authoritative; this is a fast pre-check only.
 func (v *Vec) HasNulls() bool { return v.hasNulls }
 
+// Nulls returns the null bitmap of a typed vector, bit i set when element i is
+// NULL; empty when no NULL has been appended. It is the vector's own and is
+// read-only.
+func (v *Vec) Nulls() Bitmap { return v.nulls }
+
 // IsNull reports whether element i is NULL.
 func (v *Vec) IsNull(i int) bool {
 	if v.generic {
@@ -339,6 +344,19 @@ func (v *Vec) SetNull(i int) {
 	v.writable("SetNull")
 	v.nulls.Set(i)
 	v.hasNulls = true
+}
+
+// MarkNulls marks NULL each element of a refilled typed vector whose bit is
+// set in b, a word at a time: a kernel's result takes its operands' NULLs.
+func (v *Vec) MarkNulls(b Bitmap) {
+	v.writable("MarkNulls")
+	for len(v.nulls) < len(b) {
+		v.nulls = append(v.nulls, 0)
+	}
+	for i, w := range b {
+		v.nulls[i] |= w
+		v.hasNulls = v.hasNulls || w != 0
+	}
 }
 
 // Splat makes v n copies of x.
