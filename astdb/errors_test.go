@@ -3,6 +3,7 @@ package astdb_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +96,30 @@ func TestTypedErrorSurface(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := db.ExecStatement(ctx, c.sql)
 			check(t, err, astdb.ErrParse)
+		})
+	}
+	// A statement ExecStatement or ExplainDML does not run is refused by its kind.
+	for _, c := range []struct {
+		sql, kind string
+		explain   bool
+	}{
+		{"select tid from trans", "SELECT", false},
+		{"create table t2 (a int)", "CREATE TABLE", false},
+		{"create summary table s2 as select faid, count(*) as c from trans group by faid", "CREATE SUMMARY TABLE", false},
+		{"explain select tid from trans", "EXPLAIN", false},
+		{"insert into trans values (900001, 1, 1, 9, '1995-01-04', 5, 9.5, 0.1)", "INSERT", true},
+	} {
+		t.Run("kind "+c.kind, func(t *testing.T) {
+			var err error
+			if c.explain {
+				_, err = db.ExplainDML(ctx, c.sql)
+			} else {
+				_, err = db.ExecStatement(ctx, c.sql)
+			}
+			check(t, err, astdb.ErrParse)
+			if !strings.HasSuffix(err.Error(), "got "+c.kind) {
+				t.Fatalf("%q: %v, want the statement's kind named", c.sql, err)
+			}
 		})
 	}
 	t.Run("insert-api-null", func(t *testing.T) {

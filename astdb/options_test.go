@@ -98,6 +98,14 @@ func TestAllowStaleServesStaleNeverQuarantined(t *testing.T) {
 			if _, asts := answer(t, db, query); slices.Equal(asts, []string{"byregion"}) != want {
 				t.Errorf("allow %v, after %d failures (%+v): served by %v", allow, failures+1, st, asts)
 			}
+			// EXPLAIN of a DELETE reports the full recompute an untrusted
+			// table's refresh takes instead of its incremental route.
+			status := map[bool]string{false: "stale", true: "quarantined"}[st.Quarantined]
+			rep, err := db.ExplainDML(ctx, "delete from sales where region = 'north'")
+			if err != nil || len(rep.Routes) != 1 || rep.Routes[0].Status != status || rep.Routes[0].Strategy != "full" ||
+				rep.Routes[0].Reason != "materialization is "+status+"; recovery requires a full recompute" {
+				t.Errorf("allow %v, after %d failures: EXPLAIN %v %+v", allow, failures+1, err, rep)
+			}
 		}
 		for _, s := range sites {
 			faultinject.Clear(s)

@@ -293,3 +293,24 @@ func TestQueuedWriterHonoursCancellation(t *testing.T) {
 	}
 	assertFreshMeansRight(t, db)
 }
+
+// TestExplainDMLWithoutReaders: EXPLAIN of a DELETE on a table no summary
+// table reads lists no route, and says so.
+func TestExplainDMLWithoutReaders(t *testing.T) {
+	ctx := context.Background()
+	db := openTinyDB(t)
+	if _, _, err := db.CreateSummaryTable(ctx, "byregion",
+		"select region, sum(amount) as total, count(*) as cnt from sales group by region"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(&catalog.Table{Name: "notes", Columns: []catalog.Column{{Name: "n", Type: sqltypes.KindInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := db.ExplainDML(ctx, "delete from notes where n = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "DELETE on notes: maintenance routing\n  no summary table reads notes\n"; rep.Render() != want {
+		t.Fatalf("render %q, want %q", rep.Render(), want)
+	}
+}

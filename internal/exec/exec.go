@@ -250,14 +250,12 @@ func (ev *evaluator) evalBox(b *qgm.Box) (*relation, error) {
 		} else {
 			rel, err = ev.evalSelectVec(b)
 		}
-	case qgm.GroupByBox:
+	default: // qgm.GroupByBox
 		if ev.interpret {
 			rel, err = ev.evalGroupBy(b)
 		} else {
 			rel, err = ev.evalGroupByVec(b)
 		}
-	default:
-		err = fmt.Errorf("exec: unsupported box kind %v", b.Kind)
 	}
 	if err != nil {
 		return nil, err
@@ -652,12 +650,8 @@ func SortRows(rows [][]sqltypes.Value) {
 				continue
 			}
 			c, err := sqltypes.Compare(a[k], b[k])
-			if err != nil {
-				ak, bk := a[k].GroupKey(), b[k].GroupKey()
-				if ak != bk {
-					return ak < bk
-				}
-				continue
+			if err != nil { // kinds Compare cannot order, whose group keys differ
+				return a[k].GroupKey() < b[k].GroupKey()
 			}
 			if c != 0 {
 				return c < 0

@@ -93,16 +93,10 @@ func (g *Gate) admitted() func() {
 
 // Running reports how many admitted requests are currently executing.
 func (g *Gate) Running() int64 {
-	if g == nil {
-		return 0
-	}
 	return g.running.Load()
 }
 
 // Waiting reports how many requests are queued for a slot.
 func (g *Gate) Waiting() int64 {
-	if g == nil {
-		return 0
-	}
 	return g.waiting.Load()
 }

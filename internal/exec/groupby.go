@@ -64,9 +64,6 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 	ectx.setSlot(q.ID, 0)
 
 	sets := b.GroupingSets
-	if len(sets) == 0 {
-		sets = [][]int{allInts(len(b.GroupBy))}
-	}
 	tables := make([]*groupTable, len(sets))
 	for si, gs := range sets {
 		tables[si] = newGroupTable(len(gs), aggSpecs, child.n, false)

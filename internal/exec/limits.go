@@ -75,9 +75,6 @@ func (b *runBudget) charge(n int64) error {
 
 // poll reports a typed cancellation error when the run's context is done.
 func (b *runBudget) poll() error {
-	if b.ctx == nil {
-		return nil
-	}
 	select {
 	case <-b.ctx.Done():
 		return fmt.Errorf("%w: %v", ErrCanceled, context.Cause(b.ctx))

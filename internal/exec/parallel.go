@@ -22,10 +22,7 @@ func (ev *evaluator) workersFor(n int) int {
 		return 1
 	}
 	if maxParts := n / (parallelMinRows / 2); maxParts < w {
-		w = maxParts
-	}
-	if w < 1 {
-		w = 1
+		w = maxParts // at least 2: n is at least parallelMinRows
 	}
 	return w
 }

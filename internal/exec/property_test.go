@@ -1011,7 +1011,8 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	// Join SELECTs, every one on the star probe: NULL keys on both sides and
 	// duplicate dimension keys (fk = dk), two dimensions with a two-column key
 	// (tuple order: fact-row major, d outer, e inner), an empty dimension,
-	// a dimension that is a GROUP BY, the small table first in FROM, DISTINCT,
+	// a dimension tied to the fact and to an earlier dimension, a dimension
+	// that is a GROUP BY, the small table first in FROM, DISTINCT,
 	// a scalar subquery in the output list, fact-local and dimension-local
 	// predicates together. Then the probe's key classes: an int fact key
 	// against a float dimension key (1 = 1.0 joins, 1 = 0.5 does not), a
@@ -1021,6 +1022,7 @@ func TestPropertyVectorizedMatchesRowEngine(t *testing.T) {
 	joinQueries := []string{
 		"select fk, v, nm from f, d where fk = dk",
 		"select v, nm, w from f, d, e where fk = dk and ek = fk and g = eg",
+		"select v, nm, w from f, d, e where fk = dk and dk = ek and g = eg", // e tied to the fact and to d: the d tie filters the joined chunk
 		"select v, zn from f, z where fk = zk",
 		"select v, c from f, (select dk, count(*) as c from d group by dk) dd where fk = dd.dk",
 		"select nm, v from d, f where fk = dk",

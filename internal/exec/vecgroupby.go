@@ -43,9 +43,6 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	}
 
 	sets := b.GroupingSets
-	if len(sets) == 0 {
-		sets = [][]int{allInts(nGroup)}
-	}
 
 	// One aggregation pass over the chunks computes every grouping set:
 	// group/argument vectors are evaluated once per chunk, then each set

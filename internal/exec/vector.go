@@ -333,14 +333,9 @@ func intClass(v *sqltypes.Vec) bool {
 // integer loop, one per part (the date encoding is yyyymmdd), that runs over
 // NULLs' payloads too and takes the argument's NULLs from its bitmap; other
 // kinds take the per-element route through the same Value accessors as the
-// row kernel, so panics and NULL handling are identical. Unknown functions
-// lift (the row kernel carries the exact error).
+// row kernel, so panics and NULL handling are identical. qgm admits no other
+// function.
 func (vc *vecCompiler) compileCall(t *qgm.Call) vecKernel {
-	switch t.Name {
-	case "year", "month", "day":
-	default:
-		return vc.lift(t)
-	}
 	name := t.Name
 	arg := vc.compileScalar(t.Args[0])
 	slot := vc.newSlot()

@@ -10,8 +10,6 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		CtxFirst,
-		RCUPublish,
 		Boundaries,
 	}
 }
@@ -132,73 +130,4 @@ func isConstExpr(p *Package, e ast.Expr) bool {
 	}
 	_, lit := ast.Unparen(e).(*ast.BasicLit)
 	return lit
-}
-
-// ctxFirstPkgs are the packages whose exported API is the engine's public
-// surface; their entry points follow the standard library convention of
-// taking the context first.
-var ctxFirstPkgs = map[string]bool{
-	"repro/astdb":         true,
-	"repro/internal/exec": true,
-}
-
-// CtxFirst requires exported functions and methods of the facade and
-// executor to take context.Context as their first parameter.
-var CtxFirst = &Analyzer{
-	Name: "ctx-first",
-	Run: func(p *Package) []Finding {
-		if !ctxFirstPkgs[p.Path] {
-			return nil
-		}
-		var out []Finding
-		for _, f := range p.Files {
-			if f.Test {
-				continue
-			}
-			ctxName := ""
-			for _, imp := range f.AST.Imports {
-				if importPathOf(imp) == "context" {
-					ctxName = importName(imp)
-				}
-			}
-			if ctxName == "" {
-				continue
-			}
-			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() || fd.Type.Params == nil {
-					continue
-				}
-				pos := ctxParamPos(fd.Type.Params, ctxName)
-				if pos > 0 {
-					out = append(out, Finding{
-						Pos: p.Fset.Position(fd.Pos()),
-						Message: fmt.Sprintf("exported %s takes context.Context at position %d; contexts go first",
-							fd.Name.Name, pos),
-					})
-				}
-			}
-		}
-		return out
-	},
-}
-
-// ctxParamPos returns the 0-based position of the first context.Context
-// parameter, or -1 when there is none. Grouped parameters (a, b T) each
-// count one position.
-func ctxParamPos(params *ast.FieldList, ctxName string) int {
-	pos := 0
-	for _, field := range params.List {
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		if sel, ok := field.Type.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == ctxName && sel.Sel.Name == "Context" {
-				return pos
-			}
-		}
-		pos += n
-	}
-	return -1
 }

@@ -1,11 +1,10 @@
 // Package lint is a stdlib-only static-analysis harness (go/parser, go/ast,
 // and go/types via the source importer; no go/packages, no go/analysis, no
-// golang.org/x/tools) for the invariants Go's types cannot carry. Two
-// analyzers police conventions: determinism (no clock or unseeded randomness
-// in the planning packages) and ctx-first (context-first entry points). Two
-// shut the one door left open beside a type that enforces the rest:
-// rcu-publish, the hand-over rule of rcu.Cell, and boundaries, a table of who
-// may mention what. The storage seal is not here: sealed vectors refuse
+// golang.org/x/tools) for the invariants Go's types cannot carry and no other
+// test catches. Two analyzers: determinism (no clock or unseeded randomness in
+// the planning packages), and boundaries, a table of the packages that alone
+// may declare a mutex or an atomic pointer, which shuts the one door left open
+// beside rcu's types. The storage seal is not here: sealed vectors refuse
 // writes at run time. DESIGN.md §11 is the catalogue: what holds, what
 // enforces it, what is not proved. TestRepositoryIsClean runs every analyzer
 // over the module under `go test ./...` and fails on any finding; there is no

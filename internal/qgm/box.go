@@ -29,10 +29,8 @@ func (k BoxKind) String() string {
 		return "BASE"
 	case SelectBox:
 		return "SELECT"
-	case GroupByBox:
-		return "GROUPBY"
 	default:
-		return fmt.Sprintf("BoxKind(%d)", uint8(k))
+		return "GROUPBY"
 	}
 }
 
@@ -254,31 +252,25 @@ func (g *Graph) Leaves() []*Box {
 
 // OutputType infers the type and nullability of output column col.
 func (b *Box) OutputType(col int) (sqltypes.Kind, bool) {
-	switch b.Kind {
-	case BaseTableBox:
+	if b.Kind == BaseTableBox {
 		c := b.Table.Columns[col]
 		return c.Type, c.Nullable
-	case SelectBox:
-		return inferType(b.Cols[col].Expr)
-	case GroupByBox:
-		k, nullable := inferType(b.Cols[col].Expr)
-		// A grouping column is additionally nullable when some grouping set
-		// omits it (grouped-out columns are NULL-padded).
-		for pos, g := range b.GroupBy {
-			if g != col {
-				continue
-			}
-			for _, gs := range b.GroupingSets {
-				if !containsInt(gs, pos) {
-					nullable = true
-					break
-				}
+	}
+	k, nullable := inferType(b.Cols[col].Expr)
+	// A grouping column is additionally nullable when some grouping set
+	// omits it (grouped-out columns are NULL-padded). A SELECT box has none.
+	for pos, g := range b.GroupBy {
+		if g != col {
+			continue
+		}
+		for _, gs := range b.GroupingSets {
+			if !containsInt(gs, pos) {
+				nullable = true
+				break
 			}
 		}
-		return k, nullable
-	default:
-		return sqltypes.KindNull, true
 	}
+	return k, nullable
 }
 
 func containsInt(s []int, v int) bool {
@@ -306,14 +298,9 @@ func inferType(e Expr) (sqltypes.Kind, bool) {
 		return k, n
 	case *Const:
 		return t.Kind(), t.IsNull()
-	case *Call:
-		switch t.Name {
-		case "year", "month", "day":
-			_, n := inferType(t.Args[0])
-			return sqltypes.KindInt, n
-		default:
-			return sqltypes.KindNull, true
-		}
+	case *Call: // year, month or day
+		_, n := inferType(t.Args[0])
+		return sqltypes.KindInt, n
 	case *Bin:
 		switch t.Op {
 		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
@@ -343,9 +330,6 @@ func inferType(e Expr) (sqltypes.Kind, bool) {
 		return sqltypes.KindBool, ln || rn
 	case *Agg:
 		if t.Op == "count" {
-			return sqltypes.KindInt, false
-		}
-		if t.Star {
 			return sqltypes.KindInt, false
 		}
 		k, n := inferType(t.Arg)

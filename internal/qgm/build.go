@@ -85,15 +85,6 @@ func BuildSQL(sql string, cat *catalog.Catalog) (*Graph, error) {
 	return Build(stmt, cat)
 }
 
-// MustBuildSQL is BuildSQL that panics on error.
-func MustBuildSQL(sql string, cat *catalog.Catalog) *Graph {
-	g, err := BuildSQL(sql, cat)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 type builder struct {
 	g      *Graph
 	params bool // BuildParams: literals become Consts with a Param
@@ -180,10 +171,6 @@ var scalarBuiltins = map[string]int{"year": 1, "month": 1, "day": 1}
 // function call (at any depth, not descending into subqueries).
 func containsAggregate(e parser.Expr) bool {
 	switch t := e.(type) {
-	case nil:
-		return false
-	case *parser.ColRef, *parser.Lit, *parser.SubqueryExpr:
-		return false
 	case *parser.BinExpr:
 		return containsAggregate(t.L) || containsAggregate(t.R)
 	case *parser.UnaryExpr:
@@ -221,7 +208,7 @@ func containsAggregate(e parser.Expr) bool {
 			}
 		}
 		return containsAggregate(t.Else)
-	default:
+	default: // nil, a column, a literal or a subquery
 		return false
 	}
 }
@@ -382,9 +369,6 @@ func (b *builder) buildAggBlock(stmt *parser.SelectStmt, sel *Box, sc *scope, r 
 		e, err := r.resolve(pe)
 		if err != nil {
 			return 0, fmt.Errorf("in GROUP BY: %w", err)
-		}
-		if HasAgg(e) {
-			return 0, fmt.Errorf("qgm: aggregate function in GROUP BY")
 		}
 		for i, g := range gexprs {
 			if ExprEqual(g, e, nil) {
@@ -810,28 +794,11 @@ func (a *aggResolver) node(pe parser.Expr) (Expr, bool, error) {
 // canonicalized to SUM(x)/COUNT(x), which makes it derivable through the
 // paper's SUM and COUNT rules.
 func (a *aggResolver) resolveAggCall(fc *parser.FuncCall) (Expr, error) {
-	if fc.Name == "avg" {
-		if fc.Star || len(fc.Args) != 1 {
-			return nil, fmt.Errorf("qgm: avg() takes one argument")
-		}
-		if fc.Distinct {
-			return nil, fmt.Errorf("qgm: avg(DISTINCT) is not supported")
-		}
-		sum, err := a.addAgg("sum", fc.Args[0], false, false)
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := a.addAgg("count", fc.Args[0], false, false)
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: "/", L: sum, R: cnt}, nil
-	}
 	if fc.Star {
 		if fc.Name != "count" {
 			return nil, fmt.Errorf("qgm: %s(*) is not valid", fc.Name)
 		}
-		return a.addAgg("count", nil, true, false)
+		return a.addAgg(&Agg{Op: "count", Star: true}), nil
 	}
 	if len(fc.Args) != 1 {
 		return nil, fmt.Errorf("qgm: %s() takes one argument", fc.Name)
@@ -839,50 +806,51 @@ func (a *aggResolver) resolveAggCall(fc *parser.FuncCall) (Expr, error) {
 	if containsAggregate(fc.Args[0]) {
 		return nil, fmt.Errorf("qgm: nested aggregate in %s()", fc.Name)
 	}
-	return a.addAgg(fc.Name, fc.Args[0], false, fc.Distinct)
+	if fc.Name == "avg" && fc.Distinct {
+		return nil, fmt.Errorf("qgm: avg(DISTINCT) is not supported")
+	}
+	arg, err := a.argCol(fc.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	if fc.Name == "avg" {
+		return &Bin{Op: "/", L: a.addAgg(&Agg{Op: "sum", Arg: arg}), R: a.addAgg(&Agg{Op: "count", Arg: arg})}, nil
+	}
+	return a.addAgg(&Agg{Op: fc.Name, Arg: arg, Distinct: fc.Distinct}), nil
 }
 
-func (a *aggResolver) addAgg(op string, parg parser.Expr, star, distinct bool) (Expr, error) {
-	var agg *Agg
-	if star {
-		agg = &Agg{Op: op, Star: true}
-	} else {
-		argE, err := a.lower.resolve(parg)
-		if err != nil {
-			return nil, err
-		}
-		if HasAgg(argE) {
-			return nil, fmt.Errorf("qgm: nested aggregates are not allowed")
-		}
-		// Find or add the lower-box QCL computing the argument.
-		argIdx := -1
-		for i, c := range a.sel.Cols {
-			if ExprEqual(c.Expr, argE, nil) {
-				argIdx = i
-				break
-			}
-		}
-		if argIdx < 0 {
-			name := fmt.Sprintf("a%d", len(a.sel.Cols))
-			if cr, ok := argE.(*ColRef); ok && cr.Q.Box != nil {
-				name = cr.Q.Box.Cols[cr.Col].Name
-				// Avoid clashing with an existing column of the lower box.
-				if a.sel.ColIndex(name) >= 0 {
-					name = fmt.Sprintf("%s_a%d", name, len(a.sel.Cols))
-				}
-			}
-			a.sel.Cols = append(a.sel.Cols, QCL{Name: name, Expr: argE})
-			argIdx = len(a.sel.Cols) - 1
-		}
-		agg = &Agg{Op: op, Arg: &ColRef{Q: a.qSel, Col: argIdx}, Distinct: distinct}
+// argCol resolves an aggregate's argument in the lower box and returns the
+// reference to the lower-box QCL computing it, adding one if none does.
+func (a *aggResolver) argCol(parg parser.Expr) (*ColRef, error) {
+	argE, err := a.lower.resolve(parg)
+	if err != nil {
+		return nil, err
 	}
-	// Find or add the GROUP BY aggregate column.
+	for i, c := range a.sel.Cols {
+		if ExprEqual(c.Expr, argE, nil) {
+			return &ColRef{Q: a.qSel, Col: i}, nil
+		}
+	}
+	name := fmt.Sprintf("a%d", len(a.sel.Cols))
+	if cr, ok := argE.(*ColRef); ok {
+		name = cr.Q.Box.Cols[cr.Col].Name
+		// Avoid clashing with an existing column of the lower box.
+		if a.sel.ColIndex(name) >= 0 {
+			name = fmt.Sprintf("%s_a%d", name, len(a.sel.Cols))
+		}
+	}
+	a.sel.Cols = append(a.sel.Cols, QCL{Name: name, Expr: argE})
+	return &ColRef{Q: a.qSel, Col: len(a.sel.Cols) - 1}, nil
+}
+
+// addAgg returns the GROUP BY column computing agg, adding one if none does.
+func (a *aggResolver) addAgg(agg *Agg) Expr {
 	for i := len(a.gb.GroupBy); i < len(a.gb.Cols); i++ {
 		if ExprEqual(a.gb.Cols[i].Expr, agg, nil) {
-			return &ColRef{Q: a.qGb, Col: i}, nil
+			return &ColRef{Q: a.qGb, Col: i}
 		}
 	}
 	name := fmt.Sprintf("agg%d", len(a.gb.Cols)-len(a.gb.GroupBy))
 	a.gb.Cols = append(a.gb.Cols, QCL{Name: name, Expr: agg})
-	return &ColRef{Q: a.qGb, Col: len(a.gb.Cols) - 1}, nil
+	return &ColRef{Q: a.qGb, Col: len(a.gb.Cols) - 1}
 }

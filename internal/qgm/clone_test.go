@@ -6,9 +6,8 @@ import "testing"
 // That a clone is also well-formed is checked where the checker lives
 // (internal/qgmcheck, TestBuiltAndClonedGraphsStructural).
 func TestCloneIndependence(t *testing.T) {
-	cat := testCatalog(t)
-	g := MustBuildSQL(`select state, count(*) as c from trans, loc
-		where flid = lid and qty > 2 group by state having count(*) > 1`, cat)
+	g := build(t, `select state, count(*) as c from trans, loc
+		where flid = lid and qty > 2 group by state having count(*) > 1`)
 	c := g.Clone()
 	// Same structure.
 	if len(c.Boxes()) != len(g.Boxes()) {

@@ -57,10 +57,7 @@ func bindDML(kind DMLKind, table string, cat *catalog.Catalog) (*DML, *resolver,
 	g := NewGraph(cat)
 	base := g.BaseTableBox(tbl)
 	q := g.NewQuantifier(ForEach, base, tbl.Name)
-	sc := &scope{}
-	if err := sc.add(tbl.Name, q); err != nil {
-		return nil, nil, err
-	}
+	sc := &scope{entries: []scopeEntry{{alias: strings.ToLower(tbl.Name), quant: q}}}
 	r := &resolver{b: &builder{g: g}, scope: sc, tag: "dml"}
 	return &DML{Kind: kind, Table: tbl, Q: q}, r, nil
 }
@@ -69,9 +66,6 @@ func bindDML(kind DMLKind, table string, cat *catalog.Catalog) (*DML, *resolver,
 func (d *DML) resolveWhere(r *resolver, where parser.Expr) error {
 	if where == nil {
 		return nil
-	}
-	if containsAggregate(where) {
-		return fmt.Errorf("qgm: aggregate in %s WHERE", d.Kind)
 	}
 	w, err := r.resolveReadOnly(where)
 	if err != nil {
@@ -127,9 +121,6 @@ func BuildUpdate(stmt *parser.UpdateStmt, cat *catalog.Catalog) (*DML, error) {
 			return nil, fmt.Errorf("qgm: column %q assigned twice", s.Col)
 		}
 		seen[idx] = true
-		if containsAggregate(s.Expr) {
-			return nil, fmt.Errorf("qgm: aggregate in SET %s", s.Col)
-		}
 		e, err := r.resolveReadOnly(s.Expr)
 		if err != nil {
 			return nil, fmt.Errorf("in SET %s: %w", s.Col, err)

@@ -20,9 +20,6 @@ func NewEquiv() *Equiv {
 }
 
 func qncKey(c *ColRef) int64 {
-	if c.Q == nil {
-		return -1
-	}
 	return int64(c.Q.ID)<<32 | int64(uint32(c.Col))
 }
 
@@ -38,11 +35,7 @@ func (e *Equiv) find(k int64) int64 {
 
 // Union merges the classes of two QNCs.
 func (e *Equiv) Union(a, b *ColRef) {
-	ka, kb := qncKey(a), qncKey(b)
-	if ka < 0 || kb < 0 {
-		return
-	}
-	ra, rb := e.find(ka), e.find(kb)
+	ra, rb := e.find(qncKey(a)), e.find(qncKey(b))
 	if ra != rb {
 		e.parent[ra] = rb
 	}
@@ -51,14 +44,7 @@ func (e *Equiv) Union(a, b *ColRef) {
 // Same reports whether two QNCs are in the same class (always true for the
 // identical QNC).
 func (e *Equiv) Same(a, b *ColRef) bool {
-	ka, kb := qncKey(a), qncKey(b)
-	if ka == kb {
-		return true
-	}
-	if e == nil {
-		return false
-	}
-	return e.find(ka) == e.find(kb)
+	return e.find(qncKey(a)) == e.find(qncKey(b))
 }
 
 // EquivFromPreds builds equivalence classes from the equality predicates of a
@@ -102,9 +88,6 @@ func ExprEqual(a, b Expr, eq *Equiv) bool {
 		}
 		if x.Param != nil && x.Param == y.Param {
 			return true // one literal of the statement, equal whatever its value
-		}
-		if x.IsNull() && y.IsNull() {
-			return true
 		}
 		return sqltypes.Identical(x.Value(), y.Value())
 	case *Call:
@@ -245,15 +228,11 @@ func Subsumes(p1, p2 Expr, eq *Equiv) bool {
 		return (c2.op == "<" && cmp >= 0) || (c2.op == "<=" && cmp > 0) || (c2.op == "=" && cmp > 0)
 	case "<=":
 		return (c2.op == "<" && cmp >= 0) || (c2.op == "<=" && cmp >= 0) || (c2.op == "=" && cmp >= 0)
-	case "=":
-		return c2.op == "=" && cmp == 0
-	case "<>":
+	default: // "<>": a p1 of "=" is an IN list of one, decided above
 		return (c2.op == "<>" && cmp == 0) ||
 			(c2.op == ">" && cmp <= 0) || (c2.op == "<" && cmp >= 0) ||
 			(c2.op == ">=" && cmp < 0) || (c2.op == "<=" && cmp > 0) ||
 			(c2.op == "=" && cmp != 0)
-	default:
-		return false
 	}
 }
 

@@ -40,8 +40,9 @@ type ColRef struct {
 // Const is a literal constant. Everything that decides something from the
 // value while a statement is being planned reads Value, which is what lets a
 // cached plan be reused for other literals (see Param); what runs or prints a
-// finished plan reads Peek. The value itself is reachable from this file only
-// (the lint package's boundaries rule), so there is no third way to read it.
+// finished plan reads Peek. A planning read that does not pin fails
+// internal/core's TestPinCompleteness, which binds cached plans to other
+// literals and compares them with plans made from scratch.
 type Const struct {
 	val sqltypes.Value
 	// Param is non-nil on a constant BuildParams read from a literal token of
@@ -78,9 +79,7 @@ func (c *Const) Value() sqltypes.Value {
 }
 
 // Peek returns the constant's value without pinning its literal: for the
-// executor, which runs a finished plan, never for what chooses one — the
-// boundaries rule keeps it out of internal/core, internal/catalog and this
-// package.
+// executor, which runs a finished plan, never for what chooses one.
 func (c *Const) Peek() sqltypes.Value { return c.val }
 
 // IsNull reports a NULL constant. It pins nothing: NULL is a keyword, part of
@@ -157,9 +156,6 @@ func (*Case) isExpr()   {}
 
 // String renders the QNC as alias.colname when resolvable.
 func (c *ColRef) String() string {
-	if c.Q == nil {
-		return fmt.Sprintf("?.%d", c.Col)
-	}
 	name := fmt.Sprintf("#%d", c.Col)
 	if c.Q.Box != nil && c.Col < len(c.Q.Box.Cols) {
 		name = c.Q.Box.Cols[c.Col].Name
@@ -263,9 +259,6 @@ func MapExpr(e Expr, fn func(Expr) Expr) Expr {
 // returns a replacement (replaced=true), the replacement is used as-is and
 // its children are not visited.
 func MapExprTopDown(e Expr, fn func(Expr) (Expr, bool)) Expr {
-	if e == nil {
-		return nil
-	}
 	if repl, ok := fn(e); ok {
 		return repl
 	}
@@ -403,9 +396,6 @@ func QuantifiersOf(e Expr) []*Quantifier {
 
 // SplitConjuncts flattens a tree of AND nodes into its conjuncts.
 func SplitConjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
 	if b, ok := e.(*Bin); ok && b.Op == "AND" {
 		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
 	}

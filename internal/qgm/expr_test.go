@@ -103,8 +103,7 @@ func TestHasAggNested(t *testing.T) {
 }
 
 func TestGraphTopology(t *testing.T) {
-	cat := testCatalog(t)
-	g := MustBuildSQL("select state, count(*) as c from trans, loc where flid = lid group by state", cat)
+	g := build(t, "select state, count(*) as c from trans, loc where flid = lid group by state")
 	leaves := g.Leaves()
 	if len(leaves) != 2 {
 		t.Fatalf("leaves: %d", len(leaves))
@@ -131,8 +130,7 @@ func TestGraphTopology(t *testing.T) {
 }
 
 func TestGroupingColExprsAndKindStrings(t *testing.T) {
-	cat := testCatalog(t)
-	g := MustBuildSQL("select faid, flid, count(*) as c from trans group by faid, flid", cat)
+	g := build(t, "select faid, flid, count(*) as c from trans group by faid, flid")
 	gb := g.Root.Child()
 	exprs := gb.GroupingColExprs()
 	if len(exprs) != 2 {
@@ -146,12 +144,12 @@ func TestGroupingColExprsAndKindStrings(t *testing.T) {
 }
 
 func TestInferTypeTable(t *testing.T) {
-	cat := testCatalog(t)
-	g := MustBuildSQL(`select tid + 1 as a, price * 2 as b, qty < 3 as c,
-		note is null as d, case when qty > 1 then 'x' else note end as e
-		from trans`, cat)
-	wantKinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindFloat, sqltypes.KindBool, sqltypes.KindBool, sqltypes.KindString}
-	wantNullable := []bool{false, false, false, false, true}
+	g := build(t, `select tid + 1 as a, price * 2 as b, qty < 3 as c,
+		note is null as d, case when qty > 1 then 'x' else note end as e,
+		case when qty > 1 then null else 1 end as f
+		from trans`)
+	wantKinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindFloat, sqltypes.KindBool, sqltypes.KindBool, sqltypes.KindString, sqltypes.KindInt}
+	wantNullable := []bool{false, false, false, false, true, true}
 	for i := range wantKinds {
 		k, n := g.Root.OutputType(i)
 		if k != wantKinds[i] || n != wantNullable[i] {

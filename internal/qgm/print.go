@@ -14,21 +14,16 @@ func (g *Graph) SQL() string {
 }
 
 // renderQuery renders any box as a standalone SELECT statement.
+// It is never a base table: a FROM item that is one renders as its name.
 func renderQuery(b *Box) string {
-	switch b.Kind {
-	case BaseTableBox:
-		return "SELECT * FROM " + b.Table.Name
-	case GroupByBox:
+	if b.Kind == GroupByBox {
 		// A GROUP BY box as query root: synthesize the enclosing block.
 		return renderBlock(nil, b, b.Child())
-	case SelectBox:
-		if gb, lower, ok := blockShape(b); ok {
-			return renderBlock(b, gb, lower)
-		}
-		return renderBlock(b, nil, nil)
-	default:
-		return fmt.Sprintf("/* unsupported box %s */", b.Label)
 	}
+	if gb, lower, ok := blockShape(b); ok {
+		return renderBlock(b, gb, lower)
+	}
+	return renderBlock(b, nil, nil)
 }
 
 // blockShape recognizes the upper-SELECT → GROUP BY → lower-SELECT pattern.
@@ -170,19 +165,13 @@ func renderGrouping(gb *Box, env *renderEnv) string {
 func renderExpr(e Expr, env *renderEnv) string {
 	switch t := e.(type) {
 	case *ColRef:
-		if t.Q == nil {
-			return fmt.Sprintf("?col%d", t.Col)
-		}
 		if t.Q.Kind == Scalar {
 			return "(" + renderQuery(t.Q.Box) + ")"
 		}
 		if box, ok := env.inline[t.Q.ID]; ok {
 			return renderExpr(box.Cols[t.Col].Expr, env)
 		}
-		if alias, ok := env.fromAliases[t.Q.ID]; ok {
-			return alias + "." + t.Q.Box.Cols[t.Col].Name
-		}
-		return t.String()
+		return env.fromAliases[t.Q.ID] + "." + t.Q.Box.Cols[t.Col].Name
 	case *Const:
 		return t.SQL()
 	case *Call:

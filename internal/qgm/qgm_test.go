@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/parser"
 	"repro/internal/sqltypes"
 )
 
@@ -199,25 +200,120 @@ func TestBuildScalarSubqueryPlacement(t *testing.T) {
 	}
 }
 
+// TestBuildErrors is BuildSQL's refusal table: every statement it refuses,
+// by the refusal's text.
 func TestBuildErrors(t *testing.T) {
 	cat := testCatalog(t)
-	bad := []string{
-		"select nope from trans",
-		"select tid from nope",
-		"select t.tid from trans",                                   // unknown qualifier
-		"select lid from trans, loc, loc",                           // duplicate alias
-		"select qty from trans group by faid",                       // not grouped
-		"select faid, qty + count(*) as x from trans group by faid", // qty not grouped
-		"select count(count(*)) as x from trans",                    // nested aggregate
-		"select * from trans group by faid",                         // star with group by
-		"select tid from trans having tid > 1",                      // having without aggregation
-		"select (select tid, qty from trans) as s from loc",         // 2-column scalar subquery
-		"select unknownfunc(tid) from trans",
-		"select sum(*) from trans",
+	for _, c := range []struct{ sql, want string }{
+		{"selec tid from trans", "parser:"},
+		{"select nope from trans", `column "nope" not found`},
+		{"select tid from nope", "unknown table"},
+		{"select t.tid from trans", "column t.tid not found"},
+		{"select lid from trans, loc, loc", `duplicate table alias "loc"`},
+		{"select tid from (select nope from trans) d", `column "nope" not found`},
+		{"select tid from trans where nope = 1", "in WHERE"},
+		{"select tid from trans having tid > 1", "HAVING without aggregation"},
+		{"select qty from trans group by faid", "column qty is neither grouped nor aggregated"},
+		{"select faid, qty + count(*) as x from trans group by faid", "column qty is neither grouped nor aggregated"},
+		{"select faid, nope from trans group by faid", `in select list: qgm: column "nope" not found`},
+		{"select * from trans group by faid", "SELECT * is not allowed with GROUP BY"},
+		{"select count(*) from trans group by nope", "in GROUP BY"},
+		{"select count(*) from trans group by count(*)", "in GROUP BY: qgm: aggregate count() not allowed here"},
+		{"select count(*) from trans group by rollup(faid, nope)", "in GROUP BY"},
+		{"select count(*) from trans group by cube(nope)", "in GROUP BY"},
+		{"select count(*) from trans group by grouping sets((faid), (nope))", "in GROUP BY"},
+		{"select count(*) from trans group by faid having nope > 1", "in HAVING"},
+		{"select count(count(*)) as x from trans", "nested aggregate in count()"},
+		{"select count(sum(qty) between 1 and 2) from trans", "nested aggregate in count()"},
+		{"select count(max(qty) in (1, 2)) from trans", "nested aggregate in count()"},
+		{"select count(qty in (1, max(qty))) from trans", "nested aggregate in count()"},
+		{"select count(qty in (1, 2) and max(qty) > 1) from trans", "nested aggregate in count()"},
+		{"select count(note like max(note)) from trans", "nested aggregate in count()"},
+		{"select sum(*) from trans", "sum(*) is not valid"},
+		{"select avg(*) from trans", "avg(*) is not valid"},
+		{"select sum(qty, price) from trans", "sum() takes one argument"},
+		{"select avg(distinct qty) from trans", "avg(DISTINCT) is not supported"},
+		{"select avg(nope) from trans", `column "nope" not found`},
+		{"select unknownfunc(tid) from trans", `unknown function "unknownfunc"`},
+		{"select year(date, date) from trans", "year() takes 1 argument(s)"},
+		{"select (select tid, qty from trans) as s from loc", "exactly one column"},
+		{"select (select nope from loc) as s from trans", `column "nope" not found`},
+		// TypeIssues, one row per class, on a predicate and on an output.
+		{"select tid from trans where qty", "non-boolean type INTEGER"},
+		{"select tid from trans where qty > 1 or price", "logic: OR over non-boolean operand"},
+		{"select tid from trans where not qty", "logic: NOT over non-boolean operand"},
+		{"select tid from trans where note = 1", "compare: comparison = between incompatible kinds"},
+		{"select note || qty as s from trans", "concat: || over non-string operand"},
+		{"select note + 1 as s from trans", "arith: arithmetic + over non-numeric operand"},
+		{"select tid from trans where qty like 'a%'", "like: LIKE over non-string operand"},
+		{"select year(note) as y from trans", "call: year over non-date argument"},
+		{"select sum(note) as s from trans", "agg-arg: SUM over non-numeric argument"},
+		{"select min(qty > 1) as m from trans", "agg-arg: min over boolean argument"},
+		{"select case when qty then 1 end as c from trans", "case: WHEN 0 condition has non-boolean type"},
+		{"select case when qty > 1 then note else 1 end as c from trans", "case: CASE branches disagree on result kind"},
+	} {
+		_, err := BuildSQL(c.sql, cat)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("BuildSQL(%q) = %v, want an error containing %q", c.sql, err, c.want)
+		}
 	}
-	for _, sql := range bad {
-		if _, err := BuildSQL(sql, cat); err == nil {
-			t.Errorf("BuildSQL(%q) should fail", sql)
+}
+
+// TestBuildDMLErrors is BuildDelete's and BuildUpdate's refusal table.
+func TestBuildDMLErrors(t *testing.T) {
+	cat := testCatalog(t)
+	for _, c := range []struct{ sql, want string }{
+		{"delete from nope", "unknown table"},
+		{"delete from trans where nope = 1", "in WHERE"},
+		{"delete from trans where count(*) > 1", "in WHERE: qgm: aggregate count() not allowed here"},
+		{"delete from trans where note + 1 > 2", "ill-typed DELETE WHERE: arith"},
+		{"delete from trans where qty", "DELETE WHERE is INTEGER, not boolean"},
+		{"update nope set qty = 1", "unknown table"},
+		{"update trans set nope = 1", `column "nope" not in table trans`},
+		{"update trans set qty = 1, QTY = 2", `column "qty" assigned twice`},
+		{"update trans set qty = count(*)", "in SET qty: qgm: aggregate count() not allowed here"},
+		{"update trans set qty = nope", "in SET qty"},
+		{"update trans set qty = note + 1", "ill-typed SET qty: arith"},
+		{"update trans set qty = 'x'", "SET qty: VARCHAR value into INTEGER column"},
+		{"update trans set qty = 1 where nope = 1", "in WHERE"},
+		{"update trans set qty = 1 where qty", "UPDATE WHERE is INTEGER, not boolean"},
+	} {
+		stmt, err := parser.ParseStatement(c.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.sql, err)
+		}
+		switch s := stmt.(type) {
+		case *parser.DeleteStmt:
+			_, err = BuildDelete(s, cat)
+		case *parser.UpdateStmt:
+			_, err = BuildUpdate(s, cat)
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: %v, want an error containing %q", c.sql, err, c.want)
+		}
+	}
+	// The parser requires a SET; a statement built without one is refused.
+	if _, err := BuildUpdate(&parser.UpdateStmt{Table: "trans"}, cat); err == nil || !strings.Contains(err.Error(), "no SET") {
+		t.Errorf("UPDATE without SET: %v", err)
+	}
+}
+
+// TestTypeIssuesOfBuiltGraphs covers the classes no statement reaches,
+// because the builder refuses the expression first: the qgmcheck oracle runs
+// TypeIssues over graphs the matcher assembled.
+func TestTypeIssuesOfBuiltGraphs(t *testing.T) {
+	g := build(t, "select tid from trans")
+	tid := &ColRef{Q: g.Root.Quantifiers[0], Col: 0}
+	for _, c := range []struct {
+		e    Expr
+		want string
+	}{
+		{&Bin{Op: "^", L: tid, R: tid}, `arith: unknown binary operator "^"`},
+		{&Call{Name: "year", Args: []Expr{tid, tid}}, "call: year takes 1 argument, got 2"},
+		{&Call{Name: "week", Args: []Expr{tid}}, `call: unknown builtin "week"`},
+	} {
+		if iss := TypeIssues(c.e); len(iss) != 1 || iss[0].String() != c.want {
+			t.Errorf("TypeIssues(%s) = %v, want [%s]", c.e, iss, c.want)
 		}
 	}
 }
@@ -278,6 +374,20 @@ func TestExprEqualCommutativityAndFlip(t *testing.T) {
 	if !ExprEqual(lt, gt, nil) {
 		t.Error("a<b should equal b>a")
 	}
+	for _, c := range []struct {
+		x, y Expr
+		want bool
+	}{
+		{&Call{Name: "year", Args: []Expr{a}}, &Call{Name: "year", Args: []Expr{a}}, true},
+		{&Call{Name: "year", Args: []Expr{a}}, &Call{Name: "year", Args: []Expr{b}}, false},
+		{NewConst(sqltypes.Null), NewConst(sqltypes.Null), true},
+		{&Case{Whens: []CaseWhen{{Cond: lt, Then: a}}}, &Case{Whens: []CaseWhen{{Cond: lt, Then: a}}}, true},
+		{&Case{Whens: []CaseWhen{{Cond: lt, Then: a}}}, &Case{Whens: []CaseWhen{{Cond: lt, Then: b}}}, false},
+	} {
+		if got := ExprEqual(c.x, c.y, nil); got != c.want {
+			t.Errorf("ExprEqual(%s, %s) = %v", c.x, c.y, got)
+		}
+	}
 	minus1 := &Bin{Op: "-", L: a, R: b}
 	minus2 := &Bin{Op: "-", L: b, R: a}
 	if ExprEqual(minus1, minus2, nil) {
@@ -290,6 +400,43 @@ func TestExprEqualCommutativityAndFlip(t *testing.T) {
 	}
 	if ExprEqual(a, &ColRef{Q: q, Col: 0}, eq) {
 		t.Error("tid is not equivalent to faid")
+	}
+}
+
+func TestBuildParamsGroupByAlias(t *testing.T) {
+	// GROUP BY q names the select item's expression, so its literal is
+	// resolved twice; the two Consts share one Param and are equal without
+	// planning reading (pinning) the literal.
+	stmt, err := parser.Parse("select qty + 1 as q, count(*) as c from trans group by q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildParams(stmt, testCatalog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := g.Root.Quantifiers[0].Box
+	if gb.Cols[0].Name != "q" || len(gb.GroupBy) != 1 {
+		t.Fatalf("grouping columns %v, want one named q", gb.Cols)
+	}
+	if len(g.Params) != 1 || g.Params[0].Pinned() {
+		t.Fatalf("params %v: want one, unpinned", g.Params)
+	}
+	if dump := g.Dump(); !strings.Contains(dump, "+ ?1") {
+		t.Fatalf("the literal renders as its slot:\n%s", dump)
+	}
+}
+
+func TestBuildAggregateArgumentNamedLikeAGroupingColumn(t *testing.T) {
+	// The lower box already computes a.qty as qty; b.qty gets a name of its own.
+	g := build(t, "select a.qty, sum(b.qty) as s from trans a, trans b group by a.qty")
+	lower := g.Root.Quantifiers[0].Box.Child()
+	var names []string
+	for _, c := range lower.Cols {
+		names = append(names, c.Name)
+	}
+	if !slices.Equal(names, []string{"qty", "qty_a1"}) {
+		t.Fatalf("lower box columns %v", names)
 	}
 }
 
@@ -316,6 +463,10 @@ func TestSubsumes(t *testing.T) {
 		{mk("<>", 7), mk("=", 8), true},
 		{mk("<>", 7), mk("=", 7), false},
 		{mk(">", 10), mk("<", 20), false},
+		{mk("=", 5), mk("=", 5), true},
+		{mk("=", 5), mk("=", 6), false},
+		// Bounds Compare cannot order subsume nothing.
+		{mk(">", 10), &Bin{Op: ">", L: x, R: NewConst(sqltypes.NewString("a"))}, false},
 		// Flipped constant side.
 		{&Bin{Op: "<", L: NewConst(sqltypes.NewInt(10)), R: x}, mk(">", 20), true},
 	}
@@ -349,6 +500,8 @@ func TestSQLPrinterRoundTrip(t *testing.T) {
 		"select state, count(*) as c from trans, loc where flid = lid group by state",
 		"select tid, (select count(*) from loc) as n from trans",
 		"select y, count(*) as c from (select year(date) as y, faid from trans) d group by y",
+		"select a.tid from trans a, trans b where not (a.tid = b.tid) and a.note is not null",
+		"select tid from trans where note not like 'a%'",
 	}
 	cat := testCatalog(t)
 	for _, sql := range queries {
@@ -361,6 +514,19 @@ func TestSQLPrinterRoundTrip(t *testing.T) {
 		if _, err := BuildSQL(printed, cat); err != nil {
 			t.Errorf("printed SQL does not re-parse:\n  orig: %s\n  printed: %s\n  err: %v", sql, printed, err)
 		}
+	}
+}
+
+func TestSQLPrinterNamesUnaliasedRepeats(t *testing.T) {
+	// A rewrite joins what it splices in without an alias; a table read
+	// twice that way gets a numbered one.
+	g := build(t, "select a.tid from trans a, trans b where a.tid = b.tid")
+	for _, q := range g.Root.Quantifiers {
+		q.Alias = ""
+	}
+	want := "SELECT trans.tid FROM trans, trans AS trans_1 WHERE (trans.tid = trans_1.tid)"
+	if got := g.SQL(); got != want {
+		t.Fatalf("printed\n  %s\nwant\n  %s", got, want)
 	}
 }
 

@@ -378,9 +378,12 @@ func TestStructuralRejectsGroupByShapeCorruptions(t *testing.T) {
 	}
 	env := bench.NewEnv(60, core.Options{})
 	for _, tc := range cases {
-		g := qgm.MustBuildSQL("select faid, count(*) as c from trans group by faid", env.Cat)
+		g, err := qgm.BuildSQL("select faid, count(*) as c from trans group by faid", env.Cat)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tc.corrupt(g.Root.Child())
-		err := qgmcheck.Structural(g)
+		err = qgmcheck.Structural(g)
 		if err == nil || !strings.Contains(err.Error(), tc.rule) {
 			t.Errorf("%s: want a %s violation, got %v", tc.name, tc.rule, err)
 		}

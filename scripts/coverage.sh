@@ -26,6 +26,30 @@
 #   pullup.go ensureRspace: a non-constant value; matchSelect pairs only scalar children beside a grouping child.
 #   rewrite.go plan: a re-plan with the first splice that matches nothing the first plan matched.
 #   rewrite.go verifyRewrite: a plan qgmcheck.Structural refuses, which only a matcher bug builds.
+#
+# internal/qgm's budget is the blocks below:
+#   box.go Child: the panic on a GROUP BY box without exactly one quantifier, which no builder makes.
+#   box.go inferType: a ColRef without a quantifier, which qgmcheck's binding rules report instead.
+#   box.go inferType, build.go lower, equiv.go ExprEqual, print.go renderExpr: the default arm of a
+#     type switch over a sealed expression interface, every kind of which has its own arm.
+#   print.go blockShape: a GROUP BY straight over a base table, which neither the builder nor the matcher makes.
+#
+# internal/exec's budget is the row path, run only as Config.Interpret's reference (ROADMAP item 8
+# deletes it): exec.go evalSelect, hashJoin, filter, applicablePreds, hashablePreds and sideQuants,
+# groupby.go evalGroupBy's row arm, and expr.go's error arms; and the blocks below:
+#   exec.go RunChunks: the final flush's error, for a charge still pending when the root box returns;
+#     no test sets a budget that only that charge exceeds.
+#   grouptable.go mergeFrom, vecgroupby.go evalGroupByVec: a merge whose fold fails; SUM over dates fails
+#     in the worker that adds a group's second date, before any merge.
+#   source.go span, planSource: a predicate reading an aggregate or a column beyond its box, which
+#     qgmcheck.Structural refuses before a plan runs.
+#   source.go compile: a GROUP BY expression other than a column of its fused SELECT child, which computes
+#     every expression; compile, onJoined, vector.go compileScalar: a column reference outside its box's
+#     range or scope, which a built or matched graph does not hold.
+#   vecgroupby.go groupSource: a GROUP BY over a non-SELECT child, which neither the builder nor the matcher makes.
+#   vecgroupby.go fold: update's error under DISTINCT, where a failed fold poisons the cell instead.
+#   vecgroupby.go foldTyped: a typed strip folding into a state of another kind that Add refuses.
+#   vector.go compileCmpFilter: Compare's error per element, on a pairing the type check refuses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,8 +88,8 @@ awk '
 		exit status
 	}
 ' - "$profile" <<'BUDGETS'
-repro/astdb 37
-repro/astdb/driver 50
+repro/astdb 25
+repro/astdb/driver 49
 repro/cmd/astadvisor 3
 repro/cmd/astrw 22
 repro/cmd/astserve 12
@@ -73,20 +97,20 @@ repro/examples/histogram 7
 repro/examples/quickstart 7
 repro/internal/advisor 5
 repro/internal/bench 4
-repro/internal/catalog 11
+repro/internal/catalog 10
 repro/internal/core 11
-repro/internal/exec 123
+repro/internal/exec 60
 repro/internal/faultinject 1
-repro/internal/lint 37
+repro/internal/lint 20
 repro/internal/maintain 9
-repro/internal/obs 6
+repro/internal/obs 5
 repro/internal/parser 4
-repro/internal/qgm 88
+repro/internal/qgm 7
 repro/internal/qgmcheck 19
 repro/internal/rcu 1
 repro/internal/server 26
-repro/internal/sqltypes 23
-repro/internal/storage 8
+repro/internal/sqltypes 17
+repro/internal/storage 7
 repro/internal/wire 23
 repro/internal/workload 1
 BUDGETS

@@ -6,8 +6,8 @@
 # lowered as the documents shrink and never raised. Run from anywhere inside
 # the repository.
 set -euo pipefail
-design_budget=1696
-skill_budget=347
+design_budget=1691
+skill_budget=346
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 git ls-files -- '*.go' | grep -v '_test\.go$' | while read -r f; do
 	printf '%s %s\n' "$(dirname "$f")" "$(wc -l < "$f")"
