@@ -549,12 +549,14 @@ func BenchmarkE16_Refresh(b *testing.B) {
 // Serial (Parallelism 1), so allocs/op does not depend on GOMAXPROCS. A leg
 // that names a group table mode fails unless every GROUP BY table it ends
 // with is in that mode (exec.group.direct, exec.group.hashed): the direct
-// index must keep engaging on small integer keys, and only there.
+// index must keep engaging on small integer keys, and only there. A "coded"
+// leg also fails unless a key column was grouped by its codes
+// (exec.group.coded): a dimension's string column, made small integers.
 func BenchmarkExecOperators(b *testing.B) {
 	operators := []struct {
 		name, sql string
 		groupBy   bool   // reports ns per trans row
-		mode      string // "direct" or "hashed": every group table's index
+		mode      string // "direct" or "hashed": every group table's index; "coded direct": direct, by code
 	}{
 		{"scan_filter_select", `select tid, faid, qty * price as amt from trans where qty > 3 and year(date) > 1990`, false, ""},
 		{"fused_groupby", `select fpgid, year(date) as year, count(*) as cnt, sum(qty * price) as gross, min(price) as lo
@@ -572,14 +574,18 @@ func BenchmarkExecOperators(b *testing.B) {
 			from (select flid, year(date) as y, month(date) as m, count(*) as n
 			      from trans group by flid, year(date), month(date)) mm
 			where n > 5 group by flid`, true, "direct"},
-		// The hash loop itself: a string key behind a star probe, a table
-		// of well over 10k groups at 100k rows, and the probe with nothing
-		// filtered out before it or aggregated after it.
-		{"groupby_string_key", `select city, count(*) as cnt from trans, loc where flid = lid group by city`, true, "hashed"},
+		// The hash loop itself: a computed string key behind a star probe, a
+		// table of well over 10k groups at 100k rows, and the probe with
+		// nothing filtered out before it or aggregated after it.
+		{"groupby_string_key", `select city || state as cs, count(*) as cnt from trans, loc where flid = lid group by city || state`, true, "hashed"},
 		{"groupby_15k_groups", `select faid, flid, year(date) as year, count(*) as cnt, sum(price) as gross
 			from trans group by faid, flid, year(date)`, true, "hashed"},
 		{"star_probe_only", `select aid, status, qty * price * (1 - disc) as amt
 			from trans, pgroup, acct where pgid = fpgid and faid = aid`, false, ""},
+		// ds2 without its filter: a dimension's string column grouped by its
+		// codes, which keeps the table direct.
+		{"groupby_dim_string", `select state, year(date) as year, sum(qty * price * (1 - disc)) as revenue
+			from trans, loc where flid = lid group by state, year(date)`, true, "coded direct"},
 		// DISTINCT's pair tables: Figure 13's Q11.3, which no summary table
 		// serves, and ds11's scalar subquery, one group folded a strip at a
 		// time.
@@ -629,9 +635,10 @@ func BenchmarkExecOperators(b *testing.B) {
 				if n, l := o.Counter(exec.CtrVecBoxes), o.Counter(exec.CtrVecLifted); n != int64(b.N*boxes) || l != 0 {
 					b.Fatalf("%s: %d boxes on the pipeline in %d runs of %d, %d expressions lifted", op.name, n, b.N, boxes, l)
 				}
-				direct, hashed := o.Counter(exec.CtrGroupDirect), o.Counter(exec.CtrGroupHashed)
-				if op.mode == "direct" && (direct == 0 || hashed > 0) || op.mode == "hashed" && (hashed == 0 || direct > 0) {
-					b.Fatalf("%s: %d direct and %d hashed group tables, want %s only", op.name, direct, hashed, op.mode)
+				direct, hashed, coded := o.Counter(exec.CtrGroupDirect), o.Counter(exec.CtrGroupHashed), o.Counter(exec.CtrGroupCoded)
+				mode := strings.TrimPrefix(op.mode, "coded ")
+				if mode == "direct" && (direct == 0 || hashed > 0) || mode == "hashed" && (hashed == 0 || direct > 0) || mode != op.mode && coded == 0 {
+					b.Fatalf("%s: %d direct and %d hashed group tables, %d key columns coded, want %s only", op.name, direct, hashed, coded, op.mode)
 				}
 				if op.groupBy {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scale), "ns/row")

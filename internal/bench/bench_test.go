@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -69,13 +70,18 @@ func TestServedStatementBytesPerRun(t *testing.T) {
 // TestHighCardinalityGroupByBytesPerRun: the statements whose GROUP BY makes a
 // group every few rows, where what the group table keeps per group is most of
 // what a statement allocates — served q1 from ast1 (the p95 statement of
-// dash-cached), ds6 over the base tables, and q11_3 over the base tables, whose
+// dash-cached), ds2 and ds6 over the base tables, and q11_3 over them, whose
 // COUNT(DISTINCT) keeps a (group, value) pair for almost every row — with two
 // workers so that the partials' merge is in. Each is capped at its bytes per
 // execution since aggregate states became cells and DISTINCT sets pair tables,
 // plus 10 %: q1 513.3 KiB before that change → 424.5 after, ds6 952.4 → 668.6,
 // q11_3 2,958.2 → 1,671.5; q11_3's since its pair table starts hashed rather
-// than widening its direct index to the limit first, 1,768.4 → 1,620.9.
+// than widening its direct index to the limit first, 1,768.4 → 1,620.9. q1's
+// and ds2's (over the base tables) since a dimension's string column is
+// grouped by code: q1 421.0 → 425.8, ds2 340.1 → 315.0. Codes over every loc
+// row instead of the joinable ones make q1's table hashed, 487 KiB; grouping
+// by the strings again does not trip either pin (TestDimensionGroupBysStayDirect
+// catches that).
 func TestHighCardinalityGroupByBytesPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("bytes under -race are the race runtime's too")
@@ -84,12 +90,38 @@ func TestHighCardinalityGroupByBytesPerRun(t *testing.T) {
 		name, ast, sql string
 		max            float64
 	}{
-		{"q1 from ast1", "ast1", Queries["q1"], 467},
+		{"q1 from ast1", "ast1", Queries["q1"], 468},
+		{"ds2 from the base tables", "", dsQuery(t, "ds2"), 346},
 		{"ds6 from the base tables", "", dsQuery(t, "ds6"), 736},
 		{"q11_3 from the base tables", "", Queries["q11_3"], 1783},
 	} {
 		if perRun := bytesPerExecution(t, c.name, c.ast, c.sql, 2, 20); perRun > c.max {
 			t.Errorf("%s allocates %.1f KiB per execution, above %.1f", c.name, perRun, c.max)
+		}
+	}
+}
+
+// TestDimensionGroupBysStayDirect: the statements that group facts by a
+// string column of a dimension — q1's and ds2's state, ds7's country, ds9's
+// city — group it by its codes, which only the dimension rows that can join
+// take, so every group table they make ends direct: from the base tables, and
+// q1 and ds2 from their summary tables, over the benchmark's 200 accounts.
+func TestDimensionGroupBysStayDirect(t *testing.T) {
+	cfg := workload.StarConfig{NumTrans: 20000, NumAccts: 200, Seed: 7}
+	for _, c := range []struct{ name, ast, sql string }{
+		{"q1", "", Queries["q1"]},
+		{"ds2", "", dsQuery(t, "ds2")},
+		{"ds7", "", dsQuery(t, "ds7")},
+		{"ds9", "", dsQuery(t, "ds9")},
+		{"q1", "ast1", Queries["q1"]},
+		{"ds2", "st_loc_year", dsQuery(t, "ds2")},
+	} {
+		o := obs.New()
+		planned(t, cfg, c.ast, c.sql, 2)(o)
+		direct, hashed, coded := o.Counter(exec.CtrGroupDirect), o.Counter(exec.CtrGroupHashed), o.Counter(exec.CtrGroupCoded)
+		if direct == 0 || hashed != 0 || coded != 1 {
+			t.Errorf("%s from %q: %d direct and %d hashed group tables, %d key columns coded; want direct only, one coded",
+				c.name, c.ast, direct, hashed, coded)
 		}
 	}
 }
@@ -110,17 +142,42 @@ func dsQuery(t *testing.T, name string) string {
 // averaged over runs.
 func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float64 {
 	t.Helper()
+	run := planned(t, workload.StarConfig{NumTrans: 20000, Seed: 7}, ast, sql, par)
+	run(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run(nil)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1024
+	t.Logf("%s: %.2f KiB per execution", name, perRun)
+	return perRun
+}
+
+// planned plans sql over the star schema cfg loads — answered from summary
+// table ast, or from the base tables when ast is "" — and returns a function
+// that executes the plan with par workers (0 = GOMAXPROCS), counting on o, or
+// on an observer of its own when o is nil, as benchmark/ and cmd/astserve
+// configure the engine.
+func planned(t *testing.T, cfg workload.StarConfig, ast, sql string, par int) func(o *obs.Observer) {
+	t.Helper()
 	cat := catalog.New()
-	// The engine as benchmark/ and cmd/astserve configure it: observer on.
 	db, err := astdb.Open(cat, astdb.WithObserver(obs.New()), astdb.WithLimits(exec.Config{Parallelism: par}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	workload.Schema(cat)
-	workload.Load(cat, db.Store(), workload.StarConfig{NumTrans: 20000, Seed: 7})
+	workload.Load(cat, db.Store(), cfg)
 	ctx := context.Background()
 	if ast != "" {
-		if _, _, err := db.CreateSummaryTable(ctx, ast, ASTDefs[ast]); err != nil {
+		def := ASTDefs[ast]
+		for _, ds := range workload.DSASTs {
+			if ds.Name == ast {
+				def = ds.SQL
+			}
+		}
+		if _, _, err := db.CreateSummaryTable(ctx, ast, def); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,23 +185,13 @@ func bytesPerExecution(t *testing.T, name, ast, sql string, par, runs int) float
 	if err != nil || strings.Join(ans.ASTs, ",") != ast {
 		t.Fatalf("answering from %q: %v, answer %+v", ast, err, ans)
 	}
-	run := func() {
+	return func(o *obs.Observer) {
 		exe := exec.NewEngine(db.Store().Pin())
-		exe.SetObserver(db.Observer())
+		exe.SetObserver(cmp.Or(o, db.Observer()))
 		if res, err := exe.RunCtx(ctx, ans.Plan, exec.Config{Parallelism: par}); err != nil || len(res.Rows) != len(ans.Rows()) {
 			t.Fatalf("executing the plan: %v", err)
 		}
 	}
-	run()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1024
-	t.Logf("%s: %.2f KiB per execution", name, perRun)
-	return perRun
 }
 
 // tenTableEngine is the benchmark's deployment in process: the 100k-row star

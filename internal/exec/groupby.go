@@ -106,17 +106,24 @@ func (ev *evaluator) evalGroupBy(b *qgm.Box) (*relation, error) {
 		}
 	}
 
-	return ev.groupChunks(b, aggSpecs, sets, tables)
+	return ev.groupChunks(b, aggSpecs, sets, tables, nil)
 }
 
 // groupChunks is the one way groups leave their tables, on both paths: a
 // GROUP BY's output, set by set and each set's groups in first-appearance
 // order, as sealed chunks of up to ChunkRows groups. Grouping columns come
 // from keyColumn, NULL when grouped out of the set, aggregate columns from
-// stateColumn. The budget is charged a chunk at a time, and each table is
+// stateColumn. A grouping column grouped by code (dicts[pos] set: the
+// pipeline's, source.compileKey) has its codes decoded through its
+// dictionary. The budget is charged a chunk at a time, and each table is
 // counted by the index it ended with.
-func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tables []*groupTable) (*relation, error) {
+func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tables []*groupTable, dicts []*sqltypes.Vec) (*relation, error) {
 	nc := 0
+	for _, d := range dicts {
+		if d != nil {
+			ev.obsv.Add(CtrGroupCoded, 1)
+		}
+	}
 	for _, t := range tables {
 		nc += (t.n + storage.ChunkRows - 1) / storage.ChunkRows
 		ctr := CtrGroupDirect
@@ -126,6 +133,7 @@ func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tabl
 		ev.obsv.Add(ctr, 1)
 	}
 	chunks := make([]*storage.Chunk, 0, nc)
+	var idx []int32
 	for si, gs := range sets {
 		t := tables[si]
 		for lo := 0; lo < t.n; lo += storage.ChunkRows {
@@ -135,10 +143,17 @@ func (ev *evaluator) groupChunks(b *qgm.Box, specs []aggSpec, sets [][]int, tabl
 			}
 			cols := make([]sqltypes.Vec, len(b.Cols))
 			for pos, col := range b.GroupBy {
-				if j := slices.Index(gs, pos); j >= 0 {
-					t.keyColumn(&cols[col], j, lo, n)
-				} else {
+				switch j := slices.Index(gs, pos); {
+				case j < 0:
 					cols[col].Splat(sqltypes.Null, n)
+				case pos < len(dicts) && dicts[pos] != nil:
+					idx = resize(idx, n)
+					for i := range idx {
+						idx[i] = int32(t.keys.at(lo + i)[1+j]) // a code's cell word is the code
+					}
+					cols[col].Gather(dicts[pos], idx)
+				default:
+					t.keyColumn(&cols[col], j, lo, n)
 				}
 			}
 			for ai := range specs {

@@ -91,7 +91,7 @@ func newGroupTable(nKeys int, specs []aggSpec, rows int, sized bool) *groupTable
 		spans: make([]keySpan, nKeys),
 		limit: uint64(min(maxCells, hashedLen(cmp.Or(rows, maxCells)))),
 		keys:  slab[int64]{stride: 1 + nKeys + (nKeys+7)/8, first: first},
-		strs:  slab[string]{stride: 1},
+		strs:  slab[string]{stride: 1, first: first},
 		na:    len(specs),
 		aggs:  slab[int64]{stride: len(specs) + (len(specs)+7)/8, first: first},
 	}

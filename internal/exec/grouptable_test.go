@@ -671,7 +671,7 @@ func emitGroupChunks(t testing.TB, nk int, sets [][]int, specs []aggSpec, tabs [
 		specs[ai].col = nk + ai
 	}
 	b := &qgm.Box{Cols: make([]qgm.QCL, nk+len(specs)), GroupBy: allInts(nk)}
-	rel, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs)
+	rel, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -826,7 +826,7 @@ func TestGroupChunksAllocatePerChunk(t *testing.T) {
 			specs[ai].col = 2 + ai
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs); err != nil {
+			if _, err := testEvaluator(nil, nil).groupChunks(b, specs, sets, tabs, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -45,10 +45,11 @@ type source struct {
 }
 
 // joinCol is column col of the fact (src = srcFact) or of dimension src, whose
-// whole column, indexed by row number, is dim.
+// whole column, indexed by row number, is dim: its values, or, when dict is
+// set, their codes (starDim.codes).
 type joinCol struct {
-	src, col int
-	dim      *sqltypes.Vec
+	src, col  int
+	dim, dict *sqltypes.Vec
 }
 
 // Where a source expression comes from: a dimension's index, or one of these.
@@ -226,7 +227,6 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 	// first tie; its other ties filter the joined chunk. Its local
 	// predicates and keys are evaluated on every row of it, joined or not.
 	s.dims = make([]starDim, nd)
-	member := make([][]uint32, nd) // per dimension, per row: the ordinal of its key, noGroup when it is not in the table
 	for k, dq := range s.dimQs {
 		rel, err := ev.evalBox(dq.Box)
 		if err != nil {
@@ -248,28 +248,27 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 			}
 		}
 		sd.set, sd.table = allInts(len(keys)), newGroupTable(len(keys), nil, rel.n, true)
-		ords, err := keyOrds(sd.table, true, sd.chunks, dq.ID, scalars, dimPreds[k], keys, nil)
-		if err != nil {
+		if sd.ords, err = keyOrds(sd.table, true, sd.chunks, dq.ID, scalars, dimPreds[k], keys, nil); err != nil {
 			return nil, err
 		}
 		// Each key's rows, in row order: a chain from head[g] through next.
-		sd.head, sd.next = make([]int32, sd.table.n), make([]int32, len(ords))
+		sd.head, sd.next = make([]int32, sd.table.n), make([]int32, len(sd.ords))
 		for g := range sd.head {
 			sd.head[g] = -1
 		}
-		for ri := len(ords) - 1; ri >= 0; ri-- {
-			if g := ords[ri]; g != noGroup {
+		for ri := len(sd.ords) - 1; ri >= 0; ri-- {
+			if g := sd.ords[ri]; g != noGroup {
 				sd.next[ri], sd.head[g] = sd.head[g], int32(ri)
 			}
 		}
 		if j := sd.via; j >= 0 {
 			// Keyed on dimension j: per row of j that can join, the ordinal of
 			// its key here.
-			if sd.viaOrd, err = keyOrds(sd.table, false, s.dims[j].chunks, s.dimQs[j].ID, scalars, nil, on, member[j]); err != nil {
+			if sd.viaOrd, err = keyOrds(sd.table, false, s.dims[j].chunks, s.dimQs[j].ID, scalars, nil, on, s.dims[j].ords); err != nil {
 				return nil, err
 			}
 		}
-		s.dims[k], member[k] = sd, ords
+		s.dims[k] = sd
 	}
 	s.filters = make([]vecFilter, len(factPreds))
 	for i, p := range factPreds {
@@ -320,23 +319,43 @@ func keyOrds(t *groupTable, insert bool, chunks []*storage.Chunk, qid int, scala
 }
 
 // compile lowers a sink expression to a kernel over the tuples the worker
-// yields (srcWorker.cur): the fact chunk's rows, or the joined chunk's. Over a
-// fused SELECT, a reference to its column c is first its expression for c
-// (expressions are immutable, so sharing is fine).
+// yields (srcWorker.cur): the fact chunk's rows, or the joined chunk's.
 func (s *source) compile(e qgm.Expr) vecKernel {
-	if q := s.fused; q != nil {
-		e = qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
-			cr, isRef := x.(*qgm.ColRef)
-			switch {
-			case !isRef || cr.Q == nil || cr.Q.ID != q.ID:
-				return x
-			case cr.Col < 0 || cr.Col >= len(q.Box.Cols):
-				return &qgm.ColRef{}
-			}
-			return q.Box.Cols[cr.Col].Expr
-		})
+	return s.vc.compileScalar(s.onJoined(s.unfuse(e)))
+}
+
+// compileKey is compile for a grouping expression. A bare reference to a
+// typed string column of a dimension compiles to the column's codes instead,
+// returned with their dictionary, which groupChunks decodes: the sink then
+// groups small ints, which its table indexes directly.
+func (s *source) compileKey(e qgm.Expr) (vecKernel, *sqltypes.Vec) {
+	if cr, isRef := s.unfuse(e).(*qgm.ColRef); isRef && cr.Q != nil {
+		if k := s.operand(cr.Q.ID); k >= 0 && cr.Col >= 0 && cr.Col < len(s.dimQs[k].Box.Cols) {
+			ref, c := s.joined(k, cr.Col, true)
+			return s.vc.compileScalar(ref), c.dict
+		}
 	}
-	return s.vc.compileScalar(s.onJoined(e))
+	return s.compile(e), nil
+}
+
+// unfuse rewrites e, over a fused SELECT, onto that SELECT's quantifiers: a
+// reference to its column c becomes its expression for c (expressions are
+// immutable, so sharing is fine).
+func (s *source) unfuse(e qgm.Expr) qgm.Expr {
+	q := s.fused
+	if q == nil {
+		return e
+	}
+	return qgm.MapExpr(e, func(x qgm.Expr) qgm.Expr {
+		cr, isRef := x.(*qgm.ColRef)
+		switch {
+		case !isRef || cr.Q == nil || cr.Q.ID != q.ID:
+			return x
+		case cr.Col < 0 || cr.Col >= len(q.Box.Cols):
+			return &qgm.ColRef{}
+		}
+		return q.Box.Cols[cr.Col].Expr
+	})
 }
 
 // onJoined rewrites e, in a join, onto the joined chunk, which takes the fact
@@ -362,18 +381,27 @@ func (s *source) onJoined(e qgm.Expr) qgm.Expr {
 		if cr.Col < 0 || cr.Col >= len(q.Box.Cols) {
 			return &qgm.ColRef{}
 		}
-		for i, c := range s.jcols {
-			if c.src == src && c.col == cr.Col {
-				return &qgm.ColRef{Q: s.fact, Col: i}
-			}
-		}
-		c := joinCol{src: src, col: cr.Col}
-		if src >= 0 {
-			c.dim = s.dims[src].column(cr.Col)
-		}
-		s.jcols = append(s.jcols, c)
-		return &qgm.ColRef{Q: s.fact, Col: len(s.jcols) - 1}
+		ref, _ := s.joined(src, cr.Col, false)
+		return ref
 	})
+}
+
+// joined returns the joined chunk's column of column col of operand src, and
+// its joinCol, added on first use: with coded, the column's codes when it is
+// a dimension's typed string column.
+func (s *source) joined(src, col int, coded bool) (*qgm.ColRef, *joinCol) {
+	i := slices.IndexFunc(s.jcols, func(c joinCol) bool { return c.src == src && c.col == col && (c.dict != nil) == coded })
+	if i < 0 {
+		c := joinCol{src: src, col: col}
+		if src >= 0 {
+			c.dim = s.dims[src].column(col)
+		}
+		if coded && c.dim.Kind() == sqltypes.KindString && !c.dim.Generic() {
+			c.dim, c.dict = s.dims[src].codes(c.dim)
+		}
+		i, s.jcols = len(s.jcols), append(s.jcols, c)
+	}
+	return &qgm.ColRef{Q: s.fact, Col: i}, &s.jcols[i]
 }
 
 // Filter runs where (nil: every row) and exprs over chunks, the rows of
@@ -425,6 +453,7 @@ func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []
 // it concurrently.
 type starDim struct {
 	chunks     []*storage.Chunk
+	ords       []uint32 // per row: the ordinal of its key, noGroup when it is in no chain
 	via        int
 	keyKs      []vecKernel
 	viaOrd     []uint32
@@ -444,6 +473,40 @@ func (d *starDim) first(ords []uint32, i int, row []int32) int32 {
 		return -1
 	}
 	return d.head[ords[i]]
+}
+
+// codes returns v, a typed string column of d, coded: per row of d in some
+// chain, the ordinal of its value among those rows' distinct values, in row
+// order (0 on the other rows, which no tuple reads), and the dictionary that
+// maps each code back to its value, the value of its first such row. A key
+// column of codes thus groups exactly as one of values and gets the same
+// representatives, and only the values that can join take a code.
+func (d *starDim) codes(v *sqltypes.Vec) (codes, dict *sqltypes.Vec) {
+	codes, dict = new(sqltypes.Vec), new(sqltypes.Vec)
+	words := codes.RefillInts(sqltypes.KindInt, v.Len())
+	t, keys := newGroupTable(1, nil, v.Len(), true), make([]keyCol, 1)
+	var hash [stripRows]uint64
+	var ords [stripRows]uint32
+	for lo := 0; lo < len(d.ords); {
+		if d.ords[lo] == noGroup {
+			lo++
+			continue
+		}
+		n := 1 // a run of rows in chains, a strip at most
+		for lo+n < len(d.ords) && n < stripRows && d.ords[lo+n] != noGroup {
+			n++
+		}
+		keys[0].load(v, lo, n)
+		t.findBatch(keys, []int{0}, hash[:n], ords[:n], true)
+		for i, g := range ords[:n] {
+			words[lo+i] = int64(g)
+		}
+		lo += n
+	}
+	t.keyColumn(dict, 0, 0, t.n)
+	codes.Seal()
+	dict.Seal()
+	return codes, dict
 }
 
 // column returns column c of the dimension over all its rows, indexed by row

@@ -30,11 +30,11 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The sink's kernels: grouping columns, then aggregate arguments (none for
-	// COUNT(*)).
-	groupKs, argKs := make([]vecKernel, nGroup), make([]vecKernel, len(aggSpecs))
+	// The sink's kernels: grouping columns, a dimension's string column by
+	// its codes, then aggregate arguments (none for COUNT(*)).
+	groupKs, dicts, argKs := make([]vecKernel, nGroup), make([]*sqltypes.Vec, nGroup), make([]vecKernel, len(aggSpecs))
 	for pos, col := range b.GroupBy {
-		groupKs[pos] = s.compile(b.Cols[col].Expr)
+		groupKs[pos], dicts[pos] = s.compileKey(b.Cols[col].Expr)
 	}
 	for ai, spec := range aggSpecs {
 		if !spec.agg.Star {
@@ -132,7 +132,7 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 		}
 	}
 	ev.obsv.Add(CtrVecBoxes, 1)
-	return ev.groupChunks(b, aggSpecs, sets, merged)
+	return ev.groupChunks(b, aggSpecs, sets, merged, dicts)
 }
 
 // groupSource plans where a GROUP BY's tuples come from. A SELECT child is

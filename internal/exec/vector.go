@@ -43,6 +43,7 @@ const (
 	// A GROUP BY's tables, one per grouping set, by the index each ended with.
 	CtrGroupDirect = "exec.group.direct"
 	CtrGroupHashed = "exec.group.hashed"
+	CtrGroupCoded  = "exec.group.coded" // a GROUP BY's key columns grouped by their codes (source.compileKey)
 )
 
 // Result evaluation modes reported by Result.Mode / EXPLAIN: the reference

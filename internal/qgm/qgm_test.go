@@ -248,6 +248,9 @@ func TestBuildErrors(t *testing.T) {
 		{"select tid from trans where qty like 'a%'", "like: LIKE over non-string operand"},
 		{"select year(note) as y from trans", "call: year over non-date argument"},
 		{"select sum(note) as s from trans", "agg-arg: SUM over non-numeric argument"},
+		{"select flid, sum(date) as s from trans group by flid", "agg-arg: SUM over non-numeric argument (DATE)"},
+		{"select flid, avg(date) as a from trans group by flid", "agg-arg: SUM over non-numeric argument (DATE)"},
+		{"select sum(distinct date) as s from trans", "agg-arg: SUM over non-numeric argument (DATE)"},
 		{"select min(qty > 1) as m from trans", "agg-arg: min over boolean argument"},
 		{"select case when qty then 1 end as c from trans", "case: WHEN 0 condition has non-boolean type"},
 		{"select case when qty > 1 then note else 1 end as c from trans", "case: CASE branches disagree on result kind"},

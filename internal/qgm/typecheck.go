@@ -109,8 +109,8 @@ func TypeIssues(e Expr) []TypeIssue {
 			}
 			k, _ := inferType(t.Arg)
 			switch t.Op {
-			case "sum":
-				if !isNumericKind(k) && k != sqltypes.KindDate {
+			case "sum": // AVG too: Build makes it SUM / COUNT
+				if !isNumericKind(k) || k == sqltypes.KindDate {
 					add("agg-arg", "SUM over non-numeric argument (%v)", k)
 				}
 			case "min", "max":
