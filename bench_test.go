@@ -600,6 +600,10 @@ func BenchmarkExecOperators(b *testing.B) {
 		// dimensions (pgroup × the US rows of loc, whatever the scale).
 		{"residual_join", `select tid, city, qty * price as amt from trans, loc where flid = lid and qty * 20 < lid`, false, ""},
 		{"cross_groupby", `select pgname, count(*) as cnt from pgroup, loc where country = 'USA' group by pgname`, false, ""},
+		// A snowflake: cust is keyed through acct, and both dimensions are
+		// built on the kernels with a local predicate of their own.
+		{"snowflake_groupby", `select age, count(*) as cnt from trans, acct, cust
+			where faid = aid and acid = cid and status = 'active' and age > 40 group by age`, true, ""},
 		// The typed kernels under a base-table statement: ds5's float
 		// comparison ahead of a GROUP BY on a date part, and q4's and
 		// ds12's date part and int-by-float product over every row.

@@ -82,7 +82,7 @@ func TestFilterStopsAtAConjunctsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks, _ := store.MustTable("k").SnapshotChunks()
-	err = Filter(d.Q, chunks, d.Where, nil, nil, func(*storage.Chunk, int, []int32, []*sqltypes.Vec) error { return nil })
+	err = Filter(d.Q, chunks, nil, []qgm.Expr{d.Where}, nil, nil, func(*storage.Chunk, int, []int32, []*sqltypes.Vec) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("Filter: %v, want the division's error", err)
 	}

@@ -12,16 +12,17 @@
 // runs on it. The source of a SELECT box scans the chunks of its first ForEach
 // child — a base table, or the relation of an evaluated child box — narrows
 // them with selection-vector filters and, when the box joins, probes them
-// against hash tables of every other child (a star join), then gathers the
-// tuples into one joined chunk that the box's other expressions read. The
-// sink is projection for a SELECT box and hash aggregation for a GROUP BY box,
-// which also fuses a SELECT child into its source and evaluates each grouping
-// set of its canonicalized supergroup. Both sinks emit chunks, so box
-// boundaries carry vectors and rows exist only where someone asks for them.
-// A box's chunks are spread over Config.Parallelism workers (default
-// GOMAXPROCS) in contiguous ranges whose results are concatenated or merged in
-// range order, so row order does not depend on the worker count
-// (floating-point SUM may re-associate; see EqualResults tolerance).
+// against hash tables of every other child (a star join), built on the same
+// kernels (Filter), then gathers the tuples into one joined chunk that the
+// box's other expressions read. The sink is projection for a SELECT box and
+// hash aggregation for a GROUP BY box, which also fuses a SELECT child into its
+// source and evaluates each grouping set of its canonicalized supergroup.
+// Both sinks emit chunks, so box boundaries carry vectors and rows exist only
+// where someone asks for them. A box's chunks are spread over
+// Config.Parallelism workers (default GOMAXPROCS) in contiguous ranges whose
+// results are concatenated or merged in range order, so row order does not
+// depend on the worker count (floating-point SUM may re-associate; see
+// EqualResults tolerance).
 //
 // The row path (evalSelect below, evalGroupBy in groupby.go) is the reference,
 // the definition the pipeline's answers are checked against, written to be

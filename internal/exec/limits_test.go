@@ -301,3 +301,28 @@ func TestMaxRowsBudgetDuringEmission(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxRowsBudgetChargesAGroupByOnce: the pipeline charges what
+// Config.MaxRows lists — the scan of keyTable's 3,372 rows, the GROUP BY's 7
+// groups and the 7 rows of the SELECT over it, 3,386 — and the GROUP BY's
+// fused input rows no second time: every budget from 3,376 to 3,396 is
+// refused below 3,386 and served from there on, serially and at two workers.
+func TestMaxRowsBudgetChargesAGroupByOnce(t *testing.T) {
+	cat, store := keyTable()
+	g, err := qgm.BuildSQL("select g, count(*) as c from k group by g", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(store)
+	if res, err := e.Run(g); err != nil || len(res.Rows) != 7 || store.MustTable("k").Cardinality() != 3372 {
+		t.Fatalf("fixture: %v, want 7 groups of 3,372 rows", err)
+	}
+	for _, par := range []int{1, 2} {
+		for budget := 3376; budget <= 3396; budget++ {
+			_, err := e.RunCtx(context.Background(), g, Config{MaxRows: budget, Parallelism: par})
+			if served := err == nil; served != (budget >= 3386) || !served && !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("parallelism %d, budget %d: %v, want served from 3,386 on", par, budget, err)
+			}
+		}
+	}
+}

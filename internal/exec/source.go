@@ -19,15 +19,15 @@ import (
 // ForEach quantifier is a dimension, hashed at plan time on the equalities
 // that tie it to the fact, else on those that tie it to an earlier dimension
 // (a snowflake), else on the empty key, which every fact row finds; its local
-// predicates apply while hashing. Each chunk's surviving fact rows probe the
-// tables keyed on the fact in batches, and a dimension keyed on an earlier one
-// is looked up from that one's row in the tuple. The tuples then become
-// one joined chunk: the columns the box's other expressions read, gathered
-// through the tuples' fact and dimension rows. Those expressions are
-// rewritten onto its columns (onJoined), read as the fact quantifier's, so
-// every kernel reads one quantifier, as in a box that does not join. Per
-// chunk and per worker (srcWorker) the source yields the state the sink's
-// kernels run over and its tuple count.
+// predicates and keys run on the kernels while hashing. Each chunk's surviving
+// fact rows probe the tables keyed on the fact in batches, and a dimension
+// keyed on an earlier one is looked up from that one's row in the tuple. The
+// tuples then become one joined chunk: the columns the box's other
+// expressions read, gathered through the tuples' fact and dimension rows.
+// Those expressions are rewritten onto its columns (onJoined), read as the
+// fact quantifier's, so every kernel reads one quantifier, as in a box that
+// does not join. Per chunk and per worker (srcWorker) the source yields the
+// state the sink's kernels run over and its tuple count.
 type source struct {
 	ev       *evaluator
 	vc       vecCompiler // lowers expressions over the fact quantifier, or over the joined chunk
@@ -150,8 +150,9 @@ func (s *source) tied(preds []qgm.Expr, j, n int) bool {
 
 // planSource plans the source of a SELECT box, or of a GROUP BY box read as a
 // SELECT with one quantifier and no predicates. Scalar subqueries evaluate
-// first and dimensions in join order, as on the row path; the fact scan waits
-// for open. A predicate reaching beyond the box is the row path's error.
+// first and dimensions in join order, as on the row path, each then built on
+// the chunk kernels (keyOrds); the fact scan waits for open. A predicate
+// reaching beyond the box is the row path's error.
 func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 	s := &source{ev: ev}
 	var scalars map[int]sqltypes.Value
@@ -222,17 +223,18 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 	}
 
 	// Build each dimension from its evaluated relation (memoized, charged as
-	// on the row path), reading its rows through one buffer. It is keyed on
-	// its ties to the fact, else on those to the earlier dimension of its
-	// first tie; its other ties filter the joined chunk. Its local
-	// predicates and keys are evaluated on every row of it, joined or not.
+	// on the row path). It is keyed on its ties to the fact, else on those to
+	// the earlier dimension of its first tie; its other ties filter the joined
+	// chunk. Its local predicates and keys run on the chunk kernels (Filter)
+	// over every row of it, joined or not.
 	s.dims = make([]starDim, nd)
 	for k, dq := range s.dimQs {
 		rel, err := ev.evalBox(dq.Box)
 		if err != nil {
 			return nil, err
 		}
-		sd := starDim{chunks: rel.chunks, via: srcFact}
+		sd := &s.dims[k]
+		sd.chunks, sd.via = rel.chunks, srcFact
 		if len(ties[k]) > 0 && !slices.ContainsFunc(ties[k], func(t tie) bool { return t.from == srcFact }) {
 			sd.via = ties[k][0].from
 		}
@@ -248,7 +250,7 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 			}
 		}
 		sd.set, sd.table = allInts(len(keys)), newGroupTable(len(keys), nil, rel.n, true)
-		if sd.ords, err = keyOrds(sd.table, true, sd.chunks, dq.ID, scalars, dimPreds[k], keys, nil); err != nil {
+		if sd.ords, err = s.keyOrds(sd.table, true, k, rel.n, dimPreds[k], keys, nil); err != nil {
 			return nil, err
 		}
 		// Each key's rows, in row order: a chain from head[g] through next.
@@ -264,11 +266,10 @@ func (ev *evaluator) planSource(b *qgm.Box) (*source, error) {
 		if j := sd.via; j >= 0 {
 			// Keyed on dimension j: per row of j that can join, the ordinal of
 			// its key here.
-			if sd.viaOrd, err = keyOrds(sd.table, false, s.dims[j].chunks, s.dimQs[j].ID, scalars, nil, on, s.dims[j].ords); err != nil {
+			if sd.viaOrd, err = s.keyOrds(sd.table, false, j, len(s.dims[j].ords), nil, on, s.dims[j].ords); err != nil {
 				return nil, err
 			}
 		}
-		s.dims[k] = sd
 	}
 	s.filters = make([]vecFilter, len(factPreds))
 	for i, p := range factPreds {
@@ -288,34 +289,57 @@ type tie struct {
 	on, dim, pred qgm.Expr
 }
 
-// keyOrds returns, per row of chunks (the rows of quantifier qid), the
-// ordinal in t of its values of keys, found or, with insert, added. It is
-// noGroup for a row with a NULL key (which never joins), one that a predicate
-// of preds does not hold on, or one whose in is noGroup, when in is set.
-func keyOrds(t *groupTable, insert bool, chunks []*storage.Chunk, qid int, scalars map[int]sqltypes.Value, preds, keys []qgm.Expr, in []uint32) ([]uint32, error) {
-	ctx := &exprCtx{scalars: scalars}
-	ctx.setSlot(qid, 0)
-	var ords []uint32
-	bd, key := make(binding, 1), make([]sqltypes.Value, len(keys))
-	err := storage.EachRow(chunks, func(ri int, r []sqltypes.Value) error {
-		if bd[0], ords = r, append(ords, noGroup); in != nil && in[ri] == noGroup {
-			return nil
-		}
-		for _, p := range preds {
-			if tv, err := ctx.evalPred(p, bd); err != nil || tv != sqltypes.True {
-				return err
+// keyOrds returns, per row of dimension k (n rows), the ordinal in t of its
+// values of keys, found or, with insert, added. preds filter its chunks and
+// keys evaluate over what they keep, on the kernels (Filter); a strip at a
+// time, each run of rows with no NULL key then goes through findBatch. An
+// ordinal is noGroup for a row with a NULL key (which never joins, and takes
+// no group of its own), one that a predicate of preds does not hold on, or
+// one whose in is noGroup, when in is set.
+func (s *source) keyOrds(t *groupTable, insert bool, k, n int, preds, keys []qgm.Expr, in []uint32) ([]uint32, error) {
+	ords, kc, set := make([]uint32, n), make([]keyCol, len(keys)), allInts(len(keys))
+	for i := range ords {
+		ords[i] = noGroup
+	}
+	var hash [stripRows]uint64
+	var got [stripRows]uint32
+	err := Filter(s.dimQs[k], s.dims[k].chunks, s.ectx.scalars, preds, keys, s.ev.obsv, func(_ *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error {
+		eachRun(len(sel), func(i int) bool {
+			for _, v := range vals {
+				if v.IsNull(i) {
+					return true
+				}
 			}
-		}
-		for i, e := range keys {
-			var err error
-			if key[i], err = ctx.evalScalar(e, bd); err != nil || key[i].IsNull() {
-				return err
+			return in != nil && in[at+int(sel[i])] == noGroup
+		}, func(lo, m int) {
+			for j, v := range vals {
+				kc[j].load(v, lo, m)
 			}
-		}
-		ords[ri] = t.find(key, insert)
+			t.findBatch(kc, set, hash[:m], got[:m], insert)
+			for i, g := range got[:m] {
+				ords[at+int(sel[lo+i])] = g
+			}
+		})
 		return nil
 	})
 	return ords, err
+}
+
+// eachRun calls f(lo, m) for each run of rows lo to lo+m-1, within 0 to n-1,
+// on none of which skip holds, of at most stripRows rows.
+func eachRun(n int, skip func(i int) bool, f func(lo, m int)) {
+	for lo := 0; lo < n; {
+		if skip(lo) {
+			lo++
+			continue
+		}
+		m := 1
+		for lo+m < n && m < stripRows && !skip(lo+m) {
+			m++
+		}
+		f(lo, m)
+		lo += m
+	}
 }
 
 // compile lowers a sink expression to a kernel over the tuples the worker
@@ -404,23 +428,23 @@ func (s *source) joined(src, col int, coded bool) (*qgm.ColRef, *joinCol) {
 	return &qgm.ColRef{Q: s.fact, Col: i}, &s.jcols[i]
 }
 
-// Filter runs where (nil: every row) and exprs over chunks, the rows of
-// quantifier q, on the kernels a box compiles them to: what those do not lower
-// is lifted, and counted on o, as in a box. For each chunk with rows where
-// where is True it calls f with the chunk, the position of its first row,
-// those rows (nil: all of them) and exprs' vectors aligned with them, valid
-// until f returns. It stops at the first error. DML finds its rows and
-// computes their SET values here.
-func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []qgm.Expr, o *obs.Observer,
+// Filter runs preds (a conjunction) and exprs over chunks, the rows of
+// quantifier q, on the kernels a box compiles them to, with scalars the
+// values of the scalar subqueries they read: what those do not lower is
+// lifted, and counted on o, as in a box. For each chunk with rows where every
+// predicate is True it calls f with the chunk, the position of its first row,
+// those rows, in order, and exprs' vectors aligned with them, valid until f
+// returns. It stops at the first error. DML finds its rows and
+// computes their SET values here, and a star join builds its dimensions.
+func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, scalars map[int]sqltypes.Value, preds, exprs []qgm.Expr, o *obs.Observer,
 	f func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error) error {
-	ectx := &exprCtx{}
+	ectx := &exprCtx{scalars: scalars}
 	ectx.setSlot(q.ID, 0)
 	vc := vecCompiler{ev: &evaluator{obsv: o}, ectx: ectx, baseQID: q.ID}
-	var filters []vecFilter
-	if where != nil {
-		filters = []vecFilter{vc.compileFilter(where)}
+	filters, kernels := make([]vecFilter, len(preds)), make([]vecKernel, len(exprs))
+	for i, p := range preds {
+		filters[i] = vc.compileFilter(p)
 	}
-	kernels := make([]vecKernel, len(exprs))
 	for i, e := range exprs {
 		kernels[i] = vc.compileScalar(e)
 	}
@@ -431,7 +455,7 @@ func Filter(q *qgm.Quantifier, chunks []*storage.Chunk, where qgm.Expr, exprs []
 			vals[i], err = kernels[i](cs)
 		}
 		if err == nil && cs.n() > 0 {
-			err = f(c, at, cs.sel, vals)
+			err = f(c, at, cs.live(), vals)
 		}
 		if err != nil {
 			return err
@@ -487,22 +511,13 @@ func (d *starDim) codes(v *sqltypes.Vec) (codes, dict *sqltypes.Vec) {
 	t, keys := newGroupTable(1, nil, v.Len(), true), make([]keyCol, 1)
 	var hash [stripRows]uint64
 	var ords [stripRows]uint32
-	for lo := 0; lo < len(d.ords); {
-		if d.ords[lo] == noGroup {
-			lo++
-			continue
-		}
-		n := 1 // a run of rows in chains, a strip at most
-		for lo+n < len(d.ords) && n < stripRows && d.ords[lo+n] != noGroup {
-			n++
-		}
+	eachRun(len(d.ords), func(i int) bool { return d.ords[i] == noGroup }, func(lo, n int) {
 		keys[0].load(v, lo, n)
 		t.findBatch(keys, []int{0}, hash[:n], ords[:n], true)
 		for i, g := range ords[:n] {
 			words[lo+i] = int64(g)
 		}
-		lo += n
-	}
+	})
 	t.keyColumn(dict, 0, 0, t.n)
 	codes.Seal()
 	dict.Seal()

@@ -89,9 +89,9 @@ func (ev *evaluator) evalGroupByVec(b *qgm.Box) (*relation, error) {
 				}
 				accums[ai].bind(&aggSpecs[ai], av)
 			}
-			// The per-input-row budget charge, batched per chunk (same totals
-			// as the row path's per-row charge).
-			if err := chg.checkpoint(n); err != nil {
+			// A poll per chunk: the input rows were charged where they were
+			// scanned or joined, the groups are as they are emitted.
+			if err := chg.flush(); err != nil {
 				return err
 			}
 			// A strip of rows at a time: the grouping vectors are normalised

@@ -25,7 +25,9 @@ import (
 // what happens to the vectors is the sink's: evalSelectVec below projects them
 // into output chunks, evalGroupByVec (vecgroupby.go) aggregates them. Every
 // SELECT and GROUP BY box runs here unless Config.Interpret asks for the
-// reference path; lifts are counted (exec.vector.lifted).
+// reference path, and so do a star join's dimension builds and DML's WHERE
+// (Filter); lifts are counted (exec.vector.lifted), and only lift and
+// rowFilter call the interpreter.
 //
 // Intended divergences from the reference (documented in DESIGN.md §13):
 // within a chunk, predicates run predicate-major rather than row-major, so
@@ -33,8 +35,9 @@ import (
 // surface first, and a row eliminated by an earlier conjunct never evaluates
 // later conjuncts (the reference surfaces an error from a later conjunct even
 // when an earlier one was Unknown). A dimension's local predicates and keys
-// run on all its rows while it is hashed, joined or not. The parity suites pin
-// that on error-free workloads results are identical, serially bit-for-bit.
+// run on all its rows while it is hashed, joined or not, a key even where
+// another is NULL. The parity suites pin that on error-free workloads results
+// are identical, serially bit-for-bit.
 
 // Observability counters for the chunk pipeline.
 const (

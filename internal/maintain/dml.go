@@ -132,17 +132,17 @@ func (m *Maintainer) applyWhere(plans []*Plan, dml *qgm.DML, site string, set bo
 	if set {
 		pos = &ch.Set
 	}
-	err := exec.Filter(dml.Q, chunks, dml.Where, exprs, m.obsv, func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error {
+	var where []qgm.Expr // none: every row
+	if dml.Where != nil {
+		where = []qgm.Expr{dml.Where}
+	}
+	err := exec.Filter(dml.Q, chunks, nil, where, exprs, m.obsv, func(c *storage.Chunk, at int, sel []int32, vals []*sqltypes.Vec) error {
 		out := c
-		if sel != nil {
+		if len(sel) < c.Len() {
 			out = storage.Gather(c, sel)[0]
 		}
-		for i := range out.Len() {
-			p := i
-			if sel != nil {
-				p = int(sel[i])
-			}
-			*pos = append(*pos, at+p)
+		for _, p := range sel {
+			*pos = append(*pos, at+int(p))
 		}
 		if del = append(del, out); !set {
 			return nil

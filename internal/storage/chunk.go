@@ -213,23 +213,3 @@ func Rows(chunks []*Chunk, n int) [][]sqltypes.Value {
 	}
 	return rows
 }
-
-// EachRow calls f with every row of chunks and its position, in order, each
-// loaded into one buffer reused from row to row: f must not keep it. It stops
-// at f's first error and returns it.
-func EachRow(chunks []*Chunk, f func(pos int, row []sqltypes.Value) error) error {
-	var buf []sqltypes.Value
-	pos := 0
-	for _, c := range chunks {
-		if buf == nil {
-			buf = make([]sqltypes.Value, len(c.cols))
-		}
-		for i := 0; i < c.n; i, pos = i+1, pos+1 {
-			c.Row(i, buf)
-			if err := f(pos, buf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
